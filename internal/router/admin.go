@@ -4,72 +4,22 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 )
 
-// AdminHandler returns the router's admin HTTP surface:
+// AdminHandler returns the router's admin HTTP surface: the session
+// layer's routes (session.Server.AdminMux: /metrics, /debug/traces,
+// /debug/pprof/, /healthz, /readyz) with
 //
-//	/metrics  Prometheus text format (probe_router_* namespace):
-//	          per-shard fan-out latency histograms, fan-out call
-//	          counters, shard/replica health gauges, merge overhead,
-//	          front-side request counters
-//	/healthz  liveness (200 while the process runs)
-//	/readyz   readiness: 200 while the grid is learned, the router is
-//	          not draining, and every shard has a live node; 503
-//	          otherwise, with the first failing condition in the body
-//	/debug/traces
-//	          recent request traces, newest first (JSON; ?format=text
-//	          for the rendered span trees): slow requests, sampled
-//	          requests, and every FlagTrace request, each with its
-//	          grafted fan-out span tree when traced
-//	/debug/pprof, /debug/vars as on probed
-//
-// The handler stays valid during and after Shutdown (readiness is how
-// a load balancer sees the drain), so the admin HTTP server should be
-// closed after Shutdown returns, not before.
+//	/metrics  probe_router_*: per-shard fan-out latency histograms,
+//	          fan-out call counters, shard/replica health gauges, merge
+//	          overhead, front-side request counters
+//	/readyz   also 503 until the grid is learned and while a shard has
+//	          no live node (Ready), the failing condition in the body
 func (r *Router) AdminHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", r.serveMetrics)
-	mux.HandleFunc("/debug/traces", r.serveTraces)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		fmt.Fprintln(w, "ok")
+	return r.AdminMux(r.Ready, func(buf *bytes.Buffer) error {
+		name := "probe_router_go_goroutines"
+		fmt.Fprintf(buf, "# TYPE %s gauge\n%s %d\n", name, name, runtime.NumGoroutine())
+		return nil
 	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, req *http.Request) {
-		if err := r.Ready(); err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ready")
-	})
-	return mux
-}
-
-// serveTraces dumps the trace store, newest first: JSON by default,
-// the rendered-text form with ?format=text.
-func (r *Router) serveTraces(w http.ResponseWriter, req *http.Request) {
-	if req.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		r.traces.WriteText(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	r.traces.WriteJSON(w)
-}
-
-func (r *Router) serveMetrics(w http.ResponseWriter, req *http.Request) {
-	var buf bytes.Buffer
-	if err := r.metrics.WritePrometheus(&buf, "probe_router"); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	name := "probe_router_go_goroutines"
-	fmt.Fprintf(&buf, "# TYPE %s gauge\n%s %d\n", name, name, runtime.NumGoroutine())
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write(buf.Bytes())
 }

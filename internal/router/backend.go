@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"probe/client"
+	"probe/internal/session"
 )
 
 // endpoint is one dialable node (a shard's primary or one replica)
@@ -47,7 +48,7 @@ func (ep *endpoint) setHealth(up bool) {
 	if up {
 		v = 1
 	}
-	ep.r.metrics.Gauge(ep.healthGauge()).Set(v)
+	ep.r.Metrics().Gauge(ep.healthGauge()).Set(v)
 }
 
 // get returns a pooled connection or dials a fresh one. The boolean
@@ -291,7 +292,7 @@ func (b *backend) call(ctx context.Context, eps []*endpoint, fn func(context.Con
 		ep.markDown(err)
 		lastErr, lastAddr = err, ep.addr
 	}
-	b.r.metrics.Int("router.unavailable").Add(1)
+	b.r.Metrics().Int("router.unavailable").Add(1)
 	return &ShardError{Shard: b.id, Addr: lastAddr, Err: lastErr}
 }
 
@@ -299,29 +300,29 @@ func (b *backend) call(ctx context.Context, eps []*endpoint, fn func(context.Con
 // connection when a pooled conn turns out poisoned), bounding the call
 // with the backend watchdog so a hung shard cannot wedge the router.
 // The bool reports whether the failure was transport-level (failover
-// is warranted). When the request carries a traceCtx, the call runs
+// is warranted). When the request is traced, the call runs
 // traced — FlagTrace plus the request's trace ID propagate to the
 // shard — and the shard's answer is grafted under the request span as
 // a fanout.shard<N>.<primary|replica> subtree.
 func (b *backend) tryEndpoint(ctx context.Context, ep *endpoint, fn func(context.Context, *client.Conn) error) (error, bool) {
-	tc := traceFrom(ctx)
+	span, traceID, traced := session.TraceFrom(ctx)
 	for attempt := 0; ; attempt++ {
 		c, pooled, err := ep.get(ctx)
 		if err != nil {
 			return err, true
 		}
-		if tc != nil {
+		if traced {
 			c.SetTrace(true)
-			c.SetTraceID(tc.id)
+			c.SetTraceID(traceID)
 		}
 		t0 := time.Now()
 		err = b.callOnce(ctx, c, fn)
 		callDur := time.Since(t0)
-		b.r.metrics.Histogram(fmt.Sprintf("router.fanout.shard%d.ns", b.id)).Observe(int64(callDur))
-		b.r.metrics.Int(fmt.Sprintf("router.fanout.shard%d.calls", b.id)).Add(1)
+		b.r.Metrics().Histogram(fmt.Sprintf("router.fanout.shard%d.ns", b.id)).Observe(int64(callDur))
+		b.r.Metrics().Int(fmt.Sprintf("router.fanout.shard%d.calls", b.id)).Add(1)
 		broken := c.Broken() != nil
-		if tc != nil {
-			tc.graft(b.id, ep.replica, callDur, c)
+		if traced {
+			graft(span, b.id, ep.replica, callDur, c)
 			// Pooled connections are shared across requests: strip the
 			// trace state before returning the conn so an untraced
 			// request picking it up next does not run traced.

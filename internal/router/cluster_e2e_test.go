@@ -18,6 +18,7 @@ import (
 	"probe/internal/obs"
 	"probe/internal/repl"
 	"probe/internal/server"
+	"probe/internal/wire"
 )
 
 func clusterGrid() probe.Grid { return probe.MustGrid(2, 10) }
@@ -216,6 +217,42 @@ func TestClusterQueryDifferential(t *testing.T) {
 			ordered,
 		); d != "" {
 			t.Errorf("seed %d: single vs cluster %s\n  query: %s", qseed, d, sql)
+		}
+	}
+
+	// Malformed requests: a client cannot tell the cluster from one node,
+	// so the router must answer with the typed code a shard gives when
+	// asked directly.
+	node := dialRouter(t, addrs[0])
+	codeOf := func(what string, err error) uint8 {
+		var se *client.ServerError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: got %v, want a typed server error", what, err)
+		}
+		return se.Code
+	}
+	for _, tc := range []struct {
+		name string
+		do   func(*client.Conn) error
+	}{
+		{"range with a 3-d box", func(c *client.Conn) error {
+			_, _, err := c.Range(ctx, []uint32{1, 2, 3}, []uint32{4, 5, 6})
+			return err
+		}},
+		{"explain with a 3-d box", func(c *client.Conn) error {
+			_, err := c.Explain(ctx, []uint32{1, 2, 3}, []uint32{4, 5, 6})
+			return err
+		}},
+		{"nearest with a 3-d point", func(c *client.Conn) error {
+			_, _, err := c.Nearest(ctx, []uint32{1, 2, 3}, 4, probe.Euclidean)
+			return err
+		}},
+	} {
+		want := codeOf(tc.name+" on one node", tc.do(node))
+		got := codeOf(tc.name+" through the router", tc.do(cl))
+		if got != want || want != wire.CodeBadRequest {
+			t.Errorf("%s: node answers %s, router %s, want bad-request from both",
+				tc.name, wire.CodeString(want), wire.CodeString(got))
 		}
 	}
 }

@@ -8,8 +8,48 @@ import (
 	"probe/internal/geom"
 	"probe/internal/planner"
 	"probe/internal/query"
+	"probe/internal/session"
 	"probe/internal/zorder"
 )
+
+// clusterStmt is a statement parsed and compiled router-side; it runs
+// its plan over a clusterEngine, so every plan shape — streaming
+// scans, aggregates, DISTINCT, GROUP BY, ORDER, LIMIT — produces
+// exactly the rows a single node would.
+type clusterStmt struct {
+	r    *Router
+	stmt *query.Statement
+	plan *query.Plan
+}
+
+// Prepare parses and compiles the statement against the cluster grid.
+func (r *Router) Prepare(text string) (session.Stmt, error) {
+	stmt, err := query.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := query.Compile(r.Grid(), stmt.Select)
+	if err != nil {
+		return nil, err
+	}
+	return &clusterStmt{r: r, stmt: stmt, plan: plan}, nil
+}
+
+func (s *clusterStmt) IsExplain() bool              { return s.stmt.Explain }
+func (s *clusterStmt) Columns() []probe.QueryColumn { return s.plan.Columns() }
+
+func (s *clusterStmt) ExplainText(ctx context.Context) (string, error) {
+	return s.plan.ExplainText(&clusterEngine{r: s.r}), nil
+}
+
+func (s *clusterStmt) Run(ctx context.Context, fn func(probe.QueryRow) bool) (probe.QueryStats, error) {
+	eng := &clusterEngine{r: s.r}
+	err := s.plan.Run(ctx, eng, func(row probe.QueryRow) bool {
+		eng.stats.Results++
+		return fn(row)
+	})
+	return eng.stats, err
+}
 
 // clusterEngine adapts the router's scatter-gather primitives to
 // query.Engine, so parsed statements compile and run router-side
@@ -26,13 +66,11 @@ type clusterEngine struct {
 
 var _ query.Engine = (*clusterEngine)(nil)
 
-func (e *clusterEngine) Grid() zorder.Grid      { return e.r.Grid() }
-func (e *clusterEngine) Table() *planner.Table  { return nil }
+func (e *clusterEngine) Grid() zorder.Grid     { return e.r.Grid() }
+func (e *clusterEngine) Table() *planner.Table { return nil }
 
 func (e *clusterEngine) RangeFunc(ctx context.Context, box geom.Box, fn func(geom.Point) bool) error {
-	qs, err := e.r.RangeFunc(ctx, box.Lo, box.Hi, 0, func(p probe.Point) bool {
-		return fn(geom.Point{ID: p.ID, Coords: p.Coords})
-	})
+	qs, err := e.r.Range(ctx, box, 0, fn)
 	e.stats = addStats(e.stats, qs)
 	return err
 }
@@ -40,12 +78,5 @@ func (e *clusterEngine) RangeFunc(ctx context.Context, box geom.Box, fn func(geo
 func (e *clusterEngine) Nearest(ctx context.Context, q []uint32, k int) ([]core.Neighbor, error) {
 	nbs, qs, err := e.r.Nearest(ctx, q, k, probe.Euclidean)
 	e.stats = addStats(e.stats, qs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.Neighbor, len(nbs))
-	for i, n := range nbs {
-		out[i] = core.Neighbor{Point: geom.Point{ID: n.Point.ID, Coords: n.Point.Coords}, Dist: n.Dist}
-	}
-	return out, nil
+	return nbs, err
 }

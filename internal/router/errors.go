@@ -39,6 +39,3 @@ var errBackendTimeout = errors.New("router: backend call timed out")
 // errScatterStop is the cancel cause when the front-side consumer
 // stopped a scatter early (emit returned false): not a failure.
 var errScatterStop = errors.New("router: consumer stopped")
-
-// errDraining is the cancel cause for router shutdown.
-var errDraining = errors.New("router: draining")

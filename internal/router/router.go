@@ -5,16 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"probe"
 	"probe/client"
 	"probe/internal/obs"
+	"probe/internal/session"
+	"probe/internal/wire"
 	"probe/internal/zorder"
 )
 
@@ -88,30 +88,24 @@ func (c *Config) fillDefaults() {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
 	if c.LogEvery == 0 {
 		c.LogEvery = 1
 	}
 }
 
 // Router is the scatter-gather coordinator: the wire protocol in
-// front, per-shard connection pools behind, the shard map in between.
+// front (the embedded session server, which the Router is the Engine
+// of), per-shard connection pools behind, the shard map in between.
+// Serve and the admission primitives are the session server's, and so
+// is the one registry (Metrics) everything lands in: the front-side
+// series and the router's own fan-out latency histograms, shard/replica
+// health gauges and merge overhead.
 type Router struct {
+	*session.Server
+
 	cfg      Config
 	m        *Map
 	backends []*backend
-	metrics  *obs.Registry
-
-	// traces is the ring buffer of recent interesting requests served
-	// at /debug/traces; reqSeq numbers completed requests for the
-	// sampled Info log.
-	traces *obs.TraceStore
-	reqSeq atomic.Uint64
 
 	// grid is learned from the first reachable shard's handshake and
 	// immutable afterwards (gridMu guards the learning window).
@@ -119,17 +113,11 @@ type Router struct {
 	grid   zorder.Grid
 	bits   []int
 
-	baseCtx    context.Context
-	cancelBase context.CancelCauseFunc
-
-	mu        sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	draining  bool
-	wg        sync.WaitGroup // sessions
-	probeWG   sync.WaitGroup
-	probeStop chan struct{}
-	sem       chan struct{} // front-side admission
+	// probeCtx bounds every health probe; Shutdown cancels it to stop
+	// the prober.
+	probeCtx   context.Context
+	stopProbes context.CancelFunc
+	probeWG    sync.WaitGroup
 }
 
 // New builds a Router over a validated shard map. Call Start to learn
@@ -142,35 +130,25 @@ func New(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	cfg.fillDefaults()
-	baseCtx, cancel := context.WithCancelCause(context.Background())
-	r := &Router{
-		cfg:        cfg,
-		m:          cfg.Map,
-		metrics:    obs.NewRegistry(),
-		traces:     obs.NewTraceStore(cfg.TraceBuffer),
-		baseCtx:    baseCtx,
-		cancelBase: cancel,
-		listeners:  make(map[net.Listener]struct{}),
-		conns:      make(map[net.Conn]struct{}),
-		probeStop:  make(chan struct{}),
-		sem:        make(chan struct{}, cfg.MaxInflight),
-	}
+	r := &Router{cfg: cfg, m: cfg.Map}
+	r.probeCtx, r.stopProbes = context.WithCancel(context.Background())
+	r.Server = session.New(r, session.Config{
+		Name:         "router",
+		SpanPrefix:   "router.",
+		MaxInflight:  cfg.MaxInflight,
+		DrainTimeout: cfg.DrainTimeout,
+		WriteTimeout: cfg.WriteTimeout,
+		BatchSize:    cfg.BatchSize,
+		Logger:       cfg.Logger,
+		SlowQuery:    cfg.SlowQuery,
+		LogEvery:     cfg.LogEvery,
+		TraceBuffer:  cfg.TraceBuffer,
+	}, obs.NewRegistry())
 	for i, def := range cfg.Map.Shards {
 		r.backends = append(r.backends, newBackend(r, i, def))
 	}
 	return r, nil
 }
-
-// Metrics exposes the router's registry (fan-out latency histograms,
-// shard/replica health gauges, request counters) for /metrics.
-func (r *Router) Metrics() *obs.Registry { return r.metrics }
-
-// Map returns the routing table the router was built over.
-func (r *Router) Map() *Map { return r.m }
-
-// Traces returns the router's trace store: the ring of recent
-// interesting requests (traced, slow, sampled) behind /debug/traces.
-func (r *Router) Traces() *obs.TraceStore { return r.traces }
 
 // gridBits returns the cluster grid's bits per dimension, nil until
 // learned.
@@ -235,7 +213,7 @@ func (r *Router) startProber() {
 		defer t.Stop()
 		for {
 			select {
-			case <-r.probeStop:
+			case <-r.probeCtx.Done():
 				return
 			case <-t.C:
 				r.ProbeNow()
@@ -249,7 +227,7 @@ func (r *Router) startProber() {
 // calls it on a ticker; tests call it directly to converge health
 // state without waiting.
 func (r *Router) ProbeNow() {
-	ctx, cancel := context.WithTimeout(r.baseCtx, r.cfg.DialTimeout+r.cfg.ProbeInterval)
+	ctx, cancel := context.WithTimeout(r.probeCtx, r.cfg.DialTimeout+r.cfg.ProbeInterval)
 	defer cancel()
 	var wg sync.WaitGroup
 	for _, b := range r.backends {
@@ -274,9 +252,6 @@ func (r *Router) Ready() error {
 	if r.gridBits() == nil {
 		return errors.New("router: cluster grid not learned")
 	}
-	if r.isDraining() {
-		return errors.New("router: draining")
-	}
 	for _, b := range r.backends {
 		ok := !b.primary.isDown()
 		for _, rep := range b.replicas {
@@ -289,25 +264,32 @@ func (r *Router) Ready() error {
 	return nil
 }
 
-func (r *Router) isDraining() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.draining
+// Shutdown drains the front side (see session.Server.Shutdown), then
+// stops the prober and closes every backend pool. Safe to call once;
+// subsequent calls return nil immediately.
+func (r *Router) Shutdown(ctx context.Context) error {
+	if !r.Server.Shutdown(ctx) {
+		return nil
+	}
+	r.stopProbes()
+	r.probeWG.Wait()
+	for _, b := range r.backends {
+		for _, ep := range b.endpoints() {
+			ep.closePool()
+		}
+	}
+	return nil
 }
 
-// ---- Scatter-gather data operations ----
+// ---- Scatter-gather data operations: the session.Engine ----
 
-// shardsFor returns the backends whose z-intervals the box
-// [lo, hi] intersects.
-func (r *Router) shardsFor(lo, hi []uint32) ([]*backend, error) {
+// shardsFor returns the backends whose z-intervals the box intersects.
+func (r *Router) shardsFor(box probe.Box) ([]*backend, error) {
 	g := r.Grid()
-	if len(lo) != g.Dims() || len(hi) != g.Dims() {
-		return nil, fmt.Errorf("router: box dims %d/%d, grid has %d", len(lo), len(hi), g.Dims())
-	}
-	if !g.Valid(lo) || !g.Valid(hi) {
+	if !g.Valid(box.Lo) || !g.Valid(box.Hi) {
 		return nil, fmt.Errorf("router: box corner outside grid")
 	}
-	zlo, zhi := g.ShuffleKey(lo), g.ShuffleKey(hi)
+	zlo, zhi := g.ShuffleKey(box.Lo), g.ShuffleKey(box.Hi)
 	idxs := r.m.Intersecting(zlo, zhi)
 	out := make([]*backend, len(idxs))
 	for i, s := range idxs {
@@ -316,13 +298,13 @@ func (r *Router) shardsFor(lo, hi []uint32) ([]*backend, error) {
 	return out, nil
 }
 
-// RangeFunc streams every point in the box to fn in global (z, id)
+// Range streams every point in the box to fn in global (z, id)
 // order, exactly as a single node would; fn returning false stops the
 // scatter early without error. Shard streams are merged by z-key; a
 // shard that cannot answer fails the whole request with a typed
 // *ShardError — never a silently partial stream.
-func (r *Router) RangeFunc(ctx context.Context, lo, hi []uint32, strategy uint8, fn func(probe.Point) bool) (probe.QueryStats, error) {
-	shards, err := r.shardsFor(lo, hi)
+func (r *Router) Range(ctx context.Context, box probe.Box, strategy uint8, fn func(probe.Point) bool) (probe.QueryStats, error) {
+	shards, err := r.shardsFor(box)
 	if err != nil {
 		return probe.QueryStats{}, err
 	}
@@ -330,7 +312,7 @@ func (r *Router) RangeFunc(ctx context.Context, lo, hi []uint32, strategy uint8,
 	if len(shards) == 1 {
 		var qs probe.QueryStats
 		err := shards[0].read(ctx, func(bctx context.Context, c *client.Conn) error {
-			s, err := c.RangeFunc(bctx, lo, hi, strategy, fn)
+			s, err := c.RangeFunc(bctx, box.Lo, box.Hi, strategy, fn)
 			qs = s
 			return err
 		})
@@ -369,7 +351,7 @@ func (r *Router) RangeFunc(ctx context.Context, lo, hi []uint32, strategy uint8,
 						return false
 					}
 				}
-				qs, err := c.RangeFunc(bctx, lo, hi, strategy, func(p probe.Point) bool {
+				qs, err := c.RangeFunc(bctx, box.Lo, box.Hi, strategy, func(p probe.Point) bool {
 					buf = append(buf, ZPoint{Z: g.ShuffleKey(p.Coords), P: p})
 					if len(buf) >= r.cfg.BatchSize {
 						return flush()
@@ -412,14 +394,18 @@ func (r *Router) RangeFunc(ctx context.Context, lo, hi []uint32, strategy uint8,
 	}
 
 	t0 := time.Now()
-	stopped, err := mergeZ(cursors, func(zp ZPoint) bool { return fn(zp.P) })
+	delivered := 0
+	stopped, err := mergeZ(cursors, func(zp ZPoint) bool {
+		delivered++
+		return fn(zp.P)
+	})
 	mergeDur := time.Since(t0)
-	r.metrics.Histogram("router.merge.ns").Observe(int64(mergeDur))
-	if tc := traceFrom(ctx); tc != nil {
+	r.Metrics().Histogram("router.merge.ns").Observe(int64(mergeDur))
+	if span, _, traced := session.TraceFrom(ctx); traced {
 		// Attribute the router's own gather overhead: the z-merge loop
 		// (which includes delivering rows to the client) as a sibling of
 		// the per-shard fan-out subtrees.
-		tc.span.Attach(probe.NewSealedTrace("merge", mergeDur))
+		span.Attach(probe.NewSealedTrace("merge", mergeDur))
 	}
 	if stopped {
 		cancel(errScatterStop)
@@ -441,50 +427,46 @@ func (r *Router) RangeFunc(ctx context.Context, lo, hi []uint32, strategy uint8,
 			}
 		}
 	}
+	total.Results = delivered // as a single node counts them
 	return total, nil
-}
-
-// Range materializes RangeFunc.
-func (r *Router) Range(ctx context.Context, lo, hi []uint32) ([]probe.Point, probe.QueryStats, error) {
-	var pts []probe.Point
-	qs, err := r.RangeFunc(ctx, lo, hi, 0, func(p probe.Point) bool {
-		pts = append(pts, p)
-		return true
-	})
-	if err != nil {
-		return nil, qs, err
-	}
-	qs.Results = len(pts)
-	return pts, qs, nil
 }
 
 // Nearest fans the m-nearest query to every shard (the true neighbors
 // can live anywhere) and folds the per-shard lists into the global
 // top m, ordered by (distance, id) like a single node.
 func (r *Router) Nearest(ctx context.Context, q []uint32, m int, metric probe.Metric) ([]probe.Neighbor, probe.QueryStats, error) {
-	g := r.Grid()
-	if len(q) != g.Dims() || !g.Valid(q) {
-		return nil, probe.QueryStats{}, fmt.Errorf("router: query point invalid for grid")
-	}
-	if m <= 0 {
-		return nil, probe.QueryStats{}, fmt.Errorf("router: m must be positive")
-	}
 	r.observeFanout("nearest", len(r.backends))
 	lists := make([][]probe.Neighbor, len(r.backends))
-	statsList := make([]probe.QueryStats, len(r.backends))
+	total, err := r.fanAll(ctx, (*backend).read, func(bctx context.Context, i int, c *client.Conn) (probe.QueryStats, error) {
+		nbs, qs, err := c.Nearest(bctx, q, m, metric)
+		lists[i] = nbs
+		return qs, err
+	})
+	if err != nil {
+		return nil, total, err
+	}
+	out := mergeNeighbors(lists, m)
+	total.Results = len(out)
+	return out, total, nil
+}
+
+// fanAll runs call against every shard in parallel, through do (the
+// failing-over backend.read or the primary-only backend.write), and
+// sums the per-shard stats. The first failing shard, in shard order,
+// fails the whole.
+func (r *Router) fanAll(ctx context.Context, do func(*backend, context.Context, func(context.Context, *client.Conn) error) error,
+	call func(bctx context.Context, i int, c *client.Conn) (probe.QueryStats, error)) (probe.QueryStats, error) {
+
+	stats := make([]probe.QueryStats, len(r.backends))
 	errs := make([]error, len(r.backends))
 	var wg sync.WaitGroup
 	for i, b := range r.backends {
 		wg.Add(1)
 		go func(i int, b *backend) {
 			defer wg.Done()
-			errs[i] = b.read(ctx, func(bctx context.Context, c *client.Conn) error {
-				nbs, qs, err := c.Nearest(bctx, q, m, metric)
-				if err != nil {
-					return err
-				}
-				lists[i], statsList[i] = nbs, qs
-				return nil
+			errs[i] = do(b, ctx, func(bctx context.Context, c *client.Conn) (err error) {
+				stats[i], err = call(bctx, i, c)
+				return err
 			})
 		}(i, b)
 	}
@@ -492,13 +474,11 @@ func (r *Router) Nearest(ctx context.Context, q []uint32, m int, metric probe.Me
 	var total probe.QueryStats
 	for i := range r.backends {
 		if errs[i] != nil {
-			return nil, total, errs[i]
+			return total, errs[i]
 		}
-		total = addStats(total, statsList[i])
+		total = addStats(total, stats[i])
 	}
-	out := mergeNeighbors(lists, m)
-	total.Results = len(out)
-	return out, total, nil
+	return total, nil
 }
 
 // Join ships each item to every shard whose z-interval its box
@@ -507,7 +487,7 @@ func (r *Router) Nearest(ctx context.Context, q []uint32, m int, metric probe.Me
 // both items were shipped to — so the union over shards is exactly
 // the single-node join, and DedupPairs-order (sorted (A,B), distinct)
 // is restored after the union.
-func (r *Router) Join(ctx context.Context, a, b []client.BoxItem, workers int) ([]probe.Pair, probe.QueryStats, error) {
+func (r *Router) Join(ctx context.Context, a, b []session.BoxItem, workers int) ([]probe.Pair, probe.QueryStats, error) {
 	aParts, err := r.scatterItems(a)
 	if err != nil {
 		return nil, probe.QueryStats{}, fmt.Errorf("router: left relation: %w", err)
@@ -572,15 +552,16 @@ func (r *Router) Join(ctx context.Context, a, b []client.BoxItem, workers int) (
 
 // scatterItems clips a join relation to the shards: item i goes to
 // every shard whose z-interval intersects its box's z-span.
-func (r *Router) scatterItems(items []client.BoxItem) ([][]client.BoxItem, error) {
+func (r *Router) scatterItems(items []session.BoxItem) ([][]client.BoxItem, error) {
 	g := r.Grid()
 	out := make([][]client.BoxItem, len(r.backends))
 	for _, it := range items {
-		if len(it.Lo) != g.Dims() || len(it.Hi) != g.Dims() || !g.Valid(it.Lo) || !g.Valid(it.Hi) {
-			return nil, fmt.Errorf("router: item %d box invalid for grid", it.ID)
+		lo, hi := it.Box.Lo, it.Box.Hi
+		if !g.Valid(lo) || !g.Valid(hi) {
+			return nil, fmt.Errorf("router: item %d box outside grid", it.ID)
 		}
-		for _, s := range r.m.Intersecting(g.ShuffleKey(it.Lo), g.ShuffleKey(it.Hi)) {
-			out[s] = append(out[s], it)
+		for _, s := range r.m.Intersecting(g.ShuffleKey(lo), g.ShuffleKey(hi)) {
+			out[s] = append(out[s], client.BoxItem{ID: it.ID, Lo: lo, Hi: hi})
 		}
 	}
 	return out, nil
@@ -592,18 +573,14 @@ func (r *Router) scatterItems(items []client.BoxItem) ([][]client.BoxItem, error
 // idempotent re-sends), and the partial outcome is counted in
 // router.partial_writes.
 func (r *Router) Insert(ctx context.Context, pts []probe.Point) (probe.QueryStats, error) {
-	return r.applyWrite(ctx, pts, func(c *client.Conn, bctx context.Context, batch []probe.Point) (probe.QueryStats, error) {
-		return c.Insert(bctx, batch)
-	})
+	return r.applyWrite(ctx, pts, (*client.Conn).Insert)
 }
 
 // Delete routes each point to its owning shard and applies the
 // per-shard deletions in parallel; absent points are skipped by the
 // shards as usual.
 func (r *Router) Delete(ctx context.Context, pts []probe.Point) (probe.QueryStats, error) {
-	return r.applyWrite(ctx, pts, func(c *client.Conn, bctx context.Context, batch []probe.Point) (probe.QueryStats, error) {
-		return c.Delete(bctx, batch)
-	})
+	return r.applyWrite(ctx, pts, (*client.Conn).Delete)
 }
 
 func (r *Router) applyWrite(ctx context.Context, pts []probe.Point,
@@ -612,8 +589,8 @@ func (r *Router) applyWrite(ctx context.Context, pts []probe.Point,
 	g := r.Grid()
 	byShard := make([][]probe.Point, len(r.backends))
 	for _, p := range pts {
-		if len(p.Coords) != g.Dims() || !g.Valid(p.Coords) {
-			return probe.QueryStats{}, fmt.Errorf("router: point %d invalid for grid", p.ID)
+		if !g.Valid(p.Coords) {
+			return probe.QueryStats{}, fmt.Errorf("router: point %d outside grid", p.ID)
 		}
 		s := r.m.OwnerOf(g.ShuffleKey(p.Coords))
 		byShard[s] = append(byShard[s], p)
@@ -660,7 +637,7 @@ func (r *Router) applyWrite(ctx context.Context, pts []probe.Point,
 	}
 	if firstErr != nil {
 		if okShards > 0 {
-			r.metrics.Int("router.partial_writes").Add(1)
+			r.Metrics().Int("router.partial_writes").Add(1)
 		}
 		return total, firstErr
 	}
@@ -669,38 +646,15 @@ func (r *Router) applyWrite(ctx context.Context, pts []probe.Point,
 
 // Checkpoint forces a durability checkpoint on every shard primary.
 func (r *Router) Checkpoint(ctx context.Context) (probe.QueryStats, error) {
-	var total probe.QueryStats
-	statsList := make([]probe.QueryStats, len(r.backends))
-	errs := make([]error, len(r.backends))
-	var wg sync.WaitGroup
-	for i, b := range r.backends {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			errs[i] = b.write(ctx, func(bctx context.Context, c *client.Conn) error {
-				qs, err := c.Checkpoint(bctx)
-				if err != nil {
-					return err
-				}
-				statsList[i] = qs
-				return nil
-			})
-		}(i, b)
-	}
-	wg.Wait()
-	for i := range r.backends {
-		if errs[i] != nil {
-			return total, errs[i]
-		}
-		total = addStats(total, statsList[i])
-	}
-	return total, nil
+	return r.fanAll(ctx, (*backend).write, func(bctx context.Context, _ int, c *client.Conn) (probe.QueryStats, error) {
+		return c.Checkpoint(bctx)
+	})
 }
 
 // Explain gathers each intersecting shard's plan for the box and
 // composes them under a routing header.
-func (r *Router) Explain(ctx context.Context, lo, hi []uint32) (string, error) {
-	shards, err := r.shardsFor(lo, hi)
+func (r *Router) Explain(ctx context.Context, box probe.Box) (string, error) {
+	shards, err := r.shardsFor(box)
 	if err != nil {
 		return "", err
 	}
@@ -709,7 +663,7 @@ func (r *Router) Explain(ctx context.Context, lo, hi []uint32) (string, error) {
 	for _, bk := range shards {
 		var text string
 		err := bk.read(ctx, func(bctx context.Context, c *client.Conn) error {
-			t, err := c.Explain(bctx, lo, hi)
+			t, err := c.Explain(bctx, box.Lo, box.Hi)
 			text = t
 			return err
 		})
@@ -725,20 +679,42 @@ func (r *Router) Explain(ctx context.Context, lo, hi []uint32) (string, error) {
 	return b.String(), nil
 }
 
-// StatsMap snapshots the router's counters, gauges and flattened
-// histograms with a "router." namespace, the shape STATS serves.
-func (r *Router) StatsMap() map[string]int64 {
-	out := make(map[string]int64)
-	r.metrics.DoNumeric(func(name string, v int64) {
-		out[name] = v
-	})
-	return out
+// Stats answers STATS with the router's one registry: fan-out
+// histograms, shard/replica health gauges, request counters, all
+// already named "router.*".
+func (r *Router) Stats() []session.StatsSection {
+	return []session.StatsSection{{Registry: r.Metrics()}}
+}
+
+// errNoTx is Begin's answer. Multi-statement transactions need a
+// single snapshot and write-set, which a scatter over independent
+// shards does not provide; reject loudly rather than fake it.
+var errNoTx = errors.New("transactions are not supported through the router; connect to a shard directly")
+
+// Begin refuses: the router has no transactions.
+func (r *Router) Begin(ctx context.Context) (session.Tx, error) { return nil, errNoTx }
+
+// ErrorCode types the router's own failures. A shard the request
+// needed with no live node becomes the UNAVAILABLE code; a shard's own
+// typed answer (bad request, conflict...) passes through with its
+// original code.
+func (r *Router) ErrorCode(err error) uint8 {
+	var se *client.ServerError
+	switch {
+	case errors.Is(err, ErrShardUnavailable):
+		return wire.CodeUnavailable
+	case errors.As(err, &se):
+		return se.Code
+	case errors.Is(err, errNoTx):
+		return wire.CodeBadRequest
+	}
+	return 0
 }
 
 // observeFanout records one scatter's breadth.
 func (r *Router) observeFanout(op string, shards int) {
-	r.metrics.Int("router.requests." + op).Add(1)
-	r.metrics.Histogram("router.fanout.shards").Observe(int64(shards))
+	r.Metrics().Int("router.requests." + op).Add(1)
+	r.Metrics().Histogram("router.fanout.shards").Observe(int64(shards))
 }
 
 // addStats sums the per-shard execution stats (Results excluded: the

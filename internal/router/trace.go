@@ -1,18 +1,18 @@
 package router
 
-// Distributed tracing on the scatter-gather path. The session mints
-// (or adopts) a trace ID for each traced front-side request and plants
-// a traceCtx in the request's context; the backend layer picks it up
-// at the call boundary, propagates FlagTrace plus the trace ID to the
-// shard over the wire, and grafts each shard's returned span tree
-// under a fanout.shard<N>.<kind> node — so one rendered tree shows the
+// Distributed tracing on the scatter-gather path. The session layer
+// mints (or adopts) a trace ID for each traced front-side request and
+// carries it with the request span in the request's context
+// (session.TraceFrom), so Router method signatures stay untouched; the
+// backend layer picks it up at the call boundary, propagates FlagTrace
+// plus the trace ID to the shard over the wire, and grafts each shard's
+// returned span tree under a fanout.shard<N>.<kind> node — so one rendered tree shows the
 // router's own overhead (merge), every backend call's wall time with
 // primary/replica attribution, the shard-reported phase breakdown, and
 // the shard's full server-side span tree, exec and page counters
 // intact.
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -20,33 +20,13 @@ import (
 	"probe/client"
 )
 
-// traceCtx is one traced request's tracing state, carried through the
-// scatter-gather layer by context so Router method signatures stay
-// untouched. Untraced requests carry none; their only cost is a nil
-// context-value lookup per backend call.
-type traceCtx struct {
-	id   uint64
-	span *probe.Trace // the router-side request span grafts attach to
-}
-
-type traceCtxKey struct{}
-
-func withTraceCtx(ctx context.Context, tc *traceCtx) context.Context {
-	return context.WithValue(ctx, traceCtxKey{}, tc)
-}
-
-func traceFrom(ctx context.Context) *traceCtx {
-	tc, _ := ctx.Value(traceCtxKey{}).(*traceCtx)
-	return tc
-}
-
 // graft attaches one backend call's subtree to the request span:
 // a sealed fanout.shard<N>.<primary|replica> node whose duration is
 // the call's wall time as the router saw it, with the shard-reported
 // phase breakdown (queue/plan/exec/stream) and the shard's own span
 // tree as children. Attach serializes internally, so concurrent
 // scatter goroutines graft safely.
-func (tc *traceCtx) graft(shard int, replica bool, callDur time.Duration, c *client.Conn) {
+func graft(span *probe.Trace, shard int, replica bool, callDur time.Duration, c *client.Conn) {
 	kind := "primary"
 	if replica {
 		kind = "replica"
@@ -69,5 +49,5 @@ func (tc *traceCtx) graft(shard int, replica bool, callDur time.Duration, c *cli
 	if sub := c.LastTraceTree(); sub != nil {
 		node.Attach(sub)
 	}
-	tc.span.Attach(node)
+	span.Attach(node)
 }

@@ -4,85 +4,39 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 )
 
 // AdminHandler returns the HTTP handler for the server's admin
-// endpoint — the observability side-channel probed serves on a
-// separate listener (-admin) so operational traffic never competes
-// with query traffic:
+// endpoint: the session layer's routes (session.Server.AdminMux:
+// /metrics, /debug/traces, /debug/pprof/, /healthz, /readyz) with
 //
-//	/metrics          Prometheus text exposition of every server,
-//	                  database, and transaction (probe_tx_*) metric
-//	                  plus scrape-time pool and MVCC gauges (retained
-//	                  versions/pages, pinned snapshots)
-//	/debug/vars       expvar-style JSON snapshot of both registries
-//	/debug/traces     the trace store: the last Config.TraceBuffer
-//	                  interesting requests (traced, slow, sampled) as
-//	                  JSON, or as indented text with ?format=text
-//	/debug/pprof/     the standard Go profiling handlers
-//	/healthz          liveness: 200 while the process runs
-//	/readyz           readiness: 200 while accepting requests,
-//	                  503 once Shutdown starts draining
-//
-// The handler stays valid during and after Shutdown (readiness is how
-// a load balancer sees the drain), so the admin HTTP server should be
-// closed after Shutdown returns, not before.
-//
-// pprof handlers are registered on the returned mux explicitly —
-// importing net/http/pprof for its DefaultServeMux side effect would
-// leak profiling onto any default-mux server the embedding process
-// runs.
+//	/metrics          extended by every database and transaction
+//	                  (probe_db_*, probe_tx_*) metric plus scrape-time
+//	                  pool and MVCC gauges (retained versions/pages,
+//	                  pinned snapshots)
+//	/readyz           also 503 while the SetReadyCheck condition fails
+//	/debug/vars       expvar-style JSON snapshot of the registries
 func (s *Server) AdminHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.serveMetrics)
+	mux := s.AdminMux(s.readyErr, s.writeDBMetrics)
 	mux.HandleFunc("/debug/vars", s.serveVars)
-	mux.HandleFunc("/debug/traces", s.serveTraces)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/readyz", s.serveReady)
 	return mux
 }
 
-func (s *Server) serveReady(w http.ResponseWriter, r *http.Request) {
-	if s.isDraining() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
+// writeDBMetrics appends the database's registries (probe_db_*,
+// probe_tx_*) and the point-in-time gauges (buffer-pool occupancy,
+// MVCC retention, goroutines) that are cheaper to read at scrape time
+// than to maintain continuously.
+func (s *Server) writeDBMetrics(buf *bytes.Buffer) error {
+	db := s.database()
+	if err := db.Metrics().WritePrometheus(buf, "probe_db"); err != nil {
+		return err
 	}
-	if err := s.readyErr(); err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
+	if err := db.TxMetrics().WritePrometheus(buf, "probe_tx"); err != nil {
+		return err
 	}
-	fmt.Fprintln(w, "ready")
-}
-
-// serveMetrics renders both registries in the Prometheus text format:
-// the server's under probe_server_*, the database's under probe_db_*,
-// plus point-in-time gauges (buffer-pool occupancy, goroutines) that
-// are cheaper to read at scrape time than to maintain continuously.
-func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if err := s.metrics.WritePrometheus(&buf, "probe_server"); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if err := s.database().Metrics().WritePrometheus(&buf, "probe_db"); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if err := s.database().TxMetrics().WritePrometheus(&buf, "probe_tx"); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	pi := s.database().PoolInfo()
-	mv := s.database().MVCCStats()
+	pi := db.PoolInfo()
+	mv := db.MVCCStats()
 	for _, g := range []struct {
 		name string
 		v    int
@@ -97,30 +51,17 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		{"probe_mvcc_freed_pages", int(mv.FreedPages)},
 		{"probe_go_goroutines", runtime.NumGoroutine()},
 	} {
-		fmt.Fprintf(&buf, "# TYPE %s gauge\n%s %d\n", g.name, g.name, g.v)
+		fmt.Fprintf(buf, "# TYPE %s gauge\n%s %d\n", g.name, g.name, g.v)
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write(buf.Bytes())
-}
-
-// serveTraces dumps the trace store, newest first: JSON by default,
-// the rendered-text form with ?format=text.
-func (s *Server) serveTraces(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		s.traces.WriteText(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	s.traces.WriteJSON(w)
+	return nil
 }
 
 // serveVars is the expvar-shaped JSON view: one object with the
-// server's and the database's registries nested under "server" and
-// "db". Registries render themselves, so this does not import expvar
-// or register anything globally.
+// server's and the database's registries nested under "server", "db"
+// and "tx". Registries render themselves, so this does not import
+// expvar or register anything globally.
 func (s *Server) serveVars(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	fmt.Fprintf(w, "{\"server\": %s, \"db\": %s, \"tx\": %s}\n",
-		s.metrics.String(), s.database().Metrics().String(), s.database().TxMetrics().String())
+		s.Metrics().String(), s.database().Metrics().String(), s.database().TxMetrics().String())
 }

@@ -81,7 +81,7 @@ func TestAdminEndpoint(t *testing.T) {
 
 	// Pin an in-flight request so Shutdown sits in its grace period,
 	// making the mid-drain readiness state observable.
-	if !srv.beginRequest() {
+	if !srv.BeginRequest() {
 		t.Fatal("could not claim a request slot")
 	}
 	drainDone := make(chan error, 1)
@@ -101,7 +101,7 @@ func TestAdminEndpoint(t *testing.T) {
 	if code, _ := get("/healthz"); code != http.StatusOK {
 		t.Fatal("/healthz must stay 200 during drain")
 	}
-	srv.endRequest()
+	srv.EndRequest()
 	if err := <-drainDone; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}

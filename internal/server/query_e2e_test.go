@@ -151,7 +151,7 @@ func TestQueryCancelMidStream(t *testing.T) {
 	srv, _, _ := startServer(t, Config{BatchSize: 16}, randPoints(rng, 20000, 1))
 	cs, ssConn := net.Pipe()
 	t.Cleanup(func() { cs.Close(); ssConn.Close() })
-	go newSession(srv, ssConn).run()
+	go srv.ServeConn(ssConn)
 	cl, err := client.NewConn(cs)
 	if err != nil {
 		t.Fatal(err)

@@ -1,54 +1,29 @@
-// Package server implements probed's network front end: a TCP query
-// server over the wire protocol (internal/wire, specified in
-// docs/server.md) that owns one probe.DB and executes RANGE, NNEAREST,
-// JOIN, INSERT, CHECKPOINT, EXPLAIN and STATS requests on behalf of
-// remote clients.
+// Package server implements probed's network front end: one probe.DB
+// served over the wire protocol (internal/wire, specified in
+// docs/server.md). The protocol itself — sessions, admission,
+// cancellation, transactions, drain, telemetry — is internal/session's;
+// this package is its engine over a database plus what only a
+// single-node server has: hot-swapping the database under a
+// replication applier (SwapDB), refusing writes on a replica
+// (Config.ReadOnly), an extra readiness condition, and the database,
+// transaction and buffer-pool series on /metrics.
 //
-// Concurrency model. Each accepted connection gets one session
-// goroutine; a session executes at most one request at a time, in its
-// own goroutine, while the session loop keeps reading frames so a
-// CANCEL can interrupt the running request. Every request runs under
-// a context.Context derived from the server's base context plus the
-// request's own timeout; the query engine checks it at page-load
-// boundaries, so a cancel stops a long scan within one page read.
-//
-// Admission control. In-flight requests across all sessions are
-// bounded by Config.MaxInflight. Admission is fail-fast: a request
-// arriving with no free slot is rejected immediately with the typed
-// "overloaded" error rather than queued, so clients see load as
-// backpressure they can retry against, and a slow query cannot grow
-// an unbounded queue inside the server.
-//
-// Transactions. A session may hold at most one open transaction
-// (BEGIN … COMMIT/ROLLBACK, protocol minor 2); while it is open, the
-// session's RANGE, NEAREST, INSERT and DELETE requests run inside it.
-// The transaction is rolled back if the connection drops or if the
-// session sends nothing for Config.TxIdleTimeout, so an abandoned
-// client cannot pin an MVCC snapshot (and the garbage-collection
-// horizon under it) forever.
-//
-// Drain. Shutdown stops accepting connections and requests (new ones
-// get "shutting-down"), waits up to Config.DrainTimeout for in-flight
-// requests to finish and open transactions to commit or roll back —
-// sessions holding a transaction may keep issuing requests during the
-// grace window — then cancels whatever remains, closes every
-// connection (rolling back still-open transactions), checkpoints the
-// database and closes it. After Shutdown returns the store is
-// consistent and reopens without recovery work.
+// Shutdown drains the sessions, then checkpoints and closes the
+// database: after it returns the store is consistent and reopens
+// without recovery work.
 package server
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"log/slog"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"probe"
 	"probe/internal/obs"
+	"probe/internal/session"
 )
 
 // Config tunes a Server. Zero values select the defaults in brackets.
@@ -97,9 +72,9 @@ type Config struct {
 	TraceBuffer int
 
 	// ReadOnly rejects every mutating request (INSERT, DELETE,
-	// CHECKPOINT, BEGIN) with the typed read-only error before
-	// admission. Read replicas serve under this flag: their database is
-	// maintained by the replication applier, never by clients.
+	// CHECKPOINT, BEGIN) with the typed read-only error. Read replicas
+	// serve under this flag: their database is maintained by the
+	// replication applier, never by clients.
 	ReadOnly bool
 
 	// Metrics, when non-nil, is used as the server's registry instead
@@ -109,115 +84,51 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-func (c *Config) fillDefaults() {
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 16
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 512
-	}
-	if c.TxIdleTimeout <= 0 {
-		c.TxIdleTimeout = 30 * time.Second
-	}
-}
-
-// Cancellation causes: context.Cause distinguishes a client's CANCEL
-// frame from the server's drain, so the error frame carries the right
-// typed code.
-var (
-	errClientCancel = errors.New("server: cancelled by client")
-	errDraining     = errors.New("server: draining")
-)
-
 // Server serves one probe.DB over the wire protocol. Create with New,
 // start with Serve, stop with Shutdown. The server owns the database:
-// Shutdown checkpoints and closes it.
+// Shutdown checkpoints and closes it. Serve, ServeConn, Metrics and
+// the admission primitives are the embedded session server's.
 type Server struct {
+	*session.Server
+
 	// db is the served database, behind an atomic pointer so a
 	// replication applier can swap in a freshly caught-up version
 	// (SwapDB) without stopping the server. Each access loads it once
 	// via database().
-	db  atomic.Pointer[probe.DB]
-	cfg Config
+	db       atomic.Pointer[probe.DB]
+	readOnly bool
 
 	// readyCheck, when set, gates /readyz beyond the drain flag: a
 	// replica reports unready while it lags the primary.
 	readyMu    sync.Mutex
 	readyCheck func() error
-
-	// metrics holds the server-side telemetry: counters
-	// (server.accepted, server.active, server.rejected,
-	// server.cancelled, server.requests, server.sessions), gauges
-	// (server.inflight, server.open_sessions), and per-opcode
-	// histograms (server.latency.<op> in nanoseconds,
-	// server.pages.<op> in buffer-pool page reads).
-	metrics *obs.Registry
-
-	// reqSeq numbers completed requests for the sampled Info log.
-	reqSeq atomic.Uint64
-
-	// traces is the ring buffer of recent interesting requests served
-	// at /debug/traces (capacity Config.TraceBuffer).
-	traces *obs.TraceStore
-
-	baseCtx    context.Context
-	cancelBase context.CancelCauseFunc
-
-	// sem is the admission semaphore; a slot is held for the duration
-	// of one executing request.
-	sem chan struct{}
-
-	mu        sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	draining  bool
-
-	// active counts executing requests and openTxs counts sessions
-	// holding an open transaction; idle is closed & re-made when both
-	// drop to 0 (what Shutdown's grace window waits for).
-	active  int
-	openTxs int
-	idle    chan struct{}
-
-	wg sync.WaitGroup // session goroutines
 }
 
 // New returns a server over db. The server takes ownership: Shutdown
 // checkpoints and closes db.
 func New(db *probe.DB, cfg Config) *Server {
-	cfg.fillDefaults()
-	ctx, cancel := context.WithCancelCause(context.Background())
-	metrics := cfg.Metrics
-	if metrics == nil {
-		metrics = obs.NewRegistry()
+	if cfg.MaxInflight <= 0 {
+		cfg.MaxInflight = 16
 	}
-	s := &Server{
-		cfg:        cfg,
-		metrics:    metrics,
-		traces:     obs.NewTraceStore(cfg.TraceBuffer),
-		baseCtx:    ctx,
-		cancelBase: cancel,
-		sem:        make(chan struct{}, cfg.MaxInflight),
-		listeners:  make(map[net.Listener]struct{}),
-		conns:      make(map[net.Conn]struct{}),
-		idle:       make(chan struct{}),
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
 	}
+	s := &Server{readOnly: cfg.ReadOnly}
 	s.db.Store(db)
+	s.Server = session.New(engine{s}, session.Config{
+		Name:          "server",
+		MaxInflight:   cfg.MaxInflight,
+		DrainTimeout:  cfg.DrainTimeout,
+		WriteTimeout:  cfg.WriteTimeout,
+		BatchSize:     cfg.BatchSize,
+		TxIdleTimeout: cfg.TxIdleTimeout,
+		Logger:        cfg.Logger,
+		SlowQuery:     cfg.SlowQuery,
+		LogEvery:      cfg.LogEvery,
+		TraceBuffer:   cfg.TraceBuffer,
+	}, cfg.Metrics)
 	return s
 }
-
-// Metrics returns the server's counter registry (expvar-compatible).
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
-// Traces returns the server's trace store: the ring of recent
-// interesting requests (traced, slow, sampled) behind /debug/traces.
-func (s *Server) Traces() *obs.TraceStore { return s.traces }
 
 // DB returns the database the server fronts.
 func (s *Server) DB() *probe.DB { return s.database() }
@@ -235,7 +146,7 @@ func (s *Server) database() *probe.DB { return s.db.Load() }
 // close-after-swap is the quiesce point). New requests see the new
 // database immediately.
 func (s *Server) SwapDB(db *probe.DB) *probe.DB {
-	s.metrics.Int("server.db_swaps").Add(1)
+	s.Metrics().Int("server.db_swaps").Add(1)
 	return s.db.Swap(db)
 }
 
@@ -258,166 +169,13 @@ func (s *Server) readyErr() error {
 	return fn()
 }
 
-// Serve accepts connections on ln until Shutdown closes it (or ln
-// fails). It blocks; run it in a goroutine. The listener is closed by
-// Shutdown; Serve then returns nil.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		ln.Close()
-		return fmt.Errorf("server: Serve after Shutdown")
-	}
-	s.listeners[ln] = struct{}{}
-	s.mu.Unlock()
-
-	defer func() {
-		s.mu.Lock()
-		delete(s.listeners, ln)
-		s.mu.Unlock()
-	}()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.isDraining() {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		s.metrics.Int("server.sessions").Add(1)
-		s.metrics.Gauge("server.open_sessions").Inc()
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-				s.metrics.Gauge("server.open_sessions").Dec()
-			}()
-			newSession(s, conn).run()
-		}()
-	}
-}
-
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// beginRequest claims an admission slot; false means the server is at
-// MaxInflight and the request must be rejected as overloaded.
-func (s *Server) beginRequest() bool {
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.metrics.Int("server.rejected").Add(1)
-		return false
-	}
-	s.mu.Lock()
-	s.active++
-	s.mu.Unlock()
-	s.metrics.Int("server.accepted").Add(1)
-	s.metrics.Int("server.active").Add(1)
-	s.metrics.Gauge("server.inflight").Inc()
-	return true
-}
-
-// endRequest releases the slot claimed by beginRequest.
-func (s *Server) endRequest() {
-	<-s.sem
-	s.mu.Lock()
-	s.active--
-	s.signalIdleLocked()
-	s.mu.Unlock()
-	s.metrics.Int("server.active").Add(-1)
-	s.metrics.Gauge("server.inflight").Dec()
-}
-
-// signalIdleLocked wakes Shutdown's grace-window wait once no request
-// executes and no transaction is open. Caller holds s.mu.
-func (s *Server) signalIdleLocked() {
-	if s.active == 0 && s.openTxs == 0 {
-		close(s.idle)
-		s.idle = make(chan struct{})
-	}
-}
-
-// txBegan and txEnded track sessions holding an open transaction, for
-// the drain grace window and the server.open_txs gauge.
-func (s *Server) txBegan() {
-	s.mu.Lock()
-	s.openTxs++
-	s.mu.Unlock()
-	s.metrics.Int("server.tx_begun").Add(1)
-	s.metrics.Gauge("server.open_txs").Inc()
-}
-
-func (s *Server) txEnded() {
-	s.mu.Lock()
-	s.openTxs--
-	s.signalIdleLocked()
-	s.mu.Unlock()
-	s.metrics.Gauge("server.open_txs").Dec()
-}
-
-// Shutdown drains the server: stop accepting connections and
-// requests, wait up to Config.DrainTimeout (bounded further by ctx)
-// for in-flight requests to finish, cancel the stragglers, close all
-// connections, then checkpoint and close the database. It is safe to
-// call once; subsequent calls return nil immediately.
+// Shutdown drains the sessions (see session.Server.Shutdown), then
+// checkpoints and closes the database. It is safe to call once;
+// subsequent calls return nil immediately.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if !s.Server.Shutdown(ctx) {
 		return nil
 	}
-	s.draining = true
-	for ln := range s.listeners {
-		ln.Close()
-	}
-	idle := s.idle
-	busy := s.active > 0 || s.openTxs > 0
-	s.mu.Unlock()
-
-	// Grace period: let in-flight requests finish and open
-	// transactions commit or roll back naturally.
-	if busy {
-		timer := time.NewTimer(s.cfg.DrainTimeout)
-		defer timer.Stop()
-		select {
-		case <-idle:
-		case <-timer.C:
-		case <-ctx.Done():
-		}
-	}
-
-	// Cancel whatever is still running; the query engine unwinds
-	// within a page read and the executor sends the shutting-down
-	// error frame.
-	s.cancelBase(errDraining)
-
-	// Close every connection: idle sessions are blocked in ReadFrame
-	// and exit on the close; busy ones finish their (now cancelled)
-	// request first.
-	s.mu.Lock()
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-
 	// All sessions are gone; the database is quiescent. Make the
 	// state durable and release the store.
 	db := s.database()

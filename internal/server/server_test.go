@@ -15,7 +15,6 @@ import (
 
 	"probe"
 	"probe/client"
-	"probe/internal/wire"
 )
 
 // testGrid is the 1024x1024 space every server test runs on.
@@ -304,78 +303,6 @@ func TestEndToEndMixedWorkload(t *testing.T) {
 	samePoints(t, "reopened range", reGot, cases[0].want)
 }
 
-// TestOverloadFailFast pins admission control deterministically: with
-// every slot held, a request is rejected immediately with the typed
-// overloaded error; freeing a slot lets the retry through.
-func TestOverloadFailFast(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	srv, addr, _ := startServer(t, Config{MaxInflight: 2}, randPoints(rng, 100, 0))
-	cl := dial(t, addr)
-
-	// Hold both slots the way executing requests would.
-	if !srv.beginRequest() || !srv.beginRequest() {
-		t.Fatal("could not claim admission slots")
-	}
-	_, _, err := cl.Range(context.Background(), []uint32{0, 0}, []uint32{1023, 1023})
-	if !errors.Is(err, client.ErrOverloaded) {
-		t.Fatalf("saturated server: got %v, want ErrOverloaded", err)
-	}
-	if got := srv.Metrics().Int("server.rejected").Value(); got == 0 {
-		t.Fatal("server.rejected not bumped")
-	}
-
-	srv.endRequest()
-	if _, _, err := cl.Range(context.Background(), []uint32{0, 0}, []uint32{1023, 1023}); err != nil {
-		t.Fatalf("after freeing a slot: %v", err)
-	}
-	srv.endRequest()
-}
-
-// TestClientCancelMidStream: cancelling the context mid-stream stops
-// the server-side query (typed canceled error), and the session stays
-// fully usable for the next request. The session runs over an
-// unbuffered net.Pipe so the server is deterministically still
-// streaming when the CANCEL frame lands — no TCP buffering race.
-func TestClientCancelMidStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	seed := randPoints(rng, 20000, 0)
-	srv, _, _ := startServer(t, Config{BatchSize: 16}, seed)
-	cs, ssConn := net.Pipe()
-	t.Cleanup(func() { cs.Close(); ssConn.Close() })
-	go newSession(srv, ssConn).run()
-	cl, err := client.NewConn(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	n := 0
-	_, err = cl.RangeFunc(ctx, []uint32{0, 0}, []uint32{1023, 1023}, 0, func(probe.Point) bool {
-		n++
-		if n == 5 {
-			cancel()
-		}
-		return true
-	})
-	if !errors.Is(err, client.ErrCanceled) && !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled query: got %v, want canceled", err)
-	}
-
-	// The same connection serves the next query completely.
-	got, _, err := cl.Range(context.Background(), []uint32{0, 0}, []uint32{1023, 1023})
-	if err != nil {
-		t.Fatalf("query after cancel: %v", err)
-	}
-	if len(got) != srv.DB().Len() {
-		t.Fatalf("query after cancel: got %d points, want %d", len(got), srv.DB().Len())
-	}
-	if srv.Metrics().Int("server.cancelled").Value() == 0 {
-		t.Fatal("server.cancelled not bumped")
-	}
-}
-
 // TestConsumerStopMidStream: the client-side fn returning false ends
 // the stream without error, mirroring the library's RangeSearchFunc.
 func TestConsumerStopMidStream(t *testing.T) {
@@ -486,92 +413,5 @@ func TestExplainStatsCheckpoint(t *testing.T) {
 	}
 	if got := stats["server.server.latency.explain.count"]; got != 1 {
 		t.Fatalf("explain latency histogram count = %d, want 1", got)
-	}
-}
-
-// TestHandshakeVersionMismatch: a wrong major version is refused with
-// the typed code before any request runs.
-func TestHandshakeVersionMismatch(t *testing.T) {
-	_, addr, _ := startServer(t, Config{}, nil)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.MsgHello, wire.Hello{Major: 99}.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != wire.MsgError {
-		t.Fatalf("got frame 0x%02x, want error", typ)
-	}
-	em, err := wire.DecodeErrorMsg(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if em.Code != wire.CodeVersion {
-		t.Fatalf("got code %d, want version mismatch", em.Code)
-	}
-}
-
-// TestPipeliningRejected: a second request while one is in flight is
-// answered with a bad-request error carrying the new request's id,
-// and the first request still completes.
-func TestPipeliningRejected(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	_, addr, _ := startServer(t, Config{BatchSize: 16}, randPoints(rng, 20000, 0))
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.MsgHello, wire.Hello{Major: wire.VersionMajor}.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgWelcome {
-		t.Fatalf("handshake: type 0x%02x err %v", typ, err)
-	}
-	big := wire.RangeReq{Header: wire.Header{ID: 1},
-		Lo: []uint32{0, 0}, Hi: []uint32{1023, 1023}}
-	if err := wire.WriteFrame(conn, wire.MsgRange, big.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	second := wire.RangeReq{Header: wire.Header{ID: 2},
-		Lo: []uint32{0, 0}, Hi: []uint32{10, 10}}
-	if err := wire.WriteFrame(conn, wire.MsgRange, second.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	var sawReject, sawDone bool
-	for !sawDone {
-		typ, payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch typ {
-		case wire.MsgError:
-			em, err := wire.DecodeErrorMsg(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if em.ID == 2 && em.Code == wire.CodeBadRequest {
-				sawReject = true
-			} else if em.ID == 1 {
-				t.Fatalf("first request failed: %s", em.Msg)
-			}
-		case wire.MsgDone:
-			dn, err := wire.DecodeDone(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dn.ID == 1 {
-				sawDone = true
-			}
-		}
-	}
-	if !sawReject {
-		t.Fatal("pipelined request was not rejected")
 	}
 }

@@ -276,7 +276,7 @@ func TestTxDrainGrace(t *testing.T) {
 	shutdownDone := make(chan error, 1)
 	go func() { shutdownDone <- srv.Shutdown(context.Background()) }()
 	deadline := time.Now().Add(5 * time.Second)
-	for !srv.isDraining() {
+	for !srv.Draining() {
 		if time.Now().After(deadline) {
 			t.Fatal("server never started draining")
 		}
