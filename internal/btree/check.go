@@ -47,82 +47,87 @@ func (s *Snapshot) CheckInvariants() error {
 	var lastKey Key
 	haveLast := false
 	stack := []visit{{id: v.root, depth: 1}}
-	// Depth-first, children pushed right-to-left to visit leaves left
-	// to right.
+	// Each page is checked on a copy of its image, so no pin is held
+	// while the walk goes on. An internal page keeps its copy, which
+	// the bounds of its children point into; a leaf hands its copy on
+	// to the next page.
+	var spare []byte
+	// Depth-first, leaves visited left to right.
 	for len(stack) > 0 {
 		vi := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		f, err := t.pool.Get(vi.id)
+		data, err := t.copyPage(vi.id, spare)
 		if err != nil {
 			return err
 		}
-		typ := decodeNodeType(f.Data)
-		switch typ {
+		spare = nil
+		switch typ := nodeType(data[0]); typ {
 		case leafType:
-			n, err := decodeLeaf(f.Data, t.valueSize)
+			spare = data
+			p, err := viewLeaf(data, t.valueSize)
 			if err != nil {
-				return err
-			}
-			if err := t.pool.Unpin(vi.id, false); err != nil {
 				return err
 			}
 			if vi.depth != v.height {
 				return fmt.Errorf("leaf %d at depth %d, want %d", vi.id, vi.depth, v.height)
 			}
-			if vi.id != v.root && len(n.keys) < t.minLeafEntries() {
-				return fmt.Errorf("leaf %d underfull: %d < %d", vi.id, len(n.keys), t.minLeafEntries())
+			if vi.id != v.root && p.count < t.minLeafEntries() {
+				return fmt.Errorf("leaf %d underfull: %d < %d", vi.id, p.count, t.minLeafEntries())
 			}
-			if len(n.keys) > t.leafCap {
-				return fmt.Errorf("leaf %d overfull: %d > %d", vi.id, len(n.keys), t.leafCap)
+			if p.count > t.leafCap {
+				return fmt.Errorf("leaf %d overfull: %d > %d", vi.id, p.count, t.leafCap)
 			}
-			var enc [encodedKeyLen]byte
-			for i, k := range n.keys {
+			for i := 0; i < p.count; i++ {
+				k := p.key(i)
 				if haveLast && !lastKey.Less(k) {
 					return fmt.Errorf("leaf %d breaks global key order at entry %d", vi.id, i)
 				}
 				lastKey, haveLast = k, true
-				k.encode(enc[:])
-				if vi.lo != nil && sepCompare(vi.lo, enc[:]) > 0 {
+				enc := p.encKey(i)
+				if vi.lo != nil && sepCompare(vi.lo, enc) > 0 {
 					return fmt.Errorf("leaf %d key %v below bound", vi.id, k)
 				}
-				if vi.hi != nil && sepCompare(vi.hi, enc[:]) <= 0 {
+				if vi.hi != nil && sepCompare(vi.hi, enc) <= 0 {
 					return fmt.Errorf("leaf %d key %v above bound", vi.id, k)
 				}
 			}
-			entries += len(n.keys)
+			entries += p.count
 			leaves++
 		case internalType:
-			n, err := decodeInternal(f.Data)
+			p, err := viewInternal(data)
 			if err != nil {
-				return err
-			}
-			if err := t.pool.Unpin(vi.id, false); err != nil {
 				return err
 			}
 			minC := t.minChildren()
 			if vi.id == v.root {
 				minC = 2
 			}
-			if len(n.children) < minC {
-				return fmt.Errorf("internal %d underfull: %d children < %d", vi.id, len(n.children), minC)
+			if p.children() < minC {
+				return fmt.Errorf("internal %d underfull: %d children < %d", vi.id, p.children(), minC)
 			}
-			if len(n.children) > t.fanout {
-				return fmt.Errorf("internal %d overfull: %d children > %d", vi.id, len(n.children), t.fanout)
+			if p.children() > t.fanout {
+				return fmt.Errorf("internal %d overfull: %d children > %d", vi.id, p.children(), t.fanout)
 			}
-			for i := 1; i < len(n.seps); i++ {
-				if sepCompare(n.seps[i-1], n.seps[i]) >= 0 {
+			// Child i is bounded by separators i-1 and i, the page's
+			// own bounds standing in at the ends. Separators can only
+			// be read front to back and the stack pops its last entry
+			// first, so the visits are pushed in order, then reversed.
+			base := len(stack)
+			lo, off := vi.lo, p.firstSep()
+			for i := 0; i < p.count; i++ {
+				sep, next, err := p.sepAt(off)
+				if err != nil {
+					return err
+				}
+				if i > 0 && sepCompare(lo, sep) >= 0 {
 					return fmt.Errorf("internal %d separators not increasing at %d", vi.id, i)
 				}
+				stack = append(stack, visit{id: p.child(i), depth: vi.depth + 1, lo: lo, hi: sep})
+				lo, off = sep, next
 			}
-			for i := len(n.children) - 1; i >= 0; i-- {
-				lo, hi := vi.lo, vi.hi
-				if i > 0 {
-					lo = n.seps[i-1]
-				}
-				if i < len(n.seps) {
-					hi = n.seps[i]
-				}
-				stack = append(stack, visit{id: n.children[i], depth: vi.depth + 1, lo: lo, hi: hi})
+			stack = append(stack, visit{id: p.child(p.count), depth: vi.depth + 1, lo: lo, hi: vi.hi})
+			for i, j := base, len(stack)-1; i < j; i, j = i+1, j-1 {
+				stack[i], stack[j] = stack[j], stack[i]
 			}
 		default:
 			return fmt.Errorf("page %d has unknown node type %d", vi.id, typ)

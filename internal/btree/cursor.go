@@ -13,12 +13,16 @@ import (
 // sequential access (Next, via the descent stack) and random access
 // (SeekGE, a root-to-leaf descent).
 //
-// A cursor holds decoded copies of its descent path — the internal
-// nodes from the root down, plus one leaf — and no pins between
-// steps, so any number of cursors may be open. Sequential steps reuse
-// the cached path: advancing to a neighboring leaf under the same
-// parent costs one leaf read, with internal reads only when the walk
-// crosses a subtree boundary.
+// A cursor owns one page-sized buffer per level of its descent path —
+// the internal pages from the root down, plus one leaf. Loading a page
+// is one copy of its image into that level's buffer under a pin
+// released at once; the cursor then searches its copy in place through
+// a page view (node.go). It holds no pin between steps, so any number
+// of cursors may be open and none stalls version GC, and after its
+// first descent a cursor allocates nothing. Sequential steps reuse the
+// cached path: advancing to a neighboring leaf under the same parent
+// costs one leaf read, with internal reads only when the walk crosses
+// a subtree boundary.
 //
 // A cursor obtained from Tree.Cursor is live: each step pins the
 // current committed version, so steps interleaved with writes observe
@@ -30,10 +34,10 @@ import (
 // not be shared between goroutines.
 type Cursor struct {
 	t     *Tree
-	snap  *Snapshot // non-nil: fixed-version cursor
-	v     *version  // version the cached path below belongs to
-	stack []cursorLevel
-	leaf  *leafNode
+	snap  *Snapshot     // non-nil: fixed-version cursor
+	v     *version      // version the cached path below belongs to
+	stack []cursorLevel // levels past len keep their buffers for reuse
+	leaf  leafPage      // the leaf under the cursor
 	id    disk.PageID
 	pos   int
 	valid bool
@@ -41,11 +45,10 @@ type Cursor struct {
 	ctx   context.Context // cancellation; nil = never cancelled
 }
 
-// cursorLevel is one decoded internal node on the descent path and
-// the index of the child the path went into.
+// cursorLevel is one internal page on the descent path and the index
+// of the child the path went into.
 type cursorLevel struct {
-	n     *internalNode
-	id    disk.PageID
+	page  internalPage
 	child int
 }
 
@@ -99,17 +102,17 @@ func (c *Cursor) Key() Key {
 	if !c.valid {
 		panic("btree: Key on invalid cursor")
 	}
-	return c.leaf.keys[c.pos]
+	return c.leaf.key(c.pos)
 }
 
 // Value returns the current entry's value; the cursor must be Valid.
-// The returned slice is the cursor's copy; callers must not hold it
-// across Next.
+// The returned slice points into the cursor's leaf buffer: it is valid
+// until the cursor next moves and must not be modified.
 func (c *Cursor) Value() []byte {
 	if !c.valid {
 		panic("btree: Value on invalid cursor")
 	}
-	return c.leaf.values[c.pos]
+	return c.leaf.value(c.pos)
 }
 
 // LeafID returns the page id of the leaf under the cursor; the
@@ -128,6 +131,50 @@ func (c *Cursor) First() (bool, error) {
 	return c.SeekGE(Key{})
 }
 
+// pushInternal loads internal page id into the next level of the
+// path, reusing the buffer of the page that level last held. It is a
+// page-load boundary.
+func (c *Cursor) pushInternal(id disk.PageID) (*cursorLevel, error) {
+	if err := c.ctxErr(); err != nil {
+		return nil, err
+	}
+	// The slot past the top still holds the page it last held, and
+	// with it the buffer; an append there would overwrite both.
+	n := len(c.stack)
+	if n == cap(c.stack) {
+		c.stack = append(c.stack, cursorLevel{})[:n]
+	}
+	l := &c.stack[:n+1][n]
+	buf, err := c.t.copyPage(id, l.page.data)
+	if err == nil {
+		l.page, err = viewInternal(buf)
+	}
+	if err != nil {
+		return nil, err
+	}
+	c.span.Inc(obs.NodeVisits)
+	c.stack = c.stack[:n+1]
+	return l, nil
+}
+
+// enterLeaf makes leaf page id the cursor's current leaf, reusing the
+// last one's buffer. It is a page-load boundary.
+func (c *Cursor) enterLeaf(id disk.PageID) error {
+	if err := c.ctxErr(); err != nil {
+		return err
+	}
+	buf, err := c.t.copyPage(id, c.leaf.data)
+	if err == nil {
+		c.leaf, err = viewLeaf(buf, c.t.valueSize)
+	}
+	if err != nil {
+		return err
+	}
+	c.span.Inc(obs.LeafScans)
+	c.id = id
+	return nil
+}
+
 // descend rebuilds the cursor's path from v's root to the leaf
 // responsible for k.
 func (c *Cursor) descend(v *version, k Key) error {
@@ -136,94 +183,55 @@ func (c *Cursor) descend(v *version, k Key) error {
 	c.stack = c.stack[:0]
 	id := v.root
 	for level := v.height; level > 1; level-- {
-		if err := c.ctxErr(); err != nil {
-			return err
-		}
-		n, err := c.t.loadInternal(id)
+		l, err := c.pushInternal(id)
 		if err != nil {
 			return err
 		}
-		c.span.Inc(obs.NodeVisits)
-		i := n.childIndex(enc[:])
-		c.stack = append(c.stack, cursorLevel{n: n, id: id, child: i})
-		id = n.children[i]
+		if l.child, err = l.page.childIndex(enc[:]); err != nil {
+			return err
+		}
+		id = l.page.child(l.child)
 	}
-	if err := c.ctxErr(); err != nil {
-		return err
-	}
-	n, err := c.t.loadLeaf(id)
-	if err != nil {
-		return err
-	}
-	c.span.Inc(obs.LeafScans)
-	c.leaf, c.id, c.v = n, id, v
-	return nil
+	c.v = v
+	return c.enterLeaf(id)
 }
 
 // descendEdge descends to the leftmost (rightmost) leaf of the
 // subtree rooted at id, extending the cached path.
 func (c *Cursor) descendEdge(v *version, id disk.PageID, rightmost bool) (bool, error) {
+	c.valid = false
 	for len(c.stack)+1 < v.height {
-		if err := c.ctxErr(); err != nil {
-			c.valid = false
-			return false, err
-		}
-		n, err := c.t.loadInternal(id)
+		l, err := c.pushInternal(id)
 		if err != nil {
-			c.valid = false
 			return false, err
 		}
-		c.span.Inc(obs.NodeVisits)
-		child := 0
+		l.child = 0
 		if rightmost {
-			child = len(n.children) - 1
+			l.child = l.page.count
 		}
-		c.stack = append(c.stack, cursorLevel{n: n, id: id, child: child})
-		id = n.children[child]
+		id = l.page.child(l.child)
 	}
-	if err := c.ctxErr(); err != nil {
-		c.valid = false
+	if err := c.enterLeaf(id); err != nil {
 		return false, err
 	}
-	n, err := c.t.loadLeaf(id)
-	if err != nil {
-		c.valid = false
-		return false, err
-	}
-	c.span.Inc(obs.LeafScans)
-	c.leaf, c.id = n, id
+	c.pos = 0
 	if rightmost {
-		c.pos = len(n.keys) - 1
-	} else {
-		c.pos = 0
+		c.pos = c.leaf.count - 1
 	}
-	c.valid = len(n.keys) > 0
+	c.valid = c.leaf.count > 0
 	return c.valid, nil
 }
 
-// nextLeaf moves to the first entry of the leaf after the current one
-// by walking the cached path: pop exhausted levels, advance the first
-// ancestor with a further child, descend its leftmost edge.
-func (c *Cursor) nextLeaf(v *version) (bool, error) {
+// siblingLeaf moves to the first entry of the leaf after the current
+// one (dir = +1) or the last entry of the leaf before it (dir = -1) by
+// walking the cached path: pop exhausted levels, step the first
+// ancestor with a further child that way, descend its near edge.
+func (c *Cursor) siblingLeaf(v *version, dir int) (bool, error) {
 	for len(c.stack) > 0 {
 		top := &c.stack[len(c.stack)-1]
-		if top.child+1 < len(top.n.children) {
-			top.child++
-			return c.descendEdge(v, top.n.children[top.child], false)
-		}
-		c.stack = c.stack[:len(c.stack)-1]
-	}
-	c.valid = false
-	return false, nil
-}
-
-// prevLeaf is nextLeaf's mirror image.
-func (c *Cursor) prevLeaf(v *version) (bool, error) {
-	for len(c.stack) > 0 {
-		top := &c.stack[len(c.stack)-1]
-		if top.child > 0 {
-			top.child--
-			return c.descendEdge(v, top.n.children[top.child], true)
+		if next := top.child + dir; next >= 0 && next <= top.page.count {
+			top.child = next
+			return c.descendEdge(v, top.page.child(next), dir < 0)
 		}
 		c.stack = c.stack[:len(c.stack)-1]
 	}
@@ -250,14 +258,14 @@ func (c *Cursor) SeekGE(k Key) (bool, error) {
 		c.valid = false
 		return false, err
 	}
-	c.pos = searchLeaf(c.leaf, k)
-	if c.pos < len(c.leaf.keys) {
+	c.pos = c.leaf.search(k)
+	if c.pos < c.leaf.count {
 		c.valid = true
 		return true, nil
 	}
 	// The target starts past this leaf's end (the descend key landed
 	// at a leaf boundary).
-	return c.nextLeaf(v)
+	return c.siblingLeaf(v, +1)
 }
 
 // Next advances to the next entry in key order.
@@ -265,12 +273,12 @@ func (c *Cursor) Next() (bool, error) {
 	if !c.valid {
 		return false, nil
 	}
-	if c.pos+1 < len(c.leaf.keys) {
+	if c.pos+1 < c.leaf.count {
 		c.pos++
 		return true, nil
 	}
 	// Crossing a leaf boundary needs a consistent view: pin one.
-	last := c.leaf.keys[len(c.leaf.keys)-1]
+	last := c.leaf.key(c.leaf.count - 1)
 	v, rel, err := c.acquire()
 	if err != nil {
 		c.valid = false
@@ -286,16 +294,16 @@ func (c *Cursor) Next() (bool, error) {
 			c.valid = false
 			return false, err
 		}
-		c.pos = searchLeaf(c.leaf, last)
-		if c.pos < len(c.leaf.keys) && c.leaf.keys[c.pos] == last {
+		c.pos = c.leaf.search(last)
+		if c.pos < c.leaf.count && c.leaf.key(c.pos) == last {
 			c.pos++
 		}
-		if c.pos < len(c.leaf.keys) {
+		if c.pos < c.leaf.count {
 			c.valid = true
 			return true, nil
 		}
 	}
-	return c.nextLeaf(v)
+	return c.siblingLeaf(v, +1)
 }
 
 // Prev moves to the previous entry in key order.
@@ -307,7 +315,7 @@ func (c *Cursor) Prev() (bool, error) {
 		c.pos--
 		return true, nil
 	}
-	first := c.leaf.keys[0]
+	first := c.leaf.key(0)
 	v, rel, err := c.acquire()
 	if err != nil {
 		c.valid = false
@@ -321,11 +329,11 @@ func (c *Cursor) Prev() (bool, error) {
 			c.valid = false
 			return false, err
 		}
-		c.pos = searchLeaf(c.leaf, first) - 1
+		c.pos = c.leaf.search(first) - 1
 		if c.pos >= 0 {
 			c.valid = true
 			return true, nil
 		}
 	}
-	return c.prevLeaf(v)
+	return c.siblingLeaf(v, -1)
 }

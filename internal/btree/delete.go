@@ -6,23 +6,25 @@ import (
 	"probe/internal/disk"
 )
 
-// load helpers: decode copies page contents, so frames are unpinned
-// immediately and no operation ever holds more than one pin at a time.
+// load helpers of the copy-on-write path: a writer decodes each page
+// it is about to replace into the builder form (node.go). Decoding
+// copies, so a write, like a read, holds one pin at a time and none
+// when it returns.
 
-func (t *Tree) loadLeaf(id disk.PageID) (*leafNode, error) {
-	f, n, err := t.readLeaf(id)
-	if err != nil {
-		return nil, err
-	}
-	return n, t.pool.Unpin(f.ID, false)
+func (t *Tree) loadLeaf(id disk.PageID) (n *leafNode, err error) {
+	err = t.withPage(id, func(data []byte) (err error) {
+		n, err = decodeLeaf(data, t.valueSize)
+		return err
+	})
+	return n, err
 }
 
-func (t *Tree) loadInternal(id disk.PageID) (*internalNode, error) {
-	f, n, err := t.readInternal(id)
-	if err != nil {
-		return nil, err
-	}
-	return n, t.pool.Unpin(f.ID, false)
+func (t *Tree) loadInternal(id disk.PageID) (n *internalNode, err error) {
+	err = t.withPage(id, func(data []byte) (err error) {
+		n, err = decodeInternal(data)
+		return err
+	})
+	return n, err
 }
 
 func (t *Tree) minLeafEntries() int { return t.leafCap / 2 }

@@ -3,6 +3,7 @@ package btree
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"probe/internal/disk"
 )
@@ -15,6 +16,18 @@ import (
 // Internal: [type u8][count u16]            (count = number of seps)
 //           (count+1) x [child u32]
 //           count x [sepLen u16][sep bytes]
+//
+// The leaf's next/prev sibling links are a pre-MVCC layout field:
+// copy-on-write makes them unmaintainable (a neighbor's link would
+// dangle at the old page version), so every page writes them as
+// disk.InvalidPage (zero) and nothing follows them.
+//
+// Reads never decode a page. They search the image through the
+// leafPage and internalPage views below: a point lookup views the
+// pool frame under its pin, a cursor views its own copy of the image.
+// leafNode and internalNode are the copy-on-write path's builder: a
+// writer decodes the pages it is about to replace, edits the decoded
+// form, and encodes the result into fresh pages.
 
 type nodeType byte
 
@@ -28,11 +41,126 @@ const (
 	internalHeaderLen = 1 + 2
 )
 
+var errInternalOverflow = fmt.Errorf("btree: internal node overflows page")
+
+// pageHeader checks the image's type byte and returns its entry
+// count.
+func pageHeader(data []byte, want nodeType, headerLen int, kind string) (int, error) {
+	if len(data) < headerLen {
+		return 0, fmt.Errorf("btree: page of %d bytes is shorter than a node header", len(data))
+	}
+	if nodeType(data[0]) != want {
+		return 0, fmt.Errorf("btree: page is not %s (type %d)", kind, data[0])
+	}
+	return int(binary.LittleEndian.Uint16(data[1:3])), nil
+}
+
+// leafPage is a read-only view of a leaf page image. Leaves are
+// fixed-stride, so entry i is found by arithmetic and search is a
+// binary search on the bytes.
+type leafPage struct {
+	data   []byte // the whole image
+	count  int
+	stride int
+}
+
+func viewLeaf(data []byte, valueSize int) (leafPage, error) {
+	count, err := pageHeader(data, leafType, leafHeaderLen, "a leaf")
+	if err != nil {
+		return leafPage{}, err
+	}
+	stride := encodedKeyLen + valueSize
+	if leafHeaderLen+count*stride > len(data) {
+		return leafPage{}, fmt.Errorf("btree: leaf overflows page (%d entries)", count)
+	}
+	return leafPage{data: data, count: count, stride: stride}, nil
+}
+
+// encKey returns entry i's encoded key inside the image.
+func (p leafPage) encKey(i int) []byte {
+	off := leafHeaderLen + i*p.stride
+	return p.data[off : off+encodedKeyLen]
+}
+
+func (p leafPage) key(i int) Key { return decodeKey(p.encKey(i)) }
+
+// value returns entry i's value bytes inside the image.
+func (p leafPage) value(i int) []byte {
+	end := leafHeaderLen + (i+1)*p.stride
+	return p.data[end-p.stride+encodedKeyLen : end : end]
+}
+
+// search returns the index of the first key >= k in the leaf.
+func (p leafPage) search(k Key) int {
+	return sort.Search(p.count, func(i int) bool { return !p.key(i).Less(k) })
+}
+
+// internalPage is a read-only view of an internal page image.
+// Children sit in a fixed array and are found by arithmetic;
+// separators are variable-length with no slot table, so they are read
+// front to back.
+type internalPage struct {
+	data  []byte
+	count int // separators; the page has count+1 children
+}
+
+func viewInternal(data []byte) (internalPage, error) {
+	count, err := pageHeader(data, internalType, internalHeaderLen, "internal")
+	if err != nil {
+		return internalPage{}, err
+	}
+	if internalHeaderLen+4*(count+1) > len(data) {
+		return internalPage{}, errInternalOverflow
+	}
+	return internalPage{data: data, count: count}, nil
+}
+
+func (p internalPage) children() int { return p.count + 1 }
+
+func (p internalPage) child(i int) disk.PageID {
+	return disk.PageID(binary.LittleEndian.Uint32(p.data[internalHeaderLen+4*i:]))
+}
+
+// firstSep returns the offset of the first separator.
+func (p internalPage) firstSep() int { return internalHeaderLen + 4*p.children() }
+
+// sepAt returns the separator stored at off, a slice of the image,
+// and the offset of the one after it.
+func (p internalPage) sepAt(off int) (sep []byte, next int, err error) {
+	if off+2 > len(p.data) {
+		return nil, 0, errInternalOverflow
+	}
+	start := off + 2
+	end := start + int(binary.LittleEndian.Uint16(p.data[off:]))
+	if end > len(p.data) {
+		return nil, 0, errInternalOverflow
+	}
+	return p.data[start:end:end], end, nil
+}
+
+// childIndex returns the index of the child subtree that may contain
+// the encoded key: the number of separators <= enc. Separators
+// increase, so the scan stops at the first one above enc; those past
+// it are not read, and so not checked against the page bounds.
+func (p internalPage) childIndex(enc []byte) (int, error) {
+	off := p.firstSep()
+	for i := 0; i < p.count; i++ {
+		sep, next, err := p.sepAt(off)
+		if err != nil {
+			return 0, err
+		}
+		if sepCompare(sep, enc) > 0 {
+			return i, nil
+		}
+		off = next
+	}
+	return p.count, nil
+}
+
 // leafNode is the decoded form of a leaf page.
 type leafNode struct {
-	next, prev disk.PageID
-	keys       []Key
-	values     [][]byte
+	keys   []Key
+	values [][]byte
 }
 
 // internalNode is the decoded form of an internal page:
@@ -44,30 +172,15 @@ type internalNode struct {
 	seps     [][]byte
 }
 
-func decodeNodeType(data []byte) nodeType { return nodeType(data[0]) }
-
 func decodeLeaf(data []byte, valueSize int) (*leafNode, error) {
-	if decodeNodeType(data) != leafType {
-		return nil, fmt.Errorf("btree: page is not a leaf (type %d)", data[0])
+	p, err := viewLeaf(data, valueSize)
+	if err != nil {
+		return nil, err
 	}
-	count := int(binary.LittleEndian.Uint16(data[1:3]))
-	n := &leafNode{
-		next:   disk.PageID(binary.LittleEndian.Uint32(data[3:7])),
-		prev:   disk.PageID(binary.LittleEndian.Uint32(data[7:11])),
-		keys:   make([]Key, count),
-		values: make([][]byte, count),
-	}
-	off := leafHeaderLen
-	stride := encodedKeyLen + valueSize
-	if off+count*stride > len(data) {
-		return nil, fmt.Errorf("btree: leaf overflows page (%d entries)", count)
-	}
-	for i := 0; i < count; i++ {
-		n.keys[i] = decodeKey(data[off : off+encodedKeyLen])
-		v := make([]byte, valueSize)
-		copy(v, data[off+encodedKeyLen:off+stride])
-		n.values[i] = v
-		off += stride
+	n := &leafNode{keys: make([]Key, p.count), values: make([][]byte, p.count)}
+	for i := range n.keys {
+		n.keys[i] = p.key(i)
+		n.values[i] = append(make([]byte, 0, valueSize), p.value(i)...)
 	}
 	return n, nil
 }
@@ -78,8 +191,6 @@ func (n *leafNode) encode(data []byte, valueSize int) {
 	}
 	data[0] = byte(leafType)
 	binary.LittleEndian.PutUint16(data[1:3], uint16(len(n.keys)))
-	binary.LittleEndian.PutUint32(data[3:7], uint32(n.next))
-	binary.LittleEndian.PutUint32(data[7:11], uint32(n.prev))
 	off := leafHeaderLen
 	stride := encodedKeyLen + valueSize
 	for i, k := range n.keys {
@@ -89,30 +200,28 @@ func (n *leafNode) encode(data []byte, valueSize int) {
 	}
 }
 
+// decodeInternal makes one copy of the image up to its last separator
+// and slices seps out of the copy, as the view slices them out of the
+// page: editing a node replaces whole separators, never their bytes.
 func decodeInternal(data []byte) (*internalNode, error) {
-	if decodeNodeType(data) != internalType {
-		return nil, fmt.Errorf("btree: page is not internal (type %d)", data[0])
+	p, err := viewInternal(data)
+	if err != nil {
+		return nil, err
 	}
-	count := int(binary.LittleEndian.Uint16(data[1:3]))
-	n := &internalNode{
-		children: make([]disk.PageID, count+1),
-		seps:     make([][]byte, count),
+	n := &internalNode{children: make([]disk.PageID, p.children()), seps: make([][]byte, p.count)}
+	for i := range n.children {
+		n.children[i] = p.child(i)
 	}
-	off := internalHeaderLen
-	for i := 0; i <= count; i++ {
-		n.children[i] = disk.PageID(binary.LittleEndian.Uint32(data[off : off+4]))
-		off += 4
-	}
-	for i := 0; i < count; i++ {
-		l := int(binary.LittleEndian.Uint16(data[off : off+2]))
-		off += 2
-		if off+l > len(data) {
-			return nil, fmt.Errorf("btree: internal node overflows page")
+	end := p.firstSep()
+	for range n.seps {
+		if _, end, err = p.sepAt(end); err != nil {
+			return nil, err
 		}
-		s := make([]byte, l)
-		copy(s, data[off:off+l])
-		n.seps[i] = s
-		off += l
+	}
+	p.data = append([]byte(nil), data[:end]...)
+	off := p.firstSep()
+	for i := range n.seps {
+		n.seps[i], off, _ = p.sepAt(off)
 	}
 	return n, nil
 }
@@ -137,18 +246,9 @@ func (n *internalNode) encode(data []byte) {
 }
 
 // childIndex returns the index of the child subtree that may contain
-// the encoded key: the last child whose separator is <= enc.
+// the encoded key: the number of separators <= enc.
 func (n *internalNode) childIndex(enc []byte) int {
-	lo, hi := 0, len(n.seps) // find count of seps <= enc
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sepCompare(n.seps[mid], enc) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return sort.Search(len(n.seps), func(i int) bool { return sepCompare(n.seps[i], enc) > 0 })
 }
 
 // insertAt inserts a separator and its right child at position i.

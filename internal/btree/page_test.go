@@ -1,0 +1,510 @@
+package btree
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"probe/internal/disk"
+	"probe/internal/obs"
+)
+
+// The read path searches page images through the leafPage and
+// internalPage views, and the write path's decodeLeaf/decodeInternal
+// copy nodes out through the same views. The tests below hold both
+// against refDecodeLeaf/refDecodeInternal, the decoders the tree read
+// every page with before the views existed, kept here as the oracle,
+// and hold the views' searches against the decoded nodes' own.
+
+func refHeader(data []byte, want nodeType, headerLen int, kind string) (int, error) {
+	if len(data) < headerLen {
+		return 0, fmt.Errorf("btree: page of %d bytes is shorter than a node header", len(data))
+	}
+	if nodeType(data[0]) != want {
+		return 0, fmt.Errorf("btree: page is not %s (type %d)", kind, data[0])
+	}
+	return int(binary.LittleEndian.Uint16(data[1:3])), nil
+}
+
+func refDecodeLeaf(data []byte, valueSize int) (*leafNode, error) {
+	count, err := refHeader(data, leafType, leafHeaderLen, "a leaf")
+	if err != nil {
+		return nil, err
+	}
+	n := &leafNode{keys: make([]Key, count), values: make([][]byte, count)}
+	off := leafHeaderLen
+	stride := encodedKeyLen + valueSize
+	if off+count*stride > len(data) {
+		return nil, fmt.Errorf("btree: leaf overflows page (%d entries)", count)
+	}
+	for i := 0; i < count; i++ {
+		n.keys[i] = decodeKey(data[off : off+encodedKeyLen])
+		v := make([]byte, valueSize)
+		copy(v, data[off+encodedKeyLen:off+stride])
+		n.values[i] = v
+		off += stride
+	}
+	return n, nil
+}
+
+func refDecodeInternal(data []byte) (*internalNode, error) {
+	count, err := refHeader(data, internalType, internalHeaderLen, "internal")
+	if err != nil {
+		return nil, err
+	}
+	n := &internalNode{children: make([]disk.PageID, count+1), seps: make([][]byte, count)}
+	off := internalHeaderLen
+	if off+4*(count+1) > len(data) {
+		return nil, fmt.Errorf("btree: internal node overflows page")
+	}
+	for i := 0; i <= count; i++ {
+		n.children[i] = disk.PageID(binary.LittleEndian.Uint32(data[off : off+4]))
+		off += 4
+	}
+	for i := 0; i < count; i++ {
+		if off+2 > len(data) {
+			return nil, fmt.Errorf("btree: internal node overflows page")
+		}
+		l := int(binary.LittleEndian.Uint16(data[off : off+2]))
+		off += 2
+		if off+l > len(data) {
+			return nil, fmt.Errorf("btree: internal node overflows page")
+		}
+		s := make([]byte, l)
+		copy(s, data[off:off+l])
+		n.seps[i] = s
+		off += l
+	}
+	return n, nil
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// linearChildIndex is childIndex by definition: the number of leading
+// separators <= enc. It is the oracle for images whose separators are
+// not sorted, where a binary search has no defined answer.
+func linearChildIndex(seps [][]byte, enc []byte) int {
+	for i, s := range seps {
+		if bytes.Compare(s, enc) > 0 {
+			return i
+		}
+	}
+	return len(seps)
+}
+
+// checkLeafImage compares decodeLeaf and every leaf view accessor with
+// the reference decoder on one image, valid or not, and reports
+// whether it decoded.
+func checkLeafImage(t *testing.T, data []byte, valueSize int, probes []Key) bool {
+	t.Helper()
+	n, derr := refDecodeLeaf(data, valueSize)
+	p, verr := viewLeaf(data, valueSize)
+	if errText(derr) != errText(verr) {
+		t.Fatalf("leaf errors differ: reference %q, view %q", errText(derr), errText(verr))
+	}
+	if got, err := decodeLeaf(data, valueSize); errText(err) != errText(derr) || !reflect.DeepEqual(got, n) {
+		t.Fatalf("decodeLeaf = %+v, %v; reference %+v, %v", got, err, n, derr)
+	}
+	if derr != nil {
+		return false
+	}
+	if p.count != len(n.keys) {
+		t.Fatalf("leaf count %d, decoded %d", p.count, len(n.keys))
+	}
+	for i, k := range n.keys {
+		if p.key(i) != k {
+			t.Fatalf("leaf key %d: view %v, decoded %v", i, p.key(i), k)
+		}
+		if !bytes.Equal(p.value(i), n.values[i]) {
+			t.Fatalf("leaf value %d: view %x, decoded %x", i, p.value(i), n.values[i])
+		}
+		if cap(p.value(i)) != valueSize {
+			t.Fatalf("leaf value %d has capacity %d past its %d bytes", i, cap(p.value(i)), valueSize)
+		}
+		probes = append(probes, k, Key{Hi: k.Hi, Lo: k.Lo + 1}, Key{Hi: k.Hi, Lo: k.Lo - 1})
+	}
+	for _, k := range probes {
+		if got, want := p.search(k), searchLeaf(n, k); got != want {
+			t.Fatalf("leaf search(%v) = %d, decoded %d", k, got, want)
+		}
+	}
+	return true
+}
+
+// checkInternalImage compares decodeInternal and every internal view
+// accessor with the reference decoder on one image, valid or not, and
+// reports whether it decoded. On an image whose separators run past
+// the page, a scan that crosses them all must fail as decoding does,
+// and no scan may panic.
+func checkInternalImage(t *testing.T, data []byte, probes [][]byte) bool {
+	t.Helper()
+	n, derr := refDecodeInternal(data)
+	if got, err := decodeInternal(data); errText(err) != errText(derr) || !reflect.DeepEqual(got, n) {
+		t.Fatalf("decodeInternal = %+v, %v; reference %+v, %v", got, err, n, derr)
+	}
+	p, verr := viewInternal(data)
+	beyond := bytes.Repeat([]byte{0xff}, encodedKeyLen+1)
+	if verr == nil {
+		for _, enc := range probes {
+			p.childIndex(enc)
+		}
+		_, verr = p.childIndex(beyond)
+	}
+	if errText(derr) != errText(verr) {
+		t.Fatalf("internal errors differ: reference %q, view %q", errText(derr), errText(verr))
+	}
+	if derr != nil {
+		return false
+	}
+	if p.children() != len(n.children) {
+		t.Fatalf("internal has %d children, decoded %d", p.children(), len(n.children))
+	}
+	for i, c := range n.children {
+		if p.child(i) != c {
+			t.Fatalf("child %d: view %d, decoded %d", i, p.child(i), c)
+		}
+	}
+	off := p.firstSep()
+	for i, s := range n.seps {
+		sep, next, err := p.sepAt(off)
+		if err != nil || !bytes.Equal(sep, s) {
+			t.Fatalf("separator %d: view %x (%v), decoded %x", i, sep, err, s)
+		}
+		if cap(sep) != len(sep) {
+			t.Fatalf("separator %d has capacity %d past its %d bytes", i, cap(sep), len(sep))
+		}
+		off = next
+		probes = append(probes, s, append(append([]byte(nil), s...), 0), s[:len(s)/2])
+	}
+	sorted := sort.SliceIsSorted(n.seps, func(i, j int) bool { return bytes.Compare(n.seps[i], n.seps[j]) < 0 })
+	for _, enc := range append(probes, beyond) {
+		got, err := p.childIndex(enc)
+		if err != nil {
+			t.Fatalf("childIndex(%x) on a decodable page: %v", enc, err)
+		}
+		if want := linearChildIndex(n.seps, enc); got != want {
+			t.Fatalf("childIndex(%x) = %d, want %d", enc, got, want)
+		}
+		if want := n.childIndex(enc); sorted && got != want {
+			t.Fatalf("childIndex(%x) = %d, decoded node says %d", enc, got, want)
+		}
+	}
+	return true
+}
+
+func randomLeafImage(rng *rand.Rand, pageSize, valueSize int) []byte {
+	n := &leafNode{}
+	for i := rng.Intn((pageSize-leafHeaderLen)/(encodedKeyLen+valueSize) + 1); i > 0; i-- {
+		// Few distinct Hi values, so that Lo decides many comparisons.
+		n.keys = append(n.keys, Key{Hi: uint64(rng.Intn(4)) << 62, Lo: rng.Uint64()})
+		v := make([]byte, valueSize)
+		rng.Read(v)
+		n.values = append(n.values, v)
+	}
+	sort.Slice(n.keys, func(i, j int) bool { return n.keys[i].Less(n.keys[j]) })
+	data := make([]byte, pageSize)
+	n.encode(data, valueSize)
+	return data
+}
+
+func randomInternalImage(rng *rand.Rand, pageSize int) []byte {
+	fanout := (pageSize - internalHeaderLen + 2 + encodedKeyLen) / (4 + 2 + encodedKeyLen)
+	set := map[string]bool{}
+	for i := rng.Intn(fanout); i > 0; i-- {
+		s := make([]byte, 1+rng.Intn(encodedKeyLen))
+		for j := range s {
+			s[j] = byte(rng.Intn(3)) // a small alphabet makes prefixes of each other
+		}
+		set[string(s)] = true
+	}
+	n := &internalNode{children: []disk.PageID{disk.PageID(rng.Uint32())}}
+	for s := range set {
+		n.seps = append(n.seps, []byte(s))
+		n.children = append(n.children, disk.PageID(rng.Uint32()))
+	}
+	sort.Slice(n.seps, func(i, j int) bool { return bytes.Compare(n.seps[i], n.seps[j]) < 0 })
+	data := make([]byte, pageSize)
+	n.encode(data)
+	return data
+}
+
+func TestPageViewsMatchDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for round := 0; round < 300; round++ {
+		pageSize := []int{128, 512, 4096}[rng.Intn(3)]
+		valueSize := []int{0, 0, 3, 8}[rng.Intn(4)]
+		probes := make([]Key, 32)
+		for i := range probes {
+			probes[i] = Key{Hi: uint64(rng.Intn(5)) << 62, Lo: rng.Uint64()}
+		}
+		if !checkLeafImage(t, randomLeafImage(rng, pageSize, valueSize), valueSize, probes) {
+			t.Fatal("a well-formed leaf image did not decode")
+		}
+		encs := make([][]byte, 32)
+		for i := range encs {
+			encs[i] = make([]byte, rng.Intn(encodedKeyLen+1))
+			for j := range encs[i] {
+				encs[i][j] = byte(rng.Intn(3))
+			}
+		}
+		if !checkInternalImage(t, randomInternalImage(rng, pageSize), encs) {
+			t.Fatal("a well-formed internal image did not decode")
+		}
+	}
+}
+
+// TestPageViewsRejectCorruptImages plants each kind of damage the
+// format can show and checks that view and decode refuse it with the
+// same error, without reading outside the image.
+func TestPageViewsRejectCorruptImages(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	leaf := randomLeafImage(rng, 512, 8)
+	for binary.LittleEndian.Uint16(leaf[1:3]) < 2 {
+		leaf = randomLeafImage(rng, 512, 8)
+	}
+	internal := randomInternalImage(rng, 512)
+	for binary.LittleEndian.Uint16(internal[1:3]) < 2 {
+		internal = randomInternalImage(rng, 512)
+	}
+	damage := func(img []byte, f func([]byte)) []byte {
+		c := append([]byte(nil), img...)
+		f(c)
+		return c
+	}
+	// Wrong type byte, either way round and unknown.
+	for _, typ := range []byte{0, byte(internalType), 7} {
+		if checkLeafImage(t, damage(leaf, func(b []byte) { b[0] = typ }), 8, nil) {
+			t.Errorf("leaf with type byte %d decoded", typ)
+		}
+	}
+	for _, typ := range []byte{0, byte(leafType), 7} {
+		if checkInternalImage(t, damage(internal, func(b []byte) { b[0] = typ }), nil) {
+			t.Errorf("internal page with type byte %d decoded", typ)
+		}
+	}
+	// A count that runs the entries (21 or more at this geometry) or
+	// the child array (127 or more separators) off the page.
+	for _, count := range []uint16{21, 127, 200, 0xffff} {
+		over := func(b []byte) { binary.LittleEndian.PutUint16(b[1:3], count) }
+		if checkLeafImage(t, damage(leaf, over), 8, nil) {
+			t.Errorf("leaf claiming %d entries decoded", count)
+		}
+		if checkInternalImage(t, damage(internal, over), nil) && count >= 127 {
+			t.Errorf("internal page claiming %d separators decoded", count)
+		}
+	}
+	// A separator length that runs past the end of the page: the
+	// first, and the last.
+	p, err := viewInternal(internal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastOff := p.firstSep()
+	for i := 0; i < p.count-1; i++ {
+		_, lastOff, _ = p.sepAt(lastOff)
+	}
+	for _, off := range []int{p.firstSep(), lastOff} {
+		long := damage(internal, func(b []byte) { binary.LittleEndian.PutUint16(b[off:], 0xfff0) })
+		if checkInternalImage(t, long, nil) {
+			t.Errorf("separator at %d running past the page decoded", off)
+		}
+	}
+	// Every truncation of both images, down to nothing.
+	for cut := 0; cut < 512; cut++ {
+		checkLeafImage(t, leaf[:cut], 8, nil)
+		checkInternalImage(t, internal[:cut], nil)
+	}
+}
+
+// FuzzPageViews feeds arbitrary bytes to both the views and the
+// decoders: whatever the image, they agree on the error or on every
+// accessor, and nothing panics.
+func FuzzPageViews(f *testing.F) {
+	rng := rand.New(rand.NewSource(18))
+	f.Add(randomLeafImage(rng, 128, 3), uint8(3), []byte{1, 2})
+	f.Add(randomLeafImage(rng, 128, 0), uint8(0), []byte{})
+	f.Add(randomInternalImage(rng, 128), uint8(0), []byte{0, 1, 2, 0})
+	f.Add([]byte{byte(internalType), 0xff, 0xff}, uint8(0), []byte{9})
+	f.Add([]byte{byte(internalType), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}, uint8(0), []byte{9})
+	f.Add([]byte{byte(leafType), 9, 0}, uint8(1), []byte{})
+	f.Fuzz(func(t *testing.T, data []byte, valueSize uint8, enc []byte) {
+		var k Key
+		if len(enc) >= encodedKeyLen {
+			k = decodeKey(enc)
+		}
+		checkLeafImage(t, data, int(valueSize), []Key{k})
+		checkInternalImage(t, data, [][]byte{enc})
+	})
+}
+
+// TestReadPathPageAccesses pins the logical page accesses of a fixed
+// seek-and-scan script to the values the decoded-node read path
+// produced: the paper's page-access tables are built from these
+// counters, so a change to how a page is read may not move where one
+// is read.
+func TestReadPathPageAccesses(t *testing.T) {
+	pool := disk.MustPool(disk.MustMemStore(512), 4096, disk.LRU)
+	tr, err := New(pool, Config{ValueSize: 0, LeafCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 3000; i++ {
+		if err := tr.Insert(Key{Hi: i * 0x9E3779B97F4A7C15, Lo: i}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Height() != 4 {
+		t.Fatalf("height %d, the script was recorded on a tree of height 4", tr.Height())
+	}
+	snap := tr.Snapshot()
+	defer snap.Release()
+	sp := obs.New("script")
+	cur := snap.Cursor()
+	cur.SetSpan(sp)
+	gets := pool.Stats().Gets
+	steps := 0
+	for i := uint64(0); i < 64; i++ {
+		ok, err := cur.SeekGE(Key{Hi: i << 58})
+		for j := 0; ok && err == nil && j < 40; j++ {
+			steps++
+			if i%2 == 0 {
+				ok, err = cur.Next()
+			} else {
+				ok, err = cur.Prev()
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := snap.Get(Key{Hi: i * 0x9E3779B97F4A7C15, Lo: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := snap.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	got := [4]int64{int64(steps), int64(pool.Stats().Gets - gets), sp.Get(obs.NodeVisits), sp.Get(obs.LeafScans)}
+	want := [4]int64{2560, 1519, 211, 496}
+	if got != want {
+		t.Errorf("steps, pool gets, node visits, leaf scans = %v, want %v", got, want)
+	}
+	if n := pool.Pinned(); n != 0 {
+		t.Errorf("%d pages still pinned after the script", n)
+	}
+}
+
+// TestNoPinOutlivesACall runs every public entry point of the tree,
+// on sound pages and on a damaged one, and requires the pool to hold
+// no pin once the call has returned: Drop of a pinned page fails, so
+// a pin left behind would stall version GC.
+func TestNoPinOutlivesACall(t *testing.T) {
+	tree := newTestTree(t, 512, 4, 8, 256)
+	unpinned := func(call string) {
+		t.Helper()
+		if n := tree.pool.Pinned(); n != 0 {
+			t.Fatalf("%d pages pinned after %s", n, call)
+		}
+	}
+	rng := rand.New(rand.NewSource(19))
+	var keys []Key
+	for i := 0; i < 400; i++ {
+		k := Key{Hi: rng.Uint64(), Lo: uint64(i)}
+		if err := tree.Insert(k, val8(k.Lo)); err != nil {
+			t.Fatal(err)
+		}
+		unpinned("Insert")
+		keys = append(keys, k)
+	}
+	if err := tree.Insert(keys[0], val8(0)); err != ErrDuplicateKey {
+		t.Fatalf("duplicate insert: %v", err)
+	}
+	unpinned("a duplicate Insert")
+	snap := tree.Snapshot()
+	defer snap.Release()
+	live, fixed := tree.Cursor(), snap.Cursor()
+	for i, k := range keys {
+		for _, c := range []*Cursor{live, fixed} {
+			if ok, err := c.SeekGE(k); !ok || err != nil || c.Key() != k {
+				t.Fatalf("SeekGE(%v): %v %v", k, ok, err)
+			}
+			unpinned("SeekGE")
+			for j := 0; j < 6; j++ {
+				if _, err := c.Next(); err != nil {
+					t.Fatal(err)
+				}
+				unpinned("Next")
+			}
+			for j := 0; j < 12; j++ {
+				if _, err := c.Prev(); err != nil {
+					t.Fatal(err)
+				}
+				unpinned("Prev")
+			}
+		}
+		if v, ok, err := tree.Get(k); err != nil || !ok || !bytes.Equal(v, val8(k.Lo)) {
+			t.Fatalf("Get(%v) = %x, %v, %v", k, v, ok, err)
+		}
+		unpinned("Get")
+		if _, _, err := snap.Get(Key{Hi: k.Hi, Lo: k.Lo + 1000}); err != nil {
+			t.Fatal(err)
+		}
+		unpinned("Snapshot.Get")
+		switch i % 3 {
+		case 0:
+			if ok, err := tree.Delete(k); !ok || err != nil {
+				t.Fatalf("Delete(%v): %v %v", k, ok, err)
+			}
+			unpinned("Delete")
+		case 1:
+			next := keys[(i+1)%len(keys)]
+			muts := []Mutation{{Key: next, Delete: true}, {Key: next, Value: val8(next.Lo)}, {Key: Key{Lo: uint64(i)}, Delete: true}}
+			if err := tree.CommitBatch(tree.MVCCStats().Seq, muts); err != nil {
+				t.Fatal(err)
+			}
+			unpinned("CommitBatch")
+		}
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	unpinned("CheckInvariants")
+
+	// Turn the root into a page of no known type, then of the wrong
+	// one: every read fails, and still unpins.
+	root := tree.Meta().Root
+	for _, typ := range []byte{9, byte(leafType)} {
+		f, err := tree.pool.Get(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Data[0] = typ
+		if err := tree.pool.Unpin(root, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := tree.Get(keys[1]); err == nil {
+			t.Errorf("Get through a root of type %d succeeded", typ)
+		}
+		unpinned("a failed Get")
+		if _, err := live.SeekGE(keys[1]); err == nil || live.Valid() {
+			t.Errorf("SeekGE through a root of type %d succeeded", typ)
+		}
+		unpinned("a failed SeekGE")
+		if err := tree.Insert(Key{Hi: 1, Lo: 1 << 40}, val8(0)); err == nil {
+			t.Errorf("Insert through a root of type %d succeeded", typ)
+		}
+		unpinned("a failed Insert")
+		if err := tree.CheckInvariants(); err == nil {
+			t.Errorf("CheckInvariants passed a root of type %d", typ)
+		}
+		unpinned("a failed CheckInvariants")
+	}
+}

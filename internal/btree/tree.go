@@ -179,32 +179,28 @@ func (t *Tree) LeafCapacity() int { return t.leafCap }
 // Pool returns the buffer pool the tree lives on.
 func (t *Tree) Pool() *disk.Pool { return t.pool }
 
-// readLeaf fetches and decodes a leaf page, returning the frame still
-// pinned; the caller must unpin.
-func (t *Tree) readLeaf(id disk.PageID) (*disk.Frame, *leafNode, error) {
+// withPage pins page id, runs fn on the frame's bytes and unpins. fn
+// must not keep the slice: no pin outlives a call into the tree, so
+// that version GC, which cannot drop a pinned page, never waits.
+func (t *Tree) withPage(id disk.PageID, fn func(data []byte) error) error {
 	f, err := t.pool.Get(id)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	n, err := decodeLeaf(f.Data, t.valueSize)
-	if err != nil {
-		t.pool.Unpin(id, false)
-		return nil, nil, err
+	err = fn(f.Data)
+	if uerr := t.pool.Unpin(id, false); err == nil {
+		err = uerr
 	}
-	return f, n, nil
+	return err
 }
 
-func (t *Tree) readInternal(id disk.PageID) (*disk.Frame, *internalNode, error) {
-	f, err := t.pool.Get(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	n, err := decodeInternal(f.Data)
-	if err != nil {
-		t.pool.Unpin(id, false)
-		return nil, nil, err
-	}
-	return f, n, nil
+// copyPage copies page id's image into buf, growing it on first use.
+func (t *Tree) copyPage(id disk.PageID, buf []byte) ([]byte, error) {
+	err := t.withPage(id, func(data []byte) error {
+		buf = append(buf[:0], data...)
+		return nil
+	})
+	return buf, err
 }
 
 // searchLeaf returns the index of the first key >= k in the leaf.
@@ -213,27 +209,37 @@ func searchLeaf(n *leafNode, k Key) int {
 }
 
 // getAt looks the key up in one committed version. The caller must
-// hold a pin on v (or be the serialized writer).
-func (t *Tree) getAt(v *version, k Key) ([]byte, bool, error) {
+// hold a pin on v (or be the serialized writer). Each page is searched
+// in its pool frame; only a value found is copied out.
+func (t *Tree) getAt(v *version, k Key) (value []byte, found bool, err error) {
 	var enc [encodedKeyLen]byte
 	k.encode(enc[:])
 	id := v.root
-	for level := v.height; level > 1; level-- {
-		n, err := t.loadInternal(id)
-		if err != nil {
-			return nil, false, err
-		}
-		id = n.children[n.childIndex(enc[:])]
+	for level := v.height; level > 1 && err == nil; level-- {
+		err = t.withPage(id, func(data []byte) error {
+			p, err := viewInternal(data)
+			if err != nil {
+				return err
+			}
+			i, err := p.childIndex(enc[:])
+			id = p.child(i)
+			return err
+		})
 	}
-	n, err := t.loadLeaf(id)
 	if err != nil {
 		return nil, false, err
 	}
-	i := searchLeaf(n, k)
-	if i < len(n.keys) && n.keys[i] == k {
-		return n.values[i], true, nil
-	}
-	return nil, false, nil
+	err = t.withPage(id, func(data []byte) error {
+		p, err := viewLeaf(data, t.valueSize)
+		if err != nil {
+			return err
+		}
+		if i := p.search(k); i < p.count && p.key(i) == k {
+			value, found = append(make([]byte, 0, t.valueSize), p.value(i)...), true
+		}
+		return nil
+	})
+	return value, found, err
 }
 
 // Get returns the value stored under the key in the current committed
@@ -264,11 +270,6 @@ func (w *cow) writeLeaf(n *leafNode) (disk.PageID, error) {
 	if err != nil {
 		return disk.InvalidPage, err
 	}
-	// Sibling links are a pre-MVCC layout field: copy-on-write makes
-	// them unmaintainable (a neighbor's link would dangle at the old
-	// page version), so new pages write them as invalid and cursors
-	// never follow them. The on-page layout is unchanged.
-	n.next, n.prev = disk.InvalidPage, disk.InvalidPage
 	n.encode(f.Data, w.t.valueSize)
 	w.fresh = append(w.fresh, f.ID)
 	return f.ID, w.t.pool.Unpin(f.ID, true)

@@ -10,6 +10,7 @@ import (
 	"probe/internal/disk"
 	"probe/internal/geom"
 	"probe/internal/obs"
+	"probe/internal/zorder"
 )
 
 // Strategy selects the range-search variant. All three produce
@@ -141,26 +142,50 @@ func (ix *reader) RangeSearchFuncCtx(ctx context.Context, box geom.Box, strategy
 	return stats, err
 }
 
-// pageTracker counts distinct leaf pages touched by a cursor.
+// pageTracker counts the distinct leaf pages a search's cursor
+// touches. Every strategy only ever moves its cursor forward in z, so
+// a leaf once left is not seen again: the distinct leaves are the
+// changes of the leaf id.
 type pageTracker struct {
-	seen map[disk.PageID]bool
+	last  disk.PageID
+	pages int
 }
 
-func newPageTracker() *pageTracker { return &pageTracker{seen: make(map[disk.PageID]bool)} }
-
 func (pt *pageTracker) touch(c *btree.Cursor) {
-	if c.Valid() {
-		pt.seen[c.LeafID()] = true
+	if c.Valid() && (pt.pages == 0 || c.LeafID() != pt.last) {
+		pt.last = c.LeafID()
+		pt.pages++
 	}
 }
 
-func (pt *pageTracker) count() int { return len(pt.seen) }
+// coordSlab hands out the Coords of one search's results from chunked
+// backing arrays: one allocation per chunk, not one per result. Chunks
+// double up to 512 points, so a small answer stays small and a
+// retained point pins at most one chunk. Each slice is capped at its
+// own length, so a caller's append reallocates and cannot run into
+// the next point's coordinates.
+type coordSlab struct {
+	free   []uint32
+	points int // size of the last chunk, in points
+}
+
+func (s *coordSlab) take(k int) []uint32 {
+	if len(s.free) < k {
+		s.points = min(max(2*s.points, 8), 512)
+		s.free = make([]uint32, k*s.points)
+	}
+	c := s.free[:k:k]
+	s.free = s.free[k:]
+	return c
+}
 
 // emit converts the cursor entry to a point and passes it to fn.
-func (ix *reader) emit(c *btree.Cursor, fn func(geom.Point) bool, stats *SearchStats) bool {
+func (ix *reader) emit(c *btree.Cursor, fn func(geom.Point) bool, stats *SearchStats, slab *coordSlab) bool {
 	k := c.Key()
 	stats.Results++
-	return fn(geom.Point{ID: k.Lo, Coords: ix.g.UnshuffleKey(k.Hi)})
+	coords := slab.take(ix.g.Dims())
+	ix.g.UnshuffleInto(zorder.Element{Bits: k.Hi, Len: uint8(ix.g.TotalBits())}, coords)
+	return fn(geom.Point{ID: k.Lo, Coords: coords})
 }
 
 // searchDecomposed is strategy A: materialize B, merge with skipping
@@ -177,7 +202,8 @@ func (ix *reader) searchDecomposed(ctx context.Context, box geom.Box, sp *obs.Sp
 	pc := ix.src.Cursor()
 	pc.SetSpan(sp)
 	pc.SetContext(ctx)
-	pages := newPageTracker()
+	var pages pageTracker
+	var slab coordSlab
 	i := 0
 	ok, err := pc.SeekGE(btree.Key{Hi: elems[0].MinZ()})
 	stats.Seeks++
@@ -207,7 +233,7 @@ func (ix *reader) searchDecomposed(ctx context.Context, box geom.Box, sp *obs.Sp
 		}
 		// elems[i].MinZ <= z <= elems[i].MaxZ: the point is inside
 		// the box, no coordinate test needed.
-		if !ix.emit(pc, fn, &stats) {
+		if !ix.emit(pc, fn, &stats, &slab) {
 			break
 		}
 		ok, err = pc.Next()
@@ -216,7 +242,7 @@ func (ix *reader) searchDecomposed(ctx context.Context, box geom.Box, sp *obs.Sp
 		}
 		pages.touch(pc)
 	}
-	stats.DataPages = pages.count()
+	stats.DataPages = pages.pages
 	return stats, nil
 }
 
@@ -239,7 +265,8 @@ func (ix *reader) searchLazy(ctx context.Context, box geom.Box, sp *obs.Span, fn
 	pc := ix.src.Cursor()
 	pc.SetSpan(sp)
 	pc.SetContext(ctx)
-	pages := newPageTracker()
+	var pages pageTracker
+	var slab coordSlab
 	ok, err := pc.SeekGE(btree.Key{Hi: bc.ZLo()})
 	stats.Seeks++
 	if err != nil {
@@ -266,7 +293,7 @@ func (ix *reader) searchLazy(ctx context.Context, box geom.Box, sp *obs.Span, fn
 			pages.touch(pc)
 			continue
 		}
-		if !ix.emit(pc, fn, &stats) {
+		if !ix.emit(pc, fn, &stats, &slab) {
 			break
 		}
 		ok, err = pc.Next()
@@ -275,7 +302,7 @@ func (ix *reader) searchLazy(ctx context.Context, box geom.Box, sp *obs.Span, fn
 		}
 		pages.touch(pc)
 	}
-	stats.DataPages = pages.count()
+	stats.DataPages = pages.pages
 	return stats, stopErr
 }
 
@@ -293,7 +320,8 @@ func (ix *reader) searchBigMin(ctx context.Context, box geom.Box, sp *obs.Span, 
 	pc := ix.src.Cursor()
 	pc.SetSpan(sp)
 	pc.SetContext(ctx)
-	pages := newPageTracker()
+	var pages pageTracker
+	var slab coordSlab
 	ok, err := pc.SeekGE(btree.Key{Hi: first})
 	stats.Seeks++
 	if err != nil {
@@ -306,7 +334,7 @@ func (ix *reader) searchBigMin(ctx context.Context, box geom.Box, sp *obs.Span, 
 			break
 		}
 		if ix.g.InBox(z, box.Lo, box.Hi) {
-			if !ix.emit(pc, fn, &stats) {
+			if !ix.emit(pc, fn, &stats, &slab) {
 				break
 			}
 			ok, err = pc.Next()
@@ -329,7 +357,7 @@ func (ix *reader) searchBigMin(ctx context.Context, box geom.Box, sp *obs.Span, 
 		}
 		pages.touch(pc)
 	}
-	stats.DataPages = pages.count()
+	stats.DataPages = pages.pages
 	return stats, nil
 }
 

@@ -13,13 +13,15 @@ package zorder
 // node's coordinate region incrementally, so one call costs O(k*d)
 // amortized per level visited.
 
-// boxSearch carries the state of a BigMin/LitMax descent.
+// boxSearch carries the state of a BigMin/LitMax descent. It is
+// fixed-size (a grid has at most MaxBits dimensions), so a search
+// lives on its caller's stack and allocates nothing.
 type boxSearch struct {
 	g        Grid
 	z        uint64
 	order    [MaxBits]uint8
-	qlo, qhi []uint32 // query box, inclusive
-	rlo, rhi []uint32 // current node's region, mutated along the descent
+	qlo, qhi []uint32        // query box, inclusive
+	rlo, rhi [MaxBits]uint32 // current node's region, mutated along the descent
 }
 
 func (s *boxSearch) disjoint() bool {
@@ -111,15 +113,9 @@ func (s *boxSearch) litMax(e Element) (uint64, bool) {
 	return 0, false
 }
 
-func newBoxSearch(g Grid, z uint64, lo, hi []uint32) *boxSearch {
-	s := &boxSearch{
-		g: g, z: z,
-		order: g.SplitOrder(),
-		qlo:   lo, qhi: hi,
-		rlo: make([]uint32, g.Dims()),
-		rhi: make([]uint32, g.Dims()),
-	}
-	for i := range s.rhi {
+func newBoxSearch(g Grid, z uint64, lo, hi []uint32) boxSearch {
+	s := boxSearch{g: g, z: z, order: g.SplitOrder(), qlo: lo, qhi: hi}
+	for i := range lo {
 		s.rhi[i] = uint32(g.SideOf(i) - 1)
 	}
 	return s
@@ -133,7 +129,8 @@ func (g Grid) BigMin(z uint64, lo, hi []uint32) (uint64, bool) {
 	if len(lo) != g.Dims() || len(hi) != g.Dims() {
 		panic("zorder: BigMin box arity mismatch")
 	}
-	return newBoxSearch(g, z, lo, hi).bigMin(Element{})
+	s := newBoxSearch(g, z, lo, hi)
+	return s.bigMin(Element{})
 }
 
 // LitMax returns the largest full-resolution z key <= z whose pixel
@@ -143,13 +140,15 @@ func (g Grid) LitMax(z uint64, lo, hi []uint32) (uint64, bool) {
 	if len(lo) != g.Dims() || len(hi) != g.Dims() {
 		panic("zorder: LitMax box arity mismatch")
 	}
-	return newBoxSearch(g, z, lo, hi).litMax(Element{})
+	s := newBoxSearch(g, z, lo, hi)
+	return s.litMax(Element{})
 }
 
 // InBox reports whether the pixel with the given full-resolution z key
 // lies inside the box [lo, hi].
 func (g Grid) InBox(z uint64, lo, hi []uint32) bool {
-	coords := make([]uint32, g.Dims())
+	var buf [MaxBits]uint32
+	coords := buf[:g.Dims()]
 	g.UnshuffleInto(Element{Bits: z, Len: uint8(g.TotalBits())}, coords)
 	for i := range coords {
 		if coords[i] < lo[i] || coords[i] > hi[i] {
