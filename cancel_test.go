@@ -17,7 +17,7 @@ import (
 func cancelTestDB(t *testing.T) (*probe.DB, probe.Box, int) {
 	t.Helper()
 	g := probe.MustGrid(2, 10)
-	db, err := probe.Open(g, probe.Options{LeafCapacity: 20})
+	db, err := probe.Open(g, probe.WithLeafCapacity(20))
 	if err != nil {
 		t.Fatal(err)
 	}

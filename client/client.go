@@ -25,7 +25,6 @@ package client
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -41,9 +40,9 @@ import (
 // (SetTraceID); after each request LastTiming holds the server's
 // per-phase breakdown, and after each traced data request — RANGE,
 // NEAREST, JOIN, INSERT, DELETE, and QUERY statements alike — the
-// server-side span tree is available rendered (LastTrace) and, against
-// a protocol 1.4 server, parsed (LastTraceTree) along with the trace
-// ID the server stamped on the request (LastTraceID).
+// server-side span tree is available rendered (LastTrace) and parsed
+// (LastTraceTree), along with the trace ID the server stamped on the
+// request (LastTraceID).
 
 // Typed error sentinels for errors.Is. The concrete error is always a
 // *ServerError carrying the server's message, except ErrTxAborted,
@@ -160,7 +159,6 @@ type Conn struct {
 	br     *bufio.Reader
 	nextID uint32
 	bits   []uint32
-	minor  uint8 // server's protocol minor, from Welcome
 	broken error // sticky transport failure
 
 	// tx is the connection's open transaction, nil outside
@@ -184,8 +182,7 @@ type Conn struct {
 
 // Timing is the server's per-phase breakdown of the last traced
 // request: where its wall-clock went between arriving at the server
-// and the terminal frame. Servers older than protocol 1.1 send no
-// breakdown, leaving the zero Timing.
+// and the terminal frame.
 type Timing struct {
 	Queue  time.Duration // frame receipt → execution start
 	Plan   time.Duration // request decode + validation
@@ -232,8 +229,11 @@ func (c *Conn) handshake() error {
 		if err != nil {
 			return err
 		}
+		if w.Minor < wire.MinMinor {
+			return fmt.Errorf("probed: server speaks protocol %d.%d, need at least %d.%d",
+				w.Major, w.Minor, wire.VersionMajor, wire.MinMinor)
+		}
 		c.bits = w.Bits
-		c.minor = w.Minor
 		return nil
 	case wire.MsgError:
 		em, err := wire.DecodeErrorMsg(payload)
@@ -259,7 +259,6 @@ func (c *Conn) GridBits() []int {
 // SetTrace toggles request tracing: while on, each request asks the
 // server for its per-phase timing breakdown (LastTiming) and, for
 // data requests, the rendered server-side span tree (LastTrace).
-// Tracing is silently inert against servers older than protocol 1.1.
 func (c *Conn) SetTrace(on bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -296,8 +295,7 @@ func (c *Conn) SetTraceID(id uint64) {
 
 // LastTraceID returns the trace ID of the most recent traced data
 // request — the ID set via SetTraceID, or the one the server minted —
-// as reported in its TRACE frame; 0 if there is none (untraced, or a
-// server older than protocol 1.4).
+// as reported in its TRACE frame; 0 if there is none.
 func (c *Conn) LastTraceID() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -305,10 +303,9 @@ func (c *Conn) LastTraceID() uint64 {
 }
 
 // LastTraceTree returns the parsed server-side span tree of the most
-// recent traced data request, nil if there is none. Only a protocol
-// 1.4 server ships the parseable form; older servers only fill
-// LastTrace. The tree is sealed: durations and counters read back
-// exactly as the server recorded them.
+// recent traced data request, nil if there is none. The tree is
+// sealed: durations and counters read back exactly as the server
+// recorded them.
 func (c *Conn) LastTraceTree() *probe.Trace {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -316,9 +313,9 @@ func (c *Conn) LastTraceTree() *probe.Trace {
 }
 
 // reqFlags returns the wire flags for the next request: FlagTrace
-// when tracing is on and the server speaks minor >= 1.
+// when tracing is on.
 func (c *Conn) reqFlags() uint8 {
-	if c.trace && c.minor >= 1 {
+	if c.trace {
 		return wire.FlagTrace
 	}
 	return 0
@@ -455,8 +452,6 @@ func (c *Conn) do(ctx context.Context, typ uint8, payload []byte, id uint32, h h
 			if tm.ID == id {
 				if h.text != nil {
 					h.text(tm.Text)
-				} else if c.trace {
-					c.lastTrace = tm.Text
 				}
 			}
 		case wire.MsgTrace:
@@ -706,9 +701,6 @@ func (c *Conn) Delete(ctx context.Context, pts []probe.Point) (probe.QueryStats,
 }
 
 func (c *Conn) deleteLocked(ctx context.Context, pts []probe.Point) (probe.QueryStats, error) {
-	if c.minor < 2 {
-		return probe.QueryStats{}, fmt.Errorf("probed: server protocol 1.%d has no DELETE (needs 1.2)", c.minor)
-	}
 	id := c.begin()
 	wpts := make([]wire.Point, len(pts))
 	for i, p := range pts {
@@ -793,9 +785,6 @@ func (c *Conn) QueryFunc(ctx context.Context, text string, onSchema func([]probe
 func (c *Conn) queryFuncLocked(ctx context.Context, text string,
 	onSchema func([]probe.QueryColumn), onRow func(probe.QueryRow) bool, onText func(string)) (probe.QueryStats, error) {
 
-	if c.minor < 3 {
-		return probe.QueryStats{}, fmt.Errorf("probed: server protocol 1.%d has no QUERY (needs 1.3)", c.minor)
-	}
 	id := c.begin()
 	req := wire.QueryReq{
 		Header: c.header(id, ctx),
@@ -841,17 +830,14 @@ func (c *Conn) queryFuncLocked(ctx context.Context, text string,
 // Stats returns a snapshot of the server's and the database's
 // cumulative metrics as a flat name → value map: counters and gauges
 // directly, histograms as .count/.p50/.p95/.p99/.max summaries, with
-// "server." and "db." name prefixes. Against a 1.0 server the legacy
-// JSON TEXT response is parsed into the same shape.
+// "server." and "db." name prefixes.
 func (c *Conn) Stats(ctx context.Context) (map[string]int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id := c.begin()
 	req := wire.SimpleReq{Header: c.header(id, ctx)}
 	out := make(map[string]int64)
-	var legacy string
 	_, err := c.do(ctx, wire.MsgStats, req.Encode(), id, handlers{
-		text: func(s string) { legacy = s },
 		kv: func(kv wire.StatsKV) {
 			for _, e := range kv.KVs {
 				out[e.Name] = e.Value
@@ -860,36 +846,5 @@ func (c *Conn) Stats(ctx context.Context) (map[string]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(out) == 0 && legacy != "" {
-		if err := flattenStatsJSON(legacy, out); err != nil {
-			return nil, fmt.Errorf("probed: parsing legacy stats: %w", err)
-		}
-	}
 	return out, nil
-}
-
-// flattenStatsJSON parses a 1.0 server's TEXT stats blob — nested
-// JSON objects of numbers — into dotted int64 keys.
-func flattenStatsJSON(text string, out map[string]int64) error {
-	var root map[string]any
-	if err := json.Unmarshal([]byte(text), &root); err != nil {
-		return err
-	}
-	var walk func(prefix string, m map[string]any)
-	walk = func(prefix string, m map[string]any) {
-		for k, v := range m {
-			key := k
-			if prefix != "" {
-				key = prefix + "." + k
-			}
-			switch t := v.(type) {
-			case map[string]any:
-				walk(key, t)
-			case float64:
-				out[key] = int64(t)
-			}
-		}
-	}
-	walk("", root)
-	return nil
 }

@@ -111,3 +111,22 @@ func TestPoisonedConnSeveredMidStream(t *testing.T) {
 		t.Fatalf("poisoned call took %v, want immediate failure", d)
 	}
 }
+
+// TestWelcomeBelowFloorRefused: a server announcing a minor below
+// wire.MinMinor lacks frames the client depends on, so the handshake
+// fails instead of opening a session.
+func TestWelcomeBelowFloorRefused(t *testing.T) {
+	cs, ss := net.Pipe()
+	defer ss.Close()
+	go func() {
+		if _, _, err := wire.ReadFrame(ss); err != nil {
+			return
+		}
+		w := wire.Welcome{Major: wire.VersionMajor, Minor: wire.MinMinor - 1, Bits: []uint32{10, 10}}
+		wire.WriteFrame(ss, wire.MsgWelcome, w.Encode())
+	}()
+	if c, err := NewConn(cs); err == nil {
+		c.Close()
+		t.Fatalf("NewConn accepted a protocol 1.%d server", wire.MinMinor-1)
+	}
+}

@@ -32,9 +32,6 @@ type Tx struct {
 func (c *Conn) Begin(ctx context.Context) (*Tx, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.minor < 2 {
-		return nil, fmt.Errorf("probed: server protocol 1.%d has no transactions (needs 1.2)", c.minor)
-	}
 	if c.tx != nil && !c.tx.ended {
 		return nil, fmt.Errorf("probed: a transaction is already open on this connection")
 	}

@@ -6,14 +6,10 @@
 // Usage:
 //
 //	experiments [-quick] [-table NAME]
-//	experiments -bench [-quick] [-bench-out FILE]
 //
 // -quick shrinks the data sets for a fast smoke run; -table limits
 // output to one table (s1, s2, s3, s4, s5, s6, s7, fig6, s8, s9,
-// s10, s11). -bench skips the tables and emits the bench-trajectory
-// JSON document (schema probe-bench/v1) to -bench-out (default
-// BENCH_spatial.json; "-" writes to stdout), for CI to archive per
-// commit.
+// s10, s11).
 package main
 
 import (
@@ -36,8 +32,6 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "shrink data sets for a fast run")
 	table := flag.String("table", "", "run a single table (s1..s11, fig6)")
-	bench := flag.Bool("bench", false, "emit the bench-trajectory JSON instead of the tables")
-	benchOut := flag.String("bench-out", "BENCH_spatial.json", "bench output file (\"-\" for stdout)")
 	flag.Parse()
 
 	cfg := experiment.DefaultConfig()
@@ -45,14 +39,6 @@ func main() {
 		cfg.N = 1000
 		cfg.GridBits = 8
 		cfg.Locations = 3
-	}
-
-	if *bench {
-		if err := runBench(cfg, *quick, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	run := func(name string, fn func(experiment.Config) error) {
@@ -78,31 +64,6 @@ func main() {
 	run("s9", tableS9)
 	run("s10", tableS10)
 	run("s11", tableS11)
-}
-
-// runBench measures the bench trajectory and writes the JSON
-// document.
-func runBench(cfg experiment.Config, quick bool, out string) error {
-	rep, err := experiment.RunBench(cfg, quick)
-	if err != nil {
-		return err
-	}
-	if out == "-" {
-		return rep.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (schema %s)\n", out, experiment.BenchSchema)
-	return nil
 }
 
 func tableS1(experiment.Config) error {

@@ -20,14 +20,6 @@
 //	probed -check -addr HOST:PORT
 //	    Handshake with a running server, print its stats, exit.
 //
-//	probed -loadgen -addr HOST:PORT -conns 8 -duration 10s
-//	    Drive a running server with a mixed workload and report
-//	    throughput and latency percentiles.
-//
-//	probed -loadgen -selfhost -out BENCH_server.json
-//	    Start a temporary server in-process, drive it, and write the
-//	    probe-bench-server/v1 JSON document (the bench CI artifact).
-//
 //	probed -db DB -repl-listen :7431
 //	    Additionally ship the physical WAL to read replicas (docs/cluster.md).
 //
@@ -45,7 +37,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -55,7 +46,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"syscall"
 	"time"
@@ -63,8 +53,6 @@ import (
 	"probe"
 	"probe/client"
 	"probe/internal/battery"
-	"probe/internal/experiment"
-	"probe/internal/loadgen"
 	"probe/internal/obs"
 	"probe/internal/repl"
 	"probe/internal/server"
@@ -88,14 +76,14 @@ type serveConfig struct {
 
 func main() {
 	var (
-		addr    = flag.String("addr", ":7331", "listen address (serve) or server address (-check, -loadgen)")
+		addr    = flag.String("addr", ":7331", "listen address (serve) or server address (-check, -diff)")
 		admin   = flag.String("admin", "", "admin HTTP address serving /metrics, /debug/pprof, /healthz, /readyz; empty disables")
 		dbPath  = flag.String("db", "", "durable store path; empty serves an in-memory database")
 		bits    = flag.Int("bits", 10, "grid resolution in bits per dimension (fresh stores)")
 		dims    = flag.Int("dims", 2, "grid dimensions (fresh stores)")
 		pool    = flag.Int("pool", 256, "buffer pool pages")
 		seedN   = flag.Int("seed-n", 0, "seed a fresh store with this many uniform points")
-		seed    = flag.Int64("seed", 1986, "seed for -seed-n and -loadgen")
+		seed    = flag.Int64("seed", 1986, "seed for -seed-n and -diff-points")
 		maxIn   = flag.Int("max-inflight", 16, "admission control: max concurrently executing requests")
 		drain   = flag.Duration("drain", 5*time.Second, "graceful drain timeout on shutdown")
 		batch   = flag.Int("batch", 512, "results per streamed batch frame")
@@ -105,12 +93,6 @@ func main() {
 		replLn  = flag.String("repl-listen", "", "serve WAL-shipping replication on this address (requires -db); replicas point -replica-of here")
 		replOf  = flag.String("replica-of", "", "run as a read replica of the primary's -repl-listen address (requires -db for the local page files)")
 		check   = flag.Bool("check", false, "validate the serve configuration, then handshake with a running server and print stats")
-		lg      = flag.Bool("loadgen", false, "drive a server with a mixed workload")
-		selfGen = flag.Bool("selfhost", false, "with -loadgen: start a temporary in-process server to drive")
-		cluster = flag.Bool("cluster", false, "with -loadgen: the target is a zrouted coordinator; skip transactions and write the probe-bench-cluster/v1 report (per-shard fan-out, merge overhead)")
-		conns   = flag.Int("conns", 8, "loadgen: concurrent connections")
-		dur     = flag.Duration("duration", 5*time.Second, "loadgen: run duration")
-		out     = flag.String("out", "", "loadgen: write the probe-bench-server/v1 JSON report here")
 		diff    = flag.Bool("diff", false, "differential battery: compare -addr (system under test, e.g. zrouted) against -against (single-node reference)")
 		against = flag.String("against", "", "diff: address of the single-node reference server")
 		diffN   = flag.Int("diff-n", 220, "diff: number of battery statements")
@@ -133,10 +115,6 @@ func main() {
 		}
 	case *diff:
 		if err := runDiff(*addr, *against, *diffN, *diffPts, *seed, *degrade); err != nil {
-			fatal(err)
-		}
-	case *lg:
-		if err := runLoadgen(*addr, *selfGen, *cluster, *conns, *dur, *seed, *out); err != nil {
 			fatal(err)
 		}
 	default:
@@ -517,267 +495,6 @@ func runDiff(addr, against string, n, points int, seed int64, degraded bool) err
 	fmt.Printf("probed: diff %s vs %s: statements=%d matched=%d unavailable=%d\n",
 		addr, against, n, matched, unavailable)
 	return nil
-}
-
-// serverBenchSchema identifies the BENCH_server.json document.
-const serverBenchSchema = "probe-bench-server/v1"
-
-// perOpBench is one opcode's latency row in BENCH_server.json.
-type perOpBench struct {
-	Ops   int     `json:"ops"`
-	P50MS float64 `json:"p50_ms"`
-	P95MS float64 `json:"p95_ms"`
-	P99MS float64 `json:"p99_ms"`
-}
-
-// serverBenchReport is the loadgen trajectory document archived by
-// the bench CI job alongside BENCH_spatial.json.
-type serverBenchReport struct {
-	Schema     string                `json:"schema"`
-	Host       experiment.Host       `json:"host"`
-	Conns      int                   `json:"conns"`
-	DurationMS float64               `json:"duration_ms"`
-	Seed       int64                 `json:"seed"`
-	Ops        int                   `json:"ops"`
-	Errors     int                   `json:"errors"`
-	Overloaded int                   `json:"overloaded"`
-	Conflicts  int                   `json:"conflicts"`
-	QPS        float64               `json:"qps"`
-	P50MS      float64               `json:"p50_ms"`
-	P95MS      float64               `json:"p95_ms"`
-	P99MS      float64               `json:"p99_ms"`
-	PerOp      map[string]perOpBench `json:"per_op"`
-}
-
-// ms renders a duration as fractional milliseconds for the report.
-func ms(d time.Duration) float64 {
-	return float64(d.Microseconds()) / 1e3
-}
-
-// clusterBenchSchema identifies the BENCH_cluster.json document.
-const clusterBenchSchema = "probe-bench-cluster/v1"
-
-// shardFanout is one shard's scatter accounting in BENCH_cluster.json:
-// how many backend calls the router fanned to it and the latency
-// distribution of those calls.
-type shardFanout struct {
-	Calls int64   `json:"calls"`
-	P50MS float64 `json:"p50_ms"`
-	P95MS float64 `json:"p95_ms"`
-	P99MS float64 `json:"p99_ms"`
-}
-
-// clusterBenchReport is the loadgen-through-zrouted document archived
-// by the cluster-smoke CI job: the client-visible trajectory plus the
-// router's own accounting of where the work went and what the z-order
-// merge cost on top.
-type clusterBenchReport struct {
-	Schema     string                 `json:"schema"`
-	Host       experiment.Host        `json:"host"`
-	Conns      int                    `json:"conns"`
-	DurationMS float64                `json:"duration_ms"`
-	Seed       int64                  `json:"seed"`
-	Ops        int                    `json:"ops"`
-	Errors     int                    `json:"errors"`
-	Overloaded int                    `json:"overloaded"`
-	QPS        float64                `json:"qps"`
-	P50MS      float64                `json:"p50_ms"`
-	P95MS      float64                `json:"p95_ms"`
-	P99MS      float64                `json:"p99_ms"`
-	PerOp      map[string]perOpBench  `json:"per_op"`
-	Fanout     map[string]shardFanout `json:"fanout_per_shard"`
-	MergeCount int64                  `json:"merge_count"`
-	MergeP50MS float64                `json:"merge_p50_ms"`
-	MergeP95MS float64                `json:"merge_p95_ms"`
-	MergeP99MS float64                `json:"merge_p99_ms"`
-}
-
-// nsToMS renders a nanosecond stat count as fractional milliseconds.
-func nsToMS(ns int64) float64 { return float64(ns) / 1e6 }
-
-// routerStats pulls the router's STATS map (router.* keys) from the
-// coordinator the load run just drove.
-func routerStats(addr string) (map[string]int64, error) {
-	cl, err := client.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return cl.Stats(ctx)
-}
-
-func runLoadgen(addr string, selfhost, cluster bool, conns int, dur time.Duration, seed int64, out string) error {
-	if cluster && selfhost {
-		return fmt.Errorf("-cluster drives a running zrouted; it cannot be combined with -selfhost")
-	}
-	if selfhost {
-		dir, err := os.MkdirTemp("", "probed-loadgen")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		db, err := openDB(filepath.Join(dir, "db"), 2, 10, 256, 50000, seed)
-		if err != nil {
-			return err
-		}
-		srv := server.New(db, server.Config{})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			db.Close()
-			return err
-		}
-		go srv.Serve(ln)
-		defer srv.Shutdown(context.Background())
-		addr = ln.Addr().String()
-		fmt.Printf("probed: self-hosted server on %s (50000 points)\n", addr)
-	}
-
-	rep, err := loadgen.Run(loadgen.Config{
-		Addr: addr, Conns: conns, Duration: dur, Seed: seed,
-		Metrics: obs.NewRegistry(), Cluster: cluster,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println("loadgen:", rep)
-	for _, kind := range sortedOpKinds(rep.PerOp) {
-		st := rep.PerOp[kind]
-		fmt.Printf("loadgen: %-8s ops=%-7d p50=%s p95=%s p99=%s\n", kind, st.Ops, st.P50, st.P95, st.P99)
-	}
-
-	if cluster {
-		return writeClusterReport(addr, rep, conns, seed, out)
-	}
-	if out != "" {
-		doc := serverBenchReport{
-			Schema:     serverBenchSchema,
-			Host:       experiment.CurrentHost(),
-			Conns:      rep.Conns,
-			DurationMS: float64(rep.Elapsed.Microseconds()) / 1e3,
-			Seed:       seed,
-			Ops:        rep.Ops,
-			Errors:     rep.Errors,
-			Overloaded: rep.Overloaded,
-			Conflicts:  rep.Conflicts,
-			QPS:        rep.QPS,
-			P50MS:      ms(rep.P50),
-			P95MS:      ms(rep.P95),
-			P99MS:      ms(rep.P99),
-			PerOp:      make(map[string]perOpBench, len(rep.PerOp)),
-		}
-		for kind, st := range rep.PerOp {
-			doc.PerOp[kind] = perOpBench{
-				Ops: st.Ops, P50MS: ms(st.P50), P95MS: ms(st.P95), P99MS: ms(st.P99),
-			}
-		}
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("probed: wrote %s\n", out)
-	}
-	return nil
-}
-
-// writeClusterReport renders a -cluster run: the load report plus the
-// router's per-shard fan-out counts and merge-overhead histogram,
-// pulled over the wire from the coordinator that was just driven.
-func writeClusterReport(addr string, rep loadgen.Report, conns int, seed int64, out string) error {
-	stats, err := routerStats(addr)
-	if err != nil {
-		return fmt.Errorf("router stats: %w", err)
-	}
-	fanout := make(map[string]shardFanout)
-	for i := 0; ; i++ {
-		callsKey := fmt.Sprintf("router.fanout.shard%d.calls", i)
-		calls, ok := stats[callsKey]
-		if !ok {
-			break
-		}
-		ns := fmt.Sprintf("router.fanout.shard%d.ns", i)
-		fanout[fmt.Sprintf("shard%d", i)] = shardFanout{
-			Calls: calls,
-			P50MS: nsToMS(stats[ns+".p50"]),
-			P95MS: nsToMS(stats[ns+".p95"]),
-			P99MS: nsToMS(stats[ns+".p99"]),
-		}
-	}
-	shards := make([]string, 0, len(fanout))
-	for shard := range fanout {
-		shards = append(shards, shard)
-	}
-	sort.Strings(shards)
-	for _, shard := range shards {
-		fmt.Printf("loadgen: %-8s calls=%-7d p50=%.3fms p95=%.3fms p99=%.3fms\n",
-			shard, fanout[shard].Calls, fanout[shard].P50MS, fanout[shard].P95MS, fanout[shard].P99MS)
-	}
-	fmt.Printf("loadgen: merge    count=%-6d p50=%.3fms p95=%.3fms p99=%.3fms\n",
-		stats["router.merge.ns.count"], nsToMS(stats["router.merge.ns.p50"]),
-		nsToMS(stats["router.merge.ns.p95"]), nsToMS(stats["router.merge.ns.p99"]))
-	if out == "" {
-		return nil
-	}
-	doc := clusterBenchReport{
-		Schema:     clusterBenchSchema,
-		Host:       experiment.CurrentHost(),
-		Conns:      rep.Conns,
-		DurationMS: float64(rep.Elapsed.Microseconds()) / 1e3,
-		Seed:       seed,
-		Ops:        rep.Ops,
-		Errors:     rep.Errors,
-		Overloaded: rep.Overloaded,
-		QPS:        rep.QPS,
-		P50MS:      ms(rep.P50),
-		P95MS:      ms(rep.P95),
-		P99MS:      ms(rep.P99),
-		PerOp:      make(map[string]perOpBench, len(rep.PerOp)),
-		Fanout:     fanout,
-		MergeCount: stats["router.merge.ns.count"],
-		MergeP50MS: nsToMS(stats["router.merge.ns.p50"]),
-		MergeP95MS: nsToMS(stats["router.merge.ns.p95"]),
-		MergeP99MS: nsToMS(stats["router.merge.ns.p99"]),
-	}
-	for kind, st := range rep.PerOp {
-		doc.PerOp[kind] = perOpBench{
-			Ops: st.Ops, P50MS: ms(st.P50), P95MS: ms(st.P95), P99MS: ms(st.P99),
-		}
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("probed: wrote %s\n", out)
-	return nil
-}
-
-// sortedOpKinds orders the per-op breakdown for stable output.
-func sortedOpKinds(perOp map[string]loadgen.OpStats) []string {
-	kinds := make([]string, 0, len(perOp))
-	for k := range perOp {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
 }
 
 func fatal(err error) {

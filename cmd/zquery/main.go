@@ -81,7 +81,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	db, err := probe.Open(g, probe.Options{LeafCapacity: *leafCap})
+	db, err := probe.Open(g, probe.WithLeafCapacity(*leafCap))
 	if err != nil {
 		fatal(err)
 	}

@@ -82,7 +82,7 @@ func TestLoadPointsDistributions(t *testing.T) {
 
 func TestRunRangeAndPartial(t *testing.T) {
 	g := probe.MustGrid(2, 6)
-	db, err := probe.Open(g, probe.Options{LeafCapacity: 8})
+	db, err := probe.Open(g, probe.WithLeafCapacity(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 // The headline problem (Figure 1): find all points in a box.
 func Example() {
 	g := probe.MustGrid(2, 10) // a 1024 x 1024 space
-	db, _ := probe.Open(g, probe.Options{LeafCapacity: 20})
+	db, _ := probe.Open(g, probe.WithLeafCapacity(20))
 	db.Insert(probe.Pt2(1, 30, 40))
 	db.Insert(probe.Pt2(2, 500, 900))
 	db.Insert(probe.Pt2(3, 90, 95))

@@ -20,7 +20,7 @@ func main() {
 	// A 3-d space: 1024 x 1024 ground grid x 512 altitude bands — an
 	// asymmetric grid, since altitude needs less resolution.
 	g := probe.MustGridAsym(10, 10, 9)
-	db, err := probe.Open(g, probe.Options{LeafCapacity: 20})
+	db, err := probe.Open(g, probe.WithLeafCapacity(20))
 	if err != nil {
 		log.Fatal(err)
 	}

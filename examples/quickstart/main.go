@@ -14,7 +14,7 @@ import (
 func main() {
 	// A 1024 x 1024 space (10 bits per dimension).
 	g := probe.MustGrid(2, 10)
-	db, err := probe.Open(g, probe.Options{LeafCapacity: 20})
+	db, err := probe.Open(g, probe.WithLeafCapacity(20))
 	if err != nil {
 		log.Fatal(err)
 	}

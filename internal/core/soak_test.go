@@ -20,7 +20,7 @@ func TestSoakMixedWorkloadOnFileStore(t *testing.T) {
 		t.Skip("soak test skipped in -short mode")
 	}
 	g := zorder.MustGrid(2, 9)
-	store, err := disk.NewFileStore(filepath.Join(t.TempDir(), "soak.db"), 512)
+	store, err := disk.CreateFileStore(filepath.Join(t.TempDir(), "soak.db"), 512)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,14 +166,6 @@ func openScan(f File, path string) (*FileStore, error) {
 	return s, nil
 }
 
-// NewFileStore creates (or truncates) the file at path.
-//
-// Deprecated: use CreateFileStore, or OpenFileStore to open an
-// existing store without destroying it.
-func NewFileStore(path string, pageSize int) (*FileStore, error) {
-	return CreateFileStore(path, pageSize)
-}
-
 // stampSuperblock durably rewrites the superblock with the given
 // checkpoint LSN. The caller holds s.mu (or the store is private).
 func (s *FileStore) stampSuperblock(ckptLSN uint64) error {

@@ -8,7 +8,7 @@ import (
 
 func newTestFileStore(t *testing.T) *FileStore {
 	t.Helper()
-	s, err := NewFileStore(filepath.Join(t.TempDir(), "store.db"), 128)
+	s, err := CreateFileStore(filepath.Join(t.TempDir(), "store.db"), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +71,10 @@ func TestFileStoreRoundTrip(t *testing.T) {
 }
 
 func TestFileStoreErrors(t *testing.T) {
-	if _, err := NewFileStore(filepath.Join(t.TempDir(), "x"), 8); err == nil {
+	if _, err := CreateFileStore(filepath.Join(t.TempDir(), "x"), 8); err == nil {
 		t.Errorf("tiny page size accepted")
 	}
-	if _, err := NewFileStore("/nonexistent-dir-zzz/x.db", 128); err == nil {
+	if _, err := CreateFileStore("/nonexistent-dir-zzz/x.db", 128); err == nil {
 		t.Errorf("unwritable path accepted")
 	}
 	s := newTestFileStore(t)

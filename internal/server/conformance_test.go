@@ -73,13 +73,45 @@ func rawHandshake(t *testing.T, addr string) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if err := wire.WriteFrame(conn, wire.MsgHello, wire.Hello{Major: wire.VersionMajor}.Encode()); err != nil {
+	if err := wire.WriteFrame(conn, wire.MsgHello, wire.Hello{Major: wire.VersionMajor, Minor: wire.VersionMinor}.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgWelcome {
 		t.Fatalf("handshake: type 0x%02x err %v", typ, err)
 	}
 	return conn
+}
+
+// helloRefused says hello with a version the front door must refuse:
+// the answer is the typed version error, then the connection closes.
+func helloRefused(t *testing.T, addr string, hello wire.Hello) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteFrame(conn, wire.MsgHello, hello.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != wire.MsgError {
+		t.Fatalf("hello %d.%d: got frame 0x%02x, want error", hello.Major, hello.Minor, typ)
+	}
+	em, err := wire.DecodeErrorMsg(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if em.Code != wire.CodeVersion {
+		t.Fatalf("hello %d.%d: got code %d, want version mismatch", hello.Major, hello.Minor, em.Code)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if typ, _, err := wire.ReadFrame(conn); err == nil {
+		t.Fatalf("hello %d.%d: connection stayed open after the refusal (frame 0x%02x)", hello.Major, hello.Minor, typ)
+	}
 }
 
 // TestFrontDoorConformance runs the protocol-level contract — what a
@@ -95,27 +127,26 @@ func TestFrontDoorConformance(t *testing.T) {
 		// A wrong major version is refused with the typed code before
 		// any request runs.
 		{"hello major mismatch", 0, func(t *testing.T, fd frontDoor) {
+			helloRefused(t, fd.addr, wire.Hello{Major: 99})
+		}},
+
+		// The protocol floor: a minor below wire.MinMinor is refused the
+		// same way and the connection closes; the floor itself is
+		// welcomed.
+		{"hello minor floor", 0, func(t *testing.T, fd frontDoor) {
+			for _, minor := range []uint8{0, wire.MinMinor - 1} {
+				helloRefused(t, fd.addr, wire.Hello{Major: wire.VersionMajor, Minor: minor})
+			}
 			conn, err := net.Dial("tcp", fd.addr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			if err := wire.WriteFrame(conn, wire.MsgHello, wire.Hello{Major: 99}.Encode()); err != nil {
+			if err := wire.WriteFrame(conn, wire.MsgHello, wire.Hello{Major: wire.VersionMajor, Minor: wire.MinMinor}.Encode()); err != nil {
 				t.Fatal(err)
 			}
-			typ, payload, err := wire.ReadFrame(conn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if typ != wire.MsgError {
-				t.Fatalf("got frame 0x%02x, want error", typ)
-			}
-			em, err := wire.DecodeErrorMsg(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if em.Code != wire.CodeVersion {
-				t.Fatalf("got code %d, want version mismatch", em.Code)
+			if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgWelcome {
+				t.Fatalf("minor %d: type 0x%02x err %v, want welcome", wire.MinMinor, typ, err)
 			}
 		}},
 

@@ -5,15 +5,12 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"probe/internal/wire"
 )
 
 // TestAdminEndpoint drives real traffic through the server and then
@@ -241,52 +238,4 @@ func TestSampledRequestLog(t *testing.T) {
 		t.Fatal("3-dim nearest on a 2-dim database succeeded")
 	}
 	waitFor(t, &buf, "status=bad-request")
-}
-
-// TestStatsLegacyMinor0: a client that said minor 0 in its Hello gets
-// the legacy TEXT stats blob, not the STATSKV frame.
-func TestStatsLegacyMinor0(t *testing.T) {
-	_, addr, _ := startServer(t, Config{}, nil)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.MsgHello, wire.Hello{Major: wire.VersionMajor, Minor: 0}.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgWelcome {
-		t.Fatalf("handshake: type 0x%02x err %v", typ, err)
-	}
-	req := wire.SimpleReq{Header: wire.Header{ID: 1}}
-	if err := wire.WriteFrame(conn, wire.MsgStats, req.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	sawText := false
-	for {
-		typ, payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch typ {
-		case wire.MsgText:
-			tm, err := wire.DecodeTextMsg(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(tm.Text, "\"server\"") {
-				t.Fatalf("legacy stats text %q", tm.Text)
-			}
-			sawText = true
-		case wire.MsgStatsKV:
-			t.Fatal("server sent STATSKV to a minor-0 client")
-		case wire.MsgDone:
-			if !sawText {
-				t.Fatal("no TEXT stats before DONE")
-			}
-			return
-		default:
-			t.Fatalf("unexpected frame 0x%02x", typ)
-		}
-	}
 }

@@ -13,7 +13,6 @@ import (
 	"probe"
 	"probe/client"
 	"probe/internal/battery"
-	"probe/internal/wire"
 )
 
 // TestQueryDifferential is the battery the wire path is proven by:
@@ -225,45 +224,5 @@ func TestQueryTypedErrors(t *testing.T) {
 	// The connection survives every rejection.
 	if _, err := cl.Query(ctx, "SELECT COUNT(*) FROM points"); err != nil {
 		t.Fatalf("query after typed errors: %v", err)
-	}
-}
-
-// TestQueryOldMinorRejected: a client that negotiated minor < 3 gets
-// a typed bad-request rejection for the QUERY opcode before the
-// server even decodes the payload (the payload here is deliberately
-// garbage), and the connection stays open.
-func TestQueryOldMinorRejected(t *testing.T) {
-	_, addr, _ := startServer(t, Config{}, nil)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello := wire.Hello{Major: wire.VersionMajor, Minor: 2}
-	if err := wire.WriteFrame(conn, wire.MsgHello, hello.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgWelcome {
-		t.Fatalf("handshake: type 0x%02x err %v", typ, err)
-	}
-	if err := wire.WriteFrame(conn, wire.MsgQuery, []byte{0xff, 0xfe}); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != wire.MsgError {
-		t.Fatalf("got frame 0x%02x, want error", typ)
-	}
-	em, err := wire.DecodeErrorMsg(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if em.Code != wire.CodeBadRequest {
-		t.Fatalf("got code %d, want bad-request", em.Code)
-	}
-	if !strings.Contains(em.Msg, "minor") {
-		t.Fatalf("rejection does not mention the protocol minor: %q", em.Msg)
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"math/rand"
 	"net"
-	"strings"
 	"testing"
 
 	"probe/internal/wire"
@@ -54,24 +53,6 @@ func rawTracedRange(t *testing.T, addr string, minor uint8) (types []uint8, text
 			return types, text, tm, sawTrace
 		case wire.MsgError:
 			t.Fatalf("server answered error: %x", payload)
-		}
-	}
-}
-
-// TestTracedRangeOldMinorGetsText pins backward compatibility: a
-// client that said hello at minor 3 (or lower) must never see the
-// minor-4 TRACE opcode — its traced request gets the legacy rendered
-// TEXT span tree, exactly as before.
-func TestTracedRangeOldMinorGetsText(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	_, addr, _ := startServer(t, Config{BatchSize: 64}, randPoints(rng, 500, 0))
-	for _, minor := range []uint8{1, 3} {
-		types, text, _, sawTrace := rawTracedRange(t, addr, minor)
-		if sawTrace {
-			t.Fatalf("minor %d: server sent a TRACE frame to a pre-1.4 client (frames %x)", minor, types)
-		}
-		if !strings.Contains(text, "range") {
-			t.Errorf("minor %d: legacy TEXT span tree missing the request span:\n%s", minor, text)
 		}
 	}
 }

@@ -3,14 +3,11 @@ package server
 import (
 	"context"
 	"errors"
-	"net"
-	"reflect"
 	"testing"
 	"time"
 
 	"probe"
 	"probe/client"
-	"probe/internal/wire"
 )
 
 // fullBox covers the whole 1024x1024 test grid.
@@ -302,102 +299,4 @@ func TestTxDrainGrace(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("shutdown never finished after the transaction committed")
 	}
-}
-
-// TestTxOldMinorRejected speaks raw 1.1 wire: a client that said
-// minor 1 in its Hello must have the minor-2 opcodes rejected with
-// BAD_REQUEST before any decoding happens.
-func TestTxOldMinorRejected(t *testing.T) {
-	_, addr, _ := startServer(t, Config{}, nil)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	if err := wire.WriteFrame(conn, wire.MsgHello, wire.Hello{Major: 1, Minor: 1}.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := wire.ReadFrame(conn)
-	if err != nil || typ != wire.MsgWelcome {
-		t.Fatalf("handshake: type 0x%02x err %v", typ, err)
-	}
-	if _, err := wire.DecodeWelcome(payload); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, op := range []uint8{wire.MsgBegin, wire.MsgCommit, wire.MsgRollback, wire.MsgDelete} {
-		req := wire.SimpleReq{Header: wire.Header{ID: 7}}
-		if err := wire.WriteFrame(conn, op, req.Encode()); err != nil {
-			t.Fatal(err)
-		}
-		typ, payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ != wire.MsgError {
-			t.Fatalf("opcode 0x%02x: got frame 0x%02x, want ERROR", op, typ)
-		}
-		em, err := wire.DecodeErrorMsg(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if em.Code != wire.CodeBadRequest || em.ID != 7 {
-			t.Fatalf("opcode 0x%02x: got code %d id %d, want bad-request echoing id 7", op, em.Code, em.ID)
-		}
-	}
-}
-
-// TestClientDelegation pins the deprecated Client to being a pure
-// delegating wrapper: one field (the Conn), observable-state shared
-// with the Conn it wraps, and Conn() returning the identical object.
-func TestClientDelegation(t *testing.T) {
-	// Structural: Client must hold exactly a *Conn and nothing else, so
-	// it cannot drift into carrying its own state.
-	typ := reflect.TypeOf(client.Client{})
-	if typ.NumField() != 1 || typ.Field(0).Type != reflect.TypeOf((*client.Conn)(nil)) {
-		t.Fatalf("deprecated Client must wrap exactly one *Conn, has %d fields", typ.NumField())
-	}
-
-	_, addr, _ := startServer(t, Config{}, nil)
-	conn := dial(t, addr)
-	cl := client.NewClient(conn)
-	if cl.Conn() != conn {
-		t.Fatal("Client.Conn() does not return the wrapped Conn")
-	}
-	ctx := context.Background()
-
-	// Behavioral: effects through the wrapper are visible through the
-	// Conn and vice versa, because they are the same connection.
-	if _, err := cl.Insert(ctx, []probe.Point{probe.Pt2(1, 10, 10)}); err != nil {
-		t.Fatal(err)
-	}
-	samePoints(t, "via Conn after Client.Insert", rangeAll(t, conn), []probe.Point{probe.Pt2(1, 10, 10)})
-	cl.SetTrace(true)
-	if _, _, err := cl.Range(ctx, []uint32{0, 0}, []uint32{1023, 1023}); err != nil {
-		t.Fatal(err)
-	}
-	if conn.LastTrace() == "" {
-		t.Fatal("trace enabled through the wrapper did not reach the Conn")
-	}
-	if cl.LastTrace() != conn.LastTrace() {
-		t.Fatal("wrapper and Conn disagree on LastTrace")
-	}
-
-	// DialClient wires up a fresh wrapped connection end to end.
-	cl2, err := client.DialClient(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl2.Close()
-	samePoints(t, "via DialClient", mustRange(t, cl2), []probe.Point{probe.Pt2(1, 10, 10)})
-}
-
-func mustRange(t *testing.T, cl *client.Client) []probe.Point {
-	t.Helper()
-	pts, _, err := cl.Range(context.Background(), []uint32{0, 0}, []uint32{1023, 1023})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pts
 }

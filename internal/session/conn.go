@@ -27,11 +27,6 @@ type conn struct {
 
 	frames chan frameMsg
 
-	// minor is the client's protocol minor from its Hello; it gates
-	// the minor-1 response forms (STATSKV instead of TEXT), the minor-2
-	// and minor-3 opcodes and the minor-4 TRACE frame.
-	minor uint8
-
 	// tx is the session's open transaction, nil outside BEGIN…COMMIT/
 	// ROLLBACK. The executor goroutine uses it during a request; the
 	// session loop rolls it back on idle timeout or disconnect, which
@@ -245,11 +240,6 @@ func (c *conn) loop() {
 			case isRequest:
 				recv := time.Now()
 				id := peekID(f.payload)
-				if need := minorRequired(f.typ); need > 0 && c.minor < need {
-					c.sendError(id, wire.CodeBadRequest,
-						fmt.Sprintf("opcode 0x%02x requires protocol minor >= %d (client said %d)", f.typ, need, c.minor))
-					continue
-				}
 				if reqDone != nil && c.respDone.Load() {
 					// The previous request's final frame is already on the
 					// wire — only executor bookkeeping separates us from its
@@ -313,8 +303,8 @@ func (c *conn) loop() {
 }
 
 // handshake expects the client's Hello as the first frame and answers
-// Welcome with the grid shape; a major-version mismatch gets a typed
-// error and closes the session.
+// Welcome with the grid shape; a major-version mismatch, or a minor
+// below wire.MinMinor, gets a typed error and closes the session.
 func (c *conn) handshake() bool {
 	f, ok := <-c.frames
 	if !ok {
@@ -329,12 +319,12 @@ func (c *conn) handshake() bool {
 		c.sendError(0, wire.CodeBadRequest, err.Error())
 		return false
 	}
-	if hello.Major != wire.VersionMajor {
+	if hello.Major != wire.VersionMajor || hello.Minor < wire.MinMinor {
 		c.sendError(0, wire.CodeVersion,
-			fmt.Sprintf("protocol major version %d not supported (%s speaks %d)", hello.Major, c.srv.cfg.Name, wire.VersionMajor))
+			fmt.Sprintf("protocol version %d.%d not supported (%s speaks major %d, minor %d and up)",
+				hello.Major, hello.Minor, c.srv.cfg.Name, wire.VersionMajor, wire.MinMinor))
 		return false
 	}
-	c.minor = hello.Minor
 	g := c.srv.eng.Grid()
 	bits := make([]uint32, g.Dims())
 	for i := range bits {

@@ -2,8 +2,6 @@ package session
 
 import (
 	"context"
-	"fmt"
-	"strings"
 
 	"probe"
 	"probe/internal/obs"
@@ -116,20 +114,6 @@ func statsKVs(secs []StatsSection) []wire.KV {
 		})
 	}
 	return kvs
-}
-
-// statsText renders the sections as the legacy (protocol 1.0) JSON
-// text answer: one object member per prefix, or the lone registry
-// itself when it is reported bare.
-func statsText(secs []StatsSection) string {
-	if len(secs) == 1 && secs[0].Prefix == "" {
-		return secs[0].Registry.String()
-	}
-	parts := make([]string, len(secs))
-	for i, sec := range secs {
-		parts[i] = fmt.Sprintf("%q: %s", sec.Prefix, sec.Registry.String())
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
 }
 
 type traceKey struct{}

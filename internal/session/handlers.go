@@ -483,23 +483,17 @@ func (c *conn) handleExplain(ctx context.Context, rq *request, payload []byte) {
 	c.sendDone(rq, probe.QueryStats{})
 }
 
-// handleStats snapshots the engine's registries. A minor >= 1 client
-// gets the structured STATSKV response — every metric flattened to a
-// named int64 (histograms as .count/.p50/.p95/.p99/.max) under its
-// section's prefix; a 1.0 client gets the legacy rendered-JSON TEXT
-// blob.
+// handleStats snapshots the engine's registries into the structured
+// STATSKV response: every metric flattened to a named int64
+// (histograms as .count/.p50/.p95/.p99/.max) under its section's
+// prefix.
 func (c *conn) handleStats(ctx context.Context, rq *request, payload []byte) {
 	if !c.simple(rq, payload) {
 		return
 	}
 	rq.markPlanned()
 	secs := c.srv.eng.Stats()
-	if c.minor >= 1 {
-		err := c.sendTimed(rq, wire.MsgStatsKV, wire.StatsKV{ID: rq.id, KVs: statsKVs(secs)}.Encode())
-		if err != nil {
-			return
-		}
-	} else if c.sendTimed(rq, wire.MsgText, wire.TextMsg{ID: rq.id, Text: statsText(secs)}.Encode()) != nil {
+	if c.sendTimed(rq, wire.MsgStatsKV, wire.StatsKV{ID: rq.id, KVs: statsKVs(secs)}.Encode()) != nil {
 		return
 	}
 	c.sendDone(rq, probe.QueryStats{})

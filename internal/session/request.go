@@ -49,34 +49,27 @@ type request struct {
 }
 
 // ops is the request opcode table: the name in metric names and log
-// lines, the minimum protocol minor a client must have said to send it
-// (0 when every 1.x client may), and the handler.
+// lines, and the handler.
 var ops = map[uint8]struct {
-	name  string
-	minor uint8
-	run   func(*conn, context.Context, *request, []byte)
+	name string
+	run  func(*conn, context.Context, *request, []byte)
 }{
-	wire.MsgRange:      {"range", 0, (*conn).handleRange},
-	wire.MsgNearest:    {"nearest", 0, (*conn).handleNearest},
-	wire.MsgJoin:       {"join", 0, (*conn).handleJoin},
-	wire.MsgInsert:     {"insert", 0, (*conn).handleInsert},
-	wire.MsgCheckpoint: {"checkpoint", 0, (*conn).handleCheckpoint},
-	wire.MsgExplain:    {"explain", 0, (*conn).handleExplain},
-	wire.MsgStats:      {"stats", 0, (*conn).handleStats},
-	wire.MsgDelete:     {"delete", 2, (*conn).handleDelete},
-	wire.MsgBegin:      {"begin", 2, (*conn).handleBegin},
-	wire.MsgCommit:     {"commit", 2, (*conn).handleCommit},
-	wire.MsgRollback:   {"rollback", 2, (*conn).handleRollback},
-	wire.MsgQuery:      {"query", 3, (*conn).handleQuery},
+	wire.MsgRange:      {"range", (*conn).handleRange},
+	wire.MsgNearest:    {"nearest", (*conn).handleNearest},
+	wire.MsgJoin:       {"join", (*conn).handleJoin},
+	wire.MsgInsert:     {"insert", (*conn).handleInsert},
+	wire.MsgCheckpoint: {"checkpoint", (*conn).handleCheckpoint},
+	wire.MsgExplain:    {"explain", (*conn).handleExplain},
+	wire.MsgStats:      {"stats", (*conn).handleStats},
+	wire.MsgDelete:     {"delete", (*conn).handleDelete},
+	wire.MsgBegin:      {"begin", (*conn).handleBegin},
+	wire.MsgCommit:     {"commit", (*conn).handleCommit},
+	wire.MsgRollback:   {"rollback", (*conn).handleRollback},
+	wire.MsgQuery:      {"query", (*conn).handleQuery},
 }
 
 // opName names a request opcode for metric names and log lines.
 func opName(typ uint8) string { return ops[typ].name }
-
-// minorRequired returns the minimum protocol minor an opcode needs.
-// Gated opcodes from an older client are rejected before their payload
-// is decoded.
-func minorRequired(typ uint8) uint8 { return ops[typ].minor }
 
 // execute runs one admitted request to completion, sending its Done
 // or Error frame, then records its telemetry (histograms, log line).
@@ -218,11 +211,9 @@ func statsArray(qs probe.QueryStats) []uint64 {
 }
 
 // sendDone ends a successful request. A traced data request first
-// gets its span tree — as a TRACE frame (trace ID plus the canonical
-// binary encoding) for a minor >= 4 client, or the legacy
-// rendered-TEXT form for older ones; EXPLAIN and STATS keep their
-// single TEXT body — then every traced request's DONE carries the
-// per-phase timing breakdown.
+// gets its span tree as a TRACE frame (trace ID plus the canonical
+// binary encoding); EXPLAIN and STATS keep their single body. Then
+// every traced request's DONE carries the per-phase timing breakdown.
 func (c *conn) sendDone(rq *request, qs probe.QueryStats) {
 	rq.qs = qs
 	if !rq.traced() {
@@ -239,12 +230,8 @@ func (c *conn) sendDone(rq *request, qs probe.QueryStats) {
 	rq.span.End()
 	c.respDone.Store(true)
 	if rq.traced() && rq.op != "explain" && rq.op != "stats" {
-		if c.minor >= 4 {
-			tm := wire.TraceMsg{ID: rq.id, TraceID: rq.trace, Span: obs.EncodeSpan(rq.span)}
-			if c.send(wire.MsgTrace, tm.Encode()) != nil {
-				return
-			}
-		} else if c.send(wire.MsgText, wire.TextMsg{ID: rq.id, Text: rq.span.Render(true)}.Encode()) != nil {
+		tm := wire.TraceMsg{ID: rq.id, TraceID: rq.trace, Span: obs.EncodeSpan(rq.span)}
+		if c.send(wire.MsgTrace, tm.Encode()) != nil {
 			return
 		}
 	}

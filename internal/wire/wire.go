@@ -18,9 +18,9 @@
 // Versioning. The first frame in each direction is the handshake:
 // the client sends Hello carrying the protocol magic and its version,
 // the server answers Welcome with its own version and the database's
-// grid shape. The major version must match exactly; minor versions
-// are additive (unknown trailing payload bytes are ignored), which is
-// the protocol's compatibility promise.
+// grid shape. The major version must match exactly and the minor must
+// be at least MinMinor; minor versions are additive (unknown trailing
+// payload bytes are ignored).
 package wire
 
 import (
@@ -33,40 +33,29 @@ import (
 const Magic = "ZKDQ"
 
 // Protocol version. Major must match between peers; minor only adds
-// fields at the end of existing payloads.
+// opcodes, error codes, and fields at the end of existing payloads.
+// Both peers refuse a minor below MinMinor at the handshake with
+// CodeVersion, so every session speaks the whole protocol: no opcode
+// or response form is gated per connection.
 //
-// Minor 1 added: a trailing flags byte on every request (FlagTrace),
-// the timing-breakdown array on DONE, and the structured STATSKV
-// response (sent instead of TEXT to clients that said minor >= 1 in
-// their Hello).
-//
-// Minor 2 added: the DELETE request, the multi-statement transaction
-// opcodes BEGIN/COMMIT/ROLLBACK, and the CONFLICT error code a losing
-// COMMIT returns. All are new opcodes, so a 1.1 peer never sees them;
-// a 1.2 server rejects them from a client that said minor < 2 in its
-// Hello with CodeBadRequest.
-//
-// Minor 3 added: the QUERY request (spatial SQL text in; a SCHEMA
-// frame, ROWS batches and DONE out) and the typed PARSE/PLAN error
-// codes its statements can fail with. Like the minor-2 opcodes, a
-// 1.3 server rejects QUERY from a client that said minor < 3 with
-// CodeBadRequest before decoding the payload.
-//
-// Minor 4 added: the UNAVAILABLE and READONLY error codes the cluster
-// layer returns — UNAVAILABLE when a router cannot reach any live node
-// for a shard the request needs, READONLY when a write lands on a read
-// replica (older clients render them through CodeString's default arm,
-// so no gating is required) — and distributed tracing: a u64 trace ID
-// appended to the request header tail after the flags byte (absent
-// decodes as 0 = unassigned; the front door mints one when FlagTrace
-// is set without it), and the TRACE response frame carrying the
-// request's trace ID plus its span tree in the canonical binary
-// encoding (internal/obs codec), sent to minor >= 4 clients instead of
-// the minor-1 rendered-TEXT trace so a coordinator can parse and graft
-// backend subtrees under its own fan-out spans.
+// Minor 1 added the trailing flags byte on every request (FlagTrace),
+// the timing-breakdown array on DONE and the structured STATSKV
+// response. Minor 2 added DELETE, the transaction opcodes
+// BEGIN/COMMIT/ROLLBACK and the CONFLICT error code. Minor 3 added
+// QUERY (spatial SQL text in; a SCHEMA frame, ROWS batches and DONE
+// out) and the PARSE/PLAN error codes. Minor 4 added the UNAVAILABLE
+// and READONLY error codes of the cluster layer and distributed
+// tracing: a u64 trace ID after the flags byte in the request header
+// tail (absent decodes as 0 = unassigned; the front door mints one
+// when FlagTrace is set without it), and the TRACE response frame
+// carrying the request's trace ID plus its span tree in the canonical
+// binary encoding (internal/obs codec), which a coordinator parses
+// and grafts under its own fan-out spans.
 const (
 	VersionMajor = 1
 	VersionMinor = 4
+	// MinMinor is the oldest minor either peer accepts from the other.
+	MinMinor = 4
 )
 
 // MaxFrame caps a frame's length field (type byte + payload). Frames
@@ -94,30 +83,28 @@ const (
 	MsgExplain    = 0x15 // plan a range query without running it
 	MsgStats      = 0x16 // server + database counters snapshot
 	MsgCancel     = 0x18 // cancel the in-flight request with this id
-	MsgDelete     = 0x19 // delete a batch of points (minor >= 2)
-	MsgBegin      = 0x1A // open a transaction on this session (minor >= 2)
-	MsgCommit     = 0x1B // commit the session's transaction (minor >= 2)
-	MsgRollback   = 0x1C // roll back the session's transaction (minor >= 2)
-	MsgQuery      = 0x1D // spatial SQL statement; streams schema + row batches (minor >= 3)
+	MsgDelete     = 0x19 // delete a batch of points
+	MsgBegin      = 0x1A // open a transaction on this session
+	MsgCommit     = 0x1B // commit the session's transaction
+	MsgRollback   = 0x1C // roll back the session's transaction
+	MsgQuery      = 0x1D // spatial SQL statement; streams schema + row batches
 
 	MsgBatch   = 0x20 // one batch of streamed results
 	MsgDone    = 0x21 // request finished; carries its QueryStats
-	MsgText    = 0x22 // textual response (EXPLAIN, legacy STATS, trace trees)
+	MsgText    = 0x22 // textual response (EXPLAIN plans)
 	MsgError   = 0x23 // request failed; carries a typed error code
-	MsgStatsKV = 0x24 // structured key/value counter snapshot (minor >= 1)
-	MsgSchema  = 0x25 // a QUERY result's column names and types (minor >= 3)
-	MsgRows    = 0x26 // one batch of typed QUERY result rows (minor >= 3)
-	MsgTrace   = 0x27 // a traced request's trace ID + encoded span tree (minor >= 4)
+	MsgStatsKV = 0x24 // structured key/value counter snapshot
+	MsgSchema  = 0x25 // a QUERY result's column names and types
+	MsgRows    = 0x26 // one batch of typed QUERY result rows
+	MsgTrace   = 0x27 // a traced request's trace ID + encoded span tree
 )
 
-// Request flag bits, carried as the trailing flags byte every request
-// grew in minor 1. A 1.0 peer never sends the byte and ignores it on
-// receipt, so the zero flags word is the only legal 1.0 behavior.
+// Request flag bits, carried as the trailing flags byte of every
+// request.
 const (
 	// FlagTrace asks the server to trace the request: the DONE frame
 	// carries the per-phase timing breakdown, and data requests are
-	// preceded by a TEXT frame with the rendered server-side span
-	// tree.
+	// preceded by a TRACE frame with the server-side span tree.
 	FlagTrace = 1 << 0
 )
 

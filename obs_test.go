@@ -247,8 +247,9 @@ func TestExplainAnalyzeMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Search() != legacy.Search() {
-		t.Errorf("explain-analyze stats %+v, legacy %+v", res.Stats.Search(), legacy.Search())
+	if res.Stats.DataPages != legacy.DataPages || res.Stats.Seeks != legacy.Seeks ||
+		res.Stats.Elements != legacy.Elements || res.Stats.Results != legacy.Results {
+		t.Errorf("explain-analyze stats %+v, legacy %+v", res.Stats, legacy)
 	}
 	if res.Stats.Results != len(res.Points) {
 		t.Errorf("stats results %d, points %d", res.Stats.Results, len(res.Points))

@@ -12,9 +12,6 @@ import (
 //	Open(g, ...Option)                  — database construction
 //	DB.RangeSearch(box, ...QueryOption) — range queries
 //	SpatialJoin(a, b, ...JoinOption)    — spatial joins
-//
-// The legacy Options struct implements Option, so pre-redesign calls
-// like Open(g, Options{PageSize: 1024}) keep compiling unchanged.
 
 // openConfig is the resolved configuration of one Open call.
 type openConfig struct {
@@ -37,20 +34,6 @@ type openOptionFunc func(*openConfig)
 
 func (f openOptionFunc) applyOpen(c *openConfig) { f(c) }
 
-// applyOpen makes the legacy Options struct a valid Option: zero
-// fields are left at their defaults, exactly as before.
-func (o Options) applyOpen(c *openConfig) {
-	if o.PageSize != 0 {
-		c.pageSize = o.PageSize
-	}
-	if o.PoolPages != 0 {
-		c.poolPages = o.PoolPages
-	}
-	if o.LeafCapacity != 0 {
-		c.leafCapacity = o.LeafCapacity
-	}
-}
-
 // WithPageSize sets the simulated disk page size in bytes [4096].
 func WithPageSize(bytes int) Option {
 	return openOptionFunc(func(c *openConfig) { c.pageSize = bytes })
@@ -68,8 +51,7 @@ func WithLeafCapacity(points int) Option {
 }
 
 // WithBulkLoad builds the index bottom-up from pts with fully packed
-// pages (about 30% fewer data pages than one-at-a-time insertion) —
-// what OpenPacked did.
+// pages (about 30% fewer data pages than one-at-a-time insertion).
 func WithBulkLoad(pts []Point) Option {
 	return openOptionFunc(func(c *openConfig) { c.bulk = pts; c.bulkSet = true })
 }

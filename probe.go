@@ -75,22 +75,10 @@ type (
 	DecomposeOptions = decompose.Options
 	// Strategy selects a range-search variant.
 	Strategy = core.Strategy
-	// SearchStats reports the work a range search performed.
-	//
-	// Deprecated: query entry points now return the unified
-	// QueryStats, which carries the same fields; use it directly or
-	// project the legacy view with QueryStats.Search.
-	SearchStats = core.SearchStats
 	// Item is one element of a decomposed object relation.
 	Item = core.Item
 	// Pair is a pair of overlapping object ids from a spatial join.
 	Pair = core.Pair
-	// JoinStats reports spatial-join statistics.
-	//
-	// Deprecated: query entry points now return the unified
-	// QueryStats, which carries the same fields; use it directly or
-	// project the legacy view with QueryStats.Join.
-	JoinStats = core.JoinStats
 	// Component is one labelled connected component.
 	Component = conncomp.Component
 	// Part is a CAD part for interference detection.
@@ -190,16 +178,6 @@ func SpatialJoin(a, b []Item, opts ...JoinOption) ([]Pair, QueryStats, error) {
 // are partitioned.
 type ParallelJoinConfig = core.ParallelJoinConfig
 
-// SpatialJoinParallel is SpatialJoin executed by a pool of workers
-// over z-prefix partitions of the inputs (see docs/parallelism.md).
-// workers <= 0 selects runtime.GOMAXPROCS. The distinct pair set is
-// identical to SpatialJoin's.
-//
-// Deprecated: use SpatialJoin(a, b, WithWorkers(workers)).
-func SpatialJoinParallel(a, b []Item, workers int) ([]Pair, QueryStats, error) {
-	return SpatialJoin(a, b, WithWorkers(workers))
-}
-
 // Union, Intersect, Subtract and XOR are the polygon-overlay set
 // operations on decomposed regions (Section 6).
 func Union(a, b []Element) ([]Element, error)     { return overlay.Union(a, b) }
@@ -225,19 +203,6 @@ func LabelComponents(g Grid, elems []Element) ([]Component, error) {
 // maxLen caps the decomposition resolution (0 = full).
 func DetectInterference(g Grid, parts []Part, maxLen int) ([]interfere.Pair, interfere.Stats, error) {
 	return interfere.Detect(g, parts, maxLen)
-}
-
-// Options tunes a DB. Zero values select the defaults in brackets.
-// Options implements Option, so it can be passed directly to Open;
-// the individual With* options are the preferred spelling.
-type Options struct {
-	// PageSize is the simulated disk page size in bytes [4096].
-	PageSize int
-	// PoolPages is the buffer pool capacity in pages [256].
-	PoolPages int
-	// LeafCapacity caps points per index leaf page [derived from
-	// PageSize].
-	LeafCapacity int
 }
 
 // DB is a spatial database over one grid: a z-ordered point index on
@@ -287,8 +252,6 @@ type spanStore interface {
 // empty with default page size, pool capacity and leaf capacity;
 // WithPageSize, WithPoolPages and WithLeafCapacity tune those, and
 // WithBulkLoad builds the index bottom-up from an initial point set.
-// The legacy Options struct is itself an Option, so existing
-// Open(g, Options{...}) calls keep working.
 //
 // By default the database lives on an in-memory simulated disk and
 // vanishes with the process. WithDurability(path) places it on a
@@ -589,13 +552,6 @@ func (db *DB) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption)
 	return qs, err
 }
 
-// RangeSearchWith runs a range search with an explicit strategy.
-//
-// Deprecated: use RangeSearch(box, WithStrategy(s)).
-func (db *DB) RangeSearchWith(box Box, s Strategy) ([]Point, QueryStats, error) {
-	return db.RangeSearch(box, WithStrategy(s))
-}
-
 // PartialMatch pins the restricted dimensions to the given values and
 // leaves the rest unconstrained. It accepts the same options as
 // RangeSearch and follows the same concurrency contract: untraced, it
@@ -756,12 +712,3 @@ func (db *DB) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]
 // ContainsRegion reports whether region a covers every pixel of
 // region b.
 func ContainsRegion(a, b []Element) (bool, error) { return overlay.ContainsRegion(a, b) }
-
-// OpenPacked creates a database bulk-loaded with the given points:
-// the index is built bottom-up with fully packed pages (about 30%
-// fewer data pages than one-at-a-time insertion).
-//
-// Deprecated: use Open(g, opts, WithBulkLoad(pts)).
-func OpenPacked(g Grid, opts Options, pts []Point) (*DB, error) {
-	return Open(g, opts, WithBulkLoad(pts))
-}

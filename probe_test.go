@@ -12,7 +12,7 @@ import (
 
 func TestOpenDefaults(t *testing.T) {
 	g := probe.MustGrid(2, 8)
-	db, err := probe.Open(g, probe.Options{})
+	db, err := probe.Open(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,20 +26,20 @@ func TestOpenDefaults(t *testing.T) {
 
 func TestOpenBadOptions(t *testing.T) {
 	g := probe.MustGrid(2, 8)
-	if _, err := probe.Open(g, probe.Options{PageSize: 1}); err == nil {
+	if _, err := probe.Open(g, probe.WithPageSize(1)); err == nil {
 		t.Errorf("tiny page size accepted")
 	}
-	if _, err := probe.Open(g, probe.Options{PoolPages: -1}); err == nil {
+	if _, err := probe.Open(g, probe.WithPoolPages(-1)); err == nil {
 		t.Errorf("negative pool accepted")
 	}
-	if _, err := probe.Open(g, probe.Options{LeafCapacity: 1}); err == nil {
+	if _, err := probe.Open(g, probe.WithLeafCapacity(1)); err == nil {
 		t.Errorf("leaf capacity 1 accepted")
 	}
 }
 
 func TestEndToEndRangeSearch(t *testing.T) {
 	g := probe.MustGrid(2, 9)
-	db, err := probe.Open(g, probe.Options{LeafCapacity: 20})
+	db, err := probe.Open(g, probe.WithLeafCapacity(20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestEndToEndRangeSearch(t *testing.T) {
 		}
 	}
 	for _, s := range []probe.Strategy{probe.MergeDecomposed, probe.MergeLazy, probe.SkipBigMin} {
-		got, stats, err := db.RangeSearchWith(box, s)
+		got, stats, err := db.RangeSearch(box, probe.WithStrategy(s))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestEndToEndRangeSearch(t *testing.T) {
 
 func TestDeleteAndRequery(t *testing.T) {
 	g := probe.MustGrid(2, 6)
-	db, _ := probe.Open(g, probe.Options{})
+	db, _ := probe.Open(g)
 	p := probe.Pt2(9, 10, 10)
 	if err := db.Insert(p); err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestDeleteAndRequery(t *testing.T) {
 
 func TestPartialMatchFacade(t *testing.T) {
 	g := probe.MustGrid(2, 6)
-	db, _ := probe.Open(g, probe.Options{})
+	db, _ := probe.Open(g)
 	for i := uint64(0); i < 64; i++ {
 		db.Insert(probe.Pt2(i, uint32(i), uint32(i*7%64)))
 	}
@@ -220,7 +220,7 @@ func probeNewPolygon(cx, cy, half float64) (probe.Polygon, error) {
 
 func TestCachesAndStats(t *testing.T) {
 	g := probe.MustGrid(2, 8)
-	db, _ := probe.Open(g, probe.Options{LeafCapacity: 10, PoolPages: 16})
+	db, _ := probe.Open(g, probe.WithLeafCapacity(10), probe.WithPoolPages(16))
 	for i := uint64(0); i < 1000; i++ {
 		db.Insert(probe.Pt2(i, uint32(i%256), uint32((i*37)%256)))
 	}
@@ -241,7 +241,7 @@ func TestCachesAndStats(t *testing.T) {
 
 func TestFacadeNearest(t *testing.T) {
 	g := probe.MustGrid(2, 8)
-	db, _ := probe.Open(g, probe.Options{})
+	db, _ := probe.Open(g)
 	db.InsertAll([]probe.Point{
 		probe.Pt2(1, 10, 10), probe.Pt2(2, 12, 10), probe.Pt2(3, 200, 200),
 	})
@@ -268,11 +268,11 @@ func TestFacadeOpenPacked(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		pts = append(pts, probe.Pt2(uint64(i), uint32(i%256), uint32((i*13)%256)))
 	}
-	packed, err := probe.OpenPacked(g, probe.Options{LeafCapacity: 20}, pts)
+	packed, err := probe.Open(g, probe.WithLeafCapacity(20), probe.WithBulkLoad(pts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, _ := probe.Open(g, probe.Options{LeafCapacity: 20})
+	loose, _ := probe.Open(g, probe.WithLeafCapacity(20))
 	loose.InsertAll(pts)
 	if packed.Len() != loose.Len() {
 		t.Fatalf("lengths differ")
@@ -304,7 +304,7 @@ func TestFacadeAsymGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := probe.Open(g, probe.Options{})
+	db, err := probe.Open(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestFacadeAsymGrid(t *testing.T) {
 
 func TestFacadeExplain(t *testing.T) {
 	g := probe.MustGrid(2, 8)
-	db, _ := probe.Open(g, probe.Options{LeafCapacity: 20})
+	db, _ := probe.Open(g, probe.WithLeafCapacity(20))
 	for i := 0; i < 2000; i++ {
 		db.Insert(probe.Pt2(uint64(i), uint32(i%256), uint32((i*31)%256)))
 	}
@@ -349,7 +349,7 @@ func TestFacadeExplain(t *testing.T) {
 
 func TestDeleteBox(t *testing.T) {
 	g := probe.MustGrid(2, 7)
-	db, _ := probe.Open(g, probe.Options{})
+	db, _ := probe.Open(g)
 	for i := uint64(0); i < 500; i++ {
 		db.Insert(probe.Pt2(i, uint32(i%128), uint32((i*17)%128)))
 	}
@@ -375,7 +375,7 @@ func TestDeleteBox(t *testing.T) {
 // -race to validate the serialization.
 func TestConcurrentAccess(t *testing.T) {
 	g := probe.MustGrid(2, 8)
-	db, _ := probe.Open(g, probe.Options{LeafCapacity: 10})
+	db, _ := probe.Open(g, probe.WithLeafCapacity(10))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -412,7 +412,7 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestScan(t *testing.T) {
 	g := probe.MustGrid(2, 6)
-	db, _ := probe.Open(g, probe.Options{})
+	db, _ := probe.Open(g)
 	for i := uint64(0); i < 200; i++ {
 		db.Insert(probe.Pt2(i, uint32(i%64), uint32((i*11)%64)))
 	}

@@ -18,7 +18,7 @@ func explainTestDB(t *testing.T) *probe.DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := probe.Open(g, probe.Options{LeafCapacity: 16})
+	db, err := probe.Open(g, probe.WithLeafCapacity(16))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,9 @@ import (
 )
 
 // QueryStats is the unified statistics record every stats-returning
-// probe entry point yields. It subsumes the four legacy shapes —
+// probe entry point yields. It subsumes the four internal shapes —
 // core.SearchStats, core.JoinStats, disk.PoolStats and disk.IOStats —
-// under one flat struct, keeping the legacy field names so code that
-// read SearchStats.DataPages or JoinStats.DistinctPairs compiles
-// unchanged against the new API.
+// under one flat struct, keeping their field names.
 //
 // Only the fields relevant to an operation are populated: a range
 // search fills the search group, a join the join group. The buffer
@@ -98,26 +96,6 @@ func (s QueryStats) HitRate() float64 {
 		return 0
 	}
 	return float64(s.PoolHits) / float64(s.PoolGets)
-}
-
-// Search projects the legacy core.SearchStats view.
-func (s QueryStats) Search() SearchStats {
-	return SearchStats{
-		DataPages: s.DataPages,
-		Seeks:     s.Seeks,
-		Elements:  s.Elements,
-		Results:   s.Results,
-	}
-}
-
-// Join projects the legacy core.JoinStats view.
-func (s QueryStats) Join() JoinStats {
-	return JoinStats{
-		LeftItems:     s.LeftItems,
-		RightItems:    s.RightItems,
-		RawPairs:      s.RawPairs,
-		DistinctPairs: s.DistinctPairs,
-	}
 }
 
 // searchQueryStats lifts legacy search stats into the unified shape.
