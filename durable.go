@@ -325,8 +325,10 @@ func (db *DB) close(checkpoint bool) error {
 }
 
 // DurabilityStats returns the durable store's counters: WAL appends
-// and fsyncs, checkpoints completed, pages replayed at recovery, and
-// checksum failures surfaced. Zero on an in-memory database.
+// and fsyncs, checkpoints completed, pages replayed at recovery,
+// checksum failures surfaced, the page file's slots against its live
+// pages (the space amplification), and pages reused inside a
+// checkpoint epoch. Zero on an in-memory database.
 func (db *DB) DurabilityStats() DurabilityStats {
 	db.mu.Lock()
 	defer db.mu.Unlock()

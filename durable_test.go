@@ -1,7 +1,9 @@
 package probe_test
 
 import (
+	"context"
 	"errors"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -338,5 +340,71 @@ func TestInMemoryCheckpointAndStats(t *testing.T) {
 	}
 	if rec, _ := db.Recovered(); rec {
 		t.Fatal("in-memory database reports recovered")
+	}
+}
+
+// TestDurableWritePathSpaceAmplification runs the benchmark's
+// serve_write shape against a durable database on a 64-page pool:
+// 8-point InsertAll, 4-point Update transactions, 8 single deletes, and
+// a Checkpoint every 256 operations. A batch copies each page once and
+// the store reuses the pages an epoch allocates and frees itself, so
+// the page file holds at most the live tree plus the shadow copy of
+// each checkpointed page the epoch replaced: at most twice the live
+// pages after every checkpoint.
+func TestDurableWritePathSpaceAmplification(t *testing.T) {
+	g := probe.MustGrid(2, 10)
+	rng := rand.New(rand.NewSource(18))
+	next := uint64(0)
+	newPoints := func(n int) []probe.Point {
+		pts := make([]probe.Point, n)
+		for i := range pts {
+			next++
+			pts[i] = probe.Pt2(next, uint32(rng.Intn(1024)), uint32(rng.Intn(1024)))
+		}
+		return pts
+	}
+	db, err := probe.Open(g, probe.WithDurability("probe.db"), probe.WithFS(faultfs.New()),
+		probe.WithPageSize(1024), probe.WithPoolPages(64), probe.WithBulkLoad(newPoints(40000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseReadOnly()
+	var live []probe.Point // inserted here and not yet deleted, oldest first
+	ctx := context.Background()
+	for epoch := 1; epoch <= 8; epoch++ {
+		for op := 0; op < 255; op++ {
+			switch {
+			case op%12 < 9:
+				pts := newPoints(8)
+				if err := db.InsertAll(pts); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, pts...)
+			case op%12 < 11:
+				pts := newPoints(4)
+				if err := db.Update(ctx, func(tx *probe.Tx) error { return tx.InsertAll(pts) }); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, pts...)
+			default:
+				for _, p := range live[:8] {
+					if ok, err := db.Delete(p); err != nil || !ok {
+						t.Fatalf("delete %v: %v %v", p, ok, err)
+					}
+				}
+				live = live[8:]
+			}
+		}
+		if _, err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		ds := db.DurabilityStats()
+		if ds.FilePages > 2*ds.LivePages {
+			t.Fatalf("epoch %d: the page file holds %d slots for %d live pages (%d reused)",
+				epoch, ds.FilePages, ds.LivePages, ds.PagesReused)
+		}
+	}
+	if ds := db.DurabilityStats(); ds.PagesReused == 0 {
+		t.Fatalf("no page was reused: %+v", ds)
 	}
 }

@@ -46,9 +46,9 @@ func encMinLeaf(l *leafNode) []byte {
 // the key is absent. Underfull nodes borrow from or merge with
 // siblings, so the tree adapts gracefully as the point set shrinks
 // (the third requirement of Section 2). Like Insert, the delete is
-// copy-on-write: every touched page is rewritten to a fresh page and
-// the result published as one new version, leaving concurrent
-// snapshot readers on the old one.
+// copy-on-write: every touched page of the published tree is replaced
+// by a fresh page and the result published as one new version, leaving
+// concurrent snapshot readers on the old one.
 func (t *Tree) Delete(k Key) (bool, error) {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
@@ -83,20 +83,23 @@ func (t *Tree) deleteCOW(w *cow, v *version, k Key) (*version, bool, error) {
 	n.keys = append(n.keys[:i], n.keys[i+1:]...)
 	n.values = append(n.values[:i], n.values[i+1:]...)
 	nv := &version{seq: v.seq + 1, height: v.height, count: v.count - 1, leaves: v.leaves}
+	if nv.root, err = t.putShrunkLeaf(w, nv, path, leafID, n); err != nil {
+		return nil, false, err
+	}
+	return nv, true, nil
+}
 
+// putShrunkLeaf writes out leaf n, which lost an entry, in place of
+// page leafID, borrowing from or merging with a sibling when it is
+// underfull. It returns the new root id.
+func (t *Tree) putShrunkLeaf(w *cow, nv *version, path []cowLevel, leafID disk.PageID, n *leafNode) (disk.PageID, error) {
 	if len(n.keys) >= t.minLeafEntries() || len(path) == 0 {
 		// No underflow, or the root leaf may shrink freely.
-		id, err := w.writeLeaf(n)
+		id, err := w.putLeaf(leafID, n)
 		if err != nil {
-			return nil, false, err
+			return disk.InvalidPage, err
 		}
-		w.retire(leafID)
-		root, err := t.replaceUpward(w, path, len(path)-1, id)
-		if err != nil {
-			return nil, false, err
-		}
-		nv.root = root
-		return nv, true, nil
+		return t.replaceUpward(w, path, len(path)-1, id)
 	}
 
 	// Underfull non-root leaf: borrow from a sibling or merge. The
@@ -110,7 +113,7 @@ func (t *Tree) deleteCOW(w *cow, v *version, k Key) (*version, bool, error) {
 		leftID := parent.children[ci-1]
 		left, err := t.loadLeaf(leftID)
 		if err != nil {
-			return nil, false, err
+			return disk.InvalidPage, err
 		}
 		if len(left.keys) > t.minLeafEntries() {
 			last := len(left.keys) - 1
@@ -119,25 +122,14 @@ func (t *Tree) deleteCOW(w *cow, v *version, k Key) (*version, bool, error) {
 			left.keys = left.keys[:last]
 			left.values = left.values[:last]
 			parent.seps[ci-1] = shortestSeparator(encMaxLeaf(left), encMinLeaf(n))
-			newLeft, err := w.writeLeaf(left)
-			if err != nil {
-				return nil, false, err
+			if parent.children[ci-1], err = w.putLeaf(leftID, left); err != nil {
+				return disk.InvalidPage, err
 			}
-			newSelf, err := w.writeLeaf(n)
-			if err != nil {
-				return nil, false, err
+			if parent.children[ci], err = w.putLeaf(leafID, n); err != nil {
+				return disk.InvalidPage, err
 			}
-			w.retire(leftID)
-			w.retire(leafID)
-			parent.children[ci-1] = newLeft
-			parent.children[ci] = newSelf
 			// The parent kept its child count: no rebalance above.
-			root, err := t.writeParentAndReplaceUp(w, path, len(path)-1)
-			if err != nil {
-				return nil, false, err
-			}
-			nv.root = root
-			return nv, true, nil
+			return t.writeParentAndReplaceUp(w, path, len(path)-1)
 		}
 	}
 	// Borrow from the right sibling.
@@ -145,7 +137,7 @@ func (t *Tree) deleteCOW(w *cow, v *version, k Key) (*version, bool, error) {
 		rightID := parent.children[ci+1]
 		right, err := t.loadLeaf(rightID)
 		if err != nil {
-			return nil, false, err
+			return disk.InvalidPage, err
 		}
 		if len(right.keys) > t.minLeafEntries() {
 			n.keys = append(n.keys, right.keys[0])
@@ -153,74 +145,55 @@ func (t *Tree) deleteCOW(w *cow, v *version, k Key) (*version, bool, error) {
 			right.keys = right.keys[1:]
 			right.values = right.values[1:]
 			parent.seps[ci] = shortestSeparator(encMaxLeaf(n), encMinLeaf(right))
-			newSelf, err := w.writeLeaf(n)
-			if err != nil {
-				return nil, false, err
+			if parent.children[ci], err = w.putLeaf(leafID, n); err != nil {
+				return disk.InvalidPage, err
 			}
-			newRight, err := w.writeLeaf(right)
-			if err != nil {
-				return nil, false, err
+			if parent.children[ci+1], err = w.putLeaf(rightID, right); err != nil {
+				return disk.InvalidPage, err
 			}
-			w.retire(leafID)
-			w.retire(rightID)
-			parent.children[ci] = newSelf
-			parent.children[ci+1] = newRight
-			root, err := t.writeParentAndReplaceUp(w, path, len(path)-1)
-			if err != nil {
-				return nil, false, err
-			}
-			nv.root = root
-			return nv, true, nil
+			return t.writeParentAndReplaceUp(w, path, len(path)-1)
 		}
 	}
 	// Merge with a sibling: always merge the right node of the pair
-	// into the left. The merged leaf is a fresh page; both old halves
-	// retire.
+	// into the left. The merged leaf replaces the left half; the right
+	// half retires.
 	var leftID, rightID disk.PageID
 	var sepIdx int
 	var left, right *leafNode
+	var err error
 	if ci > 0 {
 		leftID, rightID, sepIdx = parent.children[ci-1], leafID, ci-1
 		if left, err = t.loadLeaf(leftID); err != nil {
-			return nil, false, err
+			return disk.InvalidPage, err
 		}
 		right = n
 	} else {
 		leftID, rightID, sepIdx = leafID, parent.children[ci+1], ci
 		left = n
 		if right, err = t.loadLeaf(rightID); err != nil {
-			return nil, false, err
+			return disk.InvalidPage, err
 		}
 	}
 	left.keys = append(left.keys, right.keys...)
 	left.values = append(left.values, right.values...)
-	mergedID, err := w.writeLeaf(left)
-	if err != nil {
-		return nil, false, err
+	if parent.children[sepIdx], err = w.putLeaf(leftID, left); err != nil {
+		return disk.InvalidPage, err
 	}
-	w.retire(leftID)
 	w.retire(rightID)
 	nv.leaves--
-	parent.children[sepIdx] = mergedID
 	parent.removeAt(sepIdx)
-	root, err := t.rebalanceUpward(w, nv, path, len(path)-1)
-	if err != nil {
-		return nil, false, err
-	}
-	nv.root = root
-	return nv, true, nil
+	return t.rebalanceUpward(w, nv, path, len(path)-1)
 }
 
 // writeParentAndReplaceUp writes the (already edited) path node at
-// level pi, retires its old page, and propagates the replacement to
-// the root. It is the no-rebalance finish used after a borrow, where
-// the edited node kept its child count.
+// level pi in place of its old page and propagates the replacement to
+// the root. It is the finish used where the edited node needs no
+// rebalancing.
 func (t *Tree) writeParentAndReplaceUp(w *cow, path []cowLevel, pi int) (disk.PageID, error) {
-	id, err := w.writeInternal(path[pi].n)
+	id, err := w.putInternal(path[pi].id, path[pi].n)
 	if err != nil {
 		return disk.InvalidPage, err
 	}
-	w.retire(path[pi].id)
 	return t.replaceUpward(w, path, pi-1, id)
 }
 
@@ -231,28 +204,15 @@ func (t *Tree) rebalanceUpward(w *cow, nv *version, path []cowLevel, pi int) (di
 	for {
 		cur := path[pi].n
 		curOld := path[pi].id
-		if pi == 0 {
-			// cur is the root.
-			if len(cur.children) == 1 && nv.height > 1 {
-				// Collapse the root: its only child becomes the root.
-				w.retire(curOld)
-				nv.height--
-				return cur.children[0], nil
-			}
-			id, err := w.writeInternal(cur)
-			if err != nil {
-				return disk.InvalidPage, err
-			}
+		if pi == 0 && len(cur.children) == 1 && nv.height > 1 {
+			// Collapse the root: its only child becomes the root.
 			w.retire(curOld)
-			return id, nil
+			nv.height--
+			return cur.children[0], nil
 		}
-		if len(cur.children) >= t.minChildren() {
-			id, err := w.writeInternal(cur)
-			if err != nil {
-				return disk.InvalidPage, err
-			}
-			w.retire(curOld)
-			return t.replaceUpward(w, path, pi-1, id)
+		if pi == 0 || len(cur.children) >= t.minChildren() {
+			// The root may shrink freely.
+			return t.writeParentAndReplaceUp(w, path, pi)
 		}
 
 		parent := path[pi-1].n
@@ -273,18 +233,12 @@ func (t *Tree) rebalanceUpward(w *cow, nv *version, path []cowLevel, pi int) (di
 				cur.children = append([]disk.PageID{lastChild}, cur.children...)
 				cur.seps = append([][]byte{parent.seps[ci-1]}, cur.seps...)
 				parent.seps[ci-1] = lastSep
-				newLeft, err := w.writeInternal(left)
-				if err != nil {
+				if parent.children[ci-1], err = w.putInternal(leftID, left); err != nil {
 					return disk.InvalidPage, err
 				}
-				newSelf, err := w.writeInternal(cur)
-				if err != nil {
+				if parent.children[ci], err = w.putInternal(curOld, cur); err != nil {
 					return disk.InvalidPage, err
 				}
-				w.retire(leftID)
-				w.retire(curOld)
-				parent.children[ci-1] = newLeft
-				parent.children[ci] = newSelf
 				return t.writeParentAndReplaceUp(w, path, pi-1)
 			}
 		}
@@ -303,18 +257,12 @@ func (t *Tree) rebalanceUpward(w *cow, nv *version, path []cowLevel, pi int) (di
 				cur.children = append(cur.children, firstChild)
 				cur.seps = append(cur.seps, parent.seps[ci])
 				parent.seps[ci] = firstSep
-				newSelf, err := w.writeInternal(cur)
-				if err != nil {
+				if parent.children[ci], err = w.putInternal(curOld, cur); err != nil {
 					return disk.InvalidPage, err
 				}
-				newRight, err := w.writeInternal(right)
-				if err != nil {
+				if parent.children[ci+1], err = w.putInternal(rightID, right); err != nil {
 					return disk.InvalidPage, err
 				}
-				w.retire(curOld)
-				w.retire(rightID)
-				parent.children[ci] = newSelf
-				parent.children[ci+1] = newRight
 				return t.writeParentAndReplaceUp(w, path, pi-1)
 			}
 		}
@@ -322,9 +270,9 @@ func (t *Tree) rebalanceUpward(w *cow, nv *version, path []cowLevel, pi int) (di
 		var leftID, rightID disk.PageID
 		var sepIdx int
 		var left, right *internalNode
+		var err error
 		if ci > 0 {
 			leftID, rightID, sepIdx = parent.children[ci-1], curOld, ci-1
-			var err error
 			if left, err = t.loadInternal(leftID); err != nil {
 				return disk.InvalidPage, err
 			}
@@ -332,7 +280,6 @@ func (t *Tree) rebalanceUpward(w *cow, nv *version, path []cowLevel, pi int) (di
 		} else {
 			leftID, rightID, sepIdx = curOld, parent.children[ci+1], ci
 			left = cur
-			var err error
 			if right, err = t.loadInternal(rightID); err != nil {
 				return disk.InvalidPage, err
 			}
@@ -343,13 +290,10 @@ func (t *Tree) rebalanceUpward(w *cow, nv *version, path []cowLevel, pi int) (di
 		if len(left.children) > t.fanout {
 			return disk.InvalidPage, fmt.Errorf("btree: merge overflowed internal node (%d children)", len(left.children))
 		}
-		mergedID, err := w.writeInternal(left)
-		if err != nil {
+		if parent.children[sepIdx], err = w.putInternal(leftID, left); err != nil {
 			return disk.InvalidPage, err
 		}
-		w.retire(leftID)
 		w.retire(rightID)
-		parent.children[sepIdx] = mergedID
 		parent.removeAt(sepIdx)
 		pi--
 	}

@@ -256,45 +256,78 @@ var ErrDuplicateKey = fmt.Errorf("btree: duplicate key")
 // cow accumulates the page bookkeeping of one copy-on-write
 // transformation: pages freshly written (to drop again if the write
 // aborts) and old pages superseded by the new version (to retire at
-// commit). Page writes go one at a time — allocate, encode, unpin — so
-// a write never holds more than one pin, the same bound as reads.
+// commit). Page writes go one at a time — pin, encode, unpin — so a
+// write never holds more than one pin, the same bound as reads. A
+// fresh page is reachable from no published version, so a batch copies
+// each published page once and rewrites its own copies in place.
 type cow struct {
 	t       *Tree
-	fresh   []disk.PageID
+	fresh   map[disk.PageID]struct{}
 	retired []disk.PageID
 }
 
-// writeLeaf allocates a new page for the decoded leaf and writes it.
-func (w *cow) writeLeaf(n *leafNode) (disk.PageID, error) {
+// frame pins the page that replaces page old. A fresh old is rewritten
+// in place; a published one is immutable, so the replacement is a new
+// page and old retires. disk.InvalidPage as old asks for a new page
+// that replaces nothing.
+func (w *cow) frame(old disk.PageID) (*disk.Frame, error) {
+	if _, ok := w.fresh[old]; ok {
+		return w.t.pool.Get(old)
+	}
 	f, err := w.t.pool.NewPage()
+	if err != nil {
+		return nil, err
+	}
+	if w.fresh == nil {
+		w.fresh = make(map[disk.PageID]struct{})
+	}
+	w.fresh[f.ID] = struct{}{}
+	if old != disk.InvalidPage {
+		w.retired = append(w.retired, old)
+	}
+	return f, nil
+}
+
+// putLeaf writes the decoded leaf in place of page old (see frame) and
+// returns its id. Encoding zeroes the page first, so an image rewritten
+// in place is canonical.
+func (w *cow) putLeaf(old disk.PageID, n *leafNode) (disk.PageID, error) {
+	f, err := w.frame(old)
 	if err != nil {
 		return disk.InvalidPage, err
 	}
 	n.encode(f.Data, w.t.valueSize)
-	w.fresh = append(w.fresh, f.ID)
 	return f.ID, w.t.pool.Unpin(f.ID, true)
 }
 
-// writeInternal allocates a new page for the decoded internal node.
-func (w *cow) writeInternal(n *internalNode) (disk.PageID, error) {
-	f, err := w.t.pool.NewPage()
+// putInternal is putLeaf for a decoded internal node.
+func (w *cow) putInternal(old disk.PageID, n *internalNode) (disk.PageID, error) {
+	f, err := w.frame(old)
 	if err != nil {
 		return disk.InvalidPage, err
 	}
 	n.encode(f.Data)
-	w.fresh = append(w.fresh, f.ID)
 	return f.ID, w.t.pool.Unpin(f.ID, true)
 }
 
-// retire marks an old page as superseded by this transformation.
-func (w *cow) retire(id disk.PageID) { w.retired = append(w.retired, id) }
+// retire marks a page no node replaces (a merge's right half, a
+// collapsed root) as superseded. A fresh one was never published and
+// is dropped at once, errors ignored as in abort.
+func (w *cow) retire(id disk.PageID) {
+	if _, ok := w.fresh[id]; ok {
+		delete(w.fresh, id)
+		_ = w.t.pool.Drop(id)
+		return
+	}
+	w.retired = append(w.retired, id)
+}
 
 // abort drops the pages written so far; the published tree never
 // referenced them. Drop errors are ignored — the store is likely the
 // reason the write failed in the first place, and an unfreed page is
 // only a leak.
 func (w *cow) abort() {
-	for _, id := range w.fresh {
+	for id := range w.fresh {
 		_ = w.t.pool.Drop(id)
 	}
 }
@@ -325,16 +358,19 @@ func (t *Tree) descendPath(v *version, enc []byte) ([]cowLevel, disk.PageID, err
 
 // replaceUpward rewrites the internal path from level pi up to the
 // root, pointing each level at the new id of the child below it, and
-// returns the new root id. The path nodes must already carry any
-// separator edits; no rebalancing happens here.
+// returns the new root id. These levels carry no other edit, so the
+// ascent stops at one whose child kept its id (it was rewritten in
+// place). No rebalancing happens here.
 func (t *Tree) replaceUpward(w *cow, path []cowLevel, pi int, childID disk.PageID) (disk.PageID, error) {
 	for li := pi; li >= 0; li-- {
+		if path[li].n.children[path[li].child] == childID {
+			return path[0].id, nil
+		}
 		path[li].n.children[path[li].child] = childID
-		id, err := w.writeInternal(path[li].n)
+		id, err := w.putInternal(path[li].id, path[li].n)
 		if err != nil {
 			return disk.InvalidPage, err
 		}
-		w.retire(path[li].id)
 		childID = id
 	}
 	return childID, nil
@@ -392,8 +428,7 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key, value []byte) (*version, err
 	var newChild, extra disk.PageID
 	var sep []byte
 	if len(n.keys) <= t.leafCap {
-		newChild, err = w.writeLeaf(n)
-		if err != nil {
+		if newChild, err = w.putLeaf(leafID, n); err != nil {
 			return nil, err
 		}
 	} else {
@@ -405,18 +440,23 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key, value []byte) (*version, err
 		n.keys[len(n.keys)-1].encode(leftMaxEnc[:])
 		right.keys[0].encode(rightMinEnc[:])
 		sep = shortestSeparator(leftMaxEnc[:], rightMinEnc[:])
-		if newChild, err = w.writeLeaf(n); err != nil {
+		if newChild, err = w.putLeaf(leafID, n); err != nil {
 			return nil, err
 		}
-		if extra, err = w.writeLeaf(right); err != nil {
+		if extra, err = w.putLeaf(disk.InvalidPage, right); err != nil {
 			return nil, err
 		}
 		nv.leaves++
 	}
-	w.retire(leafID)
 
 	for li := len(path) - 1; li >= 0; li-- {
 		pn := path[li].n
+		if extra == disk.InvalidPage && pn.children[path[li].child] == newChild {
+			// The child was rewritten in place and gained no sibling:
+			// this level and those above already describe the tree.
+			nv.root = v.root
+			return nv, nil
+		}
 		pn.children[path[li].child] = newChild
 		if extra != disk.InvalidPage {
 			pn.insertAt(path[li].child, sep, extra)
@@ -433,19 +473,16 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key, value []byte) (*version, err
 			}
 			pn.children = pn.children[:mid+1]
 			pn.seps = pn.seps[:mid]
-			if newChild, err = w.writeInternal(pn); err != nil {
+			if newChild, err = w.putInternal(path[li].id, pn); err != nil {
 				return nil, err
 			}
-			if extra, err = w.writeInternal(right); err != nil {
+			if extra, err = w.putInternal(disk.InvalidPage, right); err != nil {
 				return nil, err
 			}
 			sep = promoted
-		} else {
-			if newChild, err = w.writeInternal(pn); err != nil {
-				return nil, err
-			}
+		} else if newChild, err = w.putInternal(path[li].id, pn); err != nil {
+			return nil, err
 		}
-		w.retire(path[li].id)
 	}
 
 	root := newChild
@@ -455,7 +492,7 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key, value []byte) (*version, err
 			children: []disk.PageID{newChild, extra},
 			seps:     [][]byte{sep},
 		}
-		if root, err = w.writeInternal(newRoot); err != nil {
+		if root, err = w.putInternal(disk.InvalidPage, newRoot); err != nil {
 			return nil, err
 		}
 		nv.height++

@@ -137,14 +137,15 @@ func TestFaultFSDeterministicImages(t *testing.T) {
 }
 
 // The store-level crash-recovery property: run a seeded schedule of
-// allocate/write/free/checkpoint against a RecoverableStore with one
-// injected fault, crash, recover from the image, and require the
-// recovered store to equal an acknowledged (or committed-in-flight)
-// checkpoint — or, for bit flips only, to refuse with ChecksumError.
+// allocate/write/free/recycle/checkpoint against a RecoverableStore
+// with one injected fault, crash, recover from the image, and require
+// the recovered store to equal an acknowledged (or
+// committed-in-flight) checkpoint — or, for bit flips only, to refuse
+// with ChecksumError.
 const storeHarnessSeeds = 200
 
 type storeStep struct {
-	op int // 0 alloc, 1 write, 2 free, 3 checkpoint
+	op int // 0 alloc, 1 write, 2 free, 3 checkpoint, 4 recycle (free, allocate, write)
 	n  int
 }
 
@@ -157,10 +158,12 @@ func genStoreSteps(rng *rand.Rand) []storeStep {
 		switch {
 		case r < 30:
 			op = 0
-		case r < 70:
+		case r < 65:
 			op = 1
-		case r < 80:
+		case r < 72:
 			op = 2
+		case r < 82:
+			op = 4
 		default:
 			op = 3
 		}
@@ -232,6 +235,25 @@ func runStoreSteps(fsys *faultfs.FS, rs *disk.RecoverableStore, steps []storeSte
 			if err := rs.Free(id); err == nil {
 				delete(live, id)
 			}
+		case 4:
+			// Free then allocate inside one epoch: a page of this epoch
+			// comes straight back, one a checkpoint references must not.
+			ids := live.liveIDs()
+			if len(ids) == 0 {
+				continue
+			}
+			if err := rs.Free(ids[st.n%len(ids)]); err != nil {
+				continue
+			}
+			delete(live, ids[st.n%len(ids)])
+			id, err := rs.Allocate()
+			if err != nil {
+				continue
+			}
+			live[id] = fillPage(pageSize, 0)
+			if err := rs.Write(id, fillPage(pageSize, byte(st.n))); err == nil {
+				live[id] = fillPage(pageSize, byte(st.n))
+			}
 		case 3:
 			cand := live.clone()
 			if err := rs.Checkpoint(); err == nil {
@@ -291,18 +313,25 @@ func recordFailureSeed(harness string, seed int64, kind string) {
 }
 
 func TestStoreCrashRecoveryProperty(t *testing.T) {
+	var reused uint64
 	for seed := int64(0); seed < storeHarnessSeeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			kind := runOneStoreSchedule(t, seed)
+			kind, n := runOneStoreSchedule(t, seed)
+			reused += n
 			if t.Failed() {
 				recordFailureSeed("store", seed, kind)
 			}
 		})
 	}
+	if reused < storeHarnessSeeds {
+		t.Errorf("the schedules reused %d epoch-local pages: too few to test reuse", reused)
+	}
 }
 
-func runOneStoreSchedule(t *testing.T, seed int64) string {
+// runOneStoreSchedule returns the fault kind and how many pages the
+// fault-free dry run of the schedule reused inside an epoch.
+func runOneStoreSchedule(t *testing.T, seed int64) (string, uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	steps := genStoreSteps(rng)
 
@@ -318,6 +347,7 @@ func runOneStoreSchedule(t *testing.T, seed int64) string {
 	if w == 0 {
 		t.Fatal("schedule performed no write operations")
 	}
+	reused := rs.DurabilityStats().PagesReused
 
 	// Armed run: same schedule, one fault.
 	plan, kind := planForSeed(rng, seed, w)
@@ -335,7 +365,7 @@ func runOneStoreSchedule(t *testing.T, seed int64) string {
 	if err != nil {
 		var ce *disk.ChecksumError
 		if kind == "flip" && errors.As(err, &ce) {
-			return kind // a detected double fault: corruption refused
+			return kind, reused // a detected double fault: corruption refused
 		}
 		t.Fatalf("kind=%s: recovery failed: %v", kind, err)
 	}
@@ -373,5 +403,5 @@ func runOneStoreSchedule(t *testing.T, seed int64) string {
 		}
 		rec2.Close()
 	}
-	return kind
+	return kind, reused
 }

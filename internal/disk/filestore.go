@@ -30,6 +30,7 @@ type FileStore struct {
 	unstamped []PageID        // scanned slots allocated with LSN 0 (never checkpointed)
 	lsn       uint64          // highest LSN stamped or seen
 	ckptLSN   uint64          // superblock checkpoint LSN
+	slot      []byte          // header+page scratch of Read and writeSlot; guarded by mu
 	closed    bool
 	stats     IOStats
 }
@@ -56,6 +57,7 @@ func CreateFileStoreFS(fsys FS, path string, pageSize int) (*FileStore, error) {
 		next:      1,
 		allocated: make(map[PageID]bool),
 		corrupt:   make(map[PageID]bool),
+		slot:      make([]byte, pageHeaderLen+pageSize),
 	}
 	if err := s.stampSuperblock(0); err != nil {
 		f.Close()
@@ -117,6 +119,7 @@ func openScan(f File, path string) (*FileStore, error) {
 		corrupt:   make(map[PageID]bool),
 		ckptLSN:   ckptLSN,
 		lsn:       ckptLSN,
+		slot:      make([]byte, pageHeaderLen+pageSize),
 	}
 	slot := int64(pageHeaderLen + pageSize)
 	n := (size - superblockLen) / slot
@@ -126,7 +129,7 @@ func openScan(f File, path string) (*FileStore, error) {
 			return nil, fmt.Errorf("disk: %s: truncate torn tail: %w", path, err)
 		}
 	}
-	buf := make([]byte, slot)
+	buf := s.slot
 	for i := int64(1); i <= n; i++ {
 		id := PageID(i)
 		if err := readFull(f, buf, s.offset(id)); err != nil {
@@ -280,10 +283,12 @@ func (s *FileStore) offset(id PageID) int64 {
 	return superblockLen + int64(id-1)*int64(pageHeaderLen+s.pageSize)
 }
 
-// writeSlot stamps and writes a full slot. The caller holds s.mu.
+// writeSlot stamps and writes a full slot (a nil payload: a zero page).
+// The caller holds s.mu.
 func (s *FileStore) writeSlot(id PageID, hdrID PageID, lsn uint64, payload []byte) error {
-	slot := make([]byte, pageHeaderLen+s.pageSize)
-	copy(slot[pageHeaderLen:], payload)
+	slot := s.slot
+	n := copy(slot[pageHeaderLen:], payload)
+	clear(slot[pageHeaderLen+n:])
 	encodePageHeader(slot, hdrID, lsn)
 	if _, err := s.f.WriteAt(slot, s.offset(id)); err != nil {
 		return fmt.Errorf("disk: %s: write page %d: %w", s.path, id, err)
@@ -362,7 +367,7 @@ func (s *FileStore) Read(id PageID, buf []byte) error {
 	if len(buf) != s.pageSize {
 		return fmt.Errorf("disk: read buffer has %d bytes, want %d", len(buf), s.pageSize)
 	}
-	slot := make([]byte, pageHeaderLen+s.pageSize)
+	slot := s.slot
 	if err := readFull(s.f, slot, s.offset(id)); err != nil {
 		return fmt.Errorf("disk: %s: read page %d: %w", s.path, id, err)
 	}
@@ -448,6 +453,13 @@ func (s *FileStore) NumPages() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.allocated)
+}
+
+// slots returns the file's size in page slots, allocated or free.
+func (s *FileStore) slots() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return int(s.next - 1)
 }
 
 // Stats implements Store.

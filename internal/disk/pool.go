@@ -208,10 +208,10 @@ func (p *Pool) Get(id PageID) (*Frame, error) {
 	}
 	p.stats.misses.Add(1)
 	sp.Inc(obs.PoolMisses)
-	f, err := p.admit(id)
-	if err != nil {
+	if err := p.makeRoom(); err != nil {
 		return nil, err
 	}
+	f := p.install(id)
 	if err := p.store.Read(id, f.Data); err != nil {
 		p.discard(f)
 		return nil, err
@@ -221,34 +221,39 @@ func (p *Pool) Get(id PageID) (*Frame, error) {
 
 // NewPage allocates a fresh page in the store and pins an empty frame
 // for it. Callers must Unpin the frame when done; the frame starts
-// dirty so its (initially zero) contents reach the store.
+// dirty so its (initially zero) contents reach the store. Room is made
+// before the store allocates, so a failed eviction leaks no page.
 func (p *Pool) NewPage() (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if err := p.makeRoom(); err != nil {
+		return nil, err
+	}
 	id, err := p.store.Allocate()
 	if err != nil {
 		return nil, err
 	}
-	f, err := p.admit(id)
-	if err != nil {
-		return nil, err
-	}
+	f := p.install(id)
 	f.dirty = true
 	return f, nil
 }
 
-// admit makes room if needed and installs a pinned frame for id. The
-// caller holds p.mu.
-func (p *Pool) admit(id PageID) (*Frame, error) {
+// makeRoom evicts until a frame is free. The caller holds p.mu.
+func (p *Pool) makeRoom() error {
 	for len(p.frames) >= p.capacity {
 		if err := p.evictOne(); err != nil {
-			return nil, err
+			return err
 		}
 	}
+	return nil
+}
+
+// install pins a new frame for id. The caller made room under p.mu.
+func (p *Pool) install(id PageID) *Frame {
 	f := &Frame{ID: id, Data: make([]byte, p.store.PageSize()), pins: 1}
 	f.elem = p.order.PushBack(f)
 	p.frames[id] = f
-	return f, nil
+	return f
 }
 
 func (p *Pool) discard(f *Frame) {

@@ -39,9 +39,13 @@ func TestPoolEvictionWriteErrorKeepsPageDirty(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The pool is full of dirty pages; admitting a third must try to
-	// write one back, which fails.
+	// write one back, which fails, and must not leave a page allocated
+	// in the store that no frame and no caller knows of.
 	if _, err := pool.NewPage(); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("want injected write failure, got %v", err)
+	}
+	if got := inner.NumPages(); got != 2 {
+		t.Fatalf("failed NewPage leaked a page: store holds %d, want 2", got)
 	}
 	if got := pool.Resident(); got != 2 {
 		t.Fatalf("resident after failed eviction: %d, want 2", got)

@@ -22,6 +22,11 @@ import (
 //  4. durably stamp the superblock's checkpoint LSN;
 //  5. reset the WAL and clear the delta.
 //
+// A page allocated since the last checkpoint is private to this epoch:
+// its slot carries only the LSN-0 allocation stamp and nothing durable
+// references it, so once freed it is reused before the file grows. A
+// page the last checkpoint references waits for the next one.
+//
 // A crash before step 1's fsync loses at most the un-checkpointed
 // delta: the page file still holds the previous checkpoint exactly. A
 // crash after it is repaired by RecoverStore replaying the committed
@@ -42,7 +47,9 @@ type RecoverableStore struct {
 	fs          *FileStore
 	wal         *WAL
 	dirty       map[PageID]*dirtyPage
-	pendingFree map[PageID]uint64 // freed page -> LSN of its free record
+	pendingFree map[PageID]uint64   // freed page -> LSN of its free record
+	epochPages  map[PageID]struct{} // allocated since the last checkpoint
+	reusable    []PageID            // epochPages members in pendingFree
 	lsn         uint64
 	failed      error
 	stats       IOStats
@@ -54,6 +61,7 @@ type RecoverableStore struct {
 	checkpoints      uint64
 	pagesRecovered   uint64
 	checksumFailures uint64
+	pagesReused      uint64
 }
 
 type dirtyPage struct {
@@ -75,6 +83,12 @@ type DurabilityStats struct {
 	PagesRecovered uint64
 	// ChecksumFailures counts reads that surfaced a *ChecksumError.
 	ChecksumFailures uint64
+	// FilePages is the page file's slots, allocated or free; LivePages
+	// is how many hold a live page. The ratio is space amplification.
+	FilePages, LivePages int
+	// PagesReused counts allocations served by a page freed earlier in
+	// the same checkpoint epoch.
+	PagesReused uint64
 }
 
 // RecoveryInfo describes what RecoverStore found and did.
@@ -118,6 +132,7 @@ func newRecoverable(fs *FileStore, wal *WAL) *RecoverableStore {
 		wal:         wal,
 		dirty:       make(map[PageID]*dirtyPage),
 		pendingFree: make(map[PageID]uint64),
+		epochPages:  make(map[PageID]struct{}),
 		lsn:         fs.MaxLSN(),
 	}
 }
@@ -350,20 +365,30 @@ func (s *RecoverableStore) fail(err error) error {
 func (s *RecoverableStore) PageSize() int { return s.fs.PageSize() }
 
 // Allocate implements Store. The allocation is logged; the zero page
-// joins the delta so the next checkpoint materializes it.
+// joins the delta so the next checkpoint materializes it. A page freed
+// earlier in this epoch is taken first: its slot is already stamped, so
+// reuse costs one log record, and replay folds alloc, free, alloc.
 func (s *RecoverableStore) Allocate() (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed != nil {
 		return InvalidPage, s.failed
 	}
-	id, err := s.fs.Allocate()
-	if err != nil {
-		// Sticky like every write-path failure: the slot stamp may have
-		// partially reached the file, and the caller (a B+-tree split,
-		// say) may be mid-mutation — only recovery can vouch for the
-		// state now.
-		return InvalidPage, s.fail(err)
+	var id PageID
+	if n := len(s.reusable); n > 0 {
+		id, s.reusable = s.reusable[n-1], s.reusable[:n-1]
+		delete(s.pendingFree, id)
+		s.pagesReused++
+	} else {
+		var err error
+		if id, err = s.fs.Allocate(); err != nil {
+			// Sticky like every write-path failure: the slot stamp may have
+			// partially reached the file, and the caller (a B+-tree split,
+			// say) may be mid-mutation — only recovery can vouch for the
+			// state now.
+			return InvalidPage, s.fail(err)
+		}
+		s.epochPages[id] = struct{}{}
 	}
 	s.lsn++
 	if err := s.wal.Append(WALRecord{Kind: RecAlloc, Page: id, LSN: s.lsn}); err != nil {
@@ -429,9 +454,12 @@ func (s *RecoverableStore) Write(id PageID, buf []byte) error {
 	}
 	s.walAppends++
 	s.span.Inc(obs.WALAppends)
-	img := make([]byte, len(buf))
-	copy(img, buf)
-	s.dirty[id] = &dirtyPage{lsn: s.lsn, img: img}
+	if dp, ok := s.dirty[id]; ok {
+		dp.lsn = s.lsn
+		copy(dp.img, buf)
+	} else {
+		s.dirty[id] = &dirtyPage{lsn: s.lsn, img: append([]byte(nil), buf...)}
+	}
 	s.stats.Writes++
 	s.span.Inc(obs.PhysWrites)
 	return nil
@@ -440,7 +468,8 @@ func (s *RecoverableStore) Write(id PageID, buf []byte) error {
 // Free implements Store. The free is logged and deferred: the page
 // file slot keeps its last checkpointed contents until the next
 // checkpoint commits, so a crash cannot destroy state the previous
-// checkpoint still references.
+// checkpoint still references. A page allocated in this epoch has no
+// such state and becomes reusable by Allocate at once.
 func (s *RecoverableStore) Free(id PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -461,6 +490,9 @@ func (s *RecoverableStore) Free(id PageID) error {
 	s.span.Inc(obs.WALAppends)
 	delete(s.dirty, id)
 	s.pendingFree[id] = s.lsn
+	if _, ok := s.epochPages[id]; ok {
+		s.reusable = append(s.reusable, id)
+	}
 	s.stats.Frees++
 	return nil
 }
@@ -539,6 +571,8 @@ func (s *RecoverableStore) Checkpoint() error {
 	}
 	s.dirty = make(map[PageID]*dirtyPage)
 	s.pendingFree = make(map[PageID]uint64)
+	clear(s.epochPages)
+	s.reusable = s.reusable[:0]
 	s.checkpoints++
 	if s.ckptHook != nil {
 		s.ckptHook(seg)
@@ -579,6 +613,9 @@ func (s *RecoverableStore) DurabilityStats() DurabilityStats {
 		Checkpoints:      s.checkpoints,
 		PagesRecovered:   s.pagesRecovered,
 		ChecksumFailures: s.checksumFailures,
+		FilePages:        s.fs.slots(),
+		LivePages:        s.fs.NumPages() - len(s.pendingFree),
+		PagesReused:      s.pagesReused,
 	}
 }
 

@@ -301,3 +301,110 @@ func TestRecoverableIdempotentRecover(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverableReusesEpochLocalPages pins the reuse rule: a page
+// allocated and freed inside one checkpoint epoch comes straight back
+// from Allocate without growing the page file, while a page the last
+// checkpoint references keeps its slot until the checkpoint that frees
+// it commits.
+func TestRecoverableReusesEpochLocalPages(t *testing.T) {
+	fsys := faultfs.New()
+	rs, err := disk.CreateRecoverableStore(fsys, "db", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	old, _ := rs.Allocate()
+	if err := rs.Write(old, page(128, 'o')); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	a, err := rs.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Write(a, page(128, 'a')); err != nil {
+		t.Fatal(err)
+	}
+	size, _, _ := fsys.Stat("db")
+	if err := rs.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 128)
+	if err := rs.Read(a, buf); err == nil {
+		t.Fatal("read of a freed, not yet reused page succeeded")
+	}
+	if err := rs.Write(a, buf); err == nil {
+		t.Fatal("write of a freed, not yet reused page succeeded")
+	}
+	again, err := rs.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != a {
+		t.Fatalf("Allocate after an epoch-local free returned page %d, want %d back", again, a)
+	}
+	if now, _, _ := fsys.Stat("db"); now != size {
+		t.Fatalf("reuse grew the page file from %d to %d bytes", size, now)
+	}
+	if err := rs.Read(a, buf); err != nil || !bytes.Equal(buf, page(128, 0)) {
+		t.Fatalf("reused page does not read back zeroed: %v %q", err, buf[:4])
+	}
+	if err := rs.Write(a, page(128, 'b')); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Read(a, buf); err != nil || buf[0] != 'b' {
+		t.Fatalf("reused page lost its new image: %v %q", err, buf[:4])
+	}
+	if ds := rs.DurabilityStats(); ds.PagesReused != 1 || ds.FilePages != 2 || ds.LivePages != 2 {
+		t.Fatalf("stats after one reuse: %+v", ds)
+	}
+
+	// The checkpointed page: freed in this epoch, it is not handed out.
+	if err := rs.Free(old); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := rs.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == old {
+		t.Fatalf("page %d, which the last checkpoint references, was reused before the next one", old)
+	}
+	// A crash before the commit fsync recovers it, and only it.
+	rec, _, err := disk.RecoverStore(fsys.CrashImage(), "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Read(old, buf); err != nil || buf[0] != 'o' || rec.NumPages() != 1 {
+		t.Fatalf("after a crash: page %d reads %q (%v), %d pages", old, buf[:4], err, rec.NumPages())
+	}
+	rec.Close()
+
+	// After the commit the reused page holds its last image, the freed
+	// one is gone, and the epoch's set is cleared: a page allocated
+	// before the checkpoint is no longer reusable at once.
+	if err := rs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err = disk.RecoverStore(fsys.CrashImage(), "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if err := rec.Read(a, buf); err != nil || buf[0] != 'b' || rec.NumPages() != 2 {
+		t.Fatalf("after the checkpoint: page %d reads %q (%v), %d pages", a, buf[:4], err, rec.NumPages())
+	}
+	if err := rec.Read(old, buf); err == nil {
+		t.Fatal("committed-freed page still readable")
+	}
+	if err := rs.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	if id, err := rs.Allocate(); err != nil || id == a {
+		t.Fatalf("page %d of a checkpointed epoch was reused before the next checkpoint (%v)", a, err)
+	}
+}

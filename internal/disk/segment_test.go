@@ -107,15 +107,42 @@ func TestSegmentShippingConverges(t *testing.T) {
 	if err := rs.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	// Batch 3: a page allocated, freed and reused inside the epoch
+	// ships as its last image only (it takes the slot batch 2 freed);
+	// a checkpointed page is freed beside it.
+	if err := rs.Free(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	id5, err := rs.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Write(id5, page(128, 'P')); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Free(id5); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := rs.Allocate(); err != nil || again != id5 {
+		t.Fatalf("epoch-local page %d not reused: got %d, %v", id5, again, err)
+	}
+	if err := rs.Write(id5, page(128, 'R')); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	// An idle checkpoint ships nothing.
 	if err := rs.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) != 2 {
-		t.Fatalf("hook fired %d times, want 2", len(segs))
+	if len(segs) != 3 {
+		t.Fatalf("hook fired %d times, want 3", len(segs))
 	}
-	if segs[0].MaxLSN >= segs[1].MaxLSN {
-		t.Fatalf("segment LSNs not increasing: %d then %d", segs[0].MaxLSN, segs[1].MaxLSN)
+	for i := 1; i < len(segs); i++ {
+		if segs[i-1].MaxLSN >= segs[i].MaxLSN {
+			t.Fatalf("segment LSNs not increasing: %d then %d", segs[i-1].MaxLSN, segs[i].MaxLSN)
+		}
 	}
 
 	for i, seg := range segs {
@@ -133,8 +160,8 @@ func TestSegmentShippingConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wantLSN != segs[1].MaxLSN {
-		t.Fatalf("primary checkpoint LSN %d, last segment %d", wantLSN, segs[1].MaxLSN)
+	if wantLSN != segs[2].MaxLSN {
+		t.Fatalf("primary checkpoint LSN %d, last segment %d", wantLSN, segs[2].MaxLSN)
 	}
 	got := rawFile(t, fsys, "replica")
 	if !bytes.Equal(got, want) {
@@ -151,8 +178,11 @@ func TestSegmentShippingConverges(t *testing.T) {
 	if err := fs2.Read(ids[0], buf); err != nil || buf[0] != 'Z' {
 		t.Fatalf("replica read of overwritten page: %v, buf[0]=%c", err, buf[0])
 	}
-	if err := fs2.Read(ids[2], buf); err == nil {
+	if err := fs2.Read(ids[1], buf); err == nil {
 		t.Fatal("replica still serves the freed page")
+	}
+	if err := fs2.Read(id5, buf); err != nil || buf[0] != 'R' {
+		t.Fatalf("replica read of the reused page: %v, buf[0]=%c", err, buf[0])
 	}
 }
 

@@ -18,6 +18,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Int("server.requests").Add(3)
 	r.Int("router.cancelled").Add(0)
 	r.Gauge("repl.caught-up").Set(1)
+	r.Int("store.pages_reused").Set(7)
+	r.Gauge("store.file_pages").Set(12)
+	r.Gauge("store.live_pages").Set(9)
 	h := r.Histogram("server.latency.range")
 	for _, v := range []int64{0, 1, 5, 1000} {
 		h.Observe(v)
@@ -27,8 +30,14 @@ func TestWritePrometheusGolden(t *testing.T) {
 probe_test_router_cancelled_total 0
 # TYPE probe_test_server_requests_total counter
 probe_test_server_requests_total 3
+# TYPE probe_test_store_pages_reused_total counter
+probe_test_store_pages_reused_total 7
 # TYPE probe_test_repl_caught_up gauge
 probe_test_repl_caught_up 1
+# TYPE probe_test_store_file_pages gauge
+probe_test_store_file_pages 12
+# TYPE probe_test_store_live_pages gauge
+probe_test_store_live_pages 9
 # TYPE probe_test_server_latency_range histogram
 probe_test_server_latency_range_bucket{le="0"} 1
 probe_test_server_latency_range_bucket{le="1"} 2

@@ -14,7 +14,8 @@ import (
 //	/metrics          extended by every database and transaction
 //	                  (probe_db_*, probe_tx_*) metric plus scrape-time
 //	                  pool and MVCC gauges (retained versions/pages,
-//	                  pinned snapshots)
+//	                  pinned snapshots) and the page file's space
+//	                  series (probe_db_store_*)
 //	/readyz           also 503 while the SetReadyCheck condition fails
 //	/debug/vars       expvar-style JSON snapshot of the registries
 func (s *Server) AdminHandler() http.Handler {
@@ -29,7 +30,12 @@ func (s *Server) AdminHandler() http.Handler {
 // than to maintain continuously.
 func (s *Server) writeDBMetrics(buf *bytes.Buffer) error {
 	db := s.database()
-	if err := db.Metrics().WritePrometheus(buf, "probe_db"); err != nil {
+	// Sampled: file_pages over live_pages is the space amplification.
+	ds, m := db.DurabilityStats(), db.Metrics()
+	m.Gauge("store.file_pages").Set(int64(ds.FilePages))
+	m.Gauge("store.live_pages").Set(int64(ds.LivePages))
+	m.Int("store.pages_reused").Set(int64(ds.PagesReused))
+	if err := m.WritePrometheus(buf, "probe_db"); err != nil {
 		return err
 	}
 	if err := db.TxMetrics().WritePrometheus(buf, "probe_tx"); err != nil {

@@ -57,6 +57,9 @@ func TestAdminEndpoint(t *testing.T) {
 		"probe_server_server_latency_range_count 3",
 		"probe_server_server_latency_range_bucket{le=\"+Inf\"} 3",
 		"probe_db_range_search_count_total 3",
+		"# TYPE probe_db_store_pages_reused_total counter",
+		"# TYPE probe_db_store_file_pages gauge",
+		"# TYPE probe_db_store_live_pages gauge",
 		"# TYPE probe_pool_pages_resident gauge",
 		"# TYPE probe_go_goroutines gauge",
 	} {
