@@ -562,21 +562,17 @@ func (c *Conn) begin() uint32 {
 
 // RangeFunc streams every point in the box to fn in z order;
 // returning false from fn stops the query (the server is cancelled)
-// without error. Strategy 0 is the server default; 1, 2, 3 select
-// MergeDecomposed, MergeLazy, SkipBigMin. Inside an open transaction
-// the server answers from the transaction's view.
-func (c *Conn) RangeFunc(ctx context.Context, lo, hi []uint32, strategy uint8, fn func(probe.Point) bool) (probe.QueryStats, error) {
+// without error. Inside an open transaction the server answers from
+// the transaction's view.
+func (c *Conn) RangeFunc(ctx context.Context, lo, hi []uint32, fn func(probe.Point) bool) (probe.QueryStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rangeFuncLocked(ctx, lo, hi, strategy, fn)
+	return c.rangeFuncLocked(ctx, lo, hi, fn)
 }
 
-func (c *Conn) rangeFuncLocked(ctx context.Context, lo, hi []uint32, strategy uint8, fn func(probe.Point) bool) (probe.QueryStats, error) {
+func (c *Conn) rangeFuncLocked(ctx context.Context, lo, hi []uint32, fn func(probe.Point) bool) (probe.QueryStats, error) {
 	id := c.begin()
-	req := wire.RangeReq{
-		Header:   c.header(id, ctx),
-		Strategy: strategy, Lo: lo, Hi: hi,
-	}
+	req := wire.RangeReq{Header: c.header(id, ctx), Lo: lo, Hi: hi}
 	stopped := false
 	errStop := errors.New("stop")
 	qs, err := c.do(ctx, wire.MsgRange, req.Encode(), id, handlers{batch: func(b wire.Batch) error {
@@ -597,7 +593,7 @@ func (c *Conn) rangeFuncLocked(ctx context.Context, lo, hi []uint32, strategy ui
 // Range returns every point in the box.
 func (c *Conn) Range(ctx context.Context, lo, hi []uint32) ([]probe.Point, probe.QueryStats, error) {
 	var pts []probe.Point
-	qs, err := c.RangeFunc(ctx, lo, hi, 0, func(p probe.Point) bool {
+	qs, err := c.RangeFunc(ctx, lo, hi, func(p probe.Point) bool {
 		pts = append(pts, p)
 		return true
 	})

@@ -70,7 +70,7 @@ func TestPoisonedConnSeveredMidStream(t *testing.T) {
 
 	ctx := context.Background()
 	got := 0
-	_, err = c.RangeFunc(ctx, []uint32{0, 0}, []uint32{100, 100}, 0, func(p probe.Point) bool {
+	_, err = c.RangeFunc(ctx, []uint32{0, 0}, []uint32{100, 100}, func(p probe.Point) bool {
 		got++
 		return true
 	})

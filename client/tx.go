@@ -84,7 +84,7 @@ func (tx *Tx) Delete(ctx context.Context, pts []probe.Point) (probe.QueryStats, 
 // the pinned snapshot plus this transaction's buffered writes.
 func (tx *Tx) Range(ctx context.Context, lo, hi []uint32) ([]probe.Point, probe.QueryStats, error) {
 	var pts []probe.Point
-	qs, err := tx.RangeFunc(ctx, lo, hi, 0, func(p probe.Point) bool {
+	qs, err := tx.RangeFunc(ctx, lo, hi, func(p probe.Point) bool {
 		pts = append(pts, p)
 		return true
 	})
@@ -96,13 +96,13 @@ func (tx *Tx) Range(ctx context.Context, lo, hi []uint32) ([]probe.Point, probe.
 
 // RangeFunc streams the transaction's view of the box to fn in z
 // order; returning false stops the stream without error.
-func (tx *Tx) RangeFunc(ctx context.Context, lo, hi []uint32, strategy uint8, fn func(probe.Point) bool) (probe.QueryStats, error) {
+func (tx *Tx) RangeFunc(ctx context.Context, lo, hi []uint32, fn func(probe.Point) bool) (probe.QueryStats, error) {
 	release, err := tx.enter()
 	if err != nil {
 		return probe.QueryStats{}, err
 	}
 	defer release()
-	return tx.c.rangeFuncLocked(ctx, lo, hi, strategy, fn)
+	return tx.c.rangeFuncLocked(ctx, lo, hi, fn)
 }
 
 // Nearest returns the m points of the transaction's view nearest q.

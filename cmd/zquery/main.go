@@ -14,7 +14,7 @@
 // Examples:
 //
 //	zquery -n 5000 -dist uniform 100 300 50 180
-//	zquery -points pts.csv -strategy bigmin 0 1023 0 1023
+//	zquery -points pts.csv 0 1023 0 1023
 //	zquery -n 5000 -partial x=17
 //	zquery -n 5000 -e "SELECT COUNT(*) FROM points WHERE CONTAINS(BOX(0,511,0,511))"
 //	zquery -addr localhost:7331 100 300 50 180
@@ -48,7 +48,6 @@ func main() {
 		dist       = flag.String("dist", "uniform", "point distribution: uniform, clustered, diagonal")
 		seed       = flag.Int64("seed", 1986, "generator seed")
 		file       = flag.String("points", "", "CSV file of id,x,y points (overrides -dist)")
-		strategy   = flag.String("strategy", "lazy", "range-search strategy: decomposed, lazy, bigmin")
 		leafCap    = flag.Int("leaf", 20, "points per index page")
 		partial    = flag.String("partial", "", "partial match, e.g. x=17 or y=250")
 		verbose    = flag.Bool("v", false, "print matching points")
@@ -111,17 +110,13 @@ func main() {
 		return
 	}
 
-	strat, err := parseStrategy(*strategy)
-	if err != nil {
-		fatal(err)
-	}
 	var results []probe.Point
 	var stats probe.QueryStats
 	switch {
 	case *partial != "":
 		results, stats, err = runPartial(db, *partial)
 	default:
-		results, stats, err = runRange(db, g, strat, flag.Args())
+		results, stats, err = runRange(db, g, flag.Args())
 	}
 	if err != nil {
 		fatal(err)
@@ -304,30 +299,23 @@ func parseBounds(args []string) (lo, hi []uint32, err error) {
 	return []uint32{vals[0], vals[2]}, []uint32{vals[1], vals[3]}, nil
 }
 
-func runRange(db *probe.DB, g probe.Grid, strat probe.Strategy, args []string) ([]probe.Point, probe.QueryStats, error) {
-	if len(args) != 4 {
-		return nil, probe.QueryStats{}, fmt.Errorf("expected XLO XHI YLO YHI, got %d args", len(args))
-	}
-	vals := make([]uint32, 4)
-	for i, a := range args {
-		v, err := strconv.ParseUint(a, 10, 32)
-		if err != nil {
-			return nil, probe.QueryStats{}, fmt.Errorf("bad bound %q: %v", a, err)
-		}
-		if v >= g.Side() {
-			return nil, probe.QueryStats{}, fmt.Errorf("bound %d outside grid side %d", v, g.Side())
-		}
-		vals[i] = uint32(v)
-	}
-	box, err := probe.NewBox([]uint32{vals[0], vals[2]}, []uint32{vals[1], vals[3]})
+func runRange(db *probe.DB, g probe.Grid, args []string) ([]probe.Point, probe.QueryStats, error) {
+	lo, hi, err := parseBounds(args)
 	if err != nil {
 		return nil, probe.QueryStats{}, err
+	}
+	box, err := probe.NewBox(lo, hi)
+	if err != nil {
+		return nil, probe.QueryStats{}, err
+	}
+	if !g.Valid(box.Hi) {
+		return nil, probe.QueryStats{}, fmt.Errorf("box %v reaches outside grid side %d", box, g.Side())
 	}
 	if err := db.DropCaches(); err != nil {
 		return nil, probe.QueryStats{}, err
 	}
-	fmt.Printf("range query %v (%s)\n", box, strat)
-	return db.RangeSearch(box, probe.WithStrategy(strat))
+	fmt.Printf("range query %v\n", box)
+	return db.RangeSearch(box)
 }
 
 func runPartial(db *probe.DB, spec string) ([]probe.Point, probe.QueryStats, error) {
@@ -354,18 +342,6 @@ func runPartial(db *probe.DB, spec string) ([]probe.Point, probe.QueryStats, err
 	}
 	fmt.Printf("partial match %s\n", spec)
 	return db.PartialMatch(restricted, value)
-}
-
-func parseStrategy(s string) (probe.Strategy, error) {
-	switch s {
-	case "decomposed":
-		return probe.MergeDecomposed, nil
-	case "lazy":
-		return probe.MergeLazy, nil
-	case "bigmin":
-		return probe.SkipBigMin, nil
-	}
-	return 0, fmt.Errorf("unknown strategy %q", s)
 }
 
 func loadPoints(g probe.Grid, file, dist string, n int, seed int64) ([]probe.Point, error) {

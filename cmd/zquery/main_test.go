@@ -8,23 +8,6 @@ import (
 	"probe"
 )
 
-func TestParseStrategy(t *testing.T) {
-	cases := map[string]probe.Strategy{
-		"decomposed": probe.MergeDecomposed,
-		"lazy":       probe.MergeLazy,
-		"bigmin":     probe.SkipBigMin,
-	}
-	for name, want := range cases {
-		got, err := parseStrategy(name)
-		if err != nil || got != want {
-			t.Errorf("parseStrategy(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := parseStrategy("zigzag"); err == nil {
-		t.Errorf("unknown strategy accepted")
-	}
-}
-
 func TestReadCSV(t *testing.T) {
 	g := probe.MustGrid(2, 8)
 	dir := t.TempDir()
@@ -89,23 +72,23 @@ func TestRunRangeAndPartial(t *testing.T) {
 	for i := uint64(0); i < 64; i++ {
 		db.Insert(probe.Pt2(i, uint32(i), uint32((i*3)%64)))
 	}
-	res, stats, err := runRange(db, g, probe.MergeLazy, []string{"0", "20", "0", "63"})
+	res, stats, err := runRange(db, g, []string{"0", "20", "0", "63"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 21 || stats.Results != 21 {
 		t.Errorf("range = %d results", len(res))
 	}
-	if _, _, err := runRange(db, g, probe.MergeLazy, []string{"0", "20"}); err == nil {
+	if _, _, err := runRange(db, g, []string{"0", "20"}); err == nil {
 		t.Errorf("wrong arg count accepted")
 	}
-	if _, _, err := runRange(db, g, probe.MergeLazy, []string{"0", "99", "0", "1"}); err == nil {
+	if _, _, err := runRange(db, g, []string{"0", "99", "0", "1"}); err == nil {
 		t.Errorf("out-of-grid bound accepted")
 	}
-	if _, _, err := runRange(db, g, probe.MergeLazy, []string{"0", "x", "0", "1"}); err == nil {
+	if _, _, err := runRange(db, g, []string{"0", "x", "0", "1"}); err == nil {
 		t.Errorf("non-numeric bound accepted")
 	}
-	if _, _, err := runRange(db, g, probe.MergeLazy, []string{"20", "0", "0", "1"}); err == nil {
+	if _, _, err := runRange(db, g, []string{"20", "0", "0", "1"}); err == nil {
 		t.Errorf("inverted bounds accepted")
 	}
 

@@ -107,8 +107,7 @@ func validateConfig(addr, admin string, bTimeout, slowQuery time.Duration, logEv
 // routerConfig maps the command line onto router.Config, with the
 // same slow-query flag convention as probed: the flag's 0 means "log
 // every request at warn" (the config's negative), the flag's negative
-// means disabled (the config's zero). -log-requests keeps probed's
-// 0-disables convention, which maps onto the router config's negative.
+// means disabled (the config's zero).
 func routerConfig(m *router.Map, maxIn, batch int, bTimeout, probeInt, drain time.Duration,
 	slowQuery time.Duration, logEvery, traceBuf int) router.Config {
 	rc := router.Config{
@@ -119,17 +118,13 @@ func routerConfig(m *router.Map, maxIn, batch int, bTimeout, probeInt, drain tim
 		ProbeInterval:  probeInt,
 		DrainTimeout:   drain,
 		TraceBuffer:    traceBuf,
+		LogEvery:       logEvery,
 	}
 	switch {
 	case slowQuery == 0:
 		rc.SlowQuery = -1
 	case slowQuery > 0:
 		rc.SlowQuery = slowQuery
-	}
-	if logEvery > 0 {
-		rc.LogEvery = logEvery
-	} else {
-		rc.LogEvery = -1
 	}
 	if slowQuery >= 0 || logEvery > 0 {
 		rc.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))

@@ -61,9 +61,9 @@ func TestValidateConfig(t *testing.T) {
 
 // TestRouterConfigFlagMapping pins the flag-to-config conventions:
 // -slow-query 0 means firehose (config negative), negative means
-// disabled (config zero); -log-requests 0 disables the Info log
-// (config negative) while N>0 samples; a Logger materializes exactly
-// when some logging is on.
+// disabled (config zero); -log-requests passes through (0 disables the
+// Info log, N>0 samples); a Logger materializes exactly when some
+// logging is on.
 func TestRouterConfigFlagMapping(t *testing.T) {
 	m := &router.Map{} // mapping only; never validated here
 	base := func(slowQ time.Duration, logEv int) routerCfgView {
@@ -76,9 +76,9 @@ func TestRouterConfigFlagMapping(t *testing.T) {
 		logEv int
 		want  routerCfgView
 	}{
-		{"all off", -1, 0, routerCfgView{0, -1, false}},
-		{"firehose", 0, 0, routerCfgView{-1, -1, true}},
-		{"threshold", 250 * time.Millisecond, 0, routerCfgView{250 * time.Millisecond, -1, true}},
+		{"all off", -1, 0, routerCfgView{0, 0, false}},
+		{"firehose", 0, 0, routerCfgView{-1, 0, true}},
+		{"threshold", 250 * time.Millisecond, 0, routerCfgView{250 * time.Millisecond, 0, true}},
 		{"sampled only", -1, 50, routerCfgView{0, 50, true}},
 		{"both", time.Second, 10, routerCfgView{time.Second, 10, true}},
 	} {

@@ -43,17 +43,6 @@ func main() {
 	for _, p := range results[:min(5, len(results))] {
 		fmt.Printf("  point %d at (%d, %d)\n", p.ID, p.Coords[0], p.Coords[1])
 	}
-
-	// The three strategies of Section 3.3 give identical answers;
-	// compare their work.
-	for _, s := range []probe.Strategy{probe.MergeDecomposed, probe.MergeLazy, probe.SkipBigMin} {
-		_, st, err := db.RangeSearch(box, probe.WithStrategy(s))
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("strategy %-17v pages=%d seeks=%d elements=%d\n",
-			s, st.DataPages, st.Seeks, st.Elements)
-	}
 }
 
 func min(a, b int) int {

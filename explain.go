@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"probe/internal/core"
 	"probe/internal/geom"
 	"probe/internal/planner"
 )
@@ -54,7 +53,7 @@ func (r *ExplainResult) String() string {
 // WithTrace option grafts the operator span onto the caller's trace
 // instead of a fresh root.
 func (db *DB) ExplainAnalyze(box Box, opts ...QueryOption) (*ExplainResult, error) {
-	qc := queryConfig{strategy: MergeLazy}
+	var qc queryConfig
 	for _, o := range opts {
 		o.applyQuery(&qc)
 	}
@@ -69,14 +68,14 @@ func (db *DB) ExplainAnalyze(box Box, opts ...QueryOption) (*ExplainResult, erro
 	// picks. (One untraced full pass; the pool state it leaves behind
 	// is deterministic for a given database.)
 	var heap []Point
-	if _, err := db.index.RangeSearchFunc(geom.FullBox(db.grid), core.MergeLazy, func(p Point) bool {
+	if _, err := db.index.RangeSearchFuncCtx(nil, geom.FullBox(db.grid), nil, func(p Point) bool {
 		heap = append(heap, p)
 		return true
 	}); err != nil {
 		return nil, err
 	}
 	tab := &planner.Table{Name: "db", Index: db.index, Heap: heap}
-	plan, err := planner.PlanRange(tab, box, planner.Config{Strategy: qc.strategy})
+	plan, err := planner.PlanRange(tab, box, planner.Config{})
 	if err != nil {
 		return nil, err
 	}

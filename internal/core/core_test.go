@@ -9,6 +9,7 @@ import (
 	"probe/internal/decompose"
 	"probe/internal/disk"
 	"probe/internal/geom"
+	"probe/internal/obs"
 	"probe/internal/workload"
 	"probe/internal/zorder"
 )
@@ -101,18 +102,29 @@ func TestIndexGridAccess(t *testing.T) {
 
 // TestRangeSearchAllStrategiesAgainstBruteForce is the central
 // correctness test: on every workload distribution of the paper, all
-// three strategies return exactly the brute-force answer.
+// three strategies return exactly the brute-force answer, and the span
+// counters — counted independently inside the B+-tree and
+// decomposition cursors — equal the SearchStats the merge loops
+// compute. "inserted" grows its tree by single inserts, as a served
+// database does, instead of bulk-loading packed pages.
 func TestRangeSearchAllStrategiesAgainstBruteForce(t *testing.T) {
 	g := zorder.MustGrid(2, 7)
 	datasets := map[string][]geom.Point{
 		"uniform":   workload.Uniform(g, 800, 1),
 		"clustered": workload.Clustered(g, 10, 80, 3, 2),
 		"diagonal":  workload.Diagonal(g, 800, 2, 3),
+		"inserted":  workload.Uniform(g, 800, 11),
 	}
 	rng := rand.New(rand.NewSource(4))
 	for name, pts := range datasets {
 		ix := newTestIndex(t, g, 10)
-		if err := ix.BulkLoad(pts); err != nil {
+		if name == "inserted" {
+			for _, p := range pts {
+				if err := ix.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else if err := ix.BulkLoad(pts); err != nil {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 30; trial++ {
@@ -129,7 +141,8 @@ func TestRangeSearchAllStrategiesAgainstBruteForce(t *testing.T) {
 			box := geom.Box{Lo: lo, Hi: hi}
 			want := bruteIDs(pts, box)
 			for _, s := range allStrategies() {
-				got, stats, err := ix.RangeSearch(box, s)
+				sp := obs.New("range-search")
+				got, stats, err := ix.searchAll(nil, box, s, sp)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,6 +155,30 @@ func TestRangeSearchAllStrategiesAgainstBruteForce(t *testing.T) {
 				}
 				if len(got) > 0 && stats.DataPages == 0 {
 					t.Fatalf("%s/%v: results without data pages", name, s)
+				}
+				// Seeks are counted inside the B+-tree cursor at each
+				// SeekGE and by the merge loops at their call sites;
+				// elements by the decomposition cursor (A and B) or as
+				// BigMin computations (C), never both.
+				for _, c := range []struct {
+					name        string
+					span, stats int64
+				}{
+					{"results", sp.Get(obs.Results), int64(stats.Results)},
+					{"data-pages", sp.Get(obs.DataPages), int64(stats.DataPages)},
+					{"seeks", sp.Get(obs.Seeks), int64(stats.Seeks)},
+					{"elements+skips", sp.Get(obs.Elements) + sp.Get(obs.BigMinSkips), int64(stats.Elements)},
+				} {
+					if c.span != c.stats {
+						t.Fatalf("%s/%v: box %v: span %s %d, stats %d", name, s, box, c.name, c.span, c.stats)
+					}
+				}
+				if s == SkipBigMin && sp.Get(obs.Elements) != 0 {
+					t.Fatalf("%s: skip-bigmin generated %d elements", name, sp.Get(obs.Elements))
+				}
+				if sp.Get(obs.LeafScans) < sp.Get(obs.Seeks) {
+					t.Fatalf("%s/%v: fewer leaf scans (%d) than seeks (%d)", name, s,
+						sp.Get(obs.LeafScans), sp.Get(obs.Seeks))
 				}
 			}
 		}

@@ -49,13 +49,14 @@ func SortItems(items []Item) {
 // project with DedupPairs, as the paper projects out zr and zs to
 // eliminate the redundancy.
 func SpatialJoin(a, b []Item) ([]Pair, error) {
-	return SpatialJoinTraced(a, b, nil)
+	return SpatialJoinCtx(nil, a, b, nil)
 }
 
-// SpatialJoinTraced is SpatialJoin with merge-work attribution on sp
-// (obs.MergeSteps, obs.RawPairs). A nil span behaves exactly like
-// SpatialJoin at no cost.
-func SpatialJoinTraced(a, b []Item, sp *obs.Span) ([]Pair, error) {
+// SpatialJoinCtx is SpatialJoin under a cancellation context, checked
+// every joinCancelStride merge steps (nil = never cancelled), with
+// merge-work attribution on sp (obs.MergeSteps, obs.RawPairs). A nil
+// span behaves exactly like SpatialJoin at no cost.
+func SpatialJoinCtx(ctx context.Context, a, b []Item, sp *obs.Span) ([]Pair, error) {
 	if err := checkSorted(a); err != nil {
 		return nil, fmt.Errorf("core: left input: %w", err)
 	}
@@ -63,7 +64,7 @@ func SpatialJoinTraced(a, b []Item, sp *obs.Span) ([]Pair, error) {
 		return nil, fmt.Errorf("core: right input: %w", err)
 	}
 	var pairs []Pair
-	err := spatialJoinFunc(nil, a, b, sp, func(p Pair) bool {
+	err := spatialJoinFunc(ctx, a, b, sp, func(p Pair) bool {
 		pairs = append(pairs, p)
 		return true
 	})
@@ -176,20 +177,14 @@ type JoinStats struct {
 // SpatialJoinDistinct runs the join and the deduplicating projection,
 // returning distinct overlapping object pairs plus statistics.
 func SpatialJoinDistinct(a, b []Item) ([]Pair, JoinStats, error) {
-	return SpatialJoinDistinctTraced(a, b, nil)
+	return SpatialJoinDistinctCtx(nil, a, b, nil)
 }
 
-// SpatialJoinDistinctTraced is SpatialJoinDistinct with per-operator
-// attribution on sp: input sizes, merge steps, raw and distinct pair
-// counts. A nil span behaves exactly like SpatialJoinDistinct at no
-// cost.
-func SpatialJoinDistinctTraced(a, b []Item, sp *obs.Span) ([]Pair, JoinStats, error) {
-	return SpatialJoinDistinctCtx(nil, a, b, sp)
-}
-
-// SpatialJoinDistinctCtx is SpatialJoinDistinctTraced under a
-// cancellation context, checked every joinCancelStride merge steps
-// (nil = never cancelled).
+// SpatialJoinDistinctCtx is SpatialJoinDistinct under a cancellation
+// context, checked every joinCancelStride merge steps (nil = never
+// cancelled), with per-operator attribution on sp: input sizes, merge
+// steps, raw and distinct pair counts. A nil span behaves exactly
+// like SpatialJoinDistinct at no cost.
 func SpatialJoinDistinctCtx(ctx context.Context, a, b []Item, sp *obs.Span) ([]Pair, JoinStats, error) {
 	stats := JoinStats{LeftItems: len(a), RightItems: len(b)}
 	sp.Add(obs.ItemsLeft, int64(len(a)))

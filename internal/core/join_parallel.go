@@ -67,13 +67,17 @@ func (cfg ParallelJoinConfig) prefixBits(workers int) int {
 // is pure fan-out over immutable slices: workers share nothing but
 // the input arrays and write disjoint result slots.
 func SpatialJoinParallel(a, b []Item, cfg ParallelJoinConfig) ([]Pair, error) {
-	return SpatialJoinParallelTraced(a, b, cfg, nil)
+	return SpatialJoinParallelCtx(nil, a, b, cfg, nil)
 }
 
-// SpatialJoinParallelTraced is SpatialJoinParallel with per-shard
-// attribution on sp: one child span per shard (created serially in
-// shard order, so the trace tree is deterministic) carrying the
-// shard's input sizes, merge steps, raw pairs, and wall time, plus
+// SpatialJoinParallelCtx is SpatialJoinParallel under a cancellation
+// context (nil = never cancelled): each shard's merge checks it every
+// joinCancelStride steps, the dispatcher stops handing out shards
+// once it is done, and the first context error observed is returned.
+// It attributes the work per shard on sp: one child span per shard
+// (created serially in shard order, so the trace tree is
+// deterministic) carrying the shard's input sizes, merge steps, raw
+// pairs, and wall time, plus
 // obs.Shards and obs.ReplicatedItems totals on sp itself. Each
 // counter is recorded at exactly one level — per-shard work on the
 // shard spans, shard-level facts on sp — so sp.Total aggregates
@@ -84,15 +88,6 @@ func SpatialJoinParallel(a, b []Item, cfg ParallelJoinConfig) ([]Pair, error) {
 // shards). obs.ReplicatedItems is that processed total's excess over
 // the inputs, clamped at zero — the net overhead of partitioning. A
 // nil span behaves exactly like SpatialJoinParallel at no cost.
-func SpatialJoinParallelTraced(a, b []Item, cfg ParallelJoinConfig, sp *obs.Span) ([]Pair, error) {
-	return SpatialJoinParallelCtx(nil, a, b, cfg, sp)
-}
-
-// SpatialJoinParallelCtx is SpatialJoinParallelTraced under a
-// cancellation context (nil = never cancelled): each shard's merge
-// checks it every joinCancelStride steps, the dispatcher stops
-// handing out shards once it is done, and the first context error
-// observed is returned.
 func SpatialJoinParallelCtx(ctx context.Context, a, b []Item, cfg ParallelJoinConfig, sp *obs.Span) ([]Pair, error) {
 	workers := cfg.workers()
 	pb := cfg.prefixBits(workers)
@@ -197,19 +192,12 @@ dispatch:
 // deduplicating projection: the parallel counterpart of
 // SpatialJoinDistinct, with identical output.
 func SpatialJoinParallelDistinct(a, b []Item, cfg ParallelJoinConfig) ([]Pair, JoinStats, error) {
-	return SpatialJoinParallelDistinctTraced(a, b, cfg, nil)
+	return SpatialJoinParallelDistinctCtx(nil, a, b, cfg, nil)
 }
 
-// SpatialJoinParallelDistinctTraced is SpatialJoinParallelDistinct
-// with per-shard attribution on sp (see SpatialJoinParallelTraced). A
-// nil span disables tracing at no cost.
-func SpatialJoinParallelDistinctTraced(a, b []Item, cfg ParallelJoinConfig, sp *obs.Span) ([]Pair, JoinStats, error) {
-	return SpatialJoinParallelDistinctCtx(nil, a, b, cfg, sp)
-}
-
-// SpatialJoinParallelDistinctCtx is SpatialJoinParallelDistinctTraced
-// under a cancellation context (nil = never cancelled; see
-// SpatialJoinParallelCtx).
+// SpatialJoinParallelDistinctCtx is SpatialJoinParallelDistinct under
+// a cancellation context and with per-shard attribution on sp (see
+// SpatialJoinParallelCtx; nil disables either at no cost).
 func SpatialJoinParallelDistinctCtx(ctx context.Context, a, b []Item, cfg ParallelJoinConfig, sp *obs.Span) ([]Pair, JoinStats, error) {
 	stats := JoinStats{LeftItems: len(a), RightItems: len(b)}
 	raw, err := SpatialJoinParallelCtx(ctx, a, b, cfg, sp)

@@ -49,20 +49,25 @@ type Neighbor struct {
 }
 
 // Nearest returns the m indexed points nearest to q, sorted by
-// distance (ties by id). It runs range searches over boxes of
-// doubling radius until enough candidates are found, then shrinks to
-// the certified radius — the containment/overlap translation of
-// proximity queries. The returned stats aggregate all the underlying
-// searches.
+// distance (ties by id). It runs range searches (by the given
+// strategy) over boxes of doubling radius until enough candidates are
+// found, then shrinks to the certified radius — the
+// containment/overlap translation of proximity queries. The returned
+// stats aggregate all the underlying searches.
 func (ix *reader) Nearest(q []uint32, m int, metric Metric, strategy Strategy) ([]Neighbor, SearchStats, error) {
-	return ix.NearestCtx(nil, q, m, metric, strategy)
+	return ix.nearest(nil, q, m, metric, strategy)
 }
 
-// NearestCtx is Nearest under a cancellation context: every
-// underlying range search checks it (nil = never cancelled; see
-// RangeSearchFuncCtx), so a cancelled proximity query stops between
-// or inside its expansion rounds with the context's error.
-func (ix *reader) NearestCtx(ctx context.Context, q []uint32, m int, metric Metric, strategy Strategy) ([]Neighbor, SearchStats, error) {
+// NearestCtx is the serving path's Nearest: lazy-merge range searches
+// under a cancellation context. Every underlying range search checks
+// it (nil = never cancelled; see RangeSearchFuncCtx), so a cancelled
+// proximity query stops between or inside its expansion rounds with
+// the context's error.
+func (ix *reader) NearestCtx(ctx context.Context, q []uint32, m int, metric Metric) ([]Neighbor, SearchStats, error) {
+	return ix.nearest(ctx, q, m, metric, MergeLazy)
+}
+
+func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric, strategy Strategy) ([]Neighbor, SearchStats, error) {
 	var agg SearchStats
 	if !ix.g.Valid(q) {
 		return nil, agg, fmt.Errorf("core: query point %v outside %v", q, ix.g)
@@ -84,7 +89,7 @@ func (ix *reader) NearestCtx(ctx context.Context, q []uint32, m int, metric Metr
 	var candidates []geom.Point
 	for {
 		box := ix.ringBox(q, r)
-		pts, stats, err := ix.RangeSearchCtx(ctx, box, strategy, nil)
+		pts, stats, err := ix.searchAll(ctx, box, strategy, nil)
 		if err != nil {
 			return nil, agg, err
 		}
@@ -119,7 +124,7 @@ func (ix *reader) NearestCtx(ctx context.Context, q []uint32, m int, metric Metr
 	// distance <= d of q).
 	certified := uint32(math.Ceil(neighbors[m-1].Dist))
 	finalBox := ix.ringBox(q, certified)
-	pts, stats, err := ix.RangeSearchCtx(ctx, finalBox, strategy, nil)
+	pts, stats, err := ix.searchAll(ctx, finalBox, strategy, nil)
 	if err != nil {
 		return nil, agg, err
 	}

@@ -72,25 +72,27 @@ func (s SearchStats) Efficiency(leafCapacity int) float64 {
 	return float64(s.Results) / float64(s.DataPages*leafCapacity)
 }
 
-// RangeSearch returns all indexed points inside the box.
+// RangeSearch returns all indexed points inside the box, found by the
+// given strategy: the ablation's entry point. The serving path is
+// RangeSearchCtx.
 func (ix *reader) RangeSearch(box geom.Box, strategy Strategy) ([]geom.Point, SearchStats, error) {
-	return ix.RangeSearchTraced(box, strategy, nil)
+	return ix.searchAll(nil, box, strategy, nil)
 }
 
-// RangeSearchTraced is RangeSearch with per-operator attribution on
-// sp: the strategy's work counters (obs.Elements or obs.BigMinSkips),
-// the B+-tree cursor's traversal counters, and the final DataPages
-// and Results. A nil span behaves exactly like RangeSearch at no
-// cost.
-func (ix *reader) RangeSearchTraced(box geom.Box, strategy Strategy, sp *obs.Span) ([]geom.Point, SearchStats, error) {
-	return ix.RangeSearchCtx(nil, box, strategy, sp)
+// RangeSearchCtx is the serving path's range search: the lazy merge
+// (MergeLazy) under a cancellation context (nil = never cancelled; see
+// RangeSearchFuncCtx), with per-operator attribution on sp: the
+// merge's work counter (obs.Elements), the B+-tree cursor's traversal
+// counters, and the final DataPages and Results. A nil span costs
+// nothing.
+func (ix *reader) RangeSearchCtx(ctx context.Context, box geom.Box, sp *obs.Span) ([]geom.Point, SearchStats, error) {
+	return ix.searchAll(ctx, box, MergeLazy, sp)
 }
 
-// RangeSearchCtx is RangeSearchTraced under a cancellation context
-// (nil = never cancelled; see RangeSearchFuncCtx).
-func (ix *reader) RangeSearchCtx(ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span) ([]geom.Point, SearchStats, error) {
+// searchAll materializes search's stream.
+func (ix *reader) searchAll(ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span) ([]geom.Point, SearchStats, error) {
 	var out []geom.Point
-	stats, err := ix.RangeSearchFuncCtx(ctx, box, strategy, sp, func(p geom.Point) bool {
+	stats, err := ix.search(ctx, box, strategy, sp, func(p geom.Point) bool {
 		out = append(out, p)
 		return true
 	})
@@ -98,25 +100,26 @@ func (ix *reader) RangeSearchCtx(ctx context.Context, box geom.Box, strategy Str
 }
 
 // RangeSearchFunc streams all indexed points inside the box to fn, in
-// z order. Returning false from fn stops the search early.
+// z order, by the given strategy. Returning false from fn stops the
+// search early.
 func (ix *reader) RangeSearchFunc(box geom.Box, strategy Strategy, fn func(geom.Point) bool) (SearchStats, error) {
-	return ix.RangeSearchFuncTraced(box, strategy, nil, fn)
+	return ix.search(nil, box, strategy, nil, fn)
 }
 
-// RangeSearchFuncTraced is RangeSearchFunc with per-operator
-// attribution on sp (nil disables tracing at no cost).
-func (ix *reader) RangeSearchFuncTraced(box geom.Box, strategy Strategy, sp *obs.Span, fn func(geom.Point) bool) (SearchStats, error) {
-	return ix.RangeSearchFuncCtx(nil, box, strategy, sp, fn)
+// RangeSearchFuncCtx is the streaming form of RangeSearchCtx. The
+// context is threaded into both cursors of the merge — the B+-tree
+// cursor checks it at every page-load boundary, the decomposition
+// cursor at every element generation — so a cancelled search stops
+// promptly with the context's error having read at most one further
+// page. A nil context (the internal convention for "never cancelled")
+// disables the checks at zero cost.
+func (ix *reader) RangeSearchFuncCtx(ctx context.Context, box geom.Box, sp *obs.Span, fn func(geom.Point) bool) (SearchStats, error) {
+	return ix.search(ctx, box, MergeLazy, sp, fn)
 }
 
-// RangeSearchFuncCtx is RangeSearchFuncTraced under a cancellation
-// context. The context is threaded into both cursors of the merge —
-// the B+-tree cursor checks it at every page-load boundary, the
-// decomposition cursor at every element generation — so a cancelled
-// search stops promptly with the context's error having read at most
-// one further page. A nil context (the internal convention for "never
-// cancelled") disables the checks at zero cost.
-func (ix *reader) RangeSearchFuncCtx(ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span, fn func(geom.Point) bool) (SearchStats, error) {
+// search runs one range search by the given strategy; every exported
+// entry point funnels here.
+func (ix *reader) search(ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span, fn func(geom.Point) bool) (SearchStats, error) {
 	if box.Dims() != ix.g.Dims() {
 		return SearchStats{}, fmt.Errorf("core: box has %d dims, index %d", box.Dims(), ix.g.Dims())
 	}
@@ -361,23 +364,22 @@ func (ix *reader) searchBigMin(ctx context.Context, box geom.Box, sp *obs.Span, 
 	return stats, nil
 }
 
-// PartialMatch runs a partial-match query (Section 5.3.1):
-// restricted[i] pins dimension i to value[i].
+// PartialMatch runs a partial-match query (Section 5.3.1) by the given
+// strategy: restricted[i] pins dimension i to value[i].
 func (ix *reader) PartialMatch(restricted []bool, value []uint32, strategy Strategy) ([]geom.Point, SearchStats, error) {
-	return ix.PartialMatchTraced(restricted, value, strategy, nil)
+	return ix.partialMatch(nil, restricted, value, strategy, nil)
 }
 
-// PartialMatchTraced is PartialMatch with per-operator attribution on
-// sp (nil disables tracing at no cost).
-func (ix *reader) PartialMatchTraced(restricted []bool, value []uint32, strategy Strategy, sp *obs.Span) ([]geom.Point, SearchStats, error) {
-	return ix.PartialMatchCtx(nil, restricted, value, strategy, sp)
+// PartialMatchCtx is the serving path's partial match: the lazy merge
+// under a cancellation context (nil = never cancelled) with
+// per-operator attribution on sp (nil disables tracing at no cost).
+func (ix *reader) PartialMatchCtx(ctx context.Context, restricted []bool, value []uint32, sp *obs.Span) ([]geom.Point, SearchStats, error) {
+	return ix.partialMatch(ctx, restricted, value, MergeLazy, sp)
 }
 
-// PartialMatchCtx is PartialMatchTraced under a cancellation context
-// (nil = never cancelled; see RangeSearchFuncCtx).
-func (ix *reader) PartialMatchCtx(ctx context.Context, restricted []bool, value []uint32, strategy Strategy, sp *obs.Span) ([]geom.Point, SearchStats, error) {
+func (ix *reader) partialMatch(ctx context.Context, restricted []bool, value []uint32, strategy Strategy, sp *obs.Span) ([]geom.Point, SearchStats, error) {
 	if len(restricted) != ix.g.Dims() || len(value) != ix.g.Dims() {
 		return nil, SearchStats{}, fmt.Errorf("core: partial match arity mismatch")
 	}
-	return ix.RangeSearchCtx(ctx, geom.PartialMatchBox(ix.g, restricted, value), strategy, sp)
+	return ix.searchAll(ctx, geom.PartialMatchBox(ix.g, restricted, value), strategy, sp)
 }

@@ -62,8 +62,6 @@ type Config struct {
 	// for random I/O being slower than sequential (the classic
 	// optimizer fudge factor). Default 1.5.
 	RandomAccessPenalty float64
-	// Strategy used by index scans. Default MergeLazy.
-	Strategy core.Strategy
 	// Parallelism is the degree of parallelism for merge spatial
 	// joins: > 1 executes the element-relation merge with that many
 	// workers over z-prefix partitions (see docs/parallelism.md).
@@ -130,7 +128,7 @@ func PlanRange(t *Table, box geom.Box, cfg Config) (*Plan, error) {
 		Access:         "index-scan",
 		EstimatedPages: est,
 		run: func(sp *obs.Span) ([]geom.Point, core.SearchStats, error) {
-			return t.Index.RangeSearchTraced(box, cfg.Strategy, sp)
+			return t.Index.RangeSearchCtx(nil, box, sp)
 		},
 	}
 	if idx.EstimatedPages <= scan.EstimatedPages {
@@ -244,7 +242,7 @@ func PlanRegionJoin(t *Table, regions []Region, cfg Config) (*JoinPlan, error) {
 				len(regions), t.Name, nlCost),
 			Access:         "index-nested-loop-join",
 			EstimatedPages: nlCost,
-			run:            func(sp *obs.Span) ([]RegionJoinResult, error) { return nestedLoopJoin(t, regions, cfg, sp) },
+			run:            func(sp *obs.Span) ([]RegionJoinResult, error) { return nestedLoopJoin(t, regions, sp) },
 		}, nil
 	}
 	how := "sequential"
@@ -261,10 +259,10 @@ func PlanRegionJoin(t *Table, regions []Region, cfg Config) (*JoinPlan, error) {
 	}, nil
 }
 
-func nestedLoopJoin(t *Table, regions []Region, cfg Config, sp *obs.Span) ([]RegionJoinResult, error) {
+func nestedLoopJoin(t *Table, regions []Region, sp *obs.Span) ([]RegionJoinResult, error) {
 	var out []RegionJoinResult
 	for _, r := range regions {
-		pts, _, err := t.Index.RangeSearchTraced(r.Box, cfg.Strategy, sp)
+		pts, _, err := t.Index.RangeSearchCtx(nil, r.Box, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -309,9 +307,9 @@ func mergeJoin(t *Table, regions []Region, cfg Config, sp *obs.Span) ([]RegionJo
 	var pairs []core.Pair
 	var err error
 	if cfg.Parallelism > 1 {
-		pairs, err = core.SpatialJoinParallelTraced(pItems, items, core.ParallelJoinConfig{Workers: cfg.Parallelism}, sp)
+		pairs, err = core.SpatialJoinParallelCtx(nil, pItems, items, core.ParallelJoinConfig{Workers: cfg.Parallelism}, sp)
 	} else {
-		pairs, err = core.SpatialJoinTraced(pItems, items, sp)
+		pairs, err = core.SpatialJoinCtx(nil, pItems, items, sp)
 	}
 	if err != nil {
 		return nil, err

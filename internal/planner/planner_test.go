@@ -155,7 +155,7 @@ func TestRegionJoinPlansAgree(t *testing.T) {
 		{ID: 20, Box: geom.Box2(50, 200, 50, 200)},
 		{ID: 30, Box: geom.Box2(240, 255, 240, 255)},
 	}
-	nl, err := nestedLoopJoin(tab, regions, Config{}, nil)
+	nl, err := nestedLoopJoin(tab, regions, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestAnalyzeAdaptsToSkew(t *testing.T) {
 			after.EstimatedPages, before.EstimatedPages)
 	}
 	// The statistics estimate should be close to the truth.
-	_, stats, err := ix.RangeSearch(box, core.MergeLazy)
+	_, stats, err := ix.RangeSearchCtx(nil, box, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestStatsEstimateTracksActual(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, stats, err := ix.RangeSearch(box, core.MergeLazy)
+			_, stats, err := ix.RangeSearchCtx(nil, box, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

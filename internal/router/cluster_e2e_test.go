@@ -263,17 +263,21 @@ const (
 	proxyPass int32 = iota
 	proxySever
 	proxyHang
+	proxyTruncate
 )
 
 // chaosProxy sits between the router and one shard. In pass mode it
 // forwards bytes; sever kills existing connections and refuses new
 // ones; hang accepts and keeps connections but stops forwarding —
 // the "node wedged mid-request" failure the backend watchdog exists
-// for.
+// for; truncate forwards budget more bytes and then closes every
+// connection at its next byte — a node dying at a known offset of its
+// answer, whatever the kernel had buffered.
 type chaosProxy struct {
 	ln     net.Listener
 	target string
 	mode   atomic.Int32
+	budget atomic.Int64
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -378,6 +382,9 @@ func (p *chaosProxy) pipe(dst, src net.Conn) {
 					return
 				}
 				time.Sleep(2 * time.Millisecond)
+			}
+			if p.mode.Load() == proxyTruncate && p.budget.Add(-int64(n)) < 0 {
+				return
 			}
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return

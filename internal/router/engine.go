@@ -55,7 +55,7 @@ func (s *clusterStmt) Run(ctx context.Context, fn func(probe.QueryRow) bool) (pr
 // query.Engine, so parsed statements compile and run router-side
 // exactly as they do on a single node: the plan's operators
 // (projection, predicates, aggregates, DISTINCT, GROUP BY, LIMIT)
-// execute over the merged global streams, which arrive in the same
+// execute over the gathered global streams, which arrive in the same
 // (z, id) order a single node produces. Table() is nil — the planner
 // has no cluster-wide cost model, so plans use the fixed strategies,
 // the same degradation transaction views take.
@@ -70,7 +70,7 @@ func (e *clusterEngine) Grid() zorder.Grid     { return e.r.Grid() }
 func (e *clusterEngine) Table() *planner.Table { return nil }
 
 func (e *clusterEngine) RangeFunc(ctx context.Context, box geom.Box, fn func(geom.Point) bool) error {
-	qs, err := e.r.Range(ctx, box, 0, fn)
+	qs, err := e.r.Range(ctx, box, fn)
 	e.stats = addStats(e.stats, qs)
 	return err
 }

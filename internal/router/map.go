@@ -4,10 +4,11 @@
 // protocol on its front side, and fans requests out to per-shard
 // client.Conn pools on its back side: point ops go to the owning
 // shard, range/join work is clipped to intersecting shards, and the
-// shards' z-sorted result streams are merged back into one, so a
-// client cannot distinguish the cluster from a single node. Reads fail
-// over to caught-up replicas (internal/repl) when a primary dies;
-// docs/cluster.md is the operator reference.
+// shards' z-sorted result streams are gathered back into one in shard
+// order, which is z order, so a client cannot distinguish the cluster
+// from a single node. Reads fail over to caught-up replicas
+// (internal/repl) when a primary dies; docs/cluster.md is the operator
+// reference.
 package router
 
 import (

@@ -95,53 +95,94 @@ func TestBuildEvenMapCoverage(t *testing.T) {
 	}
 }
 
+// randValidMap cuts 2^bits prefix slots into contiguous runs of random,
+// uneven lengths: any map Validate accepts has this shape.
+func randValidMap(t *testing.T, rng *rand.Rand) *Map {
+	t.Helper()
+	bits := 1 + rng.Intn(core.MaxPrefixBits)
+	slots := core.PrefixSlots(bits)
+	m := &Map{Version: MapVersion, PrefixBits: bits}
+	for next := uint64(0); next < slots; {
+		last := next + uint64(rng.Int63n(int64(slots-next)))
+		if len(m.Shards) == 8 || rng.Intn(4) == 0 {
+			last = slots - 1
+		}
+		m.Shards = append(m.Shards, ShardDef{Slots: [2]uint64{next, last}, Primary: "h"})
+		next = last + 1
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("generated map is invalid: %v", err)
+	}
+	return m
+}
+
 // TestOwnerOfMatchesPrefixArithmetic cross-checks the map's routing
-// against core's prefix arithmetic: for random z-keys, the owning
-// shard's ZRange contains the key, and Intersecting agrees with a
-// brute-force overlap scan.
+// against core's prefix arithmetic on an even map and on random valid
+// ones. The shard ranges tile the key space in ascending order with
+// every key of shard i below every key of shard i+1, and a key's owner
+// is exactly the shard whose range contains it — the two facts that
+// make Router.Range's shard-order drain a z-order stream — and
+// Intersecting agrees with a brute-force overlap scan.
 func TestOwnerOfMatchesPrefixArithmetic(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	m, err := BuildEvenMap(6, []string{"a", "b", "c", "d", "e"}, nil)
+	even, err := BuildEvenMap(6, []string{"a", "b", "c", "d", "e"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranges := make([]core.ZRange, len(m.Shards))
-	for i := range m.Shards {
-		ranges[i], err = m.Range(i)
-		if err != nil {
-			t.Fatal(err)
-		}
+	maps := []*Map{even}
+	for i := 0; i < 60; i++ {
+		maps = append(maps, randValidMap(t, rng))
 	}
-	if ranges[0].Lo != 0 || ranges[len(ranges)-1].Hi != ^uint64(0) {
-		t.Fatalf("shard ranges do not span the key space: first %+v last %+v", ranges[0], ranges[len(ranges)-1])
-	}
-	for trial := 0; trial < 2000; trial++ {
-		z := rng.Uint64()
-		own := m.OwnerOf(z)
-		if !ranges[own].Contains(z) {
-			t.Fatalf("OwnerOf(%#x) = shard %d whose range %+v excludes it", z, own, ranges[own])
-		}
-		if slot := core.SlotOfKey(z, m.PrefixBits); slot < m.Shards[own].Slots[0] || slot > m.Shards[own].Slots[1] {
-			t.Fatalf("slot %d of key %#x outside shard %d's slots %v", slot, z, own, m.Shards[own].Slots)
-		}
-
-		lo, hi := rng.Uint64(), rng.Uint64()
-		if hi < lo {
-			lo, hi = hi, lo
-		}
-		got := m.Intersecting(lo, hi)
-		var want []int
-		for i, r := range ranges {
-			if r.Overlaps(lo, hi) {
-				want = append(want, i)
+	for _, m := range maps {
+		ranges := make([]core.ZRange, len(m.Shards))
+		for i := range m.Shards {
+			ranges[i], err = m.Range(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 && (ranges[i-1].Hi >= ranges[i].Lo || ranges[i-1].Hi+1 != ranges[i].Lo) {
+				t.Fatalf("shard %d range %+v does not start right above shard %d's %+v", i, ranges[i], i-1, ranges[i-1])
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("Intersecting(%#x,%#x) = %v, brute force %v", lo, hi, got, want)
+		if ranges[0].Lo != 0 || ranges[len(ranges)-1].Hi != ^uint64(0) {
+			t.Fatalf("shard ranges do not span the key space: first %+v last %+v", ranges[0], ranges[len(ranges)-1])
 		}
-		for i := range want {
-			if got[i] != want[i] {
+		for trial := 0; trial < 200; trial++ {
+			z := rng.Uint64()
+			if trial < 2*len(ranges) { // the boundaries themselves
+				z = ranges[trial/2].Lo
+				if trial%2 == 1 {
+					z = ranges[trial/2].Hi
+				}
+			}
+			own := m.OwnerOf(z)
+			for i, r := range ranges {
+				if r.Contains(z) != (i == own) {
+					t.Fatalf("OwnerOf(%#x) = shard %d, but shard %d's range %+v contains it: %v", z, own, i, r, r.Contains(z))
+				}
+			}
+			if slot := core.SlotOfKey(z, m.PrefixBits); slot < m.Shards[own].Slots[0] || slot > m.Shards[own].Slots[1] {
+				t.Fatalf("slot %d of key %#x outside shard %d's slots %v", slot, z, own, m.Shards[own].Slots)
+			}
+
+			lo, hi := rng.Uint64(), rng.Uint64()
+			if hi < lo {
+				lo, hi = hi, lo
+			}
+			got := m.Intersecting(lo, hi)
+			var want []int
+			for i, r := range ranges {
+				if r.Overlaps(lo, hi) {
+					want = append(want, i)
+				}
+			}
+			if len(got) != len(want) {
 				t.Fatalf("Intersecting(%#x,%#x) = %v, brute force %v", lo, hi, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("Intersecting(%#x,%#x) = %v, brute force %v", lo, hi, got, want)
+				}
 			}
 		}
 	}

@@ -1,116 +1,6 @@
 package router
 
-import (
-	"container/heap"
-
-	"probe"
-)
-
-// This file is the gather half of scatter-gather: k shards each
-// stream their slice of a range result already sorted by (z-key, id) —
-// exactly the order a single node produces — and the router interleaves
-// them back into one globally sorted stream. The merge is a k-way heap
-// merge over pull cursors, so it holds one point per shard in memory
-// regardless of result size, and ties (equal z-keys across shards,
-// which replication of short elements can produce) break by id and
-// then by stream index, making the output deterministic.
-
-// ZPoint is one streamed point tagged with its left-justified z-key.
-type ZPoint struct {
-	Z uint64
-	P probe.Point
-}
-
-// zLess orders merge output: by z-key, then id, then source stream.
-func zLess(a, b ZPoint, ai, bi int) bool {
-	if a.Z != b.Z {
-		return a.Z < b.Z
-	}
-	if a.P.ID != b.P.ID {
-		return a.P.ID < b.P.ID
-	}
-	return ai < bi
-}
-
-// zCursor pulls one (ZPoint, ok, err) at a time from a shard stream.
-// After it reports ok=false it is never pulled again; a non-nil err
-// aborts the whole merge.
-type zCursor func() (ZPoint, bool, error)
-
-type zHeapItem struct {
-	cur ZPoint
-	idx int // source stream, the final tiebreak
-	c   zCursor
-}
-
-type zHeap []zHeapItem
-
-func (h zHeap) Len() int { return len(h) }
-func (h zHeap) Less(i, j int) bool {
-	return zLess(h[i].cur, h[j].cur, h[i].idx, h[j].idx)
-}
-func (h zHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *zHeap) Push(x any)        { *h = append(*h, x.(zHeapItem)) }
-func (h *zHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-
-// mergeZ interleaves k pre-sorted cursors into one (z, id)-ordered
-// stream, calling emit per point. emit returning false stops the merge
-// early (stopped=true, nil error). Empty streams are legal and cost
-// one pull.
-func mergeZ(cursors []zCursor, emit func(ZPoint) bool) (stopped bool, err error) {
-	h := make(zHeap, 0, len(cursors))
-	for i, c := range cursors {
-		p, ok, err := c()
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			h = append(h, zHeapItem{cur: p, idx: i, c: c})
-		}
-	}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		it := h[0]
-		if !emit(it.cur) {
-			return true, nil
-		}
-		p, ok, err := it.c()
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			h[0].cur = p
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	return false, nil
-}
-
-// sliceCursor adapts a materialized stream to a zCursor (tests and
-// small gathers).
-func sliceCursor(pts []ZPoint) zCursor {
-	i := 0
-	return func() (ZPoint, bool, error) {
-		if i >= len(pts) {
-			return ZPoint{}, false, nil
-		}
-		p := pts[i]
-		i++
-		return p, true, nil
-	}
-}
-
-// MergeZSlices merges materialized pre-sorted streams; the exported
-// entry point the property tests drive and small gathers reuse.
-func MergeZSlices(streams [][]ZPoint, emit func(ZPoint) bool) {
-	cursors := make([]zCursor, len(streams))
-	for i, s := range streams {
-		cursors[i] = sliceCursor(s)
-	}
-	mergeZ(cursors, emit) // slice cursors cannot error
-}
+import "probe"
 
 // mergeNeighbors folds per-shard nearest-neighbor lists (each sorted
 // by (dist, id), at most m long) into the global top m in the same

@@ -1,186 +1,10 @@
 package router
 
 import (
-	"errors"
-	"math/rand"
-	"sort"
 	"testing"
 
 	"probe"
 )
-
-// oracle sorts the concatenation of all streams by the merge's full
-// key (z, id, stream index) — the "sort everything" reference the
-// streaming merge must match exactly.
-func oracle(streams [][]ZPoint) []ZPoint {
-	type tagged struct {
-		p ZPoint
-		s int
-	}
-	var all []tagged
-	for si, s := range streams {
-		for _, p := range s {
-			all = append(all, tagged{p, si})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		return zLess(all[i].p, all[j].p, all[i].s, all[j].s)
-	})
-	out := make([]ZPoint, len(all))
-	for i, t := range all {
-		out[i] = t.p
-	}
-	return out
-}
-
-func sortStream(s []ZPoint) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Z != s[j].Z {
-			return s[i].Z < s[j].Z
-		}
-		return s[i].P.ID < s[j].P.ID
-	})
-}
-
-// randStreams builds k pre-sorted streams. Z values are drawn from a
-// deliberately small space so duplicates across streams (the
-// replication case: a short element's points living on several
-// shards) occur constantly.
-func randStreams(rng *rand.Rand, k, maxLen int) [][]ZPoint {
-	streams := make([][]ZPoint, k)
-	var id uint64
-	for i := range streams {
-		n := rng.Intn(maxLen + 1) // 0 is legal: empty shard
-		s := make([]ZPoint, n)
-		for j := range s {
-			id++
-			s[j] = ZPoint{
-				Z: uint64(rng.Intn(64)) << 58, // small z-space → many collisions
-				P: probe.Point{ID: id, Coords: []uint32{uint32(rng.Intn(1024)), uint32(rng.Intn(1024))}},
-			}
-		}
-		sortStream(s)
-		streams[i] = s
-	}
-	return streams
-}
-
-// TestMergeZProperty drives MergeZSlices against the
-// sort-the-concatenation oracle across many random stream
-// configurations: varying shard counts, empty shards, heavy z-value
-// duplication across shards.
-func TestMergeZProperty(t *testing.T) {
-	for trial := 0; trial < 300; trial++ {
-		rng := rand.New(rand.NewSource(int64(7000 + trial)))
-		k := 1 + rng.Intn(6)
-		streams := randStreams(rng, k, 40)
-
-		var got []ZPoint
-		MergeZSlices(streams, func(p ZPoint) bool {
-			got = append(got, p)
-			return true
-		})
-		want := oracle(streams)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: merged %d points, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Z != want[i].Z || got[i].P.ID != want[i].P.ID {
-				t.Fatalf("trial %d: position %d: got (z=%#x id=%d), want (z=%#x id=%d)",
-					trial, i, got[i].Z, got[i].P.ID, want[i].Z, want[i].P.ID)
-			}
-		}
-	}
-}
-
-// TestMergeZDuplicateZAcrossShards pins the tie-break order: equal z
-// across shards orders by id, equal (z, id) by stream index.
-func TestMergeZDuplicateZAcrossShards(t *testing.T) {
-	const z = uint64(0x5a) << 56
-	streams := [][]ZPoint{
-		{{Z: z, P: probe.Point{ID: 30}}, {Z: z + 1, P: probe.Point{ID: 10}}},
-		{{Z: z, P: probe.Point{ID: 20}}},
-		{{Z: z, P: probe.Point{ID: 20}}}, // same (z, id) as stream 1
-	}
-	var ids []uint64
-	MergeZSlices(streams, func(p ZPoint) bool {
-		ids = append(ids, p.P.ID)
-		return true
-	})
-	want := []uint64{20, 20, 30, 10}
-	if len(ids) != len(want) {
-		t.Fatalf("got %v, want %v", ids, want)
-	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("got %v, want %v", ids, want)
-		}
-	}
-}
-
-// TestMergeZAllEmpty checks the degenerate cases: no streams, all
-// streams empty.
-func TestMergeZAllEmpty(t *testing.T) {
-	calls := 0
-	MergeZSlices(nil, func(ZPoint) bool { calls++; return true })
-	MergeZSlices([][]ZPoint{{}, {}, {}}, func(ZPoint) bool { calls++; return true })
-	if calls != 0 {
-		t.Fatalf("merge of empty streams emitted %d points", calls)
-	}
-}
-
-// TestMergeZEarlyStop checks that emit returning false stops the merge
-// with stopped=true and no error, after exactly the emitted prefix.
-func TestMergeZEarlyStop(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	streams := randStreams(rng, 4, 50)
-	want := oracle(streams)
-	if len(want) < 10 {
-		t.Fatal("test needs more points")
-	}
-	cursors := make([]zCursor, len(streams))
-	for i, s := range streams {
-		cursors[i] = sliceCursor(s)
-	}
-	var got []ZPoint
-	stopped, err := mergeZ(cursors, func(p ZPoint) bool {
-		got = append(got, p)
-		return len(got) < 10
-	})
-	if err != nil {
-		t.Fatalf("mergeZ: %v", err)
-	}
-	if !stopped {
-		t.Fatal("merge did not report early stop")
-	}
-	if len(got) != 10 {
-		t.Fatalf("emitted %d points after stop at 10", len(got))
-	}
-	for i := range got {
-		if got[i].P.ID != want[i].P.ID {
-			t.Fatalf("prefix diverges from oracle at %d", i)
-		}
-	}
-}
-
-// TestMergeZCursorError checks that a failing cursor aborts the merge
-// with its error — the all-or-typed-error contract's merge half.
-func TestMergeZCursorError(t *testing.T) {
-	boom := errors.New("shard died")
-	ok := sliceCursor([]ZPoint{{Z: 1, P: probe.Point{ID: 1}}, {Z: 2, P: probe.Point{ID: 2}}})
-	n := 0
-	failing := func() (ZPoint, bool, error) {
-		n++
-		if n == 1 {
-			return ZPoint{Z: 0, P: probe.Point{ID: 9}}, true, nil
-		}
-		return ZPoint{}, false, boom
-	}
-	_, err := mergeZ([]zCursor{ok, failing}, func(ZPoint) bool { return true })
-	if !errors.Is(err, boom) {
-		t.Fatalf("merge error = %v, want %v", err, boom)
-	}
-}
 
 // TestMergeNeighbors pins the nearest-gather fold: global top-m by
 // (dist, id) from per-shard sorted lists.

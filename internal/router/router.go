@@ -56,9 +56,8 @@ type Config struct {
 	SlowQuery time.Duration
 
 	// LogEvery samples the per-request Info log: every Nth completed
-	// request logs one line [1 — every request, the router's historical
-	// behavior]. Negative disables the Info log entirely; slow-query
-	// logging is independent of the sample.
+	// request logs one line. Zero or negative disables the Info log;
+	// slow-query logging is independent of the sample.
 	LogEvery int
 
 	// TraceBuffer is the capacity of the in-memory trace store behind
@@ -87,9 +86,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.LogEvery == 0 {
-		c.LogEvery = 1
 	}
 }
 
@@ -300,10 +296,13 @@ func (r *Router) shardsFor(box probe.Box) ([]*backend, error) {
 
 // Range streams every point in the box to fn in global (z, id)
 // order, exactly as a single node would; fn returning false stops the
-// scatter early without error. Shard streams are merged by z-key; a
-// shard that cannot answer fails the whole request with a typed
-// *ShardError — never a silently partial stream.
-func (r *Router) Range(ctx context.Context, box probe.Box, strategy uint8, fn func(probe.Point) bool) (probe.QueryStats, error) {
+// scatter early without error. The shards tile the z-space in
+// ascending, disjoint intervals (Map.Validate) and every point lives
+// on the owner of its z-key (applyWrite), so each shard's stream lies
+// wholly below the next shard's: draining the streams in shard order
+// is the global order. A shard that cannot answer fails the whole
+// request with a typed *ShardError — never a silently partial stream.
+func (r *Router) Range(ctx context.Context, box probe.Box, fn func(probe.Point) bool) (probe.QueryStats, error) {
 	shards, err := r.shardsFor(box)
 	if err != nil {
 		return probe.QueryStats{}, err
@@ -312,19 +311,21 @@ func (r *Router) Range(ctx context.Context, box probe.Box, strategy uint8, fn fu
 	if len(shards) == 1 {
 		var qs probe.QueryStats
 		err := shards[0].read(ctx, func(bctx context.Context, c *client.Conn) error {
-			s, err := c.RangeFunc(bctx, box.Lo, box.Hi, strategy, fn)
+			s, err := c.RangeFunc(bctx, box.Lo, box.Hi, fn)
 			qs = s
 			return err
 		})
 		return qs, err
 	}
 
-	g := r.Grid()
 	sctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(context.Canceled)
 
+	// Every shard reads ahead in parallel, at most four batches beyond
+	// what the gather has consumed, so a later shard's answer is ready
+	// when its turn comes without buffering its whole stream.
 	type shardStream struct {
-		ch  chan []ZPoint
+		ch  chan []probe.Point
 		err error
 	}
 	streams := make([]*shardStream, len(shards))
@@ -332,27 +333,27 @@ func (r *Router) Range(ctx context.Context, box probe.Box, strategy uint8, fn fu
 	var total probe.QueryStats
 	var wg sync.WaitGroup
 	for i, b := range shards {
-		st := &shardStream{ch: make(chan []ZPoint, 4)}
+		st := &shardStream{ch: make(chan []probe.Point, 4)}
 		streams[i] = st
 		wg.Add(1)
 		go func(b *backend, st *shardStream) {
 			defer wg.Done()
 			err := b.read(sctx, func(bctx context.Context, c *client.Conn) error {
-				buf := make([]ZPoint, 0, r.cfg.BatchSize)
+				buf := make([]probe.Point, 0, r.cfg.BatchSize)
 				flush := func() bool {
 					if len(buf) == 0 {
 						return true
 					}
 					select {
 					case st.ch <- buf:
-						buf = make([]ZPoint, 0, r.cfg.BatchSize)
+						buf = make([]probe.Point, 0, r.cfg.BatchSize)
 						return true
 					case <-sctx.Done():
 						return false
 					}
 				}
-				qs, err := c.RangeFunc(bctx, box.Lo, box.Hi, strategy, func(p probe.Point) bool {
-					buf = append(buf, ZPoint{Z: g.ShuffleKey(p.Coords), P: p})
+				qs, err := c.RangeFunc(bctx, box.Lo, box.Hi, func(p probe.Point) bool {
+					buf = append(buf, p)
 					if len(buf) >= r.cfg.BatchSize {
 						return flush()
 					}
@@ -371,40 +372,34 @@ func (r *Router) Range(ctx context.Context, box probe.Box, strategy uint8, fn fu
 		}(b, st)
 	}
 
-	cursors := make([]zCursor, len(streams))
-	for i, st := range streams {
-		st := st
-		var cur []ZPoint
-		pos := 0
-		cursors[i] = func() (ZPoint, bool, error) {
-			for pos >= len(cur) {
-				var ok bool
-				cur, ok = <-st.ch
-				pos = 0
-				if !ok {
-					// Channel closed: st.err is settled (written before
-					// close) and safe to read.
-					return ZPoint{}, false, st.err
-				}
-			}
-			p := cur[pos]
-			pos++
-			return p, true, nil
-		}
-	}
-
 	t0 := time.Now()
 	delivered := 0
-	stopped, err := mergeZ(cursors, func(zp ZPoint) bool {
-		delivered++
-		return fn(zp.P)
-	})
+	stopped := false
+gather:
+	for _, st := range streams {
+		for batch := range st.ch {
+			for _, p := range batch {
+				delivered++
+				if !fn(p) {
+					stopped = true
+					break gather
+				}
+			}
+		}
+		// Channel closed: st.err is settled (written before close) and
+		// safe to read. A shard that failed, even after its last batch,
+		// ends the request here.
+		if err = st.err; err != nil {
+			break
+		}
+	}
 	mergeDur := time.Since(t0)
 	r.Metrics().Histogram("router.merge.ns").Observe(int64(mergeDur))
 	if span, _, traced := session.TraceFrom(ctx); traced {
-		// Attribute the router's own gather overhead: the z-merge loop
-		// (which includes delivering rows to the client) as a sibling of
-		// the per-shard fan-out subtrees.
+		// Attribute the router's own gather overhead: the in-order drain
+		// (which includes delivering rows to the client and waiting for
+		// the shard whose turn it is) as a sibling of the per-shard
+		// fan-out subtrees.
 		span.Attach(probe.NewSealedTrace("merge", mergeDur))
 	}
 	if stopped {
@@ -417,15 +412,6 @@ func (r *Router) Range(ctx context.Context, box probe.Box, strategy uint8, fn fu
 	wg.Wait()
 	if err != nil {
 		return total, err
-	}
-	if !stopped {
-		// The merge drained every stream; surface any error the merge
-		// didn't see (a shard that failed after its last batch).
-		for _, st := range streams {
-			if st.err != nil {
-				return total, st.err
-			}
-		}
 	}
 	total.Results = delivered // as a single node counts them
 	return total, nil
@@ -488,14 +474,7 @@ func (r *Router) fanAll(ctx context.Context, do func(*backend, context.Context, 
 // the single-node join, and DedupPairs-order (sorted (A,B), distinct)
 // is restored after the union.
 func (r *Router) Join(ctx context.Context, a, b []session.BoxItem, workers int) ([]probe.Pair, probe.QueryStats, error) {
-	aParts, err := r.scatterItems(a)
-	if err != nil {
-		return nil, probe.QueryStats{}, fmt.Errorf("router: left relation: %w", err)
-	}
-	bParts, err := r.scatterItems(b)
-	if err != nil {
-		return nil, probe.QueryStats{}, fmt.Errorf("router: right relation: %w", err)
-	}
+	aParts, bParts := r.scatterItems(a), r.scatterItems(b)
 	type result struct {
 		pairs []probe.Pair
 		qs    probe.QueryStats
@@ -551,20 +530,18 @@ func (r *Router) Join(ctx context.Context, a, b []session.BoxItem, workers int) 
 }
 
 // scatterItems clips a join relation to the shards: item i goes to
-// every shard whose z-interval intersects its box's z-span.
-func (r *Router) scatterItems(items []session.BoxItem) ([][]client.BoxItem, error) {
+// every shard whose z-interval intersects its box's z-span. The
+// session layer has validated every box against the grid.
+func (r *Router) scatterItems(items []session.BoxItem) [][]client.BoxItem {
 	g := r.Grid()
 	out := make([][]client.BoxItem, len(r.backends))
 	for _, it := range items {
 		lo, hi := it.Box.Lo, it.Box.Hi
-		if !g.Valid(lo) || !g.Valid(hi) {
-			return nil, fmt.Errorf("router: item %d box outside grid", it.ID)
-		}
 		for _, s := range r.m.Intersecting(g.ShuffleKey(lo), g.ShuffleKey(hi)) {
 			out[s] = append(out[s], client.BoxItem{ID: it.ID, Lo: lo, Hi: hi})
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Insert routes each point to the shard owning its z-key and applies
@@ -589,9 +566,6 @@ func (r *Router) applyWrite(ctx context.Context, pts []probe.Point,
 	g := r.Grid()
 	byShard := make([][]probe.Point, len(r.backends))
 	for _, p := range pts {
-		if !g.Valid(p.Coords) {
-			return probe.QueryStats{}, fmt.Errorf("router: point %d outside grid", p.ID)
-		}
 		s := r.m.OwnerOf(g.ShuffleKey(p.Coords))
 		byShard[s] = append(byShard[s], p)
 	}
@@ -718,7 +692,7 @@ func (r *Router) observeFanout(op string, shards int) {
 }
 
 // addStats sums the per-shard execution stats (Results excluded: the
-// merge decides what the client actually received).
+// gather decides what the client actually received).
 func addStats(a, b probe.QueryStats) probe.QueryStats {
 	a.DataPages += b.DataPages
 	a.Seeks += b.Seeks

@@ -64,6 +64,7 @@ func TestDistributedTrace(t *testing.T) {
 	r, raddr := startRouter(t, m, Config{
 		BatchSize: 32,
 		Logger:    slog.New(slog.NewTextHandler(&routerLog, nil)),
+		LogEvery:  1,
 	})
 	cl := dialRouter(t, raddr)
 	insertThrough(t, cl, clusterPoints(rand.New(rand.NewSource(42)), 3000, 1))

@@ -237,7 +237,7 @@ func TestFrontDoorConformance(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			n := 0
-			_, err = cl.RangeFunc(ctx, fullLo, fullHi, 0, func(probe.Point) bool {
+			_, err = cl.RangeFunc(ctx, fullLo, fullHi, func(probe.Point) bool {
 				n++
 				if n == 5 {
 					cancel()
@@ -285,6 +285,39 @@ func TestFrontDoorConformance(t *testing.T) {
 			fd.EndRequest()
 			if err := <-drainDone; err != nil {
 				t.Fatalf("shutdown: %v", err)
+			}
+		}},
+
+		// A box, join item, point or query point that reaches outside the
+		// grid is malformed: every front door refuses it with the typed
+		// bad-request error, before any engine sees it, and the session
+		// stays usable.
+		{"outside the grid", 100, func(t *testing.T, fd frontDoor) {
+			cl := dial(t, fd.addr)
+			ctx := context.Background()
+			in := []client.BoxItem{{ID: 2, Lo: []uint32{0, 0}, Hi: []uint32{5, 5}}}
+			for _, rc := range []struct {
+				name string
+				do   func() error
+			}{
+				{"range", func() error { _, _, err := cl.Range(ctx, []uint32{0, 0}, []uint32{1024, 10}); return err }},
+				{"explain", func() error { _, err := cl.Explain(ctx, []uint32{7, 2000}, []uint32{9, 2001}); return err }},
+				{"join", func() error {
+					_, _, err := cl.Join(ctx, []client.BoxItem{{ID: 1, Lo: []uint32{0, 0}, Hi: []uint32{10, 4096}}}, in, 0)
+					return err
+				}},
+				{"insert", func() error { _, err := cl.Insert(ctx, []probe.Point{probe.Pt2(1<<40, 1024, 5)}); return err }},
+				{"delete", func() error { _, err := cl.Delete(ctx, []probe.Point{probe.Pt2(1<<40, 5, 1<<31)}); return err }},
+				{"nearest", func() error { _, _, err := cl.Nearest(ctx, []uint32{5, 1024}, 3, probe.Euclidean); return err }},
+			} {
+				var se *client.ServerError
+				if err := rc.do(); !errors.As(err, &se) || se.Code != wire.CodeBadRequest {
+					t.Errorf("%s outside the grid: got %v, want a typed bad-request", rc.name, err)
+				}
+			}
+			got, _, err := cl.Range(ctx, fullLo, fullHi)
+			if err != nil || len(got) != fd.points {
+				t.Fatalf("range after the refusals: %d points, err %v; want %d", len(got), err, fd.points)
 			}
 		}},
 

@@ -19,14 +19,10 @@ type engine struct{ s *Server }
 
 var errReadOnly = errors.New("server is read-only (replica); send writes to the primary")
 
-// strategies maps the wire strategy byte (0 = server default) to a
-// range-search strategy.
-var strategies = [...]probe.Strategy{probe.MergeLazy, probe.MergeDecomposed, probe.MergeLazy, probe.SkipBigMin}
-
 // queryOpts assembles the options of a read: the request context
 // always, the request span only when the client asked for the trace.
-func queryOpts(ctx context.Context, extra ...probe.QueryOption) []probe.QueryOption {
-	opts := append([]probe.QueryOption{probe.WithContext(ctx)}, extra...)
+func queryOpts(ctx context.Context) []probe.QueryOption {
+	opts := []probe.QueryOption{probe.WithContext(ctx)}
 	if span, _, traced := session.TraceFrom(ctx); traced {
 		opts = append(opts, probe.WithTrace(span))
 	}
@@ -35,8 +31,8 @@ func queryOpts(ctx context.Context, extra ...probe.QueryOption) []probe.QueryOpt
 
 func (e engine) Grid() probe.Grid { return e.s.database().Grid() }
 
-func (e engine) Range(ctx context.Context, box probe.Box, strategy uint8, fn func(probe.Point) bool) (probe.QueryStats, error) {
-	return e.s.database().RangeSearchFunc(box, fn, queryOpts(ctx, probe.WithStrategy(strategies[strategy]))...)
+func (e engine) Range(ctx context.Context, box probe.Box, fn func(probe.Point) bool) (probe.QueryStats, error) {
+	return e.s.database().RangeSearchFunc(box, fn, queryOpts(ctx)...)
 }
 
 func (e engine) Nearest(ctx context.Context, q []uint32, m int, metric probe.Metric) ([]probe.Neighbor, probe.QueryStats, error) {
@@ -161,8 +157,8 @@ type txEngine struct {
 	tx *probe.Tx
 }
 
-func (e txEngine) Range(ctx context.Context, box probe.Box, strategy uint8, fn func(probe.Point) bool) (probe.QueryStats, error) {
-	return e.tx.RangeSearchFunc(box, fn, probe.WithContext(ctx), probe.WithStrategy(strategies[strategy]))
+func (e txEngine) Range(ctx context.Context, box probe.Box, fn func(probe.Point) bool) (probe.QueryStats, error) {
+	return e.tx.RangeSearchFunc(box, fn, probe.WithContext(ctx))
 }
 
 func (e txEngine) Nearest(ctx context.Context, q []uint32, m int, metric probe.Metric) ([]probe.Neighbor, probe.QueryStats, error) {

@@ -57,13 +57,13 @@ func rawTracedRange(t *testing.T, addr string, minor uint8) (types []uint8, text
 	}
 }
 
-// TestTracedRangeMinor4GetsTraceFrame pins the 1.4 contract: the
+// TestTracedRangeMinor4GetsTraceFrame pins the contract 1.4 set: the
 // traced request's answer is a TRACE frame (trace ID plus decodable
 // binary span tree) immediately before DONE, and no legacy TEXT.
 func TestTracedRangeMinor4GetsTraceFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	_, addr, _ := startServer(t, Config{BatchSize: 64}, randPoints(rng, 500, 0))
-	types, text, tm, sawTrace := rawTracedRange(t, addr, 4)
+	types, text, tm, sawTrace := rawTracedRange(t, addr, wire.VersionMinor)
 	if !sawTrace {
 		t.Fatalf("minor 4: no TRACE frame before DONE (frames %x)", types)
 	}

@@ -11,9 +11,9 @@ import (
 
 // Engine is what a Server executes requests against. The session layer
 // has already decoded and validated a request when it calls in — boxes
-// are well-formed and of the grid's arity, the strategy byte and metric
-// are known values, point batches match the grid's dimensions — so an
-// engine error is an execution failure, never a malformed request.
+// boxes, join items and points are well-formed, of the grid's arity and
+// inside the grid, the metric is a known value — so an engine error is
+// an execution failure, never a malformed request.
 //
 // There are two implementations: internal/server's adapter over one
 // probe.DB, and internal/router's scatter-gather Router. Every method
@@ -25,9 +25,8 @@ type Engine interface {
 	Grid() zorder.Grid
 
 	// Range streams the points inside box to fn in (z, id) order; fn
-	// returning false stops the search without error. strategy is the
-	// validated wire byte (0 = engine default).
-	Range(ctx context.Context, box probe.Box, strategy uint8, fn func(probe.Point) bool) (probe.QueryStats, error)
+	// returning false stops the search without error.
+	Range(ctx context.Context, box probe.Box, fn func(probe.Point) bool) (probe.QueryStats, error)
 	// Nearest returns the m points nearest q, ordered by (distance, id).
 	Nearest(ctx context.Context, q []uint32, m int, metric probe.Metric) ([]probe.Neighbor, probe.QueryStats, error)
 	// Join returns the distinct overlapping (a, b) id pairs of two

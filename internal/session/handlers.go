@@ -12,8 +12,8 @@ import (
 // Every handler has the same shape: decode, record the header,
 // validate against the engine's grid (reject), seal the plan phase,
 // call the engine, stream the answer, send DONE. Validation happens
-// here so that a malformed request gets the same bad-request answer
-// from every engine.
+// here, arity and grid bounds alike, so that a malformed request gets
+// the same bad-request answer from every engine.
 
 // rangeReq decodes a RANGE-shaped request (RANGE, EXPLAIN) and
 // validates its box against the engine's grid, reporting false after
@@ -25,24 +25,44 @@ func (c *conn) rangeReq(rq *request, payload []byte) (wire.RangeReq, probe.Box, 
 		return req, probe.Box{}, false
 	}
 	rq.setHeader(req.Header)
-	if dims := c.srv.eng.Grid().Dims(); len(req.Lo) != dims {
-		c.reject(rq, fmt.Sprintf("box has %d dimensions, database has %d", len(req.Lo), dims))
-		return req, probe.Box{}, false
-	}
-	box, err := probe.NewBox(req.Lo, req.Hi)
+	box, err := c.boxOf("box", req.Lo, req.Hi)
 	if err != nil {
 		c.reject(rq, err.Error())
 	}
 	return req, box, err == nil
 }
 
-// pointsOf validates a point batch's arity and converts it.
+// boxOf validates a shipped box (what names it in the error) against
+// the engine's grid: well-formed, of the grid's arity, both corners
+// inside the grid.
+func (c *conn) boxOf(what string, lo, hi []uint32) (probe.Box, error) {
+	g := c.srv.eng.Grid()
+	if len(lo) != g.Dims() {
+		return probe.Box{}, fmt.Errorf("%s has %d dimensions, database has %d", what, len(lo), g.Dims())
+	}
+	box, err := probe.NewBox(lo, hi)
+	if err != nil {
+		return probe.Box{}, err
+	}
+	// Lo <= Hi per dimension, so Hi inside the grid puts Lo inside too.
+	if !g.Valid(box.Hi) {
+		return probe.Box{}, fmt.Errorf("%s %v reaches outside the grid", what, box)
+	}
+	return box, nil
+}
+
+// pointsOf validates a point batch's arity and grid bounds and
+// converts it.
 func (c *conn) pointsOf(dims uint32, pts []wire.Point) ([]probe.Point, error) {
-	if want := c.srv.eng.Grid().Dims(); int(dims) != want {
-		return nil, fmt.Errorf("points have %d dimensions, database has %d", dims, want)
+	g := c.srv.eng.Grid()
+	if int(dims) != g.Dims() {
+		return nil, fmt.Errorf("points have %d dimensions, database has %d", dims, g.Dims())
 	}
 	out := make([]probe.Point, len(pts))
 	for i, p := range pts {
+		if !g.Valid(p.Coords) {
+			return nil, fmt.Errorf("point %d %v is outside the grid", p.ID, p.Coords)
+		}
 		out[i] = probe.Point{ID: p.ID, Coords: p.Coords}
 	}
 	return out, nil
@@ -51,10 +71,6 @@ func (c *conn) pointsOf(dims uint32, pts []wire.Point) ([]probe.Point, error) {
 func (c *conn) handleRange(ctx context.Context, rq *request, payload []byte) {
 	req, box, ok := c.rangeReq(rq, payload)
 	if !ok {
-		return
-	}
-	if req.Strategy > 3 {
-		c.reject(rq, fmt.Sprintf("unknown strategy %d", req.Strategy))
 		return
 	}
 	ctx, stop := withTimeout(ctx, req.TimeoutMS)
@@ -79,7 +95,7 @@ func (c *conn) handleRange(ctx context.Context, rq *request, payload []byte) {
 		batch = batch[:0]
 		return writeErr == nil
 	}
-	qs, err := eng.Range(ctx, box, req.Strategy, func(p probe.Point) bool {
+	qs, err := eng.Range(ctx, box, func(p probe.Point) bool {
 		batch = append(batch, wire.Point{ID: p.ID, Coords: p.Coords})
 		if len(batch) == cap(batch) {
 			// An engine whose answer is already buffered may not look at
@@ -111,8 +127,11 @@ func (c *conn) handleNearest(ctx context.Context, rq *request, payload []byte) {
 		return
 	}
 	rq.setHeader(req.Header)
-	if dims := c.srv.eng.Grid().Dims(); len(req.Q) != dims {
-		c.reject(rq, fmt.Sprintf("query point has %d dimensions, database has %d", len(req.Q), dims))
+	if g := c.srv.eng.Grid(); len(req.Q) != g.Dims() {
+		c.reject(rq, fmt.Sprintf("query point has %d dimensions, database has %d", len(req.Q), g.Dims()))
+		return
+	} else if !g.Valid(req.Q) {
+		c.reject(rq, fmt.Sprintf("query point %v is outside the grid", req.Q))
 		return
 	}
 	metric := probe.Metric(req.Metric) // the wire byte is the Metric's value
@@ -160,15 +179,11 @@ func (c *conn) sendBatches(rq *request, n int, batch func(lo, hi int) wire.Batch
 
 // relationOf validates one shipped join relation against the grid.
 func (c *conn) relationOf(items []wire.JoinItem) ([]BoxItem, error) {
-	dims := c.srv.eng.Grid().Dims()
 	out := make([]BoxItem, len(items))
 	for i, it := range items {
-		box, err := probe.NewBox(it.Lo, it.Hi)
+		box, err := c.boxOf(fmt.Sprintf("join item %d", it.ID), it.Lo, it.Hi)
 		if err != nil {
 			return nil, err
-		}
-		if box.Dims() != dims {
-			return nil, fmt.Errorf("join item %d has %d dimensions, database has %d", it.ID, box.Dims(), dims)
 		}
 		out[i] = BoxItem{ID: it.ID, Box: box}
 	}

@@ -161,19 +161,16 @@ func decodeHeader(d *dec) (Header, error) {
 	return Header{ID: id, TimeoutMS: tmo}, nil
 }
 
-// RangeReq asks for every point inside the box; Strategy selects the
-// range-search variant (0 = server default). The same payload shape
-// serves MsgExplain.
+// RangeReq asks for every point inside the box. The same payload
+// shape serves MsgExplain.
 type RangeReq struct {
 	Header
-	Strategy uint8
-	Lo, Hi   []uint32
+	Lo, Hi []uint32
 }
 
 func (m RangeReq) Encode() []byte {
 	var e enc
 	m.Header.encodeTo(&e)
-	e.u8(m.Strategy)
 	e.u32(uint32(len(m.Lo)))
 	for _, v := range m.Lo {
 		e.u32(v)
@@ -191,10 +188,6 @@ func DecodeRangeReq(p []byte) (RangeReq, error) {
 	if err != nil {
 		return RangeReq{}, err
 	}
-	strat, err := d.u8()
-	if err != nil {
-		return RangeReq{}, err
-	}
 	k, err := d.dims()
 	if err != nil {
 		return RangeReq{}, err
@@ -208,7 +201,7 @@ func DecodeRangeReq(p []byte) (RangeReq, error) {
 		return RangeReq{}, err
 	}
 	h.decodeTail(&d)
-	return RangeReq{Header: h, Strategy: strat, Lo: lo, Hi: hi}, nil
+	return RangeReq{Header: h, Lo: lo, Hi: hi}, nil
 }
 
 // NearestReq asks for the M points nearest Q under Metric

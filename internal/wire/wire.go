@@ -50,12 +50,14 @@ const Magic = "ZKDQ"
 // when FlagTrace is set without it), and the TRACE response frame
 // carrying the request's trace ID plus its span tree in the canonical
 // binary encoding (internal/obs codec), which a coordinator parses
-// and grafts under its own fan-out spans.
+// and grafts under its own fan-out spans. Minor 5 removed the strategy
+// byte from the RANGE/EXPLAIN payload — the one change that is not
+// additive, which is why it raised the floor with it.
 const (
 	VersionMajor = 1
-	VersionMinor = 4
+	VersionMinor = 5
 	// MinMinor is the oldest minor either peer accepts from the other.
-	MinMinor = 4
+	MinMinor = 5
 )
 
 // MaxFrame caps a frame's length field (type byte + payload). Frames

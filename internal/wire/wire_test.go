@@ -80,7 +80,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	gw, err := DecodeWelcome(wel.Encode())
 	check("welcome", gw, wel, err)
 
-	rr := RangeReq{Header: Header{ID: 7, TimeoutMS: 1500, Flags: FlagTrace, Trace: 0xdeadbeefcafe0123}, Strategy: 2,
+	rr := RangeReq{Header: Header{ID: 7, TimeoutMS: 1500, Flags: FlagTrace, Trace: 0xdeadbeefcafe0123},
 		Lo: []uint32{1, 2}, Hi: []uint32{30, 40}}
 	gr, err := DecodeRangeReq(rr.Encode())
 	check("range", gr, rr, err)

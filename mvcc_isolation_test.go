@@ -68,11 +68,10 @@ func genMVCCSteps(rng *rand.Rand) []mvccStep {
 // mvccObs is one snapshot read a reader goroutine performed: the
 // version it pinned, what it asked, and what it saw.
 type mvccObs struct {
-	seq      uint64
-	lo, hi   [2]uint32
-	strategy probe.Strategy
-	ids      []uint64
-	count    int // snapshot Len() at the same pin
+	seq    uint64
+	lo, hi [2]uint32
+	ids    []uint64
+	count  int // snapshot Len() at the same pin
 }
 
 // recordMVCCFailureSeed appends a failing seed to $MVCC_SEED_FILE so
@@ -180,7 +179,6 @@ func runOneMVCCSchedule(t *testing.T, seed int64) {
 		}
 	}()
 
-	strategies := []probe.Strategy{probe.MergeDecomposed, probe.MergeLazy, probe.SkipBigMin}
 	const readers = 3
 	obsCh := make(chan []mvccObs, readers)
 	for g := 0; g < readers; g++ {
@@ -199,11 +197,7 @@ func runOneMVCCSchedule(t *testing.T, seed int64) {
 					}
 				}
 				snap := db.Index().Snapshot()
-				o := mvccObs{
-					seq:      snap.Seq(),
-					strategy: strategies[rrng.Intn(len(strategies))],
-					count:    snap.Len(),
-				}
+				o := mvccObs{seq: snap.Seq(), count: snap.Len()}
 				x1, x2 := uint32(rrng.Intn(256)), uint32(rrng.Intn(256))
 				y1, y2 := uint32(rrng.Intn(256)), uint32(rrng.Intn(256))
 				if x1 > x2 {
@@ -213,7 +207,7 @@ func runOneMVCCSchedule(t *testing.T, seed int64) {
 					y1, y2 = y2, y1
 				}
 				o.lo, o.hi = [2]uint32{x1, y1}, [2]uint32{x2, y2}
-				pts, _, err := snap.RangeSearch(probe.Box2(x1, x2, y1, y2), o.strategy)
+				pts, _, err := snap.RangeSearchCtx(nil, probe.Box2(x1, x2, y1, y2), nil)
 				snap.Release()
 				if err != nil {
 					t.Errorf("reader %d: range search at seq %d: %v", g, o.seq, err)
@@ -249,8 +243,8 @@ func runOneMVCCSchedule(t *testing.T, seed int64) {
 				}
 			}
 			if len(o.ids) != len(oracle) {
-				t.Fatalf("seq %d strategy %v box [%d,%d]x[%d,%d]: read %d points, serial oracle says %d",
-					o.seq, o.strategy, o.lo[0], o.hi[0], o.lo[1], o.hi[1], len(o.ids), len(oracle))
+				t.Fatalf("seq %d box [%d,%d]x[%d,%d]: read %d points, serial oracle says %d",
+					o.seq, o.lo[0], o.hi[0], o.lo[1], o.hi[1], len(o.ids), len(oracle))
 			}
 			for _, id := range o.ids {
 				if !oracle[id] {
@@ -268,7 +262,7 @@ func runOneMVCCSchedule(t *testing.T, seed int64) {
 	// state, however many versions committed meanwhile.
 	initial := hist[longSeq]
 	got := dbModel{}
-	if _, err := longSnap.RangeSearchFunc(probe.Box2(0, 255, 0, 255), probe.MergeLazy,
+	if _, err := longSnap.RangeSearchFuncCtx(nil, probe.Box2(0, 255, 0, 255), nil,
 		func(p probe.Point) bool {
 			got[p.ID] = [2]uint32{p.Coords[0], p.Coords[1]}
 			return true

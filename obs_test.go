@@ -33,49 +33,32 @@ func obsTestDB(t *testing.T) *probe.DB {
 }
 
 // TestTracedRangeSearchMatchesLegacy asserts the invariant the trace
-// layer promises: the span counters — counted independently inside
-// the B+-tree and decomposition cursors — equal the legacy
-// SearchStats counters computed in the core merge loops.
+// layer promises through the façade: the operation span's counters
+// equal the QueryStats the same call returns. (internal/core checks
+// the same agreement for every strategy of the ablation.)
 func TestTracedRangeSearchMatchesLegacy(t *testing.T) {
 	db := obsTestDB(t)
-	box := probe.Box2(40, 170, 30, 140)
-	for _, strat := range []probe.Strategy{probe.MergeDecomposed, probe.MergeLazy, probe.SkipBigMin} {
-		tr := probe.NewTrace("q")
-		pts, stats, err := db.RangeSearch(box, probe.WithStrategy(strat), probe.WithTrace(tr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		kids := tr.Children()
-		if len(kids) != 1 || kids[0].Name() != "range-search" {
-			t.Fatalf("%v: trace children = %v", strat, kids)
-		}
-		sp := kids[0]
-		if got := sp.Get(probe.CounterResults); int(got) != stats.Results || stats.Results != len(pts) {
-			t.Errorf("%v: span results %d, stats %d, points %d", strat, got, stats.Results, len(pts))
-		}
-		if got := sp.Get(probe.CounterDataPages); int(got) != stats.DataPages {
-			t.Errorf("%v: span data-pages %d, stats %d", strat, got, stats.DataPages)
-		}
-		// Seeks are counted inside the B+-tree cursor at each SeekGE;
-		// the legacy counter increments at the core call sites. They
-		// must agree exactly.
-		if got := sp.Get(probe.CounterSeeks); int(got) != stats.Seeks {
-			t.Errorf("%v: span seeks %d, stats %d", strat, got, stats.Seeks)
-		}
-		// Elements: strategies A and B count generated elements (B via
-		// the decompose cursor, independently of the legacy counter);
-		// strategy C counts BigMin computations instead.
-		elems := sp.Get(probe.CounterElements) + sp.Get(probe.CounterBigMinSkips)
-		if int(elems) != stats.Elements {
-			t.Errorf("%v: span elements+skips %d, stats elements %d", strat, elems, stats.Elements)
-		}
-		if strat == probe.SkipBigMin && sp.Get(probe.CounterElements) != 0 {
-			t.Errorf("skip-bigmin generated elements: %d", sp.Get(probe.CounterElements))
-		}
-		if sp.Get(probe.CounterLeafScans) < sp.Get(probe.CounterSeeks) {
-			t.Errorf("%v: fewer leaf scans (%d) than seeks (%d)", strat,
-				sp.Get(probe.CounterLeafScans), sp.Get(probe.CounterSeeks))
-		}
+	tr := probe.NewTrace("q")
+	pts, stats, err := db.RangeSearch(probe.Box2(40, 170, 30, 140), probe.WithTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kids := tr.Children()
+	if len(kids) != 1 || kids[0].Name() != "range-search" {
+		t.Fatalf("trace children = %v", kids)
+	}
+	sp := kids[0]
+	if got := sp.Get(probe.CounterResults); int(got) != stats.Results || stats.Results != len(pts) {
+		t.Errorf("span results %d, stats %d, points %d", got, stats.Results, len(pts))
+	}
+	if got := sp.Get(probe.CounterDataPages); int(got) != stats.DataPages {
+		t.Errorf("span data-pages %d, stats %d", got, stats.DataPages)
+	}
+	if got := sp.Get(probe.CounterSeeks); int(got) != stats.Seeks {
+		t.Errorf("span seeks %d, stats %d", got, stats.Seeks)
+	}
+	if got := sp.Get(probe.CounterElements); int(got) != stats.Elements {
+		t.Errorf("span elements %d, stats %d", got, stats.Elements)
 	}
 }
 
@@ -284,7 +267,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 	if err := db.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.ExplainAnalyze(probe.Box2(32, 96, 32, 96), probe.WithStrategy(probe.SkipBigMin))
+	res, err := db.ExplainAnalyze(probe.Box2(32, 96, 32, 96))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,9 +75,8 @@ func WithFS(fsys disk.FS) Option {
 
 // queryConfig is the resolved configuration of one range search.
 type queryConfig struct {
-	strategy Strategy
-	trace    *Trace
-	ctx      context.Context
+	trace *Trace
+	ctx   context.Context
 }
 
 // QueryOption configures DB.RangeSearch and the other point-query
@@ -89,11 +88,6 @@ type QueryOption interface {
 type queryOptionFunc func(*queryConfig)
 
 func (f queryOptionFunc) applyQuery(c *queryConfig) { f(c) }
-
-// WithStrategy selects the range-search variant [MergeLazy].
-func WithStrategy(s Strategy) QueryOption {
-	return queryOptionFunc(func(c *queryConfig) { c.strategy = s })
-}
 
 // joinConfig is the resolved configuration of one spatial join.
 type joinConfig struct {

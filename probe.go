@@ -73,8 +73,6 @@ type (
 	Raster = geom.Raster
 	// DecomposeOptions tunes decomposition resolution.
 	DecomposeOptions = decompose.Options
-	// Strategy selects a range-search variant.
-	Strategy = core.Strategy
 	// Item is one element of a decomposed object relation.
 	Item = core.Item
 	// Pair is a pair of overlapping object ids from a spatial join.
@@ -83,17 +81,6 @@ type (
 	Component = conncomp.Component
 	// Part is a CAD part for interference detection.
 	Part = interfere.Part
-)
-
-// Range-search strategies (Section 3.3's successive optimizations).
-const (
-	// MergeDecomposed materializes the query's element sequence and
-	// merges it against the point sequence.
-	MergeDecomposed = core.MergeDecomposed
-	// MergeLazy generates query elements on demand during the merge.
-	MergeLazy = core.MergeLazy
-	// SkipBigMin skips directly to the next in-box z value.
-	SkipBigMin = core.SkipBigMin
 )
 
 // NewGrid returns a grid with k dimensions and d bits per dimension
@@ -469,10 +456,11 @@ func (db *DB) DeleteBox(box Box) (int, error) {
 	return n, nil
 }
 
-// RangeSearch returns all points inside the box. The default
-// strategy is MergeLazy; WithStrategy selects another, and WithTrace
-// attributes the query's work — operator counters, buffer-pool
-// activity, physical I/O — to an execution trace.
+// RangeSearch returns all points inside the box, found by the lazy
+// merge of Section 3.3: the box's elements are generated on demand
+// against the z-ordered point sequence. WithTrace attributes the
+// query's work — operator counters, buffer-pool activity, physical
+// I/O — to an execution trace.
 //
 // An untraced RangeSearch runs on a pinned snapshot of the newest
 // committed index version: it observes one consistent state end to
@@ -480,7 +468,7 @@ func (db *DB) DeleteBox(box Box) (int, error) {
 // traced RangeSearch serializes on the database mutex so its
 // page-access counts stay exactly attributable.
 func (db *DB) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, error) {
-	qc := queryConfig{strategy: MergeLazy}
+	var qc queryConfig
 	for _, o := range opts {
 		o.applyQuery(&qc)
 	}
@@ -502,7 +490,7 @@ func (db *DB) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, er
 	}
 	sp := db.beginOp("range-search", qc.trace)
 	defer db.endOp("range-search", sp)
-	pts, ss, err := db.index.RangeSearchCtx(qc.ctx, box, qc.strategy, sp)
+	pts, ss, err := db.index.RangeSearchCtx(qc.ctx, box, sp)
 	qs := searchQueryStats(ss)
 	qs.addSpanIO(sp)
 	return pts, qs, err
@@ -522,7 +510,7 @@ func (db *DB) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, er
 // delays Close). Traced (WithTrace), fn runs with the database mutex
 // held and a slow fn delays every writer and other traced operation.
 func (db *DB) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption) (QueryStats, error) {
-	qc := queryConfig{strategy: MergeLazy}
+	var qc queryConfig
 	for _, o := range opts {
 		o.applyQuery(&qc)
 	}
@@ -536,7 +524,7 @@ func (db *DB) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption)
 		}
 		defer release()
 		defer db.metrics.AddSpan("range-search", nil)
-		ss, err := snap.RangeSearchFuncCtx(qc.ctx, box, qc.strategy, nil, fn)
+		ss, err := snap.RangeSearchFuncCtx(qc.ctx, box, nil, fn)
 		return searchQueryStats(ss), err
 	}
 	db.mu.Lock()
@@ -546,7 +534,7 @@ func (db *DB) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption)
 	}
 	sp := db.beginOp("range-search", qc.trace)
 	defer db.endOp("range-search", sp)
-	ss, err := db.index.RangeSearchFuncCtx(qc.ctx, box, qc.strategy, sp, fn)
+	ss, err := db.index.RangeSearchFuncCtx(qc.ctx, box, sp, fn)
 	qs := searchQueryStats(ss)
 	qs.addSpanIO(sp)
 	return qs, err
@@ -557,7 +545,7 @@ func (db *DB) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption)
 // RangeSearch and follows the same concurrency contract: untraced, it
 // runs on a pinned snapshot without blocking behind writers.
 func (db *DB) PartialMatch(restricted []bool, value []uint32, opts ...QueryOption) ([]Point, QueryStats, error) {
-	qc := queryConfig{strategy: MergeLazy}
+	var qc queryConfig
 	for _, o := range opts {
 		o.applyQuery(&qc)
 	}
@@ -568,7 +556,7 @@ func (db *DB) PartialMatch(restricted []bool, value []uint32, opts ...QueryOptio
 		}
 		defer release()
 		defer db.metrics.AddSpan("partial-match", nil)
-		pts, ss, err := snap.PartialMatchCtx(qc.ctx, restricted, value, qc.strategy, nil)
+		pts, ss, err := snap.PartialMatchCtx(qc.ctx, restricted, value, nil)
 		return pts, searchQueryStats(ss), err
 	}
 	db.mu.Lock()
@@ -578,7 +566,7 @@ func (db *DB) PartialMatch(restricted []bool, value []uint32, opts ...QueryOptio
 	}
 	sp := db.beginOp("partial-match", qc.trace)
 	defer db.endOp("partial-match", sp)
-	pts, ss, err := db.index.PartialMatchCtx(qc.ctx, restricted, value, qc.strategy, sp)
+	pts, ss, err := db.index.PartialMatchCtx(qc.ctx, restricted, value, sp)
 	qs := searchQueryStats(ss)
 	qs.addSpanIO(sp)
 	return pts, qs, err
@@ -608,7 +596,7 @@ func (db *DB) Scan(fn func(Point) bool) error {
 	}
 	defer release()
 	box := geom.FullBox(db.grid)
-	_, err = snap.RangeSearchFunc(box, MergeLazy, fn)
+	_, err = snap.RangeSearchFuncCtx(nil, box, nil, fn)
 	return err
 }
 
@@ -681,7 +669,7 @@ const (
 // untraced, every expansion round runs on one pinned snapshot, so the
 // certified radius is sound even against concurrent inserts.
 func (db *DB) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]Neighbor, QueryStats, error) {
-	qc := queryConfig{strategy: MergeLazy}
+	var qc queryConfig
 	for _, o := range opts {
 		o.applyQuery(&qc)
 	}
@@ -703,7 +691,7 @@ func (db *DB) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]
 	}
 	sp := db.beginOp("nearest", qc.trace)
 	defer db.endOp("nearest", sp)
-	nbs, ss, err := db.index.NearestCtx(qc.ctx, q, m, metric, qc.strategy)
+	nbs, ss, err := db.index.NearestCtx(qc.ctx, q, m, metric)
 	qs := searchQueryStats(ss)
 	qs.addSpanIO(sp)
 	return nbs, qs, err

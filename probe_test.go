@@ -58,22 +58,20 @@ func TestEndToEndRangeSearch(t *testing.T) {
 			want[p.ID] = true
 		}
 	}
-	for _, s := range []probe.Strategy{probe.MergeDecomposed, probe.MergeLazy, probe.SkipBigMin} {
-		got, stats, err := db.RangeSearch(box, probe.WithStrategy(s))
-		if err != nil {
-			t.Fatal(err)
+	got, stats, err := db.RangeSearch(box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d results, want %d", len(got), len(want))
+	}
+	for _, p := range got {
+		if !want[p.ID] {
+			t.Fatalf("unexpected point %v", p)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: %d results, want %d", s, len(got), len(want))
-		}
-		for _, p := range got {
-			if !want[p.ID] {
-				t.Fatalf("%v: unexpected point %v", s, p)
-			}
-		}
-		if stats.DataPages == 0 || stats.Results != len(got) {
-			t.Fatalf("%v: stats wrong: %+v", s, stats)
-		}
+	}
+	if stats.DataPages == 0 || stats.Results != len(got) {
+		t.Fatalf("stats wrong: %+v", stats)
 	}
 }
 

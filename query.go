@@ -247,13 +247,13 @@ func (e *dbEngine) Grid() zorder.Grid     { return e.grid }
 func (e *dbEngine) Table() *planner.Table { return e.table }
 
 func (e *dbEngine) RangeFunc(ctx context.Context, box geom.Box, fn func(geom.Point) bool) error {
-	ss, err := e.snap.RangeSearchFuncCtx(ctx, box, core.MergeLazy, nil, fn)
+	ss, err := e.snap.RangeSearchFuncCtx(ctx, box, nil, fn)
 	e.stats.addSearch(ss)
 	return err
 }
 
 func (e *dbEngine) Nearest(ctx context.Context, q []uint32, k int) ([]core.Neighbor, error) {
-	nbs, ss, err := e.snap.NearestCtx(ctx, q, k, core.Euclidean, core.MergeLazy)
+	nbs, ss, err := e.snap.NearestCtx(ctx, q, k, core.Euclidean)
 	e.stats.addSearch(ss)
 	return nbs, err
 }

@@ -26,8 +26,6 @@ type CounterID = obs.Counter
 const (
 	// CounterElements counts decomposition elements generated.
 	CounterElements = obs.Elements
-	// CounterBigMinSkips counts BigMin computations (strategy C).
-	CounterBigMinSkips = obs.BigMinSkips
 	// CounterSeeks counts random accesses into the point sequence.
 	CounterSeeks = obs.Seeks
 	// CounterDataPages counts distinct leaf pages touched.

@@ -353,10 +353,10 @@ func (tx *Tx) DeleteBox(box Box, opts ...QueryOption) (int, error) {
 // RangeSearch returns all points inside the box as seen by the
 // transaction: the pinned snapshot's answer with buffered deletions
 // removed and buffered insertions merged in, in z order. It accepts
-// WithStrategy and WithContext; WithTrace is ignored (snapshot reads
-// carry no physical attribution).
+// WithContext; WithTrace is ignored (snapshot reads carry no physical
+// attribution).
 func (tx *Tx) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, error) {
-	qc := queryConfig{strategy: MergeLazy}
+	var qc queryConfig
 	for _, o := range opts {
 		o.applyQuery(&qc)
 	}
@@ -366,7 +366,7 @@ func (tx *Tx) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, er
 		return nil, QueryStats{}, err
 	}
 	defer release()
-	pts, ss, err := tx.snap.RangeSearchCtx(ctx, box, qc.strategy, nil)
+	pts, ss, err := tx.snap.RangeSearchCtx(ctx, box, nil)
 	if err != nil {
 		return nil, searchQueryStats(ss), err
 	}
@@ -457,7 +457,7 @@ func (tx *Tx) overlayRange(pts []Point, box Box) []Point {
 // buffered deletion, then buffered insertions are ranked in. Options
 // as in RangeSearch.
 func (tx *Tx) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]Neighbor, QueryStats, error) {
-	qc := queryConfig{strategy: MergeLazy}
+	var qc queryConfig
 	for _, o := range opts {
 		o.applyQuery(&qc)
 	}
@@ -474,7 +474,7 @@ func (tx *Tx) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]
 			deletes++
 		}
 	}
-	nbs, ss, err := tx.snap.NearestCtx(ctx, q, m+deletes, metric, qc.strategy)
+	nbs, ss, err := tx.snap.NearestCtx(ctx, q, m+deletes, metric)
 	if err != nil {
 		return nil, searchQueryStats(ss), err
 	}
