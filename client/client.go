@@ -20,6 +20,12 @@
 // ErrTxConflict), so a caller can distinguish backpressure from
 // cancellation from drain from a lost commit race without parsing
 // messages.
+//
+// Ownership. Every point, neighbour, pair and row a call returns or
+// hands to a callback belongs to the caller: it stays valid, and may be
+// kept or modified, after the callback has returned and after any
+// number of further requests. The Conn reuses only its private frame
+// buffers, which nothing it hands out points into.
 package client
 
 import (
@@ -27,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -143,11 +150,9 @@ func (e *ServerError) Is(target error) bool {
 }
 
 // BoxItem is one object of a join relation: an id plus its bounding
-// box. The server decomposes it into z-elements.
-type BoxItem struct {
-	ID     uint64
-	Lo, Hi []uint32
-}
+// box (ID, Lo, Hi), shipped as it is. The server decomposes it into
+// z-elements.
+type BoxItem = wire.JoinItem
 
 // Conn is one connection to a probed server. Safe for concurrent use;
 // requests serialize on the connection.
@@ -160,6 +165,13 @@ type Conn struct {
 	nextID uint32
 	bits   []uint32
 	broken error // sticky transport failure
+
+	// The connection's frame buffers, reused by every request (guarded
+	// by mu): the request frame is encoded into wbuf and written with
+	// one Write, every response frame is read into rbuf and decoded out
+	// of it before the next read, and done is the decoded DONE.
+	wbuf, rbuf []byte
+	done       wire.Done
 
 	// tx is the connection's open transaction, nil outside
 	// BEGIN…COMMIT/ROLLBACK (guarded by mu). The server enforces the
@@ -214,12 +226,11 @@ func NewConn(conn net.Conn) (*Conn, error) {
 }
 
 func (c *Conn) handshake() error {
-	if err := c.writeFrame(wire.MsgHello, wire.Hello{
-		Major: wire.VersionMajor, Minor: wire.VersionMinor,
-	}.Encode()); err != nil {
+	hello := wire.Hello{Major: wire.VersionMajor, Minor: wire.VersionMinor}
+	if err := wire.WriteFrame(c.conn, wire.MsgHello, hello.Encode()); err != nil {
 		return err
 	}
-	typ, payload, err := wire.ReadFrame(c.br)
+	typ, payload, err := wire.ReadFrameInto(c.br, &c.rbuf)
 	if err != nil {
 		return err
 	}
@@ -354,13 +365,25 @@ func (c *Conn) poison(err error) error {
 	return c.broken
 }
 
-func (c *Conn) writeFrame(typ uint8, payload []byte) error {
+// write puts whole frames on the connection with one Write.
+func (c *Conn) write(frames []byte) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	return wire.WriteFrame(c.conn, typ, payload)
+	_, err := c.conn.Write(frames)
+	return err
 }
 
-// timeoutMS derives the wire timeout from the context's deadline.
+// cancel asks the server to stop request id. It runs beside the
+// request (a context's AfterFunc) as well as inside it, so it builds
+// its frame apart from the connection's buffers.
+func (c *Conn) cancel(id uint32) {
+	frame, _ := wire.AppendFrame(nil, wire.MsgCancel, wire.Cancel{ID: id})
+	c.write(frame) // advisory: a failed write shows on the request's own path
+}
+
+// timeoutMS derives the wire timeout from the context's deadline: at
+// least 1 once there is a deadline (0 means none on the wire), at most
+// what the u32 holds.
 func timeoutMS(ctx context.Context) uint32 {
 	if ctx == nil {
 		return 0
@@ -369,12 +392,12 @@ func timeoutMS(ctx context.Context) uint32 {
 	if !ok {
 		return 0
 	}
-	ms := time.Until(dl).Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	return uint32(ms)
+	return uint32(min(max(time.Until(dl).Milliseconds(), 1), math.MaxUint32))
 }
+
+// errStop is what a batch or rows handler returns when the caller's
+// callback wants no more.
+var errStop = errors.New("stop")
 
 // handlers routes a request's response frames; any field may be nil.
 // batch and rows returning an error ask for the stream to stop: the
@@ -388,13 +411,12 @@ type handlers struct {
 	rows   func(wire.RowsMsg) error
 }
 
-// do runs one request round trip: write the request frame, stream
-// response frames to the handlers until Done or Error, relaying a
-// context cancellation as a CANCEL frame. While tracing, a TEXT frame
-// with no consumer is the server's span tree and lands in lastTrace,
-// and a Done timing array lands in lastTiming.
-func (c *Conn) do(ctx context.Context, typ uint8, payload []byte, id uint32, h handlers) (probe.QueryStats, error) {
-
+// do runs one request round trip: encode the request into the
+// connection's buffer and write it, stream response frames to the
+// handlers until Done or Error, relaying a context cancellation as a
+// CANCEL frame. While tracing, the TRACE frame's span tree lands in
+// lastSpan and a Done timing array lands in lastTiming.
+func do[M wire.Message](c *Conn, ctx context.Context, typ uint8, req M, id uint32, h handlers) (probe.QueryStats, error) {
 	if c.broken != nil {
 		return probe.QueryStats{}, c.broken
 	}
@@ -405,26 +427,26 @@ func (c *Conn) do(ctx context.Context, typ uint8, payload []byte, id uint32, h h
 			return probe.QueryStats{}, err
 		}
 	}
-	if err := c.writeFrame(typ, payload); err != nil {
+	var err error
+	if c.wbuf, err = wire.AppendFrame(c.wbuf[:0], typ, req); err != nil {
+		return probe.QueryStats{}, err // nothing was written: the connection is intact
+	}
+	if err := c.write(c.wbuf); err != nil {
 		return probe.QueryStats{}, c.poison(err)
 	}
-
-	// Relay a context cancellation as a CANCEL frame. The watcher
-	// must not outlive the request: stop is closed before do returns.
-	stop := make(chan struct{})
-	defer close(stop)
 	if ctx != nil && ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				c.writeFrame(wire.MsgCancel, wire.Cancel{ID: id}.Encode())
-			case <-stop:
-			}
-		}()
+		// A late CANCEL, for a request already answered, is a no-op at
+		// the server, so nothing waits for a callback that has started.
+		stop := context.AfterFunc(ctx, func() { c.cancel(id) })
+		defer stop()
 	}
+	return c.answer(id, h)
+}
 
+// answer reads one request's response frames to its terminal one.
+func (c *Conn) answer(id uint32, h handlers) (probe.QueryStats, error) {
 	for {
-		ftyp, fp, err := wire.ReadFrame(c.br)
+		ftyp, fp, err := wire.ReadFrameInto(c.br, &c.rbuf)
 		if err != nil {
 			return probe.QueryStats{}, c.poison(err)
 		}
@@ -441,7 +463,7 @@ func (c *Conn) do(ctx context.Context, typ uint8, payload []byte, id uint32, h h
 				// The consumer wants out: cancel server-side and keep
 				// reading to the request's terminal frame so the
 				// connection stays usable.
-				c.writeFrame(wire.MsgCancel, wire.Cancel{ID: id}.Encode())
+				c.cancel(id)
 				h.batch = nil
 			}
 		case wire.MsgText:
@@ -493,12 +515,12 @@ func (c *Conn) do(ctx context.Context, typ uint8, payload []byte, id uint32, h h
 				continue
 			}
 			if err := h.rows(rm); err != nil {
-				c.writeFrame(wire.MsgCancel, wire.Cancel{ID: id}.Encode())
+				c.cancel(id)
 				h.rows = nil
 			}
 		case wire.MsgDone:
-			dn, err := wire.DecodeDone(fp)
-			if err != nil {
+			dn := &c.done
+			if err := dn.Decode(fp); err != nil {
 				return probe.QueryStats{}, c.poison(err)
 			}
 			if dn.ID != id {
@@ -531,7 +553,7 @@ func (c *Conn) do(ctx context.Context, typ uint8, payload []byte, id uint32, h h
 }
 
 // statsOf unpacks the Done stats array into QueryStats.
-func statsOf(d wire.Done) probe.QueryStats {
+func statsOf(d *wire.Done) probe.QueryStats {
 	return probe.QueryStats{
 		DataPages:       int(d.Stat(wire.StatDataPages)),
 		Seeks:           int(d.Stat(wire.StatSeeks)),
@@ -571,16 +593,26 @@ func (c *Conn) RangeFunc(ctx context.Context, lo, hi []uint32, fn func(probe.Poi
 }
 
 func (c *Conn) rangeFuncLocked(ctx context.Context, lo, hi []uint32, fn func(probe.Point) bool) (probe.QueryStats, error) {
+	return c.rangeBatches(ctx, lo, hi, func(pts []probe.Point) bool {
+		for _, p := range pts {
+			if !fn(p) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// rangeBatches streams the box's points to fn a batch at a time, each
+// batch a slice of its own that fn may keep.
+func (c *Conn) rangeBatches(ctx context.Context, lo, hi []uint32, fn func([]probe.Point) bool) (probe.QueryStats, error) {
 	id := c.begin()
 	req := wire.RangeReq{Header: c.header(id, ctx), Lo: lo, Hi: hi}
 	stopped := false
-	errStop := errors.New("stop")
-	qs, err := c.do(ctx, wire.MsgRange, req.Encode(), id, handlers{batch: func(b wire.Batch) error {
-		for _, p := range b.Points {
-			if !fn(probe.Point{ID: p.ID, Coords: p.Coords}) {
-				stopped = true
-				return errStop
-			}
+	qs, err := do(c, ctx, wire.MsgRange, req, id, handlers{batch: func(b wire.Batch) error {
+		if !fn(b.Points) {
+			stopped = true
+			return errStop
 		}
 		return nil
 	}})
@@ -592,9 +624,15 @@ func (c *Conn) rangeFuncLocked(ctx context.Context, lo, hi []uint32, fn func(pro
 
 // Range returns every point in the box.
 func (c *Conn) Range(ctx context.Context, lo, hi []uint32) ([]probe.Point, probe.QueryStats, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.rangeLocked(ctx, lo, hi)
+}
+
+func (c *Conn) rangeLocked(ctx context.Context, lo, hi []uint32) ([]probe.Point, probe.QueryStats, error) {
 	var pts []probe.Point
-	qs, err := c.RangeFunc(ctx, lo, hi, func(p probe.Point) bool {
-		pts = append(pts, p)
+	qs, err := c.rangeBatches(ctx, lo, hi, func(b []probe.Point) bool {
+		pts = append(pts, b...)
 		return true
 	})
 	if err != nil {
@@ -617,12 +655,9 @@ func (c *Conn) nearestLocked(ctx context.Context, q []uint32, m int, metric prob
 		Metric: uint8(metric), M: uint32(m), Q: q,
 	}
 	var nbs []probe.Neighbor
-	qs, err := c.do(ctx, wire.MsgNearest, req.Encode(), id, handlers{batch: func(b wire.Batch) error {
+	qs, err := do(c, ctx, wire.MsgNearest, req, id, handlers{batch: func(b wire.Batch) error {
 		for _, n := range b.Neighbors {
-			nbs = append(nbs, probe.Neighbor{
-				Point: probe.Point{ID: n.ID, Coords: n.Coords},
-				Dist:  n.Dist,
-			})
+			nbs = append(nbs, probe.Neighbor{Point: n.Point, Dist: n.Dist})
 		}
 		return nil
 	}})
@@ -639,21 +674,13 @@ func (c *Conn) Join(ctx context.Context, a, b []BoxItem, workers int) ([]probe.P
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id := c.begin()
-	dims := uint32(len(c.bits))
-	conv := func(items []BoxItem) []wire.JoinItem {
-		out := make([]wire.JoinItem, len(items))
-		for i, it := range items {
-			out[i] = wire.JoinItem{ID: it.ID, Lo: it.Lo, Hi: it.Hi}
-		}
-		return out
-	}
 	req := wire.JoinReq{
 		Header:  c.header(id, ctx),
-		Workers: uint32(workers), Dims: dims,
-		A: conv(a), B: conv(b),
+		Workers: uint32(workers), Dims: uint32(len(c.bits)),
+		A: a, B: b,
 	}
 	var pairs []probe.Pair
-	qs, err := c.do(ctx, wire.MsgJoin, req.Encode(), id, handlers{batch: func(bt wire.Batch) error {
+	qs, err := do(c, ctx, wire.MsgJoin, req, id, handlers{batch: func(bt wire.Batch) error {
 		for _, p := range bt.Pairs {
 			pairs = append(pairs, probe.Pair{A: p[0], B: p[1]})
 		}
@@ -671,20 +698,7 @@ func (c *Conn) Join(ctx context.Context, a, b []BoxItem, workers int) ([]probe.P
 func (c *Conn) Insert(ctx context.Context, pts []probe.Point) (probe.QueryStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.insertLocked(ctx, pts)
-}
-
-func (c *Conn) insertLocked(ctx context.Context, pts []probe.Point) (probe.QueryStats, error) {
-	id := c.begin()
-	wpts := make([]wire.Point, len(pts))
-	for i, p := range pts {
-		wpts[i] = wire.Point{ID: p.ID, Coords: p.Coords}
-	}
-	req := wire.InsertReq{
-		Header: c.header(id, ctx),
-		Dims:   uint32(len(c.bits)), Points: wpts,
-	}
-	return c.do(ctx, wire.MsgInsert, req.Encode(), id, handlers{})
+	return c.writeLocked(ctx, wire.MsgInsert, pts)
 }
 
 // Delete ships a batch of points for deletion (protocol 1.2). Points
@@ -693,20 +707,14 @@ func (c *Conn) insertLocked(ctx context.Context, pts []probe.Point) (probe.Query
 func (c *Conn) Delete(ctx context.Context, pts []probe.Point) (probe.QueryStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.deleteLocked(ctx, pts)
+	return c.writeLocked(ctx, wire.MsgDelete, pts)
 }
 
-func (c *Conn) deleteLocked(ctx context.Context, pts []probe.Point) (probe.QueryStats, error) {
+// writeLocked is INSERT or DELETE: one request shape under two opcodes.
+func (c *Conn) writeLocked(ctx context.Context, typ uint8, pts []probe.Point) (probe.QueryStats, error) {
 	id := c.begin()
-	wpts := make([]wire.Point, len(pts))
-	for i, p := range pts {
-		wpts[i] = wire.Point{ID: p.ID, Coords: p.Coords}
-	}
-	req := wire.DeleteReq{
-		Header: c.header(id, ctx),
-		Dims:   uint32(len(c.bits)), Points: wpts,
-	}
-	return c.do(ctx, wire.MsgDelete, req.Encode(), id, handlers{})
+	req := wire.InsertReq{Header: c.header(id, ctx), Dims: uint32(len(c.bits)), Points: pts}
+	return do(c, ctx, typ, req, id, handlers{})
 }
 
 // Checkpoint forces a durability checkpoint on the server.
@@ -715,7 +723,7 @@ func (c *Conn) Checkpoint(ctx context.Context) (probe.QueryStats, error) {
 	defer c.mu.Unlock()
 	id := c.begin()
 	req := wire.SimpleReq{Header: c.header(id, ctx)}
-	return c.do(ctx, wire.MsgCheckpoint, req.Encode(), id, handlers{})
+	return do(c, ctx, wire.MsgCheckpoint, req, id, handlers{})
 }
 
 // Explain returns the plan the server's optimizer picks for a range
@@ -726,7 +734,7 @@ func (c *Conn) Explain(ctx context.Context, lo, hi []uint32) (string, error) {
 	id := c.begin()
 	req := wire.RangeReq{Header: c.header(id, ctx), Lo: lo, Hi: hi}
 	var text string
-	_, err := c.do(ctx, wire.MsgExplain, req.Encode(), id, handlers{text: func(s string) { text = s }})
+	_, err := do(c, ctx, wire.MsgExplain, req, id, handlers{text: func(s string) { text = s }})
 	return text, err
 }
 
@@ -787,8 +795,7 @@ func (c *Conn) queryFuncLocked(ctx context.Context, text string,
 		Text:   text,
 	}
 	stopped := false
-	errStop := errors.New("stop")
-	qs, err := c.do(ctx, wire.MsgQuery, req.Encode(), id, handlers{
+	qs, err := do(c, ctx, wire.MsgQuery, req, id, handlers{
 		text: onText,
 		schema: func(sm wire.SchemaMsg) {
 			if onSchema == nil {
@@ -804,11 +811,7 @@ func (c *Conn) queryFuncLocked(ctx context.Context, text string,
 			if onRow == nil {
 				return nil
 			}
-			for _, r := range rm.Rows {
-				row := make(probe.QueryRow, len(r))
-				for i, v := range r {
-					row[i] = probe.QueryValue(v)
-				}
+			for _, row := range rm.Rows {
 				if !onRow(row) {
 					stopped = true
 					return errStop
@@ -833,7 +836,7 @@ func (c *Conn) Stats(ctx context.Context) (map[string]int64, error) {
 	id := c.begin()
 	req := wire.SimpleReq{Header: c.header(id, ctx)}
 	out := make(map[string]int64)
-	_, err := c.do(ctx, wire.MsgStats, req.Encode(), id, handlers{
+	_, err := do(c, ctx, wire.MsgStats, req, id, handlers{
 		kv: func(kv wire.StatsKV) {
 			for _, e := range kv.KVs {
 				out[e.Name] = e.Value

@@ -37,7 +37,7 @@ func (c *Conn) Begin(ctx context.Context) (*Tx, error) {
 	}
 	id := c.begin()
 	req := wire.SimpleReq{Header: wire.Header{ID: id, TimeoutMS: timeoutMS(ctx), Flags: c.reqFlags()}}
-	if _, err := c.do(ctx, wire.MsgBegin, req.Encode(), id, handlers{}); err != nil {
+	if _, err := do(c, ctx, wire.MsgBegin, req, id, handlers{}); err != nil {
 		return nil, err
 	}
 	tx := &Tx{c: c}
@@ -65,7 +65,7 @@ func (tx *Tx) Insert(ctx context.Context, pts []probe.Point) (probe.QueryStats, 
 		return probe.QueryStats{}, err
 	}
 	defer release()
-	return tx.c.insertLocked(ctx, pts)
+	return tx.c.writeLocked(ctx, wire.MsgInsert, pts)
 }
 
 // Delete buffers deletions against the transaction's view. The
@@ -77,21 +77,18 @@ func (tx *Tx) Delete(ctx context.Context, pts []probe.Point) (probe.QueryStats, 
 		return probe.QueryStats{}, err
 	}
 	defer release()
-	return tx.c.deleteLocked(ctx, pts)
+	return tx.c.writeLocked(ctx, wire.MsgDelete, pts)
 }
 
 // Range returns every point in the box as the transaction sees it:
 // the pinned snapshot plus this transaction's buffered writes.
 func (tx *Tx) Range(ctx context.Context, lo, hi []uint32) ([]probe.Point, probe.QueryStats, error) {
-	var pts []probe.Point
-	qs, err := tx.RangeFunc(ctx, lo, hi, func(p probe.Point) bool {
-		pts = append(pts, p)
-		return true
-	})
+	release, err := tx.enter()
 	if err != nil {
-		return nil, qs, err
+		return nil, probe.QueryStats{}, err
 	}
-	return pts, qs, nil
+	defer release()
+	return tx.c.rangeLocked(ctx, lo, hi)
 }
 
 // RangeFunc streams the transaction's view of the box to fn in z
@@ -152,7 +149,7 @@ func (tx *Tx) Commit(ctx context.Context) (probe.QueryStats, error) {
 	tx.c.tx = nil
 	id := tx.c.begin()
 	req := wire.SimpleReq{Header: wire.Header{ID: id, TimeoutMS: timeoutMS(ctx), Flags: tx.c.reqFlags()}}
-	return tx.c.do(ctx, wire.MsgCommit, req.Encode(), id, handlers{})
+	return do(tx.c, ctx, wire.MsgCommit, req, id, handlers{})
 }
 
 // Rollback discards the transaction. It is a no-op on a transaction
@@ -168,6 +165,6 @@ func (tx *Tx) Rollback(ctx context.Context) error {
 	tx.c.tx = nil
 	id := tx.c.begin()
 	req := wire.SimpleReq{Header: wire.Header{ID: id, TimeoutMS: timeoutMS(ctx), Flags: tx.c.reqFlags()}}
-	_, err = tx.c.do(ctx, wire.MsgRollback, req.Encode(), id, handlers{})
+	_, err = do(tx.c, ctx, wire.MsgRollback, req, id, handlers{})
 	return err
 }

@@ -53,8 +53,9 @@ func (t Type) String() string {
 
 // Value is a single attribute value: uint64 for TID, int64 for TInt,
 // float64 for TFloat, string for TString, zorder.Element for
-// TElement.
-type Value interface{}
+// TElement. It is an alias so that a row of cells decoded off the wire
+// ([]wire.RowValue, the same alias) is a Tuple without a copy.
+type Value = interface{}
 
 // checkValue verifies a value against a type.
 func checkValue(v Value, t Type) error {

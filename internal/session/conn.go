@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -21,9 +22,21 @@ type conn struct {
 	srv *Server
 	nc  net.Conn
 
-	// writeMu serializes response frames: the executor goroutine
-	// streams batches while the session loop may emit protocol errors.
+	// writeMu serializes writes to nc, each a run of whole frames: the
+	// executor goroutine flushes its buffer while the session loop may
+	// emit protocol errors.
 	writeMu sync.Mutex
+
+	// out collects the in-flight request's response frames. It belongs
+	// to the executor goroutine (at most one runs per connection, and
+	// the loop starts the next only after the last has signalled done):
+	// handlers append frames, and rows inside an open BATCH or ROWS
+	// frame, as the engine produces them, and flush puts what has
+	// accumulated on the connection with one Write. The flush rule is
+	// fixed: after every full batch, and with the terminal frame, so a
+	// partial last batch, SCHEMA and TRACE ride with their DONE. The
+	// loop's own frames bypass it (sendError), so none ever waits here.
+	out []byte
 
 	frames chan frameMsg
 
@@ -117,17 +130,28 @@ func (c *conn) takeTx(aborted bool) Tx {
 	return tx
 }
 
-// send writes one response frame under the write mutex with the
-// configured write deadline.
-func (c *conn) send(typ uint8, payload []byte) error {
+// write puts whole frames on the connection: one deadline, one Write.
+func (c *conn) write(frames []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
-	return wire.WriteFrame(c.nc, typ, payload)
+	_, err := c.nc.Write(frames)
+	return err
+}
+
+// send writes one frame straight through: the handshake's, and the
+// session loop's errors, which must not wait behind a streaming
+// request's buffer.
+func send[M wire.Message](c *conn, typ uint8, m M) error {
+	frame, err := wire.AppendFrame(nil, typ, m)
+	if err != nil {
+		return err
+	}
+	return c.write(frame)
 }
 
 func (c *conn) sendError(id uint32, code uint8, msg string) {
-	c.send(wire.MsgError, wire.ErrorMsg{ID: id, Code: code, Msg: msg}.Encode())
+	send(c, wire.MsgError, wire.ErrorMsg{ID: id, Code: code, Msg: msg})
 }
 
 // peekID extracts the request id every request payload leads with, so
@@ -163,11 +187,14 @@ func (s *Server) ServeConn(nc net.Conn) {
 		s.metrics.AddSpan("session", c.root)
 	}()
 
-	// Reader goroutine: frames in, closed on any read error.
+	// Reader goroutine: frames in, closed on any read error. Each
+	// payload is its own allocation: the executor decodes one while the
+	// reader is already waiting on the next (a CANCEL).
 	go func() {
 		defer close(c.frames)
+		br := bufio.NewReader(nc)
 		for {
-			typ, payload, err := wire.ReadFrame(nc)
+			typ, payload, err := wire.ReadFrame(br)
 			if err != nil {
 				return
 			}
@@ -330,7 +357,7 @@ func (c *conn) handshake() bool {
 	for i := range bits {
 		bits[i] = uint32(g.BitsOf(i))
 	}
-	return c.send(wire.MsgWelcome, wire.Welcome{
+	return send(c, wire.MsgWelcome, wire.Welcome{
 		Major: wire.VersionMajor, Minor: wire.VersionMinor, Bits: bits,
-	}.Encode()) == nil
+	}) == nil
 }

@@ -51,21 +51,96 @@ func (c *conn) boxOf(what string, lo, hi []uint32) (probe.Box, error) {
 	return box, nil
 }
 
-// pointsOf validates a point batch's arity and grid bounds and
-// converts it.
-func (c *conn) pointsOf(dims uint32, pts []wire.Point) ([]probe.Point, error) {
+// checkPoints validates a point batch's arity and grid bounds.
+func (c *conn) checkPoints(dims uint32, pts []probe.Point) error {
 	g := c.srv.eng.Grid()
 	if int(dims) != g.Dims() {
-		return nil, fmt.Errorf("points have %d dimensions, database has %d", dims, g.Dims())
+		return fmt.Errorf("points have %d dimensions, database has %d", dims, g.Dims())
 	}
-	out := make([]probe.Point, len(pts))
-	for i, p := range pts {
+	for _, p := range pts {
 		if !g.Valid(p.Coords) {
-			return nil, fmt.Errorf("point %d %v is outside the grid", p.ID, p.Coords)
+			return fmt.Errorf("point %d %v is outside the grid", p.ID, p.Coords)
 		}
-		out[i] = probe.Point{ID: p.ID, Coords: p.Coords}
 	}
-	return out, nil
+	return nil
+}
+
+// stream writes one request's result records into the connection's
+// buffer as the engine produces them, in BATCH or ROWS frames of
+// BatchSize records: a handler appends each record behind buf() and
+// reports it with added, which closes and flushes a full frame, and
+// finish ends the request.
+type stream struct {
+	c     *conn
+	rq    *request
+	begin func([]byte) ([]byte, wire.Records) // opens a frame
+	start int                                 // where the open frame begins in c.out; -1 = none open
+	open  wire.Records
+	n     int   // records in the open frame
+	err   error // the answer cannot be encoded
+	gone  bool  // the connection failed a write; nothing more to say
+}
+
+func (c *conn) stream(rq *request, begin func([]byte) ([]byte, wire.Records)) *stream {
+	return &stream{c: c, rq: rq, begin: begin, start: -1}
+}
+
+// buf returns the buffer to append the next record to, opening a frame
+// for it if none is open.
+func (s *stream) buf() []byte {
+	if s.start < 0 {
+		s.start, s.n = len(s.c.out), 0
+		s.c.out, s.open = s.begin(s.c.out)
+	}
+	return s.c.out
+}
+
+// added counts the record just appended and reports whether the engine
+// should go on. An engine whose answer is already buffered may not look
+// at ctx again; a cancel still stops the stream within a batch.
+func (s *stream) added(ctx context.Context) bool {
+	if s.n++; s.n < s.c.srv.cfg.BatchSize {
+		return true
+	}
+	if s.closeFrame(); s.err == nil {
+		s.gone = s.c.flush(s.rq) != nil
+	}
+	return s.err == nil && !s.gone && ctx.Err() == nil
+}
+
+// closeFrame closes the open frame, if any; one too large for the
+// protocol is cut from the buffer and fails the stream.
+func (s *stream) closeFrame() {
+	if s.start >= 0 {
+		s.c.out, s.err = s.open.End(s.c.out, s.n)
+		s.start = -1
+	}
+}
+
+// finish ends the request after the engine call returned qs and err:
+// the partial last frame and DONE, or the typed error without it.
+func (s *stream) finish(ctx context.Context, qs probe.QueryStats, err error) {
+	if s.gone {
+		return
+	}
+	if err == nil {
+		err = s.err
+	}
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err == nil {
+		s.closeFrame()
+		err = s.err
+	}
+	if err != nil {
+		if s.start >= 0 {
+			s.c.out = s.c.out[:s.start]
+		}
+		s.c.failReq(ctx, s.rq, err)
+		return
+	}
+	s.c.sendDone(s.rq, qs)
 }
 
 func (c *conn) handleRange(ctx context.Context, rq *request, payload []byte) {
@@ -82,42 +157,19 @@ func (c *conn) handleRange(ctx context.Context, rq *request, payload []byte) {
 		c.failReq(ctx, rq, err)
 		return
 	}
-	dims := uint32(len(req.Lo))
-	batch := make([]wire.Point, 0, c.srv.cfg.BatchSize)
-	var writeErr error
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		writeErr = c.sendTimed(rq, wire.MsgBatch, wire.Batch{
-			ID: req.ID, Kind: wire.KindPoints, Dims: dims, Points: batch,
-		}.Encode())
-		batch = batch[:0]
-		return writeErr == nil
-	}
+	st := c.batches(rq, wire.KindPoints, len(req.Lo))
 	qs, err := eng.Range(ctx, box, func(p probe.Point) bool {
-		batch = append(batch, wire.Point{ID: p.ID, Coords: p.Coords})
-		if len(batch) == cap(batch) {
-			// An engine whose answer is already buffered may not look at
-			// ctx again; a cancel still stops the stream within a batch.
-			return flush() && ctx.Err() == nil
-		}
-		return true
+		c.out = wire.AppendPoint(st.buf(), p)
+		return st.added(ctx)
 	})
-	if writeErr != nil {
-		return // connection is gone; nothing more to say
-	}
-	if err == nil {
-		err = ctx.Err()
-	}
-	if err != nil {
-		c.failReq(ctx, rq, err)
-		return
-	}
-	if !flush() {
-		return
-	}
-	c.sendDone(rq, qs)
+	st.finish(ctx, qs, err)
+}
+
+// batches streams BATCH frames of one kind.
+func (c *conn) batches(rq *request, kind uint8, dims int) *stream {
+	return c.stream(rq, func(b []byte) ([]byte, wire.Records) {
+		return wire.BeginBatch(b, rq.id, kind, uint32(dims))
+	})
 }
 
 func (c *conn) handleNearest(ctx context.Context, rq *request, payload []byte) {
@@ -149,32 +201,14 @@ func (c *conn) handleNearest(ctx context.Context, rq *request, payload []byte) {
 		return
 	}
 	nbs, qs, err := eng.Nearest(ctx, req.Q, int(req.M), metric)
-	if err != nil {
-		c.failReq(ctx, rq, err)
-		return
-	}
-	out := make([]wire.Neighbor, len(nbs))
-	for i, n := range nbs {
-		out[i] = wire.Neighbor{Point: wire.Point{ID: n.Point.ID, Coords: n.Point.Coords}, Dist: n.Dist}
-	}
-	dims := uint32(len(req.Q))
-	if c.sendBatches(rq, len(out), func(lo, hi int) wire.Batch {
-		return wire.Batch{ID: req.ID, Kind: wire.KindNeighbors, Dims: dims, Neighbors: out[lo:hi]}
-	}) {
-		c.sendDone(rq, qs)
-	}
-}
-
-// sendBatches streams a materialized answer of n results, BatchSize
-// per BATCH frame; false means the connection is gone.
-func (c *conn) sendBatches(rq *request, n int, batch func(lo, hi int) wire.Batch) bool {
-	for lo := 0; lo < n; lo += c.srv.cfg.BatchSize {
-		hi := min(lo+c.srv.cfg.BatchSize, n)
-		if c.sendTimed(rq, wire.MsgBatch, batch(lo, hi).Encode()) != nil {
-			return false
+	st := c.batches(rq, wire.KindNeighbors, len(req.Q))
+	for _, n := range nbs {
+		c.out = wire.AppendNeighbor(st.buf(), n.Point, n.Dist)
+		if !st.added(ctx) {
+			break
 		}
 	}
-	return true
+	st.finish(ctx, qs, err)
 }
 
 // relationOf validates one shipped join relation against the grid.
@@ -212,19 +246,14 @@ func (c *conn) handleJoin(ctx context.Context, rq *request, payload []byte) {
 	rq.markPlanned()
 
 	pairs, qs, err := c.srv.eng.Join(ctx, a, b, int(req.Workers))
-	if err != nil {
-		c.failReq(ctx, rq, err)
-		return
+	st := c.batches(rq, wire.KindPairs, 0)
+	for _, p := range pairs {
+		c.out = wire.AppendPair(st.buf(), p.A, p.B)
+		if !st.added(ctx) {
+			break
+		}
 	}
-	out := make([][2]uint64, len(pairs))
-	for i, p := range pairs {
-		out[i] = [2]uint64{p.A, p.B}
-	}
-	if c.sendBatches(rq, len(out), func(lo, hi int) wire.Batch {
-		return wire.Batch{ID: req.ID, Kind: wire.KindPairs, Pairs: out[lo:hi]}
-	}) {
-		c.sendDone(rq, qs)
-	}
+	st.finish(ctx, qs, err)
 }
 
 // handleInsert applies a point batch. Inserts run to completion once
@@ -233,7 +262,7 @@ func (c *conn) handleJoin(ctx context.Context, rq *request, payload []byte) {
 // transaction the batch only buffers until COMMIT.
 func (c *conn) handleInsert(ctx context.Context, rq *request, payload []byte) {
 	req, err := wire.DecodeInsertReq(payload)
-	c.write(ctx, rq, req, err, func(eng Engine, ctx context.Context, pts []probe.Point) (probe.QueryStats, error) {
+	c.mutate(ctx, rq, req, err, func(eng Engine, ctx context.Context, pts []probe.Point) (probe.QueryStats, error) {
 		qs, err := eng.Insert(ctx, pts)
 		qs.Results = len(pts)
 		return qs, err
@@ -246,12 +275,12 @@ func (c *conn) handleInsert(ctx context.Context, rq *request, payload []byte) {
 // write-set against the transaction's own view.
 func (c *conn) handleDelete(ctx context.Context, rq *request, payload []byte) {
 	req, err := wire.DecodeDeleteReq(payload)
-	c.write(ctx, rq, wire.InsertReq(req), err, Engine.Delete)
+	c.mutate(ctx, rq, req, err, Engine.Delete)
 }
 
-// write is the shared body of INSERT and DELETE, whose requests have
+// mutate is the shared body of INSERT and DELETE, whose requests have
 // one shape.
-func (c *conn) write(ctx context.Context, rq *request, req wire.InsertReq, err error,
+func (c *conn) mutate(ctx context.Context, rq *request, req wire.InsertReq, err error,
 	apply func(Engine, context.Context, []probe.Point) (probe.QueryStats, error)) {
 
 	if err != nil {
@@ -259,8 +288,7 @@ func (c *conn) write(ctx context.Context, rq *request, req wire.InsertReq, err e
 		return
 	}
 	rq.setHeader(req.Header)
-	pts, err := c.pointsOf(req.Dims, req.Points)
-	if err != nil {
+	if err := c.checkPoints(req.Dims, req.Points); err != nil {
 		c.reject(rq, err.Error())
 		return
 	}
@@ -274,7 +302,7 @@ func (c *conn) write(ctx context.Context, rq *request, req wire.InsertReq, err e
 		c.failReq(ctx, rq, err)
 		return
 	}
-	qs, err := apply(eng, ctx, pts)
+	qs, err := apply(eng, ctx, req.Points)
 	c.answer(ctx, rq, qs, err)
 }
 
@@ -407,10 +435,9 @@ func (c *conn) handleQuery(ctx context.Context, rq *request, payload []byte) {
 			c.failReq(ctx, rq, err)
 			return
 		}
-		if c.sendTimed(rq, wire.MsgText, wire.TextMsg{ID: req.ID, Text: text}.Encode()) != nil {
-			return
+		if put(c, rq, wire.MsgText, wire.TextMsg{ID: req.ID, Text: text}) {
+			c.sendDone(rq, probe.QueryStats{})
 		}
-		c.sendDone(rq, probe.QueryStats{})
 		return
 	}
 
@@ -421,55 +448,17 @@ func (c *conn) handleQuery(ctx context.Context, rq *request, payload []byte) {
 		wcols[i] = wire.SchemaCol{Name: col.Name, Type: uint8(col.Type)}
 		types[i] = uint8(col.Type)
 	}
-	if c.sendTimed(rq, wire.MsgSchema, wire.SchemaMsg{ID: req.ID, Cols: wcols}.Encode()) != nil {
+	if !put(c, rq, wire.MsgSchema, wire.SchemaMsg{ID: req.ID, Cols: wcols}) {
 		return
 	}
-	var writeErr, encodeErr error
-	batch := make([][]wire.RowValue, 0, c.srv.cfg.BatchSize)
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		p, err := wire.RowsMsg{ID: req.ID, Types: types, Rows: batch}.Encode()
-		if err != nil {
-			encodeErr = err
-			return false
-		}
-		if err := c.sendTimed(rq, wire.MsgRows, p); err != nil {
-			writeErr = err
-			return false
-		}
-		batch = batch[:0]
-		return true
-	}
+	st := c.stream(rq, func(b []byte) ([]byte, wire.Records) { return wire.BeginRows(b, req.ID, types) })
 	qs, err := stmt.Run(ctx, func(row probe.QueryRow) bool {
-		vals := make([]wire.RowValue, len(row))
-		for i, v := range row {
-			vals[i] = wire.RowValue(v)
+		if c.out, st.err = wire.AppendRow(st.buf(), types, row); st.err != nil {
+			return false
 		}
-		batch = append(batch, vals)
-		if len(batch) == cap(batch) {
-			return flush() && ctx.Err() == nil
-		}
-		return true
+		return st.added(ctx)
 	})
-	if err == nil {
-		err = ctx.Err()
-	}
-	switch {
-	case encodeErr != nil:
-		c.failReq(ctx, rq, encodeErr)
-		return
-	case writeErr != nil:
-		return // connection is gone; nothing more to say
-	case err != nil:
-		c.failReq(ctx, rq, err)
-		return
-	}
-	if !flush() {
-		return
-	}
-	c.sendDone(rq, qs)
+	st.finish(ctx, qs, err)
 }
 
 func (c *conn) handleCheckpoint(ctx context.Context, rq *request, payload []byte) {
@@ -492,10 +481,9 @@ func (c *conn) handleExplain(ctx context.Context, rq *request, payload []byte) {
 		c.failReq(ctx, rq, err)
 		return
 	}
-	if c.sendTimed(rq, wire.MsgText, wire.TextMsg{ID: req.ID, Text: plan}.Encode()) != nil {
-		return
+	if put(c, rq, wire.MsgText, wire.TextMsg{ID: req.ID, Text: plan}) {
+		c.sendDone(rq, probe.QueryStats{})
 	}
-	c.sendDone(rq, probe.QueryStats{})
 }
 
 // handleStats snapshots the engine's registries into the structured
@@ -508,8 +496,7 @@ func (c *conn) handleStats(ctx context.Context, rq *request, payload []byte) {
 	}
 	rq.markPlanned()
 	secs := c.srv.eng.Stats()
-	if c.sendTimed(rq, wire.MsgStatsKV, wire.StatsKV{ID: rq.id, KVs: statsKVs(secs)}.Encode()) != nil {
-		return
+	if put(c, rq, wire.MsgStatsKV, wire.StatsKV{ID: rq.id, KVs: statsKVs(secs)}) {
+		c.sendDone(rq, probe.QueryStats{})
 	}
-	c.sendDone(rq, probe.QueryStats{})
 }

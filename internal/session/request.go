@@ -84,6 +84,7 @@ func (c *conn) execute(ctx context.Context, typ uint8, payload []byte, recv time
 		start: time.Now(),
 	}
 	rq.span = c.root.Child(c.srv.cfg.SpanPrefix + rq.op)
+	c.out = c.out[:0] // whatever a request that lost its connection left behind
 	ops[typ].run(c, context.WithValue(ctx, traceKey{}, rq), rq, payload)
 	c.finish(rq)
 }
@@ -111,7 +112,7 @@ func (rq *request) traced() bool { return rq.flags&wire.FlagTrace != 0 }
 // timings builds the Done timing array (nanoseconds, wire.Timing*
 // indices). Exec is derived as the remainder so it stays correct for
 // handlers that stream from inside the engine call.
-func (rq *request) timings() []uint64 {
+func (rq *request) timings() (t [wire.NumTimings]uint64) {
 	total := time.Since(rq.recv)
 	queue := rq.start.Sub(rq.recv)
 	var plan time.Duration
@@ -123,7 +124,6 @@ func (rq *request) timings() []uint64 {
 	if exec < 0 {
 		exec = 0
 	}
-	t := make([]uint64, wire.NumTimings)
 	t[wire.TimingQueue] = uint64(queue)
 	t[wire.TimingPlan] = uint64(plan)
 	t[wire.TimingExec] = uint64(exec)
@@ -140,11 +140,23 @@ func withTimeout(ctx context.Context, ms uint32) (context.Context, context.Cance
 	return context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
 }
 
-// sendTimed is send with the elapsed write time accounted to the
+// put appends one response frame to the request's buffer; flush, or
+// the terminal frame's, sends it. A message no frame can hold fails the
+// request.
+func put[M wire.Message](c *conn, rq *request, typ uint8, m M) bool {
+	var err error
+	if c.out, err = wire.AppendFrame(c.out, typ, m); err != nil {
+		c.fail(rq, wire.CodeInternal, err.Error())
+	}
+	return err == nil
+}
+
+// flush writes the buffered frames, the elapsed time accounted to the
 // request's stream phase.
-func (c *conn) sendTimed(rq *request, typ uint8, payload []byte) error {
+func (c *conn) flush(rq *request) error {
 	t0 := time.Now()
-	err := c.send(typ, payload)
+	err := c.write(c.out)
+	c.out = c.out[:0]
 	rq.streamNs += int64(time.Since(t0))
 	return err
 }
@@ -155,7 +167,9 @@ func (c *conn) fail(rq *request, code uint8, msg string) {
 	rq.errCode = code
 	c.finish(rq)
 	c.respDone.Store(true)
-	c.sendError(rq.id, code, msg)
+	// An error text is nowhere near MaxFrame, so the frame always fits.
+	c.out, _ = wire.AppendFrame(c.out, wire.MsgError, wire.ErrorMsg{ID: rq.id, Code: code, Msg: msg})
+	c.flush(rq)
 }
 
 // reject ends a request at validation with the bad-request code.
@@ -188,8 +202,7 @@ func (c *conn) failReq(ctx context.Context, rq *request, err error) {
 
 // statsArray flattens QueryStats into the Done stats array (see the
 // wire.Stat* indices).
-func statsArray(qs probe.QueryStats) []uint64 {
-	a := make([]uint64, wire.NumStats)
+func statsArray(qs probe.QueryStats) (a [wire.NumStats]uint64) {
 	a[wire.StatDataPages] = uint64(qs.DataPages)
 	a[wire.StatSeeks] = uint64(qs.Seeks)
 	a[wire.StatElements] = uint64(qs.Elements)
@@ -231,16 +244,20 @@ func (c *conn) sendDone(rq *request, qs probe.QueryStats) {
 	c.respDone.Store(true)
 	if rq.traced() && rq.op != "explain" && rq.op != "stats" {
 		tm := wire.TraceMsg{ID: rq.id, TraceID: rq.trace, Span: obs.EncodeSpan(rq.span)}
-		if c.send(wire.MsgTrace, tm.Encode()) != nil {
+		if !put(c, rq, wire.MsgTrace, tm) {
 			return
 		}
 	}
-	dn := wire.Done{ID: rq.id, Stats: statsArray(qs)}
+	stats := statsArray(qs)
+	dn := wire.Done{ID: rq.id, Stats: stats[:]}
 	if rq.traced() {
-		dn.Timings = rq.timings()
+		t := rq.timings()
+		dn.Timings = t[:]
 	}
 	c.finish(rq)
-	c.send(wire.MsgDone, dn.Encode())
+	if put(c, rq, wire.MsgDone, dn) {
+		c.flush(rq)
+	}
 }
 
 // finish records one executed request's telemetry, once: it seals the

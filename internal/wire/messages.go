@@ -1,24 +1,29 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+
+	"probe/internal/geom"
 )
 
 func f64bits(f float64) uint64     { return math.Float64bits(f) }
 func f64frombits(b uint64) float64 { return math.Float64frombits(b) }
 
 // This file defines the typed messages and their payload codecs. Each
-// message has an Encode method producing its payload (framing is
-// WriteFrame's job) and a Decode* function parsing one. Decoders
-// tolerate trailing bytes they do not understand — that is how a
-// newer minor version adds fields.
+// message has an Append method writing its payload behind a buffer
+// (framing is AppendFrame's job; Encode is Append(nil)) and a Decode*
+// function parsing one. Decoders tolerate trailing bytes they do not
+// understand — that is how a newer minor version adds fields — and
+// copy everything they return out of the payload: the coordinates of a
+// message come out of one arena sized after its record count has been
+// checked, each vector cut with its capacity clipped so that appending
+// to one cannot reach the next.
 
-// Point is a wire-level indexed point: an id plus grid coordinates.
-type Point struct {
-	ID     uint64
-	Coords []uint32
-}
+// Point is a wire-level indexed point: an id plus grid coordinates. It
+// is the library's point type, so neither end converts a batch.
+type Point = geom.Point
 
 // Neighbor is a wire-level nearest-neighbor result: the point and its
 // distance under the request's metric.
@@ -39,12 +44,10 @@ type Hello struct {
 	Major, Minor uint8
 }
 
-func (m Hello) Encode() []byte {
-	var e enc
-	e.b = append(e.b, Magic...)
-	e.u8(m.Major)
-	e.u8(m.Minor)
-	return e.b
+func (m Hello) Encode() []byte { return m.Append(nil) }
+
+func (m Hello) Append(b []byte) []byte {
+	return append(append(b, Magic...), m.Major, m.Minor)
 }
 
 func DecodeHello(p []byte) (Hello, error) {
@@ -68,29 +71,21 @@ type Welcome struct {
 	Bits         []uint32
 }
 
-func (m Welcome) Encode() []byte {
-	var e enc
-	e.b = append(e.b, Magic...)
-	e.u8(m.Major)
-	e.u8(m.Minor)
+func (m Welcome) Encode() []byte { return m.Append(nil) }
+
+func (m Welcome) Append(b []byte) []byte {
+	e := enc{Hello{m.Major, m.Minor}.Append(b)}
 	e.u32(uint32(len(m.Bits)))
-	for _, b := range m.Bits {
-		e.u32(b)
-	}
+	e.coords(m.Bits)
 	return e.b
 }
 
 func DecodeWelcome(p []byte) (Welcome, error) {
-	d := dec{b: p}
-	if err := d.need(6); err != nil {
+	h, err := DecodeHello(p)
+	if err != nil {
 		return Welcome{}, err
 	}
-	if string(p[:4]) != Magic {
-		return Welcome{}, fmt.Errorf("wire: bad magic %q", p[:4])
-	}
-	d.off = 4
-	maj, _ := d.u8()
-	min, _ := d.u8()
+	d := dec{b: p, off: 6}
 	k, err := d.dims()
 	if err != nil {
 		return Welcome{}, err
@@ -99,7 +94,7 @@ func DecodeWelcome(p []byte) (Welcome, error) {
 	if err != nil {
 		return Welcome{}, err
 	}
-	return Welcome{Major: maj, Minor: min, Bits: bits}, nil
+	return Welcome{Major: h.Major, Minor: h.Minor, Bits: bits}, nil
 }
 
 // Header is the prefix every request shares: the client-chosen
@@ -131,7 +126,7 @@ func (h Header) encodeTo(e *enc) {
 }
 
 // encodeTail appends the additive header tail: the minor-1 flags byte,
-// then the minor-4 trace ID. Every request Encode calls it last.
+// then the minor-4 trace ID. Every request's Append calls it last.
 func (h Header) encodeTail(e *enc) {
 	e.u8(h.Flags)
 	e.u64(h.Trace)
@@ -168,16 +163,14 @@ type RangeReq struct {
 	Lo, Hi []uint32
 }
 
-func (m RangeReq) Encode() []byte {
-	var e enc
+func (m RangeReq) Encode() []byte { return m.Append(nil) }
+
+func (m RangeReq) Append(b []byte) []byte {
+	e := enc{b}
 	m.Header.encodeTo(&e)
 	e.u32(uint32(len(m.Lo)))
-	for _, v := range m.Lo {
-		e.u32(v)
-	}
-	for _, v := range m.Hi {
-		e.u32(v)
-	}
+	e.coords(m.Lo)
+	e.coords(m.Hi)
 	m.Header.encodeTail(&e)
 	return e.b
 }
@@ -192,6 +185,7 @@ func DecodeRangeReq(p []byte) (RangeReq, error) {
 	if err != nil {
 		return RangeReq{}, err
 	}
+	d.reserve(2 * k)
 	lo, err := d.coords(k)
 	if err != nil {
 		return RangeReq{}, err
@@ -213,15 +207,15 @@ type NearestReq struct {
 	Q      []uint32
 }
 
-func (m NearestReq) Encode() []byte {
-	var e enc
+func (m NearestReq) Encode() []byte { return m.Append(nil) }
+
+func (m NearestReq) Append(b []byte) []byte {
+	e := enc{b}
 	m.Header.encodeTo(&e)
 	e.u8(m.Metric)
 	e.u32(m.M)
 	e.u32(uint32(len(m.Q)))
-	for _, v := range m.Q {
-		e.u32(v)
-	}
+	e.coords(m.Q)
 	m.Header.encodeTail(&e)
 	return e.b
 }
@@ -252,6 +246,41 @@ func DecodeNearestReq(p []byte) (NearestReq, error) {
 	return NearestReq{Header: h, Metric: metric, M: mm, Q: q}, nil
 }
 
+// AppendPoint appends one point record, u64 id then the coordinates:
+// the record of INSERT, DELETE and a BATCH of KindPoints.
+func AppendPoint(b []byte, p Point) []byte {
+	e := enc{binary.LittleEndian.AppendUint64(b, p.ID)}
+	e.coords(p.Coords)
+	return e.b
+}
+
+// appendPoints and decodePoints are the one codec of a counted run of
+// point records.
+func appendPoints(e *enc, pts []Point) {
+	e.u32(uint32(len(pts)))
+	for _, p := range pts {
+		e.b = AppendPoint(e.b, p)
+	}
+}
+
+func decodePoints(d *dec, k int) ([]Point, error) {
+	n, err := d.count(8 + 4*k)
+	if err != nil {
+		return nil, err
+	}
+	pts := make([]Point, n)
+	d.reserve(n * k)
+	for i := range pts {
+		if pts[i].ID, err = d.u64(); err != nil {
+			return nil, err
+		}
+		if pts[i].Coords, err = d.coords(k); err != nil {
+			return nil, err
+		}
+	}
+	return pts, nil
+}
+
 // InsertReq ships a batch of points to insert.
 type InsertReq struct {
 	Header
@@ -259,20 +288,23 @@ type InsertReq struct {
 	Points []Point
 }
 
-func (m InsertReq) Encode() []byte {
-	var e enc
+// DeleteReq ships a batch of points to delete (minor 2): an InsertReq
+// under MsgDelete. The DONE response reports the number actually
+// removed in StatResults (points already absent are not an error).
+type DeleteReq = InsertReq
+
+func (m InsertReq) Encode() []byte { return m.Append(nil) }
+
+func (m InsertReq) Append(b []byte) []byte {
+	e := enc{b}
 	m.Header.encodeTo(&e)
 	e.u32(m.Dims)
-	e.u32(uint32(len(m.Points)))
-	for _, p := range m.Points {
-		e.u64(p.ID)
-		for _, v := range p.Coords {
-			e.u32(v)
-		}
-	}
+	appendPoints(&e, m.Points)
 	m.Header.encodeTail(&e)
 	return e.b
 }
+
+func DecodeDeleteReq(p []byte) (DeleteReq, error) { return DecodeInsertReq(p) }
 
 func DecodeInsertReq(p []byte) (InsertReq, error) {
 	d := dec{b: p}
@@ -284,78 +316,12 @@ func DecodeInsertReq(p []byte) (InsertReq, error) {
 	if err != nil {
 		return InsertReq{}, err
 	}
-	n, err := d.count(8 + 4*k)
+	pts, err := decodePoints(&d, k)
 	if err != nil {
 		return InsertReq{}, err
 	}
-	pts := make([]Point, n)
-	for i := range pts {
-		id, err := d.u64()
-		if err != nil {
-			return InsertReq{}, err
-		}
-		coords, err := d.coords(k)
-		if err != nil {
-			return InsertReq{}, err
-		}
-		pts[i] = Point{ID: id, Coords: coords}
-	}
 	h.decodeTail(&d)
 	return InsertReq{Header: h, Dims: uint32(k), Points: pts}, nil
-}
-
-// DeleteReq ships a batch of points to delete (minor 2). It mirrors
-// InsertReq exactly; the DONE response reports the number actually
-// removed in StatResults (points already absent are not an error).
-type DeleteReq struct {
-	Header
-	Dims   uint32
-	Points []Point
-}
-
-func (m DeleteReq) Encode() []byte {
-	var e enc
-	m.Header.encodeTo(&e)
-	e.u32(m.Dims)
-	e.u32(uint32(len(m.Points)))
-	for _, p := range m.Points {
-		e.u64(p.ID)
-		for _, v := range p.Coords {
-			e.u32(v)
-		}
-	}
-	m.Header.encodeTail(&e)
-	return e.b
-}
-
-func DecodeDeleteReq(p []byte) (DeleteReq, error) {
-	d := dec{b: p}
-	h, err := decodeHeader(&d)
-	if err != nil {
-		return DeleteReq{}, err
-	}
-	k, err := d.dims()
-	if err != nil {
-		return DeleteReq{}, err
-	}
-	n, err := d.count(8 + 4*k)
-	if err != nil {
-		return DeleteReq{}, err
-	}
-	pts := make([]Point, n)
-	for i := range pts {
-		id, err := d.u64()
-		if err != nil {
-			return DeleteReq{}, err
-		}
-		coords, err := d.coords(k)
-		if err != nil {
-			return DeleteReq{}, err
-		}
-		pts[i] = Point{ID: id, Coords: coords}
-	}
-	h.decodeTail(&d)
-	return DeleteReq{Header: h, Dims: uint32(k), Points: pts}, nil
 }
 
 // JoinReq ships two object relations (as bounding boxes) for a
@@ -372,12 +338,8 @@ func encodeRelation(e *enc, items []JoinItem) {
 	e.u32(uint32(len(items)))
 	for _, it := range items {
 		e.u64(it.ID)
-		for _, v := range it.Lo {
-			e.u32(v)
-		}
-		for _, v := range it.Hi {
-			e.u32(v)
-		}
+		e.coords(it.Lo)
+		e.coords(it.Hi)
 	}
 }
 
@@ -387,26 +349,26 @@ func decodeRelation(d *dec, k int) ([]JoinItem, error) {
 		return nil, err
 	}
 	items := make([]JoinItem, n)
+	d.reserve(2 * n * k)
 	for i := range items {
-		id, err := d.u64()
-		if err != nil {
+		it := &items[i]
+		if it.ID, err = d.u64(); err != nil {
 			return nil, err
 		}
-		lo, err := d.coords(k)
-		if err != nil {
+		if it.Lo, err = d.coords(k); err != nil {
 			return nil, err
 		}
-		hi, err := d.coords(k)
-		if err != nil {
+		if it.Hi, err = d.coords(k); err != nil {
 			return nil, err
 		}
-		items[i] = JoinItem{ID: id, Lo: lo, Hi: hi}
 	}
 	return items, nil
 }
 
-func (m JoinReq) Encode() []byte {
-	var e enc
+func (m JoinReq) Encode() []byte { return m.Append(nil) }
+
+func (m JoinReq) Append(b []byte) []byte {
+	e := enc{b}
 	m.Header.encodeTo(&e)
 	e.u32(m.Workers)
 	e.u32(m.Dims)
@@ -449,8 +411,10 @@ type SimpleReq struct {
 	Header
 }
 
-func (m SimpleReq) Encode() []byte {
-	var e enc
+func (m SimpleReq) Encode() []byte { return m.Append(nil) }
+
+func (m SimpleReq) Append(b []byte) []byte {
+	e := enc{b}
 	m.Header.encodeTo(&e)
 	m.Header.encodeTail(&e)
 	return e.b
@@ -473,11 +437,9 @@ type Cancel struct {
 	ID uint32
 }
 
-func (m Cancel) Encode() []byte {
-	var e enc
-	e.u32(m.ID)
-	return e.b
-}
+func (m Cancel) Encode() []byte { return m.Append(nil) }
+
+func (m Cancel) Append(b []byte) []byte { return binary.LittleEndian.AppendUint32(b, m.ID) }
 
 func DecodeCancel(p []byte) (Cancel, error) {
 	d := dec{b: p}
@@ -500,34 +462,59 @@ type Batch struct {
 	Neighbors []Neighbor
 }
 
-func (m Batch) Encode() []byte {
-	var e enc
-	e.u32(m.ID)
-	e.u8(m.Kind)
-	e.u32(m.Dims)
+// AppendPair and AppendNeighbor append one record of a BATCH of
+// KindPairs and KindNeighbors (AppendPoint is the third kind's).
+func AppendPair(b []byte, x, y uint64) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(b, x), y)
+}
+
+func AppendNeighbor(b []byte, p Point, dist float64) []byte {
+	return binary.LittleEndian.AppendUint64(AppendPoint(b, p), f64bits(dist))
+}
+
+// Records is a BATCH or ROWS frame under construction at the end of a
+// buffer: a sender that streams opens it with BeginBatch or BeginRows,
+// appends records behind it as it produces them, and End stores how
+// many there were.
+type Records struct{ start, count int }
+
+// BeginBatch opens a BATCH frame at the end of b.
+func BeginBatch(b []byte, id uint32, kind uint8, dims uint32) ([]byte, Records) {
+	e := enc{BeginFrame(b, MsgBatch)}
+	batchHeader(&e, id, kind, dims)
+	e.u32(0)
+	return e.b, Records{start: len(b), count: len(e.b) - 4}
+}
+
+// End closes the frame holding n records.
+func (r Records) End(b []byte, n int) ([]byte, error) {
+	binary.LittleEndian.PutUint32(b[r.count:], uint32(n))
+	return EndFrame(b, r.start)
+}
+
+func batchHeader(e *enc, id uint32, kind uint8, dims uint32) {
+	e.u32(id)
+	e.u8(kind)
+	e.u32(dims)
+}
+
+func (m Batch) Encode() []byte { return m.Append(nil) }
+
+func (m Batch) Append(b []byte) []byte {
+	e := enc{b}
+	batchHeader(&e, m.ID, m.Kind, m.Dims)
 	switch m.Kind {
 	case KindPoints:
-		e.u32(uint32(len(m.Points)))
-		for _, p := range m.Points {
-			e.u64(p.ID)
-			for _, v := range p.Coords {
-				e.u32(v)
-			}
-		}
+		appendPoints(&e, m.Points)
 	case KindPairs:
 		e.u32(uint32(len(m.Pairs)))
 		for _, p := range m.Pairs {
-			e.u64(p[0])
-			e.u64(p[1])
+			e.b = AppendPair(e.b, p[0], p[1])
 		}
 	case KindNeighbors:
 		e.u32(uint32(len(m.Neighbors)))
 		for _, n := range m.Neighbors {
-			e.u64(n.ID)
-			for _, v := range n.Coords {
-				e.u32(v)
-			}
-			e.u64(f64bits(n.Dist))
+			e.b = AppendNeighbor(e.b, n.Point, n.Dist)
 		}
 	}
 	return e.b
@@ -554,21 +541,8 @@ func DecodeBatch(p []byte) (Batch, error) {
 	out := Batch{ID: id, Kind: kind, Dims: dims}
 	switch kind {
 	case KindPoints:
-		n, err := d.count(8 + 4*k)
-		if err != nil {
+		if out.Points, err = decodePoints(&d, k); err != nil {
 			return Batch{}, err
-		}
-		out.Points = make([]Point, n)
-		for i := range out.Points {
-			pid, err := d.u64()
-			if err != nil {
-				return Batch{}, err
-			}
-			coords, err := d.coords(k)
-			if err != nil {
-				return Batch{}, err
-			}
-			out.Points[i] = Point{ID: pid, Coords: coords}
 		}
 	case KindPairs:
 		n, err := d.count(16)
@@ -577,15 +551,11 @@ func DecodeBatch(p []byte) (Batch, error) {
 		}
 		out.Pairs = make([][2]uint64, n)
 		for i := range out.Pairs {
-			a, err := d.u64()
-			if err != nil {
-				return Batch{}, err
+			for j := range out.Pairs[i] {
+				if out.Pairs[i][j], err = d.u64(); err != nil {
+					return Batch{}, err
+				}
 			}
-			b, err := d.u64()
-			if err != nil {
-				return Batch{}, err
-			}
-			out.Pairs[i] = [2]uint64{a, b}
 		}
 	case KindNeighbors:
 		n, err := d.count(16 + 4*k)
@@ -593,20 +563,20 @@ func DecodeBatch(p []byte) (Batch, error) {
 			return Batch{}, err
 		}
 		out.Neighbors = make([]Neighbor, n)
+		d.reserve(n * k)
 		for i := range out.Neighbors {
-			pid, err := d.u64()
-			if err != nil {
+			nb := &out.Neighbors[i]
+			if nb.ID, err = d.u64(); err != nil {
 				return Batch{}, err
 			}
-			coords, err := d.coords(k)
-			if err != nil {
+			if nb.Coords, err = d.coords(k); err != nil {
 				return Batch{}, err
 			}
 			bits, err := d.u64()
 			if err != nil {
 				return Batch{}, err
 			}
-			out.Neighbors[i] = Neighbor{Point: Point{ID: pid, Coords: coords}, Dist: f64frombits(bits)}
+			nb.Dist = f64frombits(bits)
 		}
 	default:
 		return Batch{}, fmt.Errorf("wire: unknown batch kind %d", kind)
@@ -664,53 +634,40 @@ type Done struct {
 	Timings []uint64
 }
 
-func (m Done) Encode() []byte {
-	var e enc
+func (m Done) Encode() []byte { return m.Append(nil) }
+
+func (m Done) Append(b []byte) []byte {
+	e := enc{b}
 	e.u32(m.ID)
-	e.u32(uint32(len(m.Stats)))
-	for _, v := range m.Stats {
-		e.u64(v)
-	}
-	e.u32(uint32(len(m.Timings)))
-	for _, v := range m.Timings {
-		e.u64(v)
-	}
+	e.u64s(m.Stats)
+	e.u64s(m.Timings)
 	return e.b
 }
 
 func DecodeDone(p []byte) (Done, error) {
+	var m Done
+	if err := m.Decode(p); err != nil {
+		return Done{}, err
+	}
+	return m, nil
+}
+
+// Decode is DecodeDone into m, reusing the arrays m already holds: a
+// client keeps one Done per connection.
+func (m *Done) Decode(p []byte) (err error) {
 	d := dec{b: p}
-	id, err := d.u32()
-	if err != nil {
-		return Done{}, err
+	if m.ID, err = d.u32(); err != nil {
+		return err
 	}
-	n, err := d.count(8)
-	if err != nil {
-		return Done{}, err
+	if m.Stats, err = d.u64s(m.Stats); err != nil {
+		return err
 	}
-	stats := make([]uint64, n)
-	for i := range stats {
-		if stats[i], err = d.u64(); err != nil {
-			return Done{}, err
-		}
-	}
-	out := Done{ID: id, Stats: stats}
 	// The timing array is the minor-1 tail: absent from 1.0 peers.
+	m.Timings = m.Timings[:0]
 	if d.remaining() >= 4 {
-		tn, err := d.count(8)
-		if err != nil {
-			return Done{}, err
-		}
-		if tn > 0 {
-			out.Timings = make([]uint64, tn)
-			for i := range out.Timings {
-				if out.Timings[i], err = d.u64(); err != nil {
-					return Done{}, err
-				}
-			}
-		}
+		m.Timings, err = d.u64s(m.Timings)
 	}
-	return out, nil
+	return err
 }
 
 // Stat reads field i, zero when the peer did not send it — the
@@ -737,10 +694,12 @@ type TextMsg struct {
 	Text string
 }
 
-func (m TextMsg) Encode() []byte {
-	var e enc
+func (m TextMsg) Encode() []byte { return m.Append(nil) }
+
+func (m TextMsg) Append(b []byte) []byte {
+	e := enc{b}
 	e.u32(m.ID)
-	e.bytes([]byte(m.Text))
+	putBytes(&e, m.Text)
 	return e.b
 }
 
@@ -770,11 +729,13 @@ type TraceMsg struct {
 	Span    []byte
 }
 
-func (m TraceMsg) Encode() []byte {
-	var e enc
+func (m TraceMsg) Encode() []byte { return m.Append(nil) }
+
+func (m TraceMsg) Append(b []byte) []byte {
+	e := enc{b}
 	e.u32(m.ID)
 	e.u64(m.TraceID)
-	e.bytes(m.Span)
+	putBytes(&e, m.Span)
 	return e.b
 }
 
@@ -811,12 +772,14 @@ type StatsKV struct {
 	KVs []KV
 }
 
-func (m StatsKV) Encode() []byte {
-	var e enc
+func (m StatsKV) Encode() []byte { return m.Append(nil) }
+
+func (m StatsKV) Append(b []byte) []byte {
+	e := enc{b}
 	e.u32(m.ID)
 	e.u32(uint32(len(m.KVs)))
 	for _, kv := range m.KVs {
-		e.bytes([]byte(kv.Name))
+		putBytes(&e, kv.Name)
 		e.u64(uint64(kv.Value))
 	}
 	return e.b
@@ -857,11 +820,13 @@ type ErrorMsg struct {
 	Msg  string
 }
 
-func (m ErrorMsg) Encode() []byte {
-	var e enc
+func (m ErrorMsg) Encode() []byte { return m.Append(nil) }
+
+func (m ErrorMsg) Append(b []byte) []byte {
+	e := enc{b}
 	e.u32(m.ID)
 	e.u8(m.Code)
-	e.bytes([]byte(m.Msg))
+	putBytes(&e, m.Msg)
 	return e.b
 }
 

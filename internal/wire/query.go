@@ -31,10 +31,12 @@ type QueryReq struct {
 	Text string
 }
 
-func (m QueryReq) Encode() []byte {
-	var e enc
+func (m QueryReq) Encode() []byte { return m.Append(nil) }
+
+func (m QueryReq) Append(b []byte) []byte {
+	e := enc{b}
 	m.Header.encodeTo(&e)
-	e.bytes([]byte(m.Text))
+	putBytes(&e, m.Text)
 	m.Header.encodeTail(&e)
 	return e.b
 }
@@ -66,12 +68,14 @@ type SchemaMsg struct {
 	Cols []SchemaCol
 }
 
-func (m SchemaMsg) Encode() []byte {
-	var e enc
+func (m SchemaMsg) Encode() []byte { return m.Append(nil) }
+
+func (m SchemaMsg) Append(b []byte) []byte {
+	e := enc{b}
 	e.u32(m.ID)
 	e.u32(uint32(len(m.Cols)))
 	for _, c := range m.Cols {
-		e.bytes([]byte(c.Name))
+		putBytes(&e, c.Name)
 		e.u8(c.Type)
 	}
 	return e.b
@@ -107,8 +111,9 @@ func DecodeSchemaMsg(p []byte) (SchemaMsg, error) {
 }
 
 // RowValue is one typed cell: uint64 for ColID, int64 for ColInt,
-// float64 for ColFloat, string for ColString.
-type RowValue interface{}
+// float64 for ColFloat, string for ColString. It is the library's cell
+// type (relation.Value), so neither end converts a row.
+type RowValue = interface{}
 
 // RowsMsg is one batch of result rows. It is self-describing — the
 // per-column type array repeats in every batch — so a frame can be
@@ -119,47 +124,64 @@ type RowsMsg struct {
 	Rows  [][]RowValue
 }
 
-func (m RowsMsg) Encode() ([]byte, error) {
-	var e enc
-	e.u32(m.ID)
-	e.u32(uint32(len(m.Types)))
-	for _, t := range m.Types {
-		e.u8(t)
+func rowsHeader(e *enc, id uint32, types []uint8) {
+	e.u32(id)
+	e.u32(uint32(len(types)))
+	e.b = append(e.b, types...)
+}
+
+// BeginRows opens a ROWS frame at the end of b; AppendRow appends its
+// records.
+func BeginRows(b []byte, id uint32, types []uint8) ([]byte, Records) {
+	e := enc{BeginFrame(b, MsgRows)}
+	rowsHeader(&e, id, types)
+	e.u32(0)
+	return e.b, Records{start: len(b), count: len(e.b) - 4}
+}
+
+// AppendRow appends one row record, checking each value against its
+// column's type.
+func AppendRow(b []byte, types []uint8, row []RowValue) ([]byte, error) {
+	if len(row) != len(types) {
+		return b, fmt.Errorf("wire: row has %d values, schema %d", len(row), len(types))
 	}
+	e := enc{b}
+	for i, v := range row {
+		ok := false
+		switch types[i] {
+		case ColID:
+			var u uint64
+			u, ok = v.(uint64)
+			e.u64(u)
+		case ColInt:
+			var iv int64
+			iv, ok = v.(int64)
+			e.u64(uint64(iv))
+		case ColFloat:
+			var f float64
+			f, ok = v.(float64)
+			e.u64(f64bits(f))
+		case ColString:
+			var s string
+			s, ok = v.(string)
+			putBytes(&e, s)
+		default:
+			return b, fmt.Errorf("wire: unknown column type %d", types[i])
+		}
+		if !ok {
+			return b, fmt.Errorf("wire: column %d: %T does not fit column type %d", i, v, types[i])
+		}
+	}
+	return e.b, nil
+}
+
+func (m RowsMsg) Encode() (b []byte, err error) {
+	e := enc{}
+	rowsHeader(&e, m.ID, m.Types)
 	e.u32(uint32(len(m.Rows)))
 	for _, row := range m.Rows {
-		if len(row) != len(m.Types) {
-			return nil, fmt.Errorf("wire: row has %d values, schema %d", len(row), len(m.Types))
-		}
-		for i, v := range row {
-			switch m.Types[i] {
-			case ColID:
-				u, ok := v.(uint64)
-				if !ok {
-					return nil, fmt.Errorf("wire: column %d: %T is not uint64", i, v)
-				}
-				e.u64(u)
-			case ColInt:
-				iv, ok := v.(int64)
-				if !ok {
-					return nil, fmt.Errorf("wire: column %d: %T is not int64", i, v)
-				}
-				e.u64(uint64(iv))
-			case ColFloat:
-				f, ok := v.(float64)
-				if !ok {
-					return nil, fmt.Errorf("wire: column %d: %T is not float64", i, v)
-				}
-				e.u64(f64bits(f))
-			case ColString:
-				s, ok := v.(string)
-				if !ok {
-					return nil, fmt.Errorf("wire: column %d: %T is not string", i, v)
-				}
-				e.bytes([]byte(s))
-			default:
-				return nil, fmt.Errorf("wire: unknown column type %d", m.Types[i])
-			}
+		if e.b, err = AppendRow(e.b, m.Types, row); err != nil {
+			return nil, err
 		}
 	}
 	return e.b, nil
@@ -199,35 +221,34 @@ func DecodeRowsMsg(p []byte) (RowsMsg, error) {
 	if err != nil {
 		return RowsMsg{}, err
 	}
+	// One arena for the batch's cells, sized by counts checked against
+	// the bytes present (a row is at least 4 bytes a column); each row
+	// is cut with its capacity clipped, as coordinates are.
 	rows := make([][]RowValue, nrows)
+	cells := make([]RowValue, nrows*ncols)
 	for r := range rows {
-		row := make([]RowValue, ncols)
+		row := cells[:ncols:ncols]
+		cells = cells[ncols:]
 		for i, t := range types {
-			switch t {
-			case ColID:
-				v, err := d.u64()
-				if err != nil {
-					return RowsMsg{}, err
-				}
-				row[i] = v
-			case ColInt:
-				v, err := d.u64()
-				if err != nil {
-					return RowsMsg{}, err
-				}
-				row[i] = int64(v)
-			case ColFloat:
-				v, err := d.u64()
-				if err != nil {
-					return RowsMsg{}, err
-				}
-				row[i] = f64frombits(v)
-			case ColString:
+			if t == ColString {
 				b, err := d.bytes()
 				if err != nil {
 					return RowsMsg{}, err
 				}
 				row[i] = string(b)
+				continue
+			}
+			v, err := d.u64()
+			if err != nil {
+				return RowsMsg{}, err
+			}
+			switch t {
+			case ColID:
+				row[i] = v
+			case ColInt:
+				row[i] = int64(v)
+			case ColFloat:
+				row[i] = f64frombits(v)
 			}
 		}
 		rows[r] = row

@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Magic is the four-byte protocol identifier opening the handshake.
@@ -165,57 +166,77 @@ const (
 	KindNeighbors = 2 // Neighbor records: point plus f64 distance
 )
 
-// WriteFrame writes one frame: the length prefix, the type byte, and
-// the payload. It is not safe for concurrent use on one writer;
-// callers serialize (the server per session, the client per
+// Message is what every typed message offers a sender: Append writes
+// its payload behind b, so a frame is built in the buffer it is sent
+// from. The Encode methods are Append(nil).
+type Message interface{ Append(b []byte) []byte }
+
+// BeginFrame appends the header of a frame of the given type to b, its
+// length still open; EndFrame closes the frame once the payload has
+// been appended behind it.
+func BeginFrame(b []byte, msgType uint8) []byte { return append(b, 0, 0, 0, 0, msgType) }
+
+// EndFrame stores the length of the frame begun at b[start:]. A frame
+// above MaxFrame is cut from b again and reported.
+func EndFrame(b []byte, start int) ([]byte, error) {
+	n := len(b) - start - 4
+	if n > MaxFrame {
+		return b[:start], fmt.Errorf("wire: frame too large (%d bytes)", n)
+	}
+	binary.LittleEndian.PutUint32(b[start:], uint32(n))
+	return b, nil
+}
+
+// AppendFrame appends m to b as one frame.
+func AppendFrame[M Message](b []byte, msgType uint8, m M) ([]byte, error) {
+	return EndFrame(m.Append(BeginFrame(b, msgType)), len(b))
+}
+
+// WriteFrame writes one frame, the length prefix, the type byte and
+// the payload, with one Write. It is not safe for concurrent use on one
+// writer; callers serialize (the server per session, the client per
 // connection).
 func WriteFrame(w io.Writer, msgType uint8, payload []byte) error {
-	if len(payload)+1 > MaxFrame {
-		return fmt.Errorf("wire: frame too large (%d bytes)", len(payload)+1)
-	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)+1))
-	hdr[4] = msgType
-	if _, err := w.Write(hdr[:]); err != nil {
+	b, err := EndFrame(append(BeginFrame(make([]byte, 0, 5+len(payload)), msgType), payload...), 0)
+	if err != nil {
 		return err
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = w.Write(b)
+	return err
 }
 
 // ReadFrame reads one frame, returning its type and payload. A length
 // of zero or above MaxFrame is a protocol error. io.EOF is returned
 // untouched when the stream ends cleanly between frames.
 func ReadFrame(r io.Reader) (msgType uint8, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+	var buf []byte
+	return ReadFrameInto(r, &buf)
+}
+
+// ReadFrameInto is ReadFrame into a buffer the caller keeps: *buf grows
+// when a frame needs it, and the payload returned is a slice of it,
+// valid until the buffer's next use. Every Decode function copies what
+// it returns out of the payload, so a reader decodes and reads on.
+func ReadFrameInto(r io.Reader, buf *[]byte) (msgType uint8, payload []byte, err error) {
+	b := slices.Grow((*buf)[:0], 5)[:5]
+	*buf = b
+	if _, err := io.ReadFull(r, b); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
+	n := binary.LittleEndian.Uint32(b)
 	if n == 0 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("wire: bad frame length %d", n)
 	}
-	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
-		return 0, nil, eofIsUnexpected(err)
+	msgType = b[4]
+	b = slices.Grow(b[:0], int(n-1))[:n-1]
+	*buf = b
+	if _, err := io.ReadFull(r, b); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // only a close between frames reads as io.EOF
+		}
+		return 0, nil, err
 	}
-	payload = make([]byte, n-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, eofIsUnexpected(err)
-	}
-	return hdr[4], payload, nil
-}
-
-// eofIsUnexpected maps a mid-frame EOF to io.ErrUnexpectedEOF so only
-// a clean between-frames close reads as io.EOF.
-func eofIsUnexpected(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+	return msgType, b, nil
 }
 
 // enc is an append-style encoder. Encoding cannot fail; all methods
@@ -225,7 +246,20 @@ type enc struct{ b []byte }
 func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
 func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) bytes(p []byte) {
+func (e *enc) coords(vs []uint32) {
+	for _, v := range vs {
+		e.u32(v)
+	}
+}
+func (e *enc) u64s(vs []uint64) {
+	e.u32(uint32(len(vs)))
+	for _, v := range vs {
+		e.u64(v)
+	}
+}
+
+// putBytes appends a length-prefixed byte string.
+func putBytes[T []byte | string](e *enc, p T) {
 	e.u32(uint32(len(p)))
 	e.b = append(e.b, p...)
 }
@@ -235,6 +269,9 @@ func (e *enc) bytes(p []byte) {
 type dec struct {
 	b   []byte
 	off int
+	// arena is what coords cuts coordinate vectors from; reserve sizes
+	// it for a whole message once count has accepted the record count.
+	arena []uint32
 }
 
 func (d *dec) remaining() int { return len(d.b) - d.off }
@@ -311,11 +348,39 @@ func (d *dec) dims() (int, error) {
 	return int(k), nil
 }
 
+// u64s decodes a counted array into dst's backing array.
+func (d *dec) u64s(dst []uint64) ([]uint64, error) {
+	n, err := d.count(8)
+	if err != nil {
+		return nil, err
+	}
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := range dst {
+		if dst[i], err = d.u64(); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+// reserve makes the arena hold n coordinates. n derives from a count
+// that count has checked against the bytes present, and from k <=
+// MaxDims, so a hostile length cannot size it.
+func (d *dec) reserve(n int) { d.arena = make([]uint32, n) }
+
+// coords decodes k coordinates into the front of the arena (a lone
+// vector, as in WELCOME or NEAREST, is its own arena) and cuts them off
+// with their capacity clipped, so an append to the vector returned
+// reallocates instead of reaching the next one.
 func (d *dec) coords(k int) ([]uint32, error) {
 	if err := d.need(4 * k); err != nil {
 		return nil, err
 	}
-	out := make([]uint32, k)
+	if len(d.arena) < k {
+		d.reserve(k)
+	}
+	out := d.arena[:k:k]
+	d.arena = d.arena[k:]
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint32(d.b[d.off:])
 		d.off += 4
