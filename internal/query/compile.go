@@ -1,9 +1,12 @@
 package query
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"probe/internal/core"
@@ -58,16 +61,22 @@ type Plan struct {
 	nearest *NearestPred
 	regions []planner.Region
 
+	// A row in flight is one []uint64 cell per base column: ids as they
+	// are, coordinates as int64 bits, dist as math.Float64bits. The
+	// column's relation.Type says how to compare and box a cell.
 	base     relation.Schema
-	residual []Pred                    // predicates applied after the base scan
-	filter   func(relation.Tuple) bool // compiled residual filter (nil when none)
+	residual []Pred              // predicates applied after the base scan
+	filter   func([]uint64) bool // compiled residual filter over base cells (nil when none)
 
-	grouped   bool
-	groupCols []string
-	aggs      []relation.Agg
+	// A grouped plan folds rows into one record per group: the group
+	// columns' cells, then one accumulator cell per aggregate.
+	grouped  bool
+	groupIdx []int // GROUP BY column positions in the base schema
+	aggs     []relation.Agg
+	aggIdx   []int // aggregate input positions in the base schema (unused for COUNT)
 
 	out    relation.Schema
-	outIdx []int // output column positions in the pre-projection schema
+	outIdx []int // output column positions in the base row or the group record
 
 	orderIdx  []int // ORDER BY key positions in the output schema
 	orderDesc []bool
@@ -249,8 +258,8 @@ func (p *Plan) foldScanBox(boxPreds []*BoxPred, cmpPreds []*CmpPred) {
 	}
 	for _, bp := range boxPreds {
 		for d := 0; d < dims; d++ {
-			lo[d] = max64(lo[d], int64(bp.Box.Bounds[2*d]))
-			hi[d] = min64(hi[d], int64(bp.Box.Bounds[2*d+1]))
+			lo[d] = max(lo[d], int64(bp.Box.Bounds[2*d]))
+			hi[d] = min(hi[d], int64(bp.Box.Bounds[2*d+1]))
 		}
 	}
 	coordIdx := make(map[string]int, dims)
@@ -265,8 +274,8 @@ func (p *Plan) foldScanBox(boxPreds []*BoxPred, cmpPreds []*CmpPred) {
 		}
 		switch cp.Op {
 		case OpEq:
-			lo[d] = max64(lo[d], cp.Value)
-			hi[d] = min64(hi[d], cp.Value)
+			lo[d] = max(lo[d], cp.Value)
+			hi[d] = min(hi[d], cp.Value)
 		case OpLt:
 			if cp.Value == math.MinInt64 {
 				// x < MinInt64 matches nothing; Value-1 would wrap
@@ -274,9 +283,9 @@ func (p *Plan) foldScanBox(boxPreds []*BoxPred, cmpPreds []*CmpPred) {
 				p.empty = true
 				return
 			}
-			hi[d] = min64(hi[d], cp.Value-1)
+			hi[d] = min(hi[d], cp.Value-1)
 		case OpLe:
-			hi[d] = min64(hi[d], cp.Value)
+			hi[d] = min(hi[d], cp.Value)
 		case OpGt:
 			if cp.Value == math.MaxInt64 {
 				// x > MaxInt64 matches nothing; Value+1 would wrap
@@ -284,9 +293,9 @@ func (p *Plan) foldScanBox(boxPreds []*BoxPred, cmpPreds []*CmpPred) {
 				p.empty = true
 				return
 			}
-			lo[d] = max64(lo[d], cp.Value+1)
+			lo[d] = max(lo[d], cp.Value+1)
 		case OpGe:
-			lo[d] = max64(lo[d], cp.Value)
+			lo[d] = max(lo[d], cp.Value)
 		}
 	}
 	blo := make([]uint32, dims)
@@ -301,67 +310,44 @@ func (p *Plan) foldScanBox(boxPreds []*BoxPred, cmpPreds []*CmpPred) {
 	p.scanBox = geom.MustBox(blo, bhi)
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // compileFilter builds one closure evaluating every residual
-// predicate against a base tuple.
-func (p *Plan) compileFilter() func(relation.Tuple) bool {
+// predicate against a base row's cells.
+func (p *Plan) compileFilter() func([]uint64) bool {
 	if len(p.residual) == 0 {
 		return nil
 	}
 	dims := p.grid.Dims()
 	coordBase := p.base.Index(coordNames(dims)[0])
-	type test func(relation.Tuple) bool
-	var tests []test
+	var tests []func([]uint64) bool
 	for _, pred := range p.residual {
 		switch q := pred.(type) {
 		case *BoxPred:
 			box := boxOf(q.Box)
-			tests = append(tests, func(t relation.Tuple) bool {
+			tests = append(tests, func(row []uint64) bool {
 				for d := 0; d < dims; d++ {
-					v := t[coordBase+d].(int64)
-					if v < int64(box.Lo[d]) || v > int64(box.Hi[d]) {
+					if v := row[coordBase+d]; v < uint64(box.Lo[d]) || v > uint64(box.Hi[d]) {
 						return false
 					}
 				}
 				return true
 			})
 		case *CmpPred:
-			j := p.base.Index(q.Col)
-			op, val := q.Op, q.Value
-			switch p.base[j].Type {
-			case relation.TID:
-				tests = append(tests, func(t relation.Tuple) bool {
-					v := t[j].(uint64)
-					// val is non-negative by construction (unsigned literal).
-					return cmpUint(v, uint64(val), op)
-				})
-			case relation.TInt:
-				tests = append(tests, func(t relation.Tuple) bool {
-					return cmpInt(t[j].(int64), val, op)
-				})
-			case relation.TFloat:
-				tests = append(tests, func(t relation.Tuple) bool {
-					return cmpFloat(t[j].(float64), float64(val), op)
-				})
+			j, op := p.base.Index(q.Col), q.Op
+			typ := p.base[j].Type
+			// The literal as a cell of the column's type (an id column
+			// compares unsigned, as the literal's bits).
+			lit := uint64(q.Value)
+			if typ == relation.TFloat {
+				lit = math.Float64bits(float64(q.Value))
 			}
+			tests = append(tests, func(row []uint64) bool {
+				return op.holds(cmpCells(typ, row[j], lit))
+			})
 		}
 	}
-	return func(t relation.Tuple) bool {
+	return func(row []uint64) bool {
 		for _, f := range tests {
-			if !f(t) {
+			if !f(row) {
 				return false
 			}
 		}
@@ -369,56 +355,33 @@ func (p *Plan) compileFilter() func(relation.Tuple) bool {
 	}
 }
 
-func cmpUint(a, b uint64, op CmpOp) bool {
-	switch op {
-	case OpEq:
-		return a == b
-	case OpNe:
-		return a != b
-	case OpLt:
-		return a < b
-	case OpLe:
-		return a <= b
-	case OpGt:
-		return a > b
-	case OpGe:
-		return a >= b
+// cmpCells orders two cells of one column type.
+func cmpCells(t relation.Type, a, b uint64) int {
+	switch t {
+	case relation.TInt:
+		return cmp.Compare(int64(a), int64(b))
+	case relation.TFloat:
+		return cmp.Compare(math.Float64frombits(a), math.Float64frombits(b))
 	}
-	return false
+	return cmp.Compare(a, b)
 }
 
-func cmpInt(a, b int64, op CmpOp) bool {
+// holds reports whether a comparison outcome c, as cmpCells returns
+// it, satisfies the operator.
+func (op CmpOp) holds(c int) bool {
 	switch op {
 	case OpEq:
-		return a == b
+		return c == 0
 	case OpNe:
-		return a != b
+		return c != 0
 	case OpLt:
-		return a < b
+		return c < 0
 	case OpLe:
-		return a <= b
+		return c <= 0
 	case OpGt:
-		return a > b
+		return c > 0
 	case OpGe:
-		return a >= b
-	}
-	return false
-}
-
-func cmpFloat(a, b float64, op CmpOp) bool {
-	switch op {
-	case OpEq:
-		return a == b
-	case OpNe:
-		return a != b
-	case OpLt:
-		return a < b
-	case OpLe:
-		return a <= b
-	case OpGt:
-		return a > b
-	case OpGe:
-		return a >= b
+		return c >= 0
 	}
 	return false
 }
@@ -469,18 +432,19 @@ func (p *Plan) compileOutput() error {
 	}
 
 	// Grouped (or globally aggregated) query: validate group columns,
-	// then map each select item to the GroupBy operator's output —
+	// then map each select item to its cell of the group record —
 	// group columns first (in GROUP BY order), aggregates after.
 	groupPos := make(map[string]int, len(sel.GroupBy))
 	for _, col := range sel.GroupBy {
-		if p.base.Index(col) < 0 {
+		j := p.base.Index(col)
+		if j < 0 {
 			return planErrf("unknown GROUP BY column %q (have %v)", col, p.base)
 		}
 		if _, dup := groupPos[col]; dup {
 			return planErrf("duplicate GROUP BY column %q", col)
 		}
-		groupPos[col] = len(p.groupCols)
-		p.groupCols = append(p.groupCols, col)
+		groupPos[col] = len(p.groupIdx)
+		p.groupIdx = append(p.groupIdx, j)
 	}
 	cols := make([]relation.Column, len(sel.Items))
 	p.outIdx = make([]int, len(sel.Items))
@@ -510,8 +474,9 @@ func (p *Plan) compileOutput() error {
 			name = defaultAggName(it)
 		}
 		cols[i] = relation.Column{Name: name, Type: typ}
-		p.outIdx[i] = len(p.groupCols) + len(p.aggs)
+		p.outIdx[i] = len(sel.GroupBy) + len(p.aggs)
 		p.aggs = append(p.aggs, relation.Agg{Func: aggFuncOf(it.Agg), Col: it.Col, As: name})
+		p.aggIdx = append(p.aggIdx, max(p.base.Index(it.Col), 0)) // COUNT(*) reads no column
 	}
 	out, err := relation.NewSchema(cols...)
 	if err != nil {
@@ -582,113 +547,209 @@ func aggFuncOf(a AggFunc) relation.AggFunc {
 // to emit; emit returning false stops the query early. Streamable
 // plans (pure index scans without grouping, ordering or DISTINCT)
 // pipe rows straight off the index merge, so a cancelled context or
-// a false emit stops the scan within one page read. Plans that need
-// the whole input (aggregates, ORDER BY, DISTINCT, joins, NEAREST)
-// materialize first.
+// a false emit stops the scan within one page read. Grouped plans
+// aggregate while they scan and retain one record per group; ORDER
+// BY, DISTINCT, NEAREST and JOIN plans retain the surviving rows'
+// cells. Values are boxed only for the rows emitted. An emitted row
+// is the caller's to keep: rows of one run may share a backing array,
+// and each is cut with its capacity clipped, so appending to one
+// cannot overwrite its neighbour.
 func (p *Plan) Run(ctx context.Context, eng Engine, emit func(relation.Tuple) bool) error {
-	if p.empty {
+	limit := p.sel.Limit
+	if p.empty || limit == 0 {
 		return nil
 	}
+	var ar arena
 	if p.streamable {
-		return p.runStreaming(ctx, eng, emit)
+		return p.scan(ctx, eng, func(row []uint64) bool {
+			limit--
+			return emit(p.box(&ar, row)) && limit != 0
+		})
 	}
-	rel, err := p.materialize(ctx, eng)
-	if err != nil {
+	// rows holds w cells per retained row: every surviving base row,
+	// or one record per group in first-encounter order.
+	w := len(p.base)
+	var rows []uint64
+	var key []byte
+	sink := func(row []uint64) bool {
+		rows = append(rows, row...)
+		return true
+	}
+	if p.grouped {
+		w = len(p.groupIdx) + len(p.aggs)
+		groupAt := map[string]int{}
+		sink = func(row []uint64) bool {
+			key = cellKey(key[:0], row, p.groupIdx)
+			at, seen := groupAt[string(key)]
+			if !seen {
+				groupAt[string(key)] = len(rows)
+				for _, j := range p.groupIdx {
+					rows = append(rows, row[j])
+				}
+				for i, a := range p.aggs {
+					first := row[p.aggIdx[i]]
+					if a.Func == relation.Count {
+						first = 1
+					}
+					rows = append(rows, first)
+				}
+				return true
+			}
+			accs := rows[at+len(p.groupIdx):]
+			for i, a := range p.aggs {
+				j := p.aggIdx[i]
+				accs[i] = foldAgg(a.Func, p.base[j].Type, accs[i], row[j])
+			}
+			return true
+		}
+	}
+	if err := p.scan(ctx, eng, sink); err != nil {
 		return err
 	}
-	rel, err = p.finish(rel)
-	if err != nil {
-		return err
+	// DISTINCT keeps the first row of each projected value, ORDER BY
+	// sorts what is left (stable, so ties stay in arrival order), and
+	// only the rows inside LIMIT are boxed.
+	order := make([]int, 0, len(rows)/w)
+	distinct := map[string]struct{}{}
+	for at := 0; at < len(rows); at += w {
+		if p.sel.Distinct {
+			key = cellKey(key[:0], rows[at:], p.outIdx)
+			if _, dup := distinct[string(key)]; dup {
+				continue
+			}
+			distinct[string(key)] = struct{}{}
+		}
+		order = append(order, at)
 	}
-	for _, t := range rel.Tuples {
-		if !emit(t) {
-			return nil
+	if len(p.orderIdx) > 0 {
+		slices.SortStableFunc(order, func(a, b int) int {
+			for k, i := range p.orderIdx {
+				c := cmpCells(p.out[i].Type, rows[a+p.outIdx[i]], rows[b+p.outIdx[i]])
+				if p.orderDesc[k] {
+					c = -c
+				}
+				if c != 0 {
+					return c
+				}
+			}
+			return 0
+		})
+	}
+	if limit >= 0 && int64(len(order)) > limit {
+		order = order[:limit]
+	}
+	for _, at := range order {
+		if !emit(p.box(&ar, rows[at:])) {
+			break
 		}
 	}
 	return nil
 }
 
-func (p *Plan) runStreaming(ctx context.Context, eng Engine, emit func(relation.Tuple) bool) error {
-	limit := p.sel.Limit
-	if limit == 0 {
-		return nil
-	}
-	var emitted int64
-	return eng.RangeFunc(ctx, p.scanBox, func(pt geom.Point) bool {
-		t := p.pointTuple(pt)
-		if p.filter != nil && !p.filter(t) {
-			return true
+// scan feeds every base row that passes the residual filter to sink,
+// as one reused slice of cells; sink returning false stops an index
+// scan (NEAREST and JOIN inputs are complete before the first row).
+func (p *Plan) scan(ctx context.Context, eng Engine, sink func([]uint64) bool) error {
+	row := make([]uint64, len(p.base))
+	id := p.base.Index("id") // the coordinates follow it
+	feed := func(pt geom.Point) bool {
+		row[id] = pt.ID
+		for d, c := range pt.Coords {
+			row[id+1+d] = uint64(c)
 		}
-		if !emit(p.project(t)) {
-			return false
-		}
-		emitted++
-		return limit < 0 || emitted < limit
-	})
-}
-
-// pointTuple converts a scanned point into a base tuple (scan and
-// nearest modes; join tuples carry the region id in front).
-func (p *Plan) pointTuple(pt geom.Point) relation.Tuple {
-	t := make(relation.Tuple, 0, len(p.base))
-	t = append(t, pt.ID)
-	for _, c := range pt.Coords {
-		t = append(t, int64(c))
-	}
-	return t
-}
-
-// project maps a pre-projection tuple to the output columns (no
-// duplicate elimination; DISTINCT is applied separately).
-func (p *Plan) project(t relation.Tuple) relation.Tuple {
-	out := make(relation.Tuple, len(p.outIdx))
-	for i, j := range p.outIdx {
-		out[i] = t[j]
-	}
-	return out
-}
-
-// materialize builds the filtered base relation.
-func (p *Plan) materialize(ctx context.Context, eng Engine) (*relation.Relation, error) {
-	rel := relation.New(p.base)
-	keep := func(t relation.Tuple) {
-		if p.filter == nil || p.filter(t) {
-			rel.Tuples = append(rel.Tuples, t)
-		}
+		return (p.filter != nil && !p.filter(row)) || sink(row)
 	}
 	switch p.mode {
-	case modeScan:
-		err := eng.RangeFunc(ctx, p.scanBox, func(pt geom.Point) bool {
-			keep(p.pointTuple(pt))
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
 	case modeNearest:
 		nbs, err := eng.Nearest(ctx, p.nearest.Point.Coords, int(p.nearest.K))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, nb := range nbs {
-			t := p.pointTuple(nb.Point)
-			keep(append(t, nb.Dist))
+			row[len(row)-1] = math.Float64bits(nb.Dist)
+			feed(nb.Point)
 		}
 	case modeJoin:
 		results, err := p.runJoin(ctx, eng)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, r := range results {
-			t := make(relation.Tuple, 0, len(p.base))
-			t = append(t, r.RegionID, r.Point.ID)
-			for _, c := range r.Point.Coords {
-				t = append(t, int64(c))
-			}
-			keep(t)
+			row[0] = r.RegionID
+			feed(r.Point)
+		}
+	default:
+		return eng.RangeFunc(ctx, p.scanBox, feed)
+	}
+	return nil
+}
+
+// cellKey appends the bytes of the row's cells at idx to buf: the map
+// key of a group or of a DISTINCT row.
+func cellKey(buf []byte, row []uint64, idx []int) []byte {
+	for _, j := range idx {
+		buf = binary.LittleEndian.AppendUint64(buf, row[j])
+	}
+	return buf
+}
+
+// foldAgg folds the value v of a column of type t into the
+// accumulator acc.
+func foldAgg(f relation.AggFunc, t relation.Type, acc, v uint64) uint64 {
+	switch f {
+	case relation.Count:
+		return acc + 1
+	case relation.Sum:
+		if t == relation.TFloat {
+			return math.Float64bits(math.Float64frombits(acc) + math.Float64frombits(v))
+		}
+		return acc + v // two's complement: the bits of the int64 sum
+	case relation.Min:
+		if cmpCells(t, v, acc) < 0 {
+			return v
+		}
+	case relation.Max:
+		if cmpCells(t, v, acc) > 0 {
+			return v
 		}
 	}
-	return rel, nil
+	return acc
+}
+
+// box projects a base row or group record to the output columns and
+// boxes the cells into a tuple cut from the arena.
+func (p *Plan) box(ar *arena, row []uint64) relation.Tuple {
+	t := ar.cut(len(p.outIdx))
+	for i, j := range p.outIdx {
+		switch c := row[j]; p.out[i].Type {
+		case relation.TInt:
+			t[i] = int64(c)
+		case relation.TFloat:
+			t[i] = math.Float64frombits(c)
+		default:
+			t[i] = c
+		}
+	}
+	return t
+}
+
+// arena cuts emitted tuples from chunks of values, each with its
+// capacity clipped. A chunk starts at one tuple and doubles up to 256,
+// so a one-row answer pays for one row and a long answer an amortised
+// share of an allocation per row.
+type arena struct {
+	free   []relation.Value
+	tuples int // in the newest chunk
+}
+
+func (a *arena) cut(n int) relation.Tuple {
+	if len(a.free) < n {
+		a.tuples = min(2*a.tuples+1, 256)
+		a.free = make([]relation.Value, a.tuples*n)
+	}
+	t := a.free[:n:n]
+	a.free = a.free[n:]
+	return t
 }
 
 // runJoin executes the region join through the engine, using the
@@ -769,97 +830,6 @@ func sortJoinResults(out []planner.RegionJoinResult) {
 		}
 		return out[i].Point.ID < out[j].Point.ID
 	})
-}
-
-// finish applies grouping, projection, DISTINCT, ORDER BY and LIMIT
-// to the filtered base relation.
-func (p *Plan) finish(rel *relation.Relation) (*relation.Relation, error) {
-	var err error
-	if p.grouped {
-		rel, err = relation.GroupBy(rel, p.groupCols, p.aggs)
-		if err != nil {
-			return nil, planErrf("%v", err)
-		}
-	}
-	projected := relation.New(p.out)
-	for _, t := range rel.Tuples {
-		projected.Tuples = append(projected.Tuples, p.project(t))
-	}
-	rel = projected
-	if p.sel.Distinct {
-		names := make([]string, len(p.out))
-		for i, c := range p.out {
-			names[i] = c.Name
-		}
-		rel, err = relation.Project(rel, names...)
-		if err != nil {
-			return nil, planErrf("%v", err)
-		}
-	}
-	if len(p.orderIdx) > 0 {
-		p.sortTuples(rel.Tuples)
-	}
-	if p.sel.Limit >= 0 && int64(len(rel.Tuples)) > p.sel.Limit {
-		rel.Tuples = rel.Tuples[:p.sel.Limit]
-	}
-	return rel, nil
-}
-
-// sortTuples is the multi-key stable sort ORDER BY needs (the
-// relation package's SortBy is single-key ascending).
-func (p *Plan) sortTuples(tuples []relation.Tuple) {
-	sort.SliceStable(tuples, func(a, b int) bool {
-		for k, j := range p.orderIdx {
-			c := cmpValues(tuples[a][j], tuples[b][j])
-			if c == 0 {
-				continue
-			}
-			if p.orderDesc[k] {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-}
-
-// cmpValues orders two same-typed relation values.
-func cmpValues(a, b relation.Value) int {
-	switch av := a.(type) {
-	case uint64:
-		bv := b.(uint64)
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
-	case int64:
-		bv := b.(int64)
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
-	case float64:
-		bv := b.(float64)
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
-	case string:
-		bv := b.(string)
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
-	}
-	return 0
 }
 
 // MaxNearestK bounds NEAREST's k so a hostile query cannot demand an

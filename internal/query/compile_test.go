@@ -17,13 +17,15 @@ import (
 // fakeEngine is a cost-model-free Engine over an in-memory point
 // slice, standing in for a transaction view.
 type fakeEngine struct {
-	g   zorder.Grid
-	pts []geom.Point
+	g     zorder.Grid
+	pts   []geom.Point
+	calls int // RangeFunc and Nearest calls so far
 }
 
 func (e *fakeEngine) Grid() zorder.Grid     { return e.g }
 func (e *fakeEngine) Table() *planner.Table { return nil }
 func (e *fakeEngine) RangeFunc(ctx context.Context, box geom.Box, fn func(geom.Point) bool) error {
+	e.calls++
 	for _, p := range e.pts {
 		if box.ContainsPoint(p.Coords) && !fn(p) {
 			return nil
@@ -33,6 +35,7 @@ func (e *fakeEngine) RangeFunc(ctx context.Context, box geom.Box, fn func(geom.P
 }
 
 func (e *fakeEngine) Nearest(ctx context.Context, q []uint32, k int) ([]core.Neighbor, error) {
+	e.calls++
 	return nil, errors.New("fakeEngine: no nearest")
 }
 
@@ -219,5 +222,59 @@ func TestRunAgainstFakeEngine(t *testing.T) {
 
 	if rows = collect("SELECT id FROM points WHERE x > 10 AND x < 5"); len(rows) != 0 {
 		t.Errorf("empty plan emitted %v", rows)
+	}
+}
+
+// TestLimitZeroIssuesNoScan: LIMIT 0 answers without touching the
+// engine, whether the plan streams or needs its whole input.
+func TestLimitZeroIssuesNoScan(t *testing.T) {
+	g := zorder.MustGrid(2, 4)
+	eng := &fakeEngine{g: g, pts: []geom.Point{{ID: 1, Coords: []uint32{1, 1}}}}
+	for _, sql := range []string{
+		"SELECT id FROM points LIMIT 0",
+		"SELECT id FROM points ORDER BY id LIMIT 0",
+		"SELECT COUNT(*) FROM points LIMIT 0",
+		"SELECT id, dist FROM points WHERE NEAREST(POINT(1, 1), 3) LIMIT 0",
+		"SELECT region, id FROM points JOIN REGIONS(1 BOX(0, 10, 0, 10)) ON INTERSECTS LIMIT 0",
+	} {
+		err := mustCompile(t, g, sql).Run(context.Background(), eng, func(relation.Tuple) bool {
+			t.Errorf("%q emitted a row", sql)
+			return true
+		})
+		if err != nil || eng.calls != 0 {
+			t.Errorf("%q: err %v, %d engine calls, want none", sql, err, eng.calls)
+		}
+		eng.calls = 0
+	}
+}
+
+// TestEmittedRowsAreTheCallersToKeep: rows of one run share backing
+// arrays, so each must be cut with its capacity clipped: growing a
+// kept row reallocates instead of writing into its neighbour.
+func TestEmittedRowsAreTheCallersToKeep(t *testing.T) {
+	g := zorder.MustGrid(2, 4)
+	eng := &fakeEngine{g: g}
+	for i := 0; i < 10; i++ {
+		eng.pts = append(eng.pts, geom.Point{ID: uint64(i), Coords: []uint32{uint32(i), 0}})
+	}
+	for _, sql := range []string{"SELECT id, x FROM points", "SELECT id, x FROM points ORDER BY id"} {
+		var rows []relation.Tuple
+		if err := mustCompile(t, g, sql).Run(context.Background(), eng, func(tp relation.Tuple) bool {
+			rows = append(rows, tp)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range rows {
+			if cap(rows[i]) != len(rows[i]) {
+				t.Fatalf("%q: row %d has len %d, cap %d", sql, i, len(rows[i]), cap(rows[i]))
+			}
+			_ = append(rows[i], "overflow")
+		}
+		for i, row := range rows {
+			if want := (relation.Tuple{uint64(i), int64(i)}); !reflect.DeepEqual(row, want) {
+				t.Errorf("%q: row %d is %v after its neighbours grew, want %v", sql, i, row, want)
+			}
+		}
 	}
 }

@@ -50,8 +50,8 @@ func (p *Plan) ExplainText(eng Engine) string {
 			parts = append(parts, fmt.Sprintf("%v(%s) as %s", a.Func, col, a.As))
 		}
 		line := "aggregate"
-		if len(p.groupCols) > 0 {
-			line = "group by " + strings.Join(p.groupCols, ", ")
+		if len(sel.GroupBy) > 0 {
+			line = "group by " + strings.Join(sel.GroupBy, ", ")
 		}
 		if len(parts) > 0 {
 			line += ": " + strings.Join(parts, ", ")

@@ -13,9 +13,9 @@ const (
 	Count AggFunc = iota
 	// Sum adds a TInt or TFloat column.
 	Sum
-	// Min takes the minimum of a TInt, TFloat or TString column.
+	// Min takes the minimum of a TID, TInt, TFloat or TString column.
 	Min
-	// Max takes the maximum of a TInt, TFloat or TString column.
+	// Max takes the maximum of a TID, TInt, TFloat or TString column.
 	Max
 )
 

@@ -202,3 +202,19 @@ func TestGroupByFirstEncounterOrder(t *testing.T) {
 		t.Fatalf("group order %v, want first-encounter order", order)
 	}
 }
+
+// TestGroupByKeysDoNotCollide: the two tuples of
+// TestProjectKeysDoNotCollide are two groups of one, not one of two.
+func TestGroupByKeysDoNotCollide(t *testing.T) {
+	r := New(MustSchema(Column{Name: "a", Type: TString}, Column{Name: "b", Type: TString}))
+	r.MustAppend(Tuple{"a|string|b", "c"})
+	r.MustAppend(Tuple{"a", "b|string|c"})
+	got, err := GroupBy(r, []string{"a", "b"}, []Agg{{Func: Count, As: "n"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Tuple{{"a|string|b", "c", int64(1)}, {"a", "b|string|c", int64(1)}}
+	if !reflect.DeepEqual(got.Tuples, want) {
+		t.Errorf("groups %v, want %v", got.Tuples, want)
+	}
+}

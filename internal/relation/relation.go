@@ -9,7 +9,9 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -210,13 +212,27 @@ func Project(r *Relation, cols ...string) (*Relation, error) {
 	return out, nil
 }
 
-// tupleKey builds a map key identifying a tuple's values.
+// tupleKey builds a map key identifying a tuple's values: per value a
+// type tag, then 8 fixed bytes, or a length and the bytes of a string,
+// so no two distinct tuples share a key.
 func tupleKey(t Tuple) string {
-	var b strings.Builder
+	var b []byte
 	for _, v := range t {
-		fmt.Fprintf(&b, "%T|%v|", v, v)
+		switch v := v.(type) {
+		case uint64:
+			b = binary.BigEndian.AppendUint64(append(b, byte(TID)), v)
+		case int64:
+			b = binary.BigEndian.AppendUint64(append(b, byte(TInt)), uint64(v))
+		case float64:
+			b = binary.BigEndian.AppendUint64(append(b, byte(TFloat)), math.Float64bits(v))
+		case string:
+			b = binary.BigEndian.AppendUint64(append(b, byte(TString)), uint64(len(v)))
+			b = append(b, v...)
+		case zorder.Element:
+			b = binary.BigEndian.AppendUint64(append(b, byte(TElement), v.Len), v.Bits)
+		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // SortBy sorts the relation by the named column, ascending. Elements

@@ -78,6 +78,21 @@ func TestSelectProject(t *testing.T) {
 	}
 }
 
+// TestProjectKeysDoNotCollide: two distinct string tuples whose values
+// spell out each other's separators are two rows, not one.
+func TestProjectKeysDoNotCollide(t *testing.T) {
+	r := New(MustSchema(Column{Name: "a", Type: TString}, Column{Name: "b", Type: TString}))
+	r.MustAppend(Tuple{"a|string|b", "c"})
+	r.MustAppend(Tuple{"a", "b|string|c"})
+	proj, err := Project(r, "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if proj.Len() != 2 {
+		t.Errorf("Project kept %d of 2 distinct tuples: %v", proj.Len(), proj.Tuples)
+	}
+}
+
 func TestSortBy(t *testing.T) {
 	r := New(MustSchema(Column{Name: "e", Type: TElement}))
 	es := []string{"10", "0", "011", "01"}

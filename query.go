@@ -132,8 +132,11 @@ func (s *Stmt) ExplainText(ctx context.Context) (string, error) {
 // (pure index scans) deliver rows as the index merge produces them, so
 // a cancelled ctx or false fn stops within about one page read; plans
 // that need the whole input (aggregates, ORDER BY, DISTINCT, JOIN,
-// NEAREST) materialize first. The returned stats accumulate every
-// index scan the plan issued; Results counts the rows delivered.
+// NEAREST) finish their scan first. A row is the caller's to keep:
+// rows of one run may share a backing array, and each is cut with its
+// capacity clipped, so appending to one cannot overwrite its
+// neighbour. The returned stats accumulate every index scan the plan
+// issued; Results counts the rows delivered.
 func (s *Stmt) Run(ctx context.Context, fn func(QueryRow) bool) (QueryStats, error) {
 	var stats QueryStats
 	eng, release, err := s.binder.bindEngine(ctx, &stats)
