@@ -158,8 +158,7 @@ func createDurable(g Grid, cfg openConfig, fsys disk.FS) (*DB, error) {
 		rs.Close()
 		return nil, err
 	}
-	db := &DB{grid: g, store: rs, rs: rs, pool: pool, index: ix,
-		metrics: obs.NewRegistry(), txMetrics: newTxMetrics()}
+	db := (&DB{grid: g, store: rs, rs: rs, pool: pool, index: ix}).initMetrics()
 	// Checkpoint immediately: a freshly created database must be
 	// recoverable even if the process dies before the first explicit
 	// Checkpoint.
@@ -208,11 +207,10 @@ func recoverDurable(g Grid, cfg openConfig, fsys disk.FS, sp *Trace) (*DB, error
 		rs.Close()
 		return nil, err
 	}
-	return &DB{
+	return (&DB{
 		grid: g, store: rs, rs: rs, pool: pool, index: ix,
-		metrics: obs.NewRegistry(), txMetrics: newTxMetrics(),
 		recovery: info, recovered: true,
-	}, nil
+	}).initMetrics(), nil
 }
 
 // Checkpoint makes every change so far durable: the database

@@ -55,6 +55,22 @@ type cursorLevel struct {
 // Cursor returns a new live cursor positioned before the first entry.
 func (t *Tree) Cursor() *Cursor { return &Cursor{t: t} }
 
+// Reset re-aims the cursor, before the first entry and with no span or
+// context: at snap's version when snap is non-nil, else at t's live
+// versions. The cursor keeps its level and leaf buffers and nothing
+// else, so a recycled cursor costs its next search no allocation and
+// owes its last one nothing. Reset(nil, nil) detaches it: it then
+// holds no tree, snapshot or version, and any use before the next
+// Reset panics on the nil tree, not on another search's pages.
+func (c *Cursor) Reset(t *Tree, snap *Snapshot) {
+	if snap != nil {
+		t = snap.t
+	}
+	c.t, c.snap, c.v = t, snap, nil
+	c.stack = c.stack[:0]
+	c.valid, c.span, c.ctx = false, nil, nil
+}
+
 // SetSpan attributes the cursor's traversal work to sp: one
 // obs.Seeks per SeekGE, obs.NodeVisits per internal node loaded, and
 // obs.LeafScans per leaf page loaded (rescans included —

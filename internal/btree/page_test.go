@@ -478,6 +478,44 @@ func TestNoPinOutlivesACall(t *testing.T) {
 	}
 	unpinned("CheckInvariants")
 
+	// A recycled cursor: Reset re-aims it with its buffers, and the
+	// detaching Reset leaves it holding no snapshot, tree or version,
+	// so the version it read is reclaimable once released, and a use
+	// after detaching panics on the nil tree, not on stale pages.
+	s2 := tree.Snapshot()
+	fixed.Reset(nil, s2)
+	if fixed.Valid() || fixed.t != tree {
+		t.Fatal("Reset left the cursor positioned, or off the snapshot's tree")
+	}
+	if ok, err := fixed.SeekGE(keys[1]); !ok || err != nil {
+		t.Fatalf("SeekGE after Reset: %v %v", ok, err)
+	}
+	unpinned("SeekGE after Reset")
+	levels := cap(fixed.stack)
+	fixed.Reset(nil, nil)
+	if fixed.t != nil || fixed.snap != nil || fixed.v != nil || fixed.span != nil || fixed.ctx != nil || fixed.Valid() {
+		t.Fatalf("a detached cursor still refers to its last search: %+v", fixed)
+	}
+	if cap(fixed.stack) != levels || cap(fixed.leaf.data) == 0 {
+		t.Fatal("a detached cursor lost its buffers")
+	}
+	s2.Release()
+	if err := tree.Insert(Key{Hi: 2, Lo: 1 << 41}, val8(0)); err != nil {
+		t.Fatal(err)
+	}
+	snap.Release()
+	if n := tree.CollectGarbage(); n != 0 {
+		t.Fatalf("%d pages retained with every snapshot released and one detached cursor around", n)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SeekGE on a detached cursor did not panic")
+			}
+		}()
+		fixed.SeekGE(keys[1])
+	}()
+
 	// Turn the root into a page of no known type, then of the wrong
 	// one: every read fails, and still unpins.
 	root := tree.Meta().Root

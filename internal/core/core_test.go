@@ -416,3 +416,40 @@ func TestIndexDecompose(t *testing.T) {
 		t.Errorf("Decompose = %v", elems)
 	}
 }
+
+// A scratch goes back to the pool detached: it pins no version (the
+// snapshot it searched is reclaimable once released) and its cursor,
+// used by mistake afterwards, panics on the nil tree and cannot read
+// pages through another search's buffers.
+func TestScratchGoesBackDetached(t *testing.T) {
+	g := zorder.MustGrid(2, 8)
+	ix := newTestIndex(t, g, 4)
+	if err := ix.BulkLoad(workload.Uniform(g, 300, 5)); err != nil {
+		t.Fatal(err)
+	}
+	snap := ix.Snapshot()
+	s := scratchPool.Get().(*scratch)
+	for _, strategy := range allStrategies() {
+		// Stopped early: the cursor is mid-leaf when the search returns.
+		if _, err := snap.searchKeys(s, nil, geom.Box2(0, 255, 0, 255), strategy, nil, func(z, id uint64) bool { return false }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.release()
+	snap.Release()
+	if err := ix.Insert(geom.Pt2(1<<40, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := ix.Tree().CollectGarbage(); n != 0 {
+		t.Errorf("%d pages retained after the only snapshot was released", n)
+	}
+	if s.pc.Valid() || s.bc.Valid() {
+		t.Error("a released scratch has a positioned cursor")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a seek on a released scratch's cursor did not panic")
+		}
+	}()
+	s.pc.SeekGE(btree.Key{})
+}

@@ -23,30 +23,28 @@ type IndexConfig struct {
 	LeafCapacity int
 }
 
-// cursorSource is the tree view a reader runs its merges against:
-// either the live tree (cursors track the newest committed version)
-// or one pinned snapshot (cursors see a frozen version). Both sides
-// of the interface are in internal/btree; the indirection is what
-// lets one implementation of the search algorithms serve both.
-type cursorSource interface {
-	Cursor() *btree.Cursor
-	Len() int
-}
-
-// reader bundles a grid with a cursor source and carries every
-// read-only query method — RangeSearch and friends, PartialMatch,
-// Nearest, Decompose. Index embeds a live reader; IndexSnapshot
-// embeds a pinned one.
+// reader bundles a grid with a tree view and carries every read-only
+// query method — RangeSearch and friends, PartialMatch, Nearest,
+// Decompose. Index embeds a live reader (cursors track the newest
+// committed version); IndexSnapshot embeds one whose snap pins a
+// frozen version. A search aims its recycled cursor at whichever it
+// is (btree.Cursor.Reset), so one implementation serves both.
 type reader struct {
-	g   zorder.Grid
-	src cursorSource
+	g    zorder.Grid
+	tree *btree.Tree
+	snap *btree.Snapshot // nil on the live index
 }
 
 // Grid returns the grid the points live on.
 func (ix *reader) Grid() zorder.Grid { return ix.g }
 
 // Len returns the number of indexed points.
-func (ix *reader) Len() int { return ix.src.Len() }
+func (ix *reader) Len() int {
+	if ix.snap != nil {
+		return ix.snap.Len()
+	}
+	return ix.tree.Len()
+}
 
 // Decompose runs the object decomposition on the index's grid: the
 // Decompose operator of Section 4, yielding the element relation for
@@ -75,11 +73,10 @@ func (ix *reader) Decompose(obj geom.Object, opts decompose.Options) ([]zorder.E
 // docs/mvcc.md for the full contract.
 type Index struct {
 	reader
-	tree *btree.Tree
 }
 
 func newIndexOver(g zorder.Grid, tree *btree.Tree) *Index {
-	return &Index{reader: reader{g: g, src: tree}, tree: tree}
+	return &Index{reader{g: g, tree: tree}}
 }
 
 // NewIndex creates an empty index over grid g on the pool.
@@ -118,14 +115,12 @@ func (ix *Index) Tree() *btree.Tree { return ix.tree }
 // reclaimed.
 type IndexSnapshot struct {
 	reader
-	snap *btree.Snapshot
 }
 
 // Snapshot pins the index's current committed version and returns a
 // read-only view of it. The caller must Release it.
 func (ix *Index) Snapshot() *IndexSnapshot {
-	s := ix.tree.Snapshot()
-	return &IndexSnapshot{reader: reader{g: ix.g, src: s}, snap: s}
+	return &IndexSnapshot{reader{g: ix.g, tree: ix.tree, snap: ix.tree.Snapshot()}}
 }
 
 // Release unpins the snapshot's tree version. It is idempotent; using

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
+	"probe/internal/decompose"
+	"probe/internal/geom"
 	"probe/internal/obs"
 	"probe/internal/zorder"
 )
@@ -26,12 +29,21 @@ type Pair struct {
 // SortItems sorts a decomposed relation into z order, the order the
 // spatial join requires.
 func SortItems(items []Item) {
-	sort.Slice(items, func(i, j int) bool {
-		if c := items[i].Elem.Compare(items[j].Elem); c != 0 {
-			return c < 0
-		}
-		return items[i].ID < items[j].ID
+	slices.SortFunc(items, func(a, b Item) int {
+		return cmp.Or(a.Elem.Compare(b.Elem), cmp.Compare(a.ID, b.ID))
 	})
+}
+
+// AppendBoxItems appends the decomposition of box, each element tagged
+// with id, to dst: one object's rows of a decomposed relation. Up to
+// 256 elements pass through the stack, so a caller that reuses dst
+// pays nothing per box.
+func AppendBoxItems(dst []Item, g zorder.Grid, box geom.Box, id uint64) []Item {
+	var buf [256]zorder.Element
+	for _, e := range decompose.AppendBox(buf[:0], g, box) {
+		dst = append(dst, Item{Elem: e, ID: id})
+	}
+	return dst
 }
 
 // SpatialJoin computes R[zr <> zs]S: every pair of items (r, s) such
@@ -152,11 +164,8 @@ func DedupPairs(pairs []Pair) []Pair {
 	if len(pairs) == 0 {
 		return pairs
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
+	slices.SortFunc(pairs, func(a, b Pair) int {
+		return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
 	})
 	out := pairs[:1]
 	for _, p := range pairs[1:] {

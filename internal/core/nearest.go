@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"probe/internal/btree"
@@ -84,106 +86,126 @@ func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric,
 	if m > ix.Len() {
 		m = ix.Len()
 	}
-	// Phase 1: expand an L-infinity box until it holds >= m points.
-	r := uint32(1)
-	var candidates []geom.Point
-	for {
-		box := ix.ringBox(q, r)
-		pts, stats, err := ix.searchAll(ctx, box, strategy, nil)
+	s := scratchPool.Get().(*scratch)
+	defer s.release()
+	// Phase 1: expand an L-infinity box until it holds >= m points or
+	// is the whole space, which a doubling radius makes it in the end.
+	// The radius is a uint64: on a 32-bit dimension it passes every
+	// uint32 first.
+	for r := uint64(1); ; r *= 2 {
+		n, whole, err := ix.nearestRound(s, ctx, q, r, m, metric, strategy, &agg)
 		if err != nil {
 			return nil, agg, err
 		}
-		accumulate(&agg, stats)
-		candidates = pts
-		if len(candidates) >= m || ix.coversSpace(box) {
+		if n >= m || whole {
 			break
 		}
-		maxSide := uint64(0)
-		for i := 0; i < ix.g.Dims(); i++ {
-			if s := ix.g.SideOf(i); s > maxSide {
-				maxSide = s
-			}
+	}
+	if len(s.best) == m {
+		// Phase 2: the m-th distance certifies a radius; one final
+		// search over that radius guarantees no closer point was missed
+		// (for Euclidean, any point at L2 distance <= d is within
+		// L-infinity distance <= d of q). With fewer than m points in
+		// the whole space there is nothing to certify.
+		certified := uint64(math.Ceil(s.best[0].dist))
+		if _, _, err := ix.nearestRound(s, ctx, q, certified, m, metric, strategy, &agg); err != nil {
+			return nil, agg, err
 		}
-		if uint64(r) > maxSide {
-			break
-		}
-		r *= 2
 	}
-	neighbors := ix.rank(q, candidates, metric)
-	if len(neighbors) > m {
-		neighbors = neighbors[:m]
-	}
-	if len(neighbors) < m {
-		// Fewer points than requested inside the whole space: done.
-		agg.Results = len(neighbors)
-		return neighbors, agg, nil
-	}
-	// Phase 2: the m-th distance certifies a radius; one final search
-	// over that radius guarantees no closer point was missed (for
-	// Euclidean, any point at L2 distance <= d is within L-infinity
-	// distance <= d of q).
-	certified := uint32(math.Ceil(neighbors[m-1].Dist))
-	finalBox := ix.ringBox(q, certified)
-	pts, stats, err := ix.searchAll(ctx, finalBox, strategy, nil)
-	if err != nil {
-		return nil, agg, err
-	}
-	accumulate(&agg, stats)
-	neighbors = ix.rank(q, pts, metric)
-	if len(neighbors) > m {
-		neighbors = neighbors[:m]
+	// Only the survivors become points.
+	slices.SortFunc(s.best, compareCandidates)
+	k := len(q)
+	neighbors := make([]Neighbor, len(s.best))
+	coords := make([]uint32, len(s.best)*k)
+	for i, c := range s.best {
+		p := coords[i*k : (i+1)*k : (i+1)*k]
+		ix.unshuffle(c.z, p)
+		neighbors[i] = Neighbor{Point: geom.Point{ID: c.id, Coords: p}, Dist: c.dist}
 	}
 	agg.Results = len(neighbors)
 	return neighbors, agg, nil
 }
 
-func accumulate(agg *SearchStats, s SearchStats) {
-	agg.DataPages += s.DataPages
-	agg.Seeks += s.Seeks
-	agg.Elements += s.Elements
-}
-
-// ringBox builds the box of L-infinity radius r around q, clamped to
-// the grid.
-func (ix *reader) ringBox(q []uint32, r uint32) geom.Box {
-	lo := make([]uint32, len(q))
-	hi := make([]uint32, len(q))
-	for i, c := range q {
-		max := uint32(ix.g.SideOf(i) - 1)
-		if c >= r {
-			lo[i] = c - r
-		}
-		if c <= max-r {
-			hi[i] = c + r
-		} else {
-			hi[i] = max
-		}
-	}
-	return geom.Box{Lo: lo, Hi: hi}
-}
-
-func (ix *reader) coversSpace(b geom.Box) bool {
-	for i := range b.Lo {
-		if b.Lo[i] != 0 || b.Hi[i] != uint32(ix.g.SideOf(i)-1) {
-			return false
-		}
-	}
-	return true
-}
-
-// rank sorts candidates by distance to q under the metric.
-func (ix *reader) rank(q []uint32, pts []geom.Point, metric Metric) []Neighbor {
-	ns := make([]Neighbor, len(pts))
-	for i, p := range pts {
-		ns[i] = Neighbor{Point: p, Dist: distance(q, p.Coords, metric)}
-	}
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Dist != ns[j].Dist {
-			return ns[i].Dist < ns[j].Dist
-		}
-		return ns[i].Point.ID < ns[j].Point.ID
+// nearestRound searches the box of L-infinity radius r around q,
+// clamped to the grid, and leaves the m best of its points in s.best.
+// It reports how many points the box held and whether the box was the
+// whole space.
+func (ix *reader) nearestRound(s *scratch, ctx context.Context, q []uint32, r uint64, m int, metric Metric, strategy Strategy, agg *SearchStats) (n int, whole bool, err error) {
+	box, whole := ix.ringBox(s, q, r)
+	s.best = s.best[:0]
+	var at [zorder.MaxBits]uint32
+	stats, err := ix.searchKeys(s, ctx, box, strategy, nil, func(z, id uint64) bool {
+		ix.unshuffle(z, at[:len(q)])
+		s.best = offer(s.best, m, candidate{distance(q, at[:len(q)], metric), id, z})
+		return true
 	})
-	return ns
+	if err != nil {
+		return 0, false, err
+	}
+	agg.DataPages += stats.DataPages
+	agg.Seeks += stats.Seeks
+	agg.Elements += stats.Elements
+	return stats.Results, whole, nil
+}
+
+// ringBox builds, in s, the box of L-infinity radius r around q clamped
+// to the grid, and reports whether that is the whole space. r may
+// exceed every coordinate: the arithmetic is in uint64 and saturates
+// at the grid's edges.
+func (ix *reader) ringBox(s *scratch, q []uint32, r uint64) (box geom.Box, whole bool) {
+	box = geom.Box{Lo: s.lo[:len(q)], Hi: s.hi[:len(q)]}
+	whole = true
+	for i, c := range q {
+		c, last := uint64(c), ix.g.SideOf(i)-1
+		r := min(r, last)
+		box.Lo[i], box.Hi[i] = uint32(c-min(c, r)), uint32(min(c+r, last))
+		whole = whole && box.Lo[i] == 0 && uint64(box.Hi[i]) == last
+	}
+	return box, whole
+}
+
+// candidate is a point NEAREST may return, as the search streams it:
+// its key and its distance to the query, not yet coordinates.
+type candidate struct {
+	dist  float64
+	id, z uint64
+}
+
+// compareCandidates is NEAREST's order: by distance, ties by id (and
+// then by pixel, so that the order is total).
+func compareCandidates(a, b candidate) int {
+	return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.id, b.id), cmp.Compare(a.z, b.z))
+}
+
+// offer keeps c if it is among the m best offered so far. best is a
+// max-heap under compareCandidates: the worst kept candidate is
+// best[0], the one a better newcomer evicts.
+func offer(best []candidate, m int, c candidate) []candidate {
+	i := len(best)
+	if i < m {
+		best = append(best, c)
+		for ; i > 0 && compareCandidates(best[i], best[(i-1)/2]) > 0; i = (i - 1) / 2 {
+			best[i], best[(i-1)/2] = best[(i-1)/2], best[i]
+		}
+		return best
+	}
+	if compareCandidates(c, best[0]) >= 0 {
+		return best
+	}
+	best[0], i = c, 0
+	for {
+		top := i
+		for _, j := range [2]int{2*i + 1, 2*i + 2} {
+			if j < len(best) && compareCandidates(best[j], best[top]) > 0 {
+				top = j
+			}
+		}
+		if top == i {
+			return best
+		}
+		best[i], best[top] = best[top], best[i]
+		i = top
+	}
 }
 
 // Distance returns the distance between two coordinate vectors under

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"probe/internal/btree"
 	"probe/internal/decompose"
@@ -117,9 +118,63 @@ func (ix *reader) RangeSearchFuncCtx(ctx context.Context, box geom.Box, sp *obs.
 	return ix.search(ctx, box, MergeLazy, sp, fn)
 }
 
-// search runs one range search by the given strategy; every exported
-// entry point funnels here.
+// scratch is the machinery of a search, everything that is not its
+// answer: the tree cursor with its page buffer per level, the
+// decomposition cursor, strategy A's element sequence, and NEAREST's
+// box and candidates. A search takes one from the pool, aims it at its
+// own tree version and gives it back detached, so a warm read
+// allocates what it returns and nothing else. The pool is per process,
+// not per snapshot: the serving path pins a snapshot per query, so
+// nothing smaller than the process outlives a search.
+type scratch struct {
+	pc     btree.Cursor
+	bc     decompose.Cursor
+	elems  []zorder.Element
+	lo, hi [zorder.MaxBits]uint32
+	best   []candidate
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release detaches the cursors, so the pool pins no snapshot, context
+// or caller's box, and recycles the scratch.
+func (s *scratch) release() {
+	s.pc.Reset(nil, nil)
+	s.bc = decompose.Cursor{}
+	scratchPool.Put(s)
+}
+
+// cursor aims the scratch's tree cursor at the reader's version.
+func (ix *reader) cursor(s *scratch, ctx context.Context, sp *obs.Span) *btree.Cursor {
+	s.pc.Reset(ix.tree, ix.snap)
+	s.pc.SetSpan(sp)
+	s.pc.SetContext(ctx)
+	return &s.pc
+}
+
+// search runs one range search by the given strategy on a scratch of
+// its own, unshuffling each result into a point for fn; every exported
+// range entry point funnels here.
 func (ix *reader) search(ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span, fn func(geom.Point) bool) (SearchStats, error) {
+	s := scratchPool.Get().(*scratch)
+	defer s.release()
+	var slab coordSlab
+	return ix.searchKeys(s, ctx, box, strategy, sp, func(z, id uint64) bool {
+		coords := slab.take(ix.g.Dims())
+		ix.unshuffle(z, coords)
+		return fn(geom.Point{ID: id, Coords: coords})
+	})
+}
+
+// unshuffle writes the coordinates of a point's z key into coords.
+func (ix *reader) unshuffle(z uint64, coords []uint32) {
+	ix.g.UnshuffleInto(zorder.Element{Bits: z, Len: uint8(ix.g.TotalBits())}, coords)
+}
+
+// searchKeys is the search itself: it streams the (z, id) keys of the
+// points inside the box to visit, in z order, using s for the
+// duration. visit returning false stops it.
+func (ix *reader) searchKeys(s *scratch, ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span, visit func(z, id uint64) bool) (SearchStats, error) {
 	if box.Dims() != ix.g.Dims() {
 		return SearchStats{}, fmt.Errorf("core: box has %d dims, index %d", box.Dims(), ix.g.Dims())
 	}
@@ -132,11 +187,11 @@ func (ix *reader) search(ctx context.Context, box geom.Box, strategy Strategy, s
 	var err error
 	switch strategy {
 	case MergeDecomposed:
-		stats, err = ix.searchDecomposed(ctx, box, sp, fn)
+		stats, err = ix.searchDecomposed(s, ctx, box, sp, visit)
 	case MergeLazy:
-		stats, err = ix.searchLazy(ctx, box, sp, fn)
+		stats, err = ix.searchLazy(s, ctx, box, sp, visit)
 	case SkipBigMin:
-		stats, err = ix.searchBigMin(ctx, box, sp, fn)
+		stats, err = ix.searchBigMin(s, ctx, box, sp, visit)
 	default:
 		return SearchStats{}, fmt.Errorf("core: unknown strategy %d", int(strategy))
 	}
@@ -182,31 +237,20 @@ func (s *coordSlab) take(k int) []uint32 {
 	return c
 }
 
-// emit converts the cursor entry to a point and passes it to fn.
-func (ix *reader) emit(c *btree.Cursor, fn func(geom.Point) bool, stats *SearchStats, slab *coordSlab) bool {
-	k := c.Key()
-	stats.Results++
-	coords := slab.take(ix.g.Dims())
-	ix.g.UnshuffleInto(zorder.Element{Bits: k.Hi, Len: uint8(ix.g.TotalBits())}, coords)
-	return fn(geom.Point{ID: k.Lo, Coords: coords})
-}
-
 // searchDecomposed is strategy A: materialize B, merge with skipping
 // on both sides.
-func (ix *reader) searchDecomposed(ctx context.Context, box geom.Box, sp *obs.Span, fn func(geom.Point) bool) (SearchStats, error) {
+func (ix *reader) searchDecomposed(s *scratch, ctx context.Context, box geom.Box, sp *obs.Span, visit func(z, id uint64) bool) (SearchStats, error) {
 	var stats SearchStats
-	elems := decompose.Box(ix.g, box)
+	s.elems = decompose.AppendBox(s.elems[:0], ix.g, box)
+	elems := s.elems
 	stats.Elements = len(elems)
 	sp.Add(obs.Elements, int64(len(elems)))
 	if len(elems) == 0 {
 		return stats, nil
 	}
 	total := ix.g.TotalBits()
-	pc := ix.src.Cursor()
-	pc.SetSpan(sp)
-	pc.SetContext(ctx)
+	pc := ix.cursor(s, ctx, sp)
 	var pages pageTracker
-	var slab coordSlab
 	i := 0
 	ok, err := pc.SeekGE(btree.Key{Hi: elems[0].MinZ()})
 	stats.Seeks++
@@ -236,7 +280,8 @@ func (ix *reader) searchDecomposed(ctx context.Context, box geom.Box, sp *obs.Sp
 		}
 		// elems[i].MinZ <= z <= elems[i].MaxZ: the point is inside
 		// the box, no coordinate test needed.
-		if !ix.emit(pc, fn, &stats, &slab) {
+		stats.Results++
+		if !visit(z, pc.Key().Lo) {
 			break
 		}
 		ok, err = pc.Next()
@@ -251,12 +296,10 @@ func (ix *reader) searchDecomposed(ctx context.Context, box geom.Box, sp *obs.Sp
 
 // searchLazy is strategy B: the same merge, with B generated on
 // demand.
-func (ix *reader) searchLazy(ctx context.Context, box geom.Box, sp *obs.Span, fn func(geom.Point) bool) (SearchStats, error) {
+func (ix *reader) searchLazy(s *scratch, ctx context.Context, box geom.Box, sp *obs.Span, visit func(z, id uint64) bool) (SearchStats, error) {
 	var stats SearchStats
-	bc, err := decompose.NewCursor(ix.g, box, decompose.Options{})
-	if err != nil {
-		return stats, err
-	}
+	bc := &s.bc
+	bc.ResetBox(ix.g, box)
 	bc.SetSpan(sp)
 	bc.SetContext(ctx)
 	if !bc.Next() {
@@ -265,11 +308,8 @@ func (ix *reader) searchLazy(ctx context.Context, box geom.Box, sp *obs.Span, fn
 		return stats, bc.Err()
 	}
 	stats.Elements++
-	pc := ix.src.Cursor()
-	pc.SetSpan(sp)
-	pc.SetContext(ctx)
+	pc := ix.cursor(s, ctx, sp)
 	var pages pageTracker
-	var slab coordSlab
 	ok, err := pc.SeekGE(btree.Key{Hi: bc.ZLo()})
 	stats.Seeks++
 	if err != nil {
@@ -296,7 +336,8 @@ func (ix *reader) searchLazy(ctx context.Context, box geom.Box, sp *obs.Span, fn
 			pages.touch(pc)
 			continue
 		}
-		if !ix.emit(pc, fn, &stats, &slab) {
+		stats.Results++
+		if !visit(z, pc.Key().Lo) {
 			break
 		}
 		ok, err = pc.Next()
@@ -311,7 +352,7 @@ func (ix *reader) searchLazy(ctx context.Context, box geom.Box, sp *obs.Span, fn
 
 // searchBigMin is strategy C: skip directly to the next in-box z
 // value whenever the scan leaves the box.
-func (ix *reader) searchBigMin(ctx context.Context, box geom.Box, sp *obs.Span, fn func(geom.Point) bool) (SearchStats, error) {
+func (ix *reader) searchBigMin(s *scratch, ctx context.Context, box geom.Box, sp *obs.Span, visit func(z, id uint64) bool) (SearchStats, error) {
 	var stats SearchStats
 	first, any := ix.g.BigMin(0, box.Lo, box.Hi)
 	if !any {
@@ -320,11 +361,8 @@ func (ix *reader) searchBigMin(ctx context.Context, box geom.Box, sp *obs.Span, 
 	stats.Elements++
 	sp.Inc(obs.BigMinSkips)
 	last, _ := ix.g.LitMax(^uint64(0), box.Lo, box.Hi)
-	pc := ix.src.Cursor()
-	pc.SetSpan(sp)
-	pc.SetContext(ctx)
+	pc := ix.cursor(s, ctx, sp)
 	var pages pageTracker
-	var slab coordSlab
 	ok, err := pc.SeekGE(btree.Key{Hi: first})
 	stats.Seeks++
 	if err != nil {
@@ -337,7 +375,8 @@ func (ix *reader) searchBigMin(ctx context.Context, box geom.Box, sp *obs.Span, 
 			break
 		}
 		if ix.g.InBox(z, box.Lo, box.Hi) {
-			if !ix.emit(pc, fn, &stats, &slab) {
+			stats.Results++
+			if !visit(z, pc.Key().Lo) {
 				break
 			}
 			ok, err = pc.Next()

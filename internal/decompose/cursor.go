@@ -18,17 +18,11 @@ import (
 // sequential access) and Seek (the random access used to skip parts
 // of the space that cannot contribute to the result).
 type Cursor struct {
-	g      zorder.Grid
-	obj    geom.Object
-	maxLen int
-	dropB  bool
-	order  [zorder.MaxBits]uint8
+	region
 
 	cur   zorder.Element
 	valid bool
 	done  bool
-
-	lo, hi []uint32 // scratch region, rebuilt per descent
 
 	span *obs.Span       // element-generation attribution; nil = untraced
 	ctx  context.Context // cancellation; nil = never cancelled
@@ -38,23 +32,21 @@ type Cursor struct {
 // NewCursor builds a cursor over the decomposition of obj. The cursor
 // starts before the first element; call Next or Seek to position it.
 func NewCursor(g zorder.Grid, obj geom.Object, opts Options) (*Cursor, error) {
-	ml, err := opts.maxLen(g)
-	if err != nil {
+	c := new(Cursor)
+	if err := c.aim(g, obj, opts); err != nil {
 		return nil, err
 	}
-	if obj.Dims() != g.Dims() {
-		return nil, errDims(g, obj)
-	}
-	return &Cursor{
-		g: g, obj: obj, maxLen: ml, dropB: opts.DropBoundary,
-		order: g.SplitOrder(),
-		lo:    make([]uint32, g.Dims()), hi: make([]uint32, g.Dims()),
-	}, nil
+	return c, nil
 }
 
-func errDims(g zorder.Grid, obj geom.Object) error {
-	_, err := newWalker(g, obj, Options{}, nil)
-	return err
+// ResetBox re-aims a cursor, whatever it did before, at the
+// full-resolution decomposition of box b, before its first element and
+// with no span or context. A zero Cursor is ready for it, so a cursor
+// can live by value inside a recycled structure and serve one search
+// after another without allocating.
+func (c *Cursor) ResetBox(g zorder.Grid, b geom.Box) {
+	*c = Cursor{}
+	c.aimBox(g, b)
 }
 
 // SetSpan attributes the cursor's work to sp: one obs.Elements per
@@ -131,10 +123,7 @@ func (c *Cursor) seekFrom(z uint64) bool {
 			return false
 		}
 	}
-	for i := range c.lo {
-		c.lo[i] = 0
-		c.hi[i] = uint32(c.g.SideOf(i) - 1)
-	}
+	c.whole()
 	e, ok := c.search(zorder.Element{}, z)
 	if !ok {
 		c.valid, c.done = false, true
@@ -150,7 +139,7 @@ func (c *Cursor) search(e zorder.Element, z uint64) (zorder.Element, bool) {
 	if e.MaxZ(c.g.TotalBits()) < z {
 		return zorder.Element{}, false
 	}
-	switch c.obj.Classify(c.lo, c.hi) {
+	switch c.classify() {
 	case geom.Outside:
 		return zorder.Element{}, false
 	case geom.Inside:
@@ -165,31 +154,10 @@ func (c *Cursor) search(e zorder.Element, z uint64) (zorder.Element, bool) {
 	for b := 0; b < 2; b++ {
 		dim, saved := c.descend(int(e.Len), b)
 		r, ok := c.search(e.Child(b), z)
-		c.restoreRegion(dim, b, saved)
+		c.restore(dim, b, saved)
 		if ok {
 			return r, true
 		}
 	}
 	return zorder.Element{}, false
-}
-
-func (c *Cursor) descend(depth, b int) (dim int, saved uint32) {
-	dim = int(c.order[depth])
-	half := (c.hi[dim]-c.lo[dim])/2 + 1
-	if b == 0 {
-		saved = c.hi[dim]
-		c.hi[dim] = c.lo[dim] + half - 1
-	} else {
-		saved = c.lo[dim]
-		c.lo[dim] += half
-	}
-	return dim, saved
-}
-
-func (c *Cursor) restoreRegion(dim, b int, saved uint32) {
-	if b == 0 {
-		c.hi[dim] = saved
-	} else {
-		c.lo[dim] = saved
-	}
 }

@@ -41,133 +41,187 @@ func (o Options) maxLen(g zorder.Grid) (int, error) {
 	return o.MaxLen, nil
 }
 
-// walker carries the shared state of a decomposition traversal,
-// maintaining the current region incrementally (O(1) per split).
-type walker struct {
-	g       zorder.Grid
-	obj     geom.Object
-	maxLen  int
-	dropB   bool
-	order   [zorder.MaxBits]uint8
-	lo, hi  []uint32
-	emit    func(zorder.Element) bool // returns false to stop early
-	stopped bool
+// region is the state a decomposition traversal carries, shared by the
+// eager walker and the lazy Cursor: the object, the grid's split order
+// and the current node's coordinate region, maintained incrementally
+// (O(1) per split) in fixed arrays. It holds no pointer into itself,
+// so a box decomposition lives on its caller's stack.
+type region struct {
+	g        zorder.Grid
+	box      geom.Box    // the object, when obj is nil
+	obj      geom.Object // any other object
+	olo, ohi []uint32    // obj's copy of the region; see classify
+	maxLen   int
+	dropB    bool
+	order    [zorder.MaxBits]uint8
+	lo, hi   [zorder.MaxBits]uint32
 }
 
-func newWalker(g zorder.Grid, obj geom.Object, opts Options, emit func(zorder.Element) bool) (*walker, error) {
+// aim points the region at obj over g.
+func (r *region) aim(g zorder.Grid, obj geom.Object, opts Options) error {
 	if obj.Dims() != g.Dims() {
-		return nil, fmt.Errorf("decompose: object has %d dims, grid %d", obj.Dims(), g.Dims())
+		return fmt.Errorf("decompose: object has %d dims, grid %d", obj.Dims(), g.Dims())
 	}
 	ml, err := opts.maxLen(g)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	w := &walker{
-		g: g, obj: obj, maxLen: ml, dropB: opts.DropBoundary,
-		order: g.SplitOrder(),
-		lo:    make([]uint32, g.Dims()), hi: make([]uint32, g.Dims()),
-		emit: emit,
+	if b, ok := obj.(geom.Box); ok {
+		r.aimBox(g, b)
+	} else {
+		r.obj = obj
+		r.olo, r.ohi = make([]uint32, g.Dims()), make([]uint32, g.Dims())
+		r.over(g)
 	}
-	for i := range w.hi {
-		w.hi[i] = uint32(g.SideOf(i) - 1)
+	r.maxLen, r.dropB = ml, opts.DropBoundary
+	return nil
+}
+
+// aimBox points the region at box b over g at full resolution: the
+// form that needs no interface and so no heap. A box of the wrong
+// arity is the caller's bug.
+func (r *region) aimBox(g zorder.Grid, b geom.Box) {
+	if b.Dims() != g.Dims() {
+		panic(fmt.Sprintf("decompose: box has %d dims, grid %d", b.Dims(), g.Dims()))
 	}
-	return w, nil
+	r.box, r.obj = b, nil
+	r.over(g)
+}
+
+// over starts a full-resolution traversal of g at the whole space.
+func (r *region) over(g zorder.Grid) {
+	r.g, r.maxLen, r.dropB = g, g.TotalBits(), false
+	r.order = g.SplitOrder()
+	r.whole()
+}
+
+// whole widens the region back to the whole space.
+func (r *region) whole() {
+	for i := 0; i < r.g.Dims(); i++ {
+		r.lo[i], r.hi[i] = 0, uint32(r.g.SideOf(i)-1)
+	}
+}
+
+// classify relates the object to the current region. A box is asked
+// directly. Any other object is behind an interface, and a slice of
+// the arrays passed through one would move every region, and the
+// walker or cursor around it, to the heap: it sees a copy instead.
+func (r *region) classify() geom.Class {
+	d := r.g.Dims()
+	if r.obj == nil {
+		return r.box.Classify(r.lo[:d], r.hi[:d])
+	}
+	copy(r.olo, r.lo[:d])
+	copy(r.ohi, r.hi[:d])
+	return r.obj.Classify(r.olo, r.ohi)
 }
 
 // descend narrows the region to child b of the split at depth,
 // returning the saved bound for restore.
-func (w *walker) descend(depth, b int) (dim int, saved uint32) {
-	dim = int(w.order[depth])
-	half := (w.hi[dim]-w.lo[dim])/2 + 1
+func (r *region) descend(depth, b int) (dim int, saved uint32) {
+	dim = int(r.order[depth])
+	half := (r.hi[dim]-r.lo[dim])/2 + 1
 	if b == 0 {
-		saved = w.hi[dim]
-		w.hi[dim] = w.lo[dim] + half - 1
+		saved = r.hi[dim]
+		r.hi[dim] = r.lo[dim] + half - 1
 	} else {
-		saved = w.lo[dim]
-		w.lo[dim] += half
+		saved = r.lo[dim]
+		r.lo[dim] += half
 	}
 	return dim, saved
 }
 
-func (w *walker) restore(dim, b int, saved uint32) {
+func (r *region) restore(dim, b int, saved uint32) {
 	if b == 0 {
-		w.hi[dim] = saved
+		r.hi[dim] = saved
 	} else {
-		w.lo[dim] = saved
+		r.lo[dim] = saved
 	}
 }
 
-func (w *walker) walk(e zorder.Element) {
-	if w.stopped {
-		return
+// walker is the eager traversal. The elements travel through walk's
+// argument and result, not through a field: a field would share the
+// fate of obj, which escapes, and put AppendBox's dst on the heap.
+type walker struct {
+	region
+	n         int
+	countOnly bool
+}
+
+// walk appends the elements of the decomposition inside e to out.
+func (w *walker) walk(e zorder.Element, out []zorder.Element) []zorder.Element {
+	c := w.classify()
+	if c == geom.Outside {
+		return out
 	}
-	switch w.obj.Classify(w.lo, w.hi) {
-	case geom.Outside:
-		return
-	case geom.Inside:
-		if !w.emit(e) {
-			w.stopped = true
+	if c == geom.Crosses && int(e.Len) < w.maxLen {
+		for b := 0; b < 2; b++ {
+			dim, saved := w.descend(int(e.Len), b)
+			out = w.walk(e.Child(b), out)
+			w.restore(dim, b, saved)
 		}
-		return
+		return out
 	}
-	// Crosses.
-	if int(e.Len) >= w.maxLen {
+	if c == geom.Crosses {
 		if int(e.Len) == w.g.TotalBits() {
 			// Contract violation by the object; treat as a defect.
-			panic(fmt.Sprintf("decompose: object classified pixel %v as crossing", w.lo))
+			// (The copy keeps fmt's interface off the region.)
+			pixel := append([]uint32(nil), w.lo[:w.g.Dims()]...)
+			panic(fmt.Sprintf("decompose: object classified pixel %v as crossing", pixel))
 		}
-		if !w.dropB {
-			if !w.emit(e) {
-				w.stopped = true
-			}
+		if w.dropB {
+			return out
 		}
-		return
 	}
-	for b := 0; b < 2 && !w.stopped; b++ {
-		dim, saved := w.descend(int(e.Len), b)
-		w.walk(e.Child(b))
-		w.restore(dim, b, saved)
+	w.n++
+	if !w.countOnly {
+		out = append(out, e)
 	}
+	return out
 }
 
 // Object decomposes a spatial object into its z-ordered sequence of
 // elements.
 func Object(g zorder.Grid, obj geom.Object, opts Options) ([]zorder.Element, error) {
-	var out []zorder.Element
-	w, err := newWalker(g, obj, opts, func(e zorder.Element) bool {
-		out = append(out, e)
-		return true
-	})
-	if err != nil {
+	var w walker
+	if err := w.aim(g, obj, opts); err != nil {
 		return nil, err
 	}
-	w.walk(zorder.Element{})
-	return out, nil
+	return w.walk(zorder.Element{}, nil), nil
+}
+
+// AppendBox appends the decomposition of b at full resolution to dst
+// and returns the extended slice. The traversal itself allocates
+// nothing: into a dst with room, neither does the call.
+func AppendBox(dst []zorder.Element, g zorder.Grid, b geom.Box) []zorder.Element {
+	var w walker
+	w.aimBox(g, b)
+	return w.walk(zorder.Element{}, dst)
 }
 
 // Box decomposes a box at full resolution: the first RangeSearch
-// algorithm of [OREN84], producing the sequence B of Section 3.3.
+// algorithm of [OREN84], producing the sequence B of Section 3.3. The
+// result is sized exactly: one pass into a stack buffer, one copy out.
 func Box(g zorder.Grid, b geom.Box) []zorder.Element {
-	out, err := Object(g, b, Options{})
-	if err != nil {
-		panic(err) // a box over its own grid cannot fail
+	var buf [256]zorder.Element
+	elems := AppendBox(buf[:0], g, b)
+	if len(elems) == 0 {
+		return nil
 	}
+	out := make([]zorder.Element, len(elems))
+	copy(out, elems)
 	return out
 }
 
 // Count returns the number of elements a decomposition would produce
 // without materializing them.
 func Count(g zorder.Grid, obj geom.Object, opts Options) (int, error) {
-	n := 0
-	w, err := newWalker(g, obj, opts, func(zorder.Element) bool {
-		n++
-		return true
-	})
-	if err != nil {
+	w := walker{countOnly: true}
+	if err := w.aim(g, obj, opts); err != nil {
 		return 0, err
 	}
-	w.walk(zorder.Element{})
-	return n, nil
+	w.walk(zorder.Element{}, nil)
+	return w.n, nil
 }
 
 // CountBox is the paper's E(U,V) generalized to k dimensions: the

@@ -14,7 +14,6 @@ import (
 
 	"probe/internal/analysis"
 	"probe/internal/core"
-	"probe/internal/decompose"
 	"probe/internal/geom"
 	"probe/internal/obs"
 	"probe/internal/zorder"
@@ -284,9 +283,7 @@ func mergeJoin(t *Table, regions []Region, cfg Config, sp *obs.Span) ([]RegionJo
 			return nil, fmt.Errorf("planner: duplicate region id %d", r.ID)
 		}
 		byID[r.ID] = r.Box
-		for _, e := range decompose.Box(g, r.Box) {
-			items = append(items, core.Item{Elem: e, ID: r.ID})
-		}
+		items = core.AppendBoxItems(items, g, r.Box, r.ID)
 	}
 	core.SortItems(items)
 	// One pass over the point sequence.

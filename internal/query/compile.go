@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"probe/internal/core"
-	"probe/internal/decompose"
 	"probe/internal/geom"
 	"probe/internal/planner"
 	"probe/internal/relation"
@@ -791,9 +790,7 @@ func (p *Plan) mergeJoin(ctx context.Context, eng Engine) ([]planner.RegionJoinR
 	g := p.grid
 	var regionItems []core.Item
 	for _, r := range p.regions {
-		for _, e := range decompose.Box(g, r.Box) {
-			regionItems = append(regionItems, core.Item{Elem: e, ID: r.ID})
-		}
+		regionItems = core.AppendBoxItems(regionItems, g, r.Box, r.ID)
 	}
 	var pItems []core.Item
 	pointByID := make(map[uint64]geom.Point)

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 
+	"probe/internal/core"
 	"probe/internal/decompose"
 	"probe/internal/geom"
 	"probe/internal/zorder"
@@ -99,8 +100,8 @@ func RangeSearchPlan(g zorder.Grid, points *Relation, idCol, xCol, yCol string, 
 		return nil, err
 	}
 	b := New(MustSchema(Column{Name: "zb", Type: TElement}))
-	for _, e := range decompose.Box(g, box) {
-		b.Tuples = append(b.Tuples, Tuple{e})
+	for _, it := range core.AppendBoxItems(nil, g, box, 0) {
+		b.Tuples = append(b.Tuples, Tuple{it.Elem})
 	}
 	joined, err := SpatialJoin(p, b, "zp", "zb")
 	if err != nil {

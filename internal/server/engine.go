@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"probe"
+	"probe/internal/core"
 	"probe/internal/session"
 	"probe/internal/wire"
 )
@@ -47,9 +48,7 @@ func (e engine) Join(ctx context.Context, a, b []session.BoxItem, workers int) (
 	decompose := func(items []session.BoxItem) []probe.Item {
 		var out []probe.Item
 		for _, it := range items {
-			for _, el := range probe.DecomposeBox(g, it.Box) {
-				out = append(out, probe.Item{Elem: el, ID: it.ID})
-			}
+			out = core.AppendBoxItems(out, g, it.Box, it.ID)
 		}
 		probe.SortItems(out)
 		return out

@@ -221,6 +221,7 @@ type DB struct {
 	index     *core.Index
 	metrics   *obs.Registry
 	txMetrics *obs.Registry // transaction counters (probe_tx_*)
+	ops       opCounts
 
 	closed    bool // written under db.mu AND stateMu
 	recovered bool
@@ -271,8 +272,26 @@ func Open(g Grid, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{grid: g, store: store, pool: pool, index: ix,
-		metrics: obs.NewRegistry(), txMetrics: newTxMetrics()}, nil
+	return (&DB{grid: g, store: store, pool: pool, index: ix}).initMetrics(), nil
+}
+
+// opCounts are the "<op>.count" counters of the operations that run
+// untraced, resolved once by initMetrics: a query bumps an atomic,
+// where AddSpan(op, nil) built the name and took the registry lock.
+type opCounts struct {
+	rangeSearch, partialMatch, nearest, query, txCommit *obs.Int
+}
+
+func (db *DB) initMetrics() *DB {
+	db.metrics, db.txMetrics = obs.NewRegistry(), newTxMetrics()
+	db.ops = opCounts{
+		rangeSearch:  db.metrics.Int("range-search.count"),
+		partialMatch: db.metrics.Int("partial-match.count"),
+		nearest:      db.metrics.Int("nearest.count"),
+		query:        db.metrics.Int("query.count"),
+		txCommit:     db.metrics.Int("tx-commit.count"),
+	}
+	return db
 }
 
 // ErrClosed is returned by every DB operation attempted after Close.
@@ -476,7 +495,7 @@ func (db *DB) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, er
 		var pts []Point
 		var qs QueryStats
 		err := db.viewAuto(qc.ctx, func(tx *Tx) error {
-			defer db.metrics.AddSpan("range-search", nil)
+			defer db.ops.rangeSearch.Add(1)
 			var err error
 			pts, qs, err = tx.RangeSearch(box, opts...)
 			return err
@@ -523,7 +542,7 @@ func (db *DB) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption)
 			return QueryStats{}, err
 		}
 		defer release()
-		defer db.metrics.AddSpan("range-search", nil)
+		defer db.ops.rangeSearch.Add(1)
 		ss, err := snap.RangeSearchFuncCtx(qc.ctx, box, nil, fn)
 		return searchQueryStats(ss), err
 	}
@@ -555,7 +574,7 @@ func (db *DB) PartialMatch(restricted []bool, value []uint32, opts ...QueryOptio
 			return nil, QueryStats{}, err
 		}
 		defer release()
-		defer db.metrics.AddSpan("partial-match", nil)
+		defer db.ops.partialMatch.Add(1)
 		pts, ss, err := snap.PartialMatchCtx(qc.ctx, restricted, value, nil)
 		return pts, searchQueryStats(ss), err
 	}
@@ -677,7 +696,7 @@ func (db *DB) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]
 		var nbs []Neighbor
 		var qs QueryStats
 		err := db.viewAuto(qc.ctx, func(tx *Tx) error {
-			defer db.metrics.AddSpan("nearest", nil)
+			defer db.ops.nearest.Add(1)
 			var err error
 			nbs, qs, err = tx.Nearest(q, m, metric, opts...)
 			return err

@@ -226,7 +226,7 @@ func (db *DB) bindEngine(ctx context.Context, stats *QueryStats) (query.Engine, 
 	}
 	done := func() {
 		release()
-		db.metrics.AddSpan("query", nil)
+		db.ops.query.Add(1)
 	}
 	return eng, done, nil
 }

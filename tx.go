@@ -192,17 +192,18 @@ func (db *DB) viewAuto(ctx context.Context, fn func(*Tx) error) error {
 
 // begin enters one transaction statement: it rejects ended
 // transactions, then holds the database open (stateMu shared) for the
-// statement's duration. ctx is the statement's effective context.
-func (tx *Tx) begin(ctx context.Context) (func(), error) {
+// statement's duration: after a nil error the caller defers
+// tx.db.stateMu.RUnlock(). ctx is the statement's effective context.
+func (tx *Tx) begin(ctx context.Context) error {
 	if tx.done {
-		return nil, ErrTxAborted
+		return ErrTxAborted
 	}
 	tx.db.stateMu.RLock()
 	if err := tx.db.usableLocked(ctx); err != nil {
 		tx.db.stateMu.RUnlock()
-		return nil, err
+		return err
 	}
-	return tx.db.stateMu.RUnlock, nil
+	return nil
 }
 
 // statementCtx resolves a statement's context: a WithContext option
@@ -250,11 +251,10 @@ func (tx *Tx) setOverlay(k txKey, p Point, live, inSnap bool) {
 // inserting a key deleted earlier in the same transaction succeeds
 // and re-inserting a live one fails with the duplicate-key error.
 func (tx *Tx) Insert(p Point) error {
-	release, err := tx.begin(tx.ctx)
-	if err != nil {
+	if err := tx.begin(tx.ctx); err != nil {
 		return err
 	}
-	defer release()
+	defer tx.db.stateMu.RUnlock()
 	if !tx.writable {
 		return ErrTxReadOnly
 	}
@@ -299,11 +299,10 @@ func (tx *Tx) InsertAll(pts []Point) error {
 // the same point twice reports false the second time). Deleting an
 // absent point buffers nothing.
 func (tx *Tx) Delete(p Point) (bool, error) {
-	release, err := tx.begin(tx.ctx)
-	if err != nil {
+	if err := tx.begin(tx.ctx); err != nil {
 		return false, err
 	}
-	defer release()
+	defer tx.db.stateMu.RUnlock()
 	if !tx.writable {
 		return false, ErrTxReadOnly
 	}
@@ -361,11 +360,10 @@ func (tx *Tx) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, er
 		o.applyQuery(&qc)
 	}
 	ctx := tx.statementCtx(&qc)
-	release, err := tx.begin(ctx)
-	if err != nil {
+	if err := tx.begin(ctx); err != nil {
 		return nil, QueryStats{}, err
 	}
-	defer release()
+	defer tx.db.stateMu.RUnlock()
 	pts, ss, err := tx.snap.RangeSearchCtx(ctx, box, nil)
 	if err != nil {
 		return nil, searchQueryStats(ss), err
@@ -462,11 +460,10 @@ func (tx *Tx) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]
 		o.applyQuery(&qc)
 	}
 	ctx := tx.statementCtx(&qc)
-	release, err := tx.begin(ctx)
-	if err != nil {
+	if err := tx.begin(ctx); err != nil {
 		return nil, QueryStats{}, err
 	}
-	defer release()
+	defer tx.db.stateMu.RUnlock()
 
 	deletes := 0
 	for _, e := range tx.overlay {
@@ -557,7 +554,7 @@ func (tx *Tx) Commit() error {
 			db.txMetrics.Int("committed").Add(1)
 			db.txMetrics.Histogram("commit-latency").Observe(int64(time.Since(t0)))
 		}
-		db.metrics.AddSpan("tx-commit", nil)
+		db.ops.txCommit.Add(1)
 		return nil
 	case errors.Is(err, btree.ErrConflict):
 		if tx.metered {
