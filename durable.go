@@ -26,9 +26,14 @@ import (
 // through the buffer pool, which therefore never caches it.
 const metaPageID disk.PageID = 1
 
+// dbMetaVersion is the format of the descriptor and of the tree pages
+// behind it. Version 2 stores a key in as many bytes as the grid's z
+// values need and a leaf without sibling links; version 1 stored 16
+// bytes per key. The descriptor did not change: the key width follows
+// from the grid it records.
 const (
 	dbMetaMagic   = "PROBEDB1"
-	dbMetaVersion = 1
+	dbMetaVersion = 2
 )
 
 // encodeDBMeta serializes the database descriptor into a page-sized
@@ -68,7 +73,7 @@ func decodeDBMeta(buf []byte) (bits []int, m btree.Meta, err error) {
 		return nil, m, fmt.Errorf("probe: bad database metadata magic")
 	}
 	if v := binary.LittleEndian.Uint32(buf[8:12]); v != dbMetaVersion {
-		return nil, m, fmt.Errorf("probe: unsupported database metadata version %d", v)
+		return nil, m, fmt.Errorf("probe: database has format version %d, this build reads only version %d: the store must be rebuilt", v, dbMetaVersion)
 	}
 	k := int(binary.LittleEndian.Uint32(buf[12:16]))
 	if k < 1 || k > 64 || len(buf) < 16+4*k+28 {

@@ -2,6 +2,7 @@ package probe_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -154,6 +155,89 @@ func TestDurableGridMismatch(t *testing.T) {
 	if _, err := probe.Open(probe.MustGrid(2, 10), probe.WithDurability(path)); err == nil ||
 		!strings.Contains(err.Error(), "grid bits") {
 		t.Fatalf("grid mismatch not rejected: %v", err)
+	}
+}
+
+// writeDescriptorOnly creates a store at path that holds nothing but a
+// hand-built database descriptor of the given format version for a
+// grid of the given bits: its tree root names a page that was never
+// allocated, so an Open that got as far as the tree could only fail
+// on that page.
+func writeDescriptorOnly(t *testing.T, path string, version uint32, bits ...int) {
+	t.Helper()
+	rs, err := disk.CreateRecoverableStore(disk.OSFS{}, path, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, err := rs.Allocate(); err != nil || id != 1 {
+		t.Fatalf("descriptor page allocated as %d, %v", id, err)
+	}
+	buf := make([]byte, 256)
+	copy(buf, "PROBEDB1")
+	words := []uint32{version, uint32(len(bits))}
+	for _, b := range bits {
+		words = append(words, uint32(b))
+	}
+	words = append(words, 99 /* root */, 1 /* height */, 1 /* leaves */, 20 /* leaf capacity */, 0 /* value size */)
+	for i, w := range words {
+		binary.LittleEndian.PutUint32(buf[8+4*i:], w)
+	}
+	if err := rs.Write(1, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurableRefusesFormatVersion1: a store written before keys took
+// the grid's width has 16-byte keys behind the same descriptor, so it
+// is refused by its version, in one sentence that says what to do.
+func TestDurableRefusesFormatVersion1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "probe.db")
+	writeDescriptorOnly(t, path, 1, 8, 8)
+	db, err := probe.Open(probe.MustGrid(2, 8), probe.WithDurability(path))
+	if err == nil {
+		db.Close()
+		t.Fatal("a version-1 store opened")
+	}
+	for _, want := range []string{"version 1", "version 2", "must be rebuilt"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not say %q", err, want)
+		}
+	}
+}
+
+// TestDurableGridWidthMismatch: a grid of another total width would
+// read the pages at another stride, and one of the same width in other
+// dimensions would misread the z values; both are refused from the
+// descriptor, before the tree (here: a root that does not exist) is
+// touched.
+func TestDurableGridWidthMismatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "probe.db")
+	writeDescriptorOnly(t, path, 2, 12, 12)
+	for _, g := range []probe.Grid{probe.MustGrid(2, 8), probe.MustGrid(3, 8), probe.MustGrid(3, 21)} {
+		db, err := probe.Open(g, probe.WithDurability(path))
+		if err == nil {
+			db.Close()
+			t.Fatalf("a 2 x 12-bit store opened as %v", g)
+		}
+		if !strings.Contains(err.Error(), "grid bits") {
+			t.Errorf("opening a 2 x 12-bit store as %v: %v", g, err)
+		}
+	}
+	// The descriptor itself is sound: with its own grid the store
+	// opens, and only then does the missing root matter.
+	db, err := probe.Open(probe.MustGrid(2, 12), probe.WithDurability(path))
+	if err != nil {
+		t.Fatalf("opening with the recorded grid: %v", err)
+	}
+	defer db.CloseReadOnly()
+	if _, _, err := db.RangeSearch(probe.Box2(0, 10, 0, 10)); err == nil {
+		t.Error("a search through a root that was never allocated succeeded")
 	}
 }
 

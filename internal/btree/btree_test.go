@@ -666,7 +666,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.encode(f.Data, tree.valueSize)
+		n.encode(f.Data, tree.keyLen, tree.valueSize)
 		if err := tree.pool.Unpin(id, true); err != nil {
 			t.Fatal(err)
 		}

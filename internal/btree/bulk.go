@@ -20,7 +20,7 @@ type Entry struct {
 // entries costs O(n) page writes instead of O(n log n) page accesses.
 // The finished tree is published as its first committed version.
 func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, error) {
-	t, err := newTreeShell(pool, cfg.ValueSize, cfg.LeafCapacity)
+	t, err := newTreeShell(pool, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -32,25 +32,17 @@ func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, er
 	}
 	if len(entries) == 0 {
 		// Degenerate load: a single empty root leaf, like New.
-		f, err := pool.NewPage()
-		if err != nil {
-			return nil, err
-		}
-		(&leafNode{}).encode(f.Data, t.valueSize)
-		if err := pool.Unpin(f.ID, true); err != nil {
-			return nil, err
-		}
-		t.publishInitial(&version{root: f.ID, height: 1, leaves: 1})
-		return t, nil
+		return t, t.publishEmpty()
 	}
-	for i := 1; i < len(entries); i++ {
-		if !entries[i-1].Key.Less(entries[i].Key) {
+	for i, e := range entries {
+		if i > 0 && !entries[i-1].Key.Less(e.Key) {
 			return nil, fmt.Errorf("btree: entries not strictly increasing at %d", i)
 		}
-	}
-	for _, e := range entries {
 		if len(e.Value) != t.valueSize {
 			return nil, fmt.Errorf("btree: entry value has %d bytes, want %d", len(e.Value), t.valueSize)
+		}
+		if err := t.checkKey(e.Key); err != nil {
+			return nil, err
 		}
 	}
 	target := int(fill * float64(t.leafCap))
@@ -66,35 +58,26 @@ func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, er
 		sep []byte // separator preceding this child (nil for first)
 	}
 	var level []childRef
-	leaves := 0
 	pos := 0
-	for li, size := range sizes {
+	for _, size := range sizes {
 		f, err := pool.NewPage()
 		if err != nil {
 			return nil, err
 		}
-		n := &leafNode{}
-		for i := 0; i < size; i++ {
-			e := entries[pos]
-			pos++
-			v := make([]byte, t.valueSize)
-			copy(v, e.Value)
-			n.keys = append(n.keys, e.Key)
-			n.values = append(n.values, v)
+		// The entries go straight into the page's image.
+		initLeaf(f.Data, size)
+		for i, e := range entries[pos : pos+size] {
+			putLeafEntry(f.Data, i, t.keyLen, t.valueSize, e.Key, e.Value)
 		}
 		var sep []byte
-		if li > 0 {
-			var a, b [encodedKeyLen]byte
-			entries[pos-size-1].Key.encode(a[:]) // last key of previous leaf
-			n.keys[0].encode(b[:])
-			sep = shortestSeparator(a[:], b[:])
+		if pos > 0 {
+			sep = t.separator(entries[pos-1].Key, entries[pos].Key)
 		}
+		pos += size
 		level = append(level, childRef{id: f.ID, sep: sep})
-		n.encode(f.Data, t.valueSize)
 		if err := pool.Unpin(f.ID, true); err != nil {
 			return nil, err
 		}
-		leaves++
 	}
 
 	// Build internal levels until one node remains.
@@ -138,7 +121,7 @@ func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, er
 		root:   level[0].id,
 		height: height,
 		count:  len(entries),
-		leaves: leaves,
+		leaves: len(sizes),
 	})
 	return t, nil
 }

@@ -18,7 +18,8 @@ import (
 //     the root (>= 2 children);
 //  4. every key in child i satisfies seps[i-1] <= enc(key) < seps[i];
 //  5. the entry count and leaf count match the version's counters;
-//  6. all leaves are at the same depth (the version's height).
+//  6. all leaves are at the same depth (the version's height);
+//  7. no stored key sets a bit of Hi below the tree's KeyBits.
 //
 // Because the walk runs against one pinned version, it is safe (and
 // meaningful) concurrently with writers: it validates the committed
@@ -64,7 +65,7 @@ func (s *Snapshot) CheckInvariants() error {
 		switch typ := nodeType(data[0]); typ {
 		case leafType:
 			spare = data
-			p, err := viewLeaf(data, t.valueSize)
+			p, err := viewLeaf(data, t.keyLen, t.valueSize)
 			if err != nil {
 				return err
 			}
@@ -83,6 +84,9 @@ func (s *Snapshot) CheckInvariants() error {
 					return fmt.Errorf("leaf %d breaks global key order at entry %d", vi.id, i)
 				}
 				lastKey, haveLast = k, true
+				if err := t.checkKey(k); err != nil {
+					return fmt.Errorf("leaf %d entry %d: %w", vi.id, i, err)
+				}
 				enc := p.encKey(i)
 				if vi.lo != nil && sepCompare(vi.lo, enc) > 0 {
 					return fmt.Errorf("leaf %d key %v below bound", vi.id, k)

@@ -181,7 +181,7 @@ func (c *Cursor) enterLeaf(id disk.PageID) error {
 	}
 	buf, err := c.t.copyPage(id, c.leaf.data)
 	if err == nil {
-		c.leaf, err = viewLeaf(buf, c.t.valueSize)
+		c.leaf, err = viewLeaf(buf, c.t.keyLen, c.t.valueSize)
 	}
 	if err != nil {
 		return err
@@ -194,8 +194,8 @@ func (c *Cursor) enterLeaf(id disk.PageID) error {
 // descend rebuilds the cursor's path from v's root to the leaf
 // responsible for k.
 func (c *Cursor) descend(v *version, k Key) error {
-	var enc [encodedKeyLen]byte
-	k.encode(enc[:])
+	var buf [encodedKeyLen]byte
+	enc := c.t.encodeKey(k, &buf)
 	c.stack = c.stack[:0]
 	id := v.root
 	for level := v.height; level > 1; level-- {
@@ -203,7 +203,7 @@ func (c *Cursor) descend(v *version, k Key) error {
 		if err != nil {
 			return err
 		}
-		if l.child, err = l.page.childIndex(enc[:]); err != nil {
+		if l.child, err = l.page.childIndex(enc); err != nil {
 			return err
 		}
 		id = l.page.child(l.child)

@@ -13,7 +13,7 @@ import (
 
 func (t *Tree) loadLeaf(id disk.PageID) (n *leafNode, err error) {
 	err = t.withPage(id, func(data []byte) (err error) {
-		n, err = decodeLeaf(data, t.valueSize)
+		n, err = decodeLeaf(data, t.keyLen, t.valueSize)
 		return err
 	})
 	return n, err
@@ -30,16 +30,12 @@ func (t *Tree) loadInternal(id disk.PageID) (n *internalNode, err error) {
 func (t *Tree) minLeafEntries() int { return t.leafCap / 2 }
 func (t *Tree) minChildren() int    { return t.fanout / 2 }
 
-func encMaxLeaf(l *leafNode) []byte {
-	var b [encodedKeyLen]byte
-	l.keys[len(l.keys)-1].encode(b[:])
-	return b[:]
-}
-
-func encMinLeaf(l *leafNode) []byte {
-	var b [encodedKeyLen]byte
-	l.keys[0].encode(b[:])
-	return b[:]
+// separator returns the shortest separator between a leaf whose
+// largest key is leftMax and its right neighbor, whose smallest is
+// rightMin.
+func (t *Tree) separator(leftMax, rightMin Key) []byte {
+	var a, b [encodedKeyLen]byte
+	return shortestSeparator(t.encodeKey(leftMax, &a), t.encodeKey(rightMin, &b))
 }
 
 // Delete removes the entry with the given key. It returns false when
@@ -66,9 +62,8 @@ func (t *Tree) Delete(k Key) (bool, error) {
 }
 
 func (t *Tree) deleteCOW(w *cow, v *version, k Key) (*version, bool, error) {
-	var enc [encodedKeyLen]byte
-	k.encode(enc[:])
-	path, leafID, err := t.descendPath(v, enc[:])
+	var buf [encodedKeyLen]byte
+	path, leafID, err := t.descendPath(v, t.encodeKey(k, &buf))
 	if err != nil {
 		return nil, false, err
 	}
@@ -121,7 +116,7 @@ func (t *Tree) putShrunkLeaf(w *cow, nv *version, path []cowLevel, leafID disk.P
 			n.values = append([][]byte{left.values[last]}, n.values...)
 			left.keys = left.keys[:last]
 			left.values = left.values[:last]
-			parent.seps[ci-1] = shortestSeparator(encMaxLeaf(left), encMinLeaf(n))
+			parent.seps[ci-1] = t.separator(left.keys[last-1], n.keys[0])
 			if parent.children[ci-1], err = w.putLeaf(leftID, left); err != nil {
 				return disk.InvalidPage, err
 			}
@@ -144,7 +139,7 @@ func (t *Tree) putShrunkLeaf(w *cow, nv *version, path []cowLevel, leafID disk.P
 			n.values = append(n.values, right.values[0])
 			right.keys = right.keys[1:]
 			right.values = right.values[1:]
-			parent.seps[ci] = shortestSeparator(encMaxLeaf(n), encMinLeaf(right))
+			parent.seps[ci] = t.separator(n.keys[len(n.keys)-1], right.keys[0])
 			if parent.children[ci], err = w.putLeaf(leafID, n); err != nil {
 				return disk.InvalidPage, err
 			}

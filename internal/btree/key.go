@@ -1,9 +1,11 @@
 // Package btree implements the paged prefix B+-tree used in the
 // paper's experiments (Section 5.3.2: "we implemented a prefix B+tree
-// to store points in z order"). Keys are 128-bit (a 64-bit z value
-// plus a 64-bit record id making every key unique); separators in
-// internal nodes are prefix-compressed to the shortest byte string
-// that separates the adjacent subtrees, as in a prefix B+-tree.
+// to store points in z order"). A key is a z value of up to 64 bits
+// plus a 64-bit record id making every key unique; a tree stores only
+// the bytes of the z value its grid can set (Config.KeyBits), so a
+// stored key is 9 to 16 bytes. Separators in internal nodes are
+// prefix-compressed to the shortest byte string that separates the
+// adjacent subtrees, as in a prefix B+-tree.
 //
 // The tree lives on disk.Pool pages, so every access flows through
 // the buffer pool and is counted — the experiment harness reproduces
@@ -60,20 +62,42 @@ func (k Key) Compare(o Key) int {
 // String implements fmt.Stringer.
 func (k Key) String() string { return fmt.Sprintf("key(%016x,%016x)", k.Hi, k.Lo) }
 
-// encodedKeyLen is the length of an encoded key in bytes.
+// encodedKeyLen is the length of the longest encoded key, the size of
+// the stack buffers keys are encoded into. A tree's own key length is
+// Tree.keyLen.
 const encodedKeyLen = 16
 
-// encode serializes the key big-endian so that lexicographic byte
-// order equals key order.
+// keyLenFor returns the encoded length of a key whose Hi may set its
+// leading keyBits bits: those bits rounded up to whole bytes, then Lo.
+func keyLenFor(keyBits int) int { return (keyBits+7)/8 + 8 }
+
+// encode serializes the key into buf, whose length is the tree's key
+// length: the leading len(buf)-8 bytes of Hi, then Lo, big-endian so
+// that lexicographic byte order equals key order. A z value is
+// left-justified, so the bytes of Hi left out are its low ones, zero
+// in every key the tree stores (Tree.checkKey). A search key may set
+// them (a sentinel such as Key{Hi: ^uint64(0)}): it encodes as the
+// smallest key of this length above it, which is at or below every
+// stored key the search key is below, and as the largest key of the
+// length, never a wrapped one, when none is above it.
 func (k Key) encode(buf []byte) {
-	binary.BigEndian.PutUint64(buf[0:8], k.Hi)
-	binary.BigEndian.PutUint64(buf[8:16], k.Lo)
+	if low := ^uint64(0) >> (8 * uint(len(buf)-8)); k.Hi&low != 0 {
+		if k.Hi |= low; k.Hi == ^uint64(0) {
+			k.Lo = ^uint64(0)
+		} else {
+			k.Hi, k.Lo = k.Hi+1, 0
+		}
+	}
+	binary.BigEndian.PutUint64(buf, k.Hi)
+	binary.BigEndian.PutUint64(buf[len(buf)-8:], k.Lo)
 }
 
+// decodeKey is the inverse of encode on a buffer of the same length.
 func decodeKey(buf []byte) Key {
+	drop := 8 * uint(encodedKeyLen-len(buf))
 	return Key{
-		Hi: binary.BigEndian.Uint64(buf[0:8]),
-		Lo: binary.BigEndian.Uint64(buf[8:16]),
+		Hi: binary.BigEndian.Uint64(buf) >> drop << drop,
+		Lo: binary.BigEndian.Uint64(buf[len(buf)-8:]),
 	}
 }
 

@@ -11,16 +11,17 @@ import (
 // Page layouts. All integers little-endian unless they are encoded
 // keys (which are big-endian so byte order matches key order).
 //
-// Leaf:     [type u8][count u16][next u32][prev u32]
-//           count x [key 16B][value valueSize B]
+// Leaf:     [type u8][count u16]
+//           count x [key keyLen B][value valueSize B]
 // Internal: [type u8][count u16]            (count = number of seps)
 //           (count+1) x [child u32]
 //           count x [sepLen u16][sep bytes]
 //
-// The leaf's next/prev sibling links are a pre-MVCC layout field:
-// copy-on-write makes them unmaintainable (a neighbor's link would
-// dangle at the old page version), so every page writes them as
-// disk.InvalidPage (zero) and nothing follows them.
+// keyLen is the tree's key length (key.go): 8 bytes of Lo after as
+// many bytes of Hi as Config.KeyBits needs. Leaves carry no sibling
+// links: copy-on-write could not maintain them (a neighbor's link
+// would dangle at the old page version), so a cursor finds the next
+// leaf through its descent path.
 //
 // Reads never decode a page. They search the image through the
 // leafPage and internalPage views below: a point lookup views the
@@ -37,7 +38,7 @@ const (
 )
 
 const (
-	leafHeaderLen     = 1 + 2 + 4 + 4
+	leafHeaderLen     = 1 + 2
 	internalHeaderLen = 1 + 2
 )
 
@@ -61,25 +62,26 @@ func pageHeader(data []byte, want nodeType, headerLen int, kind string) (int, er
 type leafPage struct {
 	data   []byte // the whole image
 	count  int
+	keyLen int
 	stride int
 }
 
-func viewLeaf(data []byte, valueSize int) (leafPage, error) {
+func viewLeaf(data []byte, keyLen, valueSize int) (leafPage, error) {
 	count, err := pageHeader(data, leafType, leafHeaderLen, "a leaf")
 	if err != nil {
 		return leafPage{}, err
 	}
-	stride := encodedKeyLen + valueSize
+	stride := keyLen + valueSize
 	if leafHeaderLen+count*stride > len(data) {
 		return leafPage{}, fmt.Errorf("btree: leaf overflows page (%d entries)", count)
 	}
-	return leafPage{data: data, count: count, stride: stride}, nil
+	return leafPage{data: data, count: count, keyLen: keyLen, stride: stride}, nil
 }
 
 // encKey returns entry i's encoded key inside the image.
 func (p leafPage) encKey(i int) []byte {
 	off := leafHeaderLen + i*p.stride
-	return p.data[off : off+encodedKeyLen]
+	return p.data[off : off+p.keyLen]
 }
 
 func (p leafPage) key(i int) Key { return decodeKey(p.encKey(i)) }
@@ -87,7 +89,7 @@ func (p leafPage) key(i int) Key { return decodeKey(p.encKey(i)) }
 // value returns entry i's value bytes inside the image.
 func (p leafPage) value(i int) []byte {
 	end := leafHeaderLen + (i+1)*p.stride
-	return p.data[end-p.stride+encodedKeyLen : end : end]
+	return p.data[end-p.stride+p.keyLen : end : end]
 }
 
 // search returns the index of the first key >= k in the leaf.
@@ -172,8 +174,8 @@ type internalNode struct {
 	seps     [][]byte
 }
 
-func decodeLeaf(data []byte, valueSize int) (*leafNode, error) {
-	p, err := viewLeaf(data, valueSize)
+func decodeLeaf(data []byte, keyLen, valueSize int) (*leafNode, error) {
+	p, err := viewLeaf(data, keyLen, valueSize)
 	if err != nil {
 		return nil, err
 	}
@@ -185,18 +187,28 @@ func decodeLeaf(data []byte, valueSize int) (*leafNode, error) {
 	return n, nil
 }
 
-func (n *leafNode) encode(data []byte, valueSize int) {
+// initLeaf makes data the image of a leaf of count entries, all of
+// them still to be written by putLeafEntry. The page is zeroed first,
+// so an image rewritten in place is canonical.
+func initLeaf(data []byte, count int) {
 	for i := range data {
 		data[i] = 0
 	}
 	data[0] = byte(leafType)
-	binary.LittleEndian.PutUint16(data[1:3], uint16(len(n.keys)))
-	off := leafHeaderLen
-	stride := encodedKeyLen + valueSize
+	binary.LittleEndian.PutUint16(data[1:3], uint16(count))
+}
+
+// putLeafEntry writes entry i of a leaf image.
+func putLeafEntry(data []byte, i, keyLen, valueSize int, k Key, value []byte) {
+	off := leafHeaderLen + i*(keyLen+valueSize)
+	k.encode(data[off : off+keyLen])
+	copy(data[off+keyLen:off+keyLen+valueSize], value)
+}
+
+func (n *leafNode) encode(data []byte, keyLen, valueSize int) {
+	initLeaf(data, len(n.keys))
 	for i, k := range n.keys {
-		k.encode(data[off : off+encodedKeyLen])
-		copy(data[off+encodedKeyLen:off+stride], n.values[i])
-		off += stride
+		putLeafEntry(data, i, keyLen, valueSize, k, n.values[i])
 	}
 }
 

@@ -30,21 +30,34 @@ func refHeader(data []byte, want nodeType, headerLen int, kind string) (int, err
 	return int(binary.LittleEndian.Uint16(data[1:3])), nil
 }
 
-func refDecodeLeaf(data []byte, valueSize int) (*leafNode, error) {
+// refDecodeKey reads a key of len(b) bytes one byte at a time: the
+// leading len(b)-8 bytes are the top bytes of Hi, the rest is Lo.
+func refDecodeKey(b []byte) Key {
+	var k Key
+	for i, x := range b[:len(b)-8] {
+		k.Hi |= uint64(x) << (56 - 8*uint(i))
+	}
+	for _, x := range b[len(b)-8:] {
+		k.Lo = k.Lo<<8 | uint64(x)
+	}
+	return k
+}
+
+func refDecodeLeaf(data []byte, keyLen, valueSize int) (*leafNode, error) {
 	count, err := refHeader(data, leafType, leafHeaderLen, "a leaf")
 	if err != nil {
 		return nil, err
 	}
 	n := &leafNode{keys: make([]Key, count), values: make([][]byte, count)}
 	off := leafHeaderLen
-	stride := encodedKeyLen + valueSize
+	stride := keyLen + valueSize
 	if off+count*stride > len(data) {
 		return nil, fmt.Errorf("btree: leaf overflows page (%d entries)", count)
 	}
 	for i := 0; i < count; i++ {
-		n.keys[i] = decodeKey(data[off : off+encodedKeyLen])
+		n.keys[i] = refDecodeKey(data[off : off+keyLen])
 		v := make([]byte, valueSize)
-		copy(v, data[off+encodedKeyLen:off+stride])
+		copy(v, data[off+keyLen:off+stride])
 		n.values[i] = v
 		off += stride
 	}
@@ -104,14 +117,14 @@ func linearChildIndex(seps [][]byte, enc []byte) int {
 // checkLeafImage compares decodeLeaf and every leaf view accessor with
 // the reference decoder on one image, valid or not, and reports
 // whether it decoded.
-func checkLeafImage(t *testing.T, data []byte, valueSize int, probes []Key) bool {
+func checkLeafImage(t *testing.T, data []byte, keyLen, valueSize int, probes []Key) bool {
 	t.Helper()
-	n, derr := refDecodeLeaf(data, valueSize)
-	p, verr := viewLeaf(data, valueSize)
+	n, derr := refDecodeLeaf(data, keyLen, valueSize)
+	p, verr := viewLeaf(data, keyLen, valueSize)
 	if errText(derr) != errText(verr) {
 		t.Fatalf("leaf errors differ: reference %q, view %q", errText(derr), errText(verr))
 	}
-	if got, err := decodeLeaf(data, valueSize); errText(err) != errText(derr) || !reflect.DeepEqual(got, n) {
+	if got, err := decodeLeaf(data, keyLen, valueSize); errText(err) != errText(derr) || !reflect.DeepEqual(got, n) {
 		t.Fatalf("decodeLeaf = %+v, %v; reference %+v, %v", got, err, n, derr)
 	}
 	if derr != nil {
@@ -130,7 +143,7 @@ func checkLeafImage(t *testing.T, data []byte, valueSize int, probes []Key) bool
 		if cap(p.value(i)) != valueSize {
 			t.Fatalf("leaf value %d has capacity %d past its %d bytes", i, cap(p.value(i)), valueSize)
 		}
-		probes = append(probes, k, Key{Hi: k.Hi, Lo: k.Lo + 1}, Key{Hi: k.Hi, Lo: k.Lo - 1})
+		probes = append(probes, k, Key{Hi: k.Hi, Lo: k.Lo + 1}, Key{Hi: k.Hi, Lo: k.Lo - 1}, Key{Hi: k.Hi | 1, Lo: k.Lo})
 	}
 	for _, k := range probes {
 		if got, want := p.search(k), searchLeaf(n, k); got != want {
@@ -201,9 +214,9 @@ func checkInternalImage(t *testing.T, data []byte, probes [][]byte) bool {
 	return true
 }
 
-func randomLeafImage(rng *rand.Rand, pageSize, valueSize int) []byte {
+func randomLeafImage(rng *rand.Rand, pageSize, keyLen, valueSize int) []byte {
 	n := &leafNode{}
-	for i := rng.Intn((pageSize-leafHeaderLen)/(encodedKeyLen+valueSize) + 1); i > 0; i-- {
+	for i := rng.Intn((pageSize-leafHeaderLen)/(keyLen+valueSize) + 1); i > 0; i-- {
 		// Few distinct Hi values, so that Lo decides many comparisons.
 		n.keys = append(n.keys, Key{Hi: uint64(rng.Intn(4)) << 62, Lo: rng.Uint64()})
 		v := make([]byte, valueSize)
@@ -212,7 +225,7 @@ func randomLeafImage(rng *rand.Rand, pageSize, valueSize int) []byte {
 	}
 	sort.Slice(n.keys, func(i, j int) bool { return n.keys[i].Less(n.keys[j]) })
 	data := make([]byte, pageSize)
-	n.encode(data, valueSize)
+	n.encode(data, keyLen, valueSize)
 	return data
 }
 
@@ -242,11 +255,12 @@ func TestPageViewsMatchDecode(t *testing.T) {
 	for round := 0; round < 300; round++ {
 		pageSize := []int{128, 512, 4096}[rng.Intn(3)]
 		valueSize := []int{0, 0, 3, 8}[rng.Intn(4)]
+		keyLen := 9 + rng.Intn(8)
 		probes := make([]Key, 32)
 		for i := range probes {
 			probes[i] = Key{Hi: uint64(rng.Intn(5)) << 62, Lo: rng.Uint64()}
 		}
-		if !checkLeafImage(t, randomLeafImage(rng, pageSize, valueSize), valueSize, probes) {
+		if !checkLeafImage(t, randomLeafImage(rng, pageSize, keyLen, valueSize), keyLen, valueSize, probes) {
 			t.Fatal("a well-formed leaf image did not decode")
 		}
 		encs := make([][]byte, 32)
@@ -267,9 +281,9 @@ func TestPageViewsMatchDecode(t *testing.T) {
 // same error, without reading outside the image.
 func TestPageViewsRejectCorruptImages(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	leaf := randomLeafImage(rng, 512, 8)
+	leaf := randomLeafImage(rng, 512, encodedKeyLen, 8)
 	for binary.LittleEndian.Uint16(leaf[1:3]) < 2 {
-		leaf = randomLeafImage(rng, 512, 8)
+		leaf = randomLeafImage(rng, 512, encodedKeyLen, 8)
 	}
 	internal := randomInternalImage(rng, 512)
 	for binary.LittleEndian.Uint16(internal[1:3]) < 2 {
@@ -282,7 +296,7 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 	}
 	// Wrong type byte, either way round and unknown.
 	for _, typ := range []byte{0, byte(internalType), 7} {
-		if checkLeafImage(t, damage(leaf, func(b []byte) { b[0] = typ }), 8, nil) {
+		if checkLeafImage(t, damage(leaf, func(b []byte) { b[0] = typ }), encodedKeyLen, 8, nil) {
 			t.Errorf("leaf with type byte %d decoded", typ)
 		}
 	}
@@ -291,11 +305,11 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 			t.Errorf("internal page with type byte %d decoded", typ)
 		}
 	}
-	// A count that runs the entries (21 or more at this geometry) or
+	// A count that runs the entries (22 or more at this geometry) or
 	// the child array (127 or more separators) off the page.
-	for _, count := range []uint16{21, 127, 200, 0xffff} {
+	for _, count := range []uint16{22, 127, 200, 0xffff} {
 		over := func(b []byte) { binary.LittleEndian.PutUint16(b[1:3], count) }
-		if checkLeafImage(t, damage(leaf, over), 8, nil) {
+		if checkLeafImage(t, damage(leaf, over), encodedKeyLen, 8, nil) {
 			t.Errorf("leaf claiming %d entries decoded", count)
 		}
 		if checkInternalImage(t, damage(internal, over), nil) && count >= 127 {
@@ -320,7 +334,7 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 	}
 	// Every truncation of both images, down to nothing.
 	for cut := 0; cut < 512; cut++ {
-		checkLeafImage(t, leaf[:cut], 8, nil)
+		checkLeafImage(t, leaf[:cut], encodedKeyLen, 8, nil)
 		checkInternalImage(t, internal[:cut], nil)
 	}
 }
@@ -330,18 +344,20 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 // accessor, and nothing panics.
 func FuzzPageViews(f *testing.F) {
 	rng := rand.New(rand.NewSource(18))
-	f.Add(randomLeafImage(rng, 128, 3), uint8(3), []byte{1, 2})
-	f.Add(randomLeafImage(rng, 128, 0), uint8(0), []byte{})
-	f.Add(randomInternalImage(rng, 128), uint8(0), []byte{0, 1, 2, 0})
-	f.Add([]byte{byte(internalType), 0xff, 0xff}, uint8(0), []byte{9})
-	f.Add([]byte{byte(internalType), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}, uint8(0), []byte{9})
-	f.Add([]byte{byte(leafType), 9, 0}, uint8(1), []byte{})
-	f.Fuzz(func(t *testing.T, data []byte, valueSize uint8, enc []byte) {
+	f.Add(randomLeafImage(rng, 128, 16, 3), uint8(7), uint8(3), []byte{1, 2})
+	f.Add(randomLeafImage(rng, 128, 11, 0), uint8(2), uint8(0), []byte{})
+	f.Add(randomLeafImage(rng, 128, 9, 1), uint8(0), uint8(1), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(randomInternalImage(rng, 128), uint8(7), uint8(0), []byte{0, 1, 2, 0})
+	f.Add([]byte{byte(internalType), 0xff, 0xff}, uint8(7), uint8(0), []byte{9})
+	f.Add([]byte{byte(internalType), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}, uint8(7), uint8(0), []byte{9})
+	f.Add([]byte{byte(leafType), 9, 0}, uint8(4), uint8(1), []byte{})
+	f.Fuzz(func(t *testing.T, data []byte, width, valueSize uint8, enc []byte) {
+		keyLen := 9 + int(width%8)
 		var k Key
-		if len(enc) >= encodedKeyLen {
-			k = decodeKey(enc)
+		if len(enc) >= keyLen {
+			k = decodeKey(enc[:keyLen])
 		}
-		checkLeafImage(t, data, int(valueSize), []Key{k})
+		checkLeafImage(t, data, keyLen, int(valueSize), []Key{k})
 		checkInternalImage(t, data, [][]byte{enc})
 	})
 }

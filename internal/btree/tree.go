@@ -16,6 +16,10 @@ type Config struct {
 	// derives the largest capacity that fits the page. The paper's
 	// experiments use 20.
 	LeafCapacity int
+	// KeyBits is how many leading bits of Key.Hi a stored key may set;
+	// zero means all 64. The tree stores only the bytes of Hi those
+	// bits reach, so a narrower key packs more entries into a leaf.
+	KeyBits int
 }
 
 // Tree is a prefix B+-tree over disk pages with multi-version
@@ -36,6 +40,8 @@ type Config struct {
 type Tree struct {
 	pool      *disk.Pool
 	valueSize int
+	keyBits   int // leading bits of Key.Hi a stored key may set
+	keyLen    int // bytes of an encoded key
 	leafCap   int
 	fanout    int // max children of an internal node
 
@@ -64,12 +70,20 @@ type Tree struct {
 
 // newTreeShell validates the geometry and returns a Tree with no
 // published version yet; callers publish one via publishInitial.
-func newTreeShell(pool *disk.Pool, valueSize, leafCapacity int) (*Tree, error) {
+func newTreeShell(pool *disk.Pool, cfg Config) (*Tree, error) {
 	ps := pool.Store().PageSize()
+	valueSize, leafCapacity, keyBits := cfg.ValueSize, cfg.LeafCapacity, cfg.KeyBits
 	if valueSize < 0 {
 		return nil, fmt.Errorf("btree: negative value size")
 	}
-	stride := encodedKeyLen + valueSize
+	if keyBits < 0 || keyBits > 64 {
+		return nil, fmt.Errorf("btree: key bits %d outside [0,64]", keyBits)
+	}
+	if keyBits == 0 {
+		keyBits = 64
+	}
+	keyLen := keyLenFor(keyBits)
+	stride := keyLen + valueSize
 	maxLeaf := (ps - leafHeaderLen) / stride
 	if maxLeaf < 2 {
 		return nil, fmt.Errorf("btree: page size %d cannot hold 2 entries of %d bytes", ps, stride)
@@ -83,12 +97,29 @@ func newTreeShell(pool *disk.Pool, valueSize, leafCapacity int) (*Tree, error) {
 	}
 	// Pessimistic fanout: assume every separator is a full key, so
 	// any mix of truncated separators always fits the page.
-	// internalHeaderLen + fanout*4 + (fanout-1)*(2+encodedKeyLen) <= ps
-	fanout := (ps - internalHeaderLen + 2 + encodedKeyLen) / (4 + 2 + encodedKeyLen)
+	// internalHeaderLen + fanout*4 + (fanout-1)*(2+keyLen) <= ps
+	fanout := (ps - internalHeaderLen + 2 + keyLen) / (4 + 2 + keyLen)
 	if fanout < 4 {
 		return nil, fmt.Errorf("btree: page size %d too small for internal nodes", ps)
 	}
-	return &Tree{pool: pool, valueSize: valueSize, leafCap: leafCap, fanout: fanout}, nil
+	return &Tree{pool: pool, valueSize: valueSize, keyBits: keyBits, keyLen: keyLen, leafCap: leafCap, fanout: fanout}, nil
+}
+
+// checkKey refuses a key the tree cannot store: one that sets a bit
+// of Hi below the leading KeyBits.
+func (t *Tree) checkKey(k Key) error {
+	if k.Hi<<uint(t.keyBits) != 0 {
+		return fmt.Errorf("btree: %v sets bits below the tree's %d key bits", k, t.keyBits)
+	}
+	return nil
+}
+
+// encodeKey encodes k at the tree's key length into buf and returns
+// the encoded bytes.
+func (t *Tree) encodeKey(k Key, buf *[encodedKeyLen]byte) []byte {
+	enc := buf[:t.keyLen]
+	k.encode(enc)
+	return enc
 }
 
 // publishInitial installs v as version 1 of a freshly built tree.
@@ -99,21 +130,26 @@ func (t *Tree) publishInitial(v *version) {
 
 // New creates an empty tree on the pool.
 func New(pool *disk.Pool, cfg Config) (*Tree, error) {
-	t, err := newTreeShell(pool, cfg.ValueSize, cfg.LeafCapacity)
+	t, err := newTreeShell(pool, cfg)
 	if err != nil {
 		return nil, err
 	}
-	f, err := pool.NewPage()
+	return t, t.publishEmpty()
+}
+
+// publishEmpty publishes a single empty root leaf as the tree's first
+// version.
+func (t *Tree) publishEmpty() error {
+	f, err := t.pool.NewPage()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	root := &leafNode{}
-	root.encode(f.Data, t.valueSize)
-	if err := pool.Unpin(f.ID, true); err != nil {
-		return nil, err
+	initLeaf(f.Data, 0)
+	if err := t.pool.Unpin(f.ID, true); err != nil {
+		return err
 	}
 	t.publishInitial(&version{root: f.ID, height: 1, leaves: 1})
-	return t, nil
+	return nil
 }
 
 // Meta is the persistent identity of a tree: everything needed to
@@ -128,6 +164,7 @@ type Meta struct {
 	Leaves       int
 	ValueSize    int
 	LeafCapacity int
+	KeyBits      int // as Config.KeyBits; it fixes the page layout
 }
 
 // Meta returns the persistent metadata of the current committed
@@ -141,6 +178,7 @@ func (t *Tree) Meta() Meta {
 		Leaves:       v.leaves,
 		ValueSize:    t.valueSize,
 		LeafCapacity: t.leafCap,
+		KeyBits:      t.keyBits,
 	}
 }
 
@@ -149,7 +187,7 @@ func (t *Tree) Meta() Meta {
 // geometry against the store's page size but does not touch any
 // pages; the first operation does.
 func Attach(pool *disk.Pool, m Meta) (*Tree, error) {
-	t, err := newTreeShell(pool, m.ValueSize, m.LeafCapacity)
+	t, err := newTreeShell(pool, Config{ValueSize: m.ValueSize, LeafCapacity: m.LeafCapacity, KeyBits: m.KeyBits})
 	if err != nil {
 		return nil, err
 	}
@@ -212,8 +250,8 @@ func searchLeaf(n *leafNode, k Key) int {
 // hold a pin on v (or be the serialized writer). Each page is searched
 // in its pool frame; only a value found is copied out.
 func (t *Tree) getAt(v *version, k Key) (value []byte, found bool, err error) {
-	var enc [encodedKeyLen]byte
-	k.encode(enc[:])
+	var buf [encodedKeyLen]byte
+	enc := t.encodeKey(k, &buf)
 	id := v.root
 	for level := v.height; level > 1 && err == nil; level-- {
 		err = t.withPage(id, func(data []byte) error {
@@ -221,7 +259,7 @@ func (t *Tree) getAt(v *version, k Key) (value []byte, found bool, err error) {
 			if err != nil {
 				return err
 			}
-			i, err := p.childIndex(enc[:])
+			i, err := p.childIndex(enc)
 			id = p.child(i)
 			return err
 		})
@@ -230,7 +268,7 @@ func (t *Tree) getAt(v *version, k Key) (value []byte, found bool, err error) {
 		return nil, false, err
 	}
 	err = t.withPage(id, func(data []byte) error {
-		p, err := viewLeaf(data, t.valueSize)
+		p, err := viewLeaf(data, t.keyLen, t.valueSize)
 		if err != nil {
 			return err
 		}
@@ -296,7 +334,7 @@ func (w *cow) putLeaf(old disk.PageID, n *leafNode) (disk.PageID, error) {
 	if err != nil {
 		return disk.InvalidPage, err
 	}
-	n.encode(f.Data, w.t.valueSize)
+	n.encode(f.Data, w.t.keyLen, w.t.valueSize)
 	return f.ID, w.t.pool.Unpin(f.ID, true)
 }
 
@@ -377,7 +415,8 @@ func (t *Tree) replaceUpward(w *cow, path []cowLevel, pi int, childID disk.PageI
 }
 
 // Insert adds an entry. The value must be exactly ValueSize bytes.
-// Inserting an existing key returns ErrDuplicateKey. The insert is
+// Inserting an existing key returns ErrDuplicateKey, and a key that
+// sets bits of Hi below Config.KeyBits is an error. The insert is
 // copy-on-write: it builds new pages along the root-to-leaf path and
 // atomically publishes a new version, so concurrent snapshot readers
 // are undisturbed. A failed insert publishes nothing.
@@ -398,9 +437,11 @@ func (t *Tree) Insert(k Key, value []byte) error {
 }
 
 func (t *Tree) insertCOW(w *cow, v *version, k Key, value []byte) (*version, error) {
-	var enc [encodedKeyLen]byte
-	k.encode(enc[:])
-	path, leafID, err := t.descendPath(v, enc[:])
+	if err := t.checkKey(k); err != nil {
+		return nil, err
+	}
+	var buf [encodedKeyLen]byte
+	path, leafID, err := t.descendPath(v, t.encodeKey(k, &buf))
 	if err != nil {
 		return nil, err
 	}
@@ -436,10 +477,7 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key, value []byte) (*version, err
 		right := &leafNode{keys: n.keys[mid:], values: n.values[mid:]}
 		n.keys = n.keys[:mid]
 		n.values = n.values[:mid]
-		var leftMaxEnc, rightMinEnc [encodedKeyLen]byte
-		n.keys[len(n.keys)-1].encode(leftMaxEnc[:])
-		right.keys[0].encode(rightMinEnc[:])
-		sep = shortestSeparator(leftMaxEnc[:], rightMinEnc[:])
+		sep = t.separator(n.keys[len(n.keys)-1], right.keys[0])
 		if newChild, err = w.putLeaf(leafID, n); err != nil {
 			return nil, err
 		}

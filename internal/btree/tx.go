@@ -107,8 +107,9 @@ func (t *Tree) validateBatch(baseSeq uint64, keys map[Key]struct{}) error {
 // Within the batch, deleting an absent key is a no-op and inserting a
 // duplicate key fails the whole batch with ErrDuplicateKey (callers
 // check duplicates against their snapshot at buffer time, so this
-// only fires on misuse). An empty or all-no-op batch publishes
-// nothing and succeeds.
+// only fires on misuse), as does inserting a key that sets bits below
+// the tree's KeyBits. An empty or all-no-op batch publishes nothing
+// and succeeds.
 func (t *Tree) CommitBatch(baseSeq uint64, muts []Mutation) error {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()

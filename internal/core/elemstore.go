@@ -31,7 +31,7 @@ const maxStoreID = 1<<56 - 1
 
 // NewElementStore creates an empty element relation on the pool.
 func NewElementStore(pool *disk.Pool, g zorder.Grid, leafCapacity int) (*ElementStore, error) {
-	tree, err := btree.New(pool, btree.Config{ValueSize: 0, LeafCapacity: leafCapacity})
+	tree, err := btree.New(pool, treeConfig(g, leafCapacity))
 	if err != nil {
 		return nil, err
 	}

@@ -111,12 +111,20 @@ func TestElementStoreValidation(t *testing.T) {
 }
 
 // TestSpatialJoinStoresMatchesInMemory: the disk-resident join equals
-// the in-memory join on random box relations.
+// the in-memory join on random box relations, on element keys of 2,
+// 1 and 8 bytes before the id.
 func TestSpatialJoinStoresMatchesInMemory(t *testing.T) {
-	g := zorder.MustGrid(2, 6)
+	for _, c := range []propGrid{sameGrid(2, 6), sameGrid(1, 8), deepGrid} {
+		joinStoresMatchInMemory(t, c)
+	}
+}
+
+func joinStoresMatchInMemory(t *testing.T, c propGrid) {
+	g := c.g
 	for seed := int64(0); seed < 4; seed++ {
-		left := randomBoxes(g, 12, seed*2+71)
-		right := randomBoxes(g, 12, seed*2+72)
+		left := randomBoxes(c.draw, 12, seed*2+71)
+		right := randomBoxes(c.draw, 12, seed*2+72)
+		c.moveToFarCorner(nil, append(left, right...))
 		aItems := decomposeBoxes(g, left)
 		bItems := decomposeBoxes(g, right)
 
@@ -145,11 +153,11 @@ func TestSpatialJoinStoresMatchesInMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !equalPairs(DedupPairs(got), DedupPairs(want)) {
-			t.Fatalf("seed %d: stored join disagrees: %d vs %d raw pairs",
-				seed, len(got), len(want))
+			t.Fatalf("%v seed %d: stored join disagrees: %d vs %d raw pairs",
+				g, seed, len(got), len(want))
 		}
 		if pages.Left == 0 || pages.Right == 0 {
-			t.Fatalf("seed %d: no pages counted: %+v", seed, pages)
+			t.Fatalf("%v seed %d: no pages counted: %+v", g, seed, pages)
 		}
 	}
 }

@@ -81,20 +81,29 @@ func newIndexOver(g zorder.Grid, tree *btree.Tree) *Index {
 
 // NewIndex creates an empty index over grid g on the pool.
 func NewIndex(pool *disk.Pool, g zorder.Grid, cfg IndexConfig) (*Index, error) {
-	tree, err := btree.New(pool, btree.Config{ValueSize: 0, LeafCapacity: cfg.LeafCapacity})
+	tree, err := btree.New(pool, treeConfig(g, cfg.LeafCapacity))
 	if err != nil {
 		return nil, err
 	}
 	return newIndexOver(g, tree), nil
 }
 
+// treeConfig is the tree geometry of a point index or element store
+// on grid g: no value payload, and keys as wide as the grid's z
+// values, which are left-justified in Key.Hi.
+func treeConfig(g zorder.Grid, leafCapacity int) btree.Config {
+	return btree.Config{ValueSize: 0, LeafCapacity: leafCapacity, KeyBits: g.TotalBits()}
+}
+
 // OpenIndex reattaches to an existing index whose tree pages live on
 // the pool's store, using metadata captured by Tree().Meta(). The
-// durable database facade uses it on reopen.
+// durable database facade uses it on reopen; the key width is the
+// grid's, as at creation, whatever m carries.
 func OpenIndex(pool *disk.Pool, g zorder.Grid, m btree.Meta) (*Index, error) {
 	if m.ValueSize != 0 {
 		return nil, fmt.Errorf("core: index tree has value size %d, want 0", m.ValueSize)
 	}
+	m.KeyBits = g.TotalBits()
 	tree, err := btree.Attach(pool, m)
 	if err != nil {
 		return nil, err

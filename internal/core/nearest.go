@@ -255,7 +255,7 @@ func NewIndexBulk(pool *disk.Pool, g zorder.Grid, cfg IndexConfig, pts []geom.Po
 		entries[i] = btree.Entry{Key: btree.Key{Hi: g.ShuffleKey(p.Coords), Lo: p.ID}}
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key.Less(entries[j].Key) })
-	tree, err := btree.Load(pool, btree.Config{ValueSize: 0, LeafCapacity: cfg.LeafCapacity}, entries, fill)
+	tree, err := btree.Load(pool, treeConfig(g, cfg.LeafCapacity), entries, fill)
 	if err != nil {
 		return nil, err
 	}

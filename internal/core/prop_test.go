@@ -29,21 +29,59 @@ func randomPoints(g zorder.Grid, n int, seed int64) []geom.Point {
 	return pts
 }
 
+// propGrid is one grid of a battery. Points and boxes are drawn on
+// draw and moved to the far corner of g (moveToFarCorner), which for
+// most cases is the same grid and no move. A grid too deep to fill is
+// reached that way: its tree keys take their full width, and a box
+// still decomposes into as few elements as it does on draw.
+type propGrid struct {
+	g, draw zorder.Grid
+}
+
+func sameGrid(dims, bits int) propGrid {
+	g := zorder.MustGrid(dims, bits)
+	return propGrid{g, g}
+}
+
+// deepGrid is the 3 x 21-bit grid, 63 bits of z value, whose keys are
+// stored at the full 16 bytes.
+var deepGrid = propGrid{zorder.MustGrid(3, 21), zorder.MustGrid(3, 4)}
+
+// moveToFarCorner translates coordinates drawn on c.draw so that
+// c.draw's far corner lands on c.g's. The offset is a multiple of
+// c.draw's side in every dimension, so elements keep their alignment.
+func (c propGrid) moveToFarCorner(pts []geom.Point, boxes []geom.Box) {
+	for d := 0; d < c.g.Dims(); d++ {
+		off := uint32(c.g.SideOf(d) - c.draw.SideOf(d))
+		for _, p := range pts {
+			p.Coords[d] += off
+		}
+		for _, b := range boxes {
+			b.Lo[d] += off
+			b.Hi[d] += off
+		}
+	}
+}
+
 func TestRangeSearchDifferentialProperty(t *testing.T) {
-	grids := []zorder.Grid{
-		zorder.MustGrid(1, 8),
-		zorder.MustGrid(2, 5),
-		zorder.MustGrid(2, 9),
-		zorder.MustGrid(3, 4),
+	grids := []propGrid{
+		sameGrid(1, 8), // keys of 1 + 8 bytes
+		sameGrid(2, 5),
+		sameGrid(2, 9),
+		sameGrid(3, 4),
+		deepGrid,
 	}
 	runs := 0
-	for gi, g := range grids {
-		pts := randomPoints(g, 600, int64(500+gi))
+	for gi, c := range grids {
+		g := c.g
+		pts := randomPoints(c.draw, 600, int64(500+gi))
+		boxes := randomBoxes(c.draw, 20, int64(600+gi))
+		c.moveToFarCorner(pts, boxes)
 		ix := newTestIndex(t, g, 10)
 		if err := ix.BulkLoad(pts); err != nil {
 			t.Fatal(err)
 		}
-		for _, box := range randomBoxes(g, 20, int64(600+gi)) {
+		for _, box := range boxes {
 			want := bruteIDs(pts, box)
 			for _, s := range allStrategies() {
 				got, stats, err := ix.RangeSearch(box, s)
@@ -67,24 +105,26 @@ func TestRangeSearchDifferentialProperty(t *testing.T) {
 }
 
 func TestNearestDifferentialProperty(t *testing.T) {
-	grids := []zorder.Grid{
-		zorder.MustGrid(2, 6),
-		zorder.MustGrid(2, 8),
-		zorder.MustGrid(3, 4),
+	grids := []propGrid{
+		sameGrid(2, 6),
+		sameGrid(2, 8),
+		sameGrid(3, 4),
+		sameGrid(1, 8),
+		deepGrid,
 	}
 	runs := 0
-	for gi, g := range grids {
-		pts := randomPoints(g, 400, int64(700+gi))
+	for gi, c := range grids {
+		g := c.g
+		pts := randomPoints(c.draw, 400, int64(700+gi))
+		queries := randomPoints(c.draw, 25, int64(800+gi))
+		c.moveToFarCorner(append(pts, queries...), nil)
 		ix := newTestIndex(t, g, 10)
 		if err := ix.BulkLoad(pts); err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(800 + gi)))
-		for trial := 0; trial < 25; trial++ {
-			q := make([]uint32, g.Dims())
-			for d := range q {
-				q[d] = uint32(rng.Uint64() % g.SideOf(d))
-			}
+		for _, query := range queries {
+			q := query.Coords
 			m := 1 + rng.Intn(12)
 			for _, metric := range []Metric{Chebyshev, Euclidean} {
 				got, _, err := ix.Nearest(q, m, metric, MergeLazy)
