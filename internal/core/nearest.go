@@ -148,20 +148,27 @@ func (ix *reader) nearestRound(s *scratch, ctx context.Context, q []uint32, r ui
 	return stats.Results, whole, nil
 }
 
-// ringBox builds, in s, the box of L-infinity radius r around q clamped
-// to the grid, and reports whether that is the whole space. r may
-// exceed every coordinate: the arithmetic is in uint64 and saturates
-// at the grid's edges.
+// ringBox builds, in s, the box RingBox describes.
 func (ix *reader) ringBox(s *scratch, q []uint32, r uint64) (box geom.Box, whole bool) {
 	box = geom.Box{Lo: s.lo[:len(q)], Hi: s.hi[:len(q)]}
+	return box, RingBox(ix.g, q, r, box.Lo, box.Hi)
+}
+
+// RingBox writes to lo and hi the box of L-infinity radius r around q
+// clamped to the grid, and reports whether that is the whole space. r
+// may exceed every coordinate: the arithmetic is in uint64 and
+// saturates at the grid's edges. Every point within distance r of q,
+// under either metric, lies in it: the box a NEAREST answer certifies,
+// on one node and in the router.
+func RingBox(g zorder.Grid, q []uint32, r uint64, lo, hi []uint32) (whole bool) {
 	whole = true
 	for i, c := range q {
-		c, last := uint64(c), ix.g.SideOf(i)-1
+		c, last := uint64(c), g.SideOf(i)-1
 		r := min(r, last)
-		box.Lo[i], box.Hi[i] = uint32(c-min(c, r)), uint32(min(c+r, last))
-		whole = whole && box.Lo[i] == 0 && uint64(box.Hi[i]) == last
+		lo[i], hi[i] = uint32(c-min(c, r)), uint32(min(c+r, last))
+		whole = whole && lo[i] == 0 && uint64(hi[i]) == last
 	}
-	return box, whole
+	return whole
 }
 
 // candidate is a point NEAREST may return, as the search streams it:

@@ -134,7 +134,7 @@ func TestClusterQueryDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, raddr := startRouter(t, m, Config{BatchSize: 32})
+	rt, raddr := startRouter(t, m, Config{BatchSize: 32})
 	cl := dialRouter(t, raddr)
 
 	pts := clusterPoints(rand.New(rand.NewSource(1986)), 4000, 1)
@@ -179,24 +179,36 @@ func TestClusterQueryDifferential(t *testing.T) {
 		}
 	}
 
-	// NNEAREST: identical neighbor lists.
+	// NNEAREST: identical neighbor lists. Random points first, then the
+	// places where the two-phase plan changes shape: the first and last
+	// pixel of every shard and the grid's corners under both metrics, m
+	// beyond the owner's count (every shard is asked) and beyond the
+	// cluster's (everything comes back).
+	var cases []nearestCase
 	for i := 0; i < 20; i++ {
-		q := []uint32{uint32(rng.Intn(1024)), uint32(rng.Intn(1024))}
-		want, _, err := single.Nearest(q, 8, probe.Euclidean)
+		cases = append(cases, nearestCase{[]uint32{uint32(rng.Intn(1024)), uint32(rng.Intn(1024))}, 8, probe.Euclidean})
+	}
+	for i := 0; i < 10; i++ {
+		cases = append(cases, nearestCase{[]uint32{uint32(rng.Intn(1024)), uint32(rng.Intn(1024))}, 1 + rng.Intn(12), probe.Chebyshev})
+	}
+	cases = append(cases, boundaryCases(t, rt, 8)...)
+	cases = append(cases, boundaryCases(t, rt, 1)...)
+	for _, m := range []int{len(pts) / 2, len(pts), len(pts) + 1000} {
+		cases = append(cases,
+			nearestCase{[]uint32{700, 300}, m, probe.Euclidean},
+			nearestCase{[]uint32{0, 1023}, m, probe.Chebyshev})
+	}
+	for _, c := range cases {
+		want, _, err := single.Nearest(c.q, c.m, c.metric)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := cl.Nearest(ctx, q, 8, probe.Euclidean)
+		got, _, err := cl.Nearest(ctx, c.q, c.m, c.metric)
 		if err != nil {
-			t.Fatalf("router nearest: %v", err)
+			t.Fatalf("router %v: %v", c, err)
 		}
-		if len(want) != len(got) {
-			t.Fatalf("nearest %v: %d vs %d neighbors", q, len(want), len(got))
-		}
-		for j := range want {
-			if want[j].Point.ID != got[j].Point.ID || want[j].Dist != got[j].Dist {
-				t.Fatalf("nearest %v neighbor %d: %+v vs %+v", q, j, want[j], got[j])
-			}
+		if d := sameNeighbors(want, got); d != "" {
+			t.Fatalf("%v: cluster differs from single node: %s", c, d)
 		}
 	}
 

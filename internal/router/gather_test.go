@@ -23,6 +23,12 @@ type gatherCluster struct {
 
 func newGatherCluster(t *testing.T, shards, points int) *gatherCluster {
 	t.Helper()
+	return newGatherClusterOf(t, shards, clusterPoints(rand.New(rand.NewSource(19)), points, 1))
+}
+
+// newGatherClusterOf is newGatherCluster over the given points.
+func newGatherClusterOf(t *testing.T, shards int, pts []probe.Point) *gatherCluster {
+	t.Helper()
 	g := clusterGrid()
 	gc := &gatherCluster{proxies: make([]*chaosProxy, shards)}
 	addrs := make([]string, shards)
@@ -44,9 +50,10 @@ func newGatherCluster(t *testing.T, shards, points int) *gatherCluster {
 	// a healthy connection instead.
 	gc.r, _ = startRouter(t, m, Config{BatchSize: 8, CancelGrace: 10 * time.Second, DialTimeout: time.Second})
 
-	pts := clusterPoints(rand.New(rand.NewSource(19)), points, 1)
-	if _, err := gc.r.Insert(context.Background(), pts); err != nil {
-		t.Fatal(err)
+	if len(pts) > 0 {
+		if _, err := gc.r.Insert(context.Background(), pts); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if gc.single, err = probe.Open(g); err != nil {
 		t.Fatal(err)
@@ -81,9 +88,11 @@ func (gc *gatherCluster) want(t *testing.T, box probe.Box) []probe.Point {
 // TestGatherMatchesSingleNode: for boxes whose scatter reaches 2, 3, …
 // n shards — including shards in the middle of the run that hold
 // nothing in the box, and a box nothing lives in at all — the stream
-// drained in shard order is the single node's, row for row.
+// drained in shard order is the single node's, row for row. Five
+// shards, not four: four even shards are the grid's quadrants, and a
+// box owns pixels of one, two or four quadrants, never three.
 func TestGatherMatchesSingleNode(t *testing.T) {
-	const shards = 4
+	const shards = 5
 	gc := newGatherCluster(t, shards, 3000)
 	boxes := []probe.Box{
 		probe.Box2(0, 1023, 0, 1023),

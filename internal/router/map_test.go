@@ -3,9 +3,11 @@ package router
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"probe/internal/core"
+	"probe/internal/zorder"
 )
 
 // TestMapEncodeDecodeRoundTrip pins the stable shard-map encoding:
@@ -184,6 +186,65 @@ func TestOwnerOfMatchesPrefixArithmetic(t *testing.T) {
 					t.Fatalf("Intersecting(%#x,%#x) = %v, brute force %v", lo, hi, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestCoverMatchesBruteForce checks the one routing rule for boxes
+// against its definition: Cover is exactly the set of owners of the
+// box's pixels. On an 8x8 and on an asymmetric 16x4 grid, over 2 to 7
+// even shards and random uneven maps, including maps cut finer than a
+// pixel, where some shards own none.
+func TestCoverMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, g := range []zorder.Grid{zorder.MustGrid(2, 3), zorder.MustGridAsym(4, 2)} {
+		var maps []*Map
+		for n := 2; n <= 7; n++ {
+			addrs := make([]string, n)
+			for i := range addrs {
+				addrs[i] = "h"
+			}
+			for _, bits := range []int{DefaultPrefixBits(n), 8} {
+				m, err := BuildEvenMap(bits, addrs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				maps = append(maps, m)
+			}
+		}
+		for i := 0; i < 30; i++ {
+			maps = append(maps, randValidMap(t, rng))
+		}
+		trimmed := 0
+		for _, m := range maps {
+			for trial := 0; trial < 200; trial++ {
+				lo, hi := make([]uint32, 2), make([]uint32, 2)
+				for d := range lo {
+					a, b := uint32(rng.Intn(int(g.SideOf(d)))), uint32(rng.Intn(int(g.SideOf(d))))
+					lo[d], hi[d] = min(a, b), max(a, b)
+				}
+				owners := map[int]bool{}
+				for x := lo[0]; x <= hi[0]; x++ {
+					for y := lo[1]; y <= hi[1]; y++ {
+						owners[m.OwnerOf(g.ShuffleKey([]uint32{x, y}))] = true
+					}
+				}
+				var want []int
+				for i := range m.Shards {
+					if owners[i] {
+						want = append(want, i)
+					}
+				}
+				got := m.Cover(g, lo, hi)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%v, %d shards of %d prefix bits: Cover(%v, %v) = %v, the pixels' owners are %v",
+						g, len(m.Shards), m.PrefixBits, lo, hi, got, want)
+				}
+				trimmed += len(m.Intersecting(g.ShuffleKey(lo), g.ShuffleKey(hi))) - len(got)
+			}
+		}
+		if trimmed == 0 {
+			t.Errorf("%v: no box spanned in z a shard it does not touch; the test compares nothing", g)
 		}
 	}
 }

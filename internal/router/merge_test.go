@@ -24,6 +24,15 @@ func TestMergeNeighbors(t *testing.T) {
 			t.Fatalf("position %d: id %d, want %d", i, got[i].Point.ID, id)
 		}
 	}
+	// A tie at the m-th distance goes to the smaller id, whichever list
+	// holds it: core.compareCandidates' order.
+	tied := [][]probe.Neighbor{
+		{{Point: probe.Point{ID: 5}, Dist: 2.0}},
+		{{Point: probe.Point{ID: 2}, Dist: 2.0}},
+	}
+	if got := mergeNeighbors(tied, 1); len(got) != 1 || got[0].Point.ID != 2 {
+		t.Fatalf("tie at the m-th distance: kept %+v, want id 2", got)
+	}
 	// m larger than the union returns everything.
 	if all := mergeNeighbors(lists, 10); len(all) != 4 {
 		t.Fatalf("unbounded merge returned %d, want 4", len(all))

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 
 	"probe"
 	"probe/client"
+	"probe/internal/core"
 	"probe/internal/obs"
 	"probe/internal/session"
 	"probe/internal/wire"
@@ -279,14 +282,13 @@ func (r *Router) Shutdown(ctx context.Context) error {
 
 // ---- Scatter-gather data operations: the session.Engine ----
 
-// shardsFor returns the backends whose z-intervals the box intersects.
+// shardsFor returns the backends owning a pixel of the box (Map.Cover).
 func (r *Router) shardsFor(box probe.Box) ([]*backend, error) {
 	g := r.Grid()
 	if !g.Valid(box.Lo) || !g.Valid(box.Hi) {
 		return nil, fmt.Errorf("router: box corner outside grid")
 	}
-	zlo, zhi := g.ShuffleKey(box.Lo), g.ShuffleKey(box.Hi)
-	idxs := r.m.Intersecting(zlo, zhi)
+	idxs := r.m.Cover(g, box.Lo, box.Hi)
 	out := make([]*backend, len(idxs))
 	for i, s := range idxs {
 		out[i] = r.backends[s]
@@ -417,17 +419,42 @@ gather:
 	return total, nil
 }
 
-// Nearest fans the m-nearest query to every shard (the true neighbors
-// can live anywhere) and folds the per-shard lists into the global
-// top m, ordered by (distance, id) like a single node.
+// Nearest asks the shard that owns q first. Its m-th distance d bounds
+// the answer: every point that could displace one of its m lies in the
+// L-infinity box of radius ceil(d) around q (core.RingBox), so the
+// second phase asks, in parallel, only the other shards owning a pixel
+// of that box (Map.Cover) and folds the lists into the global top m,
+// ordered by (distance, id) like a single node. An owner holding fewer
+// than m points certifies nothing and the second phase is every other
+// shard. A shard outside the cover is not contacted, so it may be down;
+// one that is asked and cannot answer fails the whole request.
 func (r *Router) Nearest(ctx context.Context, q []uint32, m int, metric probe.Metric) ([]probe.Neighbor, probe.QueryStats, error) {
-	r.observeFanout("nearest", len(r.backends))
+	g := r.Grid()
+	owner := r.m.OwnerOf(g.ShuffleKey(q))
 	lists := make([][]probe.Neighbor, len(r.backends))
-	total, err := r.fanAll(ctx, (*backend).read, func(bctx context.Context, i int, c *client.Conn) (probe.QueryStats, error) {
+	ask := func(bctx context.Context, i int, c *client.Conn) (probe.QueryStats, error) {
 		nbs, qs, err := c.Nearest(bctx, q, m, metric)
 		lists[i] = nbs
 		return qs, err
-	})
+	}
+	asked := 1
+	defer func() { r.observeFanout("nearest", asked) }()
+	total, err := r.fanAll(ctx, []int{owner}, (*backend).read, ask)
+	if err != nil {
+		return nil, total, err
+	}
+	var rest []int
+	if own := lists[owner]; m > 0 && len(own) >= m {
+		lo, hi := make([]uint32, len(q)), make([]uint32, len(q))
+		core.RingBox(g, q, uint64(math.Ceil(own[m-1].Dist)), lo, hi)
+		rest = r.m.Cover(g, lo, hi)
+	} else {
+		rest = r.allShards()
+	}
+	rest = slices.DeleteFunc(rest, func(i int) bool { return i == owner })
+	asked += len(rest)
+	qs, err := r.fanAll(ctx, rest, (*backend).read, ask)
+	total = addStats(total, qs)
 	if err != nil {
 		return nil, total, err
 	}
@@ -436,42 +463,58 @@ func (r *Router) Nearest(ctx context.Context, q []uint32, m int, metric probe.Me
 	return out, total, nil
 }
 
-// fanAll runs call against every shard in parallel, through do (the
+// allShards lists every shard index.
+func (r *Router) allShards() []int {
+	all := make([]int, len(r.backends))
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// fanAll runs call against the shards idxs names, through do (the
 // failing-over backend.read or the primary-only backend.write), and
-// sums the per-shard stats. The first failing shard, in shard order,
-// fails the whole.
-func (r *Router) fanAll(ctx context.Context, do func(*backend, context.Context, func(context.Context, *client.Conn) error) error,
+// sums the per-shard stats: one shard inline, several in parallel. The
+// first failing shard, in idxs order, fails the whole.
+func (r *Router) fanAll(ctx context.Context, idxs []int, do func(*backend, context.Context, func(context.Context, *client.Conn) error) error,
 	call func(bctx context.Context, i int, c *client.Conn) (probe.QueryStats, error)) (probe.QueryStats, error) {
 
-	stats := make([]probe.QueryStats, len(r.backends))
-	errs := make([]error, len(r.backends))
-	var wg sync.WaitGroup
-	for i, b := range r.backends {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			errs[i] = do(b, ctx, func(bctx context.Context, c *client.Conn) (err error) {
-				stats[i], err = call(bctx, i, c)
-				return err
-			})
-		}(i, b)
+	stats := make([]probe.QueryStats, len(idxs))
+	errs := make([]error, len(idxs))
+	one := func(k int) {
+		errs[k] = do(r.backends[idxs[k]], ctx, func(bctx context.Context, c *client.Conn) (err error) {
+			stats[k], err = call(bctx, idxs[k], c)
+			return err
+		})
 	}
-	wg.Wait()
-	var total probe.QueryStats
-	for i := range r.backends {
-		if errs[i] != nil {
-			return total, errs[i]
+	if len(idxs) == 1 {
+		one(0)
+	} else {
+		var wg sync.WaitGroup
+		for k := range idxs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				one(k)
+			}()
 		}
-		total = addStats(total, stats[i])
+		wg.Wait()
+	}
+	var total probe.QueryStats
+	for k := range idxs {
+		if errs[k] != nil {
+			return total, errs[k]
+		}
+		total = addStats(total, stats[k])
 	}
 	return total, nil
 }
 
-// Join ships each item to every shard whose z-interval its box
-// intersects and unions the per-shard joins. A joining pair shares at
-// least one grid pixel; that pixel lives in exactly one shard, which
-// both items were shipped to — so the union over shards is exactly
-// the single-node join, and DedupPairs-order (sorted (A,B), distinct)
+// Join ships each item to every shard owning a pixel of its box and
+// unions the per-shard joins. A joining pair shares at least one grid
+// pixel; that pixel lives in exactly one shard, which both items were
+// shipped to — so the union over shards is exactly the single-node
+// join, and DedupPairs-order (sorted (A,B), distinct)
 // is restored after the union.
 func (r *Router) Join(ctx context.Context, a, b []session.BoxItem, workers int) ([]probe.Pair, probe.QueryStats, error) {
 	aParts, bParts := r.scatterItems(a), r.scatterItems(b)
@@ -530,14 +573,14 @@ func (r *Router) Join(ctx context.Context, a, b []session.BoxItem, workers int) 
 }
 
 // scatterItems clips a join relation to the shards: item i goes to
-// every shard whose z-interval intersects its box's z-span. The
-// session layer has validated every box against the grid.
+// every shard owning a pixel of its box (Map.Cover). The session layer
+// has validated every box against the grid.
 func (r *Router) scatterItems(items []session.BoxItem) [][]client.BoxItem {
 	g := r.Grid()
 	out := make([][]client.BoxItem, len(r.backends))
 	for _, it := range items {
 		lo, hi := it.Box.Lo, it.Box.Hi
-		for _, s := range r.m.Intersecting(g.ShuffleKey(lo), g.ShuffleKey(hi)) {
+		for _, s := range r.m.Cover(g, lo, hi) {
 			out[s] = append(out[s], client.BoxItem{ID: it.ID, Lo: lo, Hi: hi})
 		}
 	}
@@ -620,7 +663,7 @@ func (r *Router) applyWrite(ctx context.Context, pts []probe.Point,
 
 // Checkpoint forces a durability checkpoint on every shard primary.
 func (r *Router) Checkpoint(ctx context.Context) (probe.QueryStats, error) {
-	return r.fanAll(ctx, (*backend).write, func(bctx context.Context, _ int, c *client.Conn) (probe.QueryStats, error) {
+	return r.fanAll(ctx, r.allShards(), (*backend).write, func(bctx context.Context, _ int, c *client.Conn) (probe.QueryStats, error) {
 		return c.Checkpoint(bctx)
 	})
 }
