@@ -40,108 +40,82 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"math/rand"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"sort"
-	"syscall"
 	"time"
 
 	"probe"
 	"probe/client"
 	"probe/internal/battery"
+	"probe/internal/daemon"
 	"probe/internal/obs"
 	"probe/internal/repl"
 	"probe/internal/server"
 	"probe/internal/workload"
 )
 
-// serveConfig gathers the serve-mode flags.
+// serveConfig is probed's command line: the flags every daemon shares,
+// the store and replication settings, and the -check and -diff modes.
 type serveConfig struct {
-	addr, admin, dbPath     string
+	daemon.Flags
+	dbPath                  string
 	dims, bits, pool, seedN int
 	seed                    int64
-	maxIn                   int
-	drain                   time.Duration
-	batch                   int
-	slowQuery               time.Duration
-	logEvery                int
-	traceBuffer             int
 	replListen              string // primary: serve WAL shipping here
 	replicaOf               string // replica: follow this primary
+
+	check, diff, degraded bool
+	against               string
+	diffN, diffPoints     int
+}
+
+// register declares probed's flags on fs.
+func register(fs *flag.FlagSet) *serveConfig {
+	o := &serveConfig{}
+	o.Register(fs, ":7331", "listen address (serve) or server address (-check, -diff)", 16)
+	fs.StringVar(&o.dbPath, "db", "", "durable store path; empty serves an in-memory database")
+	fs.IntVar(&o.bits, "bits", 10, "grid resolution in bits per dimension (fresh stores)")
+	fs.IntVar(&o.dims, "dims", 2, "grid dimensions (fresh stores)")
+	fs.IntVar(&o.pool, "pool", 256, "buffer pool pages")
+	fs.IntVar(&o.seedN, "seed-n", 0, "seed a fresh store with this many uniform points")
+	fs.Int64Var(&o.seed, "seed", 1986, "seed for -seed-n and -diff-points")
+	fs.StringVar(&o.replListen, "repl-listen", "", "serve WAL-shipping replication on this address (requires -db); replicas point -replica-of here")
+	fs.StringVar(&o.replicaOf, "replica-of", "", "run as a read replica of the primary's -repl-listen address (requires -db for the local page files)")
+	fs.BoolVar(&o.check, "check", false, "validate the serve configuration, then handshake with a running server and print stats")
+	fs.BoolVar(&o.diff, "diff", false, "differential battery: compare -addr (system under test, e.g. zrouted) against -against (single-node reference)")
+	fs.StringVar(&o.against, "against", "", "diff: address of the single-node reference server")
+	fs.IntVar(&o.diffN, "diff-n", 220, "diff: number of battery statements")
+	fs.IntVar(&o.diffPoints, "diff-points", 4000, "diff: seed this many identical points into both servers first; 0 skips seeding")
+	fs.BoolVar(&o.degraded, "degraded", false, "diff: tolerate (and count) typed shard-unavailable answers from -addr instead of failing")
+	return o
 }
 
 func main() {
-	var (
-		addr    = flag.String("addr", ":7331", "listen address (serve) or server address (-check, -diff)")
-		admin   = flag.String("admin", "", "admin HTTP address serving /metrics, /debug/pprof, /healthz, /readyz; empty disables")
-		dbPath  = flag.String("db", "", "durable store path; empty serves an in-memory database")
-		bits    = flag.Int("bits", 10, "grid resolution in bits per dimension (fresh stores)")
-		dims    = flag.Int("dims", 2, "grid dimensions (fresh stores)")
-		pool    = flag.Int("pool", 256, "buffer pool pages")
-		seedN   = flag.Int("seed-n", 0, "seed a fresh store with this many uniform points")
-		seed    = flag.Int64("seed", 1986, "seed for -seed-n and -diff-points")
-		maxIn   = flag.Int("max-inflight", 16, "admission control: max concurrently executing requests")
-		drain   = flag.Duration("drain", 5*time.Second, "graceful drain timeout on shutdown")
-		batch   = flag.Int("batch", 512, "results per streamed batch frame")
-		slowQ   = flag.Duration("slow-query", -1, "log requests at/above this latency at warn with their trace; 0 logs every request; negative disables")
-		logEv   = flag.Int("log-requests", 0, "log every Nth request at info; 0 disables")
-		trBuf   = flag.Int("trace-buffer", 64, "capacity of the /debug/traces ring of recent traced, slow, and sampled requests")
-		replLn  = flag.String("repl-listen", "", "serve WAL-shipping replication on this address (requires -db); replicas point -replica-of here")
-		replOf  = flag.String("replica-of", "", "run as a read replica of the primary's -repl-listen address (requires -db for the local page files)")
-		check   = flag.Bool("check", false, "validate the serve configuration, then handshake with a running server and print stats")
-		diff    = flag.Bool("diff", false, "differential battery: compare -addr (system under test, e.g. zrouted) against -against (single-node reference)")
-		against = flag.String("against", "", "diff: address of the single-node reference server")
-		diffN   = flag.Int("diff-n", 220, "diff: number of battery statements")
-		diffPts = flag.Int("diff-points", 4000, "diff: seed this many identical points into both servers first; 0 skips seeding")
-		degrade = flag.Bool("degraded", false, "diff: tolerate (and count) typed shard-unavailable answers from -addr instead of failing")
-	)
+	cfg := register(flag.CommandLine)
 	flag.Parse()
-
-	cfg := serveConfig{
-		addr: *addr, admin: *admin, dbPath: *dbPath,
-		dims: *dims, bits: *bits, pool: *pool, seedN: *seedN,
-		seed: *seed, maxIn: *maxIn, drain: *drain, batch: *batch,
-		slowQuery: *slowQ, logEvery: *logEv, traceBuffer: *trBuf,
-		replListen: *replLn, replicaOf: *replOf,
-	}
+	var err error
 	switch {
-	case *check:
-		if err := runCheck(cfg); err != nil {
-			fatal(err)
-		}
-	case *diff:
-		if err := runDiff(*addr, *against, *diffN, *diffPts, *seed, *degrade); err != nil {
-			fatal(err)
-		}
+	case cfg.check:
+		err = runCheck(*cfg)
+	case cfg.diff:
+		err = runDiff(cfg.Addr, cfg.against, cfg.diffN, cfg.diffPoints, cfg.seed, cfg.degraded)
 	default:
-		if err := serve(cfg); err != nil {
-			fatal(err)
-		}
+		err = serve(*cfg)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "probed: %v\n", err)
+		os.Exit(1)
 	}
 }
 
 // validateServeConfig rejects serve configurations that would start
-// and then misbehave: an admin endpoint colliding with the query
-// listener, or logging thresholds outside their meaningful range.
+// and then misbehave: the shared daemon checks plus the replication
+// rules.
 func validateServeConfig(cfg serveConfig) error {
-	if cfg.admin != "" {
-		ahost, aport, err := net.SplitHostPort(cfg.admin)
-		if err != nil {
-			return fmt.Errorf("bad -admin address %q: %v", cfg.admin, err)
-		}
-		qhost, qport, err := net.SplitHostPort(cfg.addr)
-		if err != nil {
-			return fmt.Errorf("bad -addr address %q: %v", cfg.addr, err)
-		}
-		// A port shared with the query listener is a clash when either
-		// side binds the wildcard or both name the same host.
-		if aport == qport && (ahost == "" || qhost == "" || ahost == qhost) {
-			return fmt.Errorf("-admin %s clashes with -addr %s: same port", cfg.admin, cfg.addr)
-		}
+	if err := cfg.Check(); err != nil {
+		return err
 	}
 	if cfg.replListen != "" && cfg.dbPath == "" {
 		return fmt.Errorf("-repl-listen requires -db: only a durable store ships its WAL")
@@ -157,37 +131,7 @@ func validateServeConfig(cfg serveConfig) error {
 			return fmt.Errorf("-replica-of and -seed-n are mutually exclusive: a replica's data comes from its primary")
 		}
 	}
-	if cfg.slowQuery > 24*time.Hour {
-		return fmt.Errorf("-slow-query %s is not a plausible threshold (max 24h)", cfg.slowQuery)
-	}
-	if cfg.logEvery < 0 {
-		return fmt.Errorf("-log-requests %d: the sample interval cannot be negative", cfg.logEvery)
-	}
 	return nil
-}
-
-// serverConfig maps the command line onto server.Config, including
-// the slow-query flag convention: the flag's 0 means "log every
-// request" (the config's negative), the flag's negative means
-// disabled (the config's zero).
-func serverConfig(cfg serveConfig) server.Config {
-	sc := server.Config{
-		MaxInflight:  cfg.maxIn,
-		DrainTimeout: cfg.drain,
-		BatchSize:    cfg.batch,
-	}
-	switch {
-	case cfg.slowQuery == 0:
-		sc.SlowQuery = -1
-	case cfg.slowQuery > 0:
-		sc.SlowQuery = cfg.slowQuery
-	}
-	sc.LogEvery = cfg.logEvery
-	sc.TraceBuffer = cfg.traceBuffer
-	if cfg.slowQuery >= 0 || cfg.logEvery > 0 {
-		sc.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	}
-	return sc
 }
 
 // openDB opens (or creates and optionally seeds) the served database.
@@ -231,7 +175,7 @@ func serve(cfg serveConfig) error {
 	if err := validateServeConfig(cfg); err != nil {
 		return err
 	}
-	sc := serverConfig(cfg)
+	sc := cfg.Session()
 
 	// Replica mode: the database comes from the primary, not from
 	// openDB. The replica's lag gauges share the server's registry so
@@ -241,6 +185,7 @@ func serve(cfg serveConfig) error {
 		db        *probe.DB
 		rep       *repl.Replica
 		repCancel context.CancelFunc
+		prim      *repl.Primary
 	)
 	if cfg.replicaOf != "" {
 		sc.ReadOnly = true
@@ -282,103 +227,43 @@ func serve(cfg serveConfig) error {
 	}
 
 	srv := server.New(db, sc)
+	mode := "serving"
 	if rep != nil {
 		rep.SetSwap(srv.SwapDB)
 		srv.SetReadyCheck(rep.ReadyErr)
+		mode = "serving (read-only replica)"
 	}
-
-	// Primary mode: ship every checkpoint's WAL segment to subscribed
-	// replicas on a dedicated listener.
-	var prim *repl.Primary
-	if cfg.replListen != "" {
-		var err error
-		prim, err = repl.NewPrimary(db, repl.PrimaryConfig{Logger: sc.Logger})
-		if err != nil {
-			db.Close()
-			return err
-		}
-		rln, err := net.Listen("tcp", cfg.replListen)
-		if err != nil {
-			prim.Close()
-			db.Close()
-			return err
-		}
-		go prim.Serve(rln)
-		fmt.Printf("probed: shipping WAL segments on %s\n", rln.Addr())
-	}
-	closeRepl := func() {
+	// stop ends shipping or applying before the drain's final
+	// checkpoint; it runs on every way out from here on.
+	var rln net.Listener
+	stop := func() {
 		if prim != nil {
 			prim.Close()
+		}
+		if rln != nil {
+			rln.Close() // prim.Serve may not have taken it over yet
 		}
 		if rep != nil {
 			repCancel()
 			rep.Close()
 		}
 	}
-
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		closeRepl()
-		db.Close()
-		return err
-	}
-	mode := "serving"
-	if rep != nil {
-		mode = "serving (read-only replica)"
-	}
-	fmt.Printf("probed: %s %d points on %s (max-inflight %d)\n", mode, db.Len(), ln.Addr(), cfg.maxIn)
-
-	// The admin endpoint outlives the query listener on purpose: it
-	// keeps answering /readyz with 503 while the drain runs, so load
-	// balancers see the drain instead of a vanished backend. It closes
-	// only after Shutdown returns.
-	var adminSrv *http.Server
-	if cfg.admin != "" {
-		aln, err := net.Listen("tcp", cfg.admin)
+	// Primary mode: ship every checkpoint's WAL segment to subscribed
+	// replicas on a dedicated listener.
+	var notes []string
+	if cfg.replListen != "" {
+		var err error
+		if prim, err = repl.NewPrimary(db, repl.PrimaryConfig{Logger: sc.Logger}); err == nil {
+			rln, err = net.Listen("tcp", cfg.replListen)
+		}
 		if err != nil {
-			ln.Close()
-			db.Close()
-			return err
+			stop()
+			return errors.Join(err, srv.Shutdown(context.Background()))
 		}
-		adminSrv = &http.Server{Handler: srv.AdminHandler()}
-		go adminSrv.Serve(aln)
-		fmt.Printf("probed: admin endpoint on http://%s/metrics\n", aln.Addr())
+		go prim.Serve(rln)
+		notes = append(notes, fmt.Sprintf("shipping WAL segments on %s", rln.Addr()))
 	}
-	closeAdmin := func() {
-		if adminSrv != nil {
-			adminSrv.Close()
-		}
-	}
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-
-	select {
-	case sig := <-sigs:
-		fmt.Printf("probed: %v: draining (timeout %s)\n", sig, cfg.drain)
-		closeRepl() // stop shipping/applying before the final checkpoint
-		done := make(chan error, 1)
-		go func() { done <- srv.Shutdown(context.Background()) }()
-		select {
-		case err := <-done:
-			closeAdmin()
-			if err != nil {
-				return fmt.Errorf("drain: %w", err)
-			}
-			fmt.Println("probed: drained, checkpointed, closed")
-			return nil
-		case sig := <-sigs:
-			closeAdmin()
-			return fmt.Errorf("%v during drain: exiting hard", sig)
-		}
-	case err := <-errCh:
-		closeAdmin()
-		closeRepl()
-		srv.DB().Close() // the original db may have been swapped out
-		return err
-	}
+	return daemon.Run("probed", fmt.Sprintf("%s %d points", mode, db.Len()), cfg.Flags, srv, stop, notes...)
 }
 
 func runCheck(cfg serveConfig) error {
@@ -386,12 +271,12 @@ func runCheck(cfg serveConfig) error {
 		return fmt.Errorf("config: %w", err)
 	}
 	fmt.Println("probed: serve configuration ok")
-	cl, err := client.Dial(cfg.addr)
+	cl, err := client.Dial(cfg.Addr)
 	if err != nil {
 		return err
 	}
 	defer cl.Close()
-	fmt.Printf("probed: %s speaks protocol, grid bits %v\n", cfg.addr, cl.GridBits())
+	fmt.Printf("probed: %s speaks protocol, grid bits %v\n", cfg.Addr, cl.GridBits())
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	stats, err := cl.Stats(ctx)
@@ -495,9 +380,4 @@ func runDiff(addr, against string, n, points int, seed int64, degraded bool) err
 	fmt.Printf("probed: diff %s vs %s: statements=%d matched=%d unavailable=%d\n",
 		addr, against, n, matched, unavailable)
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "probed: %v\n", err)
-	os.Exit(1)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"probe"
+	"probe/internal/daemon"
 	"probe/internal/disk"
 )
 
@@ -17,17 +18,17 @@ func TestValidateServeConfig(t *testing.T) {
 		cfg    serveConfig
 		wantOK bool
 	}{
-		{"defaults", serveConfig{addr: ":7331", slowQuery: -1}, true},
-		{"admin on its own port", serveConfig{addr: ":7331", admin: ":9090", slowQuery: -1}, true},
-		{"admin clashes wildcard", serveConfig{addr: ":7331", admin: ":7331", slowQuery: -1}, false},
-		{"admin clashes same host", serveConfig{addr: "127.0.0.1:7331", admin: "127.0.0.1:7331", slowQuery: -1}, false},
-		{"admin wildcard vs host, same port", serveConfig{addr: "127.0.0.1:7331", admin: ":7331", slowQuery: -1}, false},
-		{"same port distinct hosts", serveConfig{addr: "127.0.0.1:7331", admin: "127.0.0.2:7331", slowQuery: -1}, true},
-		{"admin missing port", serveConfig{addr: ":7331", admin: "localhost", slowQuery: -1}, false},
-		{"addr unparseable with admin set", serveConfig{addr: "garbage", admin: ":9090", slowQuery: -1}, false},
-		{"slow-query zero means log everything", serveConfig{addr: ":7331", slowQuery: 0}, true},
-		{"slow-query implausibly large", serveConfig{addr: ":7331", slowQuery: 25 * time.Hour}, false},
-		{"log-requests negative", serveConfig{addr: ":7331", slowQuery: -1, logEvery: -1}, false},
+		{"defaults", serveConfig{Flags: daemon.Flags{Addr: ":7331", SlowQuery: -1}}, true},
+		{"admin on its own port", serveConfig{Flags: daemon.Flags{Addr: ":7331", Admin: ":9090", SlowQuery: -1}}, true},
+		{"admin clashes wildcard", serveConfig{Flags: daemon.Flags{Addr: ":7331", Admin: ":7331", SlowQuery: -1}}, false},
+		{"admin clashes same host", serveConfig{Flags: daemon.Flags{Addr: "127.0.0.1:7331", Admin: "127.0.0.1:7331", SlowQuery: -1}}, false},
+		{"admin wildcard vs host, same port", serveConfig{Flags: daemon.Flags{Addr: "127.0.0.1:7331", Admin: ":7331", SlowQuery: -1}}, false},
+		{"same port distinct hosts", serveConfig{Flags: daemon.Flags{Addr: "127.0.0.1:7331", Admin: "127.0.0.2:7331", SlowQuery: -1}}, true},
+		{"admin missing port", serveConfig{Flags: daemon.Flags{Addr: ":7331", Admin: "localhost", SlowQuery: -1}}, false},
+		{"addr unparseable with admin set", serveConfig{Flags: daemon.Flags{Addr: "garbage", Admin: ":9090", SlowQuery: -1}}, false},
+		{"slow-query zero means log everything", serveConfig{Flags: daemon.Flags{Addr: ":7331", SlowQuery: 0}}, true},
+		{"slow-query implausibly large", serveConfig{Flags: daemon.Flags{Addr: ":7331", SlowQuery: 25 * time.Hour}}, false},
+		{"log-requests negative", serveConfig{Flags: daemon.Flags{Addr: ":7331", SlowQuery: -1, LogEvery: -1}}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,16 +44,16 @@ func TestValidateServeConfig(t *testing.T) {
 // -slow-query: flag 0 = log every request (config negative), flag
 // negative = disabled (config zero), flag positive = threshold.
 func TestServerConfigMapping(t *testing.T) {
-	if sc := serverConfig(serveConfig{slowQuery: -1}); sc.SlowQuery != 0 || sc.Logger != nil {
+	if sc := (daemon.Flags{SlowQuery: -1}).Session(); sc.SlowQuery != 0 || sc.Logger != nil {
 		t.Fatalf("disabled: SlowQuery=%v Logger=%v", sc.SlowQuery, sc.Logger)
 	}
-	if sc := serverConfig(serveConfig{slowQuery: 0}); sc.SlowQuery >= 0 || sc.Logger == nil {
+	if sc := (daemon.Flags{SlowQuery: 0}).Session(); sc.SlowQuery >= 0 || sc.Logger == nil {
 		t.Fatalf("log-everything: SlowQuery=%v Logger=%v", sc.SlowQuery, sc.Logger)
 	}
-	if sc := serverConfig(serveConfig{slowQuery: 50 * time.Millisecond}); sc.SlowQuery != 50*time.Millisecond || sc.Logger == nil {
+	if sc := (daemon.Flags{SlowQuery: 50 * time.Millisecond}).Session(); sc.SlowQuery != 50*time.Millisecond || sc.Logger == nil {
 		t.Fatalf("threshold: SlowQuery=%v Logger=%v", sc.SlowQuery, sc.Logger)
 	}
-	if sc := serverConfig(serveConfig{slowQuery: -1, logEvery: 100}); sc.LogEvery != 100 || sc.Logger == nil {
+	if sc := (daemon.Flags{SlowQuery: -1, LogEvery: 100}).Session(); sc.LogEvery != 100 || sc.Logger == nil {
 		t.Fatalf("sampled logging alone must still build a logger: %+v", sc)
 	}
 }
@@ -91,7 +92,7 @@ func TestServeRefusesFormatVersion1(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err = serve(serveConfig{addr: "127.0.0.1:no-such-port", dbPath: path, dims: 2, bits: 10, pool: 16, maxIn: 1})
+	err = serve(serveConfig{Flags: daemon.Flags{Addr: "127.0.0.1:no-such-port", MaxInflight: 1}, dbPath: path, dims: 2, bits: 10, pool: 16})
 	if err == nil {
 		t.Fatal("probed served a version-1 store")
 	}

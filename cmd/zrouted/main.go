@@ -28,66 +28,54 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"probe/internal/daemon"
 	"probe/internal/router"
 )
 
+// options is zrouted's command line.
+type options struct {
+	daemon.Flags
+	shards, replicas, mapFile              string
+	prefixBits                             int
+	printMap, check                        bool
+	backendTimeout, probeInt, startTimeout time.Duration
+}
+
+// register declares zrouted's flags on fs.
+func register(fs *flag.FlagSet) *options {
+	o := &options{}
+	o.Register(fs, ":7341", "front-side listen address", 64)
+	fs.StringVar(&o.shards, "shards", "", "comma-separated shard primary addresses (builds an even z-range map)")
+	fs.StringVar(&o.replicas, "replicas", "", "per-shard replica groups aligned with -shards: groups ';'-separated, addresses ','-separated")
+	fs.StringVar(&o.mapFile, "map", "", "shard map JSON file (instead of -shards)")
+	fs.IntVar(&o.prefixBits, "prefix-bits", 0, "z-prefix slots = 2^bits; 0 picks a default for the shard count")
+	fs.BoolVar(&o.printMap, "print-map", false, "print the shard map JSON and exit")
+	fs.BoolVar(&o.check, "check", false, "validate the map, handshake with the cluster, and exit")
+	fs.DurationVar(&o.backendTimeout, "backend-timeout", 30*time.Second, "a shard call exceeding this counts as unavailable")
+	fs.DurationVar(&o.probeInt, "probe-interval", time.Second, "health re-probe cadence for down shards and replica lag")
+	fs.DurationVar(&o.startTimeout, "start-timeout", 30*time.Second, "how long to wait for the first reachable shard at startup")
+	return o
+}
+
 func main() {
-	var (
-		addr     = flag.String("addr", ":7341", "front-side listen address")
-		admin    = flag.String("admin", "", "admin HTTP address serving /metrics, /debug/pprof, /healthz, /readyz; empty disables")
-		shards   = flag.String("shards", "", "comma-separated shard primary addresses (builds an even z-range map)")
-		replicas = flag.String("replicas", "", "per-shard replica groups aligned with -shards: groups ';'-separated, addresses ','-separated")
-		mapFile  = flag.String("map", "", "shard map JSON file (instead of -shards)")
-		prefix   = flag.Int("prefix-bits", 0, "z-prefix slots = 2^bits; 0 picks a default for the shard count")
-		printMap = flag.Bool("print-map", false, "print the shard map JSON and exit")
-		check    = flag.Bool("check", false, "validate the map, handshake with the cluster, and exit")
-		maxIn    = flag.Int("max-inflight", 64, "admission control: max concurrently executing front-side requests")
-		batch    = flag.Int("batch", 512, "results per streamed batch frame")
-		bTimeout = flag.Duration("backend-timeout", 30*time.Second, "a shard call exceeding this counts as unavailable")
-		probeInt = flag.Duration("probe-interval", time.Second, "health re-probe cadence for down shards and replica lag")
-		drain    = flag.Duration("drain", 5*time.Second, "graceful drain timeout on shutdown")
-		startT   = flag.Duration("start-timeout", 30*time.Second, "how long to wait for the first reachable shard at startup")
-		slowQ    = flag.Duration("slow-query", -1, "log requests at/above this latency at warn with their fan-out span tree; 0 logs every request; negative disables")
-		logEv    = flag.Int("log-requests", 0, "log every Nth request at info; 0 disables")
-		traceBuf = flag.Int("trace-buffer", 64, "capacity of the /debug/traces ring of recent traced, slow, and sampled requests")
-	)
+	o := register(flag.CommandLine)
 	flag.Parse()
-	if err := run(*addr, *admin, *shards, *replicas, *mapFile, *prefix,
-		*printMap, *check, *maxIn, *batch, *bTimeout, *probeInt, *drain, *startT,
-		*slowQ, *logEv, *traceBuf); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintf(os.Stderr, "zrouted: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 // validateConfig rejects configurations that would start and then
-// misbehave, mirroring probed -check: an admin endpoint colliding with
-// the front-side listener, or timeouts and logging thresholds outside
-// their meaningful range.
-func validateConfig(addr, admin string, bTimeout, slowQuery time.Duration, logEvery int) error {
-	if admin != "" {
-		ahost, aport, err := net.SplitHostPort(admin)
-		if err != nil {
-			return fmt.Errorf("bad -admin address %q: %v", admin, err)
-		}
-		qhost, qport, err := net.SplitHostPort(addr)
-		if err != nil {
-			return fmt.Errorf("bad -addr address %q: %v", addr, err)
-		}
-		// A port shared with the front-side listener is a clash when
-		// either side binds the wildcard or both name the same host.
-		if aport == qport && (ahost == "" || qhost == "" || ahost == qhost) {
-			return fmt.Errorf("-admin %s clashes with -addr %s: same port", admin, addr)
-		}
+// misbehave: the shared daemon checks (probed -check parity) plus a
+// backend timeout outside its meaningful range.
+func validateConfig(f daemon.Flags, bTimeout time.Duration) error {
+	if err := f.Check(); err != nil {
+		return err
 	}
 	if bTimeout <= 0 {
 		return fmt.Errorf("-backend-timeout %s must be positive: a hung shard has to count as unavailable eventually", bTimeout)
@@ -95,41 +83,25 @@ func validateConfig(addr, admin string, bTimeout, slowQuery time.Duration, logEv
 	if bTimeout > 24*time.Hour {
 		return fmt.Errorf("-backend-timeout %s is not a plausible bound (max 24h)", bTimeout)
 	}
-	if slowQuery > 24*time.Hour {
-		return fmt.Errorf("-slow-query %s is not a plausible threshold (max 24h)", slowQuery)
-	}
-	if logEvery < 0 {
-		return fmt.Errorf("-log-requests %d: the sample interval cannot be negative", logEvery)
-	}
 	return nil
 }
 
-// routerConfig maps the command line onto router.Config, with the
-// same slow-query flag convention as probed: the flag's 0 means "log
-// every request at warn" (the config's negative), the flag's negative
-// means disabled (the config's zero).
-func routerConfig(m *router.Map, maxIn, batch int, bTimeout, probeInt, drain time.Duration,
-	slowQuery time.Duration, logEvery, traceBuf int) router.Config {
-	rc := router.Config{
+// routerConfig maps the command line onto router.Config; the shared
+// settings come from the daemon's one flag-to-config mapping.
+func routerConfig(m *router.Map, f daemon.Flags, bTimeout, probeInt time.Duration) router.Config {
+	sc := f.Session()
+	return router.Config{
 		Map:            m,
-		MaxInflight:    maxIn,
-		BatchSize:      batch,
+		MaxInflight:    sc.MaxInflight,
+		BatchSize:      sc.BatchSize,
 		BackendTimeout: bTimeout,
 		ProbeInterval:  probeInt,
-		DrainTimeout:   drain,
-		TraceBuffer:    traceBuf,
-		LogEvery:       logEvery,
+		DrainTimeout:   sc.DrainTimeout,
+		Logger:         sc.Logger,
+		SlowQuery:      sc.SlowQuery,
+		LogEvery:       sc.LogEvery,
+		TraceBuffer:    sc.TraceBuffer,
 	}
-	switch {
-	case slowQuery == 0:
-		rc.SlowQuery = -1
-	case slowQuery > 0:
-		rc.SlowQuery = slowQuery
-	}
-	if slowQuery >= 0 || logEvery > 0 {
-		rc.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	}
-	return rc
 }
 
 // loadMap resolves the shard map from -map or -shards/-replicas.
@@ -175,14 +147,12 @@ func splitNonEmpty(s, sep string) []string {
 	return out
 }
 
-func run(addr, admin, shards, replicas, mapFile string, prefixBits int,
-	printMap, check bool, maxIn, batch int, bTimeout, probeInt, drain, startT time.Duration,
-	slowQuery time.Duration, logEvery, traceBuf int) error {
-	m, err := loadMap(shards, replicas, mapFile, prefixBits)
+func run(o *options) error {
+	m, err := loadMap(o.shards, o.replicas, o.mapFile, o.prefixBits)
 	if err != nil {
 		return err
 	}
-	if printMap {
+	if o.printMap {
 		enc, err := m.Encode()
 		if err != nil {
 			return err
@@ -190,28 +160,27 @@ func run(addr, admin, shards, replicas, mapFile string, prefixBits int,
 		os.Stdout.Write(enc)
 		return nil
 	}
-	if err := validateConfig(addr, admin, bTimeout, slowQuery, logEvery); err != nil {
-		if check {
+	if err := validateConfig(o.Flags, o.backendTimeout); err != nil {
+		if o.check {
 			return fmt.Errorf("config: %w", err)
 		}
 		return err
 	}
-	if check {
+	if o.check {
 		fmt.Println("zrouted: configuration ok")
 	}
 
-	r, err := router.New(routerConfig(m, maxIn, batch, bTimeout, probeInt, drain,
-		slowQuery, logEvery, traceBuf))
+	r, err := router.New(routerConfig(m, o.Flags, o.backendTimeout, o.probeInt))
 	if err != nil {
 		return err
 	}
-	startCtx, cancel := context.WithTimeout(context.Background(), startT)
+	startCtx, cancel := context.WithTimeout(context.Background(), o.startTimeout)
 	err = r.Start(startCtx)
 	cancel()
 	if err != nil {
 		return err
 	}
-	if check {
+	if o.check {
 		defer r.Shutdown(context.Background())
 		r.ProbeNow()
 		g := r.Grid()
@@ -222,60 +191,6 @@ func run(addr, admin, shards, replicas, mapFile string, prefixBits int,
 		fmt.Println("zrouted: cluster ready")
 		return nil
 	}
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		r.Shutdown(context.Background())
-		return err
-	}
-	fmt.Printf("zrouted: routing %d shards on %s (prefix bits %d, max-inflight %d)\n",
-		len(m.Shards), ln.Addr(), m.PrefixBits, maxIn)
-
-	// As on probed, the admin endpoint outlives the query listener so
-	// /readyz reports the drain instead of vanishing.
-	var adminSrv *http.Server
-	if admin != "" {
-		aln, err := net.Listen("tcp", admin)
-		if err != nil {
-			ln.Close()
-			r.Shutdown(context.Background())
-			return err
-		}
-		adminSrv = &http.Server{Handler: r.AdminHandler()}
-		go adminSrv.Serve(aln)
-		fmt.Printf("zrouted: admin endpoint on http://%s/metrics\n", aln.Addr())
-	}
-	closeAdmin := func() {
-		if adminSrv != nil {
-			adminSrv.Close()
-		}
-	}
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
-	errCh := make(chan error, 1)
-	go func() { errCh <- r.Serve(ln) }()
-
-	select {
-	case sig := <-sigs:
-		fmt.Printf("zrouted: %v: draining (timeout %s)\n", sig, drain)
-		done := make(chan error, 1)
-		go func() { done <- r.Shutdown(context.Background()) }()
-		select {
-		case err := <-done:
-			closeAdmin()
-			if err != nil {
-				return fmt.Errorf("drain: %w", err)
-			}
-			fmt.Println("zrouted: drained, closed")
-			return nil
-		case sig := <-sigs:
-			closeAdmin()
-			return fmt.Errorf("%v during drain: exiting hard", sig)
-		}
-	case err := <-errCh:
-		closeAdmin()
-		r.Shutdown(context.Background())
-		return err
-	}
+	mode := fmt.Sprintf("routing %d shards (prefix bits %d)", len(m.Shards), m.PrefixBits)
+	return daemon.Run("zrouted", mode, o.Flags, r, nil)
 }

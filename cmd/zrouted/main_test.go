@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"probe/internal/daemon"
 	"probe/internal/router"
 )
 
@@ -45,7 +46,7 @@ func TestValidateConfig(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateConfig(tc.addr, tc.admin, tc.bT, tc.slowQ, tc.logEv)
+			err := validateConfig(daemon.Flags{Addr: tc.addr, Admin: tc.admin, SlowQuery: tc.slowQ, LogEvery: tc.logEv}, tc.bT)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("validateConfig: unexpected error %v", err)
@@ -67,7 +68,7 @@ func TestValidateConfig(t *testing.T) {
 func TestRouterConfigFlagMapping(t *testing.T) {
 	m := &router.Map{} // mapping only; never validated here
 	base := func(slowQ time.Duration, logEv int) routerCfgView {
-		rc := routerConfig(m, 64, 512, 30*time.Second, time.Second, 5*time.Second, slowQ, logEv, 0)
+		rc := routerConfig(m, daemon.Flags{MaxInflight: 64, Batch: 512, Drain: 5 * time.Second, SlowQuery: slowQ, LogEvery: logEv}, 30*time.Second, time.Second)
 		return routerCfgView{rc.SlowQuery, rc.LogEvery, rc.Logger != nil}
 	}
 	for _, tc := range []struct {

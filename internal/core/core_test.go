@@ -309,16 +309,14 @@ func TestPartialMatch(t *testing.T) {
 	value := []uint32{17, 0}
 	restricted := []bool{true, false}
 	want := bruteIDs(pts, geom.PartialMatchBox(g, restricted, value))
-	for _, s := range allStrategies() {
-		got, _, err := ix.PartialMatch(restricted, value, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalU64(resultIDs(got), want) {
-			t.Fatalf("%v: partial match wrong", s)
-		}
+	got, _, err := ix.PartialMatchCtx(nil, restricted, value, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := ix.PartialMatch([]bool{true}, value, MergeLazy); err == nil {
+	if !equalU64(resultIDs(got), want) {
+		t.Fatal("partial match wrong")
+	}
+	if _, _, err := ix.PartialMatchCtx(nil, []bool{true}, value, nil); err == nil {
 		t.Errorf("arity mismatch accepted")
 	}
 }

@@ -403,22 +403,13 @@ func (ix *reader) searchBigMin(s *scratch, ctx context.Context, box geom.Box, sp
 	return stats, nil
 }
 
-// PartialMatch runs a partial-match query (Section 5.3.1) by the given
-// strategy: restricted[i] pins dimension i to value[i].
-func (ix *reader) PartialMatch(restricted []bool, value []uint32, strategy Strategy) ([]geom.Point, SearchStats, error) {
-	return ix.partialMatch(nil, restricted, value, strategy, nil)
-}
-
-// PartialMatchCtx is the serving path's partial match: the lazy merge
-// under a cancellation context (nil = never cancelled) with
-// per-operator attribution on sp (nil disables tracing at no cost).
+// PartialMatchCtx runs a partial-match query (Section 5.3.1) as a
+// range search by the lazy merge: restricted[i] pins dimension i to
+// value[i]. ctx cancels it (nil = never cancelled); sp takes the
+// per-operator attribution (nil disables tracing at no cost).
 func (ix *reader) PartialMatchCtx(ctx context.Context, restricted []bool, value []uint32, sp *obs.Span) ([]geom.Point, SearchStats, error) {
-	return ix.partialMatch(ctx, restricted, value, MergeLazy, sp)
-}
-
-func (ix *reader) partialMatch(ctx context.Context, restricted []bool, value []uint32, strategy Strategy, sp *obs.Span) ([]geom.Point, SearchStats, error) {
 	if len(restricted) != ix.g.Dims() || len(value) != ix.g.Dims() {
 		return nil, SearchStats{}, fmt.Errorf("core: partial match arity mismatch")
 	}
-	return ix.searchAll(ctx, geom.PartialMatchBox(ix.g, restricted, value), strategy, sp)
+	return ix.searchAll(ctx, geom.PartialMatchBox(ix.g, restricted, value), MergeLazy, sp)
 }

@@ -15,7 +15,6 @@ import (
 	"probe"
 	"probe/client"
 	"probe/internal/core"
-	"probe/internal/obs"
 	"probe/internal/session"
 	"probe/internal/wire"
 	"probe/internal/zorder"
@@ -47,27 +46,14 @@ type Config struct {
 	DrainTimeout time.Duration
 	// WriteTimeout bounds one front-side response frame write [10s].
 	WriteTimeout time.Duration
-	// Logger, when non-nil, receives structured request/health logs.
+	// Logger, SlowQuery, LogEvery and TraceBuffer are session.Config's.
 	// Every logged request line carries its trace_id, so router lines
-	// grep-correlate with the shard lines of the same request.
-	Logger *slog.Logger
-
-	// SlowQuery is the slow-request log threshold: a front-side request
-	// whose total latency reaches it is logged at Warn with its rendered
-	// fan-out span tree. Zero disables; negative logs every request that
-	// way.
-	SlowQuery time.Duration
-
-	// LogEvery samples the per-request Info log: every Nth completed
-	// request logs one line. Zero or negative disables the Info log;
-	// slow-query logging is independent of the sample.
-	LogEvery int
-
-	// TraceBuffer is the capacity of the in-memory trace store behind
-	// the admin endpoint's /debug/traces: the last N interesting
-	// requests (client-traced, slow, or sampled), each with its trace
-	// ID, outcome, and — when traced — the full grafted fan-out span
-	// tree [64].
+	// grep-correlate with the shard lines of the same request; a slow
+	// request logs its fan-out span tree, and /debug/traces holds the
+	// grafted tree of a traced one.
+	Logger      *slog.Logger
+	SlowQuery   time.Duration
+	LogEvery    int
 	TraceBuffer int
 }
 
@@ -131,9 +117,7 @@ func New(cfg Config) (*Router, error) {
 	cfg.fillDefaults()
 	r := &Router{cfg: cfg, m: cfg.Map}
 	r.probeCtx, r.stopProbes = context.WithCancel(context.Background())
-	r.Server = session.New(r, session.Config{
-		Name:         "router",
-		SpanPrefix:   "router.",
+	r.Server = session.New(r, "router", "router.", session.Config{
 		MaxInflight:  cfg.MaxInflight,
 		DrainTimeout: cfg.DrainTimeout,
 		WriteTimeout: cfg.WriteTimeout,
@@ -142,7 +126,7 @@ func New(cfg Config) (*Router, error) {
 		SlowQuery:    cfg.SlowQuery,
 		LogEvery:     cfg.LogEvery,
 		TraceBuffer:  cfg.TraceBuffer,
-	}, obs.NewRegistry())
+	})
 	for i, def := range cfg.Map.Shards {
 		r.backends = append(r.backends, newBackend(r, i, def))
 	}

@@ -18,8 +18,6 @@ import (
 // its page-access attribution stays exact.
 type engine struct{ s *Server }
 
-var errReadOnly = errors.New("server is read-only (replica); send writes to the primary")
-
 // queryOpts assembles the options of a read: the request context
 // always, the request span only when the client asked for the trace.
 func queryOpts(ctx context.Context) []probe.QueryOption {
@@ -62,16 +60,10 @@ func (e engine) Join(ctx context.Context, a, b []session.BoxItem, workers int) (
 }
 
 func (e engine) Insert(ctx context.Context, pts []probe.Point) (probe.QueryStats, error) {
-	if e.s.readOnly {
-		return probe.QueryStats{}, errReadOnly
-	}
 	return probe.QueryStats{}, e.s.database().InsertAll(pts)
 }
 
 func (e engine) Delete(ctx context.Context, pts []probe.Point) (probe.QueryStats, error) {
-	if e.s.readOnly {
-		return probe.QueryStats{}, errReadOnly
-	}
 	return deleteEach(pts, e.s.database().Delete)
 }
 
@@ -91,9 +83,6 @@ func deleteEach(pts []probe.Point, del func(probe.Point) (bool, error)) (probe.Q
 }
 
 func (e engine) Checkpoint(ctx context.Context) (probe.QueryStats, error) {
-	if e.s.readOnly {
-		return probe.QueryStats{}, errReadOnly
-	}
 	span, _, _ := session.TraceFrom(ctx)
 	return e.s.database().Checkpoint(probe.WithTrace(span))
 }
@@ -124,9 +113,6 @@ func (e engine) Stats() []session.StatsSection {
 }
 
 func (e engine) Begin(ctx context.Context) (session.Tx, error) {
-	if e.s.readOnly {
-		return nil, errReadOnly
-	}
 	tx, err := e.s.database().Begin(ctx)
 	if err != nil {
 		return nil, err
@@ -138,8 +124,6 @@ func (engine) ErrorCode(err error) uint8 {
 	switch {
 	case errors.Is(err, probe.ErrTxConflict):
 		return wire.CodeConflict
-	case errors.Is(err, errReadOnly):
-		return wire.CodeReadOnly
 	case errors.Is(err, probe.ErrClosed):
 		return wire.CodeShuttingDown
 	}

@@ -34,7 +34,7 @@ func (s *Server) AdminMux(ready func() error, extra func(*bytes.Buffer) error) *
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		var buf bytes.Buffer
-		err := s.metrics.WritePrometheus(&buf, "probe_"+s.cfg.Name)
+		err := s.metrics.WritePrometheus(&buf, "probe_"+s.name)
 		if err == nil {
 			err = extra(&buf)
 		}

@@ -288,12 +288,12 @@ func (c *conn) loop() {
 				// transaction may keep going through the grace window so
 				// it can finish and COMMIT (or ROLLBACK) cleanly.
 				if s.Draining() && !c.hasTx() {
-					c.sendError(id, wire.CodeShuttingDown, s.cfg.Name+" is shutting down")
+					c.sendError(id, wire.CodeShuttingDown, s.name+" is shutting down")
 					continue
 				}
 				if !s.BeginRequest() {
 					c.sendError(id, wire.CodeOverloaded,
-						fmt.Sprintf("%s at its in-flight limit (%d); retry later", s.cfg.Name, s.cfg.MaxInflight))
+						fmt.Sprintf("%s at its in-flight limit (%d); retry later", s.name, s.cfg.MaxInflight))
 					continue
 				}
 				ctx, cancel := context.WithCancelCause(s.baseCtx)
@@ -349,7 +349,7 @@ func (c *conn) handshake() bool {
 	if hello.Major != wire.VersionMajor || hello.Minor < wire.MinMinor {
 		c.sendError(0, wire.CodeVersion,
 			fmt.Sprintf("protocol version %d.%d not supported (%s speaks major %d, minor %d and up)",
-				hello.Major, hello.Minor, c.srv.cfg.Name, wire.VersionMajor, wire.MinMinor))
+				hello.Major, hello.Minor, c.srv.name, wire.VersionMajor, wire.MinMinor))
 		return false
 	}
 	g := c.srv.eng.Grid()

@@ -2,6 +2,7 @@ package session
 
 import (
 	"context"
+	"errors"
 
 	"probe"
 	"probe/internal/obs"
@@ -59,6 +60,27 @@ type Engine interface {
 	// session layer.
 	ErrorCode(err error) uint8
 }
+
+// errReadOnly answers every write to a Config.ReadOnly server.
+var errReadOnly = errors.New("server is read-only (replica); send writes to the primary")
+
+// readOnly is the Engine of a Config.ReadOnly server: writes stop here
+// and never reach the engine it wraps.
+type readOnly struct{ Engine }
+
+func (readOnly) Insert(context.Context, []probe.Point) (probe.QueryStats, error) {
+	return probe.QueryStats{}, errReadOnly
+}
+
+func (readOnly) Delete(context.Context, []probe.Point) (probe.QueryStats, error) {
+	return probe.QueryStats{}, errReadOnly
+}
+
+func (readOnly) Checkpoint(context.Context) (probe.QueryStats, error) {
+	return probe.QueryStats{}, errReadOnly
+}
+
+func (readOnly) Begin(context.Context) (Tx, error) { return nil, errReadOnly }
 
 // Tx is an Engine scoped to one open transaction: while a session
 // holds it, the session's RANGE, NEAREST, INSERT, DELETE and QUERY

@@ -10,7 +10,6 @@ import (
 
 	"probe"
 	"probe/client"
-	"probe/internal/obs"
 	"probe/internal/wire"
 	"probe/internal/zorder"
 )
@@ -88,8 +87,8 @@ func (c *countingConn) take() (reads int, writes []int) {
 // session.
 func loopback(t *testing.T, eng Engine, cfg Config) (cli, srv *countingConn) {
 	t.Helper()
-	cfg.Name, cfg.MaxInflight = "server", 4
-	s := New(eng, cfg, obs.NewRegistry())
+	cfg.MaxInflight = 4
+	s := New(eng, "server", "", cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ func (c *conn) execute(ctx context.Context, typ uint8, payload []byte, recv time
 		recv:  recv,
 		start: time.Now(),
 	}
-	rq.span = c.root.Child(c.srv.cfg.SpanPrefix + rq.op)
+	rq.span = c.root.Child(c.srv.spanPrefix + rq.op)
 	c.out = c.out[:0] // whatever a request that lost its connection left behind
 	ops[typ].run(c, context.WithValue(ctx, traceKey{}, rq), rq, payload)
 	c.finish(rq)
@@ -185,6 +185,8 @@ func (c *conn) failReq(ctx context.Context, rq *request, err error) {
 	code := c.srv.eng.ErrorCode(err)
 	switch {
 	case code != 0:
+	case errors.Is(err, errReadOnly):
+		code = wire.CodeReadOnly
 	case errors.Is(err, probe.ErrTxAborted):
 		code = wire.CodeBadRequest
 	case errors.Is(err, context.DeadlineExceeded):

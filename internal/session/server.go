@@ -52,32 +52,55 @@ import (
 	"probe/internal/obs"
 )
 
-// Config carries a front end's settings into the session layer;
-// internal/server and internal/router fill it from their own Config,
-// which document the shared fields. Zero values select the defaults in
-// brackets.
+// Config tunes a Server; it is internal/server's Config as well, and
+// internal/router fills one from its own. Zero values select the
+// defaults in brackets.
 type Config struct {
-	// Name is the front end: "server" or "router". It prefixes every
-	// metric the session layer keeps ("server.requests") and names the
-	// front end in error messages.
-	Name string
-	// SpanPrefix prefixes the opcode in a request span's name
-	// ("router." gives "router.range").
-	SpanPrefix string
+	// MaxInflight bounds concurrently executing requests across all
+	// sessions [16]; one beyond it is rejected as "overloaded", never
+	// queued.
+	MaxInflight int
+	// DrainTimeout is Shutdown's grace window before it cancels
+	// in-flight requests [5s].
+	DrainTimeout time.Duration
+	// WriteTimeout bounds each response frame write, so one stalled
+	// client cannot pin a request indefinitely [10s].
+	WriteTimeout time.Duration
+	BatchSize    int // results per streamed batch frame [512]
+	// TxIdleTimeout rolls back a transaction whose session sent nothing
+	// for this long [30s]: an abandoned one pins an MVCC snapshot, which
+	// stalls version garbage collection.
+	TxIdleTimeout time.Duration
 
-	MaxInflight   int           // admission slots (required)
-	DrainTimeout  time.Duration // Shutdown's grace window [5s]
-	WriteTimeout  time.Duration // per response frame [10s]
-	BatchSize     int           // results per streamed frame [512]
-	TxIdleTimeout time.Duration // idle transaction rollback [30s]
+	// Logger receives the structured request log (log/slog); nil
+	// disables it. The server never logs on its own.
+	Logger *slog.Logger
+	// SlowQuery logs a request whose total latency reaches it at Warn
+	// with its rendered span tree. Zero disables; negative logs every
+	// request that way (the firehose).
+	SlowQuery time.Duration
+	// LogEvery logs every Nth completed request at Info (opcode,
+	// duration, results, pages); <= 0 disables. Independent of SlowQuery.
+	LogEvery int
+	// TraceBuffer is the capacity of /debug/traces: the last N traced,
+	// slow or sampled requests with trace ID, outcome and, when traced,
+	// the span tree [64].
+	TraceBuffer int
 
-	Logger      *slog.Logger  // request logs; nil disables
-	SlowQuery   time.Duration // Warn threshold; 0 off, negative logs all
-	LogEvery    int           // Info sample interval; <= 0 off
-	TraceBuffer int           // /debug/traces ring capacity [64]
+	// ReadOnly refuses INSERT, DELETE, CHECKPOINT and BEGIN with the
+	// typed read-only error before they reach the engine: a replica's
+	// data comes from the replication applier, never from clients.
+	ReadOnly bool
+	// Metrics is the server's registry; nil makes a fresh one. A replica
+	// passes the one its lag gauges live in, so STATS reports
+	// "server.repl.caught_up" to the router's health prober.
+	Metrics *obs.Registry
 }
 
 func (c *Config) fillDefaults() {
+	if c.MaxInflight <= 0 {
+		c.MaxInflight = 16
+	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
 	}
@@ -89,6 +112,9 @@ func (c *Config) fillDefaults() {
 	}
 	if c.TxIdleTimeout <= 0 {
 		c.TxIdleTimeout = 30 * time.Second
+	}
+	if c.Metrics == nil {
+		c.Metrics = obs.NewRegistry()
 	}
 }
 
@@ -106,7 +132,12 @@ type Server struct {
 	eng Engine
 	cfg Config
 
-	// metrics holds the session layer's telemetry under cfg.Name:
+	// name ("server", "router") prefixes every metric kept here and
+	// names the front end in errors; spanPrefix ("router.") prefixes
+	// the opcode in a request span's name.
+	name, spanPrefix string
+
+	// metrics holds the session layer's telemetry under name:
 	// counters (accepted, active, rejected, cancelled, requests,
 	// sessions), gauges (inflight, open_sessions, open_txs), and
 	// per-opcode histograms (latency.<op> in nanoseconds, pages.<op>
@@ -142,15 +173,20 @@ type Server struct {
 	wg sync.WaitGroup // session goroutines
 }
 
-// New returns a server executing requests against eng and keeping its
-// telemetry in metrics.
-func New(eng Engine, cfg Config, metrics *obs.Registry) *Server {
+// New returns the server of the front end name, executing requests
+// against eng; spanPrefix prefixes its request spans' names.
+func New(eng Engine, name, spanPrefix string, cfg Config) *Server {
 	cfg.fillDefaults()
+	if cfg.ReadOnly {
+		eng = readOnly{eng}
+	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	return &Server{
 		eng:        eng,
 		cfg:        cfg,
-		metrics:    metrics,
+		name:       name,
+		spanPrefix: spanPrefix,
+		metrics:    cfg.Metrics,
 		traces:     obs.NewTraceStore(cfg.TraceBuffer),
 		baseCtx:    ctx,
 		cancelBase: cancel,
@@ -165,7 +201,7 @@ func New(eng Engine, cfg Config, metrics *obs.Registry) *Server {
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // metric names one of the server's own metrics.
-func (s *Server) metric(name string) string { return s.cfg.Name + "." + name }
+func (s *Server) metric(name string) string { return s.name + "." + name }
 
 // Serve accepts connections on ln until Shutdown closes it (or ln
 // fails). It blocks; run it in a goroutine. The listener is closed by
@@ -175,7 +211,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	if s.draining {
 		s.mu.Unlock()
 		ln.Close()
-		return fmt.Errorf("%s: Serve after Shutdown", s.cfg.Name)
+		return fmt.Errorf("%s: Serve after Shutdown", s.name)
 	}
 	s.listeners[ln] = struct{}{}
 	s.mu.Unlock()
