@@ -1,0 +1,103 @@
+//go:build !race
+
+package probe_test
+
+import (
+	"context"
+	"testing"
+
+	"probe"
+)
+
+// TestAllocGateDB is the alloc gate of the façade: what an untraced
+// read on a warm DB allocates, end to end. Each read pins its version
+// by value in a recycled scratch, so the counts below are the answer
+// and, for a statement, its parse, plan and rows. Exact counts, so the
+// file is left out of -race builds; CI runs `-run TestAllocGate` as
+// its own step.
+func TestAllocGateDB(t *testing.T) {
+	var pts []probe.Point
+	for x := uint32(0); x < 256; x += 4 {
+		for y := uint32(0); y < 256; y += 4 {
+			pts = append(pts, probe.Pt2(uint64(len(pts)+1), x, y))
+		}
+	}
+	// A pool that holds the whole tree: a miss would allocate a frame.
+	db, err := probe.Open(probe.MustGrid(2, 8), probe.WithPageSize(512), probe.WithLeafCapacity(8),
+		probe.WithPoolPages(1024), probe.WithBulkLoad(pts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	gate := func(name string, want float64, rows int, read func() int) {
+		t.Helper()
+		got := 0
+		if allocs := testing.AllocsPerRun(100, func() { got = read() }); allocs != want {
+			t.Errorf("%s: %v allocs, want %v", name, allocs, want)
+		}
+		if got != rows {
+			t.Fatalf("%s: %d rows, want %d", name, got, rows)
+		}
+	}
+
+	// RangeSearch: the points and one slab of their coordinates,
+	// however many there are: 100 lattice points, then 1 000.
+	small := probe.Box2(100, 139, 100, 139)
+	for _, c := range []struct {
+		box  probe.Box
+		rows int
+	}{{small, 100}, {probe.Box2(0, 99, 0, 159), 1000}} {
+		gate("RangeSearch", 2, c.rows, func() int {
+			pts, _, err := db.RangeSearch(c.box)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return len(pts)
+		})
+	}
+	// RangeSearchFunc hands out points the caller may keep, from
+	// coordinate chunks of 8, 16, 32 and 64 points: 4.
+	gate("RangeSearchFunc", 4, 100, func() int {
+		st, err := db.RangeSearchFunc(small, func(probe.Point) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Results
+	})
+	// Nearest: the neighbors and one slab of their coordinates.
+	q := []uint32{101, 101}
+	gate("Nearest", 2, 8, func() int {
+		nbs, _, err := db.Nearest(q, 8, probe.Euclidean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(nbs)
+	})
+
+	// A statement's fixed cost, both forms below. Prepare: the
+	// Statement, its Select, the one select item, the box predicate,
+	// the WHERE list and the box's bounds (parse, 6); the Plan, its
+	// box-predicate list, output columns, output positions and scan
+	// box (compile, 5); the Stmt. The run: the QueryResult, the engine
+	// holding the pin, the run's state and its feed callback, the kept
+	// output cells, the rows and the value slab (7).
+	const box = "BOX(20, 219, 30, 199)" // 2 100 lattice points, ids from 321
+	// COUNT adds its aggregate list and input positions (2), the group
+	// record, the one-row order and the boxed count (3): 12+7+5.
+	gate("COUNT", 24, 1, func() int {
+		res, err := db.Query(ctx, "SELECT COUNT(*) FROM points WHERE INTERSECTS("+box+")")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Rows)
+	})
+	// The id scan adds one boxed id per row: 12+7+100.
+	gate("SELECT id LIMIT 100", 119, 100, func() int {
+		res, err := db.Query(ctx, "SELECT id FROM points WHERE CONTAINS("+box+") LIMIT 100")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Rows)
+	})
+}

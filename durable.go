@@ -245,10 +245,7 @@ func recoverDurable(g Grid, cfg openConfig, fsys disk.FS, sp *Trace) (*DB, error
 // QueryStats carries the attributed WALAppends/WALSyncs and physical
 // I/O of the checkpoint.
 func (db *DB) Checkpoint(opts ...QueryOption) (QueryStats, error) {
-	var qc queryConfig
-	for _, o := range opts {
-		o.applyQuery(&qc)
-	}
+	qc := queryOptions(opts)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	sp := db.beginOp("checkpoint", qc.trace)

@@ -53,10 +53,7 @@ func (r *ExplainResult) String() string {
 // WithTrace option grafts the operator span onto the caller's trace
 // instead of a fresh root.
 func (db *DB) ExplainAnalyze(box Box, opts ...QueryOption) (*ExplainResult, error) {
-	var qc queryConfig
-	for _, o := range opts {
-		o.applyQuery(&qc)
-	}
+	qc := queryOptions(opts)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.usableLocked(qc.ctx); err != nil {

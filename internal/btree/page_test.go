@@ -523,6 +523,32 @@ func TestNoPinOutlivesACall(t *testing.T) {
 	if n := tree.CollectGarbage(); n != 0 {
 		t.Fatalf("%d pages retained with every snapshot released and one detached cursor around", n)
 	}
+
+	// A snapshot pinned into a caller's value, as a recycled search
+	// holds it: one pinned snapshot while held, none once released, and
+	// the same value pins again.
+	var held Snapshot
+	for i := 0; i < 2; i++ {
+		fixed.Reset(nil, tree.SnapshotInto(&held))
+		if ok, err := fixed.SeekGE(keys[1]); !ok || err != nil {
+			t.Fatalf("SeekGE on a snapshot held by value: %v %v", ok, err)
+		}
+		unpinned("SeekGE on a snapshot held by value")
+		if n := tree.MVCCStats().PinnedSnapshots; n != 1 {
+			t.Fatalf("%d snapshots pinned while one is held by value", n)
+		}
+		fixed.Reset(nil, nil)
+		held.Release()
+		if n := tree.MVCCStats().PinnedSnapshots; n != 0 {
+			t.Fatalf("%d snapshots pinned after the value's Release", n)
+		}
+		if err := tree.Insert(Key{Hi: 3, Lo: 1<<42 + uint64(i)}, val8(0)); err != nil {
+			t.Fatal(err)
+		}
+		if n := tree.CollectGarbage(); n != 0 {
+			t.Fatalf("%d pages retained after the value's Release", n)
+		}
+	}
 	func() {
 		defer func() {
 			if recover() == nil {

@@ -208,11 +208,12 @@ func (t *Tree) CollectGarbage() int {
 }
 
 // Snapshot is an immutable read-only view of the tree at one committed
-// version. Snapshots are cheap (no page I/O, two small allocations)
-// and any number may be open; each holds its version's pages against
-// reclamation until Release. The pages of a snapshot never change, so
-// its read methods may be used from many goroutines concurrently and
-// race neither writers nor GC.
+// version. Snapshots are cheap (no page I/O; opening one allocates the
+// handle, and SnapshotInto not even that) and any number may be open;
+// each holds its version's pages against reclamation until Release.
+// The pages of a snapshot never change, so its read methods may be
+// used from many goroutines concurrently and race neither writers nor
+// GC.
 type Snapshot struct {
 	t        *Tree
 	v        *version
@@ -221,8 +222,14 @@ type Snapshot struct {
 
 // Snapshot pins the current committed version and returns a read-only
 // view of it. The caller must Release it.
-func (t *Tree) Snapshot() *Snapshot {
-	return &Snapshot{t: t, v: t.pin()}
+func (t *Tree) Snapshot() *Snapshot { return t.SnapshotInto(new(Snapshot)) }
+
+// SnapshotInto is Snapshot into a caller-owned value: it pins the
+// current committed version in s, overwriting whatever s held, and
+// returns s. The caller must Release it.
+func (t *Tree) SnapshotInto(s *Snapshot) *Snapshot {
+	*s = Snapshot{t: t, v: t.pin()}
+	return s
 }
 
 // Release unpins the snapshot's version, making its superseded pages

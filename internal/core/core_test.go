@@ -451,3 +451,90 @@ func TestScratchGoesBackDetached(t *testing.T) {
 	}()
 	s.pc.SeekGE(btree.Key{})
 }
+
+// A Pin holds its version in its scratch, and every search on it runs
+// on that scratch. Release unpins the version and gives the scratch
+// back holding neither the version nor the view.
+func TestPinLivesInItsScratch(t *testing.T) {
+	g := zorder.MustGrid(2, 8)
+	ix := newTestIndex(t, g, 4)
+	if err := ix.BulkLoad(workload.Uniform(g, 300, 5)); err != nil {
+		t.Fatal(err)
+	}
+	snap := ix.Pin()
+	s := snap.own
+	if s == nil || snap != &s.view || snap.snap != &s.pin {
+		t.Fatal("a Pin's view and version are not in its scratch")
+	}
+	if n := ix.Tree().MVCCStats().PinnedSnapshots; n != 1 {
+		t.Fatalf("%d snapshots pinned by one Pin", n)
+	}
+	// Every way out of a search leaves the scratch with the Pin: an
+	// answer, an early stop, an error.
+	if _, _, err := snap.RangeSearchCtx(nil, geom.Box2(0, 255, 0, 255), nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.keys) != 300 {
+		t.Fatalf("the Pin's scratch collected %d keys of a 300-point answer", len(s.keys))
+	}
+	if _, err := snap.RangeScanCtx(nil, geom.Box2(0, 255, 0, 255), func(geom.Point) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := snap.NearestCtx(nil, []uint32{9, 9}, 5, Euclidean); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := snap.RangeSearchCtx(nil, geom.Box{Lo: []uint32{1}, Hi: []uint32{2}}, nil); err == nil {
+		t.Fatal("a 1-d box on a 2-d index did not fail")
+	}
+	snap.Release()
+	if n := ix.Tree().MVCCStats().PinnedSnapshots; n != 0 {
+		t.Errorf("%d snapshots pinned after Release", n)
+	}
+	if s.view.snap != nil || s.view.own != nil || s.pin != (btree.Snapshot{}) {
+		t.Error("a released Pin's scratch still holds its version or view")
+	}
+	if err := ix.Insert(geom.Pt2(1<<40, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := ix.Tree().CollectGarbage(); n != 0 {
+		t.Errorf("%d pages retained after the Pin was released", n)
+	}
+}
+
+// A scratch gives back no buffer longer than keepLen: one huge NEAREST
+// or a scan of the whole tree would otherwise leave every pooled
+// scratch holding its candidates or keys.
+func TestScratchKeepsNoHugeBuffer(t *testing.T) {
+	g := zorder.MustGrid(2, 8)
+	var pts []geom.Point
+	for x := uint32(0); x < 256; x += 2 {
+		for y := uint32(0); y < 256; y += 2 {
+			pts = append(pts, geom.Pt2(uint64(len(pts)+1), x, y))
+		}
+	}
+	ix, err := NewIndexBulk(disk.MustPool(disk.MustMemStore(4096), 256, disk.LRU), g, IndexConfig{}, pts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps := func(s *scratch) [2]int { return [2]int{cap(s.best), cap(s.keys)} }
+	snap := ix.Pin()
+	s := snap.own
+	if nbs, _, err := snap.NearestCtx(nil, []uint32{128, 128}, 5000, Euclidean); err != nil || len(nbs) != 5000 {
+		t.Fatal(len(nbs), err)
+	}
+	if all, _, err := snap.RangeSearchCtx(nil, geom.FullBox(g), nil); err != nil || len(all) != len(pts) {
+		t.Fatal(len(all), err)
+	}
+	if c := caps(s); c[0] <= keepLen || c[1] <= keepLen {
+		t.Fatalf("room for %v candidates and keys: the searches did not outgrow the bound", c)
+	}
+	snap.Release()
+	if c := caps(s); c[0] > keepLen || c[1] > keepLen {
+		t.Errorf("a released scratch keeps room for %v candidates and keys, bound %d", c, keepLen)
+	}
+	next := scratchPool.Get().(*scratch)
+	defer next.release()
+	if c := caps(next); c[0] > keepLen || c[1] > keepLen {
+		t.Errorf("a scratch from the pool has room for %v candidates and keys, bound %d", c, keepLen)
+	}
+}

@@ -33,6 +33,7 @@ type reader struct {
 	g    zorder.Grid
 	tree *btree.Tree
 	snap *btree.Snapshot // nil on the live index
+	own  *scratch        // a Pin's scratch, which its searches run on
 }
 
 // Grid returns the grid the points live on.
@@ -132,9 +133,25 @@ func (ix *Index) Snapshot() *IndexSnapshot {
 	return &IndexSnapshot{reader{g: ix.g, tree: ix.tree, snap: ix.tree.Snapshot()}}
 }
 
-// Release unpins the snapshot's tree version. It is idempotent; using
-// the snapshot afterwards is a bug.
-func (s *IndexSnapshot) Release() { s.snap.Release() }
+// Pin is Snapshot for a read that ends in the call that began it: the
+// version is pinned by value inside a recycled scratch, which the
+// snapshot's searches then run on, so a warm Pin allocates nothing.
+// Such a snapshot serves one search at a time and is released exactly
+// once: Release unpins it and gives the scratch back.
+func (ix *Index) Pin() *IndexSnapshot {
+	s := scratchPool.Get().(*scratch)
+	s.view = IndexSnapshot{reader{g: ix.g, tree: ix.tree, snap: ix.tree.SnapshotInto(&s.pin), own: s}}
+	return &s.view
+}
+
+// Release unpins the snapshot's tree version. On a snapshot from
+// Snapshot it is idempotent; using the snapshot afterwards is a bug.
+func (s *IndexSnapshot) Release() {
+	s.snap.Release()
+	if s.own != nil {
+		s.own.release()
+	}
+}
 
 // Seq returns the committed tree version the snapshot observes.
 func (s *IndexSnapshot) Seq() uint64 { return s.snap.Seq() }

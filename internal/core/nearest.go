@@ -86,8 +86,8 @@ func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric,
 	if m > ix.Len() {
 		m = ix.Len()
 	}
-	s := scratchPool.Get().(*scratch)
-	defer s.release()
+	s := ix.take()
+	defer ix.give(s)
 	// Phase 1: expand an L-infinity box until it holds >= m points or
 	// is the whole space, which a doubling radius makes it in the end.
 	// The radius is a uint64: on a 32-bit dimension it passes every
@@ -114,13 +114,10 @@ func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric,
 	}
 	// Only the survivors become points.
 	slices.SortFunc(s.best, compareCandidates)
-	k := len(q)
 	neighbors := make([]Neighbor, len(s.best))
-	coords := make([]uint32, len(s.best)*k)
+	slab := make([]uint32, len(s.best)*len(q))
 	for i, c := range s.best {
-		p := coords[i*k : (i+1)*k : (i+1)*k]
-		ix.unshuffle(c.z, p)
-		neighbors[i] = Neighbor{Point: geom.Point{ID: c.id, Coords: p}, Dist: c.dist}
+		neighbors[i] = Neighbor{Point: ix.pointAt(slab, i, c.z, c.id), Dist: c.dist}
 	}
 	agg.Results = len(neighbors)
 	return neighbors, agg, nil

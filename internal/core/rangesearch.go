@@ -90,14 +90,37 @@ func (ix *reader) RangeSearchCtx(ctx context.Context, box geom.Box, sp *obs.Span
 	return ix.searchAll(ctx, box, MergeLazy, sp)
 }
 
-// searchAll materializes search's stream.
+// searchAll materializes a search at its final size: the keys collect
+// in the scratch, then one slice of points and one slab of their
+// coordinates hold the answer, whatever its length. A search that
+// fails returns no points.
 func (ix *reader) searchAll(ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span) ([]geom.Point, SearchStats, error) {
-	var out []geom.Point
-	stats, err := ix.search(ctx, box, strategy, sp, func(p geom.Point) bool {
-		out = append(out, p)
+	s := ix.take()
+	defer ix.give(s)
+	s.keys = s.keys[:0]
+	stats, err := ix.searchKeys(s, ctx, box, strategy, sp, func(z, id uint64) bool {
+		s.keys = append(s.keys, btree.Key{Hi: z, Lo: id})
 		return true
 	})
-	return out, stats, err
+	if err != nil || len(s.keys) == 0 {
+		return nil, stats, err
+	}
+	out := make([]geom.Point, len(s.keys))
+	slab := make([]uint32, len(s.keys)*ix.g.Dims())
+	for i, k := range s.keys {
+		out[i] = ix.pointAt(slab, i, k.Hi, k.Lo)
+	}
+	return out, stats, nil
+}
+
+// pointAt makes the point of key (z, id) the i-th of an answer whose
+// coordinates share slab, each capped at its own length so that a
+// caller's append reallocates and cannot run into the next point's.
+func (ix *reader) pointAt(slab []uint32, i int, z, id uint64) geom.Point {
+	k := ix.g.Dims()
+	c := slab[i*k : (i+1)*k : (i+1)*k]
+	ix.unshuffle(z, c)
+	return geom.Point{ID: id, Coords: c}
 }
 
 // RangeSearchFunc streams all indexed points inside the box to fn, in
@@ -118,10 +141,24 @@ func (ix *reader) RangeSearchFuncCtx(ctx context.Context, box geom.Box, sp *obs.
 	return ix.search(ctx, box, MergeLazy, sp, fn)
 }
 
+// RangeScanCtx is RangeSearchFuncCtx for a consumer that keeps nothing
+// it is handed: every point's Coords is one buffer, which the next
+// point overwrites, so the stream allocates nothing.
+func (ix *reader) RangeScanCtx(ctx context.Context, box geom.Box, fn func(geom.Point) bool) (SearchStats, error) {
+	s := ix.take()
+	defer ix.give(s)
+	at := s.at[:ix.g.Dims()]
+	return ix.searchKeys(s, ctx, box, MergeLazy, nil, func(z, id uint64) bool {
+		ix.unshuffle(z, at)
+		return fn(geom.Point{ID: id, Coords: at})
+	})
+}
+
 // scratch is the machinery of a search, everything that is not its
 // answer: the tree cursor with its page buffer per level, the
-// decomposition cursor, strategy A's element sequence, and NEAREST's
-// box and candidates. A search takes one from the pool, aims it at its
+// decomposition cursor, strategy A's element sequence, the keys of an
+// answer being collected, NEAREST's box and candidates, and a Pin's
+// version and view. A search takes one from the pool, aims it at its
 // own tree version and gives it back detached, so a warm read
 // allocates what it returns and nothing else. The pool is per process,
 // not per snapshot: the serving path pins a snapshot per query, so
@@ -130,18 +167,54 @@ type scratch struct {
 	pc     btree.Cursor
 	bc     decompose.Cursor
 	elems  []zorder.Element
+	keys   []btree.Key
 	lo, hi [zorder.MaxBits]uint32
+	at     [zorder.MaxBits]uint32
 	best   []candidate
+	pin    btree.Snapshot
+	view   IndexSnapshot
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// release detaches the cursors, so the pool pins no snapshot, context
-// or caller's box, and recycles the scratch.
+// keepLen bounds, in entries, each buffer a scratch keeps for its next
+// search: one that a huge answer grew past it (NEAREST with a large k,
+// a scan of the whole tree) is dropped on release, not pooled.
+const keepLen = 4096
+
+// kept is b emptied for the next search, or nil once it outgrew keepLen.
+func kept[T any](b []T) []T {
+	if cap(b) > keepLen {
+		return nil
+	}
+	return b[:0]
+}
+
+// release detaches the cursors and drops the pin's version and view,
+// so the pool holds no tree version, context or caller's box, trims the
+// buffers to keepLen and recycles the scratch. A pin must be unpinned
+// first.
 func (s *scratch) release() {
 	s.pc.Reset(nil, nil)
 	s.bc = decompose.Cursor{}
+	s.pin, s.view = btree.Snapshot{}, IndexSnapshot{}
+	s.elems, s.keys, s.best = kept(s.elems), kept(s.keys), kept(s.best)
 	scratchPool.Put(s)
+}
+
+// take returns the scratch a search runs on: a Pin's own, or else one
+// from the pool. give hands back what take returned.
+func (ix *reader) take() *scratch {
+	if ix.own != nil {
+		return ix.own
+	}
+	return scratchPool.Get().(*scratch)
+}
+
+func (ix *reader) give(s *scratch) {
+	if ix.own == nil {
+		s.release()
+	}
 }
 
 // cursor aims the scratch's tree cursor at the reader's version.
@@ -156,8 +229,8 @@ func (ix *reader) cursor(s *scratch, ctx context.Context, sp *obs.Span) *btree.C
 // its own, unshuffling each result into a point for fn; every exported
 // range entry point funnels here.
 func (ix *reader) search(ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span, fn func(geom.Point) bool) (SearchStats, error) {
-	s := scratchPool.Get().(*scratch)
-	defer s.release()
+	s := ix.take()
+	defer ix.give(s)
 	var slab coordSlab
 	return ix.searchKeys(s, ctx, box, strategy, sp, func(z, id uint64) bool {
 		coords := slab.take(ix.g.Dims())

@@ -43,27 +43,43 @@ func runAllocs(t *testing.T, eng *fakeEngine, sql string, wantRows int) float64 
 
 // TestAllocGateQueryScan: what a streamed scan costs per emitted row.
 // 100 rows of 3 cells are 300 boxings and 6 arena chunks (1, 3, 7, ...
-// tuples); the other 6 are the run's own (the cell row, the arena, the
-// limit and three closures), whatever the number of rows. A scanned row
-// that is not emitted costs nothing: 300 of the engine's 400 are not.
-// Exact counts, so the file is left out of -race builds; CI runs `-run
+// tuples); the other 3 are the run's own, whatever the number of rows:
+// its state, the feed callback the engine is handed, and the test's
+// emit. A scanned row that is not emitted costs nothing: 300 of the
+// engine's 400 are not. Collected, the same rows cost their boxings,
+// the run's state and feed callback, the kept cells (sized by the
+// LIMIT) and the rows and values at their final count: 305. Exact
+// counts, so the file is left out of -race builds; CI runs `-run
 // TestAllocGate` as its own step.
 func TestAllocGateQueryScan(t *testing.T) {
 	const sql = "SELECT id, x, y FROM points WHERE CONTAINS(BOX(300, 399, 0, 4095))"
-	if got := runAllocs(t, gateEngine(400), sql, 100); got != 312 {
-		t.Errorf("a scan emitting 100 rows of 3 cells cost %v allocs, want 312", got)
+	eng := gateEngine(400)
+	if got := runAllocs(t, eng, sql, 100); got != 309 {
+		t.Errorf("a scan emitting 100 rows of 3 cells cost %v allocs, want 309", got)
+	}
+	p := mustCompile(t, eng.g, sql+" LIMIT 500")
+	var rows []relation.Tuple
+	var err error
+	allocs := testing.AllocsPerRun(50, func() { rows, err = p.Collect(context.Background(), eng) })
+	if err != nil || len(rows) != 100 {
+		t.Fatalf("Collect: %d rows, err %v, want 100", len(rows), err)
+	}
+	if allocs != 305 {
+		t.Errorf("collecting 100 rows of 3 cells cost %v allocs, want 305", allocs)
 	}
 }
 
 // TestAllocGateQueryCount: a global aggregate allocates nothing per
-// scanned row, so a box of 4N points costs what a box of N does: 15,
-// of which one group record, its map entry, one boxed count and one
-// arena chunk are the answer and the rest the run's own state.
+// scanned row, so a box of 4N points costs what a box of N does: 7.
+// The answer is 3 of them: the group record, the one-row order and
+// the boxed count. The arena chunk it is cut from, the run's state,
+// its feed callback and the test's emit are the other 4. A global
+// aggregate has one group, so no map finds it.
 func TestAllocGateQueryCount(t *testing.T) {
 	eng := gateEngine(2000)
 	small := runAllocs(t, eng, "SELECT COUNT(*) FROM points WHERE INTERSECTS(BOX(300, 799, 0, 4095))", 1)
 	large := runAllocs(t, eng, "SELECT COUNT(*) FROM points WHERE INTERSECTS(BOX(300, 2299, 0, 4095))", 1)
-	if small != large || small > 15 {
-		t.Errorf("COUNT(*) over 500 points cost %v allocs, over 2000 %v: want the same, at most 15", small, large)
+	if small != large || small != 7 {
+		t.Errorf("COUNT(*) over 500 points cost %v allocs, over 2000 %v: want 7 for both", small, large)
 	}
 }

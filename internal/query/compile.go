@@ -29,7 +29,8 @@ type Engine interface {
 	// (transaction views fall back to fixed strategies).
 	Table() *planner.Table
 	// RangeFunc streams every point in the box in z order; returning
-	// false stops the scan early.
+	// false stops the scan early. A point's Coords may be a buffer the
+	// next point reuses: fn copies what it keeps.
 	RangeFunc(ctx context.Context, box geom.Box, fn func(geom.Point) bool) error
 	// Nearest returns the k points nearest to q under the Euclidean
 	// metric, sorted by distance.
@@ -87,10 +88,10 @@ type Plan struct {
 func (p *Plan) Columns() relation.Schema { return p.out }
 
 // coordNames names the coordinate columns: x, y, z, w for up to four
-// dimensions, c0..cN beyond.
+// dimensions, c0..cN beyond. The caller must not write the names.
 func coordNames(dims int) []string {
 	if dims <= 4 {
-		return []string{"x", "y", "z", "w"}[:dims]
+		return xyzw[:dims:dims]
 	}
 	names := make([]string, dims)
 	for i := range names {
@@ -105,7 +106,7 @@ func Compile(g zorder.Grid, sel *Select) (*Plan, error) {
 	if sel.From != TableName {
 		return nil, planErrf("unknown table %q (the point index is %q)", sel.From, TableName)
 	}
-	p := &Plan{grid: g, sel: sel, scanBox: geom.FullBox(g)}
+	p := &Plan{grid: g, sel: sel}
 	dims := g.Dims()
 
 	// Classify the WHERE predicates.
@@ -228,8 +229,27 @@ func boxOf(b BoxLit) geom.Box {
 	return geom.MustBox(lo, hi)
 }
 
+var xyzw = []string{"x", "y", "z", "w"}
+
+// smallSchemas are the base schemas of every mode on grids of up to
+// four dimensions, built once; a plan only reads its own.
+var smallSchemas = func() (s [modeJoin + 1][5]relation.Schema) {
+	for mode := range s {
+		for dims := 1; dims <= 4; dims++ {
+			s[mode][dims] = makeBaseSchema(dims, planMode(mode))
+		}
+	}
+	return s
+}()
+
 func baseSchema(g zorder.Grid, mode planMode) relation.Schema {
-	dims := g.Dims()
+	if g.Dims() <= 4 {
+		return smallSchemas[mode][g.Dims()]
+	}
+	return makeBaseSchema(g.Dims(), mode)
+}
+
+func makeBaseSchema(dims int, mode planMode) relation.Schema {
 	cols := make(relation.Schema, 0, dims+3)
 	if mode == modeJoin {
 		cols = append(cols, relation.Column{Name: "region", Type: relation.TID})
@@ -250,8 +270,7 @@ func baseSchema(g zorder.Grid, mode planMode) relation.Schema {
 // mark the plan provably empty.
 func (p *Plan) foldScanBox(boxPreds []*BoxPred, cmpPreds []*CmpPred) {
 	dims := p.grid.Dims()
-	lo := make([]int64, dims)
-	hi := make([]int64, dims)
+	var lo, hi [zorder.MaxBits]int64
 	for d := 0; d < dims; d++ {
 		hi[d] = int64(p.grid.SideOf(d)) - 1
 	}
@@ -261,13 +280,10 @@ func (p *Plan) foldScanBox(boxPreds []*BoxPred, cmpPreds []*CmpPred) {
 			hi[d] = min(hi[d], int64(bp.Box.Bounds[2*d+1]))
 		}
 	}
-	coordIdx := make(map[string]int, dims)
-	for d, name := range coordNames(dims) {
-		coordIdx[name] = d
-	}
+	names := coordNames(dims)
 	for _, cp := range cmpPreds {
-		d, isCoord := coordIdx[cp.Col]
-		if !isCoord || cp.Op == OpNe {
+		d := slices.Index(names, cp.Col)
+		if d < 0 || cp.Op == OpNe {
 			p.residual = append(p.residual, cp)
 			continue
 		}
@@ -297,16 +313,15 @@ func (p *Plan) foldScanBox(boxPreds []*BoxPred, cmpPreds []*CmpPred) {
 			lo[d] = max(lo[d], cp.Value)
 		}
 	}
-	blo := make([]uint32, dims)
-	bhi := make([]uint32, dims)
+	bounds := make([]uint32, 2*dims)
 	for d := 0; d < dims; d++ {
 		if lo[d] > hi[d] {
 			p.empty = true
 			return
 		}
-		blo[d], bhi[d] = uint32(lo[d]), uint32(hi[d])
+		bounds[d], bounds[dims+d] = uint32(lo[d]), uint32(hi[d])
 	}
-	p.scanBox = geom.MustBox(blo, bhi)
+	p.scanBox = geom.Box{Lo: bounds[:dims:dims], Hi: bounds[dims:]}
 }
 
 // compileFilter builds one closure evaluating every residual
@@ -393,7 +408,7 @@ func (p *Plan) compileOutput() error {
 		if len(sel.GroupBy) > 0 {
 			return planErrf("SELECT * cannot be combined with GROUP BY")
 		}
-		p.out = p.base
+		p.out = slices.Clone(p.base) // the caller's to keep; the base schema may be shared
 		p.outIdx = make([]int, len(p.base))
 		for i := range p.outIdx {
 			p.outIdx[i] = i
@@ -554,69 +569,115 @@ func aggFuncOf(a AggFunc) relation.AggFunc {
 // and each is cut with its capacity clipped, so appending to one
 // cannot overwrite its neighbour.
 func (p *Plan) Run(ctx context.Context, eng Engine, emit func(relation.Tuple) bool) error {
-	limit := p.sel.Limit
-	if p.empty || limit == 0 {
+	r := p.start()
+	r.emitTuple = emit
+	return r.exec(ctx, eng)
+}
+
+// Collect runs the plan to the end and returns its rows as Run would
+// emit them, boxed once their number is known: one slice of tuples
+// over one slab of values.
+func (p *Plan) Collect(ctx context.Context, eng Engine) ([]relation.Tuple, error) {
+	r := p.start()
+	w := len(r.out)
+	if p.sel.Limit > 0 {
+		r.kept = make([]uint64, 0, w*int(min(p.sel.Limit, 1024)))
+	}
+	if err := r.exec(ctx, eng); err != nil || len(r.kept) == 0 {
+		return nil, err
+	}
+	rows := make([]relation.Tuple, len(r.kept)/w)
+	vals := make([]relation.Value, len(r.kept))
+	for i := range rows {
+		rows[i] = vals[i*w : (i+1)*w : (i+1)*w]
+		p.box(rows[i], r.kept[i*w:])
+	}
+	return rows, nil
+}
+
+// run is one execution of a plan, its state in one allocation: the
+// engine streams points into its feed method, and output rows leave
+// through emit.
+type run struct {
+	p        *Plan
+	limit    int64
+	id       int      // the base row's id column; the coordinates follow it
+	row, out []uint64 // the base row in flight, and the output row emitted
+	rows     []uint64 // retained: w cells per surviving base row or per group
+	key      []byte   // the map key of a group or of a DISTINCT row
+	groupAt  map[string]int
+	ar       arena
+	// Run boxes each output row for emitTuple; Collect keeps its cells.
+	emitTuple func(relation.Tuple) bool
+	kept      []uint64
+	buf       [16]uint64 // row and out, when they fit
+}
+
+func (p *Plan) start() *run {
+	r := &run{p: p, limit: p.sel.Limit, id: p.base.Index("id")}
+	nb, n := len(p.base), len(p.base)+len(p.outIdx)
+	cells := r.buf[:]
+	if n > len(cells) {
+		cells = make([]uint64, n)
+	}
+	r.row, r.out = cells[:nb:nb], cells[nb:n]
+	if len(p.groupIdx) > 0 {
+		r.groupAt = map[string]int{} // a global aggregate has one group and needs none
+	}
+	return r
+}
+
+// exec feeds the plan's input to feed, which emits a streamable plan's
+// rows as they come; an index scan stops when feed returns false.
+// NEAREST and JOIN inputs are complete before the first row.
+func (r *run) exec(ctx context.Context, eng Engine) error {
+	p := r.p
+	if p.empty || r.limit == 0 {
 		return nil
 	}
-	var ar arena
-	if p.streamable {
-		return p.scan(ctx, eng, func(row []uint64) bool {
-			limit--
-			return emit(p.box(&ar, row)) && limit != 0
-		})
-	}
-	// rows holds w cells per retained row: every surviving base row,
-	// or one record per group in first-encounter order.
-	w := len(p.base)
-	var rows []uint64
-	var key []byte
-	sink := func(row []uint64) bool {
-		rows = append(rows, row...)
-		return true
-	}
-	if p.grouped {
-		w = len(p.groupIdx) + len(p.aggs)
-		groupAt := map[string]int{}
-		sink = func(row []uint64) bool {
-			key = cellKey(key[:0], row, p.groupIdx)
-			at, seen := groupAt[string(key)]
-			if !seen {
-				groupAt[string(key)] = len(rows)
-				for _, j := range p.groupIdx {
-					rows = append(rows, row[j])
-				}
-				for i, a := range p.aggs {
-					first := row[p.aggIdx[i]]
-					if a.Func == relation.Count {
-						first = 1
-					}
-					rows = append(rows, first)
-				}
-				return true
-			}
-			accs := rows[at+len(p.groupIdx):]
-			for i, a := range p.aggs {
-				j := p.aggIdx[i]
-				accs[i] = foldAgg(a.Func, p.base[j].Type, accs[i], row[j])
-			}
-			return true
+	switch p.mode {
+	case modeNearest:
+		nbs, err := eng.Nearest(ctx, p.nearest.Point.Coords, int(p.nearest.K))
+		if err != nil {
+			return err
 		}
-	}
-	if err := p.scan(ctx, eng, sink); err != nil {
-		return err
+		for _, nb := range nbs {
+			r.row[len(r.row)-1] = math.Float64bits(nb.Dist)
+			r.feed(nb.Point)
+		}
+	case modeJoin:
+		results, err := p.runJoin(ctx, eng)
+		if err != nil {
+			return err
+		}
+		for _, res := range results {
+			r.row[0] = res.RegionID
+			r.feed(res.Point)
+		}
+	default:
+		if err := eng.RangeFunc(ctx, p.scanBox, r.feed); err != nil || p.streamable {
+			return err
+		}
 	}
 	// DISTINCT keeps the first row of each projected value, ORDER BY
 	// sorts what is left (stable, so ties stay in arrival order), and
-	// only the rows inside LIMIT are boxed.
+	// only the rows inside LIMIT are emitted.
+	w, rows := len(p.base), r.rows
+	if p.grouped {
+		w = len(p.groupIdx) + len(p.aggs)
+	}
 	order := make([]int, 0, len(rows)/w)
-	distinct := map[string]struct{}{}
+	var distinct map[string]struct{}
+	if p.sel.Distinct {
+		distinct = map[string]struct{}{}
+	}
 	for at := 0; at < len(rows); at += w {
-		if p.sel.Distinct {
-			key = cellKey(key[:0], rows[at:], p.outIdx)
-			if _, dup := distinct[string(key)]; dup {
+		if distinct != nil {
+			r.key = cellKey(r.key[:0], rows[at:], p.outIdx)
+			if _, dup := distinct[string(r.key)]; dup {
 				continue
 			}
-			distinct[string(key)] = struct{}{}
+			distinct[string(r.key)] = struct{}{}
 		}
 		order = append(order, at)
 	}
@@ -634,53 +695,79 @@ func (p *Plan) Run(ctx context.Context, eng Engine, emit func(relation.Tuple) bo
 			return 0
 		})
 	}
-	if limit >= 0 && int64(len(order)) > limit {
-		order = order[:limit]
+	if r.limit >= 0 && int64(len(order)) > r.limit {
+		order = order[:r.limit]
 	}
 	for _, at := range order {
-		if !emit(p.box(&ar, rows[at:])) {
+		if !r.emit(rows[at:]) {
 			break
 		}
 	}
 	return nil
 }
 
-// scan feeds every base row that passes the residual filter to sink,
-// as one reused slice of cells; sink returning false stops an index
-// scan (NEAREST and JOIN inputs are complete before the first row).
-func (p *Plan) scan(ctx context.Context, eng Engine, sink func([]uint64) bool) error {
-	row := make([]uint64, len(p.base))
-	id := p.base.Index("id") // the coordinates follow it
-	feed := func(pt geom.Point) bool {
-		row[id] = pt.ID
-		for d, c := range pt.Coords {
-			row[id+1+d] = uint64(c)
-		}
-		return (p.filter != nil && !p.filter(row)) || sink(row)
+// feed copies a point into the base row and, if the row passes the
+// residual filter, takes it: a streamable plan emits it, a grouped one
+// folds it into its group, any other retains it.
+func (r *run) feed(pt geom.Point) bool {
+	p, row := r.p, r.row
+	row[r.id] = pt.ID
+	for d, c := range pt.Coords {
+		row[r.id+1+d] = uint64(c)
 	}
-	switch p.mode {
-	case modeNearest:
-		nbs, err := eng.Nearest(ctx, p.nearest.Point.Coords, int(p.nearest.K))
-		if err != nil {
-			return err
-		}
-		for _, nb := range nbs {
-			row[len(row)-1] = math.Float64bits(nb.Dist)
-			feed(nb.Point)
-		}
-	case modeJoin:
-		results, err := p.runJoin(ctx, eng)
-		if err != nil {
-			return err
-		}
-		for _, r := range results {
-			row[0] = r.RegionID
-			feed(r.Point)
-		}
-	default:
-		return eng.RangeFunc(ctx, p.scanBox, feed)
+	switch {
+	case p.filter != nil && !p.filter(row):
+		return true
+	case p.streamable:
+		r.limit--
+		return r.emit(row) && r.limit != 0
+	case !p.grouped:
+		r.rows = append(r.rows, row...)
+		return true
 	}
-	return nil
+	at, seen := 0, len(r.rows) > 0
+	if r.groupAt != nil {
+		r.key = cellKey(r.key[:0], row, p.groupIdx)
+		at, seen = r.groupAt[string(r.key)]
+	}
+	if seen {
+		accs := r.rows[at+len(p.groupIdx):]
+		for i, a := range p.aggs {
+			j := p.aggIdx[i]
+			accs[i] = foldAgg(a.Func, p.base[j].Type, accs[i], row[j])
+		}
+		return true
+	}
+	if r.groupAt != nil {
+		r.groupAt[string(r.key)] = len(r.rows)
+	}
+	for _, j := range p.groupIdx {
+		r.rows = append(r.rows, row[j])
+	}
+	for i, a := range p.aggs {
+		first := row[p.aggIdx[i]]
+		if a.Func == relation.Count {
+			first = 1
+		}
+		r.rows = append(r.rows, first)
+	}
+	return true
+}
+
+// emit projects a base row or group record to the output columns and
+// hands the row on: boxed into a tuple cut from the arena for Run, as
+// cells for Collect.
+func (r *run) emit(row []uint64) bool {
+	for i, j := range r.p.outIdx {
+		r.out[i] = row[j]
+	}
+	if r.emitTuple == nil {
+		r.kept = append(r.kept, r.out...)
+		return true
+	}
+	t := r.ar.cut(len(r.out))
+	r.p.box(t, r.out)
+	return r.emitTuple(t)
 }
 
 // cellKey appends the bytes of the row's cells at idx to buf: the map
@@ -715,12 +802,10 @@ func foldAgg(f relation.AggFunc, t relation.Type, acc, v uint64) uint64 {
 	return acc
 }
 
-// box projects a base row or group record to the output columns and
-// boxes the cells into a tuple cut from the arena.
-func (p *Plan) box(ar *arena, row []uint64) relation.Tuple {
-	t := ar.cut(len(p.outIdx))
-	for i, j := range p.outIdx {
-		switch c := row[j]; p.out[i].Type {
+// box boxes an output row's cells into t, one value per column.
+func (p *Plan) box(t relation.Tuple, cells []uint64) {
+	for i, c := range cells[:len(t)] {
+		switch p.out[i].Type {
 		case relation.TInt:
 			t[i] = int64(c)
 		case relation.TFloat:
@@ -729,7 +814,6 @@ func (p *Plan) box(ar *arena, row []uint64) relation.Tuple {
 			t[i] = c
 		}
 	}
-	return t
 }
 
 // arena cuts emitted tuples from chunks of values, each with its
@@ -772,7 +856,7 @@ func (p *Plan) nestedLoopJoin(ctx context.Context, eng Engine) ([]planner.Region
 	var out []planner.RegionJoinResult
 	for _, r := range p.regions {
 		err := eng.RangeFunc(ctx, r.Box, func(pt geom.Point) bool {
-			out = append(out, planner.RegionJoinResult{RegionID: r.ID, Point: pt})
+			out = append(out, planner.RegionJoinResult{RegionID: r.ID, Point: clonePoint(pt)})
 			return true
 		})
 		if err != nil {
@@ -799,7 +883,7 @@ func (p *Plan) mergeJoin(ctx context.Context, eng Engine) ([]planner.RegionJoinR
 			Elem: zorder.Element{Bits: g.ShuffleKey(pt.Coords), Len: uint8(g.TotalBits())},
 			ID:   pt.ID,
 		})
-		pointByID[pt.ID] = pt
+		pointByID[pt.ID] = clonePoint(pt)
 		return true
 	})
 	if err != nil {
@@ -818,6 +902,12 @@ func (p *Plan) mergeJoin(ctx context.Context, eng Engine) ([]planner.RegionJoinR
 	}
 	sortJoinResults(out)
 	return out, nil
+}
+
+// clonePoint is a point the engine streamed, its coordinates copied out
+// of the buffer the engine may reuse.
+func clonePoint(pt geom.Point) geom.Point {
+	return geom.Point{ID: pt.ID, Coords: slices.Clone(pt.Coords)}
 }
 
 func sortJoinResults(out []planner.RegionJoinResult) {

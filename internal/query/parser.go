@@ -130,14 +130,11 @@ func isIdentPart(c byte) bool {
 
 // keywords are reserved: they parse as keywords everywhere, so none
 // can be used as a column or alias name.
-var keywords = map[string]bool{
-	"EXPLAIN": true, "SELECT": true, "DISTINCT": true, "AS": true,
-	"FROM": true, "JOIN": true, "REGIONS": true, "ON": true,
-	"WHERE": true, "AND": true, "GROUP": true, "ORDER": true,
-	"BY": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"CONTAINS": true, "INTERSECTS": true, "NEAREST": true,
-	"BOX": true, "POINT": true,
-	"COUNT": true, "SUM": true, "MIN": true, "MAX": true,
+var keywords = []string{
+	"EXPLAIN", "SELECT", "DISTINCT", "AS", "FROM", "JOIN", "REGIONS", "ON",
+	"WHERE", "AND", "GROUP", "ORDER", "BY", "ASC", "DESC", "LIMIT",
+	"CONTAINS", "INTERSECTS", "NEAREST", "BOX", "POINT",
+	"COUNT", "SUM", "MIN", "MAX",
 }
 
 // parser is the recursive-descent parser. It holds one token of
@@ -186,14 +183,15 @@ func (p *parser) advance() *Error {
 }
 
 // kw returns the uppercase keyword spelling of the current token if
-// it is a reserved word, else "".
+// it is a reserved word, else "". It compares without folding a copy,
+// so a lookahead allocates nothing.
 func (p *parser) kw() string {
-	if p.tok.kind != tIdent {
-		return ""
-	}
-	up := strings.ToUpper(p.tok.text)
-	if keywords[up] {
-		return up
+	if p.tok.kind == tIdent {
+		for _, k := range keywords {
+			if len(k) == len(p.tok.text) && strings.EqualFold(k, p.tok.text) {
+				return k
+			}
+		}
 	}
 	return ""
 }
@@ -568,7 +566,7 @@ func (p *parser) u32List() ([]uint32, *Error) {
 	if err := p.expect(tLParen, "("); err != nil {
 		return nil, err
 	}
-	var vs []uint32
+	vs := make([]uint32, 0, 4) // a 2-d box in one allocation
 	for {
 		v, err := p.number(math.MaxUint32, "coordinate")
 		if err != nil {

@@ -82,12 +82,19 @@ type queryConfig struct {
 // QueryOption configures DB.RangeSearch and the other point-query
 // entry points.
 type QueryOption interface {
-	applyQuery(*queryConfig)
+	applyQuery(queryConfig) queryConfig
 }
 
-type queryOptionFunc func(*queryConfig)
-
-func (f queryOptionFunc) applyQuery(c *queryConfig) { f(c) }
+// queryOptions resolves a call's options. An option returns the config
+// by value rather than writing through a pointer, so resolving them
+// allocates nothing.
+func queryOptions(opts []QueryOption) queryConfig {
+	var qc queryConfig
+	for _, o := range opts {
+		qc = o.applyQuery(qc)
+	}
+	return qc
+}
 
 // joinConfig is the resolved configuration of one spatial join.
 type joinConfig struct {
@@ -136,7 +143,7 @@ type TraceOption struct {
 // pool/phys fields. A nil t is valid and disables tracing.
 func WithTrace(t *Trace) TraceOption { return TraceOption{t: t} }
 
-func (o TraceOption) applyQuery(c *queryConfig) { c.trace = o.t }
+func (o TraceOption) applyQuery(c queryConfig) queryConfig { c.trace = o.t; return c }
 
 func (o TraceOption) applyJoin(c *joinConfig) { c.trace = o.t }
 
@@ -167,6 +174,6 @@ type ContextOption struct {
 // cancelled".
 func WithContext(ctx context.Context) ContextOption { return ContextOption{ctx: ctx} }
 
-func (o ContextOption) applyQuery(c *queryConfig) { c.ctx = o.ctx }
+func (o ContextOption) applyQuery(c queryConfig) queryConfig { c.ctx = o.ctx; return c }
 
 func (o ContextOption) applyJoin(c *joinConfig) { c.ctx = o.ctx }

@@ -355,18 +355,24 @@ func (db *DB) endOp(op string, sp *Trace) {
 
 // beginRead enters the snapshot read path: it takes stateMu shared,
 // verifies the database is usable, and pins the newest committed index
-// version. The caller runs its whole query against the returned
-// snapshot and must call release exactly once — it unpins the version
-// and drops stateMu. Untraced reads use this path and so never touch
-// db.mu: they neither block behind a running writer nor delay one.
-func (db *DB) beginRead(ctx context.Context) (*core.IndexSnapshot, func(), error) {
+// version by value in a recycled scratch (core.Index.Pin). The caller
+// runs its query on the snapshot, one search at a time, and calls
+// endRead exactly once. Untraced reads use this path and so never
+// touch db.mu: they neither block behind a running writer nor delay
+// one.
+func (db *DB) beginRead(ctx context.Context) (*core.IndexSnapshot, error) {
 	db.stateMu.RLock()
 	if err := db.usableLocked(ctx); err != nil {
 		db.stateMu.RUnlock()
-		return nil, nil, err
+		return nil, err
 	}
-	snap := db.index.Snapshot()
-	return snap, func() { snap.Release(); db.stateMu.RUnlock() }, nil
+	return db.index.Pin(), nil
+}
+
+// endRead ends what beginRead began.
+func (db *DB) endRead(snap *core.IndexSnapshot) {
+	snap.Release()
+	db.stateMu.RUnlock()
 }
 
 // Metrics returns the database's cumulative metrics registry. Every
@@ -487,20 +493,16 @@ func (db *DB) DeleteBox(box Box) (int, error) {
 // traced RangeSearch serializes on the database mutex so its
 // page-access counts stay exactly attributable.
 func (db *DB) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, error) {
-	var qc queryConfig
-	for _, o := range opts {
-		o.applyQuery(&qc)
-	}
+	qc := queryOptions(opts)
 	if qc.trace == nil {
-		var pts []Point
-		var qs QueryStats
-		err := db.viewAuto(qc.ctx, func(tx *Tx) error {
-			defer db.ops.rangeSearch.Add(1)
-			var err error
-			pts, qs, err = tx.RangeSearch(box, opts...)
-			return err
-		})
-		return pts, qs, err
+		snap, err := db.beginRead(qc.ctx)
+		if err != nil {
+			return nil, QueryStats{}, err
+		}
+		defer db.endRead(snap)
+		defer db.ops.rangeSearch.Add(1)
+		pts, ss, err := snap.RangeSearchCtx(qc.ctx, box, nil)
+		return pts, searchQueryStats(ss), err
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -529,19 +531,15 @@ func (db *DB) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, er
 // delays Close). Traced (WithTrace), fn runs with the database mutex
 // held and a slow fn delays every writer and other traced operation.
 func (db *DB) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption) (QueryStats, error) {
-	var qc queryConfig
-	for _, o := range opts {
-		o.applyQuery(&qc)
-	}
+	qc := queryOptions(opts)
 	if qc.trace == nil {
-		// One-shot read-only transaction. With an empty write-set the
-		// overlay is pass-through, so fn streams straight from the
-		// pinned snapshot's merge, unmaterialized.
-		snap, release, err := db.beginRead(qc.ctx)
+		// fn streams straight from the pinned snapshot's merge,
+		// unmaterialized.
+		snap, err := db.beginRead(qc.ctx)
 		if err != nil {
 			return QueryStats{}, err
 		}
-		defer release()
+		defer db.endRead(snap)
 		defer db.ops.rangeSearch.Add(1)
 		ss, err := snap.RangeSearchFuncCtx(qc.ctx, box, nil, fn)
 		return searchQueryStats(ss), err
@@ -564,16 +562,13 @@ func (db *DB) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption)
 // RangeSearch and follows the same concurrency contract: untraced, it
 // runs on a pinned snapshot without blocking behind writers.
 func (db *DB) PartialMatch(restricted []bool, value []uint32, opts ...QueryOption) ([]Point, QueryStats, error) {
-	var qc queryConfig
-	for _, o := range opts {
-		o.applyQuery(&qc)
-	}
+	qc := queryOptions(opts)
 	if qc.trace == nil {
-		snap, release, err := db.beginRead(qc.ctx)
+		snap, err := db.beginRead(qc.ctx)
 		if err != nil {
 			return nil, QueryStats{}, err
 		}
-		defer release()
+		defer db.endRead(snap)
 		defer db.ops.partialMatch.Add(1)
 		pts, ss, err := snap.PartialMatchCtx(qc.ctx, restricted, value, nil)
 		return pts, searchQueryStats(ss), err
@@ -609,11 +604,11 @@ func (db *DB) LeafPages() int {
 // pinned snapshot: it streams one consistent committed state however
 // many writes land while it runs.
 func (db *DB) Scan(fn func(Point) bool) error {
-	snap, release, err := db.beginRead(nil)
+	snap, err := db.beginRead(nil)
 	if err != nil {
 		return err
 	}
-	defer release()
+	defer db.endRead(snap)
 	box := geom.FullBox(db.grid)
 	_, err = snap.RangeSearchFuncCtx(nil, box, nil, fn)
 	return err
@@ -688,20 +683,16 @@ const (
 // untraced, every expansion round runs on one pinned snapshot, so the
 // certified radius is sound even against concurrent inserts.
 func (db *DB) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]Neighbor, QueryStats, error) {
-	var qc queryConfig
-	for _, o := range opts {
-		o.applyQuery(&qc)
-	}
+	qc := queryOptions(opts)
 	if qc.trace == nil {
-		var nbs []Neighbor
-		var qs QueryStats
-		err := db.viewAuto(qc.ctx, func(tx *Tx) error {
-			defer db.ops.nearest.Add(1)
-			var err error
-			nbs, qs, err = tx.Nearest(q, m, metric, opts...)
-			return err
-		})
-		return nbs, qs, err
+		snap, err := db.beginRead(qc.ctx)
+		if err != nil {
+			return nil, QueryStats{}, err
+		}
+		defer db.endRead(snap)
+		defer db.ops.nearest.Add(1)
+		nbs, ss, err := snap.NearestCtx(qc.ctx, q, m, metric)
+		return nbs, searchQueryStats(ss), err
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -68,7 +68,15 @@ type Stmt struct {
 // DB pins one index snapshot for the whole statement; Tx answers from
 // its transaction view (snapshot plus its own writes).
 type engineBinder interface {
-	bindEngine(ctx context.Context, stats *QueryStats) (query.Engine, func(), error)
+	bindEngine(ctx context.Context) (boundEngine, error)
+}
+
+// boundEngine is the engine of one statement run: stats accumulates
+// what its scans did, and release ends the run.
+type boundEngine interface {
+	query.Engine
+	stats() *QueryStats
+	release()
 }
 
 // Prepare parses and compiles one spatial SQL statement against the
@@ -118,12 +126,11 @@ func (s *Stmt) Columns() []QueryColumn { return s.plan.Columns() }
 // access-path leaf last, using the cost-based planner's choice where
 // a cost model applies.
 func (s *Stmt) ExplainText(ctx context.Context) (string, error) {
-	var stats QueryStats
-	eng, release, err := s.binder.bindEngine(ctx, &stats)
+	eng, err := s.binder.bindEngine(ctx)
 	if err != nil {
 		return "", err
 	}
-	defer release()
+	defer eng.release()
 	return s.plan.ExplainText(eng), nil
 }
 
@@ -138,17 +145,17 @@ func (s *Stmt) ExplainText(ctx context.Context) (string, error) {
 // neighbour. The returned stats accumulate every index scan the plan
 // issued; Results counts the rows delivered.
 func (s *Stmt) Run(ctx context.Context, fn func(QueryRow) bool) (QueryStats, error) {
-	var stats QueryStats
-	eng, release, err := s.binder.bindEngine(ctx, &stats)
+	eng, err := s.binder.bindEngine(ctx)
 	if err != nil {
 		return QueryStats{}, err
 	}
-	defer release()
+	defer eng.release()
 	rows := 0
 	err = s.plan.Run(ctx, eng, func(t relation.Tuple) bool {
 		rows++
 		return fn(t)
 	})
+	stats := *eng.stats()
 	stats.Results = rows
 	return stats, err
 }
@@ -187,7 +194,8 @@ func (tx *Tx) Query(ctx context.Context, text string) (*QueryResult, error) {
 	return s.result(ctx)
 }
 
-// result materializes the statement: EXPLAIN renders, SELECT runs.
+// result materializes the statement: EXPLAIN renders, SELECT runs and
+// its rows are boxed once their number is known (query.Plan.Collect).
 func (s *Stmt) result(ctx context.Context) (*QueryResult, error) {
 	res := &QueryResult{Columns: s.Columns()}
 	if s.IsExplain() {
@@ -198,66 +206,67 @@ func (s *Stmt) result(ctx context.Context) (*QueryResult, error) {
 		res.Explain = text
 		return res, nil
 	}
-	stats, err := s.Run(ctx, func(row QueryRow) bool {
-		res.Rows = append(res.Rows, row)
-		return true
-	})
+	eng, err := s.binder.bindEngine(ctx)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats = stats
+	defer eng.release()
+	if res.Rows, err = s.plan.Collect(ctx, eng); err != nil {
+		return nil, err
+	}
+	res.Stats = *eng.stats()
+	res.Stats.Results = len(res.Rows)
 	return res, nil
 }
 
 // bindEngine (DB) enters the snapshot read path: the whole statement
 // — every scan a join or multi-predicate plan issues — runs against
 // one pinned version of the index, and the planner cost model is
-// available for access-path choice.
-func (db *DB) bindEngine(ctx context.Context, stats *QueryStats) (query.Engine, func(), error) {
-	snap, release, err := db.beginRead(ctx)
+// available for access-path choice. The engine is the run's one
+// allocation: the pin lives in the scratch it borrows.
+func (db *DB) bindEngine(ctx context.Context) (boundEngine, error) {
+	snap, err := db.beginRead(ctx)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	eng := &dbEngine{
-		grid:  db.grid,
-		snap:  snap,
-		table: &planner.Table{Name: query.TableName, Index: db.index},
-		stats: stats,
-	}
-	done := func() {
-		release()
-		db.ops.query.Add(1)
-	}
-	return eng, done, nil
+	return &dbEngine{db: db, snap: snap, table: planner.Table{Name: query.TableName, Index: db.index}}, nil
 }
 
 // bindEngine (Tx) wraps the transaction view. Each scan revalidates
 // the transaction (ended transactions fail with ErrTxDone), and the
 // statement's ctx overrides the transaction's own for cancellation.
-func (tx *Tx) bindEngine(ctx context.Context, stats *QueryStats) (query.Engine, func(), error) {
-	return &txEngine{tx: tx, stats: stats}, func() {}, nil
+func (tx *Tx) bindEngine(ctx context.Context) (boundEngine, error) {
+	return &txEngine{tx: tx}, nil
 }
 
 // dbEngine runs plans against one pinned index snapshot.
 type dbEngine struct {
-	grid  Grid
+	db    *DB
 	snap  *core.IndexSnapshot
-	table *planner.Table
-	stats *QueryStats
+	table planner.Table
+	qs    QueryStats
 }
 
-func (e *dbEngine) Grid() zorder.Grid     { return e.grid }
-func (e *dbEngine) Table() *planner.Table { return e.table }
+func (e *dbEngine) Grid() zorder.Grid     { return e.db.grid }
+func (e *dbEngine) Table() *planner.Table { return &e.table }
+func (e *dbEngine) stats() *QueryStats    { return &e.qs }
 
+func (e *dbEngine) release() {
+	e.db.endRead(e.snap)
+	e.db.ops.query.Add(1)
+}
+
+// RangeFunc streams through one reused coordinate buffer, as the
+// Engine contract allows: the plan copies each point into its cells.
 func (e *dbEngine) RangeFunc(ctx context.Context, box geom.Box, fn func(geom.Point) bool) error {
-	ss, err := e.snap.RangeSearchFuncCtx(ctx, box, nil, fn)
-	e.stats.addSearch(ss)
+	ss, err := e.snap.RangeScanCtx(ctx, box, fn)
+	e.qs.addSearch(ss)
 	return err
 }
 
 func (e *dbEngine) Nearest(ctx context.Context, q []uint32, k int) ([]core.Neighbor, error) {
 	nbs, ss, err := e.snap.NearestCtx(ctx, q, k, core.Euclidean)
-	e.stats.addSearch(ss)
+	e.qs.addSearch(ss)
 	return nbs, err
 }
 
@@ -266,12 +275,14 @@ func (e *dbEngine) Nearest(ctx context.Context, q []uint32, k int) ([]core.Neigh
 // model — the overlay invalidates page counts — so plans fall back to
 // fixed strategies (Table returns nil).
 type txEngine struct {
-	tx    *Tx
-	stats *QueryStats
+	tx *Tx
+	qs QueryStats
 }
 
 func (e *txEngine) Grid() zorder.Grid     { return e.tx.db.grid }
 func (e *txEngine) Table() *planner.Table { return nil }
+func (e *txEngine) stats() *QueryStats    { return &e.qs }
+func (e *txEngine) release()              {}
 
 func (e *txEngine) opts(ctx context.Context) []QueryOption {
 	if ctx == nil {
@@ -282,13 +293,13 @@ func (e *txEngine) opts(ctx context.Context) []QueryOption {
 
 func (e *txEngine) RangeFunc(ctx context.Context, box geom.Box, fn func(geom.Point) bool) error {
 	qs, err := e.tx.RangeSearchFunc(box, fn, e.opts(ctx)...)
-	e.stats.accumulate(qs)
+	e.qs.accumulate(qs)
 	return err
 }
 
 func (e *txEngine) Nearest(ctx context.Context, q []uint32, k int) ([]core.Neighbor, error) {
 	nbs, qs, err := e.tx.Nearest(q, k, Euclidean, e.opts(ctx)...)
-	e.stats.accumulate(qs)
+	e.qs.accumulate(qs)
 	return nbs, err
 }
 

@@ -3,6 +3,7 @@ package probe_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -16,11 +17,14 @@ import (
 
 // A search takes its cursors from a process-wide pool and gives them
 // back on every way out: exhaustion, an early stop, a cancelled
-// context. This test has 8 goroutines doing all of that on one DB
-// while a writer commits and checkpoints, and checks every answer
-// against a brute-force model of a version the call can have seen. A
-// scratch shared between two searches, or handed back while in use,
-// shows up as a wrong answer here and as a data race under -race.
+// context. An untraced read, a statement included, also pins its
+// version inside that scratch. This test has 8 goroutines doing all of
+// that on one DB while a writer commits and checkpoints, and checks
+// every answer against a brute-force model of a version the call can
+// have seen. A scratch shared between two searches, or handed back
+// while in use, shows up as a wrong answer here and as a data race
+// under -race. Then every way out of every read, failures included,
+// must leave no version and no page pinned.
 
 const (
 	recycleBatch   = 12 // points per commit
@@ -148,7 +152,8 @@ func TestRecycledScratchIsNeverShared(t *testing.T) {
 					return in
 				}
 				stop := 1 + rng.Intn(6)
-				switch (round + w) % 4 {
+				sqlBox := fmt.Sprintf("BOX(%d, %d, %d, %d)", box.Lo[0], box.Hi[0], box.Lo[1], box.Hi[1])
+				switch (round + w) % 6 {
 				case 0: // RANGE
 					check("range", func() (any, error) {
 						pts, _, err := db.RangeSearch(box)
@@ -213,11 +218,130 @@ func TestRecycledScratchIsNeverShared(t *testing.T) {
 					}, probe.WithContext(ctx)); !errors.Is(err, context.Canceled) {
 						t.Errorf("cancelled search: %v", err)
 					}
+				case 4: // a statement's aggregate
+					check("count", func() (any, error) {
+						res, err := db.Query(context.Background(), "SELECT COUNT(*) FROM points WHERE CONTAINS("+sqlBox+")")
+						if err != nil || len(res.Rows) == 0 { // no rows, no group
+							return int64(0), err
+						}
+						return res.Rows[0][0].(int64), nil
+					}, func(model []probe.Point, got any) bool { return got.(int64) == int64(len(inBox(model))) })
+				case 5: // a statement's scan, cut by its LIMIT
+					check("limit", func() (any, error) {
+						res, err := db.Query(context.Background(), fmt.Sprintf("SELECT id FROM points WHERE CONTAINS(%s) LIMIT %d", sqlBox, stop))
+						if err != nil {
+							return nil, err
+						}
+						var ids []uint64
+						for _, row := range res.Rows {
+							ids = append(ids, row[0].(uint64))
+						}
+						return ids, nil
+					}, func(model []probe.Point, got any) bool {
+						want, ids := inBox(model), got.([]uint64)
+						if len(ids) != min(stop, len(want)) {
+							return false
+						}
+						for i, id := range ids {
+							if id != want[i].ID {
+								return false
+							}
+						}
+						return true
+					})
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	noPinOutlivesARead(t, db)
+}
+
+// noPinOutlivesARead takes every untraced read on db out by every way
+// it has, and requires each to leave no version pinned in the index
+// and no page pinned in the pool. Closing the database then must not
+// wait on a read that never ended.
+func noPinOutlivesARead(t *testing.T, db *probe.DB) {
+	t.Helper()
+	ctx := context.Background()
+	unpinned := func(after string) {
+		t.Helper()
+		if n := db.MVCCStats().PinnedSnapshots; n != 0 {
+			t.Errorf("%d snapshots pinned after %s", n, after)
+		}
+		if n := db.PoolInfo().Pinned; n != 0 {
+			t.Errorf("%d pages pinned after %s", n, after)
+		}
+	}
+	unpinned("the concurrent reads")
+	box, flat := probe.Box2(0, 255, 0, 255), probe.Box{Lo: []uint32{1}, Hi: []uint32{2}}
+	if _, _, err := db.RangeSearch(flat); err == nil {
+		t.Error("RangeSearch of a 1-d box on a 2-d grid did not fail")
+	}
+	unpinned("a failed RangeSearch")
+	if _, err := db.RangeSearchFunc(flat, func(probe.Point) bool { return true }); err == nil {
+		t.Error("RangeSearchFunc of a 1-d box did not fail")
+	}
+	unpinned("a failed RangeSearchFunc")
+	if _, _, err := db.PartialMatch([]bool{true}, []uint32{1}); err == nil {
+		t.Error("a partial match of the wrong arity did not fail")
+	}
+	unpinned("a failed PartialMatch")
+	if _, _, err := db.Nearest([]uint32{1, 1}, 0, probe.Euclidean); err == nil {
+		t.Error("NEAREST of 0 neighbours did not fail")
+	}
+	unpinned("a failed Nearest")
+
+	n := 0
+	if _, err := db.RangeSearchFunc(box, func(probe.Point) bool { n++; return false }); err != nil || n != 1 {
+		t.Errorf("a stream stopped at its first point: %d points, %v", n, err)
+	}
+	unpinned("a stream stopped early")
+	if err := db.Scan(func(probe.Point) bool { return false }); err != nil {
+		t.Error(err)
+	}
+	unpinned("a scan stopped early")
+	stmt, err := db.Prepare("SELECT id FROM points")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stmt.Run(ctx, func(probe.QueryRow) bool { return false }); err != nil {
+		t.Error(err)
+	}
+	unpinned("a statement stopped early")
+
+	cctx, cancel := context.WithCancel(ctx)
+	if _, err := db.RangeSearchFunc(box, func(probe.Point) bool { cancel(); return true }, probe.WithContext(cctx)); !errors.Is(err, context.Canceled) {
+		t.Errorf("a stream cancelled from inside: %v", err)
+	}
+	unpinned("a stream cancelled from inside")
+	if _, err := stmt.Run(cctx, func(probe.QueryRow) bool { return true }); !errors.Is(err, context.Canceled) {
+		t.Errorf("a statement under a cancelled context: %v", err)
+	}
+	for _, read := range []func() error{
+		func() error { _, _, err := db.RangeSearch(box, probe.WithContext(cctx)); return err },
+		func() error {
+			_, _, err := db.Nearest([]uint32{1, 1}, 3, probe.Euclidean, probe.WithContext(cctx))
+			return err
+		},
+		func() error { _, err := db.Query(cctx, "SELECT COUNT(*) FROM points"); return err },
+	} {
+		if err := read(); !errors.Is(err, context.Canceled) {
+			t.Errorf("a read under a cancelled context: %v", err)
+		}
+	}
+	unpinned("reads under a cancelled context")
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.RangeSearch(box); !errors.Is(err, probe.ErrClosed) {
+		t.Errorf("RangeSearch on a closed DB: %v", err)
+	}
+	if _, err := db.Query(ctx, "SELECT COUNT(*) FROM points"); !errors.Is(err, probe.ErrClosed) {
+		t.Errorf("a statement on a closed DB: %v", err)
+	}
+	unpinned("reads on a closed DB")
 }
 
 // bruteNeighbors ranks every point by distance to q, ties by id, and

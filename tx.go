@@ -69,8 +69,7 @@ type Tx struct {
 	snap     *core.IndexSnapshot
 	writable bool
 	done     bool
-	locked   bool // created under db.mu (auto-commit); Commit must not re-lock
-	metered  bool // counts in the probe_tx_* registry
+	auto     bool // an auto-commit write under db.mu: Commit must not re-lock; not in probe_tx_*
 
 	writes  []core.PointMutation // buffered mutations, in statement order
 	overlay map[txKey]txEntry    // net per-key state for read-your-writes
@@ -91,10 +90,9 @@ func newTxMetrics() *obs.Registry {
 
 // newTx pins the current committed version. The caller must have
 // established that the database is usable (stateMu shared or db.mu).
-func (db *DB) newTx(ctx context.Context, writable, locked, metered bool) *Tx {
-	tx := &Tx{db: db, ctx: ctx, snap: db.index.Snapshot(),
-		writable: writable, locked: locked, metered: metered}
-	if metered {
+func (db *DB) newTx(ctx context.Context, writable, auto bool) *Tx {
+	tx := &Tx{db: db, ctx: ctx, snap: db.index.Snapshot(), writable: writable, auto: auto}
+	if !auto {
 		db.txMetrics.Int("begun").Add(1)
 	}
 	return tx
@@ -113,7 +111,7 @@ func (db *DB) Begin(ctx context.Context) (*Tx, error) {
 	if err := db.usableLocked(ctx); err != nil {
 		return nil, err
 	}
-	return db.newTx(ctx, true, false, true), nil
+	return db.newTx(ctx, true, false), nil
 }
 
 // View runs fn inside a read-only transaction: every read in fn
@@ -125,7 +123,7 @@ func (db *DB) View(ctx context.Context, fn func(*Tx) error) error {
 	err := db.usableLocked(ctx)
 	var tx *Tx
 	if err == nil {
-		tx = db.newTx(ctx, false, false, true)
+		tx = db.newTx(ctx, false, false)
 	}
 	db.stateMu.RUnlock()
 	if err != nil {
@@ -167,27 +165,12 @@ func (db *DB) updateAuto(ctx context.Context, fn func(*Tx) error) error {
 	if err := db.usableLocked(ctx); err != nil {
 		return err
 	}
-	tx := db.newTx(ctx, true, true, false)
+	tx := db.newTx(ctx, true, true)
 	defer tx.Rollback()
 	if err := fn(tx); err != nil {
 		return err
 	}
 	return tx.Commit()
-}
-
-// viewAuto is the one-shot read path behind the classic untraced
-// query entry points: a read-only transaction around a single
-// statement.
-func (db *DB) viewAuto(ctx context.Context, fn func(*Tx) error) error {
-	db.stateMu.RLock()
-	if err := db.usableLocked(ctx); err != nil {
-		db.stateMu.RUnlock()
-		return err
-	}
-	tx := db.newTx(ctx, false, false, false)
-	db.stateMu.RUnlock()
-	defer tx.Rollback()
-	return fn(tx)
 }
 
 // begin enters one transaction statement: it rejects ended
@@ -355,10 +338,7 @@ func (tx *Tx) DeleteBox(box Box, opts ...QueryOption) (int, error) {
 // WithContext; WithTrace is ignored (snapshot reads carry no physical
 // attribution).
 func (tx *Tx) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, error) {
-	var qc queryConfig
-	for _, o := range opts {
-		o.applyQuery(&qc)
-	}
+	qc := queryOptions(opts)
 	ctx := tx.statementCtx(&qc)
 	if err := tx.begin(ctx); err != nil {
 		return nil, QueryStats{}, err
@@ -455,10 +435,7 @@ func (tx *Tx) overlayRange(pts []Point, box Box) []Point {
 // buffered deletion, then buffered insertions are ranked in. Options
 // as in RangeSearch.
 func (tx *Tx) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]Neighbor, QueryStats, error) {
-	var qc queryConfig
-	for _, o := range opts {
-		o.applyQuery(&qc)
-	}
+	qc := queryOptions(opts)
 	ctx := tx.statementCtx(&qc)
 	if err := tx.begin(ctx); err != nil {
 		return nil, QueryStats{}, err
@@ -533,13 +510,13 @@ func (tx *Tx) Commit() error {
 	defer tx.snap.Release()
 	db := tx.db
 	if len(tx.writes) == 0 {
-		if tx.metered {
+		if !tx.auto {
 			db.txMetrics.Int("committed").Add(1)
 		}
 		return nil
 	}
 	t0 := time.Now()
-	if !tx.locked {
+	if !tx.auto {
 		db.mu.Lock()
 		defer db.mu.Unlock()
 	}
@@ -550,14 +527,14 @@ func (tx *Tx) Commit() error {
 	err := db.index.CommitBatch(tx.snap.Seq(), tx.writes)
 	switch {
 	case err == nil:
-		if tx.metered {
+		if !tx.auto {
 			db.txMetrics.Int("committed").Add(1)
 			db.txMetrics.Histogram("commit-latency").Observe(int64(time.Since(t0)))
 		}
 		db.ops.txCommit.Add(1)
 		return nil
 	case errors.Is(err, btree.ErrConflict):
-		if tx.metered {
+		if !tx.auto {
 			db.txMetrics.Int("conflicts").Add(1)
 		}
 		tx.countAbort()
@@ -582,7 +559,7 @@ func (tx *Tx) Rollback() error {
 }
 
 func (tx *Tx) countAbort() {
-	if tx.metered {
+	if !tx.auto {
 		tx.db.txMetrics.Int("aborted").Add(1)
 	}
 }
