@@ -61,14 +61,6 @@ func AppendBoxItems(dst []Item, g zorder.Grid, box geom.Box, id uint64) []Item {
 // project with DedupPairs, as the paper projects out zr and zs to
 // eliminate the redundancy.
 func SpatialJoin(a, b []Item) ([]Pair, error) {
-	return SpatialJoinCtx(nil, a, b, nil)
-}
-
-// SpatialJoinCtx is SpatialJoin under a cancellation context, checked
-// every joinCancelStride merge steps (nil = never cancelled), with
-// merge-work attribution on sp (obs.MergeSteps, obs.RawPairs). A nil
-// span behaves exactly like SpatialJoin at no cost.
-func SpatialJoinCtx(ctx context.Context, a, b []Item, sp *obs.Span) ([]Pair, error) {
 	if err := checkSorted(a); err != nil {
 		return nil, fmt.Errorf("core: left input: %w", err)
 	}
@@ -76,7 +68,7 @@ func SpatialJoinCtx(ctx context.Context, a, b []Item, sp *obs.Span) ([]Pair, err
 		return nil, fmt.Errorf("core: right input: %w", err)
 	}
 	var pairs []Pair
-	err := spatialJoinFunc(ctx, a, b, sp, func(p Pair) bool {
+	err := spatialJoinFunc(nil, a, b, nil, func(p Pair) bool {
 		pairs = append(pairs, p)
 		return true
 	})

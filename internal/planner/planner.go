@@ -16,7 +16,6 @@ import (
 	"probe/internal/core"
 	"probe/internal/geom"
 	"probe/internal/obs"
-	"probe/internal/zorder"
 )
 
 // Table is one spatial relation known to the planner: a set of
@@ -61,11 +60,6 @@ type Config struct {
 	// for random I/O being slower than sequential (the classic
 	// optimizer fudge factor). Default 1.5.
 	RandomAccessPenalty float64
-	// Parallelism is the degree of parallelism for merge spatial
-	// joins: > 1 executes the element-relation merge with that many
-	// workers over z-prefix partitions (see docs/parallelism.md).
-	// 0 or 1 keeps the join sequential.
-	Parallelism int
 }
 
 func (c Config) penalty() float64 {
@@ -177,17 +171,21 @@ func sortByZ(t *Table, pts []geom.Point) {
 	})
 }
 
-// RegionJoinResult pairs a region id with a matching point.
-type RegionJoinResult struct {
-	RegionID uint64
-	Point    geom.Point
-}
-
 // Region is one row of a region relation to be joined against a
 // point table.
 type Region struct {
 	ID  uint64
 	Box geom.Box
+}
+
+// JoinPlan is the chosen strategy of a region join with its cost
+// estimate. The query executor runs it; the planner only chooses.
+type JoinPlan struct {
+	Description string
+	// Access names the chosen join method: "index-nested-loop-join"
+	// or "merge-join". EXPLAIN ANALYZE uses it as the operator name.
+	Access         string
+	EstimatedPages float64
 }
 
 // PlanRegionJoin chooses between the two spatial-join strategies of
@@ -200,25 +198,6 @@ type Region struct {
 //   - index nested loop: one indexed range query per region (cost ~
 //     the sum of per-region block-model estimates, with the random
 //     access penalty).
-type JoinPlan struct {
-	Description string
-	// Access names the chosen join method: "index-nested-loop-join"
-	// or "merge-join". EXPLAIN ANALYZE uses it as the operator name.
-	Access         string
-	EstimatedPages float64
-	run            func(sp *obs.Span) ([]RegionJoinResult, error)
-}
-
-// Execute runs the join plan.
-func (p *JoinPlan) Execute() ([]RegionJoinResult, error) { return p.run(nil) }
-
-// ExecuteTraced runs the join plan with per-operator attribution on
-// sp (nil behaves exactly like Execute).
-func (p *JoinPlan) ExecuteTraced(sp *obs.Span) ([]RegionJoinResult, error) {
-	return p.run(sp)
-}
-
-// PlanRegionJoin builds the chosen plan.
 func PlanRegionJoin(t *Table, regions []Region, cfg Config) (*JoinPlan, error) {
 	if t.Index == nil {
 		return nil, fmt.Errorf("planner: region join requires an index on %q", t.Name)
@@ -241,93 +220,13 @@ func PlanRegionJoin(t *Table, regions []Region, cfg Config) (*JoinPlan, error) {
 				len(regions), t.Name, nlCost),
 			Access:         "index-nested-loop-join",
 			EstimatedPages: nlCost,
-			run:            func(sp *obs.Span) ([]RegionJoinResult, error) { return nestedLoopJoin(t, regions, sp) },
 		}, nil
-	}
-	how := "sequential"
-	if cfg.Parallelism > 1 {
-		how = fmt.Sprintf("parallel x%d", cfg.Parallelism)
 	}
 	return &JoinPlan{
 		Description: fmt.Sprintf(
-			"merge spatial join (%s): decompose %d regions, one pass over %s (est. %.1f pages)",
-			how, len(regions), t.Name, mergeCost),
+			"merge spatial join: decompose %d regions, one pass over %s (est. %.1f pages)",
+			len(regions), t.Name, mergeCost),
 		Access:         "merge-join",
 		EstimatedPages: mergeCost,
-		run:            func(sp *obs.Span) ([]RegionJoinResult, error) { return mergeJoin(t, regions, cfg, sp) },
 	}, nil
-}
-
-func nestedLoopJoin(t *Table, regions []Region, sp *obs.Span) ([]RegionJoinResult, error) {
-	var out []RegionJoinResult
-	for _, r := range regions {
-		pts, _, err := t.Index.RangeSearchCtx(nil, r.Box, sp)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range pts {
-			out = append(out, RegionJoinResult{RegionID: r.ID, Point: p})
-		}
-	}
-	sortResults(out)
-	return out, nil
-}
-
-func mergeJoin(t *Table, regions []Region, cfg Config, sp *obs.Span) ([]RegionJoinResult, error) {
-	g := t.Index.Grid()
-	// Build the region element relation.
-	var items []core.Item
-	byID := make(map[uint64]geom.Box, len(regions))
-	for _, r := range regions {
-		if _, dup := byID[r.ID]; dup {
-			return nil, fmt.Errorf("planner: duplicate region id %d", r.ID)
-		}
-		byID[r.ID] = r.Box
-		items = core.AppendBoxItems(items, g, r.Box, r.ID)
-	}
-	core.SortItems(items)
-	// One pass over the point sequence.
-	var pItems []core.Item
-	c := t.Index.Tree().Cursor()
-	pointByID := make(map[uint64]geom.Point, t.Index.Len())
-	for ok, err := c.First(); ok; ok, err = c.Next() {
-		if err != nil {
-			return nil, err
-		}
-		k := c.Key()
-		pItems = append(pItems, core.Item{
-			Elem: zorder.Element{Bits: k.Hi, Len: uint8(g.TotalBits())},
-			ID:   k.Lo,
-		})
-		pointByID[k.Lo] = geom.Point{ID: k.Lo, Coords: g.UnshuffleKey(k.Hi)}
-	}
-	var pairs []core.Pair
-	var err error
-	if cfg.Parallelism > 1 {
-		pairs, err = core.SpatialJoinParallelCtx(nil, pItems, items, core.ParallelJoinConfig{Workers: cfg.Parallelism}, sp)
-	} else {
-		pairs, err = core.SpatialJoinCtx(nil, pItems, items, sp)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// The merge multiply-reports an overlap per element pair (and the
-	// parallel form also per shard); project to distinct pairs before
-	// materializing results.
-	pairs = core.DedupPairs(pairs)
-	var out []RegionJoinResult
-	for _, pr := range pairs {
-		out = append(out, RegionJoinResult{RegionID: pr.B, Point: pointByID[pr.A]})
-	}
-	sortResults(out)
-	return out, nil
-}
-
-func sortResults(out []RegionJoinResult) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].RegionID != out[j].RegionID {
-			return out[i].RegionID < out[j].RegionID
-		}
-		return out[i].Point.ID < out[j].Point.ID
-	})
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"probe/internal/core"
 	"probe/internal/geom"
@@ -646,13 +645,16 @@ func (r *run) exec(ctx context.Context, eng Engine) error {
 			r.feed(nb.Point)
 		}
 	case modeJoin:
-		results, err := p.runJoin(ctx, eng)
+		rows, err := p.join(ctx, eng)
 		if err != nil {
 			return err
 		}
-		for _, res := range results {
-			r.row[0] = res.RegionID
-			r.feed(res.Point)
+		if !p.grouped {
+			r.rows = rows
+			break
+		}
+		for w := len(p.base); len(rows) > 0; rows = rows[w:] {
+			r.fold(rows[:w])
 		}
 	default:
 		if err := eng.RangeFunc(ctx, p.scanBox, r.feed); err != nil || p.streamable {
@@ -723,8 +725,16 @@ func (r *run) feed(pt geom.Point) bool {
 		return r.emit(row) && r.limit != 0
 	case !p.grouped:
 		r.rows = append(r.rows, row...)
-		return true
+	default:
+		r.fold(row)
 	}
+	return true
+}
+
+// fold folds a base row that passed the filter into its group's
+// record, starting the record when the group is new.
+func (r *run) fold(row []uint64) {
+	p := r.p
 	at, seen := 0, len(r.rows) > 0
 	if r.groupAt != nil {
 		r.key = cellKey(r.key[:0], row, p.groupIdx)
@@ -736,7 +746,7 @@ func (r *run) feed(pt geom.Point) bool {
 			j := p.aggIdx[i]
 			accs[i] = foldAgg(a.Func, p.base[j].Type, accs[i], row[j])
 		}
-		return true
+		return
 	}
 	if r.groupAt != nil {
 		r.groupAt[string(r.key)] = len(r.rows)
@@ -751,7 +761,6 @@ func (r *run) feed(pt geom.Point) bool {
 		}
 		r.rows = append(r.rows, first)
 	}
-	return true
 }
 
 // emit projects a base row or group record to the output columns and
@@ -835,91 +844,90 @@ func (a *arena) cut(n int) relation.Tuple {
 	return t
 }
 
-// runJoin executes the region join through the engine, using the
-// cost-based planner to pick the strategy when a cost model is
-// available (database engines); transaction views use the index
-// nested loop, which needs only range scans over the snapshot.
-func (p *Plan) runJoin(ctx context.Context, eng Engine) ([]planner.RegionJoinResult, error) {
+// join runs the region join into one slab of base rows (region, id,
+// coordinates), keeping only the rows that pass the residual filter,
+// and returns them ordered by region and id, ties in z order. With a
+// cost model the planner picks the merge or one range scan per region;
+// without one (a transaction view, the cluster) the nested loop runs.
+func (p *Plan) join(ctx context.Context, eng Engine) ([]uint64, error) {
+	merge := false
 	if t := eng.Table(); t != nil && t.Index != nil {
 		jp, err := planner.PlanRegionJoin(t, p.regions, planner.Config{})
 		if err != nil {
 			return nil, err
 		}
-		if jp.Access == "merge-join" {
-			return p.mergeJoin(ctx, eng)
+		merge = jp.Access == "merge-join"
+	}
+	w := len(p.base)
+	var rows []uint64
+	add := func(region uint64, pt geom.Point) {
+		rows = append(rows, region, pt.ID)
+		for _, c := range pt.Coords {
+			rows = append(rows, uint64(c))
+		}
+		if p.filter != nil && !p.filter(rows[len(rows)-w:]) {
+			rows = rows[:len(rows)-w]
 		}
 	}
-	return p.nestedLoopJoin(ctx, eng)
-}
-
-func (p *Plan) nestedLoopJoin(ctx context.Context, eng Engine) ([]planner.RegionJoinResult, error) {
-	var out []planner.RegionJoinResult
-	for _, r := range p.regions {
-		err := eng.RangeFunc(ctx, r.Box, func(pt geom.Point) bool {
-			out = append(out, planner.RegionJoinResult{RegionID: r.ID, Point: clonePoint(pt)})
-			return true
-		})
-		if err != nil {
-			return nil, err
+	var err error
+	if merge {
+		err = p.mergeJoin(ctx, eng, add)
+	} else {
+		for _, r := range p.regions {
+			if err = eng.RangeFunc(ctx, r.Box, func(pt geom.Point) bool { add(r.ID, pt); return true }); err != nil {
+				break
+			}
 		}
 	}
-	sortJoinResults(out)
-	return out, nil
+	if err != nil {
+		return nil, err
+	}
+	order := make([]int, len(rows)/w) // offsets, sorted by (region, id, offset)
+	for i := range order {
+		order[i] = i * w
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if rows[a] != rows[b] {
+			return cmp.Compare(rows[a], rows[b])
+		}
+		return cmp.Or(cmp.Compare(rows[a+1], rows[b+1]), cmp.Compare(a, b))
+	})
+	sorted := make([]uint64, 0, len(rows))
+	for _, at := range order {
+		sorted = append(sorted, rows[at:at+w]...)
+	}
+	return sorted, nil
 }
 
-// mergeJoin is the paper's element-relation merge executed through
-// the engine: decompose every region, stream the whole point sequence
-// once, and merge in z order.
-func (p *Plan) mergeJoin(ctx context.Context, eng Engine) ([]planner.RegionJoinResult, error) {
+// mergeJoin is Section 4's merge: the regions' elements, decomposed and
+// sorted once, against one scan of the table in z order, keeping the
+// stack of elements that contain the current point, each inside the
+// one below. A region's elements are disjoint, so the stack holds at
+// most one per region and no pair repeats. The scan stops when no
+// element is ahead or open.
+func (p *Plan) mergeJoin(ctx context.Context, eng Engine, add func(uint64, geom.Point)) error {
 	g := p.grid
-	var regionItems []core.Item
+	var elems []core.Item
 	for _, r := range p.regions {
-		regionItems = core.AppendBoxItems(regionItems, g, r.Box, r.ID)
+		elems = core.AppendBoxItems(elems, g, r.Box, r.ID)
 	}
-	var pItems []core.Item
-	pointByID := make(map[uint64]geom.Point)
-	err := eng.RangeFunc(ctx, geom.FullBox(g), func(pt geom.Point) bool {
-		pItems = append(pItems, core.Item{
-			Elem: zorder.Element{Bits: g.ShuffleKey(pt.Coords), Len: uint8(g.TotalBits())},
-			ID:   pt.ID,
-		})
-		pointByID[pt.ID] = clonePoint(pt)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	core.SortItems(pItems)
-	core.SortItems(regionItems)
-	pairs, err := core.SpatialJoin(pItems, regionItems)
-	if err != nil {
-		return nil, err
-	}
-	pairs = core.DedupPairs(pairs)
-	out := make([]planner.RegionJoinResult, 0, len(pairs))
-	for _, pr := range pairs {
-		out = append(out, planner.RegionJoinResult{RegionID: pr.B, Point: pointByID[pr.A]})
-	}
-	sortJoinResults(out)
-	return out, nil
-}
-
-// clonePoint is a point the engine streamed, its coordinates copied out
-// of the buffer the engine may reuse.
-func clonePoint(pt geom.Point) geom.Point {
-	return geom.Point{ID: pt.ID, Coords: slices.Clone(pt.Coords)}
-}
-
-func sortJoinResults(out []planner.RegionJoinResult) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].RegionID != out[j].RegionID {
-			return out[i].RegionID < out[j].RegionID
+	core.SortItems(elems)
+	open := make([]core.Item, 0, len(p.regions))
+	closeBefore := func(z uint64) {
+		for len(open) > 0 && open[len(open)-1].Elem.MaxZ(zorder.MaxBits) < z {
+			open = open[:len(open)-1]
 		}
-		return out[i].Point.ID < out[j].Point.ID
+	}
+	return eng.RangeFunc(ctx, geom.FullBox(g), func(pt geom.Point) bool {
+		z := g.ShuffleKey(pt.Coords)
+		for ; len(elems) > 0 && elems[0].Elem.MinZ() <= z; elems = elems[1:] {
+			closeBefore(elems[0].Elem.MinZ())
+			open = append(open, elems[0])
+		}
+		closeBefore(z)
+		for _, e := range open {
+			add(e.ID, pt)
+		}
+		return len(elems) > 0 || len(open) > 0
 	})
 }
-
-// MaxNearestK bounds NEAREST's k so a hostile query cannot demand an
-// unbounded candidate set. (math.MaxInt32 already bounds it at parse
-// time; this is the documented alias.)
-const MaxNearestK = math.MaxInt32

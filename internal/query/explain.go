@@ -92,7 +92,7 @@ func (p *Plan) accessLine(eng Engine) string {
 				return jp.Description
 			}
 		}
-		return fmt.Sprintf("index nested loop join: %d regions x index scan on %s (tx view)",
+		return fmt.Sprintf("index nested loop join: %d regions x index scan on %s (no cost model)",
 			len(p.regions), TableName)
 	default:
 		if t != nil {
@@ -100,6 +100,6 @@ func (p *Plan) accessLine(eng Engine) string {
 				return pl.Description
 			}
 		}
-		return fmt.Sprintf("index scan on %s %v (tx view)", TableName, p.scanBox)
+		return fmt.Sprintf("index scan on %s %v (no cost model)", TableName, p.scanBox)
 	}
 }

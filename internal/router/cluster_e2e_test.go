@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -230,6 +231,16 @@ func TestClusterQueryDifferential(t *testing.T) {
 		); d != "" {
 			t.Errorf("seed %d: single vs cluster %s\n  query: %s", qseed, d, sql)
 		}
+	}
+
+	// EXPLAIN through the router: the cluster has no cost model, and
+	// the access line says so rather than naming a transaction.
+	ex, err := cl.Query(ctx, "EXPLAIN SELECT region, id FROM points JOIN REGIONS(1 BOX(0, 40, 0, 40)) ON INTERSECTS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ex.Explain, "index nested loop join: 1 regions x index scan on points (no cost model)") {
+		t.Errorf("cluster EXPLAIN access line: %q", ex.Explain)
 	}
 
 	// Malformed requests: a client cannot tell the cluster from one node,

@@ -200,7 +200,9 @@ func oracleRun(src oracleSource, full probe.Box, sel *query.Select) (battery.Res
 	return battery.Result{Columns: proj.Schema, Rows: proj.Tuples}, nil
 }
 
-// oracleShapes are the statement shapes battery.GenQuery lacks.
+// oracleShapes are the statement shapes battery.GenQuery lacks. The
+// two many-region joins are merged on a database and nested inside a
+// transaction, so both join shapes meet the oracle.
 var oracleShapes = []string{
 	"SELECT x, y, COUNT(*) AS n FROM points WHERE CONTAINS(BOX(0, 400, 0, 400)) GROUP BY x, y",
 	"SELECT y, COUNT(*), MIN(id), MAX(id), SUM(x) FROM points WHERE CONTAINS(BOX(100, 700, 100, 300)) GROUP BY y",
@@ -220,6 +222,8 @@ var oracleShapes = []string{
 	"SELECT id, x FROM points ORDER BY x DESC, id LIMIT 0",
 	"SELECT region, id, x FROM points JOIN REGIONS(9 BOX(0, 300, 0, 300), 4 BOX(200, 600, 100, 500)) ON INTERSECTS WHERE id != 77 AND id != 1200 AND y <= 400",
 	"SELECT region, COUNT(*) AS n, MAX(id) FROM points JOIN REGIONS(9 BOX(0, 300, 0, 300), 4 BOX(200, 600, 100, 500)) ON INTERSECTS WHERE CONTAINS(BOX(100, 400, 0, 1023)) GROUP BY region",
+	"SELECT region, COUNT(*) AS n FROM points JOIN REGIONS(1 BOX(0, 1023, 0, 511), 2 BOX(0, 1023, 512, 1023), 3 BOX(0, 511, 0, 1023), 4 BOX(512, 1023, 0, 1023), 5 BOX(128, 895, 128, 895), 6 BOX(0, 1023, 0, 1023)) ON INTERSECTS GROUP BY region",
+	"SELECT region, id, x, y FROM points JOIN REGIONS(8 BOX(0, 600, 0, 600), 3 BOX(300, 900, 200, 800), 5 BOX(500, 1023, 0, 400), 1 BOX(0, 400, 500, 1023), 7 BOX(100, 700, 100, 700), 2 BOX(600, 1023, 600, 1023), 6 BOX(200, 250, 0, 1023), 4 BOX(0, 1023, 450, 470)) ON INTERSECTS WHERE x != 300",
 	"SELECT x FROM points WHERE CONTAINS(BOX(0, 1023, 300, 420)) GROUP BY x",
 	"SELECT y AS row, x AS col, COUNT(*) AS n FROM points WHERE CONTAINS(BOX(0, 200, 0, 1023)) GROUP BY x, y ORDER BY n DESC, row, col DESC LIMIT 25",
 	"SELECT * FROM points WHERE y > 1000 ORDER BY x, id DESC",
