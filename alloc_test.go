@@ -9,26 +9,32 @@ import (
 	"probe"
 )
 
-// TestAllocGateDB is the alloc gate of the façade: what an untraced
-// read on a warm DB allocates, end to end. Each read pins its version
-// by value in a recycled scratch, so the counts below are the answer
-// and, for a statement, its parse, plan and rows. Exact counts, so the
-// file is left out of -race builds; CI runs `-run TestAllocGate` as
-// its own step.
+// TestAllocGateDB is the alloc gate of the façade: what a read on a
+// warm DB allocates, end to end. Each read pins its version by value
+// in a recycled scratch, so the counts below are the answer and, for a
+// statement, its parse, plan and rows; for EXPLAIN ANALYZE, its plan
+// and trace. Exact counts, so the file is left out of -race builds; CI
+// runs `-run TestAllocGate` as its own step.
 func TestAllocGateDB(t *testing.T) {
-	var pts []probe.Point
-	for x := uint32(0); x < 256; x += 4 {
-		for y := uint32(0); y < 256; y += 4 {
-			pts = append(pts, probe.Pt2(uint64(len(pts)+1), x, y))
+	// open loads the lattice of every step-th pixel: 4 096 points at
+	// step 4, the table every gate but one reads.
+	open := func(step uint32) *probe.DB {
+		var pts []probe.Point
+		for x := uint32(0); x < 256; x += step {
+			for y := uint32(0); y < 256; y += step {
+				pts = append(pts, probe.Pt2(uint64(len(pts)+1), x, y))
+			}
 		}
+		// A pool that holds the whole tree: a miss would allocate a frame.
+		db, err := probe.Open(probe.MustGrid(2, 8), probe.WithPageSize(512), probe.WithLeafCapacity(8),
+			probe.WithPoolPages(1024), probe.WithBulkLoad(pts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
 	}
-	// A pool that holds the whole tree: a miss would allocate a frame.
-	db, err := probe.Open(probe.MustGrid(2, 8), probe.WithPageSize(512), probe.WithLeafCapacity(8),
-		probe.WithPoolPages(1024), probe.WithBulkLoad(pts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+	db := open(4)
 	ctx := context.Background()
 	gate := func(name string, want float64, rows int, read func() int) {
 		t.Helper()
@@ -75,6 +81,31 @@ func TestAllocGateDB(t *testing.T) {
 		return len(nbs)
 	})
 
+	// EXPLAIN ANALYZE runs the index scan it chose on the traced read
+	// path and copies no table, so what it allocates is the same on 1 024
+	// points (25 rows) as on 4 096 (100 rows). The trace: the root span,
+	// the operator span and the root's child list (3). PlanRange: the
+	// Plan, the cost model and its sides, the description's string, its
+	// four boxed arguments and the box's rendering (14). The answer's
+	// points and slab (2) and the ExplainResult (1). Folding the span
+	// into the metrics: the "index-scan.count" name and one name for each
+	// of its 8 nonzero counters (9).
+	for _, c := range []struct {
+		db   *probe.DB
+		rows int
+	}{{open(8), 25}, {db, 100}} {
+		gate("ExplainAnalyze", 29, c.rows, func() int {
+			res, err := c.db.ExplainAnalyze(small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Access != "index-scan" {
+				t.Fatalf("ExplainAnalyze chose %s", res.Access)
+			}
+			return len(res.Points)
+		})
+	}
+
 	// A statement's fixed cost, both forms below. Prepare: the
 	// Statement, its Select, the one select item, the box predicate,
 	// the WHERE list and the box's bounds (parse, 6); the Plan, its
@@ -114,8 +145,8 @@ func TestAllocGateDB(t *testing.T) {
 	// run's state, the group map, its table and two keys, the key
 	// buffer, the group records grown to 1, 2 and 4 cells, the kept
 	// output cells (2), the order, the rows and the value slab (16); the
-	// cost model, its sides, the JoinPlan, its Description and the boxed
-	// name and estimate (6); the slab and its append callback, the slab
+	// cost model, its sides, the planner's Plan, its Description and the
+	// boxed name and estimate (6); the slab and its append callback, the slab
 	// grown to 2, 4, 8 and 16 cells (two rows and the one being tested),
 	// the sort's offsets and the sorted slab (8).
 	join := func(regions string) func() int {

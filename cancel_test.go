@@ -104,6 +104,49 @@ func TestCancelBeforeQuery(t *testing.T) {
 	}
 }
 
+// canceledAfterEntry is a context that is live when the operation
+// checks it on entry and cancelled from the next check on; it counts
+// the checks.
+type canceledAfterEntry struct {
+	context.Context
+	checks int
+}
+
+func (c *canceledAfterEntry) Err() error {
+	c.checks++
+	if c.checks > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelExplainAnalyze: EXPLAIN ANALYZE honours its context after
+// entry too, whichever plan it runs: a context cancelled once the read
+// has begun stops the run with context.Canceled.
+func TestCancelExplainAnalyze(t *testing.T) {
+	db, full, _ := cancelTestDB(t)
+	for _, c := range []struct {
+		box    probe.Box
+		access string
+	}{{full, "seq-scan"}, {probe.Box2(100, 158, 100, 158), "index-scan"}} {
+		res, err := db.ExplainAnalyze(c.box)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Access != c.access {
+			t.Fatalf("%v chose %q, want %q", c.box, res.Access, c.access)
+		}
+		ctx := &canceledAfterEntry{Context: context.Background()}
+		res, err = db.ExplainAnalyze(c.box, probe.WithContext(ctx))
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Errorf("%s cancelled after entry: error %v, result %t; want context.Canceled and none", c.access, err, res != nil)
+		}
+		if ctx.checks < 2 {
+			t.Errorf("%s checked its context %d times, want at least 2", c.access, ctx.checks)
+		}
+	}
+}
+
 // TestCloseWhileQuerying exercises the close-while-querying contract
 // documented on ErrClosed: Close may run concurrently with in-flight
 // queries — it waits for them rather than yanking the store — and

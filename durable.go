@@ -249,7 +249,7 @@ func (db *DB) Checkpoint(opts ...QueryOption) (QueryStats, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	sp := db.beginOp("checkpoint", qc.trace)
-	defer db.endOp("checkpoint", sp)
+	defer db.endOp("checkpoint", nil, sp)
 	err := db.checkpointLocked()
 	var qs QueryStats
 	qs.addSpanIO(sp)

@@ -37,7 +37,7 @@ func main() {
 	fmt.Printf("loaded %d readings into %d data pages (bulk, 100%% fill)\n",
 		ix.Len(), ix.Tree().LeafPages())
 
-	table := &planner.Table{Name: "readings", Index: ix, Heap: pts}
+	table := &planner.Table{Name: "readings", Index: ix}
 
 	// --- Plan a query before ANALYZE: the uniform block model. ---
 	box := geom.Box2(700, 1000, 0, 300) // off-river sector: nearly empty
@@ -57,12 +57,13 @@ func main() {
 	}
 	fmt.Printf("EXPLAIN (after ANALYZE):\n  %s\n", plan.Description)
 
-	// --- Execute and account for pages, then extrapolate to 1986. ---
+	// --- Run the chosen index scan and account for pages, then
+	// extrapolate to 1986. The planner only chooses; the caller runs. ---
 	if err := pool.Invalidate(); err != nil {
 		log.Fatal(err)
 	}
 	store.ResetStats()
-	results, stats, err := plan.Execute()
+	results, stats, err := ix.RangeSearch(box, core.MergeLazy)
 	if err != nil {
 		log.Fatal(err)
 	}

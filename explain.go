@@ -1,9 +1,11 @@
 package probe
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"probe/internal/core"
 	"probe/internal/geom"
 	"probe/internal/planner"
 )
@@ -46,44 +48,37 @@ func (r *ExplainResult) String() string {
 	return b.String()
 }
 
-// ExplainAnalyze plans a range query, executes the chosen plan with
-// full tracing, and returns the plan alongside its actual counters:
-// the estimated-versus-observed comparison the paper's Section 5 cost
+// ExplainAnalyze plans a range query, runs the chosen plan as a traced
+// read, and returns the plan alongside its actual counters: the
+// estimated-versus-observed comparison the paper's Section 5 cost
 // model invites. It accepts the same options as RangeSearch; a
 // WithTrace option grafts the operator span onto the caller's trace
 // instead of a fresh root.
 func (db *DB) ExplainAnalyze(box Box, opts ...QueryOption) (*ExplainResult, error) {
 	qc := queryOptions(opts)
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.usableLocked(qc.ctx); err != nil {
-		return nil, err
-	}
-	// Materialize the heap view of the index so the sequential-scan
-	// plan is executable too — the planner may legitimately prefer it
-	// for large boxes, and EXPLAIN ANALYZE must run whatever plan it
-	// picks. (One untraced full pass; the pool state it leaves behind
-	// is deterministic for a given database.)
-	var heap []Point
-	if _, err := db.index.RangeSearchFuncCtx(nil, geom.FullBox(db.grid), nil, func(p Point) bool {
-		heap = append(heap, p)
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	tab := &planner.Table{Name: "db", Index: db.index, Heap: heap}
-	plan, err := planner.PlanRange(tab, box, planner.Config{})
-	if err != nil {
-		return nil, err
-	}
 	root := qc.trace
 	if root == nil {
 		root = NewTrace("explain-analyze")
 		defer root.End()
 	}
+	snap, err := db.beginRead(qc.ctx, root)
+	if err != nil {
+		return nil, err
+	}
+	defer db.endRead(snap, root)
+	plan, err := planner.PlanRange(&planner.Table{Name: "db", Index: db.index}, box, planner.Config{})
+	if err != nil {
+		return nil, err
+	}
 	sp := db.beginOp(plan.Access, root)
-	defer db.endOp(plan.Access, sp)
-	pts, ss, err := plan.ExecuteTraced(sp)
+	defer db.endOp(plan.Access, nil, sp)
+	var pts []Point
+	var ss core.SearchStats
+	if plan.Access == "index-scan" {
+		pts, ss, err = snap.RangeSearchCtx(qc.ctx, box, sp)
+	} else {
+		pts, ss, err = seqScan(qc.ctx, snap, box, sp)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -97,4 +92,20 @@ func (db *DB) ExplainAnalyze(box Box, opts ...QueryOption) (*ExplainResult, erro
 		Stats:          stats,
 		Trace:          sp,
 	}, nil
+}
+
+// seqScan is the sequential scan: one pass over every leaf of the
+// snapshot, in z order, keeping the points inside the box, with its
+// data pages and results counted on sp.
+func seqScan(ctx context.Context, snap *core.IndexSnapshot, box Box, sp *Trace) ([]Point, core.SearchStats, error) {
+	var pts []Point
+	ss, err := snap.RangeSearchFuncCtx(ctx, geom.FullBox(snap.Grid()), nil, func(p Point) bool {
+		if box.ContainsPoint(p.Coords) {
+			pts = append(pts, p)
+		}
+		return true
+	})
+	sp.Add(CounterDataPages, int64(ss.DataPages))
+	sp.Add(CounterResults, int64(len(pts)))
+	return pts, core.SearchStats{DataPages: ss.DataPages, Results: len(pts)}, err
 }

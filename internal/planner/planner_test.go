@@ -19,7 +19,7 @@ func newTable(t *testing.T, g zorder.Grid, n int, seed int64) *Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Table{Name: "points", Index: ix, Heap: pts}
+	return &Table{Name: "points", Index: ix}
 }
 
 func TestPlanRangeChoosesIndexForSmallBoxes(t *testing.T) {
@@ -46,65 +46,6 @@ func TestPlanRangeChoosesScanForHugeBoxes(t *testing.T) {
 	}
 	if !strings.Contains(plan.Description, "seq scan") {
 		t.Errorf("whole-space query should use a scan: %s", plan.Description)
-	}
-}
-
-func TestPlansReturnIdenticalResults(t *testing.T) {
-	g := zorder.MustGrid(2, 9)
-	tab := newTable(t, g, 3000, 3)
-	boxes := []geom.Box{
-		geom.Box2(10, 60, 10, 60),
-		geom.Box2(0, 511, 0, 511),
-		geom.Box2(100, 400, 0, 511),
-	}
-	for _, box := range boxes {
-		// Force both plans and compare.
-		idxPlan, err := PlanRange(tab, box, Config{RandomAccessPenalty: 0.0001})
-		if err != nil {
-			t.Fatal(err)
-		}
-		scanPlan := heapScanPlan(tab, box)
-		a, _, err := idxPlan.Execute()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _, err := scanPlan.Execute()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("box %v: plans disagree: %d vs %d", box, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].ID != b[i].ID {
-				t.Fatalf("box %v: order differs at %d", box, i)
-			}
-		}
-	}
-}
-
-func TestPlanRangeWithoutIndex(t *testing.T) {
-	g := zorder.MustGrid(2, 8)
-	tab := &Table{Name: "heap", Heap: workload.Uniform(g, 500, 4)}
-	plan, err := PlanRange(tab, geom.Box2(0, 50, 0, 50), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan.Description, "seq scan") {
-		t.Errorf("index-less table must scan")
-	}
-	got, stats, err := plan.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for _, p := range tab.Heap {
-		if p.Coords[0] <= 50 && p.Coords[1] <= 50 {
-			want++
-		}
-	}
-	if len(got) != want || stats.Results != want {
-		t.Errorf("scan found %d, want %d", len(got), want)
 	}
 }
 
@@ -150,8 +91,7 @@ func TestPlanRegionJoinChoices(t *testing.T) {
 }
 
 func TestRegionJoinValidation(t *testing.T) {
-	g := zorder.MustGrid(2, 8)
-	tab := &Table{Name: "noindex", Heap: workload.Uniform(g, 10, 7)}
+	tab := &Table{Name: "noindex"}
 	if _, err := PlanRegionJoin(tab, nil, Config{}); err == nil {
 		t.Errorf("join without index accepted")
 	}
@@ -168,7 +108,7 @@ func TestAnalyzeAdaptsToSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := &Table{Name: "diag", Index: ix, Heap: pts}
+	tab := &Table{Name: "diag", Index: ix}
 
 	// An off-diagonal box: almost no data there.
 	box := geom.Box2(700, 1000, 0, 300)
@@ -229,7 +169,7 @@ func TestStatsEstimateTracksActual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab := &Table{Name: name, Index: ix, Heap: pts}
+		tab := &Table{Name: name, Index: ix}
 		if err := Analyze(tab); err != nil {
 			t.Fatal(err)
 		}

@@ -258,6 +258,36 @@ func TestExplainAnalyzeMatchesLegacy(t *testing.T) {
 		t.Errorf("seq-scan results %d (points %d), index results %d",
 			res2.Stats.Results, len(res2.Points), legacy2.Results)
 	}
+	// Half the space: still a sequential scan, and one that leaves
+	// points out. Its stats, its span and its answer count the points
+	// it returns, which are a direct range search's in the same z
+	// order, and its pool activity is its own.
+	half := probe.Box2(0, 255, 0, 127)
+	res3, err := db.ExplainAnalyze(half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res3.Access != "seq-scan" {
+		t.Fatalf("half-space box chose %q, want seq-scan", res3.Access)
+	}
+	pts3, legacy3, err := db.RangeSearch(half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spanResults := res3.Trace.Get(probe.CounterResults); res3.Stats.Results != len(res3.Points) ||
+		int(spanResults) != len(res3.Points) || legacy3.Results != len(res3.Points) {
+		t.Errorf("seq-scan stats results %d, span results %d, points %d; range search %d",
+			res3.Stats.Results, spanResults, len(res3.Points), legacy3.Results)
+	}
+	if len(res3.Points) >= res2.Stats.Results {
+		t.Errorf("half-space seq scan kept %d of %d points", len(res3.Points), res2.Stats.Results)
+	}
+	if !samePoints(res3.Points, pts3) {
+		t.Errorf("seq-scan points differ from the range search's")
+	}
+	if res3.Stats.PoolGets == 0 {
+		t.Errorf("seq scan attributed no pool activity: %+v", res3.Stats)
+	}
 }
 
 // TestExplainAnalyzeGolden locks the deterministic rendering down to

@@ -166,10 +166,10 @@ type ContextOption struct {
 // and returns the context's error. Cancellation releases all latches
 // and buffer-pool state as usual; the database remains fully usable.
 //
-// The context is checked as the operation enters the database —
-// untraced reads check it right after pinning their snapshot, writers
-// and traced operations right after acquiring the database mutex — so
-// an operation cancelled while still queued behind a writer returns
+// The context is checked as the operation enters the database — a
+// read as it pins its snapshot (a traced one after first taking the
+// database mutex), a writer right after acquiring that mutex — so an
+// operation cancelled while still queued behind a writer returns
 // without touching the index. A nil ctx is valid and means "never
 // cancelled".
 func WithContext(ctx context.Context) ContextOption { return ContextOption{ctx: ctx} }

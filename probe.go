@@ -195,23 +195,28 @@ func DetectInterference(g Grid, parts []Part, maxLen int) ([]interfere.Pair, int
 // DB is a spatial database over one grid: a z-ordered point index on
 // simulated paged storage. DB is safe for concurrent use.
 //
-// The index is multi-versioned (see docs/mvcc.md): every untraced
-// read query — RangeSearch, RangeSearchFunc, PartialMatch, Nearest,
-// Scan — pins a snapshot of the newest committed tree version and runs
-// against it without blocking, and without being blocked by, writers.
-// Writers (Insert, InsertAll, Delete, DeleteBox) and maintenance
-// operations (Checkpoint, DropCaches, Close) serialize among
-// themselves on db.mu. Traced queries (WithTrace) also serialize on
-// db.mu: span attribution attaches to one global slot on the pool and
-// the store, so traced page-access counts stay exactly reproducible,
-// the paper's reported metric.
+// The index is multi-versioned (see docs/mvcc.md). Every read —
+// RangeSearch, RangeSearchFunc, PartialMatch, Nearest, Scan, a
+// statement, ExplainAnalyze — takes one path: it pins a snapshot of the
+// newest committed version and answers from that one state. Writers
+// (Insert, InsertAll, Delete, DeleteBox) and maintenance (Checkpoint,
+// DropCaches, Close) serialize on db.mu.
+//
+// An untraced read never touches db.mu, so it neither blocks behind a
+// writer nor delays one; a streaming callback only keeps its version
+// pinned, deferring page reclamation and briefly delaying Close. A
+// trace (WithTrace) adds one thing: the read holds db.mu for its whole
+// run, so no commit lands under it and its span alone takes the pool's
+// and the store's attribution slot — its page-access counts, the
+// paper's metric, are exact. A slow traced callback delays every
+// writer and every other traced read.
 type DB struct {
-	// mu serializes writers, maintenance and traced operations.
+	// mu serializes writers, maintenance and traced reads.
 	mu sync.Mutex
-	// stateMu guards db.closed against the snapshot read path: reads
-	// hold it shared for their whole query; Close takes it exclusively
-	// after its final checkpoint, so the store is never released under
-	// a running read.
+	// stateMu guards db.closed against the read path: reads hold it
+	// shared for their whole query; Close takes it exclusively after
+	// its final checkpoint, so the store is never released under a
+	// running read.
 	stateMu sync.RWMutex
 
 	grid      Grid
@@ -296,23 +301,22 @@ func (db *DB) initMetrics() *DB {
 
 // ErrClosed is returned by every DB operation attempted after Close.
 //
-// The close-while-querying contract: writers and traced operations
-// serialize with Close on db.mu; snapshot reads hold stateMu shared
-// for their whole query and Close takes it exclusively before
-// releasing the store. Either way Close never yanks the store out
-// from under a running operation — it blocks until in-flight
-// operations finish (cancel them first via WithContext for a prompt
-// close), and every operation that starts after Close fails with
-// ErrClosed before touching the index or the store. The network
-// server's drain sequence is built on exactly this contract.
+// The close-while-querying contract: writers and traced reads
+// serialize with Close on db.mu; every read holds stateMu shared for
+// its whole query and Close takes it exclusively before releasing the
+// store. Either way Close never yanks the store out from under a
+// running operation — it blocks until in-flight operations finish
+// (cancel them first via WithContext for a prompt close), and every
+// operation that starts after Close fails with ErrClosed before
+// touching the index or the store. The network server's drain sequence
+// is built on exactly this contract.
 var ErrClosed = errors.New("probe: database is closed")
 
-// usableLocked verifies, under db.mu (write/traced path) or a shared
-// stateMu (snapshot read path), that the database is open and the
-// operation's context (nil = none) is still live; every entry point
-// calls it before touching the index. An operation cancelled while
-// queued behind a mutex therefore fails here, without touching any
-// pages.
+// usableLocked verifies, under db.mu (writers) or a shared stateMu
+// (the read path), that the database is open and the operation's
+// context (nil = none) is still live; every entry point calls it
+// before touching the index. An operation cancelled while queued
+// behind a mutex therefore fails here, without touching any pages.
 func (db *DB) usableLocked(ctx context.Context) error {
 	if db.closed {
 		return ErrClosed
@@ -342,9 +346,14 @@ func (db *DB) beginOp(op string, t *Trace) *Trace {
 
 // endOp seals the operation span, detaches it from the pool and the
 // store, and folds the operation into the metrics registry: the
-// "<op>.count" cumulative counter always bumps, and span counters
-// merge under "<op>.<counter>" when traced.
-func (db *DB) endOp(op string, sp *Trace) {
+// "<op>.count" cumulative counter always bumps — on n, op's counter
+// in db.ops, when the operation is untraced and has one — and span
+// counters merge under "<op>.<counter>" when traced.
+func (db *DB) endOp(op string, n *obs.Int, sp *Trace) {
+	if sp == nil && n != nil {
+		n.Add(1)
+		return
+	}
 	if sp != nil {
 		db.pool.AttachSpan(nil)
 		db.store.AttachSpan(nil)
@@ -353,26 +362,37 @@ func (db *DB) endOp(op string, sp *Trace) {
 	db.metrics.AddSpan(op, sp)
 }
 
-// beginRead enters the snapshot read path: it takes stateMu shared,
-// verifies the database is usable, and pins the newest committed index
-// version by value in a recycled scratch (core.Index.Pin). The caller
-// runs its query on the snapshot, one search at a time, and calls
-// endRead exactly once. Untraced reads use this path and so never
-// touch db.mu: they neither block behind a running writer nor delay
-// one.
-func (db *DB) beginRead(ctx context.Context) (*core.IndexSnapshot, error) {
+// beginRead enters the read path: it takes stateMu shared, verifies
+// the database is usable, and pins the newest committed index version
+// by value in a recycled scratch (core.Index.Pin). The caller runs its
+// query on the snapshot, one search at a time, and calls endRead with
+// the same t exactly once. A traced read (t non-nil) first takes
+// db.mu, in Close's lock order: no commit lands while it holds it, so
+// the pinned version is the live one, and the span it then opens
+// (beginOp) is alone on the pool's and the store's attribution slot.
+func (db *DB) beginRead(ctx context.Context, t *Trace) (*core.IndexSnapshot, error) {
+	if t != nil {
+		db.mu.Lock()
+	}
 	db.stateMu.RLock()
 	if err := db.usableLocked(ctx); err != nil {
-		db.stateMu.RUnlock()
+		db.unlockRead(t)
 		return nil, err
 	}
 	return db.index.Pin(), nil
 }
 
 // endRead ends what beginRead began.
-func (db *DB) endRead(snap *core.IndexSnapshot) {
+func (db *DB) endRead(snap *core.IndexSnapshot, t *Trace) {
 	snap.Release()
+	db.unlockRead(t)
+}
+
+func (db *DB) unlockRead(t *Trace) {
 	db.stateMu.RUnlock()
+	if t != nil {
+		db.mu.Unlock()
+	}
 }
 
 // Metrics returns the database's cumulative metrics registry. Every
@@ -486,32 +506,16 @@ func (db *DB) DeleteBox(box Box) (int, error) {
 // against the z-ordered point sequence. WithTrace attributes the
 // query's work — operator counters, buffer-pool activity, physical
 // I/O — to an execution trace.
-//
-// An untraced RangeSearch runs on a pinned snapshot of the newest
-// committed index version: it observes one consistent state end to
-// end and neither blocks behind nor delays concurrent writers. A
-// traced RangeSearch serializes on the database mutex so its
-// page-access counts stay exactly attributable.
 func (db *DB) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, error) {
 	qc := queryOptions(opts)
-	if qc.trace == nil {
-		snap, err := db.beginRead(qc.ctx)
-		if err != nil {
-			return nil, QueryStats{}, err
-		}
-		defer db.endRead(snap)
-		defer db.ops.rangeSearch.Add(1)
-		pts, ss, err := snap.RangeSearchCtx(qc.ctx, box, nil)
-		return pts, searchQueryStats(ss), err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.usableLocked(qc.ctx); err != nil {
+	snap, err := db.beginRead(qc.ctx, qc.trace)
+	if err != nil {
 		return nil, QueryStats{}, err
 	}
+	defer db.endRead(snap, qc.trace)
 	sp := db.beginOp("range-search", qc.trace)
-	defer db.endOp("range-search", sp)
-	pts, ss, err := db.index.RangeSearchCtx(qc.ctx, box, sp)
+	defer db.endOp("range-search", db.ops.rangeSearch, sp)
+	pts, ss, err := snap.RangeSearchCtx(qc.ctx, box, sp)
 	qs := searchQueryStats(ss)
 	qs.addSpanIO(sp)
 	return pts, qs, err
@@ -524,34 +528,16 @@ func (db *DB) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, er
 // the entry point the network server streams large range searches
 // through: result batches go out as the merge produces them, and a
 // client cancel stops the merge within one page read.
-//
-// Untraced, fn runs on a pinned snapshot without holding the database
-// mutex: a slow fn delays nothing but its own query (it does hold the
-// snapshot's version pinned, deferring page reclamation, and briefly
-// delays Close). Traced (WithTrace), fn runs with the database mutex
-// held and a slow fn delays every writer and other traced operation.
 func (db *DB) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption) (QueryStats, error) {
 	qc := queryOptions(opts)
-	if qc.trace == nil {
-		// fn streams straight from the pinned snapshot's merge,
-		// unmaterialized.
-		snap, err := db.beginRead(qc.ctx)
-		if err != nil {
-			return QueryStats{}, err
-		}
-		defer db.endRead(snap)
-		defer db.ops.rangeSearch.Add(1)
-		ss, err := snap.RangeSearchFuncCtx(qc.ctx, box, nil, fn)
-		return searchQueryStats(ss), err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.usableLocked(qc.ctx); err != nil {
+	snap, err := db.beginRead(qc.ctx, qc.trace)
+	if err != nil {
 		return QueryStats{}, err
 	}
+	defer db.endRead(snap, qc.trace)
 	sp := db.beginOp("range-search", qc.trace)
-	defer db.endOp("range-search", sp)
-	ss, err := db.index.RangeSearchFuncCtx(qc.ctx, box, sp, fn)
+	defer db.endOp("range-search", db.ops.rangeSearch, sp)
+	ss, err := snap.RangeSearchFuncCtx(qc.ctx, box, sp, fn)
 	qs := searchQueryStats(ss)
 	qs.addSpanIO(sp)
 	return qs, err
@@ -559,28 +545,17 @@ func (db *DB) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption)
 
 // PartialMatch pins the restricted dimensions to the given values and
 // leaves the rest unconstrained. It accepts the same options as
-// RangeSearch and follows the same concurrency contract: untraced, it
-// runs on a pinned snapshot without blocking behind writers.
+// RangeSearch.
 func (db *DB) PartialMatch(restricted []bool, value []uint32, opts ...QueryOption) ([]Point, QueryStats, error) {
 	qc := queryOptions(opts)
-	if qc.trace == nil {
-		snap, err := db.beginRead(qc.ctx)
-		if err != nil {
-			return nil, QueryStats{}, err
-		}
-		defer db.endRead(snap)
-		defer db.ops.partialMatch.Add(1)
-		pts, ss, err := snap.PartialMatchCtx(qc.ctx, restricted, value, nil)
-		return pts, searchQueryStats(ss), err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.usableLocked(qc.ctx); err != nil {
+	snap, err := db.beginRead(qc.ctx, qc.trace)
+	if err != nil {
 		return nil, QueryStats{}, err
 	}
+	defer db.endRead(snap, qc.trace)
 	sp := db.beginOp("partial-match", qc.trace)
-	defer db.endOp("partial-match", sp)
-	pts, ss, err := db.index.PartialMatchCtx(qc.ctx, restricted, value, sp)
+	defer db.endOp("partial-match", db.ops.partialMatch, sp)
+	pts, ss, err := snap.PartialMatchCtx(qc.ctx, restricted, value, sp)
 	qs := searchQueryStats(ss)
 	qs.addSpanIO(sp)
 	return pts, qs, err
@@ -604,11 +579,11 @@ func (db *DB) LeafPages() int {
 // pinned snapshot: it streams one consistent committed state however
 // many writes land while it runs.
 func (db *DB) Scan(fn func(Point) bool) error {
-	snap, err := db.beginRead(nil)
+	snap, err := db.beginRead(nil, nil)
 	if err != nil {
 		return err
 	}
-	defer db.endRead(snap)
+	defer db.endRead(snap, nil)
 	box := geom.FullBox(db.grid)
 	_, err = snap.RangeSearchFuncCtx(nil, box, nil, fn)
 	return err
@@ -679,29 +654,19 @@ const (
 // Nearest returns the m indexed points nearest to q under the metric,
 // implemented as expanding range queries (the Section 6 translation
 // of proximity queries into overlap queries). It accepts the same
-// options as RangeSearch and follows the same concurrency contract:
-// untraced, every expansion round runs on one pinned snapshot, so the
-// certified radius is sound even against concurrent inserts.
+// options as RangeSearch. Every expansion round runs on the one pinned
+// snapshot, so the certified radius is sound even against concurrent
+// inserts.
 func (db *DB) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]Neighbor, QueryStats, error) {
 	qc := queryOptions(opts)
-	if qc.trace == nil {
-		snap, err := db.beginRead(qc.ctx)
-		if err != nil {
-			return nil, QueryStats{}, err
-		}
-		defer db.endRead(snap)
-		defer db.ops.nearest.Add(1)
-		nbs, ss, err := snap.NearestCtx(qc.ctx, q, m, metric)
-		return nbs, searchQueryStats(ss), err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.usableLocked(qc.ctx); err != nil {
+	snap, err := db.beginRead(qc.ctx, qc.trace)
+	if err != nil {
 		return nil, QueryStats{}, err
 	}
+	defer db.endRead(snap, qc.trace)
 	sp := db.beginOp("nearest", qc.trace)
-	defer db.endOp("nearest", sp)
-	nbs, ss, err := db.index.NearestCtx(qc.ctx, q, m, metric)
+	defer db.endOp("nearest", db.ops.nearest, sp)
+	nbs, ss, err := snap.NearestCtx(qc.ctx, q, m, metric)
 	qs := searchQueryStats(ss)
 	qs.addSpanIO(sp)
 	return nbs, qs, err

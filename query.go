@@ -219,13 +219,13 @@ func (s *Stmt) result(ctx context.Context) (*QueryResult, error) {
 	return res, nil
 }
 
-// bindEngine (DB) enters the snapshot read path: the whole statement
+// bindEngine (DB) enters the read path, untraced: the whole statement
 // — every scan a join or multi-predicate plan issues — runs against
 // one pinned version of the index, and the planner cost model is
 // available for access-path choice. The engine is the run's one
 // allocation: the pin lives in the scratch it borrows.
 func (db *DB) bindEngine(ctx context.Context) (boundEngine, error) {
-	snap, err := db.beginRead(ctx)
+	snap, err := db.beginRead(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +252,7 @@ func (e *dbEngine) Table() *planner.Table { return &e.table }
 func (e *dbEngine) stats() *QueryStats    { return &e.qs }
 
 func (e *dbEngine) release() {
-	e.db.endRead(e.snap)
+	e.db.endRead(e.snap, nil)
 	e.db.ops.query.Add(1)
 }
 

@@ -17,7 +17,7 @@ import (
 
 // A search takes its cursors from a process-wide pool and gives them
 // back on every way out: exhaustion, an early stop, a cancelled
-// context. An untraced read, a statement included, also pins its
+// context. A read, traced or not, a statement included, also pins its
 // version inside that scratch. This test has 8 goroutines doing all of
 // that on one DB while a writer commits and checkpoints, and checks
 // every answer against a brute-force model of a version the call can
@@ -153,10 +153,15 @@ func TestRecycledScratchIsNeverShared(t *testing.T) {
 				}
 				stop := 1 + rng.Intn(6)
 				sqlBox := fmt.Sprintf("BOX(%d, %d, %d, %d)", box.Lo[0], box.Hi[0], box.Lo[1], box.Hi[1])
-				switch (round + w) % 6 {
+				switch (round + w) % 7 {
 				case 0: // RANGE
 					check("range", func() (any, error) {
 						pts, _, err := db.RangeSearch(box)
+						return pts, err
+					}, func(model []probe.Point, got any) bool { return samePoints(got.([]probe.Point), inBox(model)) })
+				case 6: // a traced RANGE: the same read, holding db.mu
+					check("traced range", func() (any, error) {
+						pts, _, err := db.RangeSearch(box, probe.WithTrace(probe.NewTrace("r")))
 						return pts, err
 					}, func(model []probe.Point, got any) bool { return samePoints(got.([]probe.Point), inBox(model)) })
 				case 1: // NEAREST
@@ -257,86 +262,111 @@ func TestRecycledScratchIsNeverShared(t *testing.T) {
 	noPinOutlivesARead(t, db)
 }
 
-// noPinOutlivesARead takes every untraced read on db out by every way
-// it has, and requires each to leave no version pinned in the index
-// and no page pinned in the pool. Closing the database then must not
-// wait on a read that never ended.
+// noPinOutlivesARead takes every read on db out by every way it has,
+// untraced and then traced, and requires each to leave no version
+// pinned in the index and no page pinned in the pool. Closing the
+// database then must not wait on a read that never ended.
 func noPinOutlivesARead(t *testing.T, db *probe.DB) {
 	t.Helper()
 	ctx := context.Background()
+	pass := ""
 	unpinned := func(after string) {
 		t.Helper()
 		if n := db.MVCCStats().PinnedSnapshots; n != 0 {
-			t.Errorf("%d snapshots pinned after %s", n, after)
+			t.Errorf("%d snapshots pinned after %s (%s)", n, after, pass)
 		}
 		if n := db.PoolInfo().Pinned; n != 0 {
-			t.Errorf("%d pages pinned after %s", n, after)
+			t.Errorf("%d pages pinned after %s (%s)", n, after, pass)
 		}
 	}
 	unpinned("the concurrent reads")
 	box, flat := probe.Box2(0, 255, 0, 255), probe.Box{Lo: []uint32{1}, Hi: []uint32{2}}
-	if _, _, err := db.RangeSearch(flat); err == nil {
-		t.Error("RangeSearch of a 1-d box on a 2-d grid did not fail")
-	}
-	unpinned("a failed RangeSearch")
-	if _, err := db.RangeSearchFunc(flat, func(probe.Point) bool { return true }); err == nil {
-		t.Error("RangeSearchFunc of a 1-d box did not fail")
-	}
-	unpinned("a failed RangeSearchFunc")
-	if _, _, err := db.PartialMatch([]bool{true}, []uint32{1}); err == nil {
-		t.Error("a partial match of the wrong arity did not fail")
-	}
-	unpinned("a failed PartialMatch")
-	if _, _, err := db.Nearest([]uint32{1, 1}, 0, probe.Euclidean); err == nil {
-		t.Error("NEAREST of 0 neighbours did not fail")
-	}
-	unpinned("a failed Nearest")
-
-	n := 0
-	if _, err := db.RangeSearchFunc(box, func(probe.Point) bool { n++; return false }); err != nil || n != 1 {
-		t.Errorf("a stream stopped at its first point: %d points, %v", n, err)
-	}
-	unpinned("a stream stopped early")
-	if err := db.Scan(func(probe.Point) bool { return false }); err != nil {
-		t.Error(err)
-	}
-	unpinned("a scan stopped early")
-	stmt, err := db.Prepare("SELECT id FROM points")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stmt.Run(ctx, func(probe.QueryRow) bool { return false }); err != nil {
-		t.Error(err)
-	}
-	unpinned("a statement stopped early")
-
-	cctx, cancel := context.WithCancel(ctx)
-	if _, err := db.RangeSearchFunc(box, func(probe.Point) bool { cancel(); return true }, probe.WithContext(cctx)); !errors.Is(err, context.Canceled) {
-		t.Errorf("a stream cancelled from inside: %v", err)
-	}
-	unpinned("a stream cancelled from inside")
-	if _, err := stmt.Run(cctx, func(probe.QueryRow) bool { return true }); !errors.Is(err, context.Canceled) {
-		t.Errorf("a statement under a cancelled context: %v", err)
-	}
-	for _, read := range []func() error{
-		func() error { _, _, err := db.RangeSearch(box, probe.WithContext(cctx)); return err },
-		func() error {
-			_, _, err := db.Nearest([]uint32{1, 1}, 3, probe.Euclidean, probe.WithContext(cctx))
-			return err
-		},
-		func() error { _, err := db.Query(cctx, "SELECT COUNT(*) FROM points"); return err },
-	} {
-		if err := read(); !errors.Is(err, context.Canceled) {
-			t.Errorf("a read under a cancelled context: %v", err)
+	// WithTrace(nil) is no trace: the first pass is untraced.
+	for _, c := range []struct {
+		pass  string
+		trace *probe.Trace
+	}{{"untraced", nil}, {"traced", probe.NewTrace("t")}} {
+		pass = c.pass
+		traced := probe.WithTrace(c.trace)
+		if _, _, err := db.RangeSearch(flat, traced); err == nil {
+			t.Error("RangeSearch of a 1-d box on a 2-d grid did not fail")
 		}
-	}
-	unpinned("reads under a cancelled context")
+		unpinned("a failed RangeSearch")
+		if _, err := db.RangeSearchFunc(flat, func(probe.Point) bool { return true }, traced); err == nil {
+			t.Error("RangeSearchFunc of a 1-d box did not fail")
+		}
+		unpinned("a failed RangeSearchFunc")
+		if _, _, err := db.PartialMatch([]bool{true}, []uint32{1}, traced); err == nil {
+			t.Error("a partial match of the wrong arity did not fail")
+		}
+		unpinned("a failed PartialMatch")
+		if _, _, err := db.Nearest([]uint32{1, 1}, 0, probe.Euclidean, traced); err == nil {
+			t.Error("NEAREST of 0 neighbours did not fail")
+		}
+		unpinned("a failed Nearest")
+		if _, err := db.ExplainAnalyze(flat, traced); err == nil {
+			t.Error("EXPLAIN ANALYZE of a 1-d box did not fail")
+		}
+		unpinned("a failed ExplainAnalyze")
+		if _, err := db.ExplainAnalyze(box, traced); err != nil {
+			t.Error(err)
+		}
+		unpinned("an ExplainAnalyze")
 
+		n := 0
+		if _, err := db.RangeSearchFunc(box, func(probe.Point) bool { n++; return false }, traced); err != nil || n != 1 {
+			t.Errorf("a stream stopped at its first point: %d points, %v", n, err)
+		}
+		unpinned("a stream stopped early")
+		if err := db.Scan(func(probe.Point) bool { return false }); err != nil {
+			t.Error(err)
+		}
+		unpinned("a scan stopped early")
+		stmt, err := db.Prepare("SELECT id FROM points")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := stmt.Run(ctx, func(probe.QueryRow) bool { return false }); err != nil {
+			t.Error(err)
+		}
+		unpinned("a statement stopped early")
+
+		cctx, cancel := context.WithCancel(ctx)
+		if _, err := db.RangeSearchFunc(box, func(probe.Point) bool { cancel(); return true }, probe.WithContext(cctx), traced); !errors.Is(err, context.Canceled) {
+			t.Errorf("a stream cancelled from inside: %v", err)
+		}
+		unpinned("a stream cancelled from inside")
+		if _, err := stmt.Run(cctx, func(probe.QueryRow) bool { return true }); !errors.Is(err, context.Canceled) {
+			t.Errorf("a statement under a cancelled context: %v", err)
+		}
+		for _, read := range []func() error{
+			func() error { _, _, err := db.RangeSearch(box, probe.WithContext(cctx), traced); return err },
+			func() error {
+				_, _, err := db.Nearest([]uint32{1, 1}, 3, probe.Euclidean, probe.WithContext(cctx), traced)
+				return err
+			},
+			func() error { _, err := db.ExplainAnalyze(box, probe.WithContext(cctx), traced); return err },
+			func() error { _, err := db.Query(cctx, "SELECT COUNT(*) FROM points"); return err },
+		} {
+			if err := read(); !errors.Is(err, context.Canceled) {
+				t.Errorf("a read under a cancelled context: %v", err)
+			}
+		}
+		unpinned("reads under a cancelled context")
+	}
+
+	pass = "closed"
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := db.RangeSearch(box); !errors.Is(err, probe.ErrClosed) {
 		t.Errorf("RangeSearch on a closed DB: %v", err)
+	}
+	if _, _, err := db.RangeSearch(box, probe.WithTrace(probe.NewTrace("t"))); !errors.Is(err, probe.ErrClosed) {
+		t.Errorf("a traced RangeSearch on a closed DB: %v", err)
+	}
+	if _, err := db.ExplainAnalyze(box); !errors.Is(err, probe.ErrClosed) {
+		t.Errorf("ExplainAnalyze on a closed DB: %v", err)
 	}
 	if _, err := db.Query(ctx, "SELECT COUNT(*) FROM points"); !errors.Is(err, probe.ErrClosed) {
 		t.Errorf("a statement on a closed DB: %v", err)
