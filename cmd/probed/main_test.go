@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/binary"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -58,47 +59,49 @@ func TestServerConfigMapping(t *testing.T) {
 	}
 }
 
-// TestServeRefusesFormatVersion1: probed on a store of the previous
-// page format fails with the sentence that says to rebuild it, and
+// TestServeRefusesFormatVersion1: probed on a store of an earlier page
+// format (1 or 2) fails with the sentence that says to rebuild it, and
 // before it listens: the address here cannot be listened on, so a
 // daemon that got that far would fail on the address.
 func TestServeRefusesFormatVersion1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.db")
-	db, err := probe.Open(probe.MustGrid(2, 10), probe.WithDurability(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Stamp the descriptor (page 1, version word after the 8-byte
-	// magic) as version 1.
-	rs, _, err := disk.RecoverStore(disk.OSFS{}, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, rs.PageSize())
-	if err := rs.Read(1, buf); err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(buf[8:12], 1)
-	if err := rs.Write(1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, version := range []uint32{1, 2} {
+		path := filepath.Join(t.TempDir(), "old.db")
+		db, err := probe.Open(probe.MustGrid(2, 10), probe.WithDurability(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Stamp the descriptor (page 1, version word after the 8-byte
+		// magic) with the old version.
+		rs, _, err := disk.RecoverStore(disk.OSFS{}, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, rs.PageSize())
+		if err := rs.Read(1, buf); err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(buf[8:12], version)
+		if err := rs.Write(1, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	err = serve(serveConfig{Flags: daemon.Flags{Addr: "127.0.0.1:no-such-port", MaxInflight: 1}, dbPath: path, dims: 2, bits: 10, pool: 16})
-	if err == nil {
-		t.Fatal("probed served a version-1 store")
-	}
-	for _, want := range []string{"version 1", "version 2", "must be rebuilt"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("refusal %q does not say %q", err, want)
+		err = serve(serveConfig{Flags: daemon.Flags{Addr: "127.0.0.1:no-such-port", MaxInflight: 1}, dbPath: path, dims: 2, bits: 10, pool: 16})
+		if err == nil {
+			t.Fatalf("probed served a version-%d store", version)
+		}
+		for _, want := range []string{fmt.Sprintf("version %d", version), "version 3", "must be rebuilt"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("refusal %q does not say %q", err, want)
+			}
 		}
 	}
 }

@@ -27,13 +27,13 @@ import (
 const metaPageID disk.PageID = 1
 
 // dbMetaVersion is the format of the descriptor and of the tree pages
-// behind it. Version 2 stores a key in as many bytes as the grid's z
-// values need and a leaf without sibling links; version 1 stored 16
-// bytes per key. The descriptor did not change: the key width follows
-// from the grid it records.
+// behind it. Version 3 stores a leaf's keys as deltas from a frame in
+// its header and a derived leaf capacity as 0; version 2 stored each
+// key at the grid's width, version 1 in 16 bytes. The descriptor's
+// layout did not change: the key width follows from the grid.
 const (
 	dbMetaMagic   = "PROBEDB1"
-	dbMetaVersion = 2
+	dbMetaVersion = 3
 )
 
 // encodeDBMeta serializes the database descriptor into a page-sized
@@ -42,6 +42,8 @@ const (
 //	[magic 8B][version u32][k u32][bits u32 x k]
 //	[root u32][height u32][leaves u32][leaf cap u32][value size u32]
 //	[count u64]
+//
+// leaf cap is the capacity as configured, 0 when derived.
 func encodeDBMeta(buf []byte, g Grid, m btree.Meta) error {
 	need := 8 + 4 + 4 + 4*g.Dims() + 5*4 + 8
 	if len(buf) < need {
@@ -201,6 +203,11 @@ func recoverDurable(g Grid, cfg openConfig, fsys disk.FS, sp *Trace) (*DB, error
 	if !gridMatches(g, bits) {
 		rs.Close()
 		return nil, fmt.Errorf("probe: database at %s was created with grid bits %v, not %v", cfg.durPath, bits, g)
+	}
+	if cfg.leafCapacity != 0 && cfg.leafCapacity != tm.LeafCapacity {
+		rs.Close()
+		return nil, fmt.Errorf("probe: WithLeafCapacity(%d) conflicts with the leaf capacity the database at %s was created with (%d; 0 = derived from the page size)",
+			cfg.leafCapacity, cfg.durPath, tm.LeafCapacity)
 	}
 	pool, err := disk.NewPool(rs, cfg.poolPages, disk.LRU)
 	if err != nil {

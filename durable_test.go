@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -194,19 +195,66 @@ func writeDescriptorOnly(t *testing.T, path string, version uint32, bits ...int)
 }
 
 // TestDurableRefusesFormatVersion1: a store written before keys took
-// the grid's width has 16-byte keys behind the same descriptor, so it
-// is refused by its version, in one sentence that says what to do.
+// the grid's width (version 1: 16-byte keys) or before leaves stored
+// them against a frame (version 2) has other leaf pages behind the
+// same descriptor, so it is refused by its version, in one sentence
+// that says what to do.
 func TestDurableRefusesFormatVersion1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "probe.db")
-	writeDescriptorOnly(t, path, 1, 8, 8)
-	db, err := probe.Open(probe.MustGrid(2, 8), probe.WithDurability(path))
-	if err == nil {
-		db.Close()
-		t.Fatal("a version-1 store opened")
+	for _, version := range []uint32{1, 2} {
+		path := filepath.Join(t.TempDir(), "probe.db")
+		writeDescriptorOnly(t, path, version, 8, 8)
+		db, err := probe.Open(probe.MustGrid(2, 8), probe.WithDurability(path))
+		if err == nil {
+			db.Close()
+			t.Fatalf("a version-%d store opened", version)
+		}
+		for _, want := range []string{fmt.Sprintf("version %d", version), "version 3", "must be rebuilt"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("refusal %q does not say %q", err, want)
+			}
+		}
 	}
-	for _, want := range []string{"version 1", "version 2", "must be rebuilt"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("refusal %q does not say %q", err, want)
+}
+
+// TestDurableLeafCapacityConflict: a reopen keeps the capacity the
+// store was created with, explicit or derived (recorded as 0). Asking
+// for another one is refused, as a conflicting page size is; leaving
+// the option out, or repeating the recorded one, reopens.
+func TestDurableLeafCapacityConflict(t *testing.T) {
+	g := probe.MustGrid(2, 8)
+	for _, created := range []int{20, 0} {
+		path := filepath.Join(t.TempDir(), "probe.db")
+		db, err := probe.Open(g, probe.WithDurability(path), probe.WithLeafCapacity(created))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := db.Index().Tree().LeafCapacity()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, other := range []int{50, want} {
+			if other == created {
+				continue
+			}
+			if db, err := probe.Open(g, probe.WithDurability(path), probe.WithLeafCapacity(other)); err == nil ||
+				!strings.Contains(err.Error(), "leaf capacity") {
+				if err == nil {
+					db.Close()
+				}
+				t.Errorf("created with capacity %d, reopened with %d: %v", created, other, err)
+			}
+		}
+		for _, opts := range [][]probe.Option{nil, {probe.WithLeafCapacity(created)}} {
+			db, err := probe.Open(g, append(opts, probe.WithDurability(path))...)
+			if err != nil {
+				t.Fatalf("created with capacity %d, reopened with %d options: %v", created, len(opts), err)
+			}
+			if got := db.Index().Tree().LeafCapacity(); got != want {
+				t.Errorf("created with capacity %d: reopened at %d, want %d", created, got, want)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -218,7 +266,7 @@ func TestDurableRefusesFormatVersion1(t *testing.T) {
 // touched.
 func TestDurableGridWidthMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "probe.db")
-	writeDescriptorOnly(t, path, 2, 12, 12)
+	writeDescriptorOnly(t, path, 3, 12, 12)
 	for _, g := range []probe.Grid{probe.MustGrid(2, 8), probe.MustGrid(3, 8), probe.MustGrid(3, 21)} {
 		db, err := probe.Open(g, probe.WithDurability(path))
 		if err == nil {
@@ -434,7 +482,10 @@ func TestInMemoryCheckpointAndStats(t *testing.T) {
 // the store reuses the pages an epoch allocates and frees itself, so
 // the page file holds at most the live tree plus the shadow copy of
 // each checkpointed page the epoch replaced: at most twice the live
-// pages after every checkpoint.
+// pages after every checkpoint. The bound leaves room for the pages a
+// batch holds while it replaces its path only if an epoch leaves some
+// leaves untouched, so the tree has about 900 leaves of about 90
+// points for the epoch's 1 900 inserts.
 func TestDurableWritePathSpaceAmplification(t *testing.T) {
 	g := probe.MustGrid(2, 10)
 	rng := rand.New(rand.NewSource(18))
@@ -448,7 +499,7 @@ func TestDurableWritePathSpaceAmplification(t *testing.T) {
 		return pts
 	}
 	db, err := probe.Open(g, probe.WithDurability("probe.db"), probe.WithFS(faultfs.New()),
-		probe.WithPageSize(1024), probe.WithPoolPages(64), probe.WithBulkLoad(newPoints(40000)))
+		probe.WithPageSize(1024), probe.WithPoolPages(64), probe.WithBulkLoad(newPoints(80000)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"probe/internal/disk"
@@ -124,12 +126,19 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(pool, Config{ValueSize: 240}); err == nil {
 		t.Errorf("values too large for page accepted")
 	}
+	// minCap entries fit the page at the widest frame: an explicit
+	// capacity may not exceed it, and a derived one caps the count at
+	// 2*minCap-1 and is recorded as 0.
+	minCap := (256 - leafHeaderLen(encodedKeyLen)) / (encodedKeyLen + 8)
+	if _, err := New(pool, Config{ValueSize: 8, LeafCapacity: minCap + 1}); err == nil {
+		t.Errorf("leaf capacity %d past the widest frame's %d accepted", minCap+1, minCap)
+	}
 	tr, err := New(pool, Config{ValueSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.LeafCapacity() != (256-leafHeaderLen)/(encodedKeyLen+8) {
-		t.Errorf("derived leaf capacity = %d", tr.LeafCapacity())
+	if tr.LeafCapacity() != 2*minCap-1 || tr.Meta().LeafCapacity != 0 {
+		t.Errorf("derived leaf capacity = %d, recorded as %d", tr.LeafCapacity(), tr.Meta().LeafCapacity)
 	}
 }
 
@@ -658,15 +667,16 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// storeLeaf writes a decoded leaf back into its page in place —
-	// deliberate corruption, bypassing the copy-on-write discipline.
-	storeLeaf := func(id disk.PageID, n *leafNode) {
+	// storeLeaf writes a decoded leaf back into its page in place, in
+	// frame f — deliberate corruption, bypassing the copy-on-write
+	// discipline.
+	storeLeaf := func(id disk.PageID, n []Entry, f leafFrame) {
 		t.Helper()
-		f, err := tree.pool.Get(id)
+		fr, err := tree.pool.Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.encode(f.Data, tree.keyLen, tree.valueSize)
+		encodeLeaf(fr.Data, n, f, tree.keyLen, tree.valueSize)
 		if err := tree.pool.Unpin(id, true); err != nil {
 			t.Fatal(err)
 		}
@@ -679,14 +689,30 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.keys[0], n.keys[1] = n.keys[1], n.keys[0]
-	storeLeaf(leafID, n)
+	n[0], n[1] = n[1], n[0]
+	storeLeaf(leafID, n, frameOf(n, tree.keyLen))
 	if err := tree.CheckInvariants(); err == nil {
 		t.Errorf("corrupted leaf passed invariant check")
 	}
+	n[0], n[1] = n[1], n[0]
+	// Store the same keys in a frame that is not minimal: a width wider
+	// than the deltas need, or a base below the smallest id. Each
+	// decodes to the right keys, and each fails the check.
+	canon := frameOf(n, tree.keyLen)
+	wider, lower := canon, canon
+	wider.zw++
+	lower.id, lower.iw = lower.id-1, 1
+	for _, f := range []leafFrame{wider, lower} {
+		storeLeaf(leafID, n, f)
+		if got, err := tree.loadLeaf(leafID); err != nil || !reflect.DeepEqual(got, n) {
+			t.Fatalf("frame %+v: the leaf decodes as %v, %v", f, got, err)
+		}
+		if err := tree.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "canonical") {
+			t.Errorf("leaf in frame %+v (canonical %+v): %v", f, canon, err)
+		}
+	}
 	// Restore, then corrupt the entry counter.
-	n.keys[0], n.keys[1] = n.keys[1], n.keys[0]
-	storeLeaf(leafID, n)
+	storeLeaf(leafID, n, canon)
 	tree.cur.count++
 	if err := tree.CheckInvariants(); err == nil {
 		t.Errorf("wrong count passed invariant check")

@@ -14,8 +14,9 @@ type Entry struct {
 
 // Load builds a tree bottom-up from sorted, strictly increasing
 // entries: leaves are packed left to right at the given fill (as a
-// fraction of LeafCapacity; 0 means full), then internal levels are
-// built over them. A bulk-loaded tree satisfies the same invariants
+// fraction of LeafCapacity, and of the page when it is derived; 0
+// means full), then internal levels are built over them. A
+// bulk-loaded tree satisfies the same invariants
 // as one built by insertion but packs pages tighter — loading n
 // entries costs O(n) page writes instead of O(n log n) page accesses.
 // The finished tree is published as its first committed version.
@@ -45,14 +46,15 @@ func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, er
 			return nil, err
 		}
 	}
-	target := int(fill * float64(t.leafCap))
-	if target < 2 {
-		target = 2
+	// Level 0: pack leaves. At an explicit capacity chunkSizes
+	// distributes the entries evenly over ceil(n/target) leaves, the
+	// same leaves however wide the keys' frames are.
+	var sizes []int
+	if t.cfgCap == 0 {
+		sizes = t.packLeaves(entries, fill)
+	} else {
+		sizes = chunkSizes(len(entries), max(int(fill*float64(t.leafCap)), 2), t.minLeaf)
 	}
-
-	// Level 0: pack leaves. chunks distributes the entries evenly
-	// over ceil(n/target) leaves so no leaf underflows.
-	sizes := chunkSizes(len(entries), target, t.minLeafEntries())
 	type childRef struct {
 		id  disk.PageID
 		sep []byte // separator preceding this child (nil for first)
@@ -65,10 +67,7 @@ func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, er
 			return nil, err
 		}
 		// The entries go straight into the page's image.
-		initLeaf(f.Data, size)
-		for i, e := range entries[pos : pos+size] {
-			putLeafEntry(f.Data, i, t.keyLen, t.valueSize, e.Key, e.Value)
-		}
+		t.putLeafImage(f.Data, entries[pos:pos+size])
 		var sep []byte
 		if pos > 0 {
 			sep = t.separator(entries[pos-1].Key, entries[pos].Key)
@@ -124,6 +123,42 @@ func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, er
 		leaves: len(sizes),
 	})
 	return t, nil
+}
+
+// packLeaves cuts entries into leaves greedily by count and bytes: a
+// leaf takes the next entry while both stay within fill of the count
+// cap and of the page, and minLeaf entries, which fit at any frame, in
+// any case. A last leaf under minLeaf takes what it lacks from the one
+// before, or joins it when the two hold fewer than 2*minLeaf.
+func (t *Tree) packLeaves(entries []Entry, fill float64) []int {
+	maxCount, maxBytes := int(fill*float64(t.leafCap)), int(fill*float64(t.pageSize))
+	drop := zDrop(t.keyLen)
+	var sizes []int
+	for pos := 0; pos < len(entries); {
+		first := entries[pos].Key
+		lo, hi, n := first.Lo, first.Lo, 1
+		for ; pos+n < len(entries); n++ {
+			// Keys ascend, so the newest z is the farthest from the first.
+			k := entries[pos+n].Key
+			f := leafFrame{zw: bytesFor(k.Hi>>drop - first.Hi>>drop), iw: bytesFor(max(hi, k.Lo) - min(lo, k.Lo))}
+			if n >= t.minLeaf && (n+1 > maxCount || leafBytes(n+1, f, t.keyLen, t.valueSize) > maxBytes) {
+				break
+			}
+			lo, hi = min(lo, k.Lo), max(hi, k.Lo)
+		}
+		sizes = append(sizes, n)
+		pos += n
+	}
+	if k := len(sizes) - 1; k > 0 && sizes[k] < t.minLeaf {
+		if sizes[k-1]+sizes[k] < 2*t.minLeaf {
+			sizes[k-1] += sizes[k]
+			sizes = sizes[:k]
+		} else {
+			sizes[k-1] -= t.minLeaf - sizes[k]
+			sizes[k] = t.minLeaf
+		}
+	}
+	return sizes
 }
 
 // chunkSizes splits n items into roughly ceil(n/target) chunks of

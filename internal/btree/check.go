@@ -12,14 +12,17 @@ import (
 //
 //  1. every leaf's keys are strictly increasing, and keys increase
 //     strictly across leaves taken in order (the global key order);
-//  2. leaf occupancy is within [minLeafEntries, leafCap] except for a
-//     root leaf;
+//  2. leaf occupancy is within [minLeaf, leafCap] except for a root
+//     leaf, and the leaf's image fits the page (viewLeaf);
 //  3. internal occupancy is within [minChildren, fanout] except for
 //     the root (>= 2 children);
 //  4. every key in child i satisfies seps[i-1] <= enc(key) < seps[i];
 //  5. the entry count and leaf count match the version's counters;
 //  6. all leaves are at the same depth (the version's height);
-//  7. no stored key sets a bit of Hi below the tree's KeyBits.
+//  7. no stored key sets a bit of Hi below the tree's KeyBits;
+//  8. every leaf is stored in its canonical frame (frameOf): the base
+//     is its first z and smallest id, and each width the fewest bytes
+//     that hold its deltas.
 //
 // Because the walk runs against one pinned version, it is safe (and
 // meaningful) concurrently with writers: it validates the committed
@@ -53,6 +56,7 @@ func (s *Snapshot) CheckInvariants() error {
 	// the bounds of its children point into; a leaf hands its copy on
 	// to the next page.
 	var spare []byte
+	var buf [encodedKeyLen]byte
 	// Depth-first, leaves visited left to right.
 	for len(stack) > 0 {
 		vi := stack[len(stack)-1]
@@ -72,14 +76,21 @@ func (s *Snapshot) CheckInvariants() error {
 			if vi.depth != v.height {
 				return fmt.Errorf("leaf %d at depth %d, want %d", vi.id, vi.depth, v.height)
 			}
-			if vi.id != v.root && p.count < t.minLeafEntries() {
-				return fmt.Errorf("leaf %d underfull: %d < %d", vi.id, p.count, t.minLeafEntries())
+			if vi.id != v.root && p.count < t.minLeaf {
+				return fmt.Errorf("leaf %d underfull: %d < %d", vi.id, p.count, t.minLeaf)
 			}
 			if p.count > t.leafCap {
 				return fmt.Errorf("leaf %d overfull: %d > %d", vi.id, p.count, t.leafCap)
 			}
-			for i := 0; i < p.count; i++ {
-				k := p.key(i)
+			es, err := decodeLeaf(data, t.keyLen, t.valueSize)
+			if err != nil {
+				return err
+			}
+			if f := frameOf(es, t.keyLen); f != p.frame {
+				return fmt.Errorf("leaf %d is stored in frame %+v, not its canonical %+v", vi.id, p.frame, f)
+			}
+			for i, e := range es {
+				k := e.Key
 				if haveLast && !lastKey.Less(k) {
 					return fmt.Errorf("leaf %d breaks global key order at entry %d", vi.id, i)
 				}
@@ -87,7 +98,7 @@ func (s *Snapshot) CheckInvariants() error {
 				if err := t.checkKey(k); err != nil {
 					return fmt.Errorf("leaf %d entry %d: %w", vi.id, i, err)
 				}
-				enc := p.encKey(i)
+				enc := t.encodeKey(k, &buf)
 				if vi.lo != nil && sepCompare(vi.lo, enc) > 0 {
 					return fmt.Errorf("leaf %d key %v below bound", vi.id, k)
 				}

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"fmt"
+	"slices"
 
 	"probe/internal/disk"
 )
@@ -11,7 +12,7 @@ import (
 // copies, so a write, like a read, holds one pin at a time and none
 // when it returns.
 
-func (t *Tree) loadLeaf(id disk.PageID) (n *leafNode, err error) {
+func (t *Tree) loadLeaf(id disk.PageID) (n []Entry, err error) {
 	err = t.withPage(id, func(data []byte) (err error) {
 		n, err = decodeLeaf(data, t.keyLen, t.valueSize)
 		return err
@@ -27,8 +28,7 @@ func (t *Tree) loadInternal(id disk.PageID) (n *internalNode, err error) {
 	return n, err
 }
 
-func (t *Tree) minLeafEntries() int { return t.leafCap / 2 }
-func (t *Tree) minChildren() int    { return t.fanout / 2 }
+func (t *Tree) minChildren() int { return t.fanout / 2 }
 
 // separator returns the shortest separator between a leaf whose
 // largest key is leftMax and its right neighbor, whose smallest is
@@ -72,11 +72,10 @@ func (t *Tree) deleteCOW(w *cow, v *version, k Key) (*version, bool, error) {
 		return nil, false, err
 	}
 	i := searchLeaf(n, k)
-	if i >= len(n.keys) || n.keys[i] != k {
+	if i >= len(n) || n[i].Key != k {
 		return nil, false, nil
 	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.values = append(n.values[:i], n.values[i+1:]...)
+	n = slices.Delete(n, i, i+1)
 	nv := &version{seq: v.seq + 1, height: v.height, count: v.count - 1, leaves: v.leaves}
 	if nv.root, err = t.putShrunkLeaf(w, nv, path, leafID, n); err != nil {
 		return nil, false, err
@@ -84,100 +83,125 @@ func (t *Tree) deleteCOW(w *cow, v *version, k Key) (*version, bool, error) {
 	return nv, true, nil
 }
 
+// An underfull node borrows from its left sibling, else its right one,
+// else merges with the left one, else the right: a lend moves the cut
+// in the pair ordered left to right by one, a merge drops it. The
+// parent (a decoded copy on the path) absorbs the separator and child
+// edits in memory; replaceUpward and rebalanceUpward write it out.
+
+// pairOf orders a node and its sibling on side dir (-1 left, +1 right)
+// left to right.
+func pairOf[N any](sib, n N, dir int) (left, right N) {
+	if dir < 0 {
+		return sib, n
+	}
+	return n, sib
+}
+
+// mergeSide is the side of the sibling child ci merges with.
+func mergeSide(ci int) int {
+	if ci > 0 {
+		return -1
+	}
+	return +1
+}
+
 // putShrunkLeaf writes out leaf n, which lost an entry, in place of
 // page leafID, borrowing from or merging with a sibling when it is
 // underfull. It returns the new root id.
-func (t *Tree) putShrunkLeaf(w *cow, nv *version, path []cowLevel, leafID disk.PageID, n *leafNode) (disk.PageID, error) {
-	if len(n.keys) >= t.minLeafEntries() || len(path) == 0 {
+func (t *Tree) putShrunkLeaf(w *cow, nv *version, path []cowLevel, leafID disk.PageID, n []Entry) (disk.PageID, error) {
+	pi := len(path) - 1
+	if len(n) >= t.minLeaf || pi < 0 {
 		// No underflow, or the root leaf may shrink freely.
 		id, err := w.putLeaf(leafID, n)
 		if err != nil {
 			return disk.InvalidPage, err
 		}
-		return t.replaceUpward(w, path, len(path)-1, id)
+		return t.replaceUpward(w, path, pi, id)
 	}
-
-	// Underfull non-root leaf: borrow from a sibling or merge. The
-	// parent (a decoded copy on the path) absorbs separator and child
-	// edits in memory; replaceUpward/rebalanceUpward write it out.
-	parent := path[len(path)-1].n
-	ci := path[len(path)-1].child
-
-	// Borrow from the left sibling.
-	if ci > 0 {
-		leftID := parent.children[ci-1]
-		left, err := t.loadLeaf(leftID)
-		if err != nil {
+	parent, ci := path[pi].n, path[pi].child
+	for _, dir := range [2]int{-1, +1} {
+		if lent, err := t.lendLeaf(w, parent, ci, dir, n); err != nil {
 			return disk.InvalidPage, err
-		}
-		if len(left.keys) > t.minLeafEntries() {
-			last := len(left.keys) - 1
-			n.keys = append([]Key{left.keys[last]}, n.keys...)
-			n.values = append([][]byte{left.values[last]}, n.values...)
-			left.keys = left.keys[:last]
-			left.values = left.values[:last]
-			parent.seps[ci-1] = t.separator(left.keys[last-1], n.keys[0])
-			if parent.children[ci-1], err = w.putLeaf(leftID, left); err != nil {
-				return disk.InvalidPage, err
-			}
-			if parent.children[ci], err = w.putLeaf(leafID, n); err != nil {
-				return disk.InvalidPage, err
-			}
+		} else if lent {
 			// The parent kept its child count: no rebalance above.
-			return t.writeParentAndReplaceUp(w, path, len(path)-1)
+			return t.writeParentAndReplaceUp(w, path, pi)
 		}
 	}
-	// Borrow from the right sibling.
-	if ci < len(parent.children)-1 {
-		rightID := parent.children[ci+1]
-		right, err := t.loadLeaf(rightID)
-		if err != nil {
-			return disk.InvalidPage, err
-		}
-		if len(right.keys) > t.minLeafEntries() {
-			n.keys = append(n.keys, right.keys[0])
-			n.values = append(n.values, right.values[0])
-			right.keys = right.keys[1:]
-			right.values = right.values[1:]
-			parent.seps[ci] = t.separator(n.keys[len(n.keys)-1], right.keys[0])
-			if parent.children[ci], err = w.putLeaf(leafID, n); err != nil {
-				return disk.InvalidPage, err
-			}
-			if parent.children[ci+1], err = w.putLeaf(rightID, right); err != nil {
-				return disk.InvalidPage, err
-			}
-			return t.writeParentAndReplaceUp(w, path, len(path)-1)
-		}
-	}
-	// Merge with a sibling: always merge the right node of the pair
-	// into the left. The merged leaf replaces the left half; the right
-	// half retires.
-	var leftID, rightID disk.PageID
-	var sepIdx int
-	var left, right *leafNode
-	var err error
-	if ci > 0 {
-		leftID, rightID, sepIdx = parent.children[ci-1], leafID, ci-1
-		if left, err = t.loadLeaf(leftID); err != nil {
-			return disk.InvalidPage, err
-		}
-		right = n
-	} else {
-		leftID, rightID, sepIdx = leafID, parent.children[ci+1], ci
-		left = n
-		if right, err = t.loadLeaf(rightID); err != nil {
-			return disk.InvalidPage, err
-		}
-	}
-	left.keys = append(left.keys, right.keys...)
-	left.values = append(left.values, right.values...)
-	if parent.children[sepIdx], err = w.putLeaf(leftID, left); err != nil {
+	// The merged leaf replaces the left page of the pair; the right one
+	// retires. It holds at most 2*minLeaf-1 entries, which fit at any
+	// frame.
+	dir := mergeSide(ci)
+	sep := min(ci, ci+dir)
+	sib, err := t.loadLeaf(parent.children[ci+dir])
+	if err != nil {
 		return disk.InvalidPage, err
 	}
-	w.retire(rightID)
+	left, right := pairOf(sib, n, dir)
+	if parent.children[sep], err = w.putLeaf(parent.children[sep], append(left, right...)); err != nil {
+		return disk.InvalidPage, err
+	}
+	w.retire(parent.children[sep+1])
 	nv.leaves--
-	parent.removeAt(sepIdx)
-	return t.rebalanceUpward(w, nv, path, len(path)-1)
+	parent.removeAt(sep)
+	return t.rebalanceUpward(w, nv, path, pi)
+}
+
+// lendLeaf moves one entry into n, the underfull leaf at child ci of
+// parent, from its sibling on side dir when that sibling holds more
+// than minLeaf entries, and writes both leaves. It reports whether it
+// did. The sibling only shrinks, and n ends with minLeaf entries,
+// which fit at any frame.
+func (t *Tree) lendLeaf(w *cow, parent *internalNode, ci, dir int, n []Entry) (bool, error) {
+	si := ci + dir
+	if si < 0 || si >= len(parent.children) {
+		return false, nil
+	}
+	sib, err := t.loadLeaf(parent.children[si])
+	if err != nil || len(sib) <= t.minLeaf {
+		return false, err
+	}
+	left, right := pairOf(sib, n, dir)
+	all, cut := append(left[:len(left):len(left)], right...), len(left)+dir
+	sep := min(ci, si)
+	parent.seps[sep] = t.separator(all[cut-1].Key, all[cut].Key)
+	if parent.children[sep], err = w.putLeaf(parent.children[sep], all[:cut]); err != nil {
+		return false, err
+	}
+	parent.children[sep+1], err = w.putLeaf(parent.children[sep+1], all[cut:])
+	return true, err
+}
+
+// joinInternal returns the node holding the children of left and
+// right, with sep, the parent's separator between them, pulled down.
+func joinInternal(left *internalNode, sep []byte, right *internalNode) *internalNode {
+	return &internalNode{
+		children: slices.Concat(left.children, right.children),
+		seps:     slices.Concat(left.seps, [][]byte{sep}, right.seps),
+	}
+}
+
+// lendInternal is lendLeaf for an underfull internal node cur: one
+// child moves across, its separator rotating through the parent's.
+func (t *Tree) lendInternal(w *cow, parent *internalNode, ci, dir int, cur *internalNode) (bool, error) {
+	si := ci + dir
+	if si < 0 || si >= len(parent.children) {
+		return false, nil
+	}
+	sib, err := t.loadInternal(parent.children[si])
+	if err != nil || len(sib.children) <= t.minChildren() {
+		return false, err
+	}
+	left, right := pairOf(sib, cur, dir)
+	sep := min(ci, si)
+	all, cut := joinInternal(left, parent.seps[sep], right), len(left.children)+dir
+	left.children, right.children = all.children[:cut], all.children[cut:]
+	left.seps, parent.seps[sep], right.seps = all.seps[:cut-1], all.seps[cut-1], all.seps[cut:]
+	if parent.children[sep], err = w.putInternal(parent.children[sep], left); err != nil {
+		return false, err
+	}
+	parent.children[sep+1], err = w.putInternal(parent.children[sep+1], right)
+	return true, err
 }
 
 // writeParentAndReplaceUp writes the (already edited) path node at
@@ -198,10 +222,9 @@ func (t *Tree) writeParentAndReplaceUp(w *cow, path []cowLevel, pi int) (disk.Pa
 func (t *Tree) rebalanceUpward(w *cow, nv *version, path []cowLevel, pi int) (disk.PageID, error) {
 	for {
 		cur := path[pi].n
-		curOld := path[pi].id
 		if pi == 0 && len(cur.children) == 1 && nv.height > 1 {
 			// Collapse the root: its only child becomes the root.
-			w.retire(curOld)
+			w.retire(path[pi].id)
 			nv.height--
 			return cur.children[0], nil
 		}
@@ -209,87 +232,31 @@ func (t *Tree) rebalanceUpward(w *cow, nv *version, path []cowLevel, pi int) (di
 			// The root may shrink freely.
 			return t.writeParentAndReplaceUp(w, path, pi)
 		}
-
-		parent := path[pi-1].n
-		ci := path[pi-1].child
-
-		// Borrow from the left sibling: rotate through the parent.
-		if ci > 0 {
-			leftID := parent.children[ci-1]
-			left, err := t.loadInternal(leftID)
-			if err != nil {
+		parent, ci := path[pi-1].n, path[pi-1].child
+		for _, dir := range [2]int{-1, +1} {
+			if lent, err := t.lendInternal(w, parent, ci, dir, cur); err != nil {
 				return disk.InvalidPage, err
-			}
-			if len(left.children) > t.minChildren() {
-				lastChild := left.children[len(left.children)-1]
-				lastSep := left.seps[len(left.seps)-1]
-				left.children = left.children[:len(left.children)-1]
-				left.seps = left.seps[:len(left.seps)-1]
-				cur.children = append([]disk.PageID{lastChild}, cur.children...)
-				cur.seps = append([][]byte{parent.seps[ci-1]}, cur.seps...)
-				parent.seps[ci-1] = lastSep
-				if parent.children[ci-1], err = w.putInternal(leftID, left); err != nil {
-					return disk.InvalidPage, err
-				}
-				if parent.children[ci], err = w.putInternal(curOld, cur); err != nil {
-					return disk.InvalidPage, err
-				}
-				return t.writeParentAndReplaceUp(w, path, pi-1)
-			}
-		}
-		// Borrow from the right sibling.
-		if ci < len(parent.children)-1 {
-			rightID := parent.children[ci+1]
-			right, err := t.loadInternal(rightID)
-			if err != nil {
-				return disk.InvalidPage, err
-			}
-			if len(right.children) > t.minChildren() {
-				firstChild := right.children[0]
-				firstSep := right.seps[0]
-				right.children = right.children[1:]
-				right.seps = right.seps[1:]
-				cur.children = append(cur.children, firstChild)
-				cur.seps = append(cur.seps, parent.seps[ci])
-				parent.seps[ci] = firstSep
-				if parent.children[ci], err = w.putInternal(curOld, cur); err != nil {
-					return disk.InvalidPage, err
-				}
-				if parent.children[ci+1], err = w.putInternal(rightID, right); err != nil {
-					return disk.InvalidPage, err
-				}
+			} else if lent {
 				return t.writeParentAndReplaceUp(w, path, pi-1)
 			}
 		}
 		// Merge with a sibling, pulling the parent separator down.
-		var leftID, rightID disk.PageID
-		var sepIdx int
-		var left, right *internalNode
-		var err error
-		if ci > 0 {
-			leftID, rightID, sepIdx = parent.children[ci-1], curOld, ci-1
-			if left, err = t.loadInternal(leftID); err != nil {
-				return disk.InvalidPage, err
-			}
-			right = cur
-		} else {
-			leftID, rightID, sepIdx = curOld, parent.children[ci+1], ci
-			left = cur
-			if right, err = t.loadInternal(rightID); err != nil {
-				return disk.InvalidPage, err
-			}
-		}
-		left.seps = append(left.seps, parent.seps[sepIdx])
-		left.seps = append(left.seps, right.seps...)
-		left.children = append(left.children, right.children...)
-		if len(left.children) > t.fanout {
-			return disk.InvalidPage, fmt.Errorf("btree: merge overflowed internal node (%d children)", len(left.children))
-		}
-		if parent.children[sepIdx], err = w.putInternal(leftID, left); err != nil {
+		dir := mergeSide(ci)
+		sep := min(ci, ci+dir)
+		sib, err := t.loadInternal(parent.children[ci+dir])
+		if err != nil {
 			return disk.InvalidPage, err
 		}
-		w.retire(rightID)
-		parent.removeAt(sepIdx)
+		left, right := pairOf(sib, cur, dir)
+		merged := joinInternal(left, parent.seps[sep], right)
+		if len(merged.children) > t.fanout {
+			return disk.InvalidPage, fmt.Errorf("btree: merge overflowed internal node (%d children)", len(merged.children))
+		}
+		if parent.children[sep], err = w.putInternal(parent.children[sep], merged); err != nil {
+			return disk.InvalidPage, err
+		}
+		w.retire(parent.children[sep+1])
+		parent.removeAt(sep)
 		pi--
 	}
 }

@@ -1,11 +1,12 @@
 // Package btree implements the paged prefix B+-tree used in the
 // paper's experiments (Section 5.3.2: "we implemented a prefix B+tree
 // to store points in z order"). A key is a z value of up to 64 bits
-// plus a 64-bit record id making every key unique; a tree stores only
-// the bytes of the z value its grid can set (Config.KeyBits), so a
-// stored key is 9 to 16 bytes. Separators in internal nodes are
-// prefix-compressed to the shortest byte string that separates the
-// adjacent subtrees, as in a prefix B+-tree.
+// plus a 64-bit record id making every key unique; a tree encodes only
+// the bytes of the z value its grid can set (Config.KeyBits), so an
+// encoded key is 9 to 16 bytes, and a leaf stores fewer: the distance
+// from a frame of reference in its header (node.go). Separators in
+// internal nodes are prefix-compressed to the shortest byte string
+// that separates the adjacent subtrees, as in a prefix B+-tree.
 //
 // The tree lives on disk.Pool pages, so every access flows through
 // the buffer pool and is counted — the experiment harness reproduces

@@ -152,6 +152,110 @@ func TestKeyWidthRejectsStoredKey(t *testing.T) {
 	}
 }
 
+// TestFrameWidening: on a derived capacity, a key that needs a wider
+// frame than its leaf has splits the leaf by bytes, under its count
+// cap, into two halves that fit; deletes then borrow and merge between
+// leaves whose frames differ. The invariants hold throughout.
+func TestFrameWidening(t *testing.T) {
+	pool := disk.MustPool(disk.MustMemStore(512), 1024, disk.LRU)
+	var es []Entry
+	for i := uint64(0); i < 2000; i++ {
+		es = append(es, Entry{Key: Key{Hi: i * 5 << 40, Lo: i}})
+	}
+	// A 512-byte page holds 45 keys of 11 bytes, so the count cap is
+	// 89; at 80 % fill the leaves hold 71 keys in a 2+1-byte frame.
+	tree, err := Load(pool, Config{KeyBits: 24}, es, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafOf := func(k Key) leafPage {
+		t.Helper()
+		c := tree.Cursor()
+		if ok, err := c.SeekGE(k); !ok || err != nil {
+			t.Fatalf("SeekGE(%v): %v, %v", k, ok, err)
+		}
+		data, err := tree.copyPage(c.LeafID(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := viewLeaf(data, tree.keyLen, tree.valueSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// The first key of each full leaf (the last two share the rest).
+	var firsts []Key
+	c := tree.Cursor()
+	for ok, err := c.First(); ok && err == nil; ok, err = c.Next() {
+		if c.pos == 0 && c.leaf.count == 71 {
+			if f := c.leaf.frame; f.zw != 2 || f.iw != 1 {
+				t.Fatalf("a loaded leaf has frame %+v", f)
+			}
+			firsts = append(firsts, c.Key())
+		}
+	}
+	if len(firsts) != 27 {
+		t.Fatalf("%d full leaves of %d", len(firsts), tree.LeafPages())
+	}
+
+	// An id from 2^40 up, second in each full leaf: 72 keys in a frame
+	// of 7 or 8 bytes overflow the page, not the count cap.
+	for j, k := range firsts {
+		n, leaves := leafOf(k).count, tree.LeafPages()
+		wide := Key{Hi: k.Hi, Lo: 1<<40 + uint64(j)}
+		if err := tree.Insert(wide, nil); err != nil {
+			t.Fatal(err)
+		}
+		if n+1 > tree.leafCap || tree.LeafPages() != leaves+1 {
+			t.Fatalf("a leaf of %d keys took a wide id: %d leaves became %d", n, leaves, tree.LeafPages())
+		}
+		if p := leafOf(wide); p.frame.iw < 5 || p.count != (n+1)/2 {
+			t.Fatalf("the half holding %v has frame %+v and %d keys", wide, p.frame, p.count)
+		}
+		if p := leafOf(Key{Hi: k.Hi + 70*5<<40}); p.frame.iw != 1 {
+			t.Fatalf("the half after %v has frame %+v", wide, p.frame)
+		}
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The halves alternate wide and 1-byte id frames. Deleting the small
+	// ids in order underflows the first leaf again and again: it
+	// borrows from its right sibling until that one cannot lend, then
+	// the two merge.
+	borrows, merges := 0, 0
+	for i, e := range es {
+		underfull := leafOf(e.Key).count == tree.minLeaf
+		leaves := tree.LeafPages()
+		if ok, err := tree.Delete(e.Key); !ok || err != nil {
+			t.Fatalf("Delete(%v) = %v, %v", e.Key, ok, err)
+		}
+		switch {
+		case underfull && tree.LeafPages() == leaves:
+			borrows++
+		case underfull:
+			merges++
+		}
+		if i < 200 || i%50 == 0 {
+			if err := tree.CheckInvariants(); err != nil {
+				t.Fatalf("after deleting %d keys: %v", i+1, err)
+			}
+		}
+	}
+	t.Logf("%d borrows, %d merges", borrows, merges)
+	if borrows == 0 || merges == 0 {
+		t.Errorf("%d borrows and %d merges", borrows, merges)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if tree.Len() != len(firsts) {
+		t.Errorf("%d keys left, want the %d wide ones", tree.Len(), len(firsts))
+	}
+}
+
 // TestKeyWidthSeekGE holds SeekGE, Get and a full scan of a random
 // tree of each width against a sorted slice. Few distinct Hi values
 // make runs of one z value span several leaves, so a search key that

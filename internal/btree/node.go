@@ -3,32 +3,43 @@ package btree
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"probe/internal/disk"
 )
 
-// Page layouts. All integers little-endian unless they are encoded
-// keys (which are big-endian so byte order matches key order).
+// Page layouts. All integers little-endian unless they are keys or
+// key deltas (which are big-endian so byte order matches key order).
 //
-// Leaf:     [type u8][count u16]
-//           count x [key keyLen B][value valueSize B]
+// Leaf:     [type u8][count u16][zw u8][iw u8][base key keyLen B]
+//           count x [z delta zw B][id delta iw B][value valueSize B]
 // Internal: [type u8][count u16]            (count = number of seps)
 //           (count+1) x [child u32]
 //           count x [sepLen u16][sep bytes]
 //
 // keyLen is the tree's key length (key.go): 8 bytes of Lo after as
-// many bytes of Hi as Config.KeyBits needs. Leaves carry no sibling
-// links: copy-on-write could not maintain them (a neighbor's link
-// would dangle at the old page version), so a cursor finds the next
-// leaf through its descent path.
+// many bytes of Hi as Config.KeyBits needs, the z bytes. A leaf stores
+// its keys against a frame of reference: the base key holds the z
+// value of the first key and the smallest id, and an entry holds its
+// z and its id as distances from those, in zw and iw bytes. The frame
+// is canonical (frameOf): each width is the fewest bytes that hold the
+// largest distance, so an image is a function of its entries alone
+// and one rewritten in place is byte-equal to a fresh one. Entries
+// stay fixed-stride within a page, so a search is still a binary
+// search of the image, and a key decodes without allocating.
+//
+// Leaves carry no sibling links: copy-on-write could not maintain them
+// (a neighbor's link would dangle at the old page version), so a
+// cursor finds the next leaf through its descent path.
 //
 // Reads never decode a page. They search the image through the
 // leafPage and internalPage views below: a point lookup views the
 // pool frame under its pin, a cursor views its own copy of the image.
-// leafNode and internalNode are the copy-on-write path's builder: a
-// writer decodes the pages it is about to replace, edits the decoded
-// form, and encodes the result into fresh pages.
+// A leaf's entries ([]Entry, decodeLeaf) and internalNode are the
+// copy-on-write path's builder: a writer decodes the pages it is about
+// to replace, edits the decoded form, and encodes the result into
+// fresh pages.
 
 type nodeType byte
 
@@ -38,9 +49,17 @@ const (
 )
 
 const (
-	leafHeaderLen     = 1 + 2
+	leafBaseOff       = 1 + 2 + 2 // the base key follows type, count and widths
 	internalHeaderLen = 1 + 2
 )
+
+// leafHeaderLen is the length of a leaf header for keys of keyLen
+// bytes.
+func leafHeaderLen(keyLen int) int { return leafBaseOff + keyLen }
+
+// zDrop is the number of low bits of Key.Hi a key of keyLen bytes
+// leaves out: a stored z value is Hi >> zDrop.
+func zDrop(keyLen int) uint { return uint(128 - 8*keyLen) }
 
 var errInternalOverflow = fmt.Errorf("btree: internal node overflows page")
 
@@ -56,44 +75,59 @@ func pageHeader(data []byte, want nodeType, headerLen int, kind string) (int, er
 	return int(binary.LittleEndian.Uint16(data[1:3])), nil
 }
 
-// leafPage is a read-only view of a leaf page image. Leaves are
-// fixed-stride, so entry i is found by arithmetic and search is a
-// binary search on the bytes.
+// leafPage is a read-only view of a leaf page image. Entries are
+// fixed-stride within the page, so entry i is found by arithmetic and
+// search is a binary search on the bytes.
 type leafPage struct {
-	data   []byte // the whole image
-	count  int
-	keyLen int
-	stride int
+	data          []byte // the whole image
+	count         int
+	frame         leafFrame
+	first         int    // offset of entry 0
+	stride        int    // zw + iw + valueSize
+	drop          uint   // zDrop of the tree's key length
+	zMask, idMask uint64 // the low zw and iw bytes
 }
 
 func viewLeaf(data []byte, keyLen, valueSize int) (leafPage, error) {
-	count, err := pageHeader(data, leafType, leafHeaderLen, "a leaf")
+	count, err := pageHeader(data, leafType, leafHeaderLen(keyLen), "a leaf")
 	if err != nil {
 		return leafPage{}, err
 	}
-	stride := keyLen + valueSize
-	if leafHeaderLen+count*stride > len(data) {
+	f := leafFrame{zw: int(data[3]), iw: int(data[4])}
+	if f.zw > keyLen-8 || f.iw > 8 {
+		return leafPage{}, fmt.Errorf("btree: leaf frame of %d+%d bytes is wider than a %d-byte key", f.zw, f.iw, keyLen)
+	}
+	base := decodeKey(data[leafBaseOff : leafBaseOff+keyLen])
+	f.z, f.id = base.Hi>>zDrop(keyLen), base.Lo
+	p := leafPage{data: data, count: count, frame: f, first: leafHeaderLen(keyLen), stride: f.zw + f.iw + valueSize,
+		drop: zDrop(keyLen), zMask: ^uint64(0) >> (64 - 8*f.zw), idMask: ^uint64(0) >> (64 - 8*f.iw)}
+	if p.first+count*p.stride > len(data) {
 		return leafPage{}, fmt.Errorf("btree: leaf overflows page (%d entries)", count)
 	}
-	return leafPage{data: data, count: count, keyLen: keyLen, stride: stride}, nil
+	return p, nil
 }
 
-// encKey returns entry i's encoded key inside the image.
-func (p leafPage) encKey(i int) []byte {
-	off := leafHeaderLen + i*p.stride
-	return p.data[off : off+p.keyLen]
+// key decodes entry i's key: the frame's base plus the entry's deltas.
+// A delta of w bytes is read as the low w bytes of the 8 that end with
+// it, which the image always holds: the header before the first entry
+// is longer than 8 bytes.
+func (p *leafPage) key(i int) Key {
+	zEnd := p.first + i*p.stride + p.frame.zw
+	idEnd := zEnd + p.frame.iw
+	return Key{
+		Hi: (p.frame.z + binary.BigEndian.Uint64(p.data[zEnd-8:zEnd])&p.zMask) << p.drop,
+		Lo: p.frame.id + binary.BigEndian.Uint64(p.data[idEnd-8:idEnd])&p.idMask,
+	}
 }
-
-func (p leafPage) key(i int) Key { return decodeKey(p.encKey(i)) }
 
 // value returns entry i's value bytes inside the image.
-func (p leafPage) value(i int) []byte {
-	end := leafHeaderLen + (i+1)*p.stride
-	return p.data[end-p.stride+p.keyLen : end : end]
+func (p *leafPage) value(i int) []byte {
+	end := p.first + (i+1)*p.stride
+	return p.data[end-p.stride+p.frame.zw+p.frame.iw : end : end]
 }
 
 // search returns the index of the first key >= k in the leaf.
-func (p leafPage) search(k Key) int {
+func (p *leafPage) search(k Key) int {
 	return sort.Search(p.count, func(i int) bool { return !p.key(i).Less(k) })
 }
 
@@ -159,12 +193,6 @@ func (p internalPage) childIndex(enc []byte) (int, error) {
 	return p.count, nil
 }
 
-// leafNode is the decoded form of a leaf page.
-type leafNode struct {
-	keys   []Key
-	values [][]byte
-}
-
 // internalNode is the decoded form of an internal page:
 // len(children) == len(seps) + 1, and subtree children[i] holds the
 // keys k with seps[i-1] <= enc(k) < seps[i] (bounds omitted at the
@@ -174,41 +202,78 @@ type internalNode struct {
 	seps     [][]byte
 }
 
-func decodeLeaf(data []byte, keyLen, valueSize int) (*leafNode, error) {
+// decodeLeaf returns a leaf's entries, each value a copy: the decoded
+// form of a leaf page is the slice of its entries in key order.
+func decodeLeaf(data []byte, keyLen, valueSize int) ([]Entry, error) {
 	p, err := viewLeaf(data, keyLen, valueSize)
 	if err != nil {
 		return nil, err
 	}
-	n := &leafNode{keys: make([]Key, p.count), values: make([][]byte, p.count)}
-	for i := range n.keys {
-		n.keys[i] = p.key(i)
-		n.values[i] = append(make([]byte, 0, valueSize), p.value(i)...)
+	es := make([]Entry, p.count)
+	for i := range es {
+		es[i] = Entry{Key: p.key(i), Value: append(make([]byte, 0, valueSize), p.value(i)...)}
 	}
-	return n, nil
+	return es, nil
 }
 
-// initLeaf makes data the image of a leaf of count entries, all of
-// them still to be written by putLeafEntry. The page is zeroed first,
-// so an image rewritten in place is canonical.
-func initLeaf(data []byte, count int) {
-	for i := range data {
-		data[i] = 0
+// leafFrame is a leaf's frame of reference: the base its keys are
+// stored against (z as the stored z bytes, right-justified) and the
+// byte widths of the z and id deltas.
+type leafFrame struct {
+	z, id  uint64
+	zw, iw int
+}
+
+// frameOf returns the canonical frame of a leaf holding es, whose keys
+// are keyLen bytes: the base is the first key's z and the smallest id,
+// and each width is the fewest bytes that hold the largest delta. A
+// delta is taken modulo the stored z bytes, so even keys out of order
+// get a frame no wider than the key.
+func frameOf(es []Entry, keyLen int) leafFrame {
+	if len(es) == 0 {
+		return leafFrame{}
 	}
+	drop := zDrop(keyLen)
+	f := leafFrame{z: es[0].Key.Hi >> drop, id: es[0].Key.Lo}
+	var dz, maxID uint64
+	for _, e := range es {
+		dz = max(dz, (e.Key.Hi>>drop-f.z)&(^uint64(0)>>drop))
+		f.id, maxID = min(f.id, e.Key.Lo), max(maxID, e.Key.Lo)
+	}
+	f.zw, f.iw = bytesFor(dz), bytesFor(maxID-f.id)
+	return f
+}
+
+// bytesFor returns the fewest bytes that hold x.
+func bytesFor(x uint64) int { return (bits.Len64(x) + 7) / 8 }
+
+// leafBytes is the size of the image of a leaf of n entries in frame f.
+func leafBytes(n int, f leafFrame, keyLen, valueSize int) int {
+	return leafHeaderLen(keyLen) + n*(f.zw+f.iw+valueSize)
+}
+
+// encodeLeaf makes data the image of a leaf holding es in frame f. The
+// page is zeroed first, so with f = frameOf(es) the image is canonical.
+func encodeLeaf(data []byte, es []Entry, f leafFrame, keyLen, valueSize int) {
+	clear(data)
 	data[0] = byte(leafType)
-	binary.LittleEndian.PutUint16(data[1:3], uint16(count))
+	binary.LittleEndian.PutUint16(data[1:3], uint16(len(es)))
+	data[3], data[4] = byte(f.zw), byte(f.iw)
+	drop := zDrop(keyLen)
+	Key{Hi: f.z << drop, Lo: f.id}.encode(data[leafBaseOff : leafBaseOff+keyLen])
+	for i, e := range es {
+		off := leafHeaderLen(keyLen) + i*(f.zw+f.iw+valueSize)
+		putBeUint(data[off:off+f.zw], e.Key.Hi>>drop-f.z)
+		putBeUint(data[off+f.zw:off+f.zw+f.iw], e.Key.Lo-f.id)
+		copy(data[off+f.zw+f.iw:], e.Value)
+	}
 }
 
-// putLeafEntry writes entry i of a leaf image.
-func putLeafEntry(data []byte, i, keyLen, valueSize int, k Key, value []byte) {
-	off := leafHeaderLen + i*(keyLen+valueSize)
-	k.encode(data[off : off+keyLen])
-	copy(data[off+keyLen:off+keyLen+valueSize], value)
-}
-
-func (n *leafNode) encode(data []byte, keyLen, valueSize int) {
-	initLeaf(data, len(n.keys))
-	for i, k := range n.keys {
-		putLeafEntry(data, i, keyLen, valueSize, k, n.values[i])
+// putBeUint writes the low len(b) bytes of x into b, big-endian.
+func putBeUint(b []byte, x uint64) {
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = byte(x)
+		x >>= 8
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,9 +17,9 @@ import (
 // The read path searches page images through the leafPage and
 // internalPage views, and the write path's decodeLeaf/decodeInternal
 // copy nodes out through the same views. The tests below hold both
-// against refDecodeLeaf/refDecodeInternal, the decoders the tree read
-// every page with before the views existed, kept here as the oracle,
-// and hold the views' searches against the decoded nodes' own.
+// against refDecodeLeaf/refDecodeInternal, byte-at-a-time decoders
+// that share no code with the views, and hold the views' searches
+// against the decoded nodes' own.
 
 func refHeader(data []byte, want nodeType, headerLen int, kind string) (int, error) {
 	if len(data) < headerLen {
@@ -43,25 +44,43 @@ func refDecodeKey(b []byte) Key {
 	return k
 }
 
-func refDecodeLeaf(data []byte, keyLen, valueSize int) (*leafNode, error) {
-	count, err := refHeader(data, leafType, leafHeaderLen, "a leaf")
+// refUint reads b as a big-endian integer one byte at a time.
+func refUint(b []byte) uint64 {
+	var x uint64
+	for _, c := range b {
+		x = x<<8 | uint64(c)
+	}
+	return x
+}
+
+// refDecodeLeaf reads a framed leaf one byte at a time: the widths at
+// bytes 3 and 4, the base key after them read as any key is, then per
+// entry a z delta counted in units of the lowest stored bit of Hi and
+// an id delta, both added to the base.
+func refDecodeLeaf(data []byte, keyLen, valueSize int) ([]Entry, error) {
+	count, err := refHeader(data, leafType, 5+keyLen, "a leaf")
 	if err != nil {
 		return nil, err
 	}
-	n := &leafNode{keys: make([]Key, count), values: make([][]byte, count)}
-	off := leafHeaderLen
-	stride := keyLen + valueSize
-	if off+count*stride > len(data) {
+	zw, iw := int(data[3]), int(data[4])
+	if zw > keyLen-8 || iw > 8 {
+		return nil, fmt.Errorf("btree: leaf frame of %d+%d bytes is wider than a %d-byte key", zw, iw, keyLen)
+	}
+	base := refDecodeKey(data[5 : 5+keyLen])
+	unit := uint64(1) << (8 * (16 - keyLen))
+	off := 5 + keyLen
+	if off+count*(zw+iw+valueSize) > len(data) {
 		return nil, fmt.Errorf("btree: leaf overflows page (%d entries)", count)
 	}
-	for i := 0; i < count; i++ {
-		n.keys[i] = refDecodeKey(data[off : off+keyLen])
-		v := make([]byte, valueSize)
-		copy(v, data[off+keyLen:off+stride])
-		n.values[i] = v
-		off += stride
+	es := make([]Entry, count)
+	for i := range es {
+		es[i].Key = Key{Hi: base.Hi + unit*refUint(data[off:off+zw]), Lo: base.Lo + refUint(data[off+zw:off+zw+iw])}
+		off += zw + iw
+		es[i].Value = make([]byte, valueSize)
+		copy(es[i].Value, data[off:off+valueSize])
+		off += valueSize
 	}
-	return n, nil
+	return es, nil
 }
 
 func refDecodeInternal(data []byte) (*internalNode, error) {
@@ -130,15 +149,16 @@ func checkLeafImage(t *testing.T, data []byte, keyLen, valueSize int, probes []K
 	if derr != nil {
 		return false
 	}
-	if p.count != len(n.keys) {
-		t.Fatalf("leaf count %d, decoded %d", p.count, len(n.keys))
+	if p.count != len(n) {
+		t.Fatalf("leaf count %d, decoded %d", p.count, len(n))
 	}
-	for i, k := range n.keys {
+	for i, e := range n {
+		k := e.Key
 		if p.key(i) != k {
 			t.Fatalf("leaf key %d: view %v, decoded %v", i, p.key(i), k)
 		}
-		if !bytes.Equal(p.value(i), n.values[i]) {
-			t.Fatalf("leaf value %d: view %x, decoded %x", i, p.value(i), n.values[i])
+		if !bytes.Equal(p.value(i), e.Value) {
+			t.Fatalf("leaf value %d: view %x, decoded %x", i, p.value(i), e.Value)
 		}
 		if cap(p.value(i)) != valueSize {
 			t.Fatalf("leaf value %d has capacity %d past its %d bytes", i, cap(p.value(i)), valueSize)
@@ -214,19 +234,39 @@ func checkInternalImage(t *testing.T, data []byte, probes [][]byte) bool {
 	return true
 }
 
-func randomLeafImage(rng *rand.Rand, pageSize, keyLen, valueSize int) []byte {
-	n := &leafNode{}
-	for i := rng.Intn((pageSize-leafHeaderLen)/(keyLen+valueSize) + 1); i > 0; i-- {
-		// Few distinct Hi values, so that Lo decides many comparisons.
-		n.keys = append(n.keys, Key{Hi: uint64(rng.Intn(4)) << 62, Lo: rng.Uint64()})
+// framedLeafImage returns the image of a leaf of up to n entries (n
+// less duplicates), whose keys span zw bytes of z and iw of id: with
+// two entries or more its canonical frame is that wide.
+func framedLeafImage(rng *rand.Rand, pageSize, keyLen, valueSize, zw, iw, n int) []byte {
+	drop := zDrop(keyLen)
+	zSpan, idSpan := uint64(1)<<(8*zw)-1, uint64(1)<<(8*iw)-1
+	z0, id0 := rng.Uint64()>>drop&^zSpan, rng.Uint64()&^idSpan
+	var es []Entry
+	for i := 0; i < n; i++ {
+		// Few distinct z values, so that Lo decides many comparisons.
+		k := Key{Hi: (z0 + uint64(rng.Intn(4))*(zSpan/3)) << drop, Lo: id0 + rng.Uint64()&idSpan}
+		switch i {
+		case 0:
+			k = Key{Hi: z0 << drop, Lo: id0}
+		case 1:
+			k = Key{Hi: (z0 + zSpan) << drop, Lo: id0 + idSpan}
+		}
 		v := make([]byte, valueSize)
 		rng.Read(v)
-		n.values = append(n.values, v)
+		es = append(es, Entry{Key: k, Value: v})
 	}
-	sort.Slice(n.keys, func(i, j int) bool { return n.keys[i].Less(n.keys[j]) })
+	slices.SortFunc(es, func(a, b Entry) int { return a.Key.Compare(b.Key) })
+	es = slices.CompactFunc(es, func(a, b Entry) bool { return a.Key == b.Key })
 	data := make([]byte, pageSize)
-	n.encode(data, keyLen, valueSize)
+	encodeLeaf(data, es, frameOf(es, keyLen), keyLen, valueSize)
 	return data
+}
+
+// randomLeafImage returns a leaf of random widths holding up to as
+// many entries as fit at the widest frame.
+func randomLeafImage(rng *rand.Rand, pageSize, keyLen, valueSize int) []byte {
+	n := rng.Intn((pageSize-leafHeaderLen(keyLen))/(keyLen+valueSize) + 1)
+	return framedLeafImage(rng, pageSize, keyLen, valueSize, rng.Intn(keyLen-7), rng.Intn(9), n)
 }
 
 func randomInternalImage(rng *rand.Rand, pageSize int) []byte {
@@ -281,10 +321,10 @@ func TestPageViewsMatchDecode(t *testing.T) {
 // same error, without reading outside the image.
 func TestPageViewsRejectCorruptImages(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	leaf := randomLeafImage(rng, 512, encodedKeyLen, 8)
-	for binary.LittleEndian.Uint16(leaf[1:3]) < 2 {
-		leaf = randomLeafImage(rng, 512, encodedKeyLen, 8)
-	}
+	leaf := framedLeafImage(rng, 512, encodedKeyLen, 8, 8, 8, 12)
+	// About 60 entries of 2 bytes: more than fit the page at the widest
+	// frame, 45.
+	narrow := framedLeafImage(rng, 512, 11, 0, 1, 1, 60)
 	internal := randomInternalImage(rng, 512)
 	for binary.LittleEndian.Uint16(internal[1:3]) < 2 {
 		internal = randomInternalImage(rng, 512)
@@ -305,9 +345,23 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 			t.Errorf("internal page with type byte %d decoded", typ)
 		}
 	}
-	// A count that runs the entries (22 or more at this geometry) or
+	// A frame wider than the key: an id width over 8, a z width over
+	// the key's z bytes (8, and 3 on the 11-byte key).
+	for _, w := range [][2]byte{{8, 9}, {9, 8}, {0xff, 0}} {
+		if checkLeafImage(t, damage(leaf, func(b []byte) { b[3], b[4] = w[0], w[1] }), encodedKeyLen, 8, nil) {
+			t.Errorf("leaf with a %d+%d-byte frame decoded", w[0], w[1])
+		}
+	}
+	if checkLeafImage(t, damage(narrow, func(b []byte) { b[3] = 4 }), 11, 0, nil) {
+		t.Error("11-byte-key leaf with a 4-byte z width decoded")
+	}
+	// Widths within the key that run the narrow leaf off the page.
+	if checkLeafImage(t, damage(narrow, func(b []byte) { b[3], b[4] = 3, 8 }), 11, 0, nil) {
+		t.Error("a leaf widened past the page decoded")
+	}
+	// A count that runs the entries (21 or more at this geometry) or
 	// the child array (127 or more separators) off the page.
-	for _, count := range []uint16{22, 127, 200, 0xffff} {
+	for _, count := range []uint16{21, 127, 200, 0xffff} {
 		over := func(b []byte) { binary.LittleEndian.PutUint16(b[1:3], count) }
 		if checkLeafImage(t, damage(leaf, over), encodedKeyLen, 8, nil) {
 			t.Errorf("leaf claiming %d entries decoded", count)
@@ -332,9 +386,10 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 			t.Errorf("separator at %d running past the page decoded", off)
 		}
 	}
-	// Every truncation of both images, down to nothing.
+	// Every truncation of the images, down to nothing.
 	for cut := 0; cut < 512; cut++ {
 		checkLeafImage(t, leaf[:cut], encodedKeyLen, 8, nil)
+		checkLeafImage(t, narrow[:cut], 11, 0, nil)
 		checkInternalImage(t, internal[:cut], nil)
 	}
 }
@@ -351,6 +406,24 @@ func FuzzPageViews(f *testing.F) {
 	f.Add([]byte{byte(internalType), 0xff, 0xff}, uint8(7), uint8(0), []byte{9})
 	f.Add([]byte{byte(internalType), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}, uint8(7), uint8(0), []byte{9})
 	f.Add([]byte{byte(leafType), 9, 0}, uint8(4), uint8(1), []byte{})
+	// A leaf at every pair of widths, on the shortest key that holds
+	// the z width, and the same leaf with its frame corrupted: widths
+	// over the key, and widths that run the entries past the page.
+	for zw := 0; zw <= 8; zw++ {
+		for iw := 0; iw <= 8; iw++ {
+			keyLen := 8 + max(zw, 1)
+			img := framedLeafImage(rng, 128, keyLen, 1, zw, iw, 2+rng.Intn((128-leafHeaderLen(keyLen))/(keyLen+1)-1))
+			width := uint8(keyLen - 9)
+			f.Add(img, width, uint8(1), []byte{byte(zw), byte(iw)})
+			bad := append([]byte(nil), img...)
+			bad[3], bad[4] = byte(keyLen-7), byte(9+iw)
+			f.Add(bad, width, uint8(1), []byte{})
+			wide := append([]byte(nil), img...)
+			binary.LittleEndian.PutUint16(wide[1:3], uint16(128/(keyLen+1)+1))
+			wide[3], wide[4] = byte(keyLen-8), 8
+			f.Add(wide, width, uint8(1), []byte{})
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, width, valueSize uint8, enc []byte) {
 		keyLen := 9 + int(width%8)
 		var k Key

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -12,9 +13,11 @@ import (
 type Config struct {
 	// ValueSize is the fixed size of every value in bytes (>= 0).
 	ValueSize int
-	// LeafCapacity is the maximum number of entries per leaf. Zero
-	// derives the largest capacity that fits the page. The paper's
-	// experiments use 20.
+	// LeafCapacity is the maximum number of entries per leaf, at most
+	// what fits the page at the widest frame (node.go). Zero derives
+	// the capacity from the page: a leaf is then bounded by its bytes,
+	// at the frame its keys need, and by twice that count less one. The
+	// paper's experiments use 20.
 	LeafCapacity int
 	// KeyBits is how many leading bits of Key.Hi a stored key may set;
 	// zero means all 64. The tree stores only the bytes of Hi those
@@ -39,10 +42,13 @@ type Config struct {
 // uses Snapshot.Cursor.
 type Tree struct {
 	pool      *disk.Pool
+	pageSize  int
 	valueSize int
 	keyBits   int // leading bits of Key.Hi a stored key may set
 	keyLen    int // bytes of an encoded key
-	leafCap   int
+	leafCap   int // max entries of a leaf
+	minLeaf   int // min entries of a leaf other than the root
+	cfgCap    int // Config.LeafCapacity: 0 derives leafCap and bounds leaves by bytes
 	fanout    int // max children of an internal node
 
 	// writeMu serializes structural writers (Insert, Delete, and
@@ -84,16 +90,20 @@ func newTreeShell(pool *disk.Pool, cfg Config) (*Tree, error) {
 	}
 	keyLen := keyLenFor(keyBits)
 	stride := keyLen + valueSize
-	maxLeaf := (ps - leafHeaderLen) / stride
-	if maxLeaf < 2 {
+	// minCap entries fit a page at the widest frame, whatever their keys.
+	minCap := (ps - leafHeaderLen(keyLen)) / stride
+	if minCap < 2 {
 		return nil, fmt.Errorf("btree: page size %d cannot hold 2 entries of %d bytes", ps, stride)
 	}
-	leafCap := leafCapacity
+	leafCap, minLeaf := leafCapacity, leafCapacity/2
 	if leafCap == 0 {
-		leafCap = maxLeaf
-	}
-	if leafCap < 2 || leafCap > maxLeaf {
-		return nil, fmt.Errorf("btree: leaf capacity %d outside [2,%d]", leafCapacity, maxLeaf)
+		// A leaf of minLeaf entries fits at any frame. So does a merge of
+		// an underfull leaf into one that cannot lend (at most
+		// 2*minLeaf-1 entries), and each half of a leaf that overflows
+		// its count or its page (minCap+1 to 2*minCap entries).
+		leafCap, minLeaf = 2*minCap-1, minCap/2
+	} else if leafCap < 2 || leafCap > minCap {
+		return nil, fmt.Errorf("btree: leaf capacity %d outside [2,%d]", leafCapacity, minCap)
 	}
 	// Pessimistic fanout: assume every separator is a full key, so
 	// any mix of truncated separators always fits the page.
@@ -102,7 +112,20 @@ func newTreeShell(pool *disk.Pool, cfg Config) (*Tree, error) {
 	if fanout < 4 {
 		return nil, fmt.Errorf("btree: page size %d too small for internal nodes", ps)
 	}
-	return &Tree{pool: pool, valueSize: valueSize, keyBits: keyBits, keyLen: keyLen, leafCap: leafCap, fanout: fanout}, nil
+	return &Tree{pool: pool, pageSize: ps, valueSize: valueSize, keyBits: keyBits, keyLen: keyLen,
+		leafCap: leafCap, minLeaf: minLeaf, cfgCap: leafCapacity, fanout: fanout}, nil
+}
+
+// leafFits reports whether es may be one leaf: at most leafCap entries
+// in an image, at their canonical frame, no larger than the page. At
+// an explicit capacity the image always fits.
+func (t *Tree) leafFits(es []Entry) bool {
+	return len(es) <= t.leafCap && leafBytes(len(es), frameOf(es, t.keyLen), t.keyLen, t.valueSize) <= t.pageSize
+}
+
+// putLeafImage makes data the canonical image of a leaf holding es.
+func (t *Tree) putLeafImage(data []byte, es []Entry) {
+	encodeLeaf(data, es, frameOf(es, t.keyLen), t.keyLen, t.valueSize)
 }
 
 // checkKey refuses a key the tree cannot store: one that sets a bit
@@ -144,7 +167,7 @@ func (t *Tree) publishEmpty() error {
 	if err != nil {
 		return err
 	}
-	initLeaf(f.Data, 0)
+	t.putLeafImage(f.Data, nil)
 	if err := t.pool.Unpin(f.ID, true); err != nil {
 		return err
 	}
@@ -163,7 +186,7 @@ type Meta struct {
 	Count        int
 	Leaves       int
 	ValueSize    int
-	LeafCapacity int
+	LeafCapacity int // as configured: 0 when derived from the page size
 	KeyBits      int // as Config.KeyBits; it fixes the page layout
 }
 
@@ -177,7 +200,7 @@ func (t *Tree) Meta() Meta {
 		Count:        v.count,
 		Leaves:       v.leaves,
 		ValueSize:    t.valueSize,
-		LeafCapacity: t.leafCap,
+		LeafCapacity: t.cfgCap,
 		KeyBits:      t.keyBits,
 	}
 }
@@ -185,14 +208,12 @@ func (t *Tree) Meta() Meta {
 // Attach reattaches to an existing tree whose pages live on the
 // pool's store, using metadata captured by Meta. It validates the
 // geometry against the store's page size but does not touch any
-// pages; the first operation does.
+// pages; the first operation does. A derived capacity (0) is derived
+// again from the page size.
 func Attach(pool *disk.Pool, m Meta) (*Tree, error) {
 	t, err := newTreeShell(pool, Config{ValueSize: m.ValueSize, LeafCapacity: m.LeafCapacity, KeyBits: m.KeyBits})
 	if err != nil {
 		return nil, err
-	}
-	if m.LeafCapacity == 0 {
-		return nil, fmt.Errorf("btree: metadata missing leaf capacity")
 	}
 	if m.Root == disk.InvalidPage || m.Height < 1 || m.Count < 0 || m.Leaves < 1 {
 		return nil, fmt.Errorf("btree: implausible tree metadata %+v", m)
@@ -211,7 +232,8 @@ func (t *Tree) Height() int { return t.currentVersion().height }
 // O(vN) page-access analysis.
 func (t *Tree) LeafPages() int { return t.currentVersion().leaves }
 
-// LeafCapacity returns the configured maximum entries per leaf.
+// LeafCapacity returns the maximum entries per leaf: the configured
+// capacity, or the count cap of a derived one (see Config).
 func (t *Tree) LeafCapacity() int { return t.leafCap }
 
 // Pool returns the buffer pool the tree lives on.
@@ -242,8 +264,8 @@ func (t *Tree) copyPage(id disk.PageID, buf []byte) ([]byte, error) {
 }
 
 // searchLeaf returns the index of the first key >= k in the leaf.
-func searchLeaf(n *leafNode, k Key) int {
-	return sort.Search(len(n.keys), func(i int) bool { return !n.keys[i].Less(k) })
+func searchLeaf(n []Entry, k Key) int {
+	return sort.Search(len(n), func(i int) bool { return !n[i].Key.Less(k) })
 }
 
 // getAt looks the key up in one committed version. The caller must
@@ -329,12 +351,12 @@ func (w *cow) frame(old disk.PageID) (*disk.Frame, error) {
 // putLeaf writes the decoded leaf in place of page old (see frame) and
 // returns its id. Encoding zeroes the page first, so an image rewritten
 // in place is canonical.
-func (w *cow) putLeaf(old disk.PageID, n *leafNode) (disk.PageID, error) {
+func (w *cow) putLeaf(old disk.PageID, n []Entry) (disk.PageID, error) {
 	f, err := w.frame(old)
 	if err != nil {
 		return disk.InvalidPage, err
 	}
-	n.encode(f.Data, w.t.keyLen, w.t.valueSize)
+	w.t.putLeafImage(f.Data, n)
 	return f.ID, w.t.pool.Unpin(f.ID, true)
 }
 
@@ -450,38 +472,29 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key, value []byte) (*version, err
 		return nil, err
 	}
 	i := searchLeaf(n, k)
-	if i < len(n.keys) && n.keys[i] == k {
+	if i < len(n) && n[i].Key == k {
 		return nil, ErrDuplicateKey
 	}
-	val := make([]byte, t.valueSize)
-	copy(val, value)
-	n.keys = append(n.keys, Key{})
-	copy(n.keys[i+1:], n.keys[i:])
-	n.keys[i] = k
-	n.values = append(n.values, nil)
-	copy(n.values[i+1:], n.values[i:])
-	n.values[i] = val
+	n = slices.Insert(n, i, Entry{Key: k, Value: append(make([]byte, 0, t.valueSize), value...)})
 
 	nv := &version{seq: v.seq + 1, height: v.height, count: v.count + 1, leaves: v.leaves}
 
-	// Write the leaf (splitting if overfull), then propagate the
+	// Write the leaf (splitting it in two if it overflows its count or
+	// its page: both halves fit, see newTreeShell), then propagate the
 	// replacement — and possibly a new separator — up the path.
 	var newChild, extra disk.PageID
 	var sep []byte
-	if len(n.keys) <= t.leafCap {
+	if t.leafFits(n) {
 		if newChild, err = w.putLeaf(leafID, n); err != nil {
 			return nil, err
 		}
 	} else {
-		mid := len(n.keys) / 2
-		right := &leafNode{keys: n.keys[mid:], values: n.values[mid:]}
-		n.keys = n.keys[:mid]
-		n.values = n.values[:mid]
-		sep = t.separator(n.keys[len(n.keys)-1], right.keys[0])
-		if newChild, err = w.putLeaf(leafID, n); err != nil {
+		mid := len(n) / 2
+		sep = t.separator(n[mid-1].Key, n[mid].Key)
+		if newChild, err = w.putLeaf(leafID, n[:mid]); err != nil {
 			return nil, err
 		}
-		if extra, err = w.putLeaf(disk.InvalidPage, right); err != nil {
+		if extra, err = w.putLeaf(disk.InvalidPage, n[mid:]); err != nil {
 			return nil, err
 		}
 		nv.leaves++

@@ -8,33 +8,47 @@ import (
 	"probe/internal/zorder"
 )
 
-// TestPageGateLeafDensity pins how many points a leaf holds: a stored
-// key is the grid's z value in whole bytes plus the 8-byte id, behind
-// a 3-byte page header, and a bulk load fills every leaf. The store's
-// bytes per point follow from these two numbers, so a layout change
-// that costs density fails here before it shows in the benchmark.
+// TestPageGateLeafDensity pins how many leaves a bulk load of 50 000
+// uniform points fills, and so the store's bytes per point. A leaf
+// stores each key as its distance from the leaf's first z value and
+// smallest id, in as many bytes as the widest distance needs, behind a
+// header that holds that frame (internal/btree). A derived capacity
+// packs a leaf by bytes, up to a count cap of twice the keys that fit
+// the page at full width, less one. An explicit capacity cuts leaves by
+// count alone, as it did before keys were framed, so the paper's 20
+// points per page gives exactly its old leaves. A layout change that
+// costs density fails here before it shows in the benchmark.
 func TestPageGateLeafDensity(t *testing.T) {
 	const n, pageSize = 50000, 4096
 	for _, c := range []struct {
-		dims, bits, stride int
+		dims, bits, capacity int
+		leaves               int
 	}{
-		{2, 12, 3 + 8}, // the benchmark's grid: 372 points per leaf
-		{1, 8, 1 + 8},
-		{3, 21, 8 + 8}, // 63 bits round up to the full 8 bytes
-		{2, 32, 8 + 8}, // 255 points per leaf
+		// The benchmark's grid: 5.6 bytes of leaf per point; 135 leaves
+		// (11.1 bytes) with every key at its full 11 bytes.
+		{2, 12, 0, 68},
+		{1, 8, 0, 56},   // at the count cap of 905
+		{3, 21, 0, 123}, // 63 bits round up to the full 8 z bytes
+		{2, 32, 0, 123},
+		{2, 12, 20, 2500},
 	} {
 		g := zorder.MustGrid(c.dims, c.bits)
 		pool := disk.MustPool(disk.MustMemStore(pageSize), 64, disk.LRU)
-		ix, err := NewIndexBulk(pool, g, IndexConfig{}, workload.Uniform(g, n, 7), 0)
+		ix, err := NewIndexBulk(pool, g, IndexConfig{LeafCapacity: c.capacity}, workload.Uniform(g, n, 7), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		capacity := (pageSize - 3) / c.stride
-		if got := ix.Tree().LeafCapacity(); got != capacity {
-			t.Errorf("%v: %d points per leaf, want %d (a %d-byte page of %d-byte entries)", g, got, capacity, pageSize, c.stride)
+		keyLen := (g.TotalBits()+7)/8 + 8
+		capacity := c.capacity
+		if capacity == 0 {
+			capacity = 2*((pageSize-5-keyLen)/keyLen) - 1
 		}
-		if got, want := ix.Tree().LeafPages(), (n+capacity-1)/capacity; got != want {
-			t.Errorf("%v: %d leaves for %d points, want %d", g, got, n, want)
+		if got := ix.Tree().LeafCapacity(); got != capacity {
+			t.Errorf("%v: capacity %d, want %d", g, got, capacity)
+		}
+		if got := ix.Tree().LeafPages(); got != c.leaves {
+			t.Errorf("%v, capacity %d: %d leaves for %d points (%.2f bytes per point), want %d (%.2f)", g, c.capacity,
+				got, n, float64(got*pageSize)/n, c.leaves, float64(c.leaves*pageSize)/n)
 		}
 		if err := ix.Tree().CheckInvariants(); err != nil {
 			t.Errorf("%v: %v", g, err)

@@ -44,8 +44,10 @@ func WithPoolPages(pages int) Option {
 	return openOptionFunc(func(c *openConfig) { c.poolPages = pages })
 }
 
-// WithLeafCapacity caps points per index leaf page [derived from the
-// page size].
+// WithLeafCapacity caps points per index leaf page at a count that
+// fits the page at full key width [derived: a leaf is bounded by its
+// bytes at the width its keys need]. A durable database keeps the
+// capacity it was created with; reopening it with another is an error.
 func WithLeafCapacity(points int) Option {
 	return openOptionFunc(func(c *openConfig) { c.leafCapacity = points })
 }
