@@ -202,8 +202,9 @@ func fillPage(size int, fill byte) []byte {
 
 // runStoreSteps executes the schedule, tracking the last acknowledged
 // checkpoint state and the (at most one) checkpoint that failed after
-// possibly committing.
-func runStoreSteps(fsys *faultfs.FS, rs *disk.RecoverableStore, steps []storeStep) (acked, maybe storeModel) {
+// possibly committing. It also counts the allocations that reused a
+// page the last acknowledged checkpoint references.
+func runStoreSteps(fsys *faultfs.FS, rs *disk.RecoverableStore, steps []storeStep) (acked, maybe storeModel, ckptReused uint64) {
 	const pageSize = 128
 	live := storeModel{}
 	acked = storeModel{}
@@ -215,6 +216,9 @@ func runStoreSteps(fsys *faultfs.FS, rs *disk.RecoverableStore, steps []storeSte
 		case 0:
 			if id, err := rs.Allocate(); err == nil {
 				live[id] = fillPage(pageSize, 0)
+				if _, ok := acked[id]; ok {
+					ckptReused++
+				}
 			}
 		case 1:
 			ids := live.liveIDs()
@@ -236,8 +240,9 @@ func runStoreSteps(fsys *faultfs.FS, rs *disk.RecoverableStore, steps []storeSte
 				delete(live, id)
 			}
 		case 4:
-			// Free then allocate inside one epoch: a page of this epoch
-			// comes straight back, one a checkpoint references must not.
+			// Free then allocate inside one epoch: the freed page comes
+			// straight back, whether this epoch allocated it or a
+			// checkpoint references it.
 			ids := live.liveIDs()
 			if len(ids) == 0 {
 				continue
@@ -251,6 +256,9 @@ func runStoreSteps(fsys *faultfs.FS, rs *disk.RecoverableStore, steps []storeSte
 				continue
 			}
 			live[id] = fillPage(pageSize, 0)
+			if _, ok := acked[id]; ok {
+				ckptReused++
+			}
 			if err := rs.Write(id, fillPage(pageSize, byte(st.n))); err == nil {
 				live[id] = fillPage(pageSize, byte(st.n))
 			}
@@ -264,7 +272,7 @@ func runStoreSteps(fsys *faultfs.FS, rs *disk.RecoverableStore, steps []storeSte
 			}
 		}
 	}
-	return acked, maybe
+	return acked, maybe, ckptReused
 }
 
 func matchStoreState(rs *disk.RecoverableStore, m storeModel) error {
@@ -313,25 +321,30 @@ func recordFailureSeed(harness string, seed int64, kind string) {
 }
 
 func TestStoreCrashRecoveryProperty(t *testing.T) {
-	var reused uint64
+	var reused, ckptReused uint64
 	for seed := int64(0); seed < storeHarnessSeeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			kind, n := runOneStoreSchedule(t, seed)
+			kind, n, c := runOneStoreSchedule(t, seed)
 			reused += n
+			ckptReused += c
 			if t.Failed() {
 				recordFailureSeed("store", seed, kind)
 			}
 		})
 	}
-	if reused < storeHarnessSeeds {
-		t.Errorf("the schedules reused %d epoch-local pages: too few to test reuse", reused)
+	if local := reused - ckptReused; local < storeHarnessSeeds {
+		t.Errorf("the schedules reused %d epoch-local pages: too few to test reuse", local)
+	}
+	if ckptReused < storeHarnessSeeds {
+		t.Errorf("the schedules reused %d checkpointed pages: too few to test reuse", ckptReused)
 	}
 }
 
-// runOneStoreSchedule returns the fault kind and how many pages the
-// fault-free dry run of the schedule reused inside an epoch.
-func runOneStoreSchedule(t *testing.T, seed int64) (string, uint64) {
+// runOneStoreSchedule returns the fault kind, how many pages the
+// fault-free dry run of the schedule reused inside an epoch, and how
+// many of those the last checkpoint referenced.
+func runOneStoreSchedule(t *testing.T, seed int64) (string, uint64, uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	steps := genStoreSteps(rng)
 
@@ -342,7 +355,7 @@ func runOneStoreSchedule(t *testing.T, seed int64) (string, uint64) {
 		t.Fatal(err)
 	}
 	dry.Arm(faultfs.Plan{}) // reset the op counter; no faults
-	runStoreSteps(dry, rs, steps)
+	_, _, ckptReused := runStoreSteps(dry, rs, steps)
 	w := dry.Ops()
 	if w == 0 {
 		t.Fatal("schedule performed no write operations")
@@ -357,7 +370,7 @@ func runOneStoreSchedule(t *testing.T, seed int64) (string, uint64) {
 		t.Fatal(err)
 	}
 	fsys.Arm(plan)
-	acked, maybe := runStoreSteps(fsys, rs2, steps)
+	acked, maybe, _ := runStoreSteps(fsys, rs2, steps)
 
 	// Crash (or stop) and recover.
 	img := fsys.CrashImage()
@@ -365,7 +378,7 @@ func runOneStoreSchedule(t *testing.T, seed int64) (string, uint64) {
 	if err != nil {
 		var ce *disk.ChecksumError
 		if kind == "flip" && errors.As(err, &ce) {
-			return kind, reused // a detected double fault: corruption refused
+			return kind, reused, ckptReused // a detected double fault: corruption refused
 		}
 		t.Fatalf("kind=%s: recovery failed: %v", kind, err)
 	}
@@ -403,5 +416,5 @@ func runOneStoreSchedule(t *testing.T, seed int64) (string, uint64) {
 		}
 		rec2.Close()
 	}
-	return kind, reused
+	return kind, reused, ckptReused
 }

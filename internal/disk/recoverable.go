@@ -22,10 +22,10 @@ import (
 //  4. durably stamp the superblock's checkpoint LSN;
 //  5. reset the WAL and clear the delta.
 //
-// A page allocated since the last checkpoint is private to this epoch:
-// its slot carries only the LSN-0 allocation stamp and nothing durable
-// references it, so once freed it is reused before the file grows. A
-// page the last checkpoint references waits for the next one.
+// A page freed since the last checkpoint is reused before the file
+// grows, whether or not the last checkpoint references it: reuse only
+// logs and fills the delta, so until the next commit the slot still
+// holds what the last checkpoint left there.
 //
 // A crash before step 1's fsync loses at most the un-checkpointed
 // delta: the page file still holds the previous checkpoint exactly. A
@@ -47,9 +47,8 @@ type RecoverableStore struct {
 	fs          *FileStore
 	wal         *WAL
 	dirty       map[PageID]*dirtyPage
-	pendingFree map[PageID]uint64   // freed page -> LSN of its free record
-	epochPages  map[PageID]struct{} // allocated since the last checkpoint
-	reusable    []PageID            // epochPages members in pendingFree
+	pendingFree map[PageID]uint64 // freed page -> LSN of its free record
+	reusable    []PageID          // pendingFree's members, in free order
 	lsn         uint64
 	failed      error
 	stats       IOStats
@@ -132,7 +131,6 @@ func newRecoverable(fs *FileStore, wal *WAL) *RecoverableStore {
 		wal:         wal,
 		dirty:       make(map[PageID]*dirtyPage),
 		pendingFree: make(map[PageID]uint64),
-		epochPages:  make(map[PageID]struct{}),
 		lsn:         fs.MaxLSN(),
 	}
 }
@@ -365,9 +363,10 @@ func (s *RecoverableStore) fail(err error) error {
 func (s *RecoverableStore) PageSize() int { return s.fs.PageSize() }
 
 // Allocate implements Store. The allocation is logged; the zero page
-// joins the delta so the next checkpoint materializes it. A page freed
-// earlier in this epoch is taken first: its slot is already stamped, so
-// reuse costs one log record, and replay folds alloc, free, alloc.
+// joins the delta so the next checkpoint materializes it. The page
+// freed last in this epoch is taken first: its slot is left as it is,
+// so reuse costs one log record, and replay folds free, alloc and any
+// images after them to the last image.
 func (s *RecoverableStore) Allocate() (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -388,7 +387,6 @@ func (s *RecoverableStore) Allocate() (PageID, error) {
 			// state now.
 			return InvalidPage, s.fail(err)
 		}
-		s.epochPages[id] = struct{}{}
 	}
 	s.lsn++
 	if err := s.wal.Append(WALRecord{Kind: RecAlloc, Page: id, LSN: s.lsn}); err != nil {
@@ -468,8 +466,8 @@ func (s *RecoverableStore) Write(id PageID, buf []byte) error {
 // Free implements Store. The free is logged and deferred: the page
 // file slot keeps its last checkpointed contents until the next
 // checkpoint commits, so a crash cannot destroy state the previous
-// checkpoint still references. A page allocated in this epoch has no
-// such state and becomes reusable by Allocate at once.
+// checkpoint still references. Allocate may hand the page out again at
+// once: reuse does not touch the slot either.
 func (s *RecoverableStore) Free(id PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -490,9 +488,7 @@ func (s *RecoverableStore) Free(id PageID) error {
 	s.span.Inc(obs.WALAppends)
 	delete(s.dirty, id)
 	s.pendingFree[id] = s.lsn
-	if _, ok := s.epochPages[id]; ok {
-		s.reusable = append(s.reusable, id)
-	}
+	s.reusable = append(s.reusable, id)
 	s.stats.Frees++
 	return nil
 }
@@ -571,7 +567,6 @@ func (s *RecoverableStore) Checkpoint() error {
 	}
 	s.dirty = make(map[PageID]*dirtyPage)
 	s.pendingFree = make(map[PageID]uint64)
-	clear(s.epochPages)
 	s.reusable = s.reusable[:0]
 	s.checkpoints++
 	if s.ckptHook != nil {

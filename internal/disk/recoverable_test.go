@@ -302,12 +302,12 @@ func TestRecoverableIdempotentRecover(t *testing.T) {
 	}
 }
 
-// TestRecoverableReusesEpochLocalPages pins the reuse rule: a page
-// allocated and freed inside one checkpoint epoch comes straight back
-// from Allocate without growing the page file, while a page the last
-// checkpoint references keeps its slot until the checkpoint that frees
-// it commits.
-func TestRecoverableReusesEpochLocalPages(t *testing.T) {
+// TestRecoverableReusesFreedPages pins the reuse rule: a page freed
+// inside a checkpoint epoch comes straight back from Allocate without
+// growing the page file, whether the epoch allocated it or the last
+// checkpoint references it. The reuse leaves the slot alone until the
+// commit, so a crash before it recovers the checkpointed image.
+func TestRecoverableReusesFreedPages(t *testing.T) {
 	fsys := faultfs.New()
 	rs, err := disk.CreateRecoverableStore(fsys, "db", 128)
 	if err != nil {
@@ -363,18 +363,29 @@ func TestRecoverableReusesEpochLocalPages(t *testing.T) {
 		t.Fatalf("stats after one reuse: %+v", ds)
 	}
 
-	// The checkpointed page: freed in this epoch, it is not handed out.
+	// The checkpointed page: freed in this epoch, it comes back too, and
+	// the file still does not grow.
 	if err := rs.Free(old); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := rs.Allocate()
-	if err != nil {
+	if again, err := rs.Allocate(); err != nil || again != old {
+		t.Fatalf("Allocate after freeing checkpointed page %d returned %d (%v)", old, again, err)
+	}
+	if now, _, _ := fsys.Stat("db"); now != size {
+		t.Fatalf("reuse of a checkpointed page grew the page file from %d to %d bytes", size, now)
+	}
+	if err := rs.Read(old, buf); err != nil || !bytes.Equal(buf, page(128, 0)) {
+		t.Fatalf("reused checkpointed page does not read back zeroed: %v %q", err, buf[:4])
+	}
+	if err := rs.Write(old, page(128, 'n')); err != nil {
 		t.Fatal(err)
 	}
-	if fresh == old {
-		t.Fatalf("page %d, which the last checkpoint references, was reused before the next one", old)
+	if ds := rs.DurabilityStats(); ds.PagesReused != 2 || ds.FilePages != 2 || ds.LivePages != 2 {
+		t.Fatalf("stats after two reuses: %+v", ds)
 	}
-	// A crash before the commit fsync recovers it, and only it.
+
+	// A crash before the commit fsync recovers the checkpoint: the slot
+	// still holds the old image, and only that page.
 	rec, _, err := disk.RecoverStore(fsys.CrashImage(), "db")
 	if err != nil {
 		t.Fatal(err)
@@ -384,9 +395,7 @@ func TestRecoverableReusesEpochLocalPages(t *testing.T) {
 	}
 	rec.Close()
 
-	// After the commit the reused page holds its last image, the freed
-	// one is gone, and the epoch's set is cleared: a page allocated
-	// before the checkpoint is no longer reusable at once.
+	// After the commit each reused page holds its last image.
 	if err := rs.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -395,16 +404,13 @@ func TestRecoverableReusesEpochLocalPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	if err := rec.Read(a, buf); err != nil || buf[0] != 'b' || rec.NumPages() != 2 {
-		t.Fatalf("after the checkpoint: page %d reads %q (%v), %d pages", a, buf[:4], err, rec.NumPages())
+	if rec.NumPages() != 2 {
+		t.Fatalf("after the checkpoint: %d pages, want 2", rec.NumPages())
 	}
-	if err := rec.Read(old, buf); err == nil {
-		t.Fatal("committed-freed page still readable")
+	if err := rec.Read(old, buf); err != nil || buf[0] != 'n' {
+		t.Fatalf("after the checkpoint: page %d reads %q (%v)", old, buf[:4], err)
 	}
-	if err := rs.Free(a); err != nil {
-		t.Fatal(err)
-	}
-	if id, err := rs.Allocate(); err != nil || id == a {
-		t.Fatalf("page %d of a checkpointed epoch was reused before the next checkpoint (%v)", a, err)
+	if err := rec.Read(a, buf); err != nil || buf[0] != 'b' {
+		t.Fatalf("after the checkpoint: page %d reads %q (%v)", a, buf[:4], err)
 	}
 }

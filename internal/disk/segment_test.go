@@ -90,7 +90,8 @@ func TestSegmentShippingConverges(t *testing.T) {
 	if err := rs.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Batch 2: overwrite one, free one, allocate a new one.
+	// Batch 2: overwrite one, free one, allocate a new one, which takes
+	// the checkpointed page just freed and ships as its image only.
 	if err := rs.Write(ids[0], page(128, 'Z')); err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +102,9 @@ func TestSegmentShippingConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if id4 != ids[2] {
+		t.Fatalf("checkpointed page %d not reused: got %d", ids[2], id4)
+	}
 	if err := rs.Write(id4, page(128, 'Q')); err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +112,8 @@ func TestSegmentShippingConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Batch 3: a page allocated, freed and reused inside the epoch
-	// ships as its last image only (it takes the slot batch 2 freed);
-	// a checkpointed page is freed beside it.
-	if err := rs.Free(ids[1]); err != nil {
-		t.Fatal(err)
-	}
+	// ships as its last image only; a checkpointed page is freed after
+	// the last allocation, so it is not reused and ships as a free.
 	id5, err := rs.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -127,6 +128,9 @@ func TestSegmentShippingConverges(t *testing.T) {
 		t.Fatalf("epoch-local page %d not reused: got %d, %v", id5, again, err)
 	}
 	if err := rs.Write(id5, page(128, 'R')); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Free(ids[1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := rs.Checkpoint(); err != nil {
@@ -180,6 +184,9 @@ func TestSegmentShippingConverges(t *testing.T) {
 	}
 	if err := fs2.Read(ids[1], buf); err == nil {
 		t.Fatal("replica still serves the freed page")
+	}
+	if err := fs2.Read(id4, buf); err != nil || buf[0] != 'Q' {
+		t.Fatalf("replica read of the reused checkpointed page: %v, buf[0]=%c", err, buf[0])
 	}
 	if err := fs2.Read(id5, buf); err != nil || buf[0] != 'R' {
 		t.Fatalf("replica read of the reused page: %v, buf[0]=%c", err, buf[0])
