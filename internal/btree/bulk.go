@@ -132,20 +132,9 @@ func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, er
 // before, or joins it when the two hold fewer than 2*minLeaf.
 func (t *Tree) packLeaves(entries []Entry, fill float64) []int {
 	maxCount, maxBytes := int(fill*float64(t.leafCap)), int(fill*float64(t.pageSize))
-	drop := zDrop(t.keyLen)
 	var sizes []int
 	for pos := 0; pos < len(entries); {
-		first := entries[pos].Key
-		lo, hi, n := first.Lo, first.Lo, 1
-		for ; pos+n < len(entries); n++ {
-			// Keys ascend, so the newest z is the farthest from the first.
-			k := entries[pos+n].Key
-			f := leafFrame{zw: bytesFor(k.Hi>>drop - first.Hi>>drop), iw: bytesFor(max(hi, k.Lo) - min(lo, k.Lo))}
-			if n >= t.minLeaf && (n+1 > maxCount || leafBytes(n+1, f, t.keyLen, t.valueSize) > maxBytes) {
-				break
-			}
-			lo, hi = min(lo, k.Lo), max(hi, k.Lo)
-		}
+		n := min(max(t.fitSpan(entries[pos:], +1, maxCount, maxBytes), t.minLeaf), len(entries)-pos)
 		sizes = append(sizes, n)
 		pos += n
 	}

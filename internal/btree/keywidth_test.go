@@ -153,9 +153,11 @@ func TestKeyWidthRejectsStoredKey(t *testing.T) {
 }
 
 // TestFrameWidening: on a derived capacity, a key that needs a wider
-// frame than its leaf has splits the leaf by bytes, under its count
-// cap, into two halves that fit; deletes then borrow and merge between
-// leaves whose frames differ. The invariants hold throughout.
+// frame than its leaf has overflows the leaf by bytes, under its count
+// cap. The leaf shares with its sibling: the pair is redistributed or
+// split three ways, and only the piece holding the wide key takes the
+// wide frame. Deletes then borrow and merge between leaves whose
+// frames differ. The invariants hold throughout.
 func TestFrameWidening(t *testing.T) {
 	pool := disk.MustPool(disk.MustMemStore(512), 1024, disk.LRU)
 	var es []Entry
@@ -200,28 +202,52 @@ func TestFrameWidening(t *testing.T) {
 	}
 
 	// An id from 2^40 up, second in each full leaf: 72 keys in a frame
-	// of 7 or 8 bytes overflow the page, not the count cap.
+	// of 8 bytes overflow the page, not the count cap. Only a leaf
+	// holding a wide id may have a wide id frame; every other leaf
+	// keeps 1-byte id deltas.
+	wide := func(k Key) bool { return k.Lo >= 1<<40 }
+	shares, threeWays := 0, 0
 	for j, k := range firsts {
-		n, leaves := leafOf(k).count, tree.LeafPages()
-		wide := Key{Hi: k.Hi, Lo: 1<<40 + uint64(j)}
-		if err := tree.Insert(wide, nil); err != nil {
+		leaves := tree.LeafPages()
+		w := Key{Hi: k.Hi, Lo: 1<<40 + uint64(j)}
+		if err := tree.Insert(w, nil); err != nil {
 			t.Fatal(err)
 		}
-		if n+1 > tree.leafCap || tree.LeafPages() != leaves+1 {
-			t.Fatalf("a leaf of %d keys took a wide id: %d leaves became %d", n, leaves, tree.LeafPages())
+		switch tree.LeafPages() - leaves {
+		case 0:
+			shares++
+		case 1:
+			threeWays++
+		default:
+			t.Fatalf("a wide id took %d leaves to %d", leaves, tree.LeafPages())
 		}
-		if p := leafOf(wide); p.frame.iw < 5 || p.count != (n+1)/2 {
-			t.Fatalf("the half holding %v has frame %+v and %d keys", wide, p.frame, p.count)
+		if p := leafOf(w); p.frame.iw < 5 {
+			t.Fatalf("the piece holding %v has frame %+v", w, p.frame)
 		}
-		if p := leafOf(Key{Hi: k.Hi + 70*5<<40}); p.frame.iw != 1 {
-			t.Fatalf("the half after %v has frame %+v", wide, p.frame)
+		c := tree.Cursor()
+		holds := false
+		for ok, err := c.First(); ok || err != nil; ok, err = c.Next() {
+			if err != nil {
+				t.Fatal(err)
+			}
+			holds = holds && c.pos > 0 || wide(c.Key())
+			if c.pos == c.leaf.count-1 && !holds && c.leaf.frame.iw != 1 {
+				t.Fatalf("after %d wide ids, a leaf of no wide id has frame %+v", j+1, c.leaf.frame)
+			}
 		}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("%d pairs redistributed, %d split three ways", shares, threeWays)
+	if shares == 0 || threeWays == 0 {
+		t.Errorf("%d pairs redistributed and %d split three ways", shares, threeWays)
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The halves alternate wide and 1-byte id frames. Deleting the small
+	// Leaves alternate wide and 1-byte id frames. Deleting the small
 	// ids in order underflows the first leaf again and again: it
 	// borrows from its right sibling until that one cannot lend, then
 	// the two merge.

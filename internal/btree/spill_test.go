@@ -1,0 +1,336 @@
+package btree
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"probe/internal/disk"
+)
+
+// TestExplicitCapacityShapes pins the leaves a seeded mix of inserts,
+// deletes and batches leaves at each explicit capacity: the hash of
+// every leaf's first key and count. An explicit capacity cuts leaves
+// by count alone and splits a full one in half, whatever frames its
+// keys need, so the paper's 20 points per page give its old leaves.
+// The constants were recorded before derived capacities learned to
+// share a full leaf with its neighbour; they must not move.
+func TestExplicitCapacityShapes(t *testing.T) {
+	want := map[int]uint64{
+		2:  0x81ef7d4389eee413, // 1 866 leaves
+		3:  0x09568b9289c141ee, // 1 337
+		4:  0x3135542cc2e439b6, // 866
+		8:  0xe5d7ee5f270e2a05, // 448
+		20: 0x21a6939e2a04e329, // 181
+	}
+	for _, capacity := range []int{2, 3, 4, 8, 20} {
+		tree := newTestTree(t, 512, capacity, 0, 256)
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		stored := map[Key]bool{}
+		var keys []Key
+		// Ids of mixed widths give neighbouring leaves different frames.
+		fresh := func() Key {
+			for {
+				k := Key{Hi: rng.Uint64() >> uint(rng.Intn(40)), Lo: rng.Uint64() >> uint(8*rng.Intn(8))}
+				if !stored[k] {
+					return k
+				}
+			}
+		}
+		add := func(k Key) { stored[k] = true; keys = append(keys, k) }
+		pick := func() Key {
+			i := rng.Intn(len(keys))
+			k := keys[i]
+			keys[i] = keys[len(keys)-1]
+			keys = keys[:len(keys)-1]
+			delete(stored, k)
+			return k
+		}
+		for step := 0; step < 6000; step++ {
+			switch r := rng.Intn(10); {
+			case r < 6 || len(keys) < 16:
+				k := fresh()
+				if err := tree.Insert(k, nil); err != nil {
+					t.Fatal(err)
+				}
+				add(k)
+			case r < 8:
+				k := pick()
+				if ok, err := tree.Delete(k); !ok || err != nil {
+					t.Fatalf("Delete(%v) = %v, %v", k, ok, err)
+				}
+			default:
+				var muts []Mutation
+				var added []Key
+				for j := rng.Intn(8) + 1; j > 0; j-- {
+					if rng.Intn(2) == 0 {
+						muts = append(muts, Mutation{Key: pick(), Delete: true})
+					} else {
+						k := fresh()
+						stored[k] = true
+						added = append(added, k)
+						muts = append(muts, Mutation{Key: k})
+					}
+				}
+				if err := tree.CommitBatch(tree.MVCCStats().Seq, muts); err != nil {
+					t.Fatal(err)
+				}
+				keys = append(keys, added...)
+			}
+			if step%1000 == 999 {
+				if err := tree.CheckInvariants(); err != nil {
+					t.Fatalf("capacity %d, step %d: %v", capacity, step, err)
+				}
+			}
+		}
+		if tree.Len() != len(keys) {
+			t.Fatalf("capacity %d: %d entries, want %d", capacity, tree.Len(), len(keys))
+		}
+		h := fnv.New64a()
+		var b [20]byte
+		c := tree.Cursor()
+		for ok, err := c.First(); ok || err != nil; ok, err = c.Next() {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.pos == 0 {
+				k := c.Key()
+				binary.BigEndian.PutUint64(b[:8], k.Hi)
+				binary.BigEndian.PutUint64(b[8:16], k.Lo)
+				binary.BigEndian.PutUint32(b[16:], uint32(c.leaf.count))
+				h.Write(b[:])
+			}
+		}
+		if got := h.Sum64(); got != want[capacity] {
+			t.Errorf("capacity %d: %d leaves hash to %#x, want %#x", capacity, tree.LeafPages(), got, want[capacity])
+		}
+	}
+}
+
+// leafCounts returns the entry count of each leaf, in key order.
+func leafCounts(t *testing.T, tree *Tree) []int {
+	t.Helper()
+	var counts []int
+	c := tree.Cursor()
+	for ok, err := c.First(); ok || err != nil; ok, err = c.Next() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.pos == 0 {
+			counts = append(counts, c.leaf.count)
+		}
+	}
+	return counts
+}
+
+// pageImages copies every page of the snapshot's version, by id.
+func pageImages(t *testing.T, s *Snapshot) map[disk.PageID][]byte {
+	t.Helper()
+	images := map[disk.PageID][]byte{}
+	for ids := []disk.PageID{s.v.root}; len(ids) > 0; {
+		id := ids[len(ids)-1]
+		ids = ids[:len(ids)-1]
+		data, err := s.t.copyPage(id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		images[id] = data
+		if nodeType(data[0]) == internalType {
+			p, err := viewInternal(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < p.children(); i++ {
+				ids = append(ids, p.child(i))
+			}
+		}
+	}
+	return images
+}
+
+// spillInsert inserts k into a tree of two leaves with a snapshot
+// pinned, and checks that the snapshot's pages did not move: the
+// sibling a full leaf shares with is copy-on-write too. It returns the
+// leaf counts before and after.
+func spillInsert(t *testing.T, tree *Tree, k Key) (before, after []int) {
+	t.Helper()
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	before = leafCounts(t, tree)
+	s := tree.Snapshot()
+	defer s.Release()
+	images := pageImages(t, s)
+	if err := tree.Insert(k, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pageImages(t, s), images) {
+		t.Error("the insert rewrote a page of the pinned snapshot")
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	after = leafCounts(t, tree)
+	for _, n := range after {
+		if n < tree.minLeaf {
+			t.Errorf("a leaf of %d entries, under minLeaf %d: %v", n, tree.minLeaf, after)
+		}
+	}
+	return before, after
+}
+
+// loadSpillTree bulk-loads keys Hi(i), Lo(i) for i < n at the fill on
+// 512-byte pages at a derived capacity.
+func loadSpillTree(t *testing.T, keyBits, n int, fill float64, hi, lo func(i int) uint64) *Tree {
+	t.Helper()
+	es := make([]Entry, n)
+	for i := range es {
+		es[i].Key = Key{Hi: hi(i), Lo: lo(i)}
+	}
+	tree, err := Load(disk.MustPool(disk.MustMemStore(512), 256, disk.LRU), Config{KeyBits: keyBits}, es, fill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// TestLeafSpill: at a derived capacity a leaf that overflows shares
+// with its sibling before it splits. On a 512-byte page an 11-byte key
+// gives minCap 45, a count cap of 89 and minLeaf 22; a 16-byte key
+// gives 30, 59 and 15.
+func TestLeafSpill(t *testing.T) {
+	step := func(i int) uint64 { return uint64(4*i) << 40 }
+	id := func(i int) uint64 { return uint64(i) }
+
+	t.Run("redistribute", func(t *testing.T) {
+		// Two leaves of 44; the right one fills to its count cap with
+		// inserts, then overflows into its left sibling.
+		tree := loadSpillTree(t, 24, 88, 0.5, step, id)
+		for j := 0; j < 45; j++ {
+			if err := tree.Insert(Key{Hi: step(44+j) + 1<<40, Lo: uint64(1000 + j)}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before, after := spillInsert(t, tree, Key{Hi: step(44+45) + 1<<40, Lo: 1045})
+		if !reflect.DeepEqual(before, []int{44, 89}) || !reflect.DeepEqual(after, []int{67, 67}) {
+			t.Fatalf("leaves %v became %v, want [44 89] to become [67 67]", before, after)
+		}
+		// The root's one separator lies between the two pieces.
+		data, err := tree.copyPage(tree.currentVersion().root, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := viewInternal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sep, _, err := p.sepAt(p.firstSep())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a, b [encodedKeyLen]byte
+		c := tree.Cursor()
+		if ok, err := c.First(); !ok || err != nil {
+			t.Fatal(ok, err)
+		}
+		for i := 1; i < 67; i++ {
+			c.Next()
+		}
+		leftMax := c.Key()
+		c.Next()
+		if l, r := tree.encodeKey(leftMax, &a), tree.encodeKey(c.Key(), &b); sepCompare(l, sep) >= 0 || sepCompare(sep, r) > 0 {
+			t.Errorf("separator %x is not between %x and %x", sep, l, r)
+		}
+	})
+
+	t.Run("split three ways", func(t *testing.T) {
+		// Two full leaves: the pair cannot fit two, so it becomes three.
+		tree := loadSpillTree(t, 24, 178, 1, step, id)
+		before, after := spillInsert(t, tree, Key{Hi: step(10) + 1<<40, Lo: 5000})
+		if !reflect.DeepEqual(before, []int{89, 89}) || !reflect.DeepEqual(after, []int{59, 60, 60}) {
+			t.Fatalf("leaves %v became %v, want [89 89] to become [59 60 60]", before, after)
+		}
+	})
+
+	t.Run("no cut fits", func(t *testing.T) {
+		// 16-byte keys. The left leaf's z values are small, the right
+		// one's start at 2^62, and a wide id lands in the left leaf: any
+		// middle third spans both z ranges and the wide id, 16 bytes an
+		// entry, and no two leaves hold the pair. The full leaf splits
+		// alone and its sibling keeps its page.
+		tree := loadSpillTree(t, 0, 118, 1, func(i int) uint64 {
+			if i < 59 {
+				return uint64(i)
+			}
+			return 1<<62 + uint64(i)
+		}, id)
+		sibling := func() disk.PageID {
+			c := tree.Cursor()
+			if ok, err := c.SeekGE(Key{Hi: 1 << 62}); !ok || err != nil {
+				t.Fatal(ok, err)
+			}
+			return c.LeafID()
+		}
+		was := sibling()
+		before, after := spillInsert(t, tree, Key{Hi: 50, Lo: 1 << 62})
+		if !reflect.DeepEqual(before, []int{59, 59}) || !reflect.DeepEqual(after, []int{30, 30, 59}) {
+			t.Fatalf("leaves %v became %v, want [59 59] to become [30 30 59]", before, after)
+		}
+		if got := sibling(); got != was {
+			t.Errorf("the sibling moved from page %d to %d", was, got)
+		}
+	})
+
+	t.Run("batches", func(t *testing.T) {
+		// Batches of inserts and deletes, ids narrow and wide, spill into
+		// pages the same batch already rewrote.
+		tree := loadSpillTree(t, 24, 2000, 1, func(i int) uint64 { return uint64(i) << 44 }, id)
+		rng := rand.New(rand.NewSource(31))
+		ref := map[Key]bool{}
+		var keys []Key
+		for i := 0; i < 2000; i++ {
+			keys = append(keys, Key{Hi: uint64(i) << 44, Lo: uint64(i)})
+			ref[keys[i]] = true
+		}
+		for b := 0; b < 300; b++ {
+			var muts []Mutation
+			for j := 0; j < 8; j++ {
+				k := Key{Hi: rng.Uint64() >> 40 << 40, Lo: uint64(rng.Intn(4000))}
+				if rng.Intn(4) == 0 {
+					k.Lo += 1 << uint(20+rng.Intn(40))
+				}
+				if !ref[k] {
+					ref[k] = true
+					keys = append(keys, k)
+					muts = append(muts, Mutation{Key: k})
+				}
+			}
+			for j := rng.Intn(3); j > 0; j-- {
+				i := rng.Intn(len(keys))
+				k := keys[i]
+				keys[i], keys = keys[len(keys)-1], keys[:len(keys)-1]
+				delete(ref, k)
+				muts = append(muts, Mutation{Key: k, Delete: true})
+			}
+			if err := tree.CommitBatch(tree.MVCCStats().Seq, muts); err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.CheckInvariants(); err != nil {
+				t.Fatalf("batch %d: %v", b, err)
+			}
+		}
+		if tree.Len() != len(ref) {
+			t.Fatalf("%d entries, want %d", tree.Len(), len(ref))
+		}
+		for k := range ref {
+			if _, ok, err := tree.Get(k); !ok || err != nil {
+				t.Fatalf("Get(%v) = %v, %v", k, ok, err)
+			}
+		}
+	})
+}

@@ -16,8 +16,11 @@ type Config struct {
 	// LeafCapacity is the maximum number of entries per leaf, at most
 	// what fits the page at the widest frame (node.go). Zero derives
 	// the capacity from the page: a leaf is then bounded by its bytes,
-	// at the frame its keys need, and by twice that count less one. The
-	// paper's experiments use 20.
+	// at the frame its keys need, and by twice that count less one, and
+	// a full leaf shares with its neighbour before it splits (splitLeaf).
+	// An explicit capacity splits a full leaf in half, so it gives the
+	// same leaves whatever frames the keys need. The paper's experiments
+	// use 20.
 	LeafCapacity int
 	// KeyBits is how many leading bits of Key.Hi a stored key may set;
 	// zero means all 64. The tree stores only the bytes of Hi those
@@ -100,7 +103,8 @@ func newTreeShell(pool *disk.Pool, cfg Config) (*Tree, error) {
 		// A leaf of minLeaf entries fits at any frame. So does a merge of
 		// an underfull leaf into one that cannot lend (at most
 		// 2*minLeaf-1 entries), and each half of a leaf that overflows
-		// its count or its page (minCap+1 to 2*minCap entries).
+		// its count or its page (minCap+1 to 2*minCap entries): the split
+		// that is left when the leaf cannot share with its neighbour.
 		leafCap, minLeaf = 2*minCap-1, minCap/2
 	} else if leafCap < 2 || leafCap > minCap {
 		return nil, fmt.Errorf("btree: leaf capacity %d outside [2,%d]", leafCapacity, minCap)
@@ -116,11 +120,39 @@ func newTreeShell(pool *disk.Pool, cfg Config) (*Tree, error) {
 		leafCap: leafCap, minLeaf: minLeaf, cfgCap: leafCapacity, fanout: fanout}, nil
 }
 
-// leafFits reports whether es may be one leaf: at most leafCap entries
-// in an image, at their canonical frame, no larger than the page. At
-// an explicit capacity the image always fits.
-func (t *Tree) leafFits(es []Entry) bool {
-	return len(es) <= t.leafCap && leafBytes(len(es), frameOf(es, t.keyLen), t.keyLen, t.valueSize) <= t.pageSize
+// fitLeaf returns the canonical frame of a leaf holding es and whether
+// es may be one leaf: at most leafCap entries in an image, at that
+// frame, no larger than the page. At an explicit capacity the image
+// always fits.
+func (t *Tree) fitLeaf(es []Entry) (leafFrame, bool) {
+	f := frameOf(es, t.keyLen)
+	return f, len(es) <= t.leafCap && leafBytes(len(es), f, t.keyLen, t.valueSize) <= t.pageSize
+}
+
+// fitSpan returns the length of the longest run of es, taken from its
+// front (step +1) or its back (step -1), of at most maxCount entries
+// whose image at its canonical frame is at most maxBytes; es is not
+// empty. Keys ascend, so a run's z delta is its last z less its first
+// and the running id bounds give its id width: one pass finds every
+// run's frame.
+func (t *Tree) fitSpan(es []Entry, step, maxCount, maxBytes int) int {
+	drop, i := zDrop(t.keyLen), 0
+	if step < 0 {
+		i = len(es) - 1
+	}
+	z, lo, hi := es[i].Key.Hi>>drop, es[i].Key.Lo, es[i].Key.Lo
+	for n := 1; n < len(es); n++ {
+		k := es[i+n*step].Key
+		dz := k.Hi>>drop - z
+		if step < 0 {
+			dz = -dz
+		}
+		lo, hi = min(lo, k.Lo), max(hi, k.Lo)
+		if n+1 > maxCount || leafBytes(n+1, leafFrame{zw: bytesFor(dz), iw: bytesFor(hi - lo)}, t.keyLen, t.valueSize) > maxBytes {
+			return n
+		}
+	}
+	return len(es)
 }
 
 // putLeafImage makes data the canonical image of a leaf holding es.
@@ -351,13 +383,18 @@ func (w *cow) frame(old disk.PageID) (*disk.Frame, error) {
 // putLeaf writes the decoded leaf in place of page old (see frame) and
 // returns its id. Encoding zeroes the page first, so an image rewritten
 // in place is canonical.
-func (w *cow) putLeaf(old disk.PageID, n []Entry) (disk.PageID, error) {
-	f, err := w.frame(old)
+func (w *cow) putLeaf(old disk.PageID, es []Entry) (disk.PageID, error) {
+	return w.putLeafIn(old, es, frameOf(es, w.t.keyLen))
+}
+
+// putLeafIn is putLeaf for a leaf whose canonical frame f is known.
+func (w *cow) putLeafIn(old disk.PageID, es []Entry, f leafFrame) (disk.PageID, error) {
+	fr, err := w.frame(old)
 	if err != nil {
 		return disk.InvalidPage, err
 	}
-	w.t.putLeafImage(f.Data, n)
-	return f.ID, w.t.pool.Unpin(f.ID, true)
+	encodeLeaf(fr.Data, es, f, w.t.keyLen, w.t.valueSize)
+	return fr.ID, w.t.pool.Unpin(fr.ID, true)
 }
 
 // putInternal is putLeaf for a decoded internal node.
@@ -478,76 +515,112 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key, value []byte) (*version, err
 	n = slices.Insert(n, i, Entry{Key: k, Value: append(make([]byte, 0, t.valueSize), value...)})
 
 	nv := &version{seq: v.seq + 1, height: v.height, count: v.count + 1, leaves: v.leaves}
-
-	// Write the leaf (splitting it in two if it overflows its count or
-	// its page: both halves fit, see newTreeShell), then propagate the
-	// replacement — and possibly a new separator — up the path.
-	var newChild, extra disk.PageID
-	var sep []byte
-	if t.leafFits(n) {
-		if newChild, err = w.putLeaf(leafID, n); err != nil {
+	if f, ok := t.fitLeaf(n); ok {
+		id, err := w.putLeafIn(leafID, n, f)
+		if err != nil {
 			return nil, err
 		}
-	} else {
-		mid := len(n) / 2
-		sep = t.separator(n[mid-1].Key, n[mid].Key)
-		if newChild, err = w.putLeaf(leafID, n[:mid]); err != nil {
-			return nil, err
-		}
-		if extra, err = w.putLeaf(disk.InvalidPage, n[mid:]); err != nil {
-			return nil, err
-		}
-		nv.leaves++
+		nv.root, err = t.replaceUpward(w, path, len(path)-1, id)
+		return nv, err
 	}
-
-	for li := len(path) - 1; li >= 0; li-- {
-		pn := path[li].n
-		if extra == disk.InvalidPage && pn.children[path[li].child] == newChild {
-			// The child was rewritten in place and gained no sibling:
-			// this level and those above already describe the tree.
-			nv.root = v.root
-			return nv, nil
-		}
-		pn.children[path[li].child] = newChild
-		if extra != disk.InvalidPage {
-			pn.insertAt(path[li].child, sep, extra)
-			extra, sep = disk.InvalidPage, nil
-		}
-		if len(pn.children) > t.fanout {
-			// Split the internal node; the middle separator is
-			// promoted.
-			mid := len(pn.seps) / 2
-			promoted := pn.seps[mid]
-			right := &internalNode{
-				children: append([]disk.PageID(nil), pn.children[mid+1:]...),
-				seps:     append([][]byte(nil), pn.seps[mid+1:]...),
-			}
-			pn.children = pn.children[:mid+1]
-			pn.seps = pn.seps[:mid]
-			if newChild, err = w.putInternal(path[li].id, pn); err != nil {
-				return nil, err
-			}
-			if extra, err = w.putInternal(disk.InvalidPage, right); err != nil {
-				return nil, err
-			}
-			sep = promoted
-		} else if newChild, err = w.putInternal(path[li].id, pn); err != nil {
-			return nil, err
-		}
-	}
-
-	root := newChild
-	if extra != disk.InvalidPage {
-		// The root itself split: grow a new root.
-		newRoot := &internalNode{
-			children: []disk.PageID{newChild, extra},
-			seps:     [][]byte{sep},
-		}
-		if root, err = w.putInternal(disk.InvalidPage, newRoot); err != nil {
-			return nil, err
-		}
+	// The leaf overflows its count or its page. A root leaf first gets
+	// a new root above it, so that every split has a parent to edit.
+	if len(path) == 0 {
+		path = []cowLevel{{n: &internalNode{children: []disk.PageID{leafID}}, id: disk.InvalidPage}}
 		nv.height++
 	}
-	nv.root = root
-	return nv, nil
+	pi := len(path) - 1
+	if err := t.splitLeaf(w, nv, path[pi].n, path[pi].child, n); err != nil {
+		return nil, err
+	}
+	nv.root, err = t.splitUpward(w, nv, path, pi)
+	return nv, err
+}
+
+// splitLeaf writes n, the leaf at child ci of parent, which overflows
+// its count or its page, as two or three leaves, and edits the parent
+// to match. A derived-capacity leaf first shares with its sibling on
+// side mergeSide(ci), as a B*-tree does: the pair is redistributed at
+// the fitting cut nearest its middle, or, when no cut fits two leaves,
+// split into three at the fitting cuts nearest its thirds. Otherwise,
+// and always at an explicit capacity, n splits in half; both halves
+// fit (newTreeShell).
+func (t *Tree) splitLeaf(w *cow, nv *version, parent *internalNode, ci int, n []Entry) error {
+	if si := ci + mergeSide(ci); t.cfgCap == 0 && si < len(parent.children) {
+		sib, err := t.loadLeaf(parent.children[si])
+		if err != nil {
+			return err
+		}
+		left, right := pairOf(sib, n, si-ci)
+		all, sep := append(left[:len(left):len(left)], right...), min(ci, si)
+		// A run of minLeaf entries fits at any frame, so a prefix of all
+		// fits one leaf up to cut l >= minLeaf, and a suffix from cut
+		// r <= len(all)-minLeaf.
+		l, r := t.fitSpan(all, +1, t.leafCap, t.pageSize), len(all)-t.fitSpan(all, -1, t.leafCap, t.pageSize)
+		if lo, hi := max(r, t.minLeaf), min(l, len(all)-t.minLeaf); lo <= hi {
+			return t.putLeafPair(w, parent, sep, all, min(max(len(all)/2, lo), hi))
+		}
+		c1, c2 := min(max(len(all)/3, t.minLeaf), l), min(max(2*len(all)/3, r), len(all)-t.minLeaf)
+		if c2-c1 >= t.minLeaf {
+			if _, ok := t.fitLeaf(all[c1:c2]); ok {
+				if err := t.putLeafPair(w, parent, sep, all[:c2], c1); err != nil {
+					return err
+				}
+				return t.addLeaf(w, nv, parent, sep+1, all[c2-1].Key, all[c2:])
+			}
+		}
+	}
+	mid := len(n) / 2
+	var err error
+	if parent.children[ci], err = w.putLeaf(parent.children[ci], n[:mid]); err != nil {
+		return err
+	}
+	return t.addLeaf(w, nv, parent, ci, n[mid-1].Key, n[mid:])
+}
+
+// addLeaf writes es as a new leaf right of child i of parent; prev is
+// the largest key left of it.
+func (t *Tree) addLeaf(w *cow, nv *version, parent *internalNode, i int, prev Key, es []Entry) error {
+	id, err := w.putLeaf(disk.InvalidPage, es)
+	if err != nil {
+		return err
+	}
+	parent.insertAt(i, t.separator(prev, es[0].Key), id)
+	nv.leaves++
+	return nil
+}
+
+// splitUpward writes out path[pi].n, an internal node that may have
+// gained a child, splitting it when it overflows its fanout and
+// cascading upward as needed; the mirror of rebalanceUpward. It returns
+// the new root id.
+func (t *Tree) splitUpward(w *cow, nv *version, path []cowLevel, pi int) (disk.PageID, error) {
+	for ; len(path[pi].n.children) > t.fanout; pi-- {
+		// Split the node; the middle separator is promoted.
+		pn := path[pi].n
+		mid := len(pn.seps) / 2
+		promoted := pn.seps[mid]
+		right := &internalNode{
+			children: append([]disk.PageID(nil), pn.children[mid+1:]...),
+			seps:     append([][]byte(nil), pn.seps[mid+1:]...),
+		}
+		pn.children, pn.seps = pn.children[:mid+1], pn.seps[:mid]
+		left, err := w.putInternal(path[pi].id, pn)
+		if err != nil {
+			return disk.InvalidPage, err
+		}
+		extra, err := w.putInternal(disk.InvalidPage, right)
+		if err != nil {
+			return disk.InvalidPage, err
+		}
+		if pi == 0 {
+			// The root itself split: grow a new root.
+			nv.height++
+			return w.putInternal(disk.InvalidPage, &internalNode{children: []disk.PageID{left, extra}, seps: [][]byte{promoted}})
+		}
+		up := path[pi-1]
+		up.n.children[up.child] = left
+		up.n.insertAt(up.child, promoted, extra)
+	}
+	return t.writeParentAndReplaceUp(w, path, pi)
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"probe/internal/disk"
+	"probe/internal/geom"
 	"probe/internal/workload"
 	"probe/internal/zorder"
 )
@@ -52,6 +54,58 @@ func TestPageGateLeafDensity(t *testing.T) {
 		}
 		if err := ix.Tree().CheckInvariants(); err != nil {
 			t.Errorf("%v: %v", g, err)
+		}
+	}
+}
+
+// TestPageGateInsertedLeafDensity pins how many leaves a bulk-loaded
+// index has after writes near its data: 150 batches of 8 points, each
+// within 64 pixels of a stored one, on the benchmark's grid at a
+// derived capacity. The bulk load packs its leaves to the count cap,
+// so nearly every leaf the writes reach overflows; it shares with its
+// neighbour before it splits (internal/btree), which keeps the leaves
+// full. With new ids from 2^20 they fit the loaded leaves' frames
+// nearly as well as the old ones: 95 leaves, where splitting each full
+// leaf in half left 135. From 2^40 every leaf they reach widens to
+// 6-byte id deltas, so the page's bytes, not the count cap, bound the
+// leaves: 136 either way. Width, not fill, binds there.
+func TestPageGateInsertedLeafDensity(t *testing.T) {
+	const n, pageSize = 50000, 4096
+	g := zorder.MustGrid(2, 12)
+	for _, c := range []struct {
+		firstID uint64
+		leaves  int
+	}{
+		{1 << 20, 95},
+		{1 << 40, 136},
+	} {
+		pts := workload.Uniform(g, n, 7)
+		pool := disk.MustPool(disk.MustMemStore(pageSize), 64, disk.LRU)
+		ix, err := NewIndexBulk(pool, g, IndexConfig{}, pts, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(11))
+		near := func(x uint32) uint32 {
+			return uint32(min(max(int64(x)+rng.Int63n(129)-64, 0), int64(g.Side()-1)))
+		}
+		id := c.firstID
+		for b := 0; b < 150; b++ {
+			muts := make([]PointMutation, 8)
+			for i := range muts {
+				p := pts[rng.Intn(n)]
+				muts[i].Point = geom.Point{ID: id, Coords: []uint32{near(p.Coords[0]), near(p.Coords[1])}}
+				id++
+			}
+			if err := ix.CommitBatch(ix.Tree().MVCCStats().Seq, muts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ix.Tree().CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if got := ix.Tree().LeafPages(); got != c.leaves {
+			t.Errorf("new ids from %#x: %d leaves for %d points, want %d", c.firstID, got, ix.Len(), c.leaves)
 		}
 	}
 }

@@ -14,8 +14,9 @@ import (
 //	/metrics          extended by every database and transaction
 //	                  (probe_db_*, probe_tx_*) metric plus scrape-time
 //	                  pool and MVCC gauges (retained versions/pages,
-//	                  pinned snapshots) and the page file's space
-//	                  series (probe_db_store_*)
+//	                  pinned snapshots), the page file's space
+//	                  series (probe_db_store_*) and the tree's leaf
+//	                  fill (probe_db_tree_*)
 //	/readyz           also 503 while the SetReadyCheck condition fails
 //	/debug/vars       expvar-style JSON snapshot of the registries
 func (s *Server) AdminHandler() http.Handler {
@@ -30,11 +31,14 @@ func (s *Server) AdminHandler() http.Handler {
 // than to maintain continuously.
 func (s *Server) writeDBMetrics(buf *bytes.Buffer) error {
 	db := s.database()
-	// Sampled: file_pages over live_pages is the space amplification.
+	// Sampled: file_pages over live_pages is the space amplification,
+	// entries over leaf_pages the mean leaf fill.
 	ds, m := db.DurabilityStats(), db.Metrics()
 	m.Gauge("store.file_pages").Set(int64(ds.FilePages))
 	m.Gauge("store.live_pages").Set(int64(ds.LivePages))
 	m.Int("store.pages_reused").Set(int64(ds.PagesReused))
+	m.Gauge("tree.leaf_pages").Set(int64(db.LeafPages()))
+	m.Gauge("tree.entries").Set(int64(db.Len()))
 	if err := m.WritePrometheus(buf, "probe_db"); err != nil {
 		return err
 	}

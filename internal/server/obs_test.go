@@ -60,6 +60,8 @@ func TestAdminEndpoint(t *testing.T) {
 		"# TYPE probe_db_store_pages_reused_total counter",
 		"# TYPE probe_db_store_file_pages gauge",
 		"# TYPE probe_db_store_live_pages gauge",
+		"# TYPE probe_db_tree_leaf_pages gauge",
+		"# TYPE probe_db_tree_entries gauge",
 		"# TYPE probe_pool_pages_resident gauge",
 		"# TYPE probe_go_goroutines gauge",
 	} {
