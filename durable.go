@@ -27,13 +27,15 @@ import (
 const metaPageID disk.PageID = 1
 
 // dbMetaVersion is the format of the descriptor and of the tree pages
-// behind it. Version 3 stores a leaf's keys as deltas from a frame in
-// its header and a derived leaf capacity as 0; version 2 stored each
-// key at the grid's width, version 1 in 16 bytes. The descriptor's
-// layout did not change: the key width follows from the grid.
+// behind it. Version 4 lets a leaf's frame hold up to four id bases,
+// an id field selecting one in its top bits; version 3 stored a leaf's
+// keys as deltas from a frame of one id base in its header and a
+// derived leaf capacity as 0; version 2 stored each key at the grid's
+// width, version 1 in 16 bytes. The descriptor's layout did not change:
+// the key width follows from the grid.
 const (
 	dbMetaMagic   = "PROBEDB1"
-	dbMetaVersion = 3
+	dbMetaVersion = 4
 )
 
 // encodeDBMeta serializes the database descriptor into a page-sized

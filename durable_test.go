@@ -195,12 +195,13 @@ func writeDescriptorOnly(t *testing.T, path string, version uint32, bits ...int)
 }
 
 // TestDurableRefusesFormatVersion1: a store written before keys took
-// the grid's width (version 1: 16-byte keys) or before leaves stored
-// them against a frame (version 2) has other leaf pages behind the
-// same descriptor, so it is refused by its version, in one sentence
-// that says what to do.
+// the grid's width (version 1: 16-byte keys), before leaves stored
+// them against a frame (version 2) or before a frame held more than one
+// id base (version 3) has other leaf pages behind the same descriptor,
+// so it is refused by its version, in one sentence that says what to
+// do.
 func TestDurableRefusesFormatVersion1(t *testing.T) {
-	for _, version := range []uint32{1, 2} {
+	for _, version := range []uint32{1, 2, 3} {
 		path := filepath.Join(t.TempDir(), "probe.db")
 		writeDescriptorOnly(t, path, version, 8, 8)
 		db, err := probe.Open(probe.MustGrid(2, 8), probe.WithDurability(path))
@@ -208,7 +209,7 @@ func TestDurableRefusesFormatVersion1(t *testing.T) {
 			db.Close()
 			t.Fatalf("a version-%d store opened", version)
 		}
-		for _, want := range []string{fmt.Sprintf("version %d", version), "version 3", "must be rebuilt"} {
+		for _, want := range []string{fmt.Sprintf("version %d", version), "version 4", "must be rebuilt"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("refusal %q does not say %q", err, want)
 			}
@@ -266,7 +267,7 @@ func TestDurableLeafCapacityConflict(t *testing.T) {
 // touched.
 func TestDurableGridWidthMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "probe.db")
-	writeDescriptorOnly(t, path, 3, 12, 12)
+	writeDescriptorOnly(t, path, 4, 12, 12)
 	for _, g := range []probe.Grid{probe.MustGrid(2, 8), probe.MustGrid(3, 8), probe.MustGrid(3, 21)} {
 		db, err := probe.Open(g, probe.WithDurability(path))
 		if err == nil {

@@ -701,7 +701,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	canon := frameOf(n, tree.keyLen)
 	wider, lower := canon, canon
 	wider.zw++
-	lower.id, lower.iw = lower.id-1, 1
+	lower.ids[0], lower.iw = lower.ids[0]-1, 1
 	for _, f := range []leafFrame{wider, lower} {
 		storeLeaf(leafID, n, f)
 		if got, err := tree.loadLeaf(leafID); err != nil || !reflect.DeepEqual(got, n) {
@@ -711,7 +711,70 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			t.Errorf("leaf in frame %+v (canonical %+v): %v", f, canon, err)
 		}
 	}
+	// Give the leaf ids 1 and 2^56, which take two id bases, then store
+	// them with a selector that names an unused, zero base, and with the
+	// two bases swapped, the selectors flipped to match. Each decodes to
+	// the right keys, and each fails the check.
+	ids := []uint64{n[0].Key.Lo, n[1].Key.Lo}
+	n[0].Key.Lo, n[1].Key.Lo = 1, 1<<56
+	based := frameOf(n, tree.keyLen)
+	if based.sel != 1 || based.iw != 1 {
+		t.Fatalf("ids 1 and 2^56 take frame %+v", based)
+	}
+	storeLeaf(leafID, n, based)
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// editImage edits the stored image in place; idField is the offset
+	// of entry i's id field.
+	editImage := func(f leafFrame, edit func(data []byte, idField func(i int) int)) {
+		t.Helper()
+		storeLeaf(leafID, n, f)
+		fr, err := tree.pool.Get(leafID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := viewLeaf(fr.Data, tree.keyLen, tree.valueSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(fr.Data, func(i int) int { return p.first + i*p.stride + p.frame.zw })
+		if err := tree.pool.Unpin(leafID, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unused := based
+	unused.sel = 2
+	for _, c := range []struct {
+		what  string
+		frame leafFrame
+		edit  func(data []byte, idField func(int) int)
+	}{
+		{"a selector of an unused base", unused, func(data []byte, idField func(int) int) {
+			// Id 1 as 1 past the fourth base, which is zero.
+			data[idField(0)] = 3<<6 | 1
+		}},
+		{"bases out of order", based, func(data []byte, idField func(int) int) {
+			// The base key's id is the 8 bytes before the second base.
+			first, second := data[leafHeaderLen(tree.keyLen)-8:][:8], data[leafHeaderLen(tree.keyLen):][:8]
+			for i := range first {
+				first[i], second[i] = second[i], first[i]
+			}
+			for i := range n {
+				data[idField(i)] ^= 1 << 7
+			}
+		}},
+	} {
+		editImage(c.frame, c.edit)
+		if got, err := tree.loadLeaf(leafID); err != nil || !reflect.DeepEqual(got, n) {
+			t.Fatalf("%s: the leaf decodes as %v, %v", c.what, got, err)
+		}
+		if err := tree.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "canonical") {
+			t.Errorf("%s: %v", c.what, err)
+		}
+	}
 	// Restore, then corrupt the entry counter.
+	n[0].Key.Lo, n[1].Key.Lo = ids[0], ids[1]
 	storeLeaf(leafID, n, canon)
 	tree.cur.count++
 	if err := tree.CheckInvariants(); err == nil {

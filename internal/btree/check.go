@@ -20,9 +20,10 @@ import (
 //  5. the entry count and leaf count match the version's counters;
 //  6. all leaves are at the same depth (the version's height);
 //  7. no stored key sets a bit of Hi below the tree's KeyBits;
-//  8. every leaf is stored in its canonical frame (frameOf): the base
-//     is its first z and smallest id, and each width the fewest bytes
-//     that hold its deltas.
+//  8. every leaf is stored in its canonical frame (frameOf): the z
+//     base is its first z, the id bases those that give the smallest
+//     image, ascending with unused slots zero, and each width the
+//     fewest bytes that hold its deltas.
 //
 // Because the walk runs against one pinned version, it is safe (and
 // meaningful) concurrently with writers: it validates the committed

@@ -152,12 +152,13 @@ func TestKeyWidthRejectsStoredKey(t *testing.T) {
 	}
 }
 
-// TestFrameWidening: on a derived capacity, a key that needs a wider
-// frame than its leaf has overflows the leaf by bytes, under its count
-// cap. The leaf shares with its sibling: the pair is redistributed or
-// split three ways, and only the piece holding the wide key takes the
-// wide frame. Deletes then borrow and merge between leaves whose
-// frames differ. The invariants hold throughout.
+// TestFrameWidening: on a derived capacity, an id far from a leaf's
+// ids takes a second id base, so the leaf keeps narrow id fields. An
+// id that no four bases narrow overflows the leaf by bytes, under its
+// count cap. The leaf shares with its sibling: the pair is
+// redistributed or split three ways, and only the piece holding the
+// wide key takes the wide frame. Deletes then borrow and merge between
+// leaves whose frames differ. The invariants hold throughout.
 func TestFrameWidening(t *testing.T) {
 	pool := disk.MustPool(disk.MustMemStore(512), 1024, disk.LRU)
 	var es []Entry
@@ -201,15 +202,40 @@ func TestFrameWidening(t *testing.T) {
 		t.Fatalf("%d full leaves of %d", len(firsts), tree.LeafPages())
 	}
 
-	// An id from 2^40 up, second in each full leaf: 72 keys in a frame
-	// of 8 bytes overflow the page, not the count cap. Only a leaf
-	// holding a wide id may have a wide id frame; every other leaf
-	// keeps 1-byte id deltas.
-	wide := func(k Key) bool { return k.Lo >= 1<<40 }
+	// Ids from 2^40, 2^48 and 2^56 up, after the first key of each full
+	// leaf: a plain frame would give 74 keys 8-byte id deltas and
+	// overflow the page. Id bases keep the id fields at 3 bytes or
+	// fewer, and the leaf takes the keys.
+	for j, k := range firsts {
+		for _, from := range []uint64{1 << 40, 1 << 48, 1 << 56} {
+			leaves := tree.LeafPages()
+			far := Key{Hi: k.Hi, Lo: from + uint64(j)}
+			if err := tree.Insert(far, nil); err != nil {
+				t.Fatal(err)
+			}
+			if tree.LeafPages() != leaves {
+				t.Fatalf("an id from %#x took %d leaves to %d", from, leaves, tree.LeafPages())
+			}
+			if p := leafOf(far); p.frame.sel == 0 || p.frame.iw > 3 {
+				t.Fatalf("the leaf holding %v has %d keys in frame %+v", far, p.count, p.frame)
+			}
+		}
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A random id from 2^63 up, after those: it makes a fifth group of
+	// ids below 7-byte offsets, so 75 keys of 8-byte id fields, or 7
+	// below 2 selector bits, overflow the page, not the count cap. Only
+	// a leaf holding such an id may have a wide id field; every other
+	// leaf keeps fields of 2 bytes or fewer.
+	rng := rand.New(rand.NewSource(37))
+	wide := func(k Key) bool { return k.Lo >= 1<<63 }
 	shares, threeWays := 0, 0
 	for j, k := range firsts {
 		leaves := tree.LeafPages()
-		w := Key{Hi: k.Hi, Lo: 1<<40 + uint64(j)}
+		w := Key{Hi: k.Hi, Lo: 1<<63 | rng.Uint64()}
 		if err := tree.Insert(w, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -221,9 +247,6 @@ func TestFrameWidening(t *testing.T) {
 		default:
 			t.Fatalf("a wide id took %d leaves to %d", leaves, tree.LeafPages())
 		}
-		if p := leafOf(w); p.frame.iw < 5 {
-			t.Fatalf("the piece holding %v has frame %+v", w, p.frame)
-		}
 		c := tree.Cursor()
 		holds := false
 		for ok, err := c.First(); ok || err != nil; ok, err = c.Next() {
@@ -231,7 +254,7 @@ func TestFrameWidening(t *testing.T) {
 				t.Fatal(err)
 			}
 			holds = holds && c.pos > 0 || wide(c.Key())
-			if c.pos == c.leaf.count-1 && !holds && c.leaf.frame.iw != 1 {
+			if c.pos == c.leaf.count-1 && !holds && c.leaf.frame.iw > 2 {
 				t.Fatalf("after %d wide ids, a leaf of no wide id has frame %+v", j+1, c.leaf.frame)
 			}
 		}
@@ -277,8 +300,8 @@ func TestFrameWidening(t *testing.T) {
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Len() != len(firsts) {
-		t.Errorf("%d keys left, want the %d wide ones", tree.Len(), len(firsts))
+	if tree.Len() != 4*len(firsts) {
+		t.Errorf("%d keys left, want the %d far and wide ones", tree.Len(), 4*len(firsts))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"probe/internal/disk"
@@ -12,8 +13,9 @@ import (
 // Page layouts. All integers little-endian unless they are keys or
 // key deltas (which are big-endian so byte order matches key order).
 //
-// Leaf:     [type u8][count u16][zw u8][iw u8][base key keyLen B]
-//           count x [z delta zw B][id delta iw B][value valueSize B]
+// Leaf:     [type u8][count u16][zw u8][iw u8 | sel<<4][base key keyLen B]
+//           (2^sel - 1) x [id base 8 B]
+//           count x [z delta zw B][id field iw B][value valueSize B]
 // Internal: [type u8][count u16]            (count = number of seps)
 //           (count+1) x [child u32]
 //           count x [sepLen u16][sep bytes]
@@ -21,13 +23,18 @@ import (
 // keyLen is the tree's key length (key.go): 8 bytes of Lo after as
 // many bytes of Hi as Config.KeyBits needs, the z bytes. A leaf stores
 // its keys against a frame of reference: the base key holds the z
-// value of the first key and the smallest id, and an entry holds its
-// z and its id as distances from those, in zw and iw bytes. The frame
-// is canonical (frameOf): each width is the fewest bytes that hold the
-// largest distance, so an image is a function of its entries alone
-// and one rewritten in place is byte-equal to a fresh one. Entries
-// stay fixed-stride within a page, so a search is still a binary
-// search of the image, and a key decodes without allocating.
+// value of the first key and the smallest id, and an entry holds its z
+// as a distance from the base's in zw bytes. Its id field holds, in its
+// top sel bits (0, 1 or 2), a selector among 2^sel id bases, and below
+// them the id's distance from the base it selects. The first base is
+// the base key's; the others follow the base key in ascending order,
+// a slot not used being zero. The frame is canonical (frameOf): the
+// widths are the fewest bytes that hold the largest distances, and a
+// leaf takes bases only when they make its image smaller, so an image
+// is a function of its entries alone and one rewritten in place is
+// byte-equal to a fresh one. Entries stay fixed-stride within a page,
+// so a search is still a binary search of the image, and a key decodes
+// without allocating.
 //
 // Leaves carry no sibling links: copy-on-write could not maintain them
 // (a neighbor's link would dangle at the old page version), so a
@@ -52,10 +59,12 @@ const (
 const (
 	leafBaseOff       = 1 + 2 + 2 // the base key follows type, count and widths
 	internalHeaderLen = 1 + 2
+	maxSel            = 2 // most selector bits of an id field
+	maxIDBases        = 1 << maxSel
 )
 
 // leafHeaderLen is the length of a leaf header for keys of keyLen
-// bytes.
+// bytes, before its extra id bases.
 func leafHeaderLen(keyLen int) int { return leafBaseOff + keyLen }
 
 // zDrop is the number of low bits of Key.Hi a key of keyLen bytes
@@ -85,8 +94,13 @@ type leafPage struct {
 	frame         leafFrame
 	first         int    // offset of entry 0
 	stride        int    // zw + iw + valueSize
+	zAt, idAt     int    // offsets of the 8 bytes ending with entry 0's z, id
 	drop          uint   // zDrop of the tree's key length
 	zMask, idMask uint64 // the low zw and iw bytes
+	shift         uint   // id offset bits: 8*iw - sel
+	// adj[j] is base j less selector j in place, so that an id field
+	// that selects base j decodes as adj[j] plus the field.
+	adj [maxIDBases]uint64
 }
 
 func viewLeaf(data []byte, keyLen, valueSize int) (leafPage, error) {
@@ -94,30 +108,42 @@ func viewLeaf(data []byte, keyLen, valueSize int) (leafPage, error) {
 	if err != nil {
 		return leafPage{}, err
 	}
-	f := leafFrame{zw: int(data[3]), iw: int(data[4])}
+	f := leafFrame{zw: int(data[3]), iw: int(data[4] & 0x0f), sel: int(data[4] >> 4)}
 	if f.zw > keyLen-8 || f.iw > 8 {
 		return leafPage{}, fmt.Errorf("btree: leaf frame of %d+%d bytes is wider than a %d-byte key", f.zw, f.iw, keyLen)
 	}
-	base := decodeKey(data[leafBaseOff : leafBaseOff+keyLen])
-	f.z, f.id = base.Hi>>zDrop(keyLen), base.Lo
-	p := leafPage{data: data, count: count, frame: f, first: leafHeaderLen(keyLen), stride: f.zw + f.iw + valueSize,
-		drop: zDrop(keyLen), zMask: ^uint64(0) >> (64 - 8*f.zw), idMask: ^uint64(0) >> (64 - 8*f.iw)}
-	if p.first+count*p.stride > len(data) {
+	if f.sel > maxSel || f.sel > 0 && f.iw == 0 {
+		return leafPage{}, fmt.Errorf("btree: leaf frame selects among %d id bases in %d-byte id fields", 1<<f.sel, f.iw)
+	}
+	first, stride := f.headerLen(keyLen), f.zw+f.iw+valueSize
+	if first+count*stride > len(data) {
 		return leafPage{}, fmt.Errorf("btree: leaf overflows page (%d entries)", count)
+	}
+	base := decodeKey(data[leafBaseOff : leafBaseOff+keyLen])
+	f.z, f.ids[0] = base.Hi>>zDrop(keyLen), base.Lo
+	for j := 1; j < 1<<f.sel; j++ {
+		f.ids[j] = binary.BigEndian.Uint64(data[leafHeaderLen(keyLen)+8*(j-1):])
+	}
+	p := leafPage{data: data, count: count, frame: f, first: first, stride: stride,
+		zAt: first + f.zw - 8, idAt: first + f.zw + f.iw - 8, drop: zDrop(keyLen),
+		zMask: ^uint64(0) >> (64 - 8*f.zw), idMask: ^uint64(0) >> (64 - 8*f.iw), shift: f.idShift()}
+	for j, id := range f.ids {
+		p.adj[j] = id - uint64(j)<<p.shift
 	}
 	return p, nil
 }
 
-// key decodes entry i's key: the frame's base plus the entry's deltas.
-// A delta of w bytes is read as the low w bytes of the 8 that end with
-// it, which the image always holds: the header before the first entry
-// is longer than 8 bytes.
+// key decodes entry i's key: the frame's z plus the entry's z delta,
+// and the base the id field selects plus the offset below the
+// selector. A field of w bytes is read as the low w bytes of the 8 that
+// end with it, which the image always holds: the header before the
+// first entry is longer than 8 bytes.
 func (p *leafPage) key(i int) Key {
-	zEnd := p.first + i*p.stride + p.frame.zw
-	idEnd := zEnd + p.frame.iw
+	o := i * p.stride
+	id := binary.BigEndian.Uint64(p.data[p.idAt+o:]) & p.idMask
 	return Key{
-		Hi: (p.frame.z + binary.BigEndian.Uint64(p.data[zEnd-8:zEnd])&p.zMask) << p.drop,
-		Lo: p.frame.id + binary.BigEndian.Uint64(p.data[idEnd-8:idEnd])&p.idMask,
+		Hi: (p.frame.z + binary.BigEndian.Uint64(p.data[p.zAt+o:])&p.zMask) << p.drop,
+		Lo: p.adj[id>>p.shift&(maxIDBases-1)] + id,
 	}
 }
 
@@ -217,32 +243,91 @@ func decodeLeaf(data []byte, keyLen, valueSize int) ([]Entry, error) {
 	return es, nil
 }
 
-// leafFrame is a leaf's frame of reference: the base its keys are
-// stored against (z as the stored z bytes, right-justified) and the
-// byte widths of the z and id deltas.
+// leafFrame is a leaf's frame of reference: the z its keys are stored
+// against (as the stored z bytes, right-justified), the id bases, the
+// byte widths of the z and id fields, and the selector bits of an id
+// field. Bases past the first 2^sel are zero.
 type leafFrame struct {
-	z, id  uint64
+	z      uint64
+	ids    [maxIDBases]uint64
 	zw, iw int
+	sel    int
 }
 
+// headerLen is the length of the header of a leaf in frame f.
+func (f leafFrame) headerLen(keyLen int) int { return leafHeaderLen(keyLen) + 8*(1<<f.sel-1) }
+
+// idShift is the number of offset bits below an id field's selector.
+func (f leafFrame) idShift() uint { return uint(8*f.iw - f.sel) }
+
 // frameOf returns the canonical frame of a leaf holding es, whose keys
-// are keyLen bytes: the base is the first key's z and the smallest id,
-// and each width is the fewest bytes that hold the largest delta. A
-// delta is taken modulo the stored z bytes, so even keys out of order
-// get a frame no wider than the key.
+// are keyLen bytes. The z base is the first key's z and zw the fewest
+// bytes that hold the largest z delta, taken modulo the stored z bytes,
+// so even keys out of order get a frame no wider than the key. The id
+// part is the smallest of these images, counting the extra bases, and
+// on a tie the one of fewer selector bits: the plain frame, whose one
+// base is the smallest id and iw the bytes of the largest id less it;
+// and for sel 1 and 2 and each narrower iw, the ids grouped by their
+// bits above the offset, when they fall in at most 2^sel groups, each
+// group's smallest id a base. Bases never make an image larger, so a
+// run of entries fits wherever its plain frame does.
 func frameOf(es []Entry, keyLen int) leafFrame {
 	if len(es) == 0 {
 		return leafFrame{}
 	}
 	drop := zDrop(keyLen)
-	f := leafFrame{z: es[0].Key.Hi >> drop, id: es[0].Key.Lo}
+	f := leafFrame{z: es[0].Key.Hi >> drop, ids: [maxIDBases]uint64{es[0].Key.Lo}}
 	var dz, maxID uint64
 	for _, e := range es {
 		dz = max(dz, (e.Key.Hi>>drop-f.z)&(^uint64(0)>>drop))
-		f.id, maxID = min(f.id, e.Key.Lo), max(maxID, e.Key.Lo)
+		f.ids[0], maxID = min(f.ids[0], e.Key.Lo), max(maxID, e.Key.Lo)
 	}
-	f.zw, f.iw = bytesFor(dz), bytesFor(maxID-f.id)
+	f.zw, f.iw = bytesFor(dz), bytesFor(maxID-f.ids[0])
+	// Grouping at a width works at every wider one, so the narrowest id
+	// width that groups gives a selector width its smallest image: each
+	// tries the widths from the narrowest up, to the first that groups
+	// or the first whose image would not win. A pass that fails mostly
+	// fails fast, and the one that groups is the only full pass.
+	plain, best := f.iw, len(es)*f.iw
+	for sel := maxSel; sel > 0; sel-- {
+		for iw := 1; iw < plain; iw++ {
+			size := 8*(1<<sel-1) + len(es)*iw
+			if size > best || size == best && sel >= f.sel {
+				break
+			}
+			if ids, ok := idBases(es, uint(8*iw-sel), 1<<sel); ok {
+				f.ids, f.iw, f.sel, best = ids, iw, sel, size
+				break
+			}
+		}
+	}
 	return f
+}
+
+// idBases groups the ids of es by their bits from shift up and returns
+// each group's smallest id, ascending, when there are at most n groups.
+// It stops at the first group over n.
+func idBases(es []Entry, shift uint, n int) (ids [maxIDBases]uint64, ok bool) {
+	var groups [maxIDBases]uint64
+	k := 0
+	for _, e := range es {
+		g, j := e.Key.Lo>>shift, 0
+		for j < k && groups[j] != g {
+			j++
+		}
+		if j == k {
+			if k == n {
+				return ids, false
+			}
+			groups[k], ids[k] = g, e.Key.Lo
+			k++
+		}
+		ids[j] = min(ids[j], e.Key.Lo)
+	}
+	// Groups are disjoint ranges of ids, so their smallest ids sort as
+	// the groups do.
+	slices.Sort(ids[:k])
+	return ids, true
 }
 
 // bytesFor returns the fewest bytes that hold x.
@@ -250,22 +335,30 @@ func bytesFor(x uint64) int { return (bits.Len64(x) + 7) / 8 }
 
 // leafBytes is the size of the image of a leaf of n entries in frame f.
 func leafBytes(n int, f leafFrame, keyLen, valueSize int) int {
-	return leafHeaderLen(keyLen) + n*(f.zw+f.iw+valueSize)
+	return f.headerLen(keyLen) + n*(f.zw+f.iw+valueSize)
 }
 
 // encodeLeaf makes data the image of a leaf holding es in frame f. The
 // page is zeroed first, so with f = frameOf(es) the image is canonical.
+// An id selects the largest base at or below it.
 func encodeLeaf(data []byte, es []Entry, f leafFrame, keyLen, valueSize int) {
 	clear(data)
 	data[0] = byte(leafType)
 	binary.LittleEndian.PutUint16(data[1:3], uint16(len(es)))
-	data[3], data[4] = byte(f.zw), byte(f.iw)
-	drop := zDrop(keyLen)
-	Key{Hi: f.z << drop, Lo: f.id}.encode(data[leafBaseOff : leafBaseOff+keyLen])
+	data[3], data[4] = byte(f.zw), byte(f.iw|f.sel<<4)
+	drop, shift, bases := zDrop(keyLen), f.idShift(), 1<<f.sel
+	Key{Hi: f.z << drop, Lo: f.ids[0]}.encode(data[leafBaseOff : leafBaseOff+keyLen])
+	for j := 1; j < bases; j++ {
+		binary.BigEndian.PutUint64(data[leafHeaderLen(keyLen)+8*(j-1):], f.ids[j])
+	}
 	for i, e := range es {
-		off := leafHeaderLen(keyLen) + i*(f.zw+f.iw+valueSize)
+		off := f.headerLen(keyLen) + i*(f.zw+f.iw+valueSize)
+		j := 0
+		for j+1 < bases && f.ids[j+1] != 0 && f.ids[j+1] <= e.Key.Lo {
+			j++
+		}
 		putBeUint(data[off:off+f.zw], e.Key.Hi>>drop-f.z)
-		putBeUint(data[off+f.zw:off+f.zw+f.iw], e.Key.Lo-f.id)
+		putBeUint(data[off+f.zw:off+f.zw+f.iw], uint64(j)<<shift|(e.Key.Lo-f.ids[j]))
 		copy(data[off+f.zw+f.iw:], e.Value)
 	}
 }

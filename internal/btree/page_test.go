@@ -53,28 +53,50 @@ func refUint(b []byte) uint64 {
 	return x
 }
 
-// refDecodeLeaf reads a framed leaf one byte at a time: the widths at
-// bytes 3 and 4, the base key after them read as any key is, then per
-// entry a z delta counted in units of the lowest stored bit of Hi and
-// an id delta, both added to the base.
+// refDecodeLeaf reads a framed leaf one byte at a time: the z width at
+// byte 3, the id width and selector bits in the low and high nibble of
+// byte 4, the base key after them read as any key is, then 2^sel - 1
+// more id bases. Per entry it reads a z delta counted in units of the
+// lowest stored bit of Hi, added to the base key's z, and an id field
+// whose top sel bits pick the base (the base key's id first) that the
+// bits below them are added to.
 func refDecodeLeaf(data []byte, keyLen, valueSize int) ([]Entry, error) {
 	count, err := refHeader(data, leafType, 5+keyLen, "a leaf")
 	if err != nil {
 		return nil, err
 	}
-	zw, iw := int(data[3]), int(data[4])
+	zw, iw, sel := int(data[3]), int(data[4]%16), int(data[4]/16)
 	if zw > keyLen-8 || iw > 8 {
 		return nil, fmt.Errorf("btree: leaf frame of %d+%d bytes is wider than a %d-byte key", zw, iw, keyLen)
 	}
-	base := refDecodeKey(data[5 : 5+keyLen])
-	unit := uint64(1) << (8 * (16 - keyLen))
-	off := 5 + keyLen
+	if sel > 2 || sel > 0 && iw == 0 {
+		return nil, fmt.Errorf("btree: leaf frame selects among %d id bases in %d-byte id fields", 1<<sel, iw)
+	}
+	nBases := 1 << sel
+	off := 5 + keyLen + 8*(nBases-1)
 	if off+count*(zw+iw+valueSize) > len(data) {
 		return nil, fmt.Errorf("btree: leaf overflows page (%d entries)", count)
 	}
+	base := refDecodeKey(data[5 : 5+keyLen])
+	bases := []uint64{base.Lo}
+	for j := 1; j < nBases; j++ {
+		bases = append(bases, refUint(data[5+keyLen+8*(j-1):5+keyLen+8*j]))
+	}
+	unit := uint64(1) << (8 * (16 - keyLen))
 	es := make([]Entry, count)
 	for i := range es {
-		es[i].Key = Key{Hi: base.Hi + unit*refUint(data[off:off+zw]), Lo: base.Lo + refUint(data[off+zw:off+zw+iw])}
+		field := data[off+zw : off+zw+iw]
+		// The selector is the field's top sel bits; the offset is the rest.
+		selector, offset := 0, uint64(0)
+		for b := 0; b < 8*iw; b++ {
+			bit := field[b/8] >> (7 - b%8) & 1
+			if b < sel {
+				selector = selector<<1 | int(bit)
+			} else {
+				offset = offset<<1 | uint64(bit)
+			}
+		}
+		es[i].Key = Key{Hi: base.Hi + unit*refUint(data[off:off+zw]), Lo: bases[selector] + offset}
 		off += zw + iw
 		es[i].Value = make([]byte, valueSize)
 		copy(es[i].Value, data[off:off+valueSize])
@@ -262,11 +284,42 @@ func framedLeafImage(rng *rand.Rand, pageSize, keyLen, valueSize, zw, iw, n int)
 	return data
 }
 
+// clusteredEntries returns up to n entries (n less duplicates) in key
+// order, whose z values span zw bytes and whose ids fall in 1 to 5
+// clusters 2^8 to 2^48 apart, each up to 2^16 wide: the id ranges a
+// frame may give several bases.
+func clusteredEntries(rng *rand.Rand, keyLen, valueSize, zw, n int) []Entry {
+	drop := zDrop(keyLen)
+	zSpan := uint64(1)<<(8*zw) - 1
+	z0 := rng.Uint64() >> drop &^ zSpan
+	starts := []uint64{rng.Uint64() >> 2}
+	for c := rng.Intn(5); c > 0; c-- {
+		starts = append(starts, starts[len(starts)-1]+uint64(1)<<(8+rng.Intn(41)))
+	}
+	spread := uint64(1) << rng.Intn(17)
+	var es []Entry
+	for i := 0; i < n; i++ {
+		v := make([]byte, valueSize)
+		rng.Read(v)
+		id := starts[rng.Intn(len(starts))] + rng.Uint64()%spread
+		es = append(es, Entry{Key: Key{Hi: (z0 + rng.Uint64()&zSpan) << drop, Lo: id}, Value: v})
+	}
+	slices.SortFunc(es, func(a, b Entry) int { return a.Key.Compare(b.Key) })
+	return slices.CompactFunc(es, func(a, b Entry) bool { return a.Key == b.Key })
+}
+
 // randomLeafImage returns a leaf of random widths holding up to as
-// many entries as fit at the widest frame.
+// many entries as fit at the widest frame, half the time with ids in
+// clusters.
 func randomLeafImage(rng *rand.Rand, pageSize, keyLen, valueSize int) []byte {
 	n := rng.Intn((pageSize-leafHeaderLen(keyLen))/(keyLen+valueSize) + 1)
-	return framedLeafImage(rng, pageSize, keyLen, valueSize, rng.Intn(keyLen-7), rng.Intn(9), n)
+	if rng.Intn(2) == 0 {
+		return framedLeafImage(rng, pageSize, keyLen, valueSize, rng.Intn(keyLen-7), rng.Intn(9), n)
+	}
+	es := clusteredEntries(rng, keyLen, valueSize, rng.Intn(keyLen-7), n)
+	data := make([]byte, pageSize)
+	encodeLeaf(data, es, frameOf(es, keyLen), keyLen, valueSize)
+	return data
 }
 
 func randomInternalImage(rng *rand.Rand, pageSize int) []byte {
@@ -292,6 +345,7 @@ func randomInternalImage(rng *rand.Rand, pageSize int) []byte {
 
 func TestPageViewsMatchDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
+	var sels [maxSel + 1]int
 	for round := 0; round < 300; round++ {
 		pageSize := []int{128, 512, 4096}[rng.Intn(3)]
 		valueSize := []int{0, 0, 3, 8}[rng.Intn(4)]
@@ -300,9 +354,11 @@ func TestPageViewsMatchDecode(t *testing.T) {
 		for i := range probes {
 			probes[i] = Key{Hi: uint64(rng.Intn(5)) << 62, Lo: rng.Uint64()}
 		}
-		if !checkLeafImage(t, randomLeafImage(rng, pageSize, keyLen, valueSize), keyLen, valueSize, probes) {
+		leaf := randomLeafImage(rng, pageSize, keyLen, valueSize)
+		if !checkLeafImage(t, leaf, keyLen, valueSize, probes) {
 			t.Fatal("a well-formed leaf image did not decode")
 		}
+		sels[leaf[4]>>4]++
 		encs := make([][]byte, 32)
 		for i := range encs {
 			encs[i] = make([]byte, rng.Intn(encodedKeyLen+1))
@@ -312,6 +368,11 @@ func TestPageViewsMatchDecode(t *testing.T) {
 		}
 		if !checkInternalImage(t, randomInternalImage(rng, pageSize), encs) {
 			t.Fatal("a well-formed internal image did not decode")
+		}
+	}
+	for sel, n := range sels {
+		if n == 0 {
+			t.Errorf("no leaf image had %d selector bits: %v", sel, sels)
 		}
 	}
 }
@@ -359,6 +420,30 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 	if checkLeafImage(t, damage(narrow, func(b []byte) { b[3], b[4] = 3, 8 }), 11, 0, nil) {
 		t.Error("a leaf widened past the page decoded")
 	}
+	// A leaf of ids in three clusters takes four bases. Its frame
+	// damaged: 3 selector bits, selector bits over no id bytes, and
+	// bases that run past the end of the page.
+	var es []Entry
+	for i := 0; i < 40; i++ {
+		es = append(es, Entry{Key: Key{Hi: uint64(i), Lo: []uint64{1000, 1 << 30, 1 << 50}[i%3] + uint64(i)}, Value: []byte{}})
+	}
+	based := make([]byte, 512)
+	encodeLeaf(based, es, frameOf(es, encodedKeyLen), encodedKeyLen, 0)
+	if based[4]>>4 != 2 || !checkLeafImage(t, based, encodedKeyLen, 0, nil) {
+		t.Fatalf("a leaf of three id clusters has frame byte %#x", based[4])
+	}
+	for _, b4 := range []byte{based[4]&0x0f | 3<<4, based[4] | 0xc0, 1 << 4, 2 << 4} {
+		if checkLeafImage(t, damage(based, func(b []byte) { b[4] = b4 }), encodedKeyLen, 0, nil) {
+			t.Errorf("leaf with frame byte %#x decoded", b4)
+		}
+	}
+	empty := damage(based, func(b []byte) { binary.LittleEndian.PutUint16(b[1:3], 0) })
+	if !checkLeafImage(t, empty[:leafHeaderLen(encodedKeyLen)+24], encodedKeyLen, 0, nil) {
+		t.Error("an empty leaf of four bases ending with its last base did not decode")
+	}
+	if checkLeafImage(t, empty[:leafHeaderLen(encodedKeyLen)+23], encodedKeyLen, 0, nil) {
+		t.Error("a leaf whose last base runs past the page decoded")
+	}
 	// A count that runs the entries (21 or more at this geometry) or
 	// the child array (127 or more separators) off the page.
 	for _, count := range []uint16{21, 127, 200, 0xffff} {
@@ -390,6 +475,7 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 	for cut := 0; cut < 512; cut++ {
 		checkLeafImage(t, leaf[:cut], encodedKeyLen, 8, nil)
 		checkLeafImage(t, narrow[:cut], 11, 0, nil)
+		checkLeafImage(t, based[:cut], encodedKeyLen, 0, nil)
 		checkInternalImage(t, internal[:cut], nil)
 	}
 }
@@ -422,6 +508,21 @@ func FuzzPageViews(f *testing.F) {
 			binary.LittleEndian.PutUint16(wide[1:3], uint16(128/(keyLen+1)+1))
 			wide[3], wide[4] = byte(keyLen-8), 8
 			f.Add(wide, width, uint8(1), []byte{})
+		}
+	}
+	// A leaf of clustered ids on each key length, whose frame may hold
+	// several id bases, and the same leaf with 3 selector bits and with
+	// its id width cleared under its selector bits.
+	for keyLen := 9; keyLen <= 16; keyLen++ {
+		es := clusteredEntries(rng, keyLen, 1, rng.Intn(keyLen-7), (128-leafHeaderLen(keyLen))/(keyLen+1))
+		img := make([]byte, 128)
+		encodeLeaf(img, es, frameOf(es, keyLen), keyLen, 1)
+		width := uint8(keyLen - 9)
+		f.Add(img, width, uint8(1), []byte{})
+		for _, b4 := range []byte{img[4] | 3<<4, img[4] & 0xf0} {
+			bad := append([]byte(nil), img...)
+			bad[4] = b4
+			f.Add(bad, width, uint8(1), []byte{})
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, width, valueSize uint8, enc []byte) {

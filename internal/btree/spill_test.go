@@ -258,17 +258,23 @@ func TestLeafSpill(t *testing.T) {
 	})
 
 	t.Run("no cut fits", func(t *testing.T) {
-		// 16-byte keys. The left leaf's z values are small, the right
-		// one's start at 2^62, and a wide id lands in the left leaf: any
-		// middle third spans both z ranges and the wide id, 16 bytes an
-		// entry, and no two leaves hold the pair. The full leaf splits
-		// alone and its sibling keeps its page.
-		tree := loadSpillTree(t, 0, 118, 1, func(i int) uint64 {
-			if i < 59 {
+		// 16-byte keys with random 64-bit ids, which no four id bases
+		// narrow: 9 bytes an entry, 54 to a page. The left leaf's z
+		// values are small, the right one's start at 2^62, and one more
+		// key lands in the left leaf: any middle third spans both z
+		// ranges, 16 bytes an entry, and no two leaves hold the pair. The
+		// full leaf splits alone and its sibling keeps its page.
+		rng := rand.New(rand.NewSource(41))
+		ids := make([]uint64, 108)
+		for i := range ids {
+			ids[i] = rng.Uint64()
+		}
+		tree := loadSpillTree(t, 0, len(ids), 1, func(i int) uint64 {
+			if i < 54 {
 				return uint64(i)
 			}
 			return 1<<62 + uint64(i)
-		}, id)
+		}, func(i int) uint64 { return ids[i] })
 		sibling := func() disk.PageID {
 			c := tree.Cursor()
 			if ok, err := c.SeekGE(Key{Hi: 1 << 62}); !ok || err != nil {
@@ -277,9 +283,9 @@ func TestLeafSpill(t *testing.T) {
 			return c.LeafID()
 		}
 		was := sibling()
-		before, after := spillInsert(t, tree, Key{Hi: 50, Lo: 1 << 62})
-		if !reflect.DeepEqual(before, []int{59, 59}) || !reflect.DeepEqual(after, []int{30, 30, 59}) {
-			t.Fatalf("leaves %v became %v, want [59 59] to become [30 30 59]", before, after)
+		before, after := spillInsert(t, tree, Key{Hi: 50, Lo: rng.Uint64()})
+		if !reflect.DeepEqual(before, []int{54, 54}) || !reflect.DeepEqual(after, []int{27, 28, 54}) {
+			t.Fatalf("leaves %v became %v, want [54 54] to become [27 28 54]", before, after)
 		}
 		if got := sibling(); got != was {
 			t.Errorf("the sibling moved from page %d to %d", was, got)
@@ -333,4 +339,69 @@ func TestLeafSpill(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFitSpanMatchesFrameOf: a run fits by one definition, its image at
+// frameOf. From either end of es, fitSpan is the longest run of at most
+// maxCount entries whose canonical image is at most maxBytes, and one
+// entry at least; the oracle tries every run, so it does not assume
+// that a shorter run fits wherever a longer one does. The runs hold ids
+// in 1 to 5 clusters 2^8 to 2^48 apart, on pages of 128 to 4096 bytes,
+// under explicit and derived capacities, at the caps a split and a bulk
+// load pass. Each run found encodes within maxBytes and decodes back.
+func TestFitSpanMatchesFrameOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var sels [maxSel + 1]int
+	for round := 0; round < 200; round++ {
+		pool := disk.MustPool(disk.MustMemStore(128<<rng.Intn(6)), 8, disk.LRU)
+		cfg := Config{ValueSize: []int{0, 0, 3, 8}[rng.Intn(4)], KeyBits: []int{8, 24, 40, 0}[rng.Intn(4)]}
+		tree, err := newTreeShell(pool, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(2) == 0 {
+			minCap := (tree.leafCap + 1) / 2
+			cfg.LeafCapacity = 2 + rng.Intn(minCap-1)
+			if tree, err = newTreeShell(pool, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		maxCount, maxBytes := tree.leafCap, tree.pageSize
+		if rng.Intn(2) == 0 {
+			fill := 0.5 + rng.Float64()/2
+			maxCount, maxBytes = int(fill*float64(maxCount)), int(fill*float64(maxBytes))
+		}
+		es := clusteredEntries(rng, tree.keyLen, tree.valueSize, rng.Intn(tree.keyLen-7), 1+rng.Intn(min(2*tree.leafCap, 600)))
+		for _, step := range []int{+1, -1} {
+			run := func(n int) []Entry {
+				if step < 0 {
+					return es[len(es)-n:]
+				}
+				return es[:n]
+			}
+			want := 1
+			for n := 1; n <= min(len(es), maxCount); n++ {
+				if leafBytes(n, frameOf(run(n), tree.keyLen), tree.keyLen, tree.valueSize) <= maxBytes {
+					want = n
+				}
+			}
+			got := tree.fitSpan(es, step, maxCount, maxBytes)
+			if got != want {
+				t.Fatalf("round %d, step %+d, %d entries, caps %d and %d bytes: fitSpan %d, longest fitting run %d",
+					round, step, len(es), maxCount, maxBytes, got, want)
+			}
+			f := frameOf(run(got), tree.keyLen)
+			sels[f.sel]++
+			data := make([]byte, maxBytes)
+			encodeLeaf(data, run(got), f, tree.keyLen, tree.valueSize)
+			if back, err := decodeLeaf(data, tree.keyLen, tree.valueSize); err != nil || !reflect.DeepEqual(back, run(got)) {
+				t.Fatalf("round %d, step %+d: a run of %d decodes as %d entries, %v", round, step, got, len(back), err)
+			}
+		}
+	}
+	for sel, n := range sels {
+		if n == 0 {
+			t.Errorf("no run found had %d selector bits: %v", sel, sels)
+		}
+	}
 }

@@ -133,15 +133,19 @@ func (t *Tree) fitLeaf(es []Entry) (leafFrame, bool) {
 // front (step +1) or its back (step -1), of at most maxCount entries
 // whose image at its canonical frame is at most maxBytes; es is not
 // empty. Keys ascend, so a run's z delta is its last z less its first
-// and the running id bounds give its id width: one pass finds every
-// run's frame.
+// and the running id bounds give its plain frame: one pass finds the
+// longest run that fits at that frame. Id bases never make a run's
+// image larger, and a shorter run's never larger than a longer one's,
+// so the runs past it are searched by halves at their canonical frames;
+// when the next run does not fit that is one frameOf.
 func (t *Tree) fitSpan(es []Entry, step, maxCount, maxBytes int) int {
 	drop, i := zDrop(t.keyLen), 0
 	if step < 0 {
 		i = len(es) - 1
 	}
 	z, lo, hi := es[i].Key.Hi>>drop, es[i].Key.Lo, es[i].Key.Lo
-	for n := 1; n < len(es); n++ {
+	n := 1
+	for ; n < len(es); n++ {
 		k := es[i+n*step].Key
 		dz := k.Hi>>drop - z
 		if step < 0 {
@@ -149,10 +153,21 @@ func (t *Tree) fitSpan(es []Entry, step, maxCount, maxBytes int) int {
 		}
 		lo, hi = min(lo, k.Lo), max(hi, k.Lo)
 		if n+1 > maxCount || leafBytes(n+1, leafFrame{zw: bytesFor(dz), iw: bytesFor(hi - lo)}, t.keyLen, t.valueSize) > maxBytes {
-			return n
+			break
 		}
 	}
-	return len(es)
+	fits := func(n int) bool {
+		run := es[:n]
+		if step < 0 {
+			run = es[len(es)-n:]
+		}
+		return leafBytes(n, frameOf(run, t.keyLen), t.keyLen, t.valueSize) <= maxBytes
+	}
+	if top := min(len(es), maxCount); n < top && fits(n+1) {
+		n0 := n + 1
+		n = n0 + sort.Search(top-n0, func(k int) bool { return !fits(n0 + k + 1) })
+	}
+	return n
 }
 
 // putLeafImage makes data the canonical image of a leaf holding es.

@@ -66,18 +66,21 @@ func TestPageGateLeafDensity(t *testing.T) {
 // neighbour before it splits (internal/btree), which keeps the leaves
 // full. With new ids from 2^20 they fit the loaded leaves' frames
 // nearly as well as the old ones: 95 leaves, where splitting each full
-// leaf in half left 135. From 2^40 every leaf they reach widens to
-// 6-byte id deltas, so the page's bytes, not the count cap, bound the
-// leaves: 136 either way. Width, not fill, binds there.
+// leaf in half left 135. From 2^40 a leaf they reach takes a second id
+// base rather than 6-byte id deltas: 98 leaves, where one base gave
+// 136. The benchmark's own ids, two connections' counters from 2^40
+// and 2^40 + 2^32 interleaved, take a third base and give the same.
 func TestPageGateInsertedLeafDensity(t *testing.T) {
 	const n, pageSize = 50000, 4096
 	g := zorder.MustGrid(2, 12)
 	for _, c := range []struct {
 		firstID uint64
+		conns   int
 		leaves  int
 	}{
-		{1 << 20, 95},
-		{1 << 40, 136},
+		{1 << 20, 1, 95},
+		{1 << 40, 1, 98},
+		{1 << 40, 2, 98},
 	} {
 		pts := workload.Uniform(g, n, 7)
 		pool := disk.MustPool(disk.MustMemStore(pageSize), 64, disk.LRU)
@@ -89,13 +92,14 @@ func TestPageGateInsertedLeafDensity(t *testing.T) {
 		near := func(x uint32) uint32 {
 			return uint32(min(max(int64(x)+rng.Int63n(129)-64, 0), int64(g.Side()-1)))
 		}
-		id := c.firstID
+		m := 0
 		for b := 0; b < 150; b++ {
 			muts := make([]PointMutation, 8)
 			for i := range muts {
 				p := pts[rng.Intn(n)]
+				id := c.firstID + uint64(m%c.conns)<<32 + uint64(m/c.conns)
 				muts[i].Point = geom.Point{ID: id, Coords: []uint32{near(p.Coords[0]), near(p.Coords[1])}}
-				id++
+				m++
 			}
 			if err := ix.CommitBatch(ix.Tree().MVCCStats().Seq, muts); err != nil {
 				t.Fatal(err)
@@ -105,7 +109,7 @@ func TestPageGateInsertedLeafDensity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := ix.Tree().LeafPages(); got != c.leaves {
-			t.Errorf("new ids from %#x: %d leaves for %d points, want %d", c.firstID, got, ix.Len(), c.leaves)
+			t.Errorf("new ids from %#x over %d connections: %d leaves for %d points, want %d", c.firstID, c.conns, got, ix.Len(), c.leaves)
 		}
 	}
 }

@@ -332,7 +332,8 @@ func (ix *reader) searchDecomposed(s *scratch, ctx context.Context, box geom.Box
 	}
 	pages.touch(pc)
 	for ok {
-		z := pc.Key().Hi
+		k := pc.Key()
+		z := k.Hi
 		// Random access into B: first element whose range ends at or
 		// after z.
 		if elems[i].MaxZ(total) < z {
@@ -354,7 +355,7 @@ func (ix *reader) searchDecomposed(s *scratch, ctx context.Context, box geom.Box
 		// elems[i].MinZ <= z <= elems[i].MaxZ: the point is inside
 		// the box, no coordinate test needed.
 		stats.Results++
-		if !visit(z, pc.Key().Lo) {
+		if !visit(z, k.Lo) {
 			break
 		}
 		ok, err = pc.Next()
@@ -391,7 +392,8 @@ func (ix *reader) searchLazy(s *scratch, ctx context.Context, box geom.Box, sp *
 	pages.touch(pc)
 	var stopErr error
 	for ok {
-		z := pc.Key().Hi
+		k := pc.Key()
+		z := k.Hi
 		if bc.ZHi() < z {
 			if !bc.Seek(z) {
 				stopErr = bc.Err()
@@ -410,7 +412,7 @@ func (ix *reader) searchLazy(s *scratch, ctx context.Context, box geom.Box, sp *
 			continue
 		}
 		stats.Results++
-		if !visit(z, pc.Key().Lo) {
+		if !visit(z, k.Lo) {
 			break
 		}
 		ok, err = pc.Next()
@@ -443,13 +445,14 @@ func (ix *reader) searchBigMin(s *scratch, ctx context.Context, box geom.Box, sp
 	}
 	pages.touch(pc)
 	for ok {
-		z := pc.Key().Hi
+		k := pc.Key()
+		z := k.Hi
 		if z > last {
 			break
 		}
 		if ix.g.InBox(z, box.Lo, box.Hi) {
 			stats.Results++
-			if !visit(z, pc.Key().Lo) {
+			if !visit(z, k.Lo) {
 				break
 			}
 			ok, err = pc.Next()
