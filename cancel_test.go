@@ -147,6 +147,47 @@ func TestCancelExplainAnalyze(t *testing.T) {
 	}
 }
 
+// TestCancelRegionJoin: a JOIN statement, on the DB and in a
+// transaction, honours its context after entry: cancelled once the
+// statement has begun, the merge stops with context.Canceled within a
+// couple of leaves of the hundreds the join would read.
+func TestCancelRegionJoin(t *testing.T) {
+	db, _, _ := cancelTestDB(t)
+	const sql = "SELECT region, COUNT(*) AS n FROM points JOIN REGIONS(1 BOX(0, 1023, 0, 511), 2 BOX(0, 511, 0, 1023)) ON INTERSECTS GROUP BY region"
+	tx, err := db.Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	for _, c := range []struct {
+		side string
+		prep func(string) (*probe.Stmt, error)
+	}{{"db", db.Prepare}, {"tx", tx.Prepare}} {
+		st, err := c.prep(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := st.Run(context.Background(), func(probe.QueryRow) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.DataPages < 100 {
+			t.Fatalf("%s: the uncancelled join read %d data pages, too few to tell a prompt cancel", c.side, full.DataPages)
+		}
+		ctx := &canceledAfterEntry{Context: context.Background()}
+		qs, err := st.Run(ctx, func(probe.QueryRow) bool {
+			t.Errorf("%s: a cancelled join emitted a row", c.side)
+			return true
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled after entry, the join returned %v, want context.Canceled", c.side, err)
+		}
+		if qs.DataPages > 2 {
+			t.Errorf("%s: the cancelled join read %d data pages, want at most 2", c.side, qs.DataPages)
+		}
+	}
+}
+
 // TestCloseWhileQuerying exercises the close-while-querying contract
 // documented on ErrClosed: Close may run concurrently with in-flight
 // queries — it waits for them rather than yanking the store — and

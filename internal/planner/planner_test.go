@@ -55,48 +55,6 @@ func TestPlanRangeEmptyTable(t *testing.T) {
 	}
 }
 
-func TestPlanRegionJoinChoices(t *testing.T) {
-	g := zorder.MustGrid(2, 10)
-	tab := newTable(t, g, 5000, 5)
-
-	// Few small regions: nested loop should win.
-	small := []Region{
-		{ID: 1, Box: geom.Box2(0, 30, 0, 30)},
-		{ID: 2, Box: geom.Box2(500, 540, 500, 540)},
-	}
-	plan, err := PlanRegionJoin(tab, small, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan.Description, "nested loop") {
-		t.Errorf("few small regions should use nested loop: %s", plan.Description)
-	}
-	if plan.EstimatedPages <= 0 {
-		t.Errorf("nested loop plan has no estimate")
-	}
-
-	// Many large regions: merge join should win.
-	var large []Region
-	for i := 0; i < 40; i++ {
-		lo := uint32(i * 20)
-		large = append(large, Region{ID: uint64(i + 1), Box: geom.Box2(lo, lo+500, 0, 800)})
-	}
-	plan, err = PlanRegionJoin(tab, large, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan.Description, "merge spatial join") {
-		t.Errorf("many large regions should merge: %s", plan.Description)
-	}
-}
-
-func TestRegionJoinValidation(t *testing.T) {
-	tab := &Table{Name: "noindex"}
-	if _, err := PlanRegionJoin(tab, nil, Config{}); err == nil {
-		t.Errorf("join without index accepted")
-	}
-}
-
 // TestAnalyzeAdaptsToSkew: on diagonal data the uniform block model
 // badly overestimates off-diagonal queries; leaf-boundary statistics
 // fix that and keep index scans chosen.
