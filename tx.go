@@ -399,25 +399,14 @@ func (tx *Tx) overlayRange(pts []Point, box Box) []Point {
 		return pts
 	}
 	out := pts[:0]
-	seen := make(map[txKey]bool, len(tx.overlay))
 	for _, p := range pts {
-		k := txKey{z: tx.db.grid.ShuffleKey(p.Coords), id: p.ID}
-		if e, ok := tx.overlay[k]; ok {
-			seen[k] = true
-			if !e.live {
-				continue
-			}
-		}
-		out = append(out, p)
-	}
-	added := false
-	for k, e := range tx.overlay {
-		if e.live && !seen[k] && box.ContainsPoint(e.p.Coords) {
-			out = append(out, e.p)
-			added = true
+		if tx.inView(p) {
+			out = append(out, p)
 		}
 	}
-	if added {
+	n := len(out)
+	tx.eachInsert(box, func(p Point) { out = append(out, p) })
+	if len(out) > n {
 		g := tx.db.grid
 		sort.Slice(out, func(i, j int) bool {
 			zi, zj := g.ShuffleKey(out[i].Coords), g.ShuffleKey(out[j].Coords)
@@ -428,6 +417,23 @@ func (tx *Tx) overlayRange(pts []Point, box Box) []Point {
 		})
 	}
 	return out
+}
+
+// inView reports whether a point of the pinned snapshot is still in
+// the transaction's view: the transaction has not deleted it.
+func (tx *Tx) inView(p Point) bool {
+	e, ok := tx.overlay[txKey{z: tx.db.grid.ShuffleKey(p.Coords), id: p.ID}]
+	return !ok || e.live
+}
+
+// eachInsert hands fn each buffered insertion inside the box that the
+// pinned snapshot lacks, in no order.
+func (tx *Tx) eachInsert(box Box, fn func(Point)) {
+	for _, e := range tx.overlay {
+		if e.live && !e.inSnap && box.ContainsPoint(e.p.Coords) {
+			fn(e.p)
+		}
+	}
 }
 
 // Nearest returns the m points of the transaction's view nearest to
