@@ -63,7 +63,7 @@ func TestAllocGateDB(t *testing.T) {
 		return len(nbs)
 	})
 
-	// EXPLAIN ANALYZE runs the index scan it chose on the traced read
+	// EXPLAIN ANALYZE runs the index scan, its one plan, on the traced read
 	// path and copies no table, so what it allocates is the same on 1 024
 	// points (25 rows) as on 4 096 (100 rows). The trace: the root span,
 	// the operator span and the root's child list (3). PlanRange: the
@@ -80,9 +80,6 @@ func TestAllocGateDB(t *testing.T) {
 			res, err := c.db.ExplainAnalyze(small)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if res.Access != "index-scan" {
-				t.Fatalf("ExplainAnalyze chose %s", res.Access)
 			}
 			return len(res.Points)
 		})

@@ -121,28 +121,22 @@ func (c *canceledAfterEntry) Err() error {
 }
 
 // TestCancelExplainAnalyze: EXPLAIN ANALYZE honours its context after
-// entry too, whichever plan it runs: a context cancelled once the read
-// has begun stops the run with context.Canceled.
+// entry too, on the whole space and on a small box: a context
+// cancelled once the read has begun stops the run with
+// context.Canceled.
 func TestCancelExplainAnalyze(t *testing.T) {
 	db, full, _ := cancelTestDB(t)
-	for _, c := range []struct {
-		box    probe.Box
-		access string
-	}{{full, "seq-scan"}, {probe.Box2(100, 158, 100, 158), "index-scan"}} {
-		res, err := db.ExplainAnalyze(c.box)
-		if err != nil {
+	for _, box := range []probe.Box{full, probe.Box2(100, 158, 100, 158)} {
+		if _, err := db.ExplainAnalyze(box); err != nil {
 			t.Fatal(err)
 		}
-		if res.Access != c.access {
-			t.Fatalf("%v chose %q, want %q", c.box, res.Access, c.access)
-		}
 		ctx := &canceledAfterEntry{Context: context.Background()}
-		res, err = db.ExplainAnalyze(c.box, probe.WithContext(ctx))
+		res, err := db.ExplainAnalyze(box, probe.WithContext(ctx))
 		if !errors.Is(err, context.Canceled) || res != nil {
-			t.Errorf("%s cancelled after entry: error %v, result %t; want context.Canceled and none", c.access, err, res != nil)
+			t.Errorf("%v cancelled after entry: error %v, result %t; want context.Canceled and none", box, err, res != nil)
 		}
 		if ctx.checks < 2 {
-			t.Errorf("%s checked its context %d times, want at least 2", c.access, ctx.checks)
+			t.Errorf("%v checked its context %d times, want at least 2", box, ctx.checks)
 		}
 	}
 }

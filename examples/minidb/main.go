@@ -1,6 +1,6 @@
 // Minidb: a miniature GIS database session that strings together the
 // DBMS-side machinery the paper argues for — relations over spatial
-// data (§4), the element domain, cost-based planning (§2's
+// data (§4), the element domain, cost estimates for planning (§2's
 // "optimizations of set-at-a-time operators must be done by the
 // DBMS"), ANALYZE statistics, and the page-count accounting of §5,
 // including a what-if extrapolation to a 1986-era disk.
@@ -57,8 +57,8 @@ func main() {
 	}
 	fmt.Printf("EXPLAIN (after ANALYZE):\n  %s\n", plan.Description)
 
-	// --- Run the chosen index scan and account for pages, then
-	// extrapolate to 1986. The planner only chooses; the caller runs. ---
+	// --- Run the index scan and account for pages, then extrapolate
+	// to 1986. The planner only estimates; the caller runs. ---
 	if err := pool.Invalidate(); err != nil {
 		log.Fatal(err)
 	}

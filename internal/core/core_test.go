@@ -289,7 +289,7 @@ func TestRangeSearchEarlyStop(t *testing.T) {
 	ix.BulkLoad(workload.Uniform(g, 500, 9))
 	for _, s := range allStrategies() {
 		n := 0
-		if _, err := ix.RangeSearchFunc(geom.FullBox(g), s, func(geom.Point) bool {
+		if _, err := ix.search(nil, geom.FullBox(g), s, nil, func(geom.Point) bool {
 			n++
 			return n < 5
 		}); err != nil {
@@ -370,26 +370,40 @@ func TestEfficiencyMetric(t *testing.T) {
 // TestStrategiesTouchSamePages: the three strategies perform the same
 // logical merge, so the leaf pages they touch should be identical on
 // box queries.
+// TestStrategiesTouchSamePages: the three strategies read the same
+// leaves, and A and B, the element-driven merges, make the same random
+// accesses, B generating no more elements than A materializes.
 func TestStrategiesTouchSamePages(t *testing.T) {
 	g := zorder.MustGrid(2, 8)
 	pts := workload.Uniform(g, 2000, 12)
-	ix := newTestIndex(t, g, 20)
-	ix.BulkLoad(pts)
-	boxes, err := workload.Queries(g, workload.QuerySpec{Volume: 0.05, Aspect: 1}, 10, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, box := range boxes {
-		var counts [3]int
-		for i, s := range allStrategies() {
-			_, stats, err := ix.RangeSearch(box, s)
+	for _, leafCap := range []int{20, 0} {
+		ix := newTestIndex(t, g, leafCap)
+		ix.BulkLoad(pts)
+		for _, vol := range []float64{0.001, 0.05, 0.3} {
+			boxes, err := workload.Queries(g, workload.QuerySpec{Volume: vol, Aspect: 1}, 10, 13)
 			if err != nil {
 				t.Fatal(err)
 			}
-			counts[i] = stats.DataPages
-		}
-		if counts[0] != counts[1] || counts[1] != counts[2] {
-			t.Errorf("box %v: page counts differ across strategies: %v", box, counts)
+			for _, box := range boxes {
+				var stats [3]SearchStats
+				for i, s := range allStrategies() {
+					if _, stats[i], err = ix.RangeSearch(box, s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				a, b, c := stats[0], stats[1], stats[2]
+				if a.DataPages != b.DataPages || b.DataPages != c.DataPages {
+					t.Errorf("cap %d, box %v: page counts differ across strategies: %d %d %d",
+						leafCap, box, a.DataPages, b.DataPages, c.DataPages)
+				}
+				if a.Seeks != b.Seeks {
+					t.Errorf("cap %d, box %v: A seeks %d times, B %d", leafCap, box, a.Seeks, b.Seeks)
+				}
+				if b.Elements > a.Elements {
+					t.Errorf("cap %d, box %v: B generated %d elements, A materialized %d",
+						leafCap, box, b.Elements, a.Elements)
+				}
+			}
 		}
 	}
 }

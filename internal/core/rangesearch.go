@@ -123,13 +123,6 @@ func (ix *reader) pointAt(slab []uint32, i int, z, id uint64) geom.Point {
 	return geom.Point{ID: id, Coords: c}
 }
 
-// RangeSearchFunc streams all indexed points inside the box to fn, in
-// z order, by the given strategy. Returning false from fn stops the
-// search early.
-func (ix *reader) RangeSearchFunc(box geom.Box, strategy Strategy, fn func(geom.Point) bool) (SearchStats, error) {
-	return ix.search(nil, box, strategy, nil, fn)
-}
-
 // RangeSearchFuncCtx is the streaming form of RangeSearchCtx. The
 // context is threaded into both cursors of the merge — the B+-tree
 // cursor checks it at every page-load boundary, the decomposition
@@ -171,10 +164,7 @@ func (ix *reader) JoinScanCtx(ctx context.Context, boxes []geom.Box, fn func(box
 	return ix.merge(s, ctx, len(boxes), nil, func(i int, z uint64) (zorder.Element, bool, error) {
 		bc.ResetBox(ix.g, boxes[i])
 		bc.SetContext(ctx)
-		if !bc.Seek(z) {
-			return zorder.Element{}, false, bc.Err()
-		}
-		return bc.Element(), true, nil
+		return seekCursor(bc, z)
 	}, func(i int, z, id uint64) bool {
 		if !unshuffled || z != atZ { // once per point, however many boxes hold it
 			ix.unshuffle(z, at)
@@ -476,61 +466,27 @@ func popWaiting(wait []Item) []Item {
 	}
 }
 
-// searchLazy is strategy B: the same merge, with B generated on
-// demand.
+// searchLazy is strategy B: the one-box merge, with B generated on
+// demand. Its seek is the decomposition cursor's, which attributes
+// each element it generates to sp and checks ctx.
 func (ix *reader) searchLazy(s *scratch, ctx context.Context, box geom.Box, sp *obs.Span, visit func(z, id uint64) bool) (SearchStats, error) {
-	var stats SearchStats
 	bc := &s.bc
 	bc.ResetBox(ix.g, box)
 	bc.SetSpan(sp)
 	bc.SetContext(ctx)
-	if !bc.Next() {
-		// An empty decomposition and a pre-cancelled context both land
-		// here; Err distinguishes them.
-		return stats, bc.Err()
+	return ix.merge(s, ctx, 1, sp, func(_ int, z uint64) (zorder.Element, bool, error) {
+		return seekCursor(bc, z)
+	}, func(_ int, z, id uint64) bool { return visit(z, id) })
+}
+
+// seekCursor is a merge's seek on a decomposition cursor aimed at the
+// box: its first element whose z range ends at or after z. A cancelled
+// cursor reports the context's error.
+func seekCursor(bc *decompose.Cursor, z uint64) (zorder.Element, bool, error) {
+	if !bc.Seek(z) {
+		return zorder.Element{}, false, bc.Err()
 	}
-	stats.Elements++
-	pc := ix.cursor(s, ctx, sp)
-	var pages pageTracker
-	ok, err := pc.SeekGE(btree.Key{Hi: bc.ZLo()})
-	stats.Seeks++
-	if err != nil {
-		return stats, err
-	}
-	pages.touch(pc)
-	var stopErr error
-	for ok {
-		k := pc.Key()
-		z := k.Hi
-		if bc.ZHi() < z {
-			if !bc.Seek(z) {
-				stopErr = bc.Err()
-				break
-			}
-			stats.Elements++
-			continue
-		}
-		if z < bc.ZLo() {
-			ok, err = pc.SeekGE(btree.Key{Hi: bc.ZLo()})
-			stats.Seeks++
-			if err != nil {
-				return stats, err
-			}
-			pages.touch(pc)
-			continue
-		}
-		stats.Results++
-		if !visit(z, k.Lo) {
-			break
-		}
-		ok, err = pc.Next()
-		if err != nil {
-			return stats, err
-		}
-		pages.touch(pc)
-	}
-	stats.DataPages = pages.pages
-	return stats, stopErr
+	return bc.Element(), true, nil
 }
 
 // searchBigMin is strategy C: skip directly to the next in-box z

@@ -27,9 +27,6 @@ type ZRange struct {
 // Contains reports whether z falls inside the interval.
 func (r ZRange) Contains(z uint64) bool { return r.Lo <= z && z <= r.Hi }
 
-// Overlaps reports whether [lo, hi] intersects the interval.
-func (r ZRange) Overlaps(lo, hi uint64) bool { return lo <= r.Hi && r.Lo <= hi }
-
 // checkPrefixBits validates a prefix length shared by every exported
 // entry point below.
 func checkPrefixBits(prefixBits int) error {

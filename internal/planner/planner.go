@@ -1,12 +1,13 @@
-// Package planner implements set-at-a-time query planning over
+// Package planner estimates the cost of set-at-a-time queries over
 // spatial relations: the "optimizations of set-at-a-time operators
-// [that] must be done by the DBMS" (Section 2). Given the block-model
-// cost estimates of Section 5, the planner chooses a range query's
-// access path — a z-ordered index scan versus a sequential scan of
-// every leaf — and exposes an EXPLAIN-style description of its choice.
-// A region join has no choice to make: it is always Section 4's merge
-// (core's JoinScanCtx). The planner chooses; the caller runs the chosen
-// plan (probe.DB.ExplainAnalyze, the SQL executor in internal/query).
+// [that] must be done by the DBMS" (Section 2). It chooses nothing. A
+// range query has one plan, the z-ordered index scan, which is Section
+// 4's merge of the box's elements against the points (core's strategy
+// B); the planner prices it in data pages by the block model of
+// Section 5 or by ANALYZE statistics and describes it for EXPLAIN. A
+// region join is the same merge over many regions (core's
+// JoinScanCtx) and is not planned at all. The caller runs the plan
+// (probe.DB.ExplainAnalyze, the SQL executor in internal/query).
 package planner
 
 import (
@@ -27,44 +28,28 @@ type Table struct {
 	Stats *TableStats
 }
 
-// heapPages is the sequential-scan cost in pages: every leaf of the
-// index, packed full.
-func (t *Table) heapPages() float64 {
-	pp := t.Index.Tree().LeafCapacity()
-	return float64((t.Index.Len() + pp - 1) / pp)
-}
+// Config is the planner's configuration, which has no settings: a
+// range query has one plan.
+type Config struct{}
 
-// Config tunes the planner.
-type Config struct {
-	// RandomAccessPenalty scales index-scan page estimates to account
-	// for random I/O being slower than sequential (the classic
-	// optimizer fudge factor). Default 1.5.
-	RandomAccessPenalty float64
-}
-
-func (c Config) penalty() float64 {
-	if c.RandomAccessPenalty <= 0 {
-		return 1.5
-	}
-	return c.RandomAccessPenalty
-}
-
-// Plan is the access path the planner chose, with its cost estimate.
-// The caller runs it; the planner only chooses.
+// Plan is a range query's plan, the index scan, with its cost
+// estimate. The caller runs it; the planner only estimates.
 type Plan struct {
 	// Description is the EXPLAIN line, e.g.
-	// "index scan on points (est. 12.3 pages)".
+	// "index scan on points box(0..9, 0..9) (est. 1.3 pages via block model)".
 	Description string
-	// Access names the chosen access path: "index-scan" or
-	// "seq-scan". EXPLAIN ANALYZE uses it as the operator name.
+	// Access names the operator, always "index-scan". EXPLAIN ANALYZE
+	// uses it as the operator's span name.
 	Access string
-	// EstimatedPages is the block-model cost estimate.
+	// EstimatedPages is the estimate of the data pages the scan reads.
 	EstimatedPages float64
 }
 
-// PlanRange chooses an access path for a range query on the table:
-// the index scan or a sequential scan of every leaf, whichever the
-// cost model prices lower.
+// PlanRange plans a range query on the table: the index scan, which is
+// Section 4's merge of the box's elements against the points, with its
+// page estimate from the ANALYZE statistics or else the block model.
+// The merge reads each leaf at most once, so the estimate is capped at
+// the table's leaf pages and no full scan is ever cheaper.
 func PlanRange(t *Table, box geom.Box, cfg Config) (*Plan, error) {
 	if t.Index == nil {
 		return nil, fmt.Errorf("planner: range query requires an index on %q", t.Name)
@@ -74,27 +59,22 @@ func PlanRange(t *Table, box geom.Box, cfg Config) (*Plan, error) {
 	}
 	var est float64
 	how := "block model"
+	leaves := t.Index.Tree().LeafPages()
 	if t.Stats != nil {
 		e, err := estimatePagesFromStats(t, box, t.Stats)
 		if err != nil {
 			return nil, err
 		}
-		est = e * cfg.penalty()
+		est = e
 		how = "statistics"
 	} else {
-		model, err := analysis.NewModel(t.Index.Grid(), t.Index.Tree().LeafPages())
+		model, err := analysis.NewModel(t.Index.Grid(), leaves)
 		if err != nil {
 			return nil, err
 		}
-		est = model.PredictPages(box) * cfg.penalty()
+		est = model.PredictPages(box)
 	}
-	if scan := t.heapPages(); est > scan {
-		return &Plan{
-			Description:    fmt.Sprintf("seq scan on %s filter %v (est. %.1f pages)", t.Name, box, scan),
-			Access:         "seq-scan",
-			EstimatedPages: scan,
-		}, nil
-	}
+	est = min(est, float64(leaves))
 	return &Plan{
 		Description:    fmt.Sprintf("index scan on %s %v (est. %.1f pages via %s)", t.Name, box, est, how),
 		Access:         "index-scan",

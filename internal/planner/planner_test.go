@@ -29,23 +29,37 @@ func TestPlanRangeChoosesIndexForSmallBoxes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan.Description, "index scan") {
-		t.Errorf("small box should use the index: %s", plan.Description)
+	if !strings.Contains(plan.Description, "index scan") || plan.Access != "index-scan" {
+		t.Errorf("small box should use the index: %s (%s)", plan.Description, plan.Access)
 	}
-	if plan.EstimatedPages <= 0 || plan.EstimatedPages >= tab.heapPages() {
-		t.Errorf("index estimate %v should beat scan %v", plan.EstimatedPages, tab.heapPages())
+	if leaves := float64(tab.Index.Tree().LeafPages()); plan.EstimatedPages <= 0 || plan.EstimatedPages >= leaves {
+		t.Errorf("index estimate %v should be below the %v leaves", plan.EstimatedPages, leaves)
 	}
 }
 
-func TestPlanRangeChoosesScanForHugeBoxes(t *testing.T) {
+// TestPlanRangeCapsHugeBoxesAtLeafPages: a whole-space query is still
+// the index scan, estimated at every leaf once, by the block model and
+// by the statistics alike.
+func TestPlanRangeCapsHugeBoxesAtLeafPages(t *testing.T) {
 	g := zorder.MustGrid(2, 10)
 	tab := newTable(t, g, 5000, 2)
-	plan, err := PlanRange(tab, geom.FullBox(g), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan.Description, "seq scan") {
-		t.Errorf("whole-space query should use a scan: %s", plan.Description)
+	leaves := float64(tab.Index.Tree().LeafPages())
+	for _, analyze := range []bool{false, true} {
+		if analyze {
+			if err := Analyze(tab); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plan, err := PlanRange(tab, geom.FullBox(g), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan.Description, "index scan") || plan.Access != "index-scan" {
+			t.Errorf("whole-space query should use the index: %s (%s)", plan.Description, plan.Access)
+		}
+		if plan.EstimatedPages != leaves {
+			t.Errorf("statistics %v: whole-space estimate %v, want the %v leaves", analyze, plan.EstimatedPages, leaves)
+		}
 	}
 }
 
@@ -57,7 +71,7 @@ func TestPlanRangeEmptyTable(t *testing.T) {
 
 // TestAnalyzeAdaptsToSkew: on diagonal data the uniform block model
 // badly overestimates off-diagonal queries; leaf-boundary statistics
-// fix that and keep index scans chosen.
+// fix that.
 func TestAnalyzeAdaptsToSkew(t *testing.T) {
 	g := zorder.MustGrid(2, 10)
 	pts := workload.Diagonal(g, 5000, 3, 50)
@@ -112,10 +126,9 @@ func TestAnalyzeRequiresIndex(t *testing.T) {
 }
 
 // TestStatsEstimateTracksActual: across random boxes on every
-// distribution the statistics estimate (before the penalty factor)
-// tracks the true page count closely — it may fall short by a few
-// pages because a seek can land on a neighboring leaf that holds no
-// in-range keys.
+// distribution the statistics estimate tracks the true page count
+// closely — it may fall short by a few pages because a seek can land
+// on a neighboring leaf that holds no in-range keys.
 func TestStatsEstimateTracksActual(t *testing.T) {
 	g := zorder.MustGrid(2, 9)
 	for name, pts := range map[string][]geom.Point{

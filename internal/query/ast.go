@@ -2,9 +2,9 @@
 // dialect over the point index — SELECT with spatial predicates
 // (CONTAINS, INTERSECTS, NEAREST), region joins, GROUP BY, ORDER BY
 // and LIMIT — parsed by a hand-written recursive-descent parser into
-// a typed AST, compiled through the cost-based planner into a plan
-// whose operators run over fixed-width cells, and executed streaming
-// (compile.go; internal/relation is its test oracle). It is the relational
+// a typed AST, compiled into a plan whose operators run over
+// fixed-width cells, and executed streaming (compile.go;
+// internal/relation is its test oracle). It is the relational
 // spatial language the paper argues belongs inside the DBMS, serving
 // as the text protocol of the QUERY opcode (wire 1.3).
 //

@@ -24,8 +24,8 @@ type Engine interface {
 	// compiled against.
 	Grid() zorder.Grid
 	// Table is the planner's view of the underlying index for a range
-	// query's cost-based access-path choice, or nil when no cost model
-	// applies (a transaction view, the cluster).
+	// query's page estimate, or nil when no cost model applies (a
+	// transaction view, the cluster).
 	Table() *planner.Table
 	// RangeFunc streams every point in the box in z order; returning
 	// false stops the scan early. A point's Coords may be a buffer the

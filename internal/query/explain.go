@@ -10,9 +10,9 @@ import (
 
 // ExplainText renders the plan as an indented operator tree, one
 // operator per line, leaf (the access path) last. The access-path
-// line of a range query comes from the cost-based planner when the
-// engine has a cost model, so EXPLAIN shows the same choice execution
-// makes; a join has no choice to show and renders the same everywhere.
+// line of a range query is the index scan that execution runs, with
+// the planner's page estimate when the engine has a cost model; a join
+// renders the same everywhere.
 // Rendering is deterministic for a given dataset (the golden tests
 // under testdata/explain byte-compare it).
 func (p *Plan) ExplainText(eng Engine) string {

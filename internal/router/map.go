@@ -162,41 +162,28 @@ func (m *Map) OwnerOf(z uint64) int {
 	return len(m.Shards) - 1
 }
 
-// Intersecting returns the indices of every shard whose z-interval
-// overlaps [lo, hi], in shard order.
-func (m *Map) Intersecting(lo, hi uint64) []int {
-	if hi < lo {
-		lo, hi = hi, lo
-	}
-	first := m.OwnerOf(lo)
-	last := m.OwnerOf(hi)
-	out := make([]int, 0, last-first+1)
-	for i := first; i <= last; i++ {
-		out = append(out, i)
-	}
-	return out
-}
-
 // Cover returns the indices of the shards that own at least one pixel
-// of the box [lo, hi], in shard order: the one rule RANGE, EXPLAIN,
-// JOIN and NEAREST's second phase route a box by. The z-interval of the
-// box's corners names the candidates, and its two ends own the corners.
+// of the box [lo, hi], lo at most hi in every dimension, in shard
+// order: the one rule RANGE, EXPLAIN, JOIN and NEAREST's second phase
+// route a box by. The z-interval of the box's corners names the
+// candidates, and its two ends own the corners.
 // A shard between them is kept only when the box's first pixel at or
 // above the shard's lowest key (the paper's BigMin) is still the
 // shard's, because a tall thin box spans in z shards it never touches.
 func (m *Map) Cover(g zorder.Grid, lo, hi []uint32) []int {
-	idxs := m.Intersecting(g.ShuffleKey(lo), g.ShuffleKey(hi))
-	if len(idxs) <= 2 {
-		return idxs
-	}
-	out, last := idxs[:1], idxs[len(idxs)-1]
-	for _, i := range idxs[1 : len(idxs)-1] {
+	first, last := m.OwnerOf(g.ShuffleKey(lo)), m.OwnerOf(g.ShuffleKey(hi))
+	out := make([]int, 1, last-first+1)
+	out[0] = first
+	for i := first + 1; i < last; i++ {
 		rg, _ := m.Range(i) // cannot fail on a validated map
 		if z, ok := g.BigMin(rg.Lo, lo, hi); ok && z <= rg.Hi {
 			out = append(out, i)
 		}
 	}
-	return append(out, last)
+	if last > first {
+		out = append(out, last)
+	}
+	return out
 }
 
 // Encode renders the map as indented JSON — the stable interchange

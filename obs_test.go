@@ -149,81 +149,37 @@ func TestTracedJoinMatchesLegacy(t *testing.T) {
 }
 
 // TestExplainAnalyzeMatchesLegacy asserts the per-operator actuals
-// equal the legacy counters from running the same query directly.
+// equal the legacy counters from running the same query directly, on a
+// small box, half the space and the whole space alike: EXPLAIN ANALYZE
+// runs the index scan every range query runs.
 func TestExplainAnalyzeMatchesLegacy(t *testing.T) {
 	db := obsTestDB(t)
-	// Small box: the index scan wins, and its actuals must equal a
-	// direct range search counter for counter. (The table is 13 leaves,
-	// so a box of a 21st of a side is small.)
-	box := probe.Box2(10, 30, 60, 80)
-	res, err := db.ExplainAnalyze(box)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Access != "index-scan" {
-		t.Fatalf("small box chose %q, want index-scan", res.Access)
-	}
-	_, legacy, err := db.RangeSearch(box)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.DataPages != legacy.DataPages || res.Stats.Seeks != legacy.Seeks ||
-		res.Stats.Elements != legacy.Elements || res.Stats.Results != legacy.Results {
-		t.Errorf("explain-analyze stats %+v, legacy %+v", res.Stats, legacy)
-	}
-	if res.Stats.Results != len(res.Points) {
-		t.Errorf("stats results %d, points %d", res.Stats.Results, len(res.Points))
-	}
-	if res.Trace.Get(probe.CounterDataPages) != int64(res.Stats.DataPages) {
-		t.Errorf("trace data-pages %d, stats %d", res.Trace.Get(probe.CounterDataPages), res.Stats.DataPages)
-	}
-	// Huge box: the sequential scan wins; its result set must still
-	// match a direct range search exactly.
-	wide := probe.Box2(0, 255, 0, 255)
-	res2, err := db.ExplainAnalyze(wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Access != "seq-scan" {
-		t.Fatalf("full-space box chose %q, want seq-scan", res2.Access)
-	}
-	_, legacy2, err := db.RangeSearch(wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Stats.Results != legacy2.Results || len(res2.Points) != legacy2.Results {
-		t.Errorf("seq-scan results %d (points %d), index results %d",
-			res2.Stats.Results, len(res2.Points), legacy2.Results)
-	}
-	// Half the space: still a sequential scan, and one that leaves
-	// points out. Its stats, its span and its answer count the points
-	// it returns, which are a direct range search's in the same z
-	// order, and its pool activity is its own.
-	half := probe.Box2(0, 255, 0, 127)
-	res3, err := db.ExplainAnalyze(half)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Access != "seq-scan" {
-		t.Fatalf("half-space box chose %q, want seq-scan", res3.Access)
-	}
-	pts3, legacy3, err := db.RangeSearch(half)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spanResults := res3.Trace.Get(probe.CounterResults); res3.Stats.Results != len(res3.Points) ||
-		int(spanResults) != len(res3.Points) || legacy3.Results != len(res3.Points) {
-		t.Errorf("seq-scan stats results %d, span results %d, points %d; range search %d",
-			res3.Stats.Results, spanResults, len(res3.Points), legacy3.Results)
-	}
-	if len(res3.Points) >= res2.Stats.Results {
-		t.Errorf("half-space seq scan kept %d of %d points", len(res3.Points), res2.Stats.Results)
-	}
-	if !samePoints(res3.Points, pts3) {
-		t.Errorf("seq-scan points differ from the range search's")
-	}
-	if res3.Stats.PoolGets == 0 {
-		t.Errorf("seq scan attributed no pool activity: %+v", res3.Stats)
+	// The table is 13 leaves, so a box of a 21st of a side is small.
+	for _, box := range []probe.Box{probe.Box2(10, 30, 60, 80), probe.Box2(0, 255, 0, 127), probe.Box2(0, 255, 0, 255)} {
+		res, err := db.ExplainAnalyze(box)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, legacy, err := db.RangeSearch(box)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.DataPages != legacy.DataPages || res.Stats.Seeks != legacy.Seeks ||
+			res.Stats.Elements != legacy.Elements || res.Stats.Results != legacy.Results {
+			t.Errorf("%v: explain-analyze stats %+v, legacy %+v", box, res.Stats, legacy)
+		}
+		if spanResults := res.Trace.Get(probe.CounterResults); res.Stats.Results != len(res.Points) || int(spanResults) != len(res.Points) {
+			t.Errorf("%v: stats results %d, span results %d, points %d", box, res.Stats.Results, spanResults, len(res.Points))
+		}
+		if res.Trace.Get(probe.CounterDataPages) != int64(res.Stats.DataPages) {
+			t.Errorf("%v: trace data-pages %d, stats %d", box, res.Trace.Get(probe.CounterDataPages), res.Stats.DataPages)
+		}
+		if !samePoints(res.Points, pts) {
+			t.Errorf("%v: explain-analyze points differ from the range search's", box)
+		}
+		if res.Stats.PoolGets == 0 {
+			t.Errorf("%v: explain-analyze attributed no pool activity: %+v", box, res.Stats)
+		}
 	}
 }
 

@@ -596,9 +596,8 @@ func (db *DB) ResetIOStats() { db.store.ResetStats() }
 // harnesses, custom merges).
 func (db *DB) Index() *core.Index { return db.index }
 
-// Explain describes the access path the cost-based planner would pick
-// for a range query, without running it (the DBMS-side optimization
-// the paper's Section 2 calls for).
+// Explain describes a range query's plan, the index scan, with the
+// planner's page estimate, without running it.
 func (db *DB) Explain(box Box) (string, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()

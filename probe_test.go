@@ -1,6 +1,7 @@
 package probe_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -340,8 +341,8 @@ func TestFacadeExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(desc, "seq scan") {
-		t.Errorf("whole-space box should explain as seq scan: %s", desc)
+	if want := fmt.Sprintf("index scan on db box(0..255, 0..255) (est. %d.0 pages", db.LeafPages()); !strings.HasPrefix(desc, want) {
+		t.Errorf("whole-space box should explain as an index scan of every leaf, %q: %s", want, desc)
 	}
 }
 

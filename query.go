@@ -123,8 +123,8 @@ func (s *Stmt) IsExplain() bool { return s.parsed.Explain }
 func (s *Stmt) Columns() []QueryColumn { return s.plan.Columns() }
 
 // ExplainText renders the plan as an indented operator tree, the
-// access-path leaf last, using the cost-based planner's choice where
-// a cost model applies.
+// access-path leaf last, with the planner's page estimate where a cost
+// model applies.
 func (s *Stmt) ExplainText(ctx context.Context) (string, error) {
 	eng, err := s.binder.bindEngine(ctx)
 	if err != nil {
@@ -222,7 +222,7 @@ func (s *Stmt) result(ctx context.Context) (*QueryResult, error) {
 // bindEngine (DB) enters the read path, untraced: the whole statement
 // — every scan a join or multi-predicate plan issues — runs against
 // one pinned version of the index, and the planner cost model is
-// available for access-path choice. The engine is the run's one
+// available for EXPLAIN's page estimate. The engine is the run's one
 // allocation: the pin lives in the scratch it borrows.
 func (db *DB) bindEngine(ctx context.Context) (boundEngine, error) {
 	snap, err := db.beginRead(ctx, nil)

@@ -2,16 +2,18 @@ package probe_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"probe"
 )
 
 // explainTestDB builds a deterministic 2000-point database on a
-// 1024x1024 grid so the cost-based planner's estimates — and with
-// them the EXPLAIN rendering — are byte-stable across runs.
+// 1024x1024 grid so the planner's estimates — and with them the
+// EXPLAIN rendering — are byte-stable across runs.
 func explainTestDB(t *testing.T) *probe.DB {
 	t.Helper()
 	g, err := probe.NewGrid(2, 10)
@@ -36,11 +38,12 @@ func explainTestDB(t *testing.T) *probe.DB {
 }
 
 // TestExplainGolden byte-compares EXPLAIN over the access-path
-// strategy matrix against testdata/explain (regenerate with -update):
-// cost-based index scan vs seq scan, nearest, the region join (one
-// merge, so one line on the DB and in a transaction alike),
-// grouping/ordering/limit/distinct operator stacks, the provably empty
-// plan, and the transaction view's cost-model-free range line.
+// matrix against testdata/explain (regenerate with -update): the
+// index scan of a box and of the whole table (estimated at every leaf
+// once), nearest, the region join (one merge, so one line on the DB
+// and in a transaction alike), grouping/ordering/limit/distinct
+// operator stacks, the provably empty plan, and the transaction view's
+// cost-model-free range line.
 func TestExplainGolden(t *testing.T) {
 	db := explainTestDB(t)
 	ctx := context.Background()
@@ -51,7 +54,7 @@ func TestExplainGolden(t *testing.T) {
 		tx   bool
 	}{
 		{name: "index_scan", sql: "SELECT id, x, y FROM points WHERE CONTAINS(BOX(0, 99, 0, 99)) AND id != 7"},
-		{name: "seq_scan", sql: "SELECT * FROM points"},
+		{name: "whole_table", sql: "SELECT * FROM points"},
 		{name: "nearest", sql: "SELECT id, dist FROM points WHERE NEAREST(POINT(512, 512), 5)"},
 		{name: "join_two_regions", sql: "SELECT region, id FROM points JOIN REGIONS(1 BOX(0, 40, 0, 40), 2 BOX(100, 140, 100, 140)) ON INTERSECTS"},
 		{name: "join_six_regions", sql: "SELECT region, COUNT(*) AS n FROM points JOIN REGIONS(1 BOX(0, 1023, 0, 511), 2 BOX(0, 1023, 512, 1023), 3 BOX(0, 511, 0, 1023), 4 BOX(512, 1023, 0, 1023), 5 BOX(128, 895, 128, 895), 6 BOX(0, 1023, 0, 1023)) ON INTERSECTS GROUP BY region"},
@@ -79,6 +82,12 @@ func TestExplainGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := res.Explain
+			if strings.Contains(got, "seq scan") {
+				t.Errorf("EXPLAIN names a seq scan, which nothing runs:\n%s", got)
+			}
+			if want := fmt.Sprintf("(est. %d.0 pages", db.LeafPages()); tc.name == "whole_table" && !strings.Contains(got, want) {
+				t.Errorf("whole-table estimate is not the %d leaves:\n%s", db.LeafPages(), got)
+			}
 			path := filepath.Join("testdata", "explain", tc.name+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
