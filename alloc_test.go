@@ -67,8 +67,10 @@ func TestAllocGateDB(t *testing.T) {
 	// path and copies no table, so what it allocates is the same on 1 024
 	// points (25 rows) as on 4 096 (100 rows). The trace: the root span,
 	// the operator span and the root's child list (3). PlanRange: the
-	// Plan, the cost model and its sides, the description's string, its
-	// four boxed arguments and the box's rendering (14). The answer's
+	// Plan, the description's string, its two boxed arguments, the name
+	// and the box (a page count under 256 boxes for free), and the box's
+	// rendering (10); the index prices the scan on the read's pinned
+	// scratch and allocates nothing. The answer's
 	// points and slab (2) and the ExplainResult (1). Folding the span
 	// into the metrics: the "index-scan.count" name and one name for each
 	// of its 8 nonzero counters (9).
@@ -76,7 +78,7 @@ func TestAllocGateDB(t *testing.T) {
 		db   *probe.DB
 		rows int
 	}{{latticeDB(t, 8), 25}, {db, 100}} {
-		gate("ExplainAnalyze", 29, c.rows, func() int {
+		gate("ExplainAnalyze", 25, c.rows, func() int {
 			res, err := c.db.ExplainAnalyze(small)
 			if err != nil {
 				t.Fatal(err)

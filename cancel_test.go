@@ -182,6 +182,41 @@ func TestCancelRegionJoin(t *testing.T) {
 	}
 }
 
+// TestCancelNearest: NEAREST, on the DB and in a transaction, honours
+// its context after entry: cancelled once the read has begun, its
+// expanding search stops with context.Canceled, returns no neighbours
+// and reads at most a couple of leaves of the many its rounds would.
+func TestCancelNearest(t *testing.T) {
+	db, _, _ := cancelTestDB(t)
+	tx, err := db.Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	q := []uint32{512, 512}
+	const k = 2000
+	for _, c := range []struct {
+		side    string
+		nearest func([]uint32, int, probe.Metric, ...probe.QueryOption) ([]probe.Neighbor, probe.QueryStats, error)
+	}{{"db", db.Nearest}, {"tx", tx.Nearest}} {
+		nbs, full, err := c.nearest(q, k, probe.Euclidean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(nbs) != k || full.DataPages < 100 {
+			t.Fatalf("%s: the uncancelled search found %d neighbours on %d data pages, too few to tell a prompt cancel", c.side, len(nbs), full.DataPages)
+		}
+		ctx := &canceledAfterEntry{Context: context.Background()}
+		nbs, qs, err := c.nearest(q, k, probe.Euclidean, probe.WithContext(ctx))
+		if !errors.Is(err, context.Canceled) || len(nbs) != 0 {
+			t.Errorf("%s: cancelled after entry: %d neighbours, error %v; want none and context.Canceled", c.side, len(nbs), err)
+		}
+		if qs.DataPages > 2 {
+			t.Errorf("%s: the cancelled search read %d data pages, want at most 2", c.side, qs.DataPages)
+		}
+	}
+}
+
 // TestCloseWhileQuerying exercises the close-while-querying contract
 // documented on ErrClosed: Close may run concurrently with in-flight
 // queries — it waits for them rather than yanking the store — and

@@ -2,8 +2,8 @@
 // DBMS-side machinery the paper argues for — relations over spatial
 // data (§4), the element domain, cost estimates for planning (§2's
 // "optimizations of set-at-a-time operators must be done by the
-// DBMS"), ANALYZE statistics, and the page-count accounting of §5,
-// including a what-if extrapolation to a 1986-era disk.
+// DBMS"), priced by the index itself, and the page-count accounting of
+// §5, including a what-if extrapolation to a 1986-era disk.
 package main
 
 import (
@@ -37,25 +37,13 @@ func main() {
 	fmt.Printf("loaded %d readings into %d data pages (bulk, 100%% fill)\n",
 		ix.Len(), ix.Tree().LeafPages())
 
-	table := &planner.Table{Name: "readings", Index: ix}
-
-	// --- Plan a query before ANALYZE: the uniform block model. ---
+	// --- EXPLAIN: the index counts the leaves the box reaches. ---
 	box := geom.Box2(700, 1000, 0, 300) // off-river sector: nearly empty
-	plan, err := planner.PlanRange(table, box, planner.Config{})
+	plan, err := planner.PlanRange(&planner.Table{Name: "readings", Index: ix}, box, planner.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nEXPLAIN (no statistics):\n  %s\n", plan.Description)
-
-	// --- ANALYZE, then plan again: skew-aware statistics. ---
-	if err := planner.Analyze(table); err != nil {
-		log.Fatal(err)
-	}
-	plan, err = planner.PlanRange(table, box, planner.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("EXPLAIN (after ANALYZE):\n  %s\n", plan.Description)
+	fmt.Printf("\nEXPLAIN:\n  %s\n", plan.Description)
 
 	// --- Run the index scan and account for pages, then extrapolate
 	// to 1986. The planner only estimates; the caller runs. ---
@@ -68,7 +56,8 @@ func main() {
 		log.Fatal(err)
 	}
 	io := store.Stats()
-	fmt.Printf("\nexecuted: %d readings, %d data pages touched\n", len(results), stats.DataPages)
+	fmt.Printf("\nexecuted: %d readings, %d data pages touched (estimated %d)\n",
+		len(results), stats.DataPages, plan.EstimatedPages)
 	fmt.Printf("physical I/O: %d reads -> %v on a 30ms/access 1986 disk\n",
 		io.Reads, io.SimulatedTime(disk.EraDiskAccess))
 

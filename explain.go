@@ -14,8 +14,9 @@ import (
 type ExplainResult struct {
 	// Plan is the planner's EXPLAIN line, estimate included.
 	Plan string
-	// EstimatedPages is the planner's block-model page estimate.
-	EstimatedPages float64
+	// EstimatedPages is the index's count of the data pages the scan
+	// reads, made on the version the scan then reads.
+	EstimatedPages int
 	// Points is the query result.
 	Points []Point
 	// Stats are the unified actual counters, pool and physical I/O
@@ -61,7 +62,7 @@ func (db *DB) ExplainAnalyze(box Box, opts ...QueryOption) (*ExplainResult, erro
 		return nil, err
 	}
 	defer db.endRead(snap, root)
-	plan, err := planner.PlanRange(&planner.Table{Name: "db", Index: db.index}, box, planner.Config{})
+	plan, err := planner.PlanRange(&planner.Table{Name: "db", Index: snap}, box, planner.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -353,3 +353,83 @@ func (c *Cursor) Prev() (bool, error) {
 	}
 	return c.siblingLeaf(v, -1)
 }
+
+// CountLeaves counts, on the internal pages alone, the leaves of the
+// cursor's version that a merge of disjoint z intervals against the
+// keys steps into; an interval [lo, hi] holds the keys whose Hi it
+// holds, and next(z), called with z ascending, returns the first that
+// ends at or after z. A leaf counts when an interval meets its range
+// from the key just below its lower separator: one reaching that key
+// makes the merge step into the leaf, past the last key of the leaf
+// before or by a seek landing past that leaf's end. The cursor is left
+// before the first entry.
+func (c *Cursor) CountLeaves(next func(z uint64) (lo, hi uint64, ok bool, err error)) (int, error) {
+	v, rel, err := c.acquire()
+	if err != nil {
+		return 0, err
+	}
+	if rel {
+		defer c.t.unpin(v)
+	}
+	c.v, c.valid, c.stack = nil, false, c.stack[:0]
+	if v.count == 0 {
+		return 0, nil
+	}
+	return c.countBelow(v.root, v.height, nil, nil, next)
+}
+
+// countBelow counts the leaves under page id at level (1: a leaf,
+// which counts) that CountLeaves counts, the page's keys being
+// [lo, hi) (nil: unbounded).
+func (c *Cursor) countBelow(id disk.PageID, level int, lo, hi []byte, next func(uint64) (uint64, uint64, bool, error)) (int, error) {
+	if level == 1 {
+		return 1, nil
+	}
+	depth := len(c.stack)
+	l, err := c.pushInternal(id)
+	if err != nil {
+		return 0, err
+	}
+	defer func() { c.stack = c.stack[:depth] }()
+	p := l.page // deeper levels may move the stack, never this page's image
+	var buf [encodedKeyLen]byte
+	var start []byte // the least key of the interval last found
+	var last uint64  // and its last z
+	n, a, off := 0, lo, p.firstSep()
+	for i := 0; i <= p.count; i++ {
+		// Child i holds the keys in [a, b); z is the Hi of the key below a.
+		b := hi
+		if i < p.count {
+			if b, off, err = p.sepAt(off); err != nil {
+				return n, err
+			}
+		}
+		var z uint64
+		if a != nil {
+			var k [encodedKeyLen]byte
+			copy(k[:], a)
+			key := decodeKey(k[:c.t.keyLen])
+			if z = key.Hi; key.Lo == 0 && z != 0 {
+				z -= 1 << uint(64-c.t.keyBits)
+			}
+		}
+		if start == nil || last < z {
+			first, end, ok, err := next(z)
+			if !ok {
+				return n, err
+			}
+			start, last = c.t.encodeKey(Key{Hi: first}, &buf), end
+			if hi != nil && sepCompare(hi, start) <= 0 {
+				return n, nil
+			}
+		}
+		if b == nil || sepCompare(start, b) < 0 {
+			m, err := c.countBelow(p.child(i), level-1, a, b, next)
+			if n += m; err != nil {
+				return n, err
+			}
+		}
+		a = b
+	}
+	return n, nil
+}

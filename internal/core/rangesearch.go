@@ -90,6 +90,25 @@ func (ix *reader) RangeSearchCtx(ctx context.Context, box geom.Box, sp *obs.Span
 	return ix.searchAll(ctx, box, MergeLazy, sp)
 }
 
+// EstimatePages prices a range search on the box without running it:
+// the leaves the box's elements, generated as the merge generates
+// them, reach in the reader's version, counted on its internal pages
+// (btree.Cursor.CountLeaves). It is Section 5's block structure as the
+// tree has it, with no uniformity assumed.
+func (ix *reader) EstimatePages(box geom.Box) (int, error) {
+	if box.Dims() != ix.g.Dims() {
+		return 0, fmt.Errorf("core: box has %d dims, index %d", box.Dims(), ix.g.Dims())
+	}
+	s := ix.take()
+	defer ix.give(s)
+	s.bc.ResetBox(ix.g, box)
+	total := ix.g.TotalBits()
+	return ix.cursor(s, nil, nil).CountLeaves(func(z uint64) (uint64, uint64, bool, error) {
+		e, ok, err := seekCursor(&s.bc, z)
+		return e.MinZ(), e.MaxZ(total), ok, err
+	})
+}
+
 // searchAll materializes a search at its final size: the keys collect
 // in the scratch, then one slice of points and one slab of their
 // coordinates hold the answer, whatever its length. A search that

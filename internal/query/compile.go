@@ -23,9 +23,9 @@ type Engine interface {
 	// Grid is the coordinate grid; it must match the grid the plan was
 	// compiled against.
 	Grid() zorder.Grid
-	// Table is the planner's view of the underlying index for a range
-	// query's page estimate, or nil when no cost model applies (a
-	// transaction view, the cluster).
+	// Table is the planner's view of the index version the engine
+	// reads, which prices a range query's index scan, or nil when
+	// there is none to price (the cluster).
 	Table() *planner.Table
 	// RangeFunc streams every point in the box in z order; returning
 	// false stops the scan early. A point's Coords may be a buffer the

@@ -11,8 +11,9 @@ import (
 // ExplainText renders the plan as an indented operator tree, one
 // operator per line, leaf (the access path) last. The access-path
 // line of a range query is the index scan that execution runs, with
-// the planner's page estimate when the engine has a cost model; a join
-// renders the same everywhere.
+// the index's page estimate when the engine has an index to price it
+// (on the DB and in a transaction, not on the cluster); a join renders
+// the same everywhere.
 // Rendering is deterministic for a given dataset (the golden tests
 // under testdata/explain byte-compare it).
 func (p *Plan) ExplainText(eng Engine) string {

@@ -181,8 +181,9 @@ func TestCloseWhileSnapshotReading(t *testing.T) {
 
 // TestReadersDoNotStallBehindWriter is the liveness half of the MVCC
 // tentpole at the API layer: while a writer holds the write path busy,
-// untraced reads keep completing — they pin a committed version and
-// never queue behind the database mutex. (The experiment harness's
+// untraced reads, range searches and EXPLAIN alike, keep completing —
+// they pin a committed version and never queue behind the database
+// mutex. (The experiment harness's
 // mixed benchmark quantifies the same property; this test just proves
 // it cheaply under -race.)
 func TestReadersDoNotStallBehindWriter(t *testing.T) {
@@ -235,6 +236,9 @@ func TestReadersDoNotStallBehindWriter(t *testing.T) {
 	for reads < 200 && time.Now().Before(deadline) {
 		if _, _, err := db.RangeSearch(probe.Box2(0, 127, 0, 127)); err != nil {
 			t.Fatalf("read %d: %v", reads, err)
+		}
+		if _, err := db.Explain(probe.Box2(0, 127, 0, 127)); err != nil {
+			t.Fatalf("explain %d: %v", reads, err)
 		}
 		reads++
 	}

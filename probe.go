@@ -173,10 +173,10 @@ func DetectInterference(g Grid, parts []Part, maxLen int) ([]interfere.Pair, int
 //
 // The index is multi-versioned (see docs/mvcc.md). Every read —
 // RangeSearch, RangeSearchFunc, PartialMatch, Nearest, Scan, a
-// statement, ExplainAnalyze — takes one path: it pins a snapshot of the
-// newest committed version and answers from that one state. Writers
-// (Insert, InsertAll, Delete, DeleteBox) and maintenance (Checkpoint,
-// DropCaches, Close) serialize on db.mu.
+// statement, Explain, ExplainAnalyze — takes one path: it pins a
+// snapshot of the newest committed version and answers from that one
+// state. Writers (Insert, InsertAll, Delete, DeleteBox) and
+// maintenance (Checkpoint, DropCaches, Close) serialize on db.mu.
 //
 // An untraced read never touches db.mu, so it neither blocks behind a
 // writer nor delays one; a streaming callback only keeps its version
@@ -597,15 +597,15 @@ func (db *DB) ResetIOStats() { db.store.ResetStats() }
 func (db *DB) Index() *core.Index { return db.index }
 
 // Explain describes a range query's plan, the index scan, with the
-// planner's page estimate, without running it.
+// index's page estimate, without running it. It is an untraced read:
+// it prices the version it pins and never waits behind a writer.
 func (db *DB) Explain(box Box) (string, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.usableLocked(nil); err != nil {
+	snap, err := db.beginRead(nil, nil)
+	if err != nil {
 		return "", err
 	}
-	tab := &planner.Table{Name: "db", Index: db.index}
-	plan, err := planner.PlanRange(tab, box, planner.Config{})
+	defer db.endRead(snap, nil)
+	plan, err := planner.PlanRange(&planner.Table{Name: "db", Index: snap}, box, planner.Config{})
 	if err != nil {
 		return "", err
 	}

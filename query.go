@@ -221,22 +221,22 @@ func (s *Stmt) result(ctx context.Context) (*QueryResult, error) {
 
 // bindEngine (DB) enters the read path, untraced: the whole statement
 // — every scan a join or multi-predicate plan issues — runs against
-// one pinned version of the index, and the planner cost model is
-// available for EXPLAIN's page estimate. The engine is the run's one
-// allocation: the pin lives in the scratch it borrows.
+// one pinned version of the index, which prices EXPLAIN's index scan.
+// The engine is the run's one allocation: the pin lives in the scratch
+// it borrows.
 func (db *DB) bindEngine(ctx context.Context) (boundEngine, error) {
 	snap, err := db.beginRead(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &dbEngine{db: db, snap: snap, table: planner.Table{Name: query.TableName, Index: db.index}}, nil
+	return &dbEngine{db: db, snap: snap, table: planner.Table{Name: query.TableName, Index: snap}}, nil
 }
 
 // bindEngine (Tx) wraps the transaction view. Each scan revalidates
 // the transaction (ended transactions fail with ErrTxDone), and the
 // statement's ctx overrides the transaction's own for cancellation.
 func (tx *Tx) bindEngine(ctx context.Context) (boundEngine, error) {
-	return &txEngine{tx: tx}, nil
+	return &txEngine{tx: tx, table: planner.Table{Name: query.TableName, Index: txSnapshot{tx}}}, nil
 }
 
 // dbEngine runs plans against one pinned index snapshot.
@@ -279,18 +279,31 @@ func (e *dbEngine) Nearest(ctx context.Context, q []uint32, k int) ([]core.Neigh
 }
 
 // txEngine runs plans against a transaction's view: the pinned
-// transaction snapshot overlaid with its buffered writes. No cost
-// model — the overlay invalidates page counts — so a range query takes
-// the index scan (Table returns nil).
+// transaction snapshot overlaid with its buffered writes. EXPLAIN's
+// index scan is priced on the snapshot, which holds every page the
+// scan reads: the buffered writes are in memory.
 type txEngine struct {
-	tx *Tx
-	qs QueryStats
+	tx    *Tx
+	table planner.Table
+	qs    QueryStats
 }
 
 func (e *txEngine) Grid() zorder.Grid     { return e.tx.db.grid }
-func (e *txEngine) Table() *planner.Table { return nil }
+func (e *txEngine) Table() *planner.Table { return &e.table }
 func (e *txEngine) stats() *QueryStats    { return &e.qs }
 func (e *txEngine) release()              {}
+
+// txSnapshot prices a scan on the transaction's snapshot after the
+// checks every read of the transaction makes.
+type txSnapshot struct{ tx *Tx }
+
+func (s txSnapshot) EstimatePages(box geom.Box) (int, error) {
+	if err := s.tx.begin(s.tx.ctx); err != nil {
+		return 0, err
+	}
+	defer s.tx.db.stateMu.RUnlock()
+	return s.tx.snap.EstimatePages(box)
+}
 
 func (e *txEngine) RangeFunc(ctx context.Context, box geom.Box, fn func(geom.Point) bool) error {
 	qs, err := e.tx.RangeSearchFunc(box, fn, WithContext(ctx))

@@ -85,7 +85,7 @@ func TestExplainGolden(t *testing.T) {
 			if strings.Contains(got, "seq scan") {
 				t.Errorf("EXPLAIN names a seq scan, which nothing runs:\n%s", got)
 			}
-			if want := fmt.Sprintf("(est. %d.0 pages", db.LeafPages()); tc.name == "whole_table" && !strings.Contains(got, want) {
+			if want := fmt.Sprintf("(est. %d pages)", db.LeafPages()); tc.name == "whole_table" && !strings.Contains(got, want) {
 				t.Errorf("whole-table estimate is not the %d leaves:\n%s", db.LeafPages(), got)
 			}
 			path := filepath.Join("testdata", "explain", tc.name+".golden")

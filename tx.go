@@ -491,12 +491,7 @@ func (tx *Tx) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]
 			keep = append(keep, Neighbor{Point: e.p, Dist: core.Distance(q, e.p.Coords, metric)})
 		}
 	}
-	sort.Slice(keep, func(i, j int) bool {
-		if keep[i].Dist != keep[j].Dist {
-			return keep[i].Dist < keep[j].Dist
-		}
-		return keep[i].Point.ID < keep[j].Point.ID
-	})
+	core.SortNeighbors(tx.db.grid, keep)
 	if len(keep) > m {
 		keep = keep[:m]
 	}

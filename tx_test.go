@@ -143,6 +143,63 @@ func TestTxNearestRejectsNonPositiveM(t *testing.T) {
 	}
 }
 
+// TestTxNearestBreaksTiesAsDB: a transaction ranks its buffered
+// inserts in by NEAREST's own order, so it returns tied neighbours in
+// the order the database returns them once they are committed. The 16
+// pixels of the Chebyshev ring of radius 2 around (20, 20) all carry
+// id 1 and lie at distance 2: only the pixel breaks their ties. One is
+// inserted in the transaction, the rest are committed before it.
+func TestTxNearestBreaksTiesAsDB(t *testing.T) {
+	var ring []probe.Point
+	for x := uint32(18); x <= 22; x++ {
+		for y := uint32(18); y <= 22; y++ {
+			if x == 18 || x == 22 || y == 18 || y == 22 {
+				ring = append(ring, probe.Pt2(1, x, y))
+			}
+		}
+	}
+	q := []uint32{20, 20}
+	committed := txTestDB(t)
+	if err := committed.InsertAll(ring); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := committed.Nearest(q, len(ring), probe.Chebyshev)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	db := txTestDB(t)
+	held := 5
+	for i, p := range ring {
+		if i != held {
+			if err := db.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tx, err := db.Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	if err := tx.Insert(ring[held]); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := tx.Nearest(q, len(ring), probe.Chebyshev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("tx: %d neighbours, DB: %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Point.ID != want[i].Point.ID || got[i].Dist != want[i].Dist ||
+			got[i].Point.Coords[0] != want[i].Point.Coords[0] || got[i].Point.Coords[1] != want[i].Point.Coords[1] {
+			t.Errorf("neighbour %d: tx %v at %v, DB %v at %v", i, got[i].Point, got[i].Dist, want[i].Point, want[i].Dist)
+		}
+	}
+}
+
 // TestTxSnapshotIsolation: a tx's reads never observe writes
 // committed after it began.
 func TestTxSnapshotIsolation(t *testing.T) {
