@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"probe/internal/btree"
 	"probe/internal/decompose"
@@ -83,6 +84,27 @@ func newIndexOver(g zorder.Grid, tree *btree.Tree) *Index {
 // NewIndex creates an empty index over grid g on the pool.
 func NewIndex(pool *disk.Pool, g zorder.Grid, cfg IndexConfig) (*Index, error) {
 	tree, err := btree.New(pool, treeConfig(g, cfg.LeafCapacity))
+	if err != nil {
+		return nil, err
+	}
+	return newIndexOver(g, tree), nil
+}
+
+// NewIndexBulk builds an index by bulk-loading sorted points into a
+// packed B+-tree (fill 0 means 100%). Loading n points costs O(n)
+// page writes, versus O(n log n) page accesses for one-at-a-time
+// insertion, and yields ~30% fewer data pages — see
+// BenchmarkAblationBulkLoad.
+func NewIndexBulk(pool *disk.Pool, g zorder.Grid, cfg IndexConfig, pts []geom.Point, fill float64) (*Index, error) {
+	entries := make([]btree.Entry, len(pts))
+	for i, p := range pts {
+		if !g.Valid(p.Coords) {
+			return nil, fmt.Errorf("core: point %v outside %v", p, g)
+		}
+		entries[i] = btree.Entry{Key: btree.Key{Hi: g.ShuffleKey(p.Coords), Lo: p.ID}}
+	}
+	slices.SortFunc(entries, func(a, b btree.Entry) int { return a.Key.Compare(b.Key) })
+	tree, err := btree.Load(pool, treeConfig(g, cfg.LeafCapacity), entries, fill)
 	if err != nil {
 		return nil, err
 	}

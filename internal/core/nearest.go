@@ -6,10 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
-	"probe/internal/btree"
-	"probe/internal/disk"
 	"probe/internal/geom"
 	"probe/internal/zorder"
 )
@@ -253,25 +250,4 @@ func absDiff(a, b uint32) uint32 {
 		return a - b
 	}
 	return b - a
-}
-
-// NewIndexBulk builds an index by bulk-loading sorted points into a
-// packed B+-tree (fill 0 means 100%). Loading n points costs O(n)
-// page writes, versus O(n log n) page accesses for one-at-a-time
-// insertion, and yields ~30% fewer data pages — see
-// BenchmarkAblationBulkLoad.
-func NewIndexBulk(pool *disk.Pool, g zorder.Grid, cfg IndexConfig, pts []geom.Point, fill float64) (*Index, error) {
-	entries := make([]btree.Entry, len(pts))
-	for i, p := range pts {
-		if !g.Valid(p.Coords) {
-			return nil, fmt.Errorf("core: point %v outside %v", p, g)
-		}
-		entries[i] = btree.Entry{Key: btree.Key{Hi: g.ShuffleKey(p.Coords), Lo: p.ID}}
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key.Less(entries[j].Key) })
-	tree, err := btree.Load(pool, treeConfig(g, cfg.LeafCapacity), entries, fill)
-	if err != nil {
-		return nil, err
-	}
-	return newIndexOver(g, tree), nil
 }

@@ -36,3 +36,34 @@ func TestAllocGateBigMin(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocGateShuffle: every stored key is a Shuffle and every result
+// row an UnshuffleInto, on both kernels; neither may allocate.
+func TestAllocGateShuffle(t *testing.T) {
+	for _, g := range []Grid{MustGrid(2, 12), MustGrid(3, 10), MustGridAsym(5, 9, 12, 3)} {
+		coords, lo, hi := make([]uint32, g.Dims()), make([]uint32, g.Dims()), make([]uint32, g.Dims())
+		for i := range hi {
+			hi[i] = uint32(g.SideOf(i) - 1)
+			coords[i] = hi[i] / 3
+		}
+		e := g.Shuffle(coords)
+		var sink uint64
+		for _, c := range []struct {
+			name string
+			f    func()
+		}{
+			{"Shuffle", func() { sink += g.Shuffle(coords).Bits }},
+			{"ShuffleKey", func() { sink += g.ShuffleKey(coords) }},
+			{"UnshuffleInto", func() { g.UnshuffleInto(e, coords) }},
+			{"InBox", func() {
+				if g.InBox(e.Bits, lo, hi) {
+					sink++
+				}
+			}},
+		} {
+			if allocs := testing.AllocsPerRun(200, c.f); allocs != 0 {
+				t.Errorf("%v: %s costs %v allocs, want 0", g, c.name, allocs)
+			}
+		}
+	}
+}

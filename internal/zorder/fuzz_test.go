@@ -7,25 +7,18 @@ import "testing"
 // deeper.
 
 func FuzzShuffleRoundTrip(f *testing.F) {
-	f.Add(uint32(3), uint32(5), uint8(3))
-	f.Add(uint32(0), uint32(0), uint8(1))
-	f.Add(uint32(1<<31), uint32(7), uint8(32))
-	f.Fuzz(func(t *testing.T, x, y uint32, dRaw uint8) {
-		d := int(dRaw%32) + 1
-		g, err := NewGrid(2, d)
-		if err != nil {
-			t.Skip()
+	f.Add(uint32(3), uint32(5), uint32(0), uint32(0), uint8(1), uint8(2))
+	f.Add(uint32(0), uint32(0), uint32(0), uint32(0), uint8(0), uint8(0))
+	f.Add(uint32(1<<31), uint32(7), uint32(9), uint32(1), uint8(3), uint8(31))
+	f.Fuzz(func(t *testing.T, x, y, z, w uint32, kRaw, dRaw uint8) {
+		k := int(kRaw%4) + 1
+		d := int(dRaw)%min(32, MaxBits/k) + 1
+		g := MustGrid(k, d)
+		coords := []uint32{x, y, z, w}[:k]
+		for i := range coords {
+			coords[i] = uint32(uint64(coords[i]) % g.Side())
 		}
-		x = uint32(uint64(x) % g.Side())
-		y = uint32(uint64(y) % g.Side())
-		e := g.Shuffle([]uint32{x, y})
-		back := g.Unshuffle(e)
-		if back[0] != x || back[1] != y {
-			t.Fatalf("round trip (%d,%d) -> %v on d=%d", x, y, back, d)
-		}
-		if e != g.Shuffle2(x, y) {
-			t.Fatalf("Shuffle2 disagrees at (%d,%d) d=%d", x, y, d)
-		}
+		checkAgainstRef(t, g, coords)
 	})
 }
 

@@ -9,41 +9,33 @@ import "fmt"
 //
 // Bit j of the z value (j = 0 is the first bit) belongs to the
 // dimension split at depth j and carries that coordinate's
-// next-most-significant unconsumed bit.
+// next-most-significant unconsumed bit. A symmetric 2-d grid
+// interleaves by word operations (interleave2); every other grid runs
+// the splits round by round: round r takes, in dimension order, bit r
+// (from the top) of each coordinate that has one.
 func (g Grid) Shuffle(coords []uint32) Element {
 	if !g.Valid(coords) {
 		panic(fmt.Sprintf("zorder: coordinates %v invalid for %v", coords, g))
 	}
-	var bits uint64
-	var seq splitSequence
-	seq.init(g)
-	var used [MaxAsymDims]uint8
-	for j := 0; j < g.total; j++ {
-		dim := seq.next()
-		bit := g.BitsOf(dim) - 1 - int(used[dim])
-		used[dim]++
-		if coords[dim]>>uint(bit)&1 != 0 {
-			bits |= 1 << uint(63-j)
+	var z uint64 // the interleaved bits, right-justified
+	if g.k == 2 && g.d != 0 {
+		z = interleave2(coords[0])<<1 | interleave2(coords[1])
+	} else {
+		for r, n := 0, 0; n < g.total; r++ {
+			for i, c := range coords {
+				if b := g.BitsOf(i); r < b {
+					z = z<<1 | uint64(c>>uint(b-1-r)&1)
+					n++
+				}
+			}
 		}
 	}
-	return Element{Bits: bits, Len: uint8(g.total)}
+	return Element{Bits: z << uint(64-g.total), Len: uint8(g.total)}
 }
 
 // ShuffleKey is Shuffle returning only the uint64 key (the
 // left-justified z value), the form stored in B+-tree entries.
 func (g Grid) ShuffleKey(coords []uint32) uint64 { return g.Shuffle(coords).Bits }
-
-// Shuffle2 is a fast path for symmetric 2-d grids.
-func (g Grid) Shuffle2(x, y uint32) Element {
-	if g.k != 2 || g.d == 0 {
-		panic("zorder: Shuffle2 requires a symmetric 2-d grid")
-	}
-	bits := interleave2(x) << 1
-	bits |= interleave2(y)
-	// The interleaved pattern occupies the low 2*d bits in the order
-	// x(d-1) y(d-1) ... x0 y0; left-justify it.
-	return Element{Bits: bits << uint(64-2*g.d), Len: uint8(2 * g.d)}
-}
 
 // interleave2 spreads the low 32 bits of v so that bit i moves to bit
 // 2i (the classic Morton spreading by magic masks).
@@ -77,7 +69,7 @@ func (g Grid) Unshuffle(e Element) []uint32 {
 }
 
 // UnshuffleInto is Unshuffle writing into a caller-provided slice to
-// avoid allocation on hot paths.
+// avoid allocation on hot paths. It undoes Shuffle's two kernels.
 func (g Grid) UnshuffleInto(e Element, coords []uint32) {
 	if int(e.Len) != g.total {
 		panic(fmt.Sprintf("zorder: unshuffle of %d-bit element on %v", e.Len, g))
@@ -85,18 +77,22 @@ func (g Grid) UnshuffleInto(e Element, coords []uint32) {
 	if len(coords) != g.k {
 		panic("zorder: UnshuffleInto slice has wrong length")
 	}
+	if g.k == 2 && g.d != 0 {
+		z := e.Bits >> uint(64-g.total)
+		coords[0], coords[1] = compact2(z>>1), compact2(z)
+		return
+	}
 	for i := range coords {
 		coords[i] = 0
 	}
-	var seq splitSequence
-	seq.init(g)
-	var used [MaxAsymDims]uint8
-	for j := 0; j < g.total; j++ {
-		dim := seq.next()
-		bit := g.BitsOf(dim) - 1 - int(used[dim])
-		used[dim]++
-		if e.Bits>>uint(63-j)&1 != 0 {
-			coords[dim] |= 1 << uint(bit)
+	z := e.Bits // the next bit is bit 63
+	for r, n := 0, 0; n < g.total; r++ {
+		for i := range coords {
+			if b := g.BitsOf(i); r < b {
+				coords[i] |= uint32(z>>63) << uint(b-1-r)
+				z <<= 1
+				n++
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package zorder
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -70,27 +71,105 @@ func TestShuffleUnshuffleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestShuffle2MatchesShuffle(t *testing.T) {
-	for _, d := range []int{1, 3, 8, 16, 31, 32} {
-		g := MustGrid(2, d)
-		rng := rand.New(rand.NewSource(int64(d)))
-		for i := 0; i < 300; i++ {
-			x := uint32(rng.Uint64() % g.Side())
-			y := uint32(rng.Uint64() % g.Side())
-			if g.Shuffle2(x, y) != g.Shuffle([]uint32{x, y}) {
-				t.Fatalf("d=%d: Shuffle2(%d,%d) != Shuffle", d, x, y)
+// refSplits lists the dimension split at each depth the way the
+// paper states it: cycle through the dimensions from 0, skipping the
+// exhausted ones.
+func refSplits(g Grid) []int {
+	var left [MaxAsymDims]int
+	for i := 0; i < g.Dims(); i++ {
+		left[i] = g.BitsOf(i)
+	}
+	var dims []int
+	for c := 0; len(dims) < g.TotalBits(); c++ {
+		if dim := c % g.Dims(); left[dim] > 0 {
+			left[dim]--
+			dims = append(dims, dim)
+		}
+	}
+	return dims
+}
+
+// refShuffle is the bit-at-a-time interleaving Shuffle's kernels must
+// reproduce bit for bit: bit j of the z value carries the
+// next-most-significant unconsumed bit of the dimension split at
+// depth j.
+func refShuffle(g Grid, coords []uint32) Element {
+	var used [MaxAsymDims]int
+	var bits uint64
+	for j, dim := range refSplits(g) {
+		bit := g.BitsOf(dim) - 1 - used[dim]
+		used[dim]++
+		if coords[dim]>>uint(bit)&1 != 0 {
+			bits |= 1 << uint(63-j)
+		}
+	}
+	return Element{Bits: bits, Len: uint8(g.TotalBits())}
+}
+
+// refUnshuffle is the bit-at-a-time inverse of refShuffle.
+func refUnshuffle(g Grid, e Element) []uint32 {
+	var used [MaxAsymDims]int
+	coords := make([]uint32, g.Dims())
+	for j, dim := range refSplits(g) {
+		bit := g.BitsOf(dim) - 1 - used[dim]
+		used[dim]++
+		if e.Bits>>uint(63-j)&1 != 0 {
+			coords[dim] |= 1 << uint(bit)
+		}
+	}
+	return coords
+}
+
+// checkAgainstRef compares Shuffle and UnshuffleInto with the
+// reference loops at one pixel.
+func checkAgainstRef(t *testing.T, g Grid, coords []uint32) {
+	t.Helper()
+	e := g.Shuffle(coords)
+	if want := refShuffle(g, coords); e != want {
+		t.Fatalf("%v: Shuffle(%v) = %v, reference %v", g, coords, e, want)
+	}
+	back := make([]uint32, g.Dims())
+	g.UnshuffleInto(e, back)
+	if !slices.Equal(back, coords) || !slices.Equal(refUnshuffle(g, e), coords) {
+		t.Fatalf("%v: unshuffle of %v = %v, reference %v, want %v", g, e, back, refUnshuffle(g, e), coords)
+	}
+}
+
+// TestShuffleMatchesReferenceExhaustive runs every pixel of small
+// symmetric grids (k = 1..4) and of asymmetric ones through both
+// directions, so every z value of each grid is checked too.
+func TestShuffleMatchesReferenceExhaustive(t *testing.T) {
+	var grids []Grid
+	for k := 1; k <= 4; k++ {
+		for d := 1; k*d <= 12; d++ {
+			grids = append(grids, MustGrid(k, d))
+		}
+	}
+	grids = append(grids, MustGridAsym(3, 5), MustGridAsym(1, 7, 2), MustGridAsym(5, 3))
+	for _, g := range grids {
+		coords := make([]uint32, g.Dims())
+		for rank := uint64(0); rank < g.Cells(); rank++ {
+			// Mixed-radix digits of rank enumerate every pixel once.
+			r := rank
+			for i := range coords {
+				coords[i] = uint32(r % g.SideOf(i))
+				r /= g.SideOf(i)
 			}
+			checkAgainstRef(t, g, coords)
 		}
 	}
 }
 
-func TestShuffle2PanicsOn3D(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("Shuffle2 on 3d grid should panic")
+// TestShuffleMatchesReferenceRandom covers the 2-d grids too large to
+// enumerate, up to the full 64-bit z value.
+func TestShuffleMatchesReferenceRandom(t *testing.T) {
+	for _, d := range []int{16, 31, 32} {
+		g := MustGrid(2, d)
+		rng := rand.New(rand.NewSource(int64(d)))
+		for i := 0; i < 2000; i++ {
+			checkAgainstRef(t, g, []uint32{uint32(rng.Uint64() % g.Side()), uint32(rng.Uint64() % g.Side())})
 		}
-	}()
-	MustGrid(3, 4).Shuffle2(1, 2)
+	}
 }
 
 func TestInterleaveCompactInverse(t *testing.T) {
@@ -213,5 +292,61 @@ func TestFigure2ElementConstruction(t *testing.T) {
 	}
 	if e != MustParseElement("001") {
 		t.Errorf("element for [2:3,0:3] = %v, want 001", e)
+	}
+}
+
+// benchGrids are the grids of the shuffle benchmarks: the benchmark
+// harness's 2-d 12-bit grid (the mask kernel), a 3-d grid and an
+// asymmetric one (the general loop).
+var benchGrids = []struct {
+	name string
+	g    Grid
+}{
+	{"2d12", MustGrid(2, 12)},
+	{"3d10", MustGrid(3, 10)},
+	{"asym5-9-12-3", MustGridAsym(5, 9, 12, 3)},
+}
+
+// benchPoints returns 1024 random pixels of g, one flat slice of
+// g.Dims() coordinates each.
+func benchPoints(g Grid) []uint32 {
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]uint32, 1024*g.Dims())
+	for i := range pts {
+		pts[i] = uint32(rng.Uint64() % g.SideOf(i%g.Dims()))
+	}
+	return pts
+}
+
+var benchSink uint64
+
+func BenchmarkShuffle(b *testing.B) {
+	for _, bg := range benchGrids {
+		g, k := bg.g, bg.g.Dims()
+		pts := benchPoints(g)
+		b.Run(bg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				j := i % 1024 * k
+				benchSink += g.Shuffle(pts[j : j+k]).Bits
+			}
+		})
+	}
+}
+
+func BenchmarkUnshuffle(b *testing.B) {
+	for _, bg := range benchGrids {
+		g, k := bg.g, bg.g.Dims()
+		pts := benchPoints(g)
+		zs := make([]Element, 1024)
+		for i := range zs {
+			zs[i] = g.Shuffle(pts[i*k : i*k+k])
+		}
+		coords := make([]uint32, k)
+		b.Run(bg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g.UnshuffleInto(zs[i%1024], coords)
+				benchSink += uint64(coords[0])
+			}
+		})
 	}
 }
