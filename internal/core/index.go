@@ -28,24 +28,31 @@ type IndexConfig struct {
 // query method — RangeSearch and friends, PartialMatch, Nearest,
 // Decompose. Index embeds a live reader (cursors track the newest
 // committed version); IndexSnapshot embeds one whose snap pins a
-// frozen version. A search aims its recycled cursor at whichever it
-// is (btree.Cursor.Reset), so one implementation serves both.
+// frozen version, with a transaction's writes as its delta. A search
+// aims its recycled cursor at whichever it is (btree.Cursor.Reset), so
+// one implementation serves both.
 type reader struct {
 	g    zorder.Grid
 	tree *btree.Tree
 	snap *btree.Snapshot // nil on the live index
 	own  *scratch        // a Pin's scratch, which its searches run on
+	d    *delta          // a transaction's writes on a snapshot (delta.go)
 }
 
 // Grid returns the grid the points live on.
 func (ix *reader) Grid() zorder.Grid { return ix.g }
 
-// Len returns the number of indexed points.
+// Len returns the number of indexed points, a snapshot's delta
+// included.
 func (ix *reader) Len() int {
-	if ix.snap != nil {
-		return ix.snap.Len()
+	if ix.snap == nil {
+		return ix.tree.Len()
 	}
-	return ix.tree.Len()
+	n := ix.snap.Len()
+	if ix.d != nil {
+		n += ix.d.n
+	}
+	return n
 }
 
 // Decompose runs the object decomposition on the index's grid: the
@@ -143,8 +150,8 @@ func (ix *Index) Tree() *btree.Tree { return ix.tree }
 // run against exactly that version, so a multi-statement computation
 // (or one wire request) observes a single consistent state however
 // many writes commit meanwhile. Snapshots are cheap to open, safe for
-// concurrent use, and must be Released to let superseded pages be
-// reclaimed.
+// concurrent use until one takes a write (Apply), and must be Released
+// to let superseded pages be reclaimed.
 type IndexSnapshot struct {
 	reader
 }
@@ -178,52 +185,17 @@ func (s *IndexSnapshot) Release() {
 // Seq returns the committed tree version the snapshot observes.
 func (s *IndexSnapshot) Seq() uint64 { return s.snap.Seq() }
 
-// key builds the tree key of a point.
-func (ix *reader) key(p geom.Point) (btree.Key, error) {
+// Key returns the tree key of a point, (z value, id).
+func (ix *reader) Key(p geom.Point) (btree.Key, error) {
 	if !ix.g.Valid(p.Coords) {
 		return btree.Key{}, fmt.Errorf("core: point %v outside %v", p, ix.g)
 	}
 	return btree.Key{Hi: ix.g.ShuffleKey(p.Coords), Lo: p.ID}, nil
 }
 
-// Contains reports whether the exact point (pixel and id) is present
-// in the snapshot's version. Transactions use it for duplicate checks
-// and read-your-writes delete semantics.
-func (s *IndexSnapshot) Contains(p geom.Point) (bool, error) {
-	k, err := s.key(p)
-	if err != nil {
-		return false, err
-	}
-	_, ok, err := s.snap.Get(k)
-	return ok, err
-}
-
-// PointMutation is one buffered transaction write at the point level.
-type PointMutation struct {
-	Point  geom.Point
-	Delete bool
-}
-
-// CommitBatch applies a transaction's buffered point mutations as one
-// atomic tree publication, after first-committer-wins validation
-// against every version committed since baseSeq (the sequence of the
-// transaction's pinned snapshot). It returns btree.ErrConflict when
-// validation fails; on any error nothing is applied.
-func (ix *Index) CommitBatch(baseSeq uint64, muts []PointMutation) error {
-	bm := make([]btree.Mutation, len(muts))
-	for i, m := range muts {
-		k, err := ix.key(m.Point)
-		if err != nil {
-			return err
-		}
-		bm[i] = btree.Mutation{Key: k, Delete: m.Delete}
-	}
-	return ix.tree.CommitBatch(baseSeq, bm)
-}
-
 // Insert adds a point. Point ids must be unique per pixel.
 func (ix *Index) Insert(p geom.Point) error {
-	k, err := ix.key(p)
+	k, err := ix.Key(p)
 	if err != nil {
 		return err
 	}
@@ -233,7 +205,7 @@ func (ix *Index) Insert(p geom.Point) error {
 // Delete removes a point previously inserted. It reports whether the
 // point was present.
 func (ix *Index) Delete(p geom.Point) (bool, error) {
-	k, err := ix.key(p)
+	k, err := ix.Key(p)
 	if err != nil {
 		return false, err
 	}

@@ -178,16 +178,6 @@ func compareCandidates(a, b candidate) int {
 	return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.id, b.id), cmp.Compare(a.z, b.z))
 }
 
-// SortNeighbors sorts neighbours of grid g in the order Nearest
-// returns them (compareCandidates), for a caller ranking more in.
-func SortNeighbors(g zorder.Grid, nbs []Neighbor) {
-	slices.SortFunc(nbs, func(a, b Neighbor) int {
-		return compareCandidates(
-			candidate{dist: a.Dist, id: a.Point.ID, z: g.ShuffleKey(a.Point.Coords)},
-			candidate{dist: b.Dist, id: b.Point.ID, z: g.ShuffleKey(b.Point.Coords)})
-	})
-}
-
 // offer keeps c if it is among the m best offered so far. best is a
 // max-heap under compareCandidates: the worst kept candidate is
 // best[0], the one a better newcomer evicts.
@@ -218,11 +208,6 @@ func offer(best []candidate, m int, c candidate) []candidate {
 		i = top
 	}
 }
-
-// Distance returns the distance between two coordinate vectors under
-// the metric. Exposed so transaction overlays can rank buffered
-// (uncommitted) points against snapshot results.
-func Distance(a, b []uint32, metric Metric) float64 { return distance(a, b, metric) }
 
 func distance(a, b []uint32, metric Metric) float64 {
 	switch metric {

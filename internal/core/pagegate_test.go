@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"probe/internal/btree"
 	"probe/internal/disk"
 	"probe/internal/geom"
 	"probe/internal/workload"
@@ -94,14 +95,16 @@ func TestPageGateInsertedLeafDensity(t *testing.T) {
 		}
 		m := 0
 		for b := 0; b < 150; b++ {
-			muts := make([]PointMutation, 8)
+			muts := make([]btree.Mutation, 8)
 			for i := range muts {
 				p := pts[rng.Intn(n)]
 				id := c.firstID + uint64(m%c.conns)<<32 + uint64(m/c.conns)
-				muts[i].Point = geom.Point{ID: id, Coords: []uint32{near(p.Coords[0]), near(p.Coords[1])}}
+				if muts[i].Key, err = ix.Key(geom.Point{ID: id, Coords: []uint32{near(p.Coords[0]), near(p.Coords[1])}}); err != nil {
+					t.Fatal(err)
+				}
 				m++
 			}
-			if err := ix.CommitBatch(ix.Tree().MVCCStats().Seq, muts); err != nil {
+			if err := ix.Tree().CommitBatch(ix.Tree().MVCCStats().Seq, muts); err != nil {
 				t.Fatal(err)
 			}
 		}

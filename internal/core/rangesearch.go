@@ -195,10 +195,11 @@ func (ix *reader) JoinScanCtx(ctx context.Context, boxes []geom.Box, fn func(box
 }
 
 // scratch is the machinery of a search, everything that is not its
-// answer: the tree cursor with its page buffer per level, the
-// decomposition cursor, strategy A's element sequence, the merge's
-// waiting and open elements, the keys of an answer being collected,
-// NEAREST's box and candidates, and a Pin's version and view. A search
+// answer: the tree cursor with its page buffer per level and the
+// sequence stepping it, the decomposition cursor, strategy A's element
+// sequence, the merge's waiting and open elements, the keys of an
+// answer being collected, NEAREST's box and candidates, and a Pin's
+// version and view. A search
 // takes one from the pool, aims it at its own tree version and gives it
 // back detached, so a warm read allocates what it returns and nothing
 // else. The pool is per process, not per snapshot: the serving path
@@ -206,6 +207,7 @@ func (ix *reader) JoinScanCtx(ctx context.Context, boxes []geom.Box, fn func(box
 // outlives a search.
 type scratch struct {
 	pc     btree.Cursor
+	ps     pointSeq
 	bc     decompose.Cursor
 	elems  []zorder.Element
 	wait   []Item
@@ -239,6 +241,7 @@ func kept[T any](b []T) []T {
 // first.
 func (s *scratch) release() {
 	s.pc.Reset(nil, nil)
+	s.ps = pointSeq{}
 	s.bc = decompose.Cursor{}
 	s.pin, s.view = btree.Snapshot{}, IndexSnapshot{}
 	s.elems, s.wait, s.open = kept(s.elems), kept(s.wait), kept(s.open)
@@ -406,14 +409,14 @@ func (ix *reader) merge(s *scratch, ctx context.Context, n int, sp *obs.Span, se
 	if len(wait) == 0 {
 		return stats, nil
 	}
-	pc := ix.cursor(s, ctx, sp)
+	ps := ix.points(s, ctx, sp)
 	var pages pageTracker
-	ok, err := pc.SeekGE(btree.Key{Hi: wait[0].Elem.MinZ()})
+	ok, err := ps.SeekGE(btree.Key{Hi: wait[0].Elem.MinZ()})
 	stats.Seeks++
-	pages.touch(pc)
+	pages.touch(ps.pc)
 merge:
 	for ok && err == nil {
-		k := pc.Key()
+		k := ps.Key()
 		for len(wait) > 0 && wait[0].Elem.MinZ() <= k.Hi {
 			open = append(open, wait[0])
 			wait = popWaiting(wait)
@@ -441,15 +444,15 @@ merge:
 			}
 		}
 		if open = still; len(open) > 0 {
-			ok, err = pc.Next()
+			ok, err = ps.Next()
 		} else if len(wait) > 0 {
 			// Random access into P: skip to the next element's start.
-			ok, err = pc.SeekGE(btree.Key{Hi: wait[0].Elem.MinZ()})
+			ok, err = ps.SeekGE(btree.Key{Hi: wait[0].Elem.MinZ()})
 			stats.Seeks++
 		} else {
 			break
 		}
-		pages.touch(pc)
+		pages.touch(ps.pc)
 	}
 	stats.DataPages = pages.pages
 	return stats, err
@@ -519,16 +522,16 @@ func (ix *reader) searchBigMin(s *scratch, ctx context.Context, box geom.Box, sp
 	stats.Elements++
 	sp.Inc(obs.BigMinSkips)
 	last, _ := ix.g.LitMax(^uint64(0), box.Lo, box.Hi)
-	pc := ix.cursor(s, ctx, sp)
+	ps := ix.points(s, ctx, sp)
 	var pages pageTracker
-	ok, err := pc.SeekGE(btree.Key{Hi: first})
+	ok, err := ps.SeekGE(btree.Key{Hi: first})
 	stats.Seeks++
 	if err != nil {
 		return stats, err
 	}
-	pages.touch(pc)
+	pages.touch(ps.pc)
 	for ok {
-		k := pc.Key()
+		k := ps.Key()
 		z := k.Hi
 		if z > last {
 			break
@@ -538,11 +541,11 @@ func (ix *reader) searchBigMin(s *scratch, ctx context.Context, box geom.Box, sp
 			if !visit(z, k.Lo) {
 				break
 			}
-			ok, err = pc.Next()
+			ok, err = ps.Next()
 			if err != nil {
 				return stats, err
 			}
-			pages.touch(pc)
+			pages.touch(ps.pc)
 			continue
 		}
 		next, more := ix.g.BigMin(z, box.Lo, box.Hi)
@@ -551,12 +554,12 @@ func (ix *reader) searchBigMin(s *scratch, ctx context.Context, box geom.Box, sp
 		if !more {
 			break
 		}
-		ok, err = pc.SeekGE(btree.Key{Hi: next})
+		ok, err = ps.SeekGE(btree.Key{Hi: next})
 		stats.Seeks++
 		if err != nil {
 			return stats, err
 		}
-		pages.touch(pc)
+		pages.touch(ps.pc)
 	}
 	stats.DataPages = pages.pages
 	return stats, nil

@@ -32,9 +32,9 @@ type Engine interface {
 	// next point reuses: fn copies what it keeps.
 	RangeFunc(ctx context.Context, box geom.Box, fn func(geom.Point) bool) error
 	// Join hands fn every pair of a region, by its index in regions,
-	// and a point inside it, in any order: Section 4's merge of the
-	// regions' elements against the points. A point's Coords may be a
-	// buffer the next pair reuses.
+	// and a point inside it, each region's points in z order: Section
+	// 4's merge of the regions' elements against the points. A point's
+	// Coords may be a buffer the next pair reuses.
 	Join(ctx context.Context, regions []geom.Box, fn func(region int, pt geom.Point)) error
 	// Nearest returns the k points nearest to q under the Euclidean
 	// metric, sorted by distance.
@@ -871,29 +871,16 @@ func (p *Plan) join(ctx context.Context, eng Engine) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	order := make([]int, len(rows)/w) // offsets, sorted by (region, id, z)
+	order := make([]int, len(rows)/w) // offsets, sorted by (region, id), z order kept
 	for i := range order {
 		order[i] = i * w
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Or(cmp.Compare(rows[a], rows[b]), cmp.Compare(rows[a+1], rows[b+1])); c != 0 {
-			return c
-		}
-		return cmp.Compare(p.zOf(rows[a+2:a+w]), p.zOf(rows[b+2:b+w]))
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(rows[a], rows[b]), cmp.Compare(rows[a+1], rows[b+1]))
 	})
 	sorted := make([]uint64, 0, len(rows))
 	for _, at := range order {
 		sorted = append(sorted, rows[at:at+w]...)
 	}
 	return sorted, nil
-}
-
-// zOf is the z value of a row's coordinate cells: the order of one
-// point id's rows in one region.
-func (p *Plan) zOf(cells []uint64) uint64 {
-	var c [zorder.MaxBits]uint32
-	for d, v := range cells {
-		c[d] = uint32(v)
-	}
-	return p.grid.ShuffleKey(c[:len(cells)])
 }

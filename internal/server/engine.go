@@ -127,7 +127,7 @@ func (engine) ErrorCode(err error) uint8 {
 }
 
 // txEngine is the engine inside one wire transaction: reads run on the
-// transaction's pinned snapshot with its write-set overlaid, writes
+// transaction's pinned snapshot with its write-set applied, writes
 // only buffer — the shared index is untouched until Commit. What a
 // transaction does not scope (JOIN, CHECKPOINT, EXPLAIN, STATS) stays
 // the embedded engine's.

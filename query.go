@@ -64,19 +64,11 @@ type Stmt struct {
 	binder engineBinder
 }
 
-// engineBinder acquires an execution engine for one statement run.
-// DB pins one index snapshot for the whole statement; Tx answers from
-// its transaction view (snapshot plus its own writes).
+// engineBinder acquires the execution engine of one statement run:
+// a DB pins one index snapshot for the whole statement, a Tx lends its
+// own, which carries its writes.
 type engineBinder interface {
-	bindEngine(ctx context.Context) (boundEngine, error)
-}
-
-// boundEngine is the engine of one statement run: stats accumulates
-// what its scans did, and release ends the run.
-type boundEngine interface {
-	query.Engine
-	stats() *QueryStats
-	release()
+	bindEngine(ctx context.Context) (*stmtEngine, error)
 }
 
 // Prepare parses and compiles one spatial SQL statement against the
@@ -155,7 +147,7 @@ func (s *Stmt) Run(ctx context.Context, fn func(QueryRow) bool) (QueryStats, err
 		rows++
 		return fn(t)
 	})
-	stats := *eng.stats()
+	stats := eng.qs
 	stats.Results = rows
 	return stats, err
 }
@@ -214,7 +206,7 @@ func (s *Stmt) result(ctx context.Context) (*QueryResult, error) {
 	if res.Rows, err = s.plan.Collect(ctx, eng); err != nil {
 		return nil, err
 	}
-	res.Stats = *eng.stats()
+	res.Stats = eng.qs
 	res.Stats.Results = len(res.Rows)
 	return res, nil
 }
@@ -224,121 +216,78 @@ func (s *Stmt) result(ctx context.Context) (*QueryResult, error) {
 // one pinned version of the index, which prices EXPLAIN's index scan.
 // The engine is the run's one allocation: the pin lives in the scratch
 // it borrows.
-func (db *DB) bindEngine(ctx context.Context) (boundEngine, error) {
+func (db *DB) bindEngine(ctx context.Context) (*stmtEngine, error) {
 	snap, err := db.beginRead(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &dbEngine{db: db, snap: snap, table: planner.Table{Name: query.TableName, Index: snap}}, nil
+	return &stmtEngine{db: db, snap: snap, table: planner.Table{Name: query.TableName, Index: snap}}, nil
 }
 
-// bindEngine (Tx) wraps the transaction view. Each scan revalidates
-// the transaction (ended transactions fail with ErrTxDone), and the
-// statement's ctx overrides the transaction's own for cancellation.
-func (tx *Tx) bindEngine(ctx context.Context) (boundEngine, error) {
-	return &txEngine{tx: tx, table: planner.Table{Name: query.TableName, Index: txSnapshot{tx}}}, nil
+// bindEngine (Tx) enters a transaction statement as the transaction's
+// own reads do (Tx.begin), holding the database open until release:
+// the plan reads the transaction's snapshot, its writes applied, and
+// EXPLAIN prices the index scan on the snapshot's pages. A nil ctx
+// falls back to the transaction's own, here and in every scan.
+func (tx *Tx) bindEngine(ctx context.Context) (*stmtEngine, error) {
+	e := &stmtEngine{db: tx.db, tx: tx, snap: tx.snap, ctx: tx.ctx, table: planner.Table{Name: query.TableName, Index: tx.snap}}
+	if err := tx.begin(e.context(ctx)); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
-// dbEngine runs plans against one pinned index snapshot.
-type dbEngine struct {
+// stmtEngine runs a statement's plan against one index snapshot: a
+// DB's pinned version, or a transaction's with its writes.
+type stmtEngine struct {
 	db    *DB
+	tx    *Tx // nil on a DB statement
 	snap  *core.IndexSnapshot
+	ctx   context.Context // a transaction's own, for a scan given none
 	table planner.Table
 	qs    QueryStats
 }
 
-func (e *dbEngine) Grid() zorder.Grid     { return e.db.grid }
-func (e *dbEngine) Table() *planner.Table { return &e.table }
-func (e *dbEngine) stats() *QueryStats    { return &e.qs }
+func (e *stmtEngine) Grid() zorder.Grid     { return e.db.grid }
+func (e *stmtEngine) Table() *planner.Table { return &e.table }
 
-func (e *dbEngine) release() {
+func (e *stmtEngine) context(ctx context.Context) context.Context {
+	if ctx == nil {
+		return e.ctx
+	}
+	return ctx
+}
+
+// release ends the run: a DB statement unpins its version, a
+// transaction's leaves its snapshot to the transaction.
+func (e *stmtEngine) release() {
+	if e.tx != nil {
+		e.db.stateMu.RUnlock()
+		return
+	}
 	e.db.endRead(e.snap, nil)
 	e.db.ops.query.Add(1)
 }
 
 // RangeFunc streams through one reused coordinate buffer, as the
 // Engine contract allows: the plan copies each point into its cells.
-func (e *dbEngine) RangeFunc(ctx context.Context, box geom.Box, fn func(geom.Point) bool) error {
-	ss, err := e.snap.RangeScanCtx(ctx, box, fn)
+func (e *stmtEngine) RangeFunc(ctx context.Context, box geom.Box, fn func(geom.Point) bool) error {
+	ss, err := e.snap.RangeScanCtx(e.context(ctx), box, fn)
 	e.qs.addSearch(ss)
 	return err
 }
 
-// Join runs the one merge of the regions' elements against the pinned
-// snapshot.
-func (e *dbEngine) Join(ctx context.Context, regions []geom.Box, fn func(int, geom.Point)) error {
-	ss, err := e.snap.JoinScanCtx(ctx, regions, fn)
+// Join runs the one merge of the regions' elements against the
+// snapshot, which hands each region its points in z order.
+func (e *stmtEngine) Join(ctx context.Context, regions []geom.Box, fn func(int, geom.Point)) error {
+	ss, err := e.snap.JoinScanCtx(e.context(ctx), regions, fn)
 	e.qs.addSearch(ss)
 	return err
 }
 
-func (e *dbEngine) Nearest(ctx context.Context, q []uint32, k int) ([]core.Neighbor, error) {
-	nbs, ss, err := e.snap.NearestCtx(ctx, q, k, core.Euclidean)
+func (e *stmtEngine) Nearest(ctx context.Context, q []uint32, k int) ([]core.Neighbor, error) {
+	nbs, ss, err := e.snap.NearestCtx(e.context(ctx), q, k, core.Euclidean)
 	e.qs.addSearch(ss)
-	return nbs, err
-}
-
-// txEngine runs plans against a transaction's view: the pinned
-// transaction snapshot overlaid with its buffered writes. EXPLAIN's
-// index scan is priced on the snapshot, which holds every page the
-// scan reads: the buffered writes are in memory.
-type txEngine struct {
-	tx    *Tx
-	table planner.Table
-	qs    QueryStats
-}
-
-func (e *txEngine) Grid() zorder.Grid     { return e.tx.db.grid }
-func (e *txEngine) Table() *planner.Table { return &e.table }
-func (e *txEngine) stats() *QueryStats    { return &e.qs }
-func (e *txEngine) release()              {}
-
-// txSnapshot prices a scan on the transaction's snapshot after the
-// checks every read of the transaction makes.
-type txSnapshot struct{ tx *Tx }
-
-func (s txSnapshot) EstimatePages(box geom.Box) (int, error) {
-	if err := s.tx.begin(s.tx.ctx); err != nil {
-		return 0, err
-	}
-	defer s.tx.db.stateMu.RUnlock()
-	return s.tx.snap.EstimatePages(box)
-}
-
-func (e *txEngine) RangeFunc(ctx context.Context, box geom.Box, fn func(geom.Point) bool) error {
-	qs, err := e.tx.RangeSearchFunc(box, fn, WithContext(ctx))
-	e.qs.accumulate(qs)
-	return err
-}
-
-// Join runs the same merge on the transaction's snapshot, dropping the
-// keys the transaction deleted, then pairs each region with the
-// buffered inserts its box holds.
-func (e *txEngine) Join(ctx context.Context, regions []geom.Box, fn func(int, geom.Point)) error {
-	tx := e.tx
-	ctx = tx.statementCtx(&queryConfig{ctx: ctx})
-	if err := tx.begin(ctx); err != nil {
-		return err
-	}
-	defer tx.db.stateMu.RUnlock()
-	ss, err := tx.snap.JoinScanCtx(ctx, regions, func(i int, pt geom.Point) {
-		if tx.inView(pt) {
-			fn(i, pt)
-		}
-	})
-	e.qs.addSearch(ss)
-	if err != nil {
-		return err
-	}
-	for i, box := range regions {
-		tx.eachInsert(box, func(p Point) { fn(i, p) })
-	}
-	return nil
-}
-
-func (e *txEngine) Nearest(ctx context.Context, q []uint32, k int) ([]core.Neighbor, error) {
-	nbs, qs, err := e.tx.Nearest(q, k, Euclidean, WithContext(ctx))
-	e.qs.accumulate(qs)
 	return nbs, err
 }
 
@@ -349,12 +298,4 @@ func (s *QueryStats) addSearch(ss core.SearchStats) {
 	s.DataPages += ss.DataPages
 	s.Seeks += ss.Seeks
 	s.Elements += ss.Elements
-}
-
-// accumulate folds another operation's stats into s (Results
-// excepted, as in addSearch).
-func (s *QueryStats) accumulate(o QueryStats) {
-	s.DataPages += o.DataPages
-	s.Seeks += o.Seeks
-	s.Elements += o.Elements
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"probe/internal/btree"
@@ -15,13 +14,15 @@ import (
 
 // Multi-statement transactions (docs/transactions.md). A Tx pins one
 // committed MVCC version of the index for every read and buffers its
-// writes in a private write-set overlaid on that snapshot, so a
-// transaction reads its own uncommitted writes but is invisible to
-// every other reader until Commit. Commit runs first-committer-wins
-// validation against every version published after the pinned one and
-// applies the whole write-set as a single atomic tree publication —
-// one root swap, so a crash recovers either all of the transaction or
-// none of it. Rollback just unpins the snapshot.
+// writes in a private write-set, which the snapshot carries as a key
+// delta (core.IndexSnapshot.Apply), so a transaction reads its own
+// uncommitted writes through the same merge as every other read but
+// is invisible to every other reader until Commit. Commit runs
+// first-committer-wins validation against every version published
+// after the pinned one and applies the whole write-set as a single
+// atomic tree publication — one root swap, so a crash recovers either
+// all of the transaction or none of it. Rollback just unpins the
+// snapshot.
 //
 // A Tx is not safe for concurrent use by multiple goroutines; open
 // one per goroutine (snapshots make them cheap).
@@ -44,35 +45,21 @@ var (
 	ErrTxReadOnly = errors.New("probe: read-only transaction")
 )
 
-// txKey identifies a point in the write-set overlay: its z value plus
-// its id, the same identity the index key carries.
-type txKey struct{ z, id uint64 }
-
-// txEntry is the net overlay state of one key: the point, whether it
-// is live after the buffered writes, and whether the pinned snapshot
-// contains it (fixed at first touch; used for Len accounting).
-type txEntry struct {
-	p      Point
-	live   bool
-	inSnap bool
-}
-
 // Tx is a multi-statement transaction. Reads (RangeSearch,
 // RangeSearchFunc, Nearest, Scan, Len) observe the pinned snapshot
-// with the transaction's own buffered writes overlaid; writes
+// with the transaction's own buffered writes applied; writes
 // (Insert, InsertAll, Delete, DeleteBox) buffer into the write-set
 // and touch the shared index only at Commit.
 type Tx struct {
 	db  *DB
 	ctx context.Context
 
-	snap     *core.IndexSnapshot
+	snap     *core.IndexSnapshot // the pinned version, carrying the writes as a key delta
 	writable bool
 	done     bool
 	auto     bool // an auto-commit write under db.mu: Commit must not re-lock; not in probe_tx_*
 
-	writes  []core.PointMutation // buffered mutations, in statement order
-	overlay map[txKey]txEntry    // net per-key state for read-your-writes
+	writes []btree.Mutation // buffered mutations, in statement order
 }
 
 // newTxMetrics builds the probe_tx_* registry with every series
@@ -208,61 +195,16 @@ func (tx *Tx) Writable() bool { return tx.writable }
 // Pending returns the number of buffered write statements.
 func (tx *Tx) Pending() int { return len(tx.writes) }
 
-// keyOf validates the point against the grid and returns its overlay
-// key.
-func (tx *Tx) keyOf(p Point) (txKey, error) {
-	if !tx.db.grid.Valid(p.Coords) {
-		return txKey{}, fmt.Errorf("core: point %v outside %v", p, tx.db.grid)
-	}
-	return txKey{z: tx.db.grid.ShuffleKey(p.Coords), id: p.ID}, nil
-}
-
-// setOverlay records the net state of a key, fixing inSnap on first
-// touch.
-func (tx *Tx) setOverlay(k txKey, p Point, live, inSnap bool) {
-	if tx.overlay == nil {
-		tx.overlay = make(map[txKey]txEntry)
-	}
-	if e, ok := tx.overlay[k]; ok {
-		inSnap = e.inSnap
-	}
-	tx.overlay[k] = txEntry{p: p, live: live, inSnap: inSnap}
-}
-
 // Insert buffers a point insertion. Duplicates are checked against
 // the transaction's view (snapshot plus buffered writes), so
 // inserting a key deleted earlier in the same transaction succeeds
 // and re-inserting a live one fails with the duplicate-key error.
 func (tx *Tx) Insert(p Point) error {
-	if err := tx.begin(tx.ctx); err != nil {
-		return err
+	changed, err := tx.write(p, false)
+	if err == nil && !changed {
+		return btree.ErrDuplicateKey
 	}
-	defer tx.db.stateMu.RUnlock()
-	if !tx.writable {
-		return ErrTxReadOnly
-	}
-	k, err := tx.keyOf(p)
-	if err != nil {
-		return err
-	}
-	inSnap := false
-	if e, ok := tx.overlay[k]; ok {
-		if e.live {
-			return btree.ErrDuplicateKey
-		}
-		inSnap = e.inSnap
-	} else {
-		inSnap, err = tx.snap.Contains(p)
-		if err != nil {
-			return err
-		}
-		if inSnap {
-			return btree.ErrDuplicateKey
-		}
-	}
-	tx.setOverlay(k, p, true, inSnap)
-	tx.writes = append(tx.writes, core.PointMutation{Point: p})
-	return nil
+	return err
 }
 
 // InsertAll buffers many point insertions, failing on the first
@@ -281,7 +223,12 @@ func (tx *Tx) InsertAll(pts []Point) error {
 // inserted earlier in the transaction can be deleted, and deleting
 // the same point twice reports false the second time). Deleting an
 // absent point buffers nothing.
-func (tx *Tx) Delete(p Point) (bool, error) {
+func (tx *Tx) Delete(p Point) (bool, error) { return tx.write(p, true) }
+
+// write buffers the point's insertion or deletion as a mutation of its
+// key, reporting whether it changed the transaction's view. The key is
+// computed once, so the caller's Coords are not retained.
+func (tx *Tx) write(p Point, del bool) (bool, error) {
 	if err := tx.begin(tx.ctx); err != nil {
 		return false, err
 	}
@@ -289,28 +236,16 @@ func (tx *Tx) Delete(p Point) (bool, error) {
 	if !tx.writable {
 		return false, ErrTxReadOnly
 	}
-	k, err := tx.keyOf(p)
+	k, err := tx.snap.Key(p)
 	if err != nil {
 		return false, err
 	}
-	inSnap := false
-	if e, ok := tx.overlay[k]; ok {
-		if !e.live {
-			return false, nil
-		}
-		inSnap = e.inSnap
-	} else {
-		inSnap, err = tx.snap.Contains(p)
-		if err != nil {
-			return false, err
-		}
-		if !inSnap {
-			return false, nil
-		}
+	m := btree.Mutation{Key: k, Delete: del}
+	changed, err := tx.snap.Apply(m)
+	if changed {
+		tx.writes = append(tx.writes, m)
 	}
-	tx.setOverlay(k, p, false, inSnap)
-	tx.writes = append(tx.writes, core.PointMutation{Point: p, Delete: true})
-	return true, nil
+	return changed, err
 }
 
 // DeleteBox deletes every point inside the box as seen by the
@@ -333,8 +268,8 @@ func (tx *Tx) DeleteBox(box Box, opts ...QueryOption) (int, error) {
 }
 
 // RangeSearch returns all points inside the box as seen by the
-// transaction: the pinned snapshot's answer with buffered deletions
-// removed and buffered insertions merged in, in z order. It accepts
+// transaction, in z order: the merge of the box's elements against the
+// pinned snapshot with the buffered writes applied. It accepts
 // WithContext; WithTrace is ignored (snapshot reads carry no physical
 // attribution).
 func (tx *Tx) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, error) {
@@ -345,19 +280,14 @@ func (tx *Tx) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, er
 	}
 	defer tx.db.stateMu.RUnlock()
 	pts, ss, err := tx.snap.RangeSearchCtx(ctx, box, nil)
-	if err != nil {
-		return nil, searchQueryStats(ss), err
-	}
-	pts = tx.overlayRange(pts, box)
-	qs := searchQueryStats(ss)
-	qs.Results = len(pts)
-	return pts, qs, nil
+	return pts, searchQueryStats(ss), err
 }
 
 // RangeSearchFunc streams the transaction's view of the box to fn in
 // z order; returning false stops the stream early. Unlike
-// DB.RangeSearchFunc it materializes the result first (the overlay
-// merge needs the full snapshot answer), so it streams from memory.
+// DB.RangeSearchFunc it collects the answer first and streams from
+// memory, so that fn may write to the transaction: a write during the
+// merge would change the sequence the merge steps.
 func (tx *Tx) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption) (QueryStats, error) {
 	pts, qs, err := tx.RangeSearch(box, opts...)
 	if err != nil {
@@ -378,68 +308,10 @@ func (tx *Tx) Scan(fn func(Point) bool) error {
 }
 
 // Len returns the number of points in the transaction's view.
-func (tx *Tx) Len() int {
-	n := tx.snap.Len()
-	for _, e := range tx.overlay {
-		if e.live && !e.inSnap {
-			n++
-		}
-		if !e.live && e.inSnap {
-			n--
-		}
-	}
-	return n
-}
-
-// overlayRange applies the write-set to a snapshot range result:
-// drops points deleted in the transaction, merges in buffered
-// insertions falling inside the box, and restores z order.
-func (tx *Tx) overlayRange(pts []Point, box Box) []Point {
-	if len(tx.overlay) == 0 {
-		return pts
-	}
-	out := pts[:0]
-	for _, p := range pts {
-		if tx.inView(p) {
-			out = append(out, p)
-		}
-	}
-	n := len(out)
-	tx.eachInsert(box, func(p Point) { out = append(out, p) })
-	if len(out) > n {
-		g := tx.db.grid
-		sort.Slice(out, func(i, j int) bool {
-			zi, zj := g.ShuffleKey(out[i].Coords), g.ShuffleKey(out[j].Coords)
-			if zi != zj {
-				return zi < zj
-			}
-			return out[i].ID < out[j].ID
-		})
-	}
-	return out
-}
-
-// inView reports whether a point of the pinned snapshot is still in
-// the transaction's view: the transaction has not deleted it.
-func (tx *Tx) inView(p Point) bool {
-	e, ok := tx.overlay[txKey{z: tx.db.grid.ShuffleKey(p.Coords), id: p.ID}]
-	return !ok || e.live
-}
-
-// eachInsert hands fn each buffered insertion inside the box that the
-// pinned snapshot lacks, in no order.
-func (tx *Tx) eachInsert(box Box, fn func(Point)) {
-	for _, e := range tx.overlay {
-		if e.live && !e.inSnap && box.ContainsPoint(e.p.Coords) {
-			fn(e.p)
-		}
-	}
-}
+func (tx *Tx) Len() int { return tx.snap.Len() }
 
 // Nearest returns the m points of the transaction's view nearest to
-// q: the snapshot is asked for enough extra neighbors to absorb every
-// buffered deletion, then buffered insertions are ranked in. Options
-// as in RangeSearch.
+// q, as DB.Nearest finds them on the view. Options as in RangeSearch.
 func (tx *Tx) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]Neighbor, QueryStats, error) {
 	qc := queryOptions(opts)
 	ctx := tx.statementCtx(&qc)
@@ -447,56 +319,8 @@ func (tx *Tx) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]
 		return nil, QueryStats{}, err
 	}
 	defer tx.db.stateMu.RUnlock()
-
-	// Ask for one more neighbour per buffered deletion, so that m
-	// survive them. An m <= 0 goes through unwidened, for core to
-	// reject as DB.Nearest does.
-	want := m
-	if m > 0 {
-		for _, e := range tx.overlay {
-			if !e.live {
-				want++
-			}
-		}
-	}
-	nbs, ss, err := tx.snap.NearestCtx(ctx, q, want, metric)
-	if err != nil {
-		return nil, searchQueryStats(ss), err
-	}
-	qs := searchQueryStats(ss)
-	if len(tx.overlay) == 0 {
-		if len(nbs) > m {
-			nbs = nbs[:m]
-		}
-		qs.Results = len(nbs)
-		return nbs, qs, nil
-	}
-	// The overlay can resurrect results on an empty snapshot, where
-	// NearestCtx skipped its own argument validation's Len guard but
-	// still validated q, m and metric above.
-	seen := make(map[txKey]bool, len(tx.overlay))
-	keep := nbs[:0]
-	for _, nb := range nbs {
-		k := txKey{z: tx.db.grid.ShuffleKey(nb.Point.Coords), id: nb.Point.ID}
-		if e, ok := tx.overlay[k]; ok {
-			seen[k] = true
-			if !e.live {
-				continue
-			}
-		}
-		keep = append(keep, nb)
-	}
-	for k, e := range tx.overlay {
-		if e.live && !seen[k] {
-			keep = append(keep, Neighbor{Point: e.p, Dist: core.Distance(q, e.p.Coords, metric)})
-		}
-	}
-	core.SortNeighbors(tx.db.grid, keep)
-	if len(keep) > m {
-		keep = keep[:m]
-	}
-	qs.Results = len(keep)
-	return keep, qs, nil
+	nbs, ss, err := tx.snap.NearestCtx(ctx, q, m, metric)
+	return nbs, searchQueryStats(ss), err
 }
 
 // Commit ends the transaction, validating and applying its write-set
@@ -530,7 +354,7 @@ func (tx *Tx) Commit() error {
 		tx.countAbort()
 		return err
 	}
-	err := db.index.CommitBatch(tx.snap.Seq(), tx.writes)
+	err := db.index.Tree().CommitBatch(tx.snap.Seq(), tx.writes)
 	switch {
 	case err == nil:
 		if !tx.auto {

@@ -10,3 +10,7 @@ const txHarnessSchedules = 250
 // txCrashSchedules is the number of seeded crash-mid-commit fault
 // schedules in the default build.
 const txCrashSchedules = 220
+
+// txViewSeeds is the number of seeded write-sets TestTxViewMatchesCommitted
+// checks.
+const txViewSeeds = 100

@@ -8,3 +8,7 @@ const txHarnessSchedules = 1200
 
 // txCrashSchedules under -tags slow.
 const txCrashSchedules = 1000
+
+// txViewSeeds is the number of seeded write-sets TestTxViewMatchesCommitted
+// checks under -tags slow.
+const txViewSeeds = 1000
