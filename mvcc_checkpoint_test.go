@@ -3,113 +3,12 @@ package probe_test
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"probe"
-	"probe/internal/disk"
-	"probe/internal/disk/faultfs"
 )
-
-// TestCheckpointVsInsertRace pins down the Checkpoint/writer contract
-// (see DB.Checkpoint's doc): a checkpoint racing a stream of inserts
-// must capture a committed root only — never a half-built version.
-// For a set of seeded schedules it runs an insert stream (sequential
-// ids, so every committed version is exactly the prefix {1..k})
-// concurrently with a checkpoint loop on a fault-injecting
-// filesystem, crashes at a seeded write operation, recovers from the
-// crash image, and asserts the recovered database is an exact id
-// prefix with intact tree invariants — a torn root or a root with
-// unflushed children would break one or the other.
-func TestCheckpointVsInsertRace(t *testing.T) {
-	seeds := 25
-	if testing.Short() {
-		seeds = 5
-	}
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runCheckpointRace(t, seed)
-		})
-	}
-}
-
-func runCheckpointRace(t *testing.T, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	fsys := faultfs.New()
-	db, err := probe.Open(probe.MustGrid(2, 8),
-		probe.WithDurability("probe.db"), probe.WithFS(fsys),
-		probe.WithPageSize(256), probe.WithPoolPages(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsys.Arm(faultfs.Plan{Seed: seed, CrashAt: 10 + rng.Intn(400)})
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // the insert stream
-		defer wg.Done()
-		for id := uint64(1); id <= 300; id++ {
-			if fsys.Crashed() {
-				return
-			}
-			if err := db.Insert(probe.Pt2(id, uint32(id%256), uint32((id*7)%256))); err != nil {
-				return
-			}
-		}
-	}()
-	go func() { // the checkpoint loop
-		defer wg.Done()
-		for i := 0; i < 100 && !fsys.Crashed(); i++ {
-			if _, err := db.Checkpoint(); err != nil {
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	if !fsys.Crashed() {
-		t.Skip("schedule finished before the crash point; covered by other seeds")
-	}
-
-	img := fsys.CrashImage()
-	rec, err := probe.Open(probe.MustGrid(2, 8),
-		probe.WithDurability("probe.db"), probe.WithFS(img))
-	if err != nil {
-		var ce *disk.ChecksumError
-		if errors.As(err, &ce) {
-			t.Fatalf("recovery refused with checksum error (no corruption was injected): %v", err)
-		}
-		t.Fatalf("recovery failed: %v", err)
-	}
-	defer rec.Close()
-
-	// The recovered state must be an exact prefix {1..k}: the inserts
-	// commit ids in order, so any committed root is a prefix, and a
-	// checkpoint that captured anything else would surface here.
-	seen := map[uint64]bool{}
-	max := uint64(0)
-	if err := rec.Scan(func(p probe.Point) bool {
-		seen[p.ID] = true
-		if p.ID > max {
-			max = p.ID
-		}
-		return true
-	}); err != nil {
-		t.Fatalf("scan of recovered database: %v", err)
-	}
-	if uint64(len(seen)) != max {
-		t.Fatalf("recovered %d points with max id %d: not a committed prefix", len(seen), max)
-	}
-	for id := uint64(1); id <= max; id++ {
-		if !seen[id] {
-			t.Fatalf("recovered prefix of %d points is missing id %d", max, id)
-		}
-	}
-	if err := rec.Index().Tree().CheckInvariants(); err != nil {
-		t.Fatalf("recovered tree invariants: %v", err)
-	}
-}
 
 // TestCloseWhileSnapshotReading exercises the Close half of the MVCC
 // contract: a Close issued while an untraced snapshot read is in
