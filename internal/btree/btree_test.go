@@ -202,7 +202,9 @@ func TestCursorFullScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := tree.Cursor()
+	snap := tree.Snapshot()
+	defer snap.Release()
+	c := snap.Cursor()
 	ok, err := c.First()
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +240,9 @@ func TestCursorSeekGE(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := tree.Cursor()
+	snap := tree.Snapshot()
+	defer snap.Release()
+	c := snap.Cursor()
 	cases := []struct {
 		seek uint64
 		want uint64
@@ -265,32 +269,11 @@ func TestCursorSeekGE(t *testing.T) {
 	}
 }
 
-func TestCursorPrev(t *testing.T) {
-	tree := newTestTree(t, 512, 4, 0, 64)
-	for i := uint64(0); i < 50; i++ {
-		tree.Insert(Key{Hi: i}, nil)
-	}
-	c := tree.Cursor()
-	if ok, _ := c.SeekGE(Key{Hi: 49}); !ok {
-		t.Fatal("seek failed")
-	}
-	for i := 49; i >= 0; i-- {
-		if c.Key().Hi != uint64(i) {
-			t.Fatalf("Prev out of order at %d: %d", i, c.Key().Hi)
-		}
-		ok, err := c.Prev()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (i > 0) != ok {
-			t.Fatalf("Prev ok=%v at %d", ok, i)
-		}
-	}
-}
-
 func TestCursorOnEmptyTree(t *testing.T) {
 	tree := newTestTree(t, 512, 4, 0, 64)
-	c := tree.Cursor()
+	snap := tree.Snapshot()
+	defer snap.Release()
+	c := snap.Cursor()
 	if ok, _ := c.First(); ok {
 		t.Errorf("First on empty tree")
 	}
@@ -434,7 +417,9 @@ func checkScanMatchesRef(t *testing.T, tree *Tree, ref map[Key]uint64) {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	c := tree.Cursor()
+	snap := tree.Snapshot()
+	defer snap.Release()
+	c := snap.Cursor()
 	ok, err := c.First()
 	if err != nil {
 		t.Fatal(err)
@@ -512,8 +497,8 @@ func TestPaperConfiguration(t *testing.T) {
 }
 
 // TestScanPageAccesses verifies the merge-friendliness claim: a full
-// scan through the sibling links reads each leaf page exactly once
-// even with a small pool.
+// scan along the cursor's cached descent path reads each leaf page
+// exactly once even with a small pool.
 func TestScanPageAccesses(t *testing.T) {
 	store := disk.MustMemStore(1024)
 	pool := disk.MustPool(store, 4, disk.LRU)
@@ -530,7 +515,9 @@ func TestScanPageAccesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.ResetStats()
-	c := tree.Cursor()
+	snap := tree.Snapshot()
+	defer snap.Release()
+	c := snap.Cursor()
 	n := 0
 	for ok, err := c.First(); ok; ok, err = c.Next() {
 		if err != nil {
@@ -592,7 +579,9 @@ func BenchmarkSeekGE(b *testing.B) {
 	for i := 0; i < 100000; i++ {
 		tree.Insert(Key{Hi: rng.Uint64(), Lo: uint64(i)}, val8(uint64(i)))
 	}
-	c := tree.Cursor()
+	snap := tree.Snapshot()
+	defer snap.Release()
+	c := snap.Cursor()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.SeekGE(Key{Hi: rng.Uint64()})
@@ -607,7 +596,9 @@ func TestKeyString(t *testing.T) {
 
 func TestCursorLeafIDAndValuePanics(t *testing.T) {
 	tree := newTestTree(t, 512, 4, 0, 64)
-	c := tree.Cursor()
+	empty := tree.Snapshot()
+	defer empty.Release()
+	c := empty.Cursor()
 	for _, fn := range []func(){
 		func() { c.Value() },
 		func() { c.LeafID() },
@@ -622,38 +613,14 @@ func TestCursorLeafIDAndValuePanics(t *testing.T) {
 		}()
 	}
 	tree.Insert(Key{Hi: 1}, nil)
+	snap := tree.Snapshot()
+	defer snap.Release()
+	c.Reset(snap)
 	if ok, _ := c.First(); !ok {
 		t.Fatal("First failed")
 	}
 	if c.LeafID() == 0 {
 		t.Errorf("LeafID should be a real page")
-	}
-}
-
-func TestCursorPrevAcrossLeaves(t *testing.T) {
-	tree := newTestTree(t, 512, 2, 0, 64)
-	for i := uint64(0); i < 40; i++ {
-		tree.Insert(Key{Hi: i}, nil)
-	}
-	c := tree.Cursor()
-	// Prev on an invalid cursor is a no-op.
-	if ok, _ := c.Prev(); ok {
-		t.Errorf("Prev on fresh cursor")
-	}
-	if ok, _ := c.SeekGE(Key{Hi: 39}); !ok {
-		t.Fatal("seek failed")
-	}
-	for i := 39; i > 0; i-- {
-		ok, err := c.Prev()
-		if err != nil || !ok {
-			t.Fatalf("Prev at %d: %v %v", i, ok, err)
-		}
-		if c.Key().Hi != uint64(i-1) {
-			t.Fatalf("Prev order wrong at %d", i)
-		}
-	}
-	if ok, _ := c.Prev(); ok {
-		t.Errorf("Prev past the first entry")
 	}
 }
 
@@ -682,9 +649,11 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		}
 	}
 	// Corrupt a leaf: swap two keys so ordering breaks.
-	c := tree.Cursor()
+	snap := tree.Snapshot()
+	c := snap.Cursor()
 	c.First()
 	leafID := c.LeafID()
+	snap.Release()
 	n, err := tree.loadLeaf(leafID)
 	if err != nil {
 		t.Fatal(err)

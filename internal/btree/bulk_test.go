@@ -60,7 +60,8 @@ func TestLoadLargeAndScan(t *testing.T) {
 		if err := tree.CheckInvariants(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		c := tree.Cursor()
+		snap := tree.Snapshot()
+		c := snap.Cursor()
 		i := 0
 		for ok, err := c.First(); ok; ok, err = c.Next() {
 			if err != nil {
@@ -74,6 +75,7 @@ func TestLoadLargeAndScan(t *testing.T) {
 			}
 			i++
 		}
+		snap.Release()
 		if i != n {
 			t.Fatalf("n=%d: scan saw %d entries", n, i)
 		}

@@ -13,29 +13,23 @@ import (
 // sequential access (Next, via the descent stack) and random access
 // (SeekGE, a root-to-leaf descent).
 //
+// A cursor reads one committed version, its snapshot's, for its whole
+// lifetime: concurrent writers are invisible to it, and the path it
+// caches always belongs to that version. It moves forward only, as the
+// merge does.
+//
 // A cursor owns one page-sized buffer per level of its descent path —
 // the internal pages from the root down, plus one leaf. Loading a page
 // is one copy of its image into that level's buffer under a pin
 // released at once; the cursor then searches its copy in place through
-// a page view (node.go). It holds no pin between steps, so any number
-// of cursors may be open and none stalls version GC, and after its
-// first descent a cursor allocates nothing. Sequential steps reuse the
-// cached path: advancing to a neighboring leaf under the same parent
-// costs one leaf read, with internal reads only when the walk crosses
-// a subtree boundary.
-//
-// A cursor obtained from Tree.Cursor is live: each step pins the
-// current committed version, so steps interleaved with writes observe
-// the newest data — each step is consistent, but the sequence may
-// span versions (the cursor re-anchors by key when the tree changed
-// under it, so it never follows stale pages). A cursor obtained from
-// Snapshot.Cursor is bound to that snapshot's version for its whole
-// lifetime and is immune to concurrent writes. A cursor itself must
-// not be shared between goroutines.
+// a page view (node.go). It holds no pin of its own between steps, so
+// any number of cursors may be open, and after its first descent a
+// cursor allocates nothing. Sequential steps reuse the cached path:
+// advancing to a neighboring leaf under the same parent costs one leaf
+// read, with internal reads only when the walk crosses a subtree
+// boundary. A cursor must not be shared between goroutines.
 type Cursor struct {
-	t     *Tree
-	snap  *Snapshot     // non-nil: fixed-version cursor
-	v     *version      // version the cached path below belongs to
+	snap  *Snapshot
 	stack []cursorLevel // levels past len keep their buffers for reuse
 	leaf  leafPage      // the leaf under the cursor
 	id    disk.PageID
@@ -52,21 +46,14 @@ type cursorLevel struct {
 	child int
 }
 
-// Cursor returns a new live cursor positioned before the first entry.
-func (t *Tree) Cursor() *Cursor { return &Cursor{t: t} }
-
-// Reset re-aims the cursor, before the first entry and with no span or
-// context: at snap's version when snap is non-nil, else at t's live
-// versions. The cursor keeps its level and leaf buffers and nothing
-// else, so a recycled cursor costs its next search no allocation and
-// owes its last one nothing. Reset(nil, nil) detaches it: it then
-// holds no tree, snapshot or version, and any use before the next
-// Reset panics on the nil tree, not on another search's pages.
-func (c *Cursor) Reset(t *Tree, snap *Snapshot) {
-	if snap != nil {
-		t = snap.t
-	}
-	c.t, c.snap, c.v = t, snap, nil
+// Reset re-aims the cursor at snap's version, before the first entry
+// and with no span or context. The cursor keeps its level and leaf
+// buffers and nothing else, so a recycled cursor costs its next search
+// no allocation and owes its last one nothing. Reset(nil) detaches it:
+// it then holds no snapshot, and any use before the next Reset panics
+// on the nil snapshot, not on another search's pages.
+func (c *Cursor) Reset(snap *Snapshot) {
+	c.snap = snap
 	c.stack = c.stack[:0]
 	c.valid, c.span, c.ctx = false, nil, nil
 }
@@ -85,29 +72,19 @@ func (c *Cursor) SetSpan(sp *obs.Span) { c.span = sp }
 // default) disables the checks at zero cost.
 func (c *Cursor) SetContext(ctx context.Context) { c.ctx = ctx }
 
-// ctxErr reports the cursor's cancellation state.
-func (c *Cursor) ctxErr() error {
+// errReleasedSnapshot guards against use-after-Release bugs.
+var errReleasedSnapshot = fmt.Errorf("btree: cursor on released snapshot")
+
+// loadErr reports why the cursor may not load a page: its snapshot
+// was released (its pages may be reclaimed) or its context is done.
+func (c *Cursor) loadErr() error {
+	if c.snap.released {
+		return errReleasedSnapshot
+	}
 	if c.ctx == nil {
 		return nil
 	}
 	return c.ctx.Err()
-}
-
-// errReleasedSnapshot guards against use-after-Release bugs.
-var errReleasedSnapshot = fmt.Errorf("btree: cursor on released snapshot")
-
-// acquire returns the version this step reads and whether the caller
-// must unpin it afterwards. Snapshot cursors read their pinned
-// version for free; live cursors pin the current version for the
-// duration of one step.
-func (c *Cursor) acquire() (*version, bool, error) {
-	if c.snap != nil {
-		if c.snap.released {
-			return nil, false, errReleasedSnapshot
-		}
-		return c.snap.v, false, nil
-	}
-	return c.t.pin(), true, nil
 }
 
 // Valid reports whether the cursor is positioned on an entry.
@@ -151,7 +128,7 @@ func (c *Cursor) First() (bool, error) {
 // path, reusing the buffer of the page that level last held. It is a
 // page-load boundary.
 func (c *Cursor) pushInternal(id disk.PageID) (*cursorLevel, error) {
-	if err := c.ctxErr(); err != nil {
+	if err := c.loadErr(); err != nil {
 		return nil, err
 	}
 	// The slot past the top still holds the page it last held, and
@@ -161,7 +138,7 @@ func (c *Cursor) pushInternal(id disk.PageID) (*cursorLevel, error) {
 		c.stack = append(c.stack, cursorLevel{})[:n]
 	}
 	l := &c.stack[:n+1][n]
-	buf, err := c.t.copyPage(id, l.page.data)
+	buf, err := c.snap.t.copyPage(id, l.page.data)
 	if err == nil {
 		l.page, err = viewInternal(buf)
 	}
@@ -176,12 +153,12 @@ func (c *Cursor) pushInternal(id disk.PageID) (*cursorLevel, error) {
 // enterLeaf makes leaf page id the cursor's current leaf, reusing the
 // last one's buffer. It is a page-load boundary.
 func (c *Cursor) enterLeaf(id disk.PageID) error {
-	if err := c.ctxErr(); err != nil {
+	if err := c.loadErr(); err != nil {
 		return err
 	}
-	buf, err := c.t.copyPage(id, c.leaf.data)
+	buf, err := c.snap.t.copyPage(id, c.leaf.data)
 	if err == nil {
-		c.leaf, err = viewLeaf(buf, c.t.keyLen, c.t.valueSize)
+		c.leaf, err = viewLeaf(buf, c.snap.t.keyLen, c.snap.t.valueSize)
 	}
 	if err != nil {
 		return err
@@ -191,12 +168,13 @@ func (c *Cursor) enterLeaf(id disk.PageID) error {
 	return nil
 }
 
-// descend rebuilds the cursor's path from v's root to the leaf
+// descend rebuilds the cursor's path from the root to the leaf
 // responsible for k.
-func (c *Cursor) descend(v *version, k Key) error {
+func (c *Cursor) descend(k Key) error {
 	var buf [encodedKeyLen]byte
-	enc := c.t.encodeKey(k, &buf)
+	enc := c.snap.t.encodeKey(k, &buf)
 	c.stack = c.stack[:0]
+	v := c.snap.v
 	id := v.root
 	for level := v.height; level > 1; level-- {
 		l, err := c.pushInternal(id)
@@ -208,70 +186,49 @@ func (c *Cursor) descend(v *version, k Key) error {
 		}
 		id = l.page.child(l.child)
 	}
-	c.v = v
 	return c.enterLeaf(id)
 }
 
-// descendEdge descends to the leftmost (rightmost) leaf of the
-// subtree rooted at id, extending the cached path.
-func (c *Cursor) descendEdge(v *version, id disk.PageID, rightmost bool) (bool, error) {
+// nextLeaf moves to the first entry of the leaf after the current one
+// by walking the cached path: pop exhausted levels, step the first
+// ancestor with a further child, and descend that child's leftmost
+// edge.
+func (c *Cursor) nextLeaf() (bool, error) {
 	c.valid = false
-	for len(c.stack)+1 < v.height {
+	n := len(c.stack)
+	for n > 0 && c.stack[n-1].child == c.stack[n-1].page.count {
+		n--
+	}
+	if c.stack = c.stack[:n]; n == 0 {
+		return false, nil
+	}
+	top := &c.stack[n-1]
+	top.child++
+	id := top.page.child(top.child)
+	for len(c.stack)+1 < c.snap.v.height {
 		l, err := c.pushInternal(id)
 		if err != nil {
 			return false, err
 		}
 		l.child = 0
-		if rightmost {
-			l.child = l.page.count
-		}
-		id = l.page.child(l.child)
+		id = l.page.child(0)
 	}
 	if err := c.enterLeaf(id); err != nil {
 		return false, err
 	}
 	c.pos = 0
-	if rightmost {
-		c.pos = c.leaf.count - 1
-	}
 	c.valid = c.leaf.count > 0
 	return c.valid, nil
 }
 
-// siblingLeaf moves to the first entry of the leaf after the current
-// one (dir = +1) or the last entry of the leaf before it (dir = -1) by
-// walking the cached path: pop exhausted levels, step the first
-// ancestor with a further child that way, descend its near edge.
-func (c *Cursor) siblingLeaf(v *version, dir int) (bool, error) {
-	for len(c.stack) > 0 {
-		top := &c.stack[len(c.stack)-1]
-		if next := top.child + dir; next >= 0 && next <= top.page.count {
-			top.child = next
-			return c.descendEdge(v, top.page.child(next), dir < 0)
-		}
-		c.stack = c.stack[:len(c.stack)-1]
-	}
-	c.valid = false
-	return false, nil
-}
-
 // SeekGE positions the cursor on the first entry with key >= k.
 func (c *Cursor) SeekGE(k Key) (bool, error) {
-	if err := c.ctxErr(); err != nil {
-		c.valid = false
+	c.valid = false
+	if err := c.loadErr(); err != nil {
 		return false, err
-	}
-	v, rel, err := c.acquire()
-	if err != nil {
-		c.valid = false
-		return false, err
-	}
-	if rel {
-		defer c.t.unpin(v)
 	}
 	c.span.Inc(obs.Seeks)
-	if err := c.descend(v, k); err != nil {
-		c.valid = false
+	if err := c.descend(k); err != nil {
 		return false, err
 	}
 	c.pos = c.leaf.search(k)
@@ -281,7 +238,7 @@ func (c *Cursor) SeekGE(k Key) (bool, error) {
 	}
 	// The target starts past this leaf's end (the descend key landed
 	// at a leaf boundary).
-	return c.siblingLeaf(v, +1)
+	return c.nextLeaf()
 }
 
 // Next advances to the next entry in key order.
@@ -293,65 +250,7 @@ func (c *Cursor) Next() (bool, error) {
 		c.pos++
 		return true, nil
 	}
-	// Crossing a leaf boundary needs a consistent view: pin one.
-	last := c.leaf.key(c.leaf.count - 1)
-	v, rel, err := c.acquire()
-	if err != nil {
-		c.valid = false
-		return false, err
-	}
-	if rel {
-		defer c.t.unpin(v)
-	}
-	if v != c.v {
-		// The tree changed since the cached path was built: the old
-		// page ids may be gone. Re-anchor by key in the new version.
-		if err := c.descend(v, last); err != nil {
-			c.valid = false
-			return false, err
-		}
-		c.pos = c.leaf.search(last)
-		if c.pos < c.leaf.count && c.leaf.key(c.pos) == last {
-			c.pos++
-		}
-		if c.pos < c.leaf.count {
-			c.valid = true
-			return true, nil
-		}
-	}
-	return c.siblingLeaf(v, +1)
-}
-
-// Prev moves to the previous entry in key order.
-func (c *Cursor) Prev() (bool, error) {
-	if !c.valid {
-		return false, nil
-	}
-	if c.pos > 0 {
-		c.pos--
-		return true, nil
-	}
-	first := c.leaf.key(0)
-	v, rel, err := c.acquire()
-	if err != nil {
-		c.valid = false
-		return false, err
-	}
-	if rel {
-		defer c.t.unpin(v)
-	}
-	if v != c.v {
-		if err := c.descend(v, first); err != nil {
-			c.valid = false
-			return false, err
-		}
-		c.pos = c.leaf.search(first) - 1
-		if c.pos >= 0 {
-			c.valid = true
-			return true, nil
-		}
-	}
-	return c.siblingLeaf(v, -1)
+	return c.nextLeaf()
 }
 
 // CountLeaves counts, on the internal pages alone, the leaves of the
@@ -364,14 +263,11 @@ func (c *Cursor) Prev() (bool, error) {
 // before or by a seek landing past that leaf's end. The cursor is left
 // before the first entry.
 func (c *Cursor) CountLeaves(next func(z uint64) (lo, hi uint64, ok bool, err error)) (int, error) {
-	v, rel, err := c.acquire()
-	if err != nil {
+	if err := c.loadErr(); err != nil {
 		return 0, err
 	}
-	if rel {
-		defer c.t.unpin(v)
-	}
-	c.v, c.valid, c.stack = nil, false, c.stack[:0]
+	v := c.snap.v
+	c.valid, c.stack = false, c.stack[:0]
 	if v.count == 0 {
 		return 0, nil
 	}
@@ -408,9 +304,9 @@ func (c *Cursor) countBelow(id disk.PageID, level int, lo, hi []byte, next func(
 		if a != nil {
 			var k [encodedKeyLen]byte
 			copy(k[:], a)
-			key := decodeKey(k[:c.t.keyLen])
+			key := decodeKey(k[:c.snap.t.keyLen])
 			if z = key.Hi; key.Lo == 0 && z != 0 {
-				z -= 1 << uint(64-c.t.keyBits)
+				z -= 1 << uint(64-c.snap.t.keyBits)
 			}
 		}
 		if start == nil || last < z {
@@ -418,7 +314,7 @@ func (c *Cursor) countBelow(id disk.PageID, level int, lo, hi []byte, next func(
 			if !ok {
 				return n, err
 			}
-			start, last = c.t.encodeKey(Key{Hi: first}, &buf), end
+			start, last = c.snap.t.encodeKey(Key{Hi: first}, &buf), end
 			if hi != nil && sepCompare(hi, start) <= 0 {
 				return n, nil
 			}

@@ -81,11 +81,13 @@ func TestFaultInjectionNoPanics(t *testing.T) {
 				return fmt.Errorf("delete %d: %w", i, err)
 			}
 		}
-		c := tree.Cursor()
+		snap := tree.Snapshot()
+		c := snap.Cursor()
 		ok, err := c.First()
 		for ok {
 			ok, err = c.Next()
 		}
+		snap.Release()
 		if err != nil {
 			return fmt.Errorf("scan: %w", err)
 		}

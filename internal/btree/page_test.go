@@ -566,11 +566,7 @@ func TestReadPathPageAccesses(t *testing.T) {
 		ok, err := cur.SeekGE(Key{Hi: i << 58})
 		for j := 0; ok && err == nil && j < 40; j++ {
 			steps++
-			if i%2 == 0 {
-				ok, err = cur.Next()
-			} else {
-				ok, err = cur.Prev()
-			}
+			ok, err = cur.Next()
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -583,7 +579,7 @@ func TestReadPathPageAccesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := [4]int64{int64(steps), int64(pool.Stats().Gets - gets), sp.Get(obs.NodeVisits), sp.Get(obs.LeafScans)}
-	want := [4]int64{2560, 1519, 211, 496}
+	want := [4]int64{2560, 1529, 216, 501}
 	if got != want {
 		t.Errorf("steps, pool gets, node visits, leaf scans = %v, want %v", got, want)
 	}
@@ -620,25 +616,17 @@ func TestNoPinOutlivesACall(t *testing.T) {
 	unpinned("a duplicate Insert")
 	snap := tree.Snapshot()
 	defer snap.Release()
-	live, fixed := tree.Cursor(), snap.Cursor()
+	fixed := snap.Cursor()
 	for i, k := range keys {
-		for _, c := range []*Cursor{live, fixed} {
-			if ok, err := c.SeekGE(k); !ok || err != nil || c.Key() != k {
-				t.Fatalf("SeekGE(%v): %v %v", k, ok, err)
+		if ok, err := fixed.SeekGE(k); !ok || err != nil || fixed.Key() != k {
+			t.Fatalf("SeekGE(%v): %v %v", k, ok, err)
+		}
+		unpinned("SeekGE")
+		for j := 0; j < 6; j++ {
+			if _, err := fixed.Next(); err != nil {
+				t.Fatal(err)
 			}
-			unpinned("SeekGE")
-			for j := 0; j < 6; j++ {
-				if _, err := c.Next(); err != nil {
-					t.Fatal(err)
-				}
-				unpinned("Next")
-			}
-			for j := 0; j < 12; j++ {
-				if _, err := c.Prev(); err != nil {
-					t.Fatal(err)
-				}
-				unpinned("Prev")
-			}
+			unpinned("Next")
 		}
 		if v, ok, err := tree.Get(k); err != nil || !ok || !bytes.Equal(v, val8(k.Lo)) {
 			t.Fatalf("Get(%v) = %x, %v, %v", k, v, ok, err)
@@ -669,21 +657,21 @@ func TestNoPinOutlivesACall(t *testing.T) {
 	unpinned("CheckInvariants")
 
 	// A recycled cursor: Reset re-aims it with its buffers, and the
-	// detaching Reset leaves it holding no snapshot, tree or version,
-	// so the version it read is reclaimable once released, and a use
-	// after detaching panics on the nil tree, not on stale pages.
+	// detaching Reset leaves it holding no snapshot, so the version it
+	// read is reclaimable once released, and a use after detaching
+	// panics on the nil snapshot, not on stale pages.
 	s2 := tree.Snapshot()
-	fixed.Reset(nil, s2)
-	if fixed.Valid() || fixed.t != tree {
-		t.Fatal("Reset left the cursor positioned, or off the snapshot's tree")
+	fixed.Reset(s2)
+	if fixed.Valid() || fixed.snap != s2 {
+		t.Fatal("Reset left the cursor positioned, or off the snapshot")
 	}
 	if ok, err := fixed.SeekGE(keys[1]); !ok || err != nil {
 		t.Fatalf("SeekGE after Reset: %v %v", ok, err)
 	}
 	unpinned("SeekGE after Reset")
 	levels := cap(fixed.stack)
-	fixed.Reset(nil, nil)
-	if fixed.t != nil || fixed.snap != nil || fixed.v != nil || fixed.span != nil || fixed.ctx != nil || fixed.Valid() {
+	fixed.Reset(nil)
+	if fixed.snap != nil || fixed.span != nil || fixed.ctx != nil || fixed.Valid() {
 		t.Fatalf("a detached cursor still refers to its last search: %+v", fixed)
 	}
 	if cap(fixed.stack) != levels || cap(fixed.leaf.data) == 0 {
@@ -703,7 +691,7 @@ func TestNoPinOutlivesACall(t *testing.T) {
 	// the same value pins again.
 	var held Snapshot
 	for i := 0; i < 2; i++ {
-		fixed.Reset(nil, tree.SnapshotInto(&held))
+		fixed.Reset(tree.SnapshotInto(&held))
 		if ok, err := fixed.SeekGE(keys[1]); !ok || err != nil {
 			t.Fatalf("SeekGE on a snapshot held by value: %v %v", ok, err)
 		}
@@ -711,7 +699,7 @@ func TestNoPinOutlivesACall(t *testing.T) {
 		if n := tree.MVCCStats().PinnedSnapshots; n != 1 {
 			t.Fatalf("%d snapshots pinned while one is held by value", n)
 		}
-		fixed.Reset(nil, nil)
+		fixed.Reset(nil)
 		held.Release()
 		if n := tree.MVCCStats().PinnedSnapshots; n != 0 {
 			t.Fatalf("%d snapshots pinned after the value's Release", n)
@@ -748,9 +736,12 @@ func TestNoPinOutlivesACall(t *testing.T) {
 			t.Errorf("Get through a root of type %d succeeded", typ)
 		}
 		unpinned("a failed Get")
-		if _, err := live.SeekGE(keys[1]); err == nil || live.Valid() {
+		s := tree.Snapshot()
+		c := s.Cursor()
+		if _, err := c.SeekGE(keys[1]); err == nil || c.Valid() {
 			t.Errorf("SeekGE through a root of type %d succeeded", typ)
 		}
+		s.Release()
 		unpinned("a failed SeekGE")
 		if err := tree.Insert(Key{Hi: 1, Lo: 1 << 40}, val8(0)); err == nil {
 			t.Errorf("Insert through a root of type %d succeeded", typ)

@@ -90,7 +90,8 @@ func TestExplicitCapacityShapes(t *testing.T) {
 		}
 		h := fnv.New64a()
 		var b [20]byte
-		c := tree.Cursor()
+		snap := tree.Snapshot()
+		c := snap.Cursor()
 		for ok, err := c.First(); ok || err != nil; ok, err = c.Next() {
 			if err != nil {
 				t.Fatal(err)
@@ -103,6 +104,7 @@ func TestExplicitCapacityShapes(t *testing.T) {
 				h.Write(b[:])
 			}
 		}
+		snap.Release()
 		if got := h.Sum64(); got != want[capacity] {
 			t.Errorf("capacity %d: %d leaves hash to %#x, want %#x", capacity, tree.LeafPages(), got, want[capacity])
 		}
@@ -113,7 +115,9 @@ func TestExplicitCapacityShapes(t *testing.T) {
 func leafCounts(t *testing.T, tree *Tree) []int {
 	t.Helper()
 	var counts []int
-	c := tree.Cursor()
+	snap := tree.Snapshot()
+	defer snap.Release()
+	c := snap.Cursor()
 	for ok, err := c.First(); ok || err != nil; ok, err = c.Next() {
 		if err != nil {
 			t.Fatal(err)
@@ -234,7 +238,9 @@ func TestLeafSpill(t *testing.T) {
 			t.Fatal(err)
 		}
 		var a, b [encodedKeyLen]byte
-		c := tree.Cursor()
+		snap := tree.Snapshot()
+		defer snap.Release()
+		c := snap.Cursor()
 		if ok, err := c.First(); !ok || err != nil {
 			t.Fatal(ok, err)
 		}
@@ -276,7 +282,9 @@ func TestLeafSpill(t *testing.T) {
 			return 1<<62 + uint64(i)
 		}, func(i int) uint64 { return ids[i] })
 		sibling := func() disk.PageID {
-			c := tree.Cursor()
+			snap := tree.Snapshot()
+			defer snap.Release()
+			c := snap.Cursor()
 			if ok, err := c.SeekGE(Key{Hi: 1 << 62}); !ok || err != nil {
 				t.Fatal(ok, err)
 			}

@@ -32,17 +32,14 @@ type Config struct {
 // concurrency control.
 //
 // Thread safety: the tree is a chain of immutable versions (see
-// version.go). Reads — Get, the accessors, Snapshot views, and cursor
-// steps — pin a committed version and traverse its pages without any
-// tree-wide lock, so they never block behind a writer. Structural
-// writes (Insert, Delete) serialize on an internal writer mutex, build
-// new pages along the modified path, and publish a new root with one
-// atomic commit. A Snapshot observes exactly one committed version for
-// its whole lifetime; a plain Tree.Cursor re-pins the current version
-// at each step, so an iteration interleaved with writes may observe
-// different committed versions at different steps — each step is
-// consistent, the sequence is not. Consistent iteration across steps
-// uses Snapshot.Cursor.
+// version.go). Reads — Get, the accessors and Snapshot views — pin a
+// committed version and traverse its pages without any tree-wide lock,
+// so they never block behind a writer. Structural writes (Insert,
+// Delete) serialize on an internal writer mutex, build new pages along
+// the modified path, and publish a new root with one atomic commit. A
+// Snapshot observes exactly one committed version for its whole
+// lifetime, and so does every cursor: a cursor comes from
+// Snapshot.Cursor and reads its snapshot's version.
 type Tree struct {
 	pool      *disk.Pool
 	pageSize  int

@@ -256,11 +256,10 @@ func (s *Snapshot) Height() int { return s.v.height }
 // LeafPages returns the snapshot's number of leaf pages.
 func (s *Snapshot) LeafPages() int { return s.v.leaves }
 
-// Cursor returns a cursor over the snapshot. Unlike Tree.Cursor, it
-// iterates one committed version: concurrent writers are invisible.
-func (s *Snapshot) Cursor() *Cursor {
-	return &Cursor{t: s.t, snap: s}
-}
+// Cursor returns a cursor over the snapshot, positioned before the
+// first entry. It iterates the snapshot's version: concurrent writers
+// are invisible to it.
+func (s *Snapshot) Cursor() *Cursor { return &Cursor{snap: s} }
 
 // Get returns the value stored under the key in the snapshot.
 func (s *Snapshot) Get(k Key) ([]byte, bool, error) {

@@ -340,7 +340,9 @@ func TestSkipOptimizationReducesWork(t *testing.T) {
 	first, _ := g.BigMin(0, box.Lo, box.Hi)
 	last, _ := g.LitMax(^uint64(0), box.Lo, box.Hi)
 	naive := 0
-	c := ix.Tree().Cursor()
+	snap := ix.Tree().Snapshot()
+	defer snap.Release()
+	c := snap.Cursor()
 	var prev disk.PageID
 	for ok, _ := c.SeekGE(btree.Key{Hi: first}); ok; ok, _ = c.Next() {
 		if c.Key().Hi > last {

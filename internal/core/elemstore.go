@@ -95,9 +95,12 @@ func (s *ElementStore) Delete(it Item) (bool, error) {
 	return s.tree.Delete(k)
 }
 
-// Scan streams all items in z order.
+// Scan streams all items in z order, of the version committed when it
+// starts.
 func (s *ElementStore) Scan(fn func(Item) bool) error {
-	c := s.tree.Cursor()
+	snap := s.tree.Snapshot()
+	defer snap.Release()
+	c := snap.Cursor()
 	ok, err := c.First()
 	for ok {
 		if !fn(decodeItem(c.Key())) {
@@ -116,8 +119,8 @@ type storeCursor struct {
 	pages map[disk.PageID]bool
 }
 
-func newStoreCursor(s *ElementStore) (*storeCursor, error) {
-	sc := &storeCursor{c: s.tree.Cursor(), pages: make(map[disk.PageID]bool)}
+func newStoreCursor(snap *btree.Snapshot) (*storeCursor, error) {
+	sc := &storeCursor{c: snap.Cursor(), pages: make(map[disk.PageID]bool)}
 	ok, err := sc.c.First()
 	if err != nil {
 		return nil, err
@@ -153,14 +156,18 @@ type JoinPages struct {
 // overlap pairs to fn (return false to stop). It is the disk-resident
 // form of SpatialJoin: one sequential pass over each relation's
 // leaves — the access pattern for which "the LRU buffering strategy
-// will work well" (Section 4) — with page counts reported.
+// will work well" (Section 4) — with page counts reported. Each side
+// reads the version of its store committed when the join starts.
 func SpatialJoinStores(a, b *ElementStore, fn func(Pair) bool) (JoinPages, error) {
 	var pages JoinPages
-	ca, err := newStoreCursor(a)
+	sa, sb := a.tree.Snapshot(), b.tree.Snapshot()
+	defer sa.Release()
+	defer sb.Release()
+	ca, err := newStoreCursor(sa)
 	if err != nil {
 		return pages, err
 	}
-	cb, err := newStoreCursor(b)
+	cb, err := newStoreCursor(sb)
 	if err != nil {
 		return pages, err
 	}

@@ -26,11 +26,11 @@ type IndexConfig struct {
 
 // reader bundles a grid with a tree view and carries every read-only
 // query method — RangeSearch and friends, PartialMatch, Nearest,
-// Decompose. Index embeds a live reader (cursors track the newest
-// committed version); IndexSnapshot embeds one whose snap pins a
-// frozen version, with a transaction's writes as its delta. A search
-// aims its recycled cursor at whichever it is (btree.Cursor.Reset), so
-// one implementation serves both.
+// Decompose. Index embeds a live reader, each of whose calls pins the
+// newest committed version for its duration; IndexSnapshot embeds one
+// whose snap pins a frozen version, with a transaction's writes as its
+// delta. A search aims its recycled cursor at the version it reads
+// (reader.version), so one implementation serves both.
 type reader struct {
 	g    zorder.Grid
 	tree *btree.Tree
@@ -48,7 +48,13 @@ func (ix *reader) Len() int {
 	if ix.snap == nil {
 		return ix.tree.Len()
 	}
-	n := ix.snap.Len()
+	return ix.count(ix.snap)
+}
+
+// count is the number of points the reader sees at version v: v's
+// entries, with a snapshot's delta applied.
+func (ix *reader) count(v *btree.Snapshot) int {
+	n := v.Len()
 	if ix.d != nil {
 		n += ix.d.n
 	}
@@ -76,10 +82,10 @@ func (ix *reader) Decompose(obj geom.Object, opts decompose.Options) ([]zorder.E
 // goroutines against one index sharing one buffer pool. The tree is
 // multi-versioned: readers run against committed versions without
 // blocking behind writers (Insert, Delete, BulkLoad), which serialize
-// among themselves only. A query on the Index itself observes the
-// newest committed version at each cursor step; a query that must
-// observe one frozen version end to end runs on Snapshot(). See
-// docs/mvcc.md for the full contract.
+// among themselves only. A query on the Index itself pins the newest
+// committed version when it starts and reads that one version to its
+// end; a computation of several queries that must all observe one
+// version runs on Snapshot(). See docs/mvcc.md for the full contract.
 type Index struct {
 	reader
 }

@@ -77,14 +77,15 @@ func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric,
 	if metric != Chebyshev && metric != Euclidean {
 		return nil, agg, fmt.Errorf("core: unknown metric %d", int(metric))
 	}
-	if ix.Len() == 0 {
-		return nil, agg, nil
-	}
-	if m > ix.Len() {
-		m = ix.Len()
-	}
 	s := ix.take()
 	defer ix.give(s)
+	// Size the answer on the version the rounds read: on the live index
+	// a commit may already have moved Len past it.
+	n := ix.count(ix.version(s))
+	if n == 0 {
+		return nil, agg, nil
+	}
+	m = min(m, n)
 	// Phase 1: expand an L-infinity box until it holds >= m points or
 	// is the whole space, which a doubling radius makes it in the end.
 	// The radius is a uint64: on a 32-bit dimension it passes every

@@ -198,8 +198,8 @@ func (ix *reader) JoinScanCtx(ctx context.Context, boxes []geom.Box, fn func(box
 // answer: the tree cursor with its page buffer per level and the
 // sequence stepping it, the decomposition cursor, strategy A's element
 // sequence, the merge's waiting and open elements, the keys of an
-// answer being collected, NEAREST's box and candidates, and a Pin's
-// version and view. A search
+// answer being collected, NEAREST's box and candidates, the version a
+// read of the live index pins, and a Pin's version and view. A search
 // takes one from the pool, aims it at its own tree version and gives it
 // back detached, so a warm read allocates what it returns and nothing
 // else. The pool is per process, not per snapshot: the serving path
@@ -240,7 +240,7 @@ func kept[T any](b []T) []T {
 // buffers to keepLen and recycles the scratch. A pin must be unpinned
 // first.
 func (s *scratch) release() {
-	s.pc.Reset(nil, nil)
+	s.pc.Reset(nil)
 	s.ps = pointSeq{}
 	s.bc = decompose.Cursor{}
 	s.pin, s.view = btree.Snapshot{}, IndexSnapshot{}
@@ -250,23 +250,41 @@ func (s *scratch) release() {
 }
 
 // take returns the scratch a search runs on: a Pin's own, or else one
-// from the pool. give hands back what take returned.
+// from the pool. On the live index it also pins the newest committed
+// version into the scratch, so the whole call reads that one version.
+// give hands back what take returned, unpinning what take pinned.
 func (ix *reader) take() *scratch {
 	if ix.own != nil {
 		return ix.own
 	}
-	return scratchPool.Get().(*scratch)
+	s := scratchPool.Get().(*scratch)
+	if ix.snap == nil {
+		ix.tree.SnapshotInto(&s.pin)
+	}
+	return s
 }
 
 func (ix *reader) give(s *scratch) {
 	if ix.own == nil {
+		if ix.snap == nil {
+			s.pin.Release()
+		}
 		s.release()
 	}
 }
 
-// cursor aims the scratch's tree cursor at the reader's version.
+// version is the tree version a search on s reads: the reader's
+// snapshot, or on the live index the one take pinned.
+func (ix *reader) version(s *scratch) *btree.Snapshot {
+	if ix.snap != nil {
+		return ix.snap
+	}
+	return &s.pin
+}
+
+// cursor aims the scratch's tree cursor at the version the search reads.
 func (ix *reader) cursor(s *scratch, ctx context.Context, sp *obs.Span) *btree.Cursor {
-	s.pc.Reset(ix.tree, ix.snap)
+	s.pc.Reset(ix.version(s))
 	s.pc.SetSpan(sp)
 	s.pc.SetContext(ctx)
 	return &s.pc

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"probe/internal/disk"
@@ -146,4 +148,72 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	if err := ix.Tree().CheckInvariants(); err != nil {
 		t.Errorf("tree invariants violated after concurrent workload: %v", err)
 	}
+}
+
+// TestLiveIndexReadsOneVersion: a read on the live Index answers from
+// the one version it pinned when it started. A writer inserts ids 1..n
+// in order at random pixels, so the committed versions hold exactly
+// the id sets {1..k}. Meanwhile whole-box range searches, by each
+// strategy, and NEAREST for more points than the index ever holds run
+// on the Index itself, and every answer must be one of those sets: a
+// read that moved to a newer version part way, or sized its answer on
+// one version and filled it from another, fails. Fresh small indexes
+// keep the reads short, so many of them straddle a commit.
+func TestLiveIndexReadsOneVersion(t *testing.T) {
+	g := zorder.MustGrid(2, 8)
+	whole := geom.Box2(0, 255, 0, 255)
+	const rounds, n = 300, 64
+	reads := 0
+	for r := 0; r < rounds; r++ {
+		ix := newTestIndex(t, g, 4)
+		var done atomic.Bool
+		var wg sync.WaitGroup
+		errc := make(chan error, 2)
+		counts := make([]int, 2)
+		read := func(w int, get func(i int) ([]uint64, error)) {
+			defer wg.Done()
+			for i := 0; !done.Load(); i++ {
+				ids, err := get(i)
+				if err != nil {
+					errc <- err
+					return
+				}
+				slices.Sort(ids)
+				for j, id := range ids {
+					if id != uint64(j+1) {
+						errc <- fmt.Errorf("round %d reader %d: %d ids are no version's: id %d at %d", r, w, len(ids), id, j)
+						return
+					}
+				}
+				counts[w]++
+			}
+		}
+		wg.Add(2)
+		go read(0, func(i int) ([]uint64, error) {
+			pts, _, err := ix.RangeSearch(whole, allStrategies()[i%3])
+			return resultIDs(pts), err
+		})
+		go read(1, func(int) ([]uint64, error) {
+			nb, _, err := ix.Nearest([]uint32{128, 128}, n+1, Euclidean, MergeLazy)
+			ids := make([]uint64, len(nb))
+			for j, b := range nb {
+				ids[j] = b.Point.ID
+			}
+			return ids, err
+		})
+		rng := rand.New(rand.NewSource(int64(r)))
+		for id := uint64(1); id <= n; id++ {
+			if err := ix.Insert(geom.Point{ID: id, Coords: []uint32{uint32(rng.Intn(256)), uint32(rng.Intn(256))}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done.Store(true)
+		wg.Wait()
+		close(errc)
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		reads += counts[0] + counts[1]
+	}
+	t.Logf("%d reads during inserts", reads)
 }

@@ -335,7 +335,9 @@ func FormatRows(title string, rows []Row) string {
 // order: the page partition of the space.
 func (in *Instance) LeafBoundaries() ([]uint64, error) {
 	var bounds []uint64
-	c := in.Index.Tree().Cursor()
+	snap := in.Index.Tree().Snapshot()
+	defer snap.Release()
+	c := snap.Cursor()
 	var last disk.PageID
 	ok, err := c.First()
 	for ok {
