@@ -261,7 +261,7 @@ func (db *DB) Checkpoint(opts ...QueryOption) (QueryStats, error) {
 	defer db.endOp("checkpoint", nil, sp)
 	err := db.checkpointLocked()
 	var qs QueryStats
-	qs.addSpanIO(sp)
+	addSpanIO(&qs, sp)
 	return qs, err
 }
 

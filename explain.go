@@ -68,12 +68,11 @@ func (db *DB) ExplainAnalyze(box Box, opts ...QueryOption) (*ExplainResult, erro
 	}
 	sp := db.beginOp(plan.Access, root)
 	defer db.endOp(plan.Access, nil, sp)
-	pts, ss, err := snap.RangeSearchCtx(qc.ctx, box, sp)
+	pts, stats, err := snap.RangeSearchCtx(qc.ctx, box, sp)
 	if err != nil {
 		return nil, err
 	}
-	stats := searchQueryStats(ss)
-	stats.addSpanIO(sp)
+	addSpanIO(&stats, sp)
 	return &ExplainResult{
 		Plan:           plan.Description,
 		EstimatedPages: plan.EstimatedPages,

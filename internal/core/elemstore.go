@@ -100,50 +100,42 @@ func (s *ElementStore) Delete(it Item) (bool, error) {
 func (s *ElementStore) Scan(fn func(Item) bool) error {
 	snap := s.tree.Snapshot()
 	defer snap.Release()
-	c := snap.Cursor()
-	ok, err := c.First()
-	for ok {
-		if !fn(decodeItem(c.Key())) {
+	sc, err := newStoreCursor(snap)
+	for err == nil {
+		it, ok := sc.head()
+		if !ok || !fn(it) {
 			return nil
 		}
-		ok, err = c.Next()
+		_, err = sc.next()
 	}
 	return err
 }
 
-// storeCursor adapts a tree cursor to the item merge.
+// storeCursor is a stored relation as a join input: a forward cursor
+// on one version of the store, counting the leaves it reads.
 type storeCursor struct {
 	c     *btree.Cursor
-	cur   Item
-	valid bool
-	pages map[disk.PageID]bool
+	pages pageTracker
 }
 
 func newStoreCursor(snap *btree.Snapshot) (*storeCursor, error) {
-	sc := &storeCursor{c: snap.Cursor(), pages: make(map[disk.PageID]bool)}
-	ok, err := sc.c.First()
-	if err != nil {
-		return nil, err
-	}
-	sc.set(ok)
-	return sc, nil
+	sc := &storeCursor{c: snap.Cursor()}
+	_, err := sc.c.First()
+	sc.pages.touch(sc.c)
+	return sc, err
 }
 
-func (sc *storeCursor) set(ok bool) {
-	sc.valid = ok
-	if ok {
-		sc.cur = decodeItem(sc.c.Key())
-		sc.pages[sc.c.LeafID()] = true
+func (sc *storeCursor) head() (Item, bool) {
+	if !sc.c.Valid() {
+		return Item{}, false
 	}
+	return decodeItem(sc.c.Key()), true
 }
 
-func (sc *storeCursor) next() error {
-	ok, err := sc.c.Next()
-	if err != nil {
-		return err
-	}
-	sc.set(ok)
-	return nil
+func (sc *storeCursor) next() (*storeCursor, error) {
+	_, err := sc.c.Next()
+	sc.pages.touch(sc.c)
+	return sc, err
 }
 
 // JoinPages reports the distinct data pages each side of a stored
@@ -154,68 +146,23 @@ type JoinPages struct {
 
 // SpatialJoinStores merges two stored element relations, streaming
 // overlap pairs to fn (return false to stop). It is the disk-resident
-// form of SpatialJoin: one sequential pass over each relation's
-// leaves — the access pattern for which "the LRU buffering strategy
-// will work well" (Section 4) — with page counts reported. Each side
-// reads the version of its store committed when the join starts.
+// form of SpatialJoin, the same merge read through a cursor per side:
+// one sequential pass over each relation's leaves — the access pattern
+// for which "the LRU buffering strategy will work well" (Section 4) —
+// with page counts reported. Each side reads the version of its store
+// committed when the join starts.
 func SpatialJoinStores(a, b *ElementStore, fn func(Pair) bool) (JoinPages, error) {
-	var pages JoinPages
 	sa, sb := a.tree.Snapshot(), b.tree.Snapshot()
 	defer sa.Release()
 	defer sb.Release()
 	ca, err := newStoreCursor(sa)
 	if err != nil {
-		return pages, err
+		return JoinPages{}, err
 	}
 	cb, err := newStoreCursor(sb)
 	if err != nil {
-		return pages, err
+		return JoinPages{}, err
 	}
-	const total = zorder.MaxBits
-	var stackA, stackB []Item
-	pop := func(stack []Item, minZ uint64) []Item {
-		for len(stack) > 0 && stack[len(stack)-1].Elem.MaxZ(total) < minZ {
-			stack = stack[:len(stack)-1]
-		}
-		return stack
-	}
-	stop := false
-	for !stop && (ca.valid || cb.valid) {
-		fromA := !cb.valid || (ca.valid && ca.cur.Elem.Compare(cb.cur.Elem) <= 0)
-		var it Item
-		if fromA {
-			it = ca.cur
-			if err := ca.next(); err != nil {
-				return pages, err
-			}
-		} else {
-			it = cb.cur
-			if err := cb.next(); err != nil {
-				return pages, err
-			}
-		}
-		minZ := it.Elem.MinZ()
-		stackA = pop(stackA, minZ)
-		stackB = pop(stackB, minZ)
-		if fromA {
-			for _, s := range stackB {
-				if !fn(Pair{A: it.ID, B: s.ID}) {
-					stop = true
-					break
-				}
-			}
-			stackA = append(stackA, it)
-		} else {
-			for _, s := range stackA {
-				if !fn(Pair{A: s.ID, B: it.ID}) {
-					stop = true
-					break
-				}
-			}
-			stackB = append(stackB, it)
-		}
-	}
-	pages.Left = len(ca.pages)
-	pages.Right = len(cb.pages)
-	return pages, nil
+	err = spatialJoinFunc(nil, ca, cb, nil, fn)
+	return JoinPages{Left: ca.pages.pages, Right: cb.pages.pages}, err
 }

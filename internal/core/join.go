@@ -68,7 +68,7 @@ func SpatialJoin(a, b []Item) ([]Pair, error) {
 		return nil, fmt.Errorf("core: right input: %w", err)
 	}
 	var pairs []Pair
-	err := spatialJoinFunc(nil, a, b, nil, func(p Pair) bool {
+	err := spatialJoinFunc(nil, itemSlice(a), itemSlice(b), nil, func(p Pair) bool {
 		pairs = append(pairs, p)
 		return true
 	})
@@ -90,15 +90,37 @@ func checkSorted(items []Item) error {
 // acquisition on cancelable contexts) stays off the hot path.
 const joinCancelStride = 1024
 
-// spatialJoinFunc is the streaming form of SpatialJoin. The span, if
-// non-nil, receives one obs.MergeSteps per item the merge consumes
-// and one obs.RawPairs per emitted pair (added in bulk at return, so
-// the hot loop stays free of atomics). A non-nil ctx is checked every
-// joinCancelStride merge steps; a nil ctx is never cancelled.
-func spatialJoinFunc(ctx context.Context, a, b []Item, sp *obs.Span, fn func(Pair) bool) error {
+// itemSeq is one input of the join, a relation read front to back in
+// z order: an in-memory one (itemSlice) or a stored one (storeCursor).
+// head is the current item, false once the input is exhausted; next
+// moves past it and returns the sequence that remains.
+type itemSeq[S any] interface {
+	head() (Item, bool)
+	next() (S, error)
+}
+
+// itemSlice is an in-memory relation as a join input. It is passed by
+// value, so reading it allocates nothing.
+type itemSlice []Item
+
+func (s itemSlice) head() (Item, bool) {
+	if len(s) == 0 {
+		return Item{}, false
+	}
+	return s[0], true
+}
+
+func (s itemSlice) next() (itemSlice, error) { return s[1:], nil }
+
+// spatialJoinFunc is the streaming form of SpatialJoin, over any pair
+// of inputs. The span, if non-nil, receives one obs.MergeSteps per item
+// the merge consumes and one obs.RawPairs per emitted pair (added in
+// bulk at return, so the hot loop stays free of atomics). A non-nil ctx
+// is checked every joinCancelStride merge steps; a nil ctx is never
+// cancelled.
+func spatialJoinFunc[S itemSeq[S]](ctx context.Context, a, b S, sp *obs.Span, fn func(Pair) bool) error {
 	const total = zorder.MaxBits
 	var stackA, stackB []Item
-	i, j := 0, 0
 	steps, emitted := 0, 0
 	defer func() {
 		sp.Add(obs.MergeSteps, int64(steps))
@@ -110,21 +132,29 @@ func spatialJoinFunc(ctx context.Context, a, b []Item, sp *obs.Span, fn func(Pai
 		}
 		return stack
 	}
-	for i < len(a) || j < len(b) {
+	ia, okA := a.head()
+	ib, okB := b.head()
+	for okA || okB {
 		steps++
 		if ctx != nil && steps%joinCancelStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		fromA := j >= len(b) || (i < len(a) && a[i].Elem.Compare(b[j].Elem) <= 0)
+		fromA := !okB || (okA && ia.Elem.Compare(ib.Elem) <= 0)
 		var it Item
+		var err error
 		if fromA {
-			it = a[i]
-			i++
+			it = ia
+			a, err = a.next()
+			ia, okA = a.head()
 		} else {
-			it = b[j]
-			j++
+			it = ib
+			b, err = b.next()
+			ib, okB = b.head()
+		}
+		if err != nil {
+			return err
 		}
 		minZ := it.Elem.MinZ()
 		stackA = pop(stackA, minZ)
@@ -168,16 +198,9 @@ func DedupPairs(pairs []Pair) []Pair {
 	return out
 }
 
-// JoinStats describes one spatial-join execution.
-type JoinStats struct {
-	LeftItems, RightItems int
-	RawPairs              int
-	DistinctPairs         int
-}
-
 // SpatialJoinDistinct runs the join and the deduplicating projection,
 // returning distinct overlapping object pairs plus statistics.
-func SpatialJoinDistinct(a, b []Item) ([]Pair, JoinStats, error) {
+func SpatialJoinDistinct(a, b []Item) ([]Pair, QueryStats, error) {
 	return SpatialJoinDistinctCtx(nil, a, b, nil)
 }
 
@@ -186,8 +209,8 @@ func SpatialJoinDistinct(a, b []Item) ([]Pair, JoinStats, error) {
 // cancelled), with per-operator attribution on sp: input sizes, merge
 // steps, raw and distinct pair counts. A nil span behaves exactly
 // like SpatialJoinDistinct at no cost.
-func SpatialJoinDistinctCtx(ctx context.Context, a, b []Item, sp *obs.Span) ([]Pair, JoinStats, error) {
-	stats := JoinStats{LeftItems: len(a), RightItems: len(b)}
+func SpatialJoinDistinctCtx(ctx context.Context, a, b []Item, sp *obs.Span) ([]Pair, QueryStats, error) {
+	stats := QueryStats{LeftItems: len(a), RightItems: len(b)}
 	sp.Add(obs.ItemsLeft, int64(len(a)))
 	sp.Add(obs.ItemsRight, int64(len(b)))
 	if err := checkSorted(a); err != nil {
@@ -197,7 +220,7 @@ func SpatialJoinDistinctCtx(ctx context.Context, a, b []Item, sp *obs.Span) ([]P
 		return nil, stats, fmt.Errorf("core: right input: %w", err)
 	}
 	var raw []Pair
-	if err := spatialJoinFunc(ctx, a, b, sp, func(p Pair) bool {
+	if err := spatialJoinFunc(ctx, itemSlice(a), itemSlice(b), sp, func(p Pair) bool {
 		raw = append(raw, p)
 		return true
 	}); err != nil {

@@ -70,7 +70,7 @@ func equalPairs(a, b []Pair) bool {
 // TestSpatialJoinAgainstBruteForce: the join finds exactly the
 // overlapping box pairs found by the O(n^2) all-pairs test, on 205
 // randomized workloads across grids of different dimensionality and
-// depth, and its span counters agree with its JoinStats.
+// depth, and its span counters agree with its QueryStats.
 func TestSpatialJoinAgainstBruteForce(t *testing.T) {
 	check := func(g zorder.Grid, left, right []geom.Box, label string) {
 		t.Helper()

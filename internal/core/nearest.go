@@ -53,7 +53,7 @@ type Neighbor struct {
 // found, then shrinks to the certified radius — the
 // containment/overlap translation of proximity queries. The returned
 // stats aggregate all the underlying searches.
-func (ix *reader) Nearest(q []uint32, m int, metric Metric, strategy Strategy) ([]Neighbor, SearchStats, error) {
+func (ix *reader) Nearest(q []uint32, m int, metric Metric, strategy Strategy) ([]Neighbor, QueryStats, error) {
 	return ix.nearest(nil, q, m, metric, strategy)
 }
 
@@ -62,12 +62,12 @@ func (ix *reader) Nearest(q []uint32, m int, metric Metric, strategy Strategy) (
 // it (nil = never cancelled; see RangeSearchFuncCtx), so a cancelled
 // proximity query stops between or inside its expansion rounds with
 // the context's error.
-func (ix *reader) NearestCtx(ctx context.Context, q []uint32, m int, metric Metric) ([]Neighbor, SearchStats, error) {
+func (ix *reader) NearestCtx(ctx context.Context, q []uint32, m int, metric Metric) ([]Neighbor, QueryStats, error) {
 	return ix.nearest(ctx, q, m, metric, MergeLazy)
 }
 
-func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric, strategy Strategy) ([]Neighbor, SearchStats, error) {
-	var agg SearchStats
+func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric, strategy Strategy) ([]Neighbor, QueryStats, error) {
+	var agg QueryStats
 	if !ix.g.Valid(q) {
 		return nil, agg, fmt.Errorf("core: query point %v outside %v", q, ix.g)
 	}
@@ -125,7 +125,7 @@ func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric,
 // clamped to the grid, and leaves the m best of its points in s.best.
 // It reports how many points the box held and whether the box was the
 // whole space.
-func (ix *reader) nearestRound(s *scratch, ctx context.Context, q []uint32, r uint64, m int, metric Metric, strategy Strategy, agg *SearchStats) (n int, whole bool, err error) {
+func (ix *reader) nearestRound(s *scratch, ctx context.Context, q []uint32, r uint64, m int, metric Metric, strategy Strategy, agg *QueryStats) (n int, whole bool, err error) {
 	box, whole := ix.ringBox(s, q, r)
 	s.best = s.best[:0]
 	var at [zorder.MaxBits]uint32

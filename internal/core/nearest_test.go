@@ -212,11 +212,11 @@ func TestNewIndexBulkValidation(t *testing.T) {
 
 // nearestWithin runs Nearest and fails the test if it has not
 // returned in a few seconds: the radius bugs below were endless loops.
-func nearestWithin(t *testing.T, ix *Index, q []uint32, m int, metric Metric) ([]Neighbor, SearchStats) {
+func nearestWithin(t *testing.T, ix *Index, q []uint32, m int, metric Metric) ([]Neighbor, QueryStats) {
 	t.Helper()
 	type answer struct {
 		nbs []Neighbor
-		st  SearchStats
+		st  QueryStats
 		err error
 	}
 	done := make(chan answer, 1)
@@ -236,7 +236,7 @@ func nearestWithin(t *testing.T, ix *Index, q []uint32, m int, metric Metric) ([
 		cancel()
 		<-done
 		t.Fatalf("Nearest(%v, %d, %v) did not return in 5 s", q, m, metric)
-		return nil, SearchStats{}
+		return nil, QueryStats{}
 	}
 }
 

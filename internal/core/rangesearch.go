@@ -17,6 +17,8 @@ import (
 // Strategy selects the range-search variant. All three produce
 // identical results; they are the successive optimizations of
 // Section 3.3 and exist side by side for the ablation benchmarks.
+// Each is one seek of the same merge: they differ only in how the
+// box's next element is found.
 type Strategy int
 
 const (
@@ -29,10 +31,10 @@ const (
 	// elements of B are generated on demand by a decomposition
 	// cursor, never materialized.
 	MergeLazy
-	// SkipBigMin dispenses with elements altogether: on leaving the
-	// box it seeks directly to the next in-box z value (BigMin). It
-	// is the tightest form of the skip and works for box queries
-	// only.
+	// SkipBigMin dispenses with B altogether: the merge's seek
+	// hands it the pixel of an in-box z, or else the next in-box
+	// pixel, found by BigMin. It is the tightest form of the skip and
+	// works for box queries only.
 	SkipBigMin
 )
 
@@ -49,34 +51,10 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
-// SearchStats describes the work one range search performed.
-type SearchStats struct {
-	// DataPages is the number of distinct leaf pages touched: the
-	// paper's "(data) pages accessed" metric.
-	DataPages int
-	// Seeks counts random accesses into the point sequence.
-	Seeks int
-	// Elements counts box elements consumed (strategies A and B) or
-	// BigMin computations (strategy C).
-	Elements int
-	// Results is the number of points reported.
-	Results int
-}
-
-// Efficiency returns the paper's efficiency measure: how much
-// relevant data was on each retrieved page, as results divided by
-// retrieved capacity.
-func (s SearchStats) Efficiency(leafCapacity int) float64 {
-	if s.DataPages == 0 {
-		return 0
-	}
-	return float64(s.Results) / float64(s.DataPages*leafCapacity)
-}
-
 // RangeSearch returns all indexed points inside the box, found by the
 // given strategy: the ablation's entry point. The serving path is
 // RangeSearchCtx.
-func (ix *reader) RangeSearch(box geom.Box, strategy Strategy) ([]geom.Point, SearchStats, error) {
+func (ix *reader) RangeSearch(box geom.Box, strategy Strategy) ([]geom.Point, QueryStats, error) {
 	return ix.searchAll(nil, box, strategy, nil)
 }
 
@@ -86,7 +64,7 @@ func (ix *reader) RangeSearch(box geom.Box, strategy Strategy) ([]geom.Point, Se
 // merge's work counter (obs.Elements), the B+-tree cursor's traversal
 // counters, and the final DataPages and Results. A nil span costs
 // nothing.
-func (ix *reader) RangeSearchCtx(ctx context.Context, box geom.Box, sp *obs.Span) ([]geom.Point, SearchStats, error) {
+func (ix *reader) RangeSearchCtx(ctx context.Context, box geom.Box, sp *obs.Span) ([]geom.Point, QueryStats, error) {
 	return ix.searchAll(ctx, box, MergeLazy, sp)
 }
 
@@ -113,7 +91,7 @@ func (ix *reader) EstimatePages(box geom.Box) (int, error) {
 // in the scratch, then one slice of points and one slab of their
 // coordinates hold the answer, whatever its length. A search that
 // fails returns no points.
-func (ix *reader) searchAll(ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span) ([]geom.Point, SearchStats, error) {
+func (ix *reader) searchAll(ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span) ([]geom.Point, QueryStats, error) {
 	s := ix.take()
 	defer ix.give(s)
 	s.keys = s.keys[:0]
@@ -149,14 +127,14 @@ func (ix *reader) pointAt(slab []uint32, i int, z, id uint64) geom.Point {
 // promptly with the context's error having read at most one further
 // page. A nil context (the internal convention for "never cancelled")
 // disables the checks at zero cost.
-func (ix *reader) RangeSearchFuncCtx(ctx context.Context, box geom.Box, sp *obs.Span, fn func(geom.Point) bool) (SearchStats, error) {
+func (ix *reader) RangeSearchFuncCtx(ctx context.Context, box geom.Box, sp *obs.Span, fn func(geom.Point) bool) (QueryStats, error) {
 	return ix.search(ctx, box, MergeLazy, sp, fn)
 }
 
 // RangeScanCtx is RangeSearchFuncCtx for a consumer that keeps nothing
 // it is handed: every point's Coords is one buffer, which the next
 // point overwrites, so the stream allocates nothing.
-func (ix *reader) RangeScanCtx(ctx context.Context, box geom.Box, fn func(geom.Point) bool) (SearchStats, error) {
+func (ix *reader) RangeScanCtx(ctx context.Context, box geom.Box, fn func(geom.Point) bool) (QueryStats, error) {
 	s := ix.take()
 	defer ix.give(s)
 	at := s.at[:ix.g.Dims()]
@@ -173,7 +151,7 @@ func (ix *reader) RangeScanCtx(ctx context.Context, box geom.Box, fn func(geom.P
 // holds one element per box, never a box's whole decomposition. As in
 // RangeScanCtx, every point's Coords is one buffer, which the next
 // point overwrites.
-func (ix *reader) JoinScanCtx(ctx context.Context, boxes []geom.Box, fn func(box int, p geom.Point)) (SearchStats, error) {
+func (ix *reader) JoinScanCtx(ctx context.Context, boxes []geom.Box, fn func(box int, p geom.Point)) (QueryStats, error) {
 	s := ix.take()
 	defer ix.give(s)
 	at := s.at[:ix.g.Dims()]
@@ -293,7 +271,7 @@ func (ix *reader) cursor(s *scratch, ctx context.Context, sp *obs.Span) *btree.C
 // search runs one range search by the given strategy on a scratch of
 // its own, unshuffling each result into a point for fn; every exported
 // range entry point funnels here.
-func (ix *reader) search(ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span, fn func(geom.Point) bool) (SearchStats, error) {
+func (ix *reader) search(ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span, fn func(geom.Point) bool) (QueryStats, error) {
 	s := ix.take()
 	defer ix.give(s)
 	var slab coordSlab
@@ -312,36 +290,68 @@ func (ix *reader) unshuffle(z uint64, coords []uint32) {
 // searchKeys is the search itself: it streams the (z, id) keys of the
 // points inside the box to visit, in z order, using s for the
 // duration. visit returning false stops it.
-func (ix *reader) searchKeys(s *scratch, ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span, visit func(z, id uint64) bool) (SearchStats, error) {
+func (ix *reader) searchKeys(s *scratch, ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span, visit func(z, id uint64) bool) (QueryStats, error) {
 	if box.Dims() != ix.g.Dims() {
-		return SearchStats{}, fmt.Errorf("core: box has %d dims, index %d", box.Dims(), ix.g.Dims())
+		return QueryStats{}, fmt.Errorf("core: box has %d dims, index %d", box.Dims(), ix.g.Dims())
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return SearchStats{}, err
+			return QueryStats{}, err
 		}
 	}
-	var stats SearchStats
-	var err error
+	total := ix.g.TotalBits()
+	var seek seekFunc
 	switch strategy {
 	case MergeDecomposed:
-		stats, err = ix.searchDecomposed(s, ctx, box, sp, visit)
+		// Strategy A: materialize B, the box's elements, and seek in it.
+		s.elems = decompose.AppendBox(s.elems[:0], ix.g, box)
+		elems := s.elems
+		sp.Add(obs.Elements, int64(len(elems)))
+		i := 0
+		seek = func(_ int, z uint64) (zorder.Element, bool, error) {
+			i += sort.Search(len(elems)-i, func(j int) bool { return elems[i+j].MaxZ(total) >= z })
+			if i == len(elems) {
+				return zorder.Element{}, false, nil
+			}
+			return elems[i], true, nil
+		}
 	case MergeLazy:
-		stats, err = ix.searchLazy(s, ctx, box, sp, visit)
+		// Strategy B: generate B on demand by the decomposition
+		// cursor, which attributes each element to sp and checks ctx.
+		bc := &s.bc
+		bc.ResetBox(ix.g, box)
+		bc.SetSpan(sp)
+		bc.SetContext(ctx)
+		seek = func(_ int, z uint64) (zorder.Element, bool, error) { return seekCursor(bc, z) }
 	case SkipBigMin:
-		stats, err = ix.searchBigMin(s, ctx, box, sp, visit)
+		// Strategy C: no elements of B, only pixels. An in-box z is its
+		// own element; otherwise BIGMIN finds the next in-box pixel.
+		seek = func(_ int, z uint64) (zorder.Element, bool, error) {
+			if !ix.g.InBox(z, box.Lo, box.Hi) {
+				var ok bool
+				if z, ok = ix.g.BigMin(z, box.Lo, box.Hi); !ok {
+					return zorder.Element{}, false, nil
+				}
+			}
+			sp.Inc(obs.BigMinSkips)
+			return zorder.Element{Bits: z, Len: uint8(total)}, true, nil
+		}
 	default:
-		return SearchStats{}, fmt.Errorf("core: unknown strategy %d", int(strategy))
+		return QueryStats{}, fmt.Errorf("core: unknown strategy %d", int(strategy))
+	}
+	stats, err := ix.merge(s, ctx, 1, sp, seek, func(_ int, z, id uint64) bool { return visit(z, id) })
+	if strategy == MergeDecomposed {
+		stats.Elements = len(s.elems)
 	}
 	sp.Add(obs.DataPages, int64(stats.DataPages))
 	sp.Add(obs.Results, int64(stats.Results))
 	return stats, err
 }
 
-// pageTracker counts the distinct leaf pages a search's cursor
-// touches. Every strategy only ever moves its cursor forward in z, so
-// a leaf once left is not seen again: the distinct leaves are the
-// changes of the leaf id.
+// pageTracker counts the distinct leaf pages a forward cursor touches:
+// the range merge's and each input of a stored join's. A forward
+// cursor never returns to a leaf it has left, so the distinct leaves
+// are the changes of the leaf id.
 type pageTracker struct {
 	last  disk.PageID
 	pages int
@@ -375,26 +385,6 @@ func (s *coordSlab) take(k int) []uint32 {
 	return c
 }
 
-// searchDecomposed is strategy A: materialize B, the box's elements,
-// and merge it with the points, the one-box case of merge. Its seek is
-// a random access into B.
-func (ix *reader) searchDecomposed(s *scratch, ctx context.Context, box geom.Box, sp *obs.Span, visit func(z, id uint64) bool) (SearchStats, error) {
-	s.elems = decompose.AppendBox(s.elems[:0], ix.g, box)
-	elems := s.elems
-	sp.Add(obs.Elements, int64(len(elems)))
-	total := ix.g.TotalBits()
-	i := 0
-	stats, err := ix.merge(s, ctx, 1, sp, func(_ int, z uint64) (zorder.Element, bool, error) {
-		i += sort.Search(len(elems)-i, func(j int) bool { return elems[i+j].MaxZ(total) >= z })
-		if i == len(elems) {
-			return zorder.Element{}, false, nil
-		}
-		return elems[i], true, nil
-	}, func(_ int, z, id uint64) bool { return visit(z, id) })
-	stats.Elements = len(elems)
-	return stats, err
-}
-
 // seekFunc positions box i of a merge on its first element whose z
 // range ends at or after z, reporting false when there is none.
 type seekFunc func(i int, z uint64) (zorder.Element, bool, error)
@@ -408,8 +398,8 @@ type seekFunc func(i int, z uint64) (zorder.Element, bool, error)
 // to the least waiting start, so the merge reads only leaves an
 // element reaches, each once, and tests no coordinate. visit returning
 // false stops it.
-func (ix *reader) merge(s *scratch, ctx context.Context, n int, sp *obs.Span, seek seekFunc, visit func(i int, z, id uint64) bool) (SearchStats, error) {
-	var stats SearchStats
+func (ix *reader) merge(s *scratch, ctx context.Context, n int, sp *obs.Span, seek seekFunc, visit func(i int, z, id uint64) bool) (QueryStats, error) {
+	var stats QueryStats
 	total := ix.g.TotalBits()
 	// An Item here is a box's element tagged with the box's index.
 	wait, open := s.wait[:0], s.open[:0]
@@ -506,19 +496,6 @@ func popWaiting(wait []Item) []Item {
 	}
 }
 
-// searchLazy is strategy B: the one-box merge, with B generated on
-// demand. Its seek is the decomposition cursor's, which attributes
-// each element it generates to sp and checks ctx.
-func (ix *reader) searchLazy(s *scratch, ctx context.Context, box geom.Box, sp *obs.Span, visit func(z, id uint64) bool) (SearchStats, error) {
-	bc := &s.bc
-	bc.ResetBox(ix.g, box)
-	bc.SetSpan(sp)
-	bc.SetContext(ctx)
-	return ix.merge(s, ctx, 1, sp, func(_ int, z uint64) (zorder.Element, bool, error) {
-		return seekCursor(bc, z)
-	}, func(_ int, z, id uint64) bool { return visit(z, id) })
-}
-
 // seekCursor is a merge's seek on a decomposition cursor aimed at the
 // box: its first element whose z range ends at or after z. A cancelled
 // cursor reports the context's error.
@@ -529,67 +506,13 @@ func seekCursor(bc *decompose.Cursor, z uint64) (zorder.Element, bool, error) {
 	return bc.Element(), true, nil
 }
 
-// searchBigMin is strategy C: skip directly to the next in-box z
-// value whenever the scan leaves the box.
-func (ix *reader) searchBigMin(s *scratch, ctx context.Context, box geom.Box, sp *obs.Span, visit func(z, id uint64) bool) (SearchStats, error) {
-	var stats SearchStats
-	first, any := ix.g.BigMin(0, box.Lo, box.Hi)
-	if !any {
-		return stats, nil
-	}
-	stats.Elements++
-	sp.Inc(obs.BigMinSkips)
-	last, _ := ix.g.LitMax(^uint64(0), box.Lo, box.Hi)
-	ps := ix.points(s, ctx, sp)
-	var pages pageTracker
-	ok, err := ps.SeekGE(btree.Key{Hi: first})
-	stats.Seeks++
-	if err != nil {
-		return stats, err
-	}
-	pages.touch(ps.pc)
-	for ok {
-		k := ps.Key()
-		z := k.Hi
-		if z > last {
-			break
-		}
-		if ix.g.InBox(z, box.Lo, box.Hi) {
-			stats.Results++
-			if !visit(z, k.Lo) {
-				break
-			}
-			ok, err = ps.Next()
-			if err != nil {
-				return stats, err
-			}
-			pages.touch(ps.pc)
-			continue
-		}
-		next, more := ix.g.BigMin(z, box.Lo, box.Hi)
-		stats.Elements++
-		sp.Inc(obs.BigMinSkips)
-		if !more {
-			break
-		}
-		ok, err = ps.SeekGE(btree.Key{Hi: next})
-		stats.Seeks++
-		if err != nil {
-			return stats, err
-		}
-		pages.touch(ps.pc)
-	}
-	stats.DataPages = pages.pages
-	return stats, nil
-}
-
 // PartialMatchCtx runs a partial-match query (Section 5.3.1) as a
 // range search by the lazy merge: restricted[i] pins dimension i to
 // value[i]. ctx cancels it (nil = never cancelled); sp takes the
 // per-operator attribution (nil disables tracing at no cost).
-func (ix *reader) PartialMatchCtx(ctx context.Context, restricted []bool, value []uint32, sp *obs.Span) ([]geom.Point, SearchStats, error) {
+func (ix *reader) PartialMatchCtx(ctx context.Context, restricted []bool, value []uint32, sp *obs.Span) ([]geom.Point, QueryStats, error) {
 	if len(restricted) != ix.g.Dims() || len(value) != ix.g.Dims() {
-		return nil, SearchStats{}, fmt.Errorf("core: partial match arity mismatch")
+		return nil, QueryStats{}, fmt.Errorf("core: partial match arity mismatch")
 	}
 	return ix.searchAll(ctx, geom.PartialMatchBox(ix.g, restricted, value), MergeLazy, sp)
 }

@@ -39,8 +39,9 @@ const (
 	// Elements counts decomposition elements generated or consumed
 	// (the paper's sequence-B records).
 	Elements Counter = iota
-	// BigMinSkips counts BIGMIN/LITMAX computations (strategy C's
-	// substitute for elements).
+	// BigMinSkips counts the pixels strategy C's seek hands the
+	// merge, its substitute for elements: one per in-box z the merge
+	// reaches, found by an in-box test or else by BIGMIN.
 	BigMinSkips
 	// Seeks counts random accesses into the point sequence.
 	Seeks

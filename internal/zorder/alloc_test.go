@@ -21,15 +21,12 @@ func TestAllocGateBigMin(t *testing.T) {
 			if _, ok := g.BigMin(z, lo, hi); ok {
 				found++
 			}
-			if _, ok := g.LitMax(z, lo, hi); ok {
-				found++
-			}
 			if g.InBox(z, lo, hi) {
 				found++
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%v: BigMin+LitMax+InBox cost %v allocs, want 0", g, allocs)
+			t.Errorf("%v: BigMin+InBox cost %v allocs, want 0", g, allocs)
 		}
 		if found == 0 {
 			t.Errorf("%v: no call ever found a pixel", g)

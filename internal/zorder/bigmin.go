@@ -4,16 +4,15 @@ package zorder
 // search merge (Section 3.3): when the current point's z value falls
 // outside the query box, BigMin finds the next z value that could
 // possibly be inside, so the merge can skip parts of the space that
-// cannot contribute to the result. LitMax is the symmetric operation
-// for backward skipping.
+// cannot contribute to the result.
 //
-// Both are implemented as a pruned descent of the implicit binary
+// It is implemented as a pruned descent of the implicit binary
 // splitting tree: each tree node is an element, its two children are
 // the halves produced by the next split. The descent maintains the
 // node's coordinate region incrementally, so one call costs O(k*d)
 // amortized per level visited.
 
-// boxSearch carries the state of a BigMin/LitMax descent. It is
+// boxSearch carries the state of a BigMin descent. It is
 // fixed-size (a grid has at most MaxBits dimensions), so a search
 // lives on its caller's stack and allocates nothing.
 type boxSearch struct {
@@ -90,29 +89,6 @@ func (s *boxSearch) bigMin(e Element) (uint64, bool) {
 	return 0, false
 }
 
-// litMax returns the largest full-resolution z key <= s.z whose pixel
-// lies inside the query box and inside element e, or ok == false.
-func (s *boxSearch) litMax(e Element) (uint64, bool) {
-	if e.MinZ() > s.z {
-		return 0, false
-	}
-	if s.disjoint() {
-		return 0, false
-	}
-	if e.MaxZ(s.g.TotalBits()) <= s.z && s.contained() {
-		return e.MaxZ(s.g.TotalBits()), true
-	}
-	for b := 1; b >= 0; b-- {
-		dim, saved := s.descend(int(e.Len), b)
-		z, ok := s.litMax(e.Child(b))
-		s.restore(dim, b, saved)
-		if ok {
-			return z, true
-		}
-	}
-	return 0, false
-}
-
 func newBoxSearch(g Grid, z uint64, lo, hi []uint32) boxSearch {
 	s := boxSearch{g: g, z: z, order: g.SplitOrder(), qlo: lo, qhi: hi}
 	for i := range lo {
@@ -131,17 +107,6 @@ func (g Grid) BigMin(z uint64, lo, hi []uint32) (uint64, bool) {
 	}
 	s := newBoxSearch(g, z, lo, hi)
 	return s.bigMin(Element{})
-}
-
-// LitMax returns the largest full-resolution z key <= z whose pixel
-// lies inside the box [lo, hi] (inclusive per dimension). ok is false
-// when no such pixel exists.
-func (g Grid) LitMax(z uint64, lo, hi []uint32) (uint64, bool) {
-	if len(lo) != g.Dims() || len(hi) != g.Dims() {
-		panic("zorder: LitMax box arity mismatch")
-	}
-	s := newBoxSearch(g, z, lo, hi)
-	return s.litMax(Element{})
 }
 
 // InBox reports whether the pixel with the given full-resolution z key

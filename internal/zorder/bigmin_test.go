@@ -28,28 +28,6 @@ func bruteBigMin(g Grid, z uint64, lo, hi []uint32) (uint64, bool) {
 	return best, found
 }
 
-func bruteLitMax(g Grid, z uint64, lo, hi []uint32) (uint64, bool) {
-	best := uint64(0)
-	found := false
-	coords := make([]uint32, g.Dims())
-	var walk func(dim int)
-	walk = func(dim int) {
-		if dim == g.Dims() {
-			zz := g.ShuffleKey(coords)
-			if zz <= z && (!found || zz > best) {
-				best, found = zz, true
-			}
-			return
-		}
-		for c := lo[dim]; c <= hi[dim]; c++ {
-			coords[dim] = c
-			walk(dim + 1)
-		}
-	}
-	walk(0)
-	return best, found
-}
-
 func randBox(rng *rand.Rand, g Grid) (lo, hi []uint32) {
 	lo = make([]uint32, g.Dims())
 	hi = make([]uint32, g.Dims())
@@ -85,12 +63,6 @@ func TestBigMinAgainstBruteForce(t *testing.T) {
 				t.Fatalf("%v BigMin(%x, %v, %v) = (%x,%v), want (%x,%v)",
 					g, z, lo, hi, got, gok, want, wok)
 			}
-			gotL, lok := g.LitMax(z, lo, hi)
-			wantL, wlok := bruteLitMax(g, z, lo, hi)
-			if lok != wlok || (lok && gotL != wantL) {
-				t.Fatalf("%v LitMax(%x, %v, %v) = (%x,%v), want (%x,%v)",
-					g, z, lo, hi, gotL, lok, wantL, wlok)
-			}
 		}
 	}
 }
@@ -116,9 +88,6 @@ func TestBigMinExhaustedBox(t *testing.T) {
 	last := g.ShuffleKey([]uint32{2, 2})
 	if _, ok := g.BigMin(last+1, lo, hi); ok {
 		t.Errorf("BigMin past the box should fail")
-	}
-	if _, ok := g.LitMax(g.ShuffleKey([]uint32{1, 1})-1, lo, hi); ok {
-		t.Errorf("LitMax before the box should fail")
 	}
 }
 

@@ -117,7 +117,7 @@ func joinInputs(t *testing.T) (a, b []probe.Item) {
 }
 
 // TestTracedJoinMatchesLegacy asserts the sequential join's span
-// counters equal the legacy JoinStats.
+// counters equal its QueryStats.
 func TestTracedJoinMatchesLegacy(t *testing.T) {
 	a, b := joinInputs(t)
 	tr := probe.NewTrace("join")

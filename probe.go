@@ -135,9 +135,8 @@ func SpatialJoin(a, b []Item, opts ...QueryOption) ([]Pair, QueryStats, error) {
 		sp = qc.trace.Child("spatial-join")
 		defer sp.End()
 	}
-	pairs, js, err := core.SpatialJoinDistinctCtx(qc.ctx, a, b, sp)
-	qs := joinQueryStats(js)
-	qs.addSpanIO(sp)
+	pairs, qs, err := core.SpatialJoinDistinctCtx(qc.ctx, a, b, sp)
+	addSpanIO(&qs, sp)
 	return pairs, qs, err
 }
 
@@ -491,9 +490,8 @@ func (db *DB) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, er
 	defer db.endRead(snap, qc.trace)
 	sp := db.beginOp("range-search", qc.trace)
 	defer db.endOp("range-search", db.ops.rangeSearch, sp)
-	pts, ss, err := snap.RangeSearchCtx(qc.ctx, box, sp)
-	qs := searchQueryStats(ss)
-	qs.addSpanIO(sp)
+	pts, qs, err := snap.RangeSearchCtx(qc.ctx, box, sp)
+	addSpanIO(&qs, sp)
 	return pts, qs, err
 }
 
@@ -513,9 +511,8 @@ func (db *DB) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption)
 	defer db.endRead(snap, qc.trace)
 	sp := db.beginOp("range-search", qc.trace)
 	defer db.endOp("range-search", db.ops.rangeSearch, sp)
-	ss, err := snap.RangeSearchFuncCtx(qc.ctx, box, sp, fn)
-	qs := searchQueryStats(ss)
-	qs.addSpanIO(sp)
+	qs, err := snap.RangeSearchFuncCtx(qc.ctx, box, sp, fn)
+	addSpanIO(&qs, sp)
 	return qs, err
 }
 
@@ -531,9 +528,8 @@ func (db *DB) PartialMatch(restricted []bool, value []uint32, opts ...QueryOptio
 	defer db.endRead(snap, qc.trace)
 	sp := db.beginOp("partial-match", qc.trace)
 	defer db.endOp("partial-match", db.ops.partialMatch, sp)
-	pts, ss, err := snap.PartialMatchCtx(qc.ctx, restricted, value, sp)
-	qs := searchQueryStats(ss)
-	qs.addSpanIO(sp)
+	pts, qs, err := snap.PartialMatchCtx(qc.ctx, restricted, value, sp)
+	addSpanIO(&qs, sp)
 	return pts, qs, err
 }
 
@@ -641,9 +637,8 @@ func (db *DB) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]
 	defer db.endRead(snap, qc.trace)
 	sp := db.beginOp("nearest", qc.trace)
 	defer db.endOp("nearest", db.ops.nearest, sp)
-	nbs, ss, err := snap.NearestCtx(qc.ctx, q, m, metric)
-	qs := searchQueryStats(ss)
-	qs.addSpanIO(sp)
+	nbs, qs, err := snap.NearestCtx(qc.ctx, q, m, metric)
+	addSpanIO(&qs, sp)
 	return nbs, qs, err
 }
 

@@ -279,8 +279,7 @@ func (tx *Tx) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, er
 		return nil, QueryStats{}, err
 	}
 	defer tx.db.stateMu.RUnlock()
-	pts, ss, err := tx.snap.RangeSearchCtx(ctx, box, nil)
-	return pts, searchQueryStats(ss), err
+	return tx.snap.RangeSearchCtx(ctx, box, nil)
 }
 
 // RangeSearchFunc streams the transaction's view of the box to fn in
@@ -319,8 +318,7 @@ func (tx *Tx) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]
 		return nil, QueryStats{}, err
 	}
 	defer tx.db.stateMu.RUnlock()
-	nbs, ss, err := tx.snap.NearestCtx(ctx, q, m, metric)
-	return nbs, searchQueryStats(ss), err
+	return tx.snap.NearestCtx(ctx, q, m, metric)
 }
 
 // Commit ends the transaction, validating and applying its write-set
