@@ -116,14 +116,14 @@ func TestAllocGateDB(t *testing.T) {
 	// A grouped JOIN, of two overlapping halves of the grid and of two
 	// nested corners. Both keep the two rows of point 1 (one per region)
 	// in one slab of cells; a row the filter fails is never kept.
-	// Prepare, 34: the Statement, its Select, two select items, the
+	// Prepare, 32: the Statement, its Select, two select items, the
 	// Join, two regions, their bounds, the WHERE list, its comparison and
 	// the GROUP BY list (parse, 12); the Plan, the comparison list, the
-	// region ids, the region boxes, and each box's bounds and their
-	// copies (8; no element: the merge decomposes), the residual list, the
+	// region ids, the region boxes, and each box's bounds and its one
+	// copy of both (6; no element: the merge decomposes), the residual list, the
 	// filter's test, test list and closure (3), the group and aggregate
 	// positions, output columns, output positions and aggregate list (5)
-	// (compile, 21); the Stmt. The run, 24 whatever the shape: the
+	// (compile, 19); the Stmt. The run, 24 whatever the shape: the
 	// QueryResult, the engine, the run's state, the group map, its table
 	// and two keys, the key buffer, the group records grown to 1, 2 and 4
 	// cells, the kept output cells (2), the order, the rows and the value
@@ -144,6 +144,6 @@ func TestAllocGateDB(t *testing.T) {
 	}
 	// The halves' merge passes 3 072 points over 385 of the 512 leaves;
 	// the corners' reads one leaf.
-	gate("JOIN halves", 58, 2, join("1 BOX(0, 255, 0, 127), 2 BOX(0, 127, 0, 255)"))
-	gate("JOIN nested corners", 58, 2, join("1 BOX(0, 3, 0, 3), 2 BOX(0, 7, 0, 7)"))
+	gate("JOIN halves", 56, 2, join("1 BOX(0, 255, 0, 127), 2 BOX(0, 127, 0, 255)"))
+	gate("JOIN nested corners", 56, 2, join("1 BOX(0, 3, 0, 3), 2 BOX(0, 7, 0, 7)"))
 }

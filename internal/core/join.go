@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -27,10 +26,19 @@ type Pair struct {
 }
 
 // SortItems sorts a decomposed relation into z order, the order the
-// spatial join requires.
+// spatial join requires: by element (zorder.Element.Compare), then by
+// id. It radix-sorts (radixSort) on the element's bits masked to its
+// length, then the length, then the id, which is that order: O(n),
+// with one scratch copy of the relation.
 func SortItems(items []Item) {
-	slices.SortFunc(items, func(a, b Item) int {
-		return cmp.Or(a.Elem.Compare(b.Elem), cmp.Compare(a.ID, b.ID))
+	radixSort(items, 3, func(it *Item, w int) uint64 {
+		switch w {
+		case 0:
+			return it.Elem.Bits &^ (^uint64(0) >> it.Elem.Len)
+		case 1:
+			return uint64(it.Elem.Len)
+		}
+		return it.ID
 	})
 }
 
@@ -180,22 +188,17 @@ func spatialJoinFunc[S itemSeq[S]](ctx context.Context, a, b S, sp *obs.Span, fn
 	return nil
 }
 
-// DedupPairs sorts the pairs and removes duplicates: the projection
-// that eliminates the multiply-reported overlaps.
+// DedupPairs sorts the pairs by A, then B, and removes duplicates:
+// the projection that eliminates the multiply-reported overlaps. The
+// sort is a radix sort, O(n), with one scratch copy of the pairs.
 func DedupPairs(pairs []Pair) []Pair {
-	if len(pairs) == 0 {
-		return pairs
-	}
-	slices.SortFunc(pairs, func(a, b Pair) int {
-		return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
-	})
-	out := pairs[:1]
-	for _, p := range pairs[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
+	radixSort(pairs, 2, func(p *Pair, w int) uint64 {
+		if w == 0 {
+			return p.A
 		}
-	}
-	return out
+		return p.B
+	})
+	return slices.Compact(pairs)
 }
 
 // SpatialJoinDistinct runs the join and the deduplicating projection,

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"time"
 
+	"probe/internal/btree"
 	"probe/internal/disk"
 	"probe/internal/geom"
 	"probe/internal/workload"
@@ -207,6 +209,10 @@ func TestNewIndexBulkValidation(t *testing.T) {
 	pool := disk.MustPool(disk.MustMemStore(512), 64, disk.LRU)
 	if _, err := NewIndexBulk(pool, g, IndexConfig{}, []geom.Point{{ID: 1, Coords: []uint32{99, 0}}}, 0); err == nil {
 		t.Errorf("out-of-grid point accepted")
+	}
+	dup := []geom.Point{{ID: 7, Coords: []uint32{3, 5}}, {ID: 2, Coords: []uint32{1, 1}}, {ID: 7, Coords: []uint32{3, 5}}}
+	if _, err := NewIndexBulk(pool, g, IndexConfig{}, dup, 0); !errors.Is(err, btree.ErrDuplicateKey) {
+		t.Errorf("duplicate point: err %v, want %v", err, btree.ErrDuplicateKey)
 	}
 }
 

@@ -61,7 +61,9 @@ type Box struct {
 }
 
 // NewBox builds a box and validates that the bounds have equal arity
-// and lo <= hi in every dimension.
+// and lo <= hi in every dimension. The box holds copies of the bounds,
+// both in one allocation: Lo is capped at its length, so an append to
+// it cannot write into Hi.
 func NewBox(lo, hi []uint32) (Box, error) {
 	if len(lo) != len(hi) || len(lo) == 0 {
 		return Box{}, fmt.Errorf("geom: box bounds have arity %d vs %d", len(lo), len(hi))
@@ -71,7 +73,8 @@ func NewBox(lo, hi []uint32) (Box, error) {
 			return Box{}, fmt.Errorf("geom: box dimension %d has lo %d > hi %d", i, lo[i], hi[i])
 		}
 	}
-	return Box{Lo: append([]uint32(nil), lo...), Hi: append([]uint32(nil), hi...)}, nil
+	n, b := len(lo), append(append(make([]uint32, 0, 2*len(lo)), lo...), hi...)
+	return Box{Lo: b[:n:n], Hi: b[n:]}, nil
 }
 
 // MustBox is NewBox panicking on error.
