@@ -324,14 +324,13 @@ func (ix *reader) searchKeys(s *scratch, ctx context.Context, box geom.Box, stra
 		bc.SetContext(ctx)
 		seek = func(_ int, z uint64) (zorder.Element, bool, error) { return seekCursor(bc, z) }
 	case SkipBigMin:
-		// Strategy C: no elements of B, only pixels. An in-box z is its
-		// own element; otherwise BIGMIN finds the next in-box pixel.
+		// Strategy C: no elements of B, only pixels: BIGMIN finds the
+		// first in-box pixel at or after z, z itself when it is in the box.
+		bk := ix.g.BoxKeys(box.Lo, box.Hi)
 		seek = func(_ int, z uint64) (zorder.Element, bool, error) {
-			if !ix.g.InBox(z, box.Lo, box.Hi) {
-				var ok bool
-				if z, ok = ix.g.BigMin(z, box.Lo, box.Hi); !ok {
-					return zorder.Element{}, false, nil
-				}
+			z, ok := bk.BigMin(z)
+			if !ok {
+				return zorder.Element{}, false, nil
 			}
 			sp.Inc(obs.BigMinSkips)
 			return zorder.Element{Bits: z, Len: uint8(total)}, true, nil

@@ -47,6 +47,16 @@ func TestAllocGateDecomposeBox(t *testing.T) {
 	}); allocs > 2 {
 		t.Errorf("Box costs %v allocs, want at most 2 (its result, and a buffer past 256 elements)", allocs)
 	}
+	var c Cursor
+	if allocs := testing.AllocsPerRun(200, func() {
+		c.ResetBox(g, boxes[i%len(boxes)])
+		for c.Next() {
+			elems++
+		}
+		i++
+	}); allocs != 0 {
+		t.Errorf("a Cursor's ResetBox and Next to the end cost %v allocs, want 0", allocs)
+	}
 	if elems == 0 {
 		t.Fatal("no elements")
 	}

@@ -2,24 +2,28 @@ package decompose
 
 import (
 	"context"
+	"fmt"
 
 	"probe/internal/geom"
 	"probe/internal/obs"
 	"probe/internal/zorder"
 )
 
-// Cursor enumerates the elements of a decomposition lazily and in z
-// order, without materializing the whole sequence first. This is the
-// Section 3.3 optimization: "Elements of the box may be generated on
-// demand, i.e. when a sequential or random access on sequence B is
-// performed."
+// Cursor enumerates the elements of a box's full-resolution
+// decomposition lazily and in z order, without materializing the
+// whole sequence first. This is the Section 3.3 optimization:
+// "Elements of the box may be generated on demand, i.e. when a
+// sequential or random access on sequence B is performed."
 //
 // A Cursor supports both access patterns of the merge: Next (the
 // sequential access) and Seek (the random access used to skip parts
-// of the space that cannot contribute to the result).
+// of the space that cannot contribute to the result). Each is box
+// arithmetic, not a descent: Seek(z) finds the first in-box pixel at
+// or after z (zorder.BoxKeys.BigMin) and the element around it
+// (zorder.BoxKeys.Element); Next is Seek(ZHi + 1).
 type Cursor struct {
-	region
-
+	box   zorder.BoxKeys
+	total int // the grid's total bits
 	cur   zorder.Element
 	valid bool
 	done  bool
@@ -29,13 +33,24 @@ type Cursor struct {
 	err  error           // sticky cancellation error, reported by Err
 }
 
-// NewCursor builds a cursor over the decomposition of obj. The cursor
-// starts before the first element; call Next or Seek to position it.
+// NewCursor builds a cursor over the decomposition of obj, which must
+// be a geom.Box decomposed at full resolution (opts.MaxLen 0 or the
+// grid's total bits); any other object or depth is an error. The
+// cursor starts before the first element; call Next or Seek to
+// position it.
 func NewCursor(g zorder.Grid, obj geom.Object, opts Options) (*Cursor, error) {
-	c := new(Cursor)
-	if err := c.aim(g, obj, opts); err != nil {
-		return nil, err
+	b, ok := obj.(geom.Box)
+	if !ok {
+		return nil, fmt.Errorf("decompose: a cursor decomposes a box, not %T", obj)
 	}
+	if b.Dims() != g.Dims() {
+		return nil, fmt.Errorf("decompose: object has %d dims, grid %d", b.Dims(), g.Dims())
+	}
+	if opts.MaxLen != 0 && opts.MaxLen != g.TotalBits() {
+		return nil, fmt.Errorf("decompose: a cursor decomposes at full resolution, not MaxLen %d", opts.MaxLen)
+	}
+	c := new(Cursor)
+	c.ResetBox(g, b)
 	return c, nil
 }
 
@@ -43,10 +58,13 @@ func NewCursor(g zorder.Grid, obj geom.Object, opts Options) (*Cursor, error) {
 // full-resolution decomposition of box b, before its first element and
 // with no span or context. A zero Cursor is ready for it, so a cursor
 // can live by value inside a recycled structure and serve one search
-// after another without allocating.
+// after another without allocating. A box of the wrong arity is the
+// caller's bug.
 func (c *Cursor) ResetBox(g zorder.Grid, b geom.Box) {
-	*c = Cursor{}
-	c.aimBox(g, b)
+	if b.Dims() != g.Dims() {
+		panic(fmt.Sprintf("decompose: box has %d dims, grid %d", b.Dims(), g.Dims()))
+	}
+	*c = Cursor{box: g.BoxKeys(b.Lo, b.Hi), total: g.TotalBits()}
 }
 
 // SetSpan attributes the cursor's work to sp: one obs.Elements per
@@ -83,39 +101,28 @@ func (c *Cursor) ZLo() uint64 { return c.Element().MinZ() }
 
 // ZHi returns the largest full-resolution z value in the current
 // element.
-func (c *Cursor) ZHi() uint64 { return c.Element().MaxZ(c.g.TotalBits()) }
+func (c *Cursor) ZHi() uint64 { return c.Element().MaxZ(c.total) }
 
 // Next advances to the next element in z order. It returns false when
 // the decomposition is exhausted.
 func (c *Cursor) Next() bool {
-	if c.done {
+	switch {
+	case c.done:
 		return false
+	case !c.valid:
+		return c.Seek(0)
 	}
-	var from uint64
-	if c.valid {
-		hi := c.ZHi()
-		last := zorder.Element{}.MaxZ(c.g.TotalBits())
-		if hi == last {
-			c.valid, c.done = false, true
-			return false
-		}
-		from = hi + zStep(c.g)
+	if z := c.ZHi() + 1; z != 0 {
+		return c.Seek(z)
 	}
-	return c.seekFrom(from)
+	c.valid, c.done = false, true // the element ended at the last key
+	return false
 }
 
 // Seek positions the cursor on the first element whose z range ends
 // at or after z (i.e. the element containing z, or the next one). It
 // returns false when no such element exists.
 func (c *Cursor) Seek(z uint64) bool {
-	return c.seekFrom(z)
-}
-
-// zStep is the distance between consecutive full-resolution z keys
-// (left-justified in 64 bits).
-func zStep(g zorder.Grid) uint64 { return 1 << uint(64-g.TotalBits()) }
-
-func (c *Cursor) seekFrom(z uint64) bool {
 	if c.ctx != nil {
 		if err := c.ctx.Err(); err != nil {
 			c.err = err
@@ -123,41 +130,12 @@ func (c *Cursor) seekFrom(z uint64) bool {
 			return false
 		}
 	}
-	c.whole()
-	e, ok := c.search(zorder.Element{}, z)
+	p, ok := c.box.BigMin(z)
 	if !ok {
 		c.valid, c.done = false, true
 		return false
 	}
-	c.cur, c.valid, c.done = e, true, false
+	c.cur, c.valid, c.done = c.box.Element(p), true, false
 	c.span.Inc(obs.Elements)
 	return true
-}
-
-// search finds the z-least emitted element within e whose MaxZ >= z.
-func (c *Cursor) search(e zorder.Element, z uint64) (zorder.Element, bool) {
-	if e.MaxZ(c.g.TotalBits()) < z {
-		return zorder.Element{}, false
-	}
-	switch c.classify() {
-	case geom.Outside:
-		return zorder.Element{}, false
-	case geom.Inside:
-		return e, true
-	}
-	if int(e.Len) >= c.maxLen {
-		if c.dropB {
-			return zorder.Element{}, false
-		}
-		return e, true
-	}
-	for b := 0; b < 2; b++ {
-		dim, saved := c.descend(int(e.Len), b)
-		r, ok := c.search(e.Child(b), z)
-		c.restore(dim, b, saved)
-		if ok {
-			return r, true
-		}
-	}
-	return zorder.Element{}, false
 }

@@ -1,7 +1,9 @@
 package decompose
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"probe/internal/geom"
@@ -25,7 +27,6 @@ func TestCursorMatchesEagerDecomposition(t *testing.T) {
 		geom.Box2(1, 3, 0, 4),
 		geom.Box2(0, 15, 7, 7),
 		geom.FullBox(g),
-		func() geom.Object { d, _ := geom.NewDisk([]float64{8, 8}, 5); return d }(),
 	}
 	for _, obj := range objs {
 		want, err := Object(g, obj, Options{})
@@ -129,30 +130,6 @@ func TestCursorOnInvalid(t *testing.T) {
 	c.Element()
 }
 
-func TestCursorCoarse(t *testing.T) {
-	g := zorder.MustGrid(2, 4)
-	d, _ := geom.NewDisk([]float64{8, 8}, 5.3)
-	for _, opts := range []Options{{MaxLen: 4}, {MaxLen: 4, DropBoundary: true}, {MaxLen: 6}} {
-		want, err := Object(g, d, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := NewCursor(g, d, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := collectCursor(t, c)
-		if len(got) != len(want) {
-			t.Fatalf("opts %+v: %d elements, want %d", opts, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("opts %+v: element %d mismatch", opts, i)
-			}
-		}
-	}
-}
-
 func TestCursorWholeSpaceTermination(t *testing.T) {
 	// An object covering the whole space ends at the all-ones z value;
 	// Next must terminate rather than wrap.
@@ -174,6 +151,120 @@ func TestCursorBadOptions(t *testing.T) {
 	g := zorder.MustGrid(2, 3)
 	if _, err := NewCursor(g, geom.Box2(0, 1, 0, 1), Options{MaxLen: 99}); err == nil {
 		t.Errorf("bad MaxLen accepted")
+	}
+}
+
+// TestCursorServesBoxesOnly: the cursor decomposes a box at full
+// resolution; any other object, or a capped depth, is refused.
+func TestCursorServesBoxesOnly(t *testing.T) {
+	g := zorder.MustGrid(2, 4)
+	d, _ := geom.NewDisk([]float64{8, 8}, 5)
+	if _, err := NewCursor(g, d, Options{}); err == nil {
+		t.Errorf("a disk accepted")
+	}
+	if _, err := NewCursor(g, geom.Box2(1, 3, 0, 4), Options{MaxLen: 4}); err == nil {
+		t.Errorf("MaxLen 4 accepted")
+	}
+	if _, err := NewCursor(g, geom.Box{Lo: []uint32{1}, Hi: []uint32{3}}, Options{}); err == nil {
+		t.Errorf("a 1-d box accepted on a 2-d grid")
+	}
+	if _, err := NewCursor(g, geom.Box2(1, 3, 0, 4), Options{MaxLen: g.TotalBits()}); err != nil {
+		t.Errorf("MaxLen at the grid's total bits refused: %v", err)
+	}
+}
+
+// checkCursor walks a cursor over box b with Next, then seeks it to
+// each z of seeks, and compares both with the eager decomposition:
+// Next yields it in order, and Seek(z) lands on its first element
+// whose z range ends at or after z.
+func checkCursor(g zorder.Grid, b geom.Box, seeks []uint64) error {
+	eager := Box(g, b)
+	var c Cursor
+	c.ResetBox(g, b)
+	n := 0
+	for ; c.Next(); n++ {
+		if n >= len(eager) || c.Element() != eager[n] {
+			return fmt.Errorf("%v box %v: Next %d gave %v, eager has %v", g, b, n, c.Element(), eager)
+		}
+	}
+	if n != len(eager) || c.Next() {
+		return fmt.Errorf("%v box %v: Next gave %d elements and then %v, eager has %d", g, b, n, c.Valid(), len(eager))
+	}
+	total := g.TotalBits()
+	for _, z := range seeks {
+		i := sort.Search(len(eager), func(i int) bool { return eager[i].MaxZ(total) >= z })
+		ok := c.Seek(z)
+		if ok != (i < len(eager)) || ok && c.Element() != eager[i] {
+			return fmt.Errorf("%v box %v: Seek(%x) = %v on %v, want element %d of %v", g, b, z, ok, c.cur, i, eager)
+		}
+	}
+	return nil
+}
+
+// TestCursorMatchesEagerExhaustive checks the cursor's arithmetic
+// against the eager walker: every box and every seek of small grids,
+// then random boxes on large ones, seeking to each element's ends and
+// to random keys.
+func TestCursorMatchesEagerExhaustive(t *testing.T) {
+	for _, g := range []zorder.Grid{zorder.MustGrid(2, 3), zorder.MustGrid(2, 4), zorder.MustGrid(3, 2),
+		zorder.MustGridAsym(3, 1), zorder.MustGridAsym(1, 3, 2), zorder.MustGridAsym(2, 4),
+		zorder.MustGridAsym(5, 3), zorder.MustGrid(1, 6)} {
+		keys := make([]uint64, g.Cells())
+		for n := range keys {
+			keys[n] = uint64(n) << uint(64-g.TotalBits())
+		}
+		lo, hi := make([]uint32, g.Dims()), make([]uint32, g.Dims())
+		var boxes func(i int)
+		boxes = func(i int) {
+			if i == g.Dims() {
+				if err := checkCursor(g, geom.Box{Lo: lo, Hi: hi}, keys); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			for lo[i] = 0; uint64(lo[i]) < g.SideOf(i); lo[i]++ {
+				for hi[i] = lo[i]; uint64(hi[i]) < g.SideOf(i); hi[i]++ {
+					boxes(i + 1)
+				}
+			}
+		}
+		boxes(0)
+	}
+	// A box reaching past the grid's edge decomposes clipped.
+	if err := checkCursor(zorder.MustGridAsym(2, 4), geom.Box2(1, 9, 3, 40), nil); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(43))
+	for _, g := range []zorder.Grid{zorder.MustGrid(2, 32), zorder.MustGrid(2, 12), zorder.MustGridAsym(5, 9, 12, 3)} {
+		for trial := 0; trial < 300; trial++ {
+			// Sides up to 40 (fewer in 4-d) keep the eager list short; the
+			// first trial's box sits at the grid's last pixel, the second's
+			// at its first.
+			lo, hi := make([]uint32, g.Dims()), make([]uint32, g.Dims())
+			for i := range lo {
+				side := g.SideOf(i)
+				w := 1 + rng.Uint64()%min(side, uint64(160/(g.Dims()*g.Dims())))
+				x := rng.Uint64() % (side - w + 1)
+				switch trial {
+				case 0:
+					x = side - w
+				case 1:
+					x = 0
+				}
+				lo[i], hi[i] = uint32(x), uint32(x+w-1)
+			}
+			b := geom.Box{Lo: lo, Hi: hi}
+			var seeks []uint64
+			for _, e := range Box(g, b) {
+				seeks = append(seeks, e.MinZ(), e.MaxZ(g.TotalBits()), e.MaxZ(g.TotalBits())+1)
+			}
+			for n := 0; n < 50; n++ {
+				seeks = append(seeks, rng.Uint64())
+			}
+			if err := checkCursor(g, b, seeks); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -9,6 +9,10 @@
 // optimized range-search merge ("the sequence B does not have to be
 // formed before the merge starts", Section 3.3), the E(U,V) element
 // counting of Section 5.1, and the boundary-expansion optimization.
+// The eager walker descends the splitting tree for any object; the
+// cursor serves boxes at full resolution only and finds each element by
+// bit arithmetic on the box's corners (zorder.BoxKeys), with no
+// descent.
 package decompose
 
 import (
@@ -41,11 +45,11 @@ func (o Options) maxLen(g zorder.Grid) (int, error) {
 	return o.MaxLen, nil
 }
 
-// region is the state a decomposition traversal carries, shared by the
-// eager walker and the lazy Cursor: the object, the grid's split order
-// and the current node's coordinate region, maintained incrementally
-// (O(1) per split) in fixed arrays. It holds no pointer into itself,
-// so a box decomposition lives on its caller's stack.
+// region is the state the eager walker carries: the object, the
+// grid's split order and the current node's coordinate region,
+// maintained incrementally (O(1) per split) in fixed arrays. It holds
+// no pointer into itself, so a box decomposition lives on its caller's
+// stack.
 type region struct {
 	g        zorder.Grid
 	box      geom.Box    // the object, when obj is nil
@@ -92,20 +96,15 @@ func (r *region) aimBox(g zorder.Grid, b geom.Box) {
 func (r *region) over(g zorder.Grid) {
 	r.g, r.maxLen, r.dropB = g, g.TotalBits(), false
 	r.order = g.SplitOrder()
-	r.whole()
-}
-
-// whole widens the region back to the whole space.
-func (r *region) whole() {
-	for i := 0; i < r.g.Dims(); i++ {
-		r.lo[i], r.hi[i] = 0, uint32(r.g.SideOf(i)-1)
+	for i := 0; i < g.Dims(); i++ {
+		r.lo[i], r.hi[i] = 0, uint32(g.SideOf(i)-1)
 	}
 }
 
 // classify relates the object to the current region. A box is asked
 // directly. Any other object is behind an interface, and a slice of
 // the arrays passed through one would move every region, and the
-// walker or cursor around it, to the heap: it sees a copy instead.
+// walker around it, to the heap: it sees a copy instead.
 func (r *region) classify() geom.Class {
 	d := r.g.Dims()
 	if r.obj == nil {
@@ -238,8 +237,8 @@ func CountBox(g zorder.Grid, sides []uint32) (int, error) {
 		if s == 0 {
 			return 0, nil
 		}
-		if uint64(s) > g.Side() {
-			return 0, fmt.Errorf("decompose: side %d exceeds grid side %d", s, g.Side())
+		if uint64(s) > g.SideOf(i) {
+			return 0, fmt.Errorf("decompose: side %d exceeds grid side %d", s, g.SideOf(i))
 		}
 		hi[i] = s - 1
 	}

@@ -323,6 +323,15 @@ func TestCountBoxErrors(t *testing.T) {
 	if n, err := CountBox(g, []uint32{0, 5}); err != nil || n != 0 {
 		t.Errorf("empty box should count 0 elements, got %d, %v", n, err)
 	}
+	// Each side is checked against its own dimension's resolution.
+	ga := zorder.MustGridAsym(3, 5)
+	if _, err := CountBox(ga, []uint32{9, 7}); err == nil {
+		t.Errorf("asymmetric: oversized side accepted")
+	}
+	want, err := Count(ga, geom.Box2(0, 1, 0, 19), Options{})
+	if n, err2 := CountBox(ga, []uint32{2, 20}); err != nil || err2 != nil || n != want {
+		t.Errorf("asymmetric CountBox = %d, %v; Count of the box = %d, %v", n, err2, want, err)
+	}
 }
 
 func TestExpandBoundary(t *testing.T) {

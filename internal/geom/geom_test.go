@@ -363,53 +363,3 @@ func TestPolygonCoverageSliver(t *testing.T) {
 		t.Errorf("distant pixel covered")
 	}
 }
-
-func TestPolylineClassify(t *testing.T) {
-	p, err := NewPolyline([]Vertex{{X: 0.5, Y: 0.5}, {X: 6.5, Y: 3.5}, {X: 6.5, Y: 7.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Dims() != 2 {
-		t.Errorf("Dims wrong")
-	}
-	member := func(x, y uint32) bool {
-		return p.intersectsRect(float64(x), float64(y), float64(x)+1, float64(y)+1)
-	}
-	classifyConsistent(t, p, 8, member)
-	// The endpoints' pixels are covered.
-	if p.Classify([]uint32{0, 0}, []uint32{0, 0}) != Inside {
-		t.Errorf("start pixel not covered")
-	}
-	if p.Classify([]uint32{6, 7}, []uint32{6, 7}) != Inside {
-		t.Errorf("end pixel not covered")
-	}
-	if p.Classify([]uint32{0, 7}, []uint32{0, 7}) != Outside {
-		t.Errorf("far pixel covered")
-	}
-}
-
-func TestPolylineValidation(t *testing.T) {
-	if _, err := NewPolyline([]Vertex{{X: 1, Y: 1}}); err == nil {
-		t.Errorf("single-vertex polyline accepted")
-	}
-}
-
-func TestPolylineDecomposable(t *testing.T) {
-	// A polyline's decomposition is thin: element count tracks its
-	// length, not any area.
-	p, _ := NewPolyline([]Vertex{{X: 1, Y: 1}, {X: 30, Y: 20}, {X: 5, Y: 28}})
-	member := func(x, y uint32) bool {
-		return p.intersectsRect(float64(x), float64(y), float64(x)+1, float64(y)+1)
-	}
-	count := 0
-	for x := uint32(0); x < 32; x++ {
-		for y := uint32(0); y < 32; y++ {
-			if member(x, y) {
-				count++
-			}
-		}
-	}
-	if count == 0 || count > 150 {
-		t.Errorf("polyline covers %d pixels of 1024; expected a thin band", count)
-	}
-}

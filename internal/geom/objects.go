@@ -362,47 +362,3 @@ func (r *Raster) Classify(lo, hi []uint32) Class {
 	}
 	return Crosses
 }
-
-// Polyline is a 2-d path of connected segments with coverage
-// semantics: a pixel belongs to the object when any segment passes
-// through the pixel's closed unit square. It models linear map
-// features (roads, rivers, tracks) in cartographic layers.
-type Polyline struct {
-	V []Vertex
-}
-
-// NewPolyline validates and constructs a polyline.
-func NewPolyline(v []Vertex) (Polyline, error) {
-	if len(v) < 2 {
-		return Polyline{}, fmt.Errorf("geom: polyline needs >= 2 vertices, got %d", len(v))
-	}
-	return Polyline{V: append([]Vertex(nil), v...)}, nil
-}
-
-// Dims implements Object.
-func (p Polyline) Dims() int { return 2 }
-
-// intersectsRect reports whether any segment touches the closed
-// rectangle.
-func (p Polyline) intersectsRect(x0, y0, x1, y1 float64) bool {
-	for i := 0; i+1 < len(p.V); i++ {
-		if segmentIntersectsRect(p.V[i], p.V[i+1], x0, y0, x1, y1) {
-			return true
-		}
-	}
-	return false
-}
-
-// Classify implements Object. A polyline has no interior, so
-// multi-pixel regions touched by a segment are always Crosses.
-func (p Polyline) Classify(lo, hi []uint32) Class {
-	x0, y0 := float64(lo[0]), float64(lo[1])
-	x1, y1 := float64(hi[0])+1, float64(hi[1])+1
-	if !p.intersectsRect(x0, y0, x1, y1) {
-		return Outside
-	}
-	if lo[0] == hi[0] && lo[1] == hi[1] {
-		return Inside
-	}
-	return Crosses
-}

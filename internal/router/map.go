@@ -174,9 +174,10 @@ func (m *Map) Cover(g zorder.Grid, lo, hi []uint32) []int {
 	first, last := m.OwnerOf(g.ShuffleKey(lo)), m.OwnerOf(g.ShuffleKey(hi))
 	out := make([]int, 1, last-first+1)
 	out[0] = first
+	box := g.BoxKeys(lo, hi)
 	for i := first + 1; i < last; i++ {
 		rg, _ := m.Range(i) // cannot fail on a validated map
-		if z, ok := g.BigMin(rg.Lo, lo, hi); ok && z <= rg.Hi {
+		if z, ok := box.BigMin(rg.Lo); ok && z <= rg.Hi {
 			out = append(out, i)
 		}
 	}

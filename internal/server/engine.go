@@ -14,8 +14,10 @@ import (
 // database. Untraced reads take the database's snapshot path — one
 // pinned committed tree version, no database mutex — so reads on one
 // connection do not stall behind a writer on another; a traced read
-// passes the request span down and serializes on the database mutex so
-// its page-access attribution stays exact.
+// passes the request span down and serializes on the database mutex.
+// Its logical counters (seeks, data pages, elements, results) are
+// exact; its pool and physical counters also count any untraced read
+// that runs meanwhile.
 type engine struct{ s *Server }
 
 // queryOpts assembles the options of a read: the request context

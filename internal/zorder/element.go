@@ -194,7 +194,3 @@ func (e Element) PixelCount(g Grid) uint64 {
 	}
 	return 1 << uint(free)
 }
-
-// CompareElements is a convenience ordering function for sorting
-// slices of elements with sort.Slice or slices.SortFunc.
-func CompareElements(a, b Element) int { return a.Compare(b) }

@@ -105,3 +105,72 @@ func FuzzElementContainsCompare(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBoxKeysAnyGrid checks BoxKeys on any small grid shape: shape
+// picks a symmetric grid of 1 to 4 dimensions or an asymmetric one of
+// 2 to 4 dimensions of 1 to 6 bits, at most 16 bits in all; lo and hi
+// hold a box corner's coordinates, 16 bits each; z is any key, bits
+// below the key width included. BigMin must agree with refBigMin, and
+// Element with a pixel-by-pixel search for the shortest prefix of the
+// found pixel whose every pixel is in the box.
+func FuzzBoxKeysAnyGrid(f *testing.F) {
+	// 2x4 (shape 1<<1|3<<3) and (3,5) (shape 1|2<<3|4<<6), whose box
+	// (1,2)-(4,9) ends at key 0x91<<56.
+	f.Add(uint32(1<<1|3<<3), uint64(0), ^uint64(0), uint64(0))                       // the whole space
+	f.Add(uint32(1<<1|3<<3), uint64(0x5_0003), uint64(0x5_0003), uint64(0))          // a single pixel
+	f.Add(uint32(1|2<<3|4<<6), uint64(0x2_0001), uint64(0x9_0004), uint64(0x92)<<56) // a z past the box
+	f.Add(uint32(1|2<<3|4<<6), uint64(0x2_0001), uint64(0x9_0004), uint64(1))        // a z below the key
+	f.Fuzz(func(t *testing.T, shape uint32, loRaw, hiRaw, z uint64) {
+		var g Grid
+		if shape&1 == 0 {
+			k := int(shape>>1%4) + 1
+			g = MustGrid(k, int(shape>>3)%(16/k)+1)
+		} else {
+			k := int(shape>>1%3) + 2
+			bits, budget := make([]int, k), 16
+			for i := range bits {
+				bits[i] = min(int(shape>>(3+3*i)&7)%6+1, budget-(k-1-i))
+				budget -= bits[i]
+			}
+			g = MustGridAsym(bits...)
+		}
+		lo, hi := make([]uint32, g.Dims()), make([]uint32, g.Dims())
+		for i := range lo {
+			lo[i] = uint32(loRaw>>(16*i)&0xffff) % uint32(g.SideOf(i))
+			hi[i] = uint32(hiRaw>>(16*i)&0xffff) % uint32(g.SideOf(i))
+			if lo[i] > hi[i] {
+				lo[i], hi[i] = hi[i], lo[i]
+			}
+		}
+		b := g.BoxKeys(lo, hi)
+		got, ok := b.BigMin(z)
+		want, wok := refBigMin(g, z, lo, hi)
+		if ok != wok || got != want {
+			t.Fatalf("%v box %v-%v: BigMin(%x) = (%x,%v), want (%x,%v)", g, lo, hi, z, got, ok, want, wok)
+		}
+		if ok {
+			if e, we := b.Element(got), bruteElement(g, got, lo, hi); e != we {
+				t.Fatalf("%v box %v-%v: Element(%x) = %v, want %v", g, lo, hi, got, e, we)
+			}
+		}
+	})
+}
+
+// bruteElement is the shortest prefix of the pixel z all of whose
+// pixels, tried one by one, lie in the box [lo, hi].
+func bruteElement(g Grid, z uint64, lo, hi []uint32) Element {
+	total, coords := g.TotalBits(), make([]uint32, g.Dims())
+	for n := 0; ; n++ {
+		e := Element{Bits: z & mask(uint8(n)), Len: uint8(n)}
+		inside := true
+		for p := uint64(0); inside && p < 1<<uint(total-n); p++ {
+			g.UnshuffleInto(Element{Bits: e.Bits | p<<uint(64-total), Len: uint8(total)}, coords)
+			for i := range coords {
+				inside = inside && lo[i] <= coords[i] && coords[i] <= hi[i]
+			}
+		}
+		if inside {
+			return e
+		}
+	}
+}

@@ -134,7 +134,7 @@ func (g Grid) RegionInto(e Element, lo, hi []uint32) {
 	}
 	var seq splitSequence
 	seq.init(g)
-	var m [MaxAsymDims]uint8 // bits consumed per dimension
+	var m [MaxBits]uint8 // bits consumed per dimension
 	for j := 0; j < int(e.Len); j++ {
 		dim := seq.next()
 		if e.Bits>>uint(63-j)&1 != 0 {
@@ -169,7 +169,7 @@ func (g Grid) ElementForRegion(lo []uint32, m []int) (Element, error) {
 	// produces after totalPrefix splits.
 	var seq splitSequence
 	seq.init(g)
-	var want [MaxAsymDims]uint8
+	var want [MaxBits]uint8
 	for j := 0; j < totalPrefix; j++ {
 		want[seq.next()]++
 	}
@@ -180,7 +180,7 @@ func (g Grid) ElementForRegion(lo []uint32, m []int) (Element, error) {
 	}
 	var bits uint64
 	seq.init(g)
-	var used [MaxAsymDims]uint8
+	var used [MaxBits]uint8
 	for j := 0; j < totalPrefix; j++ {
 		dim := seq.next()
 		bit := g.BitsOf(dim) - 1 - int(used[dim])

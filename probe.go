@@ -181,10 +181,12 @@ func DetectInterference(g Grid, parts []Part, maxLen int) ([]interfere.Pair, int
 // writer nor delays one; a streaming callback only keeps its version
 // pinned, deferring page reclamation and briefly delaying Close. A
 // trace (WithTrace) adds one thing: the read holds db.mu for its whole
-// run, so no commit lands under it and its span alone takes the pool's
-// and the store's attribution slot — its page-access counts, the
-// paper's metric, are exact. A slow traced callback delays every
-// writer and every other traced read.
+// run, so no commit lands under it and its span takes the pool's and
+// the store's attribution slot. Its logical counters (seeks, data
+// pages, the paper's metric, elements, results) are exact. Its pool and
+// physical counters also count the page accesses of any untraced read
+// that runs meanwhile, one inside its own callback included. A slow
+// traced callback delays every writer and every other traced read.
 type DB struct {
 	// mu serializes writers, maintenance and traced reads.
 	mu sync.Mutex
@@ -344,7 +346,8 @@ func (db *DB) endOp(op string, n *obs.Int, sp *Trace) {
 // the same t exactly once. A traced read (t non-nil) first takes
 // db.mu, in Close's lock order: no commit lands while it holds it, so
 // the pinned version is the live one, and the span it then opens
-// (beginOp) is alone on the pool's and the store's attribution slot.
+// (beginOp) takes the pool's and the store's attribution slot, which
+// also counts any untraced read that runs meanwhile.
 func (db *DB) beginRead(ctx context.Context, t *Trace) (*core.IndexSnapshot, error) {
 	if t != nil {
 		db.mu.Lock()
