@@ -152,22 +152,12 @@ func createDurable(g Grid, cfg openConfig, fsys disk.FS) (*DB, error) {
 		rs.Close()
 		return nil, fmt.Errorf("probe: metadata page allocated as %d, want %d", id, metaPageID)
 	}
-	pool, err := disk.NewPool(rs, cfg.poolPages, disk.LRU)
+	db, err := newDB(g, rs, cfg)
 	if err != nil {
 		rs.Close()
 		return nil, err
 	}
-	var ix *core.Index
-	if cfg.bulkSet {
-		ix, err = core.NewIndexBulk(pool, g, core.IndexConfig{LeafCapacity: cfg.leafCapacity}, cfg.bulk, 0)
-	} else {
-		ix, err = core.NewIndex(pool, g, core.IndexConfig{LeafCapacity: cfg.leafCapacity})
-	}
-	if err != nil {
-		rs.Close()
-		return nil, err
-	}
-	db := (&DB{grid: g, store: rs, rs: rs, pool: pool, index: ix}).initMetrics()
+	db.rs = rs
 	// Checkpoint immediately: a freshly created database must be
 	// recoverable even if the process dies before the first explicit
 	// Checkpoint.
@@ -257,12 +247,42 @@ func (db *DB) Checkpoint(opts ...QueryOption) (QueryStats, error) {
 	qc := queryOptions(opts)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	sp := db.beginOp("checkpoint", qc.trace)
+	sp := qc.trace.Child("checkpoint")
 	defer db.endOp("checkpoint", nil, sp)
+	var before [len(checkpointCounters)]uint64
+	if sp != nil {
+		before = db.checkpointTotals()
+	}
 	err := db.checkpointLocked()
 	var qs QueryStats
-	addSpanIO(&qs, sp)
+	if sp != nil {
+		for i, n := range db.checkpointTotals() {
+			if n > before[i] {
+				sp.Add(checkpointCounters[i], int64(n-before[i]))
+			}
+		}
+		addSpanIO(&qs, sp)
+	}
 	return qs, err
+}
+
+// checkpointCounters are the counters a checkpoint's own work grows:
+// the pool's write-backs, the store's writes and the log's appends and
+// syncs. A traced checkpoint, the one traced writer, counts on its
+// span how much their lifetime totals grow across it. It holds db.mu,
+// so the only work beside it is a read's, which grows these only by
+// the write-backs its misses force.
+var checkpointCounters = [...]obs.Counter{obs.PoolWriteBacks, obs.PhysWrites, obs.WALAppends, obs.WALSyncs}
+
+// checkpointTotals reads the lifetime totals of checkpointCounters, in
+// their order.
+func (db *DB) checkpointTotals() (t [len(checkpointCounters)]uint64) {
+	t[0], t[1] = db.pool.Stats().WriteBacks, db.store.Stats().Writes
+	if db.rs != nil {
+		ds := db.rs.DurabilityStats()
+		t[2], t[3] = ds.WALAppends, ds.WALSyncs
+	}
+	return t
 }
 
 // checkpointLocked runs the checkpoint under db.mu.

@@ -57,16 +57,16 @@ func (db *DB) ExplainAnalyze(box Box, opts ...QueryOption) (*ExplainResult, erro
 		root = NewTrace("explain-analyze")
 		defer root.End()
 	}
-	snap, err := db.beginRead(qc.ctx, root)
+	snap, err := db.beginRead(qc.ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer db.endRead(snap, root)
+	defer db.endRead(snap)
 	plan, err := planner.PlanRange(&planner.Table{Name: "db", Index: snap}, box, planner.Config{})
 	if err != nil {
 		return nil, err
 	}
-	sp := db.beginOp(plan.Access, root)
+	sp := root.Child(plan.Access)
 	defer db.endOp(plan.Access, nil, sp)
 	pts, stats, err := snap.RangeSearchCtx(qc.ctx, box, sp)
 	if err != nil {

@@ -62,7 +62,7 @@ func (s *Snapshot) CheckInvariants() error {
 	for len(stack) > 0 {
 		vi := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		data, err := t.copyPage(vi.id, spare)
+		data, err := t.copyPage(vi.id, spare, nil)
 		if err != nil {
 			return err
 		}

@@ -61,8 +61,9 @@ func (c *Cursor) Reset(snap *Snapshot) {
 // SetSpan attributes the cursor's traversal work to sp: one
 // obs.Seeks per SeekGE, obs.NodeVisits per internal node loaded, and
 // obs.LeafScans per leaf page loaded (rescans included —
-// distinct-page counting is the caller's concern). A nil span
-// disables attribution at zero cost.
+// distinct-page counting is the caller's concern); each page load also
+// hands sp to the pool, which counts its get there (disk.Pool.GetSpan).
+// A nil span disables attribution at zero cost.
 func (c *Cursor) SetSpan(sp *obs.Span) { c.span = sp }
 
 // SetContext makes the cursor cancellable: every page-load boundary
@@ -138,7 +139,7 @@ func (c *Cursor) pushInternal(id disk.PageID) (*cursorLevel, error) {
 		c.stack = append(c.stack, cursorLevel{})[:n]
 	}
 	l := &c.stack[:n+1][n]
-	buf, err := c.snap.t.copyPage(id, l.page.data)
+	buf, err := c.snap.t.copyPage(id, l.page.data, c.span)
 	if err == nil {
 		l.page, err = viewInternal(buf)
 	}
@@ -156,7 +157,7 @@ func (c *Cursor) enterLeaf(id disk.PageID) error {
 	if err := c.loadErr(); err != nil {
 		return err
 	}
-	buf, err := c.snap.t.copyPage(id, c.leaf.data)
+	buf, err := c.snap.t.copyPage(id, c.leaf.data, c.span)
 	if err == nil {
 		c.leaf, err = viewLeaf(buf, c.snap.t.keyLen, c.snap.t.valueSize)
 	}

@@ -13,7 +13,7 @@ import (
 // when it returns.
 
 func (t *Tree) loadLeaf(id disk.PageID) (n []Entry, err error) {
-	err = t.withPage(id, func(data []byte) (err error) {
+	err = t.withPage(id, nil, func(data []byte) (err error) {
 		n, err = decodeLeaf(data, t.keyLen, t.valueSize)
 		return err
 	})
@@ -21,7 +21,7 @@ func (t *Tree) loadLeaf(id disk.PageID) (n []Entry, err error) {
 }
 
 func (t *Tree) loadInternal(id disk.PageID) (n *internalNode, err error) {
-	err = t.withPage(id, func(data []byte) (err error) {
+	err = t.withPage(id, nil, func(data []byte) (err error) {
 		n, err = decodeInternal(data)
 		return err
 	})

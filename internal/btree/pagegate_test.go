@@ -58,7 +58,7 @@ func reachableImages(t *testing.T, s *Snapshot) map[disk.PageID][]byte {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		data, err := s.t.copyPage(id, nil)
+		data, err := s.t.copyPage(id, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

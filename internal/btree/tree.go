@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"probe/internal/disk"
+	"probe/internal/obs"
 )
 
 // Config tunes a tree.
@@ -283,11 +284,12 @@ func (t *Tree) LeafCapacity() int { return t.leafCap }
 // Pool returns the buffer pool the tree lives on.
 func (t *Tree) Pool() *disk.Pool { return t.pool }
 
-// withPage pins page id, runs fn on the frame's bytes and unpins. fn
-// must not keep the slice: no pin outlives a call into the tree, so
-// that version GC, which cannot drop a pinned page, never waits.
-func (t *Tree) withPage(id disk.PageID, fn func(data []byte) error) error {
-	f, err := t.pool.Get(id)
+// withPage pins page id, counting the get on sp (nil = the pool's
+// counters only), runs fn on the frame's bytes and unpins. fn must not
+// keep the slice: no pin outlives a call into the tree, so that
+// version GC, which cannot drop a pinned page, never waits.
+func (t *Tree) withPage(id disk.PageID, sp *obs.Span, fn func(data []byte) error) error {
+	f, err := t.pool.GetSpan(id, sp)
 	if err != nil {
 		return err
 	}
@@ -298,9 +300,10 @@ func (t *Tree) withPage(id disk.PageID, fn func(data []byte) error) error {
 	return err
 }
 
-// copyPage copies page id's image into buf, growing it on first use.
-func (t *Tree) copyPage(id disk.PageID, buf []byte) ([]byte, error) {
-	err := t.withPage(id, func(data []byte) error {
+// copyPage copies page id's image into buf, growing it on first use,
+// and counts the get on sp.
+func (t *Tree) copyPage(id disk.PageID, buf []byte, sp *obs.Span) ([]byte, error) {
+	err := t.withPage(id, sp, func(data []byte) error {
 		buf = append(buf[:0], data...)
 		return nil
 	})
@@ -320,7 +323,7 @@ func (t *Tree) getAt(v *version, k Key) (value []byte, found bool, err error) {
 	enc := t.encodeKey(k, &buf)
 	id := v.root
 	for level := v.height; level > 1 && err == nil; level-- {
-		err = t.withPage(id, func(data []byte) error {
+		err = t.withPage(id, nil, func(data []byte) error {
 			p, err := viewInternal(data)
 			if err != nil {
 				return err
@@ -333,7 +336,7 @@ func (t *Tree) getAt(v *version, k Key) (value []byte, found bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	err = t.withPage(id, func(data []byte) error {
+	err = t.withPage(id, nil, func(data []byte) error {
 		p, err := viewLeaf(data, t.keyLen, t.valueSize)
 		if err != nil {
 			return err

@@ -116,7 +116,7 @@ func TestAllocGateNearest(t *testing.T) {
 	// corner the boxes of radius 1, 2, 4 and 8 are empty: 6 searches.
 	near, far := []uint32{101, 101}, []uint32{136, 136}
 	work := func(q []uint32) int {
-		_, st, err := snap.NearestCtx(nil, q, 1, Euclidean)
+		_, st, err := snap.NearestCtx(nil, q, 1, Euclidean, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestAllocGateNearest(t *testing.T) {
 	}
 	for name, q := range map[string][]uint32{"near": near, "far": far} {
 		allocs := testing.AllocsPerRun(100, func() {
-			if nbs, _, err := snap.NearestCtx(nil, q, 1, Euclidean); err != nil || len(nbs) != 1 {
+			if nbs, _, err := snap.NearestCtx(nil, q, 1, Euclidean, nil); err != nil || len(nbs) != 1 {
 				t.Fatal(len(nbs), err)
 			}
 		})

@@ -494,7 +494,7 @@ func TestPinLivesInItsScratch(t *testing.T) {
 	if _, err := snap.RangeScanCtx(nil, geom.Box2(0, 255, 0, 255), func(geom.Point) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := snap.NearestCtx(nil, []uint32{9, 9}, 5, Euclidean); err != nil {
+	if _, _, err := snap.NearestCtx(nil, []uint32{9, 9}, 5, Euclidean, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := snap.RangeSearchCtx(nil, geom.Box{Lo: []uint32{1}, Hi: []uint32{2}}, nil); err == nil {
@@ -533,7 +533,7 @@ func TestScratchKeepsNoHugeBuffer(t *testing.T) {
 	caps := func(s *scratch) [2]int { return [2]int{cap(s.best), cap(s.keys)} }
 	snap := ix.Pin()
 	s := snap.own
-	if nbs, _, err := snap.NearestCtx(nil, []uint32{128, 128}, 5000, Euclidean); err != nil || len(nbs) != 5000 {
+	if nbs, _, err := snap.NearestCtx(nil, []uint32{128, 128}, 5000, Euclidean, nil); err != nil || len(nbs) != 5000 {
 		t.Fatal(len(nbs), err)
 	}
 	if all, _, err := snap.RangeSearchCtx(nil, geom.FullBox(g), nil); err != nil || len(all) != len(pts) {

@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"probe/internal/geom"
+	"probe/internal/obs"
 	"probe/internal/zorder"
 )
 
@@ -54,19 +55,20 @@ type Neighbor struct {
 // containment/overlap translation of proximity queries. The returned
 // stats aggregate all the underlying searches.
 func (ix *reader) Nearest(q []uint32, m int, metric Metric, strategy Strategy) ([]Neighbor, QueryStats, error) {
-	return ix.nearest(nil, q, m, metric, strategy)
+	return ix.nearest(nil, q, m, metric, strategy, nil)
 }
 
 // NearestCtx is the serving path's Nearest: lazy-merge range searches
 // under a cancellation context. Every underlying range search checks
 // it (nil = never cancelled; see RangeSearchFuncCtx), so a cancelled
 // proximity query stops between or inside its expansion rounds with
-// the context's error.
-func (ix *reader) NearestCtx(ctx context.Context, q []uint32, m int, metric Metric) ([]Neighbor, QueryStats, error) {
-	return ix.nearest(ctx, q, m, metric, MergeLazy)
+// the context's error. Every round counts its work on sp, as
+// RangeSearchCtx does; sp's results are the neighbors returned.
+func (ix *reader) NearestCtx(ctx context.Context, q []uint32, m int, metric Metric, sp *obs.Span) ([]Neighbor, QueryStats, error) {
+	return ix.nearest(ctx, q, m, metric, MergeLazy, sp)
 }
 
-func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric, strategy Strategy) ([]Neighbor, QueryStats, error) {
+func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric, strategy Strategy, sp *obs.Span) ([]Neighbor, QueryStats, error) {
 	var agg QueryStats
 	if !ix.g.Valid(q) {
 		return nil, agg, fmt.Errorf("core: query point %v outside %v", q, ix.g)
@@ -91,7 +93,7 @@ func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric,
 	// The radius is a uint64: on a 32-bit dimension it passes every
 	// uint32 first.
 	for r := uint64(1); ; r *= 2 {
-		n, whole, err := ix.nearestRound(s, ctx, q, r, m, metric, strategy, &agg)
+		n, whole, err := ix.nearestRound(s, ctx, q, r, m, metric, strategy, sp, &agg)
 		if err != nil {
 			return nil, agg, err
 		}
@@ -106,7 +108,7 @@ func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric,
 		// L-infinity distance <= d of q). With fewer than m points in
 		// the whole space there is nothing to certify.
 		certified := uint64(math.Ceil(s.best[0].dist))
-		if _, _, err := ix.nearestRound(s, ctx, q, certified, m, metric, strategy, &agg); err != nil {
+		if _, _, err := ix.nearestRound(s, ctx, q, certified, m, metric, strategy, sp, &agg); err != nil {
 			return nil, agg, err
 		}
 	}
@@ -118,6 +120,7 @@ func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric,
 		neighbors[i] = Neighbor{Point: ix.pointAt(slab, i, c.z, c.id), Dist: c.dist}
 	}
 	agg.Results = len(neighbors)
+	sp.Add(obs.Results, int64(agg.Results))
 	return neighbors, agg, nil
 }
 
@@ -125,11 +128,11 @@ func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric,
 // clamped to the grid, and leaves the m best of its points in s.best.
 // It reports how many points the box held and whether the box was the
 // whole space.
-func (ix *reader) nearestRound(s *scratch, ctx context.Context, q []uint32, r uint64, m int, metric Metric, strategy Strategy, agg *QueryStats) (n int, whole bool, err error) {
+func (ix *reader) nearestRound(s *scratch, ctx context.Context, q []uint32, r uint64, m int, metric Metric, strategy Strategy, sp *obs.Span, agg *QueryStats) (n int, whole bool, err error) {
 	box, whole := ix.ringBox(s, q, r)
 	s.best = s.best[:0]
 	var at [zorder.MaxBits]uint32
-	stats, err := ix.searchKeys(s, ctx, box, strategy, nil, func(z, id uint64) bool {
+	stats, err := ix.searchKeys(s, ctx, box, strategy, sp, func(z, id uint64) bool {
 		ix.unshuffle(z, at[:len(q)])
 		s.best = offer(s.best, m, candidate{distance(q, at[:len(q)], metric), id, z})
 		return true

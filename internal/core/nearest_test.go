@@ -229,7 +229,7 @@ func nearestWithin(t *testing.T, ix *Index, q []uint32, m int, metric Metric) ([
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		nbs, st, err := ix.NearestCtx(ctx, q, m, metric)
+		nbs, st, err := ix.NearestCtx(ctx, q, m, metric, nil)
 		done <- answer{nbs, st, err}
 	}()
 	select {

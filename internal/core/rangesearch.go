@@ -62,8 +62,8 @@ func (ix *reader) RangeSearch(box geom.Box, strategy Strategy) ([]geom.Point, Qu
 // (MergeLazy) under a cancellation context (nil = never cancelled; see
 // RangeSearchFuncCtx), with per-operator attribution on sp: the
 // merge's work counter (obs.Elements), the B+-tree cursor's traversal
-// counters, and the final DataPages and Results. A nil span costs
-// nothing.
+// counters, the pool's counters of the cursor's page loads, and the
+// final DataPages and Results. A nil span costs nothing.
 func (ix *reader) RangeSearchCtx(ctx context.Context, box geom.Box, sp *obs.Span) ([]geom.Point, QueryStats, error) {
 	return ix.searchAll(ctx, box, MergeLazy, sp)
 }
@@ -99,6 +99,7 @@ func (ix *reader) searchAll(ctx context.Context, box geom.Box, strategy Strategy
 		s.keys = append(s.keys, btree.Key{Hi: z, Lo: id})
 		return true
 	})
+	sp.Add(obs.Results, int64(stats.Results))
 	if err != nil || len(s.keys) == 0 {
 		return nil, stats, err
 	}
@@ -275,11 +276,13 @@ func (ix *reader) search(ctx context.Context, box geom.Box, strategy Strategy, s
 	s := ix.take()
 	defer ix.give(s)
 	var slab coordSlab
-	return ix.searchKeys(s, ctx, box, strategy, sp, func(z, id uint64) bool {
+	stats, err := ix.searchKeys(s, ctx, box, strategy, sp, func(z, id uint64) bool {
 		coords := slab.take(ix.g.Dims())
 		ix.unshuffle(z, coords)
 		return fn(geom.Point{ID: id, Coords: coords})
 	})
+	sp.Add(obs.Results, int64(stats.Results))
+	return stats, err
 }
 
 // unshuffle writes the coordinates of a point's z key into coords.
@@ -289,7 +292,9 @@ func (ix *reader) unshuffle(z uint64, coords []uint32) {
 
 // searchKeys is the search itself: it streams the (z, id) keys of the
 // points inside the box to visit, in z order, using s for the
-// duration. visit returning false stops it.
+// duration. visit returning false stops it. It counts its work on sp
+// but not its results, which its caller counts: a NEAREST returns
+// fewer points than its rounds visit.
 func (ix *reader) searchKeys(s *scratch, ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span, visit func(z, id uint64) bool) (QueryStats, error) {
 	if box.Dims() != ix.g.Dims() {
 		return QueryStats{}, fmt.Errorf("core: box has %d dims, index %d", box.Dims(), ix.g.Dims())
@@ -343,7 +348,6 @@ func (ix *reader) searchKeys(s *scratch, ctx context.Context, box geom.Box, stra
 		stats.Elements = len(s.elems)
 	}
 	sp.Add(obs.DataPages, int64(stats.DataPages))
-	sp.Add(obs.Results, int64(stats.Results))
 	return stats, err
 }
 

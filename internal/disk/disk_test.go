@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"probe/internal/obs"
 )
 
 func TestMemStoreBasics(t *testing.T) {
@@ -144,6 +146,42 @@ func TestPoolWriteBack(t *testing.T) {
 	}
 	if p.Stats().WriteBacks != 1 || p.Stats().Evictions != 1 {
 		t.Errorf("stats = %+v", p.Stats())
+	}
+}
+
+// TestPoolGetSpanCounts: GetSpan counts on its span its get, the hit
+// or miss, the physical read a miss costs and the eviction and
+// write-back the miss forces; a get without a span counts on none.
+func TestPoolGetSpanCounts(t *testing.T) {
+	s := MustMemStore(64)
+	p := MustPool(s, 1, LRU)
+	f, err := p.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(f.ID, true)
+	id, _ := s.Allocate()
+	sp := obs.New("read")
+	for i := 0; i < 2; i++ { // a miss evicting the dirty page, then a hit
+		if _, err := p.GetSpan(id, sp); err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(id, false)
+	}
+	if _, err := p.Get(f.ID); err != nil { // a miss on no span
+		t.Fatal(err)
+	}
+	p.Unpin(f.ID, false)
+	for c, want := range map[obs.Counter]int64{
+		obs.PoolGets: 2, obs.PoolHits: 1, obs.PoolMisses: 1, obs.PhysReads: 1,
+		obs.PoolEvictions: 1, obs.PoolWriteBacks: 1,
+	} {
+		if got := sp.Get(c); got != want {
+			t.Errorf("span %s = %d, want %d", c, got, want)
+		}
+	}
+	if st := p.Stats(); st.Gets != 3 || st.Misses != 2 || st.Evictions != 2 {
+		t.Errorf("pool stats = %+v", st)
 	}
 }
 

@@ -117,11 +117,6 @@ type Pool struct {
 	rng    *rand.Rand
 
 	stats counters
-
-	// span, when non-nil, receives a per-span attributed copy of the
-	// access counters, so one query's buffer traffic is separable
-	// from the pool's lifetime totals. See AttachSpan.
-	span atomic.Pointer[obs.Span]
 }
 
 // NewPool creates a buffer pool holding up to capacity pages. The
@@ -175,26 +170,19 @@ func (p *Pool) Stats() PoolStats { return p.stats.snapshot() }
 // ResetStats zeroes the pool's access counters.
 func (p *Pool) ResetStats() { p.stats.reset() }
 
-// AttachSpan directs per-access attribution at s until the next
-// AttachSpan call, returning the previously attached span (nil
-// detaches). Attribution is additional: the pool's own lifetime
-// counters keep accumulating regardless.
-//
-// Like Stats, AttachSpan may be called concurrently with pool
-// operations (the pointer is atomic and span counters are atomics),
-// but attribution is only meaningful if the caller serializes
-// operations it wants attributed — concurrent workloads should give
-// each worker its own child span and attach the parent.
-func (p *Pool) AttachSpan(s *obs.Span) *obs.Span {
-	return p.span.Swap(s)
-}
-
 // Get pins the page in the pool, reading it from the store on a miss,
 // and returns its frame. Callers must Unpin the frame when done.
-func (p *Pool) Get(id PageID) (*Frame, error) {
+func (p *Pool) Get(id PageID) (*Frame, error) { return p.GetSpan(id, nil) }
+
+// GetSpan is Get counting on sp as well as on the pool's lifetime
+// counters: the get, its hit or miss, the physical read a miss costs
+// (or its checksum failure) and the evictions and write-backs it
+// forces. sp belongs to the caller's operation, so concurrent
+// operations never count on each other's spans; a nil sp counts
+// nowhere but the pool.
+func (p *Pool) GetSpan(id PageID, sp *obs.Span) (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	sp := p.span.Load()
 	p.stats.gets.Add(1)
 	sp.Inc(obs.PoolGets)
 	if f, ok := p.frames[id]; ok {
@@ -208,14 +196,18 @@ func (p *Pool) Get(id PageID) (*Frame, error) {
 	}
 	p.stats.misses.Add(1)
 	sp.Inc(obs.PoolMisses)
-	if err := p.makeRoom(); err != nil {
+	if err := p.makeRoom(sp); err != nil {
 		return nil, err
 	}
 	f := p.install(id)
 	if err := p.store.Read(id, f.Data); err != nil {
+		if _, ok := err.(*ChecksumError); ok {
+			sp.Inc(obs.ChecksumFailures)
+		}
 		p.discard(f)
 		return nil, err
 	}
+	sp.Inc(obs.PhysReads)
 	return f, nil
 }
 
@@ -226,7 +218,7 @@ func (p *Pool) Get(id PageID) (*Frame, error) {
 func (p *Pool) NewPage() (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.makeRoom(); err != nil {
+	if err := p.makeRoom(nil); err != nil {
 		return nil, err
 	}
 	id, err := p.store.Allocate()
@@ -238,10 +230,11 @@ func (p *Pool) NewPage() (*Frame, error) {
 	return f, nil
 }
 
-// makeRoom evicts until a frame is free. The caller holds p.mu.
-func (p *Pool) makeRoom() error {
+// makeRoom evicts until a frame is free, counting on sp. The caller
+// holds p.mu.
+func (p *Pool) makeRoom(sp *obs.Span) error {
 	for len(p.frames) >= p.capacity {
-		if err := p.evictOne(); err != nil {
+		if err := p.evictOne(sp); err != nil {
 			return err
 		}
 	}
@@ -261,9 +254,9 @@ func (p *Pool) discard(f *Frame) {
 	delete(p.frames, f.ID)
 }
 
-// evictOne removes one unpinned frame according to the policy. The
-// caller holds p.mu.
-func (p *Pool) evictOne() error {
+// evictOne removes one unpinned frame according to the policy,
+// counting on sp. The caller holds p.mu.
+func (p *Pool) evictOne(sp *obs.Span) error {
 	var victim *Frame
 	switch p.policy {
 	case LRU, FIFO:
@@ -293,11 +286,11 @@ func (p *Pool) evictOne() error {
 			return err
 		}
 		p.stats.writeBacks.Add(1)
-		p.span.Load().Inc(obs.PoolWriteBacks)
+		sp.Inc(obs.PoolWriteBacks)
 	}
 	p.discard(victim)
 	p.stats.evictions.Add(1)
-	p.span.Load().Inc(obs.PoolEvictions)
+	sp.Inc(obs.PoolEvictions)
 	return nil
 }
 
@@ -337,7 +330,6 @@ func (p *Pool) flushLocked() error {
 			}
 			f.dirty = false
 			p.stats.writeBacks.Add(1)
-			p.span.Load().Inc(obs.PoolWriteBacks)
 		}
 	}
 	return nil

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"probe/internal/obs"
 )
 
 // RecoverableStore is a crash-safe Store: a FileStore of checksummed
@@ -17,7 +15,8 @@ import (
 // commit point:
 //
 //  1. append a commit record and group-fsync the WAL;
-//  2. apply the delta — frees, then page images — to the page file;
+//  2. apply the delta — the final frees and page images — to the page
+//     file, by the apply path recovery replays the log with;
 //  3. fsync the page file;
 //  4. durably stamp the superblock's checkpoint LSN;
 //  5. reset the WAL and clear the delta.
@@ -52,7 +51,6 @@ type RecoverableStore struct {
 	lsn         uint64
 	failed      error
 	stats       IOStats
-	span        *obs.Span
 	ckptHook    func(Segment) // log shipping: observes each completed batch
 
 	walAppends       uint64
@@ -265,9 +263,9 @@ func (s *RecoverableStore) applyCommitted(recs []WALRecord) (int, uint64, error)
 }
 
 // applyRecords replays a record batch onto a page file. It is the
-// shared apply path for crash recovery (applyCommitted) and replica
-// log shipping (ApplyWALSegment); name labels errors with the batch's
-// source.
+// one apply path of the checkpoint, crash recovery (applyCommitted)
+// and replica log shipping (ApplyWALSegment); name labels errors with
+// the batch's source.
 func applyRecords(fs *FileStore, name string, recs []WALRecord) (int, uint64, error) {
 	type pageState struct {
 		alloc bool
@@ -393,7 +391,6 @@ func (s *RecoverableStore) Allocate() (PageID, error) {
 		return InvalidPage, s.fail(err)
 	}
 	s.walAppends++
-	s.span.Inc(obs.WALAppends)
 	s.dirty[id] = &dirtyPage{lsn: s.lsn, img: make([]byte, s.fs.PageSize())}
 	s.stats.Allocs++
 	return id, nil
@@ -413,18 +410,15 @@ func (s *RecoverableStore) Read(id PageID, buf []byte) error {
 	if dp, ok := s.dirty[id]; ok {
 		copy(buf, dp.img)
 		s.stats.Reads++
-		s.span.Inc(obs.PhysReads)
 		return nil
 	}
 	if err := s.fs.Read(id, buf); err != nil {
 		if _, ok := err.(*ChecksumError); ok {
 			s.checksumFailures++
-			s.span.Inc(obs.ChecksumFailures)
 		}
 		return err
 	}
 	s.stats.Reads++
-	s.span.Inc(obs.PhysReads)
 	return nil
 }
 
@@ -451,7 +445,6 @@ func (s *RecoverableStore) Write(id PageID, buf []byte) error {
 		return s.fail(err)
 	}
 	s.walAppends++
-	s.span.Inc(obs.WALAppends)
 	if dp, ok := s.dirty[id]; ok {
 		dp.lsn = s.lsn
 		copy(dp.img, buf)
@@ -459,7 +452,6 @@ func (s *RecoverableStore) Write(id PageID, buf []byte) error {
 		s.dirty[id] = &dirtyPage{lsn: s.lsn, img: append([]byte(nil), buf...)}
 	}
 	s.stats.Writes++
-	s.span.Inc(obs.PhysWrites)
 	return nil
 }
 
@@ -485,7 +477,6 @@ func (s *RecoverableStore) Free(id PageID) error {
 		return s.fail(err)
 	}
 	s.walAppends++
-	s.span.Inc(obs.WALAppends)
 	delete(s.dirty, id)
 	s.pendingFree[id] = s.lsn
 	s.reusable = append(s.reusable, id)
@@ -509,33 +500,28 @@ func (s *RecoverableStore) Checkpoint() error {
 		return s.fail(err)
 	}
 	s.walAppends++
-	s.span.Inc(obs.WALAppends)
 	if err := s.wal.Sync(); err != nil {
 		return s.fail(err)
 	}
 	s.walSyncs++
-	s.span.Inc(obs.WALSyncs)
 
-	frees := make([]PageID, 0, len(s.pendingFree))
-	for id := range s.pendingFree {
-		frees = append(frees, id)
+	// Compact the batch: the final free set, then the latest image per
+	// dirty page, each in page order. The page file takes it by the
+	// apply path of recovery and replicas, and the hook ships it as it
+	// is: the delta is replaced below, so no image changes under it.
+	seg := Segment{MaxLSN: maxLSN, Records: make([]WALRecord, 0, len(s.pendingFree)+len(s.dirty))}
+	for id, lsn := range s.pendingFree {
+		seg.Records = append(seg.Records, WALRecord{Kind: RecFree, Page: id, LSN: lsn})
 	}
-	sort.Slice(frees, func(i, j int) bool { return frees[i] < frees[j] })
-	for _, id := range frees {
-		if err := s.fs.FreeLSN(id, s.pendingFree[id]); err != nil {
-			return s.fail(err)
-		}
+	frees := len(seg.Records)
+	for id, dp := range s.dirty {
+		seg.Records = append(seg.Records, WALRecord{Kind: RecPage, Page: id, LSN: dp.lsn, Payload: dp.img})
 	}
-	ids := make([]PageID, 0, len(s.dirty))
-	for id := range s.dirty {
-		ids = append(ids, id)
+	for _, recs := range [][]WALRecord{seg.Records[:frees], seg.Records[frees:]} {
+		sort.Slice(recs, func(i, j int) bool { return recs[i].Page < recs[j].Page })
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		dp := s.dirty[id]
-		if err := s.fs.WriteLSN(id, dp.img, dp.lsn); err != nil {
-			return s.fail(err)
-		}
+	if _, _, err := applyRecords(s.fs, s.wal.path, seg.Records); err != nil {
+		return s.fail(err)
 	}
 	if err := s.fs.SyncData(); err != nil {
 		return s.fail(err)
@@ -545,25 +531,6 @@ func (s *RecoverableStore) Checkpoint() error {
 	}
 	if err := s.wal.Reset(); err != nil {
 		return s.fail(err)
-	}
-	var seg Segment
-	if s.ckptHook != nil {
-		// Compact the batch for shipping: the final free set plus the
-		// latest image per dirty page — exactly what was just applied to
-		// the page file. Images are copied so the segment stays valid
-		// after the hook returns.
-		seg.MaxLSN = maxLSN
-		seg.Records = make([]WALRecord, 0, len(frees)+len(ids))
-		for _, id := range frees {
-			seg.Records = append(seg.Records, WALRecord{Kind: RecFree, Page: id, LSN: s.pendingFree[id]})
-		}
-		for _, id := range ids {
-			dp := s.dirty[id]
-			seg.Records = append(seg.Records, WALRecord{
-				Kind: RecPage, Page: id, LSN: dp.lsn,
-				Payload: append([]byte(nil), dp.img...),
-			})
-		}
 	}
 	s.dirty = make(map[PageID]*dirtyPage)
 	s.pendingFree = make(map[PageID]uint64)
@@ -612,17 +579,6 @@ func (s *RecoverableStore) DurabilityStats() DurabilityStats {
 		LivePages:        s.fs.NumPages() - len(s.pendingFree),
 		PagesReused:      s.pagesReused,
 	}
-}
-
-// AttachSpan directs per-span attribution of I/O and durability
-// counters at sp until the next call, returning the previous span
-// (nil detaches); the MemStore/Pool contract.
-func (s *RecoverableStore) AttachSpan(sp *obs.Span) *obs.Span {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev := s.span
-	s.span = sp
-	return prev
 }
 
 // Failed returns the sticky error that froze the store, if any.

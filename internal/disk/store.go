@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"probe/internal/obs"
 )
 
 // PageID identifies a page in a store. Zero is never a valid page.
@@ -62,7 +60,6 @@ type MemStore struct {
 	freeList []PageID
 	next     PageID
 	stats    IOStats
-	span     *obs.Span // per-span attribution target; see AttachSpan
 }
 
 // NewMemStore creates an in-memory store with the given page size.
@@ -122,7 +119,6 @@ func (s *MemStore) Read(id PageID, buf []byte) error {
 	}
 	copy(buf, p)
 	s.stats.Reads++
-	s.span.Inc(obs.PhysReads)
 	return nil
 }
 
@@ -139,7 +135,6 @@ func (s *MemStore) Write(id PageID, buf []byte) error {
 	}
 	copy(p, buf)
 	s.stats.Writes++
-	s.span.Inc(obs.PhysWrites)
 	return nil
 }
 
@@ -175,18 +170,6 @@ func (s *MemStore) ResetStats() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats = IOStats{}
-}
-
-// AttachSpan directs per-span attribution of physical reads and
-// writes at sp until the next AttachSpan call, returning the
-// previously attached span (nil detaches). Attribution is additional
-// to the store's lifetime counters, mirroring Pool.AttachSpan.
-func (s *MemStore) AttachSpan(sp *obs.Span) *obs.Span {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev := s.span
-	s.span = sp
-	return prev
 }
 
 // SimulatedTime converts I/O counts into simulated elapsed time under

@@ -11,13 +11,11 @@ import (
 )
 
 // engine is the session layer's Engine over the server's current
-// database. Untraced reads take the database's snapshot path — one
+// database. Every read takes the database's snapshot path — one
 // pinned committed tree version, no database mutex — so reads on one
-// connection do not stall behind a writer on another; a traced read
-// passes the request span down and serializes on the database mutex.
-// Its logical counters (seeks, data pages, elements, results) are
-// exact; its pool and physical counters also count any untraced read
-// that runs meanwhile.
+// connection do not stall behind a writer on another. A traced read
+// passes the request span down with it, and every counter on that span,
+// pool gets included, is the request's own.
 type engine struct{ s *Server }
 
 // queryOpts assembles the options of a read: the request context

@@ -157,6 +157,34 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPagesHistogramIgnoresTrace: server.pages.<op> records a
+// request's data pages, traced or not, so a traced and an untraced
+// RANGE of one box add the same value to it, the DataPages their DONE
+// reports.
+func TestPagesHistogramIgnoresTrace(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	srv, addr, _ := startServer(t, Config{}, randPoints(rng, 2000, 0))
+	cl := dial(t, addr)
+	ctx := context.Background()
+	h := srv.Metrics().Histogram("server.pages.range")
+	var added [2]int64
+	for i, traced := range []bool{false, true} {
+		cl.SetTrace(traced)
+		before := h.Snapshot().Sum
+		_, qs, err := cl.Range(ctx, []uint32{100, 100}, []uint32{600, 600})
+		if err != nil {
+			t.Fatal(err)
+		}
+		added[i] = h.Snapshot().Sum - before
+		if added[i] != int64(qs.DataPages) {
+			t.Errorf("traced=%v: pages.range grew by %d, DONE reports %d data pages", traced, added[i], qs.DataPages)
+		}
+	}
+	if added[0] == 0 || added[0] != added[1] {
+		t.Fatalf("pages.range grew by %d untraced and %d traced, want one nonzero value", added[0], added[1])
+	}
+}
+
 // syncBuf is a goroutine-safe log sink: sessions log from their own
 // goroutines while the test polls the contents.
 type syncBuf struct {

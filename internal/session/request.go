@@ -261,7 +261,7 @@ func (c *conn) sendDone(rq *request, qs probe.QueryStats) {
 }
 
 // finish records one executed request's telemetry, once: it seals the
-// span, feeds the per-opcode latency and page-read histograms, records
+// span, feeds the per-opcode latency and data-page histograms, records
 // interesting requests (traced, slow, sampled) into the trace store
 // behind /debug/traces, and emits the structured log line — a Warn
 // with the rendered span tree for slow queries, or the sampled Info
@@ -278,13 +278,9 @@ func (c *conn) finish(rq *request) {
 	rq.finished = true
 	rq.span.End()
 	total := time.Since(rq.recv)
-	pages := rq.span.Total(probe.CounterPoolGets)
-	if pages == 0 {
-		// Untraced requests run with no span attribution; the merge's
-		// logical data-page count is the closest available measure for
-		// the histogram and log line.
-		pages = int64(rq.qs.DataPages)
-	}
+	// The paper's metric, which every request has, traced or not; a
+	// traced request's pool gets stay in its trace.
+	pages := int64(rq.qs.DataPages)
 	s := c.srv
 	s.metrics.Histogram(s.metric("latency." + rq.op)).Observe(int64(total))
 	s.metrics.Histogram(s.metric("pages." + rq.op)).Observe(pages)

@@ -141,7 +141,7 @@ type Server struct {
 	// counters (accepted, active, rejected, cancelled, requests,
 	// sessions), gauges (inflight, open_sessions, open_txs), and
 	// per-opcode histograms (latency.<op> in nanoseconds, pages.<op>
-	// in page reads).
+	// in data pages).
 	metrics *obs.Registry
 
 	// reqSeq numbers completed requests for the sampled Info log.

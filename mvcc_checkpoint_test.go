@@ -80,9 +80,9 @@ func TestCloseWhileSnapshotReading(t *testing.T) {
 
 // TestReadersDoNotStallBehindWriter is the liveness half of the MVCC
 // tentpole at the API layer: while a writer holds the write path busy,
-// untraced reads, range searches and EXPLAIN alike, keep completing —
-// they pin a committed version and never queue behind the database
-// mutex. (The experiment harness's
+// reads, range searches, NEAREST and EXPLAIN, traced or not, keep
+// completing — they pin a committed version and never queue behind the
+// database mutex. (The experiment harness's
 // mixed benchmark quantifies the same property; this test just proves
 // it cheaply under -race.)
 func TestReadersDoNotStallBehindWriter(t *testing.T) {
@@ -138,6 +138,12 @@ func TestReadersDoNotStallBehindWriter(t *testing.T) {
 		}
 		if _, err := db.Explain(probe.Box2(0, 127, 0, 127)); err != nil {
 			t.Fatalf("explain %d: %v", reads, err)
+		}
+		if _, _, err := db.RangeSearch(probe.Box2(0, 127, 0, 127), probe.WithTrace(probe.NewTrace("r"))); err != nil {
+			t.Fatalf("traced read %d: %v", reads, err)
+		}
+		if _, _, err := db.Nearest([]uint32{64, 64}, 5, probe.Euclidean, probe.WithTrace(probe.NewTrace("n"))); err != nil {
+			t.Fatalf("traced nearest %d: %v", reads, err)
 		}
 		reads++
 	}

@@ -2,9 +2,13 @@ package probe_test
 
 import (
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"probe"
 )
@@ -63,34 +67,168 @@ func TestTracedRangeSearchMatchesLegacy(t *testing.T) {
 }
 
 // TestTracedPoolAttribution asserts buffer-pool and physical-I/O
-// activity lands on the operation span and the unified stats.
+// activity lands on the operation span and the unified stats, for a
+// range search and a NEAREST alike; a NEAREST's span counts the
+// neighbors it returns, not the points its rounds visited.
 func TestTracedPoolAttribution(t *testing.T) {
 	db := obsTestDB(t)
-	if err := db.DropCaches(); err != nil {
-		t.Fatal(err)
+	reads := []struct {
+		name string
+		run  func(*probe.Trace) (probe.QueryStats, int, error)
+	}{
+		{"range", func(tr *probe.Trace) (probe.QueryStats, int, error) {
+			pts, qs, err := db.RangeSearch(probe.Box2(0, 255, 0, 255), probe.WithTrace(tr))
+			return qs, len(pts), err
+		}},
+		{"nearest", func(tr *probe.Trace) (probe.QueryStats, int, error) {
+			nbs, qs, err := db.Nearest([]uint32{128, 128}, 40, probe.Euclidean, probe.WithTrace(tr))
+			return qs, len(nbs), err
+		}},
 	}
-	tr := probe.NewTrace("cold")
-	_, stats, err := db.RangeSearch(probe.Box2(0, 255, 0, 255), probe.WithTrace(tr))
+	for _, r := range reads {
+		if err := db.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		tr := probe.NewTrace("cold")
+		stats, n, err := r.run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.PoolGets == 0 || stats.PoolMisses == 0 || stats.PhysReads == 0 {
+			t.Fatalf("%s: cold traced query attributed no pool/phys activity: %+v", r.name, stats)
+		}
+		if stats.PoolGets != stats.PoolHits+stats.PoolMisses {
+			t.Errorf("%s: gets %d != hits %d + misses %d", r.name, stats.PoolGets, stats.PoolHits, stats.PoolMisses)
+		}
+		if stats.PoolMisses != stats.PhysReads {
+			t.Errorf("%s: misses %d != physical reads %d", r.name, stats.PoolMisses, stats.PhysReads)
+		}
+		if got := tr.Children()[0].Get(probe.CounterResults); int(got) != n || stats.Results != n {
+			t.Errorf("%s: span results %d, stats %d, answer %d", r.name, got, stats.Results, n)
+		}
+		// Untraced queries leave attribution fields zero.
+		if stats, _, err := r.run(nil); err != nil || stats.PoolGets != 0 || stats.PhysReads != 0 {
+			t.Errorf("%s: untraced query has attributed I/O: %+v, %v", r.name, stats, err)
+		}
+	}
+}
+
+// TestTracedReadCallbackMayWrite: a traced read takes no writer lock,
+// so its streaming callback may write, as an untraced one's may. The
+// read runs in a goroutine under a deadline, so a deadlock fails the
+// test instead of hanging it.
+func TestTracedReadCallbackMayWrite(t *testing.T) {
+	db := obsTestDB(t)
+	p := probe.Pt2(1<<40, 7, 7)
+	var insErr error
+	done := make(chan error, 1)
+	go func() {
+		inserted := false
+		_, err := db.RangeSearchFunc(probe.Box2(0, 255, 0, 255), func(probe.Point) bool {
+			if !inserted {
+				inserted, insErr = true, db.Insert(p)
+			}
+			return true
+		}, probe.WithTrace(probe.NewTrace("t")))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil || insErr != nil {
+			t.Fatalf("traced read: %v, insert in its callback: %v", err, insErr)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a traced read whose callback inserts did not return within 5s")
+	}
+	pts, _, err := db.RangeSearch(probe.Box2(7, 7, 7, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.PoolGets == 0 || stats.PoolMisses == 0 || stats.PhysReads == 0 {
-		t.Fatalf("cold traced query attributed no pool/phys activity: %+v", stats)
+	if !slices.ContainsFunc(pts, func(q probe.Point) bool { return q.ID == p.ID }) {
+		t.Fatalf("the point inserted in the callback is not visible to the next read: %v", pts)
 	}
-	if stats.PoolGets != stats.PoolHits+stats.PoolMisses {
-		t.Errorf("gets %d != hits %d + misses %d", stats.PoolGets, stats.PoolHits, stats.PoolMisses)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if stats.PoolMisses != stats.PhysReads {
-		t.Errorf("misses %d != physical reads %d", stats.PoolMisses, stats.PhysReads)
+}
+
+// TestTracedReadCountsOnlyItself: a traced read's pool gets are its
+// own page loads, so they are the same alone, with an untraced
+// whole-grid read inside its callback, and while other goroutines scan.
+// (Gets are deterministic on a fixed tree; hits and misses are not.)
+func TestTracedReadCountsOnlyItself(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	pts := make([]probe.Point, 20000)
+	for i := range pts {
+		pts[i] = probe.Pt2(uint64(i+1), uint32(rng.Intn(1024)), uint32(rng.Intn(1024)))
 	}
-	// Untraced queries leave attribution fields zero.
-	_, stats2, err := db.RangeSearch(probe.Box2(0, 255, 0, 255))
+	db, err := probe.Open(probe.MustGrid(2, 10), probe.WithBulkLoad(pts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats2.PoolGets != 0 || stats2.PhysReads != 0 {
-		t.Errorf("untraced query has attributed I/O: %+v", stats2)
+	defer db.Close()
+	box := probe.Box2(100, 140, 200, 240)
+	traced := func(inside func()) probe.QueryStats {
+		t.Helper()
+		first := true
+		qs, err := db.RangeSearchFunc(box, func(probe.Point) bool {
+			if first && inside != nil {
+				inside()
+			}
+			first = false
+			return true
+		}, probe.WithTrace(probe.NewTrace("t")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qs
 	}
+	alone := traced(nil)
+	if alone.PoolGets == 0 || alone.DataPages == 0 {
+		t.Fatalf("traced read counted nothing: %+v", alone)
+	}
+	same := func(what string, qs probe.QueryStats) {
+		t.Helper()
+		if qs.PoolGets != alone.PoolGets || qs.DataPages != alone.DataPages {
+			t.Errorf("%s: %d pool gets, %d data pages; alone %d, %d", what, qs.PoolGets, qs.DataPages, alone.PoolGets, alone.DataPages)
+		}
+	}
+	same("untraced read in its callback", traced(func() {
+		if _, _, err := db.RangeSearch(probe.Box2(0, 1023, 0, 1023)); err != nil {
+			t.Error(err)
+		}
+	}))
+
+	stop := make(chan struct{})
+	var scans sync.WaitGroup
+	started := make(chan struct{}, 2)
+	for w := 0; w < 2; w++ {
+		scans.Add(1)
+		go func() {
+			defer scans.Done()
+			for {
+				if err := db.Scan(func(probe.Point) bool { return true }); err != nil {
+					t.Error(err)
+					return
+				}
+				select {
+				case started <- struct{}{}:
+				default:
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	<-started
+	for i := 0; i < 20; i++ {
+		same("beside two scans", traced(nil))
+	}
+	close(stop)
+	scans.Wait()
 }
 
 // joinInputs builds two deterministic z-sorted element relations.

@@ -177,18 +177,17 @@ func DetectInterference(g Grid, parts []Part, maxLen int) ([]interfere.Pair, int
 // state. Writers (Insert, InsertAll, Delete, DeleteBox) and
 // maintenance (Checkpoint, DropCaches, Close) serialize on db.mu.
 //
-// An untraced read never touches db.mu, so it neither blocks behind a
-// writer nor delays one; a streaming callback only keeps its version
+// A read never touches db.mu, so it neither blocks behind a writer nor
+// delays one, and its streaming callback may write, though not while
+// Close runs (docs/mvcc.md); the callback only keeps its version
 // pinned, deferring page reclamation and briefly delaying Close. A
-// trace (WithTrace) adds one thing: the read holds db.mu for its whole
-// run, so no commit lands under it and its span takes the pool's and
-// the store's attribution slot. Its logical counters (seeks, data
-// pages, the paper's metric, elements, results) are exact. Its pool and
-// physical counters also count the page accesses of any untraced read
-// that runs meanwhile, one inside its own callback included. A slow
-// traced callback delays every writer and every other traced read.
+// trace (WithTrace) changes none of that: the read carries its span
+// down to the B+-tree cursor, whose page loads count on it, so every
+// counter of a traced read (seeks, data pages, the paper's metric,
+// elements, results, pool gets, hits and misses, the physical reads
+// its misses cost) is its own, whatever runs beside it.
 type DB struct {
-	// mu serializes writers, maintenance and traced reads.
+	// mu serializes writers and maintenance.
 	mu sync.Mutex
 	// stateMu guards db.closed against the read path: reads hold it
 	// shared for their whole query; Close takes it exclusively after
@@ -197,7 +196,7 @@ type DB struct {
 	stateMu sync.RWMutex
 
 	grid      Grid
-	store     spanStore
+	store     disk.Store
 	rs        *disk.RecoverableStore // non-nil iff opened WithDurability
 	pool      *disk.Pool
 	index     *core.Index
@@ -208,14 +207,6 @@ type DB struct {
 	closed    bool // written under db.mu AND stateMu
 	recovered bool
 	recovery  disk.RecoveryInfo
-}
-
-// spanStore is the store contract DB needs: paged I/O plus per-span
-// counter attribution. Both disk.MemStore (the default simulated
-// disk) and disk.RecoverableStore (WithDurability) satisfy it.
-type spanStore interface {
-	disk.Store
-	AttachSpan(*obs.Span) *obs.Span
 }
 
 // Open creates a spatial database over grid g. With no options it is
@@ -241,15 +232,23 @@ func Open(g Grid, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newDB(g, store, cfg)
+}
+
+// newDB builds a database on a fresh store: a pool over it and the
+// index, bulk-loaded from WithBulkLoad's points or empty. Open's
+// in-memory path and a durable create share it.
+func newDB(g Grid, store disk.Store, cfg openConfig) (*DB, error) {
 	pool, err := disk.NewPool(store, cfg.poolPages, disk.LRU)
 	if err != nil {
 		return nil, err
 	}
+	ic := core.IndexConfig{LeafCapacity: cfg.leafCapacity}
 	var ix *core.Index
 	if cfg.bulkSet {
-		ix, err = core.NewIndexBulk(pool, g, core.IndexConfig{LeafCapacity: cfg.leafCapacity}, cfg.bulk, 0)
+		ix, err = core.NewIndexBulk(pool, g, ic, cfg.bulk, 0)
 	} else {
-		ix, err = core.NewIndex(pool, g, core.IndexConfig{LeafCapacity: cfg.leafCapacity})
+		ix, err = core.NewIndex(pool, g, ic)
 	}
 	if err != nil {
 		return nil, err
@@ -278,15 +277,15 @@ func (db *DB) initMetrics() *DB {
 
 // ErrClosed is returned by every DB operation attempted after Close.
 //
-// The close-while-querying contract: writers and traced reads
-// serialize with Close on db.mu; every read holds stateMu shared for
-// its whole query and Close takes it exclusively before releasing the
-// store. Either way Close never yanks the store out from under a
-// running operation — it blocks until in-flight operations finish
-// (cancel them first via WithContext for a prompt close), and every
-// operation that starts after Close fails with ErrClosed before
-// touching the index or the store. The network server's drain sequence
-// is built on exactly this contract.
+// The close-while-querying contract: writers serialize with Close on
+// db.mu; every read holds stateMu shared for its whole query and Close
+// takes it exclusively before releasing the store. Either way Close
+// never yanks the store out from under a running operation — it
+// blocks until in-flight operations finish (cancel them first via
+// WithContext for a prompt close), and every operation that starts
+// after Close fails with ErrClosed before touching the index or the
+// store. The network server's drain sequence is built on exactly this
+// contract.
 var ErrClosed = errors.New("probe: database is closed")
 
 // usableLocked verifies, under db.mu (writers) or a shared stateMu
@@ -306,71 +305,37 @@ func (db *DB) usableLocked(ctx context.Context) error {
 	return nil
 }
 
-// beginOp starts per-operation attribution under db.mu: when the
-// caller supplied a trace, a child span named op is created and
-// attached to the buffer pool and the store, so page and I/O activity
-// lands on it. It returns the span (nil when untraced — the whole
-// attribution path then costs nothing).
-func (db *DB) beginOp(op string, t *Trace) *Trace {
-	if t == nil {
-		return nil
-	}
-	sp := t.Child(op)
-	db.pool.AttachSpan(sp)
-	db.store.AttachSpan(sp)
-	return sp
-}
-
-// endOp seals the operation span, detaches it from the pool and the
-// store, and folds the operation into the metrics registry: the
-// "<op>.count" cumulative counter always bumps — on n, op's counter
-// in db.ops, when the operation is untraced and has one — and span
-// counters merge under "<op>.<counter>" when traced.
+// endOp seals the operation span and folds the operation into the
+// metrics registry: the "<op>.count" cumulative counter always bumps —
+// on n, op's counter in db.ops, when the operation is untraced and has
+// one — and span counters merge under "<op>.<counter>" when traced.
 func (db *DB) endOp(op string, n *obs.Int, sp *Trace) {
 	if sp == nil && n != nil {
 		n.Add(1)
 		return
 	}
-	if sp != nil {
-		db.pool.AttachSpan(nil)
-		db.store.AttachSpan(nil)
-		sp.End()
-	}
+	sp.End()
 	db.metrics.AddSpan(op, sp)
 }
 
-// beginRead enters the read path: it takes stateMu shared, verifies
-// the database is usable, and pins the newest committed index version
-// by value in a recycled scratch (core.Index.Pin). The caller runs its
-// query on the snapshot, one search at a time, and calls endRead with
-// the same t exactly once. A traced read (t non-nil) first takes
-// db.mu, in Close's lock order: no commit lands while it holds it, so
-// the pinned version is the live one, and the span it then opens
-// (beginOp) takes the pool's and the store's attribution slot, which
-// also counts any untraced read that runs meanwhile.
-func (db *DB) beginRead(ctx context.Context, t *Trace) (*core.IndexSnapshot, error) {
-	if t != nil {
-		db.mu.Lock()
-	}
+// beginRead enters the read path, traced or not: it takes stateMu
+// shared, verifies the database is usable, and pins the newest
+// committed index version by value in a recycled scratch
+// (core.Index.Pin). The caller runs its query on the snapshot, one
+// search at a time, and calls endRead exactly once.
+func (db *DB) beginRead(ctx context.Context) (*core.IndexSnapshot, error) {
 	db.stateMu.RLock()
 	if err := db.usableLocked(ctx); err != nil {
-		db.unlockRead(t)
+		db.stateMu.RUnlock()
 		return nil, err
 	}
 	return db.index.Pin(), nil
 }
 
 // endRead ends what beginRead began.
-func (db *DB) endRead(snap *core.IndexSnapshot, t *Trace) {
+func (db *DB) endRead(snap *core.IndexSnapshot) {
 	snap.Release()
-	db.unlockRead(t)
-}
-
-func (db *DB) unlockRead(t *Trace) {
 	db.stateMu.RUnlock()
-	if t != nil {
-		db.mu.Unlock()
-	}
 }
 
 // Metrics returns the database's cumulative metrics registry. Every
@@ -486,12 +451,12 @@ func (db *DB) DeleteBox(box Box) (int, error) {
 // I/O — to an execution trace.
 func (db *DB) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, error) {
 	qc := queryOptions(opts)
-	snap, err := db.beginRead(qc.ctx, qc.trace)
+	snap, err := db.beginRead(qc.ctx)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	defer db.endRead(snap, qc.trace)
-	sp := db.beginOp("range-search", qc.trace)
+	defer db.endRead(snap)
+	sp := qc.trace.Child("range-search")
 	defer db.endOp("range-search", db.ops.rangeSearch, sp)
 	pts, qs, err := snap.RangeSearchCtx(qc.ctx, box, sp)
 	addSpanIO(&qs, sp)
@@ -507,12 +472,12 @@ func (db *DB) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, er
 // client cancel stops the merge within one page read.
 func (db *DB) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption) (QueryStats, error) {
 	qc := queryOptions(opts)
-	snap, err := db.beginRead(qc.ctx, qc.trace)
+	snap, err := db.beginRead(qc.ctx)
 	if err != nil {
 		return QueryStats{}, err
 	}
-	defer db.endRead(snap, qc.trace)
-	sp := db.beginOp("range-search", qc.trace)
+	defer db.endRead(snap)
+	sp := qc.trace.Child("range-search")
 	defer db.endOp("range-search", db.ops.rangeSearch, sp)
 	qs, err := snap.RangeSearchFuncCtx(qc.ctx, box, sp, fn)
 	addSpanIO(&qs, sp)
@@ -524,12 +489,12 @@ func (db *DB) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption)
 // RangeSearch.
 func (db *DB) PartialMatch(restricted []bool, value []uint32, opts ...QueryOption) ([]Point, QueryStats, error) {
 	qc := queryOptions(opts)
-	snap, err := db.beginRead(qc.ctx, qc.trace)
+	snap, err := db.beginRead(qc.ctx)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	defer db.endRead(snap, qc.trace)
-	sp := db.beginOp("partial-match", qc.trace)
+	defer db.endRead(snap)
+	sp := qc.trace.Child("partial-match")
 	defer db.endOp("partial-match", db.ops.partialMatch, sp)
 	pts, qs, err := snap.PartialMatchCtx(qc.ctx, restricted, value, sp)
 	addSpanIO(&qs, sp)
@@ -554,11 +519,11 @@ func (db *DB) LeafPages() int {
 // pinned snapshot: it streams one consistent committed state however
 // many writes land while it runs.
 func (db *DB) Scan(fn func(Point) bool) error {
-	snap, err := db.beginRead(nil, nil)
+	snap, err := db.beginRead(nil)
 	if err != nil {
 		return err
 	}
-	defer db.endRead(snap, nil)
+	defer db.endRead(snap)
 	box := geom.FullBox(db.grid)
 	_, err = snap.RangeSearchFuncCtx(nil, box, nil, fn)
 	return err
@@ -599,11 +564,11 @@ func (db *DB) Index() *core.Index { return db.index }
 // index's page estimate, without running it. It is an untraced read:
 // it prices the version it pins and never waits behind a writer.
 func (db *DB) Explain(box Box) (string, error) {
-	snap, err := db.beginRead(nil, nil)
+	snap, err := db.beginRead(nil)
 	if err != nil {
 		return "", err
 	}
-	defer db.endRead(snap, nil)
+	defer db.endRead(snap)
 	plan, err := planner.PlanRange(&planner.Table{Name: "db", Index: snap}, box, planner.Config{})
 	if err != nil {
 		return "", err
@@ -633,14 +598,14 @@ const (
 // inserts.
 func (db *DB) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]Neighbor, QueryStats, error) {
 	qc := queryOptions(opts)
-	snap, err := db.beginRead(qc.ctx, qc.trace)
+	snap, err := db.beginRead(qc.ctx)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	defer db.endRead(snap, qc.trace)
-	sp := db.beginOp("nearest", qc.trace)
+	defer db.endRead(snap)
+	sp := qc.trace.Child("nearest")
 	defer db.endOp("nearest", db.ops.nearest, sp)
-	nbs, qs, err := snap.NearestCtx(qc.ctx, q, m, metric)
+	nbs, qs, err := snap.NearestCtx(qc.ctx, q, m, metric, sp)
 	addSpanIO(&qs, sp)
 	return nbs, qs, err
 }

@@ -217,7 +217,7 @@ func (s *Stmt) result(ctx context.Context) (*QueryResult, error) {
 // The engine is the run's one allocation: the pin lives in the scratch
 // it borrows.
 func (db *DB) bindEngine(ctx context.Context) (*stmtEngine, error) {
-	snap, err := db.beginRead(ctx, nil)
+	snap, err := db.beginRead(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +265,7 @@ func (e *stmtEngine) release() {
 		e.db.stateMu.RUnlock()
 		return
 	}
-	e.db.endRead(e.snap, nil)
+	e.db.endRead(e.snap)
 	e.db.ops.query.Add(1)
 }
 
@@ -286,7 +286,7 @@ func (e *stmtEngine) Join(ctx context.Context, regions []geom.Box, fn func(int, 
 }
 
 func (e *stmtEngine) Nearest(ctx context.Context, q []uint32, k int) ([]core.Neighbor, error) {
-	nbs, ss, err := e.snap.NearestCtx(e.context(ctx), q, k, core.Euclidean)
+	nbs, ss, err := e.snap.NearestCtx(e.context(ctx), q, k, core.Euclidean, nil)
 	addSearch(&e.qs, ss)
 	return nbs, err
 }

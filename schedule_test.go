@@ -294,7 +294,7 @@ func observeSnap(snap *core.IndexSnapshot, rng *rand.Rand) (obs, error) {
 		o.hits = append(o.hits, pts)
 	}
 	var err error
-	o.nbs, _, err = snap.NearestCtx(nil, o.q, o.m, o.mtr)
+	o.nbs, _, err = snap.NearestCtx(nil, o.q, o.m, o.mtr, nil)
 	return o, err
 }
 

@@ -159,7 +159,7 @@ func TestRecycledScratchIsNeverShared(t *testing.T) {
 						pts, _, err := db.RangeSearch(box)
 						return pts, err
 					}, func(model []probe.Point, got any) bool { return samePoints(got.([]probe.Point), inBox(model)) })
-				case 6: // a traced RANGE: the same read, holding db.mu
+				case 6: // a traced RANGE: the same read, carrying its span
 					check("traced range", func() (any, error) {
 						pts, _, err := db.RangeSearch(box, probe.WithTrace(probe.NewTrace("r")))
 						return pts, err

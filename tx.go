@@ -318,7 +318,7 @@ func (tx *Tx) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]
 		return nil, QueryStats{}, err
 	}
 	defer tx.db.stateMu.RUnlock()
-	return tx.snap.NearestCtx(ctx, q, m, metric)
+	return tx.snap.NearestCtx(ctx, q, m, metric, nil)
 }
 
 // Commit ends the transaction, validating and applying its write-set
