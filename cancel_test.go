@@ -3,6 +3,7 @@ package probe_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -268,4 +269,92 @@ func TestCloseWhileQuerying(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
+}
+
+// TestCloseUnderReadCallback: Close waits for the reads in flight
+// holding no lock, so a read whose callback calls back into the
+// database while Close waits gets an answer at once: Len reports 0, a
+// nested read and a write fail with ErrClosed. The read then ends and
+// Close returns. Each case runs under a deadline, so a deadlock fails
+// the test instead of hanging it.
+func TestCloseUnderReadCallback(t *testing.T) {
+	wantClosed := func(err error) error {
+		if !errors.Is(err, probe.ErrClosed) {
+			return fmt.Errorf("got %v, want ErrClosed", err)
+		}
+		return nil
+	}
+	for _, c := range []struct {
+		name   string
+		nested func(*probe.DB) error
+	}{
+		{"Len", func(db *probe.DB) error {
+			if n := db.Len(); n != 0 {
+				return fmt.Errorf("Len = %d, want 0", n)
+			}
+			return nil
+		}},
+		{"RangeSearch", func(db *probe.DB) error {
+			_, _, err := db.RangeSearch(probe.Box2(0, 7, 0, 7))
+			return wantClosed(err)
+		}},
+		{"Insert", func(db *probe.DB) error { return wantClosed(db.Insert(probe.Pt2(1<<20, 1, 1))) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// No Close on cleanup: after a deadlock it would hang too.
+			db, err := probe.Open(probe.MustGrid(2, 8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts := make([]probe.Point, 64)
+			for i := range pts {
+				pts[i] = probe.Pt2(uint64(i+1), uint32(4*i), uint32(i))
+			}
+			if err := db.InsertAll(pts); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- closeUnderReadCallback(db, c.nested) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatalf("a read whose callback calls %s under Close did not return within 3s", c.name)
+			}
+		})
+	}
+}
+
+// closeUnderReadCallback starts a read, closes db while the read is in
+// its callback, and once Close has shut the read path (Len reports 0)
+// lets the callback run nested. It reports what went wrong.
+func closeUnderReadCallback(db *probe.DB, nested func(*probe.DB) error) error {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var nestedErr error
+	readErr := make(chan error, 1)
+	go func() {
+		_, err := db.RangeSearchFunc(probe.Box2(0, 255, 0, 255), func(probe.Point) bool {
+			close(entered)
+			<-release
+			nestedErr = nested(db)
+			return false
+		})
+		readErr <- err
+	}()
+	<-entered
+	closeErr := make(chan error, 1)
+	go func() { closeErr <- db.Close() }()
+	for db.Len() != 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-readErr; err != nil {
+		return fmt.Errorf("the read: %v", err)
+	}
+	if err := <-closeErr; err != nil {
+		return fmt.Errorf("Close: %v", err)
+	}
+	return nestedErr
 }

@@ -45,7 +45,9 @@ const (
 //	[root u32][height u32][leaves u32][leaf cap u32][value size u32]
 //	[count u64]
 //
-// leaf cap is the capacity as configured, 0 when derived.
+// leaf cap is the capacity as configured, 0 when derived. The tree
+// stores keys only, so value size is always 0: the slot stays so that
+// every version-4 store keeps its layout.
 func encodeDBMeta(buf []byte, g Grid, m btree.Meta) error {
 	need := 8 + 4 + 4 + 4*g.Dims() + 5*4 + 8
 	if len(buf) < need {
@@ -66,7 +68,6 @@ func encodeDBMeta(buf []byte, g Grid, m btree.Meta) error {
 	binary.LittleEndian.PutUint32(buf[off+4:off+8], uint32(m.Height))
 	binary.LittleEndian.PutUint32(buf[off+8:off+12], uint32(m.Leaves))
 	binary.LittleEndian.PutUint32(buf[off+12:off+16], uint32(m.LeafCapacity))
-	binary.LittleEndian.PutUint32(buf[off+16:off+20], uint32(m.ValueSize))
 	binary.LittleEndian.PutUint64(buf[off+20:off+28], uint64(m.Count))
 	return nil
 }
@@ -93,7 +94,9 @@ func decodeDBMeta(buf []byte) (bits []int, m btree.Meta, err error) {
 	m.Height = int(binary.LittleEndian.Uint32(buf[off+4 : off+8]))
 	m.Leaves = int(binary.LittleEndian.Uint32(buf[off+8 : off+12]))
 	m.LeafCapacity = int(binary.LittleEndian.Uint32(buf[off+12 : off+16]))
-	m.ValueSize = int(binary.LittleEndian.Uint32(buf[off+16 : off+20]))
+	if vs := binary.LittleEndian.Uint32(buf[off+16 : off+20]); vs != 0 {
+		return nil, m, fmt.Errorf("probe: database descriptor records value size %d, but the index stores keys only", vs)
+	}
 	m.Count = int(binary.LittleEndian.Uint64(buf[off+20 : off+28]))
 	return bits, m, nil
 }
@@ -307,11 +310,14 @@ func (db *DB) checkpointLocked() error {
 // Close is idempotent; operations after Close fail with ErrClosed.
 //
 // Close is safe against concurrent in-flight queries: it serializes
-// with writers and traced operations on the database mutex, then
-// takes the read-path state lock exclusively — waiting for every
-// in-flight snapshot read to finish — before marking the database
-// closed and releasing the store. It therefore never releases the
-// store underneath a running operation of either kind. To close
+// with writers on the database mutex to checkpoint and mark the
+// database closed, releases the mutex, then shuts the read gate and
+// waits, holding no lock, for every admitted read to finish before it
+// releases the store. It therefore never releases the store underneath
+// a running operation of either kind, and a read's callback that calls
+// back into the database while Close waits fails with ErrClosed
+// instead of deadlocking. A concurrent second Close returns once the
+// first has finished. To close
 // promptly while long queries are running, cancel them first (run
 // queries under WithContext and cancel the context); the server
 // package's drain sequence does exactly that. See
@@ -329,27 +335,23 @@ func (db *DB) CloseReadOnly() error {
 	return db.close(false)
 }
 
-func (db *DB) close(checkpoint bool) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil
-	}
-	var err error
-	if db.rs != nil && checkpoint {
-		err = db.checkpointLocked()
-	}
-	// Drain the snapshot read path: the exclusive lock waits out every
-	// reader holding stateMu shared, and flipping closed under it makes
-	// any later read fail with ErrClosed before touching the store.
-	db.stateMu.Lock()
-	db.closed = true
-	db.stateMu.Unlock()
-	if db.rs != nil {
-		if cerr := db.rs.Close(); err == nil {
-			err = cerr
+func (db *DB) close(checkpoint bool) (err error) {
+	db.closeOnce.Do(func() {
+		db.mu.Lock()
+		if db.rs != nil && checkpoint {
+			err = db.checkpointLocked()
 		}
-	}
+		db.closed = true
+		db.mu.Unlock()
+		// Drain the read path holding no lock: a read's callback may
+		// call back into the database, and finds it closed.
+		db.gate.shut()
+		if db.rs != nil {
+			if cerr := db.rs.Close(); err == nil {
+				err = cerr
+			}
+		}
+	})
 	return err
 }
 

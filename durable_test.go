@@ -160,11 +160,11 @@ func TestDurableGridMismatch(t *testing.T) {
 }
 
 // writeDescriptorOnly creates a store at path that holds nothing but a
-// hand-built database descriptor of the given format version for a
-// grid of the given bits: its tree root names a page that was never
-// allocated, so an Open that got as far as the tree could only fail
-// on that page.
-func writeDescriptorOnly(t *testing.T, path string, version uint32, bits ...int) {
+// hand-built database descriptor of the given format version and value
+// size for a grid of the given bits: its tree root names a page that
+// was never allocated, so an Open that got as far as the tree could
+// only fail on that page.
+func writeDescriptorOnly(t *testing.T, path string, version, valueSize uint32, bits ...int) {
 	t.Helper()
 	rs, err := disk.CreateRecoverableStore(disk.OSFS{}, path, 256)
 	if err != nil {
@@ -179,7 +179,7 @@ func writeDescriptorOnly(t *testing.T, path string, version uint32, bits ...int)
 	for _, b := range bits {
 		words = append(words, uint32(b))
 	}
-	words = append(words, 99 /* root */, 1 /* height */, 1 /* leaves */, 20 /* leaf capacity */, 0 /* value size */)
+	words = append(words, 99 /* root */, 1 /* height */, 1 /* leaves */, 20 /* leaf capacity */, valueSize)
 	for i, w := range words {
 		binary.LittleEndian.PutUint32(buf[8+4*i:], w)
 	}
@@ -203,7 +203,7 @@ func writeDescriptorOnly(t *testing.T, path string, version uint32, bits ...int)
 func TestDurableRefusesFormatVersion1(t *testing.T) {
 	for _, version := range []uint32{1, 2, 3} {
 		path := filepath.Join(t.TempDir(), "probe.db")
-		writeDescriptorOnly(t, path, version, 8, 8)
+		writeDescriptorOnly(t, path, version, 0, 8, 8)
 		db, err := probe.Open(probe.MustGrid(2, 8), probe.WithDurability(path))
 		if err == nil {
 			db.Close()
@@ -213,6 +213,24 @@ func TestDurableRefusesFormatVersion1(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("refusal %q does not say %q", err, want)
 			}
+		}
+	}
+}
+
+// TestDurableRefusesValueSize: the descriptor keeps a value-size slot
+// that is always 0, since the tree stores keys only; a store whose slot
+// holds anything else is refused by the descriptor, before the tree.
+func TestDurableRefusesValueSize(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "probe.db")
+	writeDescriptorOnly(t, path, 4, 8, 8, 8)
+	db, err := probe.Open(probe.MustGrid(2, 8), probe.WithDurability(path))
+	if err == nil {
+		db.Close()
+		t.Fatal("a store recording value size 8 opened")
+	}
+	for _, want := range []string{"descriptor", "value size 8"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not say %q", err, want)
 		}
 	}
 }
@@ -267,7 +285,7 @@ func TestDurableLeafCapacityConflict(t *testing.T) {
 // touched.
 func TestDurableGridWidthMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "probe.db")
-	writeDescriptorOnly(t, path, 4, 12, 12)
+	writeDescriptorOnly(t, path, 4, 0, 12, 12)
 	for _, g := range []probe.Grid{probe.MustGrid(2, 8), probe.MustGrid(3, 8), probe.MustGrid(3, 21)} {
 		db, err := probe.Open(g, probe.WithDurability(path))
 		if err == nil {

@@ -17,7 +17,7 @@ import (
 func allocGateTree(t *testing.T) *Tree {
 	t.Helper()
 	pool := disk.MustPool(disk.MustMemStore(512), 4096, disk.LRU)
-	tr, err := New(pool, Config{ValueSize: 0, LeafCapacity: 8})
+	tr, err := New(pool, Config{LeafCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestAllocGateGet(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Get with ValueSize 0 on a warm pool costs %v allocs, want 0", allocs)
+		t.Errorf("Get on a warm pool costs %v allocs, want 0", allocs)
 	}
 	if n := tr.pool.Pinned(); n != 0 {
 		t.Errorf("%d pages pinned after Get", n)

@@ -2,7 +2,6 @@ package btree
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -12,21 +11,15 @@ import (
 	"probe/internal/disk"
 )
 
-func newTestTree(t testing.TB, pageSize, leafCap, valueSize, poolCap int) *Tree {
+func newTestTree(t testing.TB, pageSize, leafCap, poolCap int) *Tree {
 	t.Helper()
 	store := disk.MustMemStore(pageSize)
 	pool := disk.MustPool(store, poolCap, disk.LRU)
-	tree, err := New(pool, Config{ValueSize: valueSize, LeafCapacity: leafCap})
+	tree, err := New(pool, Config{LeafCapacity: leafCap})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tree
-}
-
-func val8(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
 }
 
 func TestKeyOrdering(t *testing.T) {
@@ -114,26 +107,20 @@ func TestShortestSeparatorProperty(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	store := disk.MustMemStore(256)
 	pool := disk.MustPool(store, 8, disk.LRU)
-	if _, err := New(pool, Config{ValueSize: -1}); err == nil {
-		t.Errorf("negative value size accepted")
-	}
-	if _, err := New(pool, Config{ValueSize: 8, LeafCapacity: 1}); err == nil {
+	if _, err := New(pool, Config{LeafCapacity: 1}); err == nil {
 		t.Errorf("leaf capacity 1 accepted")
 	}
-	if _, err := New(pool, Config{ValueSize: 8, LeafCapacity: 1000}); err == nil {
+	if _, err := New(pool, Config{LeafCapacity: 1000}); err == nil {
 		t.Errorf("oversized leaf capacity accepted")
-	}
-	if _, err := New(pool, Config{ValueSize: 240}); err == nil {
-		t.Errorf("values too large for page accepted")
 	}
 	// minCap entries fit the page at the widest frame: an explicit
 	// capacity may not exceed it, and a derived one caps the count at
 	// 2*minCap-1 and is recorded as 0.
-	minCap := (256 - leafHeaderLen(encodedKeyLen)) / (encodedKeyLen + 8)
-	if _, err := New(pool, Config{ValueSize: 8, LeafCapacity: minCap + 1}); err == nil {
+	minCap := (256 - leafHeaderLen(encodedKeyLen)) / encodedKeyLen
+	if _, err := New(pool, Config{LeafCapacity: minCap + 1}); err == nil {
 		t.Errorf("leaf capacity %d past the widest frame's %d accepted", minCap+1, minCap)
 	}
-	tr, err := New(pool, Config{ValueSize: 8})
+	tr, err := New(pool, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +130,9 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestInsertGet(t *testing.T) {
-	tree := newTestTree(t, 512, 4, 8, 64)
+	tree := newTestTree(t, 512, 4, 64)
 	for i := uint64(0); i < 100; i++ {
-		if err := tree.Insert(Key{Hi: i * 7 % 100, Lo: i}, val8(i)); err != nil {
+		if err := tree.Insert(Key{Hi: i * 7 % 100, Lo: i}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,12 +140,8 @@ func TestInsertGet(t *testing.T) {
 		t.Fatalf("Len = %d", tree.Len())
 	}
 	for i := uint64(0); i < 100; i++ {
-		v, ok, err := tree.Get(Key{Hi: i * 7 % 100, Lo: i})
-		if err != nil || !ok {
+		if _, ok, err := tree.Get(Key{Hi: i * 7 % 100, Lo: i}); err != nil || !ok {
 			t.Fatalf("Get(%d): ok=%v err=%v", i, ok, err)
-		}
-		if binary.LittleEndian.Uint64(v) != i {
-			t.Fatalf("Get(%d) = %d", i, binary.LittleEndian.Uint64(v))
 		}
 	}
 	if _, ok, _ := tree.Get(Key{Hi: 9999}); ok {
@@ -173,7 +156,7 @@ func TestInsertGet(t *testing.T) {
 }
 
 func TestInsertDuplicate(t *testing.T) {
-	tree := newTestTree(t, 512, 4, 0, 64)
+	tree := newTestTree(t, 512, 4, 64)
 	k := Key{Hi: 5, Lo: 9}
 	if err := tree.Insert(k, nil); err != nil {
 		t.Fatal(err)
@@ -186,19 +169,19 @@ func TestInsertDuplicate(t *testing.T) {
 	}
 }
 
-func TestInsertWrongValueSize(t *testing.T) {
-	tree := newTestTree(t, 512, 4, 8, 64)
-	if err := tree.Insert(Key{}, []byte{1, 2}); err == nil {
-		t.Errorf("short value accepted")
+func TestInsertRejectsValue(t *testing.T) {
+	tree := newTestTree(t, 512, 4, 64)
+	if err := tree.Insert(Key{}, []byte{1, 2}); err == nil || tree.Len() != 0 {
+		t.Errorf("a value was accepted: %v, Len %d", err, tree.Len())
 	}
 }
 
 func TestCursorFullScan(t *testing.T) {
-	tree := newTestTree(t, 512, 5, 8, 64)
+	tree := newTestTree(t, 512, 5, 64)
 	const n = 500
 	perm := rand.New(rand.NewSource(3)).Perm(n)
 	for _, i := range perm {
-		if err := tree.Insert(Key{Hi: uint64(i)}, val8(uint64(i))); err != nil {
+		if err := tree.Insert(Key{Hi: uint64(i)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,9 +199,6 @@ func TestCursorFullScan(t *testing.T) {
 		if c.Key().Hi != uint64(i) {
 			t.Fatalf("scan out of order: got %d at position %d", c.Key().Hi, i)
 		}
-		if binary.LittleEndian.Uint64(c.Value()) != uint64(i) {
-			t.Fatalf("value mismatch at %d", i)
-		}
 		ok, err = c.Next()
 		if err != nil {
 			t.Fatal(err)
@@ -233,7 +213,7 @@ func TestCursorFullScan(t *testing.T) {
 }
 
 func TestCursorSeekGE(t *testing.T) {
-	tree := newTestTree(t, 512, 4, 0, 64)
+	tree := newTestTree(t, 512, 4, 64)
 	// Keys 0, 10, 20, ..., 990.
 	for i := uint64(0); i < 100; i++ {
 		if err := tree.Insert(Key{Hi: i * 10}, nil); err != nil {
@@ -270,7 +250,7 @@ func TestCursorSeekGE(t *testing.T) {
 }
 
 func TestCursorOnEmptyTree(t *testing.T) {
-	tree := newTestTree(t, 512, 4, 0, 64)
+	tree := newTestTree(t, 512, 4, 64)
 	snap := tree.Snapshot()
 	defer snap.Release()
 	c := snap.Cursor()
@@ -289,7 +269,7 @@ func TestCursorOnEmptyTree(t *testing.T) {
 }
 
 func TestDeleteSimple(t *testing.T) {
-	tree := newTestTree(t, 512, 4, 0, 64)
+	tree := newTestTree(t, 512, 4, 64)
 	for i := uint64(0); i < 20; i++ {
 		tree.Insert(Key{Hi: i}, nil)
 	}
@@ -312,7 +292,7 @@ func TestDeleteSimple(t *testing.T) {
 }
 
 func TestDeleteAll(t *testing.T) {
-	tree := newTestTree(t, 512, 4, 0, 64)
+	tree := newTestTree(t, 512, 4, 64)
 	const n = 300
 	for i := uint64(0); i < n; i++ {
 		if err := tree.Insert(Key{Hi: i}, nil); err != nil {
@@ -353,8 +333,8 @@ func TestDeleteAll(t *testing.T) {
 // workload against a reference map, checking invariants and full
 // scans along the way.
 func TestRandomizedAgainstReference(t *testing.T) {
-	tree := newTestTree(t, 256, 6, 8, 128)
-	ref := make(map[Key]uint64)
+	tree := newTestTree(t, 256, 6, 128)
+	ref := make(map[Key]bool)
 	rng := rand.New(rand.NewSource(5))
 	randKey := func() Key {
 		return Key{Hi: rng.Uint64() % 200, Lo: rng.Uint64() % 5}
@@ -363,9 +343,8 @@ func TestRandomizedAgainstReference(t *testing.T) {
 		k := randKey()
 		switch rng.Intn(3) {
 		case 0: // insert
-			v := rng.Uint64()
-			err := tree.Insert(k, val8(v))
-			if _, exists := ref[k]; exists {
+			err := tree.Insert(k, nil)
+			if ref[k] {
 				if err != ErrDuplicateKey {
 					t.Fatalf("step %d: insert existing %v: %v", step, k, err)
 				}
@@ -373,28 +352,24 @@ func TestRandomizedAgainstReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: insert %v: %v", step, k, err)
 				}
-				ref[k] = v
+				ref[k] = true
 			}
 		case 1: // delete
 			ok, err := tree.Delete(k)
 			if err != nil {
 				t.Fatalf("step %d: delete %v: %v", step, k, err)
 			}
-			if _, exists := ref[k]; exists != ok {
-				t.Fatalf("step %d: delete %v ok=%v, ref=%v", step, k, ok, exists)
+			if ref[k] != ok {
+				t.Fatalf("step %d: delete %v ok=%v, ref=%v", step, k, ok, ref[k])
 			}
 			delete(ref, k)
 		case 2: // lookup
-			v, ok, err := tree.Get(k)
+			_, ok, err := tree.Get(k)
 			if err != nil {
 				t.Fatalf("step %d: get %v: %v", step, k, err)
 			}
-			want, exists := ref[k]
-			if exists != ok {
-				t.Fatalf("step %d: get %v ok=%v, ref=%v", step, k, ok, exists)
-			}
-			if ok && binary.LittleEndian.Uint64(v) != want {
-				t.Fatalf("step %d: get %v wrong value", step, k)
+			if ref[k] != ok {
+				t.Fatalf("step %d: get %v ok=%v, ref=%v", step, k, ok, ref[k])
 			}
 		}
 		if step%997 == 0 {
@@ -410,7 +385,7 @@ func TestRandomizedAgainstReference(t *testing.T) {
 	checkScanMatchesRef(t, tree, ref)
 }
 
-func checkScanMatchesRef(t *testing.T, tree *Tree, ref map[Key]uint64) {
+func checkScanMatchesRef(t *testing.T, tree *Tree, ref map[Key]bool) {
 	t.Helper()
 	keys := make([]Key, 0, len(ref))
 	for k := range ref {
@@ -431,9 +406,6 @@ func checkScanMatchesRef(t *testing.T, tree *Tree, ref map[Key]uint64) {
 		if c.Key() != k {
 			t.Fatalf("scan key %v, want %v", c.Key(), k)
 		}
-		if binary.LittleEndian.Uint64(c.Value()) != ref[k] {
-			t.Fatalf("scan value mismatch at %v", k)
-		}
 		ok, err = c.Next()
 		if err != nil {
 			t.Fatal(err)
@@ -450,7 +422,7 @@ func checkScanMatchesRef(t *testing.T, tree *Tree, ref map[Key]uint64) {
 // TestPrefixCompression verifies the "prefix" in prefix B+-tree:
 // separators stored in internal nodes are shorter than full keys.
 func TestPrefixCompression(t *testing.T) {
-	tree := newTestTree(t, 512, 4, 0, 128)
+	tree := newTestTree(t, 512, 4, 128)
 	// Keys whose Hi values differ early: separators should compress
 	// to very few bytes.
 	for i := uint64(0); i < 200; i++ {
@@ -475,11 +447,11 @@ func TestPrefixCompression(t *testing.T) {
 // TestPaperConfiguration builds the paper's experimental setup: 5000
 // points, page capacity 20.
 func TestPaperConfiguration(t *testing.T) {
-	tree := newTestTree(t, 1024, 20, 8, 256)
+	tree := newTestTree(t, 1024, 20, 256)
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 5000; i++ {
 		k := Key{Hi: rng.Uint64(), Lo: uint64(i)}
-		if err := tree.Insert(k, val8(uint64(i))); err != nil {
+		if err := tree.Insert(k, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -502,7 +474,7 @@ func TestPaperConfiguration(t *testing.T) {
 func TestScanPageAccesses(t *testing.T) {
 	store := disk.MustMemStore(1024)
 	pool := disk.MustPool(store, 4, disk.LRU)
-	tree, err := New(pool, Config{ValueSize: 0, LeafCapacity: 20})
+	tree, err := New(pool, Config{LeafCapacity: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +512,7 @@ func TestScanPageAccesses(t *testing.T) {
 }
 
 func TestTreeGrowsAndShrinksHeight(t *testing.T) {
-	tree := newTestTree(t, 256, 2, 0, 256)
+	tree := newTestTree(t, 256, 2, 256)
 	const n = 500
 	for i := uint64(0); i < n; i++ {
 		if err := tree.Insert(Key{Hi: i}, nil); err != nil {
@@ -565,19 +537,19 @@ func TestTreeGrowsAndShrinksHeight(t *testing.T) {
 }
 
 func BenchmarkInsert(b *testing.B) {
-	tree := newTestTree(b, 4096, 0, 8, 1024)
+	tree := newTestTree(b, 4096, 0, 1024)
 	rng := rand.New(rand.NewSource(7))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.Insert(Key{Hi: rng.Uint64(), Lo: uint64(i)}, val8(uint64(i)))
+		tree.Insert(Key{Hi: rng.Uint64(), Lo: uint64(i)}, nil)
 	}
 }
 
 func BenchmarkSeekGE(b *testing.B) {
-	tree := newTestTree(b, 4096, 0, 8, 1024)
+	tree := newTestTree(b, 4096, 0, 1024)
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 100000; i++ {
-		tree.Insert(Key{Hi: rng.Uint64(), Lo: uint64(i)}, val8(uint64(i)))
+		tree.Insert(Key{Hi: rng.Uint64(), Lo: uint64(i)}, nil)
 	}
 	snap := tree.Snapshot()
 	defer snap.Release()
@@ -594,13 +566,13 @@ func TestKeyString(t *testing.T) {
 	}
 }
 
-func TestCursorLeafIDAndValuePanics(t *testing.T) {
-	tree := newTestTree(t, 512, 4, 0, 64)
+func TestCursorKeyAndLeafIDPanics(t *testing.T) {
+	tree := newTestTree(t, 512, 4, 64)
 	empty := tree.Snapshot()
 	defer empty.Release()
 	c := empty.Cursor()
 	for _, fn := range []func(){
-		func() { c.Value() },
+		func() { c.Key() },
 		func() { c.LeafID() },
 	} {
 		func() {
@@ -627,7 +599,7 @@ func TestCursorLeafIDAndValuePanics(t *testing.T) {
 // TestCheckInvariantsDetectsCorruption: the checker must notice
 // hand-planted structural damage.
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
-	tree := newTestTree(t, 512, 4, 0, 64)
+	tree := newTestTree(t, 512, 4, 64)
 	for i := uint64(0); i < 100; i++ {
 		tree.Insert(Key{Hi: i}, nil)
 	}
@@ -643,7 +615,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		encodeLeaf(fr.Data, n, f, tree.keyLen, tree.valueSize)
+		encodeLeaf(fr.Data, n, f, tree.keyLen)
 		if err := tree.pool.Unpin(id, true); err != nil {
 			t.Fatal(err)
 		}
@@ -703,7 +675,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := viewLeaf(fr.Data, tree.keyLen, tree.valueSize)
+		p, err := viewLeaf(fr.Data, tree.keyLen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -762,7 +734,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 }
 
 func TestDecodeWrongNodeType(t *testing.T) {
-	tree := newTestTree(t, 512, 4, 0, 64)
+	tree := newTestTree(t, 512, 4, 64)
 	tree.Insert(Key{Hi: 1}, nil)
 	// The root is a leaf; decoding it as internal must fail.
 	if _, err := tree.loadInternal(tree.Meta().Root); err == nil {

@@ -6,10 +6,9 @@ import (
 	"probe/internal/disk"
 )
 
-// Entry is one key/value pair for bulk loading.
+// Entry is one key for bulk loading: the tree stores keys only.
 type Entry struct {
-	Key   Key
-	Value []byte
+	Key Key
 }
 
 // Load builds a tree bottom-up from sorted, strictly increasing
@@ -38,9 +37,6 @@ func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, er
 	for i, e := range entries {
 		if i > 0 && !entries[i-1].Key.Less(e.Key) {
 			return nil, fmt.Errorf("btree: entries not strictly increasing at %d", i)
-		}
-		if len(e.Value) != t.valueSize {
-			return nil, fmt.Errorf("btree: entry value has %d bytes, want %d", len(e.Value), t.valueSize)
 		}
 		if err := t.checkKey(e.Key); err != nil {
 			return nil, err

@@ -7,20 +7,17 @@ import (
 	"probe/internal/disk"
 )
 
-func sortedEntries(n int, valueSize int) []Entry {
+func sortedEntries(n int) []Entry {
 	es := make([]Entry, n)
 	for i := range es {
-		es[i] = Entry{Key: Key{Hi: uint64(i) * 3, Lo: uint64(i)}, Value: make([]byte, valueSize)}
-		if valueSize >= 1 {
-			es[i].Value[0] = byte(i)
-		}
+		es[i].Key = Key{Hi: uint64(i) * 3, Lo: uint64(i)}
 	}
 	return es
 }
 
 func TestLoadEmpty(t *testing.T) {
 	pool := disk.MustPool(disk.MustMemStore(512), 64, disk.LRU)
-	tree, err := Load(pool, Config{ValueSize: 0, LeafCapacity: 4}, nil, 0)
+	tree, err := Load(pool, Config{LeafCapacity: 4}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +31,7 @@ func TestLoadEmpty(t *testing.T) {
 
 func TestLoadSingleLeaf(t *testing.T) {
 	pool := disk.MustPool(disk.MustMemStore(512), 64, disk.LRU)
-	tree, err := Load(pool, Config{ValueSize: 1, LeafCapacity: 8}, sortedEntries(5, 1), 0)
+	tree, err := Load(pool, Config{LeafCapacity: 8}, sortedEntries(5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +46,8 @@ func TestLoadSingleLeaf(t *testing.T) {
 func TestLoadLargeAndScan(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 20, 21, 399, 5000} {
 		pool := disk.MustPool(disk.MustMemStore(1024), 256, disk.LRU)
-		es := sortedEntries(n, 1)
-		tree, err := Load(pool, Config{ValueSize: 1, LeafCapacity: 20}, es, 0)
+		es := sortedEntries(n)
+		tree, err := Load(pool, Config{LeafCapacity: 20}, es, 0)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -70,9 +67,6 @@ func TestLoadLargeAndScan(t *testing.T) {
 			if c.Key() != es[i].Key {
 				t.Fatalf("n=%d: scan key %v at %d, want %v", n, c.Key(), i, es[i].Key)
 			}
-			if c.Value()[0] != es[i].Value[0] {
-				t.Fatalf("n=%d: value mismatch at %d", n, i)
-			}
 			i++
 		}
 		snap.Release()
@@ -83,19 +77,19 @@ func TestLoadLargeAndScan(t *testing.T) {
 }
 
 func TestLoadPacksTighterThanInsert(t *testing.T) {
-	es := sortedEntries(5000, 0)
+	es := sortedEntries(5000)
 	poolA := disk.MustPool(disk.MustMemStore(1024), 256, disk.LRU)
-	loaded, err := Load(poolA, Config{ValueSize: 0, LeafCapacity: 20}, es, 0)
+	loaded, err := Load(poolA, Config{LeafCapacity: 20}, es, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	poolB := disk.MustPool(disk.MustMemStore(1024), 256, disk.LRU)
-	inserted, err := New(poolB, Config{ValueSize: 0, LeafCapacity: 20})
+	inserted, err := New(poolB, Config{LeafCapacity: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range es {
-		if err := inserted.Insert(e.Key, e.Value); err != nil {
+		if err := inserted.Insert(e.Key, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,9 +104,9 @@ func TestLoadPacksTighterThanInsert(t *testing.T) {
 }
 
 func TestLoadWithFill(t *testing.T) {
-	es := sortedEntries(1000, 0)
+	es := sortedEntries(1000)
 	pool := disk.MustPool(disk.MustMemStore(1024), 256, disk.LRU)
-	tree, err := Load(pool, Config{ValueSize: 0, LeafCapacity: 20}, es, 0.5)
+	tree, err := Load(pool, Config{LeafCapacity: 20}, es, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +117,10 @@ func TestLoadWithFill(t *testing.T) {
 	if tree.LeafPages() < 90 || tree.LeafPages() > 110 {
 		t.Errorf("half-fill load has %d leaves, want ~100", tree.LeafPages())
 	}
-	if _, err := Load(pool, Config{ValueSize: 0, LeafCapacity: 20}, es, 0.2); err == nil {
+	if _, err := Load(pool, Config{LeafCapacity: 20}, es, 0.2); err == nil {
 		t.Errorf("fill below 0.5 accepted")
 	}
-	if _, err := Load(pool, Config{ValueSize: 0, LeafCapacity: 20}, es, 1.5); err == nil {
+	if _, err := Load(pool, Config{LeafCapacity: 20}, es, 1.5); err == nil {
 		t.Errorf("fill above 1 accepted")
 	}
 }
@@ -134,25 +128,21 @@ func TestLoadWithFill(t *testing.T) {
 func TestLoadRejectsBadInput(t *testing.T) {
 	pool := disk.MustPool(disk.MustMemStore(512), 64, disk.LRU)
 	dup := []Entry{{Key: Key{Hi: 1}}, {Key: Key{Hi: 1}}}
-	if _, err := Load(pool, Config{ValueSize: 0, LeafCapacity: 4}, dup, 0); err == nil {
+	if _, err := Load(pool, Config{LeafCapacity: 4}, dup, 0); err == nil {
 		t.Errorf("duplicate keys accepted")
 	}
 	unsorted := []Entry{{Key: Key{Hi: 2}}, {Key: Key{Hi: 1}}}
-	if _, err := Load(pool, Config{ValueSize: 0, LeafCapacity: 4}, unsorted, 0); err == nil {
+	if _, err := Load(pool, Config{LeafCapacity: 4}, unsorted, 0); err == nil {
 		t.Errorf("unsorted keys accepted")
-	}
-	badVal := []Entry{{Key: Key{Hi: 1}, Value: []byte{1, 2}}}
-	if _, err := Load(pool, Config{ValueSize: 0, LeafCapacity: 4}, badVal, 0); err == nil {
-		t.Errorf("wrong value size accepted")
 	}
 }
 
 // TestLoadThenMutate: a bulk-loaded tree must behave identically to
 // an insert-built one under subsequent inserts and deletes.
 func TestLoadThenMutate(t *testing.T) {
-	es := sortedEntries(500, 0)
+	es := sortedEntries(500)
 	pool := disk.MustPool(disk.MustMemStore(512), 256, disk.LRU)
-	tree, err := Load(pool, Config{ValueSize: 0, LeafCapacity: 6}, es, 0)
+	tree, err := Load(pool, Config{LeafCapacity: 6}, es, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

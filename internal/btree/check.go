@@ -70,7 +70,7 @@ func (s *Snapshot) CheckInvariants() error {
 		switch typ := nodeType(data[0]); typ {
 		case leafType:
 			spare = data
-			p, err := viewLeaf(data, t.keyLen, t.valueSize)
+			p, err := viewLeaf(data, t.keyLen)
 			if err != nil {
 				return err
 			}
@@ -83,7 +83,7 @@ func (s *Snapshot) CheckInvariants() error {
 			if p.count > t.leafCap {
 				return fmt.Errorf("leaf %d overfull: %d > %d", vi.id, p.count, t.leafCap)
 			}
-			es, err := decodeLeaf(data, t.keyLen, t.valueSize)
+			es, err := decodeLeaf(data, t.keyLen)
 			if err != nil {
 				return err
 			}

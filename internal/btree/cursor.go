@@ -99,16 +99,6 @@ func (c *Cursor) Key() Key {
 	return c.leaf.key(c.pos)
 }
 
-// Value returns the current entry's value; the cursor must be Valid.
-// The returned slice points into the cursor's leaf buffer: it is valid
-// until the cursor next moves and must not be modified.
-func (c *Cursor) Value() []byte {
-	if !c.valid {
-		panic("btree: Value on invalid cursor")
-	}
-	return c.leaf.value(c.pos)
-}
-
 // LeafID returns the page id of the leaf under the cursor; the
 // cursor must be Valid. The experiment harness uses it to attribute
 // entries to pages (Figure 6).
@@ -159,7 +149,7 @@ func (c *Cursor) enterLeaf(id disk.PageID) error {
 	}
 	buf, err := c.snap.t.copyPage(id, c.leaf.data, c.span)
 	if err == nil {
-		c.leaf, err = viewLeaf(buf, c.snap.t.keyLen, c.snap.t.valueSize)
+		c.leaf, err = viewLeaf(buf, c.snap.t.keyLen)
 	}
 	if err != nil {
 		return err

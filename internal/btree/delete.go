@@ -14,7 +14,7 @@ import (
 
 func (t *Tree) loadLeaf(id disk.PageID) (n []Entry, err error) {
 	err = t.withPage(id, nil, func(data []byte) (err error) {
-		n, err = decodeLeaf(data, t.keyLen, t.valueSize)
+		n, err = decodeLeaf(data, t.keyLen)
 		return err
 	})
 	return n, err

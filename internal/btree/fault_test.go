@@ -101,7 +101,7 @@ func TestFaultInjectionNoPanics(t *testing.T) {
 	run := func(budget int) (tripped bool) {
 		fs := &faultStore{inner: disk.MustMemStore(256), remaining: budget}
 		pool := disk.MustPool(fs, 3, disk.LRU)
-		tree, err := New(pool, Config{ValueSize: 0, LeafCapacity: 4})
+		tree, err := New(pool, Config{LeafCapacity: 4})
 		if err != nil {
 			if !errors.Is(err, errInjected) {
 				t.Fatalf("budget %d: unexpected construction error: %v", budget, err)
@@ -138,7 +138,7 @@ func TestFaultInjectionNoPanics(t *testing.T) {
 
 // TestFaultDuringBulkLoad: Load must propagate injected failures.
 func TestFaultDuringBulkLoad(t *testing.T) {
-	entries := sortedEntries(500, 0)
+	entries := sortedEntries(500)
 	for budget := 0; budget < 400; budget += 11 {
 		fs := &faultStore{inner: disk.MustMemStore(256), remaining: budget}
 		pool := disk.MustPool(fs, 3, disk.LRU)
@@ -148,7 +148,7 @@ func TestFaultDuringBulkLoad(t *testing.T) {
 					t.Fatalf("budget %d: panic: %v", budget, r)
 				}
 			}()
-			tree, err := Load(pool, Config{ValueSize: 0, LeafCapacity: 4}, entries, 0)
+			tree, err := Load(pool, Config{LeafCapacity: 4}, entries, 0)
 			if err == nil && fs.tripped {
 				t.Fatalf("budget %d: fault swallowed", budget)
 			}

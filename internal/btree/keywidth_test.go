@@ -183,7 +183,7 @@ func TestFrameWidening(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := viewLeaf(data, tree.keyLen, tree.valueSize)
+		p, err := viewLeaf(data, tree.keyLen)
 		if err != nil {
 			t.Fatal(err)
 		}

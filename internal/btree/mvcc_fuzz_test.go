@@ -29,7 +29,7 @@ func FuzzVersionGC(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 3, 0, 1, 3, 4, 4, 4, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pool := disk.MustPool(disk.MustMemStore(256), 64, disk.LRU)
-		tr, err := New(pool, Config{ValueSize: 0, LeafCapacity: 4})
+		tr, err := New(pool, Config{LeafCapacity: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ import (
 // reclaimed or overwritten underneath it).
 func TestMVCCStressRace(t *testing.T) {
 	pool := disk.MustPool(disk.MustMemStore(512), 128, disk.LRU)
-	tr, err := New(pool, Config{ValueSize: 0, LeafCapacity: 8})
+	tr, err := New(pool, Config{LeafCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestMVCCStressRace(t *testing.T) {
 // pins every untraced read) costs nothing at all.
 func TestSnapshotOpenAllocs(t *testing.T) {
 	pool := disk.MustPool(disk.MustMemStore(512), 64, disk.LRU)
-	tr, err := New(pool, Config{ValueSize: 0, LeafCapacity: 8})
+	tr, err := New(pool, Config{LeafCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

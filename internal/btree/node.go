@@ -15,7 +15,7 @@ import (
 //
 // Leaf:     [type u8][count u16][zw u8][iw u8 | sel<<4][base key keyLen B]
 //           (2^sel - 1) x [id base 8 B]
-//           count x [z delta zw B][id field iw B][value valueSize B]
+//           count x [z delta zw B][id field iw B]
 // Internal: [type u8][count u16]            (count = number of seps)
 //           (count+1) x [child u32]
 //           count x [sepLen u16][sep bytes]
@@ -93,7 +93,7 @@ type leafPage struct {
 	count         int
 	frame         leafFrame
 	first         int    // offset of entry 0
-	stride        int    // zw + iw + valueSize
+	stride        int    // zw + iw
 	zAt, idAt     int    // offsets of the 8 bytes ending with entry 0's z, id
 	drop          uint   // zDrop of the tree's key length
 	zMask, idMask uint64 // the low zw and iw bytes
@@ -103,7 +103,7 @@ type leafPage struct {
 	adj [maxIDBases]uint64
 }
 
-func viewLeaf(data []byte, keyLen, valueSize int) (leafPage, error) {
+func viewLeaf(data []byte, keyLen int) (leafPage, error) {
 	count, err := pageHeader(data, leafType, leafHeaderLen(keyLen), "a leaf")
 	if err != nil {
 		return leafPage{}, err
@@ -115,7 +115,7 @@ func viewLeaf(data []byte, keyLen, valueSize int) (leafPage, error) {
 	if f.sel > maxSel || f.sel > 0 && f.iw == 0 {
 		return leafPage{}, fmt.Errorf("btree: leaf frame selects among %d id bases in %d-byte id fields", 1<<f.sel, f.iw)
 	}
-	first, stride := f.headerLen(keyLen), f.zw+f.iw+valueSize
+	first, stride := f.headerLen(keyLen), f.zw+f.iw
 	if first+count*stride > len(data) {
 		return leafPage{}, fmt.Errorf("btree: leaf overflows page (%d entries)", count)
 	}
@@ -145,12 +145,6 @@ func (p *leafPage) key(i int) Key {
 		Hi: (p.frame.z + binary.BigEndian.Uint64(p.data[p.zAt+o:])&p.zMask) << p.drop,
 		Lo: p.adj[id>>p.shift&(maxIDBases-1)] + id,
 	}
-}
-
-// value returns entry i's value bytes inside the image.
-func (p *leafPage) value(i int) []byte {
-	end := p.first + (i+1)*p.stride
-	return p.data[end-p.stride+p.frame.zw+p.frame.iw : end : end]
 }
 
 // search returns the index of the first key >= k in the leaf.
@@ -229,16 +223,16 @@ type internalNode struct {
 	seps     [][]byte
 }
 
-// decodeLeaf returns a leaf's entries, each value a copy: the decoded
-// form of a leaf page is the slice of its entries in key order.
-func decodeLeaf(data []byte, keyLen, valueSize int) ([]Entry, error) {
-	p, err := viewLeaf(data, keyLen, valueSize)
+// decodeLeaf returns a leaf's entries: the decoded form of a leaf page
+// is the slice of its keys in order.
+func decodeLeaf(data []byte, keyLen int) ([]Entry, error) {
+	p, err := viewLeaf(data, keyLen)
 	if err != nil {
 		return nil, err
 	}
 	es := make([]Entry, p.count)
 	for i := range es {
-		es[i] = Entry{Key: p.key(i), Value: append(make([]byte, 0, valueSize), p.value(i)...)}
+		es[i].Key = p.key(i)
 	}
 	return es, nil
 }
@@ -334,14 +328,14 @@ func idBases(es []Entry, shift uint, n int) (ids [maxIDBases]uint64, ok bool) {
 func bytesFor(x uint64) int { return (bits.Len64(x) + 7) / 8 }
 
 // leafBytes is the size of the image of a leaf of n entries in frame f.
-func leafBytes(n int, f leafFrame, keyLen, valueSize int) int {
-	return f.headerLen(keyLen) + n*(f.zw+f.iw+valueSize)
+func leafBytes(n int, f leafFrame, keyLen int) int {
+	return f.headerLen(keyLen) + n*(f.zw+f.iw)
 }
 
 // encodeLeaf makes data the image of a leaf holding es in frame f. The
 // page is zeroed first, so with f = frameOf(es) the image is canonical.
 // An id selects the largest base at or below it.
-func encodeLeaf(data []byte, es []Entry, f leafFrame, keyLen, valueSize int) {
+func encodeLeaf(data []byte, es []Entry, f leafFrame, keyLen int) {
 	clear(data)
 	data[0] = byte(leafType)
 	binary.LittleEndian.PutUint16(data[1:3], uint16(len(es)))
@@ -352,14 +346,13 @@ func encodeLeaf(data []byte, es []Entry, f leafFrame, keyLen, valueSize int) {
 		binary.BigEndian.PutUint64(data[leafHeaderLen(keyLen)+8*(j-1):], f.ids[j])
 	}
 	for i, e := range es {
-		off := f.headerLen(keyLen) + i*(f.zw+f.iw+valueSize)
+		off := f.headerLen(keyLen) + i*(f.zw+f.iw)
 		j := 0
 		for j+1 < bases && f.ids[j+1] != 0 && f.ids[j+1] <= e.Key.Lo {
 			j++
 		}
 		putBeUint(data[off:off+f.zw], e.Key.Hi>>drop-f.z)
 		putBeUint(data[off+f.zw:off+f.zw+f.iw], uint64(j)<<shift|(e.Key.Lo-f.ids[j]))
-		copy(data[off+f.zw+f.iw:], e.Value)
 	}
 }
 

@@ -60,7 +60,7 @@ func refUint(b []byte) uint64 {
 // lowest stored bit of Hi, added to the base key's z, and an id field
 // whose top sel bits pick the base (the base key's id first) that the
 // bits below them are added to.
-func refDecodeLeaf(data []byte, keyLen, valueSize int) ([]Entry, error) {
+func refDecodeLeaf(data []byte, keyLen int) ([]Entry, error) {
 	count, err := refHeader(data, leafType, 5+keyLen, "a leaf")
 	if err != nil {
 		return nil, err
@@ -74,7 +74,7 @@ func refDecodeLeaf(data []byte, keyLen, valueSize int) ([]Entry, error) {
 	}
 	nBases := 1 << sel
 	off := 5 + keyLen + 8*(nBases-1)
-	if off+count*(zw+iw+valueSize) > len(data) {
+	if off+count*(zw+iw) > len(data) {
 		return nil, fmt.Errorf("btree: leaf overflows page (%d entries)", count)
 	}
 	base := refDecodeKey(data[5 : 5+keyLen])
@@ -98,9 +98,6 @@ func refDecodeLeaf(data []byte, keyLen, valueSize int) ([]Entry, error) {
 		}
 		es[i].Key = Key{Hi: base.Hi + unit*refUint(data[off:off+zw]), Lo: bases[selector] + offset}
 		off += zw + iw
-		es[i].Value = make([]byte, valueSize)
-		copy(es[i].Value, data[off:off+valueSize])
-		off += valueSize
 	}
 	return es, nil
 }
@@ -158,14 +155,14 @@ func linearChildIndex(seps [][]byte, enc []byte) int {
 // checkLeafImage compares decodeLeaf and every leaf view accessor with
 // the reference decoder on one image, valid or not, and reports
 // whether it decoded.
-func checkLeafImage(t *testing.T, data []byte, keyLen, valueSize int, probes []Key) bool {
+func checkLeafImage(t *testing.T, data []byte, keyLen int, probes []Key) bool {
 	t.Helper()
-	n, derr := refDecodeLeaf(data, keyLen, valueSize)
-	p, verr := viewLeaf(data, keyLen, valueSize)
+	n, derr := refDecodeLeaf(data, keyLen)
+	p, verr := viewLeaf(data, keyLen)
 	if errText(derr) != errText(verr) {
 		t.Fatalf("leaf errors differ: reference %q, view %q", errText(derr), errText(verr))
 	}
-	if got, err := decodeLeaf(data, keyLen, valueSize); errText(err) != errText(derr) || !reflect.DeepEqual(got, n) {
+	if got, err := decodeLeaf(data, keyLen); errText(err) != errText(derr) || !reflect.DeepEqual(got, n) {
 		t.Fatalf("decodeLeaf = %+v, %v; reference %+v, %v", got, err, n, derr)
 	}
 	if derr != nil {
@@ -178,12 +175,6 @@ func checkLeafImage(t *testing.T, data []byte, keyLen, valueSize int, probes []K
 		k := e.Key
 		if p.key(i) != k {
 			t.Fatalf("leaf key %d: view %v, decoded %v", i, p.key(i), k)
-		}
-		if !bytes.Equal(p.value(i), e.Value) {
-			t.Fatalf("leaf value %d: view %x, decoded %x", i, p.value(i), e.Value)
-		}
-		if cap(p.value(i)) != valueSize {
-			t.Fatalf("leaf value %d has capacity %d past its %d bytes", i, cap(p.value(i)), valueSize)
 		}
 		probes = append(probes, k, Key{Hi: k.Hi, Lo: k.Lo + 1}, Key{Hi: k.Hi, Lo: k.Lo - 1}, Key{Hi: k.Hi | 1, Lo: k.Lo})
 	}
@@ -259,7 +250,7 @@ func checkInternalImage(t *testing.T, data []byte, probes [][]byte) bool {
 // framedLeafImage returns the image of a leaf of up to n entries (n
 // less duplicates), whose keys span zw bytes of z and iw of id: with
 // two entries or more its canonical frame is that wide.
-func framedLeafImage(rng *rand.Rand, pageSize, keyLen, valueSize, zw, iw, n int) []byte {
+func framedLeafImage(rng *rand.Rand, pageSize, keyLen, zw, iw, n int) []byte {
 	drop := zDrop(keyLen)
 	zSpan, idSpan := uint64(1)<<(8*zw)-1, uint64(1)<<(8*iw)-1
 	z0, id0 := rng.Uint64()>>drop&^zSpan, rng.Uint64()&^idSpan
@@ -273,14 +264,12 @@ func framedLeafImage(rng *rand.Rand, pageSize, keyLen, valueSize, zw, iw, n int)
 		case 1:
 			k = Key{Hi: (z0 + zSpan) << drop, Lo: id0 + idSpan}
 		}
-		v := make([]byte, valueSize)
-		rng.Read(v)
-		es = append(es, Entry{Key: k, Value: v})
+		es = append(es, Entry{Key: k})
 	}
 	slices.SortFunc(es, func(a, b Entry) int { return a.Key.Compare(b.Key) })
 	es = slices.CompactFunc(es, func(a, b Entry) bool { return a.Key == b.Key })
 	data := make([]byte, pageSize)
-	encodeLeaf(data, es, frameOf(es, keyLen), keyLen, valueSize)
+	encodeLeaf(data, es, frameOf(es, keyLen), keyLen)
 	return data
 }
 
@@ -288,7 +277,7 @@ func framedLeafImage(rng *rand.Rand, pageSize, keyLen, valueSize, zw, iw, n int)
 // order, whose z values span zw bytes and whose ids fall in 1 to 5
 // clusters 2^8 to 2^48 apart, each up to 2^16 wide: the id ranges a
 // frame may give several bases.
-func clusteredEntries(rng *rand.Rand, keyLen, valueSize, zw, n int) []Entry {
+func clusteredEntries(rng *rand.Rand, keyLen, zw, n int) []Entry {
 	drop := zDrop(keyLen)
 	zSpan := uint64(1)<<(8*zw) - 1
 	z0 := rng.Uint64() >> drop &^ zSpan
@@ -299,10 +288,8 @@ func clusteredEntries(rng *rand.Rand, keyLen, valueSize, zw, n int) []Entry {
 	spread := uint64(1) << rng.Intn(17)
 	var es []Entry
 	for i := 0; i < n; i++ {
-		v := make([]byte, valueSize)
-		rng.Read(v)
 		id := starts[rng.Intn(len(starts))] + rng.Uint64()%spread
-		es = append(es, Entry{Key: Key{Hi: (z0 + rng.Uint64()&zSpan) << drop, Lo: id}, Value: v})
+		es = append(es, Entry{Key: Key{Hi: (z0 + rng.Uint64()&zSpan) << drop, Lo: id}})
 	}
 	slices.SortFunc(es, func(a, b Entry) int { return a.Key.Compare(b.Key) })
 	return slices.CompactFunc(es, func(a, b Entry) bool { return a.Key == b.Key })
@@ -311,14 +298,14 @@ func clusteredEntries(rng *rand.Rand, keyLen, valueSize, zw, n int) []Entry {
 // randomLeafImage returns a leaf of random widths holding up to as
 // many entries as fit at the widest frame, half the time with ids in
 // clusters.
-func randomLeafImage(rng *rand.Rand, pageSize, keyLen, valueSize int) []byte {
-	n := rng.Intn((pageSize-leafHeaderLen(keyLen))/(keyLen+valueSize) + 1)
+func randomLeafImage(rng *rand.Rand, pageSize, keyLen int) []byte {
+	n := rng.Intn((pageSize-leafHeaderLen(keyLen))/keyLen + 1)
 	if rng.Intn(2) == 0 {
-		return framedLeafImage(rng, pageSize, keyLen, valueSize, rng.Intn(keyLen-7), rng.Intn(9), n)
+		return framedLeafImage(rng, pageSize, keyLen, rng.Intn(keyLen-7), rng.Intn(9), n)
 	}
-	es := clusteredEntries(rng, keyLen, valueSize, rng.Intn(keyLen-7), n)
+	es := clusteredEntries(rng, keyLen, rng.Intn(keyLen-7), n)
 	data := make([]byte, pageSize)
-	encodeLeaf(data, es, frameOf(es, keyLen), keyLen, valueSize)
+	encodeLeaf(data, es, frameOf(es, keyLen), keyLen)
 	return data
 }
 
@@ -348,14 +335,13 @@ func TestPageViewsMatchDecode(t *testing.T) {
 	var sels [maxSel + 1]int
 	for round := 0; round < 300; round++ {
 		pageSize := []int{128, 512, 4096}[rng.Intn(3)]
-		valueSize := []int{0, 0, 3, 8}[rng.Intn(4)]
 		keyLen := 9 + rng.Intn(8)
 		probes := make([]Key, 32)
 		for i := range probes {
 			probes[i] = Key{Hi: uint64(rng.Intn(5)) << 62, Lo: rng.Uint64()}
 		}
-		leaf := randomLeafImage(rng, pageSize, keyLen, valueSize)
-		if !checkLeafImage(t, leaf, keyLen, valueSize, probes) {
+		leaf := randomLeafImage(rng, pageSize, keyLen)
+		if !checkLeafImage(t, leaf, keyLen, probes) {
 			t.Fatal("a well-formed leaf image did not decode")
 		}
 		sels[leaf[4]>>4]++
@@ -382,10 +368,10 @@ func TestPageViewsMatchDecode(t *testing.T) {
 // same error, without reading outside the image.
 func TestPageViewsRejectCorruptImages(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	leaf := framedLeafImage(rng, 512, encodedKeyLen, 8, 8, 8, 12)
+	leaf := framedLeafImage(rng, 512, encodedKeyLen, 8, 8, 12)
 	// About 60 entries of 2 bytes: more than fit the page at the widest
 	// frame, 45.
-	narrow := framedLeafImage(rng, 512, 11, 0, 1, 1, 60)
+	narrow := framedLeafImage(rng, 512, 11, 1, 1, 60)
 	internal := randomInternalImage(rng, 512)
 	for binary.LittleEndian.Uint16(internal[1:3]) < 2 {
 		internal = randomInternalImage(rng, 512)
@@ -397,7 +383,7 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 	}
 	// Wrong type byte, either way round and unknown.
 	for _, typ := range []byte{0, byte(internalType), 7} {
-		if checkLeafImage(t, damage(leaf, func(b []byte) { b[0] = typ }), encodedKeyLen, 8, nil) {
+		if checkLeafImage(t, damage(leaf, func(b []byte) { b[0] = typ }), encodedKeyLen, nil) {
 			t.Errorf("leaf with type byte %d decoded", typ)
 		}
 	}
@@ -409,15 +395,15 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 	// A frame wider than the key: an id width over 8, a z width over
 	// the key's z bytes (8, and 3 on the 11-byte key).
 	for _, w := range [][2]byte{{8, 9}, {9, 8}, {0xff, 0}} {
-		if checkLeafImage(t, damage(leaf, func(b []byte) { b[3], b[4] = w[0], w[1] }), encodedKeyLen, 8, nil) {
+		if checkLeafImage(t, damage(leaf, func(b []byte) { b[3], b[4] = w[0], w[1] }), encodedKeyLen, nil) {
 			t.Errorf("leaf with a %d+%d-byte frame decoded", w[0], w[1])
 		}
 	}
-	if checkLeafImage(t, damage(narrow, func(b []byte) { b[3] = 4 }), 11, 0, nil) {
+	if checkLeafImage(t, damage(narrow, func(b []byte) { b[3] = 4 }), 11, nil) {
 		t.Error("11-byte-key leaf with a 4-byte z width decoded")
 	}
 	// Widths within the key that run the narrow leaf off the page.
-	if checkLeafImage(t, damage(narrow, func(b []byte) { b[3], b[4] = 3, 8 }), 11, 0, nil) {
+	if checkLeafImage(t, damage(narrow, func(b []byte) { b[3], b[4] = 3, 8 }), 11, nil) {
 		t.Error("a leaf widened past the page decoded")
 	}
 	// A leaf of ids in three clusters takes four bases. Its frame
@@ -425,30 +411,30 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 	// bases that run past the end of the page.
 	var es []Entry
 	for i := 0; i < 40; i++ {
-		es = append(es, Entry{Key: Key{Hi: uint64(i), Lo: []uint64{1000, 1 << 30, 1 << 50}[i%3] + uint64(i)}, Value: []byte{}})
+		es = append(es, Entry{Key: Key{Hi: uint64(i), Lo: []uint64{1000, 1 << 30, 1 << 50}[i%3] + uint64(i)}})
 	}
 	based := make([]byte, 512)
-	encodeLeaf(based, es, frameOf(es, encodedKeyLen), encodedKeyLen, 0)
-	if based[4]>>4 != 2 || !checkLeafImage(t, based, encodedKeyLen, 0, nil) {
+	encodeLeaf(based, es, frameOf(es, encodedKeyLen), encodedKeyLen)
+	if based[4]>>4 != 2 || !checkLeafImage(t, based, encodedKeyLen, nil) {
 		t.Fatalf("a leaf of three id clusters has frame byte %#x", based[4])
 	}
 	for _, b4 := range []byte{based[4]&0x0f | 3<<4, based[4] | 0xc0, 1 << 4, 2 << 4} {
-		if checkLeafImage(t, damage(based, func(b []byte) { b[4] = b4 }), encodedKeyLen, 0, nil) {
+		if checkLeafImage(t, damage(based, func(b []byte) { b[4] = b4 }), encodedKeyLen, nil) {
 			t.Errorf("leaf with frame byte %#x decoded", b4)
 		}
 	}
 	empty := damage(based, func(b []byte) { binary.LittleEndian.PutUint16(b[1:3], 0) })
-	if !checkLeafImage(t, empty[:leafHeaderLen(encodedKeyLen)+24], encodedKeyLen, 0, nil) {
+	if !checkLeafImage(t, empty[:leafHeaderLen(encodedKeyLen)+24], encodedKeyLen, nil) {
 		t.Error("an empty leaf of four bases ending with its last base did not decode")
 	}
-	if checkLeafImage(t, empty[:leafHeaderLen(encodedKeyLen)+23], encodedKeyLen, 0, nil) {
+	if checkLeafImage(t, empty[:leafHeaderLen(encodedKeyLen)+23], encodedKeyLen, nil) {
 		t.Error("a leaf whose last base runs past the page decoded")
 	}
-	// A count that runs the entries (21 or more at this geometry) or
+	// A count that runs the entries (31 or more at this geometry) or
 	// the child array (127 or more separators) off the page.
-	for _, count := range []uint16{21, 127, 200, 0xffff} {
+	for _, count := range []uint16{31, 127, 200, 0xffff} {
 		over := func(b []byte) { binary.LittleEndian.PutUint16(b[1:3], count) }
-		if checkLeafImage(t, damage(leaf, over), encodedKeyLen, 8, nil) {
+		if checkLeafImage(t, damage(leaf, over), encodedKeyLen, nil) {
 			t.Errorf("leaf claiming %d entries decoded", count)
 		}
 		if checkInternalImage(t, damage(internal, over), nil) && count >= 127 {
@@ -473,9 +459,9 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 	}
 	// Every truncation of the images, down to nothing.
 	for cut := 0; cut < 512; cut++ {
-		checkLeafImage(t, leaf[:cut], encodedKeyLen, 8, nil)
-		checkLeafImage(t, narrow[:cut], 11, 0, nil)
-		checkLeafImage(t, based[:cut], encodedKeyLen, 0, nil)
+		checkLeafImage(t, leaf[:cut], encodedKeyLen, nil)
+		checkLeafImage(t, narrow[:cut], 11, nil)
+		checkLeafImage(t, based[:cut], encodedKeyLen, nil)
 		checkInternalImage(t, internal[:cut], nil)
 	}
 }
@@ -485,53 +471,53 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 // accessor, and nothing panics.
 func FuzzPageViews(f *testing.F) {
 	rng := rand.New(rand.NewSource(18))
-	f.Add(randomLeafImage(rng, 128, 16, 3), uint8(7), uint8(3), []byte{1, 2})
-	f.Add(randomLeafImage(rng, 128, 11, 0), uint8(2), uint8(0), []byte{})
-	f.Add(randomLeafImage(rng, 128, 9, 1), uint8(0), uint8(1), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Add(randomInternalImage(rng, 128), uint8(7), uint8(0), []byte{0, 1, 2, 0})
-	f.Add([]byte{byte(internalType), 0xff, 0xff}, uint8(7), uint8(0), []byte{9})
-	f.Add([]byte{byte(internalType), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}, uint8(7), uint8(0), []byte{9})
-	f.Add([]byte{byte(leafType), 9, 0}, uint8(4), uint8(1), []byte{})
+	f.Add(randomLeafImage(rng, 128, 16), uint8(7), []byte{1, 2})
+	f.Add(randomLeafImage(rng, 128, 11), uint8(2), []byte{})
+	f.Add(randomLeafImage(rng, 128, 9), uint8(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(randomInternalImage(rng, 128), uint8(7), []byte{0, 1, 2, 0})
+	f.Add([]byte{byte(internalType), 0xff, 0xff}, uint8(7), []byte{9})
+	f.Add([]byte{byte(internalType), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}, uint8(7), []byte{9})
+	f.Add([]byte{byte(leafType), 9, 0}, uint8(4), []byte{})
 	// A leaf at every pair of widths, on the shortest key that holds
 	// the z width, and the same leaf with its frame corrupted: widths
 	// over the key, and widths that run the entries past the page.
 	for zw := 0; zw <= 8; zw++ {
 		for iw := 0; iw <= 8; iw++ {
 			keyLen := 8 + max(zw, 1)
-			img := framedLeafImage(rng, 128, keyLen, 1, zw, iw, 2+rng.Intn((128-leafHeaderLen(keyLen))/(keyLen+1)-1))
+			img := framedLeafImage(rng, 128, keyLen, zw, iw, 2+rng.Intn((128-leafHeaderLen(keyLen))/keyLen-1))
 			width := uint8(keyLen - 9)
-			f.Add(img, width, uint8(1), []byte{byte(zw), byte(iw)})
+			f.Add(img, width, []byte{byte(zw), byte(iw)})
 			bad := append([]byte(nil), img...)
 			bad[3], bad[4] = byte(keyLen-7), byte(9+iw)
-			f.Add(bad, width, uint8(1), []byte{})
+			f.Add(bad, width, []byte{})
 			wide := append([]byte(nil), img...)
-			binary.LittleEndian.PutUint16(wide[1:3], uint16(128/(keyLen+1)+1))
+			binary.LittleEndian.PutUint16(wide[1:3], uint16(128/keyLen+1))
 			wide[3], wide[4] = byte(keyLen-8), 8
-			f.Add(wide, width, uint8(1), []byte{})
+			f.Add(wide, width, []byte{})
 		}
 	}
 	// A leaf of clustered ids on each key length, whose frame may hold
 	// several id bases, and the same leaf with 3 selector bits and with
 	// its id width cleared under its selector bits.
 	for keyLen := 9; keyLen <= 16; keyLen++ {
-		es := clusteredEntries(rng, keyLen, 1, rng.Intn(keyLen-7), (128-leafHeaderLen(keyLen))/(keyLen+1))
+		es := clusteredEntries(rng, keyLen, rng.Intn(keyLen-7), (128-leafHeaderLen(keyLen))/keyLen)
 		img := make([]byte, 128)
-		encodeLeaf(img, es, frameOf(es, keyLen), keyLen, 1)
+		encodeLeaf(img, es, frameOf(es, keyLen), keyLen)
 		width := uint8(keyLen - 9)
-		f.Add(img, width, uint8(1), []byte{})
+		f.Add(img, width, []byte{})
 		for _, b4 := range []byte{img[4] | 3<<4, img[4] & 0xf0} {
 			bad := append([]byte(nil), img...)
 			bad[4] = b4
-			f.Add(bad, width, uint8(1), []byte{})
+			f.Add(bad, width, []byte{})
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, width, valueSize uint8, enc []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, width uint8, enc []byte) {
 		keyLen := 9 + int(width%8)
 		var k Key
 		if len(enc) >= keyLen {
 			k = decodeKey(enc[:keyLen])
 		}
-		checkLeafImage(t, data, keyLen, int(valueSize), []Key{k})
+		checkLeafImage(t, data, keyLen, []Key{k})
 		checkInternalImage(t, data, [][]byte{enc})
 	})
 }
@@ -543,7 +529,7 @@ func FuzzPageViews(f *testing.F) {
 // is read.
 func TestReadPathPageAccesses(t *testing.T) {
 	pool := disk.MustPool(disk.MustMemStore(512), 4096, disk.LRU)
-	tr, err := New(pool, Config{ValueSize: 0, LeafCapacity: 8})
+	tr, err := New(pool, Config{LeafCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +579,7 @@ func TestReadPathPageAccesses(t *testing.T) {
 // no pin once the call has returned: Drop of a pinned page fails, so
 // a pin left behind would stall version GC.
 func TestNoPinOutlivesACall(t *testing.T) {
-	tree := newTestTree(t, 512, 4, 8, 256)
+	tree := newTestTree(t, 512, 4, 256)
 	unpinned := func(call string) {
 		t.Helper()
 		if n := tree.pool.Pinned(); n != 0 {
@@ -604,13 +590,13 @@ func TestNoPinOutlivesACall(t *testing.T) {
 	var keys []Key
 	for i := 0; i < 400; i++ {
 		k := Key{Hi: rng.Uint64(), Lo: uint64(i)}
-		if err := tree.Insert(k, val8(k.Lo)); err != nil {
+		if err := tree.Insert(k, nil); err != nil {
 			t.Fatal(err)
 		}
 		unpinned("Insert")
 		keys = append(keys, k)
 	}
-	if err := tree.Insert(keys[0], val8(0)); err != ErrDuplicateKey {
+	if err := tree.Insert(keys[0], nil); err != ErrDuplicateKey {
 		t.Fatalf("duplicate insert: %v", err)
 	}
 	unpinned("a duplicate Insert")
@@ -628,8 +614,8 @@ func TestNoPinOutlivesACall(t *testing.T) {
 			}
 			unpinned("Next")
 		}
-		if v, ok, err := tree.Get(k); err != nil || !ok || !bytes.Equal(v, val8(k.Lo)) {
-			t.Fatalf("Get(%v) = %x, %v, %v", k, v, ok, err)
+		if _, ok, err := tree.Get(k); err != nil || !ok {
+			t.Fatalf("Get(%v) = %v, %v", k, ok, err)
 		}
 		unpinned("Get")
 		if _, _, err := snap.Get(Key{Hi: k.Hi, Lo: k.Lo + 1000}); err != nil {
@@ -644,7 +630,7 @@ func TestNoPinOutlivesACall(t *testing.T) {
 			unpinned("Delete")
 		case 1:
 			next := keys[(i+1)%len(keys)]
-			muts := []Mutation{{Key: next, Delete: true}, {Key: next, Value: val8(next.Lo)}, {Key: Key{Lo: uint64(i)}, Delete: true}}
+			muts := []Mutation{{Key: next, Delete: true}, {Key: next}, {Key: Key{Lo: uint64(i)}, Delete: true}}
 			if err := tree.CommitBatch(tree.MVCCStats().Seq, muts); err != nil {
 				t.Fatal(err)
 			}
@@ -678,7 +664,7 @@ func TestNoPinOutlivesACall(t *testing.T) {
 		t.Fatal("a detached cursor lost its buffers")
 	}
 	s2.Release()
-	if err := tree.Insert(Key{Hi: 2, Lo: 1 << 41}, val8(0)); err != nil {
+	if err := tree.Insert(Key{Hi: 2, Lo: 1 << 41}, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap.Release()
@@ -704,7 +690,7 @@ func TestNoPinOutlivesACall(t *testing.T) {
 		if n := tree.MVCCStats().PinnedSnapshots; n != 0 {
 			t.Fatalf("%d snapshots pinned after the value's Release", n)
 		}
-		if err := tree.Insert(Key{Hi: 3, Lo: 1<<42 + uint64(i)}, val8(0)); err != nil {
+		if err := tree.Insert(Key{Hi: 3, Lo: 1<<42 + uint64(i)}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if n := tree.CollectGarbage(); n != 0 {
@@ -743,7 +729,7 @@ func TestNoPinOutlivesACall(t *testing.T) {
 		}
 		s.Release()
 		unpinned("a failed SeekGE")
-		if err := tree.Insert(Key{Hi: 1, Lo: 1 << 40}, val8(0)); err == nil {
+		if err := tree.Insert(Key{Hi: 1, Lo: 1 << 40}, nil); err == nil {
 			t.Errorf("Insert through a root of type %d succeeded", typ)
 		}
 		unpinned("a failed Insert")

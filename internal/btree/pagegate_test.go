@@ -34,12 +34,12 @@ func (s *auditStore) Free(id disk.PageID) error {
 func pageGateTree(t *testing.T) (*Tree, *auditStore) {
 	t.Helper()
 	store := &auditStore{Store: disk.MustMemStore(1024)}
-	tree, err := New(disk.MustPool(store, 64, disk.LRU), Config{ValueSize: 8, LeafCapacity: 32})
+	tree, err := New(disk.MustPool(store, 64, disk.LRU), Config{LeafCapacity: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 2500; i++ {
-		if err := tree.Insert(Key{Hi: i * 16}, val8(i)); err != nil {
+		if err := tree.Insert(Key{Hi: i * 16}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestPageGateCommitBatch(t *testing.T) {
 		tree, store := pageGateTree(t)
 		var muts []Mutation
 		for i := uint64(1); i <= 8; i++ {
-			muts = append(muts, Mutation{Key: Key{Hi: 20000 + i}, Value: val8(i)})
+			muts = append(muts, Mutation{Key: Key{Hi: 20000 + i}})
 		}
 		pages, allocs := store.NumPages(), store.Stats().Allocs
 		if err := tree.CommitBatch(tree.MVCCStats().Seq, muts); err != nil {
@@ -123,12 +123,12 @@ func TestPageGateCommitBatch(t *testing.T) {
 		// Inserts that split, deletes that merge, then a duplicate.
 		var muts []Mutation
 		for i := uint64(1); i <= 12; i++ {
-			muts = append(muts, Mutation{Key: Key{Hi: 8000 + i}, Value: val8(i)})
+			muts = append(muts, Mutation{Key: Key{Hi: 8000 + i}})
 		}
 		for i := uint64(1000); i < 1060; i++ {
 			muts = append(muts, Mutation{Key: Key{Hi: i * 16}, Delete: true})
 		}
-		muts = append(muts, Mutation{Key: Key{Hi: 8000 + 3}, Value: val8(3)})
+		muts = append(muts, Mutation{Key: Key{Hi: 8000 + 3}})
 
 		snap := tree.Snapshot()
 		before, pages, seq := reachableImages(t, snap), store.NumPages(), snap.Seq()
@@ -161,7 +161,7 @@ func TestPageGateCommitBatch(t *testing.T) {
 		for i := uint64(0); i < 100; i++ {
 			muts = append(muts,
 				Mutation{Key: Key{Hi: (600 + i) * 16}, Delete: true},
-				Mutation{Key: Key{Hi: (600+i/4)*16 + 1 + i%4}, Value: val8(i)})
+				Mutation{Key: Key{Hi: (600+i/4)*16 + 1 + i%4}})
 		}
 		snap := tree.Snapshot()
 		defer snap.Release()

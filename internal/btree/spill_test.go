@@ -26,7 +26,7 @@ func TestExplicitCapacityShapes(t *testing.T) {
 		20: 0x21a6939e2a04e329, // 181
 	}
 	for _, capacity := range []int{2, 3, 4, 8, 20} {
-		tree := newTestTree(t, 512, capacity, 0, 256)
+		tree := newTestTree(t, 512, capacity, 256)
 		rng := rand.New(rand.NewSource(int64(capacity)))
 		stored := map[Key]bool{}
 		var keys []Key
@@ -362,7 +362,7 @@ func TestFitSpanMatchesFrameOf(t *testing.T) {
 	var sels [maxSel + 1]int
 	for round := 0; round < 200; round++ {
 		pool := disk.MustPool(disk.MustMemStore(128<<rng.Intn(6)), 8, disk.LRU)
-		cfg := Config{ValueSize: []int{0, 0, 3, 8}[rng.Intn(4)], KeyBits: []int{8, 24, 40, 0}[rng.Intn(4)]}
+		cfg := Config{KeyBits: []int{8, 24, 40, 0}[rng.Intn(4)]}
 		tree, err := newTreeShell(pool, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -379,7 +379,7 @@ func TestFitSpanMatchesFrameOf(t *testing.T) {
 			fill := 0.5 + rng.Float64()/2
 			maxCount, maxBytes = int(fill*float64(maxCount)), int(fill*float64(maxBytes))
 		}
-		es := clusteredEntries(rng, tree.keyLen, tree.valueSize, rng.Intn(tree.keyLen-7), 1+rng.Intn(min(2*tree.leafCap, 600)))
+		es := clusteredEntries(rng, tree.keyLen, rng.Intn(tree.keyLen-7), 1+rng.Intn(min(2*tree.leafCap, 600)))
 		for _, step := range []int{+1, -1} {
 			run := func(n int) []Entry {
 				if step < 0 {
@@ -389,7 +389,7 @@ func TestFitSpanMatchesFrameOf(t *testing.T) {
 			}
 			want := 1
 			for n := 1; n <= min(len(es), maxCount); n++ {
-				if leafBytes(n, frameOf(run(n), tree.keyLen), tree.keyLen, tree.valueSize) <= maxBytes {
+				if leafBytes(n, frameOf(run(n), tree.keyLen), tree.keyLen) <= maxBytes {
 					want = n
 				}
 			}
@@ -401,8 +401,8 @@ func TestFitSpanMatchesFrameOf(t *testing.T) {
 			f := frameOf(run(got), tree.keyLen)
 			sels[f.sel]++
 			data := make([]byte, maxBytes)
-			encodeLeaf(data, run(got), f, tree.keyLen, tree.valueSize)
-			if back, err := decodeLeaf(data, tree.keyLen, tree.valueSize); err != nil || !reflect.DeepEqual(back, run(got)) {
+			encodeLeaf(data, run(got), f, tree.keyLen)
+			if back, err := decodeLeaf(data, tree.keyLen); err != nil || !reflect.DeepEqual(back, run(got)) {
 				t.Fatalf("round %d, step %+d: a run of %d decodes as %d entries, %v", round, step, got, len(back), err)
 			}
 		}

@@ -12,8 +12,6 @@ import (
 
 // Config tunes a tree.
 type Config struct {
-	// ValueSize is the fixed size of every value in bytes (>= 0).
-	ValueSize int
 	// LeafCapacity is the maximum number of entries per leaf, at most
 	// what fits the page at the widest frame (node.go). Zero derives
 	// the capacity from the page: a leaf is then bounded by its bytes,
@@ -42,15 +40,14 @@ type Config struct {
 // lifetime, and so does every cursor: a cursor comes from
 // Snapshot.Cursor and reads its snapshot's version.
 type Tree struct {
-	pool      *disk.Pool
-	pageSize  int
-	valueSize int
-	keyBits   int // leading bits of Key.Hi a stored key may set
-	keyLen    int // bytes of an encoded key
-	leafCap   int // max entries of a leaf
-	minLeaf   int // min entries of a leaf other than the root
-	cfgCap    int // Config.LeafCapacity: 0 derives leafCap and bounds leaves by bytes
-	fanout    int // max children of an internal node
+	pool     *disk.Pool
+	pageSize int
+	keyBits  int // leading bits of Key.Hi a stored key may set
+	keyLen   int // bytes of an encoded key
+	leafCap  int // max entries of a leaf
+	minLeaf  int // min entries of a leaf other than the root
+	cfgCap   int // Config.LeafCapacity: 0 derives leafCap and bounds leaves by bytes
+	fanout   int // max children of an internal node
 
 	// writeMu serializes structural writers (Insert, Delete, and
 	// version publication from Load).
@@ -79,10 +76,7 @@ type Tree struct {
 // published version yet; callers publish one via publishInitial.
 func newTreeShell(pool *disk.Pool, cfg Config) (*Tree, error) {
 	ps := pool.Store().PageSize()
-	valueSize, leafCapacity, keyBits := cfg.ValueSize, cfg.LeafCapacity, cfg.KeyBits
-	if valueSize < 0 {
-		return nil, fmt.Errorf("btree: negative value size")
-	}
+	leafCapacity, keyBits := cfg.LeafCapacity, cfg.KeyBits
 	if keyBits < 0 || keyBits > 64 {
 		return nil, fmt.Errorf("btree: key bits %d outside [0,64]", keyBits)
 	}
@@ -90,11 +84,10 @@ func newTreeShell(pool *disk.Pool, cfg Config) (*Tree, error) {
 		keyBits = 64
 	}
 	keyLen := keyLenFor(keyBits)
-	stride := keyLen + valueSize
 	// minCap entries fit a page at the widest frame, whatever their keys.
-	minCap := (ps - leafHeaderLen(keyLen)) / stride
+	minCap := (ps - leafHeaderLen(keyLen)) / keyLen
 	if minCap < 2 {
-		return nil, fmt.Errorf("btree: page size %d cannot hold 2 entries of %d bytes", ps, stride)
+		return nil, fmt.Errorf("btree: page size %d cannot hold 2 keys of %d bytes", ps, keyLen)
 	}
 	leafCap, minLeaf := leafCapacity, leafCapacity/2
 	if leafCap == 0 {
@@ -114,7 +107,7 @@ func newTreeShell(pool *disk.Pool, cfg Config) (*Tree, error) {
 	if fanout < 4 {
 		return nil, fmt.Errorf("btree: page size %d too small for internal nodes", ps)
 	}
-	return &Tree{pool: pool, pageSize: ps, valueSize: valueSize, keyBits: keyBits, keyLen: keyLen,
+	return &Tree{pool: pool, pageSize: ps, keyBits: keyBits, keyLen: keyLen,
 		leafCap: leafCap, minLeaf: minLeaf, cfgCap: leafCapacity, fanout: fanout}, nil
 }
 
@@ -124,7 +117,7 @@ func newTreeShell(pool *disk.Pool, cfg Config) (*Tree, error) {
 // always fits.
 func (t *Tree) fitLeaf(es []Entry) (leafFrame, bool) {
 	f := frameOf(es, t.keyLen)
-	return f, len(es) <= t.leafCap && leafBytes(len(es), f, t.keyLen, t.valueSize) <= t.pageSize
+	return f, len(es) <= t.leafCap && leafBytes(len(es), f, t.keyLen) <= t.pageSize
 }
 
 // fitSpan returns the length of the longest run of es, taken from its
@@ -150,7 +143,7 @@ func (t *Tree) fitSpan(es []Entry, step, maxCount, maxBytes int) int {
 			dz = -dz
 		}
 		lo, hi = min(lo, k.Lo), max(hi, k.Lo)
-		if n+1 > maxCount || leafBytes(n+1, leafFrame{zw: bytesFor(dz), iw: bytesFor(hi - lo)}, t.keyLen, t.valueSize) > maxBytes {
+		if n+1 > maxCount || leafBytes(n+1, leafFrame{zw: bytesFor(dz), iw: bytesFor(hi - lo)}, t.keyLen) > maxBytes {
 			break
 		}
 	}
@@ -159,7 +152,7 @@ func (t *Tree) fitSpan(es []Entry, step, maxCount, maxBytes int) int {
 		if step < 0 {
 			run = es[len(es)-n:]
 		}
-		return leafBytes(n, frameOf(run, t.keyLen), t.keyLen, t.valueSize) <= maxBytes
+		return leafBytes(n, frameOf(run, t.keyLen), t.keyLen) <= maxBytes
 	}
 	if top := min(len(es), maxCount); n < top && fits(n+1) {
 		n0 := n + 1
@@ -170,7 +163,7 @@ func (t *Tree) fitSpan(es []Entry, step, maxCount, maxBytes int) int {
 
 // putLeafImage makes data the canonical image of a leaf holding es.
 func (t *Tree) putLeafImage(data []byte, es []Entry) {
-	encodeLeaf(data, es, frameOf(es, t.keyLen), t.keyLen, t.valueSize)
+	encodeLeaf(data, es, frameOf(es, t.keyLen), t.keyLen)
 }
 
 // checkKey refuses a key the tree cannot store: one that sets a bit
@@ -230,7 +223,6 @@ type Meta struct {
 	Height       int // 1 = root is a leaf
 	Count        int
 	Leaves       int
-	ValueSize    int
 	LeafCapacity int // as configured: 0 when derived from the page size
 	KeyBits      int // as Config.KeyBits; it fixes the page layout
 }
@@ -244,7 +236,6 @@ func (t *Tree) Meta() Meta {
 		Height:       v.height,
 		Count:        v.count,
 		Leaves:       v.leaves,
-		ValueSize:    t.valueSize,
 		LeafCapacity: t.cfgCap,
 		KeyBits:      t.keyBits,
 	}
@@ -256,7 +247,7 @@ func (t *Tree) Meta() Meta {
 // pages; the first operation does. A derived capacity (0) is derived
 // again from the page size.
 func Attach(pool *disk.Pool, m Meta) (*Tree, error) {
-	t, err := newTreeShell(pool, Config{ValueSize: m.ValueSize, LeafCapacity: m.LeafCapacity, KeyBits: m.KeyBits})
+	t, err := newTreeShell(pool, Config{LeafCapacity: m.LeafCapacity, KeyBits: m.KeyBits})
 	if err != nil {
 		return nil, err
 	}
@@ -315,10 +306,10 @@ func searchLeaf(n []Entry, k Key) int {
 	return sort.Search(len(n), func(i int) bool { return !n[i].Key.Less(k) })
 }
 
-// getAt looks the key up in one committed version. The caller must
-// hold a pin on v (or be the serialized writer). Each page is searched
-// in its pool frame; only a value found is copied out.
-func (t *Tree) getAt(v *version, k Key) (value []byte, found bool, err error) {
+// getAt reports whether the key is in one committed version. The
+// caller must hold a pin on v (or be the serialized writer). Each page
+// is searched in its pool frame.
+func (t *Tree) getAt(v *version, k Key) (found bool, err error) {
 	var buf [encodedKeyLen]byte
 	enc := t.encodeKey(k, &buf)
 	id := v.root
@@ -334,27 +325,27 @@ func (t *Tree) getAt(v *version, k Key) (value []byte, found bool, err error) {
 		})
 	}
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
 	err = t.withPage(id, nil, func(data []byte) error {
-		p, err := viewLeaf(data, t.keyLen, t.valueSize)
+		p, err := viewLeaf(data, t.keyLen)
 		if err != nil {
 			return err
 		}
-		if i := p.search(k); i < p.count && p.key(i) == k {
-			value, found = append(make([]byte, 0, t.valueSize), p.value(i)...), true
-		}
+		i := p.search(k)
+		found = i < p.count && p.key(i) == k
 		return nil
 	})
-	return value, found, err
+	return found, err
 }
 
-// Get returns the value stored under the key in the current committed
-// version.
+// Get reports whether the key is in the current committed version.
+// The tree stores keys only, so the value is always nil.
 func (t *Tree) Get(k Key) ([]byte, bool, error) {
 	v := t.pin()
 	defer t.unpin(v)
-	return t.getAt(v, k)
+	found, err := t.getAt(v, k)
+	return nil, found, err
 }
 
 // ErrDuplicateKey is returned by Insert when the exact key exists.
@@ -408,7 +399,7 @@ func (w *cow) putLeafIn(old disk.PageID, es []Entry, f leafFrame) (disk.PageID, 
 	if err != nil {
 		return disk.InvalidPage, err
 	}
-	encodeLeaf(fr.Data, es, f, w.t.keyLen, w.t.valueSize)
+	encodeLeaf(fr.Data, es, f, w.t.keyLen)
 	return fr.ID, w.t.pool.Unpin(fr.ID, true)
 }
 
@@ -488,20 +479,20 @@ func (t *Tree) replaceUpward(w *cow, path []cowLevel, pi int, childID disk.PageI
 	return childID, nil
 }
 
-// Insert adds an entry. The value must be exactly ValueSize bytes.
-// Inserting an existing key returns ErrDuplicateKey, and a key that
-// sets bits of Hi below Config.KeyBits is an error. The insert is
+// Insert adds a key. The tree stores keys only: a non-empty value is
+// an error. Inserting an existing key returns ErrDuplicateKey, and a
+// key that sets bits of Hi below Config.KeyBits is an error. The insert is
 // copy-on-write: it builds new pages along the root-to-leaf path and
 // atomically publishes a new version, so concurrent snapshot readers
 // are undisturbed. A failed insert publishes nothing.
 func (t *Tree) Insert(k Key, value []byte) error {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	if len(value) != t.valueSize {
-		return fmt.Errorf("btree: value has %d bytes, want %d", len(value), t.valueSize)
+	if len(value) != 0 {
+		return fmt.Errorf("btree: value of %d bytes: the tree stores keys only", len(value))
 	}
 	w := &cow{t: t}
-	nv, err := t.insertCOW(w, t.currentVersion(), k, value)
+	nv, err := t.insertCOW(w, t.currentVersion(), k)
 	if err != nil {
 		w.abort()
 		return err
@@ -510,7 +501,7 @@ func (t *Tree) Insert(k Key, value []byte) error {
 	return nil
 }
 
-func (t *Tree) insertCOW(w *cow, v *version, k Key, value []byte) (*version, error) {
+func (t *Tree) insertCOW(w *cow, v *version, k Key) (*version, error) {
 	if err := t.checkKey(k); err != nil {
 		return nil, err
 	}
@@ -527,7 +518,7 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key, value []byte) (*version, err
 	if i < len(n) && n[i].Key == k {
 		return nil, ErrDuplicateKey
 	}
-	n = slices.Insert(n, i, Entry{Key: k, Value: append(make([]byte, 0, t.valueSize), value...)})
+	n = slices.Insert(n, i, Entry{Key: k})
 
 	nv := &version{seq: v.seq + 1, height: v.height, count: v.count + 1, leaves: v.leaves}
 	if f, ok := t.fitLeaf(n); ok {

@@ -1,9 +1,6 @@
 package btree
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Transaction commit machinery: a multi-statement transaction reads
 // from a pinned snapshot (version.go) and buffers its writes; at
@@ -27,7 +24,6 @@ import (
 // Mutation is one buffered write of a transaction's write-set.
 type Mutation struct {
 	Key    Key
-	Value  []byte // ignored when Delete is set
 	Delete bool
 }
 
@@ -116,9 +112,6 @@ func (t *Tree) CommitBatch(baseSeq uint64, muts []Mutation) error {
 
 	keys := make(map[Key]struct{}, len(muts))
 	for _, m := range muts {
-		if !m.Delete && len(m.Value) != t.valueSize {
-			return fmt.Errorf("btree: value has %d bytes, want %d", len(m.Value), t.valueSize)
-		}
 		keys[m.Key] = struct{}{}
 	}
 	if err := t.validateBatch(baseSeq, keys); err != nil {
@@ -142,7 +135,7 @@ func (t *Tree) CommitBatch(baseSeq uint64, muts []Mutation) error {
 			}
 			v = nv
 		} else {
-			nv, err := t.insertCOW(w, v, m.Key, m.Value)
+			nv, err := t.insertCOW(w, v, m.Key)
 			if err != nil {
 				w.abort()
 				return err

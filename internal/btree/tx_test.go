@@ -10,18 +10,18 @@ import (
 // publishes exactly one new version whose content equals applying the
 // mutations in order.
 func TestCommitBatchAtomicPublish(t *testing.T) {
-	tree := newTestTree(t, 256, 4, 8, 64)
+	tree := newTestTree(t, 256, 4, 64)
 	for i := uint64(0); i < 20; i++ {
-		if err := tree.Insert(Key{Hi: i, Lo: i}, val8(i)); err != nil {
+		if err := tree.Insert(Key{Hi: i, Lo: i}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	before := tree.MVCCStats().Seq
 
 	muts := []Mutation{
-		{Key: Key{Hi: 100, Lo: 1}, Value: val8(100)},
+		{Key: Key{Hi: 100, Lo: 1}},
 		{Key: Key{Hi: 5, Lo: 5}, Delete: true},
-		{Key: Key{Hi: 101, Lo: 2}, Value: val8(101)},
+		{Key: Key{Hi: 101, Lo: 2}},
 		{Key: Key{Hi: 6, Lo: 6}, Delete: true},
 		{Key: Key{Hi: 999, Lo: 9}, Delete: true}, // absent: no-op
 	}
@@ -52,9 +52,9 @@ func TestCommitBatchAtomicPublish(t *testing.T) {
 // TestCommitBatchSnapshotUndisturbed: a snapshot pinned before a batch
 // never observes any of its effects.
 func TestCommitBatchSnapshotUndisturbed(t *testing.T) {
-	tree := newTestTree(t, 256, 4, 8, 64)
+	tree := newTestTree(t, 256, 4, 64)
 	for i := uint64(0); i < 10; i++ {
-		if err := tree.Insert(Key{Hi: i, Lo: i}, val8(i)); err != nil {
+		if err := tree.Insert(Key{Hi: i, Lo: i}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,7 +62,7 @@ func TestCommitBatchSnapshotUndisturbed(t *testing.T) {
 	defer snap.Release()
 
 	if err := tree.CommitBatch(snap.Seq(), []Mutation{
-		{Key: Key{Hi: 50, Lo: 0}, Value: val8(50)},
+		{Key: Key{Hi: 50, Lo: 0}},
 		{Key: Key{Hi: 3, Lo: 3}, Delete: true},
 	}); err != nil {
 		t.Fatal(err)
@@ -82,9 +82,9 @@ func TestCommitBatchSnapshotUndisturbed(t *testing.T) {
 // touches a key in the write-set, the batch fails with ErrConflict and
 // publishes nothing; disjoint concurrent writes do not conflict.
 func TestCommitBatchConflict(t *testing.T) {
-	tree := newTestTree(t, 256, 4, 8, 64)
+	tree := newTestTree(t, 256, 4, 64)
 	for i := uint64(0); i < 10; i++ {
-		if err := tree.Insert(Key{Hi: i, Lo: i}, val8(i)); err != nil {
+		if err := tree.Insert(Key{Hi: i, Lo: i}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,8 +100,8 @@ func TestCommitBatchConflict(t *testing.T) {
 
 	// Overlapping write-set: must conflict, nothing published.
 	err := tree.CommitBatch(base, []Mutation{
-		{Key: Key{Hi: 4, Lo: 4}, Value: val8(4)},
-		{Key: Key{Hi: 70, Lo: 0}, Value: val8(70)},
+		{Key: Key{Hi: 4, Lo: 4}},
+		{Key: Key{Hi: 70, Lo: 0}},
 	})
 	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("overlapping batch: got %v, want ErrConflict", err)
@@ -115,7 +115,7 @@ func TestCommitBatchConflict(t *testing.T) {
 
 	// Disjoint write-set from the same base: wins.
 	if err := tree.CommitBatch(base, []Mutation{
-		{Key: Key{Hi: 71, Lo: 0}, Value: val8(71)},
+		{Key: Key{Hi: 71, Lo: 0}},
 	}); err != nil {
 		t.Fatalf("disjoint batch: %v", err)
 	}
@@ -124,11 +124,11 @@ func TestCommitBatchConflict(t *testing.T) {
 // TestCommitBatchValidationBelowPrunedFloor: once the commit log has
 // been pruned past a base sequence, validation fails conservatively.
 func TestCommitBatchValidationBelowPrunedFloor(t *testing.T) {
-	tree := newTestTree(t, 256, 4, 8, 64)
+	tree := newTestTree(t, 256, 4, 64)
 	base := tree.MVCCStats().Seq
 	// With nothing pinned, each commit prunes the log up to itself.
 	for i := uint64(0); i < 5; i++ {
-		if err := tree.Insert(Key{Hi: i, Lo: i}, val8(i)); err != nil {
+		if err := tree.Insert(Key{Hi: i, Lo: i}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestCommitBatchValidationBelowPrunedFloor(t *testing.T) {
 	if n := tree.MVCCStats().CommitRecords; n != 0 {
 		t.Fatalf("commit log not pruned with nothing pinned: %d records", n)
 	}
-	err := tree.CommitBatch(base, []Mutation{{Key: Key{Hi: 90, Lo: 0}, Value: val8(90)}})
+	err := tree.CommitBatch(base, []Mutation{{Key: Key{Hi: 90, Lo: 0}}})
 	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("below-floor base: got %v, want conservative ErrConflict", err)
 	}
@@ -146,15 +146,15 @@ func TestCommitBatchValidationBelowPrunedFloor(t *testing.T) {
 // so the records a transaction needs survive arbitrary interleaved
 // commits, and a disjoint batch from the old base still succeeds.
 func TestCommitBatchPinnedKeepsLog(t *testing.T) {
-	tree := newTestTree(t, 256, 4, 8, 64)
-	if err := tree.Insert(Key{Hi: 1, Lo: 1}, val8(1)); err != nil {
+	tree := newTestTree(t, 256, 4, 64)
+	if err := tree.Insert(Key{Hi: 1, Lo: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap := tree.Snapshot()
 	defer snap.Release()
 	base := snap.Seq()
 	for i := uint64(10); i < 40; i++ {
-		if err := tree.Insert(Key{Hi: i, Lo: i}, val8(i)); err != nil {
+		if err := tree.Insert(Key{Hi: i, Lo: i}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,12 +162,12 @@ func TestCommitBatchPinnedKeepsLog(t *testing.T) {
 		t.Fatalf("commit log pruned under a pinned snapshot: %d records, want 30", n)
 	}
 	if err := tree.CommitBatch(base, []Mutation{
-		{Key: Key{Hi: 90, Lo: 0}, Value: val8(90)},
+		{Key: Key{Hi: 90, Lo: 0}},
 	}); err != nil {
 		t.Fatalf("disjoint batch under long pin: %v", err)
 	}
 	if err := tree.CommitBatch(base, []Mutation{
-		{Key: Key{Hi: 20, Lo: 20}, Value: val8(0)},
+		{Key: Key{Hi: 20, Lo: 20}},
 	}); !errors.Is(err, ErrConflict) {
 		t.Fatalf("overlapping batch under long pin: got %v, want ErrConflict", err)
 	}
@@ -175,7 +175,7 @@ func TestCommitBatchPinnedKeepsLog(t *testing.T) {
 
 // TestCommitBatchEmpty: empty and all-no-op batches publish nothing.
 func TestCommitBatchEmpty(t *testing.T) {
-	tree := newTestTree(t, 256, 4, 8, 64)
+	tree := newTestTree(t, 256, 4, 64)
 	base := tree.MVCCStats().Seq
 	if err := tree.CommitBatch(base, nil); err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestCommitBatchEmpty(t *testing.T) {
 func TestCommitBatchRandomizedVsSerial(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tree := newTestTree(t, 256, 4+rng.Intn(6), 8, 128)
+		tree := newTestTree(t, 256, 4+rng.Intn(6), 128)
 		model := map[Key]uint64{}
 		for batch := 0; batch < 20; batch++ {
 			base := tree.MVCCStats().Seq
@@ -210,7 +210,7 @@ func TestCommitBatchRandomizedVsSerial(t *testing.T) {
 					muts = append(muts, Mutation{Key: k, Delete: true})
 					staged[k] = false
 				} else {
-					muts = append(muts, Mutation{Key: k, Value: val8(k.Hi)})
+					muts = append(muts, Mutation{Key: k})
 					staged[k] = true
 				}
 			}

@@ -261,10 +261,12 @@ func (s *Snapshot) LeafPages() int { return s.v.leaves }
 // are invisible to it.
 func (s *Snapshot) Cursor() *Cursor { return &Cursor{snap: s} }
 
-// Get returns the value stored under the key in the snapshot.
+// Get reports whether the key is in the snapshot. The tree stores keys
+// only, so the value is always nil.
 func (s *Snapshot) Get(k Key) ([]byte, bool, error) {
 	if s.released {
 		return nil, false, fmt.Errorf("btree: Get on released snapshot")
 	}
-	return s.t.getAt(s.v, k)
+	found, err := s.t.getAt(s.v, k)
+	return nil, found, err
 }

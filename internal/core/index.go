@@ -132,10 +132,10 @@ func NewIndexBulk(pool *disk.Pool, g zorder.Grid, cfg IndexConfig, pts []geom.Po
 }
 
 // treeConfig is the tree geometry of a point index or element store
-// on grid g: no value payload, and keys as wide as the grid's z
-// values, which are left-justified in Key.Hi.
+// on grid g: keys as wide as the grid's z values, which are
+// left-justified in Key.Hi.
 func treeConfig(g zorder.Grid, leafCapacity int) btree.Config {
-	return btree.Config{ValueSize: 0, LeafCapacity: leafCapacity, KeyBits: g.TotalBits()}
+	return btree.Config{LeafCapacity: leafCapacity, KeyBits: g.TotalBits()}
 }
 
 // OpenIndex reattaches to an existing index whose tree pages live on
@@ -143,9 +143,6 @@ func treeConfig(g zorder.Grid, leafCapacity int) btree.Config {
 // durable database facade uses it on reopen; the key width is the
 // grid's, as at creation, whatever m carries.
 func OpenIndex(pool *disk.Pool, g zorder.Grid, m btree.Meta) (*Index, error) {
-	if m.ValueSize != 0 {
-		return nil, fmt.Errorf("core: index tree has value size %d, want 0", m.ValueSize)
-	}
 	m.KeyBits = g.TotalBits()
 	tree, err := btree.Attach(pool, m)
 	if err != nil {

@@ -140,9 +140,7 @@ func (ix *reader) nearestRound(s *scratch, ctx context.Context, q []uint32, r ui
 	if err != nil {
 		return 0, false, err
 	}
-	agg.DataPages += stats.DataPages
-	agg.Seeks += stats.Seeks
-	agg.Elements += stats.Elements
+	agg.Add(stats)
 	return stats.Results, whole, nil
 }
 

@@ -60,6 +60,30 @@ type QueryStats struct {
 	ChecksumFailures uint64
 }
 
+// Add sums every counter of o into s but Results, which each caller
+// sets from the answer it returns: a statement's rows, a gather's
+// merged points.
+func (s *QueryStats) Add(o QueryStats) {
+	s.DataPages += o.DataPages
+	s.Seeks += o.Seeks
+	s.Elements += o.Elements
+	s.LeftItems += o.LeftItems
+	s.RightItems += o.RightItems
+	s.RawPairs += o.RawPairs
+	s.DistinctPairs += o.DistinctPairs
+	s.PoolGets += o.PoolGets
+	s.PoolHits += o.PoolHits
+	s.PoolMisses += o.PoolMisses
+	s.PoolEvictions += o.PoolEvictions
+	s.PoolWriteBacks += o.PoolWriteBacks
+	s.PhysReads += o.PhysReads
+	s.PhysWrites += o.PhysWrites
+	s.WALAppends += o.WALAppends
+	s.WALSyncs += o.WALSyncs
+	s.PagesRecovered += o.PagesRecovered
+	s.ChecksumFailures += o.ChecksumFailures
+}
+
 // Efficiency returns the paper's efficiency measure: how much
 // relevant data was on each retrieved page, as results divided by
 // retrieved capacity.

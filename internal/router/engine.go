@@ -71,7 +71,7 @@ func (e *clusterEngine) Table() *planner.Table { return nil }
 
 func (e *clusterEngine) RangeFunc(ctx context.Context, box geom.Box, fn func(geom.Point) bool) error {
 	qs, err := e.r.Range(ctx, box, fn)
-	e.stats = addStats(e.stats, qs)
+	e.stats.Add(qs)
 	return err
 }
 
@@ -88,6 +88,6 @@ func (e *clusterEngine) Join(ctx context.Context, regions []geom.Box, fn func(in
 
 func (e *clusterEngine) Nearest(ctx context.Context, q []uint32, k int) ([]core.Neighbor, error) {
 	nbs, qs, err := e.r.Nearest(ctx, q, k, probe.Euclidean)
-	e.stats = addStats(e.stats, qs)
+	e.stats.Add(qs)
 	return nbs, err
 }

@@ -348,7 +348,7 @@ func (r *Router) Range(ctx context.Context, box probe.Box, fn func(probe.Point) 
 					err = sctx.Err()
 				}
 				qsMu.Lock()
-				total = addStats(total, qs)
+				total.Add(qs)
 				qsMu.Unlock()
 				return err
 			})
@@ -437,7 +437,7 @@ func (r *Router) Nearest(ctx context.Context, q []uint32, m int, metric probe.Me
 	rest = slices.DeleteFunc(rest, func(i int) bool { return i == owner })
 	asked += len(rest)
 	qs, err := r.fanAll(ctx, rest, (*backend).read, ask)
-	total = addStats(total, qs)
+	total.Add(qs)
 	if err != nil {
 		return nil, total, err
 	}
@@ -488,7 +488,7 @@ func (r *Router) fanAll(ctx context.Context, idxs []int, do func(*backend, conte
 		if errs[k] != nil {
 			return total, errs[k]
 		}
-		total = addStats(total, stats[k])
+		total.Add(stats[k])
 	}
 	return total, nil
 }
@@ -603,7 +603,7 @@ func (r *Router) applyWrite(ctx context.Context, pts []probe.Point,
 		if len(byShard[i]) > 0 {
 			okShards++
 		}
-		total = addStats(total, statsList[i])
+		total.Add(statsList[i])
 		total.Results += statsList[i].Results
 	}
 	if firstErr != nil {
@@ -686,24 +686,4 @@ func (r *Router) ErrorCode(err error) uint8 {
 func (r *Router) observeFanout(op string, shards int) {
 	r.Metrics().Int("router.requests." + op).Add(1)
 	r.Metrics().Histogram("router.fanout.shards").Observe(int64(shards))
-}
-
-// addStats sums the per-shard execution stats (Results excluded: the
-// gather decides what the client actually received).
-func addStats(a, b probe.QueryStats) probe.QueryStats {
-	a.DataPages += b.DataPages
-	a.Seeks += b.Seeks
-	a.Elements += b.Elements
-	a.LeftItems += b.LeftItems
-	a.RightItems += b.RightItems
-	a.RawPairs += b.RawPairs
-	a.DistinctPairs += b.DistinctPairs
-	a.PoolGets += b.PoolGets
-	a.PoolHits += b.PoolHits
-	a.PoolMisses += b.PoolMisses
-	a.PhysReads += b.PhysReads
-	a.PhysWrites += b.PhysWrites
-	a.WALAppends += b.WALAppends
-	a.WALSyncs += b.WALSyncs
-	return a
 }

@@ -35,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"probe/internal/btree"
 	"probe/internal/conncomp"
@@ -178,22 +179,24 @@ func DetectInterference(g Grid, parts []Part, maxLen int) ([]interfere.Pair, int
 // maintenance (Checkpoint, DropCaches, Close) serialize on db.mu.
 //
 // A read never touches db.mu, so it neither blocks behind a writer nor
-// delays one, and its streaming callback may write, though not while
-// Close runs (docs/mvcc.md); the callback only keeps its version
-// pinned, deferring page reclamation and briefly delaying Close. A
-// trace (WithTrace) changes none of that: the read carries its span
-// down to the B+-tree cursor, whose page loads count on it, so every
-// counter of a traced read (seeks, data pages, the paper's metric,
-// elements, results, pool gets, hits and misses, the physical reads
-// its misses cost) is its own, whatever runs beside it.
+// delays one, and its streaming callback may read and write; while
+// Close runs those nested calls fail with ErrClosed (docs/mvcc.md). The
+// callback only keeps its version pinned, deferring page reclamation
+// and briefly delaying Close. A trace (WithTrace) changes none of that:
+// the read carries its span down to the B+-tree cursor, whose page
+// loads count on it, so every counter of a traced read (seeks, data
+// pages, the paper's metric, elements, results, pool gets, hits and
+// misses, the physical reads its misses cost) is its own, whatever
+// runs beside it.
 type DB struct {
 	// mu serializes writers and maintenance.
 	mu sync.Mutex
-	// stateMu guards db.closed against the read path: reads hold it
-	// shared for their whole query; Close takes it exclusively after
-	// its final checkpoint, so the store is never released under a
-	// running read.
-	stateMu sync.RWMutex
+	// gate admits the read path, each read for its whole query; Close
+	// shuts it after its final checkpoint and waits for the admitted
+	// reads to leave, so the store is never released under a running
+	// read.
+	gate      readGate
+	closeOnce sync.Once
 
 	grid      Grid
 	store     disk.Store
@@ -204,7 +207,7 @@ type DB struct {
 	txMetrics *obs.Registry // transaction counters (probe_tx_*)
 	ops       opCounts
 
-	closed    bool // written under db.mu AND stateMu
+	closed    bool // guarded by db.mu; the read path asks the gate
 	recovered bool
 	recovery  disk.RecoveryInfo
 }
@@ -278,29 +281,77 @@ func (db *DB) initMetrics() *DB {
 // ErrClosed is returned by every DB operation attempted after Close.
 //
 // The close-while-querying contract: writers serialize with Close on
-// db.mu; every read holds stateMu shared for its whole query and Close
-// takes it exclusively before releasing the store. Either way Close
-// never yanks the store out from under a running operation — it
-// blocks until in-flight operations finish (cancel them first via
-// WithContext for a prompt close), and every operation that starts
-// after Close fails with ErrClosed before touching the index or the
-// store. The network server's drain sequence is built on exactly this
-// contract.
+// db.mu; every read is admitted through the read gate for its whole
+// query, and Close shuts the gate and waits for the admitted reads
+// before releasing the store. Either way Close never yanks the store
+// out from under a running operation — it blocks until in-flight
+// operations finish (cancel them first via WithContext for a prompt
+// close), and every operation that starts after Close marks the
+// database closed fails with ErrClosed before touching the index or
+// the store. The network server's drain sequence is built on exactly
+// this contract.
 var ErrClosed = errors.New("probe: database is closed")
 
-// usableLocked verifies, under db.mu (writers) or a shared stateMu
-// (the read path), that the database is open and the operation's
-// context (nil = none) is still live; every entry point calls it
-// before touching the index. An operation cancelled while queued
-// behind a mutex therefore fails here, without touching any pages.
+// usableLocked verifies, under db.mu, that the database is open and
+// the operation's context (nil = none) is still live; every writer
+// calls it before touching the index. An operation cancelled while
+// queued behind the mutex therefore fails here, without touching any
+// pages.
 func (db *DB) usableLocked(ctx context.Context) error {
 	if db.closed {
 		return ErrClosed
 	}
 	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+		return ctx.Err()
+	}
+	return nil
+}
+
+// readGate admits reads until Close shuts it. Admission never waits:
+// it is one atomic add, so a read nested in another's callback is
+// admitted or refused at once, never queued behind Close.
+type readGate struct {
+	n       atomic.Int64  // admitted reads, plus gateShut once shut
+	drained chan struct{} // made by shut before it sets gateShut
+	once    sync.Once     // closes drained when the last read leaves
+}
+
+const gateShut = 1 << 62
+
+// enter admits a read, reporting false once the gate is shut. An
+// admitted read calls leave exactly once.
+func (g *readGate) enter() bool {
+	if g.n.Add(1) < gateShut {
+		return true
+	}
+	g.leave()
+	return false
+}
+
+func (g *readGate) leave() {
+	if g.n.Add(-1) == gateShut {
+		g.once.Do(func() { close(g.drained) })
+	}
+}
+
+// shut refuses every later read and returns once the admitted reads
+// have left. It is called once.
+func (g *readGate) shut() {
+	g.drained = make(chan struct{})
+	if g.n.Add(gateShut) != gateShut {
+		<-g.drained
+	}
+}
+
+// admitRead admits a read through the gate and checks its context;
+// after a nil error the caller calls db.gate.leave exactly once.
+func (db *DB) admitRead(ctx context.Context) error {
+	if !db.gate.enter() {
+		return ErrClosed
+	}
+	if ctx != nil && ctx.Err() != nil {
+		db.gate.leave()
+		return ctx.Err()
 	}
 	return nil
 }
@@ -318,15 +369,13 @@ func (db *DB) endOp(op string, n *obs.Int, sp *Trace) {
 	db.metrics.AddSpan(op, sp)
 }
 
-// beginRead enters the read path, traced or not: it takes stateMu
-// shared, verifies the database is usable, and pins the newest
-// committed index version by value in a recycled scratch
-// (core.Index.Pin). The caller runs its query on the snapshot, one
-// search at a time, and calls endRead exactly once.
+// beginRead enters the read path, traced or not: it is admitted
+// through the gate (admitRead) and pins the newest committed index
+// version by value in a recycled scratch (core.Index.Pin). The caller
+// runs its query on the snapshot, one search at a time, and calls
+// endRead exactly once.
 func (db *DB) beginRead(ctx context.Context) (*core.IndexSnapshot, error) {
-	db.stateMu.RLock()
-	if err := db.usableLocked(ctx); err != nil {
-		db.stateMu.RUnlock()
+	if err := db.admitRead(ctx); err != nil {
 		return nil, err
 	}
 	return db.index.Pin(), nil
@@ -335,7 +384,7 @@ func (db *DB) beginRead(ctx context.Context) (*core.IndexSnapshot, error) {
 // endRead ends what beginRead began.
 func (db *DB) endRead(snap *core.IndexSnapshot) {
 	snap.Release()
-	db.stateMu.RUnlock()
+	db.gate.leave()
 }
 
 // Metrics returns the database's cumulative metrics registry. Every
@@ -378,11 +427,10 @@ type MVCCStats = btree.MVCCStats
 
 // MVCCStats snapshots the index's multi-version state.
 func (db *DB) MVCCStats() MVCCStats {
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
-	if db.closed {
+	if !db.gate.enter() {
 		return MVCCStats{}
 	}
+	defer db.gate.leave()
 	return db.index.Tree().MVCCStats()
 }
 
@@ -392,11 +440,10 @@ func (db *DB) Grid() Grid { return db.grid }
 // Len returns the number of indexed points (0 after Close). It reads
 // the newest committed version and never blocks behind a writer.
 func (db *DB) Len() int {
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
-	if db.closed {
+	if !db.gate.enter() {
 		return 0
 	}
+	defer db.gate.leave()
 	return db.index.Len()
 }
 
@@ -505,11 +552,10 @@ func (db *DB) PartialMatch(restricted []bool, value []uint32, opts ...QueryOptio
 // Close). It reads the newest committed version and never blocks
 // behind a writer.
 func (db *DB) LeafPages() int {
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
-	if db.closed {
+	if !db.gate.enter() {
 		return 0
 	}
+	defer db.gate.leave()
 	return db.index.Tree().LeafPages()
 }
 

@@ -262,7 +262,7 @@ func (e *stmtEngine) context(ctx context.Context) context.Context {
 // transaction's leaves its snapshot to the transaction.
 func (e *stmtEngine) release() {
 	if e.tx != nil {
-		e.db.stateMu.RUnlock()
+		e.db.gate.leave()
 		return
 	}
 	e.db.endRead(e.snap)
@@ -273,7 +273,7 @@ func (e *stmtEngine) release() {
 // Engine contract allows: the plan copies each point into its cells.
 func (e *stmtEngine) RangeFunc(ctx context.Context, box geom.Box, fn func(geom.Point) bool) error {
 	ss, err := e.snap.RangeScanCtx(e.context(ctx), box, fn)
-	addSearch(&e.qs, ss)
+	e.qs.Add(ss)
 	return err
 }
 
@@ -281,20 +281,12 @@ func (e *stmtEngine) RangeFunc(ctx context.Context, box geom.Box, fn func(geom.P
 // snapshot, which hands each region its points in z order.
 func (e *stmtEngine) Join(ctx context.Context, regions []geom.Box, fn func(int, geom.Point)) error {
 	ss, err := e.snap.JoinScanCtx(e.context(ctx), regions, fn)
-	addSearch(&e.qs, ss)
+	e.qs.Add(ss)
 	return err
 }
 
 func (e *stmtEngine) Nearest(ctx context.Context, q []uint32, k int) ([]core.Neighbor, error) {
 	nbs, ss, err := e.snap.NearestCtx(e.context(ctx), q, k, core.Euclidean, nil)
-	addSearch(&e.qs, ss)
+	e.qs.Add(ss)
 	return nbs, err
-}
-
-// addSearch folds one scan's search stats into the accumulating
-// statement stats s (Results is set by the statement, not per scan).
-func addSearch(s *QueryStats, ss QueryStats) {
-	s.DataPages += ss.DataPages
-	s.Seeks += ss.Seeks
-	s.Elements += ss.Elements
 }

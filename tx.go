@@ -76,7 +76,8 @@ func newTxMetrics() *obs.Registry {
 }
 
 // newTx pins the current committed version. The caller must have
-// established that the database is usable (stateMu shared or db.mu).
+// established that the database is usable (admitted through the read
+// gate, or under db.mu).
 func (db *DB) newTx(ctx context.Context, writable, auto bool) *Tx {
 	tx := &Tx{db: db, ctx: ctx, snap: db.index.Snapshot(), writable: writable, auto: auto}
 	if !auto {
@@ -93,11 +94,10 @@ func (db *DB) newTx(ctx context.Context, writable, auto bool) *Tx {
 // conflicts surface at Commit. Prefer the Update closure, which
 // handles the end-of-transaction bookkeeping.
 func (db *DB) Begin(ctx context.Context) (*Tx, error) {
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
-	if err := db.usableLocked(ctx); err != nil {
+	if err := db.admitRead(ctx); err != nil {
 		return nil, err
 	}
+	defer db.gate.leave()
 	return db.newTx(ctx, true, false), nil
 }
 
@@ -106,16 +106,11 @@ func (db *DB) Begin(ctx context.Context) (*Tx, error) {
 // meanwhile. The transaction ends when fn returns; its error (nil or
 // not) is returned.
 func (db *DB) View(ctx context.Context, fn func(*Tx) error) error {
-	db.stateMu.RLock()
-	err := db.usableLocked(ctx)
-	var tx *Tx
-	if err == nil {
-		tx = db.newTx(ctx, false, false)
-	}
-	db.stateMu.RUnlock()
-	if err != nil {
+	if err := db.admitRead(ctx); err != nil {
 		return err
 	}
+	tx := db.newTx(ctx, false, false)
+	db.gate.leave()
 	defer tx.Rollback()
 	if err := fn(tx); err != nil {
 		return err
@@ -161,19 +156,15 @@ func (db *DB) updateAuto(ctx context.Context, fn func(*Tx) error) error {
 }
 
 // begin enters one transaction statement: it rejects ended
-// transactions, then holds the database open (stateMu shared) for the
-// statement's duration: after a nil error the caller defers
-// tx.db.stateMu.RUnlock(). ctx is the statement's effective context.
+// transactions, then holds the database open (admitted through the
+// read gate) for the statement's duration: after a nil error the
+// caller defers tx.db.gate.leave(). ctx is the statement's effective
+// context.
 func (tx *Tx) begin(ctx context.Context) error {
 	if tx.done {
 		return ErrTxAborted
 	}
-	tx.db.stateMu.RLock()
-	if err := tx.db.usableLocked(ctx); err != nil {
-		tx.db.stateMu.RUnlock()
-		return err
-	}
-	return nil
+	return tx.db.admitRead(ctx)
 }
 
 // statementCtx resolves a statement's context: a WithContext option
@@ -232,7 +223,7 @@ func (tx *Tx) write(p Point, del bool) (bool, error) {
 	if err := tx.begin(tx.ctx); err != nil {
 		return false, err
 	}
-	defer tx.db.stateMu.RUnlock()
+	defer tx.db.gate.leave()
 	if !tx.writable {
 		return false, ErrTxReadOnly
 	}
@@ -270,15 +261,15 @@ func (tx *Tx) DeleteBox(box Box, opts ...QueryOption) (int, error) {
 // RangeSearch returns all points inside the box as seen by the
 // transaction, in z order: the merge of the box's elements against the
 // pinned snapshot with the buffered writes applied. It accepts
-// WithContext; WithTrace is ignored (snapshot reads carry no physical
-// attribution).
+// WithContext; WithTrace is ignored: a transaction's reads are not
+// traced.
 func (tx *Tx) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, error) {
 	qc := queryOptions(opts)
 	ctx := tx.statementCtx(&qc)
 	if err := tx.begin(ctx); err != nil {
 		return nil, QueryStats{}, err
 	}
-	defer tx.db.stateMu.RUnlock()
+	defer tx.db.gate.leave()
 	return tx.snap.RangeSearchCtx(ctx, box, nil)
 }
 
@@ -317,7 +308,7 @@ func (tx *Tx) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]
 	if err := tx.begin(ctx); err != nil {
 		return nil, QueryStats{}, err
 	}
-	defer tx.db.stateMu.RUnlock()
+	defer tx.db.gate.leave()
 	return tx.snap.NearestCtx(ctx, q, m, metric, nil)
 }
 
