@@ -351,41 +351,6 @@ func BenchmarkAblationRangeStrategies(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBufferPolicy validates the paper's LRU claim
-// (Section 4): on merge-dominated workloads LRU, FIFO and Random are
-// all serviceable, with LRU at least as good on re-traversals.
-func BenchmarkAblationBufferPolicy(b *testing.B) {
-	for _, policy := range []disk.Policy{disk.LRU, disk.FIFO, disk.Random} {
-		b.Run(policy.String(), func(b *testing.B) {
-			store := disk.MustMemStore(1024)
-			pool := disk.MustPool(store, 16, policy)
-			ix, err := core.NewIndex(pool, zorder.MustGrid(2, 10), core.IndexConfig{LeafCapacity: 20})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := ix.BulkLoad(workload.Uniform(zorder.MustGrid(2, 10), 5000, 3)); err != nil {
-				b.Fatal(err)
-			}
-			boxes, err := workload.Queries(zorder.MustGrid(2, 10), workload.QuerySpec{Volume: 0.04, Aspect: 1}, 10, 11)
-			if err != nil {
-				b.Fatal(err)
-			}
-			store.ResetStats()
-			b.ResetTimer()
-			var reads float64
-			for i := 0; i < b.N; i++ {
-				for _, box := range boxes {
-					if _, _, err := ix.RangeSearch(box, core.MergeLazy); err != nil {
-						b.Fatal(err)
-					}
-				}
-				reads = float64(store.Stats().Reads)
-			}
-			b.ReportMetric(reads/float64(b.N*len(boxes)), "physical-reads/query")
-		})
-	}
-}
-
 // BenchmarkInsertThroughput measures index build rate at the paper's
 // page capacity.
 func BenchmarkInsertThroughput(b *testing.B) {

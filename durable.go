@@ -316,7 +316,10 @@ func (db *DB) checkpointLocked() error {
 // releases the store. It therefore never releases the store underneath
 // a running operation of either kind, and a read's callback that calls
 // back into the database while Close waits fails with ErrClosed
-// instead of deadlocking. A concurrent second Close returns once the
+// instead of deadlocking. Called from a read's own callback, Close
+// waits for every read but the ones it runs inside and returns; the
+// last of those releases the store as it leaves, and an error closing
+// the store is then lost. A concurrent second Close returns once the
 // first has finished. To close
 // promptly while long queries are running, cancel them first (run
 // queries under WithContext and cancel the context); the server
@@ -345,11 +348,14 @@ func (db *DB) close(checkpoint bool) (err error) {
 		db.mu.Unlock()
 		// Drain the read path holding no lock: a read's callback may
 		// call back into the database, and finds it closed.
-		db.gate.shut()
-		if db.rs != nil {
-			if cerr := db.rs.Close(); err == nil {
-				err = cerr
+		var cerr error
+		release := func() {
+			if db.rs != nil {
+				cerr = db.rs.Close()
 			}
+		}
+		if db.gate.shut(ownReads(), release) && err == nil {
+			err = cerr
 		}
 	})
 	return err

@@ -52,24 +52,19 @@ func (s *Snapshot) CheckInvariants() error {
 	var lastKey Key
 	haveLast := false
 	stack := []visit{{id: v.root, depth: 1}}
-	// Each page is checked on a copy of its image, so no pin is held
-	// while the walk goes on. An internal page keeps its copy, which
-	// the bounds of its children point into; a leaf hands its copy on
-	// to the next page.
-	var spare []byte
+	// Each page is checked on its pool image, which never changes; the
+	// bounds of an internal page's children point into it.
 	var buf [encodedKeyLen]byte
 	// Depth-first, leaves visited left to right.
 	for len(stack) > 0 {
 		vi := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		data, err := t.copyPage(vi.id, spare, nil)
+		data, err := t.pool.View(vi.id, nil)
 		if err != nil {
 			return err
 		}
-		spare = nil
 		switch typ := nodeType(data[0]); typ {
 		case leafType:
-			spare = data
 			p, err := viewLeaf(data, t.keyLen)
 			if err != nil {
 				return err

@@ -18,19 +18,19 @@ import (
 // caches always belongs to that version. It moves forward only, as the
 // merge does.
 //
-// A cursor owns one page-sized buffer per level of its descent path —
-// the internal pages from the root down, plus one leaf. Loading a page
-// is one copy of its image into that level's buffer under a pin
-// released at once; the cursor then searches its copy in place through
-// a page view (node.go). It holds no pin of its own between steps, so
-// any number of cursors may be open, and after its first descent a
-// cursor allocates nothing. Sequential steps reuse the cached path:
-// advancing to a neighboring leaf under the same parent costs one leaf
-// read, with internal reads only when the walk crosses a subtree
-// boundary. A cursor must not be shared between goroutines.
+// A cursor holds a view of each page on its descent path — the
+// internal pages from the root down, plus one leaf — straight from the
+// buffer pool (disk.Pool.View). A published page image never changes,
+// so a view stays right for as long as the cursor keeps it, with no
+// pin and no copy; the cursor searches it in place through a page view
+// (node.go). Any number of cursors may be open, and after its first
+// descent a cursor allocates nothing. Sequential steps reuse the
+// cached path: advancing to a neighboring leaf under the same parent
+// costs one leaf read, with internal reads only when the walk crosses
+// a subtree boundary. A cursor must not be shared between goroutines.
 type Cursor struct {
 	snap  *Snapshot
-	stack []cursorLevel // levels past len keep their buffers for reuse
+	stack []cursorLevel // the internal pages of the path, root first
 	leaf  leafPage      // the leaf under the cursor
 	id    disk.PageID
 	pos   int
@@ -47,11 +47,12 @@ type cursorLevel struct {
 }
 
 // Reset re-aims the cursor at snap's version, before the first entry
-// and with no span or context. The cursor keeps its level and leaf
-// buffers and nothing else, so a recycled cursor costs its next search
-// no allocation and owes its last one nothing. Reset(nil) detaches it:
-// it then holds no snapshot, and any use before the next Reset panics
-// on the nil snapshot, not on another search's pages.
+// and with no span or context. The cursor keeps its path's capacity
+// and nothing it reads: a view it last held may stay behind, but pins
+// nothing, so a recycled cursor costs its next search no allocation
+// and owes its last one nothing. Reset(nil) detaches it: it then holds
+// no snapshot, and any use before the next Reset panics on the nil
+// snapshot, not on another search's pages.
 func (c *Cursor) Reset(snap *Snapshot) {
 	c.snap = snap
 	c.stack = c.stack[:0]
@@ -62,7 +63,7 @@ func (c *Cursor) Reset(snap *Snapshot) {
 // obs.Seeks per SeekGE, obs.NodeVisits per internal node loaded, and
 // obs.LeafScans per leaf page loaded (rescans included —
 // distinct-page counting is the caller's concern); each page load also
-// hands sp to the pool, which counts its get there (disk.Pool.GetSpan).
+// hands sp to the pool, which counts its get there (disk.Pool.View).
 // A nil span disables attribution at zero cost.
 func (c *Cursor) SetSpan(sp *obs.Span) { c.span = sp }
 
@@ -115,41 +116,34 @@ func (c *Cursor) First() (bool, error) {
 	return c.SeekGE(Key{})
 }
 
-// pushInternal loads internal page id into the next level of the
-// path, reusing the buffer of the page that level last held. It is a
-// page-load boundary.
+// pushInternal views internal page id as the next level of the path.
+// It is a page-load boundary.
 func (c *Cursor) pushInternal(id disk.PageID) (*cursorLevel, error) {
 	if err := c.loadErr(); err != nil {
 		return nil, err
 	}
-	// The slot past the top still holds the page it last held, and
-	// with it the buffer; an append there would overwrite both.
-	n := len(c.stack)
-	if n == cap(c.stack) {
-		c.stack = append(c.stack, cursorLevel{})[:n]
-	}
-	l := &c.stack[:n+1][n]
-	buf, err := c.snap.t.copyPage(id, l.page.data, c.span)
+	data, err := c.snap.t.pool.View(id, c.span)
+	var p internalPage
 	if err == nil {
-		l.page, err = viewInternal(buf)
+		p, err = viewInternal(data)
 	}
 	if err != nil {
 		return nil, err
 	}
 	c.span.Inc(obs.NodeVisits)
-	c.stack = c.stack[:n+1]
-	return l, nil
+	c.stack = append(c.stack, cursorLevel{page: p})
+	return &c.stack[len(c.stack)-1], nil
 }
 
-// enterLeaf makes leaf page id the cursor's current leaf, reusing the
-// last one's buffer. It is a page-load boundary.
+// enterLeaf makes leaf page id the cursor's current leaf. It is a
+// page-load boundary.
 func (c *Cursor) enterLeaf(id disk.PageID) error {
 	if err := c.loadErr(); err != nil {
 		return err
 	}
-	buf, err := c.snap.t.copyPage(id, c.leaf.data, c.span)
+	data, err := c.snap.t.pool.View(id, c.span)
 	if err == nil {
-		c.leaf, err = viewLeaf(buf, c.snap.t.keyLen)
+		c.leaf, err = viewLeaf(data, c.snap.t.keyLen)
 	}
 	if err != nil {
 		return err

@@ -8,24 +8,23 @@ import (
 )
 
 // load helpers of the copy-on-write path: a writer decodes each page
-// it is about to replace into the builder form (node.go). Decoding
-// copies, so a write, like a read, holds one pin at a time and none
-// when it returns.
+// it is about to replace into the builder form (node.go), reading the
+// page's image as readers do, with no pin.
 
-func (t *Tree) loadLeaf(id disk.PageID) (n []Entry, err error) {
-	err = t.withPage(id, nil, func(data []byte) (err error) {
-		n, err = decodeLeaf(data, t.keyLen)
-		return err
-	})
-	return n, err
+func (t *Tree) loadLeaf(id disk.PageID) ([]Entry, error) {
+	data, err := t.pool.View(id, nil)
+	if err != nil {
+		return nil, err
+	}
+	return decodeLeaf(data, t.keyLen)
 }
 
-func (t *Tree) loadInternal(id disk.PageID) (n *internalNode, err error) {
-	err = t.withPage(id, nil, func(data []byte) (err error) {
-		n, err = decodeInternal(data)
-		return err
-	})
-	return n, err
+func (t *Tree) loadInternal(id disk.PageID) (*internalNode, error) {
+	data, err := t.pool.View(id, nil)
+	if err != nil {
+		return nil, err
+	}
+	return decodeInternal(data)
 }
 
 func (t *Tree) minChildren() int { return t.fanout / 2 }

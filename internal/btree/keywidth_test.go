@@ -179,7 +179,7 @@ func TestFrameWidening(t *testing.T) {
 		if ok, err := c.SeekGE(k); !ok || err != nil {
 			t.Fatalf("SeekGE(%v): %v, %v", k, ok, err)
 		}
-		data, err := tree.copyPage(c.LeafID(), nil, nil)
+		data, err := tree.pool.View(c.LeafID(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,6 +49,12 @@ func pageGateTree(t *testing.T) (*Tree, *auditStore) {
 	return tree, store
 }
 
+// imageCopy returns a copy of page id's image.
+func imageCopy(t *Tree, id disk.PageID) ([]byte, error) {
+	data, err := t.pool.View(id, nil)
+	return append([]byte(nil), data...), err
+}
+
 // reachableImages returns a copy of every page image reachable from
 // the snapshot's root.
 func reachableImages(t *testing.T, s *Snapshot) map[disk.PageID][]byte {
@@ -58,7 +64,7 @@ func reachableImages(t *testing.T, s *Snapshot) map[disk.PageID][]byte {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		data, err := s.t.copyPage(id, nil, nil)
+		data, err := imageCopy(s.t, id)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,7 +136,7 @@ func pageImages(t *testing.T, s *Snapshot) map[disk.PageID][]byte {
 	for ids := []disk.PageID{s.v.root}; len(ids) > 0; {
 		id := ids[len(ids)-1]
 		ids = ids[:len(ids)-1]
-		data, err := s.t.copyPage(id, nil, nil)
+		data, err := imageCopy(s.t, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestLeafSpill(t *testing.T) {
 			t.Fatalf("leaves %v became %v, want [44 89] to become [67 67]", before, after)
 		}
 		// The root's one separator lies between the two pieces.
-		data, err := tree.copyPage(tree.currentVersion().root, nil, nil)
+		data, err := tree.pool.View(tree.currentVersion().root, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

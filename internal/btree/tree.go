@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"probe/internal/disk"
-	"probe/internal/obs"
 )
 
 // Config tunes a tree.
@@ -275,32 +274,6 @@ func (t *Tree) LeafCapacity() int { return t.leafCap }
 // Pool returns the buffer pool the tree lives on.
 func (t *Tree) Pool() *disk.Pool { return t.pool }
 
-// withPage pins page id, counting the get on sp (nil = the pool's
-// counters only), runs fn on the frame's bytes and unpins. fn must not
-// keep the slice: no pin outlives a call into the tree, so that
-// version GC, which cannot drop a pinned page, never waits.
-func (t *Tree) withPage(id disk.PageID, sp *obs.Span, fn func(data []byte) error) error {
-	f, err := t.pool.GetSpan(id, sp)
-	if err != nil {
-		return err
-	}
-	err = fn(f.Data)
-	if uerr := t.pool.Unpin(id, false); err == nil {
-		err = uerr
-	}
-	return err
-}
-
-// copyPage copies page id's image into buf, growing it on first use,
-// and counts the get on sp.
-func (t *Tree) copyPage(id disk.PageID, buf []byte, sp *obs.Span) ([]byte, error) {
-	err := t.withPage(id, sp, func(data []byte) error {
-		buf = append(buf[:0], data...)
-		return nil
-	})
-	return buf, err
-}
-
 // searchLeaf returns the index of the first key >= k in the leaf.
 func searchLeaf(n []Entry, k Key) int {
 	return sort.Search(len(n), func(i int) bool { return !n[i].Key.Less(k) })
@@ -308,35 +281,36 @@ func searchLeaf(n []Entry, k Key) int {
 
 // getAt reports whether the key is in one committed version. The
 // caller must hold a pin on v (or be the serialized writer). Each page
-// is searched in its pool frame.
-func (t *Tree) getAt(v *version, k Key) (found bool, err error) {
+// is searched in its pool image.
+func (t *Tree) getAt(v *version, k Key) (bool, error) {
 	var buf [encodedKeyLen]byte
 	enc := t.encodeKey(k, &buf)
 	id := v.root
-	for level := v.height; level > 1 && err == nil; level-- {
-		err = t.withPage(id, nil, func(data []byte) error {
-			p, err := viewInternal(data)
-			if err != nil {
-				return err
-			}
-			i, err := p.childIndex(enc)
-			id = p.child(i)
-			return err
-		})
+	for level := v.height; level > 1; level-- {
+		data, err := t.pool.View(id, nil)
+		if err != nil {
+			return false, err
+		}
+		p, err := viewInternal(data)
+		if err != nil {
+			return false, err
+		}
+		i, err := p.childIndex(enc)
+		if err != nil {
+			return false, err
+		}
+		id = p.child(i)
 	}
+	data, err := t.pool.View(id, nil)
 	if err != nil {
 		return false, err
 	}
-	err = t.withPage(id, nil, func(data []byte) error {
-		p, err := viewLeaf(data, t.keyLen)
-		if err != nil {
-			return err
-		}
-		i := p.search(k)
-		found = i < p.count && p.key(i) == k
-		return nil
-	})
-	return found, err
+	p, err := viewLeaf(data, t.keyLen)
+	if err != nil {
+		return false, err
+	}
+	i := p.search(k)
+	return i < p.count && p.key(i) == k, nil
 }
 
 // Get reports whether the key is in the current committed version.
@@ -355,9 +329,9 @@ var ErrDuplicateKey = fmt.Errorf("btree: duplicate key")
 // transformation: pages freshly written (to drop again if the write
 // aborts) and old pages superseded by the new version (to retire at
 // commit). Page writes go one at a time — pin, encode, unpin — so a
-// write never holds more than one pin, the same bound as reads. A
-// fresh page is reachable from no published version, so a batch copies
-// each published page once and rewrites its own copies in place.
+// write never holds more than one pin. A fresh page is reachable from
+// no published version, so a batch copies each published page once and
+// rewrites only its own copies in place, which no reader can view.
 type cow struct {
 	t       *Tree
 	fresh   map[disk.PageID]struct{}

@@ -2,7 +2,6 @@ package disk
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -127,7 +126,6 @@ func TestPoolWriteBack(t *testing.T) {
 	}
 	id := f.ID
 	f.Data[0] = 42
-	f.SetDirty()
 	p.Unpin(id, true)
 
 	// Force eviction by pulling in another page.
@@ -149,10 +147,11 @@ func TestPoolWriteBack(t *testing.T) {
 	}
 }
 
-// TestPoolGetSpanCounts: GetSpan counts on its span its get, the hit
-// or miss, the physical read a miss costs and the eviction and
-// write-back the miss forces; a get without a span counts on none.
-func TestPoolGetSpanCounts(t *testing.T) {
+// TestPoolViewCounts: View counts on its span its get, the hit or
+// miss, the physical read a miss costs and the eviction and write-back
+// the miss forces; a get without a span counts on none. View takes no
+// pin.
+func TestPoolViewCounts(t *testing.T) {
 	s := MustMemStore(64)
 	p := MustPool(s, 1, LRU)
 	f, err := p.NewPage()
@@ -163,15 +162,13 @@ func TestPoolGetSpanCounts(t *testing.T) {
 	id, _ := s.Allocate()
 	sp := obs.New("read")
 	for i := 0; i < 2; i++ { // a miss evicting the dirty page, then a hit
-		if _, err := p.GetSpan(id, sp); err != nil {
+		if _, err := p.View(id, sp); err != nil {
 			t.Fatal(err)
 		}
-		p.Unpin(id, false)
 	}
-	if _, err := p.Get(f.ID); err != nil { // a miss on no span
+	if _, err := p.View(f.ID, nil); err != nil { // a miss on no span
 		t.Fatal(err)
 	}
-	p.Unpin(f.ID, false)
 	for c, want := range map[obs.Counter]int64{
 		obs.PoolGets: 2, obs.PoolHits: 1, obs.PoolMisses: 1, obs.PhysReads: 1,
 		obs.PoolEvictions: 1, obs.PoolWriteBacks: 1,
@@ -182,6 +179,9 @@ func TestPoolGetSpanCounts(t *testing.T) {
 	}
 	if st := p.Stats(); st.Gets != 3 || st.Misses != 2 || st.Evictions != 2 {
 		t.Errorf("pool stats = %+v", st)
+	}
+	if n := p.Pinned(); n != 0 {
+		t.Errorf("%d pages pinned after views", n)
 	}
 }
 
@@ -225,64 +225,6 @@ func TestPoolLRUOrder(t *testing.T) {
 	get(ids[1])
 	if s.Stats().Reads != 1 {
 		t.Errorf("page 1 should have been evicted under LRU")
-	}
-}
-
-func TestPoolFIFOOrder(t *testing.T) {
-	s := MustMemStore(64)
-	ids := make([]PageID, 3)
-	for i := range ids {
-		ids[i], _ = s.Allocate()
-	}
-	p := MustPool(s, 2, FIFO)
-	get := func(id PageID) {
-		if _, err := p.Get(id); err != nil {
-			t.Fatal(err)
-		}
-		p.Unpin(id, false)
-	}
-	get(ids[0])
-	get(ids[1])
-	get(ids[0]) // FIFO ignores the touch
-	get(ids[2]) // evicts 0 (oldest)
-	s.ResetStats()
-	get(ids[1])
-	if s.Stats().Reads != 0 {
-		t.Errorf("page 1 should be resident under FIFO")
-	}
-	get(ids[0])
-	if s.Stats().Reads != 1 {
-		t.Errorf("page 0 should have been evicted under FIFO")
-	}
-}
-
-func TestPoolRandomEviction(t *testing.T) {
-	s := MustMemStore(64)
-	p := MustPool(s, 4, Random)
-	var ids []PageID
-	for i := 0; i < 32; i++ {
-		f, err := p.NewPage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, f.ID)
-		p.Unpin(f.ID, true)
-	}
-	// All pages must remain readable regardless of eviction choices.
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 200; i++ {
-		id := ids[rng.Intn(len(ids))]
-		f, err := p.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.ID != id {
-			t.Fatalf("got frame %d for page %d", f.ID, id)
-		}
-		p.Unpin(id, false)
-	}
-	if p.Resident() > 4 {
-		t.Errorf("resident %d exceeds capacity", p.Resident())
 	}
 }
 
@@ -364,11 +306,8 @@ func TestPoolValidation(t *testing.T) {
 	if _, err := NewPool(s, 0, LRU); err == nil {
 		t.Errorf("zero-capacity pool accepted")
 	}
-	if LRU.String() != "lru" || FIFO.String() != "fifo" || Random.String() != "random" {
-		t.Errorf("policy strings wrong")
-	}
-	if Policy(9).String() == "" {
-		t.Errorf("unknown policy should render")
+	if _, err := NewPool(s, 4, Policy(1)); err == nil {
+		t.Errorf("a policy other than LRU accepted")
 	}
 }
 

@@ -3,39 +3,19 @@ package disk
 import (
 	"container/list"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
 	"probe/internal/obs"
 )
 
-// Policy selects the buffer pool's eviction strategy. LRU is the
-// paper's choice (Section 4); FIFO and Random exist for the ablation
-// benchmark that validates that choice.
+// Policy selects the buffer pool's eviction strategy. LRU, the
+// paper's choice (Section 4), is the only one; the type stays so that
+// callers name it.
 type Policy int
 
-const (
-	// LRU evicts the least recently used unpinned page.
-	LRU Policy = iota
-	// FIFO evicts the oldest resident unpinned page.
-	FIFO
-	// Random evicts a uniformly random unpinned page.
-	Random
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case FIFO:
-		return "fifo"
-	case Random:
-		return "random"
-	}
-	return fmt.Sprintf("Policy(%d)", int(p))
-}
+// LRU evicts the least recently used unpinned page.
+const LRU Policy = 0
 
 // PoolStats counts logical accesses through a buffer pool.
 type PoolStats struct {
@@ -82,8 +62,9 @@ func (c *counters) reset() {
 	c.writeBacks.Store(0)
 }
 
-// Frame is a pinned page resident in a buffer pool. Data is the
-// page's contents; mutate it in place and call SetDirty, then Unpin.
+// Frame is a page resident in a buffer pool, pinned by a writer. Data
+// is the page's contents; mutate it in place, then Unpin it dirty so
+// eviction and Flush write it back.
 type Frame struct {
 	ID    PageID
 	Data  []byte
@@ -92,59 +73,44 @@ type Frame struct {
 	elem  *list.Element
 }
 
-// SetDirty marks the frame's contents as modified so eviction and
-// Flush write them back. Like mutating Data, it is a write operation:
-// the caller must hold the page pinned and be the pool's only writer.
-func (f *Frame) SetDirty() { f.dirty = true }
-
-// Pool is a fixed-capacity page cache over a Store.
+// Pool is a fixed-capacity LRU page cache over a Store.
 //
-// Thread safety: all operations serialize on an internal latch, so a
-// Pool is safe for any number of concurrent *readers* (Get/Unpin of
-// pages whose Data they only read). Writers — anything that mutates a
-// Frame's Data or calls SetDirty — must additionally be externally
-// serialized against each other and against readers of the same page,
-// because frame contents are handed out unlocked; see
+// A reader calls View, which hands out a page's image and takes no
+// pin; a writer pins with Get or NewPage, writes the frame's Data and
+// Unpins. The design rests on one condition: an image a reader may hold
+// never changes. A miss installs a fresh buffer and no code may recycle
+// a published frame's bytes, so an image stays right after eviction or
+// Drop; a writer writes only pages no published version reaches (the
+// B+-tree's copy-on-write).
+//
+// Thread safety: all operations serialize on an internal latch.
+// Writers must additionally be serialized against each other; see
 // docs/parallelism.md for the layer-by-layer contract.
 type Pool struct {
 	store    Store
 	capacity int
-	policy   Policy
 
 	mu     sync.Mutex
 	frames map[PageID]*Frame
-	order  *list.List // LRU/FIFO order: front = next eviction victim
-	rng    *rand.Rand
+	order  *list.List // LRU order: front = next eviction victim
 
 	stats counters
 }
 
-// NewPool creates a buffer pool holding up to capacity pages. The
-// Random policy draws from a fixed-seed source; use NewPoolRand to
-// inject one.
+// NewPool creates a buffer pool holding up to capacity pages. LRU is
+// the only policy; any other is an error.
 func NewPool(store Store, capacity int, policy Policy) (*Pool, error) {
-	return NewPoolRand(store, capacity, policy, rand.New(rand.NewSource(0x5eed)))
-}
-
-// NewPoolRand is NewPool with an injected random source for the
-// Random eviction policy, so pool behavior is reproducible in tests
-// and ablation benchmarks. The pool takes ownership of rng: it must
-// not be shared with other users (pool operations serialize access to
-// it internally). A nil rng falls back to the default fixed seed.
-func NewPoolRand(store Store, capacity int, policy Policy, rng *rand.Rand) (*Pool, error) {
+	if policy != LRU {
+		return nil, fmt.Errorf("disk: eviction policy %d: only LRU is supported", policy)
+	}
 	if capacity < 1 {
 		return nil, fmt.Errorf("disk: pool capacity %d < 1", capacity)
-	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(0x5eed))
 	}
 	return &Pool{
 		store:    store,
 		capacity: capacity,
-		policy:   policy,
 		frames:   make(map[PageID]*Frame, capacity),
 		order:    list.New(),
-		rng:      rng,
 	}, nil
 }
 
@@ -170,28 +136,46 @@ func (p *Pool) Stats() PoolStats { return p.stats.snapshot() }
 // ResetStats zeroes the pool's access counters.
 func (p *Pool) ResetStats() { p.stats.reset() }
 
-// Get pins the page in the pool, reading it from the store on a miss,
-// and returns its frame. Callers must Unpin the frame when done.
-func (p *Pool) Get(id PageID) (*Frame, error) { return p.GetSpan(id, nil) }
-
-// GetSpan is Get counting on sp as well as on the pool's lifetime
-// counters: the get, its hit or miss, the physical read a miss costs
-// (or its checksum failure) and the evictions and write-backs it
-// forces. sp belongs to the caller's operation, so concurrent
-// operations never count on each other's spans; a nil sp counts
-// nowhere but the pool.
-func (p *Pool) GetSpan(id PageID, sp *obs.Span) (*Frame, error) {
+// View returns page id's image for reading, loading it from the store
+// on a miss. It takes no pin: the image never changes (see Pool), so
+// the caller keeps it as long as it likes. View counts on sp as well
+// as on the pool's lifetime counters: the get, its hit or miss, the
+// physical read a miss costs (or its checksum failure) and the
+// evictions and write-backs it forces. sp belongs to the caller's
+// operation, so concurrent operations never count on each other's
+// spans; a nil sp counts nowhere but the pool.
+func (p *Pool) View(id PageID, sp *obs.Span) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	f, err := p.frame(id, sp)
+	if err != nil {
+		return nil, err
+	}
+	return f.Data, nil
+}
+
+// Get pins the page in the pool for writing, reading it from the store
+// on a miss, and returns its frame; it counts as View does, on the
+// pool alone. Callers must Unpin the frame when done.
+func (p *Pool) Get(id PageID) (*Frame, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f, err := p.frame(id, nil)
+	if err == nil {
+		f.pins++
+	}
+	return f, err
+}
+
+// frame returns page id's resident frame, reading it on a miss, and
+// counts the get on sp. The caller holds p.mu.
+func (p *Pool) frame(id PageID, sp *obs.Span) (*Frame, error) {
 	p.stats.gets.Add(1)
 	sp.Inc(obs.PoolGets)
 	if f, ok := p.frames[id]; ok {
 		p.stats.hits.Add(1)
 		sp.Inc(obs.PoolHits)
-		f.pins++
-		if p.policy == LRU {
-			p.order.MoveToBack(f.elem)
-		}
+		p.order.MoveToBack(f.elem)
 		return f, nil
 	}
 	p.stats.misses.Add(1)
@@ -226,7 +210,7 @@ func (p *Pool) NewPage() (*Frame, error) {
 		return nil, err
 	}
 	f := p.install(id)
-	f.dirty = true
+	f.pins, f.dirty = 1, true
 	return f, nil
 }
 
@@ -241,9 +225,11 @@ func (p *Pool) makeRoom(sp *obs.Span) error {
 	return nil
 }
 
-// install pins a new frame for id. The caller made room under p.mu.
+// install makes an unpinned frame for id on a buffer of its own: a
+// reader may still hold the image of any frame evicted before, so no
+// buffer is ever reused. The caller made room under p.mu.
 func (p *Pool) install(id PageID) *Frame {
-	f := &Frame{ID: id, Data: make([]byte, p.store.PageSize()), pins: 1}
+	f := &Frame{ID: id, Data: make([]byte, p.store.PageSize())}
 	f.elem = p.order.PushBack(f)
 	p.frames[id] = f
 	return f
@@ -254,28 +240,14 @@ func (p *Pool) discard(f *Frame) {
 	delete(p.frames, f.ID)
 }
 
-// evictOne removes one unpinned frame according to the policy,
-// counting on sp. The caller holds p.mu.
+// evictOne removes the least recently used unpinned frame, counting on
+// sp. The caller holds p.mu.
 func (p *Pool) evictOne(sp *obs.Span) error {
 	var victim *Frame
-	switch p.policy {
-	case LRU, FIFO:
-		for e := p.order.Front(); e != nil; e = e.Next() {
-			f := e.Value.(*Frame)
-			if f.pins == 0 {
-				victim = f
-				break
-			}
-		}
-	case Random:
-		var candidates []*Frame
-		for e := p.order.Front(); e != nil; e = e.Next() {
-			if f := e.Value.(*Frame); f.pins == 0 {
-				candidates = append(candidates, f)
-			}
-		}
-		if len(candidates) > 0 {
-			victim = candidates[p.rng.Intn(len(candidates))]
+	for e := p.order.Front(); e != nil; e = e.Next() {
+		if f := e.Value.(*Frame); f.pins == 0 {
+			victim = f
+			break
 		}
 	}
 	if victim == nil {
@@ -367,8 +339,10 @@ func (p *Pool) Checkpoint() error {
 	return nil
 }
 
-// Drop removes the page from the pool (writing it back if dirty) and
-// frees it in the store. The page must be unpinned.
+// Drop removes the page from the pool, discarding its contents, and
+// frees it in the store. The page must be unpinned. A reader still
+// holding the page's image keeps it: a later allocation of the same id
+// gets a fresh buffer (install).
 func (p *Pool) Drop(id PageID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -388,8 +362,9 @@ func (p *Pool) Resident() int {
 	return len(p.frames)
 }
 
-// Pinned returns the number of resident frames with at least one pin
-// — pages some operation is actively using and eviction cannot touch.
+// Pinned returns the number of resident frames with at least one pin:
+// pages a writer is writing, which eviction cannot touch. Readers take
+// no pins (View).
 func (p *Pool) Pinned() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -1,100 +1,33 @@
 package disk
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 )
 
-// replayRandomPool runs a fixed access pattern against a Random-policy
-// pool built on the given source and returns the ids resident at the
-// end plus the final stats — a full fingerprint of eviction behavior.
-func replayRandomPool(t *testing.T, rng *rand.Rand) ([]PageID, PoolStats) {
-	t.Helper()
-	store := MustMemStore(128)
-	pool, err := NewPoolRand(store, 8, Random, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []PageID
-	for i := 0; i < 32; i++ {
-		f, err := pool.NewPage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, f.ID)
-		if err := pool.Unpin(f.ID, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A deterministic but shuffled re-access pattern, so eviction has
-	// real choices to make.
-	for i := 0; i < 200; i++ {
-		id := ids[(i*13)%len(ids)]
-		f, err := pool.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pool.Unpin(f.ID, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var resident []PageID
-	for _, id := range ids {
-		pool.mu.Lock()
-		_, ok := pool.frames[id]
-		pool.mu.Unlock()
-		if ok {
-			resident = append(resident, id)
-		}
-	}
-	sort.Slice(resident, func(i, j int) bool { return resident[i] < resident[j] })
-	return resident, pool.Stats()
-}
-
-// TestRandomEvictionReproducible: with an injected seeded source, the
-// Random policy is a pure function of the access pattern — the
-// property the buffer-policy ablation benchmark depends on.
-func TestRandomEvictionReproducible(t *testing.T) {
-	res1, stats1 := replayRandomPool(t, rand.New(rand.NewSource(7)))
-	res2, stats2 := replayRandomPool(t, rand.New(rand.NewSource(7)))
-	if fmt.Sprint(res1) != fmt.Sprint(res2) {
-		t.Errorf("same seed, different resident sets:\n%v\n%v", res1, res2)
-	}
-	if stats1 != stats2 {
-		t.Errorf("same seed, different stats: %+v vs %+v", stats1, stats2)
-	}
-	// A different seed must be able to change the eviction choices
-	// (fixed workload, so this is deterministic, not flaky).
-	res3, _ := replayRandomPool(t, rand.New(rand.NewSource(8)))
-	if fmt.Sprint(res1) == fmt.Sprint(res3) {
-		t.Errorf("different seeds produced identical resident sets; injection has no effect")
-	}
-	// nil rng falls back to the default fixed seed — same as NewPool.
-	res4, _ := replayRandomPool(t, nil)
-	res5, _ := replayRandomPool(t, rand.New(rand.NewSource(0x5eed)))
-	if fmt.Sprint(res4) != fmt.Sprint(res5) {
-		t.Errorf("nil rng does not match the default seed")
-	}
-}
-
-// TestPoolConcurrentReaders hammers one pool from many goroutines:
-// Get/Unpin of a page set larger than capacity (so eviction churns),
-// with concurrent Stats reads and periodic Flushes. Run under -race
-// this proves the pool latch covers every path.
+// TestPoolConcurrentReaders hammers one LRU pool from many goroutines:
+// View readers of a page set larger than capacity (so eviction churns)
+// beside one writer that pins, rewrites and drops pages of its own, with
+// concurrent Stats reads and periodic Flushes. Each reader keeps the
+// images it was handed and checks them again at the end: an image never
+// changes, whatever the pool evicted, dropped or reallocated since. Run
+// under -race this proves the pool latch covers every path and that no
+// writer touches a buffer a reader holds.
 func TestPoolConcurrentReaders(t *testing.T) {
-	store := MustMemStore(128)
+	const size = 128
+	store := MustMemStore(size)
 	pool := MustPool(store, 16, LRU)
+	image := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, size) }
 	var ids []PageID
 	for i := 0; i < 64; i++ {
 		f, err := pool.NewPage()
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.Data[0] = byte(i)
-		f.SetDirty()
+		copy(f.Data, image(i))
 		ids = append(ids, f.ID)
 		if err := pool.Unpin(f.ID, true); err != nil {
 			t.Fatal(err)
@@ -104,33 +37,71 @@ func TestPoolConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const goroutines = 12
-	errc := make(chan error, goroutines)
+	const readers, steps = 12, 300
+	errc := make(chan error, readers+1)
 	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for w := 0; w < goroutines; w++ {
+	wg.Add(readers + 1)
+	go func() { // the writer: pages no reader reaches
+		defer wg.Done()
+		for i := 0; i < steps; i++ {
+			f, err := pool.NewPage()
+			if err != nil {
+				errc <- fmt.Errorf("writer: %v", err)
+				return
+			}
+			id := f.ID
+			copy(f.Data, image(i))
+			if err := pool.Unpin(id, true); err != nil {
+				errc <- fmt.Errorf("writer: %v", err)
+				return
+			}
+			if f, err = pool.Get(id); err != nil { // rewrite in place
+				errc <- fmt.Errorf("writer: %v", err)
+				return
+			}
+			f.Data[0]++
+			if err := pool.Unpin(id, true); err != nil {
+				errc <- fmt.Errorf("writer: %v", err)
+				return
+			}
+			if err := pool.Drop(id); err != nil { // the id is handed out again
+				errc <- fmt.Errorf("writer: %v", err)
+				return
+			}
+			if i%37 == 0 {
+				if err := pool.Flush(); err != nil {
+					errc <- fmt.Errorf("writer: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	for w := 0; w < readers; w++ {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 300; i++ {
+			held := map[int][]byte{}
+			for i := 0; i < steps; i++ {
 				idx := rng.Intn(len(ids))
-				f, err := pool.Get(ids[idx])
+				data, err := pool.View(ids[idx], nil)
 				if err != nil {
-					errc <- fmt.Errorf("worker %d: %v", w, err)
+					errc <- fmt.Errorf("reader %d: %v", w, err)
 					return
 				}
-				if got := f.Data[0]; got != byte(idx) {
-					errc <- fmt.Errorf("worker %d: page %d holds %d, want %d", w, ids[idx], got, idx)
-					pool.Unpin(f.ID, false)
+				if !bytes.Equal(data, image(idx)) {
+					errc <- fmt.Errorf("reader %d: page %d does not hold image %d", w, ids[idx], idx)
 					return
 				}
-				if err := pool.Unpin(f.ID, false); err != nil {
-					errc <- fmt.Errorf("worker %d: %v", w, err)
-					return
-				}
+				held[idx] = data
 				if i%31 == 0 {
 					pool.Stats()
 					pool.Resident()
+				}
+			}
+			for idx, data := range held {
+				if !bytes.Equal(data, image(idx)) {
+					errc <- fmt.Errorf("reader %d: a held view of page %d changed", w, ids[idx])
+					return
 				}
 			}
 		}(w)
@@ -144,10 +115,13 @@ func TestPoolConcurrentReaders(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Error("no evictions; the stress test did not exceed capacity")
 	}
-	if got := st.Gets; got != goroutines*300 {
-		t.Errorf("stats lost updates: %d gets, want %d", got, goroutines*300)
+	if got := st.Gets; got != readers*steps+steps {
+		t.Errorf("stats lost updates: %d gets, want %d", got, readers*steps+steps)
 	}
 	if st.Hits+st.Misses != st.Gets {
 		t.Errorf("hits %d + misses %d != gets %d", st.Hits, st.Misses, st.Gets)
+	}
+	if n := pool.Pinned(); n != 0 {
+		t.Errorf("%d pages pinned after the run", n)
 	}
 }

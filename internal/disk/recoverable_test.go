@@ -211,9 +211,9 @@ func TestRecoverableChecksumErrorOnCorruption(t *testing.T) {
 	if rs.DurabilityStats().ChecksumFailures != 1 {
 		t.Fatalf("checksum failure not counted: %+v", rs.DurabilityStats())
 	}
-	// A get through a pool counts the failure on the reader's span.
+	// A view through a pool counts the failure on the reader's span.
 	sp := obs.New("read")
-	if _, err := disk.MustPool(rs, 4, disk.LRU).GetSpan(id, sp); !errors.As(err, &ce) {
+	if _, err := disk.MustPool(rs, 4, disk.LRU).View(id, sp); !errors.As(err, &ce) {
 		t.Fatalf("pool get of corrupted page: want ChecksumError, got %v", err)
 	}
 	if sp.Get(obs.ChecksumFailures) != 1 || sp.Get(obs.PoolMisses) != 1 || sp.Get(obs.PhysReads) != 0 {

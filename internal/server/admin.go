@@ -53,7 +53,7 @@ func (s *Server) writeDBMetrics(buf *bytes.Buffer) error {
 	}{
 		{"probe_pool_pages_capacity", pi.Capacity},
 		{"probe_pool_pages_resident", pi.Resident},
-		{"probe_pool_pages_pinned", pi.Pinned},
+		{"probe_pool_pages_pinned", pi.Pinned}, // writers' pins only: reads pin no page
 		{"probe_mvcc_version_seq", int(mv.Seq)},
 		{"probe_mvcc_pinned_snapshots", mv.PinnedSnapshots},
 		{"probe_mvcc_retained_versions", mv.RetainedVersions},

@@ -34,6 +34,8 @@ package probe
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -286,9 +288,10 @@ func (db *DB) initMetrics() *DB {
 // before releasing the store. Either way Close never yanks the store
 // out from under a running operation — it blocks until in-flight
 // operations finish (cancel them first via WithContext for a prompt
-// close), and every operation that starts after Close marks the
-// database closed fails with ErrClosed before touching the index or
-// the store. The network server's drain sequence is built on exactly
+// close), but for the reads whose callbacks it is called from, which
+// release the store as they leave; and every operation that starts
+// after Close marks the database closed fails with ErrClosed before
+// touching the index or the store. The network server's drain sequence is built on exactly
 // this contract.
 var ErrClosed = errors.New("probe: database is closed")
 
@@ -308,12 +311,21 @@ func (db *DB) usableLocked(ctx context.Context) error {
 }
 
 // readGate admits reads until Close shuts it. Admission never waits:
-// it is one atomic add, so a read nested in another's callback is
+// it is one compare-and-swap, so a read nested in another's callback is
 // admitted or refused at once, never queued behind Close.
+//
+// Close counts itself as a read while it waits for the others, but for
+// the own reads whose callbacks it runs inside (ownReads): those cannot
+// leave before it returns. Once shut, the count only falls, so at most
+// one leave finds only Close and its own reads left, and exactly one,
+// the last, releases the store. The frames ownReads counts may belong
+// to another database's reads: Close then waits for that many reads
+// fewer, never for a read that cannot come.
 type readGate struct {
-	n       atomic.Int64  // admitted reads, plus gateShut once shut
-	drained chan struct{} // made by shut before it sets gateShut
-	once    sync.Once     // closes drained when the last read leaves
+	n       atomic.Int64  // admitted reads, plus gateShut and Close once shut
+	left    int64         // the count when only Close and its own reads are left
+	release func()        // releases the store
+	drained chan struct{} // closed when the count falls to left
 }
 
 const gateShut = 1 << 62
@@ -321,26 +333,68 @@ const gateShut = 1 << 62
 // enter admits a read, reporting false once the gate is shut. An
 // admitted read calls leave exactly once.
 func (g *readGate) enter() bool {
-	if g.n.Add(1) < gateShut {
+	for {
+		v := g.n.Load()
+		if v >= gateShut {
+			return false
+		}
+		if g.n.CompareAndSwap(v, v+1) {
+			return true
+		}
+	}
+}
+
+// leave ends a read, or Close's wait, and reports whether it released
+// the store.
+func (g *readGate) leave() bool {
+	v := g.n.Add(-1)
+	switch {
+	case v < gateShut:
+	case v == gateShut+g.left:
+		close(g.drained)
+	case v == gateShut:
+		g.release()
 		return true
 	}
-	g.leave()
 	return false
 }
 
-func (g *readGate) leave() {
-	if g.n.Add(-1) == gateShut {
-		g.once.Do(func() { close(g.drained) })
-	}
-}
-
-// shut refuses every later read and returns once the admitted reads
-// have left. It is called once.
-func (g *readGate) shut() {
-	g.drained = make(chan struct{})
-	if g.n.Add(gateShut) != gateShut {
+// shut refuses every later read and returns once at most the own
+// reads the caller runs inside are left. Whichever leaves last of the
+// caller and those reads runs release; shut reports whether it did.
+// It is called once.
+func (g *readGate) shut(own int64, release func()) bool {
+	g.left, g.release, g.drained = own+1, release, make(chan struct{})
+	if g.n.Add(gateShut+1) > gateShut+g.left {
 		<-g.drained
 	}
+	return g.leave()
+}
+
+// streamRead runs an admitted read's streaming range search, calling fn
+// inside it. ownReads counts its frames.
+func streamRead(ctx context.Context, snap *core.IndexSnapshot, box Box, sp *Trace, fn func(Point) bool) (QueryStats, error) {
+	return snap.RangeSearchFuncCtx(ctx, box, sp, fn)
+}
+
+var streamReadName = runtime.FuncForPC(reflect.ValueOf(streamRead).Pointer()).Name()
+
+// ownReads counts the admitted reads whose callbacks the calling
+// goroutine runs inside: the frames of streamRead on its stack. The
+// streaming reads are the only ones that call back while admitted.
+func ownReads() (k int64) {
+	pcs := make([]uintptr, 64)
+	n := runtime.Callers(2, pcs)
+	for ; n == len(pcs); n = runtime.Callers(2, pcs) {
+		pcs = make([]uintptr, 2*len(pcs))
+	}
+	for frames, more := runtime.CallersFrames(pcs[:n]), true; more; {
+		var f runtime.Frame
+		if f, more = frames.Next(); f.Function == streamReadName {
+			k++
+		}
+	}
+	return k
 }
 
 // admitRead admits a read through the gate and checks its context;
@@ -396,12 +450,12 @@ func (db *DB) Metrics() *Metrics { return db.metrics }
 
 // PoolInfo describes the buffer pool's occupancy at one instant:
 // its fixed capacity, how many frames are resident, and how many of
-// those are pinned by in-flight operations. Scrape-time state for
+// those a writer has pinned (reads pin none). Scrape-time state for
 // monitoring (the admin endpoint exports it as gauges).
 type PoolInfo struct {
 	Capacity int // frames the pool may hold
 	Resident int // frames currently held
-	Pinned   int // resident frames pinned by an operation
+	Pinned   int // resident frames a writer has pinned
 }
 
 // PoolInfo snapshots the buffer pool's occupancy. Zero after Close.
@@ -526,7 +580,7 @@ func (db *DB) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption)
 	defer db.endRead(snap)
 	sp := qc.trace.Child("range-search")
 	defer db.endOp("range-search", db.ops.rangeSearch, sp)
-	qs, err := snap.RangeSearchFuncCtx(qc.ctx, box, sp, fn)
+	qs, err := streamRead(qc.ctx, snap, box, sp, fn)
 	addSpanIO(&qs, sp)
 	return qs, err
 }
@@ -570,8 +624,7 @@ func (db *DB) Scan(fn func(Point) bool) error {
 		return err
 	}
 	defer db.endRead(snap)
-	box := geom.FullBox(db.grid)
-	_, err = snap.RangeSearchFuncCtx(nil, box, nil, fn)
+	_, err = streamRead(nil, snap, geom.FullBox(db.grid), nil, fn)
 	return err
 }
 
