@@ -39,6 +39,8 @@ import (
 	"time"
 
 	"probe"
+	"probe/internal/core"
+	"probe/internal/obs"
 	"probe/internal/wire"
 )
 
@@ -535,7 +537,11 @@ func (c *Conn) answer(id uint32, h handlers) (probe.QueryStats, error) {
 					Total:  time.Duration(dn.Timing(wire.TimingTotal)),
 				}
 			}
-			return statsOf(dn), nil
+			var n obs.Counts
+			for i, k := range wire.StatCounters {
+				n[k] = int64(dn.Stat(i))
+			}
+			return core.StatsOf(&n), nil
 		case wire.MsgError:
 			em, err := wire.DecodeErrorMsg(fp)
 			if err != nil {
@@ -549,27 +555,6 @@ func (c *Conn) answer(id uint32, h handlers) (probe.QueryStats, error) {
 			err := fmt.Errorf("probed: unexpected frame type 0x%02x", ftyp)
 			return probe.QueryStats{}, c.poison(err)
 		}
-	}
-}
-
-// statsOf unpacks the Done stats array into QueryStats.
-func statsOf(d *wire.Done) probe.QueryStats {
-	return probe.QueryStats{
-		DataPages:     int(d.Stat(wire.StatDataPages)),
-		Seeks:         int(d.Stat(wire.StatSeeks)),
-		Elements:      int(d.Stat(wire.StatElements)),
-		Results:       int(d.Stat(wire.StatResults)),
-		LeftItems:     int(d.Stat(wire.StatLeftItems)),
-		RightItems:    int(d.Stat(wire.StatRightItems)),
-		RawPairs:      int(d.Stat(wire.StatRawPairs)),
-		DistinctPairs: int(d.Stat(wire.StatDistinctPairs)),
-		PoolGets:      d.Stat(wire.StatPoolGets),
-		PoolHits:      d.Stat(wire.StatPoolHits),
-		PoolMisses:    d.Stat(wire.StatPoolMisses),
-		PhysReads:     d.Stat(wire.StatPhysReads),
-		PhysWrites:    d.Stat(wire.StatPhysWrites),
-		WALAppends:    d.Stat(wire.StatWALAppends),
-		WALSyncs:      d.Stat(wire.StatWALSyncs),
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"sync"
 
 	"probe/internal/btree"
 	"probe/internal/core"
@@ -122,13 +124,42 @@ type DurabilityStats = disk.DurabilityStats
 // repaired.
 type RecoveryInfo = disk.RecoveryInfo
 
+// ErrInUse is returned by Open for a durable path whose store another
+// DB of this process still holds, closed or not: two stores would
+// write one WAL and page file with nothing ordering their writes.
+var ErrInUse = errors.New("probe: database path is in use by another open DB")
+
+// storeKey names a durable store: its file system and absolute path.
+type storeKey struct {
+	fs   disk.FS
+	path string
+}
+
+// openStores holds the key of every durable store open in this process,
+// from before it opens until it is released.
+var openStores sync.Map
+
 // openDurable is Open's durable path: create the store at cfg.durPath
 // if it does not exist, otherwise recover it and reattach the index.
-func openDurable(g Grid, cfg openConfig) (*DB, error) {
+func openDurable(g Grid, cfg openConfig) (db *DB, err error) {
 	fsys := cfg.fsys
 	if fsys == nil {
 		fsys = disk.OSFS{}
 	}
+	k := storeKey{fsys, filepath.Clean(cfg.durPath)}
+	if abs, err := filepath.Abs(cfg.durPath); err == nil {
+		k.path = abs
+	}
+	if _, busy := openStores.LoadOrStore(k, true); busy {
+		return nil, fmt.Errorf("%w: %s", ErrInUse, k.path)
+	}
+	defer func() {
+		if err != nil {
+			openStores.Delete(k)
+		} else {
+			db.key = k
+		}
+	}()
 	_, exists, err := fsys.Stat(cfg.durPath)
 	if err != nil {
 		return nil, fmt.Errorf("probe: stat %s: %w", cfg.durPath, err)
@@ -244,46 +275,31 @@ func recoverDurable(g Grid, cfg openConfig, fsys disk.FS, sp *Trace) (*DB, error
 // flushes the buffer pool.
 //
 // It accepts WithTrace like the query entry points; the returned
-// QueryStats carries the attributed WALAppends/WALSyncs and physical
-// I/O of the checkpoint.
+// QueryStats carries the checkpoint's WALAppends/WALSyncs and physical
+// I/O, traced or not.
 func (db *DB) Checkpoint(opts ...QueryOption) (QueryStats, error) {
 	qc := queryOptions(opts)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	sp := qc.trace.Child("checkpoint")
 	defer db.endOp("checkpoint", nil, sp)
-	var before [len(checkpointCounters)]uint64
-	if sp != nil {
-		before = db.checkpointTotals()
-	}
+	n := db.checkpointTotals()
 	err := db.checkpointLocked()
-	var qs QueryStats
-	if sp != nil {
-		for i, n := range db.checkpointTotals() {
-			if n > before[i] {
-				sp.Add(checkpointCounters[i], int64(n-before[i]))
-			}
-		}
-		addSpanIO(&qs, sp)
+	for c, v := range db.checkpointTotals() {
+		n[c] = max(0, v-n[c])
 	}
-	return qs, err
+	sp.AddCounts(&n)
+	return core.StatsOf(&n), err
 }
 
-// checkpointCounters are the counters a checkpoint's own work grows:
+// checkpointTotals reads the lifetime totals a checkpoint's work grows,
 // the pool's write-backs, the store's writes and the log's appends and
-// syncs. A traced checkpoint, the one traced writer, counts on its
-// span how much their lifetime totals grow across it. It holds db.mu,
-// so the only work beside it is a read's, which grows these only by
-// the write-backs its misses force.
-var checkpointCounters = [...]obs.Counter{obs.PoolWriteBacks, obs.PhysWrites, obs.WALAppends, obs.WALSyncs}
-
-// checkpointTotals reads the lifetime totals of checkpointCounters, in
-// their order.
-func (db *DB) checkpointTotals() (t [len(checkpointCounters)]uint64) {
-	t[0], t[1] = db.pool.Stats().WriteBacks, db.store.Stats().Writes
+// syncs; it holds db.mu, so beside it only a read's misses grow them.
+func (db *DB) checkpointTotals() (t obs.Counts) {
+	t[obs.PoolWriteBacks], t[obs.PhysWrites] = int64(db.pool.Stats().WriteBacks), int64(db.store.Stats().Writes)
 	if db.rs != nil {
 		ds := db.rs.DurabilityStats()
-		t[2], t[3] = ds.WALAppends, ds.WALSyncs
+		t[obs.WALAppends], t[obs.WALSyncs] = int64(ds.WALAppends), int64(ds.WALSyncs)
 	}
 	return t
 }
@@ -352,6 +368,7 @@ func (db *DB) close(checkpoint bool) (err error) {
 		release := func() {
 			if db.rs != nil {
 				cerr = db.rs.Close()
+				openStores.Delete(db.key)
 			}
 		}
 		if db.gate.shut(ownReads(), release) && err == nil {

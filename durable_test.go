@@ -558,3 +558,75 @@ func TestDurableWritePathSpaceAmplification(t *testing.T) {
 		t.Fatalf("no page was reused: %+v", ds)
 	}
 }
+
+// TestDurablePathInUse: a durable path whose store an open DB holds is
+// refused with ErrInUse, under any spelling of the path and from inside
+// a read's callback that has just closed the holder; once the last
+// read leaves, the path reopens and holds every committed point.
+func TestDurablePathInUse(t *testing.T) {
+	g := probe.MustGrid(2, 8)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "probe.db")
+	db, err := probe.Open(g, probe.WithDurability(path), probe.WithPageSize(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 300; i++ {
+		if err := db.Insert(probe.Pt2(i, uint32(i%256), uint32((i*13)%256))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := collect(t, db)
+	for _, p := range []string{path, filepath.Join(dir, ".", "probe.db"), filepath.Join(dir, "sub", "..", "probe.db")} {
+		if other, err := probe.Open(g, probe.WithDurability(p)); !errors.Is(err, probe.ErrInUse) {
+			if other != nil {
+				other.Close()
+			}
+			t.Fatalf("second open of %s: %v, want ErrInUse", p, err)
+		}
+	}
+
+	var inside error
+	stop := false
+	if _, err := db.RangeSearchFunc(probe.Box2(0, 255, 0, 255), func(probe.Point) bool {
+		if stop {
+			return false
+		}
+		stop = true
+		if err := db.Close(); err != nil {
+			inside = err
+			return false
+		}
+		other, err := probe.Open(g, probe.WithDurability(path))
+		if other != nil {
+			other.Close()
+		}
+		if !errors.Is(err, probe.ErrInUse) {
+			inside = fmt.Errorf("open inside the read that holds the store: %v, want ErrInUse", err)
+		}
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if inside != nil {
+		t.Fatal(inside)
+	}
+
+	db2, err := probe.Open(g, probe.WithDurability(path))
+	if err != nil {
+		t.Fatalf("reopen after the last read left: %v", err)
+	}
+	defer db2.Close()
+	got := collect(t, db2)
+	if len(got) != len(want) {
+		t.Fatalf("reopened database holds %d points, want %d", len(got), len(want))
+	}
+	for id, c := range want {
+		if got[id] != c {
+			t.Fatalf("point %d reopened at %v, want %v", id, got[id], c)
+		}
+	}
+}

@@ -72,7 +72,6 @@ func (db *DB) ExplainAnalyze(box Box, opts ...QueryOption) (*ExplainResult, erro
 	if err != nil {
 		return nil, err
 	}
-	addSpanIO(&stats, sp)
 	return &ExplainResult{
 		Plan:           plan.Description,
 		EstimatedPages: plan.EstimatedPages,

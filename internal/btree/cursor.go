@@ -35,7 +35,7 @@ type Cursor struct {
 	id    disk.PageID
 	pos   int
 	valid bool
-	span  *obs.Span       // traversal-work attribution; nil = untraced
+	span  *obs.Counts     // the counts of the read it serves; nil = none
 	ctx   context.Context // cancellation; nil = never cancelled
 }
 
@@ -47,7 +47,7 @@ type cursorLevel struct {
 }
 
 // Reset re-aims the cursor at snap's version, before the first entry
-// and with no span or context. The cursor keeps its path's capacity
+// and with no counts or context. The cursor keeps its path's capacity
 // and nothing it reads: a view it last held may stay behind, but pins
 // nothing, so a recycled cursor costs its next search no allocation
 // and owes its last one nothing. Reset(nil) detaches it: it then holds
@@ -59,13 +59,12 @@ func (c *Cursor) Reset(snap *Snapshot) {
 	c.valid, c.span, c.ctx = false, nil, nil
 }
 
-// SetSpan attributes the cursor's traversal work to sp: one
-// obs.Seeks per SeekGE, obs.NodeVisits per internal node loaded, and
-// obs.LeafScans per leaf page loaded (rescans included —
-// distinct-page counting is the caller's concern); each page load also
-// hands sp to the pool, which counts its get there (disk.Pool.View).
-// A nil span disables attribution at zero cost.
-func (c *Cursor) SetSpan(sp *obs.Span) { c.span = sp }
+// SetCounts counts the cursor's traversal work on n: one obs.Seeks per
+// SeekGE, obs.NodeVisits per internal node loaded, and obs.LeafScans
+// per leaf page loaded (rescans included — distinct-page counting is
+// the caller's concern); each page load also hands n to the pool,
+// which counts its get there (disk.Pool.View). A nil n counts nothing.
+func (c *Cursor) SetCounts(n *obs.Counts) { c.span = n }
 
 // SetContext makes the cursor cancellable: every page-load boundary
 // checks the context first and fails with its error once it is done.

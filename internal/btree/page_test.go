@@ -543,9 +543,9 @@ func TestReadPathPageAccesses(t *testing.T) {
 	}
 	snap := tr.Snapshot()
 	defer snap.Release()
-	sp := obs.New("script")
+	var n obs.Counts
 	cur := snap.Cursor()
-	cur.SetSpan(sp)
+	cur.SetCounts(&n)
 	gets := pool.Stats().Gets
 	steps := 0
 	for i := uint64(0); i < 64; i++ {
@@ -564,7 +564,7 @@ func TestReadPathPageAccesses(t *testing.T) {
 	if err := snap.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	got := [4]int64{int64(steps), int64(pool.Stats().Gets - gets), sp.Get(obs.NodeVisits), sp.Get(obs.LeafScans)}
+	got := [4]int64{int64(steps), int64(pool.Stats().Gets - gets), n[obs.NodeVisits], n[obs.LeafScans]}
 	want := [4]int64{2560, 1529, 216, 501}
 	if got != want {
 		t.Errorf("steps, pool gets, node visits, leaf scans = %v, want %v", got, want)

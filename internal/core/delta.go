@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"probe/internal/btree"
-	"probe/internal/obs"
 )
 
 // A transaction reads its own writes through the one merge. It pins a
@@ -94,8 +93,8 @@ type pointSeq struct {
 }
 
 // points aims the scratch's sequence at the reader's version and delta.
-func (ix *reader) points(s *scratch, ctx context.Context, sp *obs.Span) *pointSeq {
-	s.ps = pointSeq{pc: ix.cursor(s, ctx, sp)}
+func (ix *reader) points(s *scratch, ctx context.Context) *pointSeq {
+	s.ps = pointSeq{pc: ix.cursor(s, ctx)}
 	if ix.d != nil {
 		s.ps.d = ix.d.list()
 	}

@@ -5,6 +5,7 @@ import (
 
 	"probe/internal/btree"
 	"probe/internal/disk"
+	"probe/internal/obs"
 	"probe/internal/zorder"
 )
 
@@ -163,6 +164,6 @@ func SpatialJoinStores(a, b *ElementStore, fn func(Pair) bool) (JoinPages, error
 	if err != nil {
 		return JoinPages{}, err
 	}
-	err = spatialJoinFunc(nil, ca, cb, nil, fn)
+	err = spatialJoinFunc(nil, ca, cb, new(obs.Counts), fn)
 	return JoinPages{Left: ca.pages.pages, Right: cb.pages.pages}, err
 }

@@ -76,7 +76,7 @@ func SpatialJoin(a, b []Item) ([]Pair, error) {
 		return nil, fmt.Errorf("core: right input: %w", err)
 	}
 	var pairs []Pair
-	err := spatialJoinFunc(nil, itemSlice(a), itemSlice(b), nil, func(p Pair) bool {
+	err := spatialJoinFunc(nil, itemSlice(a), itemSlice(b), new(obs.Counts), func(p Pair) bool {
 		pairs = append(pairs, p)
 		return true
 	})
@@ -121,19 +121,13 @@ func (s itemSlice) head() (Item, bool) {
 func (s itemSlice) next() (itemSlice, error) { return s[1:], nil }
 
 // spatialJoinFunc is the streaming form of SpatialJoin, over any pair
-// of inputs. The span, if non-nil, receives one obs.MergeSteps per item
-// the merge consumes and one obs.RawPairs per emitted pair (added in
-// bulk at return, so the hot loop stays free of atomics). A non-nil ctx
-// is checked every joinCancelStride merge steps; a nil ctx is never
+// of inputs. It counts on n one obs.MergeSteps per item the merge
+// consumes and one obs.RawPairs per emitted pair. A non-nil ctx is
+// checked every joinCancelStride merge steps; a nil ctx is never
 // cancelled.
-func spatialJoinFunc[S itemSeq[S]](ctx context.Context, a, b S, sp *obs.Span, fn func(Pair) bool) error {
+func spatialJoinFunc[S itemSeq[S]](ctx context.Context, a, b S, n *obs.Counts, fn func(Pair) bool) error {
 	const total = zorder.MaxBits
 	var stackA, stackB []Item
-	steps, emitted := 0, 0
-	defer func() {
-		sp.Add(obs.MergeSteps, int64(steps))
-		sp.Add(obs.RawPairs, int64(emitted))
-	}()
 	pop := func(stack []Item, minZ uint64) []Item {
 		for len(stack) > 0 && stack[len(stack)-1].Elem.MaxZ(total) < minZ {
 			stack = stack[:len(stack)-1]
@@ -143,8 +137,8 @@ func spatialJoinFunc[S itemSeq[S]](ctx context.Context, a, b S, sp *obs.Span, fn
 	ia, okA := a.head()
 	ib, okB := b.head()
 	for okA || okB {
-		steps++
-		if ctx != nil && steps%joinCancelStride == 0 {
+		n[obs.MergeSteps]++
+		if ctx != nil && n[obs.MergeSteps]%joinCancelStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -169,7 +163,7 @@ func spatialJoinFunc[S itemSeq[S]](ctx context.Context, a, b S, sp *obs.Span, fn
 		stackB = pop(stackB, minZ)
 		if fromA {
 			for _, s := range stackB {
-				emitted++
+				n[obs.RawPairs]++
 				if !fn(Pair{A: it.ID, B: s.ID}) {
 					return nil
 				}
@@ -177,7 +171,7 @@ func spatialJoinFunc[S itemSeq[S]](ctx context.Context, a, b S, sp *obs.Span, fn
 			stackA = append(stackA, it)
 		} else {
 			for _, s := range stackA {
-				emitted++
+				n[obs.RawPairs]++
 				if !fn(Pair{A: s.ID, B: it.ID}) {
 					return nil
 				}
@@ -209,13 +203,16 @@ func SpatialJoinDistinct(a, b []Item) ([]Pair, QueryStats, error) {
 
 // SpatialJoinDistinctCtx is SpatialJoinDistinct under a cancellation
 // context, checked every joinCancelStride merge steps (nil = never
-// cancelled), with per-operator attribution on sp: input sizes, merge
-// steps, raw and distinct pair counts. A nil span behaves exactly
-// like SpatialJoinDistinct at no cost.
-func SpatialJoinDistinctCtx(ctx context.Context, a, b []Item, sp *obs.Span) ([]Pair, QueryStats, error) {
-	stats := QueryStats{LeftItems: len(a), RightItems: len(b)}
-	sp.Add(obs.ItemsLeft, int64(len(a)))
-	sp.Add(obs.ItemsRight, int64(len(b)))
+// cancelled). Its counts — input sizes, merge steps, raw and distinct
+// pair counts — are its QueryStats, and are added to sp once if sp is
+// not nil.
+func SpatialJoinDistinctCtx(ctx context.Context, a, b []Item, sp *obs.Span) (out []Pair, stats QueryStats, err error) {
+	var n obs.Counts
+	n[obs.ItemsLeft], n[obs.ItemsRight] = int64(len(a)), int64(len(b))
+	defer func() {
+		sp.AddCounts(&n)
+		stats = StatsOf(&n)
+	}()
 	if err := checkSorted(a); err != nil {
 		return nil, stats, fmt.Errorf("core: left input: %w", err)
 	}
@@ -223,15 +220,13 @@ func SpatialJoinDistinctCtx(ctx context.Context, a, b []Item, sp *obs.Span) ([]P
 		return nil, stats, fmt.Errorf("core: right input: %w", err)
 	}
 	var raw []Pair
-	if err := spatialJoinFunc(ctx, itemSlice(a), itemSlice(b), sp, func(p Pair) bool {
+	if err := spatialJoinFunc(ctx, itemSlice(a), itemSlice(b), &n, func(p Pair) bool {
 		raw = append(raw, p)
 		return true
 	}); err != nil {
 		return nil, stats, err
 	}
-	stats.RawPairs = len(raw)
-	out := DedupPairs(raw)
-	stats.DistinctPairs = len(out)
-	sp.Add(obs.DistinctPairs, int64(len(out)))
+	out = DedupPairs(raw)
+	n[obs.DistinctPairs] = int64(len(out))
 	return out, stats, nil
 }

@@ -62,22 +62,22 @@ func (ix *reader) Nearest(q []uint32, m int, metric Metric, strategy Strategy) (
 // under a cancellation context. Every underlying range search checks
 // it (nil = never cancelled; see RangeSearchFuncCtx), so a cancelled
 // proximity query stops between or inside its expansion rounds with
-// the context's error. Every round counts its work on sp, as
-// RangeSearchCtx does; sp's results are the neighbors returned.
+// the context's error. Its counts are every round's work, as
+// RangeSearchCtx counts it, and the neighbors returned as its results;
+// they are added to sp once if sp is not nil.
 func (ix *reader) NearestCtx(ctx context.Context, q []uint32, m int, metric Metric, sp *obs.Span) ([]Neighbor, QueryStats, error) {
 	return ix.nearest(ctx, q, m, metric, MergeLazy, sp)
 }
 
 func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric, strategy Strategy, sp *obs.Span) ([]Neighbor, QueryStats, error) {
-	var agg QueryStats
 	if !ix.g.Valid(q) {
-		return nil, agg, fmt.Errorf("core: query point %v outside %v", q, ix.g)
+		return nil, QueryStats{}, fmt.Errorf("core: query point %v outside %v", q, ix.g)
 	}
 	if m <= 0 {
-		return nil, agg, fmt.Errorf("core: m = %d must be positive", m)
+		return nil, QueryStats{}, fmt.Errorf("core: m = %d must be positive", m)
 	}
 	if metric != Chebyshev && metric != Euclidean {
-		return nil, agg, fmt.Errorf("core: unknown metric %d", int(metric))
+		return nil, QueryStats{}, fmt.Errorf("core: unknown metric %d", int(metric))
 	}
 	s := ix.take()
 	defer ix.give(s)
@@ -85,7 +85,7 @@ func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric,
 	// a commit may already have moved Len past it.
 	n := ix.count(ix.version(s))
 	if n == 0 {
-		return nil, agg, nil
+		return nil, QueryStats{}, nil
 	}
 	m = min(m, n)
 	// Phase 1: expand an L-infinity box until it holds >= m points or
@@ -93,9 +93,9 @@ func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric,
 	// The radius is a uint64: on a 32-bit dimension it passes every
 	// uint32 first.
 	for r := uint64(1); ; r *= 2 {
-		n, whole, err := ix.nearestRound(s, ctx, q, r, m, metric, strategy, sp, &agg)
+		n, whole, err := ix.nearestRound(s, ctx, q, r, m, metric, strategy)
 		if err != nil {
-			return nil, agg, err
+			return nil, s.stats(sp), err
 		}
 		if n >= m || whole {
 			break
@@ -108,8 +108,8 @@ func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric,
 		// L-infinity distance <= d of q). With fewer than m points in
 		// the whole space there is nothing to certify.
 		certified := uint64(math.Ceil(s.best[0].dist))
-		if _, _, err := ix.nearestRound(s, ctx, q, certified, m, metric, strategy, sp, &agg); err != nil {
-			return nil, agg, err
+		if _, _, err := ix.nearestRound(s, ctx, q, certified, m, metric, strategy); err != nil {
+			return nil, s.stats(sp), err
 		}
 	}
 	// Only the survivors become points.
@@ -119,29 +119,25 @@ func (ix *reader) nearest(ctx context.Context, q []uint32, m int, metric Metric,
 	for i, c := range s.best {
 		neighbors[i] = Neighbor{Point: ix.pointAt(slab, i, c.z, c.id), Dist: c.dist}
 	}
-	agg.Results = len(neighbors)
-	sp.Add(obs.Results, int64(agg.Results))
-	return neighbors, agg, nil
+	s.counts[obs.Results] = int64(len(neighbors))
+	return neighbors, s.stats(sp), nil
 }
 
 // nearestRound searches the box of L-infinity radius r around q,
 // clamped to the grid, and leaves the m best of its points in s.best.
 // It reports how many points the box held and whether the box was the
 // whole space.
-func (ix *reader) nearestRound(s *scratch, ctx context.Context, q []uint32, r uint64, m int, metric Metric, strategy Strategy, sp *obs.Span, agg *QueryStats) (n int, whole bool, err error) {
+func (ix *reader) nearestRound(s *scratch, ctx context.Context, q []uint32, r uint64, m int, metric Metric, strategy Strategy) (n int, whole bool, err error) {
 	box, whole := ix.ringBox(s, q, r)
 	s.best = s.best[:0]
 	var at [zorder.MaxBits]uint32
-	stats, err := ix.searchKeys(s, ctx, box, strategy, sp, func(z, id uint64) bool {
+	err = ix.searchKeys(s, ctx, box, strategy, func(z, id uint64) bool {
+		n++
 		ix.unshuffle(z, at[:len(q)])
 		s.best = offer(s.best, m, candidate{distance(q, at[:len(q)], metric), id, z})
 		return true
 	})
-	if err != nil {
-		return 0, false, err
-	}
-	agg.Add(stats)
-	return stats.Results, whole, nil
+	return n, whole, err
 }
 
 // ringBox builds, in s, the box RingBox describes.

@@ -60,10 +60,10 @@ func (ix *reader) RangeSearch(box geom.Box, strategy Strategy) ([]geom.Point, Qu
 
 // RangeSearchCtx is the serving path's range search: the lazy merge
 // (MergeLazy) under a cancellation context (nil = never cancelled; see
-// RangeSearchFuncCtx), with per-operator attribution on sp: the
-// merge's work counter (obs.Elements), the B+-tree cursor's traversal
-// counters, the pool's counters of the cursor's page loads, and the
-// final DataPages and Results. A nil span costs nothing.
+// RangeSearchFuncCtx). Its counts — the merge's elements, data pages
+// and results, the B+-tree cursor's traversal counters and the pool's
+// counters of the cursor's page loads — are its QueryStats, and are
+// added to sp once if sp is not nil.
 func (ix *reader) RangeSearchCtx(ctx context.Context, box geom.Box, sp *obs.Span) ([]geom.Point, QueryStats, error) {
 	return ix.searchAll(ctx, box, MergeLazy, sp)
 }
@@ -81,7 +81,7 @@ func (ix *reader) EstimatePages(box geom.Box) (int, error) {
 	defer ix.give(s)
 	s.bc.ResetBox(ix.g, box)
 	total := ix.g.TotalBits()
-	return ix.cursor(s, nil, nil).CountLeaves(func(z uint64) (uint64, uint64, bool, error) {
+	return ix.cursor(s, nil).CountLeaves(func(z uint64) (uint64, uint64, bool, error) {
 		e, ok, err := seekCursor(&s.bc, z)
 		return e.MinZ(), e.MaxZ(total), ok, err
 	})
@@ -95,11 +95,11 @@ func (ix *reader) searchAll(ctx context.Context, box geom.Box, strategy Strategy
 	s := ix.take()
 	defer ix.give(s)
 	s.keys = s.keys[:0]
-	stats, err := ix.searchKeys(s, ctx, box, strategy, sp, func(z, id uint64) bool {
+	err := ix.searchKeys(s, ctx, box, strategy, func(z, id uint64) bool {
 		s.keys = append(s.keys, btree.Key{Hi: z, Lo: id})
 		return true
 	})
-	sp.Add(obs.Results, int64(stats.Results))
+	stats := s.stats(sp)
 	if err != nil || len(s.keys) == 0 {
 		return nil, stats, err
 	}
@@ -139,10 +139,11 @@ func (ix *reader) RangeScanCtx(ctx context.Context, box geom.Box, fn func(geom.P
 	s := ix.take()
 	defer ix.give(s)
 	at := s.at[:ix.g.Dims()]
-	return ix.searchKeys(s, ctx, box, MergeLazy, nil, func(z, id uint64) bool {
+	err := ix.searchKeys(s, ctx, box, MergeLazy, func(z, id uint64) bool {
 		ix.unshuffle(z, at)
 		return fn(geom.Point{ID: id, Coords: at})
 	})
+	return s.stats(nil), err
 }
 
 // JoinScanCtx is Section 4's spatial join of boxes against the points:
@@ -159,7 +160,7 @@ func (ix *reader) JoinScanCtx(ctx context.Context, boxes []geom.Box, fn func(box
 	var atZ uint64
 	unshuffled := false
 	bc := &s.bc
-	return ix.merge(s, ctx, len(boxes), nil, func(i int, z uint64) (zorder.Element, bool, error) {
+	err := ix.merge(s, ctx, len(boxes), func(i int, z uint64) (zorder.Element, bool, error) {
 		bc.ResetBox(ix.g, boxes[i])
 		bc.SetContext(ctx)
 		return seekCursor(bc, z)
@@ -171,12 +172,13 @@ func (ix *reader) JoinScanCtx(ctx context.Context, boxes []geom.Box, fn func(box
 		fn(i, geom.Point{ID: id, Coords: at})
 		return true
 	})
+	return s.stats(nil), err
 }
 
 // scratch is the machinery of a search, everything that is not its
-// answer: the tree cursor with its page buffer per level and the
-// sequence stepping it, the decomposition cursor, strategy A's element
-// sequence, the merge's waiting and open elements, the keys of an
+// answer: the counts of its work, the tree cursor with its page buffer
+// per level and the sequence stepping it, the decomposition cursor,
+// strategy A's element sequence, the merge's waiting and open elements, the keys of an
 // answer being collected, NEAREST's box and candidates, the version a
 // read of the live index pins, and a Pin's version and view. A search
 // takes one from the pool, aims it at its own tree version and gives it
@@ -185,6 +187,7 @@ func (ix *reader) JoinScanCtx(ctx context.Context, boxes []geom.Box, fn func(box
 // pins a snapshot per query, so nothing smaller than the process
 // outlives a search.
 type scratch struct {
+	counts obs.Counts
 	pc     btree.Cursor
 	ps     pointSeq
 	bc     decompose.Cursor
@@ -228,19 +231,28 @@ func (s *scratch) release() {
 	scratchPool.Put(s)
 }
 
-// take returns the scratch a search runs on: a Pin's own, or else one
-// from the pool. On the live index it also pins the newest committed
-// version into the scratch, so the whole call reads that one version.
-// give hands back what take returned, unpinning what take pinned.
+// take returns the scratch a search runs on, its counts zero: a Pin's
+// own, or else one from the pool. On the live index it also pins the
+// newest committed version into the scratch, so the whole call reads
+// that one version. give hands back what take returned, unpinning what
+// take pinned.
 func (ix *reader) take() *scratch {
-	if ix.own != nil {
-		return ix.own
+	s := ix.own
+	if s == nil {
+		s = scratchPool.Get().(*scratch)
+		if ix.snap == nil {
+			ix.tree.SnapshotInto(&s.pin)
+		}
 	}
-	s := scratchPool.Get().(*scratch)
-	if ix.snap == nil {
-		ix.tree.SnapshotInto(&s.pin)
-	}
+	s.counts = obs.Counts{}
 	return s
+}
+
+// stats is the QueryStats of the search on s, read off its counts,
+// which a traced search adds to its span once.
+func (s *scratch) stats(sp *obs.Span) QueryStats {
+	sp.AddCounts(&s.counts)
+	return StatsOf(&s.counts)
 }
 
 func (ix *reader) give(s *scratch) {
@@ -261,10 +273,11 @@ func (ix *reader) version(s *scratch) *btree.Snapshot {
 	return &s.pin
 }
 
-// cursor aims the scratch's tree cursor at the version the search reads.
-func (ix *reader) cursor(s *scratch, ctx context.Context, sp *obs.Span) *btree.Cursor {
+// cursor aims the scratch's tree cursor at the version the search
+// reads, counting on the scratch's counts.
+func (ix *reader) cursor(s *scratch, ctx context.Context) *btree.Cursor {
 	s.pc.Reset(ix.version(s))
-	s.pc.SetSpan(sp)
+	s.pc.SetCounts(&s.counts)
 	s.pc.SetContext(ctx)
 	return &s.pc
 }
@@ -276,13 +289,12 @@ func (ix *reader) search(ctx context.Context, box geom.Box, strategy Strategy, s
 	s := ix.take()
 	defer ix.give(s)
 	var slab coordSlab
-	stats, err := ix.searchKeys(s, ctx, box, strategy, sp, func(z, id uint64) bool {
+	err := ix.searchKeys(s, ctx, box, strategy, func(z, id uint64) bool {
 		coords := slab.take(ix.g.Dims())
 		ix.unshuffle(z, coords)
 		return fn(geom.Point{ID: id, Coords: coords})
 	})
-	sp.Add(obs.Results, int64(stats.Results))
-	return stats, err
+	return s.stats(sp), err
 }
 
 // unshuffle writes the coordinates of a point's z key into coords.
@@ -292,16 +304,15 @@ func (ix *reader) unshuffle(z uint64, coords []uint32) {
 
 // searchKeys is the search itself: it streams the (z, id) keys of the
 // points inside the box to visit, in z order, using s for the
-// duration. visit returning false stops it. It counts its work on sp
-// but not its results, which its caller counts: a NEAREST returns
-// fewer points than its rounds visit.
-func (ix *reader) searchKeys(s *scratch, ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span, visit func(z, id uint64) bool) (QueryStats, error) {
+// duration, and adds its work to s's counts. visit returning false
+// stops it.
+func (ix *reader) searchKeys(s *scratch, ctx context.Context, box geom.Box, strategy Strategy, visit func(z, id uint64) bool) error {
 	if box.Dims() != ix.g.Dims() {
-		return QueryStats{}, fmt.Errorf("core: box has %d dims, index %d", box.Dims(), ix.g.Dims())
+		return fmt.Errorf("core: box has %d dims, index %d", box.Dims(), ix.g.Dims())
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return QueryStats{}, err
+			return err
 		}
 	}
 	total := ix.g.TotalBits()
@@ -311,7 +322,6 @@ func (ix *reader) searchKeys(s *scratch, ctx context.Context, box geom.Box, stra
 		// Strategy A: materialize B, the box's elements, and seek in it.
 		s.elems = decompose.AppendBox(s.elems[:0], ix.g, box)
 		elems := s.elems
-		sp.Add(obs.Elements, int64(len(elems)))
 		i := 0
 		seek = func(_ int, z uint64) (zorder.Element, bool, error) {
 			i += sort.Search(len(elems)-i, func(j int) bool { return elems[i+j].MaxZ(total) >= z })
@@ -322,10 +332,9 @@ func (ix *reader) searchKeys(s *scratch, ctx context.Context, box geom.Box, stra
 		}
 	case MergeLazy:
 		// Strategy B: generate B on demand by the decomposition
-		// cursor, which attributes each element to sp and checks ctx.
+		// cursor, which checks ctx.
 		bc := &s.bc
 		bc.ResetBox(ix.g, box)
-		bc.SetSpan(sp)
 		bc.SetContext(ctx)
 		seek = func(_ int, z uint64) (zorder.Element, bool, error) { return seekCursor(bc, z) }
 	case SkipBigMin:
@@ -337,18 +346,18 @@ func (ix *reader) searchKeys(s *scratch, ctx context.Context, box geom.Box, stra
 			if !ok {
 				return zorder.Element{}, false, nil
 			}
-			sp.Inc(obs.BigMinSkips)
 			return zorder.Element{Bits: z, Len: uint8(total)}, true, nil
 		}
 	default:
-		return QueryStats{}, fmt.Errorf("core: unknown strategy %d", int(strategy))
+		return fmt.Errorf("core: unknown strategy %d", int(strategy))
 	}
-	stats, err := ix.merge(s, ctx, 1, sp, seek, func(_ int, z, id uint64) bool { return visit(z, id) })
+	elems := s.counts[obs.Elements]
+	err := ix.merge(s, ctx, 1, seek, func(_ int, z, id uint64) bool { return visit(z, id) })
 	if strategy == MergeDecomposed {
-		stats.Elements = len(s.elems)
+		// Strategy A generated all of B, not only what the merge reached.
+		s.counts[obs.Elements] = elems + int64(len(s.elems))
 	}
-	sp.Add(obs.DataPages, int64(stats.DataPages))
-	return stats, err
+	return err
 }
 
 // pageTracker counts the distinct leaf pages a forward cursor touches:
@@ -399,10 +408,11 @@ type seekFunc func(i int, z uint64) (zorder.Element, bool, error)
 // containing the current key, which makes the box open, or the next
 // after it, which makes it wait. When no box is open the cursor seeks
 // to the least waiting start, so the merge reads only leaves an
-// element reaches, each once, and tests no coordinate. visit returning
-// false stops it.
-func (ix *reader) merge(s *scratch, ctx context.Context, n int, sp *obs.Span, seek seekFunc, visit func(i int, z, id uint64) bool) (QueryStats, error) {
-	var stats QueryStats
+// element reaches, each once, and tests no coordinate. It counts on s
+// the elements its seeks find, the distinct leaves it reads and the
+// keys it visits; visit returning false stops it.
+func (ix *reader) merge(s *scratch, ctx context.Context, n int, seek seekFunc, visit func(i int, z, id uint64) bool) error {
+	c := &s.counts
 	total := ix.g.TotalBits()
 	// An Item here is a box's element tagged with the box's index.
 	wait, open := s.wait[:0], s.open[:0]
@@ -410,20 +420,19 @@ func (ix *reader) merge(s *scratch, ctx context.Context, n int, sp *obs.Span, se
 	for i := 0; i < n; i++ {
 		e, ok, err := seek(i, 0)
 		if err != nil {
-			return stats, err
+			return err
 		}
 		if ok {
-			stats.Elements++
+			c[obs.Elements]++
 			wait = pushWaiting(wait, Item{Elem: e, ID: uint64(i)})
 		}
 	}
 	if len(wait) == 0 {
-		return stats, nil
+		return nil
 	}
-	ps := ix.points(s, ctx, sp)
+	ps := ix.points(s, ctx)
 	var pages pageTracker
 	ok, err := ps.SeekGE(btree.Key{Hi: wait[0].Elem.MinZ()})
-	stats.Seeks++
 	pages.touch(ps.pc)
 merge:
 	for ok && err == nil {
@@ -442,14 +451,14 @@ merge:
 					}
 					continue
 				}
-				stats.Elements++
+				c[obs.Elements]++
 				if it.Elem.MinZ() > k.Hi {
 					wait = pushWaiting(wait, it)
 					continue
 				}
 			}
 			still = append(still, it)
-			stats.Results++
+			c[obs.Results]++
 			if !visit(int(it.ID), k.Hi, k.Lo) {
 				break merge
 			}
@@ -459,14 +468,13 @@ merge:
 		} else if len(wait) > 0 {
 			// Random access into P: skip to the next element's start.
 			ok, err = ps.SeekGE(btree.Key{Hi: wait[0].Elem.MinZ()})
-			stats.Seeks++
 		} else {
 			break
 		}
 		pages.touch(ps.pc)
 	}
-	stats.DataPages = pages.pages
-	return stats, err
+	c[obs.DataPages] += int64(pages.pages)
+	return err
 }
 
 // pushWaiting adds it to wait, a min-heap of items by their element's
@@ -511,8 +519,8 @@ func seekCursor(bc *decompose.Cursor, z uint64) (zorder.Element, bool, error) {
 
 // PartialMatchCtx runs a partial-match query (Section 5.3.1) as a
 // range search by the lazy merge: restricted[i] pins dimension i to
-// value[i]. ctx cancels it (nil = never cancelled); sp takes the
-// per-operator attribution (nil disables tracing at no cost).
+// value[i]. ctx cancels it (nil = never cancelled); its counts are
+// added to sp if sp is not nil.
 func (ix *reader) PartialMatchCtx(ctx context.Context, restricted []bool, value []uint32, sp *obs.Span) ([]geom.Point, QueryStats, error) {
 	if len(restricted) != ix.g.Dims() || len(value) != ix.g.Dims() {
 		return nil, QueryStats{}, fmt.Errorf("core: partial match arity mismatch")

@@ -3,6 +3,8 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"probe/internal/obs"
 )
 
 // TestQueryStatsAddSumsEveryCounter: Add sums every field of the
@@ -34,5 +36,45 @@ func TestQueryStatsAddSumsEveryCounter(t *testing.T) {
 		if got.CanInt() && got.Int() != want || got.CanUint() && got.Uint() != uint64(want) {
 			t.Errorf("%s = %v after adding 1 to 1, want %d", name, got, want)
 		}
+	}
+}
+
+// TestStatsTableNamesEveryFieldOnce: link pairs every QueryStats field
+// with a counter of its own, so a field set alone shows on exactly one
+// counter, no two fields share one, and the record survives the trip
+// through its counts.
+func TestStatsTableNamesEveryFieldOnce(t *testing.T) {
+	seen := map[obs.Counter]string{}
+	var all QueryStats
+	v := reflect.ValueOf(&all).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		var one QueryStats
+		f := reflect.ValueOf(&one).Elem().Field(i)
+		name := v.Type().Field(i).Name
+		if f.CanInt() {
+			f.SetInt(int64(i + 1))
+			v.Field(i).SetInt(int64(i + 1))
+		} else {
+			f.SetUint(uint64(i + 1))
+			v.Field(i).SetUint(uint64(i + 1))
+		}
+		c := CountsOf(one)
+		var on []obs.Counter
+		for k, n := range c {
+			if n != 0 {
+				on = append(on, obs.Counter(k))
+			}
+		}
+		if len(on) != 1 || c[on[0]] != int64(i+1) {
+			t.Fatalf("%s set alone shows on counters %v", name, on)
+		}
+		if prev, ok := seen[on[0]]; ok {
+			t.Fatalf("%s and %s share counter %v", prev, name, on[0])
+		}
+		seen[on[0]] = name
+	}
+	c := CountsOf(all)
+	if back := StatsOf(&c); back != all {
+		t.Fatalf("StatsOf(CountsOf(s)) = %+v, want %+v", back, all)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"probe/internal/geom"
-	"probe/internal/obs"
 	"probe/internal/zorder"
 )
 
@@ -28,9 +27,8 @@ type Cursor struct {
 	valid bool
 	done  bool
 
-	span *obs.Span       // element-generation attribution; nil = untraced
-	ctx  context.Context // cancellation; nil = never cancelled
-	err  error           // sticky cancellation error, reported by Err
+	ctx context.Context // cancellation; nil = never cancelled
+	err error           // sticky cancellation error, reported by Err
 }
 
 // NewCursor builds a cursor over the decomposition of obj, which must
@@ -56,7 +54,7 @@ func NewCursor(g zorder.Grid, obj geom.Object, opts Options) (*Cursor, error) {
 
 // ResetBox re-aims a cursor, whatever it did before, at the
 // full-resolution decomposition of box b, before its first element and
-// with no span or context. A zero Cursor is ready for it, so a cursor
+// with no context. A zero Cursor is ready for it, so a cursor
 // can live by value inside a recycled structure and serve one search
 // after another without allocating. A box of the wrong arity is the
 // caller's bug.
@@ -66,11 +64,6 @@ func (c *Cursor) ResetBox(g zorder.Grid, b geom.Box) {
 	}
 	*c = Cursor{box: g.BoxKeys(b.Lo, b.Hi), total: g.TotalBits()}
 }
-
-// SetSpan attributes the cursor's work to sp: one obs.Elements per
-// element generated (each successful Next or Seek positioning). A nil
-// span disables attribution at zero cost.
-func (c *Cursor) SetSpan(sp *obs.Span) { c.span = sp }
 
 // SetContext makes the cursor cancellable: each element generation
 // (every Next or Seek) checks the context first and, once it is done,
@@ -136,6 +129,5 @@ func (c *Cursor) Seek(z uint64) bool {
 		return false
 	}
 	c.cur, c.valid, c.done = c.box.Element(p), true, false
-	c.span.Inc(obs.Elements)
 	return true
 }

@@ -147,10 +147,10 @@ func TestPoolWriteBack(t *testing.T) {
 	}
 }
 
-// TestPoolViewCounts: View counts on its span its get, the hit or
-// miss, the physical read a miss costs and the eviction and write-back
-// the miss forces; a get without a span counts on none. View takes no
-// pin.
+// TestPoolViewCounts: View counts on the reader's counts its get, the
+// hit or miss, the physical read a miss costs and the eviction and
+// write-back the miss forces; a get without counts counts on none.
+// View takes no pin.
 func TestPoolViewCounts(t *testing.T) {
 	s := MustMemStore(64)
 	p := MustPool(s, 1, LRU)
@@ -160,21 +160,21 @@ func TestPoolViewCounts(t *testing.T) {
 	}
 	p.Unpin(f.ID, true)
 	id, _ := s.Allocate()
-	sp := obs.New("read")
+	var n obs.Counts
 	for i := 0; i < 2; i++ { // a miss evicting the dirty page, then a hit
-		if _, err := p.View(id, sp); err != nil {
+		if _, err := p.View(id, &n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := p.View(f.ID, nil); err != nil { // a miss on no span
+	if _, err := p.View(f.ID, nil); err != nil { // a miss on no counts
 		t.Fatal(err)
 	}
 	for c, want := range map[obs.Counter]int64{
 		obs.PoolGets: 2, obs.PoolHits: 1, obs.PoolMisses: 1, obs.PhysReads: 1,
 		obs.PoolEvictions: 1, obs.PoolWriteBacks: 1,
 	} {
-		if got := sp.Get(c); got != want {
-			t.Errorf("span %s = %d, want %d", c, got, want)
+		if got := n[c]; got != want {
+			t.Errorf("counts %s = %d, want %d", c, got, want)
 		}
 	}
 	if st := p.Stats(); st.Gets != 3 || st.Misses != 2 || st.Evictions != 2 {

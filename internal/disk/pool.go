@@ -34,34 +34,6 @@ func (s PoolStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Gets)
 }
 
-// counters is the pool's internal, atomically updated form of
-// PoolStats, so Stats can be read without taking the pool latch.
-type counters struct {
-	gets       atomic.Uint64
-	hits       atomic.Uint64
-	misses     atomic.Uint64
-	evictions  atomic.Uint64
-	writeBacks atomic.Uint64
-}
-
-func (c *counters) snapshot() PoolStats {
-	return PoolStats{
-		Gets:       c.gets.Load(),
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Evictions:  c.evictions.Load(),
-		WriteBacks: c.writeBacks.Load(),
-	}
-}
-
-func (c *counters) reset() {
-	c.gets.Store(0)
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.evictions.Store(0)
-	c.writeBacks.Store(0)
-}
-
 // Frame is a page resident in a buffer pool, pinned by a writer. Data
 // is the page's contents; mutate it in place, then Unpin it dirty so
 // eviction and Flush write it back.
@@ -94,7 +66,9 @@ type Pool struct {
 	frames map[PageID]*Frame
 	order  *list.List // LRU order: front = next eviction victim
 
-	stats counters
+	// total counts the pool's accesses over its lifetime, atomically,
+	// so Stats can be read without taking the pool latch.
+	total [obs.NumCounters]atomic.Int64
 }
 
 // NewPool creates a buffer pool holding up to capacity pages. LRU is
@@ -131,23 +105,37 @@ func (p *Pool) Capacity() int { return p.capacity }
 
 // Stats returns the pool's access counters. It may be called
 // concurrently with any pool operation.
-func (p *Pool) Stats() PoolStats { return p.stats.snapshot() }
+func (p *Pool) Stats() PoolStats {
+	t := func(k obs.Counter) uint64 { return uint64(p.total[k].Load()) }
+	return PoolStats{t(obs.PoolGets), t(obs.PoolHits), t(obs.PoolMisses), t(obs.PoolEvictions), t(obs.PoolWriteBacks)}
+}
 
 // ResetStats zeroes the pool's access counters.
-func (p *Pool) ResetStats() { p.stats.reset() }
+func (p *Pool) ResetStats() {
+	for i := range p.total {
+		p.total[i].Store(0)
+	}
+}
+
+// count counts one event on the pool's lifetime totals and on n, the
+// counts of the read that caused it (nil: a writer's).
+func (p *Pool) count(n *obs.Counts, k obs.Counter) {
+	p.total[k].Add(1)
+	n.Inc(k)
+}
 
 // View returns page id's image for reading, loading it from the store
 // on a miss. It takes no pin: the image never changes (see Pool), so
-// the caller keeps it as long as it likes. View counts on sp as well
-// as on the pool's lifetime counters: the get, its hit or miss, the
+// the caller keeps it as long as it likes. View counts on n as well as
+// on the pool's lifetime counters: the get, its hit or miss, the
 // physical read a miss costs (or its checksum failure) and the
-// evictions and write-backs it forces. sp belongs to the caller's
-// operation, so concurrent operations never count on each other's
-// spans; a nil sp counts nowhere but the pool.
-func (p *Pool) View(id PageID, sp *obs.Span) ([]byte, error) {
+// evictions and write-backs it forces. n belongs to the caller's read,
+// so concurrent reads never count on each other's; a nil n counts
+// nowhere but the pool.
+func (p *Pool) View(id PageID, n *obs.Counts) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f, err := p.frame(id, sp)
+	f, err := p.frame(id, n)
 	if err != nil {
 		return nil, err
 	}
@@ -168,30 +156,27 @@ func (p *Pool) Get(id PageID) (*Frame, error) {
 }
 
 // frame returns page id's resident frame, reading it on a miss, and
-// counts the get on sp. The caller holds p.mu.
-func (p *Pool) frame(id PageID, sp *obs.Span) (*Frame, error) {
-	p.stats.gets.Add(1)
-	sp.Inc(obs.PoolGets)
+// counts the get on n. The caller holds p.mu.
+func (p *Pool) frame(id PageID, n *obs.Counts) (*Frame, error) {
+	p.count(n, obs.PoolGets)
 	if f, ok := p.frames[id]; ok {
-		p.stats.hits.Add(1)
-		sp.Inc(obs.PoolHits)
+		p.count(n, obs.PoolHits)
 		p.order.MoveToBack(f.elem)
 		return f, nil
 	}
-	p.stats.misses.Add(1)
-	sp.Inc(obs.PoolMisses)
-	if err := p.makeRoom(sp); err != nil {
+	p.count(n, obs.PoolMisses)
+	if err := p.makeRoom(n); err != nil {
 		return nil, err
 	}
 	f := p.install(id)
 	if err := p.store.Read(id, f.Data); err != nil {
 		if _, ok := err.(*ChecksumError); ok {
-			sp.Inc(obs.ChecksumFailures)
+			p.count(n, obs.ChecksumFailures)
 		}
 		p.discard(f)
 		return nil, err
 	}
-	sp.Inc(obs.PhysReads)
+	p.count(n, obs.PhysReads)
 	return f, nil
 }
 
@@ -214,11 +199,11 @@ func (p *Pool) NewPage() (*Frame, error) {
 	return f, nil
 }
 
-// makeRoom evicts until a frame is free, counting on sp. The caller
+// makeRoom evicts until a frame is free, counting on n. The caller
 // holds p.mu.
-func (p *Pool) makeRoom(sp *obs.Span) error {
+func (p *Pool) makeRoom(n *obs.Counts) error {
 	for len(p.frames) >= p.capacity {
-		if err := p.evictOne(sp); err != nil {
+		if err := p.evictOne(n); err != nil {
 			return err
 		}
 	}
@@ -241,8 +226,8 @@ func (p *Pool) discard(f *Frame) {
 }
 
 // evictOne removes the least recently used unpinned frame, counting on
-// sp. The caller holds p.mu.
-func (p *Pool) evictOne(sp *obs.Span) error {
+// n. The caller holds p.mu.
+func (p *Pool) evictOne(n *obs.Counts) error {
 	var victim *Frame
 	for e := p.order.Front(); e != nil; e = e.Next() {
 		if f := e.Value.(*Frame); f.pins == 0 {
@@ -257,12 +242,10 @@ func (p *Pool) evictOne(sp *obs.Span) error {
 		if err := p.store.Write(victim.ID, victim.Data); err != nil {
 			return err
 		}
-		p.stats.writeBacks.Add(1)
-		sp.Inc(obs.PoolWriteBacks)
+		p.count(n, obs.PoolWriteBacks)
 	}
 	p.discard(victim)
-	p.stats.evictions.Add(1)
-	sp.Inc(obs.PoolEvictions)
+	p.count(n, obs.PoolEvictions)
 	return nil
 }
 
@@ -301,7 +284,7 @@ func (p *Pool) flushLocked() error {
 				return err
 			}
 			f.dirty = false
-			p.stats.writeBacks.Add(1)
+			p.count(nil, obs.PoolWriteBacks)
 		}
 	}
 	return nil

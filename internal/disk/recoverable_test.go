@@ -211,14 +211,14 @@ func TestRecoverableChecksumErrorOnCorruption(t *testing.T) {
 	if rs.DurabilityStats().ChecksumFailures != 1 {
 		t.Fatalf("checksum failure not counted: %+v", rs.DurabilityStats())
 	}
-	// A view through a pool counts the failure on the reader's span.
-	sp := obs.New("read")
-	if _, err := disk.MustPool(rs, 4, disk.LRU).View(id, sp); !errors.As(err, &ce) {
+	// A view through a pool counts the failure on the reader's counts.
+	var n obs.Counts
+	if _, err := disk.MustPool(rs, 4, disk.LRU).View(id, &n); !errors.As(err, &ce) {
 		t.Fatalf("pool get of corrupted page: want ChecksumError, got %v", err)
 	}
-	if sp.Get(obs.ChecksumFailures) != 1 || sp.Get(obs.PoolMisses) != 1 || sp.Get(obs.PhysReads) != 0 {
-		t.Fatalf("span after a failed get: checksum failures %d, misses %d, physical reads %d",
-			sp.Get(obs.ChecksumFailures), sp.Get(obs.PoolMisses), sp.Get(obs.PhysReads))
+	if n[obs.ChecksumFailures] != 1 || n[obs.PoolMisses] != 1 || n[obs.PhysReads] != 0 {
+		t.Fatalf("counts after a failed get: checksum failures %d, misses %d, physical reads %d",
+			n[obs.ChecksumFailures], n[obs.PoolMisses], n[obs.PhysReads])
 	}
 	// Recovery with no committed log cannot vouch for the page either:
 	// the double fault surfaces as ChecksumError, never as wrong data.

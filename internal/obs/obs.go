@@ -1,22 +1,17 @@
 // Package obs is the observability layer under every query operator:
 // a lightweight hierarchical tracing and metrics facility. The
 // paper's entire experimental argument (Section 5) is made in counted
-// work — page accesses, elements generated, merge steps — so the
-// operators report their work through obs spans, and the facade
-// assembles the unified QueryStats and ExplainAnalyze reports from
-// them.
+// work — page accesses, elements generated, merge steps — so every
+// read counts its work into a Counts array, from which its QueryStats
+// are read and which a traced read adds to its span.
 //
 // A Span is one node of a per-query trace tree: it carries a
 // monotonic start time, a duration sealed by End, and a fixed array
 // of typed counters (see Counter). Counters are atomics, so many
-// goroutines, such as concurrent cursors over one tree, may Add to one
-// span or to sibling child spans without external locking.
-//
-// The whole API is nil-tolerant: every method on a nil *Span is a
-// no-op (or zero), so operators thread a possibly-nil span through
-// their hot loops unconditionally. The disabled path performs no
-// allocation and no atomic writes; TestNoopSpanAllocs and
-// BenchmarkNoopSpan pin that down with testing.AllocsPerRun.
+// goroutines may Add to one span or to sibling child spans without
+// external locking. The whole API is nil-tolerant: every method on a
+// nil *Span is a no-op (or zero) that allocates nothing
+// (TestNoopSpanAllocs, BenchmarkNoopSpan).
 package obs
 
 import (
@@ -39,9 +34,9 @@ const (
 	// Elements counts decomposition elements generated or consumed
 	// (the paper's sequence-B records).
 	Elements Counter = iota
-	// BigMinSkips counts the pixels strategy C's seek hands the
-	// merge, its substitute for elements: one per in-box z the merge
-	// reaches, found by an in-box test or else by BIGMIN.
+	// BigMinSkips is retired: strategy C's pixels count as Elements,
+	// which the merge counts for every strategy. It stays reserved so
+	// the later ids keep their numbers in the TRACE codec.
 	BigMinSkips
 	// Seeks counts random accesses into the point sequence.
 	Seeks
@@ -130,6 +125,18 @@ func (c Counter) String() string {
 	return fmt.Sprintf("Counter(%d)", uint8(c))
 }
 
+// Counts is one read's work as a plain counter array, which the cursor,
+// the pool and the merge count into, traced or not; a traced read adds
+// it to its span once (Span.AddCounts). It serves one goroutine.
+type Counts [NumCounters]int64
+
+// Inc adds one to counter k; no-op on nil (a writer's page load).
+func (c *Counts) Inc(k Counter) {
+	if c != nil {
+		c[k]++
+	}
+}
+
 // Span is one node of a trace: a named operator execution with typed
 // counters, a monotonic start time, and child spans. The zero of the
 // API is the nil span: every method no-ops (or returns zero) on nil,
@@ -169,6 +176,16 @@ func (s *Span) Add(c Counter, n int64) {
 		return
 	}
 	s.counters[c].Add(n)
+}
+
+// AddCounts adds every nonzero counter of n. Safe for concurrent use;
+// no-op on nil.
+func (s *Span) AddCounts(n *Counts) {
+	for c, v := range n {
+		if v != 0 {
+			s.Add(Counter(c), v)
+		}
+	}
 }
 
 // Inc is Add(c, 1).

@@ -342,39 +342,22 @@ func (r *Replica) session(ctx context.Context) error {
 
 // installSnapshot writes the received image to BOTH page files and
 // promotes a database over it — the bootstrap (and fallen-behind)
-// path.
+// path. The idle file is written and promoted first: the serving
+// database holds the active file (probe.ErrInUse) until it is closed.
 func (r *Replica) installSnapshot(img []byte, lsn uint64) error {
-	for i := 0; i < 2; i++ {
-		f, err := r.cfg.FS.Create(r.path(i))
-		if err != nil {
-			return fmt.Errorf("repl: create %s: %w", r.path(i), err)
-		}
-		if _, err := f.WriteAt(img, 0); err != nil {
-			f.Close()
-			return fmt.Errorf("repl: write %s: %w", r.path(i), err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		// A fresh image invalidates any WAL left by a database that
-		// served the old file; truncate via create.
-		if wf, err := r.cfg.FS.Create(r.path(i) + ".wal"); err == nil {
-			wf.Close()
-		}
+	target := 1 - r.active // only this goroutine writes r.active
+	if err := r.writeImage(target, img); err != nil {
+		return err
 	}
-	db, err := r.openFile(0)
+	db, err := r.openFile(target)
 	if err != nil {
 		return fmt.Errorf("repl: open snapshot: %w", err)
 	}
 	r.mu.Lock()
 	old := r.db
 	r.db = db
-	r.active = 0
-	r.fileLSN = [2]uint64{lsn, lsn}
+	r.active = target
+	r.fileLSN[target] = lsn
 	if lsn > r.primaryLatest {
 		r.primaryLatest = lsn
 	}
@@ -388,15 +371,45 @@ func (r *Replica) installSnapshot(img []byte, lsn uint64) error {
 	if r.swap != nil {
 		r.swap(db)
 	}
-	r.updateGauges()
 	r.mu.Unlock()
-	r.cfg.Registry.Int("repl.snapshots_received").Add(1)
 	if old != nil {
 		old.CloseReadOnly()
 	}
+	if err := r.writeImage(1-target, img); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	r.fileLSN[1-target] = lsn
+	r.updateGauges()
+	r.mu.Unlock()
+	r.cfg.Registry.Int("repl.snapshots_received").Add(1)
 	r.signalReady()
 	if r.cfg.Logger != nil {
 		r.cfg.Logger.Info("repl snapshot installed", "lsn", lsn, "bytes", len(img))
+	}
+	return nil
+}
+
+// writeImage replaces page file i with a shipped image and truncates
+// the WAL a database serving the old file left.
+func (r *Replica) writeImage(i int, img []byte) error {
+	f, err := r.cfg.FS.Create(r.path(i))
+	if err != nil {
+		return fmt.Errorf("repl: create %s: %w", r.path(i), err)
+	}
+	if _, err := f.WriteAt(img, 0); err != nil {
+		f.Close()
+		return fmt.Errorf("repl: write %s: %w", r.path(i), err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if wf, err := r.cfg.FS.Create(r.path(i) + ".wal"); err == nil {
+		wf.Close()
 	}
 	return nil
 }

@@ -13,12 +13,12 @@ import (
 // engine is the session layer's Engine over the server's current
 // database. Every read takes the database's snapshot path — one
 // pinned committed tree version, no database mutex — so reads on one
-// connection do not stall behind a writer on another. A traced read
-// passes the request span down with it, and every counter on that span,
-// pool gets included, is the request's own.
+// connection do not stall behind a writer on another. Every operation
+// counts its own work, pool gets included; a traced one passes the
+// request span down with it, which receives those counts.
 type engine struct{ s *Server }
 
-// queryOpts assembles the options of a read: the request context
+// queryOpts assembles the options of an operation: the request context
 // always, the request span only when the client asked for the trace.
 func queryOpts(ctx context.Context) []probe.QueryOption {
 	opts := []probe.QueryOption{probe.WithContext(ctx)}
@@ -39,8 +39,7 @@ func (e engine) Nearest(ctx context.Context, q []uint32, m int, metric probe.Met
 }
 
 // Join decomposes both shipped relations on the database's grid and
-// merges them; it touches no stored data, so it always runs attributed
-// to the request span.
+// merges them.
 func (e engine) Join(ctx context.Context, a, b []session.BoxItem) ([]probe.Pair, probe.QueryStats, error) {
 	g := e.Grid()
 	decompose := func(items []session.BoxItem) []probe.Item {
@@ -51,8 +50,7 @@ func (e engine) Join(ctx context.Context, a, b []session.BoxItem) ([]probe.Pair,
 		probe.SortItems(out)
 		return out
 	}
-	span, _, _ := session.TraceFrom(ctx)
-	return probe.SpatialJoin(decompose(a), decompose(b), probe.WithContext(ctx), probe.WithTrace(span))
+	return probe.SpatialJoin(decompose(a), decompose(b), queryOpts(ctx)...)
 }
 
 func (e engine) Insert(ctx context.Context, pts []probe.Point) (probe.QueryStats, error) {
@@ -79,8 +77,7 @@ func deleteEach(pts []probe.Point, del func(probe.Point) (bool, error)) (probe.Q
 }
 
 func (e engine) Checkpoint(ctx context.Context) (probe.QueryStats, error) {
-	span, _, _ := session.TraceFrom(ctx)
-	return e.s.database().Checkpoint(probe.WithTrace(span))
+	return e.s.database().Checkpoint(queryOpts(ctx)...)
 }
 
 func (e engine) Explain(ctx context.Context, box probe.Box) (string, error) {

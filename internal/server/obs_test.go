@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"probe"
 )
 
 // TestAdminEndpoint drives real traffic through the server and then
@@ -182,6 +184,87 @@ func TestPagesHistogramIgnoresTrace(t *testing.T) {
 	}
 	if added[0] == 0 || added[0] != added[1] {
 		t.Fatalf("pages.range grew by %d untraced and %d traced, want one nonzero value", added[0], added[1])
+	}
+}
+
+// TestPoolHistogramsIgnoreTrace: server.pool_gets.<op> and
+// server.pool_misses.<op> record a request's pool cost, traced or not,
+// so a traced and an untraced RANGE of one box, each on a cold pool,
+// add the same values to them, the ones their DONE reports.
+func TestPoolHistogramsIgnoreTrace(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	srv, addr, _ := startServer(t, Config{}, randPoints(rng, 2000, 0))
+	cl := dial(t, addr)
+	ctx := context.Background()
+	gets := srv.Metrics().Histogram("server.pool_gets.range")
+	misses := srv.Metrics().Histogram("server.pool_misses.range")
+	var added [2][2]int64
+	for i, traced := range []bool{false, true} {
+		if err := srv.database().DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		cl.SetTrace(traced)
+		g, m := gets.Snapshot().Sum, misses.Snapshot().Sum
+		_, qs, err := cl.Range(ctx, []uint32{100, 100}, []uint32{600, 600})
+		if err != nil {
+			t.Fatal(err)
+		}
+		added[i] = [2]int64{gets.Snapshot().Sum - g, misses.Snapshot().Sum - m}
+		if want := [2]int64{int64(qs.PoolGets), int64(qs.PoolMisses)}; added[i] != want {
+			t.Errorf("traced=%v: pool_gets, pool_misses grew by %v, DONE reports %v", traced, added[i], want)
+		}
+	}
+	if added[0][0] == 0 || added[0][1] == 0 || added[0] != added[1] {
+		t.Fatalf("pool_gets, pool_misses grew by %v untraced and %v traced, want one nonzero pair", added[0], added[1])
+	}
+}
+
+// TestUntracedRangeStatsOverTheWire: an untraced RANGE's DONE carries
+// its read's pool and physical counters, the ones a library read of
+// the same box reports on the same cold pool.
+func TestUntracedRangeStatsOverTheWire(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	srv, addr, _ := startServer(t, Config{}, randPoints(rng, 3000, 0))
+	cl := dial(t, addr)
+	ctx := context.Background()
+	db := srv.database()
+	for _, b := range [][4]uint32{{100, 600, 100, 600}, {0, 1023, 0, 1023}, {700, 720, 10, 900}} {
+		lo, hi := []uint32{b[0], b[2]}, []uint32{b[1], b[3]}
+		if err := db.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := cl.Range(ctx, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.RangeSearchFunc(probe.Box2(b[0], b[1], b[2], b[3]), func(probe.Point) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.PoolMisses == 0 || want.PhysReads == 0 {
+			t.Fatalf("%v: a cold read counted no misses: %+v", b, want)
+		}
+		for _, f := range []struct {
+			name      string
+			got, want uint64
+		}{
+			{"data pages", uint64(got.DataPages), uint64(want.DataPages)},
+			{"seeks", uint64(got.Seeks), uint64(want.Seeks)},
+			{"elements", uint64(got.Elements), uint64(want.Elements)},
+			{"results", uint64(got.Results), uint64(want.Results)},
+			{"pool gets", got.PoolGets, want.PoolGets},
+			{"pool hits", got.PoolHits, want.PoolHits},
+			{"pool misses", got.PoolMisses, want.PoolMisses},
+			{"physical reads", got.PhysReads, want.PhysReads},
+			{"physical writes", got.PhysWrites, want.PhysWrites},
+		} {
+			if f.got != f.want {
+				t.Errorf("%v: untraced RANGE reports %s %d, the library %d", b, f.name, f.got, f.want)
+			}
+		}
 	}
 }
 

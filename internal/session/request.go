@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"probe"
+	"probe/internal/core"
 	"probe/internal/obs"
 	"probe/internal/wire"
 )
@@ -202,43 +203,18 @@ func (c *conn) failReq(ctx context.Context, rq *request, err error) {
 	c.fail(rq, code, err.Error())
 }
 
-// statsArray flattens QueryStats into the Done stats array (see the
-// wire.Stat* indices).
-func statsArray(qs probe.QueryStats) (a [wire.NumStats]uint64) {
-	a[wire.StatDataPages] = uint64(qs.DataPages)
-	a[wire.StatSeeks] = uint64(qs.Seeks)
-	a[wire.StatElements] = uint64(qs.Elements)
-	a[wire.StatResults] = uint64(qs.Results)
-	a[wire.StatLeftItems] = uint64(qs.LeftItems)
-	a[wire.StatRightItems] = uint64(qs.RightItems)
-	a[wire.StatRawPairs] = uint64(qs.RawPairs)
-	a[wire.StatDistinctPairs] = uint64(qs.DistinctPairs)
-	a[wire.StatPoolGets] = qs.PoolGets
-	a[wire.StatPoolHits] = qs.PoolHits
-	a[wire.StatPoolMisses] = qs.PoolMisses
-	a[wire.StatPhysReads] = qs.PhysReads
-	a[wire.StatPhysWrites] = qs.PhysWrites
-	a[wire.StatWALAppends] = qs.WALAppends
-	a[wire.StatWALSyncs] = qs.WALSyncs
-	return a
-}
-
 // sendDone ends a successful request. A traced data request first
 // gets its span tree as a TRACE frame (trace ID plus the canonical
 // binary encoding); EXPLAIN and STATS keep their single body. Then
 // every traced request's DONE carries the per-phase timing breakdown.
 func (c *conn) sendDone(rq *request, qs probe.QueryStats) {
 	rq.qs = qs
+	counts := core.CountsOf(qs)
 	if !rq.traced() {
-		// Untraced requests run with no engine span attribution; fold
-		// the logical merge counters back into the request span so
-		// telemetry (slow-query traces, the span tree folded into the
-		// metrics registry) still reports the work performed. Physical
-		// attribution (pool-gets, phys-reads) requires FlagTrace.
-		rq.span.Add(probe.CounterSeeks, int64(qs.Seeks))
-		rq.span.Add(probe.CounterDataPages, int64(qs.DataPages))
-		rq.span.Add(probe.CounterElements, int64(qs.Elements))
-		rq.span.Add(probe.CounterResults, int64(qs.Results))
+		// An untraced request's engine counted on no span: its stats
+		// fold into the request span, so slow-query traces and the
+		// metrics registry see its work as a traced one's.
+		rq.span.AddCounts(&counts)
 	}
 	rq.span.End()
 	c.respDone.Store(true)
@@ -248,7 +224,10 @@ func (c *conn) sendDone(rq *request, qs probe.QueryStats) {
 			return
 		}
 	}
-	stats := statsArray(qs)
+	var stats [wire.NumStats]uint64
+	for i, k := range wire.StatCounters {
+		stats[i] = uint64(counts[k])
+	}
 	dn := wire.Done{ID: rq.id, Stats: stats[:]}
 	if rq.traced() {
 		t := rq.timings()
@@ -261,7 +240,8 @@ func (c *conn) sendDone(rq *request, qs probe.QueryStats) {
 }
 
 // finish records one executed request's telemetry, once: it seals the
-// span, feeds the per-opcode latency and data-page histograms, records
+// span, feeds the per-opcode latency, data-page, pool-get and
+// pool-miss histograms, records
 // interesting requests (traced, slow, sampled) into the trace store
 // behind /debug/traces, and emits the structured log line — a Warn
 // with the rendered span tree for slow queries, or the sampled Info
@@ -278,12 +258,14 @@ func (c *conn) finish(rq *request) {
 	rq.finished = true
 	rq.span.End()
 	total := time.Since(rq.recv)
-	// The paper's metric, which every request has, traced or not; a
-	// traced request's pool gets stay in its trace.
+	// The paper's metric and the pool's cost, which every request
+	// counts, traced or not.
 	pages := int64(rq.qs.DataPages)
 	s := c.srv
 	s.metrics.Histogram(s.metric("latency." + rq.op)).Observe(int64(total))
 	s.metrics.Histogram(s.metric("pages." + rq.op)).Observe(pages)
+	s.metrics.Histogram(s.metric("pool_gets." + rq.op)).Observe(int64(rq.qs.PoolGets))
+	s.metrics.Histogram(s.metric("pool_misses." + rq.op)).Observe(int64(rq.qs.PoolMisses))
 
 	cfg := &s.cfg
 	status := "ok"

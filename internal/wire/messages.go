@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"probe/internal/geom"
+	"probe/internal/obs"
 )
 
 func f64bits(f float64) uint64     { return math.Float64bits(f) }
@@ -613,6 +614,28 @@ const (
 
 	NumStats // count of defined stat fields in this version
 )
+
+// StatCounters names the counter each Stat* slot carries (a retired
+// slot a retired counter, which nothing counts).
+var StatCounters = [NumStats]obs.Counter{
+	StatDataPages:       obs.DataPages,
+	StatSeeks:           obs.Seeks,
+	StatElements:        obs.Elements,
+	StatResults:         obs.Results,
+	StatLeftItems:       obs.ItemsLeft,
+	StatRightItems:      obs.ItemsRight,
+	StatRawPairs:        obs.RawPairs,
+	StatDistinctPairs:   obs.DistinctPairs,
+	StatShards:          obs.Shards,
+	StatReplicatedItems: obs.ReplicatedItems,
+	StatPoolGets:        obs.PoolGets,
+	StatPoolHits:        obs.PoolHits,
+	StatPoolMisses:      obs.PoolMisses,
+	StatPhysReads:       obs.PhysReads,
+	StatPhysWrites:      obs.PhysWrites,
+	StatWALAppends:      obs.WALAppends,
+	StatWALSyncs:        obs.WALSyncs,
+}
 
 // Timing field indices of the Done message's per-phase breakdown
 // (minor 1). Like the stats array it is count-prefixed and

@@ -69,7 +69,8 @@ func TestTracedRangeSearchMatchesLegacy(t *testing.T) {
 // TestTracedPoolAttribution asserts buffer-pool and physical-I/O
 // activity lands on the operation span and the unified stats, for a
 // range search and a NEAREST alike; a NEAREST's span counts the
-// neighbors it returns, not the points its rounds visited.
+// neighbors it returns, not the points its rounds visited. The same
+// query untraced, on the same cold pool, reports the same stats.
 func TestTracedPoolAttribution(t *testing.T) {
 	db := obsTestDB(t)
 	reads := []struct {
@@ -106,9 +107,11 @@ func TestTracedPoolAttribution(t *testing.T) {
 		if got := tr.Children()[0].Get(probe.CounterResults); int(got) != n || stats.Results != n {
 			t.Errorf("%s: span results %d, stats %d, answer %d", r.name, got, stats.Results, n)
 		}
-		// Untraced queries leave attribution fields zero.
-		if stats, _, err := r.run(nil); err != nil || stats.PoolGets != 0 || stats.PhysReads != 0 {
-			t.Errorf("%s: untraced query has attributed I/O: %+v, %v", r.name, stats, err)
+		if err := db.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		if untraced, _, err := r.run(nil); err != nil || untraced != stats {
+			t.Errorf("%s: untraced stats %+v, %v; traced %+v", r.name, untraced, err, stats)
 		}
 	}
 }

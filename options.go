@@ -105,10 +105,8 @@ type TraceOption struct {
 	t *Trace
 }
 
-// WithTrace attributes the operation's work to a child span of t:
-// operator counters, buffer-pool activity, and physical I/O all land
-// on the trace, and the returned QueryStats gains its attributed
-// pool/phys fields. A nil t is valid and disables tracing.
+// WithTrace adds the operation's counts — the same its QueryStats are
+// read from — to a child span of t. A nil t is valid and disables it.
 func WithTrace(t *Trace) TraceOption { return TraceOption{t: t} }
 
 func (o TraceOption) applyQuery(c queryConfig) queryConfig { c.trace = o.t; return c }

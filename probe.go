@@ -84,6 +84,12 @@ type (
 	Component = conncomp.Component
 	// Part is a CAD part for interference detection.
 	Part = interfere.Part
+	// QueryStats is the statistics record every stats-returning entry
+	// point yields, the relevant group filled: a range search the
+	// search group, a join the join group. The buffer pool, physical
+	// I/O and durability groups are the operation's own work, traced
+	// or not; a trace (WithTrace) only receives the same counts.
+	QueryStats = core.QueryStats
 )
 
 // NewGrid returns a grid with k dimensions and d bits per dimension
@@ -133,14 +139,9 @@ func SortItems(items []Item) { core.SortItems(items) }
 // work to a "spatial-join" child span.
 func SpatialJoin(a, b []Item, opts ...QueryOption) ([]Pair, QueryStats, error) {
 	qc := queryOptions(opts)
-	var sp *Trace
-	if qc.trace != nil {
-		sp = qc.trace.Child("spatial-join")
-		defer sp.End()
-	}
-	pairs, qs, err := core.SpatialJoinDistinctCtx(qc.ctx, a, b, sp)
-	addSpanIO(&qs, sp)
-	return pairs, qs, err
+	sp := qc.trace.Child("spatial-join")
+	defer sp.End()
+	return core.SpatialJoinDistinctCtx(qc.ctx, a, b, sp)
 }
 
 // Union, Intersect, Subtract and XOR are the polygon-overlay set
@@ -185,11 +186,11 @@ func DetectInterference(g Grid, parts []Part, maxLen int) ([]interfere.Pair, int
 // Close runs those nested calls fail with ErrClosed (docs/mvcc.md). The
 // callback only keeps its version pinned, deferring page reclamation
 // and briefly delaying Close. A trace (WithTrace) changes none of that:
-// the read carries its span down to the B+-tree cursor, whose page
-// loads count on it, so every counter of a traced read (seeks, data
-// pages, the paper's metric, elements, results, pool gets, hits and
-// misses, the physical reads its misses cost) is its own, whatever
-// runs beside it.
+// every read counts its work on counts of its own, which its B+-tree
+// cursor hands to the pool with each page load, so every counter of a
+// read (seeks, data pages, the paper's metric, elements, results, pool
+// gets, hits and misses, the physical reads its misses cost) is its
+// own, whatever runs beside it; a trace only receives them.
 type DB struct {
 	// mu serializes writers and maintenance.
 	mu sync.Mutex
@@ -203,6 +204,7 @@ type DB struct {
 	grid      Grid
 	store     disk.Store
 	rs        *disk.RecoverableStore // non-nil iff opened WithDurability
+	key       storeKey               // rs's entry in openStores
 	pool      *disk.Pool
 	index     *core.Index
 	metrics   *obs.Registry
@@ -559,9 +561,7 @@ func (db *DB) RangeSearch(box Box, opts ...QueryOption) ([]Point, QueryStats, er
 	defer db.endRead(snap)
 	sp := qc.trace.Child("range-search")
 	defer db.endOp("range-search", db.ops.rangeSearch, sp)
-	pts, qs, err := snap.RangeSearchCtx(qc.ctx, box, sp)
-	addSpanIO(&qs, sp)
-	return pts, qs, err
+	return snap.RangeSearchCtx(qc.ctx, box, sp)
 }
 
 // RangeSearchFunc streams every point inside the box to fn in z
@@ -580,9 +580,7 @@ func (db *DB) RangeSearchFunc(box Box, fn func(Point) bool, opts ...QueryOption)
 	defer db.endRead(snap)
 	sp := qc.trace.Child("range-search")
 	defer db.endOp("range-search", db.ops.rangeSearch, sp)
-	qs, err := streamRead(qc.ctx, snap, box, sp, fn)
-	addSpanIO(&qs, sp)
-	return qs, err
+	return streamRead(qc.ctx, snap, box, sp, fn)
 }
 
 // PartialMatch pins the restricted dimensions to the given values and
@@ -597,9 +595,7 @@ func (db *DB) PartialMatch(restricted []bool, value []uint32, opts ...QueryOptio
 	defer db.endRead(snap)
 	sp := qc.trace.Child("partial-match")
 	defer db.endOp("partial-match", db.ops.partialMatch, sp)
-	pts, qs, err := snap.PartialMatchCtx(qc.ctx, restricted, value, sp)
-	addSpanIO(&qs, sp)
-	return pts, qs, err
+	return snap.PartialMatchCtx(qc.ctx, restricted, value, sp)
 }
 
 // LeafPages returns the number of data pages in the index (0 after
@@ -704,9 +700,7 @@ func (db *DB) Nearest(q []uint32, m int, metric Metric, opts ...QueryOption) ([]
 	defer db.endRead(snap)
 	sp := qc.trace.Child("nearest")
 	defer db.endOp("nearest", db.ops.nearest, sp)
-	nbs, qs, err := snap.NearestCtx(qc.ctx, q, m, metric, sp)
-	addSpanIO(&qs, sp)
-	return nbs, qs, err
+	return snap.NearestCtx(qc.ctx, q, m, metric, sp)
 }
 
 // ContainsRegion reports whether region a covers every pixel of
