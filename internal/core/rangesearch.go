@@ -178,9 +178,10 @@ func (ix *reader) JoinScanCtx(ctx context.Context, boxes []geom.Box, fn func(box
 // scratch is the machinery of a search, everything that is not its
 // answer: the counts of its work, the tree cursor with its page buffer
 // per level and the sequence stepping it, the decomposition cursor,
-// strategy A's element sequence, the merge's waiting and open elements, the keys of an
-// answer being collected, NEAREST's box and candidates, the version a
-// read of the live index pins, and a Pin's version and view. A search
+// strategy A's element sequence, the merge's waiting and open
+// elements, the keys of an answer being collected, NEAREST's box and
+// candidates, the version a read of the live index pins, and a Pin's
+// version and view. A search
 // takes one from the pool, aims it at its own tree version and gives it
 // back detached, so a warm read allocates what it returns and nothing
 // else. The pool is per process, not per snapshot: the serving path
