@@ -25,7 +25,10 @@
 // hands to a callback belongs to the caller: it stays valid, and may be
 // kept or modified, after the callback has returned and after any
 // number of further requests. The Conn reuses only its private frame
-// buffers, which nothing it hands out points into.
+// buffers, which nothing it hands out points into. An answer is
+// decoded once: the slice Range, Nearest, Join or Query returns is
+// the answer's first batch as the wire codec decoded it, in the
+// library's types, with any later batch appended to it.
 package client
 
 import (
@@ -397,6 +400,15 @@ func timeoutMS(ctx context.Context) uint32 {
 	return uint32(min(max(time.Until(dl).Milliseconds(), 1), math.MaxUint32))
 }
 
+// gather adds one decoded batch to an answer: the first batch is the
+// answer as it was decoded, a later one is appended to it.
+func gather[T any](answer, batch []T) []T {
+	if answer == nil {
+		return batch
+	}
+	return append(answer, batch...)
+}
+
 // errStop is what a batch or rows handler returns when the caller's
 // callback wants no more.
 var errStop = errors.New("stop")
@@ -409,8 +421,8 @@ type handlers struct {
 	batch  func(wire.Batch) error
 	text   func(string)
 	kv     func(wire.StatsKV)
-	schema func(wire.SchemaMsg)
-	rows   func(wire.RowsMsg) error
+	schema func([]probe.QueryColumn)
+	rows   func([]probe.QueryRow) error
 }
 
 // do runs one request round trip: encode the request into the
@@ -506,7 +518,7 @@ func (c *Conn) answer(id uint32, h handlers) (probe.QueryStats, error) {
 				return probe.QueryStats{}, c.poison(err)
 			}
 			if sm.ID == id && h.schema != nil {
-				h.schema(sm)
+				h.schema(sm.Cols)
 			}
 		case wire.MsgRows:
 			rm, err := wire.DecodeRowsMsg(fp)
@@ -516,7 +528,7 @@ func (c *Conn) answer(id uint32, h handlers) (probe.QueryStats, error) {
 			if rm.ID != id || h.rows == nil {
 				continue
 			}
-			if err := h.rows(rm); err != nil {
+			if err := h.rows(rm.Rows); err != nil {
 				c.cancel(id)
 				h.rows = nil
 			}
@@ -615,7 +627,7 @@ func (c *Conn) Range(ctx context.Context, lo, hi []uint32) ([]probe.Point, probe
 func (c *Conn) rangeLocked(ctx context.Context, lo, hi []uint32) ([]probe.Point, probe.QueryStats, error) {
 	var pts []probe.Point
 	qs, err := c.rangeBatches(ctx, lo, hi, func(b []probe.Point) bool {
-		pts = append(pts, b...)
+		pts = gather(pts, b)
 		return true
 	})
 	if err != nil {
@@ -639,9 +651,7 @@ func (c *Conn) nearestLocked(ctx context.Context, q []uint32, m int, metric prob
 	}
 	var nbs []probe.Neighbor
 	qs, err := do(c, ctx, wire.MsgNearest, req, id, handlers{batch: func(b wire.Batch) error {
-		for _, n := range b.Neighbors {
-			nbs = append(nbs, probe.Neighbor{Point: n.Point, Dist: n.Dist})
-		}
+		nbs = gather(nbs, b.Neighbors)
 		return nil
 	}})
 	if err != nil {
@@ -665,9 +675,7 @@ func (c *Conn) Join(ctx context.Context, a, b []BoxItem, workers int) ([]probe.P
 	}
 	var pairs []probe.Pair
 	qs, err := do(c, ctx, wire.MsgJoin, req, id, handlers{batch: func(bt wire.Batch) error {
-		for _, p := range bt.Pairs {
-			pairs = append(pairs, probe.Pair{A: p[0], B: p[1]})
-		}
+		pairs = gather(pairs, bt.Pairs)
 		return nil
 	}})
 	if err != nil {
@@ -745,10 +753,10 @@ func (c *Conn) Query(ctx context.Context, text string) (*QueryResult, error) {
 
 func (c *Conn) queryLocked(ctx context.Context, text string) (*QueryResult, error) {
 	res := &QueryResult{}
-	qs, err := c.queryFuncLocked(ctx, text,
+	qs, err := c.queryBatches(ctx, text,
 		func(cols []probe.QueryColumn) { res.Columns = cols },
-		func(row probe.QueryRow) bool {
-			res.Rows = append(res.Rows, row)
+		func(rows []probe.QueryRow) bool {
+			res.Rows = gather(res.Rows, rows)
 			return true
 		},
 		func(s string) { res.Explain = s })
@@ -767,39 +775,35 @@ func (c *Conn) queryLocked(ctx context.Context, text string) (*QueryResult, erro
 func (c *Conn) QueryFunc(ctx context.Context, text string, onSchema func([]probe.QueryColumn), onRow func(probe.QueryRow) bool) (probe.QueryStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.queryFuncLocked(ctx, text, onSchema, onRow, nil)
+	return c.queryFuncLocked(ctx, text, onSchema, onRow)
 }
 
 func (c *Conn) queryFuncLocked(ctx context.Context, text string,
-	onSchema func([]probe.QueryColumn), onRow func(probe.QueryRow) bool, onText func(string)) (probe.QueryStats, error) {
+	onSchema func([]probe.QueryColumn), onRow func(probe.QueryRow) bool) (probe.QueryStats, error) {
+	return c.queryBatches(ctx, text, onSchema, func(rows []probe.QueryRow) bool {
+		for _, row := range rows {
+			if onRow != nil && !onRow(row) {
+				return false
+			}
+		}
+		return true
+	}, nil)
+}
 
+// queryBatches runs one statement, handing its rows to onRows a ROWS
+// message at a time, each a slice of its own that onRows may keep.
+func (c *Conn) queryBatches(ctx context.Context, text string, onSchema func([]probe.QueryColumn),
+	onRows func([]probe.QueryRow) bool, onText func(string)) (probe.QueryStats, error) {
 	id := c.begin()
-	req := wire.QueryReq{
-		Header: c.header(id, ctx),
-		Text:   text,
-	}
+	req := wire.QueryReq{Header: c.header(id, ctx), Text: text}
 	stopped := false
 	qs, err := do(c, ctx, wire.MsgQuery, req, id, handlers{
-		text: onText,
-		schema: func(sm wire.SchemaMsg) {
-			if onSchema == nil {
-				return
-			}
-			cols := make([]probe.QueryColumn, len(sm.Cols))
-			for i, sc := range sm.Cols {
-				cols[i] = probe.QueryColumn{Name: sc.Name, Type: probe.ColumnType(sc.Type)}
-			}
-			onSchema(cols)
-		},
-		rows: func(rm wire.RowsMsg) error {
-			if onRow == nil {
-				return nil
-			}
-			for _, row := range rm.Rows {
-				if !onRow(row) {
-					stopped = true
-					return errStop
-				}
+		text:   onText,
+		schema: onSchema,
+		rows: func(rows []probe.QueryRow) error {
+			if !onRows(rows) {
+				stopped = true
+				return errStop
 			}
 			return nil
 		},

@@ -131,7 +131,7 @@ func (tx *Tx) QueryFunc(ctx context.Context, text string, onSchema func([]probe.
 		return probe.QueryStats{}, err
 	}
 	defer release()
-	return tx.c.queryFuncLocked(ctx, text, onSchema, onRow, nil)
+	return tx.c.queryFuncLocked(ctx, text, onSchema, onRow)
 }
 
 // Commit applies the transaction's write-set atomically. It returns

@@ -125,8 +125,10 @@ type DurabilityStats = disk.DurabilityStats
 type RecoveryInfo = disk.RecoveryInfo
 
 // ErrInUse is returned by Open for a durable path whose store another
-// DB of this process still holds, closed or not: two stores would
-// write one WAL and page file with nothing ordering their writes.
+// DB still holds, closed or not: two stores would write one WAL and
+// page file with nothing ordering their writes. Within a process a
+// registry finds the holder; across processes the page file's advisory
+// lock (flock, on the systems that have it) does.
 var ErrInUse = errors.New("probe: database path is in use by another open DB")
 
 // storeKey names a durable store: its file system and absolute path.
@@ -154,6 +156,9 @@ func openDurable(g Grid, cfg openConfig) (db *DB, err error) {
 		return nil, fmt.Errorf("%w: %s", ErrInUse, k.path)
 	}
 	defer func() {
+		if errors.Is(err, disk.ErrLocked) {
+			err = fmt.Errorf("%w: %s", ErrInUse, k.path)
+		}
 		if err != nil {
 			openStores.Delete(k)
 		} else {

@@ -50,6 +50,13 @@ func CreateFileStoreFS(fsys FS, path string, pageSize int) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("disk: create %s: %w", path, err)
 	}
+	// Create has truncated the file before the lock is taken, so a
+	// caller creates only a path no store holds (probe.Open creates a
+	// path that does not exist).
+	if err := lockFile(f, path); err != nil {
+		f.Close()
+		return nil, err
+	}
 	s := &FileStore{
 		f:         f,
 		path:      path,
@@ -82,6 +89,10 @@ func OpenFileStoreFS(fsys FS, path string) (*FileStore, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("disk: open %s: %w", path, err)
+	}
+	if err := lockFile(f, path); err != nil {
+		f.Close()
+		return nil, err
 	}
 	s, err := openScan(f, path)
 	if err != nil {

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -82,6 +83,24 @@ func (OSFS) Stat(path string) (int64, bool, error) {
 		return 0, false, err
 	}
 	return fi.Size(), true, nil
+}
+
+// ErrLocked is returned when a page file's advisory lock is held by
+// another open store, in this process or another one.
+var ErrLocked = errors.New("disk: page file is locked by another store")
+
+// lockFile takes f's exclusive advisory lock, which f's Close releases.
+// Only OSFS files on systems with flock have one (fs_flock.go); any
+// other File, faultfs's among them, needs none.
+func lockFile(f File, path string) error {
+	l, ok := f.(interface{ lock() error })
+	if !ok {
+		return nil
+	}
+	if err := l.lock(); err != nil {
+		return fmt.Errorf("disk: lock %s: %w", path, err)
+	}
+	return nil
 }
 
 // readFull reads exactly len(buf) bytes at off, normalizing the

@@ -26,14 +26,6 @@ type PoolStats struct {
 	WriteBacks uint64 // dirty pages written on eviction or flush
 }
 
-// HitRate returns Hits/Gets, or 0 for an unused pool.
-func (s PoolStats) HitRate() float64 {
-	if s.Gets == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Gets)
-}
-
 // Frame is a page resident in a buffer pool, pinned by a writer. Data
 // is the page's contents; mutate it in place, then Unpin it dirty so
 // eviction and Flush write it back.

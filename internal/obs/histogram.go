@@ -168,14 +168,6 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	return s.Max
 }
 
-// Mean returns the arithmetic mean of the observations, 0 when empty.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // String implements Var (and expvar.Var) as a JSON object carrying
 // the summary statistics a dashboard wants at a glance.
 func (h *Histogram) String() string {

@@ -55,8 +55,8 @@ func (t Type) String() string {
 
 // Value is a single attribute value: uint64 for TID, int64 for TInt,
 // float64 for TFloat, string for TString, zorder.Element for
-// TElement. It is an alias so that a row of cells decoded off the wire
-// ([]wire.RowValue, the same alias) is a Tuple without a copy.
+// TElement. It is an alias so that the wire decodes a ROWS frame's
+// cells (wire.RowValue, the same alias) straight into Tuples.
 type Value = interface{}
 
 // checkValue verifies a value against a type.

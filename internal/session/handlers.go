@@ -442,13 +442,11 @@ func (c *conn) handleQuery(ctx context.Context, rq *request, payload []byte) {
 	}
 
 	cols := stmt.Columns()
-	wcols := make([]wire.SchemaCol, len(cols))
 	types := make([]uint8, len(cols))
 	for i, col := range cols {
-		wcols[i] = wire.SchemaCol{Name: col.Name, Type: uint8(col.Type)}
 		types[i] = uint8(col.Type)
 	}
-	if !put(c, rq, wire.MsgSchema, wire.SchemaMsg{ID: req.ID, Cols: wcols}) {
+	if !put(c, rq, wire.MsgSchema, wire.SchemaMsg{ID: req.ID, Cols: cols}) {
 		return
 	}
 	st := c.stream(rq, func(b []byte) ([]byte, wire.Records) { return wire.BeginRows(b, req.ID, types) })

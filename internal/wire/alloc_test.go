@@ -6,6 +6,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"probe/internal/relation"
 )
 
 // TestAllocGateDecodeBatch: what a client allocates per batch it
@@ -17,7 +19,7 @@ import (
 func TestAllocGateDecodeBatch(t *testing.T) {
 	const n = 512
 	b := Batch{ID: 1, Kind: KindPoints, Dims: 2, Points: make([]Point, n)}
-	rm := RowsMsg{ID: 1, Types: []uint8{ColID}, Rows: make([][]RowValue, n)}
+	rm := RowsMsg{ID: 1, Types: []uint8{ColID}, Rows: make([]relation.Tuple, n)}
 	for i := range b.Points {
 		b.Points[i] = Point{ID: uint64(i), Coords: []uint32{uint32(i), uint32(2 * i)}}
 		rm.Rows[i] = []RowValue{uint64(1000 + i)} // above the small values Go boxes for free

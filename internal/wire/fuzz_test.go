@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
+
+	"probe/internal/core"
+	"probe/internal/relation"
 )
 
 // decoders is every Decode function, each with the least number of
@@ -73,12 +76,12 @@ func fuzzMessages(data []byte) (batches []Batch, rows RowsMsg) {
 		return p
 	}
 	pts := Batch{ID: uint32(next()), Kind: KindPoints, Dims: uint32(k), Points: make([]Point, n)}
-	prs := Batch{ID: uint32(next()), Kind: KindPairs, Pairs: make([][2]uint64, n)}
+	prs := Batch{ID: uint32(next()), Kind: KindPairs, Pairs: make([]core.Pair, n)}
 	nbs := Batch{ID: uint32(next()), Kind: KindNeighbors, Dims: uint32(k), Neighbors: make([]Neighbor, n)}
-	rows = RowsMsg{ID: uint32(next()), Types: []uint8{ColString, ColID, ColInt, ColFloat}, Rows: make([][]RowValue, n)}
+	rows = RowsMsg{ID: uint32(next()), Types: []uint8{ColString, ColID, ColInt, ColFloat}, Rows: make([]relation.Tuple, n)}
 	for i := 0; i < n; i++ {
 		pts.Points[i] = point()
-		prs.Pairs[i] = [2]uint64{next(), next()}
+		prs.Pairs[i] = core.Pair{A: next(), B: next()}
 		// Distances and floats from a small integer: no NaN, which
 		// DeepEqual would not find equal to itself.
 		nbs.Neighbors[i] = Neighbor{Point: point(), Dist: float64(int32(next())) / 8}
@@ -124,7 +127,7 @@ func growBatch(b *Batch) {
 		b.Points[i].Coords = append(b.Points[i].Coords, ^uint32(i))
 	}
 	for i := range b.Neighbors {
-		b.Neighbors[i].Coords = append(b.Neighbors[i].Coords, ^uint32(i))
+		b.Neighbors[i].Point.Coords = append(b.Neighbors[i].Point.Coords, ^uint32(i))
 	}
 }
 
@@ -133,7 +136,7 @@ func trimBatch(b *Batch) {
 		b.Points[i].Coords = b.Points[i].Coords[:b.Dims]
 	}
 	for i := range b.Neighbors {
-		b.Neighbors[i].Coords = b.Neighbors[i].Coords[:b.Dims]
+		b.Neighbors[i].Point.Coords = b.Neighbors[i].Point.Coords[:b.Dims]
 	}
 }
 
@@ -173,7 +176,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(TextMsg{ID: 1, Text: "x"}.Encode())
 	f.Add(ErrorMsg{ID: 1, Code: 1, Msg: "x"}.Encode())
 	f.Add(SchemaMsg{ID: 7, Cols: []SchemaCol{{Name: "id", Type: ColID}, {Name: "label", Type: ColString}}}.Encode())
-	rows, _ := RowsMsg{ID: 7, Types: []uint8{ColID, ColString}, Rows: [][]RowValue{{uint64(1), "a"}}}.Encode()
+	rows, _ := RowsMsg{ID: 7, Types: []uint8{ColID, ColString}, Rows: []relation.Tuple{{uint64(1), "a"}}}.Encode()
 	f.Add(rows)
 	var e enc
 	Header{ID: 1}.encodeTo(&e)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"probe/internal/core"
 	"probe/internal/geom"
 	"probe/internal/obs"
 )
@@ -27,11 +28,9 @@ func f64frombits(b uint64) float64 { return math.Float64frombits(b) }
 type Point = geom.Point
 
 // Neighbor is a wire-level nearest-neighbor result: the point and its
-// distance under the request's metric.
-type Neighbor struct {
-	Point
-	Dist float64
-}
+// distance under the request's metric. It is the library's neighbour
+// type, so a decoded batch is the client's answer as it stands.
+type Neighbor = core.Neighbor
 
 // JoinItem is one object of a shipped join relation: an id and its
 // bounding box, decomposed server-side.
@@ -454,13 +453,15 @@ func DecodeCancel(p []byte) (Cancel, error) {
 
 // Batch is one chunk of a streamed result set. Exactly one of the
 // three slices is populated, named by Kind; Dims describes the
-// coordinate width of Points and Neighbors.
+// coordinate width of Points and Neighbors. Each slice holds the
+// library's own record type (Pairs the join's core.Pair), decoded
+// into memory of its own, so a client hands it out without a copy.
 type Batch struct {
 	ID        uint32
 	Kind      uint8
 	Dims      uint32
 	Points    []Point
-	Pairs     [][2]uint64
+	Pairs     []core.Pair
 	Neighbors []Neighbor
 }
 
@@ -511,7 +512,7 @@ func (m Batch) Append(b []byte) []byte {
 	case KindPairs:
 		e.u32(uint32(len(m.Pairs)))
 		for _, p := range m.Pairs {
-			e.b = AppendPair(e.b, p[0], p[1])
+			e.b = AppendPair(e.b, p.A, p.B)
 		}
 	case KindNeighbors:
 		e.u32(uint32(len(m.Neighbors)))
@@ -551,12 +552,14 @@ func DecodeBatch(p []byte) (Batch, error) {
 		if err != nil {
 			return Batch{}, err
 		}
-		out.Pairs = make([][2]uint64, n)
+		out.Pairs = make([]core.Pair, n)
 		for i := range out.Pairs {
-			for j := range out.Pairs[i] {
-				if out.Pairs[i][j], err = d.u64(); err != nil {
-					return Batch{}, err
-				}
+			p := &out.Pairs[i]
+			if p.A, err = d.u64(); err != nil {
+				return Batch{}, err
+			}
+			if p.B, err = d.u64(); err != nil {
+				return Batch{}, err
 			}
 		}
 	case KindNeighbors:
@@ -568,10 +571,10 @@ func DecodeBatch(p []byte) (Batch, error) {
 		d.reserve(n * k)
 		for i := range out.Neighbors {
 			nb := &out.Neighbors[i]
-			if nb.ID, err = d.u64(); err != nil {
+			if nb.Point.ID, err = d.u64(); err != nil {
 				return Batch{}, err
 			}
-			if nb.Coords, err = d.coords(k); err != nil {
+			if nb.Point.Coords, err = d.coords(k); err != nil {
 				return Batch{}, err
 			}
 			bits, err := d.u64()

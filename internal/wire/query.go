@@ -1,6 +1,10 @@
 package wire
 
-import "fmt"
+import (
+	"fmt"
+
+	"probe/internal/relation"
+)
 
 // This file defines the minor-3 QUERY message family: the request
 // carrying spatial SQL text, the SCHEMA frame describing a result
@@ -55,11 +59,10 @@ func DecodeQueryReq(p []byte) (QueryReq, error) {
 	return QueryReq{Header: h, Text: string(text)}, nil
 }
 
-// SchemaCol is one column of a QUERY result set.
-type SchemaCol struct {
-	Name string
-	Type uint8 // one of the Col* values
-}
+// SchemaCol is one column of a QUERY result set, its Type one of the
+// Col* values. It is the library's column (relation.Column), so a
+// decoded schema is the client's as it stands.
+type SchemaCol = relation.Column
 
 // SchemaMsg describes a QUERY result set; it precedes the first ROWS
 // frame so a client can decode rows streamingly.
@@ -76,7 +79,7 @@ func (m SchemaMsg) Append(b []byte) []byte {
 	e.u32(uint32(len(m.Cols)))
 	for _, c := range m.Cols {
 		putBytes(&e, c.Name)
-		e.u8(c.Type)
+		e.u8(uint8(c.Type))
 	}
 	return e.b
 }
@@ -105,7 +108,7 @@ func DecodeSchemaMsg(p []byte) (SchemaMsg, error) {
 		if !colTypeValid(t) {
 			return SchemaMsg{}, fmt.Errorf("wire: unknown column type %d", t)
 		}
-		cols[i] = SchemaCol{Name: string(name), Type: t}
+		cols[i] = SchemaCol{Name: string(name), Type: relation.Type(t)}
 	}
 	return SchemaMsg{ID: id, Cols: cols}, nil
 }
@@ -113,15 +116,17 @@ func DecodeSchemaMsg(p []byte) (SchemaMsg, error) {
 // RowValue is one typed cell: uint64 for ColID, int64 for ColInt,
 // float64 for ColFloat, string for ColString. It is the library's cell
 // type (relation.Value), so neither end converts a row.
-type RowValue = interface{}
+type RowValue = relation.Value
 
 // RowsMsg is one batch of result rows. It is self-describing — the
 // per-column type array repeats in every batch — so a frame can be
-// decoded without held schema state.
+// decoded without held schema state. Rows are the library's rows
+// (relation.Tuple), decoded into memory of their own, so a client
+// hands them out without a copy.
 type RowsMsg struct {
 	ID    uint32
 	Types []uint8
-	Rows  [][]RowValue
+	Rows  []relation.Tuple
 }
 
 func rowsHeader(e *enc, id uint32, types []uint8) {
@@ -224,7 +229,7 @@ func DecodeRowsMsg(p []byte) (RowsMsg, error) {
 	// One arena for the batch's cells, sized by counts checked against
 	// the bytes present (a row is at least 4 bytes a column); each row
 	// is cut with its capacity clipped, as coordinates are.
-	rows := make([][]RowValue, nrows)
+	rows := make([]relation.Tuple, nrows)
 	cells := make([]RowValue, nrows*ncols)
 	for r := range rows {
 		row := cells[:ncols:ncols]

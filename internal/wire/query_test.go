@@ -3,6 +3,8 @@ package wire
 import (
 	"reflect"
 	"testing"
+
+	"probe/internal/relation"
 )
 
 func TestQueryMessageRoundTrips(t *testing.T) {
@@ -35,7 +37,7 @@ func TestQueryMessageRoundTrips(t *testing.T) {
 	rows := RowsMsg{
 		ID:    7,
 		Types: []uint8{ColID, ColInt, ColFloat, ColString},
-		Rows: [][]RowValue{
+		Rows: []relation.Tuple{
 			{uint64(1), int64(-5), 2.5, "a"},
 			{uint64(2), int64(9), -0.25, ""},
 		},
@@ -54,7 +56,7 @@ func TestQueryMessageRoundTrips(t *testing.T) {
 
 	// Empty row batches (a query with zero results still sends DONE
 	// directly, but an empty batch must survive the codec).
-	empty := RowsMsg{ID: 1, Types: []uint8{ColID}, Rows: [][]RowValue{}}
+	empty := RowsMsg{ID: 1, Types: []uint8{ColID}, Rows: []relation.Tuple{}}
 	payload, err = empty.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -85,17 +87,17 @@ func TestQueryDecodeRejects(t *testing.T) {
 		t.Error("DecodeRowsMsg accepted unknown column type")
 	}
 	// Mismatched row width fails encode, not a panic.
-	miswidth := RowsMsg{ID: 1, Types: []uint8{ColID, ColInt}, Rows: [][]RowValue{{uint64(1)}}}
+	miswidth := RowsMsg{ID: 1, Types: []uint8{ColID, ColInt}, Rows: []relation.Tuple{{uint64(1)}}}
 	if _, err := miswidth.Encode(); err == nil {
 		t.Error("RowsMsg.Encode accepted a short row")
 	}
 	// Wrongly typed value fails encode.
-	mistyped := RowsMsg{ID: 1, Types: []uint8{ColID}, Rows: [][]RowValue{{"not a u64"}}}
+	mistyped := RowsMsg{ID: 1, Types: []uint8{ColID}, Rows: []relation.Tuple{{"not a u64"}}}
 	if _, err := mistyped.Encode(); err == nil {
 		t.Error("RowsMsg.Encode accepted a mistyped value")
 	}
 	// Truncated payloads error cleanly.
-	full, err := RowsMsg{ID: 1, Types: []uint8{ColString}, Rows: [][]RowValue{{"hello"}}}.Encode()
+	full, err := RowsMsg{ID: 1, Types: []uint8{ColString}, Rows: []relation.Tuple{{"hello"}}}.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"probe/internal/core"
 )
 
 // TestFrameRoundTrip: frames written with WriteFrame come back from
@@ -125,7 +127,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	gbp, err := DecodeBatch(bp.Encode())
 	check("batch-points", gbp, bp, err)
 
-	bq := Batch{ID: 7, Kind: KindPairs, Dims: 0, Pairs: [][2]uint64{{1, 2}, {3, 4}}}
+	bq := Batch{ID: 7, Kind: KindPairs, Dims: 0, Pairs: []core.Pair{{A: 1, B: 2}, {A: 3, B: 4}}}
 	gbq, err := DecodeBatch(bq.Encode())
 	check("batch-pairs", gbq, bq, err)
 

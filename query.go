@@ -102,10 +102,6 @@ func prepare(g Grid, text string, b engineBinder) (*Stmt, error) {
 // Text returns the statement's original text.
 func (s *Stmt) Text() string { return s.text }
 
-// Canonical returns the statement rendered in canonical form
-// (uppercase keywords, normalized spacing).
-func (s *Stmt) Canonical() string { return s.parsed.String() }
-
 // IsExplain reports whether the statement is an EXPLAIN. Run executes
 // the underlying SELECT regardless; callers that honor EXPLAIN check
 // this first and call ExplainText instead.

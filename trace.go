@@ -67,10 +67,6 @@ func NewTrace(name string) *Trace { return obs.New(name) }
 // this way.
 func NewSealedTrace(name string, dur time.Duration) *Trace { return obs.NewSealed(name, dur) }
 
-// EncodeTrace serializes a span tree in the canonical binary form the
-// wire protocol's TRACE frame carries. A nil trace encodes to nil.
-func EncodeTrace(t *Trace) []byte { return obs.EncodeSpan(t) }
-
 // DecodeTrace parses a canonical span-tree encoding back into a
 // sealed Trace. Empty input decodes to nil; malformed input is
 // rejected.

@@ -180,9 +180,6 @@ func (tx *Tx) statementCtx(qc *queryConfig) context.Context {
 // snapshot pins — its read timestamp.
 func (tx *Tx) Seq() uint64 { return tx.snap.Seq() }
 
-// Writable reports whether the transaction accepts writes.
-func (tx *Tx) Writable() bool { return tx.writable }
-
 // Pending returns the number of buffered write statements.
 func (tx *Tx) Pending() int { return len(tx.writes) }
 
