@@ -470,47 +470,3 @@ func BenchmarkSpatialJoinSequential(b *testing.B) {
 	}
 	b.ReportMetric(float64(pairs), "distinct-pairs")
 }
-
-// BenchmarkAblationJoinOnDisk measures the stored spatial join's
-// one-pass behavior under a small LRU pool, reporting physical reads
-// per leaf page (the Section 4 buffering claim: ~1.0).
-func BenchmarkAblationJoinOnDisk(b *testing.B) {
-	g := zorder.MustGrid(2, 9)
-	store := disk.MustMemStore(1024)
-	pool := disk.MustPool(store, 8, disk.LRU)
-	sa, err := core.NewElementStore(pool, g, 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sb, err := core.NewElementStore(pool, g, 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	boxes, err := workload.Queries(g, workload.QuerySpec{Volume: 0.002, Aspect: 1}, 200, 81)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i, box := range boxes {
-		target := sa
-		if i%2 == 1 {
-			target = sb
-		}
-		if err := target.InsertObject(uint64(i+1), decompose.Box(g, box)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	var readsPerLeaf float64
-	for i := 0; i < b.N; i++ {
-		if err := pool.Invalidate(); err != nil {
-			b.Fatal(err)
-		}
-		store.ResetStats()
-		pages, err := core.SpatialJoinStores(sa, sb, func(core.Pair) bool { return true })
-		if err != nil {
-			b.Fatal(err)
-		}
-		readsPerLeaf = float64(store.Stats().Reads) / float64(pages.Left+pages.Right)
-	}
-	b.ReportMetric(readsPerLeaf, "reads/leaf")
-}

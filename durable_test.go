@@ -494,14 +494,13 @@ func TestInMemoryCheckpointAndStats(t *testing.T) {
 	}
 }
 
-// TestDurableWritePathSpaceAmplification runs the benchmark's
-// serve_write shape against a durable database on a 64-page pool:
-// 8-point InsertAll, 4-point Update transactions, 8 single deletes, and
-// a Checkpoint every 256 operations. A batch copies each page once and
-// the store reuses every page freed in the epoch, checkpointed or not,
-// before it grows the file, so after every checkpoint the page file
-// holds the live tree plus at most a thirty-second of it in free slots.
-func TestDurableWritePathSpaceAmplification(t *testing.T) {
+// runWritePath runs the benchmark's serve_write shape against a
+// durable database on a 64-page pool: 8-point InsertAll, 4-point Update
+// transactions, 8 single deletes, and a Checkpoint every 256
+// operations. It calls each with the store's stats after each of the
+// eight checkpoints and returns the database.
+func runWritePath(t *testing.T, each func(epoch int, ds probe.DurabilityStats)) *probe.DB {
+	t.Helper()
 	g := probe.MustGrid(2, 10)
 	rng := rand.New(rand.NewSource(18))
 	next := uint64(0)
@@ -518,7 +517,7 @@ func TestDurableWritePathSpaceAmplification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.CloseReadOnly()
+	t.Cleanup(func() { db.CloseReadOnly() })
 	var live []probe.Point // inserted here and not yet deleted, oldest first
 	ctx := context.Background()
 	for epoch := 1; epoch <= 8; epoch++ {
@@ -548,15 +547,40 @@ func TestDurableWritePathSpaceAmplification(t *testing.T) {
 		if _, err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		ds := db.DurabilityStats()
-		if ds.FilePages > ds.LivePages+ds.LivePages/32 {
+		each(epoch, db.DurabilityStats())
+	}
+	return db
+}
+
+// TestDurableWritePathSpaceAmplification: a batch copies each page once
+// and the store reuses every page freed in the epoch, checkpointed or
+// not, before it grows the file, so after every checkpoint of
+// runWritePath the page file holds the live tree plus at most 24 free
+// slots: the pages the last commits retired, a footprint that does not
+// grow with the tree.
+func TestDurableWritePathSpaceAmplification(t *testing.T) {
+	db := runWritePath(t, func(epoch int, ds probe.DurabilityStats) {
+		if ds.FilePages > ds.LivePages+24 {
 			t.Fatalf("epoch %d: the page file holds %d slots for %d live pages (%d reused)",
 				epoch, ds.FilePages, ds.LivePages, ds.PagesReused)
 		}
-	}
+	})
 	if ds := db.DurabilityStats(); ds.PagesReused == 0 {
 		t.Fatalf("no page was reused: %+v", ds)
 	}
+}
+
+// TestPageGateWritePathFile pins the page file of runWritePath after
+// its first and last checkpoints: slots and live pages. How a full
+// leaf splits (internal/btree, splitLeaf) sets how many leaves the
+// writes leave, so a change there moves these counts.
+func TestPageGateWritePathFile(t *testing.T) {
+	want := map[int][2]int{1: {601, 579}, 8: {618, 598}}
+	runWritePath(t, func(epoch int, ds probe.DurabilityStats) {
+		if w, ok := want[epoch]; ok && (ds.FilePages != w[0] || ds.LivePages != w[1]) {
+			t.Errorf("epoch %d: %d slots for %d live pages, want %d for %d", epoch, ds.FilePages, ds.LivePages, w[0], w[1])
+		}
+	})
 }
 
 // TestDurablePathInUse: a durable path whose store an open DB holds is

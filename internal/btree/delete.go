@@ -161,19 +161,8 @@ func (t *Tree) lendLeaf(w *cow, parent *internalNode, ci, dir int, n []Entry) (b
 		return false, err
 	}
 	left, right := pairOf(sib, n, dir)
-	return true, t.putLeafPair(w, parent, min(ci, si), append(left[:len(left):len(left)], right...), len(left)+dir)
-}
-
-// putLeafPair writes all, cut at c, over the leaves at children sep and
-// sep+1 of parent and resets the separator between them: the end of a
-// lend, and of a full leaf sharing with its sibling (splitLeaf).
-func (t *Tree) putLeafPair(w *cow, parent *internalNode, sep int, all []Entry, c int) (err error) {
-	parent.seps[sep] = t.separator(all[c-1].Key, all[c].Key)
-	if parent.children[sep], err = w.putLeaf(parent.children[sep], all[:c]); err != nil {
-		return err
-	}
-	parent.children[sep+1], err = w.putLeaf(parent.children[sep+1], all[c:])
-	return err
+	all := append(left[:len(left):len(left)], right...)
+	return true, t.putWindow(w, nil, parent, min(ci, si), 2, all, []int{0, len(left) + dir, len(all)})
 }
 
 // joinInternal returns the node holding the children of left and

@@ -155,9 +155,8 @@ func TestKeyWidthRejectsStoredKey(t *testing.T) {
 // TestFrameWidening: on a derived capacity, an id far from a leaf's
 // ids takes a second id base, so the leaf keeps narrow id fields. An
 // id that no four bases narrow overflows the leaf by bytes, under its
-// count cap. The leaf shares with its sibling: the pair is
-// redistributed or split three ways, and only the piece holding the
-// wide key takes the wide frame. Deletes then borrow and merge between
+// count cap. The leaf spreads over its neighbours, and only the piece
+// holding the wide key takes the wide frame. Deletes then borrow and merge between
 // leaves whose frames differ. The invariants hold throughout.
 func TestFrameWidening(t *testing.T) {
 	pool := disk.MustPool(disk.MustMemStore(512), 1024, disk.LRU)

@@ -46,8 +46,9 @@ import (
 // A leaf's entries ([]Entry, decodeLeaf) and internalNode are the
 // copy-on-write path's builder: a writer decodes the pages it is about
 // to replace, edits the decoded form, and encodes the result into
-// fresh pages. A leaf that overflows may replace its sibling too: it
-// shares its entries with it before it splits (tree.go, splitLeaf).
+// fresh pages. A leaf that overflows may replace its neighbours too:
+// it spreads its entries over them before it splits (tree.go,
+// splitLeaf).
 
 type nodeType byte
 

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"probe/internal/disk"
@@ -111,10 +112,12 @@ func TestExplicitCapacityShapes(t *testing.T) {
 	}
 }
 
-// leafCounts returns the entry count of each leaf, in key order.
-func leafCounts(t *testing.T, tree *Tree) []int {
+// leafCounts returns the entry count of each leaf, in key order, and
+// its page.
+func leafCounts(t *testing.T, tree *Tree) ([]int, []disk.PageID) {
 	t.Helper()
 	var counts []int
+	var ids []disk.PageID
 	snap := tree.Snapshot()
 	defer snap.Release()
 	c := snap.Cursor()
@@ -124,9 +127,10 @@ func leafCounts(t *testing.T, tree *Tree) []int {
 		}
 		if c.pos == 0 {
 			counts = append(counts, c.leaf.count)
+			ids = append(ids, c.LeafID())
 		}
 	}
-	return counts
+	return counts, ids
 }
 
 // pageImages copies every page of the snapshot's version, by id.
@@ -154,16 +158,16 @@ func pageImages(t *testing.T, s *Snapshot) map[disk.PageID][]byte {
 	return images
 }
 
-// spillInsert inserts k into a tree of two leaves with a snapshot
-// pinned, and checks that the snapshot's pages did not move: the
-// sibling a full leaf shares with is copy-on-write too. It returns the
-// leaf counts before and after.
+// spillInsert inserts k into the tree with a snapshot pinned, and
+// checks that the snapshot's pages did not move: the neighbours a full
+// leaf spreads over are copy-on-write too. It returns the leaf counts
+// before and after.
 func spillInsert(t *testing.T, tree *Tree, k Key) (before, after []int) {
 	t.Helper()
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	before = leafCounts(t, tree)
+	before, _ = leafCounts(t, tree)
 	s := tree.Snapshot()
 	defer s.Release()
 	images := pageImages(t, s)
@@ -179,7 +183,7 @@ func spillInsert(t *testing.T, tree *Tree, k Key) (before, after []int) {
 	if err := s.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
-	after = leafCounts(t, tree)
+	after, _ = leafCounts(t, tree)
 	for _, n := range after {
 		if n < tree.minLeaf {
 			t.Errorf("a leaf of %d entries, under minLeaf %d: %v", n, tree.minLeaf, after)
@@ -203,13 +207,23 @@ func loadSpillTree(t *testing.T, keyBits, n int, fill float64, hi, lo func(i int
 	return tree
 }
 
-// TestLeafSpill: at a derived capacity a leaf that overflows shares
-// with its sibling before it splits. On a 512-byte page an 11-byte key
-// gives minCap 45, a count cap of 89 and minLeaf 22; a 16-byte key
-// gives 30, 59 and 15.
+// TestLeafSpill: at a derived capacity a leaf that overflows spreads
+// over its window, itself and its neighbours under the same parent,
+// into as many leaves or one more, before it splits alone. On a
+// 512-byte page an 11-byte key gives minCap 45, a count cap of 89 and
+// minLeaf 22; a 16-byte key gives 30, 59 and 15.
 func TestLeafSpill(t *testing.T) {
 	step := func(i int) uint64 { return uint64(4*i) << 40 }
 	id := func(i int) uint64 { return uint64(i) }
+	// into is a key that lands after the i-th loaded key.
+	into := func(i int) Key { return Key{Hi: step(i) + 1<<40, Lo: uint64(5000 + i)} }
+	spill := func(t *testing.T, tree *Tree, k Key, was, want []int) {
+		t.Helper()
+		before, after := spillInsert(t, tree, k)
+		if !reflect.DeepEqual(before, was) || !reflect.DeepEqual(after, want) {
+			t.Fatalf("leaves %v became %v, want %v to become %v", before, after, was, want)
+		}
+	}
 
 	t.Run("redistribute", func(t *testing.T) {
 		// Two leaves of 44; the right one fills to its count cap with
@@ -220,10 +234,7 @@ func TestLeafSpill(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before, after := spillInsert(t, tree, Key{Hi: step(44+45) + 1<<40, Lo: 1045})
-		if !reflect.DeepEqual(before, []int{44, 89}) || !reflect.DeepEqual(after, []int{67, 67}) {
-			t.Fatalf("leaves %v became %v, want [44 89] to become [67 67]", before, after)
-		}
+		spill(t, tree, Key{Hi: step(44+45) + 1<<40, Lo: 1045}, []int{44, 89}, []int{67, 67})
 		// The root's one separator lies between the two pieces.
 		data, err := tree.pool.View(tree.currentVersion().root, nil)
 		if err != nil {
@@ -256,20 +267,44 @@ func TestLeafSpill(t *testing.T) {
 
 	t.Run("split three ways", func(t *testing.T) {
 		// Two full leaves: the pair cannot fit two, so it becomes three.
-		tree := loadSpillTree(t, 24, 178, 1, step, id)
-		before, after := spillInsert(t, tree, Key{Hi: step(10) + 1<<40, Lo: 5000})
-		if !reflect.DeepEqual(before, []int{89, 89}) || !reflect.DeepEqual(after, []int{59, 60, 60}) {
-			t.Fatalf("leaves %v became %v, want [89 89] to become [59 60 60]", before, after)
+		spill(t, loadSpillTree(t, 24, 178, 1, step, id), into(10), []int{89, 89}, []int{59, 60, 60})
+	})
+
+	t.Run("four from three", func(t *testing.T) {
+		// A full leaf between two full neighbours: the window of three
+		// cannot fit three leaves, so it becomes four.
+		spill(t, loadSpillTree(t, 24, 267, 1, step, id), into(100), []int{89, 89, 89}, []int{67, 67, 67, 67})
+	})
+
+	t.Run("room on one side", func(t *testing.T) {
+		// A full leaf whose right neighbour has room: the window keeps its
+		// three leaves.
+		spill(t, loadSpillTree(t, 24, 222, 1, step, id), into(100), []int{89, 89, 44}, []int{74, 74, 75})
+	})
+
+	t.Run("edge of the parent", func(t *testing.T) {
+		// The first child's window is itself and its right neighbour; the
+		// third leaf keeps its page.
+		tree := loadSpillTree(t, 24, 267, 1, step, id)
+		_, was := leafCounts(t, tree)
+		spill(t, tree, into(10), []int{89, 89, 89}, []int{59, 60, 60, 89})
+		if _, ids := leafCounts(t, tree); ids[3] != was[2] {
+			t.Errorf("the leaf outside the window moved from page %d to %d", was[2], ids[3])
 		}
+	})
+
+	t.Run("single-leaf window", func(t *testing.T) {
+		// A full root leaf has no neighbour: it splits in half.
+		spill(t, loadSpillTree(t, 24, 89, 1, step, id), into(10), []int{89}, []int{45, 45})
 	})
 
 	t.Run("no cut fits", func(t *testing.T) {
 		// 16-byte keys with random 64-bit ids, which no four id bases
 		// narrow: 9 bytes an entry, 54 to a page. The left leaf's z
 		// values are small, the right one's start at 2^62, and one more
-		// key lands in the left leaf: any middle third spans both z
-		// ranges, 16 bytes an entry, and no two leaves hold the pair. The
-		// full leaf splits alone and its sibling keeps its page.
+		// key lands in the left leaf. No cut fits the pair in two leaves,
+		// and a piece spanning both z ranges takes 16 bytes an entry: the
+		// middle one of three is cut shorter than a third.
 		rng := rand.New(rand.NewSource(41))
 		ids := make([]uint64, 108)
 		for i := range ids {
@@ -281,23 +316,7 @@ func TestLeafSpill(t *testing.T) {
 			}
 			return 1<<62 + uint64(i)
 		}, func(i int) uint64 { return ids[i] })
-		sibling := func() disk.PageID {
-			snap := tree.Snapshot()
-			defer snap.Release()
-			c := snap.Cursor()
-			if ok, err := c.SeekGE(Key{Hi: 1 << 62}); !ok || err != nil {
-				t.Fatal(ok, err)
-			}
-			return c.LeafID()
-		}
-		was := sibling()
-		before, after := spillInsert(t, tree, Key{Hi: 50, Lo: rng.Uint64()})
-		if !reflect.DeepEqual(before, []int{54, 54}) || !reflect.DeepEqual(after, []int{27, 28, 54}) {
-			t.Fatalf("leaves %v became %v, want [54 54] to become [27 28 54]", before, after)
-		}
-		if got := sibling(); got != was {
-			t.Errorf("the sibling moved from page %d to %d", was, got)
-		}
+		spill(t, tree, Key{Hi: 50, Lo: rng.Uint64()}, []int{54, 54}, []int{36, 30, 43})
 	})
 
 	t.Run("batches", func(t *testing.T) {
@@ -412,4 +431,81 @@ func TestFitSpanMatchesFrameOf(t *testing.T) {
 			t.Errorf("no run found had %d selector bits: %v", sel, sels)
 		}
 	}
+}
+
+// FuzzLeafSpill drives a derived-capacity tree on 512-byte pages,
+// bulk-loaded full or started empty, through seeded batches of inserts
+// and deletes whose ids are 1 to 8 bytes wide, so neighbouring leaves
+// take different frames and full leaves spread over windows of every
+// shape. After every batch the invariants hold and a scan returns the
+// model's keys in order.
+func FuzzLeafSpill(f *testing.F) {
+	f.Add(int64(1), uint8(24), uint16(0), uint8(40))
+	f.Add(int64(2), uint8(0), uint16(300), uint8(40))
+	f.Add(int64(3), uint8(8), uint16(178), uint8(20))
+	f.Add(int64(4), uint8(40), uint16(900), uint8(60))
+	f.Fuzz(func(t *testing.T, seed int64, bits uint8, loaded uint16, batches uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		keyBits := []int{8, 24, 40, 64}[bits%4]
+		mask := ^uint64(0) << uint(64-keyBits)
+		model := map[Key]bool{}
+		var keys []Key
+		fresh := func() Key {
+			for {
+				k := Key{Hi: rng.Uint64() >> uint(rng.Intn(24)) & mask, Lo: rng.Uint64() >> uint(8*rng.Intn(8))}
+				if !model[k] {
+					model[k] = true
+					return k
+				}
+			}
+		}
+		es := make([]Entry, int(loaded)%1000)
+		for i := range es {
+			es[i].Key = fresh()
+			keys = append(keys, es[i].Key)
+		}
+		slices.SortFunc(es, func(a, b Entry) int { return a.Key.Compare(b.Key) })
+		tree, err := Load(disk.MustPool(disk.MustMemStore(512), 64, disk.LRU), Config{KeyBits: keyBits}, es, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < int(batches)%64; b++ {
+			var muts []Mutation
+			var added []Key
+			for j := 1 + rng.Intn(16); j > 0; j-- {
+				if len(keys) > 0 && rng.Intn(3) == 0 {
+					i := rng.Intn(len(keys))
+					k := keys[i]
+					keys[i], keys = keys[len(keys)-1], keys[:len(keys)-1]
+					delete(model, k)
+					muts = append(muts, Mutation{Key: k, Delete: true})
+				} else {
+					added = append(added, fresh())
+					muts = append(muts, Mutation{Key: added[len(added)-1]})
+				}
+			}
+			keys = append(keys, added...)
+			if err := tree.CommitBatch(tree.MVCCStats().Seq, muts); err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.CheckInvariants(); err != nil {
+				t.Fatalf("batch %d: %v", b, err)
+			}
+			var got []Key
+			snap := tree.Snapshot()
+			c := snap.Cursor()
+			for ok, err := c.First(); ok || err != nil; ok, err = c.Next() {
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, c.Key())
+			}
+			snap.Release()
+			want := slices.Clone(keys)
+			slices.SortFunc(want, Key.Compare)
+			if !slices.Equal(got, want) {
+				t.Fatalf("batch %d: a scan returns %d keys, the model holds %d", b, len(got), len(want))
+			}
+		}
+	})
 }

@@ -15,10 +15,10 @@ type Config struct {
 	// what fits the page at the widest frame (node.go). Zero derives
 	// the capacity from the page: a leaf is then bounded by its bytes,
 	// at the frame its keys need, and by twice that count less one, and
-	// a full leaf shares with its neighbour before it splits (splitLeaf).
-	// An explicit capacity splits a full leaf in half, so it gives the
-	// same leaves whatever frames the keys need. The paper's experiments
-	// use 20.
+	// a full leaf spreads over itself and its neighbours, as many leaves
+	// or one more, before it splits alone (splitLeaf). An explicit
+	// capacity splits a full leaf in half, so it gives the same leaves
+	// whatever frames the keys need. The paper's experiments use 20.
 	LeafCapacity int
 	// KeyBits is how many leading bits of Key.Hi a stored key may set;
 	// zero means all 64. The tree stores only the bytes of Hi those
@@ -94,7 +94,7 @@ func newTreeShell(pool *disk.Pool, cfg Config) (*Tree, error) {
 		// an underfull leaf into one that cannot lend (at most
 		// 2*minLeaf-1 entries), and each half of a leaf that overflows
 		// its count or its page (minCap+1 to 2*minCap entries): the split
-		// that is left when the leaf cannot share with its neighbour.
+		// that is left when no cut spreads the leaf over its window.
 		leafCap, minLeaf = 2*minCap-1, minCap/2
 	} else if leafCap < 2 || leafCap > minCap {
 		return nil, fmt.Errorf("btree: leaf capacity %d outside [2,%d]", leafCapacity, minCap)
@@ -518,44 +518,82 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key) (*version, error) {
 }
 
 // splitLeaf writes n, the leaf at child ci of parent, which overflows
-// its count or its page, as two or three leaves, and edits the parent
-// to match. A derived-capacity leaf first shares with its sibling on
-// side mergeSide(ci), as a B*-tree does: the pair is redistributed at
-// the fitting cut nearest its middle, or, when no cut fits two leaves,
-// split into three at the fitting cuts nearest its thirds. Otherwise,
-// and always at an explicit capacity, n splits in half; both halves
-// fit (newTreeShell).
+// its count or its page, and edits the parent to match. At a derived
+// capacity n spreads over its window, itself and its neighbours under
+// parent (up to three leaves), as a B*-tree shares a full node: the
+// window's entries are cut into as many leaves as it has, or else one
+// more (spread). Otherwise, and always at an explicit capacity, n splits
+// in half; both halves fit (newTreeShell).
 func (t *Tree) splitLeaf(w *cow, nv *version, parent *internalNode, ci int, n []Entry) error {
-	if si := ci + mergeSide(ci); t.cfgCap == 0 && si < len(parent.children) {
-		sib, err := t.loadLeaf(parent.children[si])
-		if err != nil {
-			return err
-		}
-		left, right := pairOf(sib, n, si-ci)
-		all, sep := append(left[:len(left):len(left)], right...), min(ci, si)
-		// A run of minLeaf entries fits at any frame, so a prefix of all
-		// fits one leaf up to cut l >= minLeaf, and a suffix from cut
-		// r <= len(all)-minLeaf.
-		l, r := t.fitSpan(all, +1, t.leafCap, t.pageSize), len(all)-t.fitSpan(all, -1, t.leafCap, t.pageSize)
-		if lo, hi := max(r, t.minLeaf), min(l, len(all)-t.minLeaf); lo <= hi {
-			return t.putLeafPair(w, parent, sep, all, min(max(len(all)/2, lo), hi))
-		}
-		c1, c2 := min(max(len(all)/3, t.minLeaf), l), min(max(2*len(all)/3, r), len(all)-t.minLeaf)
-		if c2-c1 >= t.minLeaf {
-			if _, ok := t.fitLeaf(all[c1:c2]); ok {
-				if err := t.putLeafPair(w, parent, sep, all[:c2], c1); err != nil {
+	if t.cfgCap == 0 {
+		lo, hi := max(ci-1, 0), min(ci+1, len(parent.children)-1)
+		var all []Entry
+		for j := lo; j <= hi; j++ {
+			es := n
+			if j != ci {
+				var err error
+				if es, err = t.loadLeaf(parent.children[j]); err != nil {
 					return err
 				}
-				return t.addLeaf(w, nv, parent, sep+1, all[c2-1].Key, all[c2:])
+			}
+			all = append(all, es...)
+		}
+		for k := max(hi-lo+1, 2); k <= hi-lo+2; k++ {
+			if cuts, ok := t.spread(all, k); ok {
+				return t.putWindow(w, nv, parent, lo, hi-lo+1, all, cuts)
 			}
 		}
 	}
-	mid := len(n) / 2
-	var err error
-	if parent.children[ci], err = w.putLeaf(parent.children[ci], n[:mid]); err != nil {
-		return err
+	return t.putWindow(w, nv, parent, ci, 1, n, []int{0, len(n) / 2, len(n)})
+}
+
+// spread cuts all into k leaves of at least minLeaf entries that pass
+// fitLeaf, at the cuts nearest its even shares, and returns the k+1 cut
+// positions from 0 to len(all). Left to right, cut i lies at least
+// minLeaf past cut i-1, within the longest run from it that fits a
+// leaf, and no earlier than back[i], from which the k-i pieces after it
+// fit as the longest runs taken from the back (fitSpan). It reports
+// false when no such cut is left.
+func (t *Tree) spread(all []Entry, k int) ([]int, bool) {
+	back, cuts := make([]int, k+1), make([]int, k+1)
+	back[k], cuts[k] = len(all), len(all)
+	for i := k - 1; i > 0 && back[i+1] > 0; i-- {
+		back[i] = back[i+1] - t.fitSpan(all[:back[i+1]], -1, t.leafCap, t.pageSize)
 	}
-	return t.addLeaf(w, nv, parent, ci, n[mid-1].Key, n[mid:])
+	for i := 1; i < k; i++ {
+		prev := cuts[i-1]
+		lo := max(prev+t.minLeaf, back[i])
+		hi := min(prev+t.fitSpan(all[prev:], +1, t.leafCap, t.pageSize), len(all)-(k-i)*t.minLeaf)
+		if lo > hi {
+			return nil, false
+		}
+		cuts[i] = min(max(i*len(all)/k, lo), hi)
+	}
+	for i := 0; i < k; i++ {
+		if _, ok := t.fitLeaf(all[cuts[i]:cuts[i+1]]); !ok {
+			return nil, false
+		}
+	}
+	return cuts, true
+}
+
+// putWindow writes all, cut at cuts, over the m leaves from child lo of
+// parent, and the piece past them, if any, as a new leaf; it resets the
+// separators between the pieces.
+func (t *Tree) putWindow(w *cow, nv *version, parent *internalNode, lo, m int, all []Entry, cuts []int) (err error) {
+	for j := 0; j+1 < len(cuts); j++ {
+		piece := all[cuts[j]:cuts[j+1]]
+		if j == m {
+			return t.addLeaf(w, nv, parent, lo+j-1, all[cuts[j]-1].Key, piece)
+		}
+		if j > 0 {
+			parent.seps[lo+j-1] = t.separator(all[cuts[j]-1].Key, piece[0].Key)
+		}
+		if parent.children[lo+j], err = w.putLeaf(parent.children[lo+j], piece); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // addLeaf writes es as a new leaf right of child i of parent; prev is

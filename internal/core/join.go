@@ -99,7 +99,8 @@ func checkSorted(items []Item) error {
 const joinCancelStride = 1024
 
 // itemSeq is one input of the join, a relation read front to back in
-// z order: an in-memory one (itemSlice) or a stored one (storeCursor).
+// z order: an in-memory one (itemSlice) or a stored one (storeCursor,
+// which only the disk-resident join ablation in the tests uses).
 // head is the current item, false once the input is exhausted; next
 // moves past it and returns the sequence that remains.
 type itemSeq[S any] interface {
