@@ -257,31 +257,33 @@ func recoverDurable(g Grid, cfg openConfig, fsys disk.FS, sp *Trace) (*DB, error
 }
 
 // Checkpoint makes every change so far durable: the database
-// descriptor is rewritten, the buffer pool's dirty pages are handed
-// to the store, and the store commits its write-ahead batch with one
-// group fsync. After Checkpoint returns nil, the database reopens to
-// exactly this state no matter how the process dies.
+// descriptor is rewritten, and the store logs every page changed or
+// freed since the last checkpoint as one batch, commits it with one
+// group fsync and applies it to the page file. After Checkpoint returns
+// nil, the database reopens to exactly this state no matter how the
+// process dies.
 //
 // Checkpoint always captures a committed tree root, never a partial
 // write: it serializes with Insert/Delete on the database mutex, so no
 // structural change is in flight while the descriptor is encoded, and
 // the descriptor it writes is the root the tree last published — a
-// root whose every page already went through the buffer pool before
-// the writer committed it. A Checkpoint racing an insert therefore
-// lands either wholly before it (recovering to the pre-insert root)
-// or wholly after it (recovering to the post-insert root); recovery
-// can never observe a root with missing children. Superseded pages
-// freed by version garbage collection after the checkpoint stay
-// allocated on disk until the NEXT checkpoint commits the frees, so a
-// crash in between still replays onto an intact page set. See
-// TestCheckpointVsInsertRace and docs/mvcc.md.
+// root whose every page the writer handed to the store before it
+// committed. A Checkpoint racing an insert therefore lands either
+// wholly before it (recovering to the pre-insert root) or wholly after
+// it (recovering to the post-insert root); recovery can never observe
+// a root with missing children. Superseded pages freed by version
+// garbage collection after the checkpoint stay allocated on disk until
+// the NEXT checkpoint commits the frees, so a crash in between still
+// replays onto an intact page set. See TestCheckpointVsInsertRace and
+// docs/mvcc.md.
 //
-// On an in-memory database (no WithDurability) Checkpoint just
-// flushes the buffer pool.
+// On an in-memory database (no WithDurability) Checkpoint has nothing
+// to do: the buffer pool holds no page the store lacks.
 //
 // It accepts WithTrace like the query entry points; the returned
-// QueryStats carries the checkpoint's WALAppends/WALSyncs and physical
-// I/O, traced or not.
+// QueryStats carries the checkpoint's WALAppends (the whole batch and
+// its commit record), WALSyncs and physical writes, traced or not. Its
+// PoolWriteBacks is 0: the pool writes nothing back.
 func (db *DB) Checkpoint(opts ...QueryOption) (QueryStats, error) {
 	qc := queryOptions(opts)
 	db.mu.Lock()
@@ -298,10 +300,10 @@ func (db *DB) Checkpoint(opts ...QueryOption) (QueryStats, error) {
 }
 
 // checkpointTotals reads the lifetime totals a checkpoint's work grows,
-// the pool's write-backs, the store's writes and the log's appends and
-// syncs; it holds db.mu, so beside it only a read's misses grow them.
+// the store's writes and the log's appends and syncs; it holds db.mu,
+// so beside it nothing else grows them.
 func (db *DB) checkpointTotals() (t obs.Counts) {
-	t[obs.PoolWriteBacks], t[obs.PhysWrites] = int64(db.pool.Stats().WriteBacks), int64(db.store.Stats().Writes)
+	t[obs.PhysWrites] = int64(db.store.Stats().Writes)
 	if db.rs != nil {
 		ds := db.rs.DurabilityStats()
 		t[obs.WALAppends], t[obs.WALSyncs] = int64(ds.WALAppends), int64(ds.WALSyncs)
@@ -315,7 +317,7 @@ func (db *DB) checkpointLocked() error {
 		return ErrClosed
 	}
 	if db.rs == nil {
-		return db.pool.Flush()
+		return nil
 	}
 	buf := make([]byte, db.rs.PageSize())
 	if err := encodeDBMeta(buf, db.grid, db.index.Tree().Meta()); err != nil {
@@ -324,7 +326,7 @@ func (db *DB) checkpointLocked() error {
 	if err := db.rs.Write(metaPageID, buf); err != nil {
 		return err
 	}
-	return db.pool.Checkpoint()
+	return db.rs.Checkpoint()
 }
 
 // Close checkpoints (on a durable database) and releases the store.

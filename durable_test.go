@@ -552,6 +552,78 @@ func runWritePath(t *testing.T, each func(epoch int, ds probe.DurabilityStats)) 
 	return db
 }
 
+// TestDurableReadsSurviveWriteFailure: a fault on the write path
+// freezes the store's writes, and reads stay available. A 16-frame pool
+// under 20 000 bulk-loaded points misses on most searches; no miss may
+// write, so none meets the store's sticky error, and every answer is
+// the last committed version's.
+func TestDurableReadsSurviveWriteFailure(t *testing.T) {
+	g := probe.MustGrid(2, 10)
+	rng := rand.New(rand.NewSource(50))
+	want := map[uint64][2]uint32{}
+	newPoints := func(n int) []probe.Point {
+		pts := make([]probe.Point, n)
+		for i := range pts {
+			id := uint64(len(want) + 1)
+			pts[i] = probe.Pt2(id, uint32(rng.Intn(1024)), uint32(rng.Intn(1024)))
+			want[id] = [2]uint32{pts[i].Coords[0], pts[i].Coords[1]}
+		}
+		return pts
+	}
+	fsys := faultfs.New()
+	db, err := probe.Open(g, probe.WithDurability("probe.db"), probe.WithFS(fsys),
+		probe.WithPoolPages(16), probe.WithBulkLoad(newPoints(20000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseReadOnly()
+	for _, p := range newPoints(20) {
+		if err := db.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fsys.Arm(faultfs.Plan{FailAt: 1}) // the checkpoint's first log append
+	if _, err := db.Checkpoint(); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("checkpoint: want the injected fault, got %v", err)
+	}
+	fsys.Disarm()
+	if err := db.Insert(probe.Pt2(1<<40, 1, 1)); err == nil || !strings.Contains(err.Error(), "needs recovery") {
+		t.Fatalf("insert after the fault: %v", err)
+	}
+	failed, reads := 0, db.IOStats().Reads
+	for i := 0; i < 200; i++ {
+		x1, x2, y1, y2 := uint32(rng.Intn(1024)), uint32(rng.Intn(1024)), uint32(rng.Intn(1024)), uint32(rng.Intn(1024))
+		box := probe.Box2(min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2))
+		pts, _, err := db.RangeSearch(box)
+		if err != nil {
+			if failed++; failed == 1 {
+				t.Errorf("range search %d: %v", i, err)
+			}
+			continue
+		}
+		n := 0
+		for _, xy := range want {
+			if box.ContainsPoint(xy[:]) {
+				n++
+			}
+		}
+		for _, p := range pts {
+			if want[p.ID] != [2]uint32{p.Coords[0], p.Coords[1]} {
+				t.Fatalf("range search %d returned %v, not a committed point", i, p)
+			}
+		}
+		if len(pts) != n {
+			t.Fatalf("range search %d: %d points, want %d", i, len(pts), n)
+		}
+	}
+	if failed > 0 {
+		t.Fatalf("%d of 200 range searches failed after the write-path fault", failed)
+	}
+	if db.IOStats().Reads == reads {
+		t.Fatal("no search missed the pool")
+	}
+}
+
 // TestDurableWritePathSpaceAmplification: a batch copies each page once
 // and the store reuses every page freed in the epoch, checkpointed or
 // not, before it grows the file, so after every checkpoint of

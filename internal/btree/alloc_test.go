@@ -47,9 +47,6 @@ func TestAllocGateSeekGE(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("SeekGE on a warm pool costs %v allocs, want 0", allocs)
 	}
-	if n := tr.pool.Pinned(); n != 0 {
-		t.Errorf("%d pages pinned after SeekGE", n)
-	}
 }
 
 func TestAllocGateGet(t *testing.T) {
@@ -65,9 +62,6 @@ func TestAllocGateGet(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Get on a warm pool costs %v allocs, want 0", allocs)
-	}
-	if n := tr.pool.Pinned(); n != 0 {
-		t.Errorf("%d pages pinned after Get", n)
 	}
 }
 
@@ -97,8 +91,5 @@ func TestAllocGateNextAcrossLeaves(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("a scan over %d leaves on a warm pool costs %v allocs, want 0", leaves, allocs)
-	}
-	if n := tr.pool.Pinned(); n != 0 {
-		t.Errorf("%d pages pinned after the scan", n)
 	}
 }

@@ -611,12 +611,9 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	// discipline.
 	storeLeaf := func(id disk.PageID, n []Entry, f leafFrame) {
 		t.Helper()
-		fr, err := tree.pool.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		encodeLeaf(fr.Data, n, f, tree.keyLen)
-		if err := tree.pool.Unpin(id, true); err != nil {
+		img := make([]byte, tree.pageSize)
+		encodeLeaf(img, n, f, tree.keyLen)
+		if err := tree.pool.Put(id, img); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -670,17 +667,14 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	// of entry i's id field.
 	editImage := func(f leafFrame, edit func(data []byte, idField func(i int) int)) {
 		t.Helper()
-		storeLeaf(leafID, n, f)
-		fr, err := tree.pool.Get(leafID)
+		img := make([]byte, tree.pageSize)
+		encodeLeaf(img, n, f, tree.keyLen)
+		p, err := viewLeaf(img, tree.keyLen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := viewLeaf(fr.Data, tree.keyLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		edit(fr.Data, func(i int) int { return p.first + i*p.stride + p.frame.zw })
-		if err := tree.pool.Unpin(leafID, true); err != nil {
+		edit(img, func(i int) int { return p.first + i*p.stride + p.frame.zw })
+		if err := tree.pool.Put(leafID, img); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -58,21 +58,17 @@ func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, er
 	var level []childRef
 	pos := 0
 	for _, size := range sizes {
-		f, err := pool.NewPage()
+		// The entries go straight into the page's image.
+		id, err := t.writeNew(func(img []byte) { t.putLeafImage(img, entries[pos:pos+size]) })
 		if err != nil {
 			return nil, err
 		}
-		// The entries go straight into the page's image.
-		t.putLeafImage(f.Data, entries[pos:pos+size])
 		var sep []byte
 		if pos > 0 {
 			sep = t.separator(entries[pos-1].Key, entries[pos].Key)
 		}
 		pos += size
-		level = append(level, childRef{id: f.ID, sep: sep})
-		if err := pool.Unpin(f.ID, true); err != nil {
-			return nil, err
-		}
+		level = append(level, childRef{id: id, sep: sep})
 	}
 
 	// Build internal levels until one node remains.
@@ -83,10 +79,6 @@ func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, er
 		var next []childRef
 		pos := 0
 		for ni, size := range sizes {
-			f, err := pool.NewPage()
-			if err != nil {
-				return nil, err
-			}
 			n := &internalNode{}
 			var nodeSep []byte
 			for i := 0; i < size; i++ {
@@ -103,11 +95,11 @@ func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, er
 			if ni == 0 {
 				nodeSep = nil
 			}
-			n.encode(f.Data)
-			if err := pool.Unpin(f.ID, true); err != nil {
+			id, err := t.writeNew(n.encode)
+			if err != nil {
 				return nil, err
 			}
-			next = append(next, childRef{id: f.ID, sep: nodeSep})
+			next = append(next, childRef{id: id, sep: nodeSep})
 		}
 		level = next
 		height++

@@ -9,7 +9,7 @@ import (
 
 // load helpers of the copy-on-write path: a writer decodes each page
 // it is about to replace into the builder form (node.go), reading the
-// page's image as readers do, with no pin.
+// page's image as readers do.
 
 func (t *Tree) loadLeaf(id disk.PageID) ([]Entry, error) {
 	data, err := t.pool.View(id, nil)

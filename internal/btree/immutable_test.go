@@ -14,7 +14,11 @@ import (
 // snapshots of a tree on a small pool keep every view they are handed
 // beside a private copy, while inserts, deletes, snapshot releases
 // with garbage collection and a stream of misses evict frames and hand
-// freed page ids out again. Every held view must still equal its copy.
+// freed page ids out again. Every held view must still equal its copy:
+// a miss that read into an evicted frame's buffer turns it red. A writer
+// that Puts over a published id leaves held views alone (Put installs a
+// new buffer) but changes what a pinned snapshot reads next, which
+// TestCommitBatchSnapshotUndisturbed and TestLeafSpill catch.
 func TestHeldViewsNeverChange(t *testing.T) {
 	tree := newTestTree(t, 512, 6, 8)
 	rng := rand.New(rand.NewSource(46))

@@ -41,8 +41,8 @@ import (
 // cursor finds the next leaf through its descent path.
 //
 // Reads never decode a page. They search the image through the
-// leafPage and internalPage views below: a point lookup views the
-// pool frame under its pin, a cursor views its own copy of the image.
+// leafPage and internalPage views below, over the image the pool
+// hands out (disk.Pool.View).
 // A leaf's entries ([]Entry, decodeLeaf) and internalNode are the
 // copy-on-write path's builder: a writer decodes the pages it is about
 // to replace, edits the decoded form, and encodes the result into

@@ -569,23 +569,15 @@ func TestReadPathPageAccesses(t *testing.T) {
 	if got != want {
 		t.Errorf("steps, pool gets, node visits, leaf scans = %v, want %v", got, want)
 	}
-	if n := pool.Pinned(); n != 0 {
-		t.Errorf("%d pages still pinned after the script", n)
-	}
 }
 
 // TestNoPinOutlivesACall runs every public entry point of the tree,
-// on sound pages and on a damaged one, and requires the pool to hold
-// no pin once the call has returned: Drop of a pinned page fails, so
-// a pin left behind would stall version GC.
+// on sound pages and on a damaged one, and requires no snapshot to
+// outlive its call: a cursor that is reset, detached or re-aimed at a
+// snapshot held by value leaves every released version reclaimable.
+// The pool holds no pins at all.
 func TestNoPinOutlivesACall(t *testing.T) {
 	tree := newTestTree(t, 512, 4, 256)
-	unpinned := func(call string) {
-		t.Helper()
-		if n := tree.pool.Pinned(); n != 0 {
-			t.Fatalf("%d pages pinned after %s", n, call)
-		}
-	}
 	rng := rand.New(rand.NewSource(19))
 	var keys []Key
 	for i := 0; i < 400; i++ {
@@ -593,13 +585,11 @@ func TestNoPinOutlivesACall(t *testing.T) {
 		if err := tree.Insert(k, nil); err != nil {
 			t.Fatal(err)
 		}
-		unpinned("Insert")
 		keys = append(keys, k)
 	}
 	if err := tree.Insert(keys[0], nil); err != ErrDuplicateKey {
 		t.Fatalf("duplicate insert: %v", err)
 	}
-	unpinned("a duplicate Insert")
 	snap := tree.Snapshot()
 	defer snap.Release()
 	fixed := snap.Cursor()
@@ -607,40 +597,33 @@ func TestNoPinOutlivesACall(t *testing.T) {
 		if ok, err := fixed.SeekGE(k); !ok || err != nil || fixed.Key() != k {
 			t.Fatalf("SeekGE(%v): %v %v", k, ok, err)
 		}
-		unpinned("SeekGE")
 		for j := 0; j < 6; j++ {
 			if _, err := fixed.Next(); err != nil {
 				t.Fatal(err)
 			}
-			unpinned("Next")
 		}
 		if _, ok, err := tree.Get(k); err != nil || !ok {
 			t.Fatalf("Get(%v) = %v, %v", k, ok, err)
 		}
-		unpinned("Get")
 		if _, _, err := snap.Get(Key{Hi: k.Hi, Lo: k.Lo + 1000}); err != nil {
 			t.Fatal(err)
 		}
-		unpinned("Snapshot.Get")
 		switch i % 3 {
 		case 0:
 			if ok, err := tree.Delete(k); !ok || err != nil {
 				t.Fatalf("Delete(%v): %v %v", k, ok, err)
 			}
-			unpinned("Delete")
 		case 1:
 			next := keys[(i+1)%len(keys)]
 			muts := []Mutation{{Key: next, Delete: true}, {Key: next}, {Key: Key{Lo: uint64(i)}, Delete: true}}
 			if err := tree.CommitBatch(tree.MVCCStats().Seq, muts); err != nil {
 				t.Fatal(err)
 			}
-			unpinned("CommitBatch")
 		}
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	unpinned("CheckInvariants")
 
 	// A recycled cursor: Reset re-aims it with its buffers, and the
 	// detaching Reset leaves it holding no snapshot, so the version it
@@ -654,7 +637,6 @@ func TestNoPinOutlivesACall(t *testing.T) {
 	if ok, err := fixed.SeekGE(keys[1]); !ok || err != nil {
 		t.Fatalf("SeekGE after Reset: %v %v", ok, err)
 	}
-	unpinned("SeekGE after Reset")
 	levels := cap(fixed.stack)
 	fixed.Reset(nil)
 	if fixed.snap != nil || fixed.span != nil || fixed.ctx != nil || fixed.Valid() {
@@ -681,7 +663,6 @@ func TestNoPinOutlivesACall(t *testing.T) {
 		if ok, err := fixed.SeekGE(keys[1]); !ok || err != nil {
 			t.Fatalf("SeekGE on a snapshot held by value: %v %v", ok, err)
 		}
-		unpinned("SeekGE on a snapshot held by value")
 		if n := tree.MVCCStats().PinnedSnapshots; n != 1 {
 			t.Fatalf("%d snapshots pinned while one is held by value", n)
 		}
@@ -707,35 +688,32 @@ func TestNoPinOutlivesACall(t *testing.T) {
 	}()
 
 	// Turn the root into a page of no known type, then of the wrong
-	// one: every read fails, and still unpins.
+	// one: every read fails.
 	root := tree.Meta().Root
 	for _, typ := range []byte{9, byte(leafType)} {
-		f, err := tree.pool.Get(root)
+		data, err := tree.pool.View(root, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.Data[0] = typ
-		if err := tree.pool.Unpin(root, true); err != nil {
+		img := append([]byte(nil), data...)
+		img[0] = typ
+		if err := tree.pool.Put(root, img); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := tree.Get(keys[1]); err == nil {
 			t.Errorf("Get through a root of type %d succeeded", typ)
 		}
-		unpinned("a failed Get")
 		s := tree.Snapshot()
 		c := s.Cursor()
 		if _, err := c.SeekGE(keys[1]); err == nil || c.Valid() {
 			t.Errorf("SeekGE through a root of type %d succeeded", typ)
 		}
 		s.Release()
-		unpinned("a failed SeekGE")
 		if err := tree.Insert(Key{Hi: 1, Lo: 1 << 40}, nil); err == nil {
 			t.Errorf("Insert through a root of type %d succeeded", typ)
 		}
-		unpinned("a failed Insert")
 		if err := tree.CheckInvariants(); err == nil {
 			t.Errorf("CheckInvariants passed a root of type %d", typ)
 		}
-		unpinned("a failed CheckInvariants")
 	}
 }

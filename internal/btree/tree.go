@@ -200,16 +200,24 @@ func New(pool *disk.Pool, cfg Config) (*Tree, error) {
 // publishEmpty publishes a single empty root leaf as the tree's first
 // version.
 func (t *Tree) publishEmpty() error {
-	f, err := t.pool.NewPage()
+	id, err := t.writeNew(func(img []byte) { t.putLeafImage(img, nil) })
 	if err != nil {
 		return err
 	}
-	t.putLeafImage(f.Data, nil)
-	if err := t.pool.Unpin(f.ID, true); err != nil {
-		return err
-	}
-	t.publishInitial(&version{root: f.ID, height: 1, leaves: 1})
+	t.publishInitial(&version{root: id, height: 1, leaves: 1})
 	return nil
+}
+
+// writeNew allocates a page, encodes its image into a new buffer and
+// Puts it.
+func (t *Tree) writeNew(encode func([]byte)) (disk.PageID, error) {
+	id, err := t.pool.Store().Allocate()
+	if err != nil {
+		return disk.InvalidPage, err
+	}
+	img := make([]byte, t.pageSize)
+	encode(img)
+	return id, t.pool.Put(id, img)
 }
 
 // Meta is the persistent identity of a tree: everything needed to
@@ -328,63 +336,56 @@ var ErrDuplicateKey = fmt.Errorf("btree: duplicate key")
 // cow accumulates the page bookkeeping of one copy-on-write
 // transformation: pages freshly written (to drop again if the write
 // aborts) and old pages superseded by the new version (to retire at
-// commit). Page writes go one at a time — pin, encode, unpin — so a
-// write never holds more than one pin. A fresh page is reachable from
-// no published version, so a batch copies each published page once and
-// rewrites only its own copies in place, which no reader can view.
+// commit). Every page is encoded into a buffer of its own and Put. A
+// fresh page is reachable from no published version, so a batch gives
+// each published page it rewrites one new id and Puts its own copies
+// again under theirs; no image a reader may hold is written into.
 type cow struct {
 	t       *Tree
 	fresh   map[disk.PageID]struct{}
 	retired []disk.PageID
 }
 
-// frame pins the page that replaces page old. A fresh old is rewritten
-// in place; a published one is immutable, so the replacement is a new
-// page and old retires. disk.InvalidPage as old asks for a new page
-// that replaces nothing.
-func (w *cow) frame(old disk.PageID) (*disk.Frame, error) {
-	if _, ok := w.fresh[old]; ok {
-		return w.t.pool.Get(old)
+// put Puts img in place of page old and returns its id. A fresh old
+// keeps its id; a published one is immutable, so the image goes to a
+// new page and old retires. disk.InvalidPage as old asks for a new
+// page that replaces nothing.
+func (w *cow) put(old disk.PageID, img []byte) (disk.PageID, error) {
+	id := old
+	if _, ok := w.fresh[old]; !ok {
+		var err error
+		if id, err = w.t.pool.Store().Allocate(); err != nil {
+			return disk.InvalidPage, err
+		}
+		if w.fresh == nil {
+			w.fresh = make(map[disk.PageID]struct{})
+		}
+		w.fresh[id] = struct{}{}
+		if old != disk.InvalidPage {
+			w.retired = append(w.retired, old)
+		}
 	}
-	f, err := w.t.pool.NewPage()
-	if err != nil {
-		return nil, err
-	}
-	if w.fresh == nil {
-		w.fresh = make(map[disk.PageID]struct{})
-	}
-	w.fresh[f.ID] = struct{}{}
-	if old != disk.InvalidPage {
-		w.retired = append(w.retired, old)
-	}
-	return f, nil
+	return id, w.t.pool.Put(id, img)
 }
 
-// putLeaf writes the decoded leaf in place of page old (see frame) and
-// returns its id. Encoding zeroes the page first, so an image rewritten
-// in place is canonical.
+// putLeaf writes the decoded leaf in place of page old (see put) and
+// returns its id.
 func (w *cow) putLeaf(old disk.PageID, es []Entry) (disk.PageID, error) {
 	return w.putLeafIn(old, es, frameOf(es, w.t.keyLen))
 }
 
 // putLeafIn is putLeaf for a leaf whose canonical frame f is known.
 func (w *cow) putLeafIn(old disk.PageID, es []Entry, f leafFrame) (disk.PageID, error) {
-	fr, err := w.frame(old)
-	if err != nil {
-		return disk.InvalidPage, err
-	}
-	encodeLeaf(fr.Data, es, f, w.t.keyLen)
-	return fr.ID, w.t.pool.Unpin(fr.ID, true)
+	img := make([]byte, w.t.pageSize)
+	encodeLeaf(img, es, f, w.t.keyLen)
+	return w.put(old, img)
 }
 
 // putInternal is putLeaf for a decoded internal node.
 func (w *cow) putInternal(old disk.PageID, n *internalNode) (disk.PageID, error) {
-	f, err := w.frame(old)
-	if err != nil {
-		return disk.InvalidPage, err
-	}
-	n.encode(f.Data)
-	return f.ID, w.t.pool.Unpin(f.ID, true)
+	img := make([]byte, w.t.pageSize)
+	n.encode(img)
+	return w.put(old, img)
 }
 
 // retire marks a page no node replaces (a merge's right half, a

@@ -120,9 +120,6 @@ func TestNewIndexBulkSortsItsInput(t *testing.T) {
 		if _, err := NewIndexBulk(pool, g, IndexConfig{}, pts, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := pool.Flush(); err != nil {
-			t.Fatal(err)
-		}
 		out := make([][]byte, store.NumPages())
 		for i := range out {
 			out[i] = make([]byte, store.PageSize())

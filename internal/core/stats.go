@@ -34,10 +34,12 @@ type QueryStats struct {
 
 	// Buffer pool, attributed to this operation.
 
-	PoolGets       uint64
-	PoolHits       uint64
-	PoolMisses     uint64
-	PoolEvictions  uint64
+	PoolGets      uint64
+	PoolHits      uint64
+	PoolMisses    uint64
+	PoolEvictions uint64
+	// PoolWriteBacks is always 0: the pool writes no page back. The
+	// field stays because the benchmark harness reads it.
 	PoolWriteBacks uint64
 
 	// Physical page I/O, attributed to this operation.

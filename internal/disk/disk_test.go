@@ -96,79 +96,86 @@ func TestPoolHitMiss(t *testing.T) {
 	p := MustPool(s, 2, LRU)
 	id, _ := s.Allocate()
 
-	f, err := p.Get(id)
+	data, err := p.View(id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Unpin(id, false)
 	if st := p.Stats(); st.Misses != 1 || st.Hits != 0 {
 		t.Errorf("first get: %+v", st)
 	}
-	f2, _ := p.Get(id)
-	if f2 != f {
-		t.Errorf("second get returned a different frame")
+	data2, _ := p.View(id, nil)
+	if &data2[0] != &data[0] {
+		t.Errorf("second get returned a different image")
 	}
-	p.Unpin(id, false)
 	if st := p.Stats(); st.Hits != 1 || st.Gets != 2 {
 		t.Errorf("after second get: %+v", st)
 	}
 }
 
-func TestPoolWriteBack(t *testing.T) {
-	s := MustMemStore(64)
-	p := MustPool(s, 1, LRU)
-	f, err := p.NewPage()
+// putNew allocates a page in p's store and Puts an image whose first
+// byte is b.
+func putNew(t *testing.T, p *Pool, b byte) PageID {
+	t.Helper()
+	id, err := p.Store().Allocate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := f.ID
-	f.Data[0] = 42
-	p.Unpin(id, true)
-
-	// Force eviction by pulling in another page.
-	id2, _ := s.Allocate()
-	if _, err := p.Get(id2); err != nil {
+	img := make([]byte, p.Store().PageSize())
+	img[0] = b
+	if err := p.Put(id, img); err != nil {
 		t.Fatal(err)
 	}
-	p.Unpin(id2, false)
+	return id
+}
 
+// TestPoolWriteBack: Put writes its image through to the store at
+// once, and evicting the frame writes nothing back.
+func TestPoolWriteBack(t *testing.T) {
+	s := MustMemStore(64)
+	p := MustPool(s, 1, LRU)
+	id := putNew(t, p, 42)
 	buf := make([]byte, 64)
 	if err := s.Read(id, buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 42 {
-		t.Errorf("dirty page not written back on eviction")
+		t.Errorf("Put did not write the page through")
 	}
-	if p.Stats().WriteBacks != 1 || p.Stats().Evictions != 1 {
+
+	// Force eviction by pulling in another page.
+	id2, _ := s.Allocate()
+	s.ResetStats()
+	if _, err := p.View(id2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Writes != 0 || st.Reads != 1 {
+		t.Errorf("a miss evicting a Put page cost %+v, want one read", st)
+	}
+	if p.Stats().Evictions != 1 {
 		t.Errorf("stats = %+v", p.Stats())
 	}
 }
 
 // TestPoolViewCounts: View counts on the reader's counts its get, the
-// hit or miss, the physical read a miss costs and the eviction and
-// write-back the miss forces; a get without counts counts on none.
-// View takes no pin.
+// hit or miss, the physical read a miss costs and the eviction the
+// miss forces; a get without counts counts on none.
 func TestPoolViewCounts(t *testing.T) {
 	s := MustMemStore(64)
 	p := MustPool(s, 1, LRU)
-	f, err := p.NewPage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Unpin(f.ID, true)
+	put := putNew(t, p, 1)
 	id, _ := s.Allocate()
 	var n obs.Counts
-	for i := 0; i < 2; i++ { // a miss evicting the dirty page, then a hit
+	for i := 0; i < 2; i++ { // a miss evicting the Put page, then a hit
 		if _, err := p.View(id, &n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := p.View(f.ID, nil); err != nil { // a miss on no counts
+	if _, err := p.View(put, nil); err != nil { // a miss on no counts
 		t.Fatal(err)
 	}
 	for c, want := range map[obs.Counter]int64{
 		obs.PoolGets: 2, obs.PoolHits: 1, obs.PoolMisses: 1, obs.PhysReads: 1,
-		obs.PoolEvictions: 1, obs.PoolWriteBacks: 1,
+		obs.PoolEvictions: 1, obs.PoolWriteBacks: 0, obs.PhysWrites: 0,
 	} {
 		if got := n[c]; got != want {
 			t.Errorf("counts %s = %d, want %d", c, got, want)
@@ -177,23 +184,32 @@ func TestPoolViewCounts(t *testing.T) {
 	if st := p.Stats(); st.Gets != 3 || st.Misses != 2 || st.Evictions != 2 {
 		t.Errorf("pool stats = %+v", st)
 	}
-	if n := p.Pinned(); n != 0 {
-		t.Errorf("%d pages pinned after views", n)
-	}
 }
 
-func TestPoolPinnedPagesNotEvicted(t *testing.T) {
+// TestPoolPutReplacesFrame: a Put over a resident id installs its image
+// as a new frame; the image a reader holds stays as it was.
+func TestPoolPutReplacesFrame(t *testing.T) {
 	s := MustMemStore(64)
-	p := MustPool(s, 1, LRU)
-	f, _ := p.NewPage()
-	_ = f
-	// The only frame is pinned; a second page cannot be admitted.
-	if _, err := p.NewPage(); err == nil {
-		t.Errorf("admission with all frames pinned should fail")
+	p := MustPool(s, 2, LRU)
+	id := putNew(t, p, 1)
+	held, err := p.View(id, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	p.Unpin(f.ID, true)
-	if _, err := p.NewPage(); err != nil {
-		t.Errorf("admission after unpin failed: %v", err)
+	img := make([]byte, 64)
+	img[0] = 2
+	if err := p.Put(id, img); err != nil {
+		t.Fatal(err)
+	}
+	now, err := p.View(id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held[0] != 1 || now[0] != 2 || &now[0] != &img[0] {
+		t.Errorf("held %d, now %d (the Put image: %v)", held[0], now[0], &now[0] == &img[0])
+	}
+	if p.Resident() != 1 || p.Stats().Evictions != 0 {
+		t.Errorf("a Put over a resident id left %d frames, %d evictions", p.Resident(), p.Stats().Evictions)
 	}
 }
 
@@ -205,10 +221,9 @@ func TestPoolLRUOrder(t *testing.T) {
 	}
 	p := MustPool(s, 2, LRU)
 	get := func(id PageID) {
-		if _, err := p.Get(id); err != nil {
+		if _, err := p.View(id, nil); err != nil {
 			t.Fatal(err)
 		}
-		p.Unpin(id, false)
 	}
 	get(ids[0])
 	get(ids[1])
@@ -225,20 +240,10 @@ func TestPoolLRUOrder(t *testing.T) {
 	}
 }
 
-func TestPoolFlushAndInvalidate(t *testing.T) {
+func TestPoolInvalidate(t *testing.T) {
 	s := MustMemStore(64)
 	p := MustPool(s, 4, LRU)
-	f, _ := p.NewPage()
-	f.Data[0] = 7
-	p.Unpin(f.ID, true)
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	s.Read(f.ID, buf)
-	if buf[0] != 7 {
-		t.Errorf("Flush did not persist dirty page")
-	}
+	id := putNew(t, p, 7)
 	if err := p.Invalidate(); err != nil {
 		t.Fatal(err)
 	}
@@ -246,55 +251,50 @@ func TestPoolFlushAndInvalidate(t *testing.T) {
 		t.Errorf("Invalidate left %d resident frames", p.Resident())
 	}
 	s.ResetStats()
-	if _, err := p.Get(f.ID); err != nil {
+	data, err := p.View(id, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Stats().Reads != 1 {
-		t.Errorf("post-invalidate access should be cold")
+	if s.Stats().Reads != 1 || data[0] != 7 {
+		t.Errorf("post-invalidate access should be a cold read of the Put image")
 	}
-	p.Unpin(f.ID, false)
-}
-
-func TestPoolInvalidateWithPinnedPage(t *testing.T) {
-	s := MustMemStore(64)
-	p := MustPool(s, 2, LRU)
-	f, _ := p.NewPage()
-	if err := p.Invalidate(); err == nil {
-		t.Errorf("Invalidate with pinned page should fail")
-	}
-	p.Unpin(f.ID, false)
 }
 
 func TestPoolDrop(t *testing.T) {
 	s := MustMemStore(64)
 	p := MustPool(s, 2, LRU)
-	f, _ := p.NewPage()
-	id := f.ID
-	if err := p.Drop(id); err == nil {
-		t.Errorf("Drop of pinned page should fail")
-	}
-	p.Unpin(id, false)
+	id := putNew(t, p, 1)
 	if err := p.Drop(id); err != nil {
 		t.Fatal(err)
 	}
 	if s.NumPages() != 0 {
 		t.Errorf("Drop did not free the page")
 	}
-	if _, err := p.Get(id); err == nil {
-		t.Errorf("Get of dropped page should fail")
+	if _, err := p.View(id, nil); err == nil {
+		t.Errorf("View of dropped page should fail")
 	}
 }
 
+// TestPoolUnpinErrors pins the benchmark drills' vestiges: Get is a
+// View in a Frame and pins nothing, Unpin of a clean page does nothing,
+// and Unpin of a dirty one is an error.
 func TestPoolUnpinErrors(t *testing.T) {
 	s := MustMemStore(64)
-	p := MustPool(s, 2, LRU)
-	if err := p.Unpin(99, false); err == nil {
-		t.Errorf("unpin of non-resident page should fail")
+	p := MustPool(s, 1, LRU)
+	id := putNew(t, p, 5)
+	f, err := p.Get(id)
+	if err != nil || f.ID != id || f.Data[0] != 5 {
+		t.Fatalf("Get = %+v, %v", f, err)
 	}
-	f, _ := p.NewPage()
-	p.Unpin(f.ID, false)
-	if err := p.Unpin(f.ID, false); err == nil {
-		t.Errorf("double unpin should fail")
+	if err := p.Unpin(99, false); err != nil {
+		t.Errorf("clean unpin: %v", err)
+	}
+	if err := p.Unpin(id, true); err == nil {
+		t.Errorf("dirty unpin should fail")
+	}
+	putNew(t, p, 6) // the frame Get returned is not pinned: it is evicted
+	if p.Stats().Evictions != 1 {
+		t.Errorf("a Get pinned its frame: %+v", p.Stats())
 	}
 }
 
@@ -324,10 +324,9 @@ func TestPoolScanWorkload(t *testing.T) {
 		// Each page accessed twice in a row (as a merge re-examines
 		// the current page) and then never again.
 		for j := 0; j < 2; j++ {
-			if _, err := p.Get(id); err != nil {
+			if _, err := p.View(id, nil); err != nil {
 				t.Fatal(err)
 			}
-			p.Unpin(id, false)
 		}
 	}
 	if got := s.Stats().Reads; got != 100 {

@@ -8,8 +8,7 @@ import (
 
 // FlakyStore wraps a disk.Store and fails chosen page writes with
 // ErrInjected, for exercising error paths above the store (e.g. the
-// buffer pool keeping a frame dirty and resident after a failed
-// write-back).
+// buffer pool caching nothing after a failed Put).
 type FlakyStore struct {
 	disk.Store
 

@@ -121,25 +121,24 @@ func TestFileStoreUnderPoolWorkload(t *testing.T) {
 	p := MustPool(s, 4, LRU)
 	var ids []PageID
 	for i := 0; i < 32; i++ {
-		f, err := p.NewPage()
+		id, err := s.Allocate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.Data[0] = byte(i)
-		p.Unpin(f.ID, true)
-		ids = append(ids, f.ID)
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
+		img := make([]byte, s.PageSize())
+		img[0] = byte(i)
+		if err := p.Put(id, img); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
 	}
 	for i, id := range ids {
-		f, err := p.Get(id)
+		data, err := p.View(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Data[0] != byte(i) {
+		if data[0] != byte(i) {
 			t.Fatalf("page %d content lost through file store", id)
 		}
-		p.Unpin(id, false)
 	}
 }

@@ -24,6 +24,19 @@ func FuzzWALReplay(f *testing.F) {
 	corrupt := append([]byte{}, full...)
 	corrupt[20] ^= 0x01
 	f.Add(corrupt)
+	// A checkpoint's batch: its final frees, then its latest images,
+	// each in page order (so the LSNs are not), then the commit.
+	batch := disk.EncodeWALHeader()
+	for _, r := range []disk.WALRecord{
+		{Kind: disk.RecFree, Page: 2, LSN: 9},
+		{Kind: disk.RecFree, Page: 5, LSN: 4},
+		{Kind: disk.RecPage, Page: 1, LSN: 11, Payload: []byte("meta")},
+		{Kind: disk.RecPage, Page: 3, LSN: 6, Payload: []byte("leaf")},
+		{Kind: disk.RecCommit, Payload: disk.EncodeCommitPayload(4, 11)},
+	} {
+		batch = append(batch, disk.EncodeWALRecord(r)...)
+	}
+	f.Add(batch)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := disk.ReplayWAL("fuzz", data)

@@ -14,38 +14,35 @@ import (
 // callers name it.
 type Policy int
 
-// LRU evicts the least recently used unpinned page.
+// LRU evicts the least recently used page.
 const LRU Policy = 0
 
 // PoolStats counts logical accesses through a buffer pool.
 type PoolStats struct {
-	Gets       uint64 // logical page requests
-	Hits       uint64 // requests served from the pool
-	Misses     uint64 // requests requiring a physical read
-	Evictions  uint64
-	WriteBacks uint64 // dirty pages written on eviction or flush
+	Gets      uint64 // logical page requests
+	Hits      uint64 // requests served from the pool
+	Misses    uint64 // requests requiring a physical read
+	Evictions uint64
 }
 
-// Frame is a page resident in a buffer pool, pinned by a writer. Data
-// is the page's contents; mutate it in place, then Unpin it dirty so
-// eviction and Flush write it back.
+// Frame is a page resident in a buffer pool: its id and its image.
 type Frame struct {
-	ID    PageID
-	Data  []byte
-	pins  int
-	dirty bool
-	elem  *list.Element
+	ID   PageID
+	Data []byte
+	elem *list.Element
 }
 
-// Pool is a fixed-capacity LRU page cache over a Store.
+// Pool is a fixed-capacity LRU cache of page images over a Store.
 //
-// A reader calls View, which hands out a page's image and takes no
-// pin; a writer pins with Get or NewPage, writes the frame's Data and
-// Unpins. The design rests on one condition: an image a reader may hold
-// never changes. A miss installs a fresh buffer and no code may recycle
-// a published frame's bytes, so an image stays right after eviction or
-// Drop; a writer writes only pages no published version reaches (the
-// B+-tree's copy-on-write).
+// A reader calls View, which hands out a page's image; a writer hands
+// a finished image to Put, which writes it to the store and caches it.
+// The design rests on one condition: an image the pool has handed out
+// never changes. Every frame is a buffer of its own, installed by a
+// miss or a Put and never written into afterwards, so a reader may keep
+// an image after it is evicted, dropped or replaced. A writer Puts only
+// pages no published version reaches (the B+-tree's copy-on-write), and
+// never changes an image once it has Put it. No frame is ever dirty, so
+// a read never writes.
 //
 // Thread safety: all operations serialize on an internal latch.
 // Writers must additionally be serialized against each other; see
@@ -99,7 +96,7 @@ func (p *Pool) Capacity() int { return p.capacity }
 // concurrently with any pool operation.
 func (p *Pool) Stats() PoolStats {
 	t := func(k obs.Counter) uint64 { return uint64(p.total[k].Load()) }
-	return PoolStats{t(obs.PoolGets), t(obs.PoolHits), t(obs.PoolMisses), t(obs.PoolEvictions), t(obs.PoolWriteBacks)}
+	return PoolStats{t(obs.PoolGets), t(obs.PoolHits), t(obs.PoolMisses), t(obs.PoolEvictions)}
 }
 
 // ResetStats zeroes the pool's access counters.
@@ -117,13 +114,12 @@ func (p *Pool) count(n *obs.Counts, k obs.Counter) {
 }
 
 // View returns page id's image for reading, loading it from the store
-// on a miss. It takes no pin: the image never changes (see Pool), so
-// the caller keeps it as long as it likes. View counts on n as well as
-// on the pool's lifetime counters: the get, its hit or miss, the
-// physical read a miss costs (or its checksum failure) and the
-// evictions and write-backs it forces. n belongs to the caller's read,
-// so concurrent reads never count on each other's; a nil n counts
-// nowhere but the pool.
+// on a miss. The image never changes (see Pool), so the caller keeps it
+// as long as it likes. View counts on n as well as on the pool's
+// lifetime counters: the get, its hit or miss, the physical read a miss
+// costs (or its checksum failure) and the eviction it forces. n belongs
+// to the caller's read, so concurrent reads never count on each
+// other's; a nil n counts nowhere but the pool.
 func (p *Pool) View(id PageID, n *obs.Counts) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -134,17 +130,22 @@ func (p *Pool) View(id PageID, n *obs.Counts) ([]byte, error) {
 	return f.Data, nil
 }
 
-// Get pins the page in the pool for writing, reading it from the store
-// on a miss, and returns its frame; it counts as View does, on the
-// pool alone. Callers must Unpin the frame when done.
+// Get returns page id's frame as View does, counting on the pool
+// alone. It pins nothing; the benchmark drills are its only callers.
 func (p *Pool) Get(id PageID) (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f, err := p.frame(id, nil)
-	if err == nil {
-		f.pins++
+	return p.frame(id, nil)
+}
+
+// Unpin is what is left of the writers' pins, for the benchmark drills:
+// nothing is pinned, so releasing a clean page does nothing, and a
+// dirty one is an error, because only Put changes a page.
+func (p *Pool) Unpin(id PageID, dirty bool) error {
+	if dirty {
+		return fmt.Errorf("disk: page %d unpinned dirty: write pages with Put", id)
 	}
-	return f, err
+	return nil
 }
 
 // frame returns page id's resident frame, reading it on a miss, and
@@ -157,56 +158,44 @@ func (p *Pool) frame(id PageID, n *obs.Counts) (*Frame, error) {
 		return f, nil
 	}
 	p.count(n, obs.PoolMisses)
-	if err := p.makeRoom(n); err != nil {
-		return nil, err
-	}
-	f := p.install(id)
-	if err := p.store.Read(id, f.Data); err != nil {
+	data := make([]byte, p.store.PageSize())
+	if err := p.store.Read(id, data); err != nil {
 		if _, ok := err.(*ChecksumError); ok {
 			p.count(n, obs.ChecksumFailures)
 		}
-		p.discard(f)
 		return nil, err
 	}
 	p.count(n, obs.PhysReads)
-	return f, nil
+	return p.install(id, data, n), nil
 }
 
-// NewPage allocates a fresh page in the store and pins an empty frame
-// for it. Callers must Unpin the frame when done; the frame starts
-// dirty so its (initially zero) contents reach the store. Room is made
-// before the store allocates, so a failed eviction leaks no page.
-func (p *Pool) NewPage() (*Frame, error) {
+// Put writes img to the store as page id's image and caches it as id's
+// frame. The pool keeps img itself: the caller must not change it
+// afterwards. A frame id already had is replaced, not written into, so
+// a reader holding the old image keeps it. A failed write caches
+// nothing.
+func (p *Pool) Put(id PageID, img []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.makeRoom(nil); err != nil {
-		return nil, err
+	if err := p.store.Write(id, img); err != nil {
+		return err
 	}
-	id, err := p.store.Allocate()
-	if err != nil {
-		return nil, err
+	if f, ok := p.frames[id]; ok {
+		p.discard(f)
 	}
-	f := p.install(id)
-	f.pins, f.dirty = 1, true
-	return f, nil
-}
-
-// makeRoom evicts until a frame is free, counting on n. The caller
-// holds p.mu.
-func (p *Pool) makeRoom(n *obs.Counts) error {
-	for len(p.frames) >= p.capacity {
-		if err := p.evictOne(n); err != nil {
-			return err
-		}
-	}
+	p.install(id, img, nil)
 	return nil
 }
 
-// install makes an unpinned frame for id on a buffer of its own: a
-// reader may still hold the image of any frame evicted before, so no
-// buffer is ever reused. The caller made room under p.mu.
-func (p *Pool) install(id PageID) *Frame {
-	f := &Frame{ID: id, Data: make([]byte, p.store.PageSize())}
+// install caches data as id's frame, first evicting the least recently
+// used frames, counted on n, until there is room. The caller holds p.mu
+// and id is not resident.
+func (p *Pool) install(id PageID, data []byte, n *obs.Counts) *Frame {
+	for len(p.frames) >= p.capacity {
+		p.discard(p.order.Front().Value.(*Frame))
+		p.count(n, obs.PoolEvictions)
+	}
+	f := &Frame{ID: id, Data: data}
 	f.elem = p.order.PushBack(f)
 	p.frames[id] = f
 	return f
@@ -217,114 +206,12 @@ func (p *Pool) discard(f *Frame) {
 	delete(p.frames, f.ID)
 }
 
-// evictOne removes the least recently used unpinned frame, counting on
-// n. The caller holds p.mu.
-func (p *Pool) evictOne(n *obs.Counts) error {
-	var victim *Frame
-	for e := p.order.Front(); e != nil; e = e.Next() {
-		if f := e.Value.(*Frame); f.pins == 0 {
-			victim = f
-			break
-		}
-	}
-	if victim == nil {
-		return fmt.Errorf("disk: all %d frames pinned; cannot evict", len(p.frames))
-	}
-	if victim.dirty {
-		if err := p.store.Write(victim.ID, victim.Data); err != nil {
-			return err
-		}
-		p.count(n, obs.PoolWriteBacks)
-	}
-	p.discard(victim)
-	p.count(n, obs.PoolEvictions)
-	return nil
-}
-
-// Unpin releases one pin on the page. dirty marks the contents
-// modified.
-func (p *Pool) Unpin(id PageID, dirty bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f, ok := p.frames[id]
-	if !ok {
-		return fmt.Errorf("disk: unpin of non-resident page %d", id)
-	}
-	if f.pins <= 0 {
-		return fmt.Errorf("disk: unpin of unpinned page %d", id)
-	}
-	f.pins--
-	if dirty {
-		f.dirty = true
-	}
-	return nil
-}
-
-// Flush writes all dirty frames back to the store without evicting
-// them.
-func (p *Pool) Flush() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.flushLocked()
-}
-
-func (p *Pool) flushLocked() error {
-	for e := p.order.Front(); e != nil; e = e.Next() {
-		f := e.Value.(*Frame)
-		if f.dirty {
-			if err := p.store.Write(f.ID, f.Data); err != nil {
-				return err
-			}
-			f.dirty = false
-			p.count(nil, obs.PoolWriteBacks)
-		}
-	}
-	return nil
-}
-
-// Checkpointer is implemented by stores whose writes become durable
-// only at an explicit commit point (RecoverableStore). Stores without
-// a checkpoint protocol simply don't implement it.
-type Checkpointer interface {
-	Checkpoint() error
-}
-
-// Checkpoint flushes every dirty frame to the store and then, if the
-// store is a Checkpointer, commits its checkpoint protocol.
-//
-// Flush ordering contract: the pool only ever moves dirty pages to
-// the store via Store.Write — on eviction, Flush, Drop and here — and
-// a RecoverableStore.Write is by construction a WAL append plus an
-// in-memory delta, never a data-file write. No dirty page can
-// therefore reach the page file before its WAL record is synced: the
-// file is written only inside Checkpoint/Recover, after the batch's
-// commit record is durable. The pool needs no write-ordering logic of
-// its own; it must only guarantee — as this method does — that every
-// dirty frame has been handed to the store before Checkpoint is
-// invoked, so the commit covers them.
-func (p *Pool) Checkpoint() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.flushLocked(); err != nil {
-		return err
-	}
-	if ck, ok := p.store.(Checkpointer); ok {
-		return ck.Checkpoint()
-	}
-	return nil
-}
-
-// Drop removes the page from the pool, discarding its contents, and
-// frees it in the store. The page must be unpinned. A reader still
-// holding the page's image keeps it: a later allocation of the same id
-// gets a fresh buffer (install).
+// Drop removes the page from the pool and frees it in the store. A
+// reader still holding the page's image keeps it.
 func (p *Pool) Drop(id PageID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if f, ok := p.frames[id]; ok {
-		if f.pins > 0 {
-			return fmt.Errorf("disk: drop of pinned page %d", id)
-		}
 		p.discard(f)
 	}
 	return p.store.Free(id)
@@ -337,35 +224,13 @@ func (p *Pool) Resident() int {
 	return len(p.frames)
 }
 
-// Pinned returns the number of resident frames with at least one pin:
-// pages a writer is writing, which eviction cannot touch. Readers take
-// no pins (View).
-func (p *Pool) Pinned() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, f := range p.frames {
-		if f.pins > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Invalidate empties the pool after flushing dirty pages, so the next
-// accesses are cold. The experiment harness uses this between queries
-// to make page-access counts reproducible.
+// Invalidate empties the pool, so the next accesses are cold. The
+// experiment harness uses this between queries to make page-access
+// counts reproducible. No frame is dirty, so it cannot fail; the error
+// result stays for its callers.
 func (p *Pool) Invalidate() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.flushLocked(); err != nil {
-		return err
-	}
-	for _, f := range p.frames {
-		if f.pins > 0 {
-			return fmt.Errorf("disk: invalidate with pinned page %d", f.ID)
-		}
-	}
 	p.frames = make(map[PageID]*Frame, p.capacity)
 	p.order.Init()
 	return nil

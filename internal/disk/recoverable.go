@@ -9,22 +9,25 @@ import (
 // RecoverableStore is a crash-safe Store: a FileStore of checksummed
 // pages guarded by a write-ahead log.
 //
-// Protocol (redo-only, no-force): Write never touches the page file.
-// It appends a physical page image to the WAL (unsynced) and keeps
-// the latest image per page in an in-memory delta. Checkpoint is the
-// commit point:
+// Protocol (redo-only, no-force): Write, Allocate and Free never
+// touch the log, and only Allocate touches the page file, to stamp a
+// new slot when the file grows. They keep the latest image per page
+// and the pages freed since the last checkpoint in an in-memory delta.
+// Checkpoint is the commit point:
 //
-//  1. append a commit record and group-fsync the WAL;
-//  2. apply the delta — the final frees and page images — to the page
-//     file, by the apply path recovery replays the log with;
+//  1. append the delta to the WAL as one batch — the final frees, then
+//     the latest images, each in page order — and a commit record, and
+//     group-fsync the WAL;
+//  2. apply the same batch to the page file, by the apply path
+//     recovery replays the log with;
 //  3. fsync the page file;
 //  4. durably stamp the superblock's checkpoint LSN;
 //  5. reset the WAL and clear the delta.
 //
 // A page freed since the last checkpoint is reused before the file
 // grows, whether or not the last checkpoint references it: reuse only
-// logs and fills the delta, so until the next commit the slot still
-// holds what the last checkpoint left there.
+// fills the delta, so until the next commit the slot still holds what
+// the last checkpoint left there.
 //
 // A crash before step 1's fsync loses at most the un-checkpointed
 // delta: the page file still holds the previous checkpoint exactly. A
@@ -32,21 +35,21 @@ import (
 // batch (idempotently) onto the page file. Because the page file is
 // written only under a committed log, the classic WAL invariant — no
 // page reaches the store before its log record is durable — holds by
-// construction; disk.Pool's Checkpoint documents the matching
-// flush-ordering contract for the layer above.
+// construction.
 //
-// Error handling is strict: once a WAL append, WAL sync or checkpoint
-// apply fails, the store refuses further writes and checkpoints with
-// the sticky first error (the lesson of the fsync-error studies: an
-// I/O error during the commit protocol leaves on-disk state unknown,
-// so the only safe continuation is recovery from the log). Reads stay
-// available. Reopen with RecoverStore to resume.
+// Error handling is strict: once an allocation that grows the file, a
+// WAL append, a WAL sync or a checkpoint apply fails, the store refuses
+// further writes and checkpoints with the sticky first error (the
+// lesson of the fsync-error studies: an I/O error during the commit
+// protocol leaves on-disk state unknown, so the only safe continuation
+// is recovery from the log). Reads stay available. Reopen with
+// RecoverStore to resume.
 type RecoverableStore struct {
 	mu          sync.Mutex
 	fs          *FileStore
 	wal         *WAL
-	dirty       map[PageID]*dirtyPage
-	pendingFree map[PageID]uint64 // freed page -> LSN of its free record
+	delta       map[PageID]*deltaPage
+	pendingFree map[PageID]uint64 // freed page -> LSN of its free
 	reusable    []PageID          // pendingFree's members, in free order
 	lsn         uint64
 	failed      error
@@ -61,7 +64,7 @@ type RecoverableStore struct {
 	pagesReused      uint64
 }
 
-type dirtyPage struct {
+type deltaPage struct {
 	lsn uint64
 	img []byte
 }
@@ -127,7 +130,7 @@ func newRecoverable(fs *FileStore, wal *WAL) *RecoverableStore {
 	return &RecoverableStore{
 		fs:          fs,
 		wal:         wal,
-		dirty:       make(map[PageID]*dirtyPage),
+		delta:       make(map[PageID]*deltaPage),
 		pendingFree: make(map[PageID]uint64),
 		lsn:         fs.MaxLSN(),
 	}
@@ -360,11 +363,10 @@ func (s *RecoverableStore) fail(err error) error {
 // PageSize implements Store.
 func (s *RecoverableStore) PageSize() int { return s.fs.PageSize() }
 
-// Allocate implements Store. The allocation is logged; the zero page
-// joins the delta so the next checkpoint materializes it. The page
-// freed last in this epoch is taken first: its slot is left as it is,
-// so reuse costs one log record, and replay folds free, alloc and any
-// images after them to the last image.
+// Allocate implements Store. The zero page joins the delta so the
+// next checkpoint materializes it. The page freed last in this epoch is
+// taken first: its slot is left as it is, so reuse costs nothing until
+// the checkpoint writes the page's image.
 func (s *RecoverableStore) Allocate() (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -387,11 +389,7 @@ func (s *RecoverableStore) Allocate() (PageID, error) {
 		}
 	}
 	s.lsn++
-	if err := s.wal.Append(WALRecord{Kind: RecAlloc, Page: id, LSN: s.lsn}); err != nil {
-		return InvalidPage, s.fail(err)
-	}
-	s.walAppends++
-	s.dirty[id] = &dirtyPage{lsn: s.lsn, img: make([]byte, s.fs.PageSize())}
+	s.delta[id] = &deltaPage{lsn: s.lsn, img: make([]byte, s.fs.PageSize())}
 	s.stats.Allocs++
 	return id, nil
 }
@@ -407,7 +405,7 @@ func (s *RecoverableStore) Read(id PageID, buf []byte) error {
 	if _, freed := s.pendingFree[id]; freed {
 		return fmt.Errorf("disk: read of freed page %d", id)
 	}
-	if dp, ok := s.dirty[id]; ok {
+	if dp, ok := s.delta[id]; ok {
 		copy(buf, dp.img)
 		s.stats.Reads++
 		return nil
@@ -422,9 +420,8 @@ func (s *RecoverableStore) Read(id PageID, buf []byte) error {
 	return nil
 }
 
-// Write implements Store: the image is logged (write-ahead, unsynced)
-// and retained in the delta; the page file is untouched until the
-// next checkpoint commits.
+// Write implements Store: the image is retained in the delta; the log
+// and the page file are untouched until the next checkpoint.
 func (s *RecoverableStore) Write(id PageID, buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -441,25 +438,21 @@ func (s *RecoverableStore) Write(id PageID, buf []byte) error {
 		return fmt.Errorf("disk: write of unallocated page %d", id)
 	}
 	s.lsn++
-	if err := s.wal.Append(WALRecord{Kind: RecPage, Page: id, LSN: s.lsn, Payload: buf}); err != nil {
-		return s.fail(err)
-	}
-	s.walAppends++
-	if dp, ok := s.dirty[id]; ok {
+	if dp, ok := s.delta[id]; ok {
 		dp.lsn = s.lsn
 		copy(dp.img, buf)
 	} else {
-		s.dirty[id] = &dirtyPage{lsn: s.lsn, img: append([]byte(nil), buf...)}
+		s.delta[id] = &deltaPage{lsn: s.lsn, img: append([]byte(nil), buf...)}
 	}
 	s.stats.Writes++
 	return nil
 }
 
-// Free implements Store. The free is logged and deferred: the page
-// file slot keeps its last checkpointed contents until the next
-// checkpoint commits, so a crash cannot destroy state the previous
-// checkpoint still references. Allocate may hand the page out again at
-// once: reuse does not touch the slot either.
+// Free implements Store. The free is deferred: the page file slot
+// keeps its last checkpointed contents until the next checkpoint
+// commits, so a crash cannot destroy state the previous checkpoint
+// still references. Allocate may hand the page out again at once:
+// reuse does not touch the slot either.
 func (s *RecoverableStore) Free(id PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -473,11 +466,7 @@ func (s *RecoverableStore) Free(id PageID) error {
 		return fmt.Errorf("disk: free of unallocated page %d", id)
 	}
 	s.lsn++
-	if err := s.wal.Append(WALRecord{Kind: RecFree, Page: id, LSN: s.lsn}); err != nil {
-		return s.fail(err)
-	}
-	s.walAppends++
-	delete(s.dirty, id)
+	delete(s.delta, id)
 	s.pendingFree[id] = s.lsn
 	s.reusable = append(s.reusable, id)
 	s.stats.Frees++
@@ -492,11 +481,32 @@ func (s *RecoverableStore) Checkpoint() error {
 	if s.failed != nil {
 		return s.failed
 	}
-	if len(s.dirty) == 0 && len(s.pendingFree) == 0 && s.wal.Records() == 0 {
+	if len(s.delta) == 0 && len(s.pendingFree) == 0 {
 		return nil
 	}
-	maxLSN := s.lsn
-	if err := s.wal.AppendCommit(maxLSN); err != nil {
+	// Compact the delta into the batch: the final free set, then the
+	// latest image per changed page, each in page order. The log takes it
+	// first, then the page file by the apply path of recovery and
+	// replicas, and the hook ships it as it is: the delta is replaced
+	// below, so no image changes under it.
+	seg := Segment{MaxLSN: s.lsn, Records: make([]WALRecord, 0, len(s.pendingFree)+len(s.delta))}
+	for id, lsn := range s.pendingFree {
+		seg.Records = append(seg.Records, WALRecord{Kind: RecFree, Page: id, LSN: lsn})
+	}
+	frees := len(seg.Records)
+	for id, dp := range s.delta {
+		seg.Records = append(seg.Records, WALRecord{Kind: RecPage, Page: id, LSN: dp.lsn, Payload: dp.img})
+	}
+	for _, recs := range [][]WALRecord{seg.Records[:frees], seg.Records[frees:]} {
+		sort.Slice(recs, func(i, j int) bool { return recs[i].Page < recs[j].Page })
+	}
+	for _, rec := range seg.Records {
+		if err := s.wal.Append(rec); err != nil {
+			return s.fail(err)
+		}
+		s.walAppends++
+	}
+	if err := s.wal.AppendCommit(seg.MaxLSN); err != nil {
 		return s.fail(err)
 	}
 	s.walAppends++
@@ -504,35 +514,19 @@ func (s *RecoverableStore) Checkpoint() error {
 		return s.fail(err)
 	}
 	s.walSyncs++
-
-	// Compact the batch: the final free set, then the latest image per
-	// dirty page, each in page order. The page file takes it by the
-	// apply path of recovery and replicas, and the hook ships it as it
-	// is: the delta is replaced below, so no image changes under it.
-	seg := Segment{MaxLSN: maxLSN, Records: make([]WALRecord, 0, len(s.pendingFree)+len(s.dirty))}
-	for id, lsn := range s.pendingFree {
-		seg.Records = append(seg.Records, WALRecord{Kind: RecFree, Page: id, LSN: lsn})
-	}
-	frees := len(seg.Records)
-	for id, dp := range s.dirty {
-		seg.Records = append(seg.Records, WALRecord{Kind: RecPage, Page: id, LSN: dp.lsn, Payload: dp.img})
-	}
-	for _, recs := range [][]WALRecord{seg.Records[:frees], seg.Records[frees:]} {
-		sort.Slice(recs, func(i, j int) bool { return recs[i].Page < recs[j].Page })
-	}
 	if _, _, err := applyRecords(s.fs, s.wal.path, seg.Records); err != nil {
 		return s.fail(err)
 	}
 	if err := s.fs.SyncData(); err != nil {
 		return s.fail(err)
 	}
-	if err := s.fs.StampCheckpoint(maxLSN); err != nil {
+	if err := s.fs.StampCheckpoint(seg.MaxLSN); err != nil {
 		return s.fail(err)
 	}
 	if err := s.wal.Reset(); err != nil {
 		return s.fail(err)
 	}
-	s.dirty = make(map[PageID]*dirtyPage)
+	s.delta = make(map[PageID]*deltaPage)
 	s.pendingFree = make(map[PageID]uint64)
 	s.reusable = s.reusable[:0]
 	s.checkpoints++

@@ -133,39 +133,64 @@ func TestRecoverableCommittedBatchReplay(t *testing.T) {
 	}
 }
 
+// TestRecoverableStickyFailure: a write-path fault freezes the store.
+// Write, Allocate and Free only fill the delta, so the faults that can
+// strike are a checkpoint's log append and an Allocate that grows the
+// file, which stamps the new slot.
 func TestRecoverableStickyFailure(t *testing.T) {
-	fsys := faultfs.New()
-	rs, err := disk.CreateRecoverableStore(fsys, "db", 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := rs.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsys.Arm(faultfs.Plan{FailAt: 1}) // the next WAL append fails
-	if err := rs.Write(id, page(128, 'X')); !errors.Is(err, faultfs.ErrInjected) {
-		t.Fatalf("want injected failure, got %v", err)
-	}
-	fsys.Disarm()
-	// The store is frozen: every write-path operation reports the
-	// sticky error, telling the operator to recover from the log.
-	if err := rs.Write(id, page(128, 'X')); err == nil || !strings.Contains(err.Error(), "needs recovery") {
-		t.Fatalf("write after failure: %v", err)
-	}
-	if err := rs.Checkpoint(); err == nil || !strings.Contains(err.Error(), "needs recovery") {
-		t.Fatalf("checkpoint after failure: %v", err)
-	}
-	if _, err := rs.Allocate(); err == nil {
-		t.Fatal("allocate after failure succeeded")
-	}
-	if rs.Failed() == nil {
-		t.Fatal("Failed() nil after failure")
-	}
-	// Reads stay available.
-	buf := make([]byte, 128)
-	if err := rs.Read(id, buf); err != nil {
-		t.Fatalf("read after failure: %v", err)
+	for _, c := range []struct {
+		name string
+		fail func(rs *disk.RecoverableStore, id disk.PageID) error
+	}{
+		{"checkpoint log append", func(rs *disk.RecoverableStore, id disk.PageID) error {
+			return rs.Checkpoint() // its first operation appends to the log
+		}},
+		{"allocation growing the file", func(rs *disk.RecoverableStore, id disk.PageID) error {
+			_, err := rs.Allocate() // no free slot: the file grows
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fsys := faultfs.New()
+			rs, err := disk.CreateRecoverableStore(fsys, "db", 128)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := rs.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rs.Write(id, page(128, 'X')); err != nil {
+				t.Fatal(err)
+			}
+			fsys.Arm(faultfs.Plan{FailAt: 1})
+			if err := c.fail(rs, id); !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("want injected failure, got %v", err)
+			}
+			fsys.Disarm()
+			// The store is frozen: every write-path operation reports the
+			// sticky error, telling the operator to recover from the log.
+			if err := rs.Write(id, page(128, 'X')); err == nil || !strings.Contains(err.Error(), "needs recovery") {
+				t.Fatalf("write after failure: %v", err)
+			}
+			if err := rs.Checkpoint(); err == nil || !strings.Contains(err.Error(), "needs recovery") {
+				t.Fatalf("checkpoint after failure: %v", err)
+			}
+			if _, err := rs.Allocate(); err == nil {
+				t.Fatal("allocate after failure succeeded")
+			}
+			if err := rs.Free(id); err == nil {
+				t.Fatal("free after failure succeeded")
+			}
+			if rs.Failed() == nil {
+				t.Fatal("Failed() nil after failure")
+			}
+			// Reads stay available.
+			buf := make([]byte, 128)
+			if err := rs.Read(id, buf); err != nil || buf[0] != 'X' {
+				t.Fatalf("read after failure: %q, %v", buf[0], err)
+			}
+		})
 	}
 }
 

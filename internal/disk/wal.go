@@ -13,12 +13,12 @@ import (
 //	header = [magic "ZKDWAL01" 8B][version u32][crc u32 over 0..12]
 //	record = [crc u32][kind u8][page u32][lsn u64][len u32][payload]
 //
-// A record's CRC32C covers everything after the crc field. The log
-// carries page images (RecPage), allocation events (RecAlloc,
-// RecFree) and one RecCommit as the final record of a checkpoint
-// batch; Reset truncates the log back to its header after the batch
-// has been applied to the page file, so a log never holds more than
-// one committed batch.
+// A record's CRC32C covers everything after the crc field. A log is
+// one checkpoint batch: its frees (RecFree), its page images (RecPage)
+// and one RecCommit as the final record. Replay also applies
+// allocation records (RecAlloc). Reset truncates the log back to its
+// header after the batch has been applied to the page file, so a log
+// never holds more than one committed batch.
 //
 // Group fsync: Append only writes into the OS page cache; Sync makes
 // everything appended so far durable with a single fsync. A batch of

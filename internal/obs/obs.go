@@ -49,12 +49,15 @@ const (
 	// LeafScans counts leaf-page loads (including rescans, unlike
 	// DataPages which is distinct).
 	LeafScans
-	// PoolGets/PoolHits/PoolMisses/PoolEvictions/PoolWriteBacks are
-	// buffer-pool accesses attributed to the span.
+	// PoolGets/PoolHits/PoolMisses/PoolEvictions are buffer-pool
+	// accesses attributed to the span.
 	PoolGets
 	PoolHits
 	PoolMisses
 	PoolEvictions
+	// PoolWriteBacks is retired: the pool writes no page back, so
+	// nothing adds to it. It stays reserved so the later ids keep their
+	// numbers in the TRACE codec.
 	PoolWriteBacks
 	// PhysReads/PhysWrites are physical page transfers attributed to
 	// the span.

@@ -450,14 +450,12 @@ func (db *DB) endRead(snap *core.IndexSnapshot) {
 // with expvar.Publish for scraping.
 func (db *DB) Metrics() *Metrics { return db.metrics }
 
-// PoolInfo describes the buffer pool's occupancy at one instant:
-// its fixed capacity, how many frames are resident, and how many of
-// those a writer has pinned (reads pin none). Scrape-time state for
-// monitoring (the admin endpoint exports it as gauges).
+// PoolInfo describes the buffer pool's occupancy at one instant: its
+// fixed capacity and how many frames are resident. Scrape-time state
+// for monitoring (the admin endpoint exports it as gauges).
 type PoolInfo struct {
 	Capacity int // frames the pool may hold
 	Resident int // frames currently held
-	Pinned   int // resident frames a writer has pinned
 }
 
 // PoolInfo snapshots the buffer pool's occupancy. Zero after Close.
@@ -470,7 +468,6 @@ func (db *DB) PoolInfo() PoolInfo {
 	return PoolInfo{
 		Capacity: db.pool.Capacity(),
 		Resident: db.pool.Resident(),
-		Pinned:   db.pool.Pinned(),
 	}
 }
 

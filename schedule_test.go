@@ -197,17 +197,15 @@ func (tb *table) run(t *testing.T, seed int64, kind string) {
 		plan.FailAt = at
 	case "flip":
 		// Every other flip seed flips any write and crashes within 30
-		// operations. The rest flip a log write of a checkpoint's batch (its
-		// epoch's, or its own first ones) and crash just past the log's
-		// sync, as the checkpoint applies the batch the flip corrupted.
+		// operations. The rest flip one of a checkpoint's log appends (its
+		// batch's records or its commit record) and crash just past the
+		// log's sync, as the checkpoint applies the batch the flip
+		// corrupted.
 		plan.FlipAt, plan.CrashAt = at, at+1+rng.IntN(30)
 		if n := len(r.spans); n > 0 && seed/4%2 == 1 {
-			k, prev := rng.IntN(n), 0
-			if k > 0 {
-				prev = r.spans[k-1][1]
-			}
-			plan.FlipAt = prev + 1 + rng.IntN(r.spans[k][0]+4-prev)
-			plan.CrashAt = r.spans[k][0] + 6 + rng.IntN(3)
+			sp := r.spans[rng.IntN(n)]
+			plan.FlipAt = sp[0] + 1 + rng.IntN(sp[1]-sp[0]-1)
+			plan.CrashAt = sp[1] + 1 + rng.IntN(3)
 		}
 	}
 	fsys := faultfs.New()
@@ -373,7 +371,7 @@ type run struct {
 	mu     sync.Mutex // guards obs and ckpts against the goroutines
 	obs    []obs      // snapshot and DB reads, replayed against hist
 	ckpts  []ckpt
-	spans  [][2]int        // write operations done before and after each checkpoint step
+	spans  [][2]int        // write operations done before each checkpoint step, and its log sync
 	ctx    context.Context // cancelled when the schedule stops the goroutines
 	cancel func()
 	wg     sync.WaitGroup
@@ -644,9 +642,11 @@ func (r *run) step(st step) {
 		if r.fs != nil {
 			ops = r.fs.Ops()
 		}
-		_, err := r.db.Checkpoint()
-		if r.fs != nil { // the span ends on the call's last write operation
-			r.spans = append(r.spans, [2]int{ops, r.fs.Ops()})
+		st, err := r.db.Checkpoint()
+		// The checkpoint's first write operations are its log appends;
+		// the log's sync follows them.
+		if r.fs != nil && st.WALAppends > 0 {
+			r.spans = append(r.spans, [2]int{ops, ops + int(st.WALAppends) + 1})
 		}
 		r.keep()
 		r.checkpointed(r.seq, r.seq, r.ok(err, "checkpoint"))

@@ -24,7 +24,7 @@ import (
 // have seen. A scratch shared between two searches, or handed back
 // while in use, shows up as a wrong answer here and as a data race
 // under -race. Then every way out of every read, failures included,
-// must leave no version and no page pinned.
+// must leave no version pinned.
 
 const (
 	recycleBatch   = 12 // points per commit
@@ -264,8 +264,8 @@ func TestRecycledScratchIsNeverShared(t *testing.T) {
 
 // noPinOutlivesARead takes every read on db out by every way it has,
 // untraced and then traced, and requires each to leave no version
-// pinned in the index and no page pinned in the pool. Closing the
-// database then must not wait on a read that never ended.
+// pinned in the index. Closing the database then must not wait on a
+// read that never ended.
 func noPinOutlivesARead(t *testing.T, db *probe.DB) {
 	t.Helper()
 	ctx := context.Background()
@@ -274,9 +274,6 @@ func noPinOutlivesARead(t *testing.T, db *probe.DB) {
 		t.Helper()
 		if n := db.MVCCStats().PinnedSnapshots; n != 0 {
 			t.Errorf("%d snapshots pinned after %s (%s)", n, after, pass)
-		}
-		if n := db.PoolInfo().Pinned; n != 0 {
-			t.Errorf("%d pages pinned after %s (%s)", n, after, pass)
 		}
 	}
 	unpinned("the concurrent reads")

@@ -36,13 +36,12 @@ const (
 	CounterNodeVisits = obs.NodeVisits
 	// CounterLeafScans counts leaf pages loaded (rescans included).
 	CounterLeafScans = obs.LeafScans
-	// CounterPoolGets/Hits/Misses/Evictions/WriteBacks count
-	// buffer-pool activity attributed to the span.
-	CounterPoolGets       = obs.PoolGets
-	CounterPoolHits       = obs.PoolHits
-	CounterPoolMisses     = obs.PoolMisses
-	CounterPoolEvictions  = obs.PoolEvictions
-	CounterPoolWriteBacks = obs.PoolWriteBacks
+	// CounterPoolGets/Hits/Misses/Evictions count buffer-pool
+	// activity attributed to the span.
+	CounterPoolGets      = obs.PoolGets
+	CounterPoolHits      = obs.PoolHits
+	CounterPoolMisses    = obs.PoolMisses
+	CounterPoolEvictions = obs.PoolEvictions
 	// CounterPhysReads/Writes count physical page I/O attributed to
 	// the span.
 	CounterPhysReads  = obs.PhysReads
