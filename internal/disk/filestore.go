@@ -337,8 +337,9 @@ func (s *FileStore) Allocate() (PageID, error) {
 }
 
 // allocateExact marks a specific page id allocated, stamping its
-// slot. Recovery uses it to replay allocation records whose file
-// extension was lost in a crash; ordinary callers use Allocate.
+// slot. Applying a batch uses it for an image whose slot a crash lost
+// (a file extension, or an LSN-0 stamp recovery reclaimed); ordinary
+// callers use Allocate.
 func (s *FileStore) allocateExact(id PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

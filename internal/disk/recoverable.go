@@ -12,12 +12,13 @@ import (
 // Protocol (redo-only, no-force): Write, Allocate and Free never
 // touch the log, and only Allocate touches the page file, to stamp a
 // new slot when the file grows. They keep the latest image per page
-// and the pages freed since the last checkpoint in an in-memory delta.
-// Checkpoint is the commit point:
+// (an allocated page not yet written: a marker) and the pages freed
+// since the last checkpoint in an in-memory delta. Checkpoint is the
+// commit point:
 //
-//  1. append the delta to the WAL as one batch — the final frees, then
-//     the latest images, each in page order — and a commit record, and
-//     group-fsync the WAL;
+//  1. write the delta to the WAL in one write as one batch — the final
+//     frees, then the latest images, each in page order, then a commit
+//     record (EncodeSegment) — and group-fsync the WAL;
 //  2. apply the same batch to the page file, by the apply path
 //     recovery replays the log with;
 //  3. fsync the page file;
@@ -38,7 +39,7 @@ import (
 // construction.
 //
 // Error handling is strict: once an allocation that grows the file, a
-// WAL append, a WAL sync or a checkpoint apply fails, the store refuses
+// WAL write, a WAL sync or a checkpoint apply fails, the store refuses
 // further writes and checkpoints with the sticky first error (the
 // lesson of the fsync-error studies: an I/O error during the commit
 // protocol leaves on-disk state unknown, so the only safe continuation
@@ -48,7 +49,7 @@ type RecoverableStore struct {
 	mu          sync.Mutex
 	fs          *FileStore
 	wal         *WAL
-	delta       map[PageID]*deltaPage
+	delta       map[PageID]deltaPage
 	pendingFree map[PageID]uint64 // freed page -> LSN of its free
 	reusable    []PageID          // pendingFree's members, in free order
 	lsn         uint64
@@ -64,6 +65,9 @@ type RecoverableStore struct {
 	pagesReused      uint64
 }
 
+// deltaPage is a page's latest image and the LSN of its last change;
+// a nil img marks a page allocated and not yet written, which reads
+// as zeros.
 type deltaPage struct {
 	lsn uint64
 	img []byte
@@ -72,7 +76,8 @@ type deltaPage struct {
 // DurabilityStats counts the durability work a RecoverableStore has
 // performed.
 type DurabilityStats struct {
-	// WALAppends is the number of records appended to the log.
+	// WALAppends is the number of records appended to the log (a
+	// checkpoint writes its batch's records and commit in one write).
 	WALAppends uint64
 	// WALSyncs is the number of group fsyncs issued on the log.
 	WALSyncs uint64
@@ -130,7 +135,7 @@ func newRecoverable(fs *FileStore, wal *WAL) *RecoverableStore {
 	return &RecoverableStore{
 		fs:          fs,
 		wal:         wal,
-		delta:       make(map[PageID]*deltaPage),
+		delta:       make(map[PageID]deltaPage),
 		pendingFree: make(map[PageID]uint64),
 		lsn:         fs.MaxLSN(),
 	}
@@ -201,7 +206,8 @@ func RecoverStore(fsys FS, path string) (*RecoverableStore, RecoveryInfo, error)
 		info.PagesReclaimed = n
 	}
 	if res.Committed {
-		n, maxLSN, err := rs.applyCommitted(res.Records)
+		seg := committedSegment(res.Records)
+		n, err := applyRecords(fs, wp, seg.Records)
 		if err != nil {
 			rs.Close()
 			return nil, info, err
@@ -218,7 +224,7 @@ func RecoverStore(fsys FS, path string) (*RecoverableStore, RecoveryInfo, error)
 			rs.Close()
 			return nil, info, err
 		}
-		if err := fs.StampCheckpoint(maxLSN); err != nil {
+		if err := fs.StampCheckpoint(seg.MaxLSN); err != nil {
 			rs.Close()
 			return nil, info, err
 		}
@@ -257,99 +263,38 @@ func RecoverStore(fsys FS, path string) (*RecoverableStore, RecoveryInfo, error)
 	return rs, info, nil
 }
 
-// applyCommitted replays a committed batch onto the page file,
-// returning the number of page images applied and the batch's max
-// LSN. Replay is idempotent: page writes are physical images and
-// allocation replay tolerates already-applied state.
-func (s *RecoverableStore) applyCommitted(recs []WALRecord) (int, uint64, error) {
-	return applyRecords(s.fs, s.wal.path, recs)
-}
-
-// applyRecords replays a record batch onto a page file. It is the
-// one apply path of the checkpoint, crash recovery (applyCommitted)
-// and replica log shipping (ApplyWALSegment); name labels errors with
-// the batch's source.
-func applyRecords(fs *FileStore, name string, recs []WALRecord) (int, uint64, error) {
-	type pageState struct {
-		alloc bool
-		free  bool
-		img   []byte
-		lsn   uint64
-	}
-	state := make(map[PageID]*pageState)
-	get := func(id PageID) *pageState {
-		st, ok := state[id]
-		if !ok {
-			st = &pageState{}
-			state[id] = st
-		}
-		return st
-	}
-	var maxLSN uint64
-	for _, rec := range recs {
-		if rec.LSN > maxLSN {
-			maxLSN = rec.LSN
-		}
-		switch rec.Kind {
-		case RecAlloc:
-			st := get(rec.Page)
-			st.alloc, st.free = true, false
-			if st.img == nil {
-				st.lsn = rec.LSN
-			}
-		case RecFree:
-			st := get(rec.Page)
-			st.free, st.img, st.lsn = true, nil, rec.LSN
-		case RecPage:
-			if len(rec.Payload) != fs.PageSize() {
-				return 0, 0, &ChecksumError{Path: name, Page: rec.Page,
-					Reason: fmt.Sprintf("log image has %d bytes, page size is %d", len(rec.Payload), fs.PageSize())}
-			}
-			st := get(rec.Page)
-			st.img, st.lsn, st.free = rec.Payload, rec.LSN, false
-		case RecCommit:
-			if _, m, ok := decodeCommitPayload(rec.Payload); ok && m > maxLSN {
-				maxLSN = m
-			}
-		}
-	}
-	ids := make([]PageID, 0, len(state))
-	for id := range state {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// applyRecords applies a batch to a page file in log order: a free
+// frees its page if it is allocated, an image allocates its slot and
+// writes it. It is the one apply path of the checkpoint, crash
+// recovery and replica log shipping (ApplyWALSegment), and returns the
+// number of images applied; name labels errors with the batch's
+// source. A batch names each page at most once, so its order does not
+// change the result, and applying it again changes nothing.
+func applyRecords(fs *FileStore, name string, recs []WALRecord) (int, error) {
 	applied := 0
-	for _, id := range ids {
-		st := state[id]
-		if st.free {
-			if fs.isAllocated(id) {
-				if err := fs.FreeLSN(id, st.lsn); err != nil {
-					return 0, 0, err
+	for _, rec := range recs {
+		switch rec.Kind {
+		case RecFree:
+			if fs.isAllocated(rec.Page) {
+				if err := fs.FreeLSN(rec.Page, rec.LSN); err != nil {
+					return 0, err
 				}
 			}
-			continue
-		}
-		if st.alloc || st.img != nil {
-			if err := fs.allocateExact(id); err != nil {
-				return 0, 0, err
+		case RecPage:
+			if len(rec.Payload) != fs.PageSize() {
+				return 0, &ChecksumError{Path: name, Page: rec.Page,
+					Reason: fmt.Sprintf("log image has %d bytes, page size is %d", len(rec.Payload), fs.PageSize())}
 			}
-		}
-		if st.img != nil {
-			if err := fs.WriteLSN(id, st.img, st.lsn); err != nil {
-				return 0, 0, err
+			if err := fs.allocateExact(rec.Page); err != nil {
+				return 0, err
 			}
-			applied++
-		} else if st.alloc {
-			// Allocated in the batch but never written: stamp the zero
-			// page with the allocation record's LSN so the slot reads
-			// as checkpointed (LSN >= 1), not as a reclaimable leak.
-			if err := fs.WriteLSN(id, make([]byte, fs.PageSize()), st.lsn); err != nil {
-				return 0, 0, err
+			if err := fs.WriteLSN(rec.Page, rec.Payload, rec.LSN); err != nil {
+				return 0, err
 			}
 			applied++
 		}
 	}
-	return applied, maxLSN, nil
+	return applied, nil
 }
 
 // fail records the store's first fatal error and returns it.
@@ -363,10 +308,11 @@ func (s *RecoverableStore) fail(err error) error {
 // PageSize implements Store.
 func (s *RecoverableStore) PageSize() int { return s.fs.PageSize() }
 
-// Allocate implements Store. The zero page joins the delta so the
-// next checkpoint materializes it. The page freed last in this epoch is
-// taken first: its slot is left as it is, so reuse costs nothing until
-// the checkpoint writes the page's image.
+// Allocate implements Store. A marker joins the delta, so the page
+// reads as zeros and the next checkpoint logs a zero image unless a
+// Write replaces it. The page freed last in this epoch is taken first:
+// its slot is left as it is, so reuse costs nothing until the
+// checkpoint writes the page's image.
 func (s *RecoverableStore) Allocate() (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -389,7 +335,7 @@ func (s *RecoverableStore) Allocate() (PageID, error) {
 		}
 	}
 	s.lsn++
-	s.delta[id] = &deltaPage{lsn: s.lsn, img: make([]byte, s.fs.PageSize())}
+	s.delta[id] = deltaPage{lsn: s.lsn}
 	s.stats.Allocs++
 	return id, nil
 }
@@ -406,7 +352,7 @@ func (s *RecoverableStore) Read(id PageID, buf []byte) error {
 		return fmt.Errorf("disk: read of freed page %d", id)
 	}
 	if dp, ok := s.delta[id]; ok {
-		copy(buf, dp.img)
+		clear(buf[copy(buf, dp.img):])
 		s.stats.Reads++
 		return nil
 	}
@@ -438,12 +384,14 @@ func (s *RecoverableStore) Write(id PageID, buf []byte) error {
 		return fmt.Errorf("disk: write of unallocated page %d", id)
 	}
 	s.lsn++
-	if dp, ok := s.delta[id]; ok {
-		dp.lsn = s.lsn
-		copy(dp.img, buf)
+	dp := s.delta[id]
+	dp.lsn = s.lsn
+	if dp.img == nil { // not in the delta, or an Allocate marker
+		dp.img = append([]byte(nil), buf...)
 	} else {
-		s.delta[id] = &deltaPage{lsn: s.lsn, img: append([]byte(nil), buf...)}
+		copy(dp.img, buf)
 	}
+	s.delta[id] = dp
 	s.stats.Writes++
 	return nil
 }
@@ -485,36 +433,38 @@ func (s *RecoverableStore) Checkpoint() error {
 		return nil
 	}
 	// Compact the delta into the batch: the final free set, then the
-	// latest image per changed page, each in page order. The log takes it
-	// first, then the page file by the apply path of recovery and
-	// replicas, and the hook ships it as it is: the delta is replaced
-	// below, so no image changes under it.
+	// latest image per changed page (zeros for a page never written),
+	// each in page order. The log takes it first in one write, then the
+	// page file by the apply path of recovery and replicas, and the hook
+	// ships it as it is: the delta is replaced below, so no image
+	// changes under it.
 	seg := Segment{MaxLSN: s.lsn, Records: make([]WALRecord, 0, len(s.pendingFree)+len(s.delta))}
 	for id, lsn := range s.pendingFree {
 		seg.Records = append(seg.Records, WALRecord{Kind: RecFree, Page: id, LSN: lsn})
 	}
 	frees := len(seg.Records)
+	var zero []byte
 	for id, dp := range s.delta {
+		if dp.img == nil {
+			if zero == nil {
+				zero = make([]byte, s.fs.PageSize())
+			}
+			dp.img = zero
+		}
 		seg.Records = append(seg.Records, WALRecord{Kind: RecPage, Page: id, LSN: dp.lsn, Payload: dp.img})
 	}
 	for _, recs := range [][]WALRecord{seg.Records[:frees], seg.Records[frees:]} {
 		sort.Slice(recs, func(i, j int) bool { return recs[i].Page < recs[j].Page })
 	}
-	for _, rec := range seg.Records {
-		if err := s.wal.Append(rec); err != nil {
-			return s.fail(err)
-		}
-		s.walAppends++
-	}
-	if err := s.wal.AppendCommit(seg.MaxLSN); err != nil {
+	if err := s.wal.appendBatch(EncodeSegment(seg)); err != nil {
 		return s.fail(err)
 	}
-	s.walAppends++
+	s.walAppends += uint64(len(seg.Records)) + 1 // the records and the commit
 	if err := s.wal.Sync(); err != nil {
 		return s.fail(err)
 	}
 	s.walSyncs++
-	if _, _, err := applyRecords(s.fs, s.wal.path, seg.Records); err != nil {
+	if _, err := applyRecords(s.fs, s.wal.path, seg.Records); err != nil {
 		return s.fail(err)
 	}
 	if err := s.fs.SyncData(); err != nil {
@@ -526,7 +476,7 @@ func (s *RecoverableStore) Checkpoint() error {
 	if err := s.wal.Reset(); err != nil {
 		return s.fail(err)
 	}
-	s.delta = make(map[PageID]*deltaPage)
+	s.delta = make(map[PageID]deltaPage)
 	s.pendingFree = make(map[PageID]uint64)
 	s.reusable = s.reusable[:0]
 	s.checkpoints++

@@ -3,6 +3,7 @@ package disk_test
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -447,5 +448,166 @@ func TestRecoverableReusesFreedPages(t *testing.T) {
 	}
 	if err := rec.Read(a, buf); err != nil || buf[0] != 'b' {
 		t.Fatalf("after the checkpoint: page %d reads %q (%v)", a, buf[:4], err)
+	}
+}
+
+// TestRecoverableUnwrittenPageReadsZero pins Allocate's marker: a page
+// allocated and never written reads as zeros before a checkpoint, after
+// it, and after RecoverStore, whether recovery finds the page file
+// checkpointed or replays the checkpoint's logged batch. One of the pages reuses
+// a checkpointed slot that still holds its old image until the
+// checkpoint.
+func TestRecoverableUnwrittenPageReadsZero(t *testing.T) {
+	const size = 128
+	setup := func() (*faultfs.FS, *disk.RecoverableStore, []disk.PageID) {
+		fsys := faultfs.New()
+		rs, err := disk.CreateRecoverableStore(fsys, "db", size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := rs.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.Write(old, page(size, 'O')); err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.Free(old); err != nil {
+			t.Fatal(err)
+		}
+		var ids []disk.PageID
+		for i := 0; i < 2; i++ {
+			id, err := rs.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		if ids[0] != old {
+			t.Fatalf("freed page %d not reused: got %d", old, ids[0])
+		}
+		return fsys, rs, ids
+	}
+	check := func(when string, rs *disk.RecoverableStore, ids []disk.PageID) {
+		t.Helper()
+		for _, id := range ids {
+			buf := page(size, 0xFF)
+			if err := rs.Read(id, buf); err != nil {
+				t.Fatalf("%s: read page %d: %v", when, id, err)
+			}
+			if !bytes.Equal(buf, make([]byte, size)) {
+				t.Fatalf("%s: page %d reads %q, want zeros", when, id, buf[:4])
+			}
+		}
+	}
+
+	fsys, rs, ids := setup()
+	check("before the checkpoint", rs, ids)
+	if err := rs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the checkpoint", rs, ids)
+	if err := rs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := disk.RecoverStore(fsys, "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after recovery", rec, ids)
+	rec.Close()
+
+	// A crash just past the log's sync: the page file as it was before
+	// the checkpoint, beside the batch the checkpoint logged (its
+	// segment's bytes). Recovery replays the zero images.
+	fsys, rs, ids = setup()
+	var seg disk.Segment
+	rs.SetCheckpointHook(func(s disk.Segment) { seg = s })
+	crashed := fsys.CrashImage()
+	if err := rs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rs.Close()
+	writeImage(t, crashed, "db.wal", append(disk.EncodeWALHeader(), disk.EncodeSegment(seg)...))
+	rec, info, err := disk.RecoverStore(crashed, "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Committed || info.PagesRecovered != len(ids) {
+		t.Fatalf("recovery %+v: want the committed batch's %d images replayed", info, len(ids))
+	}
+	check("after log replay", rec, ids)
+	rec.Close()
+}
+
+// logOps records the write operations on the .wal files it opens.
+type logOps struct {
+	disk.FS
+	ops *[]string
+}
+
+func (l logOps) Create(path string) (disk.File, error) {
+	f, err := l.FS.Create(path)
+	return l.wrap(path, f, err)
+}
+
+func (l logOps) Open(path string) (disk.File, error) {
+	f, err := l.FS.Open(path)
+	return l.wrap(path, f, err)
+}
+
+func (l logOps) wrap(path string, f disk.File, err error) (disk.File, error) {
+	if err != nil || !strings.HasSuffix(path, ".wal") {
+		return f, err
+	}
+	return logFile{File: f, ops: l.ops}, nil
+}
+
+type logFile struct {
+	disk.File
+	ops *[]string
+}
+
+func (f logFile) WriteAt(b []byte, off int64) (int, error) {
+	*f.ops = append(*f.ops, "write")
+	return f.File.WriteAt(b, off)
+}
+
+func (f logFile) Sync() error {
+	*f.ops = append(*f.ops, "sync")
+	return f.File.Sync()
+}
+
+// TestCheckpointWritesLogOnce pins the log's side of a checkpoint: one
+// write of the whole batch, then its one fsync. The counters still
+// count the batch's records and the fsync.
+func TestCheckpointWritesLogOnce(t *testing.T) {
+	var ops []string
+	rs, err := disk.CreateRecoverableStore(logOps{FS: faultfs.New(), ops: &ops}, "db", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	for i := 0; i < 64; i++ {
+		id, err := rs.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.Write(id, page(128, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ops = ops[:0]
+	if err := rs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := slices.Index(ops, "sync"); n != 1 {
+		t.Fatalf("a checkpoint of 64 pages issued %d log writes before its log sync, want 1", n)
+	}
+	if st := rs.DurabilityStats(); st.WALAppends != 65 || st.WALSyncs != 1 {
+		t.Fatalf("durability stats %+v: want 65 records (64 images and the commit) and 1 log sync", st)
 	}
 }

@@ -1,23 +1,21 @@
 package disk
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-)
+import "fmt"
 
 // This file is the physical-replication face of the WAL: a checkpoint
 // batch, compacted to its net effect (latest image per page, final
-// frees), packaged as a Segment a primary can ship to read replicas.
-// A replica applies segments in order to a copy of the page file with
-// ApplyWALSegment; because the records are physical page images, the
-// replica's file converges to byte-identical checkpointed state
-// without understanding anything above the page layer.
+// frees), is a Segment a primary ships to read replicas in the bytes
+// its log holds. A replica applies segments in order to a copy of the
+// page file with ApplyWALSegment; because the records are physical
+// page images, the replica's file converges to byte-identical
+// checkpointed state without understanding anything above the page
+// layer.
 
-// Segment is one shipped checkpoint batch: the compacted records and
-// the LSN the page file's superblock is stamped with after applying
-// them. Segments must be applied in MaxLSN order; applying one twice
-// is harmless (physical images are idempotent).
+// Segment is one checkpoint batch: the compacted records, each page
+// named at most once, and the LSN its commit record carries, which
+// the page file's superblock is stamped with after applying them.
+// Segments must be applied in MaxLSN order; applying one twice is
+// harmless (physical images are idempotent).
 type Segment struct {
 	MaxLSN  uint64
 	Records []WALRecord
@@ -48,7 +46,7 @@ func ApplyWALSegment(fsys FS, path string, seg Segment) error {
 	if fs.CheckpointLSN() > seg.MaxLSN {
 		return fmt.Errorf("disk: segment max LSN %d behind page file checkpoint %d", seg.MaxLSN, fs.CheckpointLSN())
 	}
-	if _, _, err := applyRecords(fs, path, seg.Records); err != nil {
+	if _, err := applyRecords(fs, path, seg.Records); err != nil {
 		return err
 	}
 	if err := fs.SyncData(); err != nil {
@@ -107,60 +105,42 @@ func (s *RecoverableStore) CheckpointLSN() uint64 {
 	return s.fs.CheckpointLSN()
 }
 
-// EncodeSegment serializes a segment for the replication stream:
-//
-//	[max LSN u64][count u32] record*  then [crc u32] over all of it
-//
-// with each record in the WAL's own framing (EncodeWALRecord), so the
-// per-record checksums travel too.
+// EncodeSegment serializes a segment in the log's own framing: its
+// records (EncodeWALRecord), then the commit record sealing them. A
+// log holds exactly these bytes after its header, and the replication
+// stream ships them; every record and the commit carry a checksum.
 func EncodeSegment(seg Segment) []byte {
-	var b []byte
-	b = binary.LittleEndian.AppendUint64(b, seg.MaxLSN)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(seg.Records)))
+	n := recHeaderLen + 12
 	for _, rec := range seg.Records {
-		b = append(b, EncodeWALRecord(rec)...)
+		n += recHeaderLen + len(rec.Payload)
 	}
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+	b := make([]byte, 0, n)
+	for _, rec := range seg.Records {
+		b = appendWALRecord(b, rec)
+	}
+	commit := EncodeCommitPayload(uint32(len(seg.Records)), seg.MaxLSN)
+	return appendWALRecord(b, WALRecord{Kind: RecCommit, Payload: commit})
 }
 
-// DecodeSegment parses EncodeSegment's framing, verifying the outer
-// and every per-record checksum. It never panics on arbitrary input.
+// DecodeSegment parses EncodeSegment's bytes with the log's record
+// loop. It fails unless they end in a commit record sealing every
+// record before it, with nothing after it. It never panics on
+// arbitrary input.
 func DecodeSegment(data []byte) (Segment, error) {
-	var seg Segment
-	if len(data) < 16 {
-		return seg, fmt.Errorf("disk: segment truncated (%d bytes)", len(data))
+	res, err := scanRecords("segment", data, 0)
+	if err != nil {
+		return Segment{}, err
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(tail); got != want {
-		return seg, fmt.Errorf("disk: segment crc mismatch")
+	if !res.Committed {
+		return Segment{}, fmt.Errorf("disk: segment is not a committed batch (%d of %d bytes valid)", res.TailOffset, len(data))
 	}
-	seg.MaxLSN = binary.LittleEndian.Uint64(body[0:8])
-	count := binary.LittleEndian.Uint32(body[8:12])
-	off := 12
-	for i := uint32(0); i < count; i++ {
-		if len(body)-off < recHeaderLen {
-			return Segment{}, fmt.Errorf("disk: segment record %d truncated", i)
-		}
-		rec := body[off:]
-		payloadLen := int(binary.LittleEndian.Uint32(rec[17:21]))
-		if payloadLen > maxWALPayload || len(rec) < recHeaderLen+payloadLen {
-			return Segment{}, fmt.Errorf("disk: segment record %d payload overruns", i)
-		}
-		end := recHeaderLen + payloadLen
-		want := binary.LittleEndian.Uint32(rec[0:4])
-		if got := crc32.Checksum(rec[4:end], castagnoli); got != want {
-			return Segment{}, fmt.Errorf("disk: segment record %d crc mismatch", i)
-		}
-		seg.Records = append(seg.Records, WALRecord{
-			Kind:    RecordKind(rec[4]),
-			Page:    PageID(binary.LittleEndian.Uint32(rec[5:9])),
-			LSN:     binary.LittleEndian.Uint64(rec[9:17]),
-			Payload: append([]byte(nil), rec[recHeaderLen:end]...),
-		})
-		off += end
-	}
-	if off != len(body) {
-		return Segment{}, fmt.Errorf("disk: %d trailing bytes after segment records", len(body)-off)
-	}
-	return seg, nil
+	return committedSegment(res.Records), nil
+}
+
+// committedSegment splits a committed record list, its commit record
+// last, into its batch.
+func committedSegment(recs []WALRecord) Segment {
+	n := len(recs) - 1
+	_, maxLSN, _ := decodeCommitPayload(recs[n].Payload)
+	return Segment{MaxLSN: maxLSN, Records: recs[:n]}
 }

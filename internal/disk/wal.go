@@ -9,20 +9,20 @@ import (
 
 // The write-ahead log is an append-only sequence of physical records:
 //
-//	file   = header record*
+//	file   = header batch
 //	header = [magic "ZKDWAL01" 8B][version u32][crc u32 over 0..12]
 //	record = [crc u32][kind u8][page u32][lsn u64][len u32][payload]
 //
-// A record's CRC32C covers everything after the crc field. A log is
-// one checkpoint batch: its frees (RecFree), its page images (RecPage)
-// and one RecCommit as the final record. Replay also applies
-// allocation records (RecAlloc). Reset truncates the log back to its
-// header after the batch has been applied to the page file, so a log
-// never holds more than one committed batch.
+// A record's CRC32C covers everything after the crc field. A log holds
+// one checkpoint batch (EncodeSegment): its frees (RecFree), its page
+// images (RecPage) and one RecCommit as the final record. Any other
+// kind is an invalid record, so replay reads it as a torn tail. Reset
+// truncates the log back to its header after the batch has been
+// applied to the page file, so a log never holds more than one
+// committed batch.
 //
-// Group fsync: Append only writes into the OS page cache; Sync makes
-// everything appended so far durable with a single fsync. A batch of
-// any size therefore costs one fsync at its commit point.
+// Group fsync: a batch goes to the OS page cache in one write, and
+// Sync makes it durable with a single fsync, whatever its size.
 const (
 	walMagic     = "ZKDWAL01"
 	walVersion   = 1
@@ -40,14 +40,12 @@ type RecordKind uint8
 const (
 	// RecPage is a full physical page image.
 	RecPage RecordKind = 1
-	// RecAlloc records a page allocation.
-	RecAlloc RecordKind = 2
 	// RecFree records a page free.
 	RecFree RecordKind = 3
 	// RecCommit seals a checkpoint batch. Its payload is
-	// [record count u32][max LSN u64]; the count must match the
-	// number of records preceding it for the batch to be considered
-	// committed.
+	// [record count u32][max LSN u64] and its page and LSN are 0; the
+	// count must match the number of records preceding it for the
+	// batch to be considered committed.
 	RecCommit RecordKind = 4
 )
 
@@ -56,8 +54,6 @@ func (k RecordKind) String() string {
 	switch k {
 	case RecPage:
 		return "page"
-	case RecAlloc:
-		return "alloc"
 	case RecFree:
 		return "free"
 	case RecCommit:
@@ -76,15 +72,20 @@ type WALRecord struct {
 
 // EncodeWALRecord serializes a record, including its checksum.
 func EncodeWALRecord(rec WALRecord) []byte {
-	buf := make([]byte, recHeaderLen+len(rec.Payload))
-	buf[4] = byte(rec.Kind)
-	binary.LittleEndian.PutUint32(buf[5:9], uint32(rec.Page))
-	binary.LittleEndian.PutUint64(buf[9:17], rec.LSN)
-	binary.LittleEndian.PutUint32(buf[17:21], uint32(len(rec.Payload)))
-	copy(buf[recHeaderLen:], rec.Payload)
-	crc := crc32.Checksum(buf[4:], castagnoli)
-	binary.LittleEndian.PutUint32(buf[0:4], crc)
-	return buf
+	return appendWALRecord(make([]byte, 0, recHeaderLen+len(rec.Payload)), rec)
+}
+
+// appendWALRecord appends rec's encoding to b.
+func appendWALRecord(b []byte, rec WALRecord) []byte {
+	start := len(b)
+	b = binary.LittleEndian.AppendUint32(b, 0) // the crc, set below
+	b = append(b, byte(rec.Kind))
+	b = binary.LittleEndian.AppendUint32(b, uint32(rec.Page))
+	b = binary.LittleEndian.AppendUint64(b, rec.LSN)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(rec.Payload)))
+	b = append(b, rec.Payload...)
+	binary.LittleEndian.PutUint32(b[start:], crc32.Checksum(b[start+4:], castagnoli))
+	return b
 }
 
 // EncodeWALHeader serializes the log file header.
@@ -141,47 +142,45 @@ func ReplayWAL(path string, data []byte) (ReplayResult, error) {
 	if got := crc32.Checksum(data[:12], castagnoli); got != want {
 		return res, &ChecksumError{Path: path, Reason: "WAL header crc mismatch"}
 	}
-	off := int64(walHeaderLen)
-	n := int64(len(data))
-	for off < n {
+	return scanRecords(path, data, walHeaderLen)
+}
+
+// scanRecords scans data's records from off on: the one record loop of
+// ReplayWAL and DecodeSegment.
+func scanRecords(path string, data []byte, off int64) (ReplayResult, error) {
+	var res ReplayResult
+	for n := int64(len(data)); off < n; {
 		if res.Committed {
 			return ReplayResult{}, &ChecksumError{Path: path, Reason: "bytes after commit record"}
 		}
-		if n-off < recHeaderLen {
-			res.Truncated, res.TailOffset = true, off
-			return res, nil
-		}
 		rec := data[off:]
-		payloadLen := int64(binary.LittleEndian.Uint32(rec[17:21]))
-		if payloadLen > maxWALPayload || off+recHeaderLen+payloadLen > n {
-			res.Truncated, res.TailOffset = true, off
-			return res, nil
+		if n-off < recHeaderLen {
+			res.Truncated = true
+			break
 		}
-		end := recHeaderLen + payloadLen
-		want := binary.LittleEndian.Uint32(rec[0:4])
-		if got := crc32.Checksum(rec[4:end], castagnoli); got != want {
-			res.Truncated, res.TailOffset = true, off
-			return res, nil
+		end := recHeaderLen + int64(binary.LittleEndian.Uint32(rec[17:21]))
+		if end > recHeaderLen+maxWALPayload || off+end > n ||
+			crc32.Checksum(rec[4:end], castagnoli) != binary.LittleEndian.Uint32(rec[0:4]) {
+			res.Truncated = true
+			break
 		}
-		kind := RecordKind(rec[4])
 		r := WALRecord{
-			Kind:    kind,
+			Kind:    RecordKind(rec[4]),
 			Page:    PageID(binary.LittleEndian.Uint32(rec[5:9])),
 			LSN:     binary.LittleEndian.Uint64(rec[9:17]),
 			Payload: append([]byte(nil), rec[recHeaderLen:end]...),
 		}
-		switch kind {
-		case RecPage, RecAlloc, RecFree:
+		switch r.Kind {
+		case RecPage, RecFree:
 		case RecCommit:
 			count, _, ok := decodeCommitPayload(r.Payload)
-			if !ok || int(count) != len(res.Records) {
-				res.Truncated, res.TailOffset = true, off
-				return res, nil
-			}
-			res.Committed = true
+			res.Committed = ok && int(count) == len(res.Records) && r.Page == 0 && r.LSN == 0
+			res.Truncated = !res.Committed
 		default:
-			res.Truncated, res.TailOffset = true, off
-			return res, nil
+			res.Truncated = true
+		}
+		if res.Truncated {
+			break
 		}
 		res.Records = append(res.Records, r)
 		off += end
@@ -208,13 +207,10 @@ func decodeCommitPayload(p []byte) (count uint32, maxLSN uint64, ok bool) {
 
 // WAL is an open write-ahead log.
 type WAL struct {
-	mu      sync.Mutex
-	f       File
-	path    string
-	size    int64 // end of the valid log
-	records int   // records appended since the last reset
-	appends uint64
-	syncs   uint64
+	mu   sync.Mutex
+	f    File
+	path string
+	size int64 // end of the valid log
 }
 
 // CreateWAL creates (or truncates) the log at path and durably writes
@@ -271,43 +267,33 @@ func (w *WAL) writeHeader() error {
 		return fmt.Errorf("disk: wal %s: sync header: %w", w.path, err)
 	}
 	w.size = walHeaderLen
-	w.records = 0
 	return nil
 }
 
-// Append writes a record at the log's tail. The record is not durable
-// until the next Sync.
-func (w *WAL) Append(rec WALRecord) error {
+// Append writes one record at the log's tail. The record is not
+// durable until the next Sync.
+func (w *WAL) Append(rec WALRecord) error { return w.appendBatch(EncodeWALRecord(rec)) }
+
+// appendBatch writes encoded records at the log's tail in one write. A
+// checkpoint hands it its whole batch (EncodeSegment).
+func (w *WAL) appendBatch(b []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	buf := EncodeWALRecord(rec)
-	if _, err := w.f.WriteAt(buf, w.size); err != nil {
+	if _, err := w.f.WriteAt(b, w.size); err != nil {
 		return fmt.Errorf("disk: wal %s: append: %w", w.path, err)
 	}
-	w.size += int64(len(buf))
-	w.records++
-	w.appends++
+	w.size += int64(len(b))
 	return nil
 }
 
-// AppendCommit appends the batch's commit record sealing the records
-// appended since the last reset.
-func (w *WAL) AppendCommit(maxLSN uint64) error {
-	w.mu.Lock()
-	count := uint32(w.records)
-	w.mu.Unlock()
-	return w.Append(WALRecord{Kind: RecCommit, Payload: EncodeCommitPayload(count, maxLSN)})
-}
-
-// Sync makes every appended record durable: the group fsync at a
-// batch's commit point.
+// Sync makes everything appended durable: the group fsync at a batch's
+// commit point.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("disk: wal %s: sync: %w", w.path, err)
 	}
-	w.syncs++
 	return nil
 }
 
@@ -317,28 +303,6 @@ func (w *WAL) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.writeHeader()
-}
-
-// Records returns the number of records appended since the last
-// reset.
-func (w *WAL) Records() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.records
-}
-
-// Appends returns the lifetime count of appended records.
-func (w *WAL) Appends() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appends
-}
-
-// Syncs returns the lifetime count of fsyncs issued.
-func (w *WAL) Syncs() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncs
 }
 
 // Close closes the log file without syncing it.

@@ -19,9 +19,8 @@ func walBytes(parts ...[]byte) []byte {
 
 func TestWALReplayRoundTrip(t *testing.T) {
 	recs := []disk.WALRecord{
-		{Kind: disk.RecAlloc, Page: 2, LSN: 1},
-		{Kind: disk.RecPage, Page: 2, LSN: 2, Payload: []byte("hello page two!!")},
 		{Kind: disk.RecFree, Page: 3, LSN: 3},
+		{Kind: disk.RecPage, Page: 2, LSN: 2, Payload: []byte("hello page two!!")},
 	}
 	parts := [][]byte{disk.EncodeWALHeader()}
 	for _, r := range recs {
@@ -98,8 +97,20 @@ func TestWALReplayTornTail(t *testing.T) {
 	}
 }
 
+// TestWALReplayRetiredKind: kind 2 once logged an allocation; no
+// writer emits it, so replay reads it as an invalid record, a torn
+// tail.
+func TestWALReplayRetiredKind(t *testing.T) {
+	rec := disk.EncodeWALRecord(disk.WALRecord{Kind: disk.RecordKind(2), Page: 2, LSN: 1})
+	commit := disk.EncodeWALRecord(disk.WALRecord{Kind: disk.RecCommit, Payload: disk.EncodeCommitPayload(1, 1)})
+	res, err := disk.ReplayWAL("t", walBytes(disk.EncodeWALHeader(), rec, commit))
+	if err != nil || res.Committed || !res.Truncated || len(res.Records) != 0 {
+		t.Fatalf("kind 2 record: %+v, %v", res, err)
+	}
+}
+
 func TestWALReplayCommit(t *testing.T) {
-	rec := disk.EncodeWALRecord(disk.WALRecord{Kind: disk.RecAlloc, Page: 2, LSN: 1})
+	rec := disk.EncodeWALRecord(disk.WALRecord{Kind: disk.RecFree, Page: 2, LSN: 1})
 	commit := disk.EncodeWALRecord(disk.WALRecord{Kind: disk.RecCommit, Payload: disk.EncodeCommitPayload(1, 1)})
 	res, err := disk.ReplayWAL("t", walBytes(disk.EncodeWALHeader(), rec, commit))
 	if err != nil || !res.Committed {
@@ -127,27 +138,14 @@ func TestWALAppendSyncThroughFS(t *testing.T) {
 	if err := w.Append(disk.WALRecord{Kind: disk.RecPage, Page: 4, LSN: 1, Payload: []byte("abc")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendCommit(1); err != nil {
+	if err := w.Append(disk.WALRecord{Kind: disk.RecCommit, Payload: disk.EncodeCommitPayload(1, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Appends() != 2 || w.Syncs() != 1 || w.Records() != 2 {
-		t.Fatalf("counters: appends=%d syncs=%d records=%d", w.Appends(), w.Syncs(), w.Records())
-	}
 	// The synced bytes survive a crash and replay as a committed batch.
-	img := fsys.CrashImage()
-	f, err := img.Open("log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	size, _ := f.Size()
-	data := make([]byte, size)
-	if _, err := f.ReadAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	res, err := disk.ReplayWAL("log", data)
+	res, err := disk.ReplayWAL("log", rawFile(t, fsys.CrashImage(), "log"))
 	if err != nil || !res.Committed || len(res.Records) != 2 {
 		t.Fatalf("replay after crash: %+v, %v", res, err)
 	}
@@ -155,8 +153,8 @@ func TestWALAppendSyncThroughFS(t *testing.T) {
 	if err := w.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Records() != 0 {
-		t.Fatalf("records after reset: %d", w.Records())
+	if res, err := disk.ReplayWAL("log", rawFile(t, fsys, "log")); err != nil || len(res.Records) != 0 {
+		t.Fatalf("replay after reset: %+v, %v", res, err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -43,14 +43,15 @@ const (
 	msgSnapBegin = 0x02 // primary → replica: [ckpt LSN u64][total bytes u64]
 	msgSnapChunk = 0x03 // primary → replica: raw image bytes
 	msgSnapEnd   = 0x04 // primary → replica: empty
-	msgSegment   = 0x05 // primary → replica: disk.EncodeSegment bytes
+	msgSegment   = 0x05 // primary → replica: disk.EncodeSegment bytes, the log's batch
 	msgHeartbeat = 0x06 // primary → replica: [latest LSN u64]
 	msgError     = 0x7F // either → either: utf-8 text, then close
 )
 
 const (
-	helloMagic  = "ZKDR"
-	replVersion = 1
+	helloMagic = "ZKDR"
+	// replVersion is 2 since a segment is the log's own batch bytes.
+	replVersion = 2
 	helloLen    = 4 + 1 + 8
 	// snapChunkSize keeps snapshot frames comfortably under
 	// wire.MaxFrame.

@@ -197,10 +197,9 @@ func (tb *table) run(t *testing.T, seed int64, kind string) {
 		plan.FailAt = at
 	case "flip":
 		// Every other flip seed flips any write and crashes within 30
-		// operations. The rest flip one of a checkpoint's log appends (its
-		// batch's records or its commit record) and crash just past the
-		// log's sync, as the checkpoint applies the batch the flip
-		// corrupted.
+		// operations. The rest flip a checkpoint's log write (its batch's
+		// records and its commit record) and crash just past the log's
+		// sync, as the checkpoint applies the batch the flip corrupted.
 		plan.FlipAt, plan.CrashAt = at, at+1+rng.IntN(30)
 		if n := len(r.spans); n > 0 && seed/4%2 == 1 {
 			sp := r.spans[rng.IntN(n)]
@@ -643,10 +642,10 @@ func (r *run) step(st step) {
 			ops = r.fs.Ops()
 		}
 		st, err := r.db.Checkpoint()
-		// The checkpoint's first write operations are its log appends;
-		// the log's sync follows them.
+		// The checkpoint's first write operation is its log's one batch
+		// write; the log's sync follows it.
 		if r.fs != nil && st.WALAppends > 0 {
-			r.spans = append(r.spans, [2]int{ops, ops + int(st.WALAppends) + 1})
+			r.spans = append(r.spans, [2]int{ops, ops + 2})
 		}
 		r.keep()
 		r.checkpointed(r.seq, r.seq, r.ok(err, "checkpoint"))
