@@ -416,11 +416,12 @@ type WALSegment = disk.Segment
 var ErrNotDurable = errors.New("probe: database is not durable (no WithDurability)")
 
 // SetWALSegmentHook installs fn to observe every completed checkpoint
-// as a compacted WAL segment — the primary side of log shipping. fn
-// runs inside Checkpoint after the batch is durable locally; it must
-// be quick and must not call back into the database. A nil fn
-// unsubscribes. See docs/cluster.md.
-func (db *DB) SetWALSegmentHook(fn func(WALSegment)) error {
+// as a compacted WAL segment and the bytes the log took for it — the
+// primary side of log shipping, which ships those bytes. fn runs
+// inside Checkpoint after the batch is durable locally; it may keep
+// the bytes, must be quick and must not call back into the database.
+// A nil fn unsubscribes. See docs/cluster.md.
+func (db *DB) SetWALSegmentHook(fn func(WALSegment, []byte)) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {

@@ -12,15 +12,16 @@ import (
 
 // TestSoakMixedWorkloadOnFileStore runs a long randomized workload —
 // inserts, deletes, range queries under all three strategies, and
-// nearest-neighbor probes — on a file-backed store with a small
-// buffer pool, checking every answer against an in-memory reference
-// and the B+-tree invariants along the way.
+// nearest-neighbor probes — on a durable file-backed store with a
+// small buffer pool, checkpointed every few hundred steps so that pool
+// misses read the page file, checking every answer against an
+// in-memory reference and the B+-tree invariants along the way.
 func TestSoakMixedWorkloadOnFileStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
 	g := zorder.MustGrid(2, 9)
-	store, err := disk.CreateFileStore(filepath.Join(t.TempDir(), "soak.db"), 512)
+	store, err := disk.CreateRecoverableStore(disk.OSFS{}, filepath.Join(t.TempDir(), "soak.db"), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +116,11 @@ func TestSoakMixedWorkloadOnFileStore(t *testing.T) {
 				if got[i].Dist != want[i].Dist {
 					t.Fatalf("step %d: neighbor %d dist %v, want %v", step, i, got[i].Dist, want[i].Dist)
 				}
+			}
+		}
+		if step%300 == 299 {
+			if err := store.Checkpoint(); err != nil {
+				t.Fatalf("step %d: checkpoint: %v", step, err)
 			}
 		}
 		if step%1499 == 0 {

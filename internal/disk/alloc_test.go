@@ -14,7 +14,7 @@ import (
 // own scratch. An exact count, so the file is left out of -race builds
 // and CI runs it with the other alloc gates.
 func TestAllocGateFileStoreRead(t *testing.T) {
-	fs, err := disk.CreateFileStore(filepath.Join(t.TempDir(), "pages"), 4096)
+	fs, err := disk.CreateFileStoreFS(disk.OSFS{}, filepath.Join(t.TempDir(), "pages"), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestAllocGateFileStoreRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Write(id, page(4096, 'r')); err != nil {
+	if err := fs.WriteLSN(id, page(4096, 'r'), 1); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 4096)

@@ -5,19 +5,21 @@ import (
 	"sync"
 )
 
-// FileStore is a Store backed by an operating-system file. The file
-// starts with a 64-byte superblock; page i then lives in slot i at
-// byte offset superblockLen + (i-1)*(pageHeaderLen+pageSize). Every
-// slot carries a CRC32C-checksummed header (page id, LSN), so Read
-// detects torn writes, bit rot and misdirected writes and reports
-// them as *ChecksumError rather than returning wrong bytes.
+// FileStore is the page file under a RecoverableStore: checksummed
+// page slots in an operating-system file. The file starts with a
+// 64-byte superblock; page i then lives in slot i at byte offset
+// superblockLen + (i-1)*(pageHeaderLen+pageSize). Every slot carries
+// a CRC32C-checksummed header (page id, LSN), so Read detects torn
+// writes, bit rot and misdirected writes and reports them as
+// *ChecksumError rather than returning wrong bytes.
 //
 // PageSize is the logical payload size: callers see pages of exactly
 // the size they asked for; the header is internal.
 //
-// The free list is kept in memory during a session; freed slots are
-// stamped with a zero header so OpenFileStore can rebuild the
-// allocation state from a header scan.
+// Slots are written only by WriteLSN and FreeLSN, which apply a
+// committed batch; Allocate reserves an id in memory. The allocation
+// state is kept in memory during a session and rebuilt from a header
+// scan when the file is opened.
 type FileStore struct {
 	mu        sync.Mutex
 	f         File
@@ -27,21 +29,14 @@ type FileStore struct {
 	freeList  []PageID
 	allocated map[PageID]bool
 	corrupt   map[PageID]bool // slots that failed the open-time scan
-	unstamped []PageID        // scanned slots allocated with LSN 0 (never checkpointed)
 	lsn       uint64          // highest LSN stamped or seen
 	ckptLSN   uint64          // superblock checkpoint LSN
 	slot      []byte          // header+page scratch of Read and writeSlot; guarded by mu
 	closed    bool
-	stats     IOStats
 }
 
-// CreateFileStore creates (or truncates) the store file at path and
+// CreateFileStoreFS creates (or truncates) the page file at path and
 // writes its superblock durably before returning.
-func CreateFileStore(path string, pageSize int) (*FileStore, error) {
-	return CreateFileStoreFS(OSFS{}, path, pageSize)
-}
-
-// CreateFileStoreFS is CreateFileStore on an injected filesystem.
 func CreateFileStoreFS(fsys FS, path string, pageSize int) (*FileStore, error) {
 	if pageSize < 64 {
 		return nil, fmt.Errorf("disk: page size %d too small (minimum 64)", pageSize)
@@ -73,18 +68,13 @@ func CreateFileStoreFS(fsys FS, path string, pageSize int) (*FileStore, error) {
 	return s, nil
 }
 
-// OpenFileStore opens an existing store file, reading the page size
+// OpenFileStoreFS opens an existing page file, reading the page size
 // from the superblock and rebuilding the allocation state (next id,
 // free list) from the file size and a full header scan. Slots whose
 // checksum fails are recorded as corrupt: they count as allocated,
 // reading them returns *ChecksumError, and CorruptPages exposes them
 // so a recovery layer can decide whether its log repairs them. A
 // trailing partial slot (a torn file extension) is truncated away.
-func OpenFileStore(path string) (*FileStore, error) {
-	return OpenFileStoreFS(OSFS{}, path)
-}
-
-// OpenFileStoreFS is OpenFileStore on an injected filesystem.
 func OpenFileStoreFS(fsys FS, path string) (*FileStore, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -149,22 +139,18 @@ func openScan(f File, path string) (*FileStore, error) {
 		crc, hdrID, lsn := decodePageHeader(buf)
 		switch {
 		case isZero(buf[:pageHeaderLen]):
-			// Never written or free-stamped: a free slot.
+			// Never written: a free slot.
 			s.freeList = append(s.freeList, id)
-		case crc == pageCRC(buf) && hdrID == id:
+		case crc == pageCRC(buf) && hdrID == id && lsn > 0:
 			s.allocated[id] = true
-			if lsn > s.lsn {
-				s.lsn = lsn
-			}
-			if lsn == 0 {
-				s.unstamped = append(s.unstamped, id)
-			}
-		case crc == pageCRC(buf) && hdrID == 0:
-			// Explicit free stamp.
+			s.lsn = max(s.lsn, lsn)
+		case crc == pageCRC(buf) && (hdrID == 0 || hdrID == id):
+			// A free stamp, or a slot stamped with its own id and LSN 0.
+			// Every checkpointed image carries an LSN >= 1, so only an
+			// older build's eager allocation stamp writes the latter: an
+			// allocation no checkpoint committed, free as well.
 			s.freeList = append(s.freeList, id)
-			if lsn > s.lsn {
-				s.lsn = lsn
-			}
+			s.lsn = max(s.lsn, lsn)
 		default:
 			// Torn or corrupted slot: occupied but unreadable.
 			s.allocated[id] = true
@@ -233,31 +219,6 @@ func (s *FileStore) CorruptPages() []PageID {
 	return out
 }
 
-// reclaimUnstamped frees every slot the open-time scan found allocated
-// with LSN 0. Allocation stamps pages with LSN 0, and a checkpoint
-// rewrites every allocated-since-last-checkpoint page with the LSN of
-// its log record (always >= 1) — so after a crash an LSN-0 slot is an
-// allocation that never reached a committed checkpoint: a leak nothing
-// references. Recovery calls this right after opening, before log
-// replay. Returns how many slots were reclaimed.
-func (s *FileStore) reclaimUnstamped() (int, error) {
-	s.mu.Lock()
-	ids := s.unstamped
-	s.unstamped = nil
-	s.mu.Unlock()
-	n := 0
-	for _, id := range ids {
-		if !s.isAllocated(id) {
-			continue
-		}
-		if err := s.Free(id); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
 // SyncData flushes the page file to stable storage.
 func (s *FileStore) SyncData() error {
 	s.mu.Lock()
@@ -287,7 +248,7 @@ func (s *FileStore) Close() error {
 	return nil
 }
 
-// PageSize implements Store.
+// PageSize returns the payload bytes per page.
 func (s *FileStore) PageSize() int { return s.pageSize }
 
 func (s *FileStore) offset(id PageID) int64 {
@@ -310,44 +271,39 @@ func (s *FileStore) writeSlot(id PageID, hdrID PageID, lsn uint64, payload []byt
 	return nil
 }
 
-// Allocate implements Store.
+// Allocate reserves a page id: the slot freed last, else the next slot
+// past the file's end. It writes nothing: the slot is first written
+// when a checkpoint applies the batch that names the id.
 func (s *FileStore) Allocate() (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var id PageID
 	if n := len(s.freeList); n > 0 {
-		id = s.freeList[n-1]
-		s.freeList = s.freeList[:n-1]
+		id, s.freeList = s.freeList[n-1], s.freeList[:n-1]
 	} else {
-		id = s.next
-		if id == 0 {
+		if s.next == 0 {
 			return InvalidPage, fmt.Errorf("disk: page ids exhausted")
 		}
+		id = s.next
 		s.next++
 	}
-	// Pages must read back zeroed; stamp a valid header with LSN 0 so
-	// the slot scans as allocated but predates every checkpoint.
-	if err := s.writeSlot(id, id, 0, nil); err != nil {
-		return InvalidPage, err
-	}
 	s.allocated[id] = true
-	delete(s.corrupt, id)
-	s.stats.Allocs++
 	return id, nil
 }
 
-// allocateExact marks a specific page id allocated, stamping its
-// slot. Applying a batch uses it for an image whose slot a crash lost
-// (a file extension, or an LSN-0 stamp recovery reclaimed); ordinary
-// callers use Allocate.
+// allocateExact marks a specific page id allocated without writing it,
+// taking it off the free list or growing the id range to it. Applying
+// a batch calls it before each image's WriteLSN: recovery and a replica
+// open the page file afresh, so the file has not allocated an id the
+// batch's epoch reserved. Ordinary callers use Allocate.
 func (s *FileStore) allocateExact(id PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id == InvalidPage {
 		return fmt.Errorf("disk: allocateExact of invalid page")
 	}
-	if s.allocated[id] && !s.corrupt[id] {
-		return nil // already durable
+	if s.allocated[id] {
+		return nil
 	}
 	for s.next <= id {
 		s.freeList = append(s.freeList, s.next)
@@ -359,17 +315,12 @@ func (s *FileStore) allocateExact(id PageID) error {
 			break
 		}
 	}
-	if err := s.writeSlot(id, id, 0, nil); err != nil {
-		return err
-	}
 	s.allocated[id] = true
-	delete(s.corrupt, id)
-	s.stats.Allocs++
 	return nil
 }
 
-// Read implements Store. A slot that fails verification returns a
-// *ChecksumError.
+// Read copies the page's payload into buf (len PageSize). A slot that
+// fails verification returns a *ChecksumError.
 func (s *FileStore) Read(id PageID, buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -391,27 +342,14 @@ func (s *FileStore) Read(id PageID, buf []byte) error {
 		return &ChecksumError{Path: s.path, Page: id, Reason: fmt.Sprintf("slot stamped with page %d", hdrID)}
 	}
 	copy(buf, slot[pageHeaderLen:])
-	s.stats.Reads++
 	return nil
 }
 
-// Write implements Store, stamping the slot with the next internal
-// LSN.
-func (s *FileStore) Write(id PageID, buf []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeLocked(id, buf, s.lsn+1)
-}
-
-// WriteLSN writes the page stamping an explicit LSN (the WAL record's
-// LSN during checkpoint apply and recovery).
+// WriteLSN writes the page stamping an explicit LSN: the log record's
+// LSN during checkpoint apply, recovery and replica apply.
 func (s *FileStore) WriteLSN(id PageID, buf []byte, lsn uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.writeLocked(id, buf, lsn)
-}
-
-func (s *FileStore) writeLocked(id PageID, buf []byte, lsn uint64) error {
 	if !s.allocated[id] {
 		return fmt.Errorf("disk: write of unallocated page %d", id)
 	}
@@ -422,13 +360,8 @@ func (s *FileStore) writeLocked(id PageID, buf []byte, lsn uint64) error {
 		return err
 	}
 	delete(s.corrupt, id)
-	s.stats.Writes++
 	return nil
 }
-
-// Free implements Store, stamping the slot as free so a header scan
-// sees it.
-func (s *FileStore) Free(id PageID) error { return s.FreeLSN(id, 0) }
 
 // FreeLSN frees the page, stamping the slot with an explicit free
 // marker (header page id 0) carrying lsn — the free's log record LSN
@@ -449,7 +382,6 @@ func (s *FileStore) FreeLSN(id PageID, lsn uint64) error {
 	delete(s.allocated, id)
 	delete(s.corrupt, id)
 	s.freeList = append(s.freeList, id)
-	s.stats.Frees++
 	return nil
 }
 
@@ -460,30 +392,17 @@ func (s *FileStore) isAllocated(id PageID) bool {
 	return s.allocated[id]
 }
 
-// NumPages implements Store.
+// NumPages returns the number of allocated pages.
 func (s *FileStore) NumPages() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.allocated)
 }
 
-// slots returns the file's size in page slots, allocated or free.
+// slots returns the page file's slots, allocated or free, counting
+// those reserved past the file's end since the last checkpoint.
 func (s *FileStore) slots() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return int(s.next - 1)
-}
-
-// Stats implements Store.
-func (s *FileStore) Stats() IOStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// ResetStats implements Store.
-func (s *FileStore) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = IOStats{}
 }

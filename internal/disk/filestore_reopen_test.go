@@ -10,7 +10,7 @@ import (
 
 func TestFileStoreCreateOpenSplit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.db")
-	s, err := CreateFileStore(path, 128)
+	s, err := CreateFileStoreFS(OSFS{}, path, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,20 +28,20 @@ func TestFileStoreCreateOpenSplit(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
-		if err := s.Write(id, payload(i)); err != nil {
+		if err := s.WriteLSN(id, payload(i), uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Free one page in the middle so the reopen scan must rebuild a
 	// free list, not just a high-water mark.
-	if err := s.Free(ids[2]); err != nil {
+	if err := s.FreeLSN(ids[2], 6); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	r, err := OpenFileStore(path)
+	r, err := OpenFileStoreFS(OSFS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +86,14 @@ func TestFileStoreCreateOpenSplit(t *testing.T) {
 }
 
 func TestFileStoreOpenMissing(t *testing.T) {
-	if _, err := OpenFileStore(filepath.Join(t.TempDir(), "absent.db")); err == nil {
+	if _, err := OpenFileStoreFS(OSFS{}, filepath.Join(t.TempDir(), "absent.db")); err == nil {
 		t.Fatal("open of missing store succeeded")
 	}
 }
 
 func TestFileStoreOpenDetectsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.db")
-	s, err := CreateFileStore(path, 128)
+	s, err := CreateFileStoreFS(OSFS{}, path, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFileStoreOpenDetectsCorruption(t *testing.T) {
 	}
 	data := make([]byte, 128)
 	copy(data, "important")
-	if err := s.Write(id, data); err != nil {
+	if err := s.WriteLSN(id, data, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -118,7 +118,7 @@ func TestFileStoreOpenDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenFileStore(path)
+	r, err := OpenFileStoreFS(OSFS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestFileStoreOpenDetectsCorruption(t *testing.T) {
 		t.Fatalf("read of corrupt page: want ChecksumError, got %v", err)
 	}
 	// A fresh write heals the slot.
-	if err := r.Write(id, data); err != nil {
+	if err := r.WriteLSN(id, data, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Read(id, make([]byte, 128)); err != nil {
@@ -148,25 +148,28 @@ func TestFileStoreOpenRejectsBadSuperblock(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ce *ChecksumError
-	if _, err := OpenFileStore(path); !errors.As(err, &ce) {
+	if _, err := OpenFileStoreFS(OSFS{}, path); !errors.As(err, &ce) {
 		t.Fatalf("zero superblock: want ChecksumError, got %v", err)
 	}
 	if err := os.WriteFile(path, []byte("tiny"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFileStore(path); !errors.As(err, &ce) {
+	if _, err := OpenFileStoreFS(OSFS{}, path); !errors.As(err, &ce) {
 		t.Fatalf("truncated superblock: want ChecksumError, got %v", err)
 	}
 }
 
 func TestFileStoreOpenTruncatesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.db")
-	s, err := CreateFileStore(path, 128)
+	s, err := CreateFileStoreFS(OSFS{}, path, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id, err := s.Allocate()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteLSN(id, make([]byte, 128), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -181,7 +184,7 @@ func TestFileStoreOpenTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	r, err := OpenFileStore(path)
+	r, err := OpenFileStoreFS(OSFS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +203,7 @@ func TestFileStoreOpenTruncatesTornTail(t *testing.T) {
 
 func TestFileStoreCloseIdempotent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.db")
-	s, err := CreateFileStore(path, 128)
+	s, err := CreateFileStoreFS(OSFS{}, path, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +217,7 @@ func TestFileStoreCloseIdempotent(t *testing.T) {
 
 func TestFileStoreCloseWrapsPath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.db")
-	s, err := CreateFileStore(path, 128)
+	s, err := CreateFileStoreFS(OSFS{}, path, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,5 +232,80 @@ func TestFileStoreCloseWrapsPath(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("close after failed close: %v", err)
+	}
+}
+
+// TestRecoverFreesEagerAllocationStamp: a page file an older build left
+// after a crash may hold a slot its Allocate stamped eagerly, with a
+// valid header, its own id and LSN 0, that no checkpoint wrote.
+// Recovery opens it cleanly as a free slot, and the next allocation
+// takes it back.
+func TestRecoverFreesEagerAllocationStamp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db")
+	rs, err := CreateRecoverableStore(OSFS{}, path, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := rs.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Write(a, bytes.Repeat([]byte{'a'}, 128)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stamp := make([]byte, pageHeaderLen+128)
+	encodePageHeader(stamp, a+1, 0)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(stamp); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	rec, _, err := RecoverStore(OSFS{}, path)
+	if err != nil {
+		t.Fatalf("recovery over an allocation stamp: %v", err)
+	}
+	if ds := rec.DurabilityStats(); ds.FilePages != 2 || ds.LivePages != 1 {
+		t.Fatalf("after recovery: %d slots, %d live, want 2 and 1", ds.FilePages, ds.LivePages)
+	}
+	if err := rec.Read(a+1, make([]byte, 128)); err == nil {
+		t.Fatal("the stamped slot reads as a live page")
+	}
+	id, err := rec.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != a+1 {
+		t.Fatalf("Allocate returned page %d, want the stamped slot %d", id, a+1)
+	}
+	if err := rec.Write(id, bytes.Repeat([]byte{'b'}, 128)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if ds := rec.DurabilityStats(); ds.FilePages != 2 || ds.LivePages != 2 {
+		t.Fatalf("after the checkpoint: %d slots, %d live, want 2 and 2", ds.FilePages, ds.LivePages)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, _, err := RecoverStore(OSFS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	buf := make([]byte, 128)
+	if err := again.Read(id, buf); err != nil || buf[0] != 'b' {
+		t.Fatalf("reused slot after reopen: %q, %v", buf[:1], err)
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"testing"
 )
 
-func newTestFileStore(t *testing.T) *FileStore {
+// newTestFileStore creates a durable store of 128-byte pages over a
+// page file in a temporary directory.
+func newTestFileStore(t *testing.T) *RecoverableStore {
 	t.Helper()
-	s, err := CreateFileStore(filepath.Join(t.TempDir(), "store.db"), 128)
+	s, err := CreateRecoverableStore(OSFS{}, filepath.Join(t.TempDir(), "store.db"), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +46,10 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if err := s.Write(b, bufB); err != nil {
 		t.Fatal(err)
 	}
+	// Read back from the page file, not the delta.
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	got := make([]byte, 128)
 	if err := s.Read(a, got); err != nil {
 		t.Fatal(err)
@@ -71,10 +77,10 @@ func TestFileStoreRoundTrip(t *testing.T) {
 }
 
 func TestFileStoreErrors(t *testing.T) {
-	if _, err := CreateFileStore(filepath.Join(t.TempDir(), "x"), 8); err == nil {
+	if _, err := CreateRecoverableStore(OSFS{}, filepath.Join(t.TempDir(), "x"), 8); err == nil {
 		t.Errorf("tiny page size accepted")
 	}
-	if _, err := CreateFileStore("/nonexistent-dir-zzz/x.db", 128); err == nil {
+	if _, err := CreateRecoverableStore(OSFS{}, "/nonexistent-dir-zzz/x.db", 128); err == nil {
 		t.Errorf("unwritable path accepted")
 	}
 	s := newTestFileStore(t)
@@ -100,7 +106,15 @@ func TestFileStoreFreeReuseZeroed(t *testing.T) {
 	buf := make([]byte, 128)
 	buf[0] = 0xAB
 	s.Write(a, buf)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	// The free reaches the page file: the slot comes back from its
+	// free list, not from the epoch's.
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := s.Allocate()
@@ -114,8 +128,8 @@ func TestFileStoreFreeReuseZeroed(t *testing.T) {
 	}
 }
 
-// TestFileStoreUnderBTreeWorkload runs the buffer pool + a randomized
-// page workload against the file store, mirroring the MemStore tests.
+// TestFileStoreUnderPoolWorkload runs the buffer pool over a durable
+// store whose pages, after a checkpoint, only the page file holds.
 func TestFileStoreUnderPoolWorkload(t *testing.T) {
 	s := newTestFileStore(t)
 	p := MustPool(s, 4, LRU)
@@ -131,6 +145,9 @@ func TestFileStoreUnderPoolWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 	for i, id := range ids {
 		data, err := p.View(id, nil)

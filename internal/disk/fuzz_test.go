@@ -2,10 +2,12 @@ package disk_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"probe/internal/disk"
+	"probe/internal/disk/faultfs"
 )
 
 // FuzzWALReplay drives ReplayWAL with arbitrary bytes: it must never
@@ -111,6 +113,104 @@ func FuzzDecodeSegment(f *testing.F) {
 		}
 		if enc := disk.EncodeSegment(seg); !bytes.Equal(enc, data) {
 			t.Fatalf("re-encoded segment is %d bytes and differs from the %d decoded", len(enc), len(data))
+		}
+	})
+}
+
+// FuzzFileStoreOpen drives the page file's open scan with arbitrary
+// bytes on faultfs: it must never panic, refuse a file only with a
+// *disk.ChecksumError, and split a file it opens into slots that are
+// each exactly one of live, free or corrupt, every live one readable.
+// Mode 0 takes the bytes as the whole file; modes 1 and 2 put a valid
+// superblock of 64-byte pages ahead of them, and mode 2 also seals each
+// whole slot's header over whatever id and LSN it holds, so the scan
+// meets valid slots of every stamp.
+func FuzzFileStoreOpen(f *testing.F) {
+	const size = 64
+	slotLen := disk.PageHeaderLen + size
+	// A checkpointed file: two live pages and one freed, then a slot an
+	// eager allocation stamp left (its own id, LSN 0) and a torn tail.
+	fsys := faultfs.New()
+	rs, err := disk.CreateRecoverableStore(fsys, "db", size)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var ids []disk.PageID
+	for i := 0; i < 3; i++ {
+		id, err := rs.Allocate()
+		if err != nil {
+			f.Fatal(err)
+		}
+		ids = append(ids, id)
+		if err := rs.Write(id, page(size, byte('a'+i))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := rs.Checkpoint(); err != nil {
+		f.Fatal(err)
+	}
+	if err := rs.Free(ids[1]); err != nil {
+		f.Fatal(err)
+	}
+	if err := rs.Checkpoint(); err != nil {
+		f.Fatal(err)
+	}
+	img, _, err := rs.PageFileImage()
+	if err != nil {
+		f.Fatal(err)
+	}
+	rs.Close()
+	stamp := make([]byte, slotLen)
+	disk.SealSlot(stamp, disk.PageID(len(ids)+1), 0)
+	img = append(append(img, stamp...), make([]byte, slotLen/2)...)
+	f.Add(img, uint8(0))
+	f.Add(img[disk.SuperblockLen:], uint8(1))
+	f.Add(img[disk.SuperblockLen:], uint8(2))
+	f.Add([]byte{}, uint8(0))
+	f.Add(make([]byte, 3*slotLen), uint8(1))
+
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
+		file := data
+		if mode%3 > 0 {
+			file = append(disk.EncodeSuperblock(size, uint64(mode/3)), data...)
+		}
+		if mode%3 == 2 {
+			for off := disk.SuperblockLen; off+slotLen <= len(file); off += slotLen {
+				slot := file[off : off+slotLen]
+				disk.SealSlot(slot, disk.PageID(binary.LittleEndian.Uint32(slot[4:])), binary.LittleEndian.Uint64(slot[8:]))
+			}
+		}
+		fsys := faultfs.New()
+		writeImage(t, fsys, "db", file)
+		fs, err := disk.OpenFileStoreFS(fsys, "db")
+		if err != nil {
+			var ce *disk.ChecksumError
+			if !errors.As(err, &ce) {
+				t.Fatalf("open refused with a non-ChecksumError: %v", err)
+			}
+			return
+		}
+		defer fs.Close()
+		n, live, free, corrupt := fs.SlotStates()
+		seen := make(map[disk.PageID]int)
+		for _, set := range [][]disk.PageID{live, free, corrupt} {
+			for _, id := range set {
+				seen[id]++
+			}
+		}
+		for id := disk.PageID(1); int(id) <= n; id++ {
+			if seen[id] != 1 {
+				t.Fatalf("slot %d of %d is in %d of the live, free and corrupt sets", id, n, seen[id])
+			}
+		}
+		if len(seen) != n {
+			t.Fatalf("%d slots classified, the file has %d", len(seen), n)
+		}
+		buf := make([]byte, size)
+		for _, id := range live {
+			if err := fs.Read(id, buf); err != nil {
+				t.Fatalf("live slot %d does not read: %v", id, err)
+			}
 		}
 	})
 }

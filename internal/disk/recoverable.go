@@ -6,15 +6,14 @@ import (
 	"sync"
 )
 
-// RecoverableStore is a crash-safe Store: a FileStore of checksummed
-// pages guarded by a write-ahead log.
+// RecoverableStore is a crash-safe Store: a page file of checksummed
+// slots (FileStore) guarded by a write-ahead log.
 //
-// Protocol (redo-only, no-force): Write, Allocate and Free never
-// touch the log, and only Allocate touches the page file, to stamp a
-// new slot when the file grows. They keep the latest image per page
-// (an allocated page not yet written: a marker) and the pages freed
-// since the last checkpoint in an in-memory delta. Checkpoint is the
-// commit point:
+// Protocol (redo-only, no-force): Write, Allocate and Free touch
+// neither the log nor the page file. They keep the latest image per
+// page (an allocated page not yet written: a marker) and the pages
+// freed since the last checkpoint in an in-memory delta; Allocate
+// reserves its id in memory. Checkpoint is the commit point:
 //
 //  1. write the delta to the WAL in one write as one batch — the final
 //     frees, then the latest images, each in page order, then a commit
@@ -25,26 +24,29 @@ import (
 //  4. durably stamp the superblock's checkpoint LSN;
 //  5. reset the WAL and clear the delta.
 //
+// Every id taken in an epoch is in its batch, as an image, a zero
+// image or a free, so step 2 writes every slot the epoch allocated.
 // A page freed since the last checkpoint is reused before the file
 // grows, whether or not the last checkpoint references it: reuse only
 // fills the delta, so until the next commit the slot still holds what
 // the last checkpoint left there.
 //
 // A crash before step 1's fsync loses at most the un-checkpointed
-// delta: the page file still holds the previous checkpoint exactly. A
-// crash after it is repaired by RecoverStore replaying the committed
-// batch (idempotently) onto the page file. Because the page file is
-// written only under a committed log, the classic WAL invariant — no
-// page reaches the store before its log record is durable — holds by
+// delta: the page file still holds the previous checkpoint exactly,
+// and the ids the epoch reserved past its end do not exist. A crash
+// after it is repaired by RecoverStore replaying the committed batch
+// (idempotently) onto the page file. Because the page file is written
+// only under a committed log, the classic WAL invariant — no page
+// reaches the store before its log record is durable — holds by
 // construction.
 //
-// Error handling is strict: once an allocation that grows the file, a
-// WAL write, a WAL sync or a checkpoint apply fails, the store refuses
-// further writes and checkpoints with the sticky first error (the
-// lesson of the fsync-error studies: an I/O error during the commit
-// protocol leaves on-disk state unknown, so the only safe continuation
-// is recovery from the log). Reads stay available. Reopen with
-// RecoverStore to resume.
+// Error handling is strict: once an allocation runs out of page ids,
+// or a WAL write, a WAL sync or a checkpoint apply fails, the store
+// refuses further writes and checkpoints with the sticky first error
+// (the lesson of the fsync-error studies: an I/O error during the
+// commit protocol leaves on-disk state unknown, so the only safe
+// continuation is recovery from the log). Reads stay available.
+// Reopen with RecoverStore to resume.
 type RecoverableStore struct {
 	mu          sync.Mutex
 	fs          *FileStore
@@ -55,7 +57,7 @@ type RecoverableStore struct {
 	lsn         uint64
 	failed      error
 	stats       IOStats
-	ckptHook    func(Segment) // log shipping: observes each completed batch
+	ckptHook    func(Segment, []byte) // log shipping: observes each completed batch and its log bytes
 
 	walAppends       uint64
 	walSyncs         uint64
@@ -108,9 +110,6 @@ type RecoveryInfo struct {
 	// TornTail reports that the log ended in an incomplete record (a
 	// crash mid-append), which was discarded.
 	TornTail bool
-	// PagesReclaimed is the number of allocated-but-never-checkpointed
-	// slots (allocation stamps with LSN 0) freed during recovery.
-	PagesReclaimed int
 }
 
 // walPath returns the log path paired with a store path.
@@ -193,18 +192,6 @@ func RecoverStore(fsys FS, path string) (*RecoverableStore, RecoveryInfo, error)
 	info.TornTail = res.Truncated
 
 	rs := newRecoverable(fs, wal)
-	// Allocation stamps the page file eagerly (outside the checkpoint
-	// protocol) with LSN 0; every checkpointed page is rewritten with
-	// its record LSN (>= 1). So LSN-0 slots found by the open scan are
-	// allocations that never committed — reclaim them before replay so
-	// the file holds exactly checkpointed state plus whatever the
-	// committed batch below re-creates.
-	if n, err := fs.reclaimUnstamped(); err != nil {
-		rs.Close()
-		return nil, info, err
-	} else {
-		info.PagesReclaimed = n
-	}
 	if res.Committed {
 		seg := committedSegment(res.Records)
 		n, err := applyRecords(fs, wp, seg.Records)
@@ -308,11 +295,11 @@ func (s *RecoverableStore) fail(err error) error {
 // PageSize implements Store.
 func (s *RecoverableStore) PageSize() int { return s.fs.PageSize() }
 
-// Allocate implements Store. A marker joins the delta, so the page
-// reads as zeros and the next checkpoint logs a zero image unless a
-// Write replaces it. The page freed last in this epoch is taken first:
-// its slot is left as it is, so reuse costs nothing until the
-// checkpoint writes the page's image.
+// Allocate implements Store. It picks an id in memory: the page freed
+// last in this epoch, else the page file's free list, else the next
+// slot. A marker joins the delta, so the page reads as zeros and the
+// next checkpoint logs a zero image unless a Write replaces it; the
+// slot is first written when that checkpoint applies its batch.
 func (s *RecoverableStore) Allocate() (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -327,10 +314,8 @@ func (s *RecoverableStore) Allocate() (PageID, error) {
 	} else {
 		var err error
 		if id, err = s.fs.Allocate(); err != nil {
-			// Sticky like every write-path failure: the slot stamp may have
-			// partially reached the file, and the caller (a B+-tree split,
-			// say) may be mid-mutation — only recovery can vouch for the
-			// state now.
+			// Out of page ids. Sticky like every write-path failure: the
+			// caller (a B+-tree split, say) may be mid-mutation.
 			return InvalidPage, s.fail(err)
 		}
 	}
@@ -436,8 +421,8 @@ func (s *RecoverableStore) Checkpoint() error {
 	// latest image per changed page (zeros for a page never written),
 	// each in page order. The log takes it first in one write, then the
 	// page file by the apply path of recovery and replicas, and the hook
-	// ships it as it is: the delta is replaced below, so no image
-	// changes under it.
+	// ships the bytes the log took: the delta is replaced below and the
+	// log keeps no reference to them, so nothing changes under it.
 	seg := Segment{MaxLSN: s.lsn, Records: make([]WALRecord, 0, len(s.pendingFree)+len(s.delta))}
 	for id, lsn := range s.pendingFree {
 		seg.Records = append(seg.Records, WALRecord{Kind: RecFree, Page: id, LSN: lsn})
@@ -456,7 +441,8 @@ func (s *RecoverableStore) Checkpoint() error {
 	for _, recs := range [][]WALRecord{seg.Records[:frees], seg.Records[frees:]} {
 		sort.Slice(recs, func(i, j int) bool { return recs[i].Page < recs[j].Page })
 	}
-	if err := s.wal.appendBatch(EncodeSegment(seg)); err != nil {
+	enc := EncodeSegment(seg)
+	if err := s.wal.appendBatch(enc); err != nil {
 		return s.fail(err)
 	}
 	s.walAppends += uint64(len(seg.Records)) + 1 // the records and the commit
@@ -481,7 +467,7 @@ func (s *RecoverableStore) Checkpoint() error {
 	s.reusable = s.reusable[:0]
 	s.checkpoints++
 	if s.ckptHook != nil {
-		s.ckptHook(seg)
+		s.ckptHook(seg, enc)
 	}
 	return nil
 }
@@ -494,8 +480,7 @@ func (s *RecoverableStore) NumPages() int {
 }
 
 // Stats implements Store, counting logical page operations against
-// this store (the FileStore underneath keeps its own physical
-// counters).
+// this store.
 func (s *RecoverableStore) Stats() IOStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -135,20 +135,27 @@ func TestRecoverableCommittedBatchReplay(t *testing.T) {
 }
 
 // TestRecoverableStickyFailure: a write-path fault freezes the store.
-// Write, Allocate and Free only fill the delta, so the faults that can
-// strike are a checkpoint's log append and an Allocate that grows the
-// file, which stamps the new slot.
+// Write, Allocate and Free touch no file, so a fault strikes the next
+// checkpoint's log append, the first write operation after the last
+// checkpoint, even when an Allocate that grows the file came before it.
 func TestRecoverableStickyFailure(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		fail func(rs *disk.RecoverableStore, id disk.PageID) error
+		fail func(t *testing.T, rs *disk.RecoverableStore, fsys *faultfs.FS) error
 	}{
-		{"checkpoint log append", func(rs *disk.RecoverableStore, id disk.PageID) error {
+		{"checkpoint log append", func(t *testing.T, rs *disk.RecoverableStore, fsys *faultfs.FS) error {
 			return rs.Checkpoint() // its first operation appends to the log
 		}},
-		{"allocation growing the file", func(rs *disk.RecoverableStore, id disk.PageID) error {
-			_, err := rs.Allocate() // no free slot: the file grows
-			return err
+		{"allocation growing the file", func(t *testing.T, rs *disk.RecoverableStore, fsys *faultfs.FS) error {
+			// No free slot: the id lies past the file's end, reserved in
+			// memory only.
+			if _, err := rs.Allocate(); err != nil {
+				t.Fatalf("allocation growing the file: %v", err)
+			}
+			if n := fsys.Ops(); n != 0 {
+				t.Fatalf("allocation growing the file used %d file operations, want 0", n)
+			}
+			return rs.Checkpoint()
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -165,7 +172,7 @@ func TestRecoverableStickyFailure(t *testing.T) {
 				t.Fatal(err)
 			}
 			fsys.Arm(faultfs.Plan{FailAt: 1})
-			if err := c.fail(rs, id); !errors.Is(err, faultfs.ErrInjected) {
+			if err := c.fail(t, rs, fsys); !errors.Is(err, faultfs.ErrInjected) {
 				t.Fatalf("want injected failure, got %v", err)
 			}
 			fsys.Disarm()
@@ -525,7 +532,7 @@ func TestRecoverableUnwrittenPageReadsZero(t *testing.T) {
 	// segment's bytes). Recovery replays the zero images.
 	fsys, rs, ids = setup()
 	var seg disk.Segment
-	rs.SetCheckpointHook(func(s disk.Segment) { seg = s })
+	rs.SetCheckpointHook(func(s disk.Segment, _ []byte) { seg = s })
 	crashed := fsys.CrashImage()
 	if err := rs.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -543,10 +550,14 @@ func TestRecoverableUnwrittenPageReadsZero(t *testing.T) {
 	rec.Close()
 }
 
-// logOps records the write operations on the .wal files it opens.
+// logOps records the write operations on the files it opens: the
+// log's as "write" and "sync", the page file's as "page write" and
+// "page sync". If logged is set, it also keeps the bytes of each log
+// write.
 type logOps struct {
 	disk.FS
-	ops *[]string
+	ops    *[]string
+	logged *[][]byte
 }
 
 func (l logOps) Create(path string) (disk.File, error) {
@@ -560,24 +571,32 @@ func (l logOps) Open(path string) (disk.File, error) {
 }
 
 func (l logOps) wrap(path string, f disk.File, err error) (disk.File, error) {
-	if err != nil || !strings.HasSuffix(path, ".wal") {
+	if err != nil {
 		return f, err
 	}
-	return logFile{File: f, ops: l.ops}, nil
+	if !strings.HasSuffix(path, ".wal") {
+		return logFile{File: f, ops: l.ops, prefix: "page "}, nil
+	}
+	return logFile{File: f, ops: l.ops, logged: l.logged}, nil
 }
 
 type logFile struct {
 	disk.File
-	ops *[]string
+	ops    *[]string
+	prefix string
+	logged *[][]byte
 }
 
 func (f logFile) WriteAt(b []byte, off int64) (int, error) {
-	*f.ops = append(*f.ops, "write")
+	*f.ops = append(*f.ops, f.prefix+"write")
+	if f.logged != nil {
+		*f.logged = append(*f.logged, append([]byte(nil), b...))
+	}
 	return f.File.WriteAt(b, off)
 }
 
 func (f logFile) Sync() error {
-	*f.ops = append(*f.ops, "sync")
+	*f.ops = append(*f.ops, f.prefix+"sync")
 	return f.File.Sync()
 }
 
@@ -609,5 +628,108 @@ func TestCheckpointWritesLogOnce(t *testing.T) {
 	}
 	if st := rs.DurabilityStats(); st.WALAppends != 65 || st.WALSyncs != 1 {
 		t.Fatalf("durability stats %+v: want 65 records (64 images and the commit) and 1 log sync", st)
+	}
+}
+
+// TestCheckpointHookGetsLogBytes: the checkpoint hook is handed the
+// bytes the log took for the batch, the ones a replica is shipped.
+func TestCheckpointHookGetsLogBytes(t *testing.T) {
+	var ops []string
+	var logged [][]byte
+	rs, err := disk.CreateRecoverableStore(logOps{FS: faultfs.New(), ops: &ops, logged: &logged}, "db", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	var seg disk.Segment
+	var enc []byte
+	rs.SetCheckpointHook(func(s disk.Segment, b []byte) { seg, enc = s, b })
+	for i := 0; i < 8; i++ {
+		id, err := rs.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.Write(id, page(128, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logged = logged[:0]
+	if err := rs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// The checkpoint's first log write is its batch; the log is reset
+	// by a later one.
+	if len(logged) < 2 {
+		t.Fatalf("a checkpoint issued %d log writes, want the batch and the reset", len(logged))
+	}
+	if !bytes.Equal(enc, logged[0]) {
+		t.Fatalf("hook got %d bytes, not the %d-byte batch the log took first", len(enc), len(logged[0]))
+	}
+	if !bytes.Equal(enc, disk.EncodeSegment(seg)) {
+		t.Fatal("hook bytes are not the encoding of the hook's segment")
+	}
+}
+
+// TestNoPageFileIOBetweenCheckpoints: Write, Free, reuse and an
+// Allocate past the page file's end only fill the delta, so between
+// checkpoints neither the log nor the page file is written, and a crash
+// there finds the page file exactly as the last checkpoint left it.
+func TestNoPageFileIOBetweenCheckpoints(t *testing.T) {
+	var ops []string
+	fsys := faultfs.New()
+	rs, err := disk.CreateRecoverableStore(logOps{FS: fsys, ops: &ops}, "db", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	allocate := func(fill byte) disk.PageID {
+		t.Helper()
+		id, err := rs.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.Write(id, page(128, fill)); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	var ids []disk.PageID
+	for i := 0; i < 4; i++ {
+		ids = append(ids, allocate(byte('a'+i)))
+	}
+	if err := rs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := rawFile(t, fsys, "db")
+
+	ops = ops[:0]
+	for i := 0; i < 4; i++ { // the file has no free slot: each id lies past its end
+		ids = append(ids, allocate(byte('e'+i)))
+	}
+	if err := rs.Write(ids[0], page(128, 'Z')); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []disk.PageID{ids[1], ids[5]} { // a checkpointed page, then an epoch's
+		if err := rs.Free(id); err != nil {
+			t.Fatal(err)
+		}
+		if again := allocate('r'); again != id {
+			t.Fatalf("freed page %d not reused: got %d", id, again)
+		}
+	}
+	if len(ops) != 0 {
+		t.Fatalf("allocations, writes, frees and reuse between checkpoints issued %v, want no file operation", ops)
+	}
+	img := fsys.CrashImage()
+	if got := rawFile(t, img, "db"); !bytes.Equal(got, ckpt) {
+		t.Fatalf("crash image's page file is %d bytes and differs from the %d the last checkpoint left", len(got), len(ckpt))
+	}
+	rec, _, err := disk.RecoverStore(img, "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if n := rec.NumPages(); n != 4 {
+		t.Fatalf("recovered %d pages, want the checkpoint's 4", n)
 	}
 }

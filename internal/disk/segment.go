@@ -23,10 +23,11 @@ type Segment struct {
 
 // SetCheckpointHook installs fn to observe every completed checkpoint
 // batch: fn runs inside Checkpoint, after the batch is durable on this
-// store, with the compacted segment it shipped to the page file. The
+// store, with the compacted segment it applied to the page file and
+// the bytes the log took (EncodeSegment's), which fn may keep. The
 // primary side of log shipping subscribes here. fn must not call back
 // into the store. A nil fn unsubscribes.
-func (s *RecoverableStore) SetCheckpointHook(fn func(Segment)) {
+func (s *RecoverableStore) SetCheckpointHook(fn func(Segment, []byte)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ckptHook = fn

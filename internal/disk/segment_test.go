@@ -63,7 +63,7 @@ func TestSegmentShippingConverges(t *testing.T) {
 	defer rs.Close()
 
 	var segs []disk.Segment
-	rs.SetCheckpointHook(func(seg disk.Segment) { segs = append(segs, seg) })
+	rs.SetCheckpointHook(func(seg disk.Segment, _ []byte) { segs = append(segs, seg) })
 
 	// Bootstrap the replica from the empty primary's image.
 	img, lsn, err := rs.PageFileImage()
@@ -204,7 +204,7 @@ func TestSegmentLateBootstrap(t *testing.T) {
 	}
 	defer rs.Close()
 	var segs []disk.Segment
-	rs.SetCheckpointHook(func(seg disk.Segment) { segs = append(segs, seg) })
+	rs.SetCheckpointHook(func(seg disk.Segment, _ []byte) { segs = append(segs, seg) })
 
 	id, err := rs.Allocate()
 	if err != nil {
@@ -259,7 +259,7 @@ func TestApplyWALSegmentRejectsStale(t *testing.T) {
 	}
 	defer rs.Close()
 	var segs []disk.Segment
-	rs.SetCheckpointHook(func(seg disk.Segment) { segs = append(segs, seg) })
+	rs.SetCheckpointHook(func(seg disk.Segment, _ []byte) { segs = append(segs, seg) })
 	for i := 0; i < 2; i++ {
 		id, err := rs.Allocate()
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"probe"
-	"probe/internal/disk"
 	"probe/internal/obs"
 	"probe/internal/wire"
 )
@@ -115,13 +114,9 @@ func NewPrimary(db *probe.DB, cfg PrimaryConfig) (*Primary, error) {
 func (p *Primary) Metrics() *obs.Registry { return p.cfg.Registry }
 
 // onSegment is the checkpoint hook: it runs inside DB.Checkpoint, so
-// it only encodes, appends to history, and enqueues — never blocks,
-// never calls back into the database.
-func (p *Primary) onSegment(seg probe.WALSegment) {
-	if len(seg.Records) == 0 {
-		return
-	}
-	enc := disk.EncodeSegment(seg)
+// it only appends the bytes the log took to history and enqueues them —
+// never blocks, never calls back into the database.
+func (p *Primary) onSegment(seg probe.WALSegment, enc []byte) {
 	p.mu.Lock()
 	entry := histEntry{from: p.latest, max: seg.MaxLSN, enc: enc}
 	p.hist = append(p.hist, entry)

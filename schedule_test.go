@@ -110,8 +110,9 @@ type step struct {
 }
 
 // gen draws a schedule: the leading inserts, then steps by weight,
-// the last a checkpoint when the table checkpoints at all. Every
-// insert has its own id.
+// the last a checkpoint when the table checkpoints at all, by a step or
+// a concurrent loop, so a faulted run always has a checkpoint's writes
+// to strike. Every insert has its own id.
 func (tb *table) gen(rng *rand.Rand) (steps []step, pre int) {
 	pre = tb.pre[0] + rng.IntN(tb.pre[1]-tb.pre[0]+1)
 	steps = make([]step, pre+tb.steps[0]+rng.IntN(tb.steps[1]-tb.steps[0]+1))
@@ -132,7 +133,7 @@ func (tb *table) gen(rng *rand.Rand) (steps []step, pre int) {
 		}
 		steps[i] = st
 	}
-	if tb.weights[sCheckpoint] > 0 {
+	if tb.weights[sCheckpoint] > 0 || tb.checkpointer {
 		steps[len(steps)-1] = step{kind: sCheckpoint}
 	}
 	return steps, pre
