@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -114,8 +115,8 @@ func TestConfigValidation(t *testing.T) {
 		t.Errorf("oversized leaf capacity accepted")
 	}
 	// minCap entries fit the page at the widest frame: an explicit
-	// capacity may not exceed it, and a derived one caps the count at
-	// 2*minCap-1 and is recorded as 0.
+	// capacity may not exceed it, and a derived one caps the count only
+	// at what a leaf header holds, and is recorded as 0.
 	minCap := (256 - leafHeaderLen(encodedKeyLen)) / encodedKeyLen
 	if _, err := New(pool, Config{LeafCapacity: minCap + 1}); err == nil {
 		t.Errorf("leaf capacity %d past the widest frame's %d accepted", minCap+1, minCap)
@@ -124,8 +125,22 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.LeafCapacity() != 2*minCap-1 || tr.Meta().LeafCapacity != 0 {
+	if tr.LeafCapacity() != 65535 || tr.Meta().LeafCapacity != 0 {
 		t.Errorf("derived leaf capacity = %d, recorded as %d", tr.LeafCapacity(), tr.Meta().LeafCapacity)
+	}
+	// A page header counts entries and separators in 16 bits: on a 1 MiB
+	// page 116 506 keys of 9 bytes fit at full width and 69 905
+	// children an internal node, but neither count may pass 65 535.
+	big := disk.MustPool(disk.MustMemStore(1<<20), 8, disk.LRU)
+	if _, err := New(big, Config{LeafCapacity: 65536, KeyBits: 8}); err == nil {
+		t.Error("leaf capacity 65 536 accepted")
+	}
+	tr, err = New(big, Config{LeafCapacity: 65535, KeyBits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.fanout != 65535 {
+		t.Errorf("fanout %d on a 1 MiB page", tr.fanout)
 	}
 }
 
@@ -623,7 +638,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	c.First()
 	leafID := c.LeafID()
 	snap.Release()
-	n, err := tree.loadLeaf(leafID)
+	n, err := tree.loadLeaf(nil, leafID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,11 +653,11 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	// decodes to the right keys, and each fails the check.
 	canon := frameOf(n, tree.keyLen)
 	wider, lower := canon, canon
-	wider.zw++
-	lower.ids[0], lower.iw = lower.ids[0]-1, 1
+	wider.zbits++
+	lower.ids[0], lower.ibits = lower.ids[0]-1, 1
 	for _, f := range []leafFrame{wider, lower} {
 		storeLeaf(leafID, n, f)
-		if got, err := tree.loadLeaf(leafID); err != nil || !reflect.DeepEqual(got, n) {
+		if got, err := tree.loadLeaf(nil, leafID); err != nil || !reflect.DeepEqual(got, n) {
 			t.Fatalf("frame %+v: the leaf decodes as %v, %v", f, got, err)
 		}
 		if err := tree.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "canonical") {
@@ -656,16 +671,16 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	ids := []uint64{n[0].Key.Lo, n[1].Key.Lo}
 	n[0].Key.Lo, n[1].Key.Lo = 1, 1<<56
 	based := frameOf(n, tree.keyLen)
-	if based.sel != 1 || based.iw != 1 {
+	if based.sel != 1 || based.ibits != 1 {
 		t.Fatalf("ids 1 and 2^56 take frame %+v", based)
 	}
 	storeLeaf(leafID, n, based)
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// editImage edits the stored image in place; idField is the offset
-	// of entry i's id field.
-	editImage := func(f leafFrame, edit func(data []byte, idField func(i int) int)) {
+	// editImage edits the stored image in place; editID rewrites entry
+	// i's id field.
+	editImage := func(f leafFrame, edit func(data []byte, editID func(i int, edit func(uint64) uint64))) {
 		t.Helper()
 		img := make([]byte, tree.pageSize)
 		encodeLeaf(img, n, f, tree.keyLen)
@@ -673,35 +688,41 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		edit(img, func(i int) int { return p.first + i*p.stride + p.frame.zw })
+		edit(img, func(i int, edit func(uint64) uint64) {
+			end := uint(8*p.first) + uint(i+1)*p.stride
+			mask, pad := ^uint64(0)>>(64-f.ibits), -end&7
+			b := img[(end+7)/8-8:]
+			word := binary.BigEndian.Uint64(b)
+			binary.BigEndian.PutUint64(b, word&^(mask<<pad)|edit(word>>pad&mask)&mask<<pad)
+		})
 		if err := tree.pool.Put(leafID, img); err != nil {
 			t.Fatal(err)
 		}
 	}
 	unused := based
-	unused.sel = 2
+	unused.sel, unused.ibits = 2, 3
 	for _, c := range []struct {
 		what  string
 		frame leafFrame
-		edit  func(data []byte, idField func(int) int)
+		edit  func(data []byte, editID func(int, func(uint64) uint64))
 	}{
-		{"a selector of an unused base", unused, func(data []byte, idField func(int) int) {
+		{"a selector of an unused base", unused, func(data []byte, editID func(int, func(uint64) uint64)) {
 			// Id 1 as 1 past the fourth base, which is zero.
-			data[idField(0)] = 3<<6 | 1
+			editID(0, func(uint64) uint64 { return 3<<1 | 1 })
 		}},
-		{"bases out of order", based, func(data []byte, idField func(int) int) {
+		{"bases out of order", based, func(data []byte, editID func(int, func(uint64) uint64)) {
 			// The base key's id is the 8 bytes before the second base.
 			first, second := data[leafHeaderLen(tree.keyLen)-8:][:8], data[leafHeaderLen(tree.keyLen):][:8]
 			for i := range first {
 				first[i], second[i] = second[i], first[i]
 			}
 			for i := range n {
-				data[idField(i)] ^= 1 << 7
+				editID(i, func(x uint64) uint64 { return x ^ 1<<(based.ibits-1) })
 			}
 		}},
 	} {
 		editImage(c.frame, c.edit)
-		if got, err := tree.loadLeaf(leafID); err != nil || !reflect.DeepEqual(got, n) {
+		if got, err := tree.loadLeaf(nil, leafID); err != nil || !reflect.DeepEqual(got, n) {
 			t.Fatalf("%s: the leaf decodes as %v, %v", c.what, got, err)
 		}
 		if err := tree.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "canonical") {

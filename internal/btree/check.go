@@ -78,7 +78,7 @@ func (s *Snapshot) CheckInvariants() error {
 			if p.count > t.leafCap {
 				return fmt.Errorf("leaf %d overfull: %d > %d", vi.id, p.count, t.leafCap)
 			}
-			es, err := decodeLeaf(data, t.keyLen)
+			es, err := decodeLeaf(nil, data, t.keyLen)
 			if err != nil {
 				return err
 			}

@@ -34,6 +34,7 @@ type Cursor struct {
 	leaf  leafPage      // the leaf under the cursor
 	id    disk.PageID
 	pos   int
+	key   Key // entry pos of the leaf, decoded when the cursor moves there
 	valid bool
 	span  *obs.Counts     // the counts of the read it serves; nil = none
 	ctx   context.Context // cancellation; nil = never cancelled
@@ -96,7 +97,7 @@ func (c *Cursor) Key() Key {
 	if !c.valid {
 		panic("btree: Key on invalid cursor")
 	}
-	return c.leaf.key(c.pos)
+	return c.key
 }
 
 // LeafID returns the page id of the leaf under the cursor; the
@@ -200,8 +201,9 @@ func (c *Cursor) nextLeaf() (bool, error) {
 	if err := c.enterLeaf(id); err != nil {
 		return false, err
 	}
-	c.pos = 0
-	c.valid = c.leaf.count > 0
+	if c.pos, c.valid = 0, c.leaf.count > 0; c.valid {
+		c.key = c.leaf.key(0)
+	}
 	return c.valid, nil
 }
 
@@ -215,9 +217,8 @@ func (c *Cursor) SeekGE(k Key) (bool, error) {
 	if err := c.descend(k); err != nil {
 		return false, err
 	}
-	c.pos = c.leaf.search(k)
-	if c.pos < c.leaf.count {
-		c.valid = true
+	if c.pos = c.leaf.search(k); c.pos < c.leaf.count {
+		c.valid, c.key = true, c.leaf.key(c.pos)
 		return true, nil
 	}
 	// The target starts past this leaf's end (the descend key landed
@@ -232,6 +233,7 @@ func (c *Cursor) Next() (bool, error) {
 	}
 	if c.pos+1 < c.leaf.count {
 		c.pos++
+		c.key = c.leaf.key(c.pos)
 		return true, nil
 	}
 	return c.nextLeaf()

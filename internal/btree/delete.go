@@ -11,12 +11,13 @@ import (
 // it is about to replace into the builder form (node.go), reading the
 // page's image as readers do.
 
-func (t *Tree) loadLeaf(id disk.PageID) ([]Entry, error) {
+// loadLeaf appends the entries of leaf id to es.
+func (t *Tree) loadLeaf(es []Entry, id disk.PageID) ([]Entry, error) {
 	data, err := t.pool.View(id, nil)
 	if err != nil {
 		return nil, err
 	}
-	return decodeLeaf(data, t.keyLen)
+	return decodeLeaf(es, data, t.keyLen)
 }
 
 func (t *Tree) loadInternal(id disk.PageID) (*internalNode, error) {
@@ -66,7 +67,7 @@ func (t *Tree) deleteCOW(w *cow, v *version, k Key) (*version, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	n, err := t.loadLeaf(leafID)
+	n, err := t.loadLeaf(t.leaf[:0], leafID)
 	if err != nil {
 		return nil, false, err
 	}
@@ -132,7 +133,7 @@ func (t *Tree) putShrunkLeaf(w *cow, nv *version, path []cowLevel, leafID disk.P
 	// frame.
 	dir := mergeSide(ci)
 	sep := min(ci, ci+dir)
-	sib, err := t.loadLeaf(parent.children[ci+dir])
+	sib, err := t.loadLeaf(nil, parent.children[ci+dir])
 	if err != nil {
 		return disk.InvalidPage, err
 	}
@@ -156,7 +157,7 @@ func (t *Tree) lendLeaf(w *cow, parent *internalNode, ci, dir int, n []Entry) (b
 	if si < 0 || si >= len(parent.children) {
 		return false, nil
 	}
-	sib, err := t.loadLeaf(parent.children[si])
+	sib, err := t.loadLeaf(nil, parent.children[si])
 	if err != nil || len(sib) <= t.minLeaf {
 		return false, err
 	}

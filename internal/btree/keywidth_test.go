@@ -151,9 +151,9 @@ func TestKeyWidthRejectsStoredKey(t *testing.T) {
 
 // TestFrameWidening: on a derived capacity, an id far from a leaf's
 // ids takes a second id base, so the leaf keeps narrow id fields. An
-// id that no four bases narrow overflows the leaf by bytes, under its
-// count cap. The leaf spreads over its neighbours, and only the piece
-// holding the wide key takes the wide frame. Deletes then borrow and merge between
+// id that no four bases narrow overflows the leaf by its bytes. The
+// leaf spreads over its neighbours, and only the piece holding the
+// wide key takes the wide frame. Deletes then borrow and merge between
 // leaves whose frames differ. The invariants hold throughout.
 func TestFrameWidening(t *testing.T) {
 	pool := disk.MustPool(disk.MustMemStore(512), 1024, disk.LRU)
@@ -161,9 +161,9 @@ func TestFrameWidening(t *testing.T) {
 	for i := uint64(0); i < 2000; i++ {
 		es = append(es, Entry{Key: Key{Hi: i * 5 << 40, Lo: i}})
 	}
-	// A 512-byte page holds 45 keys of 11 bytes, so the count cap is
-	// 89; at 80 % fill the leaves hold 71 keys in a 2+1-byte frame.
-	tree, err := Load(pool, Config{KeyBits: 24}, es, 0.8)
+	// Half of a 512-byte page holds 1 912 bits of entries: the leaves
+	// hold 112 keys in a 10+7-bit frame.
+	tree, err := Load(pool, Config{KeyBits: 24}, es, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,21 +190,21 @@ func TestFrameWidening(t *testing.T) {
 	snap := tree.Snapshot()
 	c := snap.Cursor()
 	for ok, err := c.First(); ok && err == nil; ok, err = c.Next() {
-		if c.pos == 0 && c.leaf.count == 71 {
-			if f := c.leaf.frame; f.zw != 2 || f.iw != 1 {
+		if c.pos == 0 && c.leaf.count == 112 {
+			if f := c.leaf.frame; f.zbits != 10 || f.ibits != 7 {
 				t.Fatalf("a loaded leaf has frame %+v", f)
 			}
 			firsts = append(firsts, c.Key())
 		}
 	}
 	snap.Release()
-	if len(firsts) != 27 {
+	if len(firsts) != 17 {
 		t.Fatalf("%d full leaves of %d", len(firsts), tree.LeafPages())
 	}
 
 	// Ids from 2^40, 2^48 and 2^56 up, after the first key of each full
-	// leaf: a plain frame would give 74 keys 8-byte id deltas and
-	// overflow the page. Id bases keep the id fields at 3 bytes or
+	// leaf: a plain frame would give 115 keys 57-bit id deltas and
+	// overflow the page. Id bases keep the id fields at 24 bits or
 	// fewer, and the leaf takes the keys.
 	for j, k := range firsts {
 		for _, from := range []uint64{1 << 40, 1 << 48, 1 << 56} {
@@ -216,7 +216,7 @@ func TestFrameWidening(t *testing.T) {
 			if tree.LeafPages() != leaves {
 				t.Fatalf("an id from %#x took %d leaves to %d", from, leaves, tree.LeafPages())
 			}
-			if p := leafOf(far); p.frame.sel == 0 || p.frame.iw > 3 {
+			if p := leafOf(far); p.frame.sel == 0 || p.frame.ibits > 24 {
 				t.Fatalf("the leaf holding %v has %d keys in frame %+v", far, p.count, p.frame)
 			}
 		}
@@ -226,10 +226,10 @@ func TestFrameWidening(t *testing.T) {
 	}
 
 	// A random id from 2^63 up, after those: it makes a fifth group of
-	// ids below 7-byte offsets, so 75 keys of 8-byte id fields, or 7
-	// below 2 selector bits, overflow the page, not the count cap. Only
-	// a leaf holding such an id may have a wide id field; every other
-	// leaf keeps fields of 2 bytes or fewer.
+	// ids below 41-bit offsets, so 116 keys of 64-bit id fields, or 43
+	// bits under 2 selector bits, overflow the page. Only a leaf holding
+	// such an id may have a wide id field; every other leaf keeps fields
+	// of 16 bits or fewer.
 	rng := rand.New(rand.NewSource(37))
 	wide := func(k Key) bool { return k.Lo >= 1<<63 }
 	shares, threeWays := 0, 0
@@ -255,7 +255,7 @@ func TestFrameWidening(t *testing.T) {
 				t.Fatal(err)
 			}
 			holds = holds && c.pos > 0 || wide(c.Key())
-			if c.pos == c.leaf.count-1 && !holds && c.leaf.frame.iw > 2 {
+			if c.pos == c.leaf.count-1 && !holds && c.leaf.frame.ibits > 16 {
 				t.Fatalf("after %d wide ids, a leaf of no wide id has frame %+v", j+1, c.leaf.frame)
 			}
 		}

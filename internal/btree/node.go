@@ -3,6 +3,7 @@ package btree
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -13,9 +14,9 @@ import (
 // Page layouts. All integers little-endian unless they are keys or
 // key deltas (which are big-endian so byte order matches key order).
 //
-// Leaf:     [type u8][count u16][zw u8][iw u8 | sel<<4][base key keyLen B]
+// Leaf:     [type u8][count u16][zbits u8][ibits u8][sel u8][base key keyLen B]
 //           (2^sel - 1) x [id base 8 B]
-//           count x [z delta zw B][id field iw B]
+//           count x [z delta zbits bits][id field ibits bits]
 // Internal: [type u8][count u16]            (count = number of seps)
 //           (count+1) x [child u32]
 //           count x [sepLen u16][sep bytes]
@@ -23,18 +24,25 @@ import (
 // keyLen is the tree's key length (key.go): 8 bytes of Lo after as
 // many bytes of Hi as Config.KeyBits needs, the z bytes. A leaf stores
 // its keys against a frame of reference: the base key holds the z
-// value of the first key and the smallest id, and an entry holds its z
-// as a distance from the base's in zw bytes. Its id field holds, in its
-// top sel bits (0, 1 or 2), a selector among 2^sel id bases, and below
-// them the id's distance from the base it selects. The first base is
-// the base key's; the others follow the base key in ascending order,
-// a slot not used being zero. The frame is canonical (frameOf): the
-// widths are the fewest bytes that hold the largest distances, and a
-// leaf takes bases only when they make its image smaller, so an image
-// is a function of its entries alone and one rewritten in place is
-// byte-equal to a fresh one. Entries stay fixed-stride within a page,
-// so a search is still a binary search of the image, and a key decodes
-// without allocating.
+// value of the first key and the first id base, and an entry holds its
+// z as a distance from the base's in zbits bits. Its id field holds, in
+// its top sel bits (0, 1 or 2), a selector among 2^sel id bases, and
+// below them the id's distance from the base it selects. With no
+// selector bits the one base is the smallest id; with them, each base
+// is the first id of a group's range, the ids that share their bits
+// above the distance. The first base is the base key's; the others
+// follow the base key in ascending order, a slot not used being zero.
+// Entries are packed at a stride of zbits+ibits bits, most significant
+// bit first, from the first byte after the header. The frame is
+// canonical (frameOf): the widths are the fewest bits that hold the
+// largest distances, and a leaf takes bases only when they make its
+// image smaller, so an image is a function of its entries alone and
+// one rewritten in place is byte-equal to a fresh one. A field is read
+// from the 8 bytes that end with it, which hold 57 bits past any bit
+// boundary; a frame with a field wider than that keeps both widths in
+// whole bytes, so every field ends on a byte (fieldBits). Entries stay
+// fixed-stride within a page, so a search is still a binary search of
+// the image, and a key decodes without allocating.
 //
 // Leaves carry no sibling links: copy-on-write could not maintain them
 // (a neighbor's link would dangle at the old page version), so a
@@ -58,10 +66,12 @@ const (
 )
 
 const (
-	leafBaseOff       = 1 + 2 + 2 // the base key follows type, count and widths
+	leafBaseOff       = 1 + 2 + 3 // the base key follows type, count and frame
 	internalHeaderLen = 1 + 2
 	maxSel            = 2 // most selector bits of an id field
 	maxIDBases        = 1 << maxSel
+	maxCount          = math.MaxUint16 // the most entries or separators a header counts
+	maxFieldBits      = 57             // the widest field read past any bit boundary
 )
 
 // leafHeaderLen is the length of a leaf header for keys of keyLen
@@ -94,11 +104,12 @@ type leafPage struct {
 	count         int
 	frame         leafFrame
 	first         int    // offset of entry 0
-	stride        int    // zw + iw
-	zAt, idAt     int    // offsets of the 8 bytes ending with entry 0's z, id
-	drop          uint   // zDrop of the tree's key length
-	zMask, idMask uint64 // the low zw and iw bytes
-	shift         uint   // id offset bits: 8*iw - sel
+	stride, ibits uint   // bits of an entry, and of its id field
+	zAt           uint   // entry 0's z field end, in bits, less 57
+	hi            uint64 // the frame's z as a Key.Hi
+	drop          uint   // zDrop of the tree's key length, under 64
+	zMask, idMask uint64 // the low zbits and ibits bits
+	shift         uint   // id offset bits: ibits - sel
 	// adj[j] is base j less selector j in place, so that an id field
 	// that selects base j decodes as adj[j] plus the field.
 	adj [maxIDBases]uint64
@@ -109,15 +120,18 @@ func viewLeaf(data []byte, keyLen int) (leafPage, error) {
 	if err != nil {
 		return leafPage{}, err
 	}
-	f := leafFrame{zw: int(data[3]), iw: int(data[4] & 0x0f), sel: int(data[4] >> 4)}
-	if f.zw > keyLen-8 || f.iw > 8 {
-		return leafPage{}, fmt.Errorf("btree: leaf frame of %d+%d bytes is wider than a %d-byte key", f.zw, f.iw, keyLen)
+	f := leafFrame{zbits: int(data[3]), ibits: int(data[4]), sel: int(data[5])}
+	if f.zbits > 8*(keyLen-8) || f.ibits > 64 {
+		return leafPage{}, fmt.Errorf("btree: leaf frame of %d+%d bits is wider than a %d-byte key", f.zbits, f.ibits, keyLen)
 	}
-	if f.sel > maxSel || f.sel > 0 && f.iw == 0 {
-		return leafPage{}, fmt.Errorf("btree: leaf frame selects among %d id bases in %d-byte id fields", 1<<f.sel, f.iw)
+	if f.sel > maxSel || f.sel > f.ibits {
+		return leafPage{}, fmt.Errorf("btree: leaf frame selects among %d id bases in %d-bit id fields", 1<<f.sel, f.ibits)
 	}
-	first, stride := f.headerLen(keyLen), f.zw+f.iw
-	if first+count*stride > len(data) {
+	if zb, ib := fieldBits(f.zbits, f.ibits); zb != f.zbits || ib != f.ibits {
+		return leafPage{}, fmt.Errorf("btree: leaf frame of %d+%d bits has a field over %d bits off a byte boundary", f.zbits, f.ibits, maxFieldBits)
+	}
+	first, stride := f.headerLen(keyLen), f.zbits+f.ibits
+	if first+(count*stride+7)/8 > len(data) {
 		return leafPage{}, fmt.Errorf("btree: leaf overflows page (%d entries)", count)
 	}
 	base := decodeKey(data[leafBaseOff : leafBaseOff+keyLen])
@@ -125,9 +139,9 @@ func viewLeaf(data []byte, keyLen int) (leafPage, error) {
 	for j := 1; j < 1<<f.sel; j++ {
 		f.ids[j] = binary.BigEndian.Uint64(data[leafHeaderLen(keyLen)+8*(j-1):])
 	}
-	p := leafPage{data: data, count: count, frame: f, first: first, stride: stride,
-		zAt: first + f.zw - 8, idAt: first + f.zw + f.iw - 8, drop: zDrop(keyLen),
-		zMask: ^uint64(0) >> (64 - 8*f.zw), idMask: ^uint64(0) >> (64 - 8*f.iw), shift: f.idShift()}
+	p := leafPage{data: data, count: count, frame: f, first: first, stride: uint(stride), ibits: uint(f.ibits),
+		zAt: uint(8*first + f.zbits - maxFieldBits), hi: base.Hi, drop: zDrop(keyLen),
+		zMask: ^uint64(0) >> (64 - f.zbits), idMask: ^uint64(0) >> (64 - f.ibits), shift: f.idShift()}
 	for j, id := range f.ids {
 		p.adj[j] = id - uint64(j)<<p.shift
 	}
@@ -136,15 +150,19 @@ func viewLeaf(data []byte, keyLen int) (leafPage, error) {
 
 // key decodes entry i's key: the frame's z plus the entry's z delta,
 // and the base the id field selects plus the offset below the
-// selector. A field of w bytes is read as the low w bytes of the 8 that
-// end with it, which the image always holds: the header before the
-// first entry is longer than 8 bytes.
+// selector. A field that ends at bit e is the low bits of the 8 bytes
+// that end with e's byte, shifted right past that byte's bits after e:
+// with a = e-57 (z and id below), the 8 bytes at a>>3 shifted by
+// 7-a&7. The image always holds them: the header before the first
+// entry is longer than 8 bytes. The masks on drop and on the selector
+// change no value; they spare the shift and the index their checks.
 func (p *leafPage) key(i int) Key {
-	o := i * p.stride
-	id := binary.BigEndian.Uint64(p.data[p.idAt+o:]) & p.idMask
+	z := p.zAt + uint(i)*p.stride
+	id := z + p.ibits
+	f := binary.BigEndian.Uint64(p.data[id>>3:]) >> (^id & 7) & p.idMask
 	return Key{
-		Hi: (p.frame.z + binary.BigEndian.Uint64(p.data[p.zAt+o:])&p.zMask) << p.drop,
-		Lo: p.adj[id>>p.shift&(maxIDBases-1)] + id,
+		Hi: p.hi + binary.BigEndian.Uint64(p.data[z>>3:])>>(^z&7)&p.zMask<<(p.drop&63),
+		Lo: p.adj[f>>p.shift&(maxIDBases-1)] + f,
 	}
 }
 
@@ -224,113 +242,184 @@ type internalNode struct {
 	seps     [][]byte
 }
 
-// decodeLeaf returns a leaf's entries: the decoded form of a leaf page
-// is the slice of its keys in order.
-func decodeLeaf(data []byte, keyLen int) ([]Entry, error) {
+// decodeLeaf appends a leaf's entries to es: the decoded form of a leaf
+// page is the slice of its keys in order.
+func decodeLeaf(es []Entry, data []byte, keyLen int) ([]Entry, error) {
 	p, err := viewLeaf(data, keyLen)
 	if err != nil {
 		return nil, err
 	}
-	es := make([]Entry, p.count)
-	for i := range es {
-		es[i].Key = p.key(i)
+	es = slices.Grow(es, p.count)
+	for i := 0; i < p.count; i++ {
+		es = append(es, Entry{Key: p.key(i)})
 	}
 	return es, nil
 }
 
 // leafFrame is a leaf's frame of reference: the z its keys are stored
-// against (as the stored z bytes, right-justified), the id bases, the
-// byte widths of the z and id fields, and the selector bits of an id
+// against (as the stored z bits, right-justified), the id bases, the
+// bit widths of the z and id fields, and the selector bits of an id
 // field. Bases past the first 2^sel are zero.
 type leafFrame struct {
-	z      uint64
-	ids    [maxIDBases]uint64
-	zw, iw int
-	sel    int
+	z            uint64
+	ids          [maxIDBases]uint64
+	zbits, ibits int
+	sel          int
 }
 
 // headerLen is the length of the header of a leaf in frame f.
 func (f leafFrame) headerLen(keyLen int) int { return leafHeaderLen(keyLen) + 8*(1<<f.sel-1) }
 
 // idShift is the number of offset bits below an id field's selector.
-func (f leafFrame) idShift() uint { return uint(8*f.iw - f.sel) }
+func (f leafFrame) idShift() uint { return uint(f.ibits - f.sel) }
+
+// fieldBits returns the widths of a frame whose z and id deltas take zb
+// and ib bits: those, unless one is wider than a read past any bit
+// boundary holds, when both round up to whole bytes.
+func fieldBits(zb, ib int) (int, int) {
+	if max(zb, ib) > maxFieldBits {
+		return (zb + 7) &^ 7, (ib + 7) &^ 7
+	}
+	return zb, ib
+}
+
+// leafBytes is the size of the image of a leaf of n entries in frame f.
+func leafBytes(n int, f leafFrame, keyLen int) int {
+	return f.headerLen(keyLen) + (n*(f.zbits+f.ibits)+7)/8
+}
+
+// frameScan takes a run of keys as it grows, from either end, and
+// keeps what its canonical frame depends on: the largest z delta from
+// the key it started at, the ids' range, and for each selector width
+// sel the narrowest shift at which the ids fall in at most 2^sel groups
+// (id >> shift). Grouping at a shift works at every wider one, and a
+// key only falls in a group or adds one, so when a key makes one group
+// too many the shift widens a bit at a time, each step merging the
+// groups that now share their bits (g >> 1).
+type frameScan struct {
+	keyLen int
+	drop   uint // zDrop(keyLen)
+	n      int
+	back   bool   // the run grows toward smaller keys
+	z0     uint64 // the first key's stored z
+	zMask  uint64 // the stored z bits
+	dz     uint64
+	lo, hi uint64
+	groups [maxSel]idGroups // by sel-1
+}
+
+// idGroups is one selector width's grouping: its shift and the
+// distinct values of id >> shift.
+type idGroups struct {
+	shift uint
+	k     int
+	g     [maxIDBases + 1]uint64
+}
+
+func newFrameScan(keyLen int, k Key, back bool) frameScan {
+	drop := zDrop(keyLen)
+	s := frameScan{keyLen: keyLen, drop: drop, n: 1, back: back, z0: k.Hi >> drop, zMask: ^uint64(0) >> drop, lo: k.Lo, hi: k.Lo}
+	for j := range s.groups {
+		s.groups[j].k, s.groups[j].g[0] = 1, k.Lo
+	}
+	return s
+}
+
+// add takes the next keys of the run, in the order it grows: after its
+// last key, or before its first when the scan runs back. A z delta is
+// taken modulo the stored z bits, so even keys out of order get a frame
+// no wider than the key.
+func (s *frameScan) add(es []Entry) {
+	dz, lo, hi := s.dz, s.lo, s.hi
+	for _, e := range es {
+		d := e.Key.Hi>>s.drop - s.z0
+		if s.back {
+			d = -d
+		}
+		dz, lo, hi = max(dz, d&s.zMask), min(lo, e.Key.Lo), max(hi, e.Key.Lo)
+		// More selector bits group at a shift no wider, so an id in a group
+		// of theirs is in one of each narrower selector's.
+		for j := maxSel - 1; j >= 0; j-- {
+			gs := &s.groups[j]
+			if !gs.put(e.Key.Lo >> gs.shift) {
+				break
+			}
+			gs.widen(2 << j)
+		}
+	}
+	s.n, s.dz, s.lo, s.hi = s.n+len(es), dz, lo, hi
+}
+
+// widen widens the shift a bit at a time until there are at most n
+// groups. A merge rewrites the groups in place: group j goes to a slot
+// at or before j.
+func (gs *idGroups) widen(n int) {
+	for gs.k > n {
+		k := gs.k
+		gs.shift, gs.k = gs.shift+1, 0
+		for j := range k {
+			gs.put(gs.g[j] >> 1)
+		}
+	}
+}
+
+// put makes g a group unless it is one, and reports whether it did.
+func (gs *idGroups) put(g uint64) bool {
+	// Groups are distinct, so at most one matches; which one is data, so
+	// the loop takes no branch on it.
+	in := false
+	for m := range gs.k {
+		in = in != (gs.g[m] == g)
+	}
+	if !in {
+		gs.g[gs.k], gs.k = g, gs.k+1
+	}
+	return !in
+}
+
+// shape returns the canonical frame of the run so far, but its z and id
+// bases, and the size of its image: the smallest of the plain
+// frame, whose one base is the smallest id, and for each selector width
+// its narrowest grouping, a base for each group; on a tie the one of
+// fewer selector bits. Bases never make an image larger, so a
+// run fits wherever its plain frame does, and each width of a shorter
+// run is no wider, so neither is its image.
+func (s *frameScan) shape() (f leafFrame, size int) {
+	zb := bits.Len64(s.dz)
+	f.zbits, f.ibits = fieldBits(zb, bits.Len64(s.hi-s.lo))
+	size = leafBytes(s.n, f, s.keyLen)
+	for j := range s.groups {
+		c := leafFrame{sel: j + 1}
+		c.zbits, c.ibits = fieldBits(zb, int(s.groups[j].shift)+j+1)
+		if b := leafBytes(s.n, c, s.keyLen); b < size {
+			f, size = c, b
+		}
+	}
+	return f, size
+}
 
 // frameOf returns the canonical frame of a leaf holding es, whose keys
-// are keyLen bytes. The z base is the first key's z and zw the fewest
-// bytes that hold the largest z delta, taken modulo the stored z bytes,
-// so even keys out of order get a frame no wider than the key. The id
-// part is the smallest of these images, counting the extra bases, and
-// on a tie the one of fewer selector bits: the plain frame, whose one
-// base is the smallest id and iw the bytes of the largest id less it;
-// and for sel 1 and 2 and each narrower iw, the ids grouped by their
-// bits above the offset, when they fall in at most 2^sel groups, each
-// group's smallest id a base. Bases never make an image larger, so a
-// run of entries fits wherever its plain frame does.
+// are keyLen bytes: the z base is the first key's z, and the rest is
+// the shape of es scanned from its front (frameScan.shape).
 func frameOf(es []Entry, keyLen int) leafFrame {
 	if len(es) == 0 {
 		return leafFrame{}
 	}
-	drop := zDrop(keyLen)
-	f := leafFrame{z: es[0].Key.Hi >> drop, ids: [maxIDBases]uint64{es[0].Key.Lo}}
-	var dz, maxID uint64
-	for _, e := range es {
-		dz = max(dz, (e.Key.Hi>>drop-f.z)&(^uint64(0)>>drop))
-		f.ids[0], maxID = min(f.ids[0], e.Key.Lo), max(maxID, e.Key.Lo)
-	}
-	f.zw, f.iw = bytesFor(dz), bytesFor(maxID-f.ids[0])
-	// Grouping at a width works at every wider one, so the narrowest id
-	// width that groups gives a selector width its smallest image: each
-	// tries the widths from the narrowest up, to the first that groups
-	// or the first whose image would not win. A pass that fails mostly
-	// fails fast, and the one that groups is the only full pass.
-	plain, best := f.iw, len(es)*f.iw
-	for sel := maxSel; sel > 0; sel-- {
-		for iw := 1; iw < plain; iw++ {
-			size := 8*(1<<sel-1) + len(es)*iw
-			if size > best || size == best && sel >= f.sel {
-				break
-			}
-			if ids, ok := idBases(es, uint(8*iw-sel), 1<<sel); ok {
-				f.ids, f.iw, f.sel, best = ids, iw, sel, size
-				break
-			}
+	s := newFrameScan(keyLen, es[0].Key, false)
+	s.add(es[1:])
+	f, _ := s.shape()
+	f.z, f.ids[0] = s.z0, s.lo
+	if f.sel > 0 {
+		// A group's base is the first id of its range, its bits above
+		// the shift with zeros below. The ranges are disjoint, so the
+		// bases sort as the groups do.
+		gs := &s.groups[f.sel-1]
+		for j, g := range gs.g[:gs.k] {
+			f.ids[j] = g << gs.shift
 		}
+		slices.Sort(f.ids[:gs.k])
 	}
 	return f
-}
-
-// idBases groups the ids of es by their bits from shift up and returns
-// each group's smallest id, ascending, when there are at most n groups.
-// It stops at the first group over n.
-func idBases(es []Entry, shift uint, n int) (ids [maxIDBases]uint64, ok bool) {
-	var groups [maxIDBases]uint64
-	k := 0
-	for _, e := range es {
-		g, j := e.Key.Lo>>shift, 0
-		for j < k && groups[j] != g {
-			j++
-		}
-		if j == k {
-			if k == n {
-				return ids, false
-			}
-			groups[k], ids[k] = g, e.Key.Lo
-			k++
-		}
-		ids[j] = min(ids[j], e.Key.Lo)
-	}
-	// Groups are disjoint ranges of ids, so their smallest ids sort as
-	// the groups do.
-	slices.Sort(ids[:k])
-	return ids, true
-}
-
-// bytesFor returns the fewest bytes that hold x.
-func bytesFor(x uint64) int { return (bits.Len64(x) + 7) / 8 }
-
-// leafBytes is the size of the image of a leaf of n entries in frame f.
-func leafBytes(n int, f leafFrame, keyLen int) int {
-	return f.headerLen(keyLen) + n*(f.zw+f.iw)
 }
 
 // encodeLeaf makes data the image of a leaf holding es in frame f. The
@@ -340,28 +429,52 @@ func encodeLeaf(data []byte, es []Entry, f leafFrame, keyLen int) {
 	clear(data)
 	data[0] = byte(leafType)
 	binary.LittleEndian.PutUint16(data[1:3], uint16(len(es)))
-	data[3], data[4] = byte(f.zw), byte(f.iw|f.sel<<4)
+	data[3], data[4], data[5] = byte(f.zbits), byte(f.ibits), byte(f.sel)
 	drop, shift, bases := zDrop(keyLen), f.idShift(), 1<<f.sel
 	Key{Hi: f.z << drop, Lo: f.ids[0]}.encode(data[leafBaseOff : leafBaseOff+keyLen])
 	for j := 1; j < bases; j++ {
 		binary.BigEndian.PutUint64(data[leafHeaderLen(keyLen)+8*(j-1):], f.ids[j])
 	}
-	for i, e := range es {
-		off := f.headerLen(keyLen) + i*(f.zw+f.iw)
+	bw := bitWriter{data: data, off: f.headerLen(keyLen)}
+	for _, e := range es {
 		j := 0
 		for j+1 < bases && f.ids[j+1] != 0 && f.ids[j+1] <= e.Key.Lo {
 			j++
 		}
-		putBeUint(data[off:off+f.zw], e.Key.Hi>>drop-f.z)
-		putBeUint(data[off+f.zw:off+f.zw+f.iw], uint64(j)<<shift|(e.Key.Lo-f.ids[j]))
+		bw.put(f.zbits, e.Key.Hi>>drop-f.z)
+		bw.put(f.ibits, uint64(j)<<shift|(e.Key.Lo-f.ids[j]))
+	}
+	bw.flush()
+}
+
+// bitWriter packs fields into data from byte off on, most significant
+// bit first. acc ends with the n < 32 bits not yet written.
+type bitWriter struct {
+	data []byte
+	off  int
+	acc  uint64
+	n    uint
+}
+
+// put appends the low w bits of x, 32 at most at a time, and writes 4
+// bytes each time it holds them.
+func (b *bitWriter) put(w int, x uint64) {
+	for w > 0 {
+		n := min(w, 32)
+		w -= n
+		b.acc, b.n = b.acc<<uint(n)|x>>uint(w)&(1<<uint(n)-1), b.n+uint(n)
+		if b.n >= 32 {
+			b.n -= 32
+			binary.BigEndian.PutUint32(b.data[b.off:], uint32(b.acc>>b.n))
+			b.off += 4
+		}
 	}
 }
 
-// putBeUint writes the low len(b) bytes of x into b, big-endian.
-func putBeUint(b []byte, x uint64) {
-	for i := len(b) - 1; i >= 0; i-- {
-		b[i] = byte(x)
-		x >>= 8
+// flush writes the bits left, the rest of their last byte zero.
+func (b *bitWriter) flush() {
+	for v, i := b.acc<<(64-b.n), 0; i < int(b.n+7)/8; i++ {
+		b.data[b.off+i] = byte(v >> (56 - 8*i))
 	}
 }
 

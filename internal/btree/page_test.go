@@ -53,51 +53,58 @@ func refUint(b []byte) uint64 {
 	return x
 }
 
-// refDecodeLeaf reads a framed leaf one byte at a time: the z width at
-// byte 3, the id width and selector bits in the low and high nibble of
-// byte 4, the base key after them read as any key is, then 2^sel - 1
-// more id bases. Per entry it reads a z delta counted in units of the
-// lowest stored bit of Hi, added to the base key's z, and an id field
-// whose top sel bits pick the base (the base key's id first) that the
-// bits below them are added to.
+// refBits reads the n bits of b from bit off on, most significant
+// first, one bit at a time.
+func refBits(b []byte, off, n int) uint64 {
+	var x uint64
+	for i := off; i < off+n; i++ {
+		x = x<<1 | uint64(b[i/8]>>(7-i%8)&1)
+	}
+	return x
+}
+
+// refDecodeLeaf reads a framed leaf one bit at a time: the z width,
+// the id width and the selector bits at bytes 3, 4 and 5, the base key
+// after them read as any key is, then 2^sel - 1 more id bases. Per
+// entry, packed at zbits+ibits bits from the first byte after the
+// header, it reads a z delta counted in units of the lowest stored bit
+// of Hi, added to the base key's z, and an id field whose top sel bits
+// pick the base (the base key's id first) that the bits below them are
+// added to. A frame with a field over 57 bits must be in whole bytes.
 func refDecodeLeaf(data []byte, keyLen int) ([]Entry, error) {
-	count, err := refHeader(data, leafType, 5+keyLen, "a leaf")
+	count, err := refHeader(data, leafType, 6+keyLen, "a leaf")
 	if err != nil {
 		return nil, err
 	}
-	zw, iw, sel := int(data[3]), int(data[4]%16), int(data[4]/16)
-	if zw > keyLen-8 || iw > 8 {
-		return nil, fmt.Errorf("btree: leaf frame of %d+%d bytes is wider than a %d-byte key", zw, iw, keyLen)
+	zbits, ibits, sel := int(data[3]), int(data[4]), int(data[5])
+	if zbits > 8*(keyLen-8) || ibits > 64 {
+		return nil, fmt.Errorf("btree: leaf frame of %d+%d bits is wider than a %d-byte key", zbits, ibits, keyLen)
 	}
-	if sel > 2 || sel > 0 && iw == 0 {
-		return nil, fmt.Errorf("btree: leaf frame selects among %d id bases in %d-byte id fields", 1<<sel, iw)
+	if sel > 2 || sel > ibits {
+		return nil, fmt.Errorf("btree: leaf frame selects among %d id bases in %d-bit id fields", 1<<sel, ibits)
+	}
+	if (zbits > 57 || ibits > 57) && (zbits%8 != 0 || ibits%8 != 0) {
+		return nil, fmt.Errorf("btree: leaf frame of %d+%d bits has a field over 57 bits off a byte boundary", zbits, ibits)
 	}
 	nBases := 1 << sel
-	off := 5 + keyLen + 8*(nBases-1)
-	if off+count*(zw+iw) > len(data) {
+	off := 6 + keyLen + 8*(nBases-1)
+	if 8*off+count*(zbits+ibits) > 8*len(data) {
 		return nil, fmt.Errorf("btree: leaf overflows page (%d entries)", count)
 	}
-	base := refDecodeKey(data[5 : 5+keyLen])
+	base := refDecodeKey(data[6 : 6+keyLen])
 	bases := []uint64{base.Lo}
 	for j := 1; j < nBases; j++ {
-		bases = append(bases, refUint(data[5+keyLen+8*(j-1):5+keyLen+8*j]))
+		bases = append(bases, refUint(data[6+keyLen+8*(j-1):6+keyLen+8*j]))
 	}
 	unit := uint64(1) << (8 * (16 - keyLen))
 	es := make([]Entry, count)
+	bit := 8 * off
 	for i := range es {
-		field := data[off+zw : off+zw+iw]
+		dz := refBits(data, bit, zbits)
 		// The selector is the field's top sel bits; the offset is the rest.
-		selector, offset := 0, uint64(0)
-		for b := 0; b < 8*iw; b++ {
-			bit := field[b/8] >> (7 - b%8) & 1
-			if b < sel {
-				selector = selector<<1 | int(bit)
-			} else {
-				offset = offset<<1 | uint64(bit)
-			}
-		}
-		es[i].Key = Key{Hi: base.Hi + unit*refUint(data[off:off+zw]), Lo: bases[selector] + offset}
-		off += zw + iw
+		selector, offset := refBits(data, bit+zbits, sel), refBits(data, bit+zbits+sel, ibits-sel)
+		es[i].Key = Key{Hi: base.Hi + unit*dz, Lo: bases[selector] + offset}
+		bit += zbits + ibits
 	}
 	return es, nil
 }
@@ -162,7 +169,7 @@ func checkLeafImage(t *testing.T, data []byte, keyLen int, probes []Key) bool {
 	if errText(derr) != errText(verr) {
 		t.Fatalf("leaf errors differ: reference %q, view %q", errText(derr), errText(verr))
 	}
-	if got, err := decodeLeaf(data, keyLen); errText(err) != errText(derr) || !reflect.DeepEqual(got, n) {
+	if got, err := decodeLeaf(nil, data, keyLen); errText(err) != errText(derr) || !slices.Equal(got, n) {
 		t.Fatalf("decodeLeaf = %+v, %v; reference %+v, %v", got, err, n, derr)
 	}
 	if derr != nil {
@@ -248,11 +255,11 @@ func checkInternalImage(t *testing.T, data []byte, probes [][]byte) bool {
 }
 
 // framedLeafImage returns the image of a leaf of up to n entries (n
-// less duplicates), whose keys span zw bytes of z and iw of id: with
-// two entries or more its canonical frame is that wide.
-func framedLeafImage(rng *rand.Rand, pageSize, keyLen, zw, iw, n int) []byte {
+// less duplicates), whose keys span zb bits of z and ib of id: with
+// two entries or more its plain frame is that wide (fieldBits).
+func framedLeafImage(rng *rand.Rand, pageSize, keyLen, zb, ib, n int) []byte {
 	drop := zDrop(keyLen)
-	zSpan, idSpan := uint64(1)<<(8*zw)-1, uint64(1)<<(8*iw)-1
+	zSpan, idSpan := ^uint64(0)>>(64-zb), ^uint64(0)>>(64-ib)
 	z0, id0 := rng.Uint64()>>drop&^zSpan, rng.Uint64()&^idSpan
 	var es []Entry
 	for i := 0; i < n; i++ {
@@ -274,12 +281,12 @@ func framedLeafImage(rng *rand.Rand, pageSize, keyLen, zw, iw, n int) []byte {
 }
 
 // clusteredEntries returns up to n entries (n less duplicates) in key
-// order, whose z values span zw bytes and whose ids fall in 1 to 5
+// order, whose z values span zb bits and whose ids fall in 1 to 5
 // clusters 2^8 to 2^48 apart, each up to 2^16 wide: the id ranges a
 // frame may give several bases.
-func clusteredEntries(rng *rand.Rand, keyLen, zw, n int) []Entry {
+func clusteredEntries(rng *rand.Rand, keyLen, zb, n int) []Entry {
 	drop := zDrop(keyLen)
-	zSpan := uint64(1)<<(8*zw) - 1
+	zSpan := ^uint64(0) >> (64 - zb)
 	z0 := rng.Uint64() >> drop &^ zSpan
 	starts := []uint64{rng.Uint64() >> 2}
 	for c := rng.Intn(5); c > 0; c-- {
@@ -301,9 +308,9 @@ func clusteredEntries(rng *rand.Rand, keyLen, zw, n int) []Entry {
 func randomLeafImage(rng *rand.Rand, pageSize, keyLen int) []byte {
 	n := rng.Intn((pageSize-leafHeaderLen(keyLen))/keyLen + 1)
 	if rng.Intn(2) == 0 {
-		return framedLeafImage(rng, pageSize, keyLen, rng.Intn(keyLen-7), rng.Intn(9), n)
+		return framedLeafImage(rng, pageSize, keyLen, rng.Intn(8*(keyLen-8)+1), rng.Intn(65), n)
 	}
-	es := clusteredEntries(rng, keyLen, rng.Intn(keyLen-7), n)
+	es := clusteredEntries(rng, keyLen, rng.Intn(8*(keyLen-8)+1), n)
 	data := make([]byte, pageSize)
 	encodeLeaf(data, es, frameOf(es, keyLen), keyLen)
 	return data
@@ -344,7 +351,7 @@ func TestPageViewsMatchDecode(t *testing.T) {
 		if !checkLeafImage(t, leaf, keyLen, probes) {
 			t.Fatal("a well-formed leaf image did not decode")
 		}
-		sels[leaf[4]>>4]++
+		sels[leaf[5]]++
 		encs := make([][]byte, 32)
 		for i := range encs {
 			encs[i] = make([]byte, rng.Intn(encodedKeyLen+1))
@@ -368,10 +375,10 @@ func TestPageViewsMatchDecode(t *testing.T) {
 // same error, without reading outside the image.
 func TestPageViewsRejectCorruptImages(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	leaf := framedLeafImage(rng, 512, encodedKeyLen, 8, 8, 12)
+	leaf := framedLeafImage(rng, 512, encodedKeyLen, 64, 64, 12)
 	// About 60 entries of 2 bytes: more than fit the page at the widest
 	// frame, 45.
-	narrow := framedLeafImage(rng, 512, 11, 1, 1, 60)
+	narrow := framedLeafImage(rng, 512, 11, 8, 8, 60)
 	internal := randomInternalImage(rng, 512)
 	for binary.LittleEndian.Uint16(internal[1:3]) < 2 {
 		internal = randomInternalImage(rng, 512)
@@ -392,35 +399,42 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 			t.Errorf("internal page with type byte %d decoded", typ)
 		}
 	}
-	// A frame wider than the key: an id width over 8, a z width over
-	// the key's z bytes (8, and 3 on the 11-byte key).
-	for _, w := range [][2]byte{{8, 9}, {9, 8}, {0xff, 0}} {
+	// A frame wider than the key: an id width over 64, a z width over
+	// the key's z bits (64, and 24 on the 11-byte key).
+	for _, w := range [][2]byte{{64, 65}, {65, 64}, {0xff, 0}} {
 		if checkLeafImage(t, damage(leaf, func(b []byte) { b[3], b[4] = w[0], w[1] }), encodedKeyLen, nil) {
-			t.Errorf("leaf with a %d+%d-byte frame decoded", w[0], w[1])
+			t.Errorf("leaf with a %d+%d-bit frame decoded", w[0], w[1])
 		}
 	}
-	if checkLeafImage(t, damage(narrow, func(b []byte) { b[3] = 4 }), 11, nil) {
-		t.Error("11-byte-key leaf with a 4-byte z width decoded")
+	if checkLeafImage(t, damage(narrow, func(b []byte) { b[3] = 25 }), 11, nil) {
+		t.Error("11-byte-key leaf with a 25-bit z width decoded")
+	}
+	// A field over 57 bits that does not end on a byte: no read of 8
+	// bytes holds it at every bit offset.
+	for _, w := range [][2]byte{{64, 60}, {60, 64}, {58, 8}, {7, 58}} {
+		if checkLeafImage(t, damage(leaf, func(b []byte) { b[3], b[4] = w[0], w[1] }), encodedKeyLen, nil) {
+			t.Errorf("leaf with a %d+%d-bit frame decoded", w[0], w[1])
+		}
 	}
 	// Widths within the key that run the narrow leaf off the page.
-	if checkLeafImage(t, damage(narrow, func(b []byte) { b[3], b[4] = 3, 8 }), 11, nil) {
+	if checkLeafImage(t, damage(narrow, func(b []byte) { b[3], b[4] = 24, 64 }), 11, nil) {
 		t.Error("a leaf widened past the page decoded")
 	}
 	// A leaf of ids in three clusters takes four bases. Its frame
-	// damaged: 3 selector bits, selector bits over no id bytes, and
-	// bases that run past the end of the page.
+	// damaged: 3 selector bits or more, more selector bits than id
+	// bits, and bases that run past the end of the page.
 	var es []Entry
 	for i := 0; i < 40; i++ {
 		es = append(es, Entry{Key: Key{Hi: uint64(i), Lo: []uint64{1000, 1 << 30, 1 << 50}[i%3] + uint64(i)}})
 	}
 	based := make([]byte, 512)
 	encodeLeaf(based, es, frameOf(es, encodedKeyLen), encodedKeyLen)
-	if based[4]>>4 != 2 || !checkLeafImage(t, based, encodedKeyLen, nil) {
-		t.Fatalf("a leaf of three id clusters has frame byte %#x", based[4])
+	if based[5] != 2 || !checkLeafImage(t, based, encodedKeyLen, nil) {
+		t.Fatalf("a leaf of three id clusters has %d selector bits", based[5])
 	}
-	for _, b4 := range []byte{based[4]&0x0f | 3<<4, based[4] | 0xc0, 1 << 4, 2 << 4} {
-		if checkLeafImage(t, damage(based, func(b []byte) { b[4] = b4 }), encodedKeyLen, nil) {
-			t.Errorf("leaf with frame byte %#x decoded", b4)
+	for _, w := range [][2]byte{{based[4], 3}, {based[4], 0xff}, {0, 1}, {1, 2}, {0, 2}} {
+		if checkLeafImage(t, damage(based, func(b []byte) { b[4], b[5] = w[0], w[1] }), encodedKeyLen, nil) {
+			t.Errorf("leaf with %d-bit id fields under %d selector bits decoded", w[0], w[1])
 		}
 	}
 	empty := damage(based, func(b []byte) { binary.LittleEndian.PutUint16(b[1:3], 0) })
@@ -478,36 +492,40 @@ func FuzzPageViews(f *testing.F) {
 	f.Add([]byte{byte(internalType), 0xff, 0xff}, uint8(7), []byte{9})
 	f.Add([]byte{byte(internalType), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}, uint8(7), []byte{9})
 	f.Add([]byte{byte(leafType), 9, 0}, uint8(4), []byte{})
-	// A leaf at every pair of widths, on the shortest key that holds
-	// the z width, and the same leaf with its frame corrupted: widths
-	// over the key, and widths that run the entries past the page.
-	for zw := 0; zw <= 8; zw++ {
-		for iw := 0; iw <= 8; iw++ {
-			keyLen := 8 + max(zw, 1)
-			img := framedLeafImage(rng, 128, keyLen, zw, iw, 2+rng.Intn((128-leafHeaderLen(keyLen))/keyLen-1))
+	// A leaf at bit widths on either side of a byte and of the 57 bits
+	// a read holds, on the shortest key that holds the z width, and the
+	// same leaf with its frame corrupted: widths over the key, a field
+	// over 57 bits off a byte, and widths that run the entries past the
+	// page.
+	widths := []int{0, 1, 7, 8, 9, 17, 31, 56, 57, 58, 63, 64}
+	for _, zb := range widths {
+		for _, ib := range widths {
+			keyLen := 8 + max((zb+7)/8, 1)
+			img := framedLeafImage(rng, 128, keyLen, zb, ib, 2+rng.Intn((128-leafHeaderLen(keyLen))/keyLen-1))
 			width := uint8(keyLen - 9)
-			f.Add(img, width, []byte{byte(zw), byte(iw)})
-			bad := append([]byte(nil), img...)
-			bad[3], bad[4] = byte(keyLen-7), byte(9+iw)
-			f.Add(bad, width, []byte{})
-			wide := append([]byte(nil), img...)
-			binary.LittleEndian.PutUint16(wide[1:3], uint16(128/keyLen+1))
-			wide[3], wide[4] = byte(keyLen-8), 8
-			f.Add(wide, width, []byte{})
+			f.Add(img, width, []byte{byte(zb), byte(ib)})
+			for _, w := range [][2]int{{8*(keyLen-8) + 1, ib}, {zb, 65 + ib%8}, {zb, 60}, {8 * (keyLen - 8), 64}} {
+				bad := append([]byte(nil), img...)
+				bad[3], bad[4] = byte(w[0]), byte(w[1])
+				if w[1] == 64 {
+					binary.LittleEndian.PutUint16(bad[1:3], uint16(128/keyLen+1))
+				}
+				f.Add(bad, width, []byte{})
+			}
 		}
 	}
 	// A leaf of clustered ids on each key length, whose frame may hold
 	// several id bases, and the same leaf with 3 selector bits and with
-	// its id width cleared under its selector bits.
+	// fewer id bits than selector bits.
 	for keyLen := 9; keyLen <= 16; keyLen++ {
-		es := clusteredEntries(rng, keyLen, rng.Intn(keyLen-7), (128-leafHeaderLen(keyLen))/keyLen)
+		es := clusteredEntries(rng, keyLen, rng.Intn(8*(keyLen-8)+1), (128-leafHeaderLen(keyLen))/keyLen)
 		img := make([]byte, 128)
 		encodeLeaf(img, es, frameOf(es, keyLen), keyLen)
 		width := uint8(keyLen - 9)
 		f.Add(img, width, []byte{})
-		for _, b4 := range []byte{img[4] | 3<<4, img[4] & 0xf0} {
+		for _, w := range [][2]byte{{img[4], 3}, {0, max(img[5], 1)}} {
 			bad := append([]byte(nil), img...)
-			bad[4] = b4
+			bad[4], bad[5] = w[0], w[1]
 			f.Add(bad, width, []byte{})
 		}
 	}

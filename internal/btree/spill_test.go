@@ -196,27 +196,46 @@ func spillInsert(t *testing.T, tree *Tree, k Key) (before, after []int) {
 // 512-byte pages at a derived capacity.
 func loadSpillTree(t *testing.T, keyBits, n int, fill float64, hi, lo func(i int) uint64) *Tree {
 	t.Helper()
+	return loadTree(t, 512, keyBits, n, fill, hi, lo)
+}
+
+// loadTree is loadSpillTree on pages of pageSize bytes.
+func loadTree(t *testing.T, pageSize, keyBits, n int, fill float64, hi, lo func(i int) uint64) *Tree {
+	t.Helper()
 	es := make([]Entry, n)
 	for i := range es {
 		es[i].Key = Key{Hi: hi(i), Lo: lo(i)}
 	}
-	tree, err := Load(disk.MustPool(disk.MustMemStore(512), 256, disk.LRU), Config{KeyBits: keyBits}, es, fill)
+	tree, err := Load(disk.MustPool(disk.MustMemStore(pageSize), 256, disk.LRU), Config{KeyBits: keyBits}, es, fill)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tree
 }
 
+// fullLeaf returns how many of the keys Hi(i), Lo(i) from i = 0 fill
+// one leaf on a page of pageSize bytes: a bulk load of twice as many
+// keys puts that many in its first leaf.
+func fullLeaf(t *testing.T, pageSize, keyBits int, hi, lo func(i int) uint64) int {
+	t.Helper()
+	counts, _ := leafCounts(t, loadTree(t, pageSize, keyBits, 2*pageSize, 1, hi, lo))
+	return counts[0]
+}
+
 // TestLeafSpill: at a derived capacity a leaf that overflows spreads
 // over its window, itself and its neighbours under the same parent,
-// into as many leaves or one more, before it splits alone. On a
-// 512-byte page an 11-byte key gives minCap 45, a count cap of 89 and
-// minLeaf 22; a 16-byte key gives 30, 59 and 15.
+// into as many leaves or one more, before it is cut alone. On a
+// 512-byte page an 11-byte key gives minCap 45 and minLeaf 22, and the
+// loaded keys, z 4i and id i, take 16 bits an entry in a run of 65 to
+// 128 of them and 18 bits in one of 129 to 256: a leaf holds 119 at
+// half the page and 220 at all of it. An inserted key between two
+// loaded ones, into(i), keeps a leaf's frame, so one more key
+// overflows a full leaf by its bytes.
 func TestLeafSpill(t *testing.T) {
 	step := func(i int) uint64 { return uint64(4*i) << 40 }
 	id := func(i int) uint64 { return uint64(i) }
 	// into is a key that lands after the i-th loaded key.
-	into := func(i int) Key { return Key{Hi: step(i) + 1<<40, Lo: uint64(5000 + i)} }
+	into := func(i int) Key { return Key{Hi: step(i) + 1<<40, Lo: uint64(i)} }
 	spill := func(t *testing.T, tree *Tree, k Key, was, want []int) {
 		t.Helper()
 		before, after := spillInsert(t, tree, k)
@@ -226,15 +245,15 @@ func TestLeafSpill(t *testing.T) {
 	}
 
 	t.Run("redistribute", func(t *testing.T) {
-		// Two leaves of 44; the right one fills to its count cap with
-		// inserts, then overflows into its left sibling.
-		tree := loadSpillTree(t, 24, 88, 0.5, step, id)
-		for j := 0; j < 45; j++ {
-			if err := tree.Insert(Key{Hi: step(44+j) + 1<<40, Lo: uint64(1000 + j)}, nil); err != nil {
+		// Two leaves of 119; the right one fills its page with inserts,
+		// then overflows into its left sibling.
+		tree := loadSpillTree(t, 24, 238, 0.5, step, id)
+		for i := 238; i < 339; i++ {
+			if err := tree.Insert(Key{Hi: step(i), Lo: id(i)}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		spill(t, tree, Key{Hi: step(44+45) + 1<<40, Lo: 1045}, []int{44, 89}, []int{67, 67})
+		spill(t, tree, Key{Hi: step(339), Lo: id(339)}, []int{119, 220}, []int{170, 170})
 		// The root's one separator lies between the two pieces.
 		data, err := tree.pool.View(tree.currentVersion().root, nil)
 		if err != nil {
@@ -255,7 +274,7 @@ func TestLeafSpill(t *testing.T) {
 		if ok, err := c.First(); !ok || err != nil {
 			t.Fatal(ok, err)
 		}
-		for i := 1; i < 67; i++ {
+		for i := 1; i < 170; i++ {
 			c.Next()
 		}
 		leftMax := c.Key()
@@ -267,27 +286,27 @@ func TestLeafSpill(t *testing.T) {
 
 	t.Run("split three ways", func(t *testing.T) {
 		// Two full leaves: the pair cannot fit two, so it becomes three.
-		spill(t, loadSpillTree(t, 24, 178, 1, step, id), into(10), []int{89, 89}, []int{59, 60, 60})
+		spill(t, loadSpillTree(t, 24, 440, 1, step, id), into(10), []int{220, 220}, []int{147, 147, 147})
 	})
 
 	t.Run("four from three", func(t *testing.T) {
 		// A full leaf between two full neighbours: the window of three
 		// cannot fit three leaves, so it becomes four.
-		spill(t, loadSpillTree(t, 24, 267, 1, step, id), into(100), []int{89, 89, 89}, []int{67, 67, 67, 67})
+		spill(t, loadSpillTree(t, 24, 660, 1, step, id), into(300), []int{220, 220, 220}, []int{165, 165, 165, 166})
 	})
 
 	t.Run("room on one side", func(t *testing.T) {
 		// A full leaf whose right neighbour has room: the window keeps its
 		// three leaves.
-		spill(t, loadSpillTree(t, 24, 222, 1, step, id), into(100), []int{89, 89, 44}, []int{74, 74, 75})
+		spill(t, loadSpillTree(t, 24, 540, 1, step, id), into(300), []int{220, 220, 100}, []int{180, 180, 181})
 	})
 
 	t.Run("edge of the parent", func(t *testing.T) {
 		// The first child's window is itself and its right neighbour; the
 		// third leaf keeps its page.
-		tree := loadSpillTree(t, 24, 267, 1, step, id)
+		tree := loadSpillTree(t, 24, 660, 1, step, id)
 		_, was := leafCounts(t, tree)
-		spill(t, tree, into(10), []int{89, 89, 89}, []int{59, 60, 60, 89})
+		spill(t, tree, into(10), []int{220, 220, 220}, []int{147, 147, 147, 220})
 		if _, ids := leafCounts(t, tree); ids[3] != was[2] {
 			t.Errorf("the leaf outside the window moved from page %d to %d", was[2], ids[3])
 		}
@@ -295,7 +314,7 @@ func TestLeafSpill(t *testing.T) {
 
 	t.Run("single-leaf window", func(t *testing.T) {
 		// A full root leaf has no neighbour: it splits in half.
-		spill(t, loadSpillTree(t, 24, 89, 1, step, id), into(10), []int{89}, []int{45, 45})
+		spill(t, loadSpillTree(t, 24, 220, 1, step, id), into(10), []int{220}, []int{110, 111})
 	})
 
 	t.Run("no cut fits", func(t *testing.T) {
@@ -317,6 +336,41 @@ func TestLeafSpill(t *testing.T) {
 			return 1<<62 + uint64(i)
 		}, func(i int) uint64 { return ids[i] })
 		spill(t, tree, Key{Hi: 50, Lo: rng.Uint64()}, []int{54, 54}, []int{36, 30, 43})
+	})
+
+	t.Run("byte-full leaf", func(t *testing.T) {
+		// A root leaf as full as its 4 KiB page's bytes allow: z steps of
+		// 97 from 2^23 and 17-bit ids, 34 bits an entry, about 960 keys.
+		// One more key at its front, middle or back, with an id of 2^63
+		// or with a z far from the others, widens only the frame of the
+		// piece that holds it: the leaf is cut in two.
+		hi := func(i int) uint64 { return uint64(1<<23+97*i) << 40 }
+		lo := func(i int) uint64 { return uint64(i) * 2654435761 % (1 << 17) }
+		n := fullLeaf(t, 4096, 24, hi, lo)
+		for _, k := range []Key{
+			{Hi: hi(0), Lo: 1 << 63}, {Hi: hi(n / 2), Lo: 1 << 63}, {Hi: hi(n - 1), Lo: 1 << 63},
+			{Hi: 0, Lo: 1}, {Hi: 0xffffff << 40, Lo: 1},
+		} {
+			tree := loadTree(t, 4096, 24, n, 1, hi, lo)
+			if _, after := spillInsert(t, tree, k); len(after) != 2 {
+				t.Errorf("a full leaf of %d keys took %v as %d leaves", n, k, len(after))
+			}
+		}
+	})
+
+	t.Run("fifth id group", func(t *testing.T) {
+		// A byte-full root leaf whose ids fall in four groups from 0,
+		// 2^40, 2^41 and 3 * 2^40, each a base of an 11-bit id field. A key
+		// in its middle with an id from 5 * 2^40 makes a fifth group, and
+		// a piece that holds it needs 43-bit id fields: no cut in two
+		// fits, and three pieces do.
+		hi := func(i int) uint64 { return uint64(1<<23+97*i) << 40 }
+		lo := func(i int) uint64 { return uint64(i%4)<<40 + uint64(i/4) }
+		n := fullLeaf(t, 4096, 24, hi, lo)
+		tree := loadTree(t, 4096, 24, n, 1, hi, lo)
+		if _, after := spillInsert(t, tree, Key{Hi: hi(n/2) + 1<<40, Lo: 5 << 40}); len(after) != 3 {
+			t.Errorf("a full leaf of %d keys in four id groups took a fifth as %v", n, after)
+		}
 	})
 
 	t.Run("batches", func(t *testing.T) {
@@ -387,7 +441,7 @@ func TestFitSpanMatchesFrameOf(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rng.Intn(2) == 0 {
-			minCap := (tree.leafCap + 1) / 2
+			minCap := (tree.pageSize - leafHeaderLen(tree.keyLen)) / tree.keyLen
 			cfg.LeafCapacity = 2 + rng.Intn(minCap-1)
 			if tree, err = newTreeShell(pool, cfg); err != nil {
 				t.Fatal(err)
@@ -398,7 +452,7 @@ func TestFitSpanMatchesFrameOf(t *testing.T) {
 			fill := 0.5 + rng.Float64()/2
 			maxCount, maxBytes = int(fill*float64(maxCount)), int(fill*float64(maxBytes))
 		}
-		es := clusteredEntries(rng, tree.keyLen, rng.Intn(tree.keyLen-7), 1+rng.Intn(min(2*tree.leafCap, 600)))
+		es := clusteredEntries(rng, tree.keyLen, rng.Intn(8*(tree.keyLen-8)+1), 1+rng.Intn(min(2*tree.leafCap, 600)))
 		for _, step := range []int{+1, -1} {
 			run := func(n int) []Entry {
 				if step < 0 {
@@ -421,7 +475,7 @@ func TestFitSpanMatchesFrameOf(t *testing.T) {
 			sels[f.sel]++
 			data := make([]byte, maxBytes)
 			encodeLeaf(data, run(got), f, tree.keyLen)
-			if back, err := decodeLeaf(data, tree.keyLen); err != nil || !reflect.DeepEqual(back, run(got)) {
+			if back, err := decodeLeaf(nil, data, tree.keyLen); err != nil || !reflect.DeepEqual(back, run(got)) {
 				t.Fatalf("round %d, step %+d: a run of %d decodes as %d entries, %v", round, step, got, len(back), err)
 			}
 		}
@@ -444,6 +498,9 @@ func FuzzLeafSpill(f *testing.F) {
 	f.Add(int64(2), uint8(0), uint16(300), uint8(40))
 	f.Add(int64(3), uint8(8), uint16(178), uint8(20))
 	f.Add(int64(4), uint8(40), uint16(900), uint8(60))
+	f.Add(int64(5), uint8(24), uint16(999), uint8(63))
+	f.Add(int64(6), uint8(0), uint16(120), uint8(63))
+	f.Add(int64(7), uint8(8), uint16(600), uint8(63))
 	f.Fuzz(func(t *testing.T, seed int64, bits uint8, loaded uint16, batches uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		keyBits := []int{8, 24, 40, 64}[bits%4]

@@ -12,13 +12,14 @@ import (
 // Config tunes a tree.
 type Config struct {
 	// LeafCapacity is the maximum number of entries per leaf, at most
-	// what fits the page at the widest frame (node.go). Zero derives
-	// the capacity from the page: a leaf is then bounded by its bytes,
-	// at the frame its keys need, and by twice that count less one, and
-	// a full leaf spreads over itself and its neighbours, as many leaves
-	// or one more, before it splits alone (splitLeaf). An explicit
-	// capacity splits a full leaf in half, so it gives the same leaves
-	// whatever frames the keys need. The paper's experiments use 20.
+	// what fits the page at the widest frame (node.go) and 65 535. Zero
+	// derives the capacity from the page: a leaf is then bounded by its
+	// bytes, at the frame its keys need, and by the 65 535 entries its
+	// header counts, and a full leaf spreads over itself and its
+	// neighbours, as many leaves or one more, before it is cut alone into
+	// the fewest leaves that fit (splitLeaf). An explicit capacity splits
+	// a full leaf in half, so it gives the same leaves whatever frames the
+	// keys need. The paper's experiments use 20.
 	LeafCapacity int
 	// KeyBits is how many leading bits of Key.Hi a stored key may set;
 	// zero means all 64. The tree stores only the bytes of Hi those
@@ -49,8 +50,12 @@ type Tree struct {
 	fanout   int // max children of an internal node
 
 	// writeMu serializes structural writers (Insert, Delete, and
-	// version publication from Load).
+	// version publication from Load). It guards the writer's buffers,
+	// kept for the next write: leaf, the keys of the leaf a write edits,
+	// and window, those of the leaves a split spreads over (splitLeaf).
 	writeMu sync.Mutex
+	leaf    []Entry
+	window  []Entry
 
 	// verMu guards the version chain: cur, pin counts, and the retire
 	// queue. It is held only for pointer-sized critical sections —
@@ -84,25 +89,24 @@ func newTreeShell(pool *disk.Pool, cfg Config) (*Tree, error) {
 	}
 	keyLen := keyLenFor(keyBits)
 	// minCap entries fit a page at the widest frame, whatever their keys.
-	minCap := (ps - leafHeaderLen(keyLen)) / keyLen
+	minCap := min((ps-leafHeaderLen(keyLen))/keyLen, maxCount)
 	if minCap < 2 {
 		return nil, fmt.Errorf("btree: page size %d cannot hold 2 keys of %d bytes", ps, keyLen)
 	}
 	leafCap, minLeaf := leafCapacity, leafCapacity/2
 	if leafCap == 0 {
-		// A leaf of minLeaf entries fits at any frame. So does a merge of
-		// an underfull leaf into one that cannot lend (at most
-		// 2*minLeaf-1 entries), and each half of a leaf that overflows
-		// its count or its page (minCap+1 to 2*minCap entries): the split
-		// that is left when no cut spreads the leaf over its window.
-		leafCap, minLeaf = 2*minCap-1, minCap/2
+		// A leaf of minLeaf entries fits at any frame, and so does a merge
+		// of an underfull leaf into one that cannot lend (at most
+		// 2*minLeaf-1 entries). Otherwise a leaf is bounded by its bytes
+		// and by the count its header holds.
+		leafCap, minLeaf = maxCount, minCap/2
 	} else if leafCap < 2 || leafCap > minCap {
 		return nil, fmt.Errorf("btree: leaf capacity %d outside [2,%d]", leafCapacity, minCap)
 	}
 	// Pessimistic fanout: assume every separator is a full key, so
 	// any mix of truncated separators always fits the page.
 	// internalHeaderLen + fanout*4 + (fanout-1)*(2+keyLen) <= ps
-	fanout := (ps - internalHeaderLen + 2 + keyLen) / (4 + 2 + keyLen)
+	fanout := min((ps-internalHeaderLen+2+keyLen)/(4+2+keyLen), maxCount)
 	if fanout < 4 {
 		return nil, fmt.Errorf("btree: page size %d too small for internal nodes", ps)
 	}
@@ -121,41 +125,21 @@ func (t *Tree) fitLeaf(es []Entry) (leafFrame, bool) {
 
 // fitSpan returns the length of the longest run of es, taken from its
 // front (step +1) or its back (step -1), of at most maxCount entries
-// whose image at its canonical frame is at most maxBytes; es is not
-// empty. Keys ascend, so a run's z delta is its last z less its first
-// and the running id bounds give its plain frame: one pass finds the
-// longest run that fits at that frame. Id bases never make a run's
-// image larger, and a shorter run's never larger than a longer one's,
-// so the runs past it are searched by halves at their canonical frames;
-// when the next run does not fit that is one frameOf.
+// whose image at its canonical frame is at most maxBytes, and one entry
+// at least; es is not empty. A shorter run's image is never larger, so
+// one frameScan runs to the first entry that no frame fits.
 func (t *Tree) fitSpan(es []Entry, step, maxCount, maxBytes int) int {
-	drop, i := zDrop(t.keyLen), 0
+	i := 0
 	if step < 0 {
 		i = len(es) - 1
 	}
-	z, lo, hi := es[i].Key.Hi>>drop, es[i].Key.Lo, es[i].Key.Lo
+	s := newFrameScan(t.keyLen, es[i].Key, step < 0)
 	n := 1
-	for ; n < len(es); n++ {
-		k := es[i+n*step].Key
-		dz := k.Hi>>drop - z
-		if step < 0 {
-			dz = -dz
-		}
-		lo, hi = min(lo, k.Lo), max(hi, k.Lo)
-		if n+1 > maxCount || leafBytes(n+1, leafFrame{zw: bytesFor(dz), iw: bytesFor(hi - lo)}, t.keyLen) > maxBytes {
+	for ; n < min(len(es), maxCount); n++ {
+		s.add(es[i+n*step : i+n*step+1])
+		if _, size := s.shape(); size > maxBytes {
 			break
 		}
-	}
-	fits := func(n int) bool {
-		run := es[:n]
-		if step < 0 {
-			run = es[len(es)-n:]
-		}
-		return leafBytes(n, frameOf(run, t.keyLen), t.keyLen) <= maxBytes
-	}
-	if top := min(len(es), maxCount); n < top && fits(n+1) {
-		n0 := n + 1
-		n = n0 + sort.Search(top-n0, func(k int) bool { return !fits(n0 + k + 1) })
 	}
 	return n
 }
@@ -276,7 +260,8 @@ func (t *Tree) Height() int { return t.currentVersion().height }
 func (t *Tree) LeafPages() int { return t.currentVersion().leaves }
 
 // LeafCapacity returns the maximum entries per leaf: the configured
-// capacity, or the count cap of a derived one (see Config).
+// capacity, or 65 535, the most a leaf header counts, for a derived one
+// (see Config).
 func (t *Tree) LeafCapacity() int { return t.leafCap }
 
 // Pool returns the buffer pool the tree lives on.
@@ -485,7 +470,7 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key) (*version, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := t.loadLeaf(leafID)
+	n, err := t.loadLeaf(t.leaf[:0], leafID)
 	if err != nil {
 		return nil, err
 	}
@@ -494,6 +479,7 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key) (*version, error) {
 		return nil, ErrDuplicateKey
 	}
 	n = slices.Insert(n, i, Entry{Key: k})
+	t.leaf = n
 
 	nv := &version{seq: v.seq + 1, height: v.height, count: v.count + 1, leaves: v.leaves}
 	if f, ok := t.fitLeaf(n); ok {
@@ -523,41 +509,58 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key) (*version, error) {
 // capacity n spreads over its window, itself and its neighbours under
 // parent (up to three leaves), as a B*-tree shares a full node: the
 // window's entries are cut into as many leaves as it has, or else one
-// more (spread). Otherwise, and always at an explicit capacity, n splits
-// in half; both halves fit (newTreeShell).
+// more (spread). The neighbours' keys are decoded from their page views
+// straight into t.window. Otherwise, as for a root leaf and always at
+// an explicit capacity, n is cut alone into the fewest pieces that fit:
+// two, the half split at an explicit capacity, unless its new key adds
+// an id group that no frame of two pieces narrows; three always fit.
+// Each piece that does not hold the new key is a run of the leaf that
+// fitted, so it fits, and the one that does may be as short as minLeaf
+// entries, which fit at any frame.
 func (t *Tree) splitLeaf(w *cow, nv *version, parent *internalNode, ci int, n []Entry) error {
-	if t.cfgCap == 0 {
+	if t.cfgCap == 0 && len(parent.children) > 1 {
 		lo, hi := max(ci-1, 0), min(ci+1, len(parent.children)-1)
-		var all []Entry
+		all, err := t.window[:0], error(nil)
 		for j := lo; j <= hi; j++ {
-			es := n
-			if j != ci {
-				var err error
-				if es, err = t.loadLeaf(parent.children[j]); err != nil {
-					return err
-				}
+			if j == ci {
+				all = append(all, n...)
+			} else if all, err = t.loadLeaf(all, parent.children[j]); err != nil {
+				return err
 			}
-			all = append(all, es...)
 		}
-		for k := max(hi-lo+1, 2); k <= hi-lo+2; k++ {
+		t.window = all
+		for k := hi - lo + 1; k <= hi-lo+2; k++ {
 			if cuts, ok := t.spread(all, k); ok {
 				return t.putWindow(w, nv, parent, lo, hi-lo+1, all, cuts)
 			}
 		}
 	}
-	return t.putWindow(w, nv, parent, ci, 1, n, []int{0, len(n) / 2, len(n)})
+	for k := 2; k <= 3; k++ {
+		if cuts, ok := t.spread(n, k); ok {
+			return t.putWindow(w, nv, parent, ci, 1, n, cuts)
+		}
+	}
+	return fmt.Errorf("btree: a leaf of %d entries fits no three leaves", len(n))
 }
 
 // spread cuts all into k leaves of at least minLeaf entries that pass
 // fitLeaf, at the cuts nearest its even shares, and returns the k+1 cut
-// positions from 0 to len(all). Left to right, cut i lies at least
-// minLeaf past cut i-1, within the longest run from it that fits a
-// leaf, and no earlier than back[i], from which the k-i pieces after it
-// fit as the longest runs taken from the back (fitSpan). It reports
-// false when no such cut is left.
+// positions from 0 to len(all). The even cuts come first: when each
+// even piece is a leaf, they are the cuts the search below would pick.
+// Left to right, cut i lies at least minLeaf past cut i-1, within the
+// longest run from it that fits a leaf, and no earlier than back[i],
+// from which the k-i pieces after it fit as the longest runs taken from
+// the back (fitSpan). It reports false when no such cut is left.
 func (t *Tree) spread(all []Entry, k int) ([]int, bool) {
-	back, cuts := make([]int, k+1), make([]int, k+1)
-	back[k], cuts[k] = len(all), len(all)
+	cuts := make([]int, k+1)
+	for i := 1; i <= k; i++ {
+		cuts[i] = i * len(all) / k
+	}
+	if t.leaves(all, cuts) {
+		return cuts, true
+	}
+	back := make([]int, k+1)
+	back[k] = len(all)
 	for i := k - 1; i > 0 && back[i+1] > 0; i-- {
 		back[i] = back[i+1] - t.fitSpan(all[:back[i+1]], -1, t.leafCap, t.pageSize)
 	}
@@ -570,27 +573,36 @@ func (t *Tree) spread(all []Entry, k int) ([]int, bool) {
 		}
 		cuts[i] = min(max(i*len(all)/k, lo), hi)
 	}
-	for i := 0; i < k; i++ {
-		if _, ok := t.fitLeaf(all[cuts[i]:cuts[i+1]]); !ok {
-			return nil, false
+	return cuts, t.leaves(all, cuts)
+}
+
+// leaves reports whether each piece of all between cuts has at least
+// minLeaf entries and passes fitLeaf.
+func (t *Tree) leaves(all []Entry, cuts []int) bool {
+	for i := 0; i+1 < len(cuts); i++ {
+		piece := all[cuts[i]:cuts[i+1]]
+		if _, ok := t.fitLeaf(piece); len(piece) < t.minLeaf || !ok {
+			return false
 		}
 	}
-	return cuts, true
+	return true
 }
 
 // putWindow writes all, cut at cuts, over the m leaves from child lo of
-// parent, and the piece past them, if any, as a new leaf; it resets the
+// parent, and the pieces past them, if any, as new leaves; it resets the
 // separators between the pieces.
 func (t *Tree) putWindow(w *cow, nv *version, parent *internalNode, lo, m int, all []Entry, cuts []int) (err error) {
 	for j := 0; j+1 < len(cuts); j++ {
 		piece := all[cuts[j]:cuts[j+1]]
-		if j == m {
-			return t.addLeaf(w, nv, parent, lo+j-1, all[cuts[j]-1].Key, piece)
+		if j >= m {
+			err = t.addLeaf(w, nv, parent, lo+j-1, all[cuts[j]-1].Key, piece)
+		} else {
+			if j > 0 {
+				parent.seps[lo+j-1] = t.separator(all[cuts[j]-1].Key, piece[0].Key)
+			}
+			parent.children[lo+j], err = w.putLeaf(parent.children[lo+j], piece)
 		}
-		if j > 0 {
-			parent.seps[lo+j-1] = t.separator(all[cuts[j]-1].Key, piece[0].Key)
-		}
-		if parent.children[lo+j], err = w.putLeaf(parent.children[lo+j], piece); err != nil {
+		if err != nil {
 			return err
 		}
 	}

@@ -14,25 +14,26 @@ import (
 // TestPageGateLeafDensity pins how many leaves a bulk load of 50 000
 // uniform points fills, and so the store's bytes per point. A leaf
 // stores each key as its distance from the leaf's first z value and
-// smallest id, in as many bytes as the widest distance needs, behind a
+// smallest id, in as many bits as the widest distance needs, behind a
 // header that holds that frame (internal/btree). A derived capacity
-// packs a leaf by bytes, up to a count cap of twice the keys that fit
-// the page at full width, less one. An explicit capacity cuts leaves by
-// count alone, as it did before keys were framed, so the paper's 20
-// points per page gives exactly its old leaves. A layout change that
-// costs density fails here before it shows in the benchmark.
+// packs a leaf by its bytes alone, up to the 65 535 entries its header
+// counts. An explicit capacity cuts leaves by count alone, as it did
+// before keys were framed, so the paper's 20 points per page gives
+// exactly its old leaves. A layout change that costs density fails
+// here before it shows in the benchmark.
 func TestPageGateLeafDensity(t *testing.T) {
 	const n, pageSize = 50000, 4096
 	for _, c := range []struct {
 		dims, bits, capacity int
 		leaves               int
 	}{
-		// The benchmark's grid: 5.6 bytes of leaf per point; 135 leaves
+		// The benchmark's grid: 4.4 bytes of leaf per point; 68 leaves
+		// (5.6 bytes) in whole-byte fields under a count cap of 739, 135
 		// (11.1 bytes) with every key at its full 11 bytes.
-		{2, 12, 0, 68},
-		{1, 8, 0, 56},   // at the count cap of 905
-		{3, 21, 0, 123}, // 63 bits round up to the full 8 z bytes
-		{2, 32, 0, 123},
+		{2, 12, 0, 54},
+		{1, 8, 0, 31},   // 56 under a count cap of 905
+		{3, 21, 0, 123}, // a 63-bit z delta keeps both fields in whole bytes
+		{2, 32, 0, 122}, // 123 in whole-byte fields
 		{2, 12, 20, 2500},
 	} {
 		g := zorder.MustGrid(c.dims, c.bits)
@@ -41,10 +42,9 @@ func TestPageGateLeafDensity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keyLen := (g.TotalBits()+7)/8 + 8
 		capacity := c.capacity
 		if capacity == 0 {
-			capacity = 2*((pageSize-5-keyLen)/keyLen) - 1
+			capacity = 65535
 		}
 		if got := ix.Tree().LeafCapacity(); got != capacity {
 			t.Errorf("%v: capacity %d, want %d", g, got, capacity)
@@ -59,17 +59,46 @@ func TestPageGateLeafDensity(t *testing.T) {
 	}
 }
 
+// TestPageGateBulkLeafDensity pins the leaves a bulk load of the
+// benchmark's data set fills: 200 000 points on its 2 x 12-bit grid,
+// half uniform and half in Gaussian clusters of 500, one point a
+// pixel, ids 1 to n in that order, on 4 KiB pages at a derived
+// capacity. Whole-byte key fields under a count cap of 739 filled 276
+// leaves, 5.72 bytes per point.
+func TestPageGateBulkLeafDensity(t *testing.T) {
+	const n, pageSize = 200000, 4096
+	g := zorder.MustGrid(2, 12)
+	pts := workload.Uniform(g, n/2, 1)
+	pts = workload.Dedupe(g, append(pts, workload.Clustered(g, n/2/500, 500, 48, 2)...))
+	for i := range pts {
+		pts[i].ID = uint64(i + 1)
+	}
+	pool := disk.MustPool(disk.MustMemStore(pageSize), 64, disk.LRU)
+	ix, err := NewIndexBulk(pool, g, IndexConfig{}, pts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ix.Tree().LeafPages(), 211; got != want {
+		t.Errorf("%d points in %d leaves (%.2f bytes per point), want %d (%.2f)", len(pts), got,
+			float64(got*pageSize)/float64(len(pts)), want, float64(want*pageSize)/float64(len(pts)))
+	}
+	if err := ix.Tree().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPageGateInsertedLeafDensity pins how many leaves a bulk-loaded
 // index has after writes near its data: 150 batches of 8 points, each
 // within 64 pixels of a stored one, on the benchmark's grid at a
-// derived capacity. The bulk load packs its leaves to the count cap,
-// so nearly every leaf the writes reach overflows; it spreads over its
+// derived capacity. The bulk load packs its leaves to their bytes, so
+// nearly every leaf the writes reach overflows; it spreads over its
 // neighbours before it adds a leaf (internal/btree), which keeps the
-// leaves full: 85 leaves, where sharing with one sibling left 95 and
-// splitting each full leaf in half 135. New ids from 2^40 take a second
-// id base rather than 6-byte id deltas, and the benchmark's own ids,
-// two connections' counters from 2^40 and 2^40 + 2^32 interleaved, a
-// third: 85 leaves too (98 with one sibling).
+// leaves full: 67 leaves, where whole-byte key fields under a count
+// cap left 85, sharing with one sibling 95 and splitting each full
+// leaf in half 135. New ids from 2^40 take a second id base rather
+// than 41-bit id deltas, and the benchmark's own ids, two connections'
+// counters from 2^40 and 2^40 + 2^32 interleaved, a third: 67 leaves
+// too (85 in whole bytes, 98 with one sibling).
 func TestPageGateInsertedLeafDensity(t *testing.T) {
 	const n, pageSize = 50000, 4096
 	g := zorder.MustGrid(2, 12)
@@ -78,9 +107,9 @@ func TestPageGateInsertedLeafDensity(t *testing.T) {
 		conns   int
 		leaves  int
 	}{
-		{1 << 20, 1, 85},
-		{1 << 40, 1, 85},
-		{1 << 40, 2, 85},
+		{1 << 20, 1, 67},
+		{1 << 40, 1, 67},
+		{1 << 40, 2, 67},
 	} {
 		pts := workload.Uniform(g, n, 7)
 		pool := disk.MustPool(disk.MustMemStore(pageSize), 64, disk.LRU)

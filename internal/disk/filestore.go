@@ -31,7 +31,7 @@ type FileStore struct {
 	corrupt   map[PageID]bool // slots that failed the open-time scan
 	lsn       uint64          // highest LSN stamped or seen
 	ckptLSN   uint64          // superblock checkpoint LSN
-	slot      []byte          // header+page scratch of Read and writeSlot; guarded by mu
+	slot      []byte          // header+page scratch of Read and writeSlot (slotBuf); guarded by mu
 	closed    bool
 }
 
@@ -59,7 +59,6 @@ func CreateFileStoreFS(fsys FS, path string, pageSize int) (*FileStore, error) {
 		next:      1,
 		allocated: make(map[PageID]bool),
 		corrupt:   make(map[PageID]bool),
-		slot:      make([]byte, pageHeaderLen+pageSize),
 	}
 	if err := s.stampSuperblock(0); err != nil {
 		f.Close()
@@ -120,7 +119,6 @@ func openScan(f File, path string) (*FileStore, error) {
 		corrupt:   make(map[PageID]bool),
 		ckptLSN:   ckptLSN,
 		lsn:       ckptLSN,
-		slot:      make([]byte, pageHeaderLen+pageSize),
 	}
 	slot := int64(pageHeaderLen + pageSize)
 	n := (size - superblockLen) / slot
@@ -130,9 +128,8 @@ func openScan(f File, path string) (*FileStore, error) {
 			return nil, fmt.Errorf("disk: %s: truncate torn tail: %w", path, err)
 		}
 	}
-	buf := s.slot
 	for i := int64(1); i <= n; i++ {
-		id := PageID(i)
+		id, buf := PageID(i), s.slotBuf()
 		if err := readFull(f, buf, s.offset(id)); err != nil {
 			return nil, fmt.Errorf("disk: %s: scan page %d: %w", path, id, err)
 		}
@@ -251,6 +248,16 @@ func (s *FileStore) Close() error {
 // PageSize returns the payload bytes per page.
 func (s *FileStore) PageSize() int { return s.pageSize }
 
+// slotBuf returns the slot scratch, made at its first use: a superblock
+// is trusted with the page size only once the file holds a slot of it
+// or a page is written. The caller holds s.mu (or the store is private).
+func (s *FileStore) slotBuf() []byte {
+	if s.slot == nil {
+		s.slot = make([]byte, pageHeaderLen+s.pageSize)
+	}
+	return s.slot
+}
+
 func (s *FileStore) offset(id PageID) int64 {
 	return superblockLen + int64(id-1)*int64(pageHeaderLen+s.pageSize)
 }
@@ -258,7 +265,7 @@ func (s *FileStore) offset(id PageID) int64 {
 // writeSlot stamps and writes a full slot (a nil payload: a zero page).
 // The caller holds s.mu.
 func (s *FileStore) writeSlot(id PageID, hdrID PageID, lsn uint64, payload []byte) error {
-	slot := s.slot
+	slot := s.slotBuf()
 	n := copy(slot[pageHeaderLen:], payload)
 	clear(slot[pageHeaderLen+n:])
 	encodePageHeader(slot, hdrID, lsn)
@@ -330,7 +337,7 @@ func (s *FileStore) Read(id PageID, buf []byte) error {
 	if len(buf) != s.pageSize {
 		return fmt.Errorf("disk: read buffer has %d bytes, want %d", len(buf), s.pageSize)
 	}
-	slot := s.slot
+	slot := s.slotBuf()
 	if err := readFull(s.f, slot, s.offset(id)); err != nil {
 		return fmt.Errorf("disk: %s: read page %d: %w", s.path, id, err)
 	}

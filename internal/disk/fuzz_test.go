@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"probe/internal/disk"
@@ -213,4 +214,28 @@ func FuzzFileStoreOpen(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFileStoreOpenAllocatesForSlotsItHolds: the open scan sizes its
+// slot buffer by the superblock's page size only once the file holds a
+// slot of that size. A 64-byte file whose checksummed superblock names
+// 16 MiB pages opens as an empty store without allocating a page.
+func TestFileStoreOpenAllocatesForSlotsItHolds(t *testing.T) {
+	const pageSize = 16 << 20
+	fsys := faultfs.New()
+	writeImage(t, fsys, "db", disk.EncodeSuperblock(pageSize, 0))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fs, err := disk.OpenFileStoreFS(fsys, "db")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if n, _, _, _ := fs.SlotStates(); n != 0 || fs.PageSize() != pageSize {
+		t.Fatalf("a file of no slot opened with %d slots of %d bytes", n, fs.PageSize())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("opening a 64-byte page file allocated %d bytes", got)
+	}
 }

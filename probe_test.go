@@ -439,3 +439,26 @@ func TestScan(t *testing.T) {
 		t.Errorf("early stop delivered %d", n)
 	}
 }
+
+// TestLargePageLeafCount: a leaf header counts its entries in 16 bits,
+// so no leaf may hold more than 65 535 even where its page's bytes
+// would take more. 100 000 points bulk-loaded on 1 MiB pages fit one
+// leaf's bytes; they take two leaves, and a scan returns every one.
+func TestLargePageLeafCount(t *testing.T) {
+	pts := make([]probe.Point, 100000)
+	for i := range pts {
+		pts[i] = probe.Pt2(uint64(i+1), uint32(i%3125), uint32(i/3125))
+	}
+	db, err := probe.Open(probe.MustGrid(2, 12), probe.WithPageSize(1<<20), probe.WithBulkLoad(pts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	n := 0
+	if err := db.Scan(func(probe.Point) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(pts) || db.LeafPages() < 2 {
+		t.Fatalf("a scan of %d points in %d leaves returned %d", len(pts), db.LeafPages(), n)
+	}
+}
