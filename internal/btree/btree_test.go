@@ -689,7 +689,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		edit(img, func(i int, edit func(uint64) uint64) {
-			end := uint(8*p.first) + uint(i+1)*p.stride
+			end := uint(p.zAt + maxFieldBits + p.ibits + i*p.stride)
 			mask, pad := ^uint64(0)>>(64-f.ibits), -end&7
 			b := img[(end+7)/8-8:]
 			word := binary.BigEndian.Uint64(b)
@@ -745,6 +745,63 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	tree.cur.leaves--
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatalf("restored tree fails invariant check: %v", err)
+	}
+
+	// A root leaf of 100 keys, z 3i and id i, has four blocks: three
+	// stored bases of 9 bits and z deltas of 7. Block 2's base damaged:
+	// past every key, it breaks the key order; one below its first key,
+	// with the block's z deltas raised to match, it would decode to the
+	// same keys, but a block's first z delta must be 0.
+	var es []Entry
+	for i := uint64(0); i < 100; i++ {
+		es = append(es, Entry{Key: Key{Hi: 3 * i, Lo: i}})
+	}
+	blocks, err := Load(disk.MustPool(disk.MustMemStore(4096), 8, disk.LRU), Config{}, es, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := blocks.Meta().Root
+	data, err := blocks.pool.View(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := viewLeaf(data, blocks.keyLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := p.frame; f.zbits != 9 || f.bbits != 7 || len(p.bases) != 4 {
+		t.Fatalf("a leaf of z 3i, i < 100, has frame %+v and %d blocks", f, len(p.bases))
+	}
+	// editField rewrites the field of width bits that ends at bit end.
+	editField := func(img []byte, end, width int, edit func(uint64) uint64) {
+		mask, pad := ^uint64(0)>>(64-width), uint(-end&7)
+		b := img[(end+7)/8-8:]
+		word := binary.BigEndian.Uint64(b)
+		binary.BigEndian.PutUint64(b, word&^(mask<<pad)|edit(word>>pad&mask)&mask<<pad)
+	}
+	baseEnd := 8*p.frame.headerLen(blocks.keyLen) + 2*p.frame.zbits
+	for _, c := range []struct {
+		what, want string
+		edit       func(img []byte)
+	}{
+		{"a block base past every key", "order", func(img []byte) {
+			editField(img, baseEnd, p.frame.zbits, func(uint64) uint64 { return 1<<9 - 1 })
+		}},
+		{"a block base below its first key", "first z delta is not 0", func(img []byte) {
+			editField(img, baseEnd, p.frame.zbits, func(x uint64) uint64 { return x - 1 })
+			for i := 64; i < 96; i++ {
+				editField(img, p.zAt+maxFieldBits+i*p.stride, p.frame.bbits, func(x uint64) uint64 { return x + 1 })
+			}
+		}},
+	} {
+		img := append([]byte(nil), data...)
+		c.edit(img)
+		if err := blocks.pool.Put(root, img); err != nil {
+			t.Fatal(err)
+		}
+		if err := blocks.CheckInvariants(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v", c.what, err)
+		}
 	}
 }
 

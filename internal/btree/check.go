@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"bytes"
 	"fmt"
 
 	"probe/internal/disk"
@@ -23,7 +24,9 @@ import (
 //  8. every leaf is stored in its canonical frame (frameOf): the z
 //     base is its first z, the id bases those that give the smallest
 //     image, ascending with unused slots zero, and each width the
-//     fewest bytes that hold its deltas.
+//     fewest bits that hold its deltas; and its image is the one
+//     encodeLeaf makes of its keys in that frame, so each block base
+//     is the z of the block's first key.
 //
 // Because the walk runs against one pinned version, it is safe (and
 // meaningful) concurrently with writers: it validates the committed
@@ -55,6 +58,7 @@ func (s *Snapshot) CheckInvariants() error {
 	// Each page is checked on its pool image, which never changes; the
 	// bounds of an internal page's children point into it.
 	var buf [encodedKeyLen]byte
+	canon := make([]byte, t.pageSize)
 	// Depth-first, leaves visited left to right.
 	for len(stack) > 0 {
 		vi := stack[len(stack)-1]
@@ -65,8 +69,8 @@ func (s *Snapshot) CheckInvariants() error {
 		}
 		switch typ := nodeType(data[0]); typ {
 		case leafType:
-			p, err := viewLeaf(data, t.keyLen)
-			if err != nil {
+			var p leafPage
+			if err := p.view(data, t.keyLen); err != nil {
 				return err
 			}
 			if vi.depth != v.height {
@@ -81,9 +85,6 @@ func (s *Snapshot) CheckInvariants() error {
 			es, err := decodeLeaf(nil, data, t.keyLen)
 			if err != nil {
 				return err
-			}
-			if f := frameOf(es, t.keyLen); f != p.frame {
-				return fmt.Errorf("leaf %d is stored in frame %+v, not its canonical %+v", vi.id, p.frame, f)
 			}
 			for i, e := range es {
 				k := e.Key
@@ -101,6 +102,12 @@ func (s *Snapshot) CheckInvariants() error {
 				if vi.hi != nil && sepCompare(vi.hi, enc) <= 0 {
 					return fmt.Errorf("leaf %d key %v above bound", vi.id, k)
 				}
+			}
+			// The header's widths, the base key and the id bases are the
+			// frame, so a leaf in any other frame fails this comparison too.
+			f := frameOf(es, t.keyLen)
+			if encodeLeaf(canon, es, f, t.keyLen); !bytes.Equal(canon, data) {
+				return fmt.Errorf("leaf %d is not its canonical image (frame %+v, canonical %+v)", vi.id, p.frame, f)
 			}
 			entries += p.count
 			leaves++

@@ -30,8 +30,9 @@ import (
 // a subtree boundary. A cursor must not be shared between goroutines.
 type Cursor struct {
 	snap  *Snapshot
-	stack []cursorLevel // the internal pages of the path, root first
-	leaf  leafPage      // the leaf under the cursor
+	stack []cursorLevel      // the internal pages of the path, root first
+	leaf  leafPage           // the leaf under the cursor
+	bases [stackBases]uint64 // the leaf view's block bases, unless more
 	id    disk.PageID
 	pos   int
 	key   Key // entry pos of the leaf, decoded when the cursor moves there
@@ -135,15 +136,20 @@ func (c *Cursor) pushInternal(id disk.PageID) (*cursorLevel, error) {
 	return &c.stack[len(c.stack)-1], nil
 }
 
-// enterLeaf makes leaf page id the cursor's current leaf. It is a
-// page-load boundary.
+// enterLeaf makes leaf page id the cursor's current leaf, viewed in
+// place in c.leaf. An image never changes, so the view of the image
+// the cursor already holds, which a seek into the same leaf gets again,
+// is kept as it is. It is a page-load boundary.
 func (c *Cursor) enterLeaf(id disk.PageID) error {
 	if err := c.loadErr(); err != nil {
 		return err
 	}
 	data, err := c.snap.t.pool.View(id, c.span)
-	if err == nil {
-		c.leaf, err = viewLeaf(data, c.snap.t.keyLen)
+	if err == nil && (c.leaf.data == nil || &data[0] != &c.leaf.data[0]) {
+		if c.leaf.bases == nil {
+			c.leaf.bases = c.bases[:0]
+		}
+		err = c.leaf.view(data, c.snap.t.keyLen)
 	}
 	if err != nil {
 		return err

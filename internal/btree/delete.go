@@ -108,16 +108,13 @@ func mergeSide(ci int) int {
 
 // putShrunkLeaf writes out leaf n, which lost an entry, in place of
 // page leafID, borrowing from or merging with a sibling when it is
-// underfull. It returns the new root id.
+// underfull, and splitting it when it no longer fits (putLeafAt). It
+// returns the new root id.
 func (t *Tree) putShrunkLeaf(w *cow, nv *version, path []cowLevel, leafID disk.PageID, n []Entry) (disk.PageID, error) {
 	pi := len(path) - 1
 	if len(n) >= t.minLeaf || pi < 0 {
 		// No underflow, or the root leaf may shrink freely.
-		id, err := w.putLeaf(leafID, n)
-		if err != nil {
-			return disk.InvalidPage, err
-		}
-		return t.replaceUpward(w, path, pi, id)
+		return t.putLeafAt(w, nv, path, leafID, n)
 	}
 	parent, ci := path[pi].n, path[pi].child
 	for _, dir := range [2]int{-1, +1} {
@@ -163,7 +160,12 @@ func (t *Tree) lendLeaf(w *cow, parent *internalNode, ci, dir int, n []Entry) (b
 	}
 	left, right := pairOf(sib, n, dir)
 	all := append(left[:len(left):len(left)], right...)
-	return true, t.putWindow(w, nil, parent, min(ci, si), 2, all, []int{0, len(left) + dir, len(all)})
+	cuts := []int{0, len(left) + dir, len(all)}
+	frames, ok := t.leaves(all, cuts)
+	if !ok {
+		return false, fmt.Errorf("btree: a leaf of %d entries lent one and no longer fits", len(sib))
+	}
+	return true, t.putWindow(w, nil, parent, min(ci, si), 2, all, cuts, frames)
 }
 
 // joinInternal returns the node holding the children of left and

@@ -14,35 +14,43 @@ import (
 // Page layouts. All integers little-endian unless they are keys or
 // key deltas (which are big-endian so byte order matches key order).
 //
-// Leaf:     [type u8][count u16][zbits u8][ibits u8][sel u8][base key keyLen B]
+// Leaf:     [type u8][count u16][zbits u8][ibits u8][sel u8][bbits u8]
+//           [base key keyLen B]
 //           (2^sel - 1) x [id base 8 B]
-//           count x [z delta zbits bits][id field ibits bits]
+//           (count-1)/32 x [block base zbits bits]
+//           count x [z delta bbits bits][id field ibits bits]
 // Internal: [type u8][count u16]            (count = number of seps)
 //           (count+1) x [child u32]
 //           count x [sepLen u16][sep bytes]
 //
 // keyLen is the tree's key length (key.go): 8 bytes of Lo after as
 // many bytes of Hi as Config.KeyBits needs, the z bytes. A leaf stores
-// its keys against a frame of reference: the base key holds the z
-// value of the first key and the first id base, and an entry holds its
-// z as a distance from the base's in zbits bits. Its id field holds, in
-// its top sel bits (0, 1 or 2), a selector among 2^sel id bases, and
-// below them the id's distance from the base it selects. With no
-// selector bits the one base is the smallest id; with them, each base
-// is the first id of a group's range, the ids that share their bits
-// above the distance. The first base is the base key's; the others
-// follow the base key in ascending order, a slot not used being zero.
-// Entries are packed at a stride of zbits+ibits bits, most significant
-// bit first, from the first byte after the header. The frame is
-// canonical (frameOf): the widths are the fewest bits that hold the
-// largest distances, and a leaf takes bases only when they make its
-// image smaller, so an image is a function of its entries alone and
-// one rewritten in place is byte-equal to a fresh one. A field is read
-// from the 8 bytes that end with it, which hold 57 bits past any bit
-// boundary; a frame with a field wider than that keeps both widths in
-// whole bytes, so every field ends on a byte (fieldBits). Entries stay
-// fixed-stride within a page, so a search is still a binary search of
-// the image, and a key decodes without allocating.
+// its keys against a frame of reference in two levels. The base key
+// holds the z value of the first key and the first id base. Entries
+// fall into blocks of 32 by index (i >> 5); a block's base is the z of
+// its first entry, whose z delta is so 0, the first block's the base
+// key's, and each later one is stored once, as its distance from the
+// base key's z in zbits bits. An entry holds its z as a distance from its block's base in
+// bbits bits, the widest span of any 32 consecutive keys of the leaf,
+// which a block never exceeds wherever its blocks start. Its id field
+// holds, in its top sel bits (0, 1 or 2), a selector among 2^sel id
+// bases, and below them the id's distance from the base it selects.
+// With no selector bits the one base is the smallest id; with them,
+// each base is the first id of a group's range, the ids that share
+// their bits above the distance. The first base is the base key's; the
+// others follow the base key in ascending order, a slot not used being
+// zero. Block bases, then entries at a stride of bbits+ibits bits, are
+// packed most significant bit first from the first byte after the
+// header. The frame is canonical (frameOf): the widths are the fewest
+// bits that hold the largest distances, and a leaf takes id bases only
+// when they make its image smaller, so an image is a function of its
+// entries alone and one rewritten in place is byte-equal to a fresh
+// one. A field is read from the 8 bytes that end with it, which hold
+// 57 bits past any bit boundary; a frame with a field wider than that
+// keeps all its widths in whole bytes, so every field ends on a byte
+// (fieldBits). Entries stay fixed-stride within a page, so a search is
+// still a binary search of the image, first over the block bases, and
+// a key decodes without allocating.
 //
 // Leaves carry no sibling links: copy-on-write could not maintain them
 // (a neighbor's link would dangle at the old page version), so a
@@ -50,7 +58,7 @@ import (
 //
 // Reads never decode a page. They search the image through the
 // leafPage and internalPage views below, over the image the pool
-// hands out (disk.Pool.View).
+// hands out (disk.Pool.View); a leaf view decodes only the block bases.
 // A leaf's entries ([]Entry, decodeLeaf) and internalNode are the
 // copy-on-write path's builder: a writer decodes the pages it is about
 // to replace, edits the decoded form, and encodes the result into
@@ -66,17 +74,26 @@ const (
 )
 
 const (
-	leafBaseOff       = 1 + 2 + 3 // the base key follows type, count and frame
+	leafBaseOff       = 1 + 2 + 4 // the base key follows type, count and frame
 	internalHeaderLen = 1 + 2
 	maxSel            = 2 // most selector bits of an id field
 	maxIDBases        = 1 << maxSel
+	blockShift        = 5 // an entry's block is its index >> blockShift
+	blockLen          = 1 << blockShift
 	maxCount          = math.MaxUint16 // the most entries or separators a header counts
 	maxFieldBits      = 57             // the widest field read past any bit boundary
+	// stackBases is how many block bases a view on the stack holds: a
+	// 4 KiB leaf's, at 8 bits an entry or more.
+	stackBases = 4096 * 8 / 8 / blockLen
 )
 
 // leafHeaderLen is the length of a leaf header for keys of keyLen
 // bytes, before its extra id bases.
 func leafHeaderLen(keyLen int) int { return leafBaseOff + keyLen }
+
+// storedBases is the number of block bases a leaf of n entries stores:
+// one for each block but the first, whose base is the base key's z.
+func storedBases(n int) int { return max(n-1, 0) >> blockShift }
 
 // zDrop is the number of low bits of Key.Hi a key of keyLen bytes
 // leaves out: a stored z value is Hi >> zDrop.
@@ -98,58 +115,91 @@ func pageHeader(data []byte, want nodeType, headerLen int, kind string) (int, er
 
 // leafPage is a read-only view of a leaf page image. Entries are
 // fixed-stride within the page, so entry i is found by arithmetic and
-// search is a binary search on the bytes.
+// search is a binary search on the bytes. The view decodes the block
+// bases, the one thing it holds apart from the image, into bases,
+// whose capacity a view filled in place keeps for the next leaf.
 type leafPage struct {
 	data          []byte // the whole image
 	count         int
 	frame         leafFrame
-	first         int    // offset of entry 0
-	stride, ibits uint   // bits of an entry, and of its id field
-	zAt           uint   // entry 0's z field end, in bits, less 57
-	hi            uint64 // the frame's z as a Key.Hi
+	stride, ibits int    // bits of an entry, and of its id field
+	zAt           int    // entry 0's z field end, in bits, less 57
 	drop          uint   // zDrop of the tree's key length, under 64
-	zMask, idMask uint64 // the low zbits and ibits bits
+	zMask, idMask uint64 // the low bbits and ibits bits
 	shift         uint   // id offset bits: ibits - sel
+	// bases[b] is block b's base as a Key.Hi: the frame's z plus the
+	// block's distance from it.
+	bases []uint64
 	// adj[j] is base j less selector j in place, so that an id field
 	// that selects base j decodes as adj[j] plus the field.
 	adj [maxIDBases]uint64
 }
 
-func viewLeaf(data []byte, keyLen int) (leafPage, error) {
+// view makes p a view of the leaf image data, whose keys are keyLen
+// bytes, after checking that its frame is within the key, its fields
+// within the image and each block's first z delta 0.
+func (p *leafPage) view(data []byte, keyLen int) error {
+	p.data = nil // until the view is whole
 	count, err := pageHeader(data, leafType, leafHeaderLen(keyLen), "a leaf")
 	if err != nil {
-		return leafPage{}, err
+		return err
 	}
-	f := leafFrame{zbits: int(data[3]), ibits: int(data[4]), sel: int(data[5])}
+	f := leafFrame{zbits: int(data[3]), ibits: int(data[4]), sel: int(data[5]), bbits: int(data[6])}
 	if f.zbits > 8*(keyLen-8) || f.ibits > 64 {
-		return leafPage{}, fmt.Errorf("btree: leaf frame of %d+%d bits is wider than a %d-byte key", f.zbits, f.ibits, keyLen)
+		return fmt.Errorf("btree: leaf frame of %d+%d bits is wider than a %d-byte key", f.zbits, f.ibits, keyLen)
+	}
+	if f.bbits > f.zbits {
+		return fmt.Errorf("btree: leaf frame's %d-bit z deltas are wider than its %d-bit block bases", f.bbits, f.zbits)
 	}
 	if f.sel > maxSel || f.sel > f.ibits {
-		return leafPage{}, fmt.Errorf("btree: leaf frame selects among %d id bases in %d-bit id fields", 1<<f.sel, f.ibits)
+		return fmt.Errorf("btree: leaf frame selects among %d id bases in %d-bit id fields", 1<<f.sel, f.ibits)
 	}
-	if zb, ib := fieldBits(f.zbits, f.ibits); zb != f.zbits || ib != f.ibits {
-		return leafPage{}, fmt.Errorf("btree: leaf frame of %d+%d bits has a field over %d bits off a byte boundary", f.zbits, f.ibits, maxFieldBits)
+	if zb, bb, ib := fieldBits(f.zbits, f.bbits, f.ibits); zb != f.zbits || bb != f.bbits || ib != f.ibits {
+		return fmt.Errorf("btree: leaf frame of %d/%d+%d bits has a field over %d bits off a byte boundary", f.zbits, f.bbits, f.ibits, maxFieldBits)
 	}
-	first, stride := f.headerLen(keyLen), f.zbits+f.ibits
-	if first+(count*stride+7)/8 > len(data) {
-		return leafPage{}, fmt.Errorf("btree: leaf overflows page (%d entries)", count)
+	first, nb := f.headerLen(keyLen), storedBases(count)
+	if leafBytes(count, f, keyLen) > len(data) {
+		return fmt.Errorf("btree: leaf overflows page (%d entries, %d block bases)", count, nb)
 	}
 	base := decodeKey(data[leafBaseOff : leafBaseOff+keyLen])
 	f.z, f.ids[0] = base.Hi>>zDrop(keyLen), base.Lo
 	for j := 1; j < 1<<f.sel; j++ {
 		f.ids[j] = binary.BigEndian.Uint64(data[leafHeaderLen(keyLen)+8*(j-1):])
 	}
-	p := leafPage{data: data, count: count, frame: f, first: first, stride: uint(stride), ibits: uint(f.ibits),
-		zAt: uint(8*first + f.zbits - maxFieldBits), hi: base.Hi, drop: zDrop(keyLen),
-		zMask: ^uint64(0) >> (64 - f.zbits), idMask: ^uint64(0) >> (64 - f.ibits), shift: f.idShift()}
+	// Field by field, so that the view keeps its bases' buffer and
+	// escape analysis sees no buffer of a caller's stored in p.
+	p.count, p.frame, p.drop = count, f, zDrop(keyLen)
+	p.stride, p.ibits, p.shift = f.bbits+f.ibits, f.ibits, f.idShift()
+	p.zAt = 8*first + nb*f.zbits + f.bbits - maxFieldBits
+	p.zMask, p.idMask = ^uint64(0)>>(64-f.bbits), ^uint64(0)>>(64-f.ibits)
 	for j, id := range f.ids {
 		p.adj[j] = id - uint64(j)<<p.shift
 	}
-	return p, nil
+	n := (count + blockLen - 1) >> blockShift
+	if cap(p.bases) < n {
+		p.bases = make([]uint64, n)
+	}
+	p.bases = p.bases[:n]
+	// A block's base is its first key's z, so that key's z delta is 0:
+	// search compares the bases as the blocks' first keys.
+	baseMask, e := ^uint64(0)>>(64-f.zbits), uint(8*first-maxFieldBits)
+	for b := range p.bases {
+		if b > 0 {
+			e += uint(f.zbits)
+			p.bases[b] = base.Hi + binary.BigEndian.Uint64(data[e>>3:])>>(^e&7)&baseMask<<p.drop
+		} else {
+			p.bases[b] = base.Hi
+		}
+		if z := p.zAt + b*blockLen*p.stride; binary.BigEndian.Uint64(data[z>>3:])>>(^z&7)&p.zMask != 0 {
+			return fmt.Errorf("btree: leaf block %d's first z delta is not 0", b)
+		}
+	}
+	p.data = data
+	return nil
 }
 
-// key decodes entry i's key: the frame's z plus the entry's z delta,
-// and the base the id field selects plus the offset below the
+// key decodes entry i's key: its block's base plus the entry's z
+// delta, and the base the id field selects plus the offset below the
 // selector. A field that ends at bit e is the low bits of the 8 bytes
 // that end with e's byte, shifted right past that byte's bits after e:
 // with a = e-57 (z and id below), the 8 bytes at a>>3 shifted by
@@ -157,18 +207,28 @@ func viewLeaf(data []byte, keyLen int) (leafPage, error) {
 // entry is longer than 8 bytes. The masks on drop and on the selector
 // change no value; they spare the shift and the index their checks.
 func (p *leafPage) key(i int) Key {
-	z := p.zAt + uint(i)*p.stride
-	id := z + p.ibits
-	f := binary.BigEndian.Uint64(p.data[id>>3:]) >> (^id & 7) & p.idMask
+	z := p.zAt + i*p.stride
+	f := binary.BigEndian.Uint64(p.data[(z+p.ibits)>>3:]) >> (^(z + p.ibits) & 7) & p.idMask
 	return Key{
-		Hi: p.hi + binary.BigEndian.Uint64(p.data[z>>3:])>>(^z&7)&p.zMask<<(p.drop&63),
+		Hi: p.bases[i>>blockShift] + binary.BigEndian.Uint64(p.data[z>>3:])>>(^z&7)&p.zMask<<(p.drop&63),
 		Lo: p.adj[f>>p.shift&(maxIDBases-1)] + f,
 	}
 }
 
-// search returns the index of the first key >= k in the leaf.
+// search returns the index of the first key >= k in the leaf. It
+// first finds the first block whose first key is >= k, comparing
+// block bases alone unless a base equals k's z, then searches the
+// block before it, which holds the answer or ends just before it.
 func (p *leafPage) search(k Key) int {
-	return sort.Search(p.count, func(i int) bool { return !p.key(i).Less(k) })
+	b := sort.Search(len(p.bases), func(b int) bool {
+		h := p.bases[b]
+		return h > k.Hi || h == k.Hi && p.key(b<<blockShift).Lo >= k.Lo
+	})
+	if b == 0 {
+		return 0
+	}
+	lo := (b - 1) << blockShift
+	return lo + sort.Search(min(p.count-lo, blockLen), func(i int) bool { return !p.key(lo + i).Less(k) })
 }
 
 // internalPage is a read-only view of an internal page image.
@@ -245,8 +305,9 @@ type internalNode struct {
 // decodeLeaf appends a leaf's entries to es: the decoded form of a leaf
 // page is the slice of its keys in order.
 func decodeLeaf(es []Entry, data []byte, keyLen int) ([]Entry, error) {
-	p, err := viewLeaf(data, keyLen)
-	if err != nil {
+	var bases [stackBases]uint64
+	p := leafPage{bases: bases[:0]}
+	if err := p.view(data, keyLen); err != nil {
 		return nil, err
 	}
 	es = slices.Grow(es, p.count)
@@ -258,13 +319,14 @@ func decodeLeaf(es []Entry, data []byte, keyLen int) ([]Entry, error) {
 
 // leafFrame is a leaf's frame of reference: the z its keys are stored
 // against (as the stored z bits, right-justified), the id bases, the
-// bit widths of the z and id fields, and the selector bits of an id
-// field. Bases past the first 2^sel are zero.
+// bit widths of the block bases, of the z deltas from them and of the
+// id fields, and the selector bits of an id field. Bases past the
+// first 2^sel are zero.
 type leafFrame struct {
-	z            uint64
-	ids          [maxIDBases]uint64
-	zbits, ibits int
-	sel          int
+	z                   uint64
+	ids                 [maxIDBases]uint64
+	zbits, bbits, ibits int
+	sel                 int
 }
 
 // headerLen is the length of the header of a leaf in frame f.
@@ -273,29 +335,33 @@ func (f leafFrame) headerLen(keyLen int) int { return leafHeaderLen(keyLen) + 8*
 // idShift is the number of offset bits below an id field's selector.
 func (f leafFrame) idShift() uint { return uint(f.ibits - f.sel) }
 
-// fieldBits returns the widths of a frame whose z and id deltas take zb
-// and ib bits: those, unless one is wider than a read past any bit
-// boundary holds, when both round up to whole bytes.
-func fieldBits(zb, ib int) (int, int) {
-	if max(zb, ib) > maxFieldBits {
-		return (zb + 7) &^ 7, (ib + 7) &^ 7
+// fieldBits returns the widths of a frame whose block bases, z deltas
+// and id deltas take zb, bb and ib bits: those, unless one is wider
+// than a read past any bit boundary holds, when all round up to whole
+// bytes.
+func fieldBits(zb, bb, ib int) (int, int, int) {
+	if max(zb, bb, ib) > maxFieldBits {
+		return (zb + 7) &^ 7, (bb + 7) &^ 7, (ib + 7) &^ 7
 	}
-	return zb, ib
+	return zb, bb, ib
 }
 
 // leafBytes is the size of the image of a leaf of n entries in frame f.
 func leafBytes(n int, f leafFrame, keyLen int) int {
-	return f.headerLen(keyLen) + (n*(f.zbits+f.ibits)+7)/8
+	return f.headerLen(keyLen) + (storedBases(n)*f.zbits+n*(f.bbits+f.ibits)+7)/8
 }
 
 // frameScan takes a run of keys as it grows, from either end, and
 // keeps what its canonical frame depends on: the largest z delta from
-// the key it started at, the ids' range, and for each selector width
-// sel the narrowest shift at which the ids fall in at most 2^sel groups
-// (id >> shift). Grouping at a shift works at every wider one, and a
-// key only falls in a group or adds one, so when a key makes one group
-// too many the shift widens a bit at a time, each step merging the
-// groups that now share their bits (g >> 1).
+// the key it started at, the widest z span of 32 consecutive keys, the
+// ids' range, and for each selector width sel the narrowest shift at
+// which the ids fall in at most 2^sel groups (id >> shift). A span is
+// taken when its last key comes, against the stored z of the key 31
+// before it, which a ring of the last 32 keys' z values holds. Grouping
+// at a shift works at every wider one, and a key only falls in a group
+// or adds one, so when a key makes one group too many the shift widens
+// a bit at a time, each step merging the groups that now share their
+// bits (g >> 1).
 type frameScan struct {
 	keyLen int
 	drop   uint // zDrop(keyLen)
@@ -303,8 +369,9 @@ type frameScan struct {
 	back   bool   // the run grows toward smaller keys
 	z0     uint64 // the first key's stored z
 	zMask  uint64 // the stored z bits
-	dz     uint64
+	dz, db uint64
 	lo, hi uint64
+	ring   [blockLen]uint64 // key n's stored z at n % 32
 	groups [maxSel]idGroups // by sel-1
 }
 
@@ -319,6 +386,10 @@ type idGroups struct {
 func newFrameScan(keyLen int, k Key, back bool) frameScan {
 	drop := zDrop(keyLen)
 	s := frameScan{keyLen: keyLen, drop: drop, n: 1, back: back, z0: k.Hi >> drop, zMask: ^uint64(0) >> drop, lo: k.Lo, hi: k.Lo}
+	// Before 32 keys, the key 31 back from the last is the first.
+	for j := range s.ring {
+		s.ring[j] = s.z0
+	}
 	for j := range s.groups {
 		s.groups[j].k, s.groups[j].g[0] = 1, k.Lo
 	}
@@ -330,13 +401,15 @@ func newFrameScan(keyLen int, k Key, back bool) frameScan {
 // taken modulo the stored z bits, so even keys out of order get a frame
 // no wider than the key.
 func (s *frameScan) add(es []Entry) {
-	dz, lo, hi := s.dz, s.lo, s.hi
+	n, dz, db, lo, hi := s.n, s.dz, s.db, s.lo, s.hi
 	for _, e := range es {
-		d := e.Key.Hi>>s.drop - s.z0
+		z := e.Key.Hi >> s.drop
+		d, w := z-s.z0, z-s.ring[(n+1)%blockLen]
 		if s.back {
-			d = -d
+			d, w = -d, -w
 		}
-		dz, lo, hi = max(dz, d&s.zMask), min(lo, e.Key.Lo), max(hi, e.Key.Lo)
+		s.ring[n%blockLen] = z
+		n, dz, db, lo, hi = n+1, max(dz, d&s.zMask), max(db, w&s.zMask), min(lo, e.Key.Lo), max(hi, e.Key.Lo)
 		// More selector bits group at a shift no wider, so an id in a group
 		// of theirs is in one of each narrower selector's.
 		for j := maxSel - 1; j >= 0; j-- {
@@ -347,7 +420,7 @@ func (s *frameScan) add(es []Entry) {
 			gs.widen(2 << j)
 		}
 	}
-	s.n, s.dz, s.lo, s.hi = s.n+len(es), dz, lo, hi
+	s.n, s.dz, s.db, s.lo, s.hi = n, dz, db, lo, hi
 }
 
 // widen widens the shift a bit at a time until there are at most n
@@ -385,12 +458,12 @@ func (gs *idGroups) put(g uint64) bool {
 // run fits wherever its plain frame does, and each width of a shorter
 // run is no wider, so neither is its image.
 func (s *frameScan) shape() (f leafFrame, size int) {
-	zb := bits.Len64(s.dz)
-	f.zbits, f.ibits = fieldBits(zb, bits.Len64(s.hi-s.lo))
+	zb, bb := bits.Len64(s.dz), bits.Len64(s.db)
+	f.zbits, f.bbits, f.ibits = fieldBits(zb, bb, bits.Len64(s.hi-s.lo))
 	size = leafBytes(s.n, f, s.keyLen)
 	for j := range s.groups {
 		c := leafFrame{sel: j + 1}
-		c.zbits, c.ibits = fieldBits(zb, int(s.groups[j].shift)+j+1)
+		c.zbits, c.bbits, c.ibits = fieldBits(zb, bb, int(s.groups[j].shift)+j+1)
 		if b := leafBytes(s.n, c, s.keyLen); b < size {
 			f, size = c, b
 		}
@@ -424,24 +497,28 @@ func frameOf(es []Entry, keyLen int) leafFrame {
 
 // encodeLeaf makes data the image of a leaf holding es in frame f. The
 // page is zeroed first, so with f = frameOf(es) the image is canonical.
-// An id selects the largest base at or below it.
+// A block's base is the z of its first entry, and an id selects the
+// largest base at or below it.
 func encodeLeaf(data []byte, es []Entry, f leafFrame, keyLen int) {
 	clear(data)
 	data[0] = byte(leafType)
 	binary.LittleEndian.PutUint16(data[1:3], uint16(len(es)))
-	data[3], data[4], data[5] = byte(f.zbits), byte(f.ibits), byte(f.sel)
+	data[3], data[4], data[5], data[6] = byte(f.zbits), byte(f.ibits), byte(f.sel), byte(f.bbits)
 	drop, shift, bases := zDrop(keyLen), f.idShift(), 1<<f.sel
 	Key{Hi: f.z << drop, Lo: f.ids[0]}.encode(data[leafBaseOff : leafBaseOff+keyLen])
 	for j := 1; j < bases; j++ {
 		binary.BigEndian.PutUint64(data[leafHeaderLen(keyLen)+8*(j-1):], f.ids[j])
 	}
 	bw := bitWriter{data: data, off: f.headerLen(keyLen)}
-	for _, e := range es {
+	for i := blockLen; i < len(es); i += blockLen {
+		bw.put(f.zbits, es[i].Key.Hi>>drop-f.z)
+	}
+	for i, e := range es {
 		j := 0
 		for j+1 < bases && f.ids[j+1] != 0 && f.ids[j+1] <= e.Key.Lo {
 			j++
 		}
-		bw.put(f.zbits, e.Key.Hi>>drop-f.z)
+		bw.put(f.bbits, (e.Key.Hi-es[i&^(blockLen-1)].Key.Hi)>>drop)
 		bw.put(f.ibits, uint64(j)<<shift|(e.Key.Lo-f.ids[j]))
 	}
 	bw.flush()

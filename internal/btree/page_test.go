@@ -21,6 +21,13 @@ import (
 // that share no code with the views, and hold the views' searches
 // against the decoded nodes' own.
 
+// viewLeaf returns a new view of a leaf image.
+func viewLeaf(data []byte, keyLen int) (leafPage, error) {
+	var p leafPage
+	err := p.view(data, keyLen)
+	return p, err
+}
+
 func refHeader(data []byte, want nodeType, headerLen int, kind string) (int, error) {
 	if len(data) < headerLen {
 		return 0, fmt.Errorf("btree: page of %d bytes is shorter than a node header", len(data))
@@ -64,47 +71,65 @@ func refBits(b []byte, off, n int) uint64 {
 }
 
 // refDecodeLeaf reads a framed leaf one bit at a time: the z width,
-// the id width and the selector bits at bytes 3, 4 and 5, the base key
-// after them read as any key is, then 2^sel - 1 more id bases. Per
-// entry, packed at zbits+ibits bits from the first byte after the
-// header, it reads a z delta counted in units of the lowest stored bit
-// of Hi, added to the base key's z, and an id field whose top sel bits
-// pick the base (the base key's id first) that the bits below them are
-// added to. A frame with a field over 57 bits must be in whole bytes.
+// the id width, the selector bits and the block width at bytes 3 to 6,
+// the base key after them read as any key is, then 2^sel - 1 more id
+// bases. From the first byte after the header it reads a block base of
+// zbits bits for each block of 32 entries but the first, then per
+// entry, at bbits+ibits bits, a z delta from its block's base, both
+// counted in units of the lowest stored bit of Hi and added to the base
+// key's z, and an id field whose top sel bits pick the base (the base
+// key's id first) that the bits below them are added to. The block
+// width is at most the z width, a frame with a field over 57 bits must
+// be in whole bytes, and a block's base is the z of its first entry,
+// whose delta is 0.
 func refDecodeLeaf(data []byte, keyLen int) ([]Entry, error) {
-	count, err := refHeader(data, leafType, 6+keyLen, "a leaf")
+	count, err := refHeader(data, leafType, 7+keyLen, "a leaf")
 	if err != nil {
 		return nil, err
 	}
-	zbits, ibits, sel := int(data[3]), int(data[4]), int(data[5])
+	zbits, ibits, sel, bbits := int(data[3]), int(data[4]), int(data[5]), int(data[6])
 	if zbits > 8*(keyLen-8) || ibits > 64 {
 		return nil, fmt.Errorf("btree: leaf frame of %d+%d bits is wider than a %d-byte key", zbits, ibits, keyLen)
+	}
+	if bbits > zbits {
+		return nil, fmt.Errorf("btree: leaf frame's %d-bit z deltas are wider than its %d-bit block bases", bbits, zbits)
 	}
 	if sel > 2 || sel > ibits {
 		return nil, fmt.Errorf("btree: leaf frame selects among %d id bases in %d-bit id fields", 1<<sel, ibits)
 	}
-	if (zbits > 57 || ibits > 57) && (zbits%8 != 0 || ibits%8 != 0) {
-		return nil, fmt.Errorf("btree: leaf frame of %d+%d bits has a field over 57 bits off a byte boundary", zbits, ibits)
+	if (zbits > 57 || bbits > 57 || ibits > 57) && (zbits%8 != 0 || bbits%8 != 0 || ibits%8 != 0) {
+		return nil, fmt.Errorf("btree: leaf frame of %d/%d+%d bits has a field over 57 bits off a byte boundary", zbits, bbits, ibits)
 	}
-	nBases := 1 << sel
-	off := 6 + keyLen + 8*(nBases-1)
-	if 8*off+count*(zbits+ibits) > 8*len(data) {
-		return nil, fmt.Errorf("btree: leaf overflows page (%d entries)", count)
+	nBases, blocks := 1<<sel, (count+31)/32
+	stored := max(blocks-1, 0)
+	off := 7 + keyLen + 8*(nBases-1)
+	if 8*off+stored*zbits+count*(bbits+ibits) > 8*len(data) {
+		return nil, fmt.Errorf("btree: leaf overflows page (%d entries, %d block bases)", count, stored)
 	}
-	base := refDecodeKey(data[6 : 6+keyLen])
+	base := refDecodeKey(data[7 : 7+keyLen])
 	bases := []uint64{base.Lo}
 	for j := 1; j < nBases; j++ {
-		bases = append(bases, refUint(data[6+keyLen+8*(j-1):6+keyLen+8*j]))
+		bases = append(bases, refUint(data[7+keyLen+8*(j-1):7+keyLen+8*j]))
 	}
 	unit := uint64(1) << (8 * (16 - keyLen))
-	es := make([]Entry, count)
 	bit := 8 * off
+	blockZ := make([]uint64, blocks)
+	for b := 1; b < blocks; b++ {
+		blockZ[b] = refBits(data, bit, zbits)
+		bit += zbits
+	}
+	for b := range blockZ {
+		if refBits(data, bit+32*b*(bbits+ibits), bbits) != 0 {
+			return nil, fmt.Errorf("btree: leaf block %d's first z delta is not 0", b)
+		}
+	}
+	es := make([]Entry, count)
 	for i := range es {
-		dz := refBits(data, bit, zbits)
+		dz := blockZ[i/32] + refBits(data, bit, bbits)
 		// The selector is the field's top sel bits; the offset is the rest.
-		selector, offset := refBits(data, bit+zbits, sel), refBits(data, bit+zbits+sel, ibits-sel)
+		selector, offset := refBits(data, bit+bbits, sel), refBits(data, bit+bbits+sel, ibits-sel)
 		es[i].Key = Key{Hi: base.Hi + unit*dz, Lo: bases[selector] + offset}
-		bit += zbits + ibits
+		bit += bbits + ibits
 	}
 	return es, nil
 }
@@ -185,9 +210,17 @@ func checkLeafImage(t *testing.T, data []byte, keyLen int, probes []Key) bool {
 		}
 		probes = append(probes, k, Key{Hi: k.Hi, Lo: k.Lo + 1}, Key{Hi: k.Hi, Lo: k.Lo - 1}, Key{Hi: k.Hi | 1, Lo: k.Lo})
 	}
+	// On keys in order a search finds what the decoded leaf's does. On
+	// any others it still returns an index that the keys on either side
+	// bracket: those before it are below the probe, the one at it is not.
+	sorted := slices.IsSortedFunc(n, func(a, b Entry) int { return a.Key.Compare(b.Key) })
 	for _, k := range probes {
-		if got, want := p.search(k), searchLeaf(n, k); got != want {
+		got, want := p.search(k), searchLeaf(n, k)
+		if sorted && got != want {
 			t.Fatalf("leaf search(%v) = %d, decoded %d", k, got, want)
+		}
+		if got < 0 || got > len(n) || got > 0 && !n[got-1].Key.Less(k) || got < len(n) && n[got].Key.Less(k) {
+			t.Fatalf("leaf search(%v) = %d, not bracketed by the decoded keys", k, got)
 		}
 	}
 	return true
@@ -480,6 +513,135 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 	}
 }
 
+// TestLeafBlocks holds leaves at the edges of their blocks of 32
+// entries against the reference decoder and against a sorted slice:
+// leaves of 1, 32, 33 and 65 entries, and leaves whose equal z values
+// straddle one or two block boundaries, where a block's base equals the
+// z of keys before it and only the ids order them. A view and SeekGE
+// find the first key at or after every probe, and a view refuses a
+// block width over the z width and block bases that run past the page.
+func TestLeafBlocks(t *testing.T) {
+	const keyLen = 11
+	drop := zDrop(keyLen)
+	leaf := func(zs []uint64) []Entry {
+		es := make([]Entry, len(zs))
+		for i, z := range zs {
+			es[i].Key = Key{Hi: z << drop, Lo: uint64(10 * i)}
+		}
+		return es
+	}
+	steps := func(n int) []uint64 {
+		zs := make([]uint64, n)
+		for i := range zs {
+			zs[i] = 1000 + 5*uint64(i)
+		}
+		return zs
+	}
+	// Equal z values from entry from to entry to, inclusive.
+	straddle := func(n, from, to int) []uint64 {
+		zs := steps(n)
+		for i := from; i <= to; i++ {
+			zs[i] = zs[from]
+		}
+		for i := to + 1; i < n; i++ {
+			zs[i] = zs[to] + 5*uint64(i-to)
+		}
+		return zs
+	}
+	for _, c := range []struct {
+		name   string
+		zs     []uint64
+		blocks int
+	}{
+		{"1 entry", steps(1), 1},
+		{"32 entries", steps(32), 1},
+		{"33 entries", steps(33), 2},
+		{"65 entries", steps(65), 3},
+		{"equal z across one boundary", straddle(80, 28, 40), 3},
+		{"equal z across two boundaries", straddle(100, 20, 70), 4},
+		{"equal z from a block's first key", straddle(70, 32, 37), 3},
+		{"equal z to a block's last key", straddle(70, 60, 63), 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			es := leaf(c.zs)
+			f := frameOf(es, keyLen)
+			data := make([]byte, 512)
+			encodeLeaf(data, es, f, keyLen)
+			p, err := viewLeaf(data, keyLen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(p.bases) != c.blocks || storedBases(len(es)) != c.blocks-1 {
+				t.Fatalf("%d entries: %d blocks, %d stored bases; want %d blocks", len(es), len(p.bases), storedBases(len(es)), c.blocks)
+			}
+			for b, h := range p.bases {
+				if h != es[b*blockLen].Key.Hi {
+					t.Fatalf("block %d's base is %#x, its first key %v", b, h, es[b*blockLen].Key)
+				}
+			}
+			var probes []Key
+			for _, e := range es {
+				k := e.Key
+				probes = append(probes, k, Key{Hi: k.Hi, Lo: k.Lo - 1}, Key{Hi: k.Hi, Lo: k.Lo + 1},
+					Key{Hi: k.Hi, Lo: 0}, Key{Hi: k.Hi, Lo: ^uint64(0)}, Key{Hi: k.Hi - 1<<drop}, Key{Hi: k.Hi + 1<<drop})
+			}
+			probes = append(probes, Key{}, Key{Hi: ^uint64(0), Lo: ^uint64(0)})
+			if !checkLeafImage(t, data, keyLen, probes) {
+				t.Fatal("the leaf did not decode")
+			}
+			// The same keys behind a cursor, one leaf or several.
+			for _, pageSize := range []int{512, 128} {
+				tree, err := Load(disk.MustPool(disk.MustMemStore(pageSize), 16, disk.LRU), Config{KeyBits: 8 * (keyLen - 8)}, es, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap := tree.Snapshot()
+				c := snap.Cursor()
+				for _, k := range probes {
+					i := searchLeaf(es, k)
+					ok, err := c.SeekGE(k)
+					if err != nil || ok != (i < len(es)) || ok && c.Key() != es[i].Key {
+						t.Fatalf("%d-byte pages: SeekGE(%v) = %v, %v, want entry %d of %d", pageSize, k, ok, err, i, len(es))
+					}
+				}
+				snap.Release()
+			}
+		})
+	}
+
+	// A 65-entry leaf's two stored bases follow its header, and are
+	// wider than its z deltas.
+	es := leaf(steps(65))
+	f := frameOf(es, keyLen)
+	data := make([]byte, 512)
+	encodeLeaf(data, es, f, keyLen)
+	if f.bbits >= f.zbits {
+		t.Fatalf("frame %+v: its block width is not under its z width", f)
+	}
+	wide := append([]byte(nil), data...)
+	wide[6] = byte(f.zbits + 1)
+	if checkLeafImage(t, wide, keyLen, nil) {
+		t.Errorf("a leaf of %d-bit z deltas from %d-bit block bases decoded", f.zbits+1, f.zbits)
+	}
+	empty := append([]byte(nil), data...)
+	empty[6] = 0
+	binary.LittleEndian.PutUint16(empty[1:3], 33)
+	for cut := f.headerLen(keyLen); cut <= f.headerLen(keyLen)+(f.zbits+7)/8; cut++ {
+		if checkLeafImage(t, data[:cut], keyLen, nil) {
+			t.Errorf("a leaf cut %d bytes into its block base decoded", cut-f.headerLen(keyLen))
+		}
+	}
+	// 33 entries of no bits after a 24-bit block base: the base alone
+	// does not fit a 2-byte tail.
+	empty[3], empty[4], empty[5] = 24, 0, 0
+	if checkLeafImage(t, empty[:f.headerLen(keyLen)+2], keyLen, nil) {
+		t.Error("a leaf whose block base runs past the page decoded")
+	}
+	if !checkLeafImage(t, empty[:f.headerLen(keyLen)+3], keyLen, nil) {
+		t.Error("a leaf of one 24-bit block base and empty entries in 3 bytes did not decode")
+	}
+}
+
 // FuzzPageViews feeds arbitrary bytes to both the views and the
 // decoders: whatever the image, they agree on the error or on every
 // accessor, and nothing panics.
@@ -529,6 +691,32 @@ func FuzzPageViews(f *testing.F) {
 			f.Add(bad, width, []byte{})
 		}
 	}
+	// Leaves of 1, 32 and 33 entries, at the edges of a block, whose z
+	// values span the whole key, so a stored base is as wide as it gets;
+	// and each with a block width over its z width, and cut inside its
+	// block bases.
+	for _, keyLen := range []int{9, 12, 16} {
+		for _, n := range []int{1, 32, 33} {
+			img := framedLeafImage(rng, 512, keyLen, 8*(keyLen-8), 17, n)
+			width := uint8(keyLen - 9)
+			f.Add(img, width, []byte{})
+			bad := append([]byte(nil), img...)
+			bad[6] = bad[3] + 1
+			f.Add(bad, width, []byte{})
+			f.Add(img[:leafHeaderLen(keyLen)+8*(1<<img[5]-1)+keyLen-9], width, []byte{})
+			// The last block's first z delta not 0.
+			if p, err := viewLeaf(img, keyLen); err == nil && p.frame.bbits > 0 {
+				bad := append([]byte(nil), img...)
+				end := p.zAt + maxFieldBits + (len(p.bases)-1)*blockLen*p.stride - 1
+				bad[end/8] ^= 1 << (7 - end%8)
+				f.Add(bad, width, []byte{})
+			}
+		}
+	}
+	// Sorted keys whose z deltas, not 0 from the first on, wrap past
+	// their base: only a block's first delta of 0 makes its base the
+	// first key's z, which search compares.
+	f.Add([]byte("\x01\f\x00\b@\x00\b\xe000000000000000000100000000200000000700000000800000000900000000A00000000B00000000C00000000X00000000Y00000000Z00000000"), uint8(0), []byte("0"))
 	f.Fuzz(func(t *testing.T, data []byte, width uint8, enc []byte) {
 		keyLen := 9 + int(width%8)
 		var k Key

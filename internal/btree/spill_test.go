@@ -2,6 +2,7 @@ package btree
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"reflect"
@@ -164,6 +165,12 @@ func pageImages(t *testing.T, s *Snapshot) map[disk.PageID][]byte {
 // before and after.
 func spillInsert(t *testing.T, tree *Tree, k Key) (before, after []int) {
 	t.Helper()
+	return spillWrite(t, tree, func() error { return tree.Insert(k, nil) })
+}
+
+// spillWrite is spillInsert for any write.
+func spillWrite(t *testing.T, tree *Tree, write func() error) (before, after []int) {
+	t.Helper()
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +178,7 @@ func spillInsert(t *testing.T, tree *Tree, k Key) (before, after []int) {
 	s := tree.Snapshot()
 	defer s.Release()
 	images := pageImages(t, s)
-	if err := tree.Insert(k, nil); err != nil {
+	if err := write(); err != nil {
 		t.Fatal(err)
 	}
 	if err := tree.CheckInvariants(); err != nil {
@@ -225,14 +232,15 @@ func fullLeaf(t *testing.T, pageSize, keyBits int, hi, lo func(i int) uint64) in
 // TestLeafSpill: at a derived capacity a leaf that overflows spreads
 // over its window, itself and its neighbours under the same parent,
 // into as many leaves or one more, before it is cut alone. On a
-// 512-byte page an 11-byte key gives minCap 45 and minLeaf 22, and the
-// loaded keys, z 4i and id i, take 16 bits an entry in a run of 65 to
-// 128 of them and 18 bits in one of 129 to 256: a leaf holds 119 at
-// half the page and 220 at all of it. An inserted key between two
-// loaded ones, into(i), keeps a leaf's frame, so one more key
-// overflows a full leaf by its bytes.
+// 512-byte page an 11-byte key gives minCap 44 and minLeaf 22, and the
+// loaded keys, z 8i and id i, take 15 bits an entry and a 10-bit block
+// base for every 32 in a run of 65 to 128 of them, and 16 bits and
+// 11-bit bases in one of 129 to 256: a leaf holds 124 at half the page
+// and 242 at all of it. An inserted key between two loaded ones,
+// into(i), keeps a leaf's frame, so one more key overflows a full leaf
+// by its bytes.
 func TestLeafSpill(t *testing.T) {
-	step := func(i int) uint64 { return uint64(4*i) << 40 }
+	step := func(i int) uint64 { return uint64(8*i) << 40 }
 	id := func(i int) uint64 { return uint64(i) }
 	// into is a key that lands after the i-th loaded key.
 	into := func(i int) Key { return Key{Hi: step(i) + 1<<40, Lo: uint64(i)} }
@@ -245,15 +253,15 @@ func TestLeafSpill(t *testing.T) {
 	}
 
 	t.Run("redistribute", func(t *testing.T) {
-		// Two leaves of 119; the right one fills its page with inserts,
+		// Two leaves of 124; the right one fills its page with inserts,
 		// then overflows into its left sibling.
-		tree := loadSpillTree(t, 24, 238, 0.5, step, id)
-		for i := 238; i < 339; i++ {
+		tree := loadSpillTree(t, 24, 248, 0.5, step, id)
+		for i := 248; i < 366; i++ {
 			if err := tree.Insert(Key{Hi: step(i), Lo: id(i)}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		spill(t, tree, Key{Hi: step(339), Lo: id(339)}, []int{119, 220}, []int{170, 170})
+		spill(t, tree, Key{Hi: step(366), Lo: id(366)}, []int{124, 242}, []int{183, 184})
 		// The root's one separator lies between the two pieces.
 		data, err := tree.pool.View(tree.currentVersion().root, nil)
 		if err != nil {
@@ -274,7 +282,7 @@ func TestLeafSpill(t *testing.T) {
 		if ok, err := c.First(); !ok || err != nil {
 			t.Fatal(ok, err)
 		}
-		for i := 1; i < 170; i++ {
+		for i := 1; i < 183; i++ {
 			c.Next()
 		}
 		leftMax := c.Key()
@@ -286,27 +294,27 @@ func TestLeafSpill(t *testing.T) {
 
 	t.Run("split three ways", func(t *testing.T) {
 		// Two full leaves: the pair cannot fit two, so it becomes three.
-		spill(t, loadSpillTree(t, 24, 440, 1, step, id), into(10), []int{220, 220}, []int{147, 147, 147})
+		spill(t, loadSpillTree(t, 24, 484, 1, step, id), into(10), []int{242, 242}, []int{161, 162, 162})
 	})
 
 	t.Run("four from three", func(t *testing.T) {
 		// A full leaf between two full neighbours: the window of three
 		// cannot fit three leaves, so it becomes four.
-		spill(t, loadSpillTree(t, 24, 660, 1, step, id), into(300), []int{220, 220, 220}, []int{165, 165, 165, 166})
+		spill(t, loadSpillTree(t, 24, 726, 1, step, id), into(300), []int{242, 242, 242}, []int{181, 182, 182, 182})
 	})
 
 	t.Run("room on one side", func(t *testing.T) {
 		// A full leaf whose right neighbour has room: the window keeps its
 		// three leaves.
-		spill(t, loadSpillTree(t, 24, 540, 1, step, id), into(300), []int{220, 220, 100}, []int{180, 180, 181})
+		spill(t, loadSpillTree(t, 24, 584, 1, step, id), into(300), []int{242, 242, 100}, []int{195, 195, 195})
 	})
 
 	t.Run("edge of the parent", func(t *testing.T) {
 		// The first child's window is itself and its right neighbour; the
 		// third leaf keeps its page.
-		tree := loadSpillTree(t, 24, 660, 1, step, id)
+		tree := loadSpillTree(t, 24, 726, 1, step, id)
 		_, was := leafCounts(t, tree)
-		spill(t, tree, into(10), []int{220, 220, 220}, []int{147, 147, 147, 220})
+		spill(t, tree, into(10), []int{242, 242, 242}, []int{161, 162, 162, 242})
 		if _, ids := leafCounts(t, tree); ids[3] != was[2] {
 			t.Errorf("the leaf outside the window moved from page %d to %d", was[2], ids[3])
 		}
@@ -314,7 +322,38 @@ func TestLeafSpill(t *testing.T) {
 
 	t.Run("single-leaf window", func(t *testing.T) {
 		// A full root leaf has no neighbour: it splits in half.
-		spill(t, loadSpillTree(t, 24, 220, 1, step, id), into(10), []int{220}, []int{110, 111})
+		spill(t, loadSpillTree(t, 24, 242, 1, step, id), into(10), []int{242}, []int{121, 122})
+	})
+
+	t.Run("a delete widens the blocks", func(t *testing.T) {
+		// 32 loaded keys span 31 z steps of 8, in 8 bits; with one of them
+		// deleted, 32 consecutive keys span 32 steps, which takes 9. A full
+		// leaf that loses a key no longer fits its page: a root leaf
+		// splits in half, and a leaf with a neighbour spreads over it, the
+		// piece holding the gap taking the wider frame.
+		del := func(t *testing.T, tree *Tree, i int, was, want []int) {
+			t.Helper()
+			before, after := spillWrite(t, tree, func() error {
+				if ok, err := tree.Delete(Key{Hi: step(i), Lo: id(i)}); !ok || err != nil {
+					return fmt.Errorf("Delete(%d) = %v, %v", i, ok, err)
+				}
+				return nil
+			})
+			if !reflect.DeepEqual(before, was) || !reflect.DeepEqual(after, want) {
+				t.Fatalf("leaves %v became %v, want %v to become %v", before, after, was, want)
+			}
+		}
+		del(t, loadSpillTree(t, 24, 242, 1, step, id), 100, []int{242}, []int{120, 121})
+		del(t, loadSpillTree(t, 24, 484, 1, step, id), 100, []int{242, 242}, []int{161, 161, 161})
+		// A batch that deletes one key and inserts another between two
+		// loaded ones: the leaf takes both and still spreads.
+		tree := loadSpillTree(t, 24, 484, 1, step, id)
+		before, after := spillWrite(t, tree, func() error {
+			return tree.CommitBatch(tree.MVCCStats().Seq, []Mutation{{Key: Key{Hi: step(100), Lo: id(100)}, Delete: true}, {Key: into(300)}})
+		})
+		if !reflect.DeepEqual(before, []int{242, 242}) || len(after) != 3 {
+			t.Fatalf("leaves %v became %v", before, after)
+		}
 	})
 
 	t.Run("no cut fits", func(t *testing.T) {
@@ -441,7 +480,7 @@ func TestFitSpanMatchesFrameOf(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rng.Intn(2) == 0 {
-			minCap := (tree.pageSize - leafHeaderLen(tree.keyLen)) / tree.keyLen
+			minCap := leafMinCap(tree.pageSize, tree.keyLen)
 			cfg.LeafCapacity = 2 + rng.Intn(minCap-1)
 			if tree, err = newTreeShell(pool, cfg); err != nil {
 				t.Fatal(err)

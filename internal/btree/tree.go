@@ -88,8 +88,7 @@ func newTreeShell(pool *disk.Pool, cfg Config) (*Tree, error) {
 		keyBits = 64
 	}
 	keyLen := keyLenFor(keyBits)
-	// minCap entries fit a page at the widest frame, whatever their keys.
-	minCap := min((ps-leafHeaderLen(keyLen))/keyLen, maxCount)
+	minCap := leafMinCap(ps, keyLen)
 	if minCap < 2 {
 		return nil, fmt.Errorf("btree: page size %d cannot hold 2 keys of %d bytes", ps, keyLen)
 	}
@@ -112,6 +111,20 @@ func newTreeShell(pool *disk.Pool, cfg Config) (*Tree, error) {
 	}
 	return &Tree{pool: pool, pageSize: ps, keyBits: keyBits, keyLen: keyLen,
 		leafCap: leafCap, minLeaf: minLeaf, cfgCap: leafCapacity, fanout: fanout}, nil
+}
+
+// leafMinCap is the number of entries that fit a page of pageSize
+// bytes at the widest frame, whatever their keyLen-byte keys: each
+// entry keyLen bytes and each block base keyLen-8, the whole width of
+// the z bytes.
+func leafMinCap(pageSize, keyLen int) int {
+	zw := 8 * (keyLen - 8)
+	widest := leafFrame{zbits: zw, bbits: zw, ibits: 64}
+	n := min((pageSize-leafHeaderLen(keyLen))/keyLen, maxCount)
+	for n > 0 && leafBytes(n, widest, keyLen) > pageSize {
+		n--
+	}
+	return n
 }
 
 // fitLeaf returns the canonical frame of a leaf holding es and whether
@@ -298,8 +311,9 @@ func (t *Tree) getAt(v *version, k Key) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	p, err := viewLeaf(data, t.keyLen)
-	if err != nil {
+	var bases [stackBases]uint64
+	p := leafPage{bases: bases[:0]}
+	if err := p.view(data, t.keyLen); err != nil {
 		return false, err
 	}
 	i := p.search(k)
@@ -482,26 +496,34 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key) (*version, error) {
 	t.leaf = n
 
 	nv := &version{seq: v.seq + 1, height: v.height, count: v.count + 1, leaves: v.leaves}
+	nv.root, err = t.putLeafAt(w, nv, path, leafID, n)
+	return nv, err
+}
+
+// putLeafAt writes leaf n in place of page leafID, at the end of path,
+// splitting it when it overflows its count or its page, and returns the
+// new root id. A leaf overflows when a key joins it, and at a derived
+// capacity also when one leaves it: a z span of 32 consecutive keys then
+// reaches one key further, and may take a bit more.
+func (t *Tree) putLeafAt(w *cow, nv *version, path []cowLevel, leafID disk.PageID, n []Entry) (disk.PageID, error) {
 	if f, ok := t.fitLeaf(n); ok {
 		id, err := w.putLeafIn(leafID, n, f)
 		if err != nil {
-			return nil, err
+			return disk.InvalidPage, err
 		}
-		nv.root, err = t.replaceUpward(w, path, len(path)-1, id)
-		return nv, err
+		return t.replaceUpward(w, path, len(path)-1, id)
 	}
-	// The leaf overflows its count or its page. A root leaf first gets
-	// a new root above it, so that every split has a parent to edit.
+	// A root leaf first gets a new root above it, so that every split
+	// has a parent to edit.
 	if len(path) == 0 {
 		path = []cowLevel{{n: &internalNode{children: []disk.PageID{leafID}}, id: disk.InvalidPage}}
 		nv.height++
 	}
 	pi := len(path) - 1
 	if err := t.splitLeaf(w, nv, path[pi].n, path[pi].child, n); err != nil {
-		return nil, err
+		return disk.InvalidPage, err
 	}
-	nv.root, err = t.splitUpward(w, nv, path, pi)
-	return nv, err
+	return t.splitUpward(w, nv, path, pi)
 }
 
 // splitLeaf writes n, the leaf at child ci of parent, which overflows
@@ -514,9 +536,9 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key) (*version, error) {
 // an explicit capacity, n is cut alone into the fewest pieces that fit:
 // two, the half split at an explicit capacity, unless its new key adds
 // an id group that no frame of two pieces narrows; three always fit.
-// Each piece that does not hold the new key is a run of the leaf that
-// fitted, so it fits, and the one that does may be as short as minLeaf
-// entries, which fit at any frame.
+// Each piece that does not hold the new key, or the gap a deleted one
+// left, is a run of the leaf that fitted, so it fits, and the one that
+// does may be as short as minLeaf entries, which fit at any frame.
 func (t *Tree) splitLeaf(w *cow, nv *version, parent *internalNode, ci int, n []Entry) error {
 	if t.cfgCap == 0 && len(parent.children) > 1 {
 		lo, hi := max(ci-1, 0), min(ci+1, len(parent.children)-1)
@@ -530,14 +552,14 @@ func (t *Tree) splitLeaf(w *cow, nv *version, parent *internalNode, ci int, n []
 		}
 		t.window = all
 		for k := hi - lo + 1; k <= hi-lo+2; k++ {
-			if cuts, ok := t.spread(all, k); ok {
-				return t.putWindow(w, nv, parent, lo, hi-lo+1, all, cuts)
+			if cuts, frames, ok := t.spread(all, k); ok {
+				return t.putWindow(w, nv, parent, lo, hi-lo+1, all, cuts, frames)
 			}
 		}
 	}
 	for k := 2; k <= 3; k++ {
-		if cuts, ok := t.spread(n, k); ok {
-			return t.putWindow(w, nv, parent, ci, 1, n, cuts)
+		if cuts, frames, ok := t.spread(n, k); ok {
+			return t.putWindow(w, nv, parent, ci, 1, n, cuts, frames)
 		}
 	}
 	return fmt.Errorf("btree: a leaf of %d entries fits no three leaves", len(n))
@@ -545,19 +567,20 @@ func (t *Tree) splitLeaf(w *cow, nv *version, parent *internalNode, ci int, n []
 
 // spread cuts all into k leaves of at least minLeaf entries that pass
 // fitLeaf, at the cuts nearest its even shares, and returns the k+1 cut
-// positions from 0 to len(all). The even cuts come first: when each
-// even piece is a leaf, they are the cuts the search below would pick.
+// positions from 0 to len(all) and the pieces' frames. The even cuts
+// come first: when each even piece is a leaf, they are the cuts the
+// search below would pick.
 // Left to right, cut i lies at least minLeaf past cut i-1, within the
 // longest run from it that fits a leaf, and no earlier than back[i],
 // from which the k-i pieces after it fit as the longest runs taken from
 // the back (fitSpan). It reports false when no such cut is left.
-func (t *Tree) spread(all []Entry, k int) ([]int, bool) {
+func (t *Tree) spread(all []Entry, k int) ([]int, []leafFrame, bool) {
 	cuts := make([]int, k+1)
 	for i := 1; i <= k; i++ {
 		cuts[i] = i * len(all) / k
 	}
-	if t.leaves(all, cuts) {
-		return cuts, true
+	if frames, ok := t.leaves(all, cuts); ok {
+		return cuts, frames, true
 	}
 	back := make([]int, k+1)
 	back[k] = len(all)
@@ -569,38 +592,44 @@ func (t *Tree) spread(all []Entry, k int) ([]int, bool) {
 		lo := max(prev+t.minLeaf, back[i])
 		hi := min(prev+t.fitSpan(all[prev:], +1, t.leafCap, t.pageSize), len(all)-(k-i)*t.minLeaf)
 		if lo > hi {
-			return nil, false
+			return nil, nil, false
 		}
 		cuts[i] = min(max(i*len(all)/k, lo), hi)
 	}
-	return cuts, t.leaves(all, cuts)
+	frames, ok := t.leaves(all, cuts)
+	return cuts, frames, ok
 }
 
 // leaves reports whether each piece of all between cuts has at least
-// minLeaf entries and passes fitLeaf.
-func (t *Tree) leaves(all []Entry, cuts []int) bool {
-	for i := 0; i+1 < len(cuts); i++ {
+// minLeaf entries and passes fitLeaf, and returns their frames when
+// they do.
+func (t *Tree) leaves(all []Entry, cuts []int) ([]leafFrame, bool) {
+	frames := make([]leafFrame, len(cuts)-1)
+	for i := range frames {
 		piece := all[cuts[i]:cuts[i+1]]
-		if _, ok := t.fitLeaf(piece); len(piece) < t.minLeaf || !ok {
-			return false
+		f, ok := t.fitLeaf(piece)
+		if len(piece) < t.minLeaf || !ok {
+			return nil, false
 		}
+		frames[i] = f
 	}
-	return true
+	return frames, true
 }
 
-// putWindow writes all, cut at cuts, over the m leaves from child lo of
-// parent, and the pieces past them, if any, as new leaves; it resets the
-// separators between the pieces.
-func (t *Tree) putWindow(w *cow, nv *version, parent *internalNode, lo, m int, all []Entry, cuts []int) (err error) {
-	for j := 0; j+1 < len(cuts); j++ {
+// putWindow writes all, cut at cuts, in the frames found for its
+// pieces, over the m leaves from child lo of parent, and the pieces
+// past them, if any, as new leaves; it resets the separators between
+// the pieces.
+func (t *Tree) putWindow(w *cow, nv *version, parent *internalNode, lo, m int, all []Entry, cuts []int, frames []leafFrame) (err error) {
+	for j, f := range frames {
 		piece := all[cuts[j]:cuts[j+1]]
 		if j >= m {
-			err = t.addLeaf(w, nv, parent, lo+j-1, all[cuts[j]-1].Key, piece)
+			err = t.addLeaf(w, nv, parent, lo+j-1, all[cuts[j]-1].Key, piece, f)
 		} else {
 			if j > 0 {
 				parent.seps[lo+j-1] = t.separator(all[cuts[j]-1].Key, piece[0].Key)
 			}
-			parent.children[lo+j], err = w.putLeaf(parent.children[lo+j], piece)
+			parent.children[lo+j], err = w.putLeafIn(parent.children[lo+j], piece, f)
 		}
 		if err != nil {
 			return err
@@ -609,10 +638,10 @@ func (t *Tree) putWindow(w *cow, nv *version, parent *internalNode, lo, m int, a
 	return nil
 }
 
-// addLeaf writes es as a new leaf right of child i of parent; prev is
-// the largest key left of it.
-func (t *Tree) addLeaf(w *cow, nv *version, parent *internalNode, i int, prev Key, es []Entry) error {
-	id, err := w.putLeaf(disk.InvalidPage, es)
+// addLeaf writes es, in its frame f, as a new leaf right of child i of
+// parent; prev is the largest key left of it.
+func (t *Tree) addLeaf(w *cow, nv *version, parent *internalNode, i int, prev Key, es []Entry, f leafFrame) error {
+	id, err := w.putLeafIn(disk.InvalidPage, es, f)
 	if err != nil {
 		return err
 	}

@@ -49,6 +49,7 @@ type Frame struct {
 // docs/parallelism.md for the layer-by-layer contract.
 type Pool struct {
 	store    Store
+	images   imageWriter // store, when it can keep an image Put hands it
 	capacity int
 
 	mu     sync.Mutex
@@ -69,12 +70,22 @@ func NewPool(store Store, capacity int, policy Policy) (*Pool, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("disk: pool capacity %d < 1", capacity)
 	}
+	images, _ := store.(imageWriter)
 	return &Pool{
 		store:    store,
+		images:   images,
 		capacity: capacity,
 		frames:   make(map[PageID]*Frame, capacity),
 		order:    list.New(),
 	}, nil
+}
+
+// imageWriter is a Store that can keep an image it is handed, which its
+// caller never changes again, instead of copying it
+// (RecoverableStore.WriteImage). Put hands it the image the pool
+// caches, so a page written between checkpoints is held once.
+type imageWriter interface {
+	WriteImage(id PageID, img []byte) error
 }
 
 // MustPool is NewPool panicking on error.
@@ -177,7 +188,13 @@ func (p *Pool) frame(id PageID, n *obs.Counts) (*Frame, error) {
 func (p *Pool) Put(id PageID, img []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.store.Write(id, img); err != nil {
+	var err error
+	if p.images != nil {
+		err = p.images.WriteImage(id, img)
+	} else {
+		err = p.store.Write(id, img)
+	}
+	if err != nil {
 		return err
 	}
 	if f, ok := p.frames[id]; ok {

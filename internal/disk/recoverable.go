@@ -351,9 +351,22 @@ func (s *RecoverableStore) Read(id PageID, buf []byte) error {
 	return nil
 }
 
-// Write implements Store: the image is retained in the delta; the log
-// and the page file are untouched until the next checkpoint.
+// Write implements Store: a copy of the image is retained in the delta;
+// the log and the page file are untouched until the next checkpoint.
 func (s *RecoverableStore) Write(id PageID, buf []byte) error {
+	return s.write(id, buf, false)
+}
+
+// WriteImage is Write for an image the caller will never change again,
+// such as one a Pool caches: the delta keeps img itself, not a copy.
+func (s *RecoverableStore) WriteImage(id PageID, img []byte) error {
+	return s.write(id, img, true)
+}
+
+// write retains buf, or a copy of it unless keep, as page id's image.
+// An image already in the delta is replaced, never written into: it
+// may be an image the caller kept.
+func (s *RecoverableStore) write(id PageID, buf []byte, keep bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed != nil {
@@ -368,15 +381,11 @@ func (s *RecoverableStore) Write(id PageID, buf []byte) error {
 	if !s.fs.isAllocated(id) {
 		return fmt.Errorf("disk: write of unallocated page %d", id)
 	}
-	s.lsn++
-	dp := s.delta[id]
-	dp.lsn = s.lsn
-	if dp.img == nil { // not in the delta, or an Allocate marker
-		dp.img = append([]byte(nil), buf...)
-	} else {
-		copy(dp.img, buf)
+	if !keep {
+		buf = append([]byte(nil), buf...)
 	}
-	s.delta[id] = dp
+	s.lsn++
+	s.delta[id] = deltaPage{lsn: s.lsn, img: buf}
 	s.stats.Writes++
 	return nil
 }

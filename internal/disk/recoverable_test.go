@@ -733,3 +733,48 @@ func TestNoPageFileIOBetweenCheckpoints(t *testing.T) {
 		t.Fatalf("recovered %d pages, want the checkpoint's 4", n)
 	}
 }
+
+// TestPoolPutKeepsItsImage: a Pool over a RecoverableStore hands the
+// store the image it caches, so a page Put between checkpoints is held
+// once: a Put allocates one buffer fewer than through a store that can
+// only copy. Write still copies, so its caller may reuse the buffer,
+// and it replaces a kept image rather than writing into it.
+func TestPoolPutKeepsItsImage(t *testing.T) {
+	rs, err := disk.CreateRecoverableStore(faultfs.New(), "db", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	id, err := rs.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := page(128, 'a')
+	puts := func(s disk.Store) float64 {
+		pool := disk.MustPool(s, 4, disk.LRU)
+		return testing.AllocsPerRun(50, func() {
+			if err := pool.Put(id, img); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if keeping, copying := puts(rs), puts(struct{ disk.Store }{rs}); copying-keeping != 1 {
+		t.Errorf("a Put allocates %v times, %v through a store that copies: want one fewer", keeping, copying)
+	}
+
+	if err := rs.WriteImage(id, img); err != nil {
+		t.Fatal(err)
+	}
+	buf := page(128, 'b')
+	if err := rs.Write(id, buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, page(128, 'c'))
+	got := make([]byte, 128)
+	if err := rs.Read(id, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, page(128, 'b')) || !bytes.Equal(img, page(128, 'a')) {
+		t.Errorf("after a Write over a kept image, the page reads %q and the image is %q", got[:1], img[:1])
+	}
+}
