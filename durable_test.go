@@ -646,7 +646,7 @@ func TestDurableWritePathSpaceAmplification(t *testing.T) {
 
 // TestPageGateWritePathFile pins the page file of runWritePath after
 // its first and last checkpoints: slots and live pages. How a full
-// leaf splits (internal/btree, splitLeaf) sets how many leaves the
+// leaf splits (internal/btree, recutLeaf) sets how many leaves the
 // writes leave, and how many keys a leaf's bytes hold how many leaves
 // there are, so a change to either moves these counts. Z deltas from
 // the leaf's first key rather than from a base per 32-entry block gave

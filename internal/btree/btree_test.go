@@ -498,9 +498,7 @@ func TestScanPageAccesses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := pool.Invalidate(); err != nil {
-		t.Fatal(err)
-	}
+	pool.Invalidate()
 	store.ResetStats()
 	snap := tree.Snapshot()
 	defer snap.Release()

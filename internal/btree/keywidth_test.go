@@ -274,9 +274,9 @@ func TestFrameWidening(t *testing.T) {
 	}
 
 	// Leaves alternate wide and 1-byte id frames. Deleting the small
-	// ids in order underflows the first leaf again and again: it
-	// borrows from its right sibling until that one cannot lend, then
-	// the two merge.
+	// ids in order underflows the first leaf again and again: it is
+	// re-cut with its right sibling, into two leaves (a borrow) while
+	// one cannot hold them, then into one (a merge).
 	borrows, merges := 0, 0
 	for i, e := range es {
 		underfull := leafOf(e.Key).count == tree.minLeaf

@@ -62,9 +62,9 @@ import (
 // A leaf's entries ([]Entry, decodeLeaf) and internalNode are the
 // copy-on-write path's builder: a writer decodes the pages it is about
 // to replace, edits the decoded form, and encodes the result into
-// fresh pages. A leaf that overflows may replace its neighbours too:
-// it spreads its entries over them before it splits (tree.go,
-// splitLeaf).
+// fresh pages. A leaf that overflows or underflows may replace its
+// neighbours too: it is re-cut with them, into one leaf fewer, as many
+// or one more, before a full one is cut alone (tree.go, recutLeaf).
 
 type nodeType byte
 
@@ -604,21 +604,4 @@ func (n *internalNode) encode(data []byte) {
 // the encoded key: the number of separators <= enc.
 func (n *internalNode) childIndex(enc []byte) int {
 	return sort.Search(len(n.seps), func(i int) bool { return sepCompare(n.seps[i], enc) > 0 })
-}
-
-// insertAt inserts a separator and its right child at position i.
-func (n *internalNode) insertAt(i int, sep []byte, rightChild disk.PageID) {
-	n.seps = append(n.seps, nil)
-	copy(n.seps[i+1:], n.seps[i:])
-	n.seps[i] = sep
-	n.children = append(n.children, 0)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = rightChild
-}
-
-// removeAt removes separator i and child i+1 (used when merging the
-// children on either side of separator i).
-func (n *internalNode) removeAt(i int) {
-	n.seps = append(n.seps[:i], n.seps[i+1:]...)
-	n.children = append(n.children[:i+1], n.children[i+2:]...)
 }

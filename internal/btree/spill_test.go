@@ -13,103 +13,123 @@ import (
 )
 
 // TestExplicitCapacityShapes pins the leaves a seeded mix of inserts,
-// deletes and batches leaves at each explicit capacity: the hash of
-// every leaf's first key and count. An explicit capacity cuts leaves
-// by count alone and splits a full one in half, whatever frames its
-// keys need, so the paper's 20 points per page give its old leaves.
-// The constants were recorded before derived capacities learned to
-// share a full leaf with its neighbour; they must not move.
+// deletes and batches leaves at each explicit capacity, and those a
+// seeded run of inserts alone leaves: the hash of every leaf's first
+// key and count. An explicit capacity cuts leaves by count alone and
+// splits a full leaf in half, whatever frames its keys need, so the
+// paper's 20 points per page give its old leaves. The insert-only
+// constants were recorded before derived capacities learned to share a
+// full leaf with its neighbour, and before an underfull leaf was re-cut
+// with its neighbours; they must not move. The mixed ones were last
+// re-pinned when underflow became that re-cut.
 func TestExplicitCapacityShapes(t *testing.T) {
-	want := map[int]uint64{
-		2:  0x81ef7d4389eee413, // 1 866 leaves
-		3:  0x09568b9289c141ee, // 1 337
-		4:  0x3135542cc2e439b6, // 866
-		8:  0xe5d7ee5f270e2a05, // 448
-		20: 0x21a6939e2a04e329, // 181
+	for _, c := range []struct {
+		capacity          int
+		insertOnly, mixed uint64
+	}{
+		// capacity, insert-only hash and mixed hash, and their leaves
+		{2, 0x7b998559da676746, 0x53fb495e8c722512},  // 6 662, 1 756
+		{3, 0xa5dab5cd975deccc, 0x1ef60b07659ebd95},  // 4 409, 1 240
+		{4, 0xeda8e9ad6de8a1b2, 0xd3a1e634652bde7e},  // 3 473, 810
+		{8, 0x756d7eb8d74d3aa4, 0x2d074024fc2982d6},  // 1 805, 430
+		{20, 0xbc94dbae93205054, 0xc0ca150cecf1521c}, // 730, 169
+	} {
+		for _, mixed := range []bool{false, true} {
+			want := c.insertOnly
+			if mixed {
+				want = c.mixed
+			}
+			explicitCapacityShape(t, c.capacity, mixed, want)
+		}
 	}
-	for _, capacity := range []int{2, 3, 4, 8, 20} {
-		tree := newTestTree(t, 512, capacity, 256)
-		rng := rand.New(rand.NewSource(int64(capacity)))
-		stored := map[Key]bool{}
-		var keys []Key
-		// Ids of mixed widths give neighbouring leaves different frames.
-		fresh := func() Key {
-			for {
-				k := Key{Hi: rng.Uint64() >> uint(rng.Intn(40)), Lo: rng.Uint64() >> uint(8*rng.Intn(8))}
-				if !stored[k] {
-					return k
-				}
+}
+
+// explicitCapacityShape runs the seeded writes of
+// TestExplicitCapacityShapes at one capacity, with deletes when mixed,
+// and checks the hash of the leaves they leave.
+func explicitCapacityShape(t *testing.T, capacity int, mixed bool, want uint64) {
+	t.Helper()
+	tree := newTestTree(t, 512, capacity, 256)
+	rng := rand.New(rand.NewSource(int64(capacity)))
+	stored := map[Key]bool{}
+	var keys []Key
+	// Ids of mixed widths give neighbouring leaves different frames.
+	fresh := func() Key {
+		for {
+			k := Key{Hi: rng.Uint64() >> uint(rng.Intn(40)), Lo: rng.Uint64() >> uint(8*rng.Intn(8))}
+			if !stored[k] {
+				return k
 			}
 		}
-		add := func(k Key) { stored[k] = true; keys = append(keys, k) }
-		pick := func() Key {
-			i := rng.Intn(len(keys))
-			k := keys[i]
-			keys[i] = keys[len(keys)-1]
-			keys = keys[:len(keys)-1]
-			delete(stored, k)
-			return k
-		}
-		for step := 0; step < 6000; step++ {
-			switch r := rng.Intn(10); {
-			case r < 6 || len(keys) < 16:
-				k := fresh()
-				if err := tree.Insert(k, nil); err != nil {
-					t.Fatal(err)
-				}
-				add(k)
-			case r < 8:
-				k := pick()
-				if ok, err := tree.Delete(k); !ok || err != nil {
-					t.Fatalf("Delete(%v) = %v, %v", k, ok, err)
-				}
-			default:
-				var muts []Mutation
-				var added []Key
-				for j := rng.Intn(8) + 1; j > 0; j-- {
-					if rng.Intn(2) == 0 {
-						muts = append(muts, Mutation{Key: pick(), Delete: true})
-					} else {
-						k := fresh()
-						stored[k] = true
-						added = append(added, k)
-						muts = append(muts, Mutation{Key: k})
-					}
-				}
-				if err := tree.CommitBatch(tree.MVCCStats().Seq, muts); err != nil {
-					t.Fatal(err)
-				}
-				keys = append(keys, added...)
-			}
-			if step%1000 == 999 {
-				if err := tree.CheckInvariants(); err != nil {
-					t.Fatalf("capacity %d, step %d: %v", capacity, step, err)
-				}
-			}
-		}
-		if tree.Len() != len(keys) {
-			t.Fatalf("capacity %d: %d entries, want %d", capacity, tree.Len(), len(keys))
-		}
-		h := fnv.New64a()
-		var b [20]byte
-		snap := tree.Snapshot()
-		c := snap.Cursor()
-		for ok, err := c.First(); ok || err != nil; ok, err = c.Next() {
-			if err != nil {
+	}
+	add := func(k Key) { stored[k] = true; keys = append(keys, k) }
+	pick := func() Key {
+		i := rng.Intn(len(keys))
+		k := keys[i]
+		keys[i] = keys[len(keys)-1]
+		keys = keys[:len(keys)-1]
+		delete(stored, k)
+		return k
+	}
+	for step := 0; step < 6000; step++ {
+		switch r := rng.Intn(10); {
+		case r < 6 || len(keys) < 16 || (!mixed && r < 8):
+			k := fresh()
+			if err := tree.Insert(k, nil); err != nil {
 				t.Fatal(err)
 			}
-			if c.pos == 0 {
-				k := c.Key()
-				binary.BigEndian.PutUint64(b[:8], k.Hi)
-				binary.BigEndian.PutUint64(b[8:16], k.Lo)
-				binary.BigEndian.PutUint32(b[16:], uint32(c.leaf.count))
-				h.Write(b[:])
+			add(k)
+		case r < 8:
+			k := pick()
+			if ok, err := tree.Delete(k); !ok || err != nil {
+				t.Fatalf("Delete(%v) = %v, %v", k, ok, err)
+			}
+		default:
+			var muts []Mutation
+			var added []Key
+			for j := rng.Intn(8) + 1; j > 0; j-- {
+				if rng.Intn(2) == 0 && mixed {
+					muts = append(muts, Mutation{Key: pick(), Delete: true})
+				} else {
+					k := fresh()
+					stored[k] = true
+					added = append(added, k)
+					muts = append(muts, Mutation{Key: k})
+				}
+			}
+			if err := tree.CommitBatch(tree.MVCCStats().Seq, muts); err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, added...)
+		}
+		if step%1000 == 999 {
+			if err := tree.CheckInvariants(); err != nil {
+				t.Fatalf("capacity %d, mixed %v, step %d: %v", capacity, mixed, step, err)
 			}
 		}
-		snap.Release()
-		if got := h.Sum64(); got != want[capacity] {
-			t.Errorf("capacity %d: %d leaves hash to %#x, want %#x", capacity, tree.LeafPages(), got, want[capacity])
+	}
+	if tree.Len() != len(keys) {
+		t.Fatalf("capacity %d, mixed %v: %d entries, want %d", capacity, mixed, tree.Len(), len(keys))
+	}
+	h := fnv.New64a()
+	var b [20]byte
+	snap := tree.Snapshot()
+	c := snap.Cursor()
+	for ok, err := c.First(); ok || err != nil; ok, err = c.Next() {
+		if err != nil {
+			t.Fatal(err)
 		}
+		if c.pos == 0 {
+			k := c.Key()
+			binary.BigEndian.PutUint64(b[:8], k.Hi)
+			binary.BigEndian.PutUint64(b[8:16], k.Lo)
+			binary.BigEndian.PutUint32(b[16:], uint32(c.leaf.count))
+			h.Write(b[:])
+		}
+	}
+	snap.Release()
+	if got := h.Sum64(); got != want {
+		t.Errorf("capacity %d, mixed %v: %d leaves hash to %#x, want %#x", capacity, mixed, tree.LeafPages(), got, want)
 	}
 }
 
@@ -459,6 +479,137 @@ func TestLeafSpill(t *testing.T) {
 			}
 		}
 	})
+
+	t.Run("underflow", func(t *testing.T) {
+		// An underfull leaf is re-cut with its window into one leaf fewer
+		// when the pieces fit, else into as many at even shares, at a
+		// derived capacity (minLeaf 22) and at an explicit one of 20
+		// (minLeaf 10). Leaves are trimmed from their back, which leaves a
+		// run that still fits, before the delete that underflows one.
+		explicit := func(n int, fill float64) *Tree {
+			t.Helper()
+			es := make([]Entry, n)
+			for i := range es {
+				es[i].Key = Key{Hi: step(i), Lo: id(i)}
+			}
+			tree, err := Load(disk.MustPool(disk.MustMemStore(512), 256, disk.LRU), Config{LeafCapacity: 20, KeyBits: 24}, es, fill)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tree
+		}
+		for _, c := range []struct {
+			name       string
+			tree       *Tree
+			trim       [2]int // loaded keys deleted first
+			del        int    // the loaded key whose delete underflows
+			was, want  []int
+			wantHeight int
+		}{
+			{"derived, one fewer", loadSpillTree(t, 24, 372, 0.5, step, id), [2]int{146, 248}, 145,
+				[]int{124, 22, 124}, []int{134, 135}, 2},
+			{"derived, even shares", loadSpillTree(t, 24, 726, 1, step, id), [2]int{264, 484}, 263,
+				[]int{242, 22, 242}, []int{168, 168, 169}, 2},
+			{"derived, root collapses", loadSpillTree(t, 24, 248, 0.5, step, id), [2]int{22, 124}, 21,
+				[]int{22, 124}, []int{145}, 1},
+			{"explicit, one fewer", explicit(60, 0.7), [2]int{22, 24}, 21,
+				[]int{12, 10, 12, 12, 12}, []int{16, 17, 12, 12}, 2},
+			{"explicit, even shares", explicit(60, 1), [2]int{30, 40}, 29,
+				[]int{20, 10, 20}, []int{16, 16, 17}, 2},
+			{"explicit, root collapses", explicit(21, 0.5), [2]int{}, 20,
+				[]int{11, 10}, []int{20}, 1},
+		} {
+			t.Run(c.name, func(t *testing.T) {
+				for i := c.trim[1] - 1; i >= c.trim[0]; i-- {
+					if ok, err := c.tree.Delete(Key{Hi: step(i), Lo: id(i)}); !ok || err != nil {
+						t.Fatalf("Delete(%d) = %v, %v", i, ok, err)
+					}
+				}
+				before, after := spillWrite(t, c.tree, func() error {
+					if ok, err := c.tree.Delete(Key{Hi: step(c.del), Lo: id(c.del)}); !ok || err != nil {
+						return fmt.Errorf("Delete(%d) = %v, %v", c.del, ok, err)
+					}
+					return nil
+				})
+				if !reflect.DeepEqual(before, c.was) || !reflect.DeepEqual(after, c.want) {
+					t.Errorf("leaves %v became %v, want %v to become %v", before, after, c.was, c.want)
+				}
+				if h := c.tree.Height(); h != c.wantHeight {
+					t.Errorf("height %d, want %d", h, c.wantHeight)
+				}
+			})
+		}
+	})
+}
+
+// TestInternalRecut: an underfull internal node is re-cut with its
+// window as a leaf is, its children and the parent's separators between
+// them pulled down, into one node fewer when they fit, else into as
+// many at even shares, the left rounded up; and a root left with one
+// child collapses. On 128-byte pages an 11-byte key gives a fanout of 8
+// (minChildren 4), and a capacity of 4 leaves of 2 keys at half fill:
+// 20 leaves under a root of three nodes, [7 7 6]. Deleting the keys in
+// order from the middle node's first leaf re-cuts that leaf with its
+// right neighbour into one every second delete. The middle node, left
+// with 3 children, is re-cut with both its neighbours, 16 children, into
+// two nodes of 8; the right one, left with 3, with its left neighbour
+// of 7 into two of 5, since one node cannot hold 10; and left with 3
+// again, with its neighbour of 5 into one node of 8, which becomes the
+// root.
+func TestInternalRecut(t *testing.T) {
+	es := make([]Entry, 40)
+	for i := range es {
+		es[i].Key = Key{Hi: uint64(i) << 40}
+	}
+	tree, err := Load(disk.MustPool(disk.MustMemStore(128), 64, disk.LRU), Config{LeafCapacity: 4, KeyBits: 24}, es, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.fanout != 8 {
+		t.Fatalf("fanout %d, want 8", tree.fanout)
+	}
+	// shape is the children count of each child of the root.
+	shape := func() []int {
+		v := tree.currentVersion()
+		root, err := tree.loadInternal(v.root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.height == 2 {
+			return []int{len(root.children)}
+		}
+		var counts []int
+		for _, id := range root.children {
+			n, err := tree.loadInternal(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts = append(counts, len(n.children))
+		}
+		return counts
+	}
+	if got := shape(); !reflect.DeepEqual(got, []int{7, 7, 6}) {
+		t.Fatalf("loaded shape %v, want [7 7 6]", got)
+	}
+	var shapes [][]int
+	for i := 14; i < 40 && tree.Height() == 3; i++ {
+		if ok, err := tree.Delete(es[i].Key); !ok || err != nil {
+			t.Fatalf("Delete(%d) = %v, %v", i, ok, err)
+		}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatalf("after deleting key %d: %v", i, err)
+		}
+		if s := shape(); len(shapes) == 0 || !reflect.DeepEqual(s, shapes[len(shapes)-1]) {
+			shapes = append(shapes, s)
+		}
+	}
+	want := [][]int{{7, 6, 6}, {7, 5, 6}, {7, 4, 6}, {8, 8}, {7, 8}, {7, 7}, {7, 6}, {7, 5}, {7, 4}, {5, 5}, {5, 4}, {8}}
+	if !reflect.DeepEqual(shapes, want) {
+		t.Errorf("the root's children went through %v, want %v", shapes, want)
+	}
+	if h := tree.Height(); h != 2 {
+		t.Errorf("height %d, want 2", h)
+	}
 }
 
 // TestFitSpanMatchesFrameOf: a run fits by one definition, its image at
@@ -526,24 +677,113 @@ func TestFitSpanMatchesFrameOf(t *testing.T) {
 	}
 }
 
-// FuzzLeafSpill drives a derived-capacity tree on 512-byte pages,
-// bulk-loaded full or started empty, through seeded batches of inserts
-// and deletes whose ids are 1 to 8 bytes wide, so neighbouring leaves
-// take different frames and full leaves spread over windows of every
-// shape. After every batch the invariants hold and a scan returns the
+// TestSpreadFindsAnyCut: spread cuts all into k leaves whenever any cut
+// into k pieces of at least minLeaf entries that pass fitLeaf exists;
+// the oracle tries every cut. An underfull leaf's window therefore
+// needs no lend of its own: a lend's cut, or a merge's, is such a cut,
+// so the re-cut into as many leaves, or one fewer, finds one. The runs
+// hold ids in 1 to 5 clusters on pages of 128 and 256 bytes, under
+// explicit and derived capacities.
+func TestSpreadFindsAnyCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	var fits, searched, none int
+	for round := 0; round < 300; round++ {
+		pool := disk.MustPool(disk.MustMemStore(128<<rng.Intn(2)), 8, disk.LRU)
+		cfg := Config{KeyBits: []int{8, 24, 40, 0}[rng.Intn(4)]}
+		tree, err := newTreeShell(pool, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(2) == 0 {
+			cfg.LeafCapacity = 2 + rng.Intn(leafMinCap(tree.pageSize, tree.keyLen)-1)
+			if tree, err = newTreeShell(pool, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Runs of different z spans and id clusters, in z order, cut to
+		// about k pages.
+		var all []Entry
+		for part := 2 + rng.Intn(3); part > 0; part-- {
+			all = append(all, clusteredEntries(rng, tree.keyLen, rng.Intn(8*(tree.keyLen-8)+1), 20+rng.Intn(100))...)
+		}
+		slices.SortFunc(all, func(a, b Entry) int { return a.Key.Compare(b.Key) })
+		all = slices.CompactFunc(all, func(a, b Entry) bool { return a.Key == b.Key })
+		k := 1 + rng.Intn(3)
+		page := tree.fitSpan(all, +1, tree.leafCap, tree.pageSize)
+		all = all[:max(1, min(len(all), 120, k*page+rng.Intn(2*page+1)-page))]
+		// cuts[i][p]: all[:p] cuts into i pieces.
+		cuts := make([][]bool, k+1)
+		for i := range cuts {
+			cuts[i] = make([]bool, len(all)+1)
+		}
+		cuts[0][0] = true
+		for p := 1; p <= len(all); p++ {
+			for q := 0; q+tree.minLeaf <= p; q++ {
+				if _, ok := tree.fitLeaf(all[q:p]); !ok {
+					continue
+				}
+				for i := 1; i <= k; i++ {
+					cuts[i][p] = cuts[i][p] || cuts[i-1][q]
+				}
+			}
+		}
+		got, _, ok := tree.spread(all, k)
+		if ok != cuts[k][len(all)] {
+			t.Fatalf("round %d: %d entries into %d leaves (minLeaf %d, capacity %d): spread %v, a cut exists %v",
+				round, len(all), k, tree.minLeaf, cfg.LeafCapacity, ok, cuts[k][len(all)])
+		}
+		switch {
+		case !ok:
+			none++
+		case slices.Equal(got, evenCuts(len(all), k)):
+			fits++
+		default:
+			searched++
+		}
+	}
+	t.Logf("%d even cuts, %d searched, %d with no cut", fits, searched, none)
+	if fits == 0 || searched == 0 || none == 0 {
+		t.Errorf("%d even cuts, %d searched, %d with no cut", fits, searched, none)
+	}
+}
+
+// evenCuts returns the cuts of n entries into k even shares.
+func evenCuts(n, k int) []int {
+	cuts := make([]int, k+1)
+	for i := range cuts {
+		cuts[i] = i * n / k
+	}
+	return cuts
+}
+
+// FuzzLeafSpill drives a tree on 512-byte pages, at a derived capacity
+// or an explicit one in [2, minCap], bulk-loaded full or started empty,
+// through seeded batches of inserts and deletes whose ids are 1 to 8
+// bytes wide, so neighbouring leaves take different frames, full leaves
+// spread over windows of every shape and underfull ones are re-cut with
+// theirs. After every batch the invariants hold and a scan returns the
 // model's keys in order.
 func FuzzLeafSpill(f *testing.F) {
-	f.Add(int64(1), uint8(24), uint16(0), uint8(40))
-	f.Add(int64(2), uint8(0), uint16(300), uint8(40))
-	f.Add(int64(3), uint8(8), uint16(178), uint8(20))
-	f.Add(int64(4), uint8(40), uint16(900), uint8(60))
-	f.Add(int64(5), uint8(24), uint16(999), uint8(63))
-	f.Add(int64(6), uint8(0), uint16(120), uint8(63))
-	f.Add(int64(7), uint8(8), uint16(600), uint8(63))
-	f.Fuzz(func(t *testing.T, seed int64, bits uint8, loaded uint16, batches uint8) {
+	f.Add(int64(1), uint8(24), uint16(0), uint8(40), uint8(0))
+	f.Add(int64(2), uint8(0), uint16(300), uint8(40), uint8(0))
+	f.Add(int64(3), uint8(8), uint16(178), uint8(20), uint8(0))
+	f.Add(int64(4), uint8(40), uint16(900), uint8(60), uint8(0))
+	f.Add(int64(5), uint8(24), uint16(999), uint8(63), uint8(0))
+	f.Add(int64(6), uint8(0), uint16(120), uint8(63), uint8(0))
+	f.Add(int64(7), uint8(8), uint16(600), uint8(63), uint8(0))
+	f.Add(int64(8), uint8(24), uint16(300), uint8(63), uint8(1))
+	f.Add(int64(9), uint8(0), uint16(500), uint8(63), uint8(3))
+	f.Add(int64(10), uint8(8), uint16(999), uint8(63), uint8(19))
+	f.Add(int64(11), uint8(40), uint16(200), uint8(63), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, bits uint8, loaded uint16, batches uint8, capacity uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		keyBits := []int{8, 24, 40, 64}[bits%4]
 		mask := ^uint64(0) << uint(64-keyBits)
+		cfg := Config{KeyBits: keyBits}
+		if capacity > 0 {
+			minCap := leafMinCap(512, keyLenFor(keyBits))
+			cfg.LeafCapacity = 2 + int(capacity-1)%(minCap-1)
+		}
 		model := map[Key]bool{}
 		var keys []Key
 		fresh := func() Key {
@@ -561,7 +801,7 @@ func FuzzLeafSpill(f *testing.F) {
 			keys = append(keys, es[i].Key)
 		}
 		slices.SortFunc(es, func(a, b Entry) int { return a.Key.Compare(b.Key) })
-		tree, err := Load(disk.MustPool(disk.MustMemStore(512), 64, disk.LRU), Config{KeyBits: keyBits}, es, 1)
+		tree, err := Load(disk.MustPool(disk.MustMemStore(512), 64, disk.LRU), cfg, es, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,9 +17,11 @@ type Config struct {
 	// bytes, at the frame its keys need, and by the 65 535 entries its
 	// header counts, and a full leaf spreads over itself and its
 	// neighbours, as many leaves or one more, before it is cut alone into
-	// the fewest leaves that fit (splitLeaf). An explicit capacity splits
+	// the fewest leaves that fit (recutLeaf). An explicit capacity splits
 	// a full leaf in half, so it gives the same leaves whatever frames the
-	// keys need. The paper's experiments use 20.
+	// keys need. At either capacity an underfull leaf is re-cut with its
+	// neighbours, into one leaf fewer when they fit, else as many. The
+	// paper's experiments use 20.
 	LeafCapacity int
 	// KeyBits is how many leading bits of Key.Hi a stored key may set;
 	// zero means all 64. The tree stores only the bytes of Hi those
@@ -52,7 +54,7 @@ type Tree struct {
 	// writeMu serializes structural writers (Insert, Delete, and
 	// version publication from Load). It guards the writer's buffers,
 	// kept for the next write: leaf, the keys of the leaf a write edits,
-	// and window, those of the leaves a split spreads over (splitLeaf).
+	// and window, those of the leaves a re-cut spreads over (recutLeaf).
 	writeMu sync.Mutex
 	leaf    []Entry
 	window  []Entry
@@ -94,10 +96,11 @@ func newTreeShell(pool *disk.Pool, cfg Config) (*Tree, error) {
 	}
 	leafCap, minLeaf := leafCapacity, leafCapacity/2
 	if leafCap == 0 {
-		// A leaf of minLeaf entries fits at any frame, and so does a merge
-		// of an underfull leaf into one that cannot lend (at most
-		// 2*minLeaf-1 entries). Otherwise a leaf is bounded by its bytes
-		// and by the count its header holds.
+		// A leaf of minLeaf entries fits at any frame, and so does an
+		// underfull leaf with a neighbour of minLeaf (at most 2*minLeaf-1
+		// entries), so an underfull window always has a cut (recutLeaf).
+		// Otherwise a leaf is bounded by its bytes and by the count its
+		// header holds.
 		leafCap, minLeaf = maxCount, minCap/2
 	} else if leafCap < 2 || leafCap > minCap {
 		return nil, fmt.Errorf("btree: leaf capacity %d outside [2,%d]", leafCapacity, minCap)
@@ -501,46 +504,57 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key) (*version, error) {
 }
 
 // putLeafAt writes leaf n in place of page leafID, at the end of path,
-// splitting it when it overflows its count or its page, and returns the
-// new root id. A leaf overflows when a key joins it, and at a derived
-// capacity also when one leaves it: a z span of 32 consecutive keys then
-// reaches one key further, and may take a bit more.
+// and returns the new root id. A leaf that overflows its count or its
+// page, or one other than the root that underflows minLeaf, is re-cut
+// (recutLeaf), and the levels above are rebalanced (rebalanceUpward).
+// A leaf overflows when a key joins it, and at a derived capacity also
+// when one leaves it: a z span of 32 consecutive keys then reaches one
+// key further, and may take a bit more.
 func (t *Tree) putLeafAt(w *cow, nv *version, path []cowLevel, leafID disk.PageID, n []Entry) (disk.PageID, error) {
-	if f, ok := t.fitLeaf(n); ok {
+	pi := len(path) - 1
+	if f, ok := t.fitLeaf(n); ok && (len(n) >= t.minLeaf || pi < 0) {
 		id, err := w.putLeafIn(leafID, n, f)
 		if err != nil {
 			return disk.InvalidPage, err
 		}
-		return t.replaceUpward(w, path, len(path)-1, id)
+		return t.replaceUpward(w, path, pi, id)
 	}
-	// A root leaf first gets a new root above it, so that every split
-	// has a parent to edit.
-	if len(path) == 0 {
+	// A root leaf, which overflows, first gets a new root above it, so
+	// that every cut has a parent to edit.
+	if pi < 0 {
 		path = []cowLevel{{n: &internalNode{children: []disk.PageID{leafID}}, id: disk.InvalidPage}}
 		nv.height++
+		pi = 0
 	}
-	pi := len(path) - 1
-	if err := t.splitLeaf(w, nv, path[pi].n, path[pi].child, n); err != nil {
+	if err := t.recutLeaf(w, nv, path[pi].n, path[pi].child, n); err != nil {
 		return disk.InvalidPage, err
 	}
-	return t.splitUpward(w, nv, path, pi)
+	return t.rebalanceUpward(w, nv, path, pi)
 }
 
-// splitLeaf writes n, the leaf at child ci of parent, which overflows
-// its count or its page, and edits the parent to match. At a derived
-// capacity n spreads over its window, itself and its neighbours under
-// parent (up to three leaves), as a B*-tree shares a full node: the
-// window's entries are cut into as many leaves as it has, or else one
-// more (spread). The neighbours' keys are decoded from their page views
+// recutLeaf writes n, the leaf at child ci of parent, which overflows
+// its count or its page or underflows minLeaf, and edits the parent to
+// match. A leaf that underflows, or overflows at a derived capacity, is
+// re-cut with its window, itself and its neighbours under parent (up to
+// three leaves), into the fewest pieces that fit, from one fewer than
+// the window holds when it underflows and from as many when it
+// overflows (spread): an underfull leaf's window loses a leaf where a
+// merge would, and keeps its leaves where a lend would, and a full
+// leaf's window keeps its leaves or gains one, as a B*-tree shares a
+// full node. The neighbours' keys are decoded from their page views
 // straight into t.window. Otherwise, as for a root leaf and always at
-// an explicit capacity, n is cut alone into the fewest pieces that fit:
-// two, the half split at an explicit capacity, unless its new key adds
-// an id group that no frame of two pieces narrows; three always fit.
-// Each piece that does not hold the new key, or the gap a deleted one
-// left, is a run of the leaf that fitted, so it fits, and the one that
-// does may be as short as minLeaf entries, which fit at any frame.
-func (t *Tree) splitLeaf(w *cow, nv *version, parent *internalNode, ci int, n []Entry) error {
-	if t.cfgCap == 0 && len(parent.children) > 1 {
+// an explicit capacity, a full n is cut alone into the fewest pieces
+// that fit: two, the half split at an explicit capacity, unless its new
+// key adds an id group that no frame of two pieces narrows; three
+// always fit. Each piece that does not hold the new key, or the gap a
+// deleted one left, is a run of the leaf that fitted, so it fits, and
+// the one that does may be as short as minLeaf entries, which fit at
+// any frame. An underfull window always has a cut: a lend's, when a
+// neighbour holds more than minLeaf entries, else a merge's, which
+// holds at most 2*minLeaf-1 and fits at any frame.
+func (t *Tree) recutLeaf(w *cow, nv *version, parent *internalNode, ci int, n []Entry) error {
+	under := len(n) < t.minLeaf
+	if (under || t.cfgCap == 0) && len(parent.children) > 1 {
 		lo, hi := max(ci-1, 0), min(ci+1, len(parent.children)-1)
 		all, err := t.window[:0], error(nil)
 		for j := lo; j <= hi; j++ {
@@ -551,18 +565,23 @@ func (t *Tree) splitLeaf(w *cow, nv *version, parent *internalNode, ci int, n []
 			}
 		}
 		t.window = all
-		for k := hi - lo + 1; k <= hi-lo+2; k++ {
+		m := hi - lo + 1
+		from := m
+		if under {
+			from--
+		}
+		for k := from; k <= from+1; k++ {
 			if cuts, frames, ok := t.spread(all, k); ok {
-				return t.putWindow(w, nv, parent, lo, hi-lo+1, all, cuts, frames)
+				return t.putWindow(w, nv, parent, lo, m, all, cuts, frames)
 			}
 		}
 	}
-	for k := 2; k <= 3; k++ {
+	for k := 2; k <= 3 && !under; k++ {
 		if cuts, frames, ok := t.spread(n, k); ok {
 			return t.putWindow(w, nv, parent, ci, 1, n, cuts, frames)
 		}
 	}
-	return fmt.Errorf("btree: a leaf of %d entries fits no three leaves", len(n))
+	return fmt.Errorf("btree: no cut fits a leaf of %d entries", len(n))
 }
 
 // spread cuts all into k leaves of at least minLeaf entries that pass
@@ -617,70 +636,131 @@ func (t *Tree) leaves(all []Entry, cuts []int) ([]leafFrame, bool) {
 }
 
 // putWindow writes all, cut at cuts, in the frames found for its
-// pieces, over the m leaves from child lo of parent, and the pieces
-// past them, if any, as new leaves; it resets the separators between
-// the pieces.
-func (t *Tree) putWindow(w *cow, nv *version, parent *internalNode, lo, m int, all []Entry, cuts []int, frames []leafFrame) (err error) {
+// pieces, over the m leaves from child lo of parent, a piece past them
+// as a new leaf and a leaf past the pieces retired, and resets the
+// separators between the pieces.
+func (t *Tree) putWindow(w *cow, nv *version, parent *internalNode, lo, m int, all []Entry, cuts []int, frames []leafFrame) error {
+	ids := make([]disk.PageID, len(frames))
+	seps := make([][]byte, len(frames)-1)
 	for j, f := range frames {
 		piece := all[cuts[j]:cuts[j+1]]
-		if j >= m {
-			err = t.addLeaf(w, nv, parent, lo+j-1, all[cuts[j]-1].Key, piece, f)
-		} else {
-			if j > 0 {
-				parent.seps[lo+j-1] = t.separator(all[cuts[j]-1].Key, piece[0].Key)
-			}
-			parent.children[lo+j], err = w.putLeafIn(parent.children[lo+j], piece, f)
+		if j > 0 {
+			seps[j-1] = t.separator(all[cuts[j]-1].Key, piece[0].Key)
 		}
-		if err != nil {
+		var err error
+		if ids[j], err = w.putLeafIn(windowPage(parent, lo, m, j), piece, f); err != nil {
 			return err
 		}
 	}
+	nv.leaves += len(ids) - m
+	w.replaceWindow(parent, lo, m, ids, seps)
 	return nil
 }
 
-// addLeaf writes es, in its frame f, as a new leaf right of child i of
-// parent; prev is the largest key left of it.
-func (t *Tree) addLeaf(w *cow, nv *version, parent *internalNode, i int, prev Key, es []Entry, f leafFrame) error {
-	id, err := w.putLeafIn(disk.InvalidPage, es, f)
-	if err != nil {
-		return err
+// windowPage is the page piece j of a window of m children from child
+// lo of parent replaces: the window's j-th child, or none past them.
+func windowPage(parent *internalNode, lo, m, j int) disk.PageID {
+	if j < m {
+		return parent.children[lo+j]
 	}
-	parent.insertAt(i, t.separator(prev, es[0].Key), id)
-	nv.leaves++
-	return nil
+	return disk.InvalidPage
 }
 
-// splitUpward writes out path[pi].n, an internal node that may have
-// gained a child, splitting it when it overflows its fanout and
-// cascading upward as needed; the mirror of rebalanceUpward. It returns
-// the new root id.
-func (t *Tree) splitUpward(w *cow, nv *version, path []cowLevel, pi int) (disk.PageID, error) {
-	for ; len(path[pi].n.children) > t.fanout; pi-- {
-		// Split the node; the middle separator is promoted.
-		pn := path[pi].n
-		mid := len(pn.seps) / 2
-		promoted := pn.seps[mid]
-		right := &internalNode{
-			children: append([]disk.PageID(nil), pn.children[mid+1:]...),
-			seps:     append([][]byte(nil), pn.seps[mid+1:]...),
+// replaceWindow puts ids, with seps between them, in place of the m
+// children of parent from lo and the separators between those, and
+// retires the children past len(ids), which no piece replaced.
+func (w *cow) replaceWindow(parent *internalNode, lo, m int, ids []disk.PageID, seps [][]byte) {
+	for j := len(ids); j < m; j++ {
+		w.retire(parent.children[lo+j])
+	}
+	parent.children = slices.Replace(parent.children, lo, lo+m, ids...)
+	parent.seps = slices.Replace(parent.seps, lo, lo+m-1, seps...)
+}
+
+// rebalanceUpward writes out path[pi].n, an internal node whose
+// children a re-cut below edited, and the path above it, and returns
+// the new root id. Each level is rebalanced by the one rule the leaves
+// follow (recutLeaf): a node over fanout is cut alone into two, and one
+// other than the root under minChildren is re-cut with its window
+// (recutInternal). Either edits the level above, which is rebalanced
+// in turn; a root that is cut grows a new root above it, and a root
+// left with one child collapses into it.
+func (t *Tree) rebalanceUpward(w *cow, nv *version, path []cowLevel, pi int) (disk.PageID, error) {
+	for ; ; pi-- {
+		cur := path[pi]
+		if pi == 0 && len(cur.n.children) == 1 {
+			w.retire(cur.id)
+			nv.height--
+			return cur.n.children[0], nil
 		}
-		pn.children, pn.seps = pn.children[:mid+1], pn.seps[:mid]
-		left, err := w.putInternal(path[pi].id, pn)
-		if err != nil {
-			return disk.InvalidPage, err
-		}
-		extra, err := w.putInternal(disk.InvalidPage, right)
-		if err != nil {
-			return disk.InvalidPage, err
+		under := pi > 0 && len(cur.n.children) < t.minChildren()
+		if !under && len(cur.n.children) <= t.fanout {
+			id, err := w.putInternal(cur.id, cur.n)
+			if err != nil {
+				return disk.InvalidPage, err
+			}
+			return t.replaceUpward(w, path, pi-1, id)
 		}
 		if pi == 0 {
-			// The root itself split: grow a new root.
+			path = slices.Insert(path, 0, cowLevel{n: &internalNode{children: []disk.PageID{cur.id}}, id: disk.InvalidPage})
 			nv.height++
-			return w.putInternal(disk.InvalidPage, &internalNode{children: []disk.PageID{left, extra}, seps: [][]byte{promoted}})
+			pi++
 		}
-		up := path[pi-1]
-		up.n.children[up.child] = left
-		up.n.insertAt(up.child, promoted, extra)
+		if err := t.recutInternal(w, path[pi-1].n, path[pi-1].child, cur.n, under); err != nil {
+			return disk.InvalidPage, err
+		}
 	}
-	return t.writeParentAndReplaceUp(w, path, pi)
+}
+
+// recutInternal writes cur, the internal node at child ci of parent,
+// which overflows or underflows, and edits the parent to match. An
+// overfull cur is cut alone into two, the left keeping ceil(n/2) of its
+// n children. An underfull one is re-cut with its window, itself and
+// its neighbours under parent: their children, the parent's separators
+// between them pulled down, are cut into one node fewer than the window
+// holds when those fit, else as many, which always fit. The cuts lie at
+// even shares, rounded up, and the separators at them are promoted.
+func (t *Tree) recutInternal(w *cow, parent *internalNode, ci int, cur *internalNode, under bool) error {
+	lo, hi := ci, ci
+	if under {
+		lo, hi = max(ci-1, 0), min(ci+1, len(parent.children)-1)
+	}
+	var all internalNode
+	for j := lo; j <= hi; j++ {
+		n := cur
+		if j != ci {
+			var err error
+			if n, err = t.loadInternal(parent.children[j]); err != nil {
+				return err
+			}
+		}
+		if j > lo {
+			all.seps = append(all.seps, parent.seps[j-1])
+		}
+		all.children = append(all.children, n.children...)
+		all.seps = append(all.seps, n.seps...)
+	}
+	m, c := hi-lo+1, len(all.children)
+	k := 2
+	if under {
+		k = m - 1
+		if (c+k-1)/k > t.fanout {
+			k = m
+		}
+	}
+	ids := make([]disk.PageID, k)
+	seps := make([][]byte, k-1)
+	for j, from := 0, 0; j < k; j++ {
+		to := ((j+1)*c + k - 1) / k
+		if j > 0 {
+			seps[j-1] = all.seps[from-1]
+		}
+		var err error
+		if ids[j], err = w.putInternal(windowPage(parent, lo, m, j), &internalNode{children: all.children[from:to], seps: all.seps[from : to-1]}); err != nil {
+			return err
+		}
+		from = to
+	}
+	w.replaceWindow(parent, lo, m, ids, seps)
+	return nil
 }

@@ -62,7 +62,11 @@ func (c *Cursor) ResetBox(g zorder.Grid, b geom.Box) {
 	if b.Dims() != g.Dims() {
 		panic(fmt.Sprintf("decompose: box has %d dims, grid %d", b.Dims(), g.Dims()))
 	}
-	*c = Cursor{box: g.BoxKeys(b.Lo, b.Hi), total: g.TotalBits()}
+	// Field by field: a composite literal would zero and copy the whole
+	// cursor, its BoxKeys included, on every search.
+	c.box.Reset(g, b.Lo, b.Hi)
+	c.total, c.cur, c.valid, c.done = g.TotalBits(), zorder.Element{}, false, false
+	c.ctx, c.err = nil, nil
 }
 
 // SetContext makes the cursor cancellable: each element generation

@@ -72,9 +72,7 @@ func ablationQueries(t *testing.T, store disk.Store, frames int, before func()) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Invalidate(); err != nil {
-		t.Fatal(err)
-	}
+	pool.Invalidate()
 	before()
 	for _, box := range boxes {
 		if _, _, err := ix.RangeSearch(box, core.MergeLazy); err != nil {

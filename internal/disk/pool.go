@@ -243,12 +243,10 @@ func (p *Pool) Resident() int {
 
 // Invalidate empties the pool, so the next accesses are cold. The
 // experiment harness uses this between queries to make page-access
-// counts reproducible. No frame is dirty, so it cannot fail; the error
-// result stays for its callers.
-func (p *Pool) Invalidate() error {
+// counts reproducible. No frame is dirty, so nothing is written.
+func (p *Pool) Invalidate() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.frames = make(map[PageID]*Frame, p.capacity)
 	p.order.Init()
-	return nil
 }

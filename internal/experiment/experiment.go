@@ -151,9 +151,7 @@ func (in *Instance) RunSweep(specs []workload.QuerySpec) ([]Row, error) {
 		row := Row{Spec: spec, Queries: len(boxes)}
 		var predicted float64
 		for _, box := range boxes {
-			if err := in.Pool.Invalidate(); err != nil {
-				return nil, err
-			}
+			in.Pool.Invalidate()
 			_, stats, err := in.Index.RangeSearch(box, in.Config.Strategy)
 			if err != nil {
 				return nil, err

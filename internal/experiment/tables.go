@@ -126,9 +126,7 @@ func (in *Instance) RunPartialMatch(masks [][]bool) ([]PartialRow, error) {
 		boxes := workload.PartialMatches(g, mask, in.Config.Locations, in.Config.Seed+100+int64(mi))
 		row := PartialRow{K: g.Dims(), T: t, Queries: len(boxes)}
 		for _, box := range boxes {
-			if err := in.Pool.Invalidate(); err != nil {
-				return nil, err
-			}
+			in.Pool.Invalidate()
 			_, stats, err := in.Index.RangeSearch(box, in.Config.Strategy)
 			if err != nil {
 				return nil, err
@@ -208,9 +206,7 @@ func (in *Instance) RunKdComparison(specs []workload.QuerySpec) ([]KdRow, error)
 			GridN: gf.Buckets(), RtreeN: rt.Leaves(),
 		}
 		for _, box := range boxes {
-			if err := in.Pool.Invalidate(); err != nil {
-				return nil, err
-			}
+			in.Pool.Invalidate()
 			zres, stats, err := in.Index.RangeSearch(box, in.Config.Strategy)
 			if err != nil {
 				return nil, err

@@ -32,14 +32,25 @@ type BoxKeys struct {
 // clipped to it; a box with lo above hi in some dimension, after the
 // clip, is empty.
 func (g Grid) BoxKeys(lo, hi []uint32) BoxKeys {
+	var b BoxKeys
+	b.Reset(g, lo, hi)
+	return b
+}
+
+// Reset prepares b in place for the box [lo, hi] of grid g, as BoxKeys
+// does, writing only the fields the grid's dimensions use: a BoxKeys
+// that lives by value in a recycled structure is re-aimed without a
+// copy of the whole value.
+func (b *BoxKeys) Reset(g Grid, lo, hi []uint32) {
 	if len(lo) != g.k || len(hi) != g.k {
 		panic("zorder: BigMin box arity mismatch")
 	}
-	b := BoxKeys{k: g.k, order: g.SplitOrder()}
-	var left [MaxBits]int // bits of each coordinate not yet placed
+	b.lo, b.hi, b.k, b.empty, b.order = 0, 0, g.k, false, g.SplitOrder()
+	clear(b.mask[:g.k])
+	var left [MaxBits]uint8 // bits of each coordinate not yet placed
 	var top [MaxBits]uint32
 	for i := range lo {
-		left[i] = g.BitsOf(i)
+		left[i] = uint8(g.BitsOf(i))
 		top[i] = uint32(min(uint64(hi[i]), g.SideOf(i)-1))
 		b.empty = b.empty || lo[i] > top[i]
 	}
@@ -50,7 +61,6 @@ func (g Grid) BoxKeys(lo, hi []uint32) BoxKeys {
 		b.lo |= uint64(lo[i]>>uint(left[i])&1) << at
 		b.hi |= uint64(top[i]>>uint(left[i])&1) << at
 	}
-	return b
 }
 
 // BigMin returns the smallest full-resolution z key >= z whose pixel
