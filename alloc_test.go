@@ -76,12 +76,12 @@ func TestAllocGateDB(t *testing.T) {
 	// scratch and allocates nothing. The answer's
 	// points and slab (2) and the ExplainResult (1). Folding the span
 	// into the metrics: the "index-scan.count" name and one name for each
-	// of its 8 nonzero counters (9).
+	// of its 9 nonzero counters (10).
 	for _, c := range []struct {
 		db   *probe.DB
 		rows int
 	}{{latticeDB(t, 8), 25}, {db, 100}} {
-		gate("ExplainAnalyze", 25, c.rows, func() int {
+		gate("ExplainAnalyze", 26, c.rows, func() int {
 			res, err := c.db.ExplainAnalyze(small)
 			if err != nil {
 				t.Fatal(err)

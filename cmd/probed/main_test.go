@@ -60,11 +60,11 @@ func TestServerConfigMapping(t *testing.T) {
 }
 
 // TestServeRefusesFormatVersion1: probed on a store of an earlier page
-// format (1 to 5) fails with the sentence that says to rebuild it, and
+// format (1 to 6) fails with the sentence that says to rebuild it, and
 // before it listens: the address here cannot be listened on, so a
 // daemon that got that far would fail on the address.
 func TestServeRefusesFormatVersion1(t *testing.T) {
-	for _, version := range []uint32{1, 2, 3, 4, 5} {
+	for _, version := range []uint32{1, 2, 3, 4, 5, 6} {
 		path := filepath.Join(t.TempDir(), "old.db")
 		db, err := probe.Open(probe.MustGrid(2, 10), probe.WithDurability(path))
 		if err != nil {
@@ -98,7 +98,7 @@ func TestServeRefusesFormatVersion1(t *testing.T) {
 		if err == nil {
 			t.Fatalf("probed served a version-%d store", version)
 		}
-		for _, want := range []string{fmt.Sprintf("version %d", version), "version 6", "must be rebuilt"} {
+		for _, want := range []string{fmt.Sprintf("version %d", version), "version 7", "must be rebuilt"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("refusal %q does not say %q", err, want)
 			}

@@ -29,20 +29,21 @@ import (
 const metaPageID disk.PageID = 1
 
 // dbMetaVersion is the format of the descriptor and of the tree pages
-// behind it. Version 6 stores a leaf's z fields as distances from a
-// base per block of 32 entries, the bases after the id bases, and adds
-// their width's byte to the leaf header; version 5 packed a leaf's z
-// and id fields in bits, not whole bytes, and added the selector bits'
-// own byte to the leaf header;
-// version 4 let a leaf's frame hold up to four id bases, an id field
-// selecting one in its top bits; version 3 stored a leaf's
+// behind it. Version 7 stores a leaf's z fields as gaps from the
+// previous key's z, a block's first entry taking its block's base;
+// version 6 stored them as distances from a base per block of 32
+// entries, the bases after the id bases, and added their width's byte
+// to the leaf header; version 5 packed a leaf's z and id fields in
+// bits, not whole bytes, and added the selector bits' own byte to the
+// leaf header; version 4 let a leaf's frame hold up to four id bases,
+// an id field selecting one in its top bits; version 3 stored a leaf's
 // keys as deltas from a frame of one id base in its header and a
 // derived leaf capacity as 0; version 2 stored each key at the grid's
 // width, version 1 in 16 bytes. The descriptor's layout did not change:
 // the key width follows from the grid.
 const (
 	dbMetaMagic   = "PROBEDB1"
-	dbMetaVersion = 6
+	dbMetaVersion = 7
 )
 
 // encodeDBMeta serializes the database descriptor into a page-sized

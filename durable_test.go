@@ -198,12 +198,12 @@ func writeDescriptorOnly(t *testing.T, path string, version, valueSize uint32, b
 // the grid's width (version 1: 16-byte keys), before leaves stored
 // them against a frame (version 2), before a frame held more than one
 // id base (version 3), before its fields were packed in bits (version
-// 4) or before its z fields were taken from a base per block of 32
-// entries (version 5) has other leaf pages behind the same descriptor,
-// so it is refused by its version, in one sentence that says what to
-// do.
+// 4), before its z fields were taken from a base per block of 32
+// entries (version 5) or before they were gaps from the previous key
+// (version 6) has other leaf pages behind the same descriptor, so it is
+// refused by its version, in one sentence that says what to do.
 func TestDurableRefusesFormatVersion1(t *testing.T) {
-	for _, version := range []uint32{1, 2, 3, 4, 5} {
+	for _, version := range []uint32{1, 2, 3, 4, 5, 6} {
 		path := filepath.Join(t.TempDir(), "probe.db")
 		writeDescriptorOnly(t, path, version, 0, 8, 8)
 		db, err := probe.Open(probe.MustGrid(2, 8), probe.WithDurability(path))
@@ -211,7 +211,7 @@ func TestDurableRefusesFormatVersion1(t *testing.T) {
 			db.Close()
 			t.Fatalf("a version-%d store opened", version)
 		}
-		for _, want := range []string{fmt.Sprintf("version %d", version), "version 6", "must be rebuilt"} {
+		for _, want := range []string{fmt.Sprintf("version %d", version), "version 7", "must be rebuilt"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("refusal %q does not say %q", err, want)
 			}
@@ -224,7 +224,7 @@ func TestDurableRefusesFormatVersion1(t *testing.T) {
 // holds anything else is refused by the descriptor, before the tree.
 func TestDurableRefusesValueSize(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "probe.db")
-	writeDescriptorOnly(t, path, 6, 8, 8, 8)
+	writeDescriptorOnly(t, path, 7, 8, 8, 8)
 	db, err := probe.Open(probe.MustGrid(2, 8), probe.WithDurability(path))
 	if err == nil {
 		db.Close()
@@ -287,7 +287,7 @@ func TestDurableLeafCapacityConflict(t *testing.T) {
 // touched.
 func TestDurableGridWidthMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "probe.db")
-	writeDescriptorOnly(t, path, 6, 0, 12, 12)
+	writeDescriptorOnly(t, path, 7, 0, 12, 12)
 	for _, g := range []probe.Grid{probe.MustGrid(2, 8), probe.MustGrid(3, 8), probe.MustGrid(3, 21)} {
 		db, err := probe.Open(g, probe.WithDurability(path))
 		if err == nil {
@@ -648,12 +648,13 @@ func TestDurableWritePathSpaceAmplification(t *testing.T) {
 // its first and last checkpoints: slots and live pages. How a full
 // leaf splits (internal/btree, recutLeaf) sets how many leaves the
 // writes leave, and how many keys a leaf's bytes hold how many leaves
-// there are, so a change to either moves these counts. Z deltas from
-// the leaf's first key rather than from a base per 32-entry block gave
-// 453 slots for 432 live pages and 466 for 447, and whole-byte key
-// fields under a count cap of 739 gave 601 for 579 and 618 for 598.
+// there are, so a change to either moves these counts. Z distances
+// from a base per 32-entry block rather than gaps from the previous key
+// gave 434 slots for 412 live pages and 439 for 421, z deltas from the
+// leaf's first key 453 for 432 and 466 for 447, and whole-byte key
+// fields under a count cap of 739 601 for 579 and 618 for 598.
 func TestPageGateWritePathFile(t *testing.T) {
-	want := map[int][2]int{1: {434, 412}, 8: {439, 421}}
+	want := map[int][2]int{1: {397, 373}, 8: {411, 392}}
 	runWritePath(t, func(epoch int, ds probe.DurabilityStats) {
 		if w, ok := want[epoch]; ok && (ds.FilePages != w[0] || ds.LivePages != w[1]) {
 			t.Errorf("epoch %d: %d slots for %d live pages, want %d for %d", epoch, ds.FilePages, ds.LivePages, w[0], w[1])

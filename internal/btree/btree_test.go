@@ -745,14 +745,16 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatalf("restored tree fails invariant check: %v", err)
 	}
 
-	// A root leaf of 100 keys, z 3i and id i, has four blocks: three
-	// stored bases of 9 bits and z deltas of 7. Block 2's base damaged:
-	// past every key, it breaks the key order; one below its first key,
-	// with the block's z deltas raised to match, it would decode to the
-	// same keys, but a block's first z delta must be 0.
+	// A root leaf of 100 keys, id i and z 3i, 10 more from i = 50 on,
+	// has four blocks: three stored bases of 9 bits, and z gaps of 4 bits
+	// (3, and 13 at i = 50). Block 2's base damaged: past every key, it
+	// breaks the key order; one below its first key, with the block's
+	// first z gap raised to match, it would decode to the same keys, but
+	// a block's first z gap must be 0. A gap in block 2 raised to 15
+	// carries the keys after it past block 3's base.
 	var es []Entry
 	for i := uint64(0); i < 100; i++ {
-		es = append(es, Entry{Key: Key{Hi: 3 * i, Lo: i}})
+		es = append(es, Entry{Key: Key{Hi: 3*i + 10*(i/50), Lo: i}})
 	}
 	blocks, err := Load(disk.MustPool(disk.MustMemStore(4096), 8, disk.LRU), Config{}, es, 1)
 	if err != nil {
@@ -767,8 +769,8 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := p.frame; f.zbits != 9 || f.bbits != 7 || len(p.bases) != 4 {
-		t.Fatalf("a leaf of z 3i, i < 100, has frame %+v and %d blocks", f, len(p.bases))
+	if f := p.frame; f.zbits != 9 || f.bbits != 4 || len(p.bases) != 4 {
+		t.Fatalf("a leaf of z 3i, 10 more from i = 50, i < 100, has frame %+v and %d blocks", f, len(p.bases))
 	}
 	// editField rewrites the field of width bits that ends at bit end.
 	editField := func(img []byte, end, width int, edit func(uint64) uint64) {
@@ -785,11 +787,12 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{"a block base past every key", "order", func(img []byte) {
 			editField(img, baseEnd, p.frame.zbits, func(uint64) uint64 { return 1<<9 - 1 })
 		}},
-		{"a block base below its first key", "first z delta is not 0", func(img []byte) {
+		{"a block base below its first key", "first z gap is not 0", func(img []byte) {
 			editField(img, baseEnd, p.frame.zbits, func(x uint64) uint64 { return x - 1 })
-			for i := 64; i < 96; i++ {
-				editField(img, p.zAt+maxFieldBits+i*p.stride, p.frame.bbits, func(x uint64) uint64 { return x + 1 })
-			}
+			editField(img, p.zAt+maxFieldBits+64*p.stride, p.frame.bbits, func(x uint64) uint64 { return x + 1 })
+		}},
+		{"a raised in-block gap", "order", func(img []byte) {
+			editField(img, p.zAt+maxFieldBits+80*p.stride, p.frame.bbits, func(uint64) uint64 { return 15 })
 		}},
 	} {
 		img := append([]byte(nil), data...)

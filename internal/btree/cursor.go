@@ -11,7 +11,8 @@ import (
 // Cursor iterates leaf entries in key order. It supports the two
 // access patterns the range-search merge requires (Section 3.3):
 // sequential access (Next, via the descent stack) and random access
-// (SeekGE, a root-to-leaf descent).
+// (SeekGE, a root-to-leaf descent unless the target is in the leaf at
+// hand).
 //
 // A cursor reads one committed version, its snapshot's, for its whole
 // lifetime: concurrent writers are invisible to it, and the path it
@@ -62,7 +63,8 @@ func (c *Cursor) Reset(snap *Snapshot) {
 }
 
 // SetCounts counts the cursor's traversal work on n: one obs.Seeks per
-// SeekGE, obs.NodeVisits per internal node loaded, and obs.LeafScans
+// SeekGE, obs.Descents per SeekGE that descends from the root,
+// obs.NodeVisits per internal node loaded, and obs.LeafScans
 // per leaf page loaded (rescans included — distinct-page counting is
 // the caller's concern); each page load also hands n to the pool,
 // which counts its get there (disk.Pool.View). A nil n counts nothing.
@@ -208,23 +210,32 @@ func (c *Cursor) nextLeaf() (bool, error) {
 		return false, err
 	}
 	if c.pos, c.valid = 0, c.leaf.count > 0; c.valid {
-		c.key = c.leaf.key(0)
+		c.key = Key{Hi: c.leaf.bases[0], Lo: c.leaf.id(0)}
 	}
 	return c.valid, nil
 }
 
-// SeekGE positions the cursor on the first entry with key >= k.
+// SeekGE positions the cursor on the first entry with key >= k. A
+// target between the cursor's key and its leaf's last key is in that
+// leaf, after the cursor: it is searched for from the cursor on, with
+// no descent.
 func (c *Cursor) SeekGE(k Key) (bool, error) {
+	valid := c.valid
 	c.valid = false
 	if err := c.loadErr(); err != nil {
 		return false, err
 	}
 	c.span.Inc(obs.Seeks)
-	if err := c.descend(k); err != nil {
-		return false, err
+	if valid && !k.Less(c.key) && !c.leaf.last.Less(k) {
+		c.pos, c.key = c.leaf.seek(k, c.pos, c.key.Hi)
+	} else {
+		c.span.Inc(obs.Descents)
+		if err := c.descend(k); err != nil {
+			return false, err
+		}
+		c.pos, c.key = c.leaf.search(k)
 	}
-	if c.pos = c.leaf.search(k); c.pos < c.leaf.count {
-		c.valid, c.key = true, c.leaf.key(c.pos)
+	if c.valid = c.pos < c.leaf.count; c.valid {
 		return true, nil
 	}
 	// The target starts past this leaf's end (the descend key landed
@@ -239,7 +250,7 @@ func (c *Cursor) Next() (bool, error) {
 	}
 	if c.pos+1 < c.leaf.count {
 		c.pos++
-		c.key = c.leaf.key(c.pos)
+		c.key = Key{Hi: c.leaf.gapFrom(c.pos, c.key.Hi) + c.leaf.gap(c.pos), Lo: c.leaf.id(c.pos)}
 		return true, nil
 	}
 	return c.nextLeaf()

@@ -162,8 +162,8 @@ func TestFrameWidening(t *testing.T) {
 		es = append(es, Entry{Key: Key{Hi: i * 5 << 40, Lo: i}})
 	}
 	// Half of a 512-byte page holds 1 904 bits of block bases and
-	// entries: the leaves hold 124 keys, 3 bases of 10 bits and entries
-	// of 8+7 bits (32 keys span 155 z units).
+	// entries: the leaves hold 168 keys, 5 bases of 10 bits and entries
+	// of 3+8 bits (z gaps of 5 units).
 	tree, err := Load(pool, Config{KeyBits: 24}, es, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -186,25 +186,25 @@ func TestFrameWidening(t *testing.T) {
 		}
 		return p
 	}
-	// The first key of each full leaf (the last two share the rest).
+	// The first key of each full leaf (the last holds the rest).
 	var firsts []Key
 	snap := tree.Snapshot()
 	c := snap.Cursor()
 	for ok, err := c.First(); ok && err == nil; ok, err = c.Next() {
-		if c.pos == 0 && c.leaf.count == 124 {
-			if f := c.leaf.frame; f.zbits != 10 || f.bbits != 8 || f.ibits != 7 {
+		if c.pos == 0 && c.leaf.count == 168 {
+			if f := c.leaf.frame; f.zbits != 10 || f.bbits != 3 || f.ibits != 8 {
 				t.Fatalf("a loaded leaf has frame %+v", f)
 			}
 			firsts = append(firsts, c.Key())
 		}
 	}
 	snap.Release()
-	if len(firsts) != 15 {
+	if len(firsts) != 11 {
 		t.Fatalf("%d full leaves of %d", len(firsts), tree.LeafPages())
 	}
 
 	// Ids from 2^40, 2^48 and 2^56 up, after the first key of each full
-	// leaf: a plain frame would give 127 keys 57-bit id deltas and
+	// leaf: a plain frame would give 171 keys 57-bit id deltas and
 	// overflow the page. Id bases keep the id fields at 24 bits or
 	// fewer, and the leaf takes the keys.
 	for j, k := range firsts {
@@ -227,7 +227,7 @@ func TestFrameWidening(t *testing.T) {
 	}
 
 	// A random id from 2^63 up, after those: it makes a fifth group of
-	// ids below 41-bit offsets, so 128 keys of 64-bit id fields, or 43
+	// ids below 41-bit offsets, so 172 keys of 64-bit id fields, or 43
 	// bits under 2 selector bits, overflow the page. Only a leaf holding
 	// such an id may have a wide id field; every other leaf keeps fields
 	// of 16 bits or fewer.

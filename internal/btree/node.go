@@ -18,7 +18,7 @@ import (
 //           [base key keyLen B]
 //           (2^sel - 1) x [id base 8 B]
 //           (count-1)/32 x [block base zbits bits]
-//           count x [z delta bbits bits][id field ibits bits]
+//           count x [z gap bbits bits][id field ibits bits]
 // Internal: [type u8][count u16]            (count = number of seps)
 //           (count+1) x [child u32]
 //           count x [sepLen u16][sep bytes]
@@ -28,13 +28,14 @@ import (
 // its keys against a frame of reference in two levels. The base key
 // holds the z value of the first key and the first id base. Entries
 // fall into blocks of 32 by index (i >> 5); a block's base is the z of
-// its first entry, whose z delta is so 0, the first block's the base
-// key's, and each later one is stored once, as its distance from the
-// base key's z in zbits bits. An entry holds its z as a distance from its block's base in
-// bbits bits, the widest span of any 32 consecutive keys of the leaf,
-// which a block never exceeds wherever its blocks start. Its id field
-// holds, in its top sel bits (0, 1 or 2), a selector among 2^sel id
-// bases, and below them the id's distance from the base it selects.
+// its first entry, the first block's the base key's, and each later one
+// is stored once, as its distance from the base key's z in zbits bits.
+// An entry holds its z as its gap from the previous key's z in bbits
+// bits, the widest gap between any two consecutive keys of the leaf; a
+// block's first entry holds 0 and takes its z from its block's base, so
+// a key is its block's base plus the gaps of the block up to it. Its id
+// field holds, in its top sel bits (0, 1 or 2), a selector among 2^sel
+// id bases, and below them the id's distance from the base it selects.
 // With no selector bits the one base is the smallest id; with them,
 // each base is the first id of a group's range, the ids that share
 // their bits above the distance. The first base is the base key's; the
@@ -49,8 +50,8 @@ import (
 // 57 bits past any bit boundary; a frame with a field wider than that
 // keeps all its widths in whole bytes, so every field ends on a byte
 // (fieldBits). Entries stay fixed-stride within a page, so a search is
-// still a binary search of the image, first over the block bases, and
-// a key decodes without allocating.
+// a binary search of the block bases, then a running sum over one
+// block, and a key decodes without allocating.
 //
 // Leaves carry no sibling links: copy-on-write could not maintain them
 // (a neighbor's link would dangle at the old page version), so a
@@ -58,7 +59,8 @@ import (
 //
 // Reads never decode a page. They search the image through the
 // leafPage and internalPage views below, over the image the pool
-// hands out (disk.Pool.View); a leaf view decodes only the block bases.
+// hands out (disk.Pool.View); a leaf view decodes only the block bases
+// and the last key.
 // A leaf's entries ([]Entry, decodeLeaf) and internalNode are the
 // copy-on-write path's builder: a writer decodes the pages it is about
 // to replace, edits the decoded form, and encodes the result into
@@ -114,10 +116,11 @@ func pageHeader(data []byte, want nodeType, headerLen int, kind string) (int, er
 }
 
 // leafPage is a read-only view of a leaf page image. Entries are
-// fixed-stride within the page, so entry i is found by arithmetic and
-// search is a binary search on the bytes. The view decodes the block
-// bases, the one thing it holds apart from the image, into bases,
-// whose capacity a view filled in place keeps for the next leaf.
+// fixed-stride within the page, so entry i's fields are found by
+// arithmetic, and a key is its block's base plus the gaps of the block
+// up to it. The view decodes the block bases, which it holds apart
+// from the image in bases, whose capacity a view filled in place keeps
+// for the next leaf, and the leaf's last key.
 type leafPage struct {
 	data          []byte // the whole image
 	count         int
@@ -127,6 +130,7 @@ type leafPage struct {
 	drop          uint   // zDrop of the tree's key length, under 64
 	zMask, idMask uint64 // the low bbits and ibits bits
 	shift         uint   // id offset bits: ibits - sel
+	last          Key    // the last entry's key, if any
 	// bases[b] is block b's base as a Key.Hi: the frame's z plus the
 	// block's distance from it.
 	bases []uint64
@@ -137,7 +141,7 @@ type leafPage struct {
 
 // view makes p a view of the leaf image data, whose keys are keyLen
 // bytes, after checking that its frame is within the key, its fields
-// within the image and each block's first z delta 0.
+// within the image and each block's first z gap 0.
 func (p *leafPage) view(data []byte, keyLen int) error {
 	p.data = nil // until the view is whole
 	count, err := pageHeader(data, leafType, leafHeaderLen(keyLen), "a leaf")
@@ -149,7 +153,7 @@ func (p *leafPage) view(data []byte, keyLen int) error {
 		return fmt.Errorf("btree: leaf frame of %d+%d bits is wider than a %d-byte key", f.zbits, f.ibits, keyLen)
 	}
 	if f.bbits > f.zbits {
-		return fmt.Errorf("btree: leaf frame's %d-bit z deltas are wider than its %d-bit block bases", f.bbits, f.zbits)
+		return fmt.Errorf("btree: leaf frame's %d-bit z gaps are wider than its %d-bit block bases", f.bbits, f.zbits)
 	}
 	if f.sel > maxSel || f.sel > f.ibits {
 		return fmt.Errorf("btree: leaf frame selects among %d id bases in %d-bit id fields", 1<<f.sel, f.ibits)
@@ -180,7 +184,7 @@ func (p *leafPage) view(data []byte, keyLen int) error {
 		p.bases = make([]uint64, n)
 	}
 	p.bases = p.bases[:n]
-	// A block's base is its first key's z, so that key's z delta is 0:
+	// A block's base is its first key's z, so that key's z gap is 0:
 	// search compares the bases as the blocks' first keys.
 	baseMask, e := ^uint64(0)>>(64-f.zbits), uint(8*first-maxFieldBits)
 	for b := range p.bases {
@@ -191,44 +195,84 @@ func (p *leafPage) view(data []byte, keyLen int) error {
 			p.bases[b] = base.Hi
 		}
 		if z := p.zAt + b*blockLen*p.stride; binary.BigEndian.Uint64(data[z>>3:])>>(^z&7)&p.zMask != 0 {
-			return fmt.Errorf("btree: leaf block %d's first z delta is not 0", b)
+			return fmt.Errorf("btree: leaf block %d's first z gap is not 0", b)
 		}
 	}
-	p.data = data
+	p.data, p.last = data, Key{}
+	if n > 0 {
+		i, hi := (n-1)<<blockShift, p.bases[n-1]
+		for i+1 < count {
+			i++
+			hi += p.gap(i)
+		}
+		p.last = Key{Hi: hi, Lo: p.id(i)}
+	}
 	return nil
 }
 
-// key decodes entry i's key: its block's base plus the entry's z
-// delta, and the base the id field selects plus the offset below the
-// selector. A field that ends at bit e is the low bits of the 8 bytes
+// gap returns entry i's z gap, as a Key.Hi: what its key's Hi adds to
+// the previous entry's, or at a block's first entry to its block's base
+// (gapFrom). A field that ends at bit e is the low bits of the 8 bytes
 // that end with e's byte, shifted right past that byte's bits after e:
-// with a = e-57 (z and id below), the 8 bytes at a>>3 shifted by
-// 7-a&7. The image always holds them: the header before the first
-// entry is longer than 8 bytes. The masks on drop and on the selector
-// change no value; they spare the shift and the index their checks.
-func (p *leafPage) key(i int) Key {
+// with a = e-57 (zAt + i*stride for entry i's z field), the 8 bytes at
+// a>>3 shifted by 7-a&7. The image always holds them: the header before
+// the first entry is longer than 8 bytes. The mask on drop changes no
+// value; it spares the shift its check.
+func (p *leafPage) gap(i int) uint64 {
 	z := p.zAt + i*p.stride
-	f := binary.BigEndian.Uint64(p.data[(z+p.ibits)>>3:]) >> (^(z + p.ibits) & 7) & p.idMask
-	return Key{
-		Hi: p.bases[i>>blockShift] + binary.BigEndian.Uint64(p.data[z>>3:])>>(^z&7)&p.zMask<<(p.drop&63),
-		Lo: p.adj[f>>p.shift&(maxIDBases-1)] + f,
-	}
+	return binary.BigEndian.Uint64(p.data[z>>3:]) >> (^z & 7) & p.zMask << (p.drop & 63)
 }
 
-// search returns the index of the first key >= k in the leaf. It
-// first finds the first block whose first key is >= k, comparing
-// block bases alone unless a base equals k's z, then searches the
-// block before it, which holds the answer or ends just before it.
-func (p *leafPage) search(k Key) int {
-	b := sort.Search(len(p.bases), func(b int) bool {
-		h := p.bases[b]
-		return h > k.Hi || h == k.Hi && p.key(b<<blockShift).Lo >= k.Lo
-	})
-	if b == 0 {
-		return 0
+// id decodes entry i's id: the base its field selects plus the offset
+// below the selector. The mask on the selector changes no value; it
+// spares the index its check.
+func (p *leafPage) id(i int) uint64 {
+	e := p.zAt + i*p.stride + p.ibits
+	f := binary.BigEndian.Uint64(p.data[e>>3:]) >> (^e & 7) & p.idMask
+	return p.adj[f>>p.shift&(maxIDBases-1)] + f
+}
+
+// gapFrom returns the Hi that entry i's z gap is from, prev being
+// entry i-1's: at a block's first entry, its block's base.
+func (p *leafPage) gapFrom(i int, prev uint64) uint64 {
+	if i&(blockLen-1) == 0 {
+		return p.bases[i>>blockShift]
 	}
-	lo := (b - 1) << blockShift
-	return lo + sort.Search(min(p.count-lo, blockLen), func(i int) bool { return !p.key(lo + i).Less(k) })
+	return prev
+}
+
+// search returns the index and key of the first key >= k in the leaf
+// (count and the zero key if none is).
+func (p *leafPage) search(k Key) (int, Key) {
+	if p.count == 0 {
+		return 0, Key{}
+	}
+	return p.seek(k, 0, p.bases[0])
+}
+
+// seek returns the index and key of the first key >= k at or after
+// entry i, whose Hi is hi and whose key is not above k. It first finds
+// the first later block whose first key is >= k, comparing block bases
+// alone unless a base equals k's z, then sums the gaps of the block
+// before it from entry i, or from that block's first entry if it is
+// later: the block holds the answer or ends just before it. An id is
+// read only where the z equals k's.
+func (p *leafPage) seek(k Key, i int, hi uint64) (int, Key) {
+	b0 := i>>blockShift + 1
+	b := b0 + sort.Search(len(p.bases)-b0, func(j int) bool {
+		h := p.bases[b0+j]
+		return h > k.Hi || h == k.Hi && p.id((b0+j)<<blockShift) >= k.Lo
+	})
+	if b > b0 {
+		i, hi = (b-1)<<blockShift, p.bases[b-1]
+	}
+	for hi < k.Hi || hi == k.Hi && p.id(i) < k.Lo {
+		if i++; i == p.count {
+			return i, Key{}
+		}
+		hi = p.gapFrom(i, hi) + p.gap(i)
+	}
+	return i, Key{Hi: hi, Lo: p.id(i)}
 }
 
 // internalPage is a read-only view of an internal page image.
@@ -311,15 +355,17 @@ func decodeLeaf(es []Entry, data []byte, keyLen int) ([]Entry, error) {
 		return nil, err
 	}
 	es = slices.Grow(es, p.count)
+	var k Key
 	for i := 0; i < p.count; i++ {
-		es = append(es, Entry{Key: p.key(i)})
+		k = Key{Hi: p.gapFrom(i, k.Hi) + p.gap(i), Lo: p.id(i)}
+		es = append(es, Entry{Key: k})
 	}
 	return es, nil
 }
 
 // leafFrame is a leaf's frame of reference: the z its keys are stored
 // against (as the stored z bits, right-justified), the id bases, the
-// bit widths of the block bases, of the z deltas from them and of the
+// bit widths of the block bases, of the z gaps between keys and of the
 // id fields, and the selector bits of an id field. Bases past the
 // first 2^sel are zero.
 type leafFrame struct {
@@ -335,7 +381,7 @@ func (f leafFrame) headerLen(keyLen int) int { return leafHeaderLen(keyLen) + 8*
 // idShift is the number of offset bits below an id field's selector.
 func (f leafFrame) idShift() uint { return uint(f.ibits - f.sel) }
 
-// fieldBits returns the widths of a frame whose block bases, z deltas
+// fieldBits returns the widths of a frame whose block bases, z gaps
 // and id deltas take zb, bb and ib bits: those, unless one is wider
 // than a read past any bit boundary holds, when all round up to whole
 // bytes.
@@ -353,25 +399,25 @@ func leafBytes(n int, f leafFrame, keyLen int) int {
 
 // frameScan takes a run of keys as it grows, from either end, and
 // keeps what its canonical frame depends on: the largest z delta from
-// the key it started at, the widest z span of 32 consecutive keys, the
+// the key it started at, the widest z gap between consecutive keys, the
 // ids' range, and for each selector width sel the narrowest shift at
-// which the ids fall in at most 2^sel groups (id >> shift). A span is
-// taken when its last key comes, against the stored z of the key 31
-// before it, which a ring of the last 32 keys' z values holds. Grouping
-// at a shift works at every wider one, and a key only falls in a group
-// or adds one, so when a key makes one group too many the shift widens
-// a bit at a time, each step merging the groups that now share their
-// bits (g >> 1).
+// which the ids fall in at most 2^sel groups (id >> shift). Every gap
+// counts, those a block's first entry does not store too, so a run's
+// widths bound those of any run inside it, wherever its blocks start.
+// Grouping at a shift works at every wider one, and a key only falls in
+// a group or adds one, so when a key makes one group too many the shift
+// widens a bit at a time, each step merging the groups that now share
+// their bits (g >> 1).
 type frameScan struct {
 	keyLen int
 	drop   uint // zDrop(keyLen)
 	n      int
 	back   bool   // the run grows toward smaller keys
 	z0     uint64 // the first key's stored z
+	last   uint64 // the stored z of the key added last
 	zMask  uint64 // the stored z bits
-	dz, db uint64
+	dz, dg uint64 // the largest z delta and z gap
 	lo, hi uint64
-	ring   [blockLen]uint64 // key n's stored z at n % 32
 	groups [maxSel]idGroups // by sel-1
 }
 
@@ -385,11 +431,7 @@ type idGroups struct {
 
 func newFrameScan(keyLen int, k Key, back bool) frameScan {
 	drop := zDrop(keyLen)
-	s := frameScan{keyLen: keyLen, drop: drop, n: 1, back: back, z0: k.Hi >> drop, zMask: ^uint64(0) >> drop, lo: k.Lo, hi: k.Lo}
-	// Before 32 keys, the key 31 back from the last is the first.
-	for j := range s.ring {
-		s.ring[j] = s.z0
-	}
+	s := frameScan{keyLen: keyLen, drop: drop, n: 1, back: back, z0: k.Hi >> drop, last: k.Hi >> drop, zMask: ^uint64(0) >> drop, lo: k.Lo, hi: k.Lo}
 	for j := range s.groups {
 		s.groups[j].k, s.groups[j].g[0] = 1, k.Lo
 	}
@@ -397,19 +439,18 @@ func newFrameScan(keyLen int, k Key, back bool) frameScan {
 }
 
 // add takes the next keys of the run, in the order it grows: after its
-// last key, or before its first when the scan runs back. A z delta is
-// taken modulo the stored z bits, so even keys out of order get a frame
-// no wider than the key.
+// last key, or before its first when the scan runs back. A z delta or
+// gap is taken modulo the stored z bits, so even keys out of order get
+// a frame no wider than the key.
 func (s *frameScan) add(es []Entry) {
-	n, dz, db, lo, hi := s.n, s.dz, s.db, s.lo, s.hi
+	n, last, dz, dg, lo, hi := s.n, s.last, s.dz, s.dg, s.lo, s.hi
 	for _, e := range es {
 		z := e.Key.Hi >> s.drop
-		d, w := z-s.z0, z-s.ring[(n+1)%blockLen]
+		d, g := z-s.z0, z-last
 		if s.back {
-			d, w = -d, -w
+			d, g = -d, -g
 		}
-		s.ring[n%blockLen] = z
-		n, dz, db, lo, hi = n+1, max(dz, d&s.zMask), max(db, w&s.zMask), min(lo, e.Key.Lo), max(hi, e.Key.Lo)
+		n, last, dz, dg, lo, hi = n+1, z, max(dz, d&s.zMask), max(dg, g&s.zMask), min(lo, e.Key.Lo), max(hi, e.Key.Lo)
 		// More selector bits group at a shift no wider, so an id in a group
 		// of theirs is in one of each narrower selector's.
 		for j := maxSel - 1; j >= 0; j-- {
@@ -420,7 +461,7 @@ func (s *frameScan) add(es []Entry) {
 			gs.widen(2 << j)
 		}
 	}
-	s.n, s.dz, s.db, s.lo, s.hi = n, dz, db, lo, hi
+	s.n, s.last, s.dz, s.dg, s.lo, s.hi = n, last, dz, dg, lo, hi
 }
 
 // widen widens the shift a bit at a time until there are at most n
@@ -458,7 +499,7 @@ func (gs *idGroups) put(g uint64) bool {
 // run fits wherever its plain frame does, and each width of a shorter
 // run is no wider, so neither is its image.
 func (s *frameScan) shape() (f leafFrame, size int) {
-	zb, bb := bits.Len64(s.dz), bits.Len64(s.db)
+	zb, bb := bits.Len64(s.dz), bits.Len64(s.dg)
 	f.zbits, f.bbits, f.ibits = fieldBits(zb, bb, bits.Len64(s.hi-s.lo))
 	size = leafBytes(s.n, f, s.keyLen)
 	for j := range s.groups {
@@ -497,8 +538,8 @@ func frameOf(es []Entry, keyLen int) leafFrame {
 
 // encodeLeaf makes data the image of a leaf holding es in frame f. The
 // page is zeroed first, so with f = frameOf(es) the image is canonical.
-// A block's base is the z of its first entry, and an id selects the
-// largest base at or below it.
+// A block's base is the z of its first entry, whose gap is 0, and an id
+// selects the largest base at or below it.
 func encodeLeaf(data []byte, es []Entry, f leafFrame, keyLen int) {
 	clear(data)
 	data[0] = byte(leafType)
@@ -518,7 +559,11 @@ func encodeLeaf(data []byte, es []Entry, f leafFrame, keyLen int) {
 		for j+1 < bases && f.ids[j+1] != 0 && f.ids[j+1] <= e.Key.Lo {
 			j++
 		}
-		bw.put(f.bbits, (e.Key.Hi-es[i&^(blockLen-1)].Key.Hi)>>drop)
+		gap := uint64(0)
+		if i&(blockLen-1) != 0 {
+			gap = (e.Key.Hi - es[i-1].Key.Hi) >> drop
+		}
+		bw.put(f.bbits, gap)
 		bw.put(f.ibits, uint64(j)<<shift|(e.Key.Lo-f.ids[j]))
 	}
 	bw.flush()

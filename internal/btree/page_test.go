@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -75,13 +76,13 @@ func refBits(b []byte, off, n int) uint64 {
 // the base key after them read as any key is, then 2^sel - 1 more id
 // bases. From the first byte after the header it reads a block base of
 // zbits bits for each block of 32 entries but the first, then per
-// entry, at bbits+ibits bits, a z delta from its block's base, both
-// counted in units of the lowest stored bit of Hi and added to the base
-// key's z, and an id field whose top sel bits pick the base (the base
-// key's id first) that the bits below them are added to. The block
-// width is at most the z width, a frame with a field over 57 bits must
-// be in whole bytes, and a block's base is the z of its first entry,
-// whose delta is 0.
+// entry, at bbits+ibits bits, a z gap from the previous entry's z, and
+// an id field whose top sel bits pick the base (the base key's id
+// first) that the bits below them are added to. A block's first entry
+// has a gap of 0 and the z of its block's base; the bases and the gaps
+// count in units of the lowest stored bit of Hi, a base from the base
+// key's z. The gap width is at most the z width, and a frame with a
+// field over 57 bits must be in whole bytes.
 func refDecodeLeaf(data []byte, keyLen int) ([]Entry, error) {
 	count, err := refHeader(data, leafType, 7+keyLen, "a leaf")
 	if err != nil {
@@ -92,7 +93,7 @@ func refDecodeLeaf(data []byte, keyLen int) ([]Entry, error) {
 		return nil, fmt.Errorf("btree: leaf frame of %d+%d bits is wider than a %d-byte key", zbits, ibits, keyLen)
 	}
 	if bbits > zbits {
-		return nil, fmt.Errorf("btree: leaf frame's %d-bit z deltas are wider than its %d-bit block bases", bbits, zbits)
+		return nil, fmt.Errorf("btree: leaf frame's %d-bit z gaps are wider than its %d-bit block bases", bbits, zbits)
 	}
 	if sel > 2 || sel > ibits {
 		return nil, fmt.Errorf("btree: leaf frame selects among %d id bases in %d-bit id fields", 1<<sel, ibits)
@@ -120,12 +121,15 @@ func refDecodeLeaf(data []byte, keyLen int) ([]Entry, error) {
 	}
 	for b := range blockZ {
 		if refBits(data, bit+32*b*(bbits+ibits), bbits) != 0 {
-			return nil, fmt.Errorf("btree: leaf block %d's first z delta is not 0", b)
+			return nil, fmt.Errorf("btree: leaf block %d's first z gap is not 0", b)
 		}
 	}
 	es := make([]Entry, count)
+	var dz uint64
 	for i := range es {
-		dz := blockZ[i/32] + refBits(data, bit, bbits)
+		if dz += refBits(data, bit, bbits); i%32 == 0 {
+			dz = blockZ[i/32]
+		}
 		// The selector is the field's top sel bits; the offset is the rest.
 		selector, offset := refBits(data, bit+bbits, sel), refBits(data, bit+bbits+sel, ibits-sel)
 		es[i].Key = Key{Hi: base.Hi + unit*dz, Lo: bases[selector] + offset}
@@ -203,24 +207,32 @@ func checkLeafImage(t *testing.T, data []byte, keyLen int, probes []Key) bool {
 	if p.count != len(n) {
 		t.Fatalf("leaf count %d, decoded %d", p.count, len(n))
 	}
+	var prev Key
 	for i, e := range n {
 		k := e.Key
-		if p.key(i) != k {
-			t.Fatalf("leaf key %d: view %v, decoded %v", i, p.key(i), k)
+		if got := (Key{Hi: p.gapFrom(i, prev.Hi) + p.gap(i), Lo: p.id(i)}); got != k {
+			t.Fatalf("leaf key %d: view %v, decoded %v", i, got, k)
 		}
+		prev = k
 		probes = append(probes, k, Key{Hi: k.Hi, Lo: k.Lo + 1}, Key{Hi: k.Hi, Lo: k.Lo - 1}, Key{Hi: k.Hi | 1, Lo: k.Lo})
+	}
+	if p.last != prev {
+		t.Fatalf("leaf's last key: view %v, decoded %v", p.last, prev)
 	}
 	// On keys in order a search finds what the decoded leaf's does. On
 	// any others it still returns an index that the keys on either side
 	// bracket: those before it are below the probe, the one at it is not.
 	sorted := slices.IsSortedFunc(n, func(a, b Entry) int { return a.Key.Compare(b.Key) })
 	for _, k := range probes {
-		got, want := p.search(k), searchLeaf(n, k)
-		if sorted && got != want {
+		got, key := p.search(k)
+		if want := searchLeaf(n, k); sorted && got != want {
 			t.Fatalf("leaf search(%v) = %d, decoded %d", k, got, want)
 		}
 		if got < 0 || got > len(n) || got > 0 && !n[got-1].Key.Less(k) || got < len(n) && n[got].Key.Less(k) {
 			t.Fatalf("leaf search(%v) = %d, not bracketed by the decoded keys", k, got)
+		}
+		if got < len(n) && key != n[got].Key {
+			t.Fatalf("leaf search(%v) = %d with key %v, decoded %v", k, got, key, n[got].Key)
 		}
 	}
 	return true
@@ -515,11 +527,13 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 
 // TestLeafBlocks holds leaves at the edges of their blocks of 32
 // entries against the reference decoder and against a sorted slice:
-// leaves of 1, 32, 33 and 65 entries, and leaves whose equal z values
-// straddle one or two block boundaries, where a block's base equals the
-// z of keys before it and only the ids order them. A view and SeekGE
-// find the first key at or after every probe, and a view refuses a
-// block width over the z width and block bases that run past the page.
+// leaves of 1, 32, 33 and 65 entries, leaves whose widest z gap fills
+// its field, inside a block or at a block's first entry, and leaves
+// whose equal z values (gaps of 0) straddle one or two block
+// boundaries, where a block's base equals the z of keys before it and
+// only the ids order them. A view and SeekGE find the first key at or
+// after every probe, Next steps on from it, and a view refuses a gap
+// width over the z width and block bases that run past the page.
 func TestLeafBlocks(t *testing.T) {
 	const keyLen = 11
 	drop := zDrop(keyLen)
@@ -548,25 +562,43 @@ func TestLeafBlocks(t *testing.T) {
 		}
 		return zs
 	}
+	// A gap of g before entry at, the others 5.
+	gap := func(n, at int, g uint64) []uint64 {
+		zs := steps(n)
+		for i := at; i < n; i++ {
+			zs[i] += g - 5
+		}
+		return zs
+	}
 	for _, c := range []struct {
 		name   string
 		zs     []uint64
 		blocks int
+		widest uint64 // the widest z gap
 	}{
-		{"1 entry", steps(1), 1},
-		{"32 entries", steps(32), 1},
-		{"33 entries", steps(33), 2},
-		{"65 entries", steps(65), 3},
-		{"equal z across one boundary", straddle(80, 28, 40), 3},
-		{"equal z across two boundaries", straddle(100, 20, 70), 4},
-		{"equal z from a block's first key", straddle(70, 32, 37), 3},
-		{"equal z to a block's last key", straddle(70, 60, 63), 3},
+		{"1 entry", steps(1), 1, 0},
+		{"32 entries", steps(32), 1, 5},
+		{"33 entries", steps(33), 2, 5},
+		{"65 entries", steps(65), 3, 5},
+		{"a gap of 2^bbits-1 in a block", gap(70, 40, 7), 3, 7},
+		{"a gap of 2^bbits-1 at a block's first key", gap(70, 32, 7), 3, 7},
+		{"a gap of 2^bbits-1 at the last key", gap(70, 69, 255), 3, 255},
+		{"equal z across one boundary", straddle(80, 28, 40), 3, 5},
+		{"equal z across two boundaries", straddle(100, 20, 70), 4, 5},
+		{"equal z from a block's first key", straddle(70, 32, 37), 3, 5},
+		{"equal z to a block's last key", straddle(70, 60, 63), 3, 5},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			es := leaf(c.zs)
 			f := frameOf(es, keyLen)
 			data := make([]byte, 512)
 			encodeLeaf(data, es, f, keyLen)
+			if ref, err := refDecodeLeaf(data, keyLen); err != nil || !slices.Equal(ref, es) {
+				t.Fatalf("the reference decoder reads %v, %v", ref, err)
+			}
+			if f.bbits != bits.Len64(c.widest) {
+				t.Fatalf("frame %+v for a widest gap of %d", f, c.widest)
+			}
 			p, err := viewLeaf(data, keyLen)
 			if err != nil {
 				t.Fatal(err)
@@ -589,7 +621,10 @@ func TestLeafBlocks(t *testing.T) {
 			if !checkLeafImage(t, data, keyLen, probes) {
 				t.Fatal("the leaf did not decode")
 			}
-			// The same keys behind a cursor, one leaf or several.
+			// The same keys behind a cursor, one leaf or several. Seeks
+			// to a probe and the key after it: the second searches the
+			// leaf at hand from the cursor on, unless it is past the
+			// leaf's last key.
 			for _, pageSize := range []int{512, 128} {
 				tree, err := Load(disk.MustPool(disk.MustMemStore(pageSize), 16, disk.LRU), Config{KeyBits: 8 * (keyLen - 8)}, es, 1)
 				if err != nil {
@@ -597,12 +632,32 @@ func TestLeafBlocks(t *testing.T) {
 				}
 				snap := tree.Snapshot()
 				c := snap.Cursor()
-				for _, k := range probes {
+				var n obs.Counts
+				c.SetCounts(&n)
+				seek := func(k Key) int {
+					t.Helper()
 					i := searchLeaf(es, k)
 					ok, err := c.SeekGE(k)
 					if err != nil || ok != (i < len(es)) || ok && c.Key() != es[i].Key {
 						t.Fatalf("%d-byte pages: SeekGE(%v) = %v, %v, want entry %d of %d", pageSize, k, ok, err, i, len(es))
 					}
+					return i
+				}
+				for j, k := range probes {
+					i := seek(k)
+					if i+1 < len(es) {
+						i = seek(es[i+1].Key)
+					}
+					// Next to the end from some of them.
+					for i++; j%7 == 0 && i <= len(es); i++ {
+						ok, err := c.Next()
+						if err != nil || ok != (i < len(es)) || ok && c.Key() != es[i].Key {
+							t.Fatalf("%d-byte pages: Next to entry %d of %d = %v, %v", pageSize, i, len(es), ok, err)
+						}
+					}
+				}
+				if len(es) > 1 && n[obs.Descents] >= n[obs.Seeks] {
+					t.Errorf("%d-byte pages: %d seeks all descended", pageSize, n[obs.Seeks])
 				}
 				snap.Release()
 			}
@@ -610,7 +665,7 @@ func TestLeafBlocks(t *testing.T) {
 	}
 
 	// A 65-entry leaf's two stored bases follow its header, and are
-	// wider than its z deltas.
+	// wider than its z gaps.
 	es := leaf(steps(65))
 	f := frameOf(es, keyLen)
 	data := make([]byte, 512)
@@ -621,7 +676,7 @@ func TestLeafBlocks(t *testing.T) {
 	wide := append([]byte(nil), data...)
 	wide[6] = byte(f.zbits + 1)
 	if checkLeafImage(t, wide, keyLen, nil) {
-		t.Errorf("a leaf of %d-bit z deltas from %d-bit block bases decoded", f.zbits+1, f.zbits)
+		t.Errorf("a leaf of %d-bit z gaps under %d-bit block bases decoded", f.zbits+1, f.zbits)
 	}
 	empty := append([]byte(nil), data...)
 	empty[6] = 0
@@ -712,6 +767,33 @@ func FuzzPageViews(f *testing.F) {
 				f.Add(bad, width, []byte{})
 			}
 		}
+	}
+	// A leaf of 65 keys 5 z units apart but for a gap of 205, so 8-bit
+	// z gaps: with entry 10's gap raised to 255, the keys after it in its
+	// block pass block 1's base; with the first block's first gap not 0,
+	// the view refuses it.
+	{
+		const keyLen = 11
+		es := make([]Entry, 65)
+		for i := range es {
+			es[i].Key = Key{Hi: uint64(1000+5*i+200*(i/50)) << zDrop(keyLen), Lo: uint64(i)}
+		}
+		img := make([]byte, 512)
+		encodeLeaf(img, es, frameOf(es, keyLen), keyLen)
+		p, err := viewLeaf(img, keyLen)
+		if err != nil || p.frame.bbits != 8 {
+			f.Fatalf("a leaf of a 205-unit gap: frame %+v, %v", p.frame, err)
+		}
+		past := append([]byte(nil), img...)
+		for b := p.zAt + maxFieldBits + 10*p.stride - 8; b < p.zAt+maxFieldBits+10*p.stride; b++ {
+			past[b/8] |= 1 << (7 - b%8)
+		}
+		first := append([]byte(nil), img...)
+		end := p.zAt + maxFieldBits - 1
+		first[end/8] ^= 1 << (7 - end%8)
+		f.Add(img, uint8(keyLen-9), []byte{})
+		f.Add(past, uint8(keyLen-9), []byte{})
+		f.Add(first, uint8(keyLen-9), []byte{})
 	}
 	// Sorted keys whose z deltas, not 0 from the first on, wrap past
 	// their base: only a block's first delta of 0 makes its base the

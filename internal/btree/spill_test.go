@@ -253,12 +253,12 @@ func fullLeaf(t *testing.T, pageSize, keyBits int, hi, lo func(i int) uint64) in
 // over its window, itself and its neighbours under the same parent,
 // into as many leaves or one more, before it is cut alone. On a
 // 512-byte page an 11-byte key gives minCap 44 and minLeaf 22, and the
-// loaded keys, z 8i and id i, take 15 bits an entry and a 10-bit block
-// base for every 32 in a run of 65 to 128 of them, and 16 bits and
-// 11-bit bases in one of 129 to 256: a leaf holds 124 at half the page
-// and 242 at all of it. An inserted key between two loaded ones,
-// into(i), keeps a leaf's frame, so one more key overflows a full leaf
-// by its bytes.
+// loaded keys, z 8i and id i, take 12 bits an entry (4-bit z gaps and
+// 8-bit id fields) and an 11-bit block base for every 32 in a run of
+// 129 to 256 of them, and 13 bits and 12-bit bases in one of 257 to
+// 512: a leaf holds 155 at half the page and 295 at all of it. An
+// inserted key between two loaded ones, into(i), keeps a leaf's frame,
+// so one more key overflows a full leaf by its bytes.
 func TestLeafSpill(t *testing.T) {
 	step := func(i int) uint64 { return uint64(8*i) << 40 }
 	id := func(i int) uint64 { return uint64(i) }
@@ -273,15 +273,15 @@ func TestLeafSpill(t *testing.T) {
 	}
 
 	t.Run("redistribute", func(t *testing.T) {
-		// Two leaves of 124; the right one fills its page with inserts,
+		// Two leaves of 155; the right one fills its page with inserts,
 		// then overflows into its left sibling.
-		tree := loadSpillTree(t, 24, 248, 0.5, step, id)
-		for i := 248; i < 366; i++ {
+		tree := loadSpillTree(t, 24, 310, 0.5, step, id)
+		for i := 310; i < 450; i++ {
 			if err := tree.Insert(Key{Hi: step(i), Lo: id(i)}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		spill(t, tree, Key{Hi: step(366), Lo: id(366)}, []int{124, 242}, []int{183, 184})
+		spill(t, tree, Key{Hi: step(450), Lo: id(450)}, []int{155, 295}, []int{225, 226})
 		// The root's one separator lies between the two pieces.
 		data, err := tree.pool.View(tree.currentVersion().root, nil)
 		if err != nil {
@@ -302,7 +302,7 @@ func TestLeafSpill(t *testing.T) {
 		if ok, err := c.First(); !ok || err != nil {
 			t.Fatal(ok, err)
 		}
-		for i := 1; i < 183; i++ {
+		for i := 1; i < 225; i++ {
 			c.Next()
 		}
 		leftMax := c.Key()
@@ -314,27 +314,27 @@ func TestLeafSpill(t *testing.T) {
 
 	t.Run("split three ways", func(t *testing.T) {
 		// Two full leaves: the pair cannot fit two, so it becomes three.
-		spill(t, loadSpillTree(t, 24, 484, 1, step, id), into(10), []int{242, 242}, []int{161, 162, 162})
+		spill(t, loadSpillTree(t, 24, 590, 1, step, id), into(10), []int{295, 295}, []int{197, 197, 197})
 	})
 
 	t.Run("four from three", func(t *testing.T) {
 		// A full leaf between two full neighbours: the window of three
 		// cannot fit three leaves, so it becomes four.
-		spill(t, loadSpillTree(t, 24, 726, 1, step, id), into(300), []int{242, 242, 242}, []int{181, 182, 182, 182})
+		spill(t, loadSpillTree(t, 24, 885, 1, step, id), into(300), []int{295, 295, 295}, []int{221, 222, 221, 222})
 	})
 
 	t.Run("room on one side", func(t *testing.T) {
 		// A full leaf whose right neighbour has room: the window keeps its
 		// three leaves.
-		spill(t, loadSpillTree(t, 24, 584, 1, step, id), into(300), []int{242, 242, 100}, []int{195, 195, 195})
+		spill(t, loadSpillTree(t, 24, 690, 1, step, id), into(300), []int{295, 295, 100}, []int{230, 230, 231})
 	})
 
 	t.Run("edge of the parent", func(t *testing.T) {
 		// The first child's window is itself and its right neighbour; the
 		// third leaf keeps its page.
-		tree := loadSpillTree(t, 24, 726, 1, step, id)
+		tree := loadSpillTree(t, 24, 885, 1, step, id)
 		_, was := leafCounts(t, tree)
-		spill(t, tree, into(10), []int{242, 242, 242}, []int{161, 162, 162, 242})
+		spill(t, tree, into(10), []int{295, 295, 295}, []int{197, 197, 197, 295})
 		if _, ids := leafCounts(t, tree); ids[3] != was[2] {
 			t.Errorf("the leaf outside the window moved from page %d to %d", was[2], ids[3])
 		}
@@ -342,15 +342,15 @@ func TestLeafSpill(t *testing.T) {
 
 	t.Run("single-leaf window", func(t *testing.T) {
 		// A full root leaf has no neighbour: it splits in half.
-		spill(t, loadSpillTree(t, 24, 242, 1, step, id), into(10), []int{242}, []int{121, 122})
+		spill(t, loadSpillTree(t, 24, 295, 1, step, id), into(10), []int{295}, []int{148, 148})
 	})
 
-	t.Run("a delete widens the blocks", func(t *testing.T) {
-		// 32 loaded keys span 31 z steps of 8, in 8 bits; with one of them
-		// deleted, 32 consecutive keys span 32 steps, which takes 9. A full
-		// leaf that loses a key no longer fits its page: a root leaf
-		// splits in half, and a leaf with a neighbour spreads over it, the
-		// piece holding the gap taking the wider frame.
+	t.Run("a delete widens the gaps", func(t *testing.T) {
+		// Loaded keys are z steps of 8 apart, a gap of 4 bits; with one of
+		// them deleted, two are 16 apart, which takes 5. A full leaf that
+		// loses a key no longer fits its page: a root leaf splits in half,
+		// and a leaf with a neighbour spreads over it, the piece holding
+		// the gap taking the wider frame.
 		del := func(t *testing.T, tree *Tree, i int, was, want []int) {
 			t.Helper()
 			before, after := spillWrite(t, tree, func() error {
@@ -363,15 +363,15 @@ func TestLeafSpill(t *testing.T) {
 				t.Fatalf("leaves %v became %v, want %v to become %v", before, after, was, want)
 			}
 		}
-		del(t, loadSpillTree(t, 24, 242, 1, step, id), 100, []int{242}, []int{120, 121})
-		del(t, loadSpillTree(t, 24, 484, 1, step, id), 100, []int{242, 242}, []int{161, 161, 161})
+		del(t, loadSpillTree(t, 24, 295, 1, step, id), 100, []int{295}, []int{147, 147})
+		del(t, loadSpillTree(t, 24, 590, 1, step, id), 100, []int{295, 295}, []int{196, 196, 197})
 		// A batch that deletes one key and inserts another between two
 		// loaded ones: the leaf takes both and still spreads.
-		tree := loadSpillTree(t, 24, 484, 1, step, id)
+		tree := loadSpillTree(t, 24, 590, 1, step, id)
 		before, after := spillWrite(t, tree, func() error {
 			return tree.CommitBatch(tree.MVCCStats().Seq, []Mutation{{Key: Key{Hi: step(100), Lo: id(100)}, Delete: true}, {Key: into(300)}})
 		})
-		if !reflect.DeepEqual(before, []int{242, 242}) || len(after) != 3 {
+		if !reflect.DeepEqual(before, []int{295, 295}) || len(after) != 3 {
 			t.Fatalf("leaves %v became %v", before, after)
 		}
 	})
@@ -485,7 +485,9 @@ func TestLeafSpill(t *testing.T) {
 		// when the pieces fit, else into as many at even shares, at a
 		// derived capacity (minLeaf 22) and at an explicit one of 20
 		// (minLeaf 10). Leaves are trimmed from their back, which leaves a
-		// run that still fits, before the delete that underflows one.
+		// run that still fits, before the delete that underflows one. The
+		// trimmed keys leave a gap of 12 bits or more, and at a derived
+		// capacity the piece that holds it is cut shorter.
 		explicit := func(n int, fill float64) *Tree {
 			t.Helper()
 			es := make([]Entry, n)
@@ -506,12 +508,12 @@ func TestLeafSpill(t *testing.T) {
 			was, want  []int
 			wantHeight int
 		}{
-			{"derived, one fewer", loadSpillTree(t, 24, 372, 0.5, step, id), [2]int{146, 248}, 145,
-				[]int{124, 22, 124}, []int{134, 135}, 2},
-			{"derived, even shares", loadSpillTree(t, 24, 726, 1, step, id), [2]int{264, 484}, 263,
-				[]int{242, 22, 242}, []int{168, 168, 169}, 2},
-			{"derived, root collapses", loadSpillTree(t, 24, 248, 0.5, step, id), [2]int{22, 124}, 21,
-				[]int{22, 124}, []int{145}, 1},
+			{"derived, one fewer", loadSpillTree(t, 24, 465, 0.5, step, id), [2]int{177, 310}, 176,
+				[]int{155, 22, 155}, []int{165, 166}, 2},
+			{"derived, as many", loadSpillTree(t, 24, 885, 1, step, id), [2]int{317, 590}, 316,
+				[]int{295, 22, 295}, []int{203, 185, 223}, 2},
+			{"derived, root collapses", loadSpillTree(t, 24, 310, 0.5, step, id), [2]int{22, 155}, 21,
+				[]int{22, 155}, []int{176}, 1},
 			{"explicit, one fewer", explicit(60, 0.7), [2]int{22, 24}, 21,
 				[]int{12, 10, 12, 12, 12}, []int{16, 17, 12, 12}, 2},
 			{"explicit, even shares", explicit(60, 1), [2]int{30, 40}, 29,

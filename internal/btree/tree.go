@@ -319,8 +319,8 @@ func (t *Tree) getAt(v *version, k Key) (bool, error) {
 	if err := p.view(data, t.keyLen); err != nil {
 		return false, err
 	}
-	i := p.search(k)
-	return i < p.count && p.key(i) == k, nil
+	i, key := p.search(k)
+	return i < p.count && key == k, nil
 }
 
 // Get reports whether the key is in the current committed version.
@@ -508,8 +508,8 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key) (*version, error) {
 // page, or one other than the root that underflows minLeaf, is re-cut
 // (recutLeaf), and the levels above are rebalanced (rebalanceUpward).
 // A leaf overflows when a key joins it, and at a derived capacity also
-// when one leaves it: a z span of 32 consecutive keys then reaches one
-// key further, and may take a bit more.
+// when one leaves it: the z gap it leaves is the sum of two, and may
+// take a bit more.
 func (t *Tree) putLeafAt(w *cow, nv *version, path []cowLevel, leafID disk.PageID, n []Entry) (disk.PageID, error) {
 	pi := len(path) - 1
 	if f, ok := t.fitLeaf(n); ok && (len(n) >= t.minLeaf || pi < 0) {

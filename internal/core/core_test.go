@@ -174,9 +174,11 @@ func TestRangeSearchAllStrategiesAgainstBruteForce(t *testing.T) {
 						t.Fatalf("%s/%v: box %v: span %s %d, stats %d", name, s, box, c.name, c.span, c.stats)
 					}
 				}
-				if sp.Get(obs.LeafScans) < sp.Get(obs.Seeks) {
-					t.Fatalf("%s/%v: fewer leaf scans (%d) than seeks (%d)", name, s,
-						sp.Get(obs.LeafScans), sp.Get(obs.Seeks))
+				// A seek descends unless its target is in the leaf at
+				// hand, and every descent loads a leaf.
+				if d := sp.Get(obs.Descents); d > sp.Get(obs.Seeks) || sp.Get(obs.LeafScans) < d {
+					t.Fatalf("%s/%v: %d descents for %d seeks and %d leaf scans", name, s,
+						d, sp.Get(obs.Seeks), sp.Get(obs.LeafScans))
 				}
 			}
 		}

@@ -13,10 +13,10 @@ import (
 
 // TestPageGateLeafDensity pins how many leaves a bulk load of 50 000
 // uniform points fills, and so the store's bytes per point. A leaf
-// stores each key's z as its distance from the first z of its block of
-// 32 entries, and its id as a distance from the leaf's smallest id, in
-// as many bits as the widest distance needs, behind a header that holds
-// that frame and the blocks' bases (internal/btree). A derived capacity
+// stores each key's z as its gap from the previous key's z, and its id
+// as a distance from the leaf's smallest id, in as many bits as the
+// widest gap and distance need, behind a header that holds that frame
+// and the bases of its blocks of 32 entries (internal/btree). A derived capacity
 // packs a leaf by its bytes alone, up to the 65 535 entries its header
 // counts. An explicit capacity cuts leaves by count alone, as it did
 // before keys were framed, so the paper's 20 points per page gives
@@ -28,11 +28,12 @@ func TestPageGateLeafDensity(t *testing.T) {
 		dims, bits, capacity int
 		leaves               int
 	}{
-		// The benchmark's grid: 3.9 bytes of leaf per point; 54 leaves
+		// The benchmark's grid: 3.6 bytes of leaf per point; 48 leaves
+		// (3.9 bytes) with z distances from a base per 32-entry block, 54
 		// (4.4 bytes) with z deltas from the leaf's first key, 68 (5.6
 		// bytes) in whole-byte fields under a count cap of 739, 135 (11.1
 		// bytes) with every key at its full 11 bytes.
-		{2, 12, 0, 48},
+		{2, 12, 0, 44},
 		{1, 8, 0, 27},   // 31 from the leaf's first key, 56 under a count cap of 905
 		{3, 21, 0, 114}, // 123 from the leaf's first key, whose 63-bit z delta kept its fields in whole bytes
 		{2, 32, 0, 114}, // 122 from the leaf's first key, 123 in whole-byte fields
@@ -65,10 +66,10 @@ func TestPageGateLeafDensity(t *testing.T) {
 // benchmark's data set fills: 200 000 points on its 2 x 12-bit grid,
 // half uniform and half in Gaussian clusters of 500, one point a
 // pixel, ids 1 to n in that order, on 4 KiB pages at a derived
-// capacity: 191 leaves, 3.96 bytes per point. Z deltas from the leaf's
-// first key rather than from a base per 32-entry block filled 211
-// (4.37), and whole-byte key fields under a count cap of 739 filled 276
-// (5.72).
+// capacity: 176 leaves, 3.65 bytes per point. Z distances from a base
+// per 32-entry block rather than gaps from the previous key filled 191
+// (3.96), z deltas from the leaf's first key 211 (4.37), and whole-byte
+// key fields under a count cap of 739 276 (5.72).
 func TestPageGateBulkLeafDensity(t *testing.T) {
 	const n, pageSize = 200000, 4096
 	g := zorder.MustGrid(2, 12)
@@ -82,7 +83,7 @@ func TestPageGateBulkLeafDensity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := ix.Tree().LeafPages(), 191; got != want {
+	if got, want := ix.Tree().LeafPages(), 176; got != want {
 		t.Errorf("%d points in %d leaves (%.2f bytes per point), want %d (%.2f)", len(pts), got,
 			float64(got*pageSize)/float64(len(pts)), want, float64(want*pageSize)/float64(len(pts)))
 	}
@@ -97,13 +98,14 @@ func TestPageGateBulkLeafDensity(t *testing.T) {
 // derived capacity. The bulk load packs its leaves to their bytes, so
 // nearly every leaf the writes reach overflows; it spreads over its
 // neighbours before it adds a leaf (internal/btree), which keeps the
-// leaves full: 58 leaves, where z deltas from the leaf's first key
-// left 67, whole-byte key fields under a count cap 85, sharing with one
-// sibling 95 and splitting each full leaf in half 135. New ids from
-// 2^40 take a second id base rather than 41-bit id deltas, and the
-// benchmark's own ids, two connections' counters from 2^40 and 2^40 +
-// 2^32 interleaved, a third: 58 leaves too (67 from the leaf's first
-// key, 85 in whole bytes, 98 with one sibling).
+// leaves full: 54 leaves, where z distances from a base per 32-entry
+// block left 58, z deltas from the leaf's first key 67, whole-byte key
+// fields under a count cap 85, sharing with one sibling 95 and
+// splitting each full leaf in half 135. New ids from 2^40 take a second
+// id base rather than 41-bit id deltas, and the benchmark's own ids,
+// two connections' counters from 2^40 and 2^40 + 2^32 interleaved, a
+// third: 54 leaves too (58 from a block's base, 67 from the leaf's
+// first key, 85 in whole bytes, 98 with one sibling).
 func TestPageGateInsertedLeafDensity(t *testing.T) {
 	const n, pageSize = 50000, 4096
 	g := zorder.MustGrid(2, 12)
@@ -112,9 +114,9 @@ func TestPageGateInsertedLeafDensity(t *testing.T) {
 		conns   int
 		leaves  int
 	}{
-		{1 << 20, 1, 58},
-		{1 << 40, 1, 58},
-		{1 << 40, 2, 58},
+		{1 << 20, 1, 54},
+		{1 << 40, 1, 54},
+		{1 << 40, 2, 54},
 	} {
 		pts := workload.Uniform(g, n, 7)
 		pool := disk.MustPool(disk.MustMemStore(pageSize), 64, disk.LRU)

@@ -90,25 +90,27 @@ func (ix *reader) EstimatePages(box geom.Box) (int, error) {
 // searchAll materializes a search at its final size: the keys collect
 // in the scratch, then one slice of points and one slab of their
 // coordinates hold the answer, whatever its length. A search that
-// fails returns no points.
-func (ix *reader) searchAll(ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span) ([]geom.Point, QueryStats, error) {
+// fails returns no points. The stats are filled in place, in the named
+// result, so that no QueryStats is copied.
+func (ix *reader) searchAll(ctx context.Context, box geom.Box, strategy Strategy, sp *obs.Span) (out []geom.Point, stats QueryStats, err error) {
 	s := ix.take()
 	defer ix.give(s)
 	s.keys = s.keys[:0]
-	err := ix.searchKeys(s, ctx, box, strategy, func(z, id uint64) bool {
+	err = ix.searchKeys(s, ctx, box, strategy, func(z, id uint64) bool {
 		s.keys = append(s.keys, btree.Key{Hi: z, Lo: id})
 		return true
 	})
-	stats := s.stats(sp)
+	sp.AddCounts(&s.counts)
+	stats.link(&s.counts, true)
 	if err != nil || len(s.keys) == 0 {
-		return nil, stats, err
+		return
 	}
-	out := make([]geom.Point, len(s.keys))
+	out = make([]geom.Point, len(s.keys))
 	slab := make([]uint32, len(s.keys)*ix.g.Dims())
 	for i, k := range s.keys {
 		out[i] = ix.pointAt(slab, i, k.Hi, k.Lo)
 	}
-	return out, stats, nil
+	return
 }
 
 // pointAt makes the point of key (z, id) the i-th of an answer whose

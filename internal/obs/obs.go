@@ -87,6 +87,10 @@ const (
 	PagesRecovered
 	// ChecksumFailures counts reads that failed page verification.
 	ChecksumFailures
+	// Descents counts the seeks that descend the B+-tree from its root:
+	// a seek whose target is in the leaf at hand, after the cursor,
+	// searches that leaf alone.
+	Descents
 
 	// NumCounters is the number of defined counters.
 	NumCounters
@@ -118,6 +122,7 @@ var counterNames = [NumCounters]string{
 	WALSyncs:         "wal-syncs",
 	PagesRecovered:   "pages-recovered",
 	ChecksumFailures: "checksum-failures",
+	Descents:         "descents",
 }
 
 // String implements fmt.Stringer.
