@@ -7,6 +7,7 @@ import (
 	"probe/internal/btree"
 	"probe/internal/disk"
 	"probe/internal/geom"
+	"probe/internal/obs"
 	"probe/internal/workload"
 	"probe/internal/zorder"
 )
@@ -148,6 +149,72 @@ func TestPageGateInsertedLeafDensity(t *testing.T) {
 		}
 		if got := ix.Tree().LeafPages(); got != c.leaves {
 			t.Errorf("new ids from %#x over %d connections: %d leaves for %d points, want %d", c.firstID, c.conns, got, ix.Len(), c.leaves)
+		}
+	}
+}
+
+// TestPageGateRangeWalk pins the page walk of fixed range searches on
+// a warm pool: per RANGE, its pool gets, its descents from the root
+// (obs.Descents), the internal nodes it visits and the leaves it scans,
+// beside the points it finds. The data sets are bulk loads of uniform
+// points on the benchmark's grid, one at the paper's 20 points per leaf
+// (height 3) and one at a derived capacity (height 2). The walk depends
+// only on the tree's shape and the order of its separators, so a change
+// to how an internal page stores them must leave every count as it is.
+func TestPageGateRangeWalk(t *testing.T) {
+	const pageSize = 4096
+	g := zorder.MustGrid(2, 12)
+	boxes := []geom.Box{
+		geom.Box2(0, 4095, 0, 4095),
+		geom.Box2(1000, 1100, 2000, 2100),
+		geom.Box2(0, 4095, 1500, 1540),
+		geom.Box2(3000, 3010, 0, 4095),
+		geom.Box2(2047, 2048, 2047, 2048),
+	}
+	type walk struct{ gets, descents, visits, scans, results int64 }
+	for _, c := range []struct {
+		n, capacity, height int
+		want                []walk // by box
+	}{
+		{20000, 20, 3, []walk{
+			{1006, 1, 6, 1000, 20000},
+			{17, 5, 10, 7, 17},
+			{281, 85, 170, 111, 208},
+			{140, 41, 82, 58, 68},
+			{12, 4, 8, 4, 0},
+		}},
+		{50000, 0, 2, []walk{
+			{45, 1, 1, 44, 50000},
+			{8, 4, 4, 4, 30},
+			{27, 13, 13, 14, 497},
+			{16, 8, 8, 8, 161},
+			{8, 4, 4, 4, 0},
+		}},
+	} {
+		pool := disk.MustPool(disk.MustMemStore(pageSize), 2048, disk.LRU)
+		ix, err := NewIndexBulk(pool, g, IndexConfig{LeafCapacity: c.capacity}, workload.Uniform(g, c.n, 5), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := ix.Tree().Height(); h != c.height {
+			t.Fatalf("capacity %d: height %d, want %d", c.capacity, h, c.height)
+		}
+		for i, box := range boxes {
+			if _, _, err := ix.RangeSearchCtx(nil, box, nil); err != nil { // warms the pool
+				t.Fatal(err)
+			}
+			sp := obs.New("range")
+			pts, _, err := ix.RangeSearchCtx(nil, box, sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := sp.Get(obs.PoolMisses); m != 0 {
+				t.Errorf("capacity %d, %v: %d pool misses on a warm pool", c.capacity, box, m)
+			}
+			got := walk{sp.Get(obs.PoolGets), sp.Get(obs.Descents), sp.Get(obs.NodeVisits), sp.Get(obs.LeafScans), int64(len(pts))}
+			if got != c.want[i] {
+				t.Errorf("capacity %d, %v: walk %+v, want %+v", c.capacity, box, got, c.want[i])
+			}
 		}
 	}
 }
