@@ -75,13 +75,13 @@ func TestAllocGateDB(t *testing.T) {
 	// rendering (10); the index prices the scan on the read's pinned
 	// scratch and allocates nothing. The answer's
 	// points and slab (2) and the ExplainResult (1). Folding the span
-	// into the metrics: the "index-scan.count" name and one name for each
-	// of its 9 nonzero counters (10).
+	// into the metrics allocates nothing: the registry resolves its
+	// "index-scan.*" counters once (obs.Registry.AddSpan).
 	for _, c := range []struct {
 		db   *probe.DB
 		rows int
 	}{{latticeDB(t, 8), 25}, {db, 100}} {
-		gate("ExplainAnalyze", 26, c.rows, func() int {
+		gate("ExplainAnalyze", 16, c.rows, func() int {
 			res, err := c.db.ExplainAnalyze(small)
 			if err != nil {
 				t.Fatal(err)

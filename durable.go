@@ -29,7 +29,10 @@ import (
 const metaPageID disk.PageID = 1
 
 // dbMetaVersion is the format of the descriptor and of the tree pages
-// behind it. Version 7 stores a leaf's z fields as gaps from the
+// behind it. Version 8 holds an internal page's separators as whole
+// keys at a fixed stride, each a shortest separating prefix padded with
+// zeros, where version 7 held each behind its 2-byte length, as long
+// as the prefix. Version 7 stores a leaf's z fields as gaps from the
 // previous key's z, a block's first entry taking its block's base;
 // version 6 stored them as distances from a base per block of 32
 // entries, the bases after the id bases, and added their width's byte
@@ -43,7 +46,7 @@ const metaPageID disk.PageID = 1
 // the key width follows from the grid.
 const (
 	dbMetaMagic   = "PROBEDB1"
-	dbMetaVersion = 7
+	dbMetaVersion = 8
 )
 
 // encodeDBMeta serializes the database descriptor into a page-sized

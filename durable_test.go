@@ -199,11 +199,13 @@ func writeDescriptorOnly(t *testing.T, path string, version, valueSize uint32, b
 // them against a frame (version 2), before a frame held more than one
 // id base (version 3), before its fields were packed in bits (version
 // 4), before its z fields were taken from a base per block of 32
-// entries (version 5) or before they were gaps from the previous key
-// (version 6) has other leaf pages behind the same descriptor, so it is
-// refused by its version, in one sentence that says what to do.
+// entries (version 5), before they were gaps from the previous key
+// (version 6) or before internal pages held their separators at a
+// fixed stride (version 7) has other pages behind the same descriptor,
+// so it is refused by its version, in one sentence that says what to
+// do.
 func TestDurableRefusesFormatVersion1(t *testing.T) {
-	for _, version := range []uint32{1, 2, 3, 4, 5, 6} {
+	for _, version := range []uint32{1, 2, 3, 4, 5, 6, 7} {
 		path := filepath.Join(t.TempDir(), "probe.db")
 		writeDescriptorOnly(t, path, version, 0, 8, 8)
 		db, err := probe.Open(probe.MustGrid(2, 8), probe.WithDurability(path))
@@ -211,7 +213,7 @@ func TestDurableRefusesFormatVersion1(t *testing.T) {
 			db.Close()
 			t.Fatalf("a version-%d store opened", version)
 		}
-		for _, want := range []string{fmt.Sprintf("version %d", version), "version 7", "must be rebuilt"} {
+		for _, want := range []string{fmt.Sprintf("version %d", version), "version 8", "must be rebuilt"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("refusal %q does not say %q", err, want)
 			}
@@ -224,7 +226,7 @@ func TestDurableRefusesFormatVersion1(t *testing.T) {
 // holds anything else is refused by the descriptor, before the tree.
 func TestDurableRefusesValueSize(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "probe.db")
-	writeDescriptorOnly(t, path, 7, 8, 8, 8)
+	writeDescriptorOnly(t, path, 8, 8, 8, 8)
 	db, err := probe.Open(probe.MustGrid(2, 8), probe.WithDurability(path))
 	if err == nil {
 		db.Close()
@@ -287,7 +289,7 @@ func TestDurableLeafCapacityConflict(t *testing.T) {
 // touched.
 func TestDurableGridWidthMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "probe.db")
-	writeDescriptorOnly(t, path, 7, 0, 12, 12)
+	writeDescriptorOnly(t, path, 8, 0, 12, 12)
 	for _, g := range []probe.Grid{probe.MustGrid(2, 8), probe.MustGrid(3, 8), probe.MustGrid(3, 21)} {
 		db, err := probe.Open(g, probe.WithDurability(path))
 		if err == nil {

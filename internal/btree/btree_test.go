@@ -60,47 +60,71 @@ func TestKeyEncodingPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestShortestSeparator(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want string
-	}{
-		{"apple", "banana", "b"},
-		{"abc", "abd", "abd"},
-		{"ab", "abc", "abc"},
-		{"\x00\x00", "\x00\x01", "\x00\x01"},
+// refShortestSeparator is the separator as a byte string: the
+// shortest prefix of b that sorts above a, for encodings a < b. It is
+// the reference separator pads to a key.
+func refShortestSeparator(a, b []byte) []byte {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
 	}
-	for _, c := range cases {
-		got := shortestSeparator([]byte(c.a), []byte(c.b))
-		if string(got) != c.want {
-			t.Errorf("shortestSeparator(%q,%q) = %q, want %q", c.a, c.b, got, c.want)
-		}
-		if bytes.Compare(got, []byte(c.a)) <= 0 || bytes.Compare(got, []byte(c.b)) > 0 {
-			t.Errorf("separator %q violates a < s <= b", got)
+	return append([]byte(nil), b[:i+1]...)
+}
+
+// checkSeparator checks separator(a, b) for stored keys a < b of
+// keyLen bytes: a < s <= b, and s is the reference's prefix of b's
+// encoding padded with zeros.
+func checkSeparator(t *testing.T, a, b Key, keyLen int) Key {
+	t.Helper()
+	s := separator(a, b)
+	if !a.Less(s) || b.Less(s) {
+		t.Fatalf("separator(%v, %v) = %v, not in (a, b]", a, b, s)
+	}
+	ea, eb := make([]byte, keyLen), make([]byte, keyLen)
+	a.encode(ea)
+	b.encode(eb)
+	pad := make([]byte, keyLen)
+	copy(pad, refShortestSeparator(ea, eb))
+	if want := decodeKey(pad); s != want {
+		t.Fatalf("separator(%v, %v) = %v, want %v (%x padded)", a, b, s, want, refShortestSeparator(ea, eb))
+	}
+	return s
+}
+
+func TestShortestSeparator(t *testing.T) {
+	for _, c := range []struct {
+		a, b, want Key
+	}{
+		{Key{Hi: 0x12ff << 48, Lo: 5}, Key{Hi: 0x1300 << 48, Lo: 7}, Key{Hi: 0x13 << 56}},
+		{Key{Hi: 0x1234 << 48}, Key{Hi: 0x1235 << 48, Lo: 1}, Key{Hi: 0x1235 << 48}},
+		{Key{Hi: 1 << 56, Lo: 0x0102}, Key{Hi: 1 << 56, Lo: 0x0103}, Key{Hi: 1 << 56, Lo: 0x0103}},
+		{Key{Hi: 1 << 56, Lo: 0x00ff << 48}, Key{Hi: 1 << 56, Lo: 0x0100<<48 | 9}, Key{Hi: 1 << 56, Lo: 1 << 56}},
+		{Key{Hi: 0, Lo: ^uint64(0)}, Key{Hi: 1 << 8}, Key{Hi: 1 << 8}},
+	} {
+		if got := checkSeparator(t, c.a, c.b, encodedKeyLen); got != c.want {
+			t.Errorf("separator(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestShortestSeparatorProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	var ea, eb [encodedKeyLen]byte
-	for i := 0; i < 2000; i++ {
-		a := Key{rng.Uint64() % 1000, rng.Uint64() % 1000}
-		b := Key{rng.Uint64() % 1000, rng.Uint64() % 1000}
+	for i := 0; i < 5000; i++ {
+		// Bytes from a small alphabet, so that keys share prefixes.
+		keyLen := 9 + rng.Intn(8)
+		ea, eb := make([]byte, keyLen), make([]byte, keyLen)
+		for j := range ea {
+			ea[j], eb[j] = []byte{0, 1, 0xff}[rng.Intn(3)], []byte{0, 1, 0xff}[rng.Intn(3)]
+		}
+		if rng.Intn(2) == 0 {
+			copy(eb, ea[:rng.Intn(keyLen)])
+		}
+		a, b := decodeKey(ea), decodeKey(eb)
 		if b.Less(a) {
 			a, b = b, a
 		}
-		if a == b {
-			continue
-		}
-		a.encode(ea[:])
-		b.encode(eb[:])
-		s := shortestSeparator(ea[:], eb[:])
-		if bytes.Compare(s, ea[:]) <= 0 {
-			t.Fatalf("separator %x <= left %x", s, ea)
-		}
-		if bytes.Compare(s, eb[:]) > 0 {
-			t.Fatalf("separator %x > right %x", s, eb)
+		if a != b {
+			checkSeparator(t, a, b, keyLen)
 		}
 	}
 }
@@ -434,14 +458,15 @@ func checkScanMatchesRef(t *testing.T, tree *Tree, ref map[Key]bool) {
 	}
 }
 
-// TestPrefixCompression verifies the "prefix" in prefix B+-tree:
-// separators stored in internal nodes are shorter than full keys.
+// TestPrefixCompression verifies the "prefix" in prefix B+-tree: a
+// separator stored in an internal node keeps only the bytes that tell
+// its subtrees apart, the rest of the key zero.
 func TestPrefixCompression(t *testing.T) {
 	tree := newTestTree(t, 512, 4, 128)
-	// Keys whose Hi values differ early: separators should compress
-	// to very few bytes.
+	// Keys whose Hi values differ in their top two bytes: separators
+	// keep those bytes alone.
 	for i := uint64(0); i < 200; i++ {
-		if err := tree.Insert(Key{Hi: i << 48}, nil); err != nil {
+		if err := tree.Insert(Key{Hi: i<<48 | 0xabcd, Lo: 0x1234}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -453,8 +478,8 @@ func TestPrefixCompression(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range n.seps {
-		if len(s) >= encodedKeyLen {
-			t.Errorf("separator %x not compressed (len %d)", s, len(s))
+		if s.Lo != 0 || s.Hi<<16 != 0 {
+			t.Errorf("separator %v not compressed to two bytes", s)
 		}
 	}
 }
@@ -743,6 +768,21 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	tree.cur.leaves--
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatalf("restored tree fails invariant check: %v", err)
+	}
+	// Swap the root's first two separators in its image.
+	rootID := tree.Meta().Root
+	rootNode, err := tree.loadInternal(rootID)
+	if err != nil || len(rootNode.seps) < 2 {
+		t.Fatalf("root of %d separators, %v", len(rootNode.seps), err)
+	}
+	rootNode.seps[0], rootNode.seps[1] = rootNode.seps[1], rootNode.seps[0]
+	img := make([]byte, tree.pageSize)
+	rootNode.encode(img, tree.keyLen)
+	if err := tree.pool.Put(rootID, img); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "separators not increasing") {
+		t.Errorf("root with its separators swapped: %v", err)
 	}
 
 	// A root leaf of 100 keys, id i and z 3i, 10 more from i = 50 on,

@@ -53,7 +53,7 @@ func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, er
 	}
 	type childRef struct {
 		id  disk.PageID
-		sep []byte // separator preceding this child (nil for first)
+		sep Key // separator preceding this child (none for the first)
 	}
 	var level []childRef
 	pos := 0
@@ -63,9 +63,9 @@ func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, er
 		if err != nil {
 			return nil, err
 		}
-		var sep []byte
+		var sep Key
 		if pos > 0 {
-			sep = t.separator(entries[pos-1].Key, entries[pos].Key)
+			sep = separator(entries[pos-1].Key, entries[pos].Key)
 		}
 		pos += size
 		level = append(level, childRef{id: id, sep: sep})
@@ -78,9 +78,9 @@ func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, er
 		sizes := chunkSizes(len(level), intTarget, t.minChildren())
 		var next []childRef
 		pos := 0
-		for ni, size := range sizes {
+		for _, size := range sizes {
 			n := &internalNode{}
-			var nodeSep []byte
+			var nodeSep Key
 			for i := 0; i < size; i++ {
 				c := level[pos]
 				pos++
@@ -92,10 +92,7 @@ func Load(pool *disk.Pool, cfg Config, entries []Entry, fill float64) (*Tree, er
 				n.children = append(n.children, c.id)
 				n.seps = append(n.seps, c.sep)
 			}
-			if ni == 0 {
-				nodeSep = nil
-			}
-			id, err := t.writeNew(n.encode)
+			id, err := t.writeNew(func(img []byte) { n.encode(img, t.keyLen) })
 			if err != nil {
 				return nil, err
 			}

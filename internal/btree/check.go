@@ -17,7 +17,8 @@ import (
 //     leaf, and the leaf's image fits the page (viewLeaf);
 //  3. internal occupancy is within [minChildren, fanout] except for
 //     the root (>= 2 children);
-//  4. every key in child i satisfies seps[i-1] <= enc(key) < seps[i];
+//  4. separators increase, and every key in child i satisfies
+//     seps[i-1] <= key < seps[i];
 //  5. the entry count and leaf count match the version's counters;
 //  6. all leaves are at the same depth (the version's height);
 //  7. no stored key sets a bit of Hi below the tree's KeyBits;
@@ -47,17 +48,16 @@ func (s *Snapshot) CheckInvariants() error {
 	type visit struct {
 		id    disk.PageID
 		depth int
-		lo    []byte // inclusive lower bound (nil = none)
-		hi    []byte // exclusive upper bound (nil = none)
+		lo    Key  // inclusive lower bound
+		hi    Key  // exclusive upper bound, if bounded
+		top   bool // no upper bound
 	}
 	leaves := 0
 	entries := 0
 	var lastKey Key
 	haveLast := false
-	stack := []visit{{id: v.root, depth: 1}}
-	// Each page is checked on its pool image, which never changes; the
-	// bounds of an internal page's children point into it.
-	var buf [encodedKeyLen]byte
+	stack := []visit{{id: v.root, depth: 1, top: true}}
+	// Each page is checked on its pool image, which never changes.
 	canon := make([]byte, t.pageSize)
 	// Depth-first, leaves visited left to right.
 	for len(stack) > 0 {
@@ -95,11 +95,10 @@ func (s *Snapshot) CheckInvariants() error {
 				if err := t.checkKey(k); err != nil {
 					return fmt.Errorf("leaf %d entry %d: %w", vi.id, i, err)
 				}
-				enc := t.encodeKey(k, &buf)
-				if vi.lo != nil && sepCompare(vi.lo, enc) > 0 {
+				if k.Less(vi.lo) {
 					return fmt.Errorf("leaf %d key %v below bound", vi.id, k)
 				}
-				if vi.hi != nil && sepCompare(vi.hi, enc) <= 0 {
+				if !vi.top && !k.Less(vi.hi) {
 					return fmt.Errorf("leaf %d key %v above bound", vi.id, k)
 				}
 			}
@@ -112,7 +111,7 @@ func (s *Snapshot) CheckInvariants() error {
 			entries += p.count
 			leaves++
 		case internalType:
-			p, err := viewInternal(data)
+			p, err := viewInternal(data, t.keyLen)
 			if err != nil {
 				return err
 			}
@@ -127,25 +126,22 @@ func (s *Snapshot) CheckInvariants() error {
 				return fmt.Errorf("internal %d overfull: %d children > %d", vi.id, p.children(), t.fanout)
 			}
 			// Child i is bounded by separators i-1 and i, the page's
-			// own bounds standing in at the ends. Separators can only
-			// be read front to back and the stack pops its last entry
-			// first, so the visits are pushed in order, then reversed.
-			base := len(stack)
-			lo, off := vi.lo, p.firstSep()
-			for i := 0; i < p.count; i++ {
-				sep, next, err := p.sepAt(off)
-				if err != nil {
-					return err
-				}
-				if i > 0 && sepCompare(lo, sep) >= 0 {
+			// own bounds standing in at the ends. The stack pops its
+			// last entry first, so the children are pushed last first.
+			for i := 1; i < p.count; i++ {
+				if !p.sep(i - 1).Less(p.sep(i)) {
 					return fmt.Errorf("internal %d separators not increasing at %d", vi.id, i)
 				}
-				stack = append(stack, visit{id: p.child(i), depth: vi.depth + 1, lo: lo, hi: sep})
-				lo, off = sep, next
 			}
-			stack = append(stack, visit{id: p.child(p.count), depth: vi.depth + 1, lo: lo, hi: vi.hi})
-			for i, j := base, len(stack)-1; i < j; i, j = i+1, j-1 {
-				stack[i], stack[j] = stack[j], stack[i]
+			for i := p.count; i >= 0; i-- {
+				c := visit{id: p.child(i), depth: vi.depth + 1, lo: vi.lo, hi: vi.hi, top: vi.top}
+				if i > 0 {
+					c.lo = p.sep(i - 1)
+				}
+				if i < p.count {
+					c.hi, c.top = p.sep(i), false
+				}
+				stack = append(stack, c)
 			}
 		default:
 			return fmt.Errorf("page %d has unknown node type %d", vi.id, typ)

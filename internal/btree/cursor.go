@@ -128,7 +128,7 @@ func (c *Cursor) pushInternal(id disk.PageID) (*cursorLevel, error) {
 	data, err := c.snap.t.pool.View(id, c.span)
 	var p internalPage
 	if err == nil {
-		p, err = viewInternal(data)
+		p, err = viewInternal(data, c.snap.t.keyLen)
 	}
 	if err != nil {
 		return nil, err
@@ -164,8 +164,7 @@ func (c *Cursor) enterLeaf(id disk.PageID) error {
 // descend rebuilds the cursor's path from the root to the leaf
 // responsible for k.
 func (c *Cursor) descend(k Key) error {
-	var buf [encodedKeyLen]byte
-	enc := c.snap.t.encodeKey(k, &buf)
+	k = k.ceil(c.snap.t.keyLen)
 	c.stack = c.stack[:0]
 	v := c.snap.v
 	id := v.root
@@ -174,9 +173,7 @@ func (c *Cursor) descend(k Key) error {
 		if err != nil {
 			return err
 		}
-		if l.child, err = l.page.childIndex(enc); err != nil {
-			return err
-		}
+		l.child = l.page.childIndex(k)
 		id = l.page.child(l.child)
 	}
 	return c.enterLeaf(id)
@@ -274,13 +271,17 @@ func (c *Cursor) CountLeaves(next func(z uint64) (lo, hi uint64, ok bool, err er
 	if v.count == 0 {
 		return 0, nil
 	}
-	return c.countBelow(v.root, v.height, nil, nil, next)
+	return c.countBelow(v.root, v.height, Key{}, maxKey, next)
 }
+
+// maxKey stands for no upper bound in countBelow: every interval's
+// least key, whose Lo is 0, is below it.
+var maxKey = Key{Hi: ^uint64(0), Lo: ^uint64(0)}
 
 // countBelow counts the leaves under page id at level (1: a leaf,
 // which counts) that CountLeaves counts, the page's keys being
-// [lo, hi) (nil: unbounded).
-func (c *Cursor) countBelow(id disk.PageID, level int, lo, hi []byte, next func(uint64) (uint64, uint64, bool, error)) (int, error) {
+// [lo, hi).
+func (c *Cursor) countBelow(id disk.PageID, level int, lo, hi Key, next func(uint64) (uint64, uint64, bool, error)) (int, error) {
 	if level == 1 {
 		return 1, nil
 	}
@@ -290,39 +291,31 @@ func (c *Cursor) countBelow(id disk.PageID, level int, lo, hi []byte, next func(
 		return 0, err
 	}
 	defer func() { c.stack = c.stack[:depth] }()
-	p := l.page // deeper levels may move the stack, never this page's image
-	var buf [encodedKeyLen]byte
-	var start []byte // the least key of the interval last found
-	var last uint64  // and its last z
-	n, a, off := 0, lo, p.firstSep()
+	p := l.page     // deeper levels may move the stack, never this page's image
+	var start Key   // the least key of the interval last found
+	var last uint64 // and its last z
+	n, a, found := 0, lo, false
 	for i := 0; i <= p.count; i++ {
 		// Child i holds the keys in [a, b); z is the Hi of the key below a.
 		b := hi
 		if i < p.count {
-			if b, off, err = p.sepAt(off); err != nil {
-				return n, err
-			}
+			b = p.sep(i)
 		}
-		var z uint64
-		if a != nil {
-			var k [encodedKeyLen]byte
-			copy(k[:], a)
-			key := decodeKey(k[:c.snap.t.keyLen])
-			if z = key.Hi; key.Lo == 0 && z != 0 {
-				z -= 1 << uint(64-c.snap.t.keyBits)
-			}
+		z := a.Hi
+		if a.Lo == 0 && z != 0 {
+			z -= 1 << uint(64-c.snap.t.keyBits)
 		}
-		if start == nil || last < z {
+		if !found || last < z {
 			first, end, ok, err := next(z)
 			if !ok {
 				return n, err
 			}
-			start, last = c.snap.t.encodeKey(Key{Hi: first}, &buf), end
-			if hi != nil && sepCompare(hi, start) <= 0 {
+			start, last, found = Key{Hi: first}.ceil(c.snap.t.keyLen), end, true
+			if !start.Less(hi) {
 				return n, nil
 			}
 		}
-		if b == nil || sepCompare(start, b) < 0 {
+		if start.Less(b) {
 			m, err := c.countBelow(p.child(i), level-1, a, b, next)
 			if n += m; err != nil {
 				return n, err

@@ -19,23 +19,24 @@ func (t *Tree) loadLeaf(es []Entry, id disk.PageID) ([]Entry, error) {
 	return decodeLeaf(es, data, t.keyLen)
 }
 
-func (t *Tree) loadInternal(id disk.PageID) (*internalNode, error) {
+// viewInternal views internal page id.
+func (t *Tree) viewInternal(id disk.PageID) (internalPage, error) {
 	data, err := t.pool.View(id, nil)
+	if err != nil {
+		return internalPage{}, err
+	}
+	return viewInternal(data, t.keyLen)
+}
+
+func (t *Tree) loadInternal(id disk.PageID) (*internalNode, error) {
+	p, err := t.viewInternal(id)
 	if err != nil {
 		return nil, err
 	}
-	return decodeInternal(data)
+	return decodeInternal(p), nil
 }
 
 func (t *Tree) minChildren() int { return t.fanout / 2 }
-
-// separator returns the shortest separator between a leaf whose
-// largest key is leftMax and its right neighbor, whose smallest is
-// rightMin.
-func (t *Tree) separator(leftMax, rightMin Key) []byte {
-	var a, b [encodedKeyLen]byte
-	return shortestSeparator(t.encodeKey(leftMax, &a), t.encodeKey(rightMin, &b))
-}
 
 // Delete removes the entry with the given key. It returns false when
 // the key is absent. An underfull leaf is re-cut with its neighbours,
@@ -62,8 +63,7 @@ func (t *Tree) Delete(k Key) (bool, error) {
 }
 
 func (t *Tree) deleteCOW(w *cow, v *version, k Key) (*version, bool, error) {
-	var buf [encodedKeyLen]byte
-	path, leafID, err := t.descendPath(v, t.encodeKey(k, &buf))
+	path, leafID, err := t.descendPath(v, k)
 	if err != nil {
 		return nil, false, err
 	}

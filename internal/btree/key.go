@@ -4,9 +4,11 @@
 // plus a 64-bit record id making every key unique; a tree encodes only
 // the bytes of the z value its grid can set (Config.KeyBits), so an
 // encoded key is 9 to 16 bytes, and a leaf stores fewer: the distance
-// from a frame of reference in its header (node.go). Separators in
-// internal nodes are prefix-compressed to the shortest byte string
-// that separates the adjacent subtrees, as in a prefix B+-tree.
+// from a frame of reference in its header (node.go). A separator in an
+// internal node is the shortest prefix of its right subtree's first
+// key that sorts above its left subtree's last, as in a prefix
+// B+-tree, padded with zeros to a whole key, so that a node holds its
+// separators at a fixed stride and a descent binary-searches them.
 //
 // The tree lives on disk.Pool pages, so every access flows through
 // the buffer pool and is counted — the experiment harness reproduces
@@ -22,16 +24,10 @@
 package btree
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
-
-// sepCompare compares a (possibly truncated) separator against an
-// encoded key or another separator; bytes.Compare's lexicographic
-// order is exactly the order required (a proper prefix sorts before
-// its extensions).
-func sepCompare(a, b []byte) int { return bytes.Compare(a, b) }
 
 // Key is a tree key: Hi carries the z value, Lo a discriminator (the
 // record id) that makes keys unique even when z values collide (two
@@ -63,32 +59,39 @@ func (k Key) Compare(o Key) int {
 // String implements fmt.Stringer.
 func (k Key) String() string { return fmt.Sprintf("key(%016x,%016x)", k.Hi, k.Lo) }
 
-// encodedKeyLen is the length of the longest encoded key, the size of
-// the stack buffers keys are encoded into. A tree's own key length is
-// Tree.keyLen.
+// encodedKeyLen is the length of the longest encoded key.
 const encodedKeyLen = 16
 
 // keyLenFor returns the encoded length of a key whose Hi may set its
 // leading keyBits bits: those bits rounded up to whole bytes, then Lo.
 func keyLenFor(keyBits int) int { return (keyBits+7)/8 + 8 }
 
-// encode serializes the key into buf, whose length is the tree's key
-// length: the leading len(buf)-8 bytes of Hi, then Lo, big-endian so
-// that lexicographic byte order equals key order. A z value is
+// ceil returns k at the resolution of keys of keyLen bytes, which hold
+// the leading keyLen-8 bytes of Hi, then Lo. A z value is
 // left-justified, so the bytes of Hi left out are its low ones, zero
-// in every key the tree stores (Tree.checkKey). A search key may set
-// them (a sentinel such as Key{Hi: ^uint64(0)}): it encodes as the
-// smallest key of this length above it, which is at or below every
-// stored key the search key is below, and as the largest key of the
-// length, never a wrapped one, when none is above it.
-func (k Key) encode(buf []byte) {
-	if low := ^uint64(0) >> (8 * uint(len(buf)-8)); k.Hi&low != 0 {
-		if k.Hi |= low; k.Hi == ^uint64(0) {
-			k.Lo = ^uint64(0)
-		} else {
-			k.Hi, k.Lo = k.Hi+1, 0
-		}
+// in every key the tree stores (Tree.checkKey), and ceil returns such
+// a k as it is. A search key may set them (a sentinel such as
+// Key{Hi: ^uint64(0)}): it becomes the smallest key of the length
+// above it, which is at or below every stored key the search key is
+// below, or the largest key of the length, never a wrapped one, when
+// none is above it. A descent searches for it once so rounded.
+func (k Key) ceil(keyLen int) Key {
+	low := ^uint64(0) >> (8 * uint(keyLen-8))
+	if k.Hi&low == 0 {
+		return k
 	}
+	if hi := k.Hi | low; hi != ^uint64(0) {
+		return Key{Hi: hi + 1}
+	}
+	return Key{Hi: ^low, Lo: ^uint64(0)}
+}
+
+// encode serializes the key, rounded up by ceil, into buf, whose
+// length is the tree's key length: the leading len(buf)-8 bytes of Hi,
+// then Lo, big-endian so that lexicographic byte order equals key
+// order.
+func (k Key) encode(buf []byte) {
+	k = k.ceil(len(buf))
 	binary.BigEndian.PutUint64(buf, k.Hi)
 	binary.BigEndian.PutUint64(buf[len(buf)-8:], k.Lo)
 }
@@ -102,26 +105,23 @@ func decodeKey(buf []byte) Key {
 	}
 }
 
-// Separators are byte strings compared with bytes.Compare, whose
-// lexicographic order (a proper prefix sorts before its extensions)
-// is exactly the prefix-B+-tree separator order. The invariant
-// between adjacent subtrees is sep > enc(left max) and
-// sep <= enc(right min).
-
-// shortestSeparator returns the shortest byte string s such that
-// a < s <= b in prefix-aware lexicographic order, for a < b. This is
-// the prefix compression of the prefix B+-tree: the separator stored
-// is only as long as needed to distinguish the two subtrees.
-func shortestSeparator(a, b []byte) []byte {
-	i := 0
-	for i < len(a) && i < len(b) && a[i] == b[i] {
-		i++
+// separator returns the separator between a subtree whose largest key
+// is leftMax and its right neighbour, whose smallest is rightMin: the
+// shortest prefix of rightMin's encoding that sorts above leftMax's,
+// padded with zeros. It keeps rightMin's bytes up to the first that
+// differs from leftMax's, so leftMax < separator <= rightMin. A stored
+// key sets no bit of Hi its encoding leaves out, so the bytes kept are
+// the same at any key length.
+func separator(leftMax, rightMin Key) Key {
+	if d := leftMax.Hi ^ rightMin.Hi; d != 0 {
+		return Key{Hi: rightMin.Hi & prefixMask(d)}
 	}
-	// b[:i+1] is > a (differs at byte i with b[i] > a[i]) and <= b.
-	if i >= len(b) {
-		panic("btree: separator of non-increasing keys")
+	if leftMax.Lo == rightMin.Lo {
+		panic("btree: separator of equal keys")
 	}
-	s := make([]byte, i+1)
-	copy(s, b[:i+1])
-	return s
+	return Key{Hi: rightMin.Hi, Lo: rightMin.Lo & prefixMask(leftMax.Lo^rightMin.Lo)}
 }
+
+// prefixMask keeps the bytes of a word up to the first that d, not
+// zero, sets a bit of.
+func prefixMask(d uint64) uint64 { return ^uint64(0) << (56 - bits.LeadingZeros64(d)&^7) }

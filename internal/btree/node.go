@@ -21,7 +21,7 @@ import (
 //           count x [z gap bbits bits][id field ibits bits]
 // Internal: [type u8][count u16]            (count = number of seps)
 //           (count+1) x [child u32]
-//           count x [sepLen u16][sep bytes]
+//           count x [separator keyLen B]
 //
 // keyLen is the tree's key length (key.go): 8 bytes of Lo after as
 // many bytes of Hi as Config.KeyBits needs, the z bytes. A leaf stores
@@ -52,6 +52,13 @@ import (
 // (fieldBits). Entries stay fixed-stride within a page, so a search is
 // a binary search of the block bases, then a running sum over one
 // block, and a key decodes without allocating.
+//
+// An internal page holds its separators as whole keys of keyLen bytes
+// (key.go: each a shortest separating prefix padded with zeros) at a
+// fixed stride after its children, so a descent binary-searches them
+// as keys. The fanout is fixed as if each separator also took the 2
+// bytes of a length (Tree.fanout), which stay unused: a node is cut by
+// its children, never by its bytes.
 //
 // Leaves carry no sibling links: copy-on-write could not maintain them
 // (a neighbor's link would dangle at the old page version), so a
@@ -275,25 +282,31 @@ func (p *leafPage) seek(k Key, i int, hi uint64) (int, Key) {
 	return i, Key{Hi: hi, Lo: p.id(i)}
 }
 
-// internalPage is a read-only view of an internal page image.
-// Children sit in a fixed array and are found by arithmetic;
-// separators are variable-length with no slot table, so they are read
-// front to back.
+// internalPage is a read-only view of an internal page image. The
+// children and the separators sit in two fixed-stride arrays, so both
+// are found by arithmetic.
 type internalPage struct {
-	data  []byte
-	count int // separators; the page has count+1 children
+	data   []byte
+	count  int // separators; the page has count+1 children
+	keyLen int
 }
 
-func viewInternal(data []byte) (internalPage, error) {
+// viewInternal views data as an internal page of keyLen-byte
+// separators, after checking that both its arrays lie within it.
+func viewInternal(data []byte, keyLen int) (internalPage, error) {
 	count, err := pageHeader(data, internalType, internalHeaderLen, "internal")
 	if err != nil {
 		return internalPage{}, err
 	}
-	if internalHeaderLen+4*(count+1) > len(data) {
+	if internalBytes(count, keyLen) > len(data) {
 		return internalPage{}, errInternalOverflow
 	}
-	return internalPage{data: data, count: count}, nil
+	return internalPage{data: data, count: count, keyLen: keyLen}, nil
 }
+
+// internalBytes is the size of the image of an internal node of count
+// separators of keyLen bytes.
+func internalBytes(count, keyLen int) int { return internalHeaderLen + 4*(count+1) + count*keyLen }
 
 func (p internalPage) children() int { return p.count + 1 }
 
@@ -301,49 +314,25 @@ func (p internalPage) child(i int) disk.PageID {
 	return disk.PageID(binary.LittleEndian.Uint32(p.data[internalHeaderLen+4*i:]))
 }
 
-// firstSep returns the offset of the first separator.
-func (p internalPage) firstSep() int { return internalHeaderLen + 4*p.children() }
-
-// sepAt returns the separator stored at off, a slice of the image,
-// and the offset of the one after it.
-func (p internalPage) sepAt(off int) (sep []byte, next int, err error) {
-	if off+2 > len(p.data) {
-		return nil, 0, errInternalOverflow
-	}
-	start := off + 2
-	end := start + int(binary.LittleEndian.Uint16(p.data[off:]))
-	if end > len(p.data) {
-		return nil, 0, errInternalOverflow
-	}
-	return p.data[start:end:end], end, nil
+// sep returns separator i.
+func (p internalPage) sep(i int) Key {
+	off := internalHeaderLen + 4*(p.count+1) + i*p.keyLen
+	return decodeKey(p.data[off : off+p.keyLen])
 }
 
 // childIndex returns the index of the child subtree that may contain
-// the encoded key: the number of separators <= enc. Separators
-// increase, so the scan stops at the first one above enc; those past
-// it are not read, and so not checked against the page bounds.
-func (p internalPage) childIndex(enc []byte) (int, error) {
-	off := p.firstSep()
-	for i := 0; i < p.count; i++ {
-		sep, next, err := p.sepAt(off)
-		if err != nil {
-			return 0, err
-		}
-		if sepCompare(sep, enc) > 0 {
-			return i, nil
-		}
-		off = next
-	}
-	return p.count, nil
+// k: the number of separators <= k, which increase. k must be at the
+// resolution of the page's keys (Key.ceil).
+func (p internalPage) childIndex(k Key) int {
+	return sort.Search(p.count, func(i int) bool { return k.Less(p.sep(i)) })
 }
 
 // internalNode is the decoded form of an internal page:
 // len(children) == len(seps) + 1, and subtree children[i] holds the
-// keys k with seps[i-1] <= enc(k) < seps[i] (bounds omitted at the
-// ends).
+// keys k with seps[i-1] <= k < seps[i] (bounds omitted at the ends).
 type internalNode struct {
 	children []disk.PageID
-	seps     [][]byte
+	seps     []Key
 }
 
 // decodeLeaf appends a leaf's entries to es: the decoded form of a leaf
@@ -600,36 +589,21 @@ func (b *bitWriter) flush() {
 	}
 }
 
-// decodeInternal makes one copy of the image up to its last separator
-// and slices seps out of the copy, as the view slices them out of the
-// page: editing a node replaces whole separators, never their bytes.
-func decodeInternal(data []byte) (*internalNode, error) {
-	p, err := viewInternal(data)
-	if err != nil {
-		return nil, err
-	}
-	n := &internalNode{children: make([]disk.PageID, p.children()), seps: make([][]byte, p.count)}
+// decodeInternal decodes the internal page p views.
+func decodeInternal(p internalPage) *internalNode {
+	n := &internalNode{children: make([]disk.PageID, p.children()), seps: make([]Key, p.count)}
 	for i := range n.children {
 		n.children[i] = p.child(i)
 	}
-	end := p.firstSep()
-	for range n.seps {
-		if _, end, err = p.sepAt(end); err != nil {
-			return nil, err
-		}
-	}
-	p.data = append([]byte(nil), data[:end]...)
-	off := p.firstSep()
 	for i := range n.seps {
-		n.seps[i], off, _ = p.sepAt(off)
+		n.seps[i] = p.sep(i)
 	}
-	return n, nil
+	return n
 }
 
-func (n *internalNode) encode(data []byte) {
-	for i := range data {
-		data[i] = 0
-	}
+// encode makes data the image of n, whose separators are keyLen bytes.
+func (n *internalNode) encode(data []byte, keyLen int) {
+	clear(data)
 	data[0] = byte(internalType)
 	binary.LittleEndian.PutUint16(data[1:3], uint16(len(n.seps)))
 	off := internalHeaderLen
@@ -638,15 +612,7 @@ func (n *internalNode) encode(data []byte) {
 		off += 4
 	}
 	for _, s := range n.seps {
-		binary.LittleEndian.PutUint16(data[off:off+2], uint16(len(s)))
-		off += 2
-		copy(data[off:off+len(s)], s)
-		off += len(s)
+		s.encode(data[off : off+keyLen])
+		off += keyLen
 	}
-}
-
-// childIndex returns the index of the child subtree that may contain
-// the encoded key: the number of separators <= enc.
-func (n *internalNode) childIndex(enc []byte) int {
-	return sort.Search(len(n.seps), func(i int) bool { return sepCompare(n.seps[i], enc) > 0 })
 }

@@ -1,14 +1,12 @@
 package btree
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"probe/internal/disk"
@@ -138,33 +136,23 @@ func refDecodeLeaf(data []byte, keyLen int) ([]Entry, error) {
 	return es, nil
 }
 
-func refDecodeInternal(data []byte) (*internalNode, error) {
+func refDecodeInternal(data []byte, keyLen int) (*internalNode, error) {
 	count, err := refHeader(data, internalType, internalHeaderLen, "internal")
 	if err != nil {
 		return nil, err
 	}
-	n := &internalNode{children: make([]disk.PageID, count+1), seps: make([][]byte, count)}
 	off := internalHeaderLen
-	if off+4*(count+1) > len(data) {
+	if off+4*(count+1)+keyLen*count > len(data) {
 		return nil, fmt.Errorf("btree: internal node overflows page")
 	}
+	n := &internalNode{children: make([]disk.PageID, count+1), seps: make([]Key, count)}
 	for i := 0; i <= count; i++ {
 		n.children[i] = disk.PageID(binary.LittleEndian.Uint32(data[off : off+4]))
 		off += 4
 	}
 	for i := 0; i < count; i++ {
-		if off+2 > len(data) {
-			return nil, fmt.Errorf("btree: internal node overflows page")
-		}
-		l := int(binary.LittleEndian.Uint16(data[off : off+2]))
-		off += 2
-		if off+l > len(data) {
-			return nil, fmt.Errorf("btree: internal node overflows page")
-		}
-		s := make([]byte, l)
-		copy(s, data[off:off+l])
-		n.seps[i] = s
-		off += l
+		n.seps[i] = refDecodeKey(data[off : off+keyLen])
+		off += keyLen
 	}
 	return n, nil
 }
@@ -177,11 +165,11 @@ func errText(err error) string {
 }
 
 // linearChildIndex is childIndex by definition: the number of leading
-// separators <= enc. It is the oracle for images whose separators are
+// separators <= k. It is the oracle for images whose separators are
 // not sorted, where a binary search has no defined answer.
-func linearChildIndex(seps [][]byte, enc []byte) int {
+func linearChildIndex(seps []Key, k Key) int {
 	for i, s := range seps {
-		if bytes.Compare(s, enc) > 0 {
+		if k.Less(s) {
 			return i
 		}
 	}
@@ -239,29 +227,22 @@ func checkLeafImage(t *testing.T, data []byte, keyLen int, probes []Key) bool {
 }
 
 // checkInternalImage compares decodeInternal and every internal view
-// accessor with the reference decoder on one image, valid or not, and
-// reports whether it decoded. On an image whose separators run past
-// the page, a scan that crosses them all must fail as decoding does,
-// and no scan may panic.
-func checkInternalImage(t *testing.T, data []byte, probes [][]byte) bool {
+// accessor with the reference decoder on one image of keyLen-byte
+// separators, valid or not, and reports whether it decoded. On sorted
+// separators childIndex counts those at or below each probe, as a
+// linear scan does; on any others it still returns a child.
+func checkInternalImage(t *testing.T, data []byte, keyLen int, probes []Key) bool {
 	t.Helper()
-	n, derr := refDecodeInternal(data)
-	if got, err := decodeInternal(data); errText(err) != errText(derr) || !reflect.DeepEqual(got, n) {
-		t.Fatalf("decodeInternal = %+v, %v; reference %+v, %v", got, err, n, derr)
-	}
-	p, verr := viewInternal(data)
-	beyond := bytes.Repeat([]byte{0xff}, encodedKeyLen+1)
-	if verr == nil {
-		for _, enc := range probes {
-			p.childIndex(enc)
-		}
-		_, verr = p.childIndex(beyond)
-	}
+	n, derr := refDecodeInternal(data, keyLen)
+	p, verr := viewInternal(data, keyLen)
 	if errText(derr) != errText(verr) {
 		t.Fatalf("internal errors differ: reference %q, view %q", errText(derr), errText(verr))
 	}
 	if derr != nil {
 		return false
+	}
+	if got := decodeInternal(p); !reflect.DeepEqual(got, n) {
+		t.Fatalf("decodeInternal = %+v; reference %+v", got, n)
 	}
 	if p.children() != len(n.children) {
 		t.Fatalf("internal has %d children, decoded %d", p.children(), len(n.children))
@@ -271,29 +252,21 @@ func checkInternalImage(t *testing.T, data []byte, probes [][]byte) bool {
 			t.Fatalf("child %d: view %d, decoded %d", i, p.child(i), c)
 		}
 	}
-	off := p.firstSep()
 	for i, s := range n.seps {
-		sep, next, err := p.sepAt(off)
-		if err != nil || !bytes.Equal(sep, s) {
-			t.Fatalf("separator %d: view %x (%v), decoded %x", i, sep, err, s)
+		if p.sep(i) != s {
+			t.Fatalf("separator %d: view %v, decoded %v", i, p.sep(i), s)
 		}
-		if cap(sep) != len(sep) {
-			t.Fatalf("separator %d has capacity %d past its %d bytes", i, cap(sep), len(sep))
-		}
-		off = next
-		probes = append(probes, s, append(append([]byte(nil), s...), 0), s[:len(s)/2])
+		probes = append(probes, s, Key{Hi: s.Hi, Lo: s.Lo + 1}, Key{Hi: s.Hi, Lo: s.Lo - 1})
 	}
-	sorted := sort.SliceIsSorted(n.seps, func(i, j int) bool { return bytes.Compare(n.seps[i], n.seps[j]) < 0 })
-	for _, enc := range append(probes, beyond) {
-		got, err := p.childIndex(enc)
-		if err != nil {
-			t.Fatalf("childIndex(%x) on a decodable page: %v", enc, err)
+	probes = append(probes, Key{}, Key{Hi: ^uint64(0), Lo: ^uint64(0)}.ceil(keyLen))
+	sorted := slices.IsSortedFunc(n.seps, Key.Compare)
+	for _, k := range probes {
+		got := p.childIndex(k)
+		if got < 0 || got > p.count {
+			t.Fatalf("childIndex(%v) = %d on a page of %d separators", k, got, p.count)
 		}
-		if want := linearChildIndex(n.seps, enc); got != want {
-			t.Fatalf("childIndex(%x) = %d, want %d", enc, got, want)
-		}
-		if want := n.childIndex(enc); sorted && got != want {
-			t.Fatalf("childIndex(%x) = %d, decoded node says %d", enc, got, want)
+		if want := linearChildIndex(n.seps, k); sorted && got != want {
+			t.Fatalf("childIndex(%v) = %d, want %d", k, got, want)
 		}
 	}
 	return true
@@ -361,24 +334,31 @@ func randomLeafImage(rng *rand.Rand, pageSize, keyLen int) []byte {
 	return data
 }
 
-func randomInternalImage(rng *rand.Rand, pageSize int) []byte {
-	fanout := (pageSize - internalHeaderLen + 2 + encodedKeyLen) / (4 + 2 + encodedKeyLen)
-	set := map[string]bool{}
-	for i := rng.Intn(fanout); i > 0; i-- {
-		s := make([]byte, 1+rng.Intn(encodedKeyLen))
-		for j := range s {
-			s[j] = byte(rng.Intn(3)) // a small alphabet makes prefixes of each other
-		}
-		set[string(s)] = true
+// smallKey returns a key of keyLen bytes drawn from a small alphabet,
+// so that keys share prefixes.
+func smallKey(rng *rand.Rand, keyLen int) Key {
+	enc := make([]byte, keyLen)
+	for j := range enc {
+		enc[j] = []byte{0, 1, 0xff}[rng.Intn(3)]
 	}
+	return decodeKey(enc)
+}
+
+// randomInternalImage returns an internal page of up to a tree's
+// fanout children with sorted separators of keyLen bytes.
+func randomInternalImage(rng *rand.Rand, pageSize, keyLen int) []byte {
+	fanout := (pageSize - internalHeaderLen + 2 + keyLen) / (4 + 2 + keyLen)
 	n := &internalNode{children: []disk.PageID{disk.PageID(rng.Uint32())}}
-	for s := range set {
-		n.seps = append(n.seps, []byte(s))
+	for i := rng.Intn(fanout); i > 0; i-- {
+		n.seps = append(n.seps, smallKey(rng, keyLen))
+	}
+	slices.SortFunc(n.seps, Key.Compare)
+	n.seps = slices.Compact(n.seps)
+	for range n.seps {
 		n.children = append(n.children, disk.PageID(rng.Uint32()))
 	}
-	sort.Slice(n.seps, func(i, j int) bool { return bytes.Compare(n.seps[i], n.seps[j]) < 0 })
 	data := make([]byte, pageSize)
-	n.encode(data)
+	n.encode(data, keyLen)
 	return data
 }
 
@@ -397,14 +377,10 @@ func TestPageViewsMatchDecode(t *testing.T) {
 			t.Fatal("a well-formed leaf image did not decode")
 		}
 		sels[leaf[5]]++
-		encs := make([][]byte, 32)
-		for i := range encs {
-			encs[i] = make([]byte, rng.Intn(encodedKeyLen+1))
-			for j := range encs[i] {
-				encs[i][j] = byte(rng.Intn(3))
-			}
+		for i := range probes {
+			probes[i] = smallKey(rng, keyLen)
 		}
-		if !checkInternalImage(t, randomInternalImage(rng, pageSize), encs) {
+		if !checkInternalImage(t, randomInternalImage(rng, pageSize, keyLen), keyLen, probes) {
 			t.Fatal("a well-formed internal image did not decode")
 		}
 	}
@@ -424,9 +400,9 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 	// About 60 entries of 2 bytes: more than fit the page at the widest
 	// frame, 45.
 	narrow := framedLeafImage(rng, 512, 11, 8, 8, 60)
-	internal := randomInternalImage(rng, 512)
+	internal := randomInternalImage(rng, 512, encodedKeyLen)
 	for binary.LittleEndian.Uint16(internal[1:3]) < 2 {
-		internal = randomInternalImage(rng, 512)
+		internal = randomInternalImage(rng, 512, encodedKeyLen)
 	}
 	damage := func(img []byte, f func([]byte)) []byte {
 		c := append([]byte(nil), img...)
@@ -440,7 +416,7 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 		}
 	}
 	for _, typ := range []byte{0, byte(leafType), 7} {
-		if checkInternalImage(t, damage(internal, func(b []byte) { b[0] = typ }), nil) {
+		if checkInternalImage(t, damage(internal, func(b []byte) { b[0] = typ }), encodedKeyLen, nil) {
 			t.Errorf("internal page with type byte %d decoded", typ)
 		}
 	}
@@ -490,38 +466,32 @@ func TestPageViewsRejectCorruptImages(t *testing.T) {
 		t.Error("a leaf whose last base runs past the page decoded")
 	}
 	// A count that runs the entries (31 or more at this geometry) or
-	// the child array (127 or more separators) off the page.
-	for _, count := range []uint16{31, 127, 200, 0xffff} {
+	// the separators (26 or more) off the page; up to 126 separators
+	// the child array still fits.
+	for _, count := range []uint16{31, 126, 127, 200, 0xffff} {
 		over := func(b []byte) { binary.LittleEndian.PutUint16(b[1:3], count) }
 		if checkLeafImage(t, damage(leaf, over), encodedKeyLen, nil) {
 			t.Errorf("leaf claiming %d entries decoded", count)
 		}
-		if checkInternalImage(t, damage(internal, over), nil) && count >= 127 {
+		if checkInternalImage(t, damage(internal, over), encodedKeyLen, nil) {
 			t.Errorf("internal page claiming %d separators decoded", count)
 		}
 	}
-	// A separator length that runs past the end of the page: the
-	// first, and the last.
-	p, err := viewInternal(internal)
-	if err != nil {
-		t.Fatal(err)
+	// An image that ends with its last separator decodes, and one a
+	// byte shorter does not.
+	end := internalBytes(int(binary.LittleEndian.Uint16(internal[1:3])), encodedKeyLen)
+	if !checkInternalImage(t, internal[:end], encodedKeyLen, nil) {
+		t.Error("an internal page ending with its last separator did not decode")
 	}
-	lastOff := p.firstSep()
-	for i := 0; i < p.count-1; i++ {
-		_, lastOff, _ = p.sepAt(lastOff)
-	}
-	for _, off := range []int{p.firstSep(), lastOff} {
-		long := damage(internal, func(b []byte) { binary.LittleEndian.PutUint16(b[off:], 0xfff0) })
-		if checkInternalImage(t, long, nil) {
-			t.Errorf("separator at %d running past the page decoded", off)
-		}
+	if checkInternalImage(t, internal[:end-1], encodedKeyLen, nil) {
+		t.Error("an internal page whose last separator runs past the page decoded")
 	}
 	// Every truncation of the images, down to nothing.
 	for cut := 0; cut < 512; cut++ {
 		checkLeafImage(t, leaf[:cut], encodedKeyLen, nil)
 		checkLeafImage(t, narrow[:cut], 11, nil)
 		checkLeafImage(t, based[:cut], encodedKeyLen, nil)
-		checkInternalImage(t, internal[:cut], nil)
+		checkInternalImage(t, internal[:cut], encodedKeyLen, nil)
 	}
 }
 
@@ -705,9 +675,30 @@ func FuzzPageViews(f *testing.F) {
 	f.Add(randomLeafImage(rng, 128, 16), uint8(7), []byte{1, 2})
 	f.Add(randomLeafImage(rng, 128, 11), uint8(2), []byte{})
 	f.Add(randomLeafImage(rng, 128, 9), uint8(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Add(randomInternalImage(rng, 128), uint8(7), []byte{0, 1, 2, 0})
 	f.Add([]byte{byte(internalType), 0xff, 0xff}, uint8(7), []byte{9})
-	f.Add([]byte{byte(internalType), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}, uint8(7), []byte{9})
+	// Internal pages on each key length; each with a count whose
+	// separators run past the page while its children fit, and with
+	// its separators in reverse, unsorted.
+	for keyLen := 9; keyLen <= 16; keyLen++ {
+		img := randomInternalImage(rng, 128, keyLen)
+		for binary.LittleEndian.Uint16(img[1:3]) < 2 {
+			img = randomInternalImage(rng, 128, keyLen)
+		}
+		width := uint8(keyLen - 9)
+		f.Add(img, width, []byte{0, 1, 2, 0})
+		over := append([]byte(nil), img...)
+		binary.LittleEndian.PutUint16(over[1:3], uint16((128-internalHeaderLen)/4-1))
+		f.Add(over, width, []byte{})
+		p, err := viewInternal(img, keyLen)
+		if err != nil {
+			f.Fatal(err)
+		}
+		n := decodeInternal(p)
+		slices.Reverse(n.seps)
+		unsorted := make([]byte, 128)
+		n.encode(unsorted, keyLen)
+		f.Add(unsorted, width, img[internalHeaderLen+4*p.children():][:keyLen])
+	}
 	f.Add([]byte{byte(leafType), 9, 0}, uint8(4), []byte{})
 	// A leaf at bit widths on either side of a byte and of the 57 bits
 	// a read holds, on the shortest key that holds the z width, and the
@@ -806,7 +797,7 @@ func FuzzPageViews(f *testing.F) {
 			k = decodeKey(enc[:keyLen])
 		}
 		checkLeafImage(t, data, keyLen, []Key{k})
-		checkInternalImage(t, data, [][]byte{enc})
+		checkInternalImage(t, data, keyLen, []Key{k})
 	})
 }
 

@@ -70,7 +70,7 @@ func reachableImages(t *testing.T, s *Snapshot) map[disk.PageID][]byte {
 		}
 		images[id] = data
 		if nodeType(data[0]) == internalType {
-			p, err := viewInternal(data)
+			p, err := viewInternal(data, s.t.keyLen)
 			if err != nil {
 				t.Fatal(err)
 			}

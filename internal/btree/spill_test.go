@@ -167,7 +167,7 @@ func pageImages(t *testing.T, s *Snapshot) map[disk.PageID][]byte {
 		}
 		images[id] = data
 		if nodeType(data[0]) == internalType {
-			p, err := viewInternal(data)
+			p, err := viewInternal(data, s.t.keyLen)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,15 +287,11 @@ func TestLeafSpill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := viewInternal(data)
+		p, err := viewInternal(data, tree.keyLen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sep, _, err := p.sepAt(p.firstSep())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var a, b [encodedKeyLen]byte
+		sep := p.sep(0)
 		snap := tree.Snapshot()
 		defer snap.Release()
 		c := snap.Cursor()
@@ -307,8 +303,8 @@ func TestLeafSpill(t *testing.T) {
 		}
 		leftMax := c.Key()
 		c.Next()
-		if l, r := tree.encodeKey(leftMax, &a), tree.encodeKey(c.Key(), &b); sepCompare(l, sep) >= 0 || sepCompare(sep, r) > 0 {
-			t.Errorf("separator %x is not between %x and %x", sep, l, r)
+		if !leftMax.Less(sep) || c.Key().Less(sep) {
+			t.Errorf("separator %v is not between %v and %v", sep, leftMax, c.Key())
 		}
 	})
 

@@ -105,8 +105,9 @@ func newTreeShell(pool *disk.Pool, cfg Config) (*Tree, error) {
 	} else if leafCap < 2 || leafCap > minCap {
 		return nil, fmt.Errorf("btree: leaf capacity %d outside [2,%d]", leafCapacity, minCap)
 	}
-	// Pessimistic fanout: assume every separator is a full key, so
-	// any mix of truncated separators always fits the page.
+	// The fanout that held each separator behind a 2-byte length, kept
+	// so that every node keeps its children: with the lengths gone the
+	// page has 2 bytes a separator to spare (internalBytes).
 	// internalHeaderLen + fanout*4 + (fanout-1)*(2+keyLen) <= ps
 	fanout := min((ps-internalHeaderLen+2+keyLen)/(4+2+keyLen), maxCount)
 	if fanout < 4 {
@@ -172,14 +173,6 @@ func (t *Tree) checkKey(k Key) error {
 		return fmt.Errorf("btree: %v sets bits below the tree's %d key bits", k, t.keyBits)
 	}
 	return nil
-}
-
-// encodeKey encodes k at the tree's key length into buf and returns
-// the encoded bytes.
-func (t *Tree) encodeKey(k Key, buf *[encodedKeyLen]byte) []byte {
-	enc := buf[:t.keyLen]
-	k.encode(enc)
-	return enc
 }
 
 // publishInitial installs v as version 1 of a freshly built tree.
@@ -292,23 +285,14 @@ func searchLeaf(n []Entry, k Key) int {
 // caller must hold a pin on v (or be the serialized writer). Each page
 // is searched in its pool image.
 func (t *Tree) getAt(v *version, k Key) (bool, error) {
-	var buf [encodedKeyLen]byte
-	enc := t.encodeKey(k, &buf)
+	sk := k.ceil(t.keyLen)
 	id := v.root
 	for level := v.height; level > 1; level-- {
-		data, err := t.pool.View(id, nil)
+		p, err := t.viewInternal(id)
 		if err != nil {
 			return false, err
 		}
-		p, err := viewInternal(data)
-		if err != nil {
-			return false, err
-		}
-		i, err := p.childIndex(enc)
-		if err != nil {
-			return false, err
-		}
-		id = p.child(i)
+		id = p.child(p.childIndex(sk))
 	}
 	data, err := t.pool.View(id, nil)
 	if err != nil {
@@ -370,23 +354,18 @@ func (w *cow) put(old disk.PageID, img []byte) (disk.PageID, error) {
 	return id, w.t.pool.Put(id, img)
 }
 
-// putLeaf writes the decoded leaf in place of page old (see put) and
-// returns its id.
-func (w *cow) putLeaf(old disk.PageID, es []Entry) (disk.PageID, error) {
-	return w.putLeafIn(old, es, frameOf(es, w.t.keyLen))
-}
-
-// putLeafIn is putLeaf for a leaf whose canonical frame f is known.
+// putLeafIn writes the leaf holding es in its canonical frame f in
+// place of page old (see put) and returns its id.
 func (w *cow) putLeafIn(old disk.PageID, es []Entry, f leafFrame) (disk.PageID, error) {
 	img := make([]byte, w.t.pageSize)
 	encodeLeaf(img, es, f, w.t.keyLen)
 	return w.put(old, img)
 }
 
-// putInternal is putLeaf for a decoded internal node.
+// putInternal is putLeafIn for a decoded internal node.
 func (w *cow) putInternal(old disk.PageID, n *internalNode) (disk.PageID, error) {
 	img := make([]byte, w.t.pageSize)
-	n.encode(img)
+	n.encode(img, w.t.keyLen)
 	return w.put(old, img)
 }
 
@@ -419,19 +398,20 @@ type cowLevel struct {
 	child int
 }
 
-// descendPath walks from v's root to the leaf responsible for enc,
+// descendPath walks from v's root to the leaf responsible for k,
 // returning the decoded internal path and the leaf's page id.
-func (t *Tree) descendPath(v *version, enc []byte) ([]cowLevel, disk.PageID, error) {
+func (t *Tree) descendPath(v *version, k Key) ([]cowLevel, disk.PageID, error) {
 	var path []cowLevel
+	k = k.ceil(t.keyLen)
 	id := v.root
 	for level := v.height; level > 1; level-- {
-		n, err := t.loadInternal(id)
+		p, err := t.viewInternal(id)
 		if err != nil {
 			return nil, disk.InvalidPage, err
 		}
-		i := n.childIndex(enc)
-		path = append(path, cowLevel{n: n, id: id, child: i})
-		id = n.children[i]
+		i := p.childIndex(k)
+		path = append(path, cowLevel{n: decodeInternal(p), id: id, child: i})
+		id = p.child(i)
 	}
 	return path, id, nil
 }
@@ -482,8 +462,7 @@ func (t *Tree) insertCOW(w *cow, v *version, k Key) (*version, error) {
 	if err := t.checkKey(k); err != nil {
 		return nil, err
 	}
-	var buf [encodedKeyLen]byte
-	path, leafID, err := t.descendPath(v, t.encodeKey(k, &buf))
+	path, leafID, err := t.descendPath(v, k)
 	if err != nil {
 		return nil, err
 	}
@@ -641,11 +620,11 @@ func (t *Tree) leaves(all []Entry, cuts []int) ([]leafFrame, bool) {
 // separators between the pieces.
 func (t *Tree) putWindow(w *cow, nv *version, parent *internalNode, lo, m int, all []Entry, cuts []int, frames []leafFrame) error {
 	ids := make([]disk.PageID, len(frames))
-	seps := make([][]byte, len(frames)-1)
+	seps := make([]Key, len(frames)-1)
 	for j, f := range frames {
 		piece := all[cuts[j]:cuts[j+1]]
 		if j > 0 {
-			seps[j-1] = t.separator(all[cuts[j]-1].Key, piece[0].Key)
+			seps[j-1] = separator(all[cuts[j]-1].Key, piece[0].Key)
 		}
 		var err error
 		if ids[j], err = w.putLeafIn(windowPage(parent, lo, m, j), piece, f); err != nil {
@@ -669,7 +648,7 @@ func windowPage(parent *internalNode, lo, m, j int) disk.PageID {
 // replaceWindow puts ids, with seps between them, in place of the m
 // children of parent from lo and the separators between those, and
 // retires the children past len(ids), which no piece replaced.
-func (w *cow) replaceWindow(parent *internalNode, lo, m int, ids []disk.PageID, seps [][]byte) {
+func (w *cow) replaceWindow(parent *internalNode, lo, m int, ids []disk.PageID, seps []Key) {
 	for j := len(ids); j < m; j++ {
 		w.retire(parent.children[lo+j])
 	}
@@ -749,7 +728,7 @@ func (t *Tree) recutInternal(w *cow, parent *internalNode, ci int, cur *internal
 		}
 	}
 	ids := make([]disk.PageID, k)
-	seps := make([][]byte, k-1)
+	seps := make([]Key, k-1)
 	for j, from := 0, 0; j < k; j++ {
 		to := ((j+1)*c + k - 1) / k
 		if j > 0 {

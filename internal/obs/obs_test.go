@@ -220,6 +220,28 @@ func TestRegistryAddSpan(t *testing.T) {
 	if got := r.Int("range-search.pool-gets").Value(); got != 9 {
 		t.Errorf("pool-gets = %d (child totals must merge)", got)
 	}
+	if strings.Contains(r.String(), "range-search.seeks") {
+		t.Errorf("a counter no span set is registered: %s", r.String())
+	}
+	// Concurrent folds under one new prefix resolve each counter once
+	// and lose no count.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				r.AddSpan("nearest", s)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := r.Int("nearest.count").Value(); got != 400 {
+		t.Errorf("nearest.count = %d, want 400", got)
+	}
+	if got := r.Int("nearest.pool-gets").Value(); got != 3600 {
+		t.Errorf("nearest.pool-gets = %d, want 3600", got)
+	}
 }
 
 func TestRegistryConcurrent(t *testing.T) {

@@ -52,6 +52,16 @@ type Registry struct {
 	ints   map[string]*Int
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
+	spans  map[string]*spanInts // AddSpan's counters, by prefix
+}
+
+// spanInts are the counters AddSpan folds spans into under one prefix:
+// "prefix.count", and "prefix.<counter>" for each counter, resolved
+// the first time the counter is nonzero, so that a counter no span
+// sets is not registered.
+type spanInts struct {
+	count    *Int
+	counters [NumCounters]atomic.Pointer[Int]
 }
 
 // NewRegistry returns an empty registry.
@@ -60,6 +70,7 @@ func NewRegistry() *Registry {
 		ints:   make(map[string]*Int),
 		gauges: make(map[string]*Gauge),
 		hists:  make(map[string]*Histogram),
+		spans:  make(map[string]*spanInts),
 	}
 }
 
@@ -203,15 +214,41 @@ func (r *Registry) String() string {
 // AddSpan merges a span subtree's counter totals into the registry
 // under "prefix.counter" names, and bumps "prefix.count" by one. Nil
 // spans merge nothing (the count still bumps: the operation ran, just
-// untraced).
+// untraced). The names are built once per prefix and counter, so a
+// fold allocates nothing once its counters are resolved.
 func (r *Registry) AddSpan(prefix string, s *Span) {
-	r.Int(prefix + ".count").Add(1)
+	si := r.spanInts(prefix)
+	si.count.Add(1)
 	if s == nil {
 		return
 	}
 	for c := Counter(0); c < NumCounters; c++ {
 		if v := s.Total(c); v != 0 {
-			r.Int(prefix + "." + c.String()).Add(v)
+			i := si.counters[c].Load()
+			if i == nil {
+				i = r.Int(prefix + "." + c.String())
+				si.counters[c].Store(i)
+			}
+			i.Add(v)
 		}
 	}
+}
+
+// spanInts returns AddSpan's counters under prefix, creating them on
+// first use.
+func (r *Registry) spanInts(prefix string) *spanInts {
+	r.mu.RLock()
+	si, ok := r.spans[prefix]
+	r.mu.RUnlock()
+	if ok {
+		return si
+	}
+	count := r.Int(prefix + ".count")
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if si, ok = r.spans[prefix]; !ok {
+		si = &spanInts{count: count}
+		r.spans[prefix] = si
+	}
+	return si
 }
