@@ -135,6 +135,8 @@ func validateServeConfig(cfg serveConfig) error {
 }
 
 // openDB opens (or creates and optionally seeds) the served database.
+// A fresh database is seeded by a bulk load, which a durable store
+// checkpoints as it is created.
 func openDB(dbPath string, dims, bits, pool, seedN int, seed int64) (*probe.DB, error) {
 	g, err := probe.NewGrid(dims, bits)
 	if err != nil {
@@ -149,6 +151,10 @@ func openDB(dbPath string, dims, bits, pool, seedN int, seed int64) (*probe.DB, 
 		}
 		opts = append(opts, probe.WithDurability(dbPath))
 	}
+	seeding := fresh && seedN > 0
+	if seeding {
+		opts = append(opts, probe.WithBulkLoad(workload.Uniform(g, seedN, seed)))
+	}
 	db, err := probe.Open(g, opts...)
 	if err != nil {
 		return nil, err
@@ -157,15 +163,7 @@ func openDB(dbPath string, dims, bits, pool, seedN int, seed int64) (*probe.DB, 
 		fmt.Printf("probed: recovered %s (%d pages replayed), %d points\n",
 			dbPath, info.PagesRecovered, db.Len())
 	}
-	if fresh && seedN > 0 {
-		if err := db.InsertAll(workload.Uniform(g, seedN, seed)); err != nil {
-			db.Close()
-			return nil, err
-		}
-		if _, err := db.Checkpoint(); err != nil {
-			db.Close()
-			return nil, err
-		}
+	if seeding {
 		fmt.Printf("probed: seeded %d uniform points\n", seedN)
 	}
 	return db, nil

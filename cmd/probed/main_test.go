@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
@@ -102,6 +103,32 @@ func TestServeRefusesFormatVersion1(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("refusal %q does not say %q", err, want)
 			}
+		}
+	}
+}
+
+// TestOpenDBSeedsFreshStoreOnce: -seed-n bulk-loads a fresh durable
+// store, which answers COUNT(*) with every point after a reopen, and a
+// reopen with -seed-n set does not seed it again.
+func TestOpenDBSeedsFreshStoreOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seeded.db")
+	for round := 0; round < 2; round++ {
+		db, err := openDB(path, 2, 10, 64, 5000, int64(round+1))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if recovered, _ := db.Recovered(); recovered != (round > 0) {
+			t.Errorf("round %d: recovered = %v", round, recovered)
+		}
+		res, err := db.Query(context.Background(), "SELECT COUNT(*) FROM points")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Rows[0][0].(int64); n != 5000 {
+			t.Errorf("round %d: COUNT(*) = %d, want 5000", round, n)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

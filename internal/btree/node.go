@@ -502,14 +502,19 @@ func (s *frameScan) shape() (f leafFrame, size int) {
 }
 
 // frameOf returns the canonical frame of a leaf holding es, whose keys
-// are keyLen bytes: the z base is the first key's z, and the rest is
-// the shape of es scanned from its front (frameScan.shape).
+// are keyLen bytes: the frame of es scanned from its front.
 func frameOf(es []Entry, keyLen int) leafFrame {
 	if len(es) == 0 {
 		return leafFrame{}
 	}
 	s := newFrameScan(keyLen, es[0].Key, false)
 	s.add(es[1:])
+	return s.frame()
+}
+
+// frame returns the frame of the run so far: its shape (shape), the
+// first key's z as the z base and the id bases.
+func (s *frameScan) frame() leafFrame {
 	f, _ := s.shape()
 	f.z, f.ids[0] = s.z0, s.lo
 	if f.sel > 0 {

@@ -617,7 +617,8 @@ func TestInternalRecut(t *testing.T) {
 // that a shorter run fits wherever a longer one does. The runs hold ids
 // in 1 to 5 clusters 2^8 to 2^48 apart, on pages of 128 to 4096 bytes,
 // under explicit and derived capacities, at the caps a split and a bulk
-// load pass. Each run found encodes within maxBytes and decodes back.
+// load pass. From the front, the frame fitSpan returns is frameOf's.
+// Each run found encodes within maxBytes and decodes back.
 func TestFitSpanMatchesFrameOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	var sels [maxSel + 1]int
@@ -654,12 +655,15 @@ func TestFitSpanMatchesFrameOf(t *testing.T) {
 					want = n
 				}
 			}
-			got := tree.fitSpan(es, step, maxCount, maxBytes)
+			got, scanned := tree.fitSpan(es, step, maxCount, maxBytes)
 			if got != want {
 				t.Fatalf("round %d, step %+d, %d entries, caps %d and %d bytes: fitSpan %d, longest fitting run %d",
 					round, step, len(es), maxCount, maxBytes, got, want)
 			}
 			f := frameOf(run(got), tree.keyLen)
+			if step > 0 && scanned != f {
+				t.Fatalf("round %d: fitSpan's frame of a run of %d is %+v, frameOf %+v", round, got, scanned, f)
+			}
 			sels[f.sel]++
 			data := make([]byte, maxBytes)
 			encodeLeaf(data, run(got), f, tree.keyLen)
@@ -707,7 +711,7 @@ func TestSpreadFindsAnyCut(t *testing.T) {
 		slices.SortFunc(all, func(a, b Entry) int { return a.Key.Compare(b.Key) })
 		all = slices.CompactFunc(all, func(a, b Entry) bool { return a.Key == b.Key })
 		k := 1 + rng.Intn(3)
-		page := tree.fitSpan(all, +1, tree.leafCap, tree.pageSize)
+		page, _ := tree.fitSpan(all, +1, tree.leafCap, tree.pageSize)
 		all = all[:max(1, min(len(all), 120, k*page+rng.Intn(2*page+1)-page))]
 		// cuts[i][p]: all[:p] cuts into i pieces.
 		cuts := make([][]bool, k+1)

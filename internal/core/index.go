@@ -109,20 +109,18 @@ func NewIndex(pool *disk.Pool, g zorder.Grid, cfg IndexConfig) (*Index, error) {
 // and yields ~30% fewer data pages — see BenchmarkAblationBulkLoad. A
 // point given twice fails with btree.ErrDuplicateKey, as Insert does.
 func NewIndexBulk(pool *disk.Pool, g zorder.Grid, cfg IndexConfig, pts []geom.Point, fill float64) (*Index, error) {
-	keys := make([]btree.Key, len(pts))
+	entries := make([]btree.Entry, len(pts))
 	for i, p := range pts {
 		if !g.Valid(p.Coords) {
 			return nil, fmt.Errorf("core: point %v outside %v", p, g)
 		}
-		keys[i] = btree.Key{Hi: g.ShuffleKey(p.Coords), Lo: p.ID}
+		entries[i].Key = btree.Key{Hi: g.ShuffleKey(p.Coords), Lo: p.ID}
 	}
-	sortKeys(keys)
-	entries := make([]btree.Entry, len(keys))
-	for i, k := range keys {
-		if i > 0 && k == keys[i-1] {
+	sortEntries(entries)
+	for i := 1; i < len(entries); i++ {
+		if k := entries[i].Key; k == entries[i-1].Key {
 			return nil, fmt.Errorf("core: bulk load point %d: %w", k.Lo, btree.ErrDuplicateKey)
 		}
-		entries[i].Key = k
 	}
 	tree, err := btree.Load(pool, treeConfig(g, cfg.LeafCapacity), entries, fill)
 	if err != nil {

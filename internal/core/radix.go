@@ -67,12 +67,13 @@ func radixSort[T any](recs []T, words int, key func(r *T, w int) uint64) {
 	}
 }
 
-// sortKeys sorts tree keys into the tree's order, by Hi, then Lo.
-func sortKeys(keys []btree.Key) {
-	radixSort(keys, 2, func(k *btree.Key, w int) uint64 {
+// sortEntries sorts bulk-load entries into the tree's key order, by
+// Hi, then Lo.
+func sortEntries(es []btree.Entry) {
+	radixSort(es, 2, func(e *btree.Entry, w int) uint64 {
 		if w == 0 {
-			return k.Hi
+			return e.Key.Hi
 		}
-		return k.Lo
+		return e.Key.Lo
 	})
 }

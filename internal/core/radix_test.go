@@ -18,7 +18,7 @@ import (
 
 // The comparators the radix sorts replaced, kept as their reference:
 // the tree's key order, the join's item order and the pair order.
-func compareKeys(a, b btree.Key) int { return a.Compare(b) }
+func compareKeys(a, b btree.Entry) int { return a.Key.Compare(b.Key) }
 
 func compareItems(a, b Item) int {
 	return cmp.Or(a.Elem.Compare(b.Elem), cmp.Compare(a.ID, b.ID))
@@ -33,14 +33,14 @@ func comparePairs(a, b Pair) int {
 // give the key (x, y), the pair (x, y) and the item whose element has
 // bits x and length x's low byte mod 65, and whose id is y. An
 // element's bits below its length are kept: Compare ignores them.
-func radixRecords(data []byte) ([]btree.Key, []Item, []Pair) {
+func radixRecords(data []byte) ([]btree.Entry, []Item, []Pair) {
 	n := (len(data) + 15) / 16
 	buf := make([]byte, 16*n)
 	copy(buf, data)
-	keys, items, pairs := make([]btree.Key, n), make([]Item, n), make([]Pair, n)
+	keys, items, pairs := make([]btree.Entry, n), make([]Item, n), make([]Pair, n)
 	for i := range keys {
 		x, y := binary.BigEndian.Uint64(buf[16*i:]), binary.BigEndian.Uint64(buf[16*i+8:])
-		keys[i] = btree.Key{Hi: x, Lo: y}
+		keys[i] = btree.Entry{Key: btree.Key{Hi: x, Lo: y}}
 		items[i] = Item{Elem: zorder.Element{Bits: x, Len: uint8(x) % 65}, ID: y}
 		pairs[i] = Pair{A: x, B: y}
 	}
@@ -91,7 +91,7 @@ func FuzzRadixMatchesCompare(f *testing.F) {
 	f.Add(recs(rec(top, top), rec(top, top-1), rec(top-1, top), rec(0, top), rec(top, 0))) // near 2^64
 	f.Fuzz(func(t *testing.T, data []byte) {
 		keys, items, pairs := radixRecords(data)
-		checkSort(t, "keys", keys, sortKeys, compareKeys)
+		checkSort(t, "keys", keys, sortEntries, compareKeys)
 		checkSort(t, "items", items, SortItems, compareItems)
 		got := DedupPairs(slices.Clone(pairs))
 		slices.SortFunc(pairs, comparePairs)
@@ -198,14 +198,14 @@ func BenchmarkNewIndexBulk(b *testing.B) {
 // bulk load's 200 000 keys and a JOIN's two relations.
 func BenchmarkRadixSort(b *testing.B) {
 	g, pts := benchPoints()
-	keys := make([]btree.Key, len(pts))
+	keys := make([]btree.Entry, len(pts))
 	for i, p := range pts {
-		keys[i] = btree.Key{Hi: g.ShuffleKey(p.Coords), Lo: p.ID}
+		keys[i].Key = btree.Key{Hi: g.ShuffleKey(p.Coords), Lo: p.ID}
 	}
 	items := append(benchRelation(g, 22), benchRelation(g, 23)...)
-	b.Run("keys/radix", func(b *testing.B) { benchSort(b, keys, sortKeys) })
+	b.Run("keys/radix", func(b *testing.B) { benchSort(b, keys, sortEntries) })
 	b.Run("keys/sortfunc", func(b *testing.B) {
-		benchSort(b, keys, func(k []btree.Key) { slices.SortFunc(k, compareKeys) })
+		benchSort(b, keys, func(k []btree.Entry) { slices.SortFunc(k, compareKeys) })
 	})
 	b.Run("items/radix", func(b *testing.B) { benchSort(b, items, SortItems) })
 	b.Run("items/sortfunc", func(b *testing.B) {

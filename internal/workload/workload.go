@@ -5,12 +5,17 @@
 // uniformly distributed along the x = y line), together with range
 // queries of controlled shape and volume at random locations.
 //
-// All generators are deterministic given their seed.
+// All generators are deterministic given their seed. A generator
+// allocates per call, not per point: the points' coordinates are cut
+// from one slab of n*dims values, each point's capped at its own
+// length, so an append to one point's coordinates copies them rather
+// than running into its neighbour's.
 package workload
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"probe/internal/geom"
@@ -21,11 +26,13 @@ import (
 // (experiment U).
 func Uniform(g zorder.Grid, n int, seed int64) []geom.Point {
 	rng := rand.New(rand.NewSource(seed))
+	k, side := g.Dims(), g.Side()
+	slab := make([]uint32, n*k)
 	pts := make([]geom.Point, n)
 	for i := range pts {
-		coords := make([]uint32, g.Dims())
+		coords := slab[i*k : i*k+k : i*k+k]
 		for d := range coords {
-			coords[d] = uint32(rng.Uint64() % g.Side())
+			coords[d] = uint32(rng.Uint64() % side)
 		}
 		pts[i] = geom.Point{ID: uint64(i), Coords: coords}
 	}
@@ -38,23 +45,22 @@ func Uniform(g zorder.Grid, n int, seed int64) []geom.Point {
 // outside the grid are clamped to its edge.
 func Clustered(g zorder.Grid, clusters, perCluster int, stddev float64, seed int64) []geom.Point {
 	rng := rand.New(rand.NewSource(seed))
-	pts := make([]geom.Point, 0, clusters*perCluster)
+	k, n := g.Dims(), clusters*perCluster
+	slab := make([]uint32, n*k)
+	pts := make([]geom.Point, n)
 	side := float64(g.Side())
-	id := uint64(0)
-	for c := 0; c < clusters; c++ {
-		center := make([]float64, g.Dims())
-		for d := range center {
-			center[d] = rng.Float64() * side
-		}
-		for p := 0; p < perCluster; p++ {
-			coords := make([]uint32, g.Dims())
-			for d := range coords {
-				v := center[d] + rng.NormFloat64()*stddev
-				coords[d] = clamp(v, side)
+	center := make([]float64, k)
+	for i := range pts {
+		if i%perCluster == 0 {
+			for d := range center {
+				center[d] = rng.Float64() * side
 			}
-			pts = append(pts, geom.Point{ID: id, Coords: coords})
-			id++
 		}
+		coords := slab[i*k : i*k+k : i*k+k]
+		for d := range coords {
+			coords[d] = clamp(center[d]+rng.NormFloat64()*stddev, side)
+		}
+		pts[i] = geom.Point{ID: uint64(i), Coords: coords}
 	}
 	return pts
 }
@@ -64,11 +70,12 @@ func Clustered(g zorder.Grid, clusters, perCluster int, stddev float64, seed int
 // perpendicular to it.
 func Diagonal(g zorder.Grid, n int, spread float64, seed int64) []geom.Point {
 	rng := rand.New(rand.NewSource(seed))
-	side := float64(g.Side())
+	k, side := g.Dims(), float64(g.Side())
+	slab := make([]uint32, n*k)
 	pts := make([]geom.Point, n)
 	for i := range pts {
 		t := rng.Float64() * side
-		coords := make([]uint32, g.Dims())
+		coords := slab[i*k : i*k+k : i*k+k]
 		for d := range coords {
 			coords[d] = clamp(t+rng.NormFloat64()*spread, side)
 		}
@@ -89,16 +96,28 @@ func clamp(v, side float64) uint32 {
 
 // Dedupe removes points sharing identical coordinates, keeping the
 // first occurrence; the paper's model has at most one tuple per
-// pixel. Order is preserved.
+// pixel. Order is preserved. It filters in place: the result is a
+// prefix of pts's backing array, so pts itself must not be used after
+// the call. The points' z values go into an open-addressed set at most
+// half full, its one allocation.
 func Dedupe(g zorder.Grid, pts []geom.Point) []geom.Point {
-	seen := make(map[uint64]bool, len(pts))
-	out := pts[:0:0]
+	if len(pts) < 2 {
+		return pts
+	}
+	b := bits.Len(uint(2*len(pts) - 1))
+	set := make([]uint64, 1<<b) // z values; 0 marks an empty slot
+	zero := false               // the z value 0 is in the set
+	out := pts[:0]
 	for _, p := range pts {
 		z := g.ShuffleKey(p.Coords)
-		if seen[z] {
+		i := (z ^ z>>32) * 0x9e3779b97f4a7c15 >> (64 - b)
+		for set[i] != z && set[i] != 0 {
+			i = (i + 1) & (1<<b - 1)
+		}
+		if set[i] == z && (z != 0 || zero) {
 			continue
 		}
-		seen[z] = true
+		set[i], zero = z, zero || z == 0
 		out = append(out, p)
 	}
 	return out

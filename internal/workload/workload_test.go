@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"probe/internal/geom"
 	"probe/internal/zorder"
 )
 
@@ -86,23 +89,40 @@ func TestDiagonalShape(t *testing.T) {
 	}
 }
 
+// TestDedupe checks Dedupe against a map of the coordinates seen, run
+// on a copy of its input: the same survivors in the same order, each
+// the first point at its pixel, on grids with heavy collisions, with
+// none but repeats, and with a 64-bit z.
 func TestDedupe(t *testing.T) {
-	g := zorder.MustGrid(2, 4)
-	pts := Uniform(g, 1000, 3) // heavy collisions on a 16x16 grid
-	out := Dedupe(g, pts)
-	if len(out) >= len(pts) {
-		t.Errorf("expected collisions on a tiny grid")
-	}
-	seen := map[[2]uint32]bool{}
-	for _, p := range out {
-		key := [2]uint32{p.Coords[0], p.Coords[1]}
-		if seen[key] {
-			t.Fatalf("duplicate survived dedupe: %v", p)
+	for _, c := range []struct {
+		g   zorder.Grid
+		pts []geom.Point
+	}{
+		{zorder.MustGrid(2, 4), Uniform(zorder.MustGrid(2, 4), 1000, 3)},
+		{zorder.MustGrid(2, 12), Clustered(zorder.MustGrid(2, 12), 20, 500, 8, 4)},
+		{zorder.MustGrid(3, 6), Uniform(zorder.MustGrid(3, 6), 5000, 5)},
+		{zorder.MustGrid(2, 32), append(Uniform(zorder.MustGrid(2, 32), 300, 6), Uniform(zorder.MustGrid(2, 32), 300, 6)...)},
+		{zorder.MustGrid(2, 32), []geom.Point{
+			{ID: 0, Coords: []uint32{math.MaxUint32, math.MaxUint32}}, {ID: 1, Coords: []uint32{0, 0}},
+			{ID: 2, Coords: []uint32{math.MaxUint32, math.MaxUint32}}, {ID: 3, Coords: []uint32{0, 0}},
+		}},
+	} {
+		var want []geom.Point
+		seen := map[string]bool{}
+		for _, p := range slices.Clone(c.pts) {
+			if key := fmt.Sprint(p.Coords); !seen[key] {
+				seen[key] = true
+				want = append(want, p)
+			}
 		}
-		seen[key] = true
-	}
-	if len(out) > 256 {
-		t.Errorf("more deduped points than pixels")
+		if got := Dedupe(c.g, c.pts); !slices.EqualFunc(got, want, func(a, b geom.Point) bool {
+			return a.ID == b.ID && slices.Equal(a.Coords, b.Coords)
+		}) {
+			t.Errorf("%v: Dedupe kept %d of %d points, the first of each pixel are %d", c.g, len(got), len(c.pts), len(want))
+		}
+		if len(want) == len(c.pts) {
+			t.Errorf("%v: no collisions in the input", c.g)
+		}
 	}
 }
 
