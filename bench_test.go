@@ -397,7 +397,7 @@ func BenchmarkAblationBulkLoad(b *testing.B) {
 		var leaves float64
 		for i := 0; i < b.N; i++ {
 			pool := disk.MustPool(disk.MustMemStore(1024), 256, disk.LRU)
-			ix, err := core.NewIndexBulk(pool, g, core.IndexConfig{LeafCapacity: 20}, pts, 0)
+			ix, err := core.NewIndexBulk(pool, g, core.IndexConfig{LeafCapacity: 20}, pts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -412,7 +412,7 @@ func BenchmarkAblationBulkLoad(b *testing.B) {
 func BenchmarkNearestNeighbor(b *testing.B) {
 	g := zorder.MustGrid(2, 10)
 	pool := disk.MustPool(disk.MustMemStore(1024), 256, disk.LRU)
-	ix, err := core.NewIndexBulk(pool, g, core.IndexConfig{LeafCapacity: 20}, workload.Uniform(g, 5000, 3), 0)
+	ix, err := core.NewIndexBulk(pool, g, core.IndexConfig{LeafCapacity: 20}, workload.Uniform(g, 5000, 3))
 	if err != nil {
 		b.Fatal(err)
 	}

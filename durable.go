@@ -260,7 +260,7 @@ func recoverDurable(g Grid, cfg openConfig, fsys disk.FS, sp *Trace) (*DB, error
 		return nil, err
 	}
 	return (&DB{
-		grid: g, store: rs, rs: rs, pool: pool, index: ix,
+		grid: g, rs: rs, pool: pool, index: ix,
 		recovery: info, recovered: true,
 	}).initMetrics(), nil
 }
@@ -291,8 +291,10 @@ func recoverDurable(g Grid, cfg openConfig, fsys disk.FS, sp *Trace) (*DB, error
 //
 // It accepts WithTrace like the query entry points; the returned
 // QueryStats carries the checkpoint's WALAppends (the whole batch and
-// its commit record), WALSyncs and physical writes, traced or not. Its
-// PoolWriteBacks is 0: the pool writes nothing back.
+// its commit record), WALSyncs and PhysWrites, traced or not. PhysWrites
+// is the page-file slots the checkpoint wrote: one per page image
+// applied and one per free stamped, so WALAppends less the commit
+// record. Its PoolWriteBacks is 0: the pool writes nothing back.
 func (db *DB) Checkpoint(opts ...QueryOption) (QueryStats, error) {
 	qc := queryOptions(opts)
 	db.mu.Lock()
@@ -309,12 +311,12 @@ func (db *DB) Checkpoint(opts ...QueryOption) (QueryStats, error) {
 }
 
 // checkpointTotals reads the lifetime totals a checkpoint's work grows,
-// the store's writes and the log's appends and syncs; it holds db.mu,
-// so beside it nothing else grows them.
+// the page-file slots it writes and the log's appends and syncs; it
+// holds db.mu, so beside it nothing else grows them.
 func (db *DB) checkpointTotals() (t obs.Counts) {
-	t[obs.PhysWrites] = int64(db.store.Stats().Writes)
 	if db.rs != nil {
 		ds := db.rs.DurabilityStats()
+		t[obs.PhysWrites] = int64(ds.PageWrites)
 		t[obs.WALAppends], t[obs.WALSyncs] = int64(ds.WALAppends), int64(ds.WALSyncs)
 	}
 	return t
@@ -395,10 +397,11 @@ func (db *DB) close(checkpoint bool) (err error) {
 }
 
 // DurabilityStats returns the durable store's counters: WAL appends
-// and fsyncs, checkpoints completed, pages replayed at recovery,
-// checksum failures surfaced, the page file's slots against its live
-// pages (the space amplification), and pages reused inside a
-// checkpoint epoch. Zero on an in-memory database.
+// and fsyncs, checkpoints completed, the page-file slots they wrote,
+// the page file's slots against its live pages (the space
+// amplification), and pages reused inside a checkpoint epoch. Zero on
+// an in-memory database. The pages replayed at recovery are
+// Recovered's; a checksum failure is counted on the read that hit it.
 func (db *DB) DurabilityStats() DurabilityStats {
 	db.mu.Lock()
 	defer db.mu.Unlock()

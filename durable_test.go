@@ -405,6 +405,55 @@ func TestDurableStatsAndTrace(t *testing.T) {
 	}
 }
 
+// TestDurableCheckpointCountsPageWrites: a checkpoint's PhysWrites is
+// the page-file slots its apply writes, one per page image and one per
+// free stamped: the batch's records, which are its WAL appends less the
+// commit record. Traced or not, the count is the same, and it is what
+// the store's lifetime PageWrites grew by.
+func TestDurableCheckpointCountsPageWrites(t *testing.T) {
+	g := probe.MustGrid(2, 10)
+	db, err := probe.Open(g, probe.WithDurability("probe.db"), probe.WithFS(faultfs.New()), probe.WithPageSize(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rng := rand.New(rand.NewSource(59))
+	for i, traced := range []bool{true, false} {
+		pts := make([]probe.Point, 2000)
+		for id := range pts {
+			pts[id] = probe.Pt2(uint64(i)<<20|uint64(id), uint32(rng.Intn(1024)), uint32(rng.Intn(1024)))
+			if err := db.Insert(pts[id]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range pts[:500] { // frees as well as images
+			if _, err := db.Delete(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var opts []probe.QueryOption
+		tr := probe.NewTrace("test")
+		if traced {
+			opts = append(opts, probe.WithTrace(tr))
+		}
+		before := db.DurabilityStats().PageWrites
+		qs, err := db.Checkpoint(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qs.PhysWrites <= 1 || qs.PhysWrites != qs.WALAppends-1 {
+			t.Errorf("traced %v: checkpoint PhysWrites %d, WALAppends %d: want the %d batch records, more than 1",
+				traced, qs.PhysWrites, qs.WALAppends, qs.WALAppends-1)
+		}
+		if grew := db.DurabilityStats().PageWrites - before; grew != qs.PhysWrites {
+			t.Errorf("traced %v: PageWrites grew by %d, the checkpoint reports %d", traced, grew, qs.PhysWrites)
+		}
+		if got := uint64(tr.Total(probe.CounterPhysWrites)); traced && got != qs.PhysWrites {
+			t.Errorf("the trace carries %d physical writes, the checkpoint reports %d", got, qs.PhysWrites)
+		}
+	}
+}
+
 func TestDurableRecoveryCountsPages(t *testing.T) {
 	g := probe.MustGrid(2, 8)
 	fsys := faultfs.New()
@@ -453,9 +502,6 @@ func TestDurableRecoveryCountsPages(t *testing.T) {
 		}
 		if info.Committed && info.PagesRecovered == 0 {
 			t.Fatalf("fault %d: committed recovery replayed no pages", fault)
-		}
-		if info.Committed && db2.DurabilityStats().PagesRecovered == 0 {
-			t.Fatalf("fault %d: PagesRecovered counter not set", fault)
 		}
 		db2.Close()
 	}
@@ -594,11 +640,12 @@ func TestDurableReadsSurviveWriteFailure(t *testing.T) {
 	if err := db.Insert(probe.Pt2(1<<40, 1, 1)); err == nil || !strings.Contains(err.Error(), "needs recovery") {
 		t.Fatalf("insert after the fault: %v", err)
 	}
-	failed, reads := 0, db.IOStats().Reads
+	failed, reads := 0, uint64(0)
 	for i := 0; i < 200; i++ {
 		x1, x2, y1, y2 := uint32(rng.Intn(1024)), uint32(rng.Intn(1024)), uint32(rng.Intn(1024)), uint32(rng.Intn(1024))
 		box := probe.Box2(min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2))
-		pts, _, err := db.RangeSearch(box)
+		pts, st, err := db.RangeSearch(box)
+		reads += st.PhysReads
 		if err != nil {
 			if failed++; failed == 1 {
 				t.Errorf("range search %d: %v", i, err)
@@ -623,7 +670,7 @@ func TestDurableReadsSurviveWriteFailure(t *testing.T) {
 	if failed > 0 {
 		t.Fatalf("%d of 200 range searches failed after the write-path fault", failed)
 	}
-	if db.IOStats().Reads == reads {
+	if reads == 0 {
 		t.Fatal("no search missed the pool")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"time"
 
 	"probe/internal/core"
 	"probe/internal/decompose"
@@ -25,12 +26,11 @@ func main() {
 	g := zorder.MustGrid(2, 10) // a 1024 x 1024 map
 
 	// --- Storage: a simulated disk with an LRU buffer pool. ---
-	store := disk.MustMemStore(1024)
-	pool := disk.MustPool(store, 64, disk.LRU)
+	pool := disk.MustPool(disk.MustMemStore(1024), 64, disk.LRU)
 
 	// --- Load: 8000 sensor readings along a river (diagonal-ish). ---
 	pts := workload.Diagonal(g, 8000, 24, 7)
-	ix, err := core.NewIndexBulk(pool, g, core.IndexConfig{LeafCapacity: 20}, pts, 0)
+	ix, err := core.NewIndexBulk(pool, g, core.IndexConfig{LeafCapacity: 20}, pts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,19 +45,18 @@ func main() {
 	}
 	fmt.Printf("\nEXPLAIN:\n  %s\n", plan.Description)
 
-	// --- Run the index scan and account for pages, then extrapolate
-	// to 1986. The planner only estimates; the caller runs. ---
+	// --- Run the index scan cold and account for pages, then
+	// extrapolate to 1986: one 30 ms random access per physical read.
+	// The planner only estimates; the caller runs. ---
 	pool.Invalidate()
-	store.ResetStats()
 	results, stats, err := ix.RangeSearch(box, core.MergeLazy)
 	if err != nil {
 		log.Fatal(err)
 	}
-	io := store.Stats()
 	fmt.Printf("\nexecuted: %d readings, %d data pages touched (estimated %d)\n",
 		len(results), stats.DataPages, plan.EstimatedPages)
 	fmt.Printf("physical I/O: %d reads -> %v on a 30ms/access 1986 disk\n",
-		io.Reads, io.SimulatedTime(disk.EraDiskAccess))
+		stats.PhysReads, time.Duration(stats.PhysReads)*30*time.Millisecond)
 
 	// --- The §4 relational pipeline: districts x readings. ---
 	districts := []relation.CatalogEntry{

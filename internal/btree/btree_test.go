@@ -512,8 +512,7 @@ func TestPaperConfiguration(t *testing.T) {
 // scan along the cursor's cached descent path reads each leaf page
 // exactly once even with a small pool.
 func TestScanPageAccesses(t *testing.T) {
-	store := disk.MustMemStore(1024)
-	pool := disk.MustPool(store, 4, disk.LRU)
+	pool := disk.MustPool(disk.MustMemStore(1024), 4, disk.LRU)
 	tree, err := New(pool, Config{LeafCapacity: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -524,7 +523,7 @@ func TestScanPageAccesses(t *testing.T) {
 		}
 	}
 	pool.Invalidate()
-	store.ResetStats()
+	misses := pool.Stats().Misses
 	snap := tree.Snapshot()
 	defer snap.Release()
 	c := snap.Cursor()
@@ -538,7 +537,7 @@ func TestScanPageAccesses(t *testing.T) {
 	if n != 2000 {
 		t.Fatalf("scan saw %d entries", n)
 	}
-	reads := store.Stats().Reads
+	reads := pool.Stats().Misses - misses
 	// The cursor caches its decoded descent path, so a full scan reads
 	// each leaf exactly once and each internal node exactly once. The
 	// internal-node allowance is leaves/2: far more than a real tree

@@ -60,9 +60,7 @@ func (f *faultStore) Free(id disk.PageID) error {
 	return f.inner.Free(id)
 }
 
-func (f *faultStore) NumPages() int       { return f.inner.NumPages() }
-func (f *faultStore) Stats() disk.IOStats { return f.inner.Stats() }
-func (f *faultStore) ResetStats()         { f.inner.ResetStats() }
+func (f *faultStore) NumPages() int { return f.inner.NumPages() }
 
 // TestFaultInjectionNoPanics drives tree operations against stores
 // that fail at every possible physical-operation offset, asserting

@@ -14,11 +14,17 @@ import (
 // not depend on the race detector, so these run in every build, and CI
 // runs them beside the alloc gates, where a rise fails the build.
 
-// auditStore records every Free the store refuses: a page freed twice,
-// or one that was never allocated.
+// auditStore counts the pages the store allocates and records every
+// Free it refuses: a page freed twice, or one that was never allocated.
 type auditStore struct {
 	disk.Store
+	allocs   int
 	badFrees []disk.PageID
+}
+
+func (s *auditStore) Allocate() (disk.PageID, error) {
+	s.allocs++
+	return s.Store.Allocate()
 }
 
 func (s *auditStore) Free(id disk.PageID) error {
@@ -101,13 +107,13 @@ func TestPageGateCommitBatch(t *testing.T) {
 		for i := uint64(1); i <= 8; i++ {
 			muts = append(muts, Mutation{Key: Key{Hi: 20000 + i}})
 		}
-		pages, allocs := store.NumPages(), store.Stats().Allocs
+		pages, allocs := store.NumPages(), store.allocs
 		if err := tree.CommitBatch(tree.MVCCStats().Seq, muts); err != nil {
 			t.Fatal(err)
 		}
 		// The path once, plus the one leaf split 8 neighbours can cause;
 		// one copy per mutation would be 8 x height.
-		if got, max := int(store.Stats().Allocs-allocs), tree.Height()+1; got > max {
+		if got, max := store.allocs-allocs, tree.Height()+1; got > max {
 			t.Errorf("an 8-key batch allocated %d pages, want at most height+1 = %d", got, max)
 		}
 		if got := store.NumPages() - pages; got < 0 || got > 1 {

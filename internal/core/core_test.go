@@ -526,7 +526,7 @@ func TestScratchKeepsNoHugeBuffer(t *testing.T) {
 			pts = append(pts, geom.Pt2(uint64(len(pts)+1), x, y))
 		}
 	}
-	ix, err := NewIndexBulk(disk.MustPool(disk.MustMemStore(4096), 256, disk.LRU), g, IndexConfig{}, pts, 0)
+	ix, err := NewIndexBulk(disk.MustPool(disk.MustMemStore(4096), 256, disk.LRU), g, IndexConfig{}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}

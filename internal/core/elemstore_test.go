@@ -332,8 +332,7 @@ func joinStoresMatchInMemory(t *testing.T, c propGrid) {
 // are processed, and then the page will not be needed again".
 func TestJoinStoresOnePassLRU(t *testing.T) {
 	g := zorder.MustGrid(2, 8)
-	store := disk.MustMemStore(1024)
-	pool := disk.MustPool(store, 8, disk.LRU) // tiny pool
+	pool := disk.MustPool(disk.MustMemStore(1024), 8, disk.LRU) // tiny pool
 	sa, err := NewElementStore(pool, g, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +355,7 @@ func TestJoinStoresOnePassLRU(t *testing.T) {
 		}
 	}
 	pool.Invalidate()
-	store.ResetStats()
+	misses := pool.Stats().Misses
 	pairs := 0
 	pages, err := SpatialJoinStores(sa, sb, func(Pair) bool { pairs++; return true })
 	if err != nil {
@@ -365,7 +364,7 @@ func TestJoinStoresOnePassLRU(t *testing.T) {
 	if pairs == 0 {
 		t.Fatal("join found nothing; workload broken")
 	}
-	reads := int(store.Stats().Reads)
+	reads := int(pool.Stats().Misses - misses)
 	// One pass: physical reads should be close to the distinct leaf
 	// pages, never a multiple of them. The cursor reads each internal
 	// node once per stream as its cached descent path advances; the
@@ -402,8 +401,7 @@ func TestSpatialJoinStoresEarlyStop(t *testing.T) {
 // per leaf page (the Section 4 buffering claim: ~1.0).
 func BenchmarkAblationJoinOnDisk(b *testing.B) {
 	g := zorder.MustGrid(2, 9)
-	store := disk.MustMemStore(1024)
-	pool := disk.MustPool(store, 8, disk.LRU)
+	pool := disk.MustPool(disk.MustMemStore(1024), 8, disk.LRU)
 	sa, err := NewElementStore(pool, g, 20)
 	if err != nil {
 		b.Fatal(err)
@@ -429,12 +427,12 @@ func BenchmarkAblationJoinOnDisk(b *testing.B) {
 	var readsPerLeaf float64
 	for i := 0; i < b.N; i++ {
 		pool.Invalidate()
-		store.ResetStats()
+		misses := pool.Stats().Misses
 		pages, err := SpatialJoinStores(sa, sb, func(Pair) bool { return true })
 		if err != nil {
 			b.Fatal(err)
 		}
-		readsPerLeaf = float64(store.Stats().Reads) / float64(pages.Left+pages.Right)
+		readsPerLeaf = float64(pool.Stats().Misses-misses) / float64(pages.Left+pages.Right)
 	}
 	b.ReportMetric(readsPerLeaf, "reads/leaf")
 }

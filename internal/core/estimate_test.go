@@ -46,12 +46,11 @@ func TestEstimatePagesTracksMerge(t *testing.T) {
 		{"inserted/derived/1K", 1024, 0, 12000},
 		{"inserted/20", 4096, 20, 12000},
 	} {
-		store := disk.MustMemStore(c.pageSize)
-		pool := disk.MustPool(store, 4096, disk.LRU)
+		pool := disk.MustPool(disk.MustMemStore(c.pageSize), 4096, disk.LRU)
 		var ix *Index
 		var err error
 		if c.inserted == 0 {
-			ix, err = NewIndexBulk(pool, g, IndexConfig{LeafCapacity: c.capacity}, pts, 0)
+			ix, err = NewIndexBulk(pool, g, IndexConfig{LeafCapacity: c.capacity}, pts)
 		} else if ix, err = NewIndex(pool, g, IndexConfig{LeafCapacity: c.capacity}); err == nil {
 			for _, i := range rng.Perm(len(pts))[:c.inserted] {
 				if err = ix.Insert(pts[i]); err != nil {
@@ -67,21 +66,21 @@ func TestEstimatePagesTracksMerge(t *testing.T) {
 		// A cold scan of the whole space reads every page once: the
 		// internal pages are its reads less the leaves.
 		whole := geom.FullBox(g)
-		cold := func() {
+		cold := func() uint64 {
 			pool.Invalidate()
-			store.ResetStats()
+			return pool.Stats().Misses
 		}
-		cold()
+		misses := cold()
 		if _, _, err := ix.RangeSearch(whole, MergeLazy); err != nil {
 			t.Fatal(err)
 		}
-		internal := int(store.Stats().Reads) - leaves
-		cold()
+		internal := int(pool.Stats().Misses-misses) - leaves
+		misses = cold()
 		est, err := ix.EstimatePages(whole)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reads := int(store.Stats().Reads); reads > internal || reads == 0 {
+		if reads := int(pool.Stats().Misses - misses); reads > internal || reads == 0 {
 			t.Errorf("%s: the estimate read %d pages cold, want 1 to the %d internal pages", c.name, reads, internal)
 		}
 		if est != leaves {

@@ -103,12 +103,12 @@ func NewIndex(pool *disk.Pool, g zorder.Grid, cfg IndexConfig) (*Index, error) {
 }
 
 // NewIndexBulk builds an index by bulk-loading points, in any order
-// (pts is left as it is), into a packed B+-tree (fill 0 means 100%).
+// (pts is left as it is), into a packed B+-tree: every leaf full.
 // Loading n points is O(n): a radix sort of their keys and O(n) page
 // writes, versus O(n log n) page accesses for one-at-a-time insertion,
 // and yields ~30% fewer data pages — see BenchmarkAblationBulkLoad. A
 // point given twice fails with btree.ErrDuplicateKey, as Insert does.
-func NewIndexBulk(pool *disk.Pool, g zorder.Grid, cfg IndexConfig, pts []geom.Point, fill float64) (*Index, error) {
+func NewIndexBulk(pool *disk.Pool, g zorder.Grid, cfg IndexConfig, pts []geom.Point) (*Index, error) {
 	entries := make([]btree.Entry, len(pts))
 	for i, p := range pts {
 		if !g.Valid(p.Coords) {
@@ -122,7 +122,7 @@ func NewIndexBulk(pool *disk.Pool, g zorder.Grid, cfg IndexConfig, pts []geom.Po
 			return nil, fmt.Errorf("core: bulk load point %d: %w", k.Lo, btree.ErrDuplicateKey)
 		}
 	}
-	tree, err := btree.Load(pool, treeConfig(g, cfg.LeafCapacity), entries, fill)
+	tree, err := btree.Load(pool, treeConfig(g, cfg.LeafCapacity), entries, 0)
 	if err != nil {
 		return nil, err
 	}

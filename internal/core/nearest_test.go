@@ -172,7 +172,7 @@ func TestNewIndexBulkMatchesInsert(t *testing.T) {
 	g := zorder.MustGrid(2, 8)
 	pts := workload.Uniform(g, 2000, 26)
 	pool := disk.MustPool(disk.MustMemStore(1024), 256, disk.LRU)
-	bulk, err := NewIndexBulk(pool, g, IndexConfig{LeafCapacity: 20}, pts, 0)
+	bulk, err := NewIndexBulk(pool, g, IndexConfig{LeafCapacity: 20}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +207,11 @@ func TestNewIndexBulkMatchesInsert(t *testing.T) {
 func TestNewIndexBulkValidation(t *testing.T) {
 	g := zorder.MustGrid(2, 4)
 	pool := disk.MustPool(disk.MustMemStore(512), 64, disk.LRU)
-	if _, err := NewIndexBulk(pool, g, IndexConfig{}, []geom.Point{{ID: 1, Coords: []uint32{99, 0}}}, 0); err == nil {
+	if _, err := NewIndexBulk(pool, g, IndexConfig{}, []geom.Point{{ID: 1, Coords: []uint32{99, 0}}}); err == nil {
 		t.Errorf("out-of-grid point accepted")
 	}
 	dup := []geom.Point{{ID: 7, Coords: []uint32{3, 5}}, {ID: 2, Coords: []uint32{1, 1}}, {ID: 7, Coords: []uint32{3, 5}}}
-	if _, err := NewIndexBulk(pool, g, IndexConfig{}, dup, 0); !errors.Is(err, btree.ErrDuplicateKey) {
+	if _, err := NewIndexBulk(pool, g, IndexConfig{}, dup); !errors.Is(err, btree.ErrDuplicateKey) {
 		t.Errorf("duplicate point: err %v, want %v", err, btree.ErrDuplicateKey)
 	}
 }

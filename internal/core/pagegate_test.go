@@ -42,7 +42,7 @@ func TestPageGateLeafDensity(t *testing.T) {
 	} {
 		g := zorder.MustGrid(c.dims, c.bits)
 		pool := disk.MustPool(disk.MustMemStore(pageSize), 64, disk.LRU)
-		ix, err := NewIndexBulk(pool, g, IndexConfig{LeafCapacity: c.capacity}, workload.Uniform(g, n, 7), 0)
+		ix, err := NewIndexBulk(pool, g, IndexConfig{LeafCapacity: c.capacity}, workload.Uniform(g, n, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestPageGateBulkLeafDensity(t *testing.T) {
 		pts[i].ID = uint64(i + 1)
 	}
 	pool := disk.MustPool(disk.MustMemStore(pageSize), 64, disk.LRU)
-	ix, err := NewIndexBulk(pool, g, IndexConfig{}, pts, 0)
+	ix, err := NewIndexBulk(pool, g, IndexConfig{}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestPageGateInsertedLeafDensity(t *testing.T) {
 	} {
 		pts := workload.Uniform(g, n, 7)
 		pool := disk.MustPool(disk.MustMemStore(pageSize), 64, disk.LRU)
-		ix, err := NewIndexBulk(pool, g, IndexConfig{}, pts, 0)
+		ix, err := NewIndexBulk(pool, g, IndexConfig{}, pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestPageGateRangeWalk(t *testing.T) {
 		}},
 	} {
 		pool := disk.MustPool(disk.MustMemStore(pageSize), 2048, disk.LRU)
-		ix, err := NewIndexBulk(pool, g, IndexConfig{LeafCapacity: c.capacity}, workload.Uniform(g, c.n, 5), 0)
+		ix, err := NewIndexBulk(pool, g, IndexConfig{LeafCapacity: c.capacity}, workload.Uniform(g, c.n, 5))
 		if err != nil {
 			t.Fatal(err)
 		}

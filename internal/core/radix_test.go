@@ -117,7 +117,7 @@ func TestNewIndexBulkSortsItsInput(t *testing.T) {
 	pages := func(pts []geom.Point) [][]byte {
 		store := disk.MustMemStore(1024)
 		pool := disk.MustPool(store, 1024, disk.LRU)
-		if _, err := NewIndexBulk(pool, g, IndexConfig{}, pts, 0); err != nil {
+		if _, err := NewIndexBulk(pool, g, IndexConfig{}, pts); err != nil {
 			t.Fatal(err)
 		}
 		out := make([][]byte, store.NumPages())
@@ -187,7 +187,7 @@ func BenchmarkNewIndexBulk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pool := disk.MustPool(disk.MustMemStore(4096), 4096, disk.LRU)
-		if _, err := NewIndexBulk(pool, g, IndexConfig{}, pts, 0); err != nil {
+		if _, err := NewIndexBulk(pool, g, IndexConfig{}, pts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,8 +22,7 @@ import (
 
 func TestConcurrentReadersOneIndexOnePool(t *testing.T) {
 	g := zorder.MustGrid(2, 9)
-	store := disk.MustMemStore(1024)
-	pool := disk.MustPool(store, 24, disk.LRU)
+	pool := disk.MustPool(disk.MustMemStore(1024), 24, disk.LRU)
 	ix, err := NewIndex(pool, g, IndexConfig{LeafCapacity: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +73,6 @@ func TestConcurrentReadersOneIndexOnePool(t *testing.T) {
 				}
 				if q%5 == 0 {
 					pool.Stats() // concurrent stats reads must be safe
-					store.Stats()
 				}
 			}
 		}(w)

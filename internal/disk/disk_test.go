@@ -3,7 +3,6 @@ package disk
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"probe/internal/obs"
 )
@@ -33,14 +32,6 @@ func TestMemStoreBasics(t *testing.T) {
 	}
 	if s.NumPages() != 1 {
 		t.Errorf("NumPages = %d", s.NumPages())
-	}
-	st := s.Stats()
-	if st.Allocs != 1 || st.Reads != 1 || st.Writes != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-	s.ResetStats()
-	if s.Stats() != (IOStats{}) {
-		t.Errorf("ResetStats failed")
 	}
 }
 
@@ -144,15 +135,13 @@ func TestPoolWriteBack(t *testing.T) {
 
 	// Force eviction by pulling in another page.
 	id2, _ := s.Allocate()
-	s.ResetStats()
-	if _, err := p.View(id2, nil); err != nil {
+	var n obs.Counts
+	if _, err := p.View(id2, &n); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Writes != 0 || st.Reads != 1 {
-		t.Errorf("a miss evicting a Put page cost %+v, want one read", st)
-	}
-	if p.Stats().Evictions != 1 {
-		t.Errorf("stats = %+v", p.Stats())
+	if n[obs.PhysReads] != 1 || n[obs.PoolEvictions] != 1 || n[obs.PoolWriteBacks] != 0 {
+		t.Errorf("a miss evicting a Put page cost %d reads, %d evictions, %d write-backs, want 1, 1, 0",
+			n[obs.PhysReads], n[obs.PoolEvictions], n[obs.PoolWriteBacks])
 	}
 }
 
@@ -229,13 +218,13 @@ func TestPoolLRUOrder(t *testing.T) {
 	get(ids[1])
 	get(ids[0]) // touch 0 so 1 is LRU
 	get(ids[2]) // evicts 1
-	s.ResetStats()
+	misses := p.Stats().Misses
 	get(ids[0])
-	if s.Stats().Reads != 0 {
+	if p.Stats().Misses != misses {
 		t.Errorf("page 0 should still be resident under LRU")
 	}
 	get(ids[1])
-	if s.Stats().Reads != 1 {
+	if p.Stats().Misses != misses+1 {
 		t.Errorf("page 1 should have been evicted under LRU")
 	}
 }
@@ -248,12 +237,12 @@ func TestPoolInvalidate(t *testing.T) {
 	if p.Resident() != 0 {
 		t.Errorf("Invalidate left %d resident frames", p.Resident())
 	}
-	s.ResetStats()
+	misses := p.Stats().Misses
 	data, err := p.View(id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Stats().Reads != 1 || data[0] != 7 {
+	if p.Stats().Misses != misses+1 || data[0] != 7 {
 		t.Errorf("post-invalidate access should be a cold read of the Put image")
 	}
 }
@@ -317,7 +306,6 @@ func TestPoolScanWorkload(t *testing.T) {
 		ids = append(ids, id)
 	}
 	p := MustPool(s, 3, LRU)
-	s.ResetStats()
 	for _, id := range ids {
 		// Each page accessed twice in a row (as a merge re-examines
 		// the current page) and then never again.
@@ -327,20 +315,10 @@ func TestPoolScanWorkload(t *testing.T) {
 			}
 		}
 	}
-	if got := s.Stats().Reads; got != 100 {
+	if got := p.Stats().Misses; got != 100 {
 		t.Errorf("scan read %d pages physically, want 100", got)
 	}
 	if p.Stats().Hits != 100 {
 		t.Errorf("hits = %d, want 100", p.Stats().Hits)
-	}
-}
-
-func TestSimulatedTime(t *testing.T) {
-	s := IOStats{Reads: 10, Writes: 5, Allocs: 100}
-	if got := s.SimulatedTime(EraDiskAccess); got != 450*time.Millisecond {
-		t.Errorf("SimulatedTime = %v, want 450ms", got)
-	}
-	if (IOStats{}).SimulatedTime(EraDiskAccess) != 0 {
-		t.Errorf("empty stats should cost nothing")
 	}
 }

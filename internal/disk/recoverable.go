@@ -56,15 +56,13 @@ type RecoverableStore struct {
 	reusable    []PageID          // pendingFree's members, in free order
 	lsn         uint64
 	failed      error
-	stats       IOStats
 	ckptHook    func(Segment, []byte) // log shipping: observes each completed batch and its log bytes
 
-	walAppends       uint64
-	walSyncs         uint64
-	checkpoints      uint64
-	pagesRecovered   uint64
-	checksumFailures uint64
-	pagesReused      uint64
+	walAppends  uint64
+	walSyncs    uint64
+	checkpoints uint64
+	pageWrites  uint64
+	pagesReused uint64
 }
 
 // deltaPage is a page's latest image and the LSN of its last change;
@@ -85,11 +83,9 @@ type DurabilityStats struct {
 	WALSyncs uint64
 	// Checkpoints is the number of completed checkpoints.
 	Checkpoints uint64
-	// PagesRecovered is the number of page images replayed from the
-	// log when the store was opened.
-	PagesRecovered uint64
-	// ChecksumFailures counts reads that surfaced a *ChecksumError.
-	ChecksumFailures uint64
+	// PageWrites is the page-file slots checkpoints have written: one
+	// per page image and one per free stamp.
+	PageWrites uint64
 	// FilePages is the page file's slots, allocated or free; LivePages
 	// is how many hold a live page. The ratio is space amplification.
 	FilePages, LivePages int
@@ -194,14 +190,13 @@ func RecoverStore(fsys FS, path string) (*RecoverableStore, RecoveryInfo, error)
 	rs := newRecoverable(fs, wal)
 	if res.Committed {
 		seg := committedSegment(res.Records)
-		n, err := applyRecords(fs, wp, seg.Records)
+		n, _, err := applyRecords(fs, wp, seg.Records)
 		if err != nil {
 			rs.Close()
 			return nil, info, err
 		}
 		info.Committed = true
 		info.PagesRecovered = n
-		rs.pagesRecovered = uint64(n)
 		if rem := fs.CorruptPages(); len(rem) > 0 {
 			rs.Close()
 			return nil, info, &ChecksumError{Path: path, Page: rem[0],
@@ -254,34 +249,36 @@ func RecoverStore(fsys FS, path string) (*RecoverableStore, RecoveryInfo, error)
 // frees its page if it is allocated, an image allocates its slot and
 // writes it. It is the one apply path of the checkpoint, crash
 // recovery and replica log shipping (ApplyWALSegment), and returns the
-// number of images applied; name labels errors with the batch's
-// source. A batch names each page at most once, so its order does not
-// change the result, and applying it again changes nothing.
-func applyRecords(fs *FileStore, name string, recs []WALRecord) (int, error) {
-	applied := 0
+// number of images applied and of slots written, the images and the
+// frees stamped; name labels errors with the batch's source. A batch
+// names each page at most once, so its order does not change the
+// result, and applying it again changes nothing.
+func applyRecords(fs *FileStore, name string, recs []WALRecord) (images, writes int, err error) {
 	for _, rec := range recs {
 		switch rec.Kind {
 		case RecFree:
 			if fs.isAllocated(rec.Page) {
 				if err := fs.FreeLSN(rec.Page, rec.LSN); err != nil {
-					return 0, err
+					return 0, 0, err
 				}
+				writes++
 			}
 		case RecPage:
 			if len(rec.Payload) != fs.PageSize() {
-				return 0, &ChecksumError{Path: name, Page: rec.Page,
+				return 0, 0, &ChecksumError{Path: name, Page: rec.Page,
 					Reason: fmt.Sprintf("log image has %d bytes, page size is %d", len(rec.Payload), fs.PageSize())}
 			}
 			if err := fs.allocateExact(rec.Page); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			if err := fs.WriteLSN(rec.Page, rec.Payload, rec.LSN); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
-			applied++
+			images++
+			writes++
 		}
 	}
-	return applied, nil
+	return images, writes, nil
 }
 
 // fail records the store's first fatal error and returns it.
@@ -321,7 +318,6 @@ func (s *RecoverableStore) Allocate() (PageID, error) {
 	}
 	s.lsn++
 	s.delta[id] = deltaPage{lsn: s.lsn}
-	s.stats.Allocs++
 	return id, nil
 }
 
@@ -338,17 +334,9 @@ func (s *RecoverableStore) Read(id PageID, buf []byte) error {
 	}
 	if dp, ok := s.delta[id]; ok {
 		clear(buf[copy(buf, dp.img):])
-		s.stats.Reads++
 		return nil
 	}
-	if err := s.fs.Read(id, buf); err != nil {
-		if _, ok := err.(*ChecksumError); ok {
-			s.checksumFailures++
-		}
-		return err
-	}
-	s.stats.Reads++
-	return nil
+	return s.fs.Read(id, buf)
 }
 
 // Write implements Store: a copy of the image is retained in the delta;
@@ -386,7 +374,6 @@ func (s *RecoverableStore) write(id PageID, buf []byte, keep bool) error {
 	}
 	s.lsn++
 	s.delta[id] = deltaPage{lsn: s.lsn, img: buf}
-	s.stats.Writes++
 	return nil
 }
 
@@ -411,7 +398,6 @@ func (s *RecoverableStore) Free(id PageID) error {
 	delete(s.delta, id)
 	s.pendingFree[id] = s.lsn
 	s.reusable = append(s.reusable, id)
-	s.stats.Frees++
 	return nil
 }
 
@@ -459,9 +445,11 @@ func (s *RecoverableStore) Checkpoint() error {
 		return s.fail(err)
 	}
 	s.walSyncs++
-	if _, err := applyRecords(s.fs, s.wal.path, seg.Records); err != nil {
+	_, writes, err := applyRecords(s.fs, s.wal.path, seg.Records)
+	if err != nil {
 		return s.fail(err)
 	}
+	s.pageWrites += uint64(writes)
 	if err := s.fs.SyncData(); err != nil {
 		return s.fail(err)
 	}
@@ -488,34 +476,18 @@ func (s *RecoverableStore) NumPages() int {
 	return s.fs.NumPages() - len(s.pendingFree)
 }
 
-// Stats implements Store, counting logical page operations against
-// this store.
-func (s *RecoverableStore) Stats() IOStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// ResetStats implements Store.
-func (s *RecoverableStore) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = IOStats{}
-}
-
 // DurabilityStats returns the store's durability counters.
 func (s *RecoverableStore) DurabilityStats() DurabilityStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return DurabilityStats{
-		WALAppends:       s.walAppends,
-		WALSyncs:         s.walSyncs,
-		Checkpoints:      s.checkpoints,
-		PagesRecovered:   s.pagesRecovered,
-		ChecksumFailures: s.checksumFailures,
-		FilePages:        s.fs.slots(),
-		LivePages:        s.fs.NumPages() - len(s.pendingFree),
-		PagesReused:      s.pagesReused,
+		WALAppends:  s.walAppends,
+		WALSyncs:    s.walSyncs,
+		Checkpoints: s.checkpoints,
+		PageWrites:  s.pageWrites,
+		FilePages:   s.fs.slots(),
+		LivePages:   s.fs.NumPages() - len(s.pendingFree),
+		PagesReused: s.pagesReused,
 	}
 }
 

@@ -47,7 +47,7 @@ func ApplyWALSegment(fsys FS, path string, seg Segment) error {
 	if fs.CheckpointLSN() > seg.MaxLSN {
 		return fmt.Errorf("disk: segment max LSN %d behind page file checkpoint %d", seg.MaxLSN, fs.CheckpointLSN())
 	}
-	if _, err := applyRecords(fs, path, seg.Records); err != nil {
+	if _, _, err := applyRecords(fs, path, seg.Records); err != nil {
 		return err
 	}
 	if err := fs.SyncData(); err != nil {

@@ -1,18 +1,18 @@
-// Package disk simulates the storage layer under the zkd B+-tree: a
-// store of fixed-size pages with I/O accounting, and a buffer pool
-// with pluggable eviction (LRU by default, matching Section 4's
-// observation that "the LRU buffering strategy will work well because
-// of our reliance on merging").
+// Package disk is the storage layer under the zkd B+-tree: a store of
+// fixed-size pages and a buffer pool over it with LRU eviction, Section
+// 4's choice ("the LRU buffering strategy will work well because of our
+// reliance on merging").
 //
 // The paper's experiments report page-access counts, not wall-clock
-// times; the store counts every physical read and write so the
-// experiment harness can reproduce those numbers exactly.
+// times. Each is counted once: a physical read is a pool miss, counted
+// on the read that caused it and in Pool.Stats; a physical write is a
+// page-file slot a RecoverableStore checkpoint writes, counted in
+// DurabilityStats.PageWrites.
 package disk
 
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // PageID identifies a page in a store. Zero is never a valid page.
@@ -23,14 +23,6 @@ const InvalidPage PageID = 0
 
 // DefaultPageSize is the page size used when none is specified.
 const DefaultPageSize = 4096
-
-// IOStats counts physical page operations on a store.
-type IOStats struct {
-	Reads  uint64
-	Writes uint64
-	Allocs uint64
-	Frees  uint64
-}
 
 // Store is a collection of fixed-size pages addressed by PageID.
 type Store interface {
@@ -46,10 +38,6 @@ type Store interface {
 	Free(id PageID) error
 	// NumPages returns the number of allocated pages.
 	NumPages() int
-	// Stats returns the I/O counters accumulated so far.
-	Stats() IOStats
-	// ResetStats zeroes the I/O counters.
-	ResetStats()
 }
 
 // MemStore is an in-memory Store. It is safe for concurrent use.
@@ -59,7 +47,6 @@ type MemStore struct {
 	pages    map[PageID][]byte
 	freeList []PageID
 	next     PageID
-	stats    IOStats
 }
 
 // NewMemStore creates an in-memory store with the given page size.
@@ -102,7 +89,6 @@ func (s *MemStore) Allocate() (PageID, error) {
 		s.next++
 	}
 	s.pages[id] = make([]byte, s.pageSize)
-	s.stats.Allocs++
 	return id, nil
 }
 
@@ -118,7 +104,6 @@ func (s *MemStore) Read(id PageID, buf []byte) error {
 		return fmt.Errorf("disk: read buffer has %d bytes, want %d", len(buf), s.pageSize)
 	}
 	copy(buf, p)
-	s.stats.Reads++
 	return nil
 }
 
@@ -134,7 +119,6 @@ func (s *MemStore) Write(id PageID, buf []byte) error {
 		return fmt.Errorf("disk: write buffer has %d bytes, want %d", len(buf), s.pageSize)
 	}
 	copy(p, buf)
-	s.stats.Writes++
 	return nil
 }
 
@@ -147,7 +131,6 @@ func (s *MemStore) Free(id PageID) error {
 	}
 	delete(s.pages, id)
 	s.freeList = append(s.freeList, id)
-	s.stats.Frees++
 	return nil
 }
 
@@ -157,29 +140,3 @@ func (s *MemStore) NumPages() int {
 	defer s.mu.Unlock()
 	return len(s.pages)
 }
-
-// Stats implements Store.
-func (s *MemStore) Stats() IOStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// ResetStats implements Store.
-func (s *MemStore) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = IOStats{}
-}
-
-// SimulatedTime converts I/O counts into simulated elapsed time under
-// a simple disk model: every physical read or write costs one random
-// access. With the ~30ms access time of the paper's era, it
-// extrapolates what a 1986 testbed would have spent on the same page
-// workload. Allocations and frees are metadata and not charged.
-func (s IOStats) SimulatedTime(perAccess time.Duration) time.Duration {
-	return time.Duration(s.Reads+s.Writes) * perAccess
-}
-
-// EraDiskAccess is a representative mid-1980s disk access time.
-const EraDiskAccess = 30 * time.Millisecond

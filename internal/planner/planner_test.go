@@ -15,7 +15,7 @@ func newTable(t *testing.T, g zorder.Grid, n int, seed int64) *Table {
 	t.Helper()
 	pts := workload.Uniform(g, n, seed)
 	pool := disk.MustPool(disk.MustMemStore(1024), 256, disk.LRU)
-	ix, err := core.NewIndexBulk(pool, g, core.IndexConfig{LeafCapacity: 20}, pts, 0)
+	ix, err := core.NewIndexBulk(pool, g, core.IndexConfig{LeafCapacity: 20}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestEstimateAdaptsToSkew(t *testing.T) {
 	g := zorder.MustGrid(2, 10)
 	pts := workload.Diagonal(g, 5000, 3, 50)
 	pool := disk.MustPool(disk.MustMemStore(1024), 256, disk.LRU)
-	ix, err := core.NewIndexBulk(pool, g, core.IndexConfig{LeafCapacity: 20}, pts, 0)
+	ix, err := core.NewIndexBulk(pool, g, core.IndexConfig{LeafCapacity: 20}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestEstimateTracksActual(t *testing.T) {
 		"diagonal": workload.Diagonal(g, 2000, 3, 52),
 	} {
 		pool := disk.MustPool(disk.MustMemStore(1024), 256, disk.LRU)
-		ix, err := core.NewIndexBulk(pool, g, core.IndexConfig{LeafCapacity: 20}, pts, 0)
+		ix, err := core.NewIndexBulk(pool, g, core.IndexConfig{LeafCapacity: 20}, pts)
 		if err != nil {
 			t.Fatal(err)
 		}

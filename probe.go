@@ -202,7 +202,6 @@ type DB struct {
 	closeOnce sync.Once
 
 	grid      Grid
-	store     disk.Store
 	rs        *disk.RecoverableStore // non-nil iff opened WithDurability
 	key       storeKey               // rs's entry in openStores
 	pool      *disk.Pool
@@ -253,14 +252,14 @@ func newDB(g Grid, store disk.Store, cfg openConfig) (*DB, error) {
 	ic := core.IndexConfig{LeafCapacity: cfg.leafCapacity}
 	var ix *core.Index
 	if cfg.bulkSet {
-		ix, err = core.NewIndexBulk(pool, g, ic, cfg.bulk, 0)
+		ix, err = core.NewIndexBulk(pool, g, ic, cfg.bulk)
 	} else {
 		ix, err = core.NewIndex(pool, g, ic)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return (&DB{grid: g, store: store, pool: pool, index: ix}).initMetrics(), nil
+	return (&DB{grid: g, pool: pool, index: ix}).initMetrics(), nil
 }
 
 // opCounts are the "<op>.count" counters of the operations that run
@@ -632,22 +631,6 @@ func (db *DB) DropCaches() error {
 	db.pool.Invalidate()
 	return nil
 }
-
-// IOStats returns the physical read/write counters of the simulated
-// disk. It takes no DB mutex by design: MemStore guards its counters
-// with its own lock, so the read is safe against concurrent
-// operations, and skipping db.mu lets monitoring sample I/O while a
-// long query holds the database lock (the same contract as
-// disk.Pool.Stats). The snapshot may interleave with an in-flight
-// operation's writes; counters never tear.
-func (db *DB) IOStats() disk.IOStats { return db.store.Stats() }
-
-// ResetIOStats zeroes the physical I/O counters. Like IOStats it
-// relies on MemStore's own lock rather than db.mu, so a reset
-// concurrent with a running operation yields counts attributable to
-// neither before nor after — reset on an idle database when exact
-// accounting matters.
-func (db *DB) ResetIOStats() { db.store.ResetStats() }
 
 // Index exposes the underlying index for advanced use (experiment
 // harnesses, custom merges).

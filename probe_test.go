@@ -226,11 +226,11 @@ func TestCachesAndStats(t *testing.T) {
 	if err := db.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	db.ResetIOStats()
-	if _, _, err := db.RangeSearch(probe.Box2(0, 255, 0, 255)); err != nil {
+	_, st, err := db.RangeSearch(probe.Box2(0, 255, 0, 255))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if db.IOStats().Reads == 0 {
+	if st.PhysReads == 0 {
 		t.Errorf("cold scan performed no physical reads")
 	}
 	if db.Index() == nil {
